@@ -5,7 +5,7 @@
 //! protogen verify  <protocol> [--stalling] [--caches N] [--threads N] [--max-states N]
 //!                  [--mem-budget BYTES] [--store full|delta|fp-only] [--spill-chunk BYTES]
 //!                  [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]
-//! protogen verify  --compose l1=msi:2,llc=mesi [--stalling] [--max-states N]
+//! protogen verify  --compose l1=msi:2,llc=mesi [--stalling] [the same flags, minus --caches]
 //! protogen dot     <protocol> [--stalling] [--machine cache|dir]
 //! protogen murphi  <protocol> [--stalling] [--caches N]
 //! protogen sim     <protocol> [--stalling] [--caches N] [--addrs N] [--accesses N]
@@ -35,8 +35,9 @@
 //! composition* instead of a flat protocol: a comma-separated stack of
 //! `label=protocol[:fanout]` levels, leaf-first (fanout defaults to 1).
 //! `verify --compose` model-checks the whole tree — per-level SWMR,
-//! leaf-level data-value, deadlock freedom — single-threaded with
-//! per-level symmetry reduction; `table`/`dot --compose` render one
+//! leaf-level data-value, deadlock freedom — on the same explorer and
+//! with the same resource flags as flat `verify`, under per-level
+//! symmetry reduction; `table`/`dot --compose` render one
 //! section (or cluster) per level with the derived glue. `compile` on a
 //! `.pgen` file carrying a `compose { … }` block does the same after
 //! resolving the referenced protocol names.
@@ -52,8 +53,8 @@
 //! boundaries (every `--checkpoint-every` depths, default 8) into a
 //! checksummed, versioned checkpoint; after a crash or `kill -9`,
 //! `--resume` continues from the newest committed checkpoint and produces
-//! byte-identical states, transitions, and violation traces. Flat
-//! verification only (not `--compose`).
+//! byte-identical states, transitions, and violation traces — for flat
+//! protocols and composed stacks alike.
 //!
 //! `serve --faults` injects a seeded, replayable fault schedule into the
 //! live run: FIFO-preserving delivery delays, bounded worker stalls,
@@ -93,7 +94,7 @@ use protogen_backend::{
 };
 use protogen_core::{compose, generate, Composed, GenConfig, Generated};
 use protogen_litmus::{run_suite, Limits};
-use protogen_mc::{HierChecker, HierConfig, McConfig, ModelChecker, PropertySet, StoreMode};
+use protogen_mc::{HierChecker, McConfig, ModelChecker, PropertySet, StoreMode};
 use protogen_serve::{
     checked_envelope, pair_label, serve, FaultConfig, ServeConfig, ServeError, StopReason,
 };
@@ -225,97 +226,113 @@ fn property_set(ssp: &Ssp, args: &Args) -> PropertySet {
     }
 }
 
-fn verify(g: &Generated, ssp: &Ssp, args: &Args, n: usize, threads: usize) -> bool {
-    let mut cfg = McConfig::with_caches(n);
-    cfg.ordered = ssp.network_ordered;
-    cfg.threads = threads;
+/// Parses flag `--name` with `parse`; an unparsable value is a usage error
+/// (exit 2, naming the flag and the value), never a silent fall-back to
+/// the default — a verification at the wrong cache count must not print a
+/// "PASSED"-shaped line.
+fn parsed_flag<T>(args: &Args, name: &str, hint: &str, parse: fn(&str) -> Option<T>) -> Option<T> {
+    args.value(name).map(|v| {
+        parse(v).unwrap_or_else(|| {
+            eprintln!("bad --{name} `{v}`{hint}");
+            std::process::exit(2)
+        })
+    })
+}
+
+/// A numeric flag.
+fn num_flag<T: std::str::FromStr>(args: &Args, name: &str) -> Option<T> {
+    parsed_flag(args, name, "", |v| v.parse().ok())
+}
+
+/// A byte-size flag (`--mem-budget`, `--spill-chunk`).
+fn bytes_flag(args: &Args, name: &str) -> Option<usize> {
+    parsed_flag(args, name, " (bytes, with optional K/M/G suffix)", parse_bytes)
+}
+
+/// What `verify` is pointed at: a flat protocol at a cache count, or a
+/// composed stack.
+enum Target<'a> {
+    Flat(&'a Generated, &'a Ssp, usize),
+    Composed(&'a Composed, &'a Composition),
+}
+
+/// `verify` for flat protocols and composed stacks alike: one set of
+/// resource/property flags, one explorer, one result printer.
+fn verify(target: Target, args: &Args, threads: usize) -> bool {
+    // The property contract defaults to what the (leaf) protocol declares
+    // — inner levels are where cores live; `--property` overrides it
+    // (e.g. `--property sc` to demonstrate that TSO-CC really does trade
+    // SWMR away).
+    let (name, leaf) = match target {
+        Target::Flat(_, ssp, _) => (&ssp.name, ssp),
+        Target::Composed(_, comp) => (&comp.name, &comp.levels[0].ssp),
+    };
+    let mut cfg = McConfig { threads, properties: property_set(leaf, args), ..McConfig::default() };
     // `--max-states` raises (or lowers) the exploration budget — deep
     // cache counts can exceed the 20M-state default. A zero budget would
     // stop before the initial state and print a "PASSED"-shaped line for
     // an exploration that proved nothing, so reject it outright.
-    if let Some(v) = args.value("max-states") {
-        match v.parse() {
-            Ok(0) => {
-                eprintln!(
-                    "bad --max-states `0`: the budget must admit at least the initial state \
-                     (an empty exploration verifies nothing)"
-                );
-                std::process::exit(2);
-            }
-            Ok(n) => cfg.max_states = n,
-            Err(_) => {
-                eprintln!("bad --max-states `{v}`");
-                std::process::exit(2);
-            }
+    match num_flag(args, "max-states") {
+        Some(0) => {
+            eprintln!(
+                "bad --max-states `0`: the budget must admit at least the initial state \
+                 (an empty exploration verifies nothing)"
+            );
+            std::process::exit(2);
         }
+        Some(n) => cfg.max_states = n,
+        None => {}
     }
-    if let Some(v) = args.value("mem-budget") {
-        match parse_bytes(v) {
-            Some(b) => cfg.mem_budget_bytes = b,
-            None => {
-                eprintln!("bad --mem-budget `{v}` (bytes, with optional K/M/G suffix)");
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Some(v) = args.value("spill-chunk") {
-        match parse_bytes(v) {
-            Some(b) => cfg.spill_chunk_bytes = b,
-            None => {
-                eprintln!("bad --spill-chunk `{v}` (bytes, with optional K/M/G suffix)");
-                std::process::exit(2);
-            }
-        }
-    }
+    cfg.mem_budget_bytes = bytes_flag(args, "mem-budget").unwrap_or(cfg.mem_budget_bytes);
+    cfg.spill_chunk_bytes = bytes_flag(args, "spill-chunk").unwrap_or(cfg.spill_chunk_bytes);
     if let Some(v) = args.value("store") {
-        match v.parse::<StoreMode>() {
-            Ok(mode) => cfg.store = mode,
-            Err(e) => {
-                eprintln!("bad --store: {e}");
-                std::process::exit(2);
-            }
-        }
+        cfg.store = v.parse().unwrap_or_else(|e| {
+            eprintln!("bad --store: {e}");
+            std::process::exit(2)
+        });
     }
-    if let Some(dir) = args.value("checkpoint-dir") {
-        cfg.checkpoint_dir = Some(std::path::PathBuf::from(dir));
-    }
-    if let Some(v) = args.value("checkpoint-every") {
-        match v.parse() {
-            Ok(n) if n >= 1 => cfg.checkpoint_every = n,
-            _ => {
-                eprintln!("bad --checkpoint-every `{v}` (whole epochs, at least 1)");
-                std::process::exit(2);
-            }
+    cfg.checkpoint_dir = args.value("checkpoint-dir").map(std::path::PathBuf::from);
+    match num_flag(args, "checkpoint-every") {
+        Some(0) => {
+            eprintln!("bad --checkpoint-every `0` (whole epochs, at least 1)");
+            std::process::exit(2);
         }
+        Some(n) => cfg.checkpoint_every = n,
+        None => {}
     }
     let resume = args.flag("resume");
     if resume && cfg.checkpoint_dir.is_none() {
         eprintln!("--resume requires --checkpoint-dir (where the checkpoints live)");
         std::process::exit(2);
     }
-    // Default to the property contract the protocol declares; `--property`
-    // overrides it (e.g. `--property sc` to demonstrate that TSO-CC
-    // really does trade SWMR away).
-    cfg.properties = property_set(ssp, args);
     let fp_only = cfg.store == StoreMode::FpOnly;
-    let mc = ModelChecker::new(&g.cache, &g.directory, cfg);
-    let r = if resume {
-        match mc.resume() {
-            Ok(r) => r,
-            Err(e) => {
-                // Corruption and mismatches are hard errors, never a
-                // silent fresh start: a "PASSED" that quietly re-ran from
-                // scratch would misrepresent what was verified.
-                eprintln!("cannot resume: {e}");
-                std::process::exit(2);
-            }
+    let (r, shape) = match target {
+        Target::Flat(g, ssp, n) => {
+            cfg.n_caches = n;
+            cfg.ordered = ssp.network_ordered;
+            let mc = ModelChecker::new(&g.cache, &g.directory, cfg);
+            (if resume { mc.resume() } else { Ok(mc.run()) }, String::new())
         }
-    } else {
-        mc.run()
+        Target::Composed(composed, _) => {
+            let hc = HierChecker::new(composed, cfg.into());
+            let shape = format!(
+                "; {} levels, {} nodes, symmetry group {}",
+                composed.depth(),
+                hc.counts().iter().sum::<usize>() - 1,
+                hc.group_size()
+            );
+            (if resume { hc.resume() } else { Ok(hc.check()) }, shape)
+        }
     };
+    // Corruption and mismatches are hard errors, never a silent fresh
+    // start: a "PASSED" that quietly re-ran from scratch would
+    // misrepresent what was verified.
+    let r = r.unwrap_or_else(|e| {
+        eprintln!("cannot resume: {e}");
+        std::process::exit(2)
+    });
     println!(
-        "{}: {} — {} states, {} transitions, {:.2}s ({:.0} states/s) on {} thread{}",
-        ssp.name,
+        "{name}: {} — {} states, {} transitions, {:.2}s ({:.0} states/s) on {} thread{}{shape}",
         if r.passed() { "PASSED" } else { "FAILED" },
         r.states,
         r.transitions,
@@ -353,6 +370,11 @@ fn verify(g: &Generated, ssp: &Ssp, args: &Args, n: usize, threads: usize) -> bo
         println!("stopped early: {l} — partial stats only (raise --max-states to go further)");
     }
     r.passed()
+}
+
+/// Exit code 0 for a passed verification, 1 for a failed one.
+fn exit_code(passed: bool) -> ExitCode {
+    ExitCode::from(u8::from(!passed))
 }
 
 /// Builds a [`Composition`] from `label=protocol[:fanout]` level specs,
@@ -407,67 +429,11 @@ fn compose_or_exit(comp: &Composition, args: &Args) -> Composed {
     }
 }
 
-/// `verify --compose`: model-check the whole stack with the hierarchical
-/// checker (per-level SWMR, leaf data-value, deadlock freedom).
-fn verify_composed(composed: &Composed, comp: &Composition, args: &Args) -> bool {
-    let mut cfg = HierConfig::default();
-    if let Some(v) = args.value("max-states") {
-        match v.parse() {
-            Ok(n) if n > 0 => cfg.max_states = n,
-            _ => {
-                eprintln!("bad --max-states `{v}` (a positive state budget)");
-                std::process::exit(2);
-            }
-        }
-    }
-    // The property contract comes from the leaf protocol — inner levels
-    // are where cores live; `--property` overrides as for flat verify.
-    cfg.properties = property_set(&comp.levels[0].ssp, args);
-    let hc = HierChecker::new(composed, cfg);
-    let (counts, _) = hc.topology();
-    let r = hc.check();
-    println!(
-        "{}: {} — {} states, {} transitions, {:.2}s ({:.0} states/s); {} levels, {} nodes, \
-         symmetry group {}",
-        comp.name,
-        if r.passed() { "PASSED" } else { "FAILED" },
-        r.states,
-        r.transitions,
-        r.seconds,
-        r.states as f64 / r.seconds.max(1e-9),
-        composed.depth(),
-        counts.iter().sum::<usize>(),
-        hc.group_size(),
-    );
-    if let Some(v) = &r.violation {
-        println!("violation: {}", v.kind);
-        for line in &v.trace {
-            println!("  {line}");
-        }
-    }
-    if r.hit_state_limit {
-        println!("stopped early: state budget — partial stats only (raise --max-states)");
-    }
-    r.passed()
-}
-
 /// Dispatches `verify`/`table`/`dot` over a resolved composition.
-fn compose_cmd(cmd: &str, comp: &Composition, args: &Args) -> ExitCode {
+fn compose_cmd(cmd: &str, comp: &Composition, args: &Args, threads: usize) -> ExitCode {
     let composed = compose_or_exit(comp, args);
     match cmd {
-        "verify" => {
-            if args.value("checkpoint-dir").is_some() || args.flag("resume") {
-                // The hierarchical checker is single-threaded with its own
-                // store layout; checkpoint/resume covers flat runs only.
-                eprintln!("--checkpoint-dir/--resume are not supported with --compose");
-                return ExitCode::from(2);
-            }
-            if verify_composed(&composed, comp, args) {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
+        "verify" => exit_code(verify(Target::Composed(&composed, comp), args, threads)),
         "table" => {
             let opts = TableOptions { markdown: args.flag("markdown"), ..TableOptions::default() };
             print!("{}", render_composed_table(&composed, &opts));
@@ -606,28 +572,13 @@ fn serve_cmd(ssp: &Ssp, g: &Generated, args: &Args, caches: usize, threads: usiz
         ExitCode::from(2)
     };
     let mut cfg = ServeConfig::new(caches);
-    macro_rules! num_flag {
-        ($flag:literal, $field:expr) => {
-            if let Some(v) = args.value($flag) {
-                match v.parse() {
-                    Ok(n) => $field = n,
-                    Err(_) => return usage_err(format!("bad --{} `{v}`", $flag)),
-                }
-            }
-        };
-    }
-    num_flag!("dir-shards", cfg.dir_shards);
-    num_flag!("addrs", cfg.n_addrs);
-    num_flag!("ops", cfg.total_ops);
-    num_flag!("seed", cfg.seed);
-    num_flag!("mailbox-cap", cfg.mailbox_cap);
-    num_flag!("duration", cfg.max_seconds);
-    let store_pct = match args.value("store-pct").map(str::parse).transpose() {
-        Ok(p) => p.unwrap_or(50),
-        Err(_) => {
-            return usage_err(format!("bad --store-pct `{}`", args.value("store-pct").unwrap()))
-        }
-    };
+    cfg.dir_shards = num_flag(args, "dir-shards").unwrap_or(cfg.dir_shards);
+    cfg.n_addrs = num_flag(args, "addrs").unwrap_or(cfg.n_addrs);
+    cfg.total_ops = num_flag(args, "ops").unwrap_or(cfg.total_ops);
+    cfg.seed = num_flag(args, "seed").unwrap_or(cfg.seed);
+    cfg.mailbox_cap = num_flag(args, "mailbox-cap").unwrap_or(cfg.mailbox_cap);
+    cfg.max_seconds = num_flag(args, "duration").unwrap_or(cfg.max_seconds);
+    let store_pct = num_flag(args, "store-pct").unwrap_or(50);
     cfg.workload = match Workload::parse(args.value("workload").unwrap_or("uniform"), store_pct) {
         Ok(w) => w,
         Err(e) => return usage_err(e),
@@ -635,15 +586,7 @@ fn serve_cmd(ssp: &Ssp, g: &Generated, args: &Args, caches: usize, threads: usiz
     if let Some(list) = args.value("faults") {
         // The fault seed defaults to the workload seed: one seed replays
         // the whole run, faults included.
-        let seed = match args.value("fault-seed").map(str::parse).transpose() {
-            Ok(s) => s.unwrap_or(cfg.seed),
-            Err(_) => {
-                return usage_err(format!(
-                    "bad --fault-seed `{}`",
-                    args.value("fault-seed").unwrap()
-                ))
-            }
-        };
+        let seed = num_flag(args, "fault-seed").unwrap_or(cfg.seed);
         let mut fc = FaultConfig::none(seed);
         for item in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
             match item {
@@ -659,14 +602,9 @@ fn serve_cmd(ssp: &Ssp, g: &Generated, args: &Args, caches: usize, threads: usiz
                 }
             }
         }
-        if let Some(v) = args.value("crash-at-op") {
-            match v.parse() {
-                Ok(n) => {
-                    fc.crash_at_op = Some(n);
-                    fc.crashes = fc.crashes.max(1);
-                }
-                Err(_) => return usage_err(format!("bad --crash-at-op `{v}`")),
-            }
+        if let Some(n) = num_flag(args, "crash-at-op") {
+            fc.crash_at_op = Some(n);
+            fc.crashes = fc.crashes.max(1);
         }
         cfg.faults = Some(fc);
     } else if args.value("crash-at-op").is_some() {
@@ -803,24 +741,8 @@ fn sweep(args: &Args, threads: usize) -> ExitCode {
             }
         }
     }
-    if let Some(v) = args.value("accesses") {
-        match v.parse() {
-            Ok(n) => cfg.accesses_per_core = n,
-            Err(_) => {
-                eprintln!("bad --accesses `{v}`");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Some(v) = args.value("seed") {
-        match v.parse() {
-            Ok(n) => cfg.seed = n,
-            Err(_) => {
-                eprintln!("bad --seed `{v}`");
-                return ExitCode::from(2);
-            }
-        }
-    }
+    cfg.accesses_per_core = num_flag(args, "accesses").unwrap_or(cfg.accesses_per_core);
+    cfg.seed = num_flag(args, "seed").unwrap_or(cfg.seed);
     if args.flag("list") {
         print!("{}", cfg.listing());
         return ExitCode::SUCCESS;
@@ -882,33 +804,9 @@ fn sweep(args: &Args, threads: usize) -> ExitCode {
 fn fuzz(args: &Args, threads: usize) -> ExitCode {
     use protogen_fuzz::{run_fuzz, run_mutant, FuzzConfig, Script};
     let mut cfg = FuzzConfig { threads, ..FuzzConfig::default() };
-    if let Some(v) = args.value("seed") {
-        match v.parse() {
-            Ok(n) => cfg.seed = n,
-            Err(_) => {
-                eprintln!("bad --seed `{v}`");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Some(v) = args.value("mutants") {
-        match v.parse() {
-            Ok(n) => cfg.mutants = n,
-            Err(_) => {
-                eprintln!("bad --mutants `{v}`");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Some(v) = args.value("budget") {
-        match v.parse() {
-            Ok(n) => cfg.budget = n,
-            Err(_) => {
-                eprintln!("bad --budget `{v}`");
-                return ExitCode::from(2);
-            }
-        }
-    }
+    cfg.seed = num_flag(args, "seed").unwrap_or(cfg.seed);
+    cfg.mutants = num_flag(args, "mutants").unwrap_or(cfg.mutants);
+    cfg.budget = num_flag(args, "budget").unwrap_or(cfg.budget);
     if let Some(list) = args.value("protocols") {
         cfg.protocols = list.split(',').map(str::to_string).collect();
     }
@@ -1061,12 +959,8 @@ fn litmus_cmd(args: &Args, threads: usize) -> ExitCode {
         }
     };
     let mut limits = Limits::default();
-    if let Some(d) = args.value("depth").and_then(|v| v.parse().ok()) {
-        limits.max_states = d;
-    }
-    if let Some(s) = args.value("seed").and_then(|v| v.parse().ok()) {
-        limits.seed = s;
-    }
+    limits.max_states = num_flag(args, "depth").unwrap_or(limits.max_states);
+    limits.seed = num_flag(args, "seed").unwrap_or(limits.seed);
     let workers = if threads == 0 {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     } else {
@@ -1101,9 +995,11 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(2);
     };
-    let caches: usize = args.value("caches").and_then(|v| v.parse().ok()).unwrap_or(2);
+    // Parsed on use: `sweep --caches 2,4` takes a list, everything else a
+    // count.
+    let caches = || num_flag(&args, "caches").unwrap_or(2usize);
     // 0 = "auto": the checker resolves it to available_parallelism.
-    let threads: usize = args.value("threads").and_then(|v| v.parse().ok()).unwrap_or(0);
+    let threads: usize = num_flag(&args, "threads").unwrap_or(0);
 
     match cmd {
         "stats" => {
@@ -1144,7 +1040,7 @@ fn main() -> ExitCode {
                         return ExitCode::from(2);
                     }
                 };
-                return compose_cmd(cmd, &comp, &args);
+                return compose_cmd(cmd, &comp, &args, threads);
             }
             let Some(name) = args.positional.get(1) else {
                 eprintln!("usage: protogen {cmd} <protocol> [flags]");
@@ -1175,17 +1071,11 @@ fn main() -> ExitCode {
                     ExitCode::SUCCESS
                 }
                 "murphi" => {
-                    println!("{}", to_murphi(&g.cache, &g.directory, caches));
+                    println!("{}", to_murphi(&g.cache, &g.directory, caches()));
                     ExitCode::SUCCESS
                 }
-                "verify" => {
-                    if verify(&g, &ssp, &args, caches, threads) {
-                        ExitCode::SUCCESS
-                    } else {
-                        ExitCode::FAILURE
-                    }
-                }
-                "serve" => serve_cmd(&ssp, &g, &args, caches, threads),
+                "verify" => exit_code(verify(Target::Flat(&g, &ssp, caches()), &args, threads)),
+                "serve" => serve_cmd(&ssp, &g, &args, caches(), threads),
                 _ => sim(&ssp, &g, &args, cmd == "simulate"),
             }
         }
@@ -1226,11 +1116,7 @@ fn main() -> ExitCode {
                 };
                 let composed = compose_or_exit(&comp, &args);
                 print!("{}", render_composed_table(&composed, &TableOptions::default()));
-                return if verify_composed(&composed, &comp, &args) {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                };
+                return exit_code(verify(Target::Composed(&composed, &comp), &args, threads));
             }
             let ssp = match protogen_dsl::lower(&ast) {
                 Ok(s) => s,
@@ -1242,11 +1128,7 @@ fn main() -> ExitCode {
             let g = generate_or_exit(&ssp, &args);
             println!("{}", g.report);
             println!("{}", render_table(&g.cache, &TableOptions::default()));
-            if verify(&g, &ssp, &args, caches, threads) {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
+            exit_code(verify(Target::Flat(&g, &ssp, caches()), &args, threads))
         }
         other => {
             eprintln!("unknown command `{other}`");

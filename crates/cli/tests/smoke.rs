@@ -350,15 +350,67 @@ fn verify_checkpoints_and_resumes_to_identical_counts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `verify --compose` runs on the flat checker's explorer: `--threads`
+/// never changes the counts, and a checkpointed run dropped mid-way
+/// resumes to them (this combination used to exit 2).
+#[test]
+fn verify_compose_takes_threads_and_resumes_from_a_checkpoint() {
+    let dir = std::env::temp_dir().join(format!("protogen-smoke-hck-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let ck = dir.to_str().unwrap();
+    let stack = ["verify", "--compose", "l1=msi:1,llc=msi:2", "--stalling"];
+    let run = |extra: &[&str]| protogen(&[&stack[..], extra].concat());
+    let counts = |out: &Output| {
+        let s = String::from_utf8_lossy(&out.stdout).to_string();
+        s.split(" transitions").next().unwrap_or_default().to_string()
+    };
+
+    let single = run(&["--threads", "1"]);
+    let quad = run(&["--threads", "4", "--store", "delta"]);
+    assert!(single.status.success(), "{}", String::from_utf8_lossy(&single.stderr));
+    let q = String::from_utf8_lossy(&quad.stdout);
+    assert!(q.contains("on 4 threads; 2 levels, 4 nodes, symmetry group 2"), "{q}");
+    assert!(counts(&single).contains("PASSED"), "{}", counts(&single));
+    assert_eq!(counts(&single), counts(&quad));
+
+    let ck_flags = ["--threads", "2", "--checkpoint-dir", ck, "--checkpoint-every", "1"];
+    let partial = run(&[&ck_flags[..], &["--max-states", "300"]].concat());
+    assert!(String::from_utf8_lossy(&partial.stdout).contains("stopped early"));
+    let resumed = run(&[&ck_flags[..], &["--resume"]].concat());
+    assert!(resumed.status.success(), "{}", String::from_utf8_lossy(&resumed.stderr));
+    assert_eq!(counts(&resumed), counts(&single), "resume must match the uninterrupted run");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An unparsable numeric flag used to fall back to its default silently:
+/// `verify msi --caches 3x` printed a PASSED line for MSI@2 and exited 0.
+#[test]
+fn unparsable_numeric_flags_are_usage_errors() {
+    for args in [
+        &["verify", "msi", "--caches", "3x"][..],
+        &["verify", "msi", "--threads", "banana"],
+        &["litmus", "msi", "--tests", "SB", "--depth", "deep"],
+        &["litmus", "msi", "--tests", "SB", "--seed", "-1"],
+    ] {
+        let out = protogen(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let (flag, value) = (args[args.len() - 2], args[args.len() - 1]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("bad {flag} `{value}`")), "{args:?}: {err}");
+        assert!(!String::from_utf8_lossy(&out.stdout).contains("PASSED"), "{args:?}");
+    }
+}
+
 #[test]
 fn verify_checkpoint_flag_misuse_is_rejected() {
     let out = protogen(&["verify", "msi", "--resume"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("requires --checkpoint-dir"));
 
-    let out = protogen(&["verify", "--compose", "l1=msi:2,llc=msi", "--checkpoint-dir", "/tmp/x"]);
+    // Composed stacks take the same flags under the same rules.
+    let out = protogen(&["verify", "--compose", "l1=msi:2,llc=msi", "--resume"]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("not supported with --compose"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("requires --checkpoint-dir"));
 
     // Resuming from a directory with no committed checkpoint is a hard
     // error, never a silent fresh start.

@@ -78,7 +78,9 @@ pub fn run_composed_mutant(
             return no_trace(Outcome::MutationInapplicable(e));
         }
     }
-    let cfg = HierConfig { max_states: budget.max(1), ..HierConfig::default() };
+    // One checker thread per mutant, as `quick_check_config` pins for flat
+    // mutants: the campaign parallelizes across mutants instead.
+    let cfg = HierConfig { max_states: budget.max(1), threads: 1, ..HierConfig::default() };
     let result = catch_unwind(AssertUnwindSafe(|| HierChecker::new(&composed, cfg).check()));
     match result {
         Err(payload) => no_trace(Outcome::CheckerPanic(panic_message(payload))),

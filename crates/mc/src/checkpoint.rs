@@ -27,7 +27,7 @@
 //!
 //! DESIGN.md §13 carries the consistency argument in full.
 
-use crate::explore::{FrontEntry, FrontierBuf, McConfig, ModelChecker};
+use crate::explore::{FrontEntry, FrontierBuf, StoreMode};
 use crate::frontier::Coordinator;
 use crate::store::{fingerprint_bytes, Gid, ShardStore, StateRec, MAX_SHARDS};
 use std::fmt;
@@ -230,30 +230,6 @@ pub(crate) fn write_shard(
     std::fs::write(shard_path(dir, depth, shard), &out)
 }
 
-/// Fingerprint binding a checkpoint to the exact configuration whose
-/// exploration it froze: resuming under any other configuration would
-/// deterministically produce *different* results, so it must be refused.
-fn config_fp(mc: &ModelChecker, cfg: &McConfig) -> u64 {
-    let desc = format!(
-        "caches={} domain={} cap={} ordered={} symmetry={} store={:?} props={}",
-        cfg.n_caches,
-        cfg.value_domain,
-        cfg.channel_cap,
-        cfg.ordered,
-        cfg.symmetry,
-        cfg.store,
-        mc.property_names().join(","),
-    );
-    fingerprint_bytes(desc.as_bytes())
-}
-
-/// Fingerprint of the generated FSM pair (the checkpoint is meaningless
-/// against any other machine).
-fn fsm_fp(mc: &ModelChecker) -> u64 {
-    let (cache, dir) = mc.fsms();
-    fingerprint_bytes(format!("{cache:?}\x1f{dir:?}").as_bytes())
-}
-
 /// Commits the checkpoint for `depth`: writes the manifest (last, via
 /// tmp-file + rename, so a kill can only leave a complete manifest or
 /// none) and prunes every other `ck-*` directory. Run by the last
@@ -262,8 +238,7 @@ pub(crate) fn commit(
     dir: &Path,
     depth: u32,
     threads: usize,
-    mc: &ModelChecker,
-    cfg: &McConfig,
+    identity: (u64, u64),
     coord: &Coordinator,
 ) -> io::Result<()> {
     let mut out = Vec::with_capacity(96 + threads * 16);
@@ -273,8 +248,8 @@ pub(crate) fn commit(
     put_u32(&mut out, threads as u32);
     put_u64(&mut out, coord.total_states.load(Relaxed) as u64);
     put_u64(&mut out, coord.transitions.load(Relaxed) as u64);
-    put_u64(&mut out, config_fp(mc, cfg));
-    put_u64(&mut out, fsm_fp(mc));
+    put_u64(&mut out, identity.0);
+    put_u64(&mut out, identity.1);
     for t in 0..threads {
         let bytes = std::fs::metadata(shard_path(dir, depth, t))?.len();
         // The shard's own trailing checksum, lifted into the manifest so
@@ -331,18 +306,19 @@ fn committed_depths(dir: &Path) -> Result<Vec<u32>, CheckpointError> {
     Ok(depths)
 }
 
-/// Loads and fully validates the newest committed checkpoint under the
-/// configured directory. Every validation failure is a hard error with a
-/// description of what did not match — a questionable checkpoint is
-/// never silently skipped in favour of an older one.
+/// Loads and fully validates the newest committed checkpoint under `dir`
+/// against the resuming system's `identity`
+/// ([`crate::TransitionSystem::identity_fp`]) and store mode. Every
+/// validation failure is a hard error with a description of what did not
+/// match — a questionable checkpoint is never silently skipped in favour
+/// of an older one.
 pub(crate) fn load_latest(
-    mc: &ModelChecker,
-    cfg: &McConfig,
+    dir: Option<&Path>,
+    identity: (u64, u64),
+    store: StoreMode,
 ) -> Result<LoadedCheckpoint, CheckpointError> {
-    let dir = cfg
-        .checkpoint_dir
-        .as_deref()
-        .ok_or_else(|| CheckpointError::new("resume requires checkpoint_dir to be set"))?;
+    let dir =
+        dir.ok_or_else(|| CheckpointError::new("resume requires checkpoint_dir to be set"))?;
     let depths = committed_depths(dir)?;
     let &depth = depths.last().ok_or_else(|| {
         CheckpointError::new(format!("no committed checkpoint found in {}", dir.display()))
@@ -375,18 +351,18 @@ pub(crate) fn load_latest(
     let total_states = r.u64()? as usize;
     let transitions = r.u64()? as usize;
     let want_cfg = r.u64()?;
-    if want_cfg != config_fp(mc, cfg) {
+    if want_cfg != identity.0 {
         return Err(CheckpointError::new(
-            "checkpoint was written under a different checker configuration (cache count, \
-             value domain, channel cap, ordering, symmetry, store mode, and property set \
-             must all match)",
+            "checkpoint was written under a different checker configuration (flat vs \
+             composed, cache count or topology, value domain, channel cap, ordering, \
+             symmetry, store mode, and property set must all match)",
         ));
     }
     let want_fsm = r.u64()?;
-    if want_fsm != fsm_fp(mc) {
+    if want_fsm != identity.1 {
         return Err(CheckpointError::new(
-            "checkpoint was written for different generated FSMs (protocol or generation \
-             config mismatch)",
+            "checkpoint was written for different generated FSMs (protocol, generation \
+             config, or derived glue mismatch)",
         ));
     }
     let mut shard_meta = Vec::with_capacity(threads);
@@ -396,7 +372,7 @@ pub(crate) fn load_latest(
 
     let mut shards = Vec::with_capacity(threads);
     for (t, &(want_len, want_sum)) in shard_meta.iter().enumerate() {
-        shards.push(load_shard(dir, depth, t, want_len, want_sum, cfg)?);
+        shards.push(load_shard(dir, depth, t, want_len, want_sum, store.keeps_recs())?);
     }
     Ok(LoadedCheckpoint { depth, threads, total_states, transitions, shards })
 }
@@ -407,7 +383,7 @@ fn load_shard(
     shard: usize,
     want_len: u64,
     want_sum: u64,
-    cfg: &McConfig,
+    keeps_recs: bool,
 ) -> Result<ShardSnapshot, CheckpointError> {
     let path = shard_path(dir, depth, shard);
     let what = format!("shard file {}", path.display());
@@ -448,11 +424,11 @@ fn load_shard(
         fps.push(r.u64()?);
     }
     let file_keeps = r.u8()? != 0;
-    if file_keeps != cfg.store.keeps_recs() {
+    if file_keeps != keeps_recs {
         return Err(CheckpointError::new(format!(
             "{what} was written {} parent records but the configured store mode {} them",
             if file_keeps { "with" } else { "without" },
-            if cfg.store.keeps_recs() { "requires" } else { "omits" },
+            if keeps_recs { "requires" } else { "omits" },
         )));
     }
     let mut recs = Vec::new();
@@ -504,6 +480,7 @@ fn load_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flat::{McConfig, ModelChecker};
     use proptest::prelude::*;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -578,9 +555,7 @@ mod tests {
         let path = shard_path(&dir, 3, 0);
         let bytes = std::fs::read(&path).unwrap();
         let sum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-        let mut cfg = McConfig::with_caches(2);
-        cfg.store = if keeps_recs { crate::StoreMode::Full } else { crate::StoreMode::FpOnly };
-        let snap = load_shard(&dir, 3, 0, bytes.len() as u64, sum, &cfg).unwrap();
+        let snap = load_shard(&dir, 3, 0, bytes.len() as u64, sum, keeps_recs).unwrap();
         let mut want_fps = vec![0u64; store.len()];
         for (&fp, &lid) in &store.map {
             want_fps[lid as usize] = fp;
@@ -639,11 +614,10 @@ mod tests {
             bytes[at] ^= flip;
             std::fs::write(&path, &bytes).unwrap();
             let sum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-            let cfg = McConfig::with_caches(2);
             // Whether the flip landed in the payload or the trailing
             // checksum itself, load must fail; use the *original* sum as
             // the manifest record so a tail flip is caught either way.
-            let err = load_shard(&dir, 1, 0, bytes.len() as u64, sum, &cfg)
+            let err = load_shard(&dir, 1, 0, bytes.len() as u64, sum, true)
                 .err()
                 .expect("corrupt shard must not load");
             let msg = err.to_string();
@@ -665,8 +639,7 @@ mod tests {
         let full = std::fs::read(&path).unwrap();
         for keep in [0, 3, full.len() / 2, full.len() - 1] {
             std::fs::write(&path, &full[..keep]).unwrap();
-            let cfg = McConfig::with_caches(2);
-            let err = load_shard(&dir, 2, 0, keep as u64, 0, &cfg)
+            let err = load_shard(&dir, 2, 0, keep as u64, 0, true)
                 .err()
                 .expect("truncated shard must not load");
             assert!(

@@ -77,8 +77,7 @@ impl SectionMap {
     /// A leveled layout: `cache_counts[jm]` blocks per machine level and
     /// one `(parents, fanout)` subnet shape per protocol level, each
     /// contributing `parents` directory sections and `parents·(fanout+1)²`
-    /// channel sections (the shape [`crate::HierChecker::topology`]
-    /// reports). `SectionMap::leveled(&[n], &[(1, n)])` equals
+    /// channel sections. `SectionMap::leveled(&[n], &[(1, n)])` equals
     /// [`SectionMap::flat`]`(n)` — the layouts coincide by construction.
     pub fn leveled(cache_counts: &[usize], subnets: &[(usize, usize)]) -> Self {
         SectionMap {

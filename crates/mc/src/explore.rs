@@ -1,5 +1,5 @@
 //! Parallel explicit-state reachability exploration with invariant
-//! checking.
+//! checking, generic over the explored [`TransitionSystem`].
 //!
 //! The explorer is an epoch-synchronized, sharded-frontier BFS: `threads`
 //! workers each own one shard of the visited set (a state belongs to the
@@ -13,93 +13,203 @@
 //! publishes the budget/violation decision (see [`crate::frontier`]). The
 //! design is deterministic by construction: states, transitions, the
 //! chosen violation, and the counterexample trace are identical for every
-//! thread count and every run. DESIGN.md §3 documents the store, §8 the
-//! canonicalization pruning, the scratch-stepping contract, and the
-//! epoch-scheduler determinism argument.
+//! thread count and every run. The flat checker ([`crate::ModelChecker`])
+//! and the composed one ([`crate::HierChecker`]) are the two systems it is
+//! instantiated over; DESIGN.md "Explorer and `TransitionSystem`" carries
+//! the trait contract and the determinism argument.
 
-use crate::canon::Canonicalizer;
+use crate::checkpoint::{CheckpointError, LoadedCheckpoint};
+use crate::delta::SectionMap;
 use crate::frontier::{CandBatch, CandMeta, Coordinator, Decision, Inbox, Outboxes, VioCand};
-use crate::property::{materialize, Property, PropertyCtx, PropertySet};
 use crate::store::{Gid, ShardStore, StateRec, STEP_NONE};
-use crate::system::SysState;
-use protogen_runtime::{
-    apply_into, select_arc_indexed, ApplyOutcome, FsmIndex, MachineCtx, MachineTag, NodeId, PairSet,
-};
-use protogen_spec::{Access, Event, Fsm};
 use std::fmt;
+use std::path::Path;
 use std::sync::atomic::Ordering::Relaxed;
 use std::time::Instant;
 
-/// Model-checker configuration.
-#[derive(Debug, Clone)]
-pub struct McConfig {
-    /// Number of caches (the paper verifies with 3, the most Murϕ could
-    /// handle without exhausting memory; the sharded explorer is built to
-    /// go past that).
-    pub n_caches: usize,
-    /// Abort exploration after this many states (checked at BFS-level
-    /// granularity, so the final count may overshoot by one level).
+/// The explorer's resource settings, as a borrowed view over whichever
+/// configuration type a system carries ([`crate::McConfig`] and
+/// [`crate::HierConfig`] expose them under the same field names; the
+/// field docs live on [`crate::McConfig`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Resources<'a> {
+    /// State budget, checked at BFS-level granularity.
     pub max_states: usize,
-    /// Store values cycle through `0..value_domain` (small domain, the
-    /// standard bounding discipline).
-    pub value_domain: u8,
-    /// Error out when a channel exceeds this length.
-    pub channel_cap: usize,
-    /// Point-to-point ordered channels (`true`) or arbitrary reordering.
-    pub ordered: bool,
-    /// Which built-in correctness properties to enforce (defaults to the
-    /// SC contract: SWMR + data-value + deadlock freedom). Weak-memory
-    /// protocols select the contract they actually promise via
-    /// [`PropertySet::promised`]; custom [`crate::Property`] objects are
-    /// attached with [`ModelChecker::add_property`].
-    pub properties: PropertySet,
-    /// Canonicalize states under cache-id permutation (Murϕ scalarsets).
-    pub symmetry: bool,
-    /// Worker threads (= visited-set shards). `0` — the default — means
-    /// "use [`std::thread::available_parallelism`]"; values are clamped
-    /// to [`crate::MAX_SHARDS`]. Results are identical for every thread
-    /// count.
+    /// Worker threads (= visited-set shards); `0` = available parallelism.
     pub threads: usize,
-    /// Record every `(machine, state, event)` dispatch attempted during
-    /// exploration into [`CheckResult::coverage`]. Off by default: the
-    /// simulator-conformance tests are the only consumer.
-    pub collect_pair_coverage: bool,
-    /// Upper bound on the states one visited-set shard may hold. Defaults
-    /// to (and is clamped to) the packed-id hardware limit of 2²⁷
-    /// ([`crate::SHARD_CAPACITY`]); exceeding it stops exploration with a
-    /// structured [`ResourceLimit::ShardCapacity`] outcome and partial
-    /// stats instead of aborting the process. Lower it only to exercise
-    /// that path cheaply — unlike `max_states` (checked against the global
-    /// count), whether a *shard* fills up depends on how fingerprints
-    /// distribute over `threads` shards.
-    pub shard_capacity: usize,
-    /// Soft RAM budget for the run's accounted state (visited shards,
-    /// frontier arenas, batch pools), split evenly across workers. When a
-    /// worker's share is exceeded, cold frontier bytes and frozen visited
-    /// records spill to page-aligned scratch files and stream back in
-    /// (see DESIGN.md §9). `0` — the default — disables spilling; the
-    /// budget is also ignored on platforms without positioned file reads.
-    /// Results are byte-identical at any budget.
-    pub mem_budget_bytes: usize,
-    /// How states are stored: full encodings, delta-compressed encodings,
-    /// or fingerprints only (see [`StoreMode`]).
+    /// How visited/frontier states are stored.
     pub store: StoreMode,
-    /// Spill granularity: the frontier's hot arena is flushed in chunks of
-    /// at least this many bytes (clamped up to one page). Exposed so tests
-    /// can force spilling on tiny state spaces; the default of 1 MiB is
-    /// right for real runs.
+    /// Soft RAM budget (`0` = no spilling).
+    pub mem_budget_bytes: usize,
+    /// Spill granularity.
     pub spill_chunk_bytes: usize,
-    /// Directory for epoch-boundary checkpoints. `None` — the default —
-    /// disables checkpointing. When set, every [`McConfig::checkpoint_every`]-th
-    /// BFS level writes a committed, checksummed snapshot of the visited
-    /// store and frontier, and [`ModelChecker::resume`] can restart a
-    /// killed run from the newest one with byte-identical results (see
-    /// `crate::checkpoint` and DESIGN.md §13).
-    pub checkpoint_dir: Option<std::path::PathBuf>,
-    /// Checkpoint cadence in BFS levels (a checkpoint is written on
-    /// entering each depth divisible by this). Values below 1 are treated
-    /// as 1. Only meaningful when [`McConfig::checkpoint_dir`] is set.
+    /// Per-shard state bound.
+    pub shard_capacity: usize,
+    /// Where epoch-boundary checkpoints go (`None` = no checkpointing).
+    pub checkpoint_dir: Option<&'a Path>,
+    /// Checkpoint cadence in BFS levels.
     pub checkpoint_every: u32,
+}
+
+impl Resources<'_> {
+    /// The worker count actually used: `threads` resolved against the
+    /// machine and clamped to `1..=MAX_SHARDS`.
+    pub fn effective_threads(&self) -> usize {
+        let t = if self.threads == 0 {
+            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        } else {
+            self.threads
+        };
+        t.clamp(1, crate::store::MAX_SHARDS)
+    }
+
+    /// The per-shard state bound actually enforced: `shard_capacity`
+    /// clamped to the packed-id limit (a zero is treated as "no extra
+    /// bound").
+    pub fn effective_shard_capacity(&self) -> usize {
+        if self.shard_capacity == 0 {
+            crate::store::SHARD_CAPACITY
+        } else {
+            self.shard_capacity.min(crate::store::SHARD_CAPACITY)
+        }
+    }
+}
+
+/// A system the explorer can search. The contract every implementation
+/// owes the determinism argument (DESIGN.md "Explorer and
+/// `TransitionSystem`"):
+///
+/// * [`steps_into`](Self::steps_into) lists candidate steps in a canonical
+///   order that is a pure function of the state, and
+///   [`pack_step`](Self::pack_step) is injective, order-preserving over
+///   that order, and never yields `u32::MAX` — so "minimum packed step" is
+///   "first in canonical order" at any thread count;
+/// * [`canonical_fp`](Self::canonical_fp) is constant on a symmetry orbit
+///   and [`encode_canonical_into`](Self::encode_canonical_into) emits the
+///   one representative encoding that fingerprint belongs to, which
+///   [`decode_into`](Self::decode_into) inverts and
+///   [`section_map`](Self::section_map) describes;
+/// * [`identity_fp`](Self::identity_fp) changes whenever the reachable
+///   space or its encoding could.
+pub trait TransitionSystem: Sync {
+    /// One explored configuration.
+    type State;
+    /// One scheduling decision.
+    type Step: Copy;
+    /// Per-worker scratch the hot path reuses: canonicalizer buffers, the
+    /// apply outcome, and whatever else a system accumulates per worker
+    /// (the flat checker's pair coverage). Handed back when a run ends.
+    type Scratch: Send;
+
+    /// The resource settings of this run.
+    fn resources(&self) -> Resources<'_>;
+
+    /// `(configuration, machines)` fingerprints binding a checkpoint to
+    /// the exact system whose exploration it froze: the first covers
+    /// every semantic setting plus the store mode and property names, the
+    /// second the generated FSMs (and, for stacks, topology and glue).
+    fn identity_fp(&self) -> (u64, u64);
+
+    /// The delta-compression section layout of this system's encodings.
+    fn section_map(&self) -> SectionMap;
+
+    /// The initial state (also the shape every scratch state starts in).
+    fn initial(&self) -> Self::State;
+
+    /// A fresh per-worker scratch.
+    fn scratch(&self) -> Self::Scratch;
+
+    /// All candidate steps from `state`, in canonical order.
+    fn steps_into(&self, state: &Self::State, out: &mut Vec<Self::Step>);
+
+    /// Computes the successor of `state` for `step` into `succ`. Returns
+    /// `Ok(false)` when the step is not enabled — `succ` is garbage then
+    /// and must not be read.
+    fn successor_into(
+        &self,
+        state: &Self::State,
+        step: Self::Step,
+        succ: &mut Self::State,
+        scratch: &mut Self::Scratch,
+    ) -> Result<bool, ViolationKind>;
+
+    /// Whether an enabled `step` from `state` counts as progress for the
+    /// liveness hook: a state none of whose enabled steps do is handed to
+    /// [`check_quiescence`](Self::check_quiescence).
+    fn is_progress(&self, state: &Self::State, step: Self::Step) -> bool;
+
+    /// State-level properties, checked on every successor.
+    fn check_state(&self, state: &Self::State) -> Option<ViolationKind>;
+
+    /// The liveness hook, checked on states with no progress step.
+    fn check_quiescence(&self, state: &Self::State) -> Option<ViolationKind>;
+
+    /// The canonical fingerprint of `state`; remembers the canonicalizing
+    /// choice in `scratch` for the encode call that may follow.
+    fn canonical_fp(&self, state: &Self::State, scratch: &mut Self::Scratch) -> u64;
+
+    /// Appends the canonical encoding selected by the most recent
+    /// [`canonical_fp`](Self::canonical_fp) call on the same `state`.
+    fn encode_canonical_into(
+        &self,
+        state: &Self::State,
+        scratch: &Self::Scratch,
+        out: &mut Vec<u8>,
+    );
+
+    /// Decodes a canonical encoding into `state`, reusing its allocations.
+    fn decode_into(&self, bytes: &[u8], state: &mut Self::State);
+
+    /// Packs a step into 32 bits (see the trait-level contract).
+    fn pack_step(step: Self::Step) -> u32;
+
+    /// Inverse of [`pack_step`](Self::pack_step).
+    fn unpack_step(packed: u32) -> Self::Step;
+
+    /// One counterexample-trace line for `step` taken from `state`.
+    fn describe(&self, state: &Self::State, step: Self::Step) -> String;
+}
+
+/// The exact-dedup reference walker: a sequential BFS over canonical
+/// *encodings* (a `HashSet<Vec<u8>>`, no fingerprints), stopping once
+/// `limit` states are known. Returns the encodings in deterministic BFS
+/// order and the transitions fired. Violating or disabled successors are
+/// skipped. It is the sampler behind [`crate::ModelChecker::sample_states`]
+/// and, run to exhaustion, the collision oracle the explorer's 64-bit
+/// fingerprint store is tested against.
+pub fn reference_bfs<S: TransitionSystem>(sys: &S, limit: usize) -> (Vec<Vec<u8>>, usize) {
+    let mut scratch = sys.scratch();
+    let (mut state, mut succ) = (sys.initial(), sys.initial());
+    let (mut steps, mut enc) = (Vec::new(), Vec::new());
+    sys.canonical_fp(&state, &mut scratch);
+    sys.encode_canonical_into(&state, &scratch, &mut enc);
+    let mut seen = std::collections::HashSet::from([enc.clone()]);
+    let mut order = vec![enc.clone()];
+    let (mut at, mut transitions) = (0usize, 0usize);
+    while at < order.len() && order.len() < limit {
+        sys.decode_into(&order[at], &mut state);
+        sys.steps_into(&state, &mut steps);
+        for &step in &steps {
+            if order.len() >= limit {
+                break;
+            }
+            if let Ok(true) = sys.successor_into(&state, step, &mut succ, &mut scratch) {
+                transitions += 1;
+                if sys.check_state(&succ).is_some() {
+                    continue;
+                }
+                sys.canonical_fp(&succ, &mut scratch);
+                enc.clear();
+                sys.encode_canonical_into(&succ, &scratch, &mut enc);
+                if !seen.contains(&enc) {
+                    seen.insert(enc.clone());
+                    order.push(enc.clone());
+                }
+            }
+        }
+        at += 1;
+    }
+    (order, transitions)
 }
 
 /// How the checker stores visited/frontier states (the tiered-store
@@ -149,87 +259,15 @@ impl std::str::FromStr for StoreMode {
     }
 }
 
-impl Default for McConfig {
-    fn default() -> Self {
-        McConfig {
-            n_caches: 3,
-            max_states: 20_000_000,
-            value_domain: 2,
-            channel_cap: 8,
-            ordered: true,
-            properties: PropertySet::sc(),
-            symmetry: true,
-            threads: 0,
-            collect_pair_coverage: false,
-            shard_capacity: crate::store::SHARD_CAPACITY,
-            mem_budget_bytes: 0,
-            store: StoreMode::Full,
-            spill_chunk_bytes: 1 << 20,
-            checkpoint_dir: None,
-            checkpoint_every: 8,
-        }
-    }
-}
-
-impl McConfig {
-    /// Configuration with `n` caches.
-    pub fn with_caches(n: usize) -> Self {
-        McConfig { n_caches: n, ..McConfig::default() }
-    }
-
-    /// Configuration with `n` caches explored by `threads` workers.
-    pub fn with_caches_and_threads(n: usize, threads: usize) -> Self {
-        McConfig { n_caches: n, threads, ..McConfig::default() }
-    }
-
-    /// The worker count actually used: `threads` resolved against the
-    /// machine and clamped to `1..=MAX_SHARDS`.
-    pub fn effective_threads(&self) -> usize {
-        let t = if self.threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            self.threads
-        };
-        t.clamp(1, crate::store::MAX_SHARDS)
-    }
-
-    /// The per-shard state bound actually enforced: `shard_capacity`
-    /// clamped to the packed-id limit (a zero is treated as "no extra
-    /// bound").
-    pub fn effective_shard_capacity(&self) -> usize {
-        if self.shard_capacity == 0 {
-            crate::store::SHARD_CAPACITY
-        } else {
-            self.shard_capacity.min(crate::store::SHARD_CAPACITY)
-        }
-    }
-
-    /// The memory budget actually enforced: `mem_budget_bytes`, or 0
-    /// (spilling off) on platforms without positioned file reads.
-    pub fn effective_mem_budget(&self) -> usize {
-        if crate::spill::SPILL_SUPPORTED {
-            self.mem_budget_bytes
-        } else {
-            0
-        }
-    }
-
-    /// The spill granularity actually used: `spill_chunk_bytes` clamped
-    /// up to one page.
-    pub fn effective_spill_chunk(&self) -> usize {
-        self.spill_chunk_bytes.max(crate::spill::PAGE as usize)
-    }
-}
-
 /// Which resource bound stopped exploration before the state space was
 /// exhausted. The run's [`CheckResult`] still carries everything explored
 /// up to that point (partial stats), and [`CheckResult::passed`] is
 /// `false`: an incomplete exploration proves nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResourceLimit {
-    /// The global [`McConfig::max_states`] budget was spent.
+    /// The global [`Resources::max_states`] budget was spent.
     StateBudget,
-    /// A visited-set shard reached [`McConfig::shard_capacity`] states (the
+    /// A visited-set shard reached [`Resources::shard_capacity`] states (the
     /// shard id is recorded; with several full shards in one level, the
     /// smallest id wins deterministically).
     ShardCapacity {
@@ -245,62 +283,6 @@ impl fmt::Display for ResourceLimit {
             ResourceLimit::ShardCapacity { shard } => {
                 write!(f, "visited-set shard {shard} reached capacity")
             }
-        }
-    }
-}
-
-/// One scheduling decision of the explored system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Step {
-    /// Deliver the message at position `idx` of channel `src → dst`.
-    Deliver {
-        /// Source node.
-        src: u8,
-        /// Destination node.
-        dst: u8,
-        /// Queue position (always 0 with ordered channels).
-        idx: u8,
-    },
-    /// Cache `cache` issues `access`.
-    IssueAccess {
-        /// The cache.
-        cache: u8,
-        /// The access.
-        access: Access,
-    },
-}
-
-/// Packs a step into 32 bits, preserving [`Step`]'s derived ordering:
-/// deliveries sort before accesses, deliveries by `(src, dst, idx)`,
-/// accesses by `(cache, access)` — the same order [`ModelChecker::steps`]
-/// generates them in.
-pub(crate) fn pack_step(step: Step) -> u32 {
-    match step {
-        Step::Deliver { src, dst, idx } => ((src as u32) << 16) | ((dst as u32) << 8) | idx as u32,
-        Step::IssueAccess { cache, access } => {
-            (1 << 24) | ((cache as u32) << 8) | access.index() as u32
-        }
-    }
-}
-
-/// Inverse of [`pack_step`]. Must not be called on [`STEP_NONE`].
-pub(crate) fn unpack_step(packed: u32) -> Step {
-    debug_assert_ne!(packed, STEP_NONE);
-    if packed & (1 << 24) == 0 {
-        Step::Deliver { src: (packed >> 16) as u8, dst: (packed >> 8) as u8, idx: packed as u8 }
-    } else {
-        Step::IssueAccess {
-            cache: (packed >> 8) as u8,
-            access: Access::ALL[(packed & 0xff) as usize],
-        }
-    }
-}
-
-impl fmt::Display for Step {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Step::Deliver { src, dst, idx } => write!(f, "deliver n{src}→n{dst}[{idx}]"),
-            Step::IssueAccess { cache, access } => write!(f, "cache n{cache} issues {access}"),
         }
     }
 }
@@ -433,8 +415,8 @@ pub struct CheckResult {
     /// Worker threads used.
     pub threads: usize,
     /// Every `(machine, state, event)` dispatch attempted, when
-    /// [`McConfig::collect_pair_coverage`] was set.
-    pub coverage: Option<PairSet>,
+    /// [`crate::McConfig::collect_pair_coverage`] was set.
+    pub coverage: Option<protogen_runtime::PairSet>,
 }
 
 impl CheckResult {
@@ -524,11 +506,11 @@ impl FrontierBuf {
     /// Appends `full` (a complete canonical encoding) as the next entry,
     /// delta-compressing against the previous entry when `delta_mode` and
     /// the delta actually wins.
-    fn append(&mut self, n_caches: usize, full: &[u8], lid: u32, fp: u64, delta_mode: bool) {
+    fn append(&mut self, map: SectionMap, full: &[u8], lid: u32, fp: u64, delta_mode: bool) {
         let off = self.spilled_off + self.bytes.len();
         let start = self.bytes.len();
         let delta = if delta_mode && !self.last.is_empty() && self.since_full < DELTA_RESTART {
-            let dlen = crate::delta::encode_delta(n_caches, &self.last, full, &mut self.bytes);
+            let dlen = map.encode_delta(&self.last, full, &mut self.bytes);
             if dlen >= full.len() {
                 self.bytes.truncate(start);
                 self.bytes.extend_from_slice(full);
@@ -609,50 +591,31 @@ impl FrontierBuf {
     }
 }
 
-/// The model checker: explores every reachable state of N caches + the
-/// directory running the generated FSMs, checking the configured
-/// [`PropertySet`] (SWMR, data-value, single-writer, deadlock freedom)
-/// plus protocol completeness, which is structural and always on.
-///
-/// Exploration is multi-threaded (see [`McConfig::threads`]) but the
-/// result is thread-count- and interleaving-independent.
-#[derive(Debug)]
-pub struct ModelChecker<'a> {
-    cache_fsm: &'a Fsm,
-    dir_fsm: &'a Fsm,
-    cfg: McConfig,
-    cache_idx: FsmIndex,
-    dir_idx: FsmIndex,
-    /// The materialized property objects: the built-ins selected by
-    /// `cfg.properties`, in deterministic order, plus any custom ones
-    /// attached via [`ModelChecker::add_property`].
-    props: Vec<Box<dyn Property>>,
-}
-
 /// Per-thread exploration state: one visited-set shard, the current and
 /// next frontier arenas, the outgoing candidate batches, and every
 /// scratch buffer the hot path reuses (decoded state, successor state,
-/// apply outcome, step list, pruned canonicalizer) — the worker-local
-/// arena that makes steady-state expansion allocation-free.
-struct Worker<'w, 'a> {
-    mc: &'w ModelChecker<'a>,
+/// step list, the system's own scratch) — the worker-local arena that
+/// makes steady-state expansion allocation-free.
+struct Worker<'w, S: TransitionSystem> {
+    sys: &'w S,
+    /// The run's resource settings and encoding layout, read once.
+    res: Resources<'w>,
+    map: SectionMap,
     t: usize,
     n_shards: usize,
     store: ShardStore,
     cur: FrontierBuf,
     next: FrontierBuf,
     out: Outboxes,
-    canon: Canonicalizer,
+    /// The system's per-worker scratch (canonicalizer, apply outcome).
+    scratch: S::Scratch,
     /// Scratch: the frontier state being expanded (decoded in place).
-    state: SysState,
+    state: S::State,
     /// Scratch: the successor being stepped into (copy-on-write via
     /// `clone_from`, which reuses its nested allocations).
-    succ: SysState,
-    /// Scratch: the reusable apply outcome (outgoing-message buffer).
-    outcome: ApplyOutcome,
-    steps_buf: Vec<Step>,
+    succ: S::State,
+    steps_buf: Vec<S::Step>,
     violations: Vec<VioCand>,
-    cov: Option<PairSet>,
     new_count: usize,
     depth: u32,
     cap: usize,
@@ -662,7 +625,7 @@ struct Worker<'w, 'a> {
     /// `rec.depth == depth + 1` parent-race condition — without reading a
     /// possibly-frozen record.
     epoch_start: u32,
-    /// This worker's slice of [`McConfig::mem_budget_bytes`] (0 = no
+    /// This worker's slice of [`Resources::mem_budget_bytes`] (0 = no
     /// budget, spilling off).
     budget_share: usize,
     /// Minimum hot-tail size before a frontier flush is considered.
@@ -686,39 +649,40 @@ struct Worker<'w, 'a> {
     coord: &'w Coordinator,
 }
 
-impl<'w, 'a> Worker<'w, 'a> {
+impl<'w, S: TransitionSystem> Worker<'w, S> {
     fn new(
-        mc: &'w ModelChecker<'a>,
+        sys: &'w S,
         t: usize,
         n_shards: usize,
         inboxes: &'w [Inbox],
         coord: &'w Coordinator,
     ) -> Self {
-        let n = mc.cfg.n_caches;
-        let budget = mc.cfg.effective_mem_budget();
+        let res = sys.resources();
+        // The budget is ignored on platforms without positioned file reads.
+        let budget = if crate::spill::SPILL_SUPPORTED { res.mem_budget_bytes } else { 0 };
         Worker {
-            mc,
+            sys,
+            res,
+            map: sys.section_map(),
             t,
             n_shards,
             store: ShardStore::new(),
             cur: FrontierBuf::default(),
             next: FrontierBuf::default(),
             out: Outboxes::new(n_shards),
-            canon: Canonicalizer::new(n, mc.cfg.symmetry),
-            state: SysState::initial(n),
-            succ: SysState::initial(n),
-            outcome: ApplyOutcome::default(),
+            scratch: sys.scratch(),
+            state: sys.initial(),
+            succ: sys.initial(),
             steps_buf: Vec::new(),
             violations: Vec::new(),
-            cov: mc.cfg.collect_pair_coverage.then(PairSet::new),
             new_count: 0,
             depth: 0,
-            cap: mc.cfg.effective_shard_capacity(),
+            cap: res.effective_shard_capacity(),
             epoch_start: 0,
             budget_share: if budget == 0 { 0 } else { (budget / n_shards).max(1) },
-            spill_chunk: mc.cfg.effective_spill_chunk(),
-            delta_mode: mc.cfg.store.delta_frontier(),
-            keeps_recs: mc.cfg.store.keeps_recs(),
+            spill_chunk: res.spill_chunk_bytes.max(crate::spill::PAGE as usize),
+            delta_mode: res.store.delta_frontier(),
+            keeps_recs: res.store.keeps_recs(),
             enc_scratch: Vec::new(),
             prev_full: Vec::new(),
             cur_full: Vec::new(),
@@ -729,8 +693,9 @@ impl<'w, 'a> Worker<'w, 'a> {
         }
     }
 
-    /// Installs the canonical initial state as this shard's root.
-    fn seed_root(&mut self, initial: &SysState, fp0: u64) {
+    /// Installs the canonical initial state (`enc`, fingerprint `fp0`) as
+    /// this shard's root.
+    fn seed_root(&mut self, enc: &[u8], fp0: u64) {
         self.store.map.insert(fp0, 0);
         if self.keeps_recs {
             self.store.push_rec(StateRec {
@@ -740,8 +705,7 @@ impl<'w, 'a> Worker<'w, 'a> {
                 depth: 0,
             });
         }
-        let enc = initial.encode();
-        self.cur.append(self.mc.cfg.n_caches, &enc, 0, fp0, self.delta_mode);
+        self.cur.append(self.map, enc, 0, fp0, self.delta_mode);
     }
 
     /// Installs a loaded checkpoint shard in place of a fresh start: the
@@ -759,7 +723,7 @@ impl<'w, 'a> Worker<'w, 'a> {
     /// records its payload on the coordinator and keeps rendezvousing
     /// doing no work, so the fleet drains and the panic is re-raised on
     /// the calling thread instead of deadlocking the phaser.
-    fn run(mut self) -> ShardStore {
+    fn run(mut self) -> (ShardStore, S::Scratch) {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         self.epoch_start = self.store.len() as u32;
         loop {
@@ -791,12 +755,12 @@ impl<'w, 'a> Worker<'w, 'a> {
             }
             // Decision boundary: the last arriver publishes the epoch
             // decision for everyone.
-            let mc = self.mc;
+            let max_states = self.res.max_states;
             coord.phaser.arrive(|| {
                 let dec = if coord.aborted.load(Relaxed) {
                     Decision::Stop { violation: None, hit_limit: false }
                 } else {
-                    match catch_unwind(AssertUnwindSafe(|| mc.decide(coord))) {
+                    match catch_unwind(AssertUnwindSafe(|| decide(coord, max_states))) {
                         Ok(dec) => dec,
                         Err(payload) => {
                             coord.record_panic(payload);
@@ -821,7 +785,7 @@ impl<'w, 'a> Worker<'w, 'a> {
                 let (nb, nc) = self.next.spill_totals();
                 coord.spill_bytes.fetch_add(cb + nb, Relaxed);
                 coord.spill_chunks.fetch_add(cc + nc, Relaxed);
-                return self.store;
+                return (self.store, self.scratch);
             }
             std::mem::swap(&mut self.cur, &mut self.next);
             self.next.clear();
@@ -834,8 +798,8 @@ impl<'w, 'a> Worker<'w, 'a> {
             // queues drained, `cur` read-only from here on. The trigger
             // depends only on (depth, config), so every worker takes the
             // extra rendezvous in lockstep.
-            if let Some(dir) = mc.cfg.checkpoint_dir.as_deref() {
-                if self.depth.is_multiple_of(mc.cfg.checkpoint_every.max(1)) {
+            if let Some(dir) = self.res.checkpoint_dir {
+                if self.depth.is_multiple_of(self.res.checkpoint_every.max(1)) {
                     self.write_checkpoint(dir);
                 }
             }
@@ -847,7 +811,7 @@ impl<'w, 'a> Worker<'w, 'a> {
     /// with the fleet's usual panic discipline; a panic anywhere means the
     /// manifest is never committed, so the previous checkpoint (if any)
     /// stays the authoritative one.
-    fn write_checkpoint(&mut self, dir: &std::path::Path) {
+    fn write_checkpoint(&mut self, dir: &Path) {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let coord = self.coord;
         if !coord.aborted.load(Relaxed) {
@@ -865,11 +829,11 @@ impl<'w, 'a> Worker<'w, 'a> {
                 coord.record_panic(payload);
             }
         }
-        let (mc, depth, n_shards) = (self.mc, self.depth, self.n_shards);
+        let (sys, depth, n_shards) = (self.sys, self.depth, self.n_shards);
         coord.phaser.arrive(|| {
             if !coord.aborted.load(Relaxed) {
                 if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
-                    crate::checkpoint::commit(dir, depth, n_shards, mc, &mc.cfg, coord)
+                    crate::checkpoint::commit(dir, depth, n_shards, sys.identity_fp(), coord)
                         .expect("checkpoint manifest commit failed");
                 })) {
                     coord.record_panic(payload);
@@ -892,49 +856,42 @@ impl<'w, 'a> Worker<'w, 'a> {
             let e = self.cur.index[i];
             self.load_entry(i);
             let gid = Gid::pack(self.t, e.lid as usize);
-            let mut any_delivery = false;
-            self.mc.steps_into(&self.state, &mut self.steps_buf);
+            let mut progress = false;
+            self.sys.steps_into(&self.state, &mut self.steps_buf);
             for si in 0..self.steps_buf.len() {
                 let step = self.steps_buf[si];
-                let observed = self.mc.successor_observed_into(
-                    &self.state,
-                    step,
-                    &mut self.succ,
-                    &mut self.outcome,
-                    self.cov.as_mut(),
-                );
-                match observed {
+                let stepped =
+                    self.sys.successor_into(&self.state, step, &mut self.succ, &mut self.scratch);
+                match stepped {
                     Err(kind) => self.violations.push(VioCand {
                         parent: gid,
                         parent_fp: e.fp,
-                        step: pack_step(step),
+                        step: S::pack_step(step),
                         kind,
                     }),
                     Ok(false) => {}
                     Ok(true) => {
-                        if matches!(step, Step::Deliver { .. }) {
-                            any_delivery = true;
-                        }
+                        progress = progress || self.sys.is_progress(&self.state, step);
                         local_transitions += 1;
-                        if let Some(kind) = self.mc.check_state(&self.succ) {
+                        if let Some(kind) = self.sys.check_state(&self.succ) {
                             self.violations.push(VioCand {
                                 parent: gid,
                                 parent_fp: e.fp,
-                                step: pack_step(step),
+                                step: S::pack_step(step),
                                 kind,
                             });
                         } else {
-                            self.route_succ(e.fp, gid, pack_step(step));
+                            self.route_succ(e.fp, gid, S::pack_step(step));
                         }
                     }
                 }
             }
-            // Liveness hook: no deliverable message from this state. New
-            // accesses can only add transactions, never unblock existing
-            // ones, so they do not count as progress; the DeadlockFree
-            // property flags the state if work is still pending.
-            if !any_delivery {
-                if let Some(kind) = self.mc.check_quiescence(&self.state) {
+            // Liveness hook: no enabled step from this state counts as
+            // progress (what does is the system's call — for the flat
+            // checker only deliveries, since new accesses can only add
+            // transactions, never unblock existing ones).
+            if !progress {
+                if let Some(kind) = self.sys.check_quiescence(&self.state) {
                     self.violations.push(VioCand {
                         parent: gid,
                         parent_fp: e.fp,
@@ -954,12 +911,6 @@ impl<'w, 'a> Worker<'w, 'a> {
             }
         }
         self.coord.transitions.fetch_add(local_transitions, Relaxed);
-        if let Some(c) = self.cov.as_mut() {
-            if !c.is_empty() {
-                let taken = std::mem::take(c);
-                self.coord.coverage.lock().unwrap().extend(taken);
-            }
-        }
     }
 
     /// Decodes frontier entry `i` into the scratch state, resolving the
@@ -968,12 +919,11 @@ impl<'w, 'a> Worker<'w, 'a> {
     /// chain (each entry's base is its predecessor's full encoding) and
     /// the streamed chunk loads rely on.
     fn load_entry(&mut self, i: usize) {
-        let n = self.mc.cfg.n_caches;
         let e = self.cur.index[i];
         if !self.delta_mode && e.off >= self.cur.spilled_off {
             // Full mode, hot arena: the seed fast path, zero copies.
             let start = e.off - self.cur.spilled_off;
-            self.state.decode_into(&self.cur.bytes[start..start + e.len as usize], n);
+            self.sys.decode_into(&self.cur.bytes[start..start + e.len as usize], &mut self.state);
             return;
         }
         let (in_hot, start) = if e.off >= self.cur.spilled_off {
@@ -1000,11 +950,11 @@ impl<'w, 'a> Worker<'w, 'a> {
         };
         self.cur_full.clear();
         if e.delta {
-            crate::delta::apply_delta(n, &self.prev_full, raw, &mut self.cur_full);
+            self.map.apply_delta(&self.prev_full, raw, &mut self.cur_full);
         } else {
             self.cur_full.extend_from_slice(raw);
         }
-        self.state.decode_into(&self.cur_full, n);
+        self.sys.decode_into(&self.cur_full, &mut self.state);
         std::mem::swap(&mut self.prev_full, &mut self.cur_full);
     }
 
@@ -1012,14 +962,14 @@ impl<'w, 'a> Worker<'w, 'a> {
     /// and either insert locally (own shard — no bytes ever copied for
     /// duplicates) or append the canonical encoding to the owner's batch.
     fn route_succ(&mut self, parent_fp: u64, parent: Gid, step: u32) {
-        let fp = self.canon.canonical_fp(&self.succ);
+        let fp = self.sys.canonical_fp(&self.succ, &mut self.scratch);
         let owner = (fp % self.n_shards as u64) as usize;
         if owner == self.t {
-            self.insert_own(fp, parent_fp, parent, step);
+            self.insert(fp, parent_fp, parent, step, None);
         } else {
             let bytes = self.out.bytes_of(owner);
             let off = bytes.len() as u32;
-            self.canon.encode_best_into(&self.succ, bytes);
+            self.sys.encode_canonical_into(&self.succ, &self.scratch, bytes);
             let len = bytes.len() as u32 - off;
             if let Some(batch) =
                 self.out.push_meta(owner, CandMeta { fp, parent_fp, parent, step, off, len })
@@ -1029,25 +979,14 @@ impl<'w, 'a> Worker<'w, 'a> {
         }
     }
 
-    /// Dedup-or-insert for a successor this shard owns. Only a *new*
-    /// state pays for encoding into the next-frontier arena.
-    fn insert_own(&mut self, fp: u64, parent_fp: u64, parent: Gid, step: u32) {
-        self.insert(fp, parent_fp, parent, step, None);
-    }
-
-    /// Dedup-or-insert for a candidate received from another worker: the
-    /// canonical encoding already exists in the batch arena, so a new
-    /// state is one `extend_from_slice` and a duplicate costs nothing.
-    fn insert_enc(&mut self, m: &CandMeta, enc: &[u8]) {
-        self.insert(m.fp, m.parent_fp, m.parent, m.step, Some(enc));
-    }
-
     /// The one dedup-or-insert path (own-shard and cross-shard candidates
     /// must never diverge — the parent-race fold and the capacity check
     /// are part of the determinism contract). `enc` carries the canonical
-    /// encoding when it already exists (a received candidate); `None`
-    /// means "encode `self.succ` via the canonicalizer", so duplicates
-    /// from this shard's own expansion never pay for byte emission.
+    /// encoding when it already exists (a candidate received from another
+    /// worker: a new state is one `extend_from_slice`, a duplicate costs
+    /// nothing); `None` means "encode `self.succ` via the system", so
+    /// duplicates from this shard's own expansion never pay for byte
+    /// emission.
     fn insert(&mut self, fp: u64, parent_fp: u64, parent: Gid, step: u32, enc: Option<&[u8]>) {
         if let Some(&lid) = self.store.map.get(&fp) {
             // Same-level parent race: `lid >= epoch_start` identifies a
@@ -1075,13 +1014,16 @@ impl<'w, 'a> Worker<'w, 'a> {
                 self.store.push_rec(StateRec { parent_fp, parent, step, depth: self.depth + 1 });
             }
             if self.delta_mode {
-                let n = self.mc.cfg.n_caches;
                 match enc {
-                    Some(e) => self.next.append(n, e, lid, fp, true),
+                    Some(e) => self.next.append(self.map, e, lid, fp, true),
                     None => {
                         self.enc_scratch.clear();
-                        self.canon.encode_best_into(&self.succ, &mut self.enc_scratch);
-                        self.next.append(n, &self.enc_scratch, lid, fp, true);
+                        self.sys.encode_canonical_into(
+                            &self.succ,
+                            &self.scratch,
+                            &mut self.enc_scratch,
+                        );
+                        self.next.append(self.map, &self.enc_scratch, lid, fp, true);
                     }
                 }
             } else {
@@ -1093,7 +1035,11 @@ impl<'w, 'a> Worker<'w, 'a> {
                 let start = self.next.bytes.len();
                 match enc {
                     Some(e) => self.next.bytes.extend_from_slice(e),
-                    None => self.canon.encode_best_into(&self.succ, &mut self.next.bytes),
+                    None => self.sys.encode_canonical_into(
+                        &self.succ,
+                        &self.scratch,
+                        &mut self.next.bytes,
+                    ),
                 }
                 let len = (self.next.bytes.len() - start) as u32;
                 self.next.index.push(FrontEntry { off, len, lid, delta: false, fp });
@@ -1128,7 +1074,7 @@ impl<'w, 'a> Worker<'w, 'a> {
         while let Some(batch) = self.inboxes[self.t].pop() {
             for i in 0..batch.meta.len() {
                 let m = batch.meta[i];
-                self.insert_enc(&m, batch.enc(&m));
+                self.insert(m.fp, m.parent_fp, m.parent, m.step, Some(batch.enc(&m)));
             }
             self.out.recycle(batch);
             any = true;
@@ -1188,598 +1134,224 @@ impl<'w, 'a> Worker<'w, 'a> {
     }
 }
 
-impl<'a> ModelChecker<'a> {
-    /// Creates a checker for the given controllers.
-    pub fn new(cache_fsm: &'a Fsm, dir_fsm: &'a Fsm, cfg: McConfig) -> Self {
-        let cache_idx = FsmIndex::new(cache_fsm);
-        let dir_idx = FsmIndex::new(dir_fsm);
-        let props = materialize(cfg.properties);
-        ModelChecker { cache_fsm, dir_fsm, cfg, cache_idx, dir_idx, props }
-    }
+/// Resumes exploration of `sys` from the newest committed checkpoint
+/// under its [`Resources::checkpoint_dir`]. The checkpoint is fully
+/// validated first — checksums, manifest↔shard agreement, and that
+/// [`TransitionSystem::identity_fp`] matches what it was written under;
+/// any mismatch or corruption is a hard [`CheckpointError`], never a
+/// silent fresh start. The worker count comes from the manifest (shard
+/// assignment is `fp % threads`), so [`Resources::threads`] is ignored on
+/// resume. A resumed run's states, transitions, violation, and
+/// counterexample trace are byte-identical to an uninterrupted run's;
+/// wall-clock and memory statistics describe only the resumed portion.
+pub(crate) fn resume<S: TransitionSystem>(
+    sys: &S,
+) -> Result<(CheckResult, Vec<S::Scratch>), CheckpointError> {
+    let res = sys.resources();
+    let loaded = crate::checkpoint::load_latest(res.checkpoint_dir, sys.identity_fp(), res.store)?;
+    Ok(explore(sys, Some(loaded)))
+}
 
-    /// Attaches a custom property (checked after the built-ins, in
-    /// attachment order). The per-litmus-assertion hook.
-    pub fn add_property(&mut self, p: Box<dyn Property>) {
-        self.props.push(p);
-    }
+/// Runs breadth-first exploration of `sys` until exhaustion, a violation,
+/// or a resource limit, from the initial state or a loaded checkpoint.
+/// Returns the result (with `coverage` unset) and every worker's scratch.
+pub(crate) fn explore<S: TransitionSystem>(
+    sys: &S,
+    resume: Option<LoadedCheckpoint>,
+) -> (CheckResult, Vec<S::Scratch>) {
+    let start = Instant::now();
+    let res = sys.resources();
+    let threads = resume.as_ref().map_or_else(|| res.effective_threads(), |r| r.threads);
 
-    /// Names of the properties this checker enforces, in check order.
-    pub fn property_names(&self) -> Vec<&str> {
-        self.props.iter().map(|p| p.name()).collect()
-    }
+    let mut scratch0 = sys.scratch();
+    let initial = sys.initial();
+    let fp0 = sys.canonical_fp(&initial, &mut scratch0);
+    let mut enc0 = Vec::new();
+    sys.encode_canonical_into(&initial, &scratch0, &mut enc0);
+    let owner0 = (fp0 % threads as u64) as usize;
 
-    /// The generated FSM pair this checker verifies (for the checkpoint
-    /// manifest's machine fingerprint).
-    pub(crate) fn fsms(&self) -> (&Fsm, &Fsm) {
-        (self.cache_fsm, self.dir_fsm)
-    }
+    let inboxes: Vec<Inbox> = (0..threads).map(|_| Inbox::default()).collect();
+    let coord = Coordinator::new(threads);
+    let (depth0, mut snaps) = match resume {
+        Some(r) => {
+            coord.total_states.store(r.total_states, Relaxed);
+            coord.transitions.store(r.transitions, Relaxed);
+            (r.depth, r.shards.into_iter().map(Some).collect())
+        }
+        None => {
+            coord.total_states.store(1, Relaxed);
+            (0, (0..threads).map(|_| None).collect::<Vec<_>>())
+        }
+    };
 
-    fn property_ctx(&self) -> PropertyCtx<'_> {
-        PropertyCtx { cache_fsm: self.cache_fsm, dir_fsm: self.dir_fsm }
-    }
-
-    /// First violation any property reports on a load hit, in check order.
-    fn check_load_hit(&self, cache: u8, value: u8, ghost: u8) -> Option<ViolationKind> {
-        let cx = self.property_ctx();
-        self.props.iter().find_map(|p| p.check_load_hit(&cx, cache, value, ghost))
-    }
-
-    /// First violation any property reports on a quiescent (no deliverable
-    /// message) state, in check order.
-    fn check_quiescence(&self, state: &SysState) -> Option<ViolationKind> {
-        let cx = self.property_ctx();
-        self.props.iter().find_map(|p| p.check_quiescence(&cx, state))
-    }
-
-    /// Runs breadth-first exploration until exhaustion, a violation, or the
-    /// state limit.
-    pub fn run(&self) -> CheckResult {
-        self.run_with(None)
-    }
-
-    /// Resumes exploration from the newest committed checkpoint under
-    /// [`McConfig::checkpoint_dir`]. The checkpoint is fully validated
-    /// first — checksums, manifest↔shard agreement, and that the
-    /// configuration and generated FSMs match what the checkpoint was
-    /// written under; any mismatch or corruption is a hard
-    /// [`CheckpointError`], never a silent fresh start. The worker count
-    /// comes from the manifest (shard assignment is `fp % threads`), so
-    /// [`McConfig::threads`] is ignored on resume. A resumed run's
-    /// states, transitions, violation, and counterexample trace are
-    /// byte-identical to an uninterrupted run's; wall-clock and memory
-    /// statistics describe only the resumed portion, and pair coverage —
-    /// merged per epoch, not checkpointed — covers only re-executed
-    /// epochs.
-    pub fn resume(&self) -> Result<CheckResult, crate::checkpoint::CheckpointError> {
-        let loaded = crate::checkpoint::load_latest(self, &self.cfg)?;
-        Ok(self.run_with(Some(loaded)))
-    }
-
-    fn run_with(&self, resume: Option<crate::checkpoint::LoadedCheckpoint>) -> CheckResult {
-        let start = Instant::now();
-        let threads = resume.as_ref().map_or_else(|| self.cfg.effective_threads(), |r| r.threads);
-
-        let mut canon0 = Canonicalizer::new(self.cfg.n_caches, self.cfg.symmetry);
-        let initial = canon0.canonical_rep(&SysState::initial(self.cfg.n_caches));
-        let fp0 = canon0.canonical_fp(&initial);
-        let owner0 = (fp0 % threads as u64) as usize;
-
-        let inboxes: Vec<Inbox> = (0..threads).map(|_| Inbox::default()).collect();
-        let coord = Coordinator::new(threads);
-        let (depth0, mut snaps) = match resume {
-            Some(r) => {
-                coord.total_states.store(r.total_states, Relaxed);
-                coord.transitions.store(r.transitions, Relaxed);
-                (r.depth, r.shards.into_iter().map(Some).collect())
-            }
-            None => {
-                coord.total_states.store(1, Relaxed);
-                (0, (0..threads).map(|_| None).collect::<Vec<_>>())
-            }
-        };
-
-        let stores: Vec<ShardStore> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let inboxes = &inboxes;
-                    let coord = &coord;
-                    let initial = &initial;
-                    let snap = snaps[t].take();
-                    s.spawn(move || {
-                        let mut w = Worker::new(self, t, threads, inboxes, coord);
-                        match snap {
-                            Some(snap) => w.restore_snapshot(snap, depth0),
-                            None if t == owner0 => w.seed_root(initial, fp0),
-                            None => {}
-                        }
-                        w.run()
-                    })
+    let (stores, scratches): (Vec<ShardStore>, Vec<S::Scratch>) = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let (inboxes, coord, enc0) = (&inboxes, &coord, &enc0);
+                let snap = snaps[t].take();
+                s.spawn(move || {
+                    let mut w = Worker::new(sys, t, threads, inboxes, coord);
+                    match snap {
+                        Some(snap) => w.restore_snapshot(snap, depth0),
+                        None if t == owner0 => w.seed_root(enc0, fp0),
+                        None => {}
+                    }
+                    w.run()
                 })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-        });
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("worker panicked")).unzip()
+    });
 
-        // A worker phase panicked: all workers drained cleanly through the
-        // rendezvous; surface the original panic here.
-        if let Some(payload) = coord.panic.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            std::panic::resume_unwind(payload);
-        }
+    // A worker phase panicked: all workers drained cleanly through the
+    // rendezvous; surface the original panic here.
+    if let Some(payload) = coord.panic.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        std::panic::resume_unwind(payload);
+    }
 
-        let states = stores.iter().map(|s| s.len()).sum();
-        let transitions = coord.transitions.load(Relaxed);
-        let store_bytes = stores.iter().map(|s| s.mem_bytes()).sum();
-        let peak_mem_bytes = coord.peak_mem.load(Relaxed);
-        let (mut spill_bytes, mut spill_chunks) =
-            (coord.spill_bytes.load(Relaxed), coord.spill_chunks.load(Relaxed));
-        for s in &stores {
-            let (b, c) = s.spill_totals();
-            spill_bytes += b;
-            spill_chunks += c;
-        }
-        let (violation, hit_limit) =
-            match coord.decision.into_inner().unwrap_or_else(|e| e.into_inner()) {
-                Decision::Stop { violation, hit_limit } => {
-                    let v = violation.map(|v| Violation {
-                        kind: v.kind.clone(),
-                        trace: self.build_trace(&stores, &v),
-                    });
-                    (v, hit_limit)
-                }
-                Decision::Continue => (None, false),
-            };
-        let limit = if hit_limit {
-            let shard = coord.exhausted_shard.load(Relaxed);
-            if shard == usize::MAX {
-                Some(ResourceLimit::StateBudget)
-            } else {
-                Some(ResourceLimit::ShardCapacity { shard })
+    let states = stores.iter().map(|s| s.len()).sum();
+    let transitions = coord.transitions.load(Relaxed);
+    let store_bytes = stores.iter().map(|s| s.mem_bytes()).sum();
+    let peak_mem_bytes = coord.peak_mem.load(Relaxed);
+    let (mut spill_bytes, mut spill_chunks) =
+        (coord.spill_bytes.load(Relaxed), coord.spill_chunks.load(Relaxed));
+    for s in &stores {
+        let (b, c) = s.spill_totals();
+        spill_bytes += b;
+        spill_chunks += c;
+    }
+    let (violation, hit_limit) =
+        match coord.decision.into_inner().unwrap_or_else(|e| e.into_inner()) {
+            Decision::Stop { violation, hit_limit } => {
+                let v = violation.map(|v| Violation {
+                    kind: v.kind.clone(),
+                    trace: build_trace(sys, &stores, &v),
+                });
+                (v, hit_limit)
             }
-        } else {
-            None
+            Decision::Continue => (None, false),
         };
-
-        let coverage = self
-            .cfg
-            .collect_pair_coverage
-            .then(|| std::mem::take(&mut *coord.coverage.lock().unwrap()));
-        CheckResult {
-            states,
-            transitions,
-            violation,
-            hit_state_limit: hit_limit,
-            limit,
-            seconds: start.elapsed().as_secs_f64(),
-            store_bytes,
-            peak_mem_bytes,
-            spill_bytes,
-            spill_chunks,
-            threads,
-            coverage,
-        }
-    }
-
-    /// Decision (run by the last arriver at the dedup rendezvous):
-    /// selects the minimum-key violation of the epoch, or stops on
-    /// exhaustion / the state budget.
-    fn decide(&self, coord: &Coordinator) -> Decision {
-        // Fold the epoch's fleet-wide memory sample into the running peak
-        // and reset the accumulator for the next epoch.
-        let epoch_mem = coord.epoch_mem.swap(0, Relaxed);
-        coord.peak_mem.fetch_max(epoch_mem, Relaxed);
-        let mut agg = coord.agg.lock().unwrap();
-        let mut vios = std::mem::take(&mut agg.violations);
-        let new_states = std::mem::take(&mut agg.new_states);
-        drop(agg);
-        if !vios.is_empty() {
-            vios.sort_by(|a, b| vio_key(a).cmp(&vio_key(b)));
-            Decision::Stop { violation: Some(vios.remove(0)), hit_limit: false }
-        } else if coord.exhausted_shard.load(Relaxed) != usize::MAX {
-            // A shard refused inserts this level: the frontier is
-            // incomplete, so "no new states" below would falsely read as
-            // exhaustion. Stop with the limit flag.
-            Decision::Stop { violation: None, hit_limit: true }
-        } else if new_states == 0 {
-            Decision::Stop { violation: None, hit_limit: false }
-        } else if coord.total_states.load(Relaxed) >= self.cfg.max_states {
-            Decision::Stop { violation: None, hit_limit: true }
+    let limit = if hit_limit {
+        let shard = coord.exhausted_shard.load(Relaxed);
+        if shard == usize::MAX {
+            Some(ResourceLimit::StateBudget)
         } else {
-            Decision::Continue
+            Some(ResourceLimit::ShardCapacity { shard })
         }
-    }
+    } else {
+        None
+    };
 
-    /// All candidate steps from `state`, in canonical order: deliveries
-    /// first, sorted by `(src, dst, idx)`, then accesses sorted by
-    /// `(cache, access)`. The order is a pure function of `state` — never
-    /// of thread interleaving — which keeps counterexample traces
-    /// byte-identical run to run.
-    pub fn steps(&self, state: &SysState) -> Vec<Step> {
-        let mut out = Vec::new();
-        self.steps_into(state, &mut out);
-        out
-    }
+    let result = CheckResult {
+        states,
+        transitions,
+        violation,
+        hit_state_limit: hit_limit,
+        limit,
+        seconds: start.elapsed().as_secs_f64(),
+        store_bytes,
+        peak_mem_bytes,
+        spill_bytes,
+        spill_chunks,
+        threads,
+        coverage: None,
+    };
+    (result, scratches)
+}
 
-    fn steps_into(&self, state: &SysState, out: &mut Vec<Step>) {
-        out.clear();
-        let n = state.n_caches() + 1;
-        for src in 0..n {
-            for dst in 0..n {
-                let q = &state.channels[src][dst];
-                if q.is_empty() {
-                    continue;
-                }
-                let last = if self.cfg.ordered { 1 } else { q.len() };
-                for idx in 0..last {
-                    out.push(Step::Deliver { src: src as u8, dst: dst as u8, idx: idx as u8 });
-                }
+/// Decision (run by the last arriver at the dedup rendezvous):
+/// selects the minimum-key violation of the epoch, or stops on
+/// exhaustion / the state budget.
+fn decide(coord: &Coordinator, max_states: usize) -> Decision {
+    // Fold the epoch's fleet-wide memory sample into the running peak
+    // and reset the accumulator for the next epoch.
+    let epoch_mem = coord.epoch_mem.swap(0, Relaxed);
+    coord.peak_mem.fetch_max(epoch_mem, Relaxed);
+    let mut agg = coord.agg.lock().unwrap();
+    let mut vios = std::mem::take(&mut agg.violations);
+    let new_states = std::mem::take(&mut agg.new_states);
+    drop(agg);
+    if !vios.is_empty() {
+        vios.sort_by(|a, b| vio_key(a).cmp(&vio_key(b)));
+        Decision::Stop { violation: Some(vios.remove(0)), hit_limit: false }
+    } else if coord.exhausted_shard.load(Relaxed) != usize::MAX {
+        // A shard refused inserts this level: the frontier is
+        // incomplete, so "no new states" below would falsely read as
+        // exhaustion. Stop with the limit flag.
+        Decision::Stop { violation: None, hit_limit: true }
+    } else if new_states == 0 {
+        Decision::Stop { violation: None, hit_limit: false }
+    } else if coord.total_states.load(Relaxed) >= max_states {
+        Decision::Stop { violation: None, hit_limit: true }
+    } else {
+        Decision::Continue
+    }
+}
+
+/// Rebuilds the step chain to the violation by walking the packed
+/// parent-pointer records across shards, then renders it by replaying
+/// from the initial state through canonical representatives.
+fn build_trace<S: TransitionSystem>(sys: &S, stores: &[ShardStore], v: &VioCand) -> Vec<String> {
+    if !sys.resources().store.keeps_recs() {
+        return vec![
+            "no counterexample trace: the fingerprint-only store keeps no parent records \
+             (rerun with --store=full or --store=delta to reconstruct one)"
+                .into(),
+        ];
+    }
+    let mut steps = Vec::new();
+    let mut cur = v.parent;
+    loop {
+        let rec = stores[cur.shard()].rec(cur.local());
+        if rec.depth == 0 {
+            break;
+        }
+        steps.push(rec.step);
+        cur = rec.parent;
+    }
+    steps.reverse();
+    if v.step != STEP_NONE {
+        steps.push(v.step);
+    }
+    let mut scratch = sys.scratch();
+    let (mut state, mut succ) = (sys.initial(), sys.initial());
+    let (mut lines, mut enc) = (Vec::new(), Vec::new());
+    // Steps were recorded against canonical representatives, so the
+    // replay re-canonicalizes (encode, then decode) after every step.
+    let mut canonicalize = |from: &S::State, into: &mut S::State, scratch: &mut S::Scratch| {
+        sys.canonical_fp(from, scratch);
+        enc.clear();
+        sys.encode_canonical_into(from, scratch, &mut enc);
+        sys.decode_into(&enc, into);
+    };
+    canonicalize(&succ, &mut state, &mut scratch);
+    for step in steps.into_iter().map(S::unpack_step) {
+        let desc = sys.describe(&state, step);
+        match sys.successor_into(&state, step, &mut succ, &mut scratch) {
+            Ok(true) => {
+                lines.push(desc);
+                canonicalize(&succ, &mut state, &mut scratch);
             }
-        }
-        for cache in 0..state.n_caches() {
-            for access in Access::ALL {
-                out.push(Step::IssueAccess { cache: cache as u8, access });
-            }
-        }
-    }
-
-    /// [`Self::successor_into`] plus pair-coverage recording: notes which
-    /// `(machine, state, event)` pair the step dispatches on before
-    /// computing the successor. Pairs are permutation-invariant (all
-    /// caches run the same FSM and message types survive renaming), so
-    /// recording them on canonical representatives covers every orbit
-    /// member.
-    fn successor_observed_into(
-        &self,
-        state: &SysState,
-        step: Step,
-        succ: &mut SysState,
-        outcome: &mut ApplyOutcome,
-        cov: Option<&mut PairSet>,
-    ) -> Result<bool, ViolationKind> {
-        if let Some(cov) = cov {
-            match step {
-                Step::Deliver { src, dst, idx } => {
-                    let msg = state.channels[src as usize][dst as usize][idx as usize];
-                    if dst as usize == state.n_caches() {
-                        cov.insert((MachineTag::DIRECTORY, state.dir.state, Event::Msg(msg.mtype)));
-                    } else {
-                        cov.insert((
-                            MachineTag::CACHE,
-                            state.caches[dst as usize].state,
-                            Event::Msg(msg.mtype),
-                        ));
-                    }
-                }
-                Step::IssueAccess { cache, access } => {
-                    cov.insert((
-                        MachineTag::CACHE,
-                        state.caches[cache as usize].state,
-                        Event::Access(access),
-                    ));
-                }
-            }
-        }
-        self.successor_into(state, step, succ, outcome)
-    }
-
-    /// Computes the successor of `state` for `step` into the scratch
-    /// state `succ` (copy-on-write: `succ.clone_from(state)` reuses its
-    /// nested allocations, so steady-state stepping allocates nothing).
-    /// Returns `Ok(false)` when the step is not enabled (stalled message,
-    /// absent access arc, busy cache) — `succ` is garbage then and must
-    /// not be read.
-    fn successor_into(
-        &self,
-        state: &SysState,
-        step: Step,
-        succ: &mut SysState,
-        outcome: &mut ApplyOutcome,
-    ) -> Result<bool, ViolationKind> {
-        match step {
-            Step::Deliver { src, dst, idx } => {
-                self.deliver_into(state, src, dst, idx, succ, outcome)
-            }
-            Step::IssueAccess { cache, access } => {
-                self.issue_into(state, cache, access, succ, outcome)
-            }
-        }
-    }
-
-    /// The clone-per-step successor as a standalone state (`Ok(None)`
-    /// when the step is not enabled). A cold-path convenience over the
-    /// internal scratch-stepping path, public for tests and the
-    /// canonicalization proptests/microbenchmark, which random-walk the
-    /// reachable space outside the explorer.
-    pub fn successor_state(
-        &self,
-        state: &SysState,
-        step: Step,
-    ) -> Result<Option<SysState>, ViolationKind> {
-        self.successor(state, step)
-    }
-
-    /// The clone-per-step successor (cold paths: counterexample replay,
-    /// [`Self::sample_states`]).
-    fn successor(&self, state: &SysState, step: Step) -> Result<Option<SysState>, ViolationKind> {
-        let mut succ = SysState::initial(self.cfg.n_caches);
-        let mut outcome = ApplyOutcome::default();
-        match self.successor_into(state, step, &mut succ, &mut outcome)? {
-            true => Ok(Some(succ)),
-            false => Ok(None),
-        }
-    }
-
-    fn deliver_into(
-        &self,
-        state: &SysState,
-        src: u8,
-        dst: u8,
-        idx: u8,
-        succ: &mut SysState,
-        outcome: &mut ApplyOutcome,
-    ) -> Result<bool, ViolationKind> {
-        let msg = state.channels[src as usize][dst as usize][idx as usize];
-        let is_dir = dst as usize == state.n_caches();
-        let event = Event::Msg(msg.mtype);
-        let arc = if is_dir {
-            select_arc_indexed(
-                self.dir_fsm,
-                &self.dir_idx,
-                state.dir.state,
-                event,
-                Some(&msg),
-                None,
-                Some(&state.dir),
-            )
-        } else {
-            let block = &state.caches[dst as usize];
-            select_arc_indexed(
-                self.cache_fsm,
-                &self.cache_idx,
-                block.state,
-                event,
-                Some(&msg),
-                Some(block),
-                None,
-            )
-        };
-        let Some(arc) = arc else {
-            let holder = if is_dir {
-                format!("directory in {}", self.dir_fsm.state(state.dir.state).full_name())
-            } else {
-                format!(
-                    "cache n{dst} in {}",
-                    self.cache_fsm.state(state.caches[dst as usize].state).full_name()
-                )
-            };
-            return Err(ViolationKind::UnexpectedMessage(format!("{msg} at {holder}")));
-        };
-        if arc.kind == protogen_spec::ArcKind::Stall {
-            return Ok(false);
-        }
-        succ.clone_from(state);
-        succ.channels[src as usize][dst as usize].remove(idx as usize);
-        let store_value = (state.ghost + 1) % self.cfg.value_domain;
-        if is_dir {
-            let dir_id = succ.dir_id();
-            apply_into(
-                self.dir_fsm,
-                arc,
-                Some(&msg),
-                MachineCtx::Dir { entry: &mut succ.dir, self_id: dir_id },
-                store_value,
-                outcome,
-            )
-        } else {
-            let dir_id = succ.dir_id();
-            apply_into(
-                self.cache_fsm,
-                arc,
-                Some(&msg),
-                MachineCtx::Cache {
-                    block: &mut succ.caches[dst as usize],
-                    self_id: NodeId(dst),
-                    dir_id,
-                },
-                store_value,
-                outcome,
-            )
-        }
-        .map_err(exec_violation)?;
-        if let Some((Access::Store, _)) = outcome.performed {
-            succ.ghost = store_value;
-        }
-        // Completion loads (e.g. the single access after invalidation in
-        // IS_D_I) read the response data by construction; the physical
-        // data-value check applies to hits only (design note in DESIGN.md).
-        self.route(succ, outcome)?;
-        Ok(true)
-    }
-
-    fn issue_into(
-        &self,
-        state: &SysState,
-        cache: u8,
-        access: Access,
-        succ: &mut SysState,
-        outcome: &mut ApplyOutcome,
-    ) -> Result<bool, ViolationKind> {
-        let block = &state.caches[cache as usize];
-        let arc = select_arc_indexed(
-            self.cache_fsm,
-            &self.cache_idx,
-            block.state,
-            Event::Access(access),
-            None,
-            Some(block),
-            None,
-        );
-        let Some(arc) = arc else { return Ok(false) };
-        if arc.kind == protogen_spec::ArcKind::Stall {
-            return Ok(false);
-        }
-        let is_hit = arc.actions.iter().any(|a| matches!(a, protogen_spec::Action::PerformAccess));
-        if !is_hit && block.pending.is_some() {
-            // One outstanding transaction per block per cache (§V-F).
-            return Ok(false);
-        }
-        succ.clone_from(state);
-        let store_value = (state.ghost + 1) % self.cfg.value_domain;
-        let dir_id = succ.dir_id();
-        apply_into(
-            self.cache_fsm,
-            arc,
-            None,
-            MachineCtx::Cache {
-                block: &mut succ.caches[cache as usize],
-                self_id: NodeId(cache),
-                dir_id,
-            },
-            store_value,
-            outcome,
-        )
-        .map_err(exec_violation)?;
-        match outcome.performed {
-            Some((Access::Store, _)) => succ.ghost = store_value,
-            Some((Access::Load, Some(v))) => {
-                if let Some(kind) = self.check_load_hit(cache, v, state.ghost) {
-                    return Err(kind);
-                }
-            }
-            _ => {}
-        }
-        self.route(succ, outcome)?;
-        Ok(true)
-    }
-
-    /// Injects the outcome's outgoing messages into `succ`'s channels,
-    /// checking the capacity bound.
-    fn route(&self, succ: &mut SysState, outcome: &ApplyOutcome) -> Result<(), ViolationKind> {
-        for i in 0..outcome.outgoing.len() {
-            let m = outcome.outgoing[i];
-            succ.send(m);
-            let q = &succ.channels[m.src.as_usize()][m.dst.as_usize()];
-            if q.len() > self.cfg.channel_cap {
-                return Err(ViolationKind::ChannelOverflow(format!(
-                    "channel n{}→n{} exceeded {}",
-                    m.src.0, m.dst.0, self.cfg.channel_cap
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// State-level properties (checked on every new state): the first
-    /// violation any configured property reports, in check order.
-    fn check_state(&self, state: &SysState) -> Option<ViolationKind> {
-        let cx = self.property_ctx();
-        self.props.iter().find_map(|p| p.check_state(&cx, state))
-    }
-
-    /// A breadth-first sample of reachable canonical representatives
-    /// (`limit` states starting from the initial state, in deterministic
-    /// BFS order). Violating or disabled successors are skipped. Exposed
-    /// for the canonicalization proptests and microbenchmark, which need
-    /// realistic states rather than synthetic ones.
-    pub fn sample_states(&self, limit: usize) -> Vec<SysState> {
-        let mut canon = Canonicalizer::new(self.cfg.n_caches, self.cfg.symmetry);
-        let mut seen = std::collections::HashSet::new();
-        let mut out: Vec<SysState> = Vec::new();
-        let initial = canon.canonical_rep(&SysState::initial(self.cfg.n_caches));
-        seen.insert(canon.canonical_fp(&initial));
-        out.push(initial);
-        let mut at = 0usize;
-        while at < out.len() && out.len() < limit {
-            let steps = self.steps(&out[at]);
-            for step in steps {
-                if out.len() >= limit {
-                    break;
-                }
-                if let Ok(Some(next)) = self.successor(&out[at], step) {
-                    if self.check_state(&next).is_none() && seen.insert(canon.canonical_fp(&next)) {
-                        out.push(canon.canonical_rep(&next));
-                    }
-                }
-            }
-            at += 1;
-        }
-        out
-    }
-
-    /// Rebuilds the step chain to the violation by walking the packed
-    /// parent-pointer records across shards, then renders it by replaying
-    /// from the initial state through canonical representatives.
-    fn build_trace(&self, stores: &[ShardStore], v: &VioCand) -> Vec<String> {
-        if !self.cfg.store.keeps_recs() {
-            return vec![
-                "no counterexample trace: the fingerprint-only store keeps no parent records \
-                 (rerun with --store=full or --store=delta to reconstruct one)"
-                    .into(),
-            ];
-        }
-        let mut steps = Vec::new();
-        let mut cur = v.parent;
-        loop {
-            let rec = stores[cur.shard()].rec(cur.local());
-            if rec.depth == 0 {
+            Ok(false) => lines.push(format!("{desc} (not enabled?)")),
+            Err(kind) => {
+                lines.push(format!("{desc} => {kind}"));
                 break;
             }
-            steps.push(unpack_step(rec.step));
-            cur = rec.parent;
-        }
-        steps.reverse();
-        if v.step != STEP_NONE {
-            steps.push(unpack_step(v.step));
-        }
-        let mut canon = Canonicalizer::new(self.cfg.n_caches, self.cfg.symmetry);
-        let mut lines = Vec::new();
-        let mut state = canon.canonical_rep(&SysState::initial(self.cfg.n_caches));
-        for step in steps {
-            let desc = self.describe(&state, step);
-            match self.successor(&state, step) {
-                Ok(Some(next)) => {
-                    lines.push(desc);
-                    state = canon.canonical_rep(&next);
-                }
-                Ok(None) => lines.push(format!("{desc} (not enabled?)")),
-                Err(kind) => {
-                    lines.push(format!("{desc} => {kind}"));
-                    break;
-                }
-            }
-        }
-        lines
-    }
-
-    fn describe(&self, state: &SysState, step: Step) -> String {
-        match step {
-            Step::Deliver { src, dst, idx } => {
-                let msg = state.channels[src as usize][dst as usize][idx as usize];
-                let mname = &self.cache_fsm.msg(msg.mtype).name;
-                let holder = if dst as usize == state.n_caches() {
-                    format!("dir[{}]", self.dir_fsm.state(state.dir.state).full_name())
-                } else {
-                    format!(
-                        "n{dst}[{}]",
-                        self.cache_fsm.state(state.caches[dst as usize].state).full_name()
-                    )
-                };
-                format!("{mname} {msg} -> {holder}")
-            }
-            Step::IssueAccess { cache, access } => {
-                format!(
-                    "n{cache}[{}] {access}",
-                    self.cache_fsm.state(state.caches[cache as usize].state).full_name()
-                )
-            }
         }
     }
+    lines
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::canon::Canonicalizer;
+    use crate::flat::{McConfig, ModelChecker, Step};
+    use protogen_spec::{Access, Event, Fsm};
 
     #[test]
     fn step_packing_round_trips_and_preserves_order() {
+        let (pack_step, unpack_step) = (ModelChecker::pack_step, ModelChecker::unpack_step);
         let steps = [
             Step::Deliver { src: 0, dst: 1, idx: 0 },
             Step::Deliver { src: 0, dst: 2, idx: 1 },
@@ -1802,11 +1374,11 @@ mod tests {
     fn effective_threads_resolves_and_clamps() {
         let mut cfg = McConfig::with_caches(2);
         cfg.threads = 0;
-        assert!(cfg.effective_threads() >= 1);
+        assert!(cfg.resources().effective_threads() >= 1);
         cfg.threads = 1_000;
-        assert_eq!(cfg.effective_threads(), crate::store::MAX_SHARDS);
+        assert_eq!(cfg.resources().effective_threads(), crate::store::MAX_SHARDS);
         cfg.threads = 3;
-        assert_eq!(cfg.effective_threads(), 3);
+        assert_eq!(cfg.resources().effective_threads(), 3);
     }
 
     #[test]
@@ -1971,13 +1543,13 @@ mod tests {
     #[test]
     fn shard_capacity_resolves_and_clamps() {
         let mut cfg = McConfig::with_caches(2);
-        assert_eq!(cfg.effective_shard_capacity(), crate::store::SHARD_CAPACITY);
+        assert_eq!(cfg.resources().effective_shard_capacity(), crate::store::SHARD_CAPACITY);
         cfg.shard_capacity = 0;
-        assert_eq!(cfg.effective_shard_capacity(), crate::store::SHARD_CAPACITY);
+        assert_eq!(cfg.resources().effective_shard_capacity(), crate::store::SHARD_CAPACITY);
         cfg.shard_capacity = usize::MAX;
-        assert_eq!(cfg.effective_shard_capacity(), crate::store::SHARD_CAPACITY);
+        assert_eq!(cfg.resources().effective_shard_capacity(), crate::store::SHARD_CAPACITY);
         cfg.shard_capacity = 100;
-        assert_eq!(cfg.effective_shard_capacity(), 100);
+        assert_eq!(cfg.resources().effective_shard_capacity(), 100);
     }
 
     #[test]

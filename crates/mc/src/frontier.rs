@@ -25,7 +25,6 @@ use std::time::Duration;
 
 use crate::explore::ViolationKind;
 use crate::store::Gid;
-use protogen_runtime::PairSet;
 
 /// One successor candidate en route to its owning shard: the fixed-width
 /// part. The state itself travels as its canonical encoding in the
@@ -311,11 +310,6 @@ pub(crate) struct Coordinator {
     pub transitions: AtomicUsize,
     /// Per-epoch merge target.
     pub agg: Mutex<LevelAgg>,
-    /// Union of `(machine, state, event)` dispatches, merged by every
-    /// worker at the end of its expansion (only populated when
-    /// [`crate::McConfig::collect_pair_coverage`] is set). A `BTreeSet`,
-    /// so the union is identical for every merge order.
-    pub coverage: Mutex<PairSet>,
     /// Decision published at the dedup rendezvous each epoch.
     pub decision: Mutex<Decision>,
     /// Lowest shard id whose visited set reached its capacity bound
@@ -349,7 +343,6 @@ impl Coordinator {
             total_states: AtomicUsize::new(0),
             transitions: AtomicUsize::new(0),
             agg: Mutex::new(LevelAgg::default()),
-            coverage: Mutex::new(PairSet::new()),
             decision: Mutex::new(Decision::Continue),
             exhausted_shard: AtomicUsize::new(usize::MAX),
             epoch_mem: AtomicUsize::new(0),

@@ -7,7 +7,11 @@
 //! `counts[jm]` nodes, each running the cache side of protocol level `jm`
 //! against its parent's directory, while (for `jm ≥ 1`) also hosting the
 //! directory of protocol level `jm - 1` for its own children. The cache
-//! side of level N *is* the directory side of level N+1.
+//! side of level N *is* the directory side of level N+1. [`HierChecker`]
+//! is a [`TransitionSystem`] — states, steps, glue, canonicalization and
+//! properties live here; the search itself is the shared explorer's
+//! (`explore.rs`), with every flag, store tier and the
+//! checkpoint format of the flat checker.
 //!
 //! The glue between levels is never hand-specified; it is synthesized here
 //! from the [`protogen_core::GlueSpec`] needed-permission table:
@@ -46,18 +50,24 @@
 //! one-level composition visits exactly as many canonical states as the
 //! flat checker at the same cache count (pinned by the conformance tests).
 
-use crate::explore::{exec_violation, Violation, ViolationKind};
-use crate::property::PropertySet;
+use crate::checkpoint::CheckpointError;
+use crate::delta::SectionMap;
+use crate::explore::{
+    exec_violation, explore, resume, CheckResult, Resources, StoreMode, TransitionSystem,
+    ViolationKind,
+};
+use crate::flat::McConfig;
+use crate::property::{perm_conflict, stale_copy, PropertySet};
 use crate::store::fingerprint_bytes;
+use crate::system::{put_block, put_dir, put_queue, Decoder};
 use protogen_core::Composed;
 use protogen_runtime::{
     apply_into, select_arc_indexed, ApplyOutcome, CacheBlock, DirEntry, FsmIndex, MachineCtx, Msg,
     NodeId, Val,
 };
 use protogen_spec::{Access, Event, Fsm, FsmStateId, MsgClass, Perm};
-use std::collections::HashMap;
 use std::fmt;
-use std::time::Instant;
+use std::path::PathBuf;
 
 /// Largest wreath-product group the canonicalizer sweeps exactly; stacks
 /// whose group is bigger run without symmetry reduction. 8! covers every
@@ -65,11 +75,14 @@ use std::time::Instant;
 /// compositions (2×2 MSI-under-MSI has a group of 8).
 pub const MAX_GROUP: usize = 40_320;
 
-/// Hierarchical checker configuration. Channel ordering is per level —
-/// taken from each level's SSP — so it is not configured here.
+/// Hierarchical checker configuration: five semantic fields, then the
+/// explorer's resource settings under the same names, defaults and
+/// meanings as [`McConfig`]'s (documented there). Channel ordering is per
+/// level — taken from each level's SSP — so it is not configured here.
 #[derive(Debug, Clone)]
 pub struct HierConfig {
-    /// Abort exploration after this many canonical states.
+    /// Abort exploration after this many canonical states (checked at
+    /// BFS-level granularity).
     pub max_states: usize,
     /// Store values cycle through `0..value_domain` (leaf stores only;
     /// parents are data-transparent).
@@ -82,16 +95,46 @@ pub struct HierConfig {
     pub properties: PropertySet,
     /// Canonicalize under the per-level sibling permutation group.
     pub symmetry: bool,
+    /// See [`McConfig::threads`] (`0` = available parallelism).
+    pub threads: usize,
+    /// See [`McConfig::store`].
+    pub store: StoreMode,
+    /// See [`McConfig::mem_budget_bytes`].
+    pub mem_budget_bytes: usize,
+    /// See [`McConfig::spill_chunk_bytes`].
+    pub spill_chunk_bytes: usize,
+    /// See [`McConfig::shard_capacity`].
+    pub shard_capacity: usize,
+    /// See [`McConfig::checkpoint_dir`].
+    pub checkpoint_dir: Option<PathBuf>,
+    /// See [`McConfig::checkpoint_every`].
+    pub checkpoint_every: u32,
 }
 
 impl Default for HierConfig {
     fn default() -> Self {
+        McConfig::default().into()
+    }
+}
+
+/// Every [`HierConfig`] field is a [`McConfig`] field: the flat
+/// configuration minus what a stack takes from its composition
+/// (`n_caches`, `ordered`) and the flat-only coverage hook.
+impl From<McConfig> for HierConfig {
+    fn from(c: McConfig) -> Self {
         HierConfig {
-            max_states: 20_000_000,
-            value_domain: 2,
-            channel_cap: 8,
-            properties: PropertySet::sc(),
-            symmetry: true,
+            max_states: c.max_states,
+            value_domain: c.value_domain,
+            channel_cap: c.channel_cap,
+            properties: c.properties,
+            symmetry: c.symmetry,
+            threads: c.threads,
+            store: c.store,
+            mem_budget_bytes: c.mem_budget_bytes,
+            spill_chunk_bytes: c.spill_chunk_bytes,
+            shard_capacity: c.shard_capacity,
+            checkpoint_dir: c.checkpoint_dir,
+            checkpoint_every: c.checkpoint_every,
         }
     }
 }
@@ -161,8 +204,9 @@ impl HierState {
     }
 }
 
-/// One step of the leveled system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One step of the leveled system. The derived ordering is the canonical
+/// step order (deliveries, then leaf accesses, then glue issues).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum HStep {
     /// Deliver `chans[level][parent][src][dst][idx]`.
     Deliver {
@@ -213,26 +257,17 @@ struct HierPerm {
     invs: Vec<Vec<u8>>,
 }
 
-/// Outcome of a hierarchical checking run.
-#[derive(Debug, Clone)]
-pub struct HierResult {
-    /// Distinct canonical states visited.
-    pub states: usize,
-    /// Transitions fired.
-    pub transitions: usize,
-    /// The first violation in deterministic BFS order, if any.
-    pub violation: Option<Violation>,
-    /// Whether the state budget stopped exploration early.
-    pub hit_state_limit: bool,
-    /// Wall-clock seconds spent exploring.
-    pub seconds: f64,
-}
+/// Outcome of a hierarchical checking run: the shared explorer's.
+pub type HierResult = CheckResult;
 
-impl HierResult {
-    /// Whether the stack passed every check over the whole space.
-    pub fn passed(&self) -> bool {
-        self.violation.is_none() && !self.hit_state_limit
-    }
+/// The composed system's per-worker scratch: the canonical-sweep buffers
+/// (`best` holds the encoding the last `canonical_fp` selected) and the
+/// reusable apply outcome.
+#[derive(Debug, Default)]
+pub struct HierScratch {
+    best: Vec<u8>,
+    cur: Vec<u8>,
+    outcome: ApplyOutcome,
 }
 
 /// Explicit-state checker for a composed protocol stack.
@@ -293,39 +328,6 @@ impl HierChecker {
         self.perms.len()
     }
 
-    /// Cache counts per machine level paired with each level's subnet
-    /// shape `(parents, fanout)` — the topology the delta store's section
-    /// map is derived from.
-    pub fn topology(&self) -> (Vec<usize>, Vec<(usize, usize)>) {
-        let k = self.depth();
-        let caches = self.counts[..k].to_vec();
-        let subnets = (0..k).map(|j| (self.counts[j + 1], self.levels[j].fanout)).collect();
-        (caches, subnets)
-    }
-
-    /// The delta-compression section layout of this stack's encodings.
-    pub fn section_map(&self) -> crate::delta::SectionMap {
-        let (caches, subnets) = self.topology();
-        crate::delta::SectionMap::leveled(&caches, &subnets)
-    }
-
-    /// The initial state: every block invalid, every directory initial
-    /// holding value 0, no messages.
-    pub fn initial(&self) -> HierState {
-        let k = self.depth();
-        HierState {
-            caches: (0..k).map(|jm| vec![CacheBlock::new(); self.counts[jm]]).collect(),
-            dirs: (0..k).map(|j| vec![DirEntry::new(0); self.counts[j + 1]]).collect(),
-            chans: (0..k)
-                .map(|j| {
-                    let total = self.levels[j].fanout + 1;
-                    vec![vec![vec![Vec::new(); total]; total]; self.counts[j + 1]]
-                })
-                .collect(),
-            ghost: 0,
-        }
-    }
-
     /// The node's effective outer permission for glue gating: its stable
     /// permission, or `None` while in a transient state. Gating on stable
     /// states only keeps children from being granted copies mid-parent-
@@ -363,125 +365,6 @@ impl HierChecker {
             && dir.owner.is_none()
             && dir.sharers == 0
             && dir.chain_slots.is_empty()
-    }
-
-    /// All candidate steps from `state`, in canonical order: deliveries by
-    /// `(level, parent, src, dst, idx)`, then leaf accesses by
-    /// `(node, access)`, then glue issues by `(mlevel, node)`. A pure
-    /// function of `state`, so traces are identical run to run. For a
-    /// one-level composition this is exactly the flat checker's order.
-    fn steps_into(&self, s: &HierState, out: &mut Vec<HStep>) {
-        out.clear();
-        let k = self.depth();
-        for j in 0..k {
-            let lvl = &self.levels[j];
-            let total = lvl.fanout + 1;
-            for p in 0..self.counts[j + 1] {
-                for src in 0..total {
-                    for dst in 0..total {
-                        let q = &s.chans[j][p][src][dst];
-                        if q.is_empty() {
-                            continue;
-                        }
-                        let last = if lvl.ordered { 1 } else { q.len() };
-                        for idx in 0..last {
-                            out.push(HStep::Deliver {
-                                level: j as u8,
-                                parent: p as u8,
-                                src: src as u8,
-                                dst: dst as u8,
-                                idx: idx as u8,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        for node in 0..self.counts[0] {
-            for access in Access::ALL {
-                out.push(HStep::Issue { mlevel: 0, node: node as u8, access });
-            }
-        }
-        // Glue issues: acquires for gated inner requests, writebacks for
-        // quiescent subnets. One outstanding outer transaction per node.
-        for jm in 1..k {
-            let j = jm - 1;
-            let f = self.levels[j].fanout;
-            let needed = self.levels[j].needed.as_ref().expect("non-root level has glue");
-            for node in 0..self.counts[jm] {
-                let block = &s.caches[jm][node];
-                if block.pending.is_some() {
-                    continue;
-                }
-                let eff = self.eff_perm(s, jm, node);
-                let (mut want_load, mut want_store) = (false, false);
-                for src in 0..=f {
-                    for m in &s.chans[j][node][src][f] {
-                        if self.levels[j].classes[m.mtype.as_usize()] != MsgClass::Request {
-                            continue;
-                        }
-                        match needed[m.mtype.as_usize()] {
-                            need if need <= eff => {}
-                            Perm::Read => want_load = true,
-                            Perm::ReadWrite => want_store = true,
-                            Perm::None => {}
-                        }
-                    }
-                }
-                if want_load {
-                    out.push(HStep::Issue {
-                        mlevel: jm as u8,
-                        node: node as u8,
-                        access: Access::Load,
-                    });
-                }
-                if want_store {
-                    out.push(HStep::Issue {
-                        mlevel: jm as u8,
-                        node: node as u8,
-                        access: Access::Store,
-                    });
-                }
-                let st = self.levels[jm].cache_fsm.state(block.state);
-                if st.is_stable()
-                    && block.state != FsmStateId(0)
-                    && self.inner_quiescent(s, jm, node)
-                {
-                    out.push(HStep::Issue {
-                        mlevel: jm as u8,
-                        node: node as u8,
-                        access: Access::Replacement,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Computes the successor of `state` for `step` into the scratch state
-    /// `succ`. Returns `Ok(false)` when the step is not enabled — gated by
-    /// glue, stalled, absent arc, busy node — and `succ` is garbage then.
-    fn successor_into(
-        &self,
-        state: &HierState,
-        step: HStep,
-        succ: &mut HierState,
-        outcome: &mut ApplyOutcome,
-    ) -> Result<bool, ViolationKind> {
-        match step {
-            HStep::Deliver { level, parent, src, dst, idx } => self.deliver_into(
-                state,
-                level as usize,
-                parent as usize,
-                src as usize,
-                dst as usize,
-                idx as usize,
-                succ,
-                outcome,
-            ),
-            HStep::Issue { mlevel, node, access } => {
-                self.issue_into(state, mlevel as usize, node as usize, access, succ, outcome)
-            }
-        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -723,255 +606,52 @@ impl HierChecker {
         Ok(())
     }
 
-    /// State-level properties: per-level SWMR / single-writer, leaf-level
-    /// data-value.
-    fn check_state(&self, s: &HierState) -> Option<ViolationKind> {
-        let props = &self.cfg.properties;
-        if props.swmr || props.single_writer {
-            for (jm, lvl) in self.levels.iter().enumerate() {
-                let mut writer: Option<usize> = None;
-                let mut reader: Option<usize> = None;
-                for (i, c) in s.caches[jm].iter().enumerate() {
-                    match lvl.cache_fsm.state(c.state).perm {
-                        Perm::ReadWrite => {
-                            if let Some(w) = writer {
-                                return Some(ViolationKind::Swmr(format!(
-                                    "level {} nodes {w} and {i} both hold write permission",
-                                    lvl.label
-                                )));
-                            }
-                            writer = Some(i);
-                        }
-                        Perm::Read => reader = Some(i),
-                        Perm::None => {}
-                    }
-                }
-                if props.swmr {
-                    if let (Some(w), Some(r)) = (writer, reader) {
-                        return Some(ViolationKind::Swmr(format!(
-                            "level {} node {w} holds write permission while {r} holds read \
-                             permission",
-                            lvl.label
-                        )));
-                    }
-                }
-            }
-        }
-        if props.data_value {
-            let fsm = &self.levels[0].cache_fsm;
-            for (i, c) in s.caches[0].iter().enumerate() {
-                let st = fsm.state(c.state);
-                if st.is_stable()
-                    && st.perm >= Perm::Read
-                    && st.data_valid
-                    && c.data != Some(s.ghost)
-                {
-                    return Some(ViolationKind::DataValue(format!(
-                        "leaf node L0.{i} in {} holds {:?}, expected {}",
-                        st.full_name(),
-                        c.data,
-                        s.ghost
-                    )));
-                }
-            }
-        }
-        None
-    }
-
     /// Streams the byte encoding of the state under `perm` into `sink`.
     /// Sections are laid out exactly like the flat encoding — all cache
     /// blocks (levels leaf-first), then all directory entries, then all
-    /// channels, then the ghost byte, with identical per-section byte
-    /// formats — so the delta store's section map generalizes over both.
+    /// channels, then the ghost byte, through the same per-section codecs
+    /// — so the delta store's section map generalizes over both.
     fn encode_permuted(&self, s: &HierState, perm: &HierPerm, sink: &mut Vec<u8>) {
         let k = self.depth();
+        // Subnet-local id renaming inside the level-`j` subnet whose
+        // *old* parent index is `p` (the directory id `f` is fixed).
+        let local = |j: usize, p: usize| {
+            let f = self.levels[j].fanout;
+            move |id: NodeId| match id.as_usize() {
+                c if c < f => perm.maps[j][p * f + c] % f as u8,
+                _ => id.0,
+            }
+        };
         for jm in 0..k {
             let f = self.levels[jm].fanout;
-            for g2 in 0..self.counts[jm] {
-                let g = perm.invs[jm][g2] as usize;
-                let p = g / f;
-                let map_local = |id: NodeId| -> u8 {
-                    let c = id.as_usize();
-                    if c < f {
-                        perm.maps[jm][p * f + c] % f as u8
-                    } else {
-                        id.0
-                    }
-                };
-                let c = &s.caches[jm][g];
-                let state = u16::try_from(c.state.0).expect("state id exceeds u16");
-                sink.extend_from_slice(&state.to_le_bytes());
-                sink.push(c.data.map_or(0xff, |v| v));
-                sink.push(c.acks_received);
-                sink.push(c.acks_expected.map_or(0xff, |v| v));
-                sink.push(match c.pending {
-                    None => 0xff,
-                    Some(Access::Load) => 0,
-                    Some(Access::Store) => 1,
-                    Some(Access::Replacement) => 2,
-                });
-                sink.push(c.chain_slots.len() as u8);
-                for (nid, a) in &c.chain_slots {
-                    sink.push(map_local(*nid));
-                    sink.push(*a);
-                }
+            for &g in &perm.invs[jm] {
+                put_block(sink, &s.caches[jm][g as usize], local(jm, g as usize / f));
+            }
+        }
+        for j in 0..k {
+            for &p in &perm.invs[j + 1] {
+                let (dir, map) = (&s.dirs[j][p as usize], local(j, p as usize));
+                let sharers = (0..self.levels[j].fanout as u8)
+                    .filter(|c| dir.sharers & (1 << c) != 0)
+                    .fold(0u8, |acc, c| acc | 1 << map(NodeId(c)));
+                put_dir(sink, dir, sharers, map);
             }
         }
         for j in 0..k {
             let f = self.levels[j].fanout;
-            for p2 in 0..self.counts[j + 1] {
-                let p = perm.invs[j + 1][p2] as usize;
-                let map_local = |id: NodeId| -> u8 {
-                    let c = id.as_usize();
-                    if c < f {
-                        perm.maps[j][p * f + c] % f as u8
-                    } else {
-                        id.0
-                    }
-                };
-                let dir = &s.dirs[j][p];
-                let state = u16::try_from(dir.state.0).expect("state id exceeds u16");
-                sink.extend_from_slice(&state.to_le_bytes());
-                sink.push(dir.owner.map_or(0xff, &map_local));
-                let mut sharers = 0u8;
-                for c in 0..f {
-                    if dir.sharers & (1 << c) != 0 {
-                        sharers |= 1 << (perm.maps[j][p * f + c] % f as u8);
-                    }
-                }
-                sink.push(sharers);
-                sink.push(dir.data);
-                sink.push(dir.chain_slots.len() as u8);
-                for (nid, a) in &dir.chain_slots {
-                    sink.push(map_local(*nid));
-                    sink.push(*a);
-                }
-            }
-        }
-        for j in 0..k {
-            let f = self.levels[j].fanout;
-            for p2 in 0..self.counts[j + 1] {
-                let p = perm.invs[j + 1][p2] as usize;
-                let map_local = |id: NodeId| -> u8 {
-                    let c = id.as_usize();
-                    if c < f {
-                        perm.maps[j][p * f + c] % f as u8
-                    } else {
-                        id.0
-                    }
-                };
-                let inv_local = |c2: usize| -> usize {
-                    if c2 < f {
-                        perm.invs[j][p2 * f + c2] as usize % f
-                    } else {
-                        c2
-                    }
-                };
+            for (p2, &p) in perm.invs[j + 1].iter().enumerate() {
+                let map = local(j, p as usize);
+                let inv_local =
+                    |c2: usize| if c2 < f { perm.invs[j][p2 * f + c2] as usize % f } else { c2 };
                 for s2 in 0..=f {
-                    let src = inv_local(s2);
                     for d2 in 0..=f {
-                        let dst = inv_local(d2);
-                        let q = &s.chans[j][p][src][dst];
-                        sink.push(q.len() as u8);
-                        for m in q {
-                            sink.extend_from_slice(&m.mtype.0.to_le_bytes());
-                            sink.push(map_local(m.src));
-                            sink.push(map_local(m.dst));
-                            sink.push(map_local(m.req));
-                            sink.push(m.ack_count.map_or(0xff, |v| v));
-                            sink.push(m.data.map_or(0xff, |v| v));
-                        }
+                        let q = &s.chans[j][p as usize][inv_local(s2)][inv_local(d2)];
+                        put_queue(sink, q, map);
                     }
                 }
             }
         }
         sink.push(s.ghost);
-    }
-
-    /// Decodes an identity-permutation encoding back into `s`.
-    fn decode_into(&self, bytes: &[u8], s: &mut HierState) {
-        let mut pos = 0usize;
-        let next = |pos: &mut usize| {
-            let b = bytes[*pos];
-            *pos += 1;
-            b
-        };
-        let opt = |b: u8| if b == 0xff { None } else { Some(b) };
-        let k = self.depth();
-        for jm in 0..k {
-            for g in 0..self.counts[jm] {
-                let c = &mut s.caches[jm][g];
-                let lo = next(&mut pos);
-                let hi = next(&mut pos);
-                c.state = FsmStateId(u16::from_le_bytes([lo, hi]) as u32);
-                c.data = opt(next(&mut pos));
-                c.acks_received = next(&mut pos);
-                c.acks_expected = opt(next(&mut pos));
-                c.pending = match next(&mut pos) {
-                    0xff => None,
-                    0 => Some(Access::Load),
-                    1 => Some(Access::Store),
-                    2 => Some(Access::Replacement),
-                    // SAFETY OF THE PANIC: this decoder is private to the
-                    // hierarchical checker and only ever fed encodings it
-                    // produced itself in the same process (the hier tier
-                    // has no checkpoint/disk path), so a bad byte is a
-                    // checker bug, not an input condition.
-                    b => panic!("bad pending-access byte {b}"),
-                };
-                let slots = next(&mut pos);
-                c.chain_slots.clear();
-                for _ in 0..slots {
-                    let nid = NodeId(next(&mut pos));
-                    let a = next(&mut pos);
-                    c.chain_slots.push((nid, a));
-                }
-            }
-        }
-        for j in 0..k {
-            for p in 0..self.counts[j + 1] {
-                let dir = &mut s.dirs[j][p];
-                let lo = next(&mut pos);
-                let hi = next(&mut pos);
-                dir.state = FsmStateId(u16::from_le_bytes([lo, hi]) as u32);
-                dir.owner = opt(next(&mut pos)).map(NodeId);
-                dir.sharers = next(&mut pos);
-                dir.data = next(&mut pos);
-                let slots = next(&mut pos);
-                dir.chain_slots.clear();
-                for _ in 0..slots {
-                    let nid = NodeId(next(&mut pos));
-                    let a = next(&mut pos);
-                    dir.chain_slots.push((nid, a));
-                }
-            }
-        }
-        for j in 0..k {
-            let f = self.levels[j].fanout;
-            for p in 0..self.counts[j + 1] {
-                for src in 0..=f {
-                    for dst in 0..=f {
-                        let q = &mut s.chans[j][p][src][dst];
-                        q.clear();
-                        let len = next(&mut pos);
-                        for _ in 0..len {
-                            let lo = next(&mut pos);
-                            let hi = next(&mut pos);
-                            q.push(Msg {
-                                mtype: protogen_spec::MsgId(u16::from_le_bytes([lo, hi])),
-                                src: NodeId(next(&mut pos)),
-                                dst: NodeId(next(&mut pos)),
-                                req: NodeId(next(&mut pos)),
-                                ack_count: opt(next(&mut pos)),
-                                data: opt(next(&mut pos)),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        s.ghost = next(&mut pos);
-        assert_eq!(pos, bytes.len(), "trailing bytes after a complete state decode");
     }
 
     /// The canonical (minimum over the symmetry group) encoding of `s`,
@@ -988,168 +668,309 @@ impl HierChecker {
         }
     }
 
-    /// Runs breadth-first exploration until exhaustion, a violation, or
-    /// the state limit. Single-threaded and fully deterministic.
+    /// Runs breadth-first exploration on the shared explorer until
+    /// exhaustion, a violation, or a resource limit. Deterministic at any
+    /// thread count, store mode, and memory budget.
     pub fn check(&self) -> HierResult {
-        let start = Instant::now();
-        let mut encs: Vec<Vec<u8>> = Vec::new();
-        let mut meta: Vec<(u32, Option<HStep>)> = Vec::new();
-        let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
-        let mut best = Vec::new();
-        let mut cur = Vec::new();
-        let mut state = self.initial();
-        let mut succ = self.initial();
-        let mut outcome = ApplyOutcome::default();
-        let mut steps_buf: Vec<HStep> = Vec::new();
-        let mut transitions = 0usize;
-        let mut violation: Option<Violation> = None;
-        let mut hit_limit = false;
+        explore(self, None).0
+    }
 
-        self.canonical_into(&self.initial(), &mut best, &mut cur);
-        buckets.insert(fingerprint_bytes(&best), vec![0]);
-        encs.push(best.clone());
-        meta.push((0, None));
+    /// Resumes from the newest committed checkpoint under
+    /// [`HierConfig::checkpoint_dir`], with the flat checker's contract:
+    /// a hard [`CheckpointError`] unless it was written by this exact
+    /// stack and configuration, byte-identical results otherwise.
+    pub fn resume(&self) -> Result<HierResult, CheckpointError> {
+        resume(self).map(|out| out.0)
+    }
+}
 
-        let mut at = 0usize;
-        'outer: while at < encs.len() {
-            self.decode_into(&encs[at], &mut state);
-            self.steps_into(&state, &mut steps_buf);
-            let mut progress = false;
-            let k = self.depth();
-            for &step in &steps_buf {
-                match self.successor_into(&state, step, &mut succ, &mut outcome) {
-                    Err(kind) => {
-                        violation = Some(self.build_violation(&meta, at, Some(step), kind));
-                        break 'outer;
-                    }
-                    Ok(false) => {}
-                    Ok(true) => {
-                        match step {
-                            HStep::Deliver { .. } => progress = true,
-                            HStep::Issue { mlevel, node, access } if k > 1 => {
-                                // Glue issues unblock gated work; so does a
-                                // leaf eviction draining a copy a gated
-                                // forward waits on. Fresh leaf demands
-                                // only add transactions.
-                                if mlevel >= 1
-                                    || (access == Access::Replacement
-                                        && state.caches[0][node as usize].data.is_some())
-                                {
-                                    progress = true;
-                                }
-                            }
-                            HStep::Issue { .. } => {}
+impl TransitionSystem for HierChecker {
+    type State = HierState;
+    type Step = HStep;
+    type Scratch = HierScratch;
+
+    fn resources(&self) -> Resources<'_> {
+        let c = &self.cfg;
+        Resources {
+            max_states: c.max_states,
+            threads: c.threads,
+            store: c.store,
+            mem_budget_bytes: c.mem_budget_bytes,
+            spill_chunk_bytes: c.spill_chunk_bytes,
+            shard_capacity: c.shard_capacity,
+            checkpoint_dir: c.checkpoint_dir.as_deref(),
+            checkpoint_every: c.checkpoint_every,
+        }
+    }
+
+    fn identity_fp(&self) -> (u64, u64) {
+        let c = &self.cfg;
+        let desc = format!(
+            "hier counts={:?} domain={} cap={} symmetry={} store={:?} props={}",
+            self.counts, c.value_domain, c.channel_cap, c.symmetry, c.store, c.properties,
+        );
+        let mut machines = String::new();
+        for l in &self.levels {
+            machines += &format!(
+                "{} {} {} {:?} {:?} {:?}\x1f",
+                l.label, l.fanout, l.ordered, l.cache_fsm, l.dir_fsm, l.needed
+            );
+        }
+        (fingerprint_bytes(desc.as_bytes()), fingerprint_bytes(machines.as_bytes()))
+    }
+
+    /// Cache counts per machine level, and one `(parents, fanout)` subnet
+    /// shape per protocol level.
+    fn section_map(&self) -> SectionMap {
+        let k = self.depth();
+        let subnets: Vec<_> = (0..k).map(|j| (self.counts[j + 1], self.levels[j].fanout)).collect();
+        SectionMap::leveled(&self.counts[..k], &subnets)
+    }
+
+    /// The initial state: every block invalid, every directory initial
+    /// holding value 0, no messages.
+    fn initial(&self) -> HierState {
+        let k = self.depth();
+        HierState {
+            caches: (0..k).map(|jm| vec![CacheBlock::new(); self.counts[jm]]).collect(),
+            dirs: (0..k).map(|j| vec![DirEntry::new(0); self.counts[j + 1]]).collect(),
+            chans: (0..k)
+                .map(|j| {
+                    let total = self.levels[j].fanout + 1;
+                    vec![vec![vec![Vec::new(); total]; total]; self.counts[j + 1]]
+                })
+                .collect(),
+            ghost: 0,
+        }
+    }
+
+    fn scratch(&self) -> HierScratch {
+        HierScratch::default()
+    }
+
+    /// All candidate steps from `state`, in canonical order: deliveries by
+    /// `(level, parent, src, dst, idx)`, then leaf accesses by
+    /// `(node, access)`, then glue issues by `(mlevel, node)`. A pure
+    /// function of `state`, so traces are identical run to run. For a
+    /// one-level composition this is exactly the flat checker's order.
+    fn steps_into(&self, s: &HierState, out: &mut Vec<HStep>) {
+        out.clear();
+        let k = self.depth();
+        for j in 0..k {
+            let lvl = &self.levels[j];
+            let total = lvl.fanout + 1;
+            for p in 0..self.counts[j + 1] {
+                for src in 0..total {
+                    for dst in 0..total {
+                        let q = &s.chans[j][p][src][dst];
+                        if q.is_empty() {
+                            continue;
                         }
-                        transitions += 1;
-                        if let Some(kind) = self.check_state(&succ) {
-                            violation = Some(self.build_violation(&meta, at, Some(step), kind));
-                            break 'outer;
-                        }
-                        self.canonical_into(&succ, &mut best, &mut cur);
-                        let fp = fingerprint_bytes(&best);
-                        let bucket = buckets.entry(fp).or_default();
-                        if !bucket.iter().any(|&i| encs[i as usize] == best) {
-                            bucket.push(encs.len() as u32);
-                            encs.push(best.clone());
-                            meta.push((at as u32, Some(step)));
+                        let last = if lvl.ordered { 1 } else { q.len() };
+                        for idx in 0..last {
+                            out.push(HStep::Deliver {
+                                level: j as u8,
+                                parent: p as u8,
+                                src: src as u8,
+                                dst: dst as u8,
+                                idx: idx as u8,
+                            });
                         }
                     }
                 }
             }
-            if !progress
-                && self.cfg.properties.deadlock_free
-                && (state.messages_in_flight() > 0 || state.has_pending_access())
-            {
-                violation = Some(self.build_violation(&meta, at, None, ViolationKind::Deadlock));
-                break;
-            }
-            at += 1;
-            if encs.len() >= self.cfg.max_states {
-                hit_limit = true;
-                break;
+        }
+        for node in 0..self.counts[0] {
+            for access in Access::ALL {
+                out.push(HStep::Issue { mlevel: 0, node: node as u8, access });
             }
         }
-
-        HierResult {
-            states: encs.len(),
-            transitions,
-            violation,
-            hit_state_limit: hit_limit,
-            seconds: start.elapsed().as_secs_f64(),
+        // Glue issues: acquires for gated inner requests, writebacks for
+        // quiescent subnets. One outstanding outer transaction per node.
+        for jm in 1..k {
+            let j = jm - 1;
+            let f = self.levels[j].fanout;
+            let needed = self.levels[j].needed.as_ref().expect("non-root level has glue");
+            for node in 0..self.counts[jm] {
+                let block = &s.caches[jm][node];
+                if block.pending.is_some() {
+                    continue;
+                }
+                let eff = self.eff_perm(s, jm, node);
+                let (mut want_load, mut want_store) = (false, false);
+                for src in 0..=f {
+                    for m in &s.chans[j][node][src][f] {
+                        if self.levels[j].classes[m.mtype.as_usize()] != MsgClass::Request {
+                            continue;
+                        }
+                        match needed[m.mtype.as_usize()] {
+                            need if need <= eff => {}
+                            Perm::Read => want_load = true,
+                            Perm::ReadWrite => want_store = true,
+                            Perm::None => {}
+                        }
+                    }
+                }
+                if want_load {
+                    out.push(HStep::Issue {
+                        mlevel: jm as u8,
+                        node: node as u8,
+                        access: Access::Load,
+                    });
+                }
+                if want_store {
+                    out.push(HStep::Issue {
+                        mlevel: jm as u8,
+                        node: node as u8,
+                        access: Access::Store,
+                    });
+                }
+                let st = self.levels[jm].cache_fsm.state(block.state);
+                if st.is_stable()
+                    && block.state != FsmStateId(0)
+                    && self.inner_quiescent(s, jm, node)
+                {
+                    out.push(HStep::Issue {
+                        mlevel: jm as u8,
+                        node: node as u8,
+                        access: Access::Replacement,
+                    });
+                }
+            }
         }
     }
 
-    fn build_violation(
+    /// Computes the successor of `state` for `step` into the scratch state
+    /// `succ`. Returns `Ok(false)` when the step is not enabled — gated by
+    /// glue, stalled, absent arc, busy node — and `succ` is garbage then.
+    fn successor_into(
         &self,
-        meta: &[(u32, Option<HStep>)],
-        at: usize,
-        last: Option<HStep>,
-        kind: ViolationKind,
-    ) -> Violation {
-        let mut steps = Vec::new();
-        let mut i = at;
-        while let (parent, Some(step)) = meta[i] {
-            steps.push(step.to_string());
-            i = parent as usize;
+        state: &HierState,
+        step: HStep,
+        succ: &mut HierState,
+        scratch: &mut HierScratch,
+    ) -> Result<bool, ViolationKind> {
+        let outcome = &mut scratch.outcome;
+        match step {
+            HStep::Deliver { level, parent, src, dst, idx } => self.deliver_into(
+                state,
+                level as usize,
+                parent as usize,
+                src as usize,
+                dst as usize,
+                idx as usize,
+                succ,
+                outcome,
+            ),
+            HStep::Issue { mlevel, node, access } => {
+                self.issue_into(state, mlevel as usize, node as usize, access, succ, outcome)
+            }
         }
-        steps.reverse();
-        if let Some(step) = last {
-            steps.push(step.to_string());
-        }
-        steps.push(format!("=> {kind}"));
-        Violation { kind, trace: steps }
     }
 
-    /// A breadth-first sample of reachable canonical encodings (`limit`
-    /// states in deterministic BFS order), for the delta-store property
-    /// tests. Violating or disabled successors are skipped.
-    pub fn sample_encodings(&self, limit: usize) -> Vec<Vec<u8>> {
-        let mut encs: Vec<Vec<u8>> = Vec::new();
-        let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
-        let mut best = Vec::new();
-        let mut cur = Vec::new();
-        let mut state = self.initial();
-        let mut succ = self.initial();
-        let mut outcome = ApplyOutcome::default();
-        let mut steps_buf: Vec<HStep> = Vec::new();
-        self.canonical_into(&self.initial(), &mut best, &mut cur);
-        buckets.insert(fingerprint_bytes(&best), vec![0]);
-        encs.push(best.clone());
-        let mut at = 0usize;
-        while at < encs.len() && encs.len() < limit {
-            self.decode_into(&encs[at], &mut state);
-            self.steps_into(&state, &mut steps_buf);
-            for &step in &steps_buf {
-                if encs.len() >= limit {
-                    break;
-                }
-                if let Ok(true) = self.successor_into(&state, step, &mut succ, &mut outcome) {
-                    if self.check_state(&succ).is_some() {
-                        continue;
-                    }
-                    self.canonical_into(&succ, &mut best, &mut cur);
-                    let fp = fingerprint_bytes(&best);
-                    let bucket = buckets.entry(fp).or_default();
-                    if !bucket.iter().any(|&i| encs[i as usize] == best) {
-                        bucket.push(encs.len() as u32);
-                        encs.push(best.clone());
-                    }
+    /// Deliveries always; in a real stack also glue issues (they unblock
+    /// gated work) and a leaf eviction draining a copy a gated forward
+    /// waits on. Fresh leaf demands only add transactions.
+    fn is_progress(&self, state: &HierState, step: HStep) -> bool {
+        match step {
+            HStep::Deliver { .. } => true,
+            HStep::Issue { mlevel, node, access } => {
+                self.depth() > 1
+                    && (mlevel >= 1
+                        || (access == Access::Replacement
+                            && state.caches[0][node as usize].data.is_some()))
+            }
+        }
+    }
+
+    /// State-level properties: per-level SWMR / single-writer, leaf-level
+    /// data-value.
+    fn check_state(&self, s: &HierState) -> Option<ViolationKind> {
+        let props = &self.cfg.properties;
+        if props.swmr || props.single_writer {
+            for (lvl, blocks) in self.levels.iter().zip(&s.caches) {
+                let conflict = perm_conflict(&lvl.cache_fsm, blocks, props.swmr, Some(&lvl.label));
+                if conflict.is_some() {
+                    return conflict;
                 }
             }
-            at += 1;
         }
-        encs
+        let leaves = (&self.levels[0].cache_fsm, &s.caches[0]);
+        props.data_value.then(|| stale_copy(leaves.0, leaves.1, s.ghost, true)).flatten()
+    }
+
+    fn check_quiescence(&self, state: &HierState) -> Option<ViolationKind> {
+        (self.cfg.properties.deadlock_free
+            && (state.messages_in_flight() > 0 || state.has_pending_access()))
+        .then_some(ViolationKind::Deadlock)
+    }
+
+    /// Exact: every group element is swept; the minimum encoding stays in
+    /// `scratch.best` for the encode call.
+    fn canonical_fp(&self, state: &HierState, scratch: &mut HierScratch) -> u64 {
+        self.canonical_into(state, &mut scratch.best, &mut scratch.cur);
+        fingerprint_bytes(&scratch.best)
+    }
+
+    fn encode_canonical_into(&self, _: &HierState, scratch: &HierScratch, out: &mut Vec<u8>) {
+        out.extend_from_slice(&scratch.best);
+    }
+
+    /// Decodes an identity-permutation encoding back into `s` (shaped by
+    /// [`Self::initial`]): sections arrive in `s`'s own nesting order.
+    fn decode_into(&self, bytes: &[u8], s: &mut HierState) {
+        let mut d = Decoder::new(bytes);
+        s.caches.iter_mut().flatten().for_each(|c| d.block(c));
+        s.dirs.iter_mut().flatten().for_each(|e| d.dir(e));
+        s.chans.iter_mut().flatten().flatten().flatten().for_each(|q| d.queue(q));
+        s.ghost = d.ghost();
+    }
+
+    /// Preserves [`HStep`]'s derived ordering (the order `steps_into`
+    /// generates them in): bit 31 tags an issue; node ids are subnet-local
+    /// (≤ `MAX_FANOUT`) so four bits each suffice.
+    fn pack_step(step: HStep) -> u32 {
+        match step {
+            HStep::Deliver { level, parent, src, dst, idx } => {
+                debug_assert!(level < 0x80 && src < 16 && dst < 16);
+                (level as u32) << 24
+                    | (parent as u32) << 16
+                    | (src as u32) << 12
+                    | (dst as u32) << 8
+                    | idx as u32
+            }
+            HStep::Issue { mlevel, node, access } => {
+                1 << 31 | (mlevel as u32) << 16 | (node as u32) << 8 | access.index() as u32
+            }
+        }
+    }
+
+    fn unpack_step(p: u32) -> HStep {
+        if p >> 31 == 0 {
+            HStep::Deliver {
+                level: (p >> 24) as u8,
+                parent: (p >> 16) as u8,
+                src: (p >> 12 & 0xf) as u8,
+                dst: (p >> 8 & 0xf) as u8,
+                idx: p as u8,
+            }
+        } else {
+            HStep::Issue {
+                mlevel: (p >> 16) as u8,
+                node: (p >> 8) as u8,
+                access: Access::ALL[(p & 0xff) as usize],
+            }
+        }
+    }
+
+    fn describe(&self, _: &HierState, step: HStep) -> String {
+        step.to_string()
     }
 }
 
 fn identity_perm(counts: &[usize]) -> HierPerm {
     let maps: Vec<Vec<u8>> = counts.iter().map(|&n| (0..n as u8).collect()).collect();
     HierPerm { invs: maps.clone(), maps }
-}
-
-/// Permutations of `0..n` (fanouts are at most 8).
-fn local_perms(n: usize) -> Vec<Vec<u8>> {
-    crate::system::permutations(n)
 }
 
 /// The wreath-product group over the stack's topology: for each machine
@@ -1174,7 +995,7 @@ fn wreath_group(levels: &[LevelRt], counts: &[usize]) -> Option<Vec<HierPerm>> {
     let mut partials: Vec<Vec<Vec<u8>>> = vec![vec![vec![0]]];
     for jm in (0..k).rev() {
         let f = levels[jm].fanout;
-        let sigmas = local_perms(f);
+        let sigmas = crate::system::permutations(f);
         let mut next: Vec<Vec<Vec<u8>>> = Vec::new();
         for partial in &partials {
             // partial[0] is the map for machine level jm+1.
@@ -1248,7 +1069,7 @@ mod tests {
     #[test]
     fn encode_decode_round_trips() {
         let hc = checker(&msi_under_msi(2, 2), HierConfig::default());
-        let encs = hc.sample_encodings(50);
+        let encs = crate::explore::reference_bfs(&hc, 50).0;
         assert!(encs.len() > 10, "sampled only {}", encs.len());
         let mut s = hc.initial();
         let mut best = Vec::new();
@@ -1277,6 +1098,28 @@ mod tests {
         let mut bc = Vec::new();
         hc.canonical_into(&c, &mut bc, &mut cur);
         assert_ne!(ba, bc);
+    }
+
+    #[test]
+    fn hstep_packing_round_trips_and_preserves_order() {
+        let (pack_hstep, unpack_hstep) = (HierChecker::pack_step, HierChecker::unpack_step);
+        let steps = [
+            HStep::Deliver { level: 0, parent: 0, src: 0, dst: 2, idx: 0 },
+            HStep::Deliver { level: 0, parent: 1, src: 0, dst: 1, idx: 3 },
+            HStep::Deliver { level: 0, parent: 1, src: 8, dst: 0, idx: 0 },
+            HStep::Deliver { level: 1, parent: 0, src: 0, dst: 0, idx: 0 },
+            HStep::Issue { mlevel: 0, node: 0, access: Access::Load },
+            HStep::Issue { mlevel: 0, node: 63, access: Access::Replacement },
+            HStep::Issue { mlevel: 1, node: 0, access: Access::Store },
+        ];
+        for w in steps.windows(2) {
+            assert!(w[0] < w[1], "{:?} !< {:?}", w[0], w[1]);
+            assert!(pack_hstep(w[0]) < pack_hstep(w[1]), "packed order broken at {:?}", w[0]);
+        }
+        for s in steps {
+            assert_eq!(unpack_hstep(pack_hstep(s)), s);
+            assert_ne!(pack_hstep(s), crate::store::STEP_NONE);
+        }
     }
 
     #[test]

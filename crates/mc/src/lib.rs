@@ -15,8 +15,12 @@
 //! pruned symmetry canonicalization ([`Canonicalizer`]) and clone-free
 //! scratch stepping. Its results — states, transitions, the chosen
 //! violation, and the counterexample trace — are identical for every
-//! thread count and run. See DESIGN.md §3 for the store and §8 for the
-//! hot-path design and its correctness arguments.
+//! thread count and run. The explorer is generic over a
+//! [`TransitionSystem`]: [`ModelChecker`] (N caches under one directory)
+//! and [`HierChecker`] (a composed stack) are its two implementations and
+//! share every flag, store tier and the checkpoint format. See DESIGN.md
+//! §3 for the trait contract and the store, and §8 for the hot-path
+//! design and its correctness arguments.
 //!
 //! Checked properties:
 //!
@@ -51,6 +55,7 @@ mod canon;
 mod checkpoint;
 mod delta;
 mod explore;
+mod flat;
 mod frontier;
 mod hier;
 mod property;
@@ -62,9 +67,11 @@ pub use canon::{cache_sort_key, Canonicalizer};
 pub use checkpoint::CheckpointError;
 pub use delta::{apply_delta, encode_delta, SectionMap};
 pub use explore::{
-    CheckResult, McConfig, ModelChecker, ResourceLimit, Step, StoreMode, Violation, ViolationKind,
+    reference_bfs, CheckResult, ResourceLimit, Resources, StoreMode, TransitionSystem, Violation,
+    ViolationKind,
 };
-pub use hier::{HStep, HierChecker, HierConfig, HierResult, HierState, MAX_GROUP};
+pub use flat::{FlatScratch, McConfig, ModelChecker, Step};
+pub use hier::{HStep, HierChecker, HierConfig, HierResult, HierScratch, HierState, MAX_GROUP};
 pub use property::{
     DataValue, DeadlockFree, Predicate, Property, PropertyCtx, PropertySet, SingleWriter, Swmr,
 };

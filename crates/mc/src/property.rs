@@ -26,6 +26,7 @@
 
 use crate::explore::ViolationKind;
 use crate::system::SysState;
+use protogen_runtime::{CacheBlock, Val};
 use protogen_spec::{Fsm, MemoryModel, Perm};
 use std::fmt;
 
@@ -217,6 +218,64 @@ pub fn materialize(set: PropertySet) -> Vec<Box<dyn Property>> {
     props
 }
 
+/// The first permission conflict among `blocks` (all running `fsm`): two
+/// writers, or — when `readers_too` — a writer and a reader. `level` names
+/// the protocol level of a composed stack (`None` for a flat system); it
+/// only shapes the message.
+pub(crate) fn perm_conflict(
+    fsm: &Fsm,
+    blocks: &[CacheBlock],
+    readers_too: bool,
+    level: Option<&str>,
+) -> Option<ViolationKind> {
+    let noun = || level.map_or("cache".to_string(), |l| format!("level {l} node"));
+    let p = if level.is_some() { "" } else { "n" };
+    let (mut writer, mut reader) = (None, None);
+    for (i, c) in blocks.iter().enumerate() {
+        match fsm.state(c.state).perm {
+            Perm::ReadWrite => {
+                if let Some(w) = writer {
+                    let noun = noun();
+                    return Some(ViolationKind::Swmr(format!(
+                        "{noun}s {p}{w} and {p}{i} both hold write permission"
+                    )));
+                }
+                writer = Some(i);
+            }
+            Perm::Read => reader = Some(i),
+            Perm::None => {}
+        }
+    }
+    let (w, r) = (writer?, reader.filter(|_| readers_too)?);
+    let noun = noun();
+    Some(ViolationKind::Swmr(format!(
+        "{noun} {p}{w} holds write permission while {p}{r} holds read permission"
+    )))
+}
+
+/// The first stable, readable, data-valid copy among `blocks` that does
+/// not hold `ghost`. `leaf` selects the composed-stack wording.
+pub(crate) fn stale_copy(
+    fsm: &Fsm,
+    blocks: &[CacheBlock],
+    ghost: Val,
+    leaf: bool,
+) -> Option<ViolationKind> {
+    blocks.iter().enumerate().find_map(|(i, c)| {
+        let st = fsm.state(c.state);
+        let stale =
+            st.is_stable() && st.perm >= Perm::Read && st.data_valid && c.data != Some(ghost);
+        stale.then(|| {
+            let who = if leaf { format!("leaf node L0.{i}") } else { format!("cache n{i}") };
+            let name = st.full_name();
+            ViolationKind::DataValue(format!(
+                "{who} in {name} holds {:?}, expected {ghost}",
+                c.data
+            ))
+        })
+    })
+}
+
 /// Single-writer/multiple-reader: no cache holds write permission while
 /// any other cache holds any permission.
 #[derive(Debug, Clone, Copy)]
@@ -228,28 +287,7 @@ impl Property for Swmr {
     }
 
     fn check_state(&self, cx: &PropertyCtx<'_>, state: &SysState) -> Option<ViolationKind> {
-        let mut writer: Option<usize> = None;
-        let mut reader: Option<usize> = None;
-        for (i, c) in state.caches.iter().enumerate() {
-            match cx.cache_fsm.state(c.state).perm {
-                Perm::ReadWrite => {
-                    if let Some(w) = writer {
-                        return Some(ViolationKind::Swmr(format!(
-                            "caches n{w} and n{i} both hold write permission"
-                        )));
-                    }
-                    writer = Some(i);
-                }
-                Perm::Read => reader = Some(i),
-                Perm::None => {}
-            }
-        }
-        if let (Some(w), Some(r)) = (writer, reader) {
-            return Some(ViolationKind::Swmr(format!(
-                "cache n{w} holds write permission while n{r} holds read permission"
-            )));
-        }
-        None
+        perm_conflict(cx.cache_fsm, &state.caches, true, None)
     }
 }
 
@@ -265,18 +303,7 @@ impl Property for SingleWriter {
     }
 
     fn check_state(&self, cx: &PropertyCtx<'_>, state: &SysState) -> Option<ViolationKind> {
-        let mut writer: Option<usize> = None;
-        for (i, c) in state.caches.iter().enumerate() {
-            if cx.cache_fsm.state(c.state).perm == Perm::ReadWrite {
-                if let Some(w) = writer {
-                    return Some(ViolationKind::Swmr(format!(
-                        "caches n{w} and n{i} both hold write permission"
-                    )));
-                }
-                writer = Some(i);
-            }
-        }
-        None
+        perm_conflict(cx.cache_fsm, &state.caches, false, None)
     }
 }
 
@@ -291,22 +318,7 @@ impl Property for DataValue {
     }
 
     fn check_state(&self, cx: &PropertyCtx<'_>, state: &SysState) -> Option<ViolationKind> {
-        for (i, c) in state.caches.iter().enumerate() {
-            let st = cx.cache_fsm.state(c.state);
-            if st.is_stable()
-                && st.perm >= Perm::Read
-                && st.data_valid
-                && c.data != Some(state.ghost)
-            {
-                return Some(ViolationKind::DataValue(format!(
-                    "cache n{i} in {} holds {:?}, expected {}",
-                    st.full_name(),
-                    c.data,
-                    state.ghost
-                )));
-            }
-        }
-        None
+        stale_copy(cx.cache_fsm, &state.caches, state.ghost, false)
     }
 
     fn check_load_hit(

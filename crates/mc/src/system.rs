@@ -1,7 +1,7 @@
 //! The model-checked system: N caches + directory + channels.
 
 use protogen_runtime::{CacheBlock, DirEntry, Msg, NodeId, Val};
-use protogen_spec::Access;
+use protogen_spec::{Access, FsmStateId, MsgId};
 
 /// A byte sink for state encoding: either a plain buffer or a streaming
 /// fingerprint hasher, so symmetry canonicalization never has to
@@ -35,6 +35,150 @@ pub fn invert(perm: &[u8]) -> Vec<u8> {
         inv[p as usize] = i as u8;
     }
     inv
+}
+
+// ---------------------------------------------------------------------
+// Per-section codecs, shared by the flat encoding below and the leveled
+// one (`crate::hier`): both lay out cache blocks, directory entries,
+// channel queues and a ghost byte with these exact byte formats — u16
+// state ids, one byte per scalar with `0xff` as the `None` sentinel,
+// explicit length prefixes — which is what lets one `SectionMap` walk
+// either. Node ids are renamed through `map` on the way out.
+
+#[inline(always)]
+fn put_slots<S: EncodeSink>(sink: &mut S, slots: &[(NodeId, u8)], map: impl Fn(NodeId) -> u8) {
+    sink.put(slots.len() as u8);
+    for (node, a) in slots {
+        sink.put(map(*node));
+        sink.put(*a);
+    }
+}
+
+/// One cache-block section: 7 fixed bytes + 2 per chain slot.
+#[inline(always)]
+pub(crate) fn put_block<S: EncodeSink>(sink: &mut S, c: &CacheBlock, map: impl Fn(NodeId) -> u8) {
+    let state = u16::try_from(c.state.0).expect("state id exceeds u16");
+    sink.put_slice(&state.to_le_bytes());
+    sink.put(c.data.unwrap_or(0xff));
+    sink.put(c.acks_received);
+    sink.put(c.acks_expected.unwrap_or(0xff));
+    sink.put(c.pending.map_or(0xff, |a| a.index() as u8));
+    put_slots(sink, &c.chain_slots, map);
+}
+
+/// One directory section: 6 fixed bytes + 2 per chain slot. `sharers` is
+/// the already-renamed sharer mask.
+#[inline(always)]
+pub(crate) fn put_dir<S: EncodeSink>(
+    sink: &mut S,
+    dir: &DirEntry,
+    sharers: u8,
+    map: impl Fn(NodeId) -> u8,
+) {
+    let state = u16::try_from(dir.state.0).expect("state id exceeds u16");
+    sink.put_slice(&state.to_le_bytes());
+    sink.put(dir.owner.map_or(0xff, &map));
+    sink.put(sharers);
+    sink.put(dir.data);
+    put_slots(sink, &dir.chain_slots, map);
+}
+
+/// One channel-queue section: a length byte + 7 per message.
+#[inline(always)]
+pub(crate) fn put_queue<S: EncodeSink>(sink: &mut S, q: &[Msg], map: impl Fn(NodeId) -> u8) {
+    sink.put(q.len() as u8);
+    for m in q {
+        sink.put_slice(&m.mtype.0.to_le_bytes());
+        sink.put(map(m.src));
+        sink.put(map(m.dst));
+        sink.put(map(m.req));
+        sink.put(m.ack_count.unwrap_or(0xff));
+        sink.put(m.data.unwrap_or(0xff));
+    }
+}
+
+/// Sequential reader over one encoding — the inverse of the `put_*`
+/// codecs, decoding in place so the expand path reuses every allocation.
+///
+/// Panics on a malformed encoding: every byte string reaching it was
+/// produced in-process by the `put_*` codecs, and checkpoint-fed bytes
+/// pass the manifest + shard checksum gate (`crate::checkpoint`) before
+/// any decode, so a bad byte is a checker bug and must abort loudly
+/// rather than decode a wrong-but-plausible state.
+pub(crate) struct Decoder<'a>(&'a [u8]);
+
+impl<'a> Decoder<'a> {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+        Decoder(bytes)
+    }
+
+    #[inline(always)]
+    fn u8(&mut self) -> u8 {
+        let (&b, rest) = self.0.split_first().expect("truncated state encoding");
+        self.0 = rest;
+        b
+    }
+
+    #[inline(always)]
+    fn opt(&mut self) -> Option<u8> {
+        Some(self.u8()).filter(|&b| b != 0xff)
+    }
+
+    #[inline(always)]
+    fn u16(&mut self) -> u16 {
+        u16::from_le_bytes([self.u8(), self.u8()])
+    }
+
+    #[inline(always)]
+    fn slots(&mut self, slots: &mut Vec<(NodeId, u8)>) {
+        slots.clear();
+        for _ in 0..self.u8() {
+            slots.push((NodeId(self.u8()), self.u8()));
+        }
+    }
+
+    #[inline(always)]
+    pub(crate) fn block(&mut self, c: &mut CacheBlock) {
+        c.state = FsmStateId(self.u16() as u32);
+        c.data = self.opt();
+        c.acks_received = self.u8();
+        c.acks_expected = self.opt();
+        c.pending = self.opt().map(|b| {
+            *Access::ALL.get(b as usize).unwrap_or_else(|| panic!("bad pending-access byte {b}"))
+        });
+        self.slots(&mut c.chain_slots);
+    }
+
+    #[inline(always)]
+    pub(crate) fn dir(&mut self, dir: &mut DirEntry) {
+        dir.state = FsmStateId(self.u16() as u32);
+        dir.owner = self.opt().map(NodeId);
+        dir.sharers = self.u8();
+        dir.data = self.u8();
+        self.slots(&mut dir.chain_slots);
+    }
+
+    #[inline(always)]
+    pub(crate) fn queue(&mut self, q: &mut Vec<Msg>) {
+        q.clear();
+        for _ in 0..self.u8() {
+            q.push(Msg {
+                mtype: MsgId(self.u16()),
+                src: NodeId(self.u8()),
+                dst: NodeId(self.u8()),
+                req: NodeId(self.u8()),
+                ack_count: self.opt(),
+                data: self.opt(),
+            });
+        }
+    }
+
+    /// Reads the trailing ghost byte and checks nothing follows it.
+    pub(crate) fn ghost(mut self) -> Val {
+        let ghost = self.u8();
+        assert!(self.0.is_empty(), "trailing bytes after a complete state decode");
+        ghost
+    }
 }
 
 /// A complete system configuration (one explored state).
@@ -129,56 +273,21 @@ impl SysState {
             }
         };
         for &src_cache in inv.iter() {
-            let c = &self.caches[src_cache as usize];
-            let state = u16::try_from(c.state.0).expect("state id exceeds u16");
-            sink.put_slice(&state.to_le_bytes());
-            sink.put(c.data.map_or(0xff, |v| v));
-            sink.put(c.acks_received);
-            sink.put(c.acks_expected.map_or(0xff, |v| v));
-            sink.put(match c.pending {
-                None => 0xff,
-                Some(Access::Load) => 0,
-                Some(Access::Store) => 1,
-                Some(Access::Replacement) => 2,
-            });
-            sink.put(c.chain_slots.len() as u8);
-            for (node, a) in &c.chain_slots {
-                sink.put(map(*node));
-                sink.put(*a);
-            }
+            put_block(sink, &self.caches[src_cache as usize], map);
         }
-        let dstate = u16::try_from(self.dir.state.0).expect("state id exceeds u16");
-        sink.put_slice(&dstate.to_le_bytes());
-        sink.put(self.dir.owner.map_or(0xff, &map));
         let mut sharers = 0u8;
         for (i, &p) in perm.iter().enumerate() {
             if self.dir.sharers & (1 << i) != 0 {
                 sharers |= 1 << p;
             }
         }
-        sink.put(sharers);
-        sink.put(self.dir.data);
-        sink.put(self.dir.chain_slots.len() as u8);
-        for (node, a) in &self.dir.chain_slots {
-            sink.put(map(*node));
-            sink.put(*a);
-        }
+        put_dir(sink, &self.dir, sharers, map);
         let total = n + 1;
         let src_of = |x: usize| if x < n { inv[x] as usize } else { x };
         for s2 in 0..total {
-            let s = src_of(s2);
+            let row = &self.channels[src_of(s2)];
             for d2 in 0..total {
-                let d = src_of(d2);
-                let q = &self.channels[s][d];
-                sink.put(q.len() as u8);
-                for m in q {
-                    sink.put_slice(&m.mtype.0.to_le_bytes());
-                    sink.put(map(m.src));
-                    sink.put(map(m.dst));
-                    sink.put(map(m.req));
-                    sink.put(m.ack_count.map_or(0xff, |v| v));
-                    sink.put(m.data.map_or(0xff, |v| v));
-                }
+                put_queue(sink, &row[src_of(d2)], map);
             }
         }
         sink.put(self.ghost);
@@ -235,80 +344,21 @@ impl SysState {
     /// caches — encodings come only from [`SysState::encode_permuted_to`],
     /// so a mismatch is a checker bug, not an input condition.
     pub fn decode_into(&mut self, bytes: &[u8], n_caches: usize) {
-        let mut pos = 0usize;
-        let u8 = |pos: &mut usize| {
-            let b = bytes[*pos];
-            *pos += 1;
-            b
-        };
-        let opt = |b: u8| if b == 0xff { None } else { Some(b) };
+        let mut d = Decoder::new(bytes);
         self.caches.resize_with(n_caches, CacheBlock::new);
         for c in &mut self.caches {
-            let lo = u8(&mut pos);
-            let hi = u8(&mut pos);
-            c.state = protogen_spec::FsmStateId(u16::from_le_bytes([lo, hi]) as u32);
-            c.data = opt(u8(&mut pos));
-            c.acks_received = u8(&mut pos);
-            c.acks_expected = opt(u8(&mut pos));
-            c.pending = match u8(&mut pos) {
-                0xff => None,
-                0 => Some(Access::Load),
-                1 => Some(Access::Store),
-                2 => Some(Access::Replacement),
-                // SAFETY OF THE PANIC: every byte string reaching this
-                // decoder was produced in-process by
-                // `encode_permuted_to`, which only emits 0/1/2/0xff here.
-                // Checkpoint-fed bytes pass the manifest + shard checksum
-                // gate (`crate::checkpoint`) before any decode, so a
-                // corrupt file errors out long before this line. A bad
-                // byte here is therefore a checker bug and must abort
-                // loudly rather than decode a wrong-but-plausible state.
-                b => panic!("bad pending-access byte {b}"),
-            };
-            let slots = u8(&mut pos);
-            c.chain_slots.clear();
-            for _ in 0..slots {
-                let node = NodeId(u8(&mut pos));
-                let a = u8(&mut pos);
-                c.chain_slots.push((node, a));
-            }
+            d.block(c);
         }
-        let lo = u8(&mut pos);
-        let hi = u8(&mut pos);
-        self.dir.state = protogen_spec::FsmStateId(u16::from_le_bytes([lo, hi]) as u32);
-        self.dir.owner = opt(u8(&mut pos)).map(NodeId);
-        self.dir.sharers = u8(&mut pos);
-        self.dir.data = u8(&mut pos);
-        let slots = u8(&mut pos);
-        self.dir.chain_slots.clear();
-        for _ in 0..slots {
-            let node = NodeId(u8(&mut pos));
-            let a = u8(&mut pos);
-            self.dir.chain_slots.push((node, a));
-        }
+        d.dir(&mut self.dir);
         let total = n_caches + 1;
         self.channels.resize_with(total, Vec::new);
         for row in &mut self.channels {
             row.resize_with(total, Vec::new);
             for q in row {
-                let len = u8(&mut pos);
-                q.clear();
-                for _ in 0..len {
-                    let lo = u8(&mut pos);
-                    let hi = u8(&mut pos);
-                    q.push(Msg {
-                        mtype: protogen_spec::MsgId(u16::from_le_bytes([lo, hi])),
-                        src: NodeId(u8(&mut pos)),
-                        dst: NodeId(u8(&mut pos)),
-                        req: NodeId(u8(&mut pos)),
-                        ack_count: opt(u8(&mut pos)),
-                        data: opt(u8(&mut pos)),
-                    });
-                }
+                d.queue(q);
             }
         }
-        self.ghost = u8(&mut pos);
-        assert_eq!(pos, bytes.len(), "trailing bytes after a complete state decode");
+        self.ghost = d.ghost();
     }
 
     /// [`SysState::decode_into`] into a fresh state.

@@ -5,8 +5,10 @@
 //! resume — both leave only the on-disk checkpoint — so these tests pin
 //! the contract the CI `resume` job exercises with a real SIGKILL.
 
-use protogen_core::{generate, GenConfig};
-use protogen_mc::{McConfig, ModelChecker, PropertySet, ResourceLimit, StoreMode};
+use protogen_core::{compose, generate, Composed, GenConfig};
+use protogen_mc::{
+    HierChecker, HierConfig, McConfig, ModelChecker, PropertySet, ResourceLimit, StoreMode,
+};
 use std::path::PathBuf;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -34,6 +36,9 @@ fn assert_resume_matches(tag: &str, cfg_base: McConfig, interrupt_at: usize) {
     let mut cfg = cfg_base.clone();
     cfg.checkpoint_dir = Some(dir.clone());
     cfg.checkpoint_every = 1;
+    // Checkpointing alone — no interruption — never changes the exploration.
+    let checked = ModelChecker::new(&g.cache, &g.directory, cfg.clone()).run();
+    assert_eq!((checked.states, checked.transitions), (full.states, full.transitions));
     cfg.max_states = interrupt_at;
     let partial = ModelChecker::new(&g.cache, &g.directory, cfg.clone()).run();
     assert_eq!(partial.limit, Some(ResourceLimit::StateBudget), "interruption must trigger");
@@ -47,7 +52,8 @@ fn assert_resume_matches(tag: &str, cfg_base: McConfig, interrupt_at: usize) {
     assert_eq!(resumed.states, full.states, "states must match uninterrupted run");
     assert_eq!(resumed.transitions, full.transitions, "transitions must match");
     assert!(resumed.passed());
-    assert_eq!(resumed.threads, cfg_base.effective_threads(), "threads come from the manifest");
+    let threads = cfg_base.resources().effective_threads();
+    assert_eq!(resumed.threads, threads, "threads come from the manifest");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -157,5 +163,88 @@ fn resume_refuses_mismatched_configuration() {
     let err = ModelChecker::new(&g.cache, &g.directory, cfg).resume().err().unwrap();
     let msg = err.to_string();
     assert!(msg.contains("corrupt") || msg.contains("manifest"), "{msg}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The 2×2 MSI-under-MSI stack, optionally with the fuzz campaign's glue
+/// control applied (`GetM` gate weakened `ReadWrite → Read`, which must
+/// break leaf-level SWMR).
+fn stack(weaken_glue: bool) -> Composed {
+    let comp = protogen_protocols::msi_under_msi(2, 2);
+    let mut composed = compose(&comp, &GenConfig::stalling()).unwrap();
+    if weaken_glue {
+        let getm = comp.levels[0].ssp.msg_by_name("GetM").unwrap().as_usize();
+        composed.glue[0].needed_perm[getm] = protogen_spec::Perm::Read;
+    }
+    composed
+}
+
+/// Composed stacks checkpoint and resume under the flat checker's
+/// contract: a run checkpointed every epoch, dropped mid-way (state
+/// budget) and resumed — at another thread count — reproduces the
+/// uninterrupted counts, and for a failing stack the violation and its
+/// counterexample trace byte-for-byte.
+#[test]
+fn composed_resume_matches_uninterrupted_counts_and_trace() {
+    for (weaken_glue, interrupt_at, tag) in [(false, 3_000, "hier"), (true, 300, "hier-vio")] {
+        let composed = stack(weaken_glue);
+        // The passing stack is bounded (the exhaustive 343k-state space is
+        // pinned elsewhere); the failing one runs to its violation.
+        let max_states = if weaken_glue { HierConfig::default().max_states } else { 12_000 };
+        let base = HierConfig { threads: 2, max_states, ..HierConfig::default() };
+        let full = HierChecker::new(&composed, base.clone()).check();
+        assert_eq!(full.violation.is_some(), weaken_glue, "{tag}: {:?}", full.violation);
+
+        let dir = tmpdir(tag);
+        let mut cfg = HierConfig {
+            checkpoint_dir: Some(dir.clone()),
+            checkpoint_every: 1,
+            max_states: interrupt_at,
+            ..base
+        };
+        let partial = HierChecker::new(&composed, cfg.clone()).check();
+        assert_eq!(partial.limit, Some(ResourceLimit::StateBudget), "{tag}: must interrupt");
+        assert!(partial.states < full.states && partial.violation.is_none(), "{tag}");
+
+        cfg.max_states = max_states;
+        cfg.threads = 1; // overridden by the manifest
+        let resumed = HierChecker::new(&composed, cfg).resume().unwrap();
+        assert_eq!(resumed.threads, 2, "{tag}: threads come from the manifest");
+        assert_eq!((resumed.states, resumed.transitions), (full.states, full.transitions), "{tag}");
+        assert_eq!(resumed.limit, full.limit, "{tag}");
+        assert_eq!(
+            format!("{:?}", resumed.violation.map(|v| (v.kind, v.trace))),
+            format!("{:?}", full.violation.map(|v| (v.kind, v.trace))),
+            "{tag}: violation and trace must be byte-identical"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A checkpoint belongs to the system that wrote it: a flat run's is
+/// refused by a composed checker and vice versa (identity-fingerprint
+/// mismatch), as is a composed one from a differently-glued stack.
+#[test]
+fn flat_and_composed_checkpoints_refuse_each_other() {
+    let g = generate(&protogen_protocols::msi(), &GenConfig::stalling()).unwrap();
+    let composed = stack(false);
+    let dir = tmpdir("cross");
+    let flat_cfg = McConfig {
+        checkpoint_dir: Some(dir.clone()),
+        checkpoint_every: 1,
+        max_states: 200,
+        ..McConfig::with_caches_and_threads(2, 2)
+    };
+    let hier_cfg = HierConfig::from(flat_cfg.clone());
+
+    ModelChecker::new(&g.cache, &g.directory, flat_cfg.clone()).run();
+    let err = HierChecker::new(&composed, hier_cfg.clone()).resume().err().unwrap();
+    assert!(err.to_string().contains("configuration"), "{err}");
+
+    HierChecker::new(&composed, hier_cfg.clone()).check();
+    let err = ModelChecker::new(&g.cache, &g.directory, flat_cfg).resume().err().unwrap();
+    assert!(err.to_string().contains("configuration"), "{err}");
+    let err = HierChecker::new(&stack(true), hier_cfg).resume().err().unwrap();
+    assert!(err.to_string().contains("glue"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }

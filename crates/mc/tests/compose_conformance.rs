@@ -11,9 +11,16 @@
 //! 2. **End-to-end stack verification** — the bundled two-level stacks
 //!    (2 L1s per L2, 2 L2s) pass per-level SWMR, leaf-level data-value,
 //!    and deadlock freedom over their whole reachable space.
+//! 3. **The determinism spine** — composed stacks run on the flat
+//!    checker's explorer, so the same contract holds: results are
+//!    byte-identical at any thread count, store mode and memory budget,
+//!    and the 64-bit fingerprint store agrees with the exact-dedup
+//!    reference walker.
 
 use protogen_core::{compose, generate, GenConfig};
-use protogen_mc::{HierChecker, HierConfig, McConfig, ModelChecker};
+use protogen_mc::{
+    reference_bfs, HierChecker, HierConfig, McConfig, ModelChecker, ResourceLimit, StoreMode,
+};
 
 fn checked(comp: &protogen_spec::Composition) -> protogen_mc::HierResult {
     let composed = compose(comp, &GenConfig::stalling()).unwrap();
@@ -97,4 +104,77 @@ fn three_level_stack_explores_without_violations_in_budget() {
     let res = checked(&comp);
     assert!(res.passed(), "{:?}", res.violation);
     assert!(res.states > 1_000);
+}
+
+/// The determinism contract on composed stacks: `msi_under_msi(1,3)` and
+/// the 2×2 stack give identical states / transitions / limit at threads
+/// {1,2,4} × store {full,delta,fp-only} × {no budget, forced 1-byte spill
+/// budget}. The full matrix runs under a state budget (so the `limit`
+/// outcome is compared too, and the debug-profile suite stays short);
+/// 1×3 is then exhausted at the matrix's corners, and the pinned
+/// exhaustive 2×2 counts are above.
+#[test]
+fn composed_results_are_identical_across_threads_stores_and_budgets() {
+    use StoreMode::{Delta, FpOnly, Full};
+    let run = |fanout: (usize, usize), max_states, threads, store, budget| {
+        let comp = protogen_protocols::msi_under_msi(fanout.0, fanout.1);
+        let cfg = HierConfig {
+            max_states,
+            threads,
+            store,
+            mem_budget_bytes: budget,
+            spill_chunk_bytes: 1, // clamps up to one page
+            ..HierConfig::default()
+        };
+        HierChecker::new(&compose(&comp, &GenConfig::stalling()).unwrap(), cfg).check()
+    };
+    let matrix: Vec<(usize, StoreMode, usize)> = [1, 2, 4]
+        .into_iter()
+        .flat_map(|t| [Full, Delta, FpOnly].map(|s| [(t, s, 0), (t, s, 1)]))
+        .flatten()
+        .collect();
+    let corners = vec![(2, Delta, 1), (4, FpOnly, 0), (4, Full, 1)];
+    for (fanout, max_states, configs) in
+        [((1, 3), 8_000, &matrix), ((2, 2), 8_000, &matrix), ((1, 3), usize::MAX, &corners)]
+    {
+        let reference = run(fanout, max_states, 1, Full, 0);
+        assert!(reference.violation.is_none(), "{fanout:?}: {:?}", reference.violation);
+        let want_limit = (max_states != usize::MAX).then_some(ResourceLimit::StateBudget);
+        assert_eq!(reference.limit, want_limit, "{fanout:?}");
+        for &(threads, store, budget) in configs {
+            let r = run(fanout, max_states, threads, store, budget);
+            let label = format!("{fanout:?}/{max_states} ({threads}t, {store:?}, budget {budget})");
+            assert_eq!(r.states, reference.states, "{label}: states diverge");
+            assert_eq!(r.transitions, reference.transitions, "{label}: transitions diverge");
+            assert_eq!(r.limit, reference.limit, "{label}: limit diverges");
+            assert!(r.violation.is_none(), "{label}: {:?}", r.violation);
+            if budget == 1 && store != FpOnly && cfg!(unix) {
+                assert!(r.spill_bytes > 0, "{label}: forced budget never spilled");
+            }
+        }
+    }
+}
+
+/// The collision oracle: the explorer dedups by 64-bit fingerprint, the
+/// reference walker by exact canonical encoding. Their exhaustive counts
+/// must agree on a flat 2-cache space, a flat 3-cache space, and a
+/// composed stack — which is what keeps the fingerprint store honest.
+#[test]
+fn explorer_counts_equal_the_exact_dedup_reference() {
+    let flat = |name: &str, n: usize| {
+        let g = generate(&protogen_protocols::by_name(name).unwrap(), &GenConfig::stalling());
+        let g = g.unwrap();
+        let mc = ModelChecker::new(&g.cache, &g.directory, McConfig::with_caches(n));
+        let (r, (encs, transitions)) = (mc.run(), reference_bfs(&mc, usize::MAX));
+        assert!(r.passed(), "{name}@{n}: {:?}", r.violation);
+        assert_eq!((r.states, r.transitions), (encs.len(), transitions), "{name}@{n}");
+    };
+    flat("msi", 2);
+    flat("mesi", 3);
+    let comp = protogen_protocols::msi_under_msi(1, 2);
+    let hc =
+        HierChecker::new(&compose(&comp, &GenConfig::stalling()).unwrap(), HierConfig::default());
+    let (r, (encs, transitions)) = (hc.check(), reference_bfs(&hc, usize::MAX));
+    assert!(r.passed(), "{:?}", r.violation);
+    assert_eq!((r.states, r.transitions), (encs.len(), transitions), "msi_under_msi(1,2)");
 }

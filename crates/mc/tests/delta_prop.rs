@@ -10,8 +10,8 @@
 use proptest::prelude::*;
 use protogen_core::{compose, generate, GenConfig};
 use protogen_mc::{
-    apply_delta, encode_delta, HierChecker, HierConfig, McConfig, ModelChecker, SectionMap,
-    SysState,
+    apply_delta, encode_delta, reference_bfs, HierChecker, HierConfig, McConfig, ModelChecker,
+    SectionMap, SysState, TransitionSystem,
 };
 use std::sync::OnceLock;
 
@@ -56,7 +56,7 @@ fn hier_corpus() -> &'static (SectionMap, Vec<Vec<u8>>) {
         let comp = protogen_protocols::msi_under_msi(2, 2);
         let composed = compose(&comp, &GenConfig::stalling()).unwrap();
         let hc = HierChecker::new(&composed, HierConfig::default());
-        (hc.section_map(), hc.sample_encodings(250))
+        (hc.section_map(), reference_bfs(&hc, 250).0)
     })
 }
 

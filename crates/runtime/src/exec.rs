@@ -189,8 +189,11 @@ fn eval_guard(
     }
 }
 
-/// Applies `arc` to the machine, producing outgoing messages and the
-/// access performed, if any.
+/// Applies `arc` to the machine, writing the outgoing messages and the
+/// access performed, if any, into the caller-owned `out` — every executor
+/// reuses one outcome (and its `outgoing` buffer) across millions of
+/// transitions. The outcome is cleared on entry; on error it holds
+/// whatever was produced before the failure and must not be interpreted.
 ///
 /// `store_value` is the value a store writes when one is performed (the
 /// harness chooses it; the model checker uses a bounded ghost counter).
@@ -199,23 +202,6 @@ fn eval_guard(
 ///
 /// Returns an [`ExecError`] when the arc's actions are inconsistent with
 /// the machine's runtime state — always a protocol or generator bug.
-pub fn apply(
-    fsm: &Fsm,
-    arc: &Arc,
-    msg: Option<&Msg>,
-    machine: MachineCtx<'_>,
-    store_value: Val,
-) -> Result<ApplyOutcome, ExecError> {
-    let mut out = ApplyOutcome::default();
-    apply_into(fsm, arc, msg, machine, store_value, &mut out)?;
-    Ok(out)
-}
-
-/// [`apply`] writing into a caller-owned [`ApplyOutcome`] instead of
-/// allocating a fresh one — the model checker's hot path reuses one
-/// outcome (and its `outgoing` buffer) per worker across millions of
-/// transitions. The outcome is cleared on entry; on error it holds
-/// whatever was produced before the failure and must not be interpreted.
 pub fn apply_into(
     fsm: &Fsm,
     arc: &Arc,
@@ -518,12 +504,14 @@ mod tests {
             note: ArcNote::Step2,
         };
         let m = msg(0, Some(0), Some(7));
-        let out = apply(
+        let mut out = ApplyOutcome::default();
+        apply_into(
             &fsm,
             &arc,
             Some(&m),
             MachineCtx::Cache { block: &mut block, self_id: NodeId(0), dir_id: NodeId(3) },
             9,
+            &mut out,
         )
         .unwrap();
         assert_eq!(out.performed, Some((Access::Store, None)));
@@ -548,12 +536,13 @@ mod tests {
             note: ArcNote::Ssp,
         };
         let m = msg(1, None, None);
-        apply(
+        apply_into(
             &fsm,
             &arc,
             Some(&m),
             MachineCtx::Cache { block: &mut block, self_id: NodeId(0), dir_id: NodeId(3) },
             0,
+            &mut ApplyOutcome::default(),
         )
         .unwrap();
         assert_eq!(block.data, None);
@@ -573,12 +562,14 @@ mod tests {
             note: ArcNote::Case2,
         };
         let m = msg(0, None, Some(1));
-        let out = apply(
+        let mut out = ApplyOutcome::default();
+        apply_into(
             &fsm,
             &arc,
             Some(&m),
             MachineCtx::Cache { block: &mut block, self_id: NodeId(0), dir_id: NodeId(3) },
             0,
+            &mut out,
         )
         .unwrap();
         assert!(out.stalled);
@@ -620,8 +611,8 @@ mod tests {
             note: ArcNote::Case2,
         };
         let m = msg(0, None, Some(1));
-        apply(&fsm, &arc, Some(&m), MachineCtx::Dir { entry: &mut entry, self_id: NodeId(3) }, 0)
-            .unwrap();
+        let dir = MachineCtx::Dir { entry: &mut entry, self_id: NodeId(3) };
+        apply_into(&fsm, &arc, Some(&m), dir, 0, &mut ApplyOutcome::default()).unwrap();
         // Requestor is n1; sharers {n0, n2} minus n1 = 2 captured.
         assert_eq!(entry.chain_slots, vec![(NodeId(1), 2)]);
         assert_eq!(entry.state, FsmStateId(2));

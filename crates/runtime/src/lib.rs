@@ -29,9 +29,7 @@ mod msg;
 mod state;
 
 pub use coverage::{MachineRole, MachineTag, PairSet, StateEventPair};
-pub use exec::{
-    apply, apply_into, select_arc, select_arc_indexed, ApplyOutcome, ExecError, MachineCtx,
-};
+pub use exec::{apply_into, select_arc, select_arc_indexed, ApplyOutcome, ExecError, MachineCtx};
 pub use index::FsmIndex;
 pub use msg::{Msg, NodeId, Val};
 pub use state::{CacheBlock, DirEntry};

@@ -14,8 +14,8 @@ use crate::stats::{Histogram, SimResult};
 use crate::workload::Op;
 use crate::SimError;
 use protogen_runtime::{
-    apply, select_arc_indexed, CacheBlock, DirEntry, FsmIndex, MachineCtx, MachineTag, NodeId,
-    PairSet,
+    apply_into, select_arc_indexed, ApplyOutcome, CacheBlock, DirEntry, FsmIndex, MachineCtx,
+    MachineTag, NodeId, PairSet,
 };
 use protogen_spec::{ArcKind, Event, Fsm};
 use rand::rngs::StdRng;
@@ -60,6 +60,8 @@ struct Engine<'a> {
     busy_dir_cycles: u64,
     coverage: Option<PairSet>,
     cand_buf: Vec<usize>,
+    /// The one apply outcome (outgoing-message buffer) every step reuses.
+    outcome: ApplyOutcome,
 }
 
 impl<'a> Engine<'a> {
@@ -90,6 +92,7 @@ impl<'a> Engine<'a> {
             busy_dir_cycles: 0,
             coverage: cfg.collect_coverage.then(PairSet::new),
             cand_buf: Vec::new(),
+            outcome: ApplyOutcome::default(),
         })
     }
 
@@ -230,33 +233,35 @@ impl<'a> Engine<'a> {
         // Tentative apply on a copy: committing requires the outgoing
         // messages to fit their (possibly bounded) channels.
         let dir_id = NodeId(self.dir_node() as u8);
-        let (outcome, committed_cache, committed_dir);
+        let (committed_cache, committed_dir);
         if is_dir {
             let mut entry = self.dirs[a].clone();
-            outcome = apply(
+            apply_into(
                 self.dir_fsm,
                 arc,
                 Some(&msg),
                 MachineCtx::Dir { entry: &mut entry, self_id: dir_id },
                 0,
+                &mut self.outcome,
             )
             .map_err(SimError::Exec)?;
             committed_cache = None;
             committed_dir = Some(entry);
         } else {
             let mut block = self.caches[dst][a].clone();
-            outcome = apply(
+            apply_into(
                 self.cache_fsm,
                 arc,
                 Some(&msg),
                 MachineCtx::Cache { block: &mut block, self_id: NodeId(dst as u8), dir_id },
                 0,
+                &mut self.outcome,
             )
             .map_err(SimError::Exec)?;
             committed_cache = Some(block);
             committed_dir = None;
         }
-        if !self.net.accepts(&outcome.outgoing) {
+        if !self.net.accepts(&self.outcome.outgoing) {
             return Ok(Delivery::Backpressured);
         }
         // Commit.
@@ -268,10 +273,10 @@ impl<'a> Engine<'a> {
             self.caches[dst][a] = block;
         }
         self.result.messages += 1;
-        for m in outcome.outgoing {
+        for &m in &self.outcome.outgoing {
             self.net.send(t, SimMsg { addr, msg: m }, &mut self.rng);
         }
-        if !is_dir && outcome.performed.is_some() {
+        if !is_dir && self.outcome.performed.is_some() {
             if let Some((flight_addr, start)) = self.in_flight[dst] {
                 if flight_addr == addr {
                     self.in_flight[dst] = None;
@@ -322,24 +327,25 @@ impl<'a> Engine<'a> {
                 continue; // retry next cycle
             }
             let mut block = self.caches[c][a].clone();
-            let outcome = apply(
+            apply_into(
                 self.cache_fsm,
                 arc,
                 None,
                 MachineCtx::Cache { block: &mut block, self_id: NodeId(c as u8), dir_id },
                 0,
+                &mut self.outcome,
             )
             .map_err(SimError::Exec)?;
-            if !self.net.accepts(&outcome.outgoing) {
+            if !self.net.accepts(&self.outcome.outgoing) {
                 self.result.backpressure_cycles += 1;
                 continue; // retry when the channel drains
             }
             self.caches[c][a] = block;
             self.cursor[c] += 1;
-            for m in outcome.outgoing {
+            for &m in &self.outcome.outgoing {
                 self.net.send(t, SimMsg { addr: op.addr, msg: m }, &mut self.rng);
             }
-            if outcome.performed.is_some() {
+            if self.outcome.performed.is_some() {
                 self.result.completed += 1;
                 self.result.hits += 1;
                 self.next_issue[c] = t + self.cfg.think_time;

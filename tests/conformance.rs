@@ -388,6 +388,47 @@ fn counterexample_traces_are_deterministic() {
     assert!(!reference.trace.is_empty(), "violation carries no trace");
 }
 
+/// The same determinism spine on a composed stack: the fuzz campaign's
+/// glue-weakened control (2×2 MSI-under-MSI, `GetM` gate `ReadWrite →
+/// Read`) yields the byte-identical SWMR violation and counterexample
+/// trace at 1, 2 and 4 threads, with delta compression on, and through
+/// the spilled-record path (a 1-byte budget freezes visited records to
+/// disk, so trace reconstruction reads the spill tier).
+#[test]
+fn composed_counterexample_traces_are_deterministic() {
+    use protogen::mc::{HierChecker, HierConfig, StoreMode, ViolationKind};
+    let (comp, mutation) = protogen::fuzz::glue_control();
+    let mut composed = protogen::gen::compose(&comp, &GenConfig::stalling()).unwrap();
+    protogen::fuzz::apply_glue(&mut composed, mutation).unwrap();
+    let run = |threads: usize, store: StoreMode, budget: usize| {
+        let cfg = HierConfig {
+            threads,
+            store,
+            mem_budget_bytes: budget,
+            spill_chunk_bytes: 1,
+            ..HierConfig::default()
+        };
+        let r = HierChecker::new(&composed, cfg).check();
+        assert_eq!(r.spill_bytes > 0, budget > 0 && cfg!(unix), "({threads}t, budget {budget})");
+        (r.states, r.transitions, r.violation.expect("the glue control must fail"))
+    };
+    let reference = run(1, StoreMode::Full, 0);
+    assert!(matches!(reference.2.kind, ViolationKind::Swmr(_)), "{:?}", reference.2.kind);
+    assert!(reference.2.trace.len() > 1, "violation carries no trace");
+    for (threads, store, budget) in [
+        (2, StoreMode::Full, 0),
+        (4, StoreMode::Full, 0),
+        (4, StoreMode::Delta, 0),
+        (2, StoreMode::Full, 1),
+    ] {
+        let r = run(threads, store, budget);
+        let label = format!("({threads}t, {store:?}, budget {budget})");
+        assert_eq!((r.0, r.1), (reference.0, reference.1), "{label}: counts diverge");
+        assert_eq!(r.2.kind, reference.2.kind, "{label}: violation kind diverges");
+        assert_eq!(r.2.trace, reference.2.trace, "{label}: trace bytes diverge");
+    }
+}
+
 /// Litmus verdicts follow the same sweep discipline as sim and fuzz:
 /// the full classification report — outcome sets included — is
 /// byte-identical for any worker count and any exploration seed.
