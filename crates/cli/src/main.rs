@@ -30,6 +30,8 @@
 //!
 //! `--threads` sets the worker count (default: all available cores);
 //! verification and sweep results are identical for every thread count.
+//! `--caches` takes a count in 1..=8 (the directory's sharer list is an
+//! 8-bit mask); anything else is a usage error, exit 2.
 //!
 //! `--compose` points `verify`, `table`, or `dot` at a *hierarchical
 //! composition* instead of a flat protocol: a comma-separated stack of
@@ -94,7 +96,7 @@ use protogen_backend::{
 };
 use protogen_core::{compose, generate, Composed, GenConfig, Generated};
 use protogen_litmus::{run_suite, Limits};
-use protogen_mc::{HierChecker, McConfig, ModelChecker, PropertySet, StoreMode};
+use protogen_mc::{HierChecker, McConfig, ModelChecker, PropertySet, StoreMode, MAX_CACHES};
 use protogen_serve::{
     checked_envelope, pair_label, serve, FaultConfig, ServeConfig, ServeError, StopReason,
 };
@@ -242,6 +244,17 @@ fn parsed_flag<T>(args: &Args, name: &str, hint: &str, parse: fn(&str) -> Option
 /// A numeric flag.
 fn num_flag<T: std::str::FromStr>(args: &Args, name: &str) -> Option<T> {
     parsed_flag(args, name, "", |v| v.parse().ok())
+}
+
+/// A cache count: `1..=MAX_CACHES`. Zero caches verify nothing (a vacuous
+/// "PASSED"), and the directory's sharer list is an 8-bit mask, so cache 8
+/// would alias cache 0 — a wrong state space with a verdict printed.
+fn parse_cache_count(v: &str) -> Option<usize> {
+    v.parse().ok().filter(|n| (1..=MAX_CACHES).contains(n))
+}
+
+fn cache_count_hint() -> String {
+    format!(" (a count in 1..={MAX_CACHES}: the sharer list is an 8-bit mask)")
 }
 
 /// A byte-size flag (`--mem-budget`, `--spill-chunk`).
@@ -461,7 +474,8 @@ fn sim_config(ssp: &Ssp, args: &Args, legacy: bool) -> Result<SimConfig, String>
     }
     // `--cores`/`--stores` are the legacy `simulate` spellings.
     if let Some(v) = args.value("caches").or_else(|| args.value("cores")) {
-        cfg.n_caches = v.parse().map_err(|_| format!("bad --caches `{v}`"))?;
+        cfg.n_caches = parse_cache_count(v)
+            .ok_or_else(|| format!("bad --caches `{v}`{}", cache_count_hint()))?;
     }
     if let Some(v) = args.value("addrs") {
         cfg.n_addrs = v.parse().map_err(|_| format!("bad --addrs `{v}`"))?;
@@ -733,10 +747,12 @@ fn sweep(args: &Args, threads: usize) -> ExitCode {
         cfg.protocols = list.split(',').map(str::to_string).collect();
     }
     if let Some(list) = args.value("caches") {
-        match list.split(',').map(str::parse).collect::<Result<Vec<usize>, _>>() {
-            Ok(counts) if !counts.is_empty() => cfg.cache_counts = counts,
-            _ => {
-                eprintln!("bad --caches `{list}` (comma-separated counts)");
+        match list.split(',').map(parse_cache_count).collect::<Option<Vec<usize>>>() {
+            Some(counts) => cfg.cache_counts = counts,
+            None => {
+                eprintln!(
+                    "bad --caches `{list}` (comma-separated counts, each in 1..={MAX_CACHES})"
+                );
                 return ExitCode::from(2);
             }
         }
@@ -997,7 +1013,8 @@ fn main() -> ExitCode {
     };
     // Parsed on use: `sweep --caches 2,4` takes a list, everything else a
     // count.
-    let caches = || num_flag(&args, "caches").unwrap_or(2usize);
+    let caches =
+        || parsed_flag(&args, "caches", &cache_count_hint(), parse_cache_count).unwrap_or(2);
     // 0 = "auto": the checker resolves it to available_parallelism.
     let threads: usize = num_flag(&args, "threads").unwrap_or(0);
 

@@ -401,6 +401,34 @@ fn unparsable_numeric_flags_are_usage_errors() {
     }
 }
 
+/// `--caches 0` used to print `PASSED — 1 states, 0 transitions` (a
+/// vacuous pass); `--caches 9` explored a space in which cache 8's sharer
+/// bit aliased cache 0's and printed a verdict for it. Both are usage
+/// errors on every subcommand that takes a count; 8 is the last count
+/// that still starts.
+#[test]
+fn out_of_range_cache_counts_are_usage_errors() {
+    for args in [
+        &["verify", "msi", "--caches", "0"][..],
+        &["verify", "msi", "--caches", "9"],
+        &["murphi", "msi", "--caches", "9"],
+        &["sim", "msi", "--caches", "0"],
+        &["serve", "msi", "--ops", "10", "--caches", "9"],
+        &["sweep", "--list", "--caches", "2,9"],
+    ] {
+        let out = protogen(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("bad --caches `{}`", args[args.len() - 1])), "{err}");
+        assert!(err.contains("1..=8"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a result");
+    }
+    let out = protogen(&["verify", "msi", "--caches", "8", "--threads", "1", "--max-states", "50"]);
+    assert_eq!(out.status.code(), Some(1), "a budget-stopped run, not a usage error");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("state budget exhausted"), "{stdout}");
+}
+
 #[test]
 fn verify_checkpoint_flag_misuse_is_rejected() {
     let out = protogen(&["verify", "msi", "--resume"]);

@@ -30,8 +30,8 @@
 //! `canon_prop` proptests (pruned ≡ full sweep byte-for-byte, and orbit
 //! stability under random permutations).
 
-use crate::store::{mix64, Fingerprinter, GOLDEN};
-use crate::system::{EncodeSink, SysState};
+use crate::store::{absorb, fingerprint_bytes, GOLDEN};
+use crate::system::SysState;
 use protogen_runtime::{Msg, NodeId};
 use protogen_spec::Access;
 
@@ -44,11 +44,6 @@ fn role(node: NodeId, this: usize, n: usize) -> u64 {
     } else {
         2 // some other cache; *which* one must not enter the key
     }
-}
-
-/// Chained absorption, same avalanche discipline as the fingerprinter.
-fn absorb(h: u64, v: u64) -> u64 {
-    mix64(h ^ v).wrapping_add(GOLDEN)
 }
 
 /// One message as seen from cache `this`, packed into a single word —
@@ -136,14 +131,18 @@ pub fn cache_sort_key(s: &SysState, i: usize) -> u64 {
 /// full-sweep [`SysState::canonical_encoding`] over all n! permutations —
 /// minimum `(key sequence, fingerprint)`, ties broken by enumeration
 /// order — while enumerating only the arrangements that sort caches by
-/// [`cache_sort_key`].
+/// [`cache_sort_key`]. Each candidate is encoded once into a reusable
+/// buffer and the winning buffer is kept, so emitting the canonical
+/// encoding afterwards is a copy, not a second walk of the state.
 #[derive(Debug)]
 pub struct Canonicalizer {
     n: usize,
     symmetry: bool,
-    /// Per-group-size permutation tables, `perm_tables[k]` = all
-    /// permutations of `0..k` (memoized; group sizes are tiny).
-    perm_tables: Vec<Vec<Vec<u8>>>,
+    /// Per-group-size permutation tables, built on first use:
+    /// `perm_tables[k]` holds every permutation of `0..k` in
+    /// [`crate::permutations`]' order, `k` bytes each, back to back
+    /// (empty = not built yet; a group has at least one member).
+    perm_tables: Vec<Vec<u8>>,
     keys: Vec<u64>,
     /// Cache indices sorted by `(key, index)` — the base arrangement.
     base: Vec<u8>,
@@ -152,10 +151,12 @@ pub struct Canonicalizer {
     /// Scratch: candidate slot→cache assignment and its inverse.
     inv: Vec<u8>,
     perm: Vec<u8>,
-    best_inv: Vec<u8>,
-    best_perm: Vec<u8>,
     /// Mixed-radix counter over within-group permutations.
     counters: Vec<u32>,
+    /// The candidate being encoded, and the encoding the most recent
+    /// [`Canonicalizer::canonical_fp`] selected.
+    cur: Vec<u8>,
+    best: Vec<u8>,
 }
 
 impl Canonicalizer {
@@ -165,34 +166,31 @@ impl Canonicalizer {
         Canonicalizer {
             n: n_caches,
             symmetry,
-            perm_tables: (0..=n_caches).map(crate::system::permutations).collect(),
+            perm_tables: vec![Vec::new(); n_caches + 1],
             keys: vec![0; n_caches],
             base: (0..n_caches as u8).collect(),
             groups: Vec::with_capacity(n_caches),
             inv: (0..n_caches as u8).collect(),
             perm: (0..n_caches as u8).collect(),
-            best_inv: (0..n_caches as u8).collect(),
-            best_perm: (0..n_caches as u8).collect(),
             counters: vec![0; n_caches],
+            cur: Vec::new(),
+            best: Vec::new(),
         }
     }
 
     /// The canonical fingerprint of `s` — identical for every member of
-    /// its symmetry orbit. Also remembers the canonicalizing permutation,
-    /// which [`Canonicalizer::encode_canonical_into`] and
+    /// its symmetry orbit. Also keeps the canonical encoding, which
+    /// [`Canonicalizer::encode_best_into`] and
     /// [`Canonicalizer::canonical_rep`] reuse.
     pub fn canonical_fp(&mut self, s: &SysState) -> u64 {
         if !self.symmetry {
-            for i in 0..self.n as u8 {
-                self.best_perm[i as usize] = i;
-                self.best_inv[i as usize] = i;
-            }
-            let mut h = Fingerprinter::new();
-            s.encode_permuted_to(&self.best_perm, &self.best_inv, &mut h);
-            return h.finish();
+            // `perm`/`inv` are still the identity `new` set: only the
+            // sweep below writes them.
+            self.best.clear();
+            s.encode_permuted_to(&self.perm, &self.inv, &mut self.best);
+            return fingerprint_bytes(&self.best);
         }
-        // Sort caches by (key, index): the base arrangement. Insertion
-        // sort — n is at most a handful and mostly sorted keys are common.
+        // Sort caches by (key, index): the base arrangement.
         for i in 0..self.n {
             self.keys[i] = cache_sort_key(s, i);
             self.base[i] = i as u8;
@@ -208,29 +206,39 @@ impl Canonicalizer {
                 start = i;
             }
         }
+        for &(_, glen) in &self.groups {
+            let table = &mut self.perm_tables[glen as usize];
+            if table.is_empty() {
+                *table = crate::system::permutations(glen as usize).concat();
+            }
+        }
         // Enumerate the product of within-group permutations with a
         // mixed-radix counter; minimize (fp, enumeration index). The key
         // sequence is constant across candidates by construction, so it
         // never needs comparing here.
         let mut best_fp = u64::MAX;
+        self.best.clear();
         self.counters[..self.groups.len()].fill(0);
         loop {
             for (gi, &(gstart, glen)) in self.groups.iter().enumerate() {
-                let table = &self.perm_tables[glen as usize][self.counters[gi] as usize];
-                for (off, &k) in table.iter().enumerate() {
-                    self.inv[gstart as usize + off] = self.base[gstart as usize + k as usize];
+                let (gstart, glen) = (gstart as usize, glen as usize);
+                let at = self.counters[gi] as usize * glen;
+                let sigma = &self.perm_tables[glen][at..at + glen];
+                for (off, &k) in sigma.iter().enumerate() {
+                    self.inv[gstart + off] = self.base[gstart + k as usize];
                 }
             }
             for (slot, &src) in self.inv.iter().enumerate() {
                 self.perm[src as usize] = slot as u8;
             }
-            let mut h = Fingerprinter::new();
-            s.encode_permuted_to(&self.perm, &self.inv, &mut h);
-            let fp = h.finish();
-            if fp < best_fp {
+            self.cur.clear();
+            s.encode_permuted_to(&self.perm, &self.inv, &mut self.cur);
+            let fp = fingerprint_bytes(&self.cur);
+            // `best` is empty only before the first candidate, which must
+            // win even at `fp == u64::MAX`.
+            if fp < best_fp || self.best.is_empty() {
                 best_fp = fp;
-                self.best_inv.copy_from_slice(&self.inv);
-                self.best_perm.copy_from_slice(&self.perm);
+                std::mem::swap(&mut self.best, &mut self.cur);
             }
             // Advance the counter; done when it wraps.
             let mut gi = self.groups.len();
@@ -239,7 +247,8 @@ impl Canonicalizer {
                     return best_fp;
                 }
                 gi -= 1;
-                let radix = self.perm_tables[self.groups[gi].1 as usize].len() as u32;
+                let glen = self.groups[gi].1 as usize;
+                let radix = (self.perm_tables[glen].len() / glen) as u32;
                 self.counters[gi] += 1;
                 if self.counters[gi] < radix {
                     break;
@@ -250,27 +259,27 @@ impl Canonicalizer {
     }
 
     /// [`Canonicalizer::canonical_fp`] plus the canonical encoding bytes,
-    /// streamed into `sink` — the expand path's one-stop call.
-    pub fn encode_canonical_into<S: EncodeSink>(&mut self, s: &SysState, sink: &mut S) -> u64 {
+    /// appended to `out` — the one-stop call.
+    pub fn encode_canonical_into(&mut self, s: &SysState, out: &mut Vec<u8>) -> u64 {
         let fp = self.canonical_fp(s);
-        s.encode_permuted_to(&self.best_perm, &self.best_inv, sink);
+        self.encode_best_into(out);
         fp
     }
 
-    /// Streams the canonical encoding selected by the *most recent*
-    /// [`Canonicalizer::canonical_fp`] call into `sink`. The expand path
+    /// Appends the canonical encoding selected by the most recent
+    /// [`Canonicalizer::canonical_fp`] call to `out`. The expand path
     /// needs the fingerprint first (it decides the owning shard, and thus
     /// which batch arena to encode into), so the sweep and the byte
-    /// emission are split; `s` must be the state that call canonicalized.
-    pub fn encode_best_into<S: EncodeSink>(&self, s: &SysState, sink: &mut S) {
-        s.encode_permuted_to(&self.best_perm, &self.best_inv, sink);
+    /// emission are split.
+    pub fn encode_best_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.best);
     }
 
     /// Materializes the canonical orbit representative (cold paths:
     /// initial state, counterexample replay).
     pub fn canonical_rep(&mut self, s: &SysState) -> SysState {
         self.canonical_fp(s);
-        s.permuted(&self.best_perm)
+        SysState::decode(&self.best, self.n)
     }
 
     /// The number of permutations the pruned sweep would enumerate for
@@ -282,11 +291,7 @@ impl Canonicalizer {
             return 1;
         }
         self.canonical_fp(s);
-        self.groups
-            .iter()
-            .map(|&(_, len)| self.perm_tables[len as usize].len())
-            .product::<usize>()
-            .max(1)
+        self.groups.iter().map(|&(_, len)| (1..=len as usize).product::<usize>()).product()
     }
 }
 
@@ -397,10 +402,39 @@ mod tests {
     }
 
     #[test]
-    fn invert_consistency_of_best_perm() {
+    fn invert_consistency_of_candidate_perm() {
         let s = busy_state();
         let mut canon = Canonicalizer::new(3, true);
         canon.canonical_fp(&s);
-        assert_eq!(invert(&canon.best_perm), canon.best_inv);
+        assert_eq!(invert(&canon.perm), canon.inv);
+    }
+
+    #[test]
+    fn canonical_encodings_are_pinned() {
+        // Recorded from the commit before the materialise-once sweep and
+        // the section-wise codecs: the encoding layout, the sort key and
+        // the selection rule are what a stored checkpoint depends on.
+        let mut canon = Canonicalizer::new(3, true);
+        let mut enc = Vec::new();
+        assert_eq!(
+            canon.encode_canonical_into(&SysState::initial(3), &mut enc),
+            0x25471b4475af56a1
+        );
+        let mut initial = [0u8; 44];
+        for block in 0..3 {
+            initial[block * 7..block * 7 + 7].copy_from_slice(&[0, 0, 255, 0, 255, 255, 0]);
+        }
+        initial[23] = 255; // no owner
+        assert_eq!(enc, initial);
+        enc.clear();
+        assert_eq!(canon.encode_canonical_into(&busy_state(), &mut enc), 0x6fae41b59c9912f7);
+        assert_eq!(
+            enc,
+            [
+                2, 0, 1, 0, 255, 255, 0, 0, 0, 255, 0, 255, 1, 0, 0, 0, 255, 0, 255, 255, 0, 0, 0,
+                2, 1, 0, 0, 0, 0, 0, 1, 1, 0, 0, 3, 0, 255, 255, 0, 0, 0, 0, 0, 1, 4, 0, 2, 1, 2,
+                255, 255, 0, 0, 0, 1, 2, 0, 3, 1, 1, 255, 255, 0, 0, 1,
+            ]
+        );
     }
 }

@@ -125,6 +125,16 @@ pub trait TransitionSystem: Sync {
     /// Computes the successor of `state` for `step` into `succ`. Returns
     /// `Ok(false)` when the step is not enabled — `succ` is garbage then
     /// and must not be read.
+    ///
+    /// `succ` and `scratch` travel as a pair, and `state` is the parent the
+    /// pair was last synced to: a system need not copy the whole parent
+    /// per step — it may remember in `scratch` which parts of `succ` the
+    /// previous step wrote and restore only those from `state`. So between
+    /// two calls on the same pair, `state` may change only through
+    /// [`decode_into`](Self::decode_into) with that `scratch` (which
+    /// marks the pair unsynced; the next step copies the parent whole),
+    /// and `succ` only through this method. A fresh scratch starts
+    /// unsynced.
     fn successor_into(
         &self,
         state: &Self::State,
@@ -144,21 +154,18 @@ pub trait TransitionSystem: Sync {
     /// The liveness hook, checked on states with no progress step.
     fn check_quiescence(&self, state: &Self::State) -> Option<ViolationKind>;
 
-    /// The canonical fingerprint of `state`; remembers the canonicalizing
-    /// choice in `scratch` for the encode call that may follow.
+    /// The canonical fingerprint of `state`; keeps the canonical encoding
+    /// it belongs to in `scratch` for the encode call that may follow.
     fn canonical_fp(&self, state: &Self::State, scratch: &mut Self::Scratch) -> u64;
 
-    /// Appends the canonical encoding selected by the most recent
-    /// [`canonical_fp`](Self::canonical_fp) call on the same `state`.
-    fn encode_canonical_into(
-        &self,
-        state: &Self::State,
-        scratch: &Self::Scratch,
-        out: &mut Vec<u8>,
-    );
+    /// Appends the canonical encoding the most recent
+    /// [`canonical_fp`](Self::canonical_fp) call on `scratch` selected.
+    fn encode_canonical_into(&self, scratch: &Self::Scratch, out: &mut Vec<u8>);
 
-    /// Decodes a canonical encoding into `state`, reusing its allocations.
-    fn decode_into(&self, bytes: &[u8], state: &mut Self::State);
+    /// Decodes a canonical encoding into `state`, reusing its allocations,
+    /// and marks `scratch`'s successor state unsynced: `state` is a new
+    /// parent (see [`successor_into`](Self::successor_into)).
+    fn decode_into(&self, bytes: &[u8], state: &mut Self::State, scratch: &mut Self::Scratch);
 
     /// Packs a step into 32 bits (see the trait-level contract).
     fn pack_step(step: Self::Step) -> u32;
@@ -182,12 +189,12 @@ pub fn reference_bfs<S: TransitionSystem>(sys: &S, limit: usize) -> (Vec<Vec<u8>
     let (mut state, mut succ) = (sys.initial(), sys.initial());
     let (mut steps, mut enc) = (Vec::new(), Vec::new());
     sys.canonical_fp(&state, &mut scratch);
-    sys.encode_canonical_into(&state, &scratch, &mut enc);
+    sys.encode_canonical_into(&scratch, &mut enc);
     let mut seen = std::collections::HashSet::from([enc.clone()]);
     let mut order = vec![enc.clone()];
     let (mut at, mut transitions) = (0usize, 0usize);
     while at < order.len() && order.len() < limit {
-        sys.decode_into(&order[at], &mut state);
+        sys.decode_into(&order[at], &mut state, &mut scratch);
         sys.steps_into(&state, &mut steps);
         for &step in &steps {
             if order.len() >= limit {
@@ -200,7 +207,7 @@ pub fn reference_bfs<S: TransitionSystem>(sys: &S, limit: usize) -> (Vec<Vec<u8>
                 }
                 sys.canonical_fp(&succ, &mut scratch);
                 enc.clear();
-                sys.encode_canonical_into(&succ, &scratch, &mut enc);
+                sys.encode_canonical_into(&scratch, &mut enc);
                 if !seen.contains(&enc) {
                     seen.insert(enc.clone());
                     order.push(enc.clone());
@@ -491,6 +498,15 @@ pub(crate) struct FrontierBuf {
 }
 
 impl FrontierBuf {
+    /// An empty arena whose byte capacity starts at — and so, growing by
+    /// doubling, stays — a power of two. Encodings are appended whole, so
+    /// an arena grown from empty would size itself `len·2ᵏ` instead:
+    /// block sizes no other arena or level frees or reuses, which read as
+    /// +8 % peak RSS over repeated verifications in one process.
+    fn new() -> Self {
+        FrontierBuf { bytes: Vec::with_capacity(crate::spill::PAGE as usize), ..Self::default() }
+    }
+
     fn clear(&mut self) {
         self.bytes.clear();
         self.index.clear();
@@ -611,8 +627,9 @@ struct Worker<'w, S: TransitionSystem> {
     scratch: S::Scratch,
     /// Scratch: the frontier state being expanded (decoded in place).
     state: S::State,
-    /// Scratch: the successor being stepped into (copy-on-write via
-    /// `clone_from`, which reuses its nested allocations).
+    /// Scratch: the successor being stepped into — paired with `scratch`,
+    /// which remembers what the last step wrote (see
+    /// [`TransitionSystem::successor_into`]).
     succ: S::State,
     steps_buf: Vec<S::Step>,
     violations: Vec<VioCand>,
@@ -667,8 +684,8 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
             t,
             n_shards,
             store: ShardStore::new(),
-            cur: FrontierBuf::default(),
-            next: FrontierBuf::default(),
+            cur: FrontierBuf::new(),
+            next: FrontierBuf::new(),
             out: Outboxes::new(n_shards),
             scratch: sys.scratch(),
             state: sys.initial(),
@@ -923,7 +940,11 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
         if !self.delta_mode && e.off >= self.cur.spilled_off {
             // Full mode, hot arena: the seed fast path, zero copies.
             let start = e.off - self.cur.spilled_off;
-            self.sys.decode_into(&self.cur.bytes[start..start + e.len as usize], &mut self.state);
+            self.sys.decode_into(
+                &self.cur.bytes[start..start + e.len as usize],
+                &mut self.state,
+                &mut self.scratch,
+            );
             return;
         }
         let (in_hot, start) = if e.off >= self.cur.spilled_off {
@@ -954,7 +975,7 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
         } else {
             self.cur_full.extend_from_slice(raw);
         }
-        self.sys.decode_into(&self.cur_full, &mut self.state);
+        self.sys.decode_into(&self.cur_full, &mut self.state, &mut self.scratch);
         std::mem::swap(&mut self.prev_full, &mut self.cur_full);
     }
 
@@ -969,7 +990,7 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
         } else {
             let bytes = self.out.bytes_of(owner);
             let off = bytes.len() as u32;
-            self.sys.encode_canonical_into(&self.succ, &self.scratch, bytes);
+            self.sys.encode_canonical_into(&self.scratch, bytes);
             let len = bytes.len() as u32 - off;
             if let Some(batch) =
                 self.out.push_meta(owner, CandMeta { fp, parent_fp, parent, step, off, len })
@@ -1018,28 +1039,19 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
                     Some(e) => self.next.append(self.map, e, lid, fp, true),
                     None => {
                         self.enc_scratch.clear();
-                        self.sys.encode_canonical_into(
-                            &self.succ,
-                            &self.scratch,
-                            &mut self.enc_scratch,
-                        );
+                        self.sys.encode_canonical_into(&self.scratch, &mut self.enc_scratch);
                         self.next.append(self.map, &self.enc_scratch, lid, fp, true);
                     }
                 }
             } else {
-                // Full mode streams the encoding straight into the arena
-                // (the seed hot path: duplicates from this shard's own
-                // expansion never paid for byte emission, new states pay
-                // exactly once).
+                // Full mode copies the encoding straight into the arena:
+                // duplicates from this shard's own expansion never pay for
+                // byte emission, new states pay exactly once.
                 let off = self.next.spilled_off + self.next.bytes.len();
                 let start = self.next.bytes.len();
                 match enc {
                     Some(e) => self.next.bytes.extend_from_slice(e),
-                    None => self.sys.encode_canonical_into(
-                        &self.succ,
-                        &self.scratch,
-                        &mut self.next.bytes,
-                    ),
+                    None => self.sys.encode_canonical_into(&self.scratch, &mut self.next.bytes),
                 }
                 let len = (self.next.bytes.len() - start) as u32;
                 self.next.index.push(FrontEntry { off, len, lid, delta: false, fp });
@@ -1167,7 +1179,7 @@ pub(crate) fn explore<S: TransitionSystem>(
     let initial = sys.initial();
     let fp0 = sys.canonical_fp(&initial, &mut scratch0);
     let mut enc0 = Vec::new();
-    sys.encode_canonical_into(&initial, &scratch0, &mut enc0);
+    sys.encode_canonical_into(&scratch0, &mut enc0);
     let owner0 = (fp0 % threads as u64) as usize;
 
     let inboxes: Vec<Inbox> = (0..threads).map(|_| Inbox::default()).collect();
@@ -1321,8 +1333,8 @@ fn build_trace<S: TransitionSystem>(sys: &S, stores: &[ShardStore], v: &VioCand)
     let mut canonicalize = |from: &S::State, into: &mut S::State, scratch: &mut S::Scratch| {
         sys.canonical_fp(from, scratch);
         enc.clear();
-        sys.encode_canonical_into(from, scratch, &mut enc);
-        sys.decode_into(&enc, into);
+        sys.encode_canonical_into(scratch, &mut enc);
+        sys.decode_into(&enc, into, scratch);
     };
     canonicalize(&succ, &mut state, &mut scratch);
     for step in steps.into_iter().map(S::unpack_step) {
@@ -1426,6 +1438,22 @@ mod tests {
         // hang the test instead.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| mc.run()));
         assert!(result.is_err(), "corrupt arc target must panic, not pass");
+    }
+
+    #[test]
+    fn cache_counts_outside_the_sharer_mask_are_refused() {
+        // 0 caches would pass vacuously; at 9 the u8 sharer mask aliases
+        // cache 8 onto cache 0. Neither may reach the explorer.
+        let ssp = protogen_protocols::msi();
+        let g = protogen_core::generate(&ssp, &protogen_core::GenConfig::stalling()).unwrap();
+        for n in [0, crate::MAX_CACHES + 1] {
+            let built = std::panic::catch_unwind(|| {
+                ModelChecker::new(&g.cache, &g.directory, McConfig::with_caches(n))
+            });
+            let msg = *built.expect_err("must refuse").downcast::<String>().unwrap();
+            assert!(msg.contains(&format!("n_caches {n} outside 1..=8")), "{msg}");
+        }
+        let _ = ModelChecker::new(&g.cache, &g.directory, McConfig::with_caches(crate::MAX_CACHES));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::explore::{
 };
 use crate::property::{materialize, Property, PropertyCtx, PropertySet};
 use crate::store::{fingerprint_bytes, STEP_NONE};
-use crate::system::SysState;
+use crate::system::{SysState, MAX_CACHES};
 use protogen_runtime::{
     apply_into, select_arc_indexed, ApplyOutcome, FsmIndex, MachineCtx, MachineTag, NodeId, PairSet,
 };
@@ -192,7 +192,18 @@ pub struct ModelChecker<'a> {
 
 impl<'a> ModelChecker<'a> {
     /// Creates a checker for the given controllers.
+    ///
+    /// # Panics
+    ///
+    /// Panics when [`McConfig::n_caches`] is outside `1..=`[`MAX_CACHES`]:
+    /// zero caches verify nothing, and past the sharer mask's width cache
+    /// ids alias — either would report a verdict for the wrong space.
     pub fn new(cache_fsm: &'a Fsm, dir_fsm: &'a Fsm, cfg: McConfig) -> Self {
+        assert!(
+            (1..=MAX_CACHES).contains(&cfg.n_caches),
+            "n_caches {} outside 1..={MAX_CACHES}: the sharer list is an 8-bit mask",
+            cfg.n_caches
+        );
         let cache_idx = FsmIndex::new(cache_fsm);
         let dir_idx = FsmIndex::new(dir_fsm);
         let props = materialize(cfg.properties);
@@ -287,8 +298,9 @@ impl<'a> ModelChecker<'a> {
     }
 
     /// Computes the successor of `state` for `step` into the scratch
-    /// state `succ` (copy-on-write: `succ.clone_from(state)` reuses its
-    /// nested allocations, so steady-state stepping allocates nothing).
+    /// state `succ`, restoring from `state` only what the previous step on
+    /// this `(succ, st)` pair wrote (see [`StepScratch`]), so steady-state
+    /// stepping neither allocates nor copies the untouched channels.
     /// Returns `Ok(false)` when the step is not enabled (stalled message,
     /// absent access arc, busy cache) — `succ` is garbage then and must
     /// not be read.
@@ -297,15 +309,11 @@ impl<'a> ModelChecker<'a> {
         state: &SysState,
         step: Step,
         succ: &mut SysState,
-        outcome: &mut ApplyOutcome,
+        st: &mut StepScratch,
     ) -> Result<bool, ViolationKind> {
         match step {
-            Step::Deliver { src, dst, idx } => {
-                self.deliver_into(state, src, dst, idx, succ, outcome)
-            }
-            Step::IssueAccess { cache, access } => {
-                self.issue_into(state, cache, access, succ, outcome)
-            }
+            Step::Deliver { src, dst, idx } => self.deliver_into(state, src, dst, idx, succ, st),
+            Step::IssueAccess { cache, access } => self.issue_into(state, cache, access, succ, st),
         }
     }
 
@@ -320,7 +328,7 @@ impl<'a> ModelChecker<'a> {
         step: Step,
     ) -> Result<Option<SysState>, ViolationKind> {
         let mut succ = SysState::initial(self.cfg.n_caches);
-        let enabled = self.step_into(state, step, &mut succ, &mut ApplyOutcome::default())?;
+        let enabled = self.step_into(state, step, &mut succ, &mut StepScratch::default())?;
         Ok(enabled.then_some(succ))
     }
 
@@ -331,7 +339,7 @@ impl<'a> ModelChecker<'a> {
         dst: u8,
         idx: u8,
         succ: &mut SysState,
-        outcome: &mut ApplyOutcome,
+        st: &mut StepScratch,
     ) -> Result<bool, ViolationKind> {
         let msg = state.channels[src as usize][dst as usize][idx as usize];
         let is_dir = dst as usize == state.n_caches();
@@ -372,7 +380,9 @@ impl<'a> ModelChecker<'a> {
         if arc.kind == protogen_spec::ArcKind::Stall {
             return Ok(false);
         }
-        succ.clone_from(state);
+        st.sync(state, succ);
+        st.touched = Some(Touched { machine: dst, delivered: Some((src, dst)) });
+        let outcome = &mut st.outcome;
         succ.channels[src as usize][dst as usize].remove(idx as usize);
         let store_value = (state.ghost + 1) % self.cfg.value_domain;
         if is_dir {
@@ -417,7 +427,7 @@ impl<'a> ModelChecker<'a> {
         cache: u8,
         access: Access,
         succ: &mut SysState,
-        outcome: &mut ApplyOutcome,
+        st: &mut StepScratch,
     ) -> Result<bool, ViolationKind> {
         let block = &state.caches[cache as usize];
         let arc = select_arc_indexed(
@@ -438,7 +448,9 @@ impl<'a> ModelChecker<'a> {
             // One outstanding transaction per block per cache (§V-F).
             return Ok(false);
         }
-        succ.clone_from(state);
+        st.sync(state, succ);
+        st.touched = Some(Touched { machine: cache, delivered: None });
+        let outcome = &mut st.outcome;
         let store_value = (state.ghost + 1) % self.cfg.value_domain;
         let dir_id = succ.dir_id();
         apply_into(
@@ -496,13 +508,73 @@ impl<'a> ModelChecker<'a> {
     }
 }
 
-/// The flat system's per-worker scratch: the pruned canonicalizer, the
-/// reusable apply outcome (outgoing-message buffer), and — only when
-/// [`McConfig::collect_pair_coverage`] is set — the worker's pair set.
+/// What stepping needs between calls: the reusable apply outcome and the
+/// record of what the previous step wrote into its successor scratch, so
+/// the next step restores only that from the parent instead of copying
+/// the whole state.
+///
+/// What a step may write is bounded by construction: `deliver_into`
+/// removes from one queue, `apply_into` holds a `&mut` to one cache block
+/// or the directory entry, `route` pushes the outcome's outgoing messages
+/// onto the queues they name, and the ghost is one byte. The first two are
+/// recorded in `touched` before anything fallible runs and the routed
+/// queues are read back from `outcome.outgoing` — a superset of what
+/// `route` pushed, whether the step returned `Ok` or `Err` — so every exit
+/// leaves a record [`StepScratch::sync`] can restore from.
+#[derive(Debug, Default)]
+struct StepScratch {
+    outcome: ApplyOutcome,
+    /// Whether `succ` equals the parent everywhere but in what `touched`
+    /// and `outcome.outgoing` name. False in a fresh scratch and after
+    /// [`TransitionSystem::decode_into`] loaded a new parent.
+    synced: bool,
+    touched: Option<Touched>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Touched {
+    /// The machine the step applied an arc to (`n_caches` = the directory).
+    machine: u8,
+    /// The queue it delivered from.
+    delivered: Option<(u8, u8)>,
+}
+
+impl StepScratch {
+    /// Makes `succ` equal `state`: one whole copy when unsynced, otherwise
+    /// a restore of exactly what the previous step wrote.
+    fn sync(&mut self, state: &SysState, succ: &mut SysState) {
+        if self.synced {
+            if let Some(t) = self.touched.take() {
+                let mut restore_queue = |src: usize, dst: usize| {
+                    succ.channels[src][dst].clone_from(&state.channels[src][dst]);
+                };
+                if let Some((src, dst)) = t.delivered {
+                    restore_queue(src as usize, dst as usize);
+                }
+                for m in &self.outcome.outgoing {
+                    restore_queue(m.src.as_usize(), m.dst.as_usize());
+                }
+                match t.machine as usize {
+                    m if m < state.n_caches() => succ.caches[m].clone_from(&state.caches[m]),
+                    _ => succ.dir.clone_from(&state.dir),
+                }
+                succ.ghost = state.ghost;
+            }
+        } else {
+            succ.clone_from(state);
+            self.synced = true;
+        }
+        debug_assert!(succ == state, "restored successor scratch differs from its parent");
+    }
+}
+
+/// The flat system's per-worker scratch: the stepping scratch, the pruned
+/// canonicalizer, and — only when [`McConfig::collect_pair_coverage`] is
+/// set — the worker's pair set.
 #[derive(Debug)]
 pub struct FlatScratch {
+    step: StepScratch,
     canon: Canonicalizer,
-    outcome: ApplyOutcome,
     cov: Option<PairSet>,
 }
 
@@ -541,8 +613,8 @@ impl TransitionSystem for ModelChecker<'_> {
 
     fn scratch(&self) -> FlatScratch {
         FlatScratch {
+            step: StepScratch::default(),
             canon: Canonicalizer::new(self.cfg.n_caches, self.cfg.symmetry),
-            outcome: ApplyOutcome::default(),
             cov: self.cfg.collect_pair_coverage.then(PairSet::new),
         }
     }
@@ -579,7 +651,7 @@ impl TransitionSystem for ModelChecker<'_> {
         if let Some(cov) = scratch.cov.as_mut() {
             self.observe(state, step, cov);
         }
-        self.step_into(state, step, succ, &mut scratch.outcome)
+        self.step_into(state, step, succ, &mut scratch.step)
     }
 
     /// Only deliveries: new accesses can only add transactions, never
@@ -602,12 +674,13 @@ impl TransitionSystem for ModelChecker<'_> {
         scratch.canon.canonical_fp(state)
     }
 
-    fn encode_canonical_into(&self, state: &SysState, scratch: &FlatScratch, out: &mut Vec<u8>) {
-        scratch.canon.encode_best_into(state, out);
+    fn encode_canonical_into(&self, scratch: &FlatScratch, out: &mut Vec<u8>) {
+        scratch.canon.encode_best_into(out);
     }
 
-    fn decode_into(&self, bytes: &[u8], state: &mut SysState) {
+    fn decode_into(&self, bytes: &[u8], state: &mut SysState, scratch: &mut FlatScratch) {
         state.decode_into(bytes, self.cfg.n_caches);
+        scratch.step.synced = false;
     }
 
     /// Preserves [`Step`]'s derived ordering: deliveries sort before

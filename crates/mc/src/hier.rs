@@ -261,13 +261,79 @@ struct HierPerm {
 pub type HierResult = CheckResult;
 
 /// The composed system's per-worker scratch: the canonical-sweep buffers
-/// (`best` holds the encoding the last `canonical_fp` selected) and the
-/// reusable apply outcome.
+/// (`best` holds the encoding the last `canonical_fp` selected), the
+/// reusable apply outcome, and the record of what the previous step wrote
+/// into its successor scratch — restored from the parent before the next
+/// step instead of copying the whole state (the flat checker's
+/// discipline, see `flat.rs`).
 #[derive(Debug, Default)]
 pub struct HierScratch {
     best: Vec<u8>,
     cur: Vec<u8>,
     outcome: ApplyOutcome,
+    /// Whether the successor scratch equals the parent everywhere but in
+    /// what `touched` names. False when fresh and after `decode_into`.
+    synced: bool,
+    touched: Option<Touched>,
+}
+
+/// What one step may write, recorded before anything fallible runs: a
+/// step acts inside one subnet — it removes from one of its queues and
+/// routes the outcome's outgoing messages onto others — and applies an arc
+/// to one machine of it, whose data a hosting / hosted neighbour mirrors.
+#[derive(Debug, Clone, Copy)]
+struct Touched {
+    /// The subnet `(protocol level, parent)` acted in.
+    level: usize,
+    parent: usize,
+    /// The machine-level-`level` node whose cache side ran the arc; `None`
+    /// = the subnet's directory did.
+    cache: Option<usize>,
+    /// The subnet-local queue delivered from.
+    delivered: Option<(usize, usize)>,
+}
+
+impl HierScratch {
+    /// Makes `succ` equal `state`: one whole copy when unsynced, otherwise
+    /// a restore of exactly what the previous step wrote — its subnet's
+    /// delivered and routed-into queues (the latter read back from
+    /// `outcome.outgoing`, a superset of what `route` pushed on any exit),
+    /// the machine `apply_into` borrowed, the one data field a glue sync
+    /// mirrors it into, and the ghost.
+    fn sync(&mut self, state: &HierState, succ: &mut HierState) {
+        if self.synced {
+            if let Some(t) = self.touched.take() {
+                let (j, p) = (t.level, t.parent);
+                let (from, to) = (&state.chans[j][p], &mut succ.chans[j][p]);
+                if let Some((src, dst)) = t.delivered {
+                    to[src][dst].clone_from(&from[src][dst]);
+                }
+                for m in &self.outcome.outgoing {
+                    let (src, dst) = (m.src.as_usize(), m.dst.as_usize());
+                    to[src][dst].clone_from(&from[src][dst]);
+                }
+                match t.cache {
+                    Some(g) => {
+                        succ.caches[j][g].clone_from(&state.caches[j][g]);
+                        if j >= 1 {
+                            succ.dirs[j - 1][g].data = state.dirs[j - 1][g].data;
+                        }
+                    }
+                    None => {
+                        succ.dirs[j][p].clone_from(&state.dirs[j][p]);
+                        if j + 1 < state.caches.len() {
+                            succ.caches[j + 1][p].data = state.caches[j + 1][p].data;
+                        }
+                    }
+                }
+                succ.ghost = state.ghost;
+            }
+        } else {
+            succ.clone_from(state);
+            self.synced = true;
+        }
+        debug_assert!(succ == state, "restored successor scratch differs from its parent");
+    }
 }
 
 /// Explicit-state checker for a composed protocol stack.
@@ -377,7 +443,7 @@ impl HierChecker {
         dst: usize,
         idx: usize,
         succ: &mut HierState,
-        outcome: &mut ApplyOutcome,
+        scratch: &mut HierScratch,
     ) -> Result<bool, ViolationKind> {
         let lvl = &self.levels[j];
         let f = lvl.fanout;
@@ -415,7 +481,10 @@ impl HierChecker {
             if arc.kind == protogen_spec::ArcKind::Stall {
                 return Ok(false);
             }
-            succ.clone_from(state);
+            scratch.sync(state, succ);
+            scratch.touched =
+                Some(Touched { level: j, parent: p, cache: None, delivered: Some((src, dst)) });
+            let outcome = &mut scratch.outcome;
             succ.chans[j][p][src][dst].remove(idx);
             let pre_dir_data = state.dirs[j][p].data;
             apply_into(
@@ -468,7 +537,10 @@ impl HierChecker {
             if arc.kind == protogen_spec::ArcKind::Stall {
                 return Ok(false);
             }
-            succ.clone_from(state);
+            scratch.sync(state, succ);
+            scratch.touched =
+                Some(Touched { level: j, parent: p, cache: Some(g), delivered: Some((src, dst)) });
+            let outcome = &mut scratch.outcome;
             succ.chans[j][p][src][dst].remove(idx);
             let store_value = (state.ghost + 1) % self.cfg.value_domain;
             let pre_data = state.caches[j][g].data;
@@ -515,7 +587,7 @@ impl HierChecker {
         node: usize,
         access: Access,
         succ: &mut HierState,
-        outcome: &mut ApplyOutcome,
+        scratch: &mut HierScratch,
     ) -> Result<bool, ViolationKind> {
         let lvl = &self.levels[jm];
         let f = lvl.fanout;
@@ -538,8 +610,10 @@ impl HierChecker {
             // One outstanding transaction per block per node (§V-F).
             return Ok(false);
         }
-        succ.clone_from(state);
         let (local, parent) = (node % f, node / f);
+        scratch.sync(state, succ);
+        scratch.touched = Some(Touched { level: jm, parent, cache: Some(node), delivered: None });
+        let outcome = &mut scratch.outcome;
         let store_value = (state.ghost + 1) % self.cfg.value_domain;
         let pre_data = block.data;
         apply_into(
@@ -606,7 +680,7 @@ impl HierChecker {
         Ok(())
     }
 
-    /// Streams the byte encoding of the state under `perm` into `sink`.
+    /// Appends the byte encoding of the state under `perm` to `sink`.
     /// Sections are laid out exactly like the flat encoding — all cache
     /// blocks (levels leaf-first), then all directory entries, then all
     /// channels, then the ghost byte, through the same per-section codecs
@@ -850,7 +924,6 @@ impl TransitionSystem for HierChecker {
         succ: &mut HierState,
         scratch: &mut HierScratch,
     ) -> Result<bool, ViolationKind> {
-        let outcome = &mut scratch.outcome;
         match step {
             HStep::Deliver { level, parent, src, dst, idx } => self.deliver_into(
                 state,
@@ -860,10 +933,10 @@ impl TransitionSystem for HierChecker {
                 dst as usize,
                 idx as usize,
                 succ,
-                outcome,
+                scratch,
             ),
             HStep::Issue { mlevel, node, access } => {
-                self.issue_into(state, mlevel as usize, node as usize, access, succ, outcome)
+                self.issue_into(state, mlevel as usize, node as usize, access, succ, scratch)
             }
         }
     }
@@ -912,13 +985,14 @@ impl TransitionSystem for HierChecker {
         fingerprint_bytes(&scratch.best)
     }
 
-    fn encode_canonical_into(&self, _: &HierState, scratch: &HierScratch, out: &mut Vec<u8>) {
+    fn encode_canonical_into(&self, scratch: &HierScratch, out: &mut Vec<u8>) {
         out.extend_from_slice(&scratch.best);
     }
 
     /// Decodes an identity-permutation encoding back into `s` (shaped by
     /// [`Self::initial`]): sections arrive in `s`'s own nesting order.
-    fn decode_into(&self, bytes: &[u8], s: &mut HierState) {
+    fn decode_into(&self, bytes: &[u8], s: &mut HierState, scratch: &mut HierScratch) {
+        scratch.synced = false;
         let mut d = Decoder::new(bytes);
         s.caches.iter_mut().flatten().for_each(|c| d.block(c));
         s.dirs.iter_mut().flatten().for_each(|e| d.dir(e));
@@ -1075,7 +1149,7 @@ mod tests {
         let mut best = Vec::new();
         let mut cur = Vec::new();
         for enc in &encs {
-            hc.decode_into(enc, &mut s);
+            hc.decode_into(enc, &mut s, &mut HierScratch::default());
             hc.canonical_into(&s, &mut best, &mut cur);
             assert_eq!(&best, enc, "canonical encodings must be decode-stable");
         }

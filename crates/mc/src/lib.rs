@@ -12,10 +12,10 @@
 //! BFS ([`McConfig::threads`] workers, each owning one fingerprint-keyed
 //! shard of the visited set, exchanging successor *encodings* through
 //! bounded batch queues and rendezvousing only at epoch boundaries) with
-//! pruned symmetry canonicalization ([`Canonicalizer`]) and clone-free
-//! scratch stepping. Its results — states, transitions, the chosen
-//! violation, and the counterexample trace — are identical for every
-//! thread count and run. The explorer is generic over a
+//! pruned symmetry canonicalization ([`Canonicalizer`]) and scratch
+//! stepping that restores only what the previous step wrote. Its results
+//! — states, transitions, the chosen violation, and the counterexample
+//! trace — are identical for every thread count and run. The explorer is generic over a
 //! [`TransitionSystem`]: [`ModelChecker`] (N caches under one directory)
 //! and [`HierChecker`] (a composed stack) are its two implementations and
 //! share every flag, store tier and the checkpoint format. See DESIGN.md
@@ -75,7 +75,5 @@ pub use hier::{HStep, HierChecker, HierConfig, HierResult, HierScratch, HierStat
 pub use property::{
     DataValue, DeadlockFree, Predicate, Property, PropertyCtx, PropertySet, SingleWriter, Swmr,
 };
-pub use store::{
-    fingerprint_bytes, Fingerprinter, FpPassthroughHasher, MAX_SHARDS, SHARD_CAPACITY,
-};
-pub use system::{invert, permutations, EncodeSink, SysState};
+pub use store::{fingerprint_bytes, FpPassthroughHasher, MAX_SHARDS, SHARD_CAPACITY};
+pub use system::{invert, permutations, SysState, MAX_CACHES};

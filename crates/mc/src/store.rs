@@ -20,8 +20,6 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::system::EncodeSink;
-
 /// Upper bound on worker threads / shards (the global-id packing gives a
 /// shard 5 bits).
 pub const MAX_SHARDS: usize = 32;
@@ -285,8 +283,7 @@ impl ShardStore {
 
 pub(crate) const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The splitmix64 finalizer: a full-avalanche bijection on `u64`. Shared
-/// with the canonicalizer's sort-key hashing (`crate::canon`).
+/// The splitmix64 finalizer: a full-avalanche bijection on `u64`.
 pub(crate) fn mix64(mut z: u64) -> u64 {
     z ^= z >> 30;
     z = z.wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -295,67 +292,36 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Streaming 64-bit state fingerprinter.
+/// One absorption step of the fingerprint chain: the chunk is folded into
+/// the running accumulator through the splitmix64 finalizer, so every
+/// input bit avalanches across all 64 output bits. Shared with the
+/// canonicalizer's sort-key hashing (`crate::canon`).
+#[inline(always)]
+pub(crate) fn absorb(h: u64, chunk: u64) -> u64 {
+    mix64(h ^ chunk).wrapping_add(GOLDEN)
+}
+
+/// The 64-bit fingerprint of a byte string.
 ///
-/// Bytes are packed little-endian into 8-byte chunks; each chunk passes
-/// through the splitmix64 finalizer chained with the running accumulator,
-/// so every input byte avalanches across all 64 output bits. The final
-/// digest also absorbs the stream length, separating prefixes. The seed is
-/// fixed — fingerprints (and therefore exploration results) are identical
-/// run to run.
-#[derive(Debug)]
-pub struct Fingerprinter {
-    h: u64,
-    buf: u64,
-    buf_len: u32,
-    len: u64,
-}
-
-impl Default for Fingerprinter {
-    fn default() -> Self {
-        Fingerprinter::new()
-    }
-}
-
-impl Fingerprinter {
-    /// A fresh hasher (fixed seed).
-    pub fn new() -> Self {
-        Fingerprinter { h: GOLDEN, buf: 0, buf_len: 0, len: 0 }
-    }
-
-    fn absorb(&mut self, chunk: u64) {
-        self.h = mix64(self.h ^ chunk).wrapping_add(GOLDEN);
-    }
-
-    /// The 64-bit digest of everything written so far.
-    pub fn finish(mut self) -> u64 {
-        if self.buf_len > 0 {
-            let chunk = self.buf;
-            self.absorb(chunk);
-        }
-        mix64(self.h ^ self.len)
-    }
-}
-
-impl EncodeSink for Fingerprinter {
-    fn put(&mut self, byte: u8) {
-        self.buf |= (byte as u64) << (8 * self.buf_len);
-        self.buf_len += 1;
-        self.len += 1;
-        if self.buf_len == 8 {
-            let chunk = self.buf;
-            self.absorb(chunk);
-            self.buf = 0;
-            self.buf_len = 0;
-        }
-    }
-}
-
-/// Fingerprints a byte slice in one call (tests and non-streaming users).
+/// Bytes are read little-endian in 8-byte words (a short tail is
+/// zero-padded); each word is absorbed into the running accumulator, and
+/// the final digest also absorbs the length, separating prefixes. The
+/// seed is fixed — fingerprints (and therefore exploration results and
+/// checkpoints) are identical run to run and release to release; the
+/// golden digests in this module's tests pin the function.
 pub fn fingerprint_bytes(bytes: &[u8]) -> u64 {
-    let mut f = Fingerprinter::new();
-    f.put_slice(bytes);
-    f.finish()
+    let mut h = GOLDEN;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h = absorb(h, u64::from_le_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = absorb(h, u64::from_le_bytes(last));
+    }
+    mix64(h ^ bytes.len() as u64)
 }
 
 #[cfg(test)]
@@ -383,17 +349,55 @@ mod tests {
         assert!(Gid::try_pack(usize::MAX, usize::MAX).is_none());
     }
 
+    /// The definition `fingerprint_bytes` must keep computing: one byte at
+    /// a time into a little-endian 8-byte accumulator, flushed when full.
+    fn fingerprint_bytewise(bytes: &[u8]) -> u64 {
+        let (mut h, mut buf, mut buf_len) = (GOLDEN, 0u64, 0u32);
+        for &b in bytes {
+            buf |= (b as u64) << (8 * buf_len);
+            buf_len += 1;
+            if buf_len == 8 {
+                h = absorb(h, buf);
+                (buf, buf_len) = (0, 0);
+            }
+        }
+        if buf_len > 0 {
+            h = absorb(h, buf);
+        }
+        mix64(h ^ bytes.len() as u64)
+    }
+
     #[test]
     fn fingerprint_is_chunking_independent() {
-        // The digest must depend only on the byte stream, not on how it
-        // was fed in.
+        // The digest must depend only on the byte stream, not on how the
+        // word-wide reader happens to chunk it: every length around the
+        // word boundaries agrees with the byte-at-a-time definition.
         let data: Vec<u8> = (0u8..=200).collect();
-        let whole = fingerprint_bytes(&data);
-        let mut f = Fingerprinter::new();
-        for chunk in data.chunks(3) {
-            f.put_slice(chunk);
+        for len in (0..=40).chain([63, 64, 65, 200, 201]) {
+            assert_eq!(
+                fingerprint_bytes(&data[..len]),
+                fingerprint_bytewise(&data[..len]),
+                "length {len}"
+            );
         }
-        assert_eq!(whole, f.finish());
+    }
+
+    #[test]
+    fn fingerprint_digests_are_pinned() {
+        // Recorded from the commit before the word-wide reader: stored
+        // checkpoints and every pinned count depend on these exact values,
+        // so a change here is a deliberate format break.
+        let data = |len: usize| (0..len).map(|i| (i * 7 + 3) as u8).collect::<Vec<u8>>();
+        for (len, want) in [
+            (0, 0xe220a8397b1dcdaf_u64),
+            (1, 0x86d6fd953217ae03),
+            (7, 0xb3dbf4478908e322),
+            (8, 0xa3dd130d5106e4ef),
+            (9, 0xb3c5737673fc1bfe),
+            (200, 0xf217dcf5ea973e2d),
+        ] {
+            assert_eq!(fingerprint_bytes(&data(len)), want, "length {len}");
+        }
     }
 
     #[test]

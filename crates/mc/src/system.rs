@@ -3,30 +3,10 @@
 use protogen_runtime::{CacheBlock, DirEntry, Msg, NodeId, Val};
 use protogen_spec::{Access, FsmStateId, MsgId};
 
-/// A byte sink for state encoding: either a plain buffer or a streaming
-/// fingerprint hasher, so symmetry canonicalization never has to
-/// materialize permuted states or intermediate byte vectors.
-pub trait EncodeSink {
-    /// Consumes one byte.
-    fn put(&mut self, byte: u8);
-
-    /// Consumes a run of bytes.
-    fn put_slice(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.put(b);
-        }
-    }
-}
-
-impl EncodeSink for Vec<u8> {
-    fn put(&mut self, byte: u8) {
-        self.push(byte);
-    }
-
-    fn put_slice(&mut self, bytes: &[u8]) {
-        self.extend_from_slice(bytes);
-    }
-}
+/// The most caches one directory can serve: [`DirEntry::sharers`] is a
+/// `u8` bitmask over cache ids (`1 << id` would alias id 8 onto id 0), and
+/// the symmetry sweep's worst case is `MAX_CACHES!` permutations.
+pub const MAX_CACHES: usize = 8;
 
 /// The inverse of a permutation over `0..n`: `invert(p)[p[i]] == i`.
 pub fn invert(perm: &[u8]) -> Vec<u8> {
@@ -46,54 +26,59 @@ pub fn invert(perm: &[u8]) -> Vec<u8> {
 // either. Node ids are renamed through `map` on the way out.
 
 #[inline(always)]
-fn put_slots<S: EncodeSink>(sink: &mut S, slots: &[(NodeId, u8)], map: impl Fn(NodeId) -> u8) {
-    sink.put(slots.len() as u8);
+fn put_slots(out: &mut Vec<u8>, slots: &[(NodeId, u8)], map: impl Fn(NodeId) -> u8) {
     for (node, a) in slots {
-        sink.put(map(*node));
-        sink.put(*a);
+        out.extend_from_slice(&[map(*node), *a]);
     }
 }
 
 /// One cache-block section: 7 fixed bytes + 2 per chain slot.
 #[inline(always)]
-pub(crate) fn put_block<S: EncodeSink>(sink: &mut S, c: &CacheBlock, map: impl Fn(NodeId) -> u8) {
-    let state = u16::try_from(c.state.0).expect("state id exceeds u16");
-    sink.put_slice(&state.to_le_bytes());
-    sink.put(c.data.unwrap_or(0xff));
-    sink.put(c.acks_received);
-    sink.put(c.acks_expected.unwrap_or(0xff));
-    sink.put(c.pending.map_or(0xff, |a| a.index() as u8));
-    put_slots(sink, &c.chain_slots, map);
+pub(crate) fn put_block(out: &mut Vec<u8>, c: &CacheBlock, map: impl Fn(NodeId) -> u8) {
+    let [s0, s1] = u16::try_from(c.state.0).expect("state id exceeds u16").to_le_bytes();
+    out.extend_from_slice(&[
+        s0,
+        s1,
+        c.data.unwrap_or(0xff),
+        c.acks_received,
+        c.acks_expected.unwrap_or(0xff),
+        c.pending.map_or(0xff, |a| a.index() as u8),
+        c.chain_slots.len() as u8,
+    ]);
+    put_slots(out, &c.chain_slots, map);
 }
 
 /// One directory section: 6 fixed bytes + 2 per chain slot. `sharers` is
 /// the already-renamed sharer mask.
 #[inline(always)]
-pub(crate) fn put_dir<S: EncodeSink>(
-    sink: &mut S,
-    dir: &DirEntry,
-    sharers: u8,
-    map: impl Fn(NodeId) -> u8,
-) {
-    let state = u16::try_from(dir.state.0).expect("state id exceeds u16");
-    sink.put_slice(&state.to_le_bytes());
-    sink.put(dir.owner.map_or(0xff, &map));
-    sink.put(sharers);
-    sink.put(dir.data);
-    put_slots(sink, &dir.chain_slots, map);
+pub(crate) fn put_dir(out: &mut Vec<u8>, dir: &DirEntry, sharers: u8, map: impl Fn(NodeId) -> u8) {
+    let [s0, s1] = u16::try_from(dir.state.0).expect("state id exceeds u16").to_le_bytes();
+    out.extend_from_slice(&[
+        s0,
+        s1,
+        dir.owner.map_or(0xff, &map),
+        sharers,
+        dir.data,
+        dir.chain_slots.len() as u8,
+    ]);
+    put_slots(out, &dir.chain_slots, map);
 }
 
 /// One channel-queue section: a length byte + 7 per message.
 #[inline(always)]
-pub(crate) fn put_queue<S: EncodeSink>(sink: &mut S, q: &[Msg], map: impl Fn(NodeId) -> u8) {
-    sink.put(q.len() as u8);
+pub(crate) fn put_queue(out: &mut Vec<u8>, q: &[Msg], map: impl Fn(NodeId) -> u8) {
+    out.push(q.len() as u8);
     for m in q {
-        sink.put_slice(&m.mtype.0.to_le_bytes());
-        sink.put(map(m.src));
-        sink.put(map(m.dst));
-        sink.put(map(m.req));
-        sink.put(m.ack_count.unwrap_or(0xff));
-        sink.put(m.data.unwrap_or(0xff));
+        let [t0, t1] = m.mtype.0.to_le_bytes();
+        out.extend_from_slice(&[
+            t0,
+            t1,
+            map(m.src),
+            map(m.dst),
+            map(m.req),
+            m.ack_count.unwrap_or(0xff),
+            m.data.unwrap_or(0xff),
+        ]);
     }
 }
 
@@ -191,7 +176,7 @@ impl<'a> Decoder<'a> {
 /// after whatever the stalling machine is waiting for, so head-of-line
 /// blocking cannot deadlock. In unordered mode (§VI-C) delivery may take
 /// any queue position, which models arbitrary reordering.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct SysState {
     /// Per-cache block state; index = cache id.
     pub caches: Vec<CacheBlock>,
@@ -202,6 +187,26 @@ pub struct SysState {
     /// Ghost memory: the value of the most recent store in serialization
     /// order. Loads performed with read permission must return it.
     pub ghost: Val,
+}
+
+impl Clone for SysState {
+    fn clone(&self) -> Self {
+        SysState {
+            caches: self.caches.clone(),
+            dir: self.dir.clone(),
+            channels: self.channels.clone(),
+            ghost: self.ghost,
+        }
+    }
+
+    /// Field-wise, so the nested vectors keep their allocations (the
+    /// derived `clone_from` would drop and reallocate all of them).
+    fn clone_from(&mut self, src: &Self) {
+        self.caches.clone_from(&src.caches);
+        self.dir.clone_from(&src.dir);
+        self.channels.clone_from(&src.channels);
+        self.ghost = src.ghost;
+    }
 }
 
 impl SysState {
@@ -250,7 +255,7 @@ impl SysState {
         out
     }
 
-    /// Streams the byte encoding of `self.permuted(perm)` into `sink`
+    /// Appends the byte encoding of `self.permuted(perm)` to `out`
     /// without materializing the permuted state — the model checker's
     /// canonicalization hot path. `inv` must be the inverse permutation of
     /// `perm` (see [`invert`]); the bytes produced are exactly
@@ -261,7 +266,7 @@ impl SysState {
     /// prefixes for the (bounded) chain-slot and channel-queue sequences,
     /// so the encoding is injective and a 64-bit fingerprint of it can
     /// stand in for the full state.
-    pub fn encode_permuted_to<S: EncodeSink>(&self, perm: &[u8], inv: &[u8], sink: &mut S) {
+    pub fn encode_permuted_to(&self, perm: &[u8], inv: &[u8], out: &mut Vec<u8>) {
         let n = self.n_caches();
         debug_assert_eq!(perm.len(), n);
         debug_assert_eq!(inv.len(), n);
@@ -273,7 +278,7 @@ impl SysState {
             }
         };
         for &src_cache in inv.iter() {
-            put_block(sink, &self.caches[src_cache as usize], map);
+            put_block(out, &self.caches[src_cache as usize], map);
         }
         let mut sharers = 0u8;
         for (i, &p) in perm.iter().enumerate() {
@@ -281,16 +286,16 @@ impl SysState {
                 sharers |= 1 << p;
             }
         }
-        put_dir(sink, &self.dir, sharers, map);
+        put_dir(out, &self.dir, sharers, map);
         let total = n + 1;
         let src_of = |x: usize| if x < n { inv[x] as usize } else { x };
         for s2 in 0..total {
             let row = &self.channels[src_of(s2)];
             for d2 in 0..total {
-                put_queue(sink, &row[src_of(d2)], map);
+                put_queue(out, &row[src_of(d2)], map);
             }
         }
-        sink.put(self.ghost);
+        out.push(self.ghost);
     }
 
     /// The canonical encoding under cache-identity symmetry (the Murϕ
@@ -310,18 +315,17 @@ impl SysState {
         let keys: Vec<u64> = (0..n).map(|i| crate::cache_sort_key(self, i)).collect();
         let mut best: Option<(Vec<u64>, u64, Vec<u8>)> = None;
         let mut key_seq = vec![0u64; n];
+        let mut enc = Vec::with_capacity(96);
         for p in perms {
             let inv = invert(p);
             for (slot, &src) in inv.iter().enumerate() {
                 key_seq[slot] = keys[src as usize];
             }
-            let mut h = crate::store::Fingerprinter::new();
-            self.encode_permuted_to(p, &inv, &mut h);
-            let fp = h.finish();
+            enc.clear();
+            self.encode_permuted_to(p, &inv, &mut enc);
+            let fp = crate::store::fingerprint_bytes(&enc);
             if best.as_ref().is_none_or(|(bk, bfp, _)| (&key_seq, fp) < (bk, *bfp)) {
-                let mut enc = Vec::with_capacity(96);
-                self.encode_permuted_to(p, &inv, &mut enc);
-                best = Some((key_seq.clone(), fp, enc));
+                best = Some((key_seq.clone(), fp, enc.clone()));
             }
         }
         best.map(|(_, _, enc)| enc).unwrap_or_else(|| self.encode())

@@ -125,6 +125,36 @@ fn resumed_violation_trace_is_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A checkpoint written by the commit before ISSUE 15's hot-path rework
+/// (MSI stalling @ 3 caches, 2 threads, stopped after one epoch; the
+/// `fixtures/ck-msi3-parent` tree) resumes under this one to the counts
+/// of an uninterrupted run: the encoding layout, the fingerprint, the
+/// sharding rule and the identity fingerprint it was written under are
+/// all still what this build computes. If the generator or the identity
+/// string changes on purpose, resume reports "different checker
+/// configuration" here; re-record the fixture then (`checkpoint_every =
+/// 1`, `max_states = 4`, keep `ck-1`).
+#[test]
+fn a_checkpoint_from_before_the_hot_path_rework_resumes() {
+    let ssp = protogen_protocols::msi();
+    let g = generate(&ssp, &GenConfig::stalling()).unwrap();
+    let fixture =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ck-msi3-parent");
+    let dir = tmpdir("fixture");
+    std::fs::create_dir_all(dir.join("ck-1")).unwrap();
+    for file in ["manifest.bin", "shard-0.bin", "shard-1.bin"] {
+        std::fs::copy(fixture.join("ck-1").join(file), dir.join("ck-1").join(file)).unwrap();
+    }
+    let mut cfg = McConfig::with_caches_and_threads(3, 1);
+    cfg.checkpoint_dir = Some(dir.clone());
+    cfg.checkpoint_every = u32::MAX;
+    let resumed = ModelChecker::new(&g.cache, &g.directory, cfg).resume().unwrap();
+    assert!(resumed.passed(), "{:?}", resumed.violation);
+    assert_eq!((resumed.states, resumed.transitions), (18_326, 65_420));
+    assert_eq!(resumed.threads, 2, "threads come from the manifest");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn resume_refuses_mismatched_configuration() {
     let ssp = protogen_protocols::msi();

@@ -388,6 +388,47 @@ fn counterexample_traces_are_deterministic() {
     assert!(!reference.trace.is_empty(), "violation carries no trace");
 }
 
+/// The TSO-CC-under-`sc` counterexample, pinned to the text the commit
+/// before ISSUE 15's hot-path rework printed: the same SWMR violation and
+/// the same six lines at 1, 2 and 4 threads, full and delta stores. A
+/// change to the encoding layout, the fingerprint, the canonical
+/// representative or a tie-break shows up here as a different trace, so
+/// it can only be made deliberately.
+#[test]
+fn tso_cc_counterexample_trace_is_pinned() {
+    use protogen::mc::{StoreMode, ViolationKind};
+    let ssp = protogen::protocols::tso_cc();
+    let g = generate(&ssp, &GenConfig::non_stalling()).unwrap();
+    for threads in [1, 2, 4] {
+        for store in [StoreMode::Full, StoreMode::Delta] {
+            let cfg = McConfig { threads, store, ..McConfig::with_caches(2) };
+            let r = ModelChecker::new(&g.cache, &g.directory, cfg).run();
+            let label = format!("{threads} threads, {store:?}");
+            assert_eq!((r.states, r.transitions), (64, 132), "{label}");
+            let v = r.violation.expect("control fails");
+            assert_eq!(
+                v.kind,
+                ViolationKind::Swmr(
+                    "cache n0 holds write permission while n1 holds read permission".into()
+                ),
+                "{label}"
+            );
+            assert_eq!(
+                v.trace,
+                [
+                    "n0[I] load",
+                    "n0[I] store",
+                    "GetS m0[n1→n2 req=n1] -> dir[I]",
+                    "GetM m1[n0→n2 req=n0] -> dir[S]",
+                    "Data m5[n2→n1 req=n1 data=0] -> n1[IM_D]",
+                    "Data m5[n2→n1 req=n1 data=0] -> n1[IS_D]",
+                ],
+                "{label}"
+            );
+        }
+    }
+}
+
 /// The same determinism spine on a composed stack: the fuzz campaign's
 /// glue-weakened control (2×2 MSI-under-MSI, `GetM` gate `ReadWrite →
 /// Read`) yields the byte-identical SWMR violation and counterexample
