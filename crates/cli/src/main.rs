@@ -42,7 +42,12 @@
 //! symmetry reduction; `table`/`dot --compose` render one
 //! section (or cluster) per level with the derived glue. `compile` on a
 //! `.pgen` file carrying a `compose { … }` block does the same after
-//! resolving the referenced protocol names.
+//! resolving the referenced protocol names. A stack with more than 256
+//! nodes at one level is a usage error on all of them.
+//!
+//! `verify` prints one verdict word: `PASSED`, `FAILED` (a violation,
+//! followed by its trace) or `INCOMPLETE` (a limit such as `--max-states`
+//! stopped the exploration first); the last two exit 1.
 //!
 //! `verify --mem-budget` caps the checker's accounted RAM (suffixes K/M/G,
 //! binary): over budget, cold frontier bytes and frozen visited records
@@ -96,7 +101,9 @@ use protogen_backend::{
 };
 use protogen_core::{compose, generate, Composed, GenConfig, Generated};
 use protogen_litmus::{run_suite, Limits};
-use protogen_mc::{HierChecker, McConfig, ModelChecker, PropertySet, StoreMode, MAX_CACHES};
+use protogen_mc::{
+    HierChecker, McConfig, ModelChecker, PropertySet, StoreMode, MAX_CACHES, MAX_GROUP,
+};
 use protogen_serve::{
     checked_envelope, pair_label, serve, FaultConfig, ServeConfig, ServeError, StopReason,
 };
@@ -328,11 +335,19 @@ fn verify(target: Target, args: &Args, threads: usize) -> bool {
         }
         Target::Composed(composed, _) => {
             let hc = HierChecker::new(composed, cfg.into());
+            // A group of 1 is what symmetry off reads too: say when it is
+            // the cap that turned the reduction off.
+            let order = hc.group_order();
+            let symmetry = if order > MAX_GROUP as f64 {
+                let order = if order < 1e15 { format!("{order}") } else { format!("{order:.2e}") };
+                format!("no symmetry reduction: group order {order} > {MAX_GROUP}")
+            } else {
+                format!("symmetry group {}", hc.group_size())
+            };
             let shape = format!(
-                "; {} levels, {} nodes, symmetry group {}",
+                "; {} levels, {} nodes, {symmetry}",
                 composed.depth(),
                 hc.counts().iter().sum::<usize>() - 1,
-                hc.group_size()
             );
             (if resume { hc.resume() } else { Ok(hc.check()) }, shape)
         }
@@ -346,7 +361,13 @@ fn verify(target: Target, args: &Args, threads: usize) -> bool {
     });
     println!(
         "{name}: {} — {} states, {} transitions, {:.2}s ({:.0} states/s) on {} thread{}{shape}",
-        if r.passed() { "PASSED" } else { "FAILED" },
+        // A limit that fired before any violation proved nothing either
+        // way: not a pass (exit 1), but not a counterexample.
+        match (&r.violation, &r.limit) {
+            (Some(_), _) => "FAILED",
+            (None, Some(_)) => "INCOMPLETE",
+            (None, None) => "PASSED",
+        },
         r.states,
         r.transitions,
         r.seconds,
@@ -385,7 +406,7 @@ fn verify(target: Target, args: &Args, threads: usize) -> bool {
     r.passed()
 }
 
-/// Exit code 0 for a passed verification, 1 for a failed one.
+/// Exit code 0 for a passed verification, 1 for a failed or incomplete one.
 fn exit_code(passed: bool) -> ExitCode {
     ExitCode::from(u8::from(!passed))
 }
@@ -433,7 +454,8 @@ fn parse_compose_flag(spec: &str) -> Result<Composition, String> {
 /// Generates a composition or exits with a usage error, mirroring
 /// [`generate_or_exit`] for the composed pipeline.
 fn compose_or_exit(comp: &Composition, args: &Args) -> Composed {
-    match compose(comp, &gen_config(args)) {
+    let composed = compose(comp, &gen_config(args)).map_err(|e| e.to_string());
+    match composed.and_then(|c| HierChecker::check_size(&c).map(|()| c)) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("composition failed: {e}");

@@ -429,6 +429,61 @@ fn out_of_range_cache_counts_are_usage_errors() {
     assert!(stdout.contains("state budget exhausted"), "{stdout}");
 }
 
+/// A stack with more than 256 nodes at one machine level used to wrap its
+/// one-byte node indices and die on an index panic (exit 101). Now every
+/// way into the composed pipeline refuses it by level and node count; the
+/// widest stack that fits (8·8·4 = 256 leaves) still starts, unreduced,
+/// and says why it runs unreduced.
+#[test]
+fn stacks_past_the_level_node_bound_are_usage_errors() {
+    let pgen =
+        std::env::temp_dir().join(format!("protogen-smoke-wide-{}.pgen", std::process::id()));
+    std::fs::write(&pgen, "protocol Wide; compose { l1: msi(8); l2: msi(8); llc: msi(5); }")
+        .unwrap();
+    let wide = "l1=msi:8,l2=msi:8,llc=msi:5";
+    for args in [
+        &["verify", "--compose", wide, "--stalling", "--max-states", "50"][..],
+        &["table", "--compose", wide],
+        &["dot", "--compose", wide],
+        &["compile", pgen.to_str().unwrap()],
+    ] {
+        let out = protogen(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("level 0 (l1) has 320 nodes"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a result");
+    }
+    let _ = std::fs::remove_file(&pgen);
+
+    let fits = "l1=msi:8,l2=msi:8,llc=msi:4";
+    let out = protogen(&["verify", "--compose", fits, "--stalling", "--max-states", "50"]);
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("3 levels, 292 nodes, no symmetry reduction: group order"), "{stdout}");
+    assert!(stdout.contains(" > 40320\n"), "{stdout}");
+    assert!(stdout.contains("state budget exhausted"), "{stdout}");
+}
+
+/// The verdict word tells a counterexample from a run a limit cut short:
+/// only the first is `FAILED`; both exit 1. A group just past the cap is
+/// printed in full.
+#[test]
+fn budget_stops_read_incomplete_and_violations_failed() {
+    let stack = ["verify", "--compose", "l1=msi:4,llc=msi:3", "--stalling", "--threads", "1"];
+    let out = protogen(&[&stack[..], &["--max-states", "200"]].concat());
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("l1=msi:4,llc=msi:3: INCOMPLETE — "), "{stdout}");
+    assert!(stdout.contains("no symmetry reduction: group order 82944 > 40320"), "{stdout}");
+    assert!(!stdout.contains("FAILED") && !stdout.contains("PASSED"), "{stdout}");
+
+    let out = protogen(&["verify", "tso-cc", "--property", "sc", "--caches", "2"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("FAILED") && stdout.contains("violation:"), "{stdout}");
+    assert!(!stdout.contains("INCOMPLETE"), "{stdout}");
+}
+
 #[test]
 fn verify_checkpoint_flag_misuse_is_rejected() {
     let out = protogen(&["verify", "msi", "--resume"]);

@@ -29,10 +29,16 @@
 //! partner order cannot leak in. Both properties are pinned by the
 //! `canon_prop` proptests (pruned ≡ full sweep byte-for-byte, and orbit
 //! stability under random permutations).
+//!
+//! The key is a function of one *subnet* — sibling blocks, their directory
+//! entry, their channels ([`subnet_sort_key`]) — and the flat system is
+//! one subnet. A composed stack (`crate::hier`) has one per parent, builds
+//! its subtree keys on the same function, and applies the same rule under
+//! every parent, so a one-level stack selects this module's bytes.
 
 use crate::store::{absorb, fingerprint_bytes, GOLDEN};
 use crate::system::SysState;
-use protogen_runtime::{Msg, NodeId};
+use protogen_runtime::{CacheBlock, DirEntry, Msg, NodeId};
 use protogen_spec::Access;
 
 /// How an encoded node id relates to the cache whose key is being built.
@@ -59,7 +65,7 @@ fn msg_word(m: &Msg, this: usize, n: usize) -> u64 {
 }
 
 /// Order-preserving hash of one channel queue from cache `this`'s view.
-fn queue_hash(q: &[Msg], this: usize, n: usize) -> u64 {
+pub(crate) fn queue_hash(q: &[Msg], this: usize, n: usize) -> u64 {
     let mut h = absorb(GOLDEN, q.len() as u64);
     for m in q {
         h = absorb(h, msg_word(m, this, n));
@@ -67,20 +73,30 @@ fn queue_hash(q: &[Msg], this: usize, n: usize) -> u64 {
     h
 }
 
-/// The permutation-invariant symmetry sort key of cache `i` in `s`: a
-/// 64-bit hash of the cache's FSM state, its scalar block fields, its
-/// chain slots (endpoint roles only), and the multiset of in-flight
-/// messages on every channel touching it. Queue order *within* a channel
-/// is preserved (channels move wholesale under a permutation); the
-/// combination *across* same-role partners is a commutative sum, because
-/// a permutation may reorder which other cache is "first".
+/// The permutation-invariant symmetry sort key of node `i` of one subnet —
+/// `caches.len()` sibling blocks under the directory entry `dir`, with
+/// `chans[src][dst]` the subnet-local FIFOs (id `caches.len()` is the
+/// directory): a 64-bit hash of the node's FSM state, its scalar block
+/// fields, the directory-facing bits that name it, its chain slots
+/// (endpoint roles only), and the multiset of in-flight messages on every
+/// channel touching it. Queue order *within* a channel is preserved
+/// (channels move wholesale under a permutation); the combination *across*
+/// same-role partners is a commutative sum, because a permutation may
+/// reorder which other sibling is "first".
 ///
-/// Invariance contract: `cache_sort_key(s, i) ==
-/// cache_sort_key(&s.permuted(p), p[i])` for every permutation `p` — the
-/// property that makes orbit pruning sound (DESIGN.md §8).
-pub fn cache_sort_key(s: &SysState, i: usize) -> u64 {
-    let n = s.n_caches();
-    let c = &s.caches[i];
+/// This is the one key function of both systems: the flat checker's whole
+/// state is one such subnet ([`cache_sort_key`]), and a composed stack's
+/// `caches[j][p·f..]` / `dirs[j][p]` / `chans[j][p]` is one per parent
+/// (`crate::hier` absorbs what hangs below a node on top of it).
+#[inline]
+pub(crate) fn subnet_sort_key(
+    caches: &[CacheBlock],
+    dir: &DirEntry,
+    chans: &[Vec<Vec<Msg>>],
+    i: usize,
+) -> u64 {
+    let n = caches.len();
+    let c = &caches[i];
     // Every scalar block field plus the directory-facing bits that name
     // this cache, packed into one word (fields are tiny by the bounding
     // discipline; 0x1ff/0x3 are the `None` sentinels).
@@ -94,27 +110,26 @@ pub fn cache_sort_key(s: &SysState, i: usize) -> u64 {
             Some(Access::Store) => 1,
             Some(Access::Replacement) => 2,
         } << 42
-        | ((s.dir.owner == Some(NodeId(i as u8))) as u64) << 44
-        | ((s.dir.sharers >> i & 1) as u64) << 45
-        | (s.dir.chain_slots.iter().filter(|(nd, _)| nd.as_usize() == i).count() as u64) << 46
+        | ((dir.owner == Some(NodeId(i as u8))) as u64) << 44
+        | ((dir.sharers >> i & 1) as u64) << 45
+        | (dir.chain_slots.iter().filter(|(nd, _)| nd.as_usize() == i).count() as u64) << 46
         | (c.chain_slots.len() as u64) << 50;
     let mut h = absorb(GOLDEN, block);
     for (node, a) in &c.chain_slots {
         h = absorb(h, role(*node, i, n) | (*a as u64) << 2);
     }
     // Channels to/from the directory keep their (fixed) direction.
-    let dir = n;
-    h = absorb(h, queue_hash(&s.channels[i][dir], i, n));
-    h = absorb(h, queue_hash(&s.channels[dir][i], i, n));
+    h = absorb(h, queue_hash(&chans[i][n], i, n));
+    h = absorb(h, queue_hash(&chans[n][i], i, n));
     // Channels to/from other caches: combine per-partner pair hashes
     // commutatively, since a permutation may reorder the partners.
     let mut peers: u64 = 0;
-    for j in 0..n {
+    for (j, from_j) in chans[..n].iter().enumerate() {
         if j == i {
             continue;
         }
-        let out_q = &s.channels[i][j];
-        let in_q = &s.channels[j][i];
+        let out_q = &chans[i][j];
+        let in_q = &from_j[i];
         if out_q.is_empty() && in_q.is_empty() {
             continue; // idle peers contribute one shared constant
         }
@@ -122,6 +137,16 @@ pub fn cache_sort_key(s: &SysState, i: usize) -> u64 {
         peers = peers.wrapping_add(pair);
     }
     absorb(h, peers)
+}
+
+/// The symmetry sort key of cache `i` in the flat system `s`: the subnet
+/// key function over the system's one subnet.
+///
+/// Invariance contract: `cache_sort_key(s, i) ==
+/// cache_sort_key(&s.permuted(p), p[i])` for every permutation `p` — the
+/// property that makes orbit pruning sound (DESIGN.md §8).
+pub fn cache_sort_key(s: &SysState, i: usize) -> u64 {
+    subnet_sort_key(&s.caches, &s.dir, &s.channels, i)
 }
 
 /// The pruned symmetry canonicalizer: one per worker thread, owning the

@@ -44,12 +44,23 @@
 //! Symmetry reduction uses the *wreath product* of per-level sibling
 //! permutations: children may be permuted within a parent and parents
 //! within their own level (children moving with them), but never across
-//! subtrees. Canonicalization is an exact minimum over the whole group
-//! (bounded; falls back to no reduction past [`MAX_GROUP`]), so — like the
-//! flat checker's exact sweep — the orbit partition is exact and a
-//! one-level composition visits exactly as many canonical states as the
-//! flat checker at the same cache count (pinned by the conformance tests).
+//! subtrees. Canonicalization is the flat checker's orbit pruning
+//! (`canon.rs`, DESIGN.md §8) applied per parent: every node below the
+//! root gets a permutation-invariant *subtree key* — the flat sort key
+//! over its own subnet, absorbed with the scalar fields of the inner
+//! directory it hosts and its children's keys in sorted order — the
+//! canonical arrangement lists siblings in ascending key order under
+//! every parent, and only the arrangements *within equal-key sibling
+//! runs* are enumerated; the representative is the minimum-fingerprint
+//! candidate, ties by enumeration order. The orbit partition is exact, so
+//! a one-level composition visits exactly as many canonical states as the
+//! flat checker at the same cache count — and, the rule being the same
+//! one, selects the same canonical bytes and fingerprint on every state
+//! (pinned by the conformance tests). A stack whose group order exceeds
+//! [`MAX_GROUP`] runs unreduced: a fully symmetric state still enumerates
+//! its whole tie product, so the cap bounds the worst case.
 
+use crate::canon::{queue_hash, subnet_sort_key};
 use crate::checkpoint::CheckpointError;
 use crate::delta::SectionMap;
 use crate::explore::{
@@ -58,7 +69,7 @@ use crate::explore::{
 };
 use crate::flat::McConfig;
 use crate::property::{perm_conflict, stale_copy, PropertySet};
-use crate::store::fingerprint_bytes;
+use crate::store::{absorb, fingerprint_bytes};
 use crate::system::{put_block, put_dir, put_queue, Decoder};
 use protogen_core::Composed;
 use protogen_runtime::{
@@ -69,10 +80,11 @@ use protogen_spec::{Access, Event, Fsm, FsmStateId, MsgClass, Perm};
 use std::fmt;
 use std::path::PathBuf;
 
-/// Largest wreath-product group the canonicalizer sweeps exactly; stacks
-/// whose group is bigger run without symmetry reduction. 8! covers every
-/// single-level system the flat checker handles and all the bundled
-/// compositions (2×2 MSI-under-MSI has a group of 8).
+/// Largest wreath-product group the canonicalizer reduces under; stacks
+/// whose group is bigger run without symmetry reduction (a fully symmetric
+/// state enumerates its whole group). 8! covers every single-level system
+/// the flat checker handles and all the bundled compositions (2×2
+/// MSI-under-MSI has a group of 8).
 pub const MAX_GROUP: usize = 40_320;
 
 /// Hierarchical checker configuration: five semantic fields, then the
@@ -204,6 +216,11 @@ impl HierState {
     }
 }
 
+/// The most nodes one machine level may hold: [`HStep`] names a node or a
+/// subnet, and the symmetry maps index one, with a `u8`
+/// ([`HierChecker::check_size`]).
+pub const MAX_LEVEL_NODES: usize = 1 << u8::BITS;
+
 /// One step of the leveled system. The derived ordering is the canonical
 /// step order (deliveries, then leaf accesses, then glue issues).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -250,6 +267,7 @@ impl fmt::Display for HStep {
 /// One element of the wreath-product symmetry group: a node-index map per
 /// machine level (the root's is trivially `[0]`), with children always
 /// moving with their parents.
+#[derive(Debug)]
 struct HierPerm {
     /// `maps[jm][old] = new` node index at machine level `jm`.
     maps: Vec<Vec<u8>>,
@@ -257,19 +275,45 @@ struct HierPerm {
     invs: Vec<Vec<u8>>,
 }
 
+impl HierPerm {
+    fn identity(counts: &[usize]) -> Self {
+        let maps: Vec<Vec<u8>> =
+            counts.iter().map(|&n| (0..n).map(|g| g as u8).collect()).collect();
+        HierPerm { invs: maps.clone(), maps }
+    }
+}
+
 /// Outcome of a hierarchical checking run: the shared explorer's.
 pub type HierResult = CheckResult;
 
-/// The composed system's per-worker scratch: the canonical-sweep buffers
+/// The composed system's per-worker scratch: the canonicalizer's buffers
 /// (`best` holds the encoding the last `canonical_fp` selected), the
 /// reusable apply outcome, and the record of what the previous step wrote
 /// into its successor scratch — restored from the parent before the next
 /// step instead of copying the whole state (the flat checker's
 /// discipline, see `flat.rs`).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct HierScratch {
     best: Vec<u8>,
     cur: Vec<u8>,
+    /// `keys[jm][g]`: the subtree key of machine-level-`jm` node `g`.
+    keys: Vec<Vec<u64>>,
+    /// `base[jm][p·f..(p+1)·f]`: the children of machine-level-`jm+1` node
+    /// `p`, sorted by `(key, index)` — the base arrangement.
+    base: Vec<Vec<u8>>,
+    /// `base` with the current candidate's within-run permutations applied.
+    order: Vec<Vec<u8>>,
+    /// Equal-key sibling runs of two or more in `base`, as `(level, start,
+    /// len)`, in enumeration order.
+    ties: Vec<(usize, usize, usize)>,
+    /// Mixed-radix counter over within-run permutations.
+    counters: Vec<u32>,
+    /// Per-run-length permutation tables, built on first use (the layout
+    /// of [`crate::Canonicalizer`]'s).
+    perm_tables: Vec<Vec<u8>>,
+    /// The candidate group element being encoded; the identity until the
+    /// first sweep, and for good when the stack runs unreduced.
+    perm: HierPerm,
     outcome: ApplyOutcome,
     /// Whether the successor scratch equals the parent everywhere but in
     /// what `touched` names. False when fresh and after `decode_into`.
@@ -342,12 +386,40 @@ pub struct HierChecker {
     /// Node count per machine level (`counts[depth()] == 1`, the root).
     counts: Vec<usize>,
     cfg: HierConfig,
-    perms: Vec<HierPerm>,
+    /// The order of the stack's whole symmetry group: `Π fanout[jm]!` over
+    /// every parent. A float because 36 subnets of 8 overflow any integer;
+    /// exact far past [`MAX_GROUP`], which is all it is compared against.
+    group_order: f64,
 }
 
 impl HierChecker {
+    /// Refuses a stack with more than [`MAX_LEVEL_NODES`] nodes at one
+    /// machine level, naming the level and its node count:
+    /// `Composition::validate` bounds each fanout, not their product.
+    pub fn check_size(composed: &Composed) -> Result<(), String> {
+        for (jm, level) in composed.levels.iter().enumerate() {
+            let nodes = composed.node_count(jm);
+            if nodes > MAX_LEVEL_NODES {
+                return Err(format!(
+                    "level {jm} ({}) has {nodes} nodes; a stack may hold at most \
+                     {MAX_LEVEL_NODES} per level (steps name a node with one byte)",
+                    level.label
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Builds a checker for `composed` under `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when [`Self::check_size`] refuses the stack: node indices
+    /// would wrap.
     pub fn new(composed: &Composed, cfg: HierConfig) -> Self {
+        if let Err(e) = Self::check_size(composed) {
+            panic!("{e}");
+        }
         let k = composed.depth();
         let levels: Vec<LevelRt> = composed
             .levels
@@ -369,12 +441,12 @@ impl HierChecker {
             })
             .collect();
         let counts: Vec<usize> = (0..=k).map(|jm| composed.node_count(jm)).collect();
-        let perms = if cfg.symmetry {
-            wreath_group(&levels, &counts).unwrap_or_else(|| vec![identity_perm(&counts)])
-        } else {
-            vec![identity_perm(&counts)]
-        };
-        HierChecker { levels, counts, cfg, perms }
+        let group_order = (0..k)
+            .map(|jm| {
+                ((1..=levels[jm].fanout).product::<usize>() as f64).powi(counts[jm + 1] as i32)
+            })
+            .product();
+        HierChecker { levels, counts, cfg, group_order }
     }
 
     /// Number of protocol levels.
@@ -391,7 +463,22 @@ impl HierChecker {
     /// Size of the symmetry group actually in use (1 when reduction is off
     /// or the group exceeded [`MAX_GROUP`]).
     pub fn group_size(&self) -> usize {
-        self.perms.len()
+        if self.reduces() {
+            self.group_order as usize
+        } else {
+            1
+        }
+    }
+
+    /// The order of the stack's whole symmetry group, in use or not — what
+    /// [`MAX_GROUP`] is compared against.
+    pub fn group_order(&self) -> f64 {
+        self.group_order
+    }
+
+    /// Whether states are canonicalized under the group at all.
+    fn reduces(&self) -> bool {
+        self.cfg.symmetry && self.group_order <= MAX_GROUP as f64
     }
 
     /// The node's effective outer permission for glue gating: its stable
@@ -728,18 +815,62 @@ impl HierChecker {
         sink.push(s.ghost);
     }
 
-    /// The canonical (minimum over the symmetry group) encoding of `s`,
-    /// left in `best`. Exact: every group element is swept.
-    fn canonical_into(&self, s: &HierState, best: &mut Vec<u8>, cur: &mut Vec<u8>) {
-        best.clear();
-        self.encode_permuted(s, &self.perms[0], best);
-        for perm in &self.perms[1..] {
-            cur.clear();
-            self.encode_permuted(s, perm, cur);
-            if *cur < *best {
-                std::mem::swap(best, cur);
+    /// Fills `keys` leaves-first with every node's subtree key and `base`
+    /// with every parent's children in ascending `(key, index)` order.
+    ///
+    /// A node's key is the flat sort key over its own subnet, absorbed —
+    /// above the leaves — with the scalar fields of the inner directory it
+    /// hosts (which child that directory names is in the children's keys)
+    /// and with its children's keys in sorted order. Nothing in it hashes
+    /// a concrete sibling index, so `key(g, s) == key(π(g), π·s)` for
+    /// every group element π: the contract that makes the pruning exact.
+    fn sort_siblings(&self, s: &HierState, keys: &mut [Vec<u64>], base: &mut [Vec<u8>]) {
+        for jm in 0..self.depth() {
+            let f = self.levels[jm].fanout;
+            let (below, at) = keys.split_at_mut(jm);
+            for g in 0..self.counts[jm] {
+                let p = g / f;
+                let sibs = &s.caches[jm][p * f..(p + 1) * f];
+                let mut h = subnet_sort_key(sibs, &s.dirs[jm][p], &s.chans[jm][p], g % f);
+                if jm >= 1 {
+                    let fi = self.levels[jm - 1].fanout;
+                    let d = &s.dirs[jm - 1][g];
+                    let dir = (d.state.0 as u64)
+                        | (d.data as u64) << 32
+                        | (d.owner.is_some() as u64) << 40
+                        | (d.sharers.count_ones() as u64) << 41
+                        | (d.chain_slots.len() as u64) << 45;
+                    h = absorb(h, dir);
+                    for (_, a) in &d.chain_slots {
+                        h = absorb(h, *a as u64);
+                    }
+                    h = absorb(h, queue_hash(&s.chans[jm - 1][g][fi][fi], fi, fi));
+                    for &c in &base[jm - 1][g * fi..(g + 1) * fi] {
+                        h = absorb(h, below[jm - 1][c as usize]);
+                    }
+                }
+                at[0][g] = h;
+            }
+            let keys = &at[0];
+            for (p, sibs) in base[jm].chunks_mut(f).enumerate() {
+                for (off, slot) in sibs.iter_mut().enumerate() {
+                    *slot = (p * f + off) as u8;
+                }
+                sibs.sort_unstable_by_key(|&c| (keys[c as usize], c));
             }
         }
+    }
+
+    /// The number of group elements the canonicalizer enumerates for `s`
+    /// (an exhaustive sweep enumerates [`Self::group_size`]): the product
+    /// of the factorials of its equal-key sibling runs. Exposed for tests
+    /// and measurements, like [`crate::Canonicalizer::pruned_candidates`].
+    pub fn pruned_candidates(&self, s: &HierState, scratch: &mut HierScratch) -> usize {
+        if !self.reduces() {
+            return 1;
+        }
+        self.canonical_fp(s, scratch);
+        scratch.ties.iter().map(|&(_, _, len)| (1..=len).product::<usize>()).product()
     }
 
     /// Runs breadth-first exploration on the shared explorer until
@@ -779,8 +910,13 @@ impl TransitionSystem for HierChecker {
 
     fn identity_fp(&self) -> (u64, u64) {
         let c = &self.cfg;
+        // `canon=` names the representative rule: a checkpoint's stored
+        // states are canonical under the rule that wrote them, so one
+        // written under another rule (the byte-minimal sweep this checker
+        // started with) is a configuration mismatch, not resumable input.
         let desc = format!(
-            "hier counts={:?} domain={} cap={} symmetry={} store={:?} props={}",
+            "hier counts={:?} domain={} cap={} symmetry={} canon=sorted-siblings store={:?} \
+             props={}",
             self.counts, c.value_domain, c.channel_cap, c.symmetry, c.store, c.properties,
         );
         let mut machines = String::new();
@@ -819,7 +955,21 @@ impl TransitionSystem for HierChecker {
     }
 
     fn scratch(&self) -> HierScratch {
-        HierScratch::default()
+        let below_root = &self.counts[..self.depth()];
+        HierScratch {
+            best: Vec::new(),
+            cur: Vec::new(),
+            keys: below_root.iter().map(|&n| vec![0; n]).collect(),
+            base: below_root.iter().map(|&n| vec![0; n]).collect(),
+            order: Vec::new(),
+            ties: Vec::new(),
+            counters: Vec::new(),
+            perm_tables: vec![Vec::new(); protogen_spec::MAX_FANOUT + 1],
+            perm: HierPerm::identity(&self.counts),
+            outcome: ApplyOutcome::default(),
+            synced: false,
+            touched: None,
+        }
     }
 
     /// All candidate steps from `state`, in canonical order: deliveries by
@@ -978,11 +1128,90 @@ impl TransitionSystem for HierChecker {
         .then_some(ViolationKind::Deadlock)
     }
 
-    /// Exact: every group element is swept; the minimum encoding stays in
-    /// `scratch.best` for the encode call.
-    fn canonical_fp(&self, state: &HierState, scratch: &mut HierScratch) -> u64 {
-        self.canonical_into(state, &mut scratch.best, &mut scratch.cur);
-        fingerprint_bytes(&scratch.best)
+    /// The canonical fingerprint of `s`, its encoding left in `sc.best` for
+    /// the encode call: among the group elements that list siblings in
+    /// ascending key order under every parent, the one whose encoding has
+    /// the minimum fingerprint, ties by enumeration order —
+    /// [`crate::Canonicalizer`]'s rule and, for one level, its exact
+    /// enumeration order: runs in ascending slot order (top level first in
+    /// a taller stack), the last varying fastest, `slot[start + off] =
+    /// base[start + σ[off]]`.
+    fn canonical_fp(&self, s: &HierState, sc: &mut HierScratch) -> u64 {
+        let HierScratch { best, cur, keys, base, order, ties, counters, perm_tables, perm, .. } =
+            sc;
+        if !self.reduces() {
+            best.clear();
+            self.encode_permuted(s, perm, best);
+            return fingerprint_bytes(best);
+        }
+        self.sort_siblings(s, keys, base);
+        ties.clear();
+        for jm in (0..self.depth()).rev() {
+            let f = self.levels[jm].fanout;
+            let key = |slot: usize| keys[jm][base[jm][slot] as usize];
+            let mut start = 0;
+            for end in 1..=self.counts[jm] {
+                if end % f == 0 || key(end) != key(start) {
+                    let len = end - start;
+                    if len > 1 {
+                        ties.push((jm, start, len));
+                        if perm_tables[len].is_empty() {
+                            perm_tables[len] = crate::system::permutations(len).concat();
+                        }
+                    }
+                    start = end;
+                }
+            }
+        }
+        order.clone_from(base);
+        counters.clear();
+        counters.resize(ties.len(), 0);
+        let mut best_fp = u64::MAX;
+        best.clear();
+        loop {
+            for (&(jm, start, len), &at) in ties.iter().zip(counters.iter()) {
+                let sigma = &perm_tables[len][at as usize * len..][..len];
+                for (off, &k) in sigma.iter().enumerate() {
+                    order[jm][start + off] = base[jm][start + k as usize];
+                }
+            }
+            // Top-down: a parent's slot decides where its children's run
+            // of slots starts.
+            for jm in (0..self.depth()).rev() {
+                let f = self.levels[jm].fanout;
+                let (lo, hi) = perm.invs.split_at_mut(jm + 1);
+                for (p2, &p) in hi[0].iter().enumerate() {
+                    for off in 0..f {
+                        let old = order[jm][p as usize * f + off];
+                        lo[jm][p2 * f + off] = old;
+                        perm.maps[jm][old as usize] = (p2 * f + off) as u8;
+                    }
+                }
+            }
+            cur.clear();
+            self.encode_permuted(s, perm, cur);
+            let fp = fingerprint_bytes(cur);
+            // `best` is empty only before the first candidate, which must
+            // win even at `fp == u64::MAX`.
+            if fp < best_fp || best.is_empty() {
+                best_fp = fp;
+                std::mem::swap(best, cur);
+            }
+            // Advance the counter; done when it wraps.
+            let mut gi = ties.len();
+            loop {
+                if gi == 0 {
+                    return best_fp;
+                }
+                gi -= 1;
+                let len = ties[gi].2;
+                counters[gi] += 1;
+                if (counters[gi] as usize) < perm_tables[len].len() / len {
+                    break;
+                }
+                counters[gi] = 0;
+            }
+        }
     }
 
     fn encode_canonical_into(&self, scratch: &HierScratch, out: &mut Vec<u8>) {
@@ -1042,94 +1271,77 @@ impl TransitionSystem for HierChecker {
     }
 }
 
-fn identity_perm(counts: &[usize]) -> HierPerm {
-    let maps: Vec<Vec<u8>> = counts.iter().map(|&n| (0..n as u8).collect()).collect();
-    HierPerm { invs: maps.clone(), maps }
-}
-
-/// The wreath-product group over the stack's topology: for each machine
-/// level below the root, independently permute the children of every
-/// parent, composing with the parent's own (already chosen) new position.
-/// `None` when the group exceeds [`MAX_GROUP`].
-fn wreath_group(levels: &[LevelRt], counts: &[usize]) -> Option<Vec<HierPerm>> {
-    let k = levels.len();
-    let mut size = 1usize;
-    for jm in 0..k {
-        let f = levels[jm].fanout;
-        let fact: usize = (1..=f).product();
-        for _ in 0..counts[jm + 1] {
-            size = size.checked_mul(fact)?;
-            if size > MAX_GROUP {
-                return None;
-            }
-        }
-    }
-    // Partial maps, root-first: start with the trivial root map and extend
-    // downward one machine level at a time.
-    let mut partials: Vec<Vec<Vec<u8>>> = vec![vec![vec![0]]];
-    for jm in (0..k).rev() {
-        let f = levels[jm].fanout;
-        let sigmas = crate::system::permutations(f);
-        let mut next: Vec<Vec<Vec<u8>>> = Vec::new();
-        for partial in &partials {
-            // partial[0] is the map for machine level jm+1.
-            let parent_map = &partial[0];
-            // One sibling permutation choice per parent: iterate the
-            // cartesian product via a mixed-radix counter.
-            let parents = counts[jm + 1];
-            let mut choice = vec![0usize; parents];
-            loop {
-                let mut map = vec![0u8; counts[jm]];
-                for (p, &ci) in choice.iter().enumerate() {
-                    let sigma = &sigmas[ci];
-                    for c in 0..f {
-                        map[p * f + c] = parent_map[p] * f as u8 + sigma[c];
-                    }
-                }
-                let mut ext = Vec::with_capacity(partial.len() + 1);
-                ext.push(map);
-                ext.extend(partial.iter().cloned());
-                next.push(ext);
-                // Advance the counter.
-                let mut d = 0;
-                loop {
-                    if d == parents {
-                        break;
-                    }
-                    choice[d] += 1;
-                    if choice[d] < sigmas.len() {
-                        break;
-                    }
-                    choice[d] = 0;
-                    d += 1;
-                }
-                if d == parents {
-                    break;
-                }
-            }
-        }
-        partials = next;
-    }
-    Some(
-        partials
-            .into_iter()
-            .map(|maps| {
-                let invs = maps.iter().map(|m| crate::system::invert(m)).collect();
-                HierPerm { maps, invs }
-            })
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use protogen_core::{compose, GenConfig};
     use protogen_protocols::{flat_composition, msi_under_msi};
+    use std::collections::HashMap;
 
     fn checker(comp: &protogen_spec::Composition, cfg: HierConfig) -> HierChecker {
         let composed = compose(comp, &GenConfig::stalling()).unwrap();
         HierChecker::new(&composed, cfg)
+    }
+
+    fn tower() -> protogen_spec::Composition {
+        let mut comp = msi_under_msi(2, 2);
+        comp.levels.insert(1, comp.levels[0].clone());
+        comp
+    }
+
+    /// The oracle's group: every element of the wreath product over the
+    /// stack's topology, materialised — for each machine level below the
+    /// root, independently permute the children of every parent, composing
+    /// with the parent's own (already chosen) new position.
+    fn wreath_group(hc: &HierChecker) -> Vec<HierPerm> {
+        // Partial maps, root-first: start with the trivial root map and
+        // extend downward one machine level at a time.
+        let mut partials: Vec<Vec<Vec<u8>>> = vec![vec![vec![0]]];
+        for jm in (0..hc.depth()).rev() {
+            let f = hc.levels[jm].fanout;
+            let sigmas = crate::system::permutations(f);
+            let parents = hc.counts[jm + 1];
+            let mut next = Vec::new();
+            for partial in &partials {
+                // One sibling permutation per parent: a mixed-radix
+                // counter over `sigmas`, `partial[0]` being the parents' map.
+                for mut choice in 0..sigmas.len().pow(parents as u32) {
+                    let mut map = vec![0u8; hc.counts[jm]];
+                    for p in 0..parents {
+                        let sigma = &sigmas[choice % sigmas.len()];
+                        choice /= sigmas.len();
+                        for c in 0..f {
+                            map[p * f + c] = partial[0][p] * f as u8 + sigma[c];
+                        }
+                    }
+                    next.push([vec![map], partial.clone()].concat());
+                }
+            }
+            partials = next;
+        }
+        partials
+            .into_iter()
+            .map(|maps| HierPerm {
+                invs: maps.iter().map(|m| crate::system::invert(m)).collect(),
+                maps,
+            })
+            .collect()
+    }
+
+    /// The oracle's representative (this checker's first rule): encode
+    /// under every group element, keep the byte-minimal encoding.
+    fn sweep_min(hc: &HierChecker, group: &[HierPerm], s: &HierState) -> Vec<u8> {
+        let encode = |perm| {
+            let mut enc = Vec::new();
+            hc.encode_permuted(s, perm, &mut enc);
+            enc
+        };
+        group.iter().map(encode).min().expect("a group has its identity")
+    }
+
+    fn canonical(hc: &HierChecker, s: &HierState, sc: &mut HierScratch) -> Vec<u8> {
+        hc.canonical_fp(s, sc);
+        sc.best.clone()
     }
 
     #[test]
@@ -1138,6 +1350,21 @@ mod tests {
         // 2 sibling swaps per L2 subnet × 2 subnets × 1 swap of the L2s.
         assert_eq!(hc.group_size(), 8);
         assert_eq!(hc.counts(), &[4, 2, 1]);
+        // The arithmetic order is the enumerated group's.
+        for (comp, order) in [
+            (msi_under_msi(2, 2), 8),
+            (msi_under_msi(1, 3), 6),
+            (msi_under_msi(3, 2), 72),
+            (tower(), 128),
+        ] {
+            let hc = checker(&comp, HierConfig::default());
+            assert_eq!((hc.group_size(), wreath_group(&hc).len()), (order, order), "{}", comp.name);
+        }
+        // Past the cap, and with symmetry off, the group in use is trivial.
+        let wide = checker(&msi_under_msi(4, 3), HierConfig::default());
+        assert_eq!((wide.group_size(), wide.group_order()), (1, 82_944.0));
+        let off = HierConfig { symmetry: false, ..HierConfig::default() };
+        assert_eq!(checker(&msi_under_msi(2, 2), off).group_size(), 1);
     }
 
     #[test]
@@ -1145,33 +1372,68 @@ mod tests {
         let hc = checker(&msi_under_msi(2, 2), HierConfig::default());
         let encs = crate::explore::reference_bfs(&hc, 50).0;
         assert!(encs.len() > 10, "sampled only {}", encs.len());
-        let mut s = hc.initial();
-        let mut best = Vec::new();
-        let mut cur = Vec::new();
+        let (mut s, mut sc) = (hc.initial(), hc.scratch());
         for enc in &encs {
-            hc.decode_into(enc, &mut s, &mut HierScratch::default());
-            hc.canonical_into(&s, &mut best, &mut cur);
-            assert_eq!(&best, enc, "canonical encodings must be decode-stable");
+            hc.decode_into(enc, &mut s, &mut sc);
+            assert_eq!(
+                &canonical(&hc, &s, &mut sc),
+                enc,
+                "canonical encodings must be decode-stable"
+            );
         }
     }
 
     #[test]
     fn symmetric_states_share_a_canonical_encoding() {
         let hc = checker(&msi_under_msi(2, 2), HierConfig::default());
+        let mut sc = hc.scratch();
         let mut a = hc.initial();
         a.caches[0][0].data = Some(1);
         let mut b = hc.initial();
         b.caches[0][3].data = Some(1);
-        let (mut ba, mut bb, mut cur) = (Vec::new(), Vec::new(), Vec::new());
-        hc.canonical_into(&a, &mut ba, &mut cur);
-        hc.canonical_into(&b, &mut bb, &mut cur);
-        assert_eq!(ba, bb);
+        assert_eq!(canonical(&hc, &a, &mut sc), canonical(&hc, &b, &mut sc));
         // But a leaf and an L2 holding data are NOT symmetric.
         let mut c = hc.initial();
         c.caches[1][0].data = Some(1);
-        let mut bc = Vec::new();
-        hc.canonical_into(&c, &mut bc, &mut cur);
-        assert_ne!(ba, bc);
+        assert_ne!(canonical(&hc, &a, &mut sc), canonical(&hc, &c, &mut sc));
+    }
+
+    /// Every successor of a BFS prefix — orbit members as the explorer
+    /// meets them, not yet canonical — against the exhaustive sweep: the
+    /// two representative rules must induce the same partition, and the
+    /// candidate left in the scratch must be an element of the group.
+    #[test]
+    fn pruned_partition_equals_the_exhaustive_sweeps() {
+        for (comp, limit) in [(msi_under_msi(2, 2), 150), (tower(), 40)] {
+            let hc = checker(&comp, HierConfig::default());
+            let group = wreath_group(&hc);
+            let (mut state, mut succ, mut sc) = (hc.initial(), hc.initial(), hc.scratch());
+            let (mut steps, mut seen) = (Vec::new(), 0usize);
+            let (mut to_sweep, mut to_pruned) = (HashMap::new(), HashMap::new());
+            for enc in &crate::explore::reference_bfs(&hc, limit).0 {
+                hc.decode_into(enc, &mut state, &mut sc);
+                hc.steps_into(&state, &mut steps);
+                for &step in &steps {
+                    if !matches!(hc.successor_into(&state, step, &mut succ, &mut sc), Ok(true)) {
+                        continue;
+                    }
+                    let pruned = canonical(&hc, &succ, &mut sc);
+                    for jm in 0..hc.depth() {
+                        let f = hc.levels[jm].fanout;
+                        assert_eq!(crate::system::invert(&sc.perm.maps[jm]), sc.perm.invs[jm]);
+                        for (g, &to) in sc.perm.maps[jm].iter().enumerate() {
+                            let parent = sc.perm.maps[jm + 1][g / f];
+                            assert_eq!(to / f as u8, parent, "a child left its parent");
+                        }
+                    }
+                    let sweep = sweep_min(&hc, &group, &succ);
+                    assert_eq!(to_sweep.entry(pruned.clone()).or_insert(sweep.clone()), &sweep);
+                    assert_eq!(to_pruned.entry(sweep).or_insert(pruned.clone()), &pruned);
+                    seen += 1;
+                }
+            }
+            assert!(seen > 5 * to_sweep.len() / 4, "{}: too few repeated orbits", comp.name);
+        }
     }
 
     #[test]
@@ -1181,9 +1443,10 @@ mod tests {
             HStep::Deliver { level: 0, parent: 0, src: 0, dst: 2, idx: 0 },
             HStep::Deliver { level: 0, parent: 1, src: 0, dst: 1, idx: 3 },
             HStep::Deliver { level: 0, parent: 1, src: 8, dst: 0, idx: 0 },
+            HStep::Deliver { level: 0, parent: 255, src: 0, dst: 0, idx: 0 },
             HStep::Deliver { level: 1, parent: 0, src: 0, dst: 0, idx: 0 },
             HStep::Issue { mlevel: 0, node: 0, access: Access::Load },
-            HStep::Issue { mlevel: 0, node: 63, access: Access::Replacement },
+            HStep::Issue { mlevel: 0, node: 255, access: Access::Replacement },
             HStep::Issue { mlevel: 1, node: 0, access: Access::Store },
         ];
         for w in steps.windows(2) {
@@ -1196,6 +1459,67 @@ mod tests {
         }
     }
 
+    /// A 2×2 state with work in both subnets and at the outer level, out
+    /// of canonical arrangement: the busier subnet sits second, and inside
+    /// it the busier leaf second.
+    fn busy_state(hc: &HierChecker) -> HierState {
+        let msg = |mtype, src, dst, req, data| Msg {
+            mtype: protogen_spec::MsgId(mtype),
+            src: NodeId(src),
+            dst: NodeId(dst),
+            req: NodeId(req),
+            ack_count: None,
+            data,
+        };
+        let mut s = hc.initial();
+        s.caches[0][3].state = FsmStateId(2);
+        s.caches[0][3].data = Some(1);
+        s.caches[0][2].pending = Some(Access::Load);
+        s.caches[0][0].pending = Some(Access::Store);
+        s.caches[1][1].state = FsmStateId(2);
+        s.caches[1][1].data = Some(1);
+        s.dirs[0][1].owner = Some(NodeId(1));
+        s.dirs[0][1].data = 1;
+        s.dirs[1][0].owner = Some(NodeId(1));
+        s.chans[0][1][0][2].push(msg(0, 0, 2, 0, None));
+        s.chans[0][0][0][2].push(msg(1, 0, 2, 0, None));
+        s.chans[1][0][2][0].push(msg(3, 2, 0, 1, Some(1)));
+        s.ghost = 1;
+        s
+    }
+
+    /// The representative rule is what a stored checkpoint and every
+    /// composed trace depend on: change it deliberately, with
+    /// `identity_fp`'s `canon=` tag, or not at all.
+    #[test]
+    fn canonical_encodings_are_pinned() {
+        let hc = checker(&msi_under_msi(2, 2), HierConfig::default());
+        let mut sc = hc.scratch();
+        assert_eq!(hc.canonical_fp(&hc.initial(), &mut sc), 0x164db6fbd8dd592e);
+        let mut initial = [0u8; 88];
+        for block in 0..6 {
+            initial[block * 7..block * 7 + 7].copy_from_slice(&[0, 0, 255, 0, 255, 255, 0]);
+        }
+        for dir in 0..3 {
+            initial[42 + dir * 6 + 2] = 255; // no owner
+        }
+        assert_eq!(sc.best, initial);
+        assert_eq!(hc.pruned_candidates(&hc.initial(), &mut sc), 8, "fully symmetric");
+
+        assert_eq!(hc.canonical_fp(&busy_state(&hc), &mut sc), 0x9089a806ee4224bc);
+        assert_eq!(
+            sc.best,
+            [
+                0, 0, 255, 0, 255, 255, 0, 0, 0, 255, 0, 255, 1, 0, 0, 0, 255, 0, 255, 0, 0, 2, 0,
+                1, 0, 255, 255, 0, 0, 0, 255, 0, 255, 255, 0, 2, 0, 1, 0, 255, 255, 0, 0, 0, 255,
+                0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 2, 1, 255,
+                255, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 255, 255, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                1, 3, 0, 2, 0, 1, 255, 1, 0, 0, 1,
+            ]
+        );
+        assert_eq!(hc.pruned_candidates(&busy_state(&hc), &mut sc), 1, "all keys distinct");
+    }
+
     #[test]
     fn one_level_composition_checks_clean() {
         let comp = flat_composition("msi", 2).unwrap();
@@ -1203,5 +1527,28 @@ mod tests {
         let res = hc.check();
         assert!(res.passed(), "{:?}", res.violation);
         assert!(res.states > 100);
+    }
+
+    /// The widest level `HStep`'s `u8`s can index is accepted and steps;
+    /// one fanout more is refused by name instead of wrapping an index.
+    #[test]
+    fn level_node_counts_are_bounded_by_the_step_index() {
+        let stack = |top| {
+            let mut comp = tower();
+            for (level, fanout) in comp.levels.iter_mut().zip([8, 8, top]) {
+                level.fanout = fanout;
+            }
+            compose(&comp, &GenConfig::stalling()).unwrap()
+        };
+        let widest =
+            HierChecker::new(&stack(4), HierConfig { max_states: 50, ..HierConfig::default() });
+        assert_eq!((widest.counts()[0], widest.group_size()), (MAX_LEVEL_NODES, 1));
+        let res = widest.check();
+        assert!(res.violation.is_none() && res.hit_state_limit, "{:?}", res.violation);
+        let err = HierChecker::check_size(&stack(5)).unwrap_err();
+        assert!(err.contains("level 0 (l1) has 320 nodes"), "{err}");
+        let refused =
+            std::panic::catch_unwind(|| HierChecker::new(&stack(5), HierConfig::default()));
+        assert!(refused.is_err(), "an oversized stack must not construct");
     }
 }

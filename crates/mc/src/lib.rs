@@ -71,7 +71,9 @@ pub use explore::{
     ViolationKind,
 };
 pub use flat::{FlatScratch, McConfig, ModelChecker, Step};
-pub use hier::{HStep, HierChecker, HierConfig, HierResult, HierScratch, HierState, MAX_GROUP};
+pub use hier::{
+    HStep, HierChecker, HierConfig, HierResult, HierScratch, HierState, MAX_GROUP, MAX_LEVEL_NODES,
+};
 pub use property::{
     DataValue, DeadlockFree, Predicate, Property, PropertyCtx, PropertySet, SingleWriter, Swmr,
 };

@@ -125,6 +125,19 @@ fn resumed_violation_trace_is_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A scratch copy of the one-epoch, two-shard checkpoint tree
+/// `tests/fixtures/<name>`.
+fn fixture_copy(name: &str) -> PathBuf {
+    let fixture =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
+    let dir = tmpdir(name);
+    std::fs::create_dir_all(dir.join("ck-1")).unwrap();
+    for file in ["manifest.bin", "shard-0.bin", "shard-1.bin"] {
+        std::fs::copy(fixture.join("ck-1").join(file), dir.join("ck-1").join(file)).unwrap();
+    }
+    dir
+}
+
 /// A checkpoint written by the commit before ISSUE 15's hot-path rework
 /// (MSI stalling @ 3 caches, 2 threads, stopped after one epoch; the
 /// `fixtures/ck-msi3-parent` tree) resumes under this one to the counts
@@ -138,13 +151,7 @@ fn resumed_violation_trace_is_byte_identical() {
 fn a_checkpoint_from_before_the_hot_path_rework_resumes() {
     let ssp = protogen_protocols::msi();
     let g = generate(&ssp, &GenConfig::stalling()).unwrap();
-    let fixture =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ck-msi3-parent");
-    let dir = tmpdir("fixture");
-    std::fs::create_dir_all(dir.join("ck-1")).unwrap();
-    for file in ["manifest.bin", "shard-0.bin", "shard-1.bin"] {
-        std::fs::copy(fixture.join("ck-1").join(file), dir.join("ck-1").join(file)).unwrap();
-    }
+    let dir = fixture_copy("ck-msi3-parent");
     let mut cfg = McConfig::with_caches_and_threads(3, 1);
     cfg.checkpoint_dir = Some(dir.clone());
     cfg.checkpoint_every = u32::MAX;
@@ -152,6 +159,30 @@ fn a_checkpoint_from_before_the_hot_path_rework_resumes() {
     assert!(resumed.passed(), "{:?}", resumed.violation);
     assert_eq!((resumed.states, resumed.transitions), (18_326, 65_420));
     assert_eq!(resumed.threads, 2, "threads come from the manifest");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A composed checkpoint written by the commit before ISSUE 17 changed
+/// the composed representative rule (`msi_under_msi(1, 2)` stalling, 2
+/// threads, stopped after one epoch; that commit resumes it to 3,120 /
+/// 9,018): its stored states are byte-minimal representatives, which this
+/// build would take for new states beside its own. The `canon=` tag in the
+/// identity fingerprint makes it a configuration mismatch — an error,
+/// never counts.
+#[test]
+fn a_composed_checkpoint_from_the_byte_minimal_rule_is_refused() {
+    let comp = protogen_protocols::msi_under_msi(1, 2);
+    let dir = fixture_copy("ck-hier12-parent");
+    let cfg = HierConfig {
+        threads: 2,
+        checkpoint_dir: Some(dir.clone()),
+        checkpoint_every: u32::MAX,
+        ..HierConfig::default()
+    };
+    let hc = HierChecker::new(&compose(&comp, &GenConfig::stalling()).unwrap(), cfg);
+    let err = hc.resume().map(|r| (r.states, r.transitions));
+    let err = err.expect_err("a checkpoint under another representative rule resumed");
+    assert!(err.to_string().contains("different checker configuration"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,13 +1,15 @@
 //! Conformance tests for hierarchical composition (DESIGN.md §12).
 //!
-//! Two classes of evidence that the leveled checker means what the flat
+//! Three classes of evidence that the leveled checker means what the flat
 //! checker means:
 //!
 //! 1. **Flat identity** — a one-level composition is the *same system* as
 //!    the flat checker's `n` caches + directory, so its canonical state
 //!    and transition counts must match exactly (glue never fires, parent
 //!    semantics never engage, and the wreath group degenerates to the
-//!    full symmetric group the flat canonicalizer sweeps).
+//!    full symmetric group) — and, both canonicalizers following one
+//!    representative rule, so must the canonical bytes and fingerprint
+//!    they select on every reachable state.
 //! 2. **End-to-end stack verification** — the bundled two-level stacks
 //!    (2 L1s per L2, 2 L2s) pass per-level SWMR, leaf-level data-value,
 //!    and deadlock freedom over their whole reachable space.
@@ -19,30 +21,61 @@
 
 use protogen_core::{compose, generate, GenConfig};
 use protogen_mc::{
-    reference_bfs, HierChecker, HierConfig, McConfig, ModelChecker, ResourceLimit, StoreMode,
+    permutations, reference_bfs, Canonicalizer, HierChecker, HierConfig, HierState, McConfig,
+    ModelChecker, ResourceLimit, StoreMode, SysState, TransitionSystem,
 };
 
-fn checked(comp: &protogen_spec::Composition) -> protogen_mc::HierResult {
+fn checker(comp: &protogen_spec::Composition) -> HierChecker {
     let composed = compose(comp, &GenConfig::stalling()).unwrap();
-    let hc = HierChecker::new(&composed, HierConfig::default());
-    hc.check()
+    HierChecker::new(&composed, HierConfig::default())
+}
+
+fn checked(comp: &protogen_spec::Composition) -> protogen_mc::HierResult {
+    checker(comp).check()
 }
 
 /// Flat-vs-composed identity at the same cache count, for every protocol
-/// that satisfies the composition interface.
+/// that satisfies the composition interface: the same counts, and the same
+/// canonical bytes and fingerprint on every reachable state.
 fn assert_identity(name: &str, n: usize) {
     let ssp = protogen_protocols::by_name(name).unwrap();
     let g = generate(&ssp, &GenConfig::stalling()).unwrap();
     let mut cfg = McConfig::with_caches(n);
     cfg.ordered = ssp.network_ordered;
-    let flat = ModelChecker::new(&g.cache, &g.directory, cfg).run();
+    let mc = ModelChecker::new(&g.cache, &g.directory, cfg);
+    let flat = mc.run();
     assert!(flat.passed(), "flat {name}: {:?}", flat.violation);
 
-    let comp = protogen_protocols::flat_composition(name, n).unwrap();
-    let res = checked(&comp);
+    let hc = checker(&protogen_protocols::flat_composition(name, n).unwrap());
+    let res = hc.check();
     assert!(res.passed(), "composed {name}: {:?}", res.violation);
     assert_eq!(res.states, flat.states, "{name}@{n}: state counts diverge");
     assert_eq!(res.transitions, flat.transitions, "{name}@{n}: transition counts diverge");
+
+    // Every state of the flat BFS, handed to both canonicalizers out of
+    // canonical arrangement (a different permutation each), must come
+    // back as the flat BFS's own bytes with the flat fingerprint.
+    let encs = reference_bfs(&mc, usize::MAX).0;
+    assert_eq!(encs.len(), flat.states);
+    let perms = permutations(n);
+    let (mut canon, mut scratch) = (Canonicalizer::new(n, true), hc.scratch());
+    let (mut flat_bytes, mut stack_bytes) = (Vec::new(), Vec::new());
+    for (i, enc) in encs.iter().enumerate() {
+        let s = SysState::decode(enc, n).permuted(&perms[i % perms.len()]);
+        let stacked = HierState {
+            caches: vec![s.caches.clone()],
+            dirs: vec![vec![s.dir.clone()]],
+            chans: vec![vec![s.channels.clone()]],
+            ghost: s.ghost,
+        };
+        flat_bytes.clear();
+        stack_bytes.clear();
+        let flat_fp = canon.encode_canonical_into(&s, &mut flat_bytes);
+        let stack_fp = hc.canonical_fp(&stacked, &mut scratch);
+        hc.encode_canonical_into(&scratch, &mut stack_bytes);
+        assert_eq!(&flat_bytes, enc, "{name}@{n}: state {i} left its orbit");
+        assert_eq!((stack_fp, &stack_bytes), (flat_fp, &flat_bytes), "{name}@{n}: state {i}");
+    }
 }
 
 #[test]
@@ -53,6 +86,13 @@ fn one_level_msi_is_state_count_identical_to_flat() {
 #[test]
 fn one_level_mesi_is_state_count_identical_to_flat() {
     assert_identity("mesi", 2);
+}
+
+#[test]
+fn one_level_stacks_are_flat_byte_for_byte_at_three_caches() {
+    assert_identity("msi", 3);
+    assert_identity("mesi", 3);
+    assert_identity("mosi", 2);
 }
 
 #[test]
@@ -171,9 +211,7 @@ fn explorer_counts_equal_the_exact_dedup_reference() {
     };
     flat("msi", 2);
     flat("mesi", 3);
-    let comp = protogen_protocols::msi_under_msi(1, 2);
-    let hc =
-        HierChecker::new(&compose(&comp, &GenConfig::stalling()).unwrap(), HierConfig::default());
+    let hc = checker(&protogen_protocols::msi_under_msi(1, 2));
     let (r, (encs, transitions)) = (hc.check(), reference_bfs(&hc, usize::MAX));
     assert!(r.passed(), "{:?}", r.violation);
     assert_eq!((r.states, r.transitions), (encs.len(), transitions), "msi_under_msi(1,2)");
