@@ -31,7 +31,9 @@
 //! `--threads` sets the worker count (default: all available cores);
 //! verification and sweep results are identical for every thread count.
 //! `--caches` takes a count in 1..=8 (the directory's sharer list is an
-//! 8-bit mask); anything else is a usage error, exit 2.
+//! 8-bit mask); anything else is a usage error, exit 2 — as is a flag the
+//! CLI does not know or an operand the subcommand does not take, so a typo
+//! never runs at a default with a verdict printed.
 //!
 //! `--compose` points `verify`, `table`, or `dot` at a *hierarchical
 //! composition* instead of a flat protocol: a comma-separated stack of
@@ -74,8 +76,6 @@
 //! `sim` workloads: uniform, zipfian, producer-consumer, migratory,
 //! false-sharing, private — or `--trace file.trc` to replay a trace.
 //! Latency distributions: `fixed:N`, `uniform:LO:HI`, `geometric:BASE:PCT`.
-//! `simulate` is kept as a legacy alias for `sim` (`--stores`/`--cores`
-//! map to `--store-pct`/`--caches`).
 //!
 //! `serve` runs the protocol as a live multi-threaded cache service (one
 //! thread per cache plus `--dir-shards` directory shards) *inside the
@@ -119,18 +119,21 @@ struct Args {
 }
 
 impl Args {
+    /// Splits the command line into flags and operands. The two lists
+    /// below are every flag the CLI knows, for all subcommands; a `--flag`
+    /// in neither is a usage error (exit 2, naming it): ignored,
+    /// `--cachse 4` would verify at the default cache count and
+    /// `--max-state 10` run unbudgeted, each printing a verdict.
     fn parse() -> Args {
         let mut flags = Vec::new();
         let mut positional = Vec::new();
-        let mut it = std::env::args().skip(1).peekable();
+        let mut it = std::env::args().skip(1);
         while let Some(a) = it.next() {
             if let Some(f) = a.strip_prefix("--") {
                 let needs_value = matches!(
                     f,
                     "machine"
                         | "caches"
-                        | "stores"
-                        | "cores"
                         | "threads"
                         | "addrs"
                         | "accesses"
@@ -164,11 +167,15 @@ impl Args {
                         | "fault-seed"
                         | "crash-at-op"
                 );
+                let is_switch = matches!(f, "stalling" | "markdown" | "json" | "list" | "resume");
                 if needs_value {
                     let v = it.next().unwrap_or_default();
                     flags.push(format!("{f}={v}"));
-                } else {
+                } else if is_switch {
                     flags.push(f.to_string());
+                } else {
+                    eprintln!("unknown flag `--{f}`");
+                    std::process::exit(2);
                 }
             } else {
                 positional.push(a);
@@ -487,15 +494,10 @@ fn compose_cmd(cmd: &str, comp: &Composition, args: &Args, threads: usize) -> Ex
 
 /// Builds a [`SimConfig`] from CLI flags, warning (and clamping to FIFO
 /// delivery) when an ordered-network protocol is pointed at an unordered
-/// interconnect. `legacy` is the `simulate` alias, whose historical
-/// contract is one contended block, not the default working set.
-fn sim_config(ssp: &Ssp, args: &Args, legacy: bool) -> Result<SimConfig, String> {
+/// interconnect.
+fn sim_config(ssp: &Ssp, args: &Args) -> Result<SimConfig, String> {
     let mut cfg = SimConfig::default();
-    if legacy {
-        cfg.n_addrs = 1;
-    }
-    // `--cores`/`--stores` are the legacy `simulate` spellings.
-    if let Some(v) = args.value("caches").or_else(|| args.value("cores")) {
+    if let Some(v) = args.value("caches") {
         cfg.n_caches = parse_cache_count(v)
             .ok_or_else(|| format!("bad --caches `{v}`{}", cache_count_hint()))?;
     }
@@ -510,7 +512,6 @@ fn sim_config(ssp: &Ssp, args: &Args, legacy: bool) -> Result<SimConfig, String>
     }
     let store_pct = args
         .value("store-pct")
-        .or_else(|| args.value("stores"))
         .map(|v| v.parse().map_err(|_| format!("bad --store-pct `{v}`")))
         .transpose()?
         .unwrap_or(50);
@@ -547,8 +548,8 @@ fn sim_config(ssp: &Ssp, args: &Args, legacy: bool) -> Result<SimConfig, String>
     Ok(cfg)
 }
 
-fn sim(ssp: &Ssp, g: &Generated, args: &Args, legacy: bool) -> ExitCode {
-    let cfg = match sim_config(ssp, args, legacy) {
+fn sim(ssp: &Ssp, g: &Generated, args: &Args) -> ExitCode {
+    let cfg = match sim_config(ssp, args) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("{e}");
@@ -1029,10 +1030,22 @@ fn main() -> ExitCode {
     let args = Args::parse();
     let Some(cmd) = args.positional.first().map(String::as_str) else {
         eprintln!(
-            "usage: protogen <table|verify|dot|murphi|sim|serve|sweep|fuzz|litmus|simulate|stats|compile> …"
+            "usage: protogen <table|verify|dot|murphi|sim|serve|sweep|fuzz|litmus|stats|compile> …"
         );
         return ExitCode::from(2);
     };
+    // Operands after the subcommand: one protocol (or file), except where
+    // the subcommand takes none. A surplus one is most often the value of
+    // a misspelt flag, so it is refused rather than ignored.
+    let operands = match cmd {
+        "stats" | "sweep" | "fuzz" => 0,
+        "table" | "verify" | "dot" if args.value("compose").is_some() => 0,
+        _ => 1,
+    };
+    if let Some(extra) = args.positional.get(1 + operands) {
+        eprintln!("unexpected argument `{extra}`: `{cmd}` takes {operands} operand(s) here");
+        return ExitCode::from(2);
+    }
     // Parsed on use: `sweep --caches 2,4` takes a list, everything else a
     // count.
     let caches =
@@ -1070,7 +1083,7 @@ fn main() -> ExitCode {
         "sweep" => sweep(&args, threads),
         "fuzz" => fuzz(&args, threads),
         "litmus" => litmus_cmd(&args, threads),
-        "table" | "verify" | "dot" | "murphi" | "sim" | "serve" | "simulate" => {
+        "table" | "verify" | "dot" | "murphi" | "sim" | "serve" => {
             if let Some(spec) = args.value("compose") {
                 let comp = match parse_compose_flag(spec) {
                     Ok(c) => c,
@@ -1115,7 +1128,7 @@ fn main() -> ExitCode {
                 }
                 "verify" => exit_code(verify(Target::Flat(&g, &ssp, caches()), &args, threads)),
                 "serve" => serve_cmd(&ssp, &g, &args, caches(), threads),
-                _ => sim(&ssp, &g, &args, cmd == "simulate"),
+                _ => sim(&ssp, &g, &args),
             }
         }
         "compile" => {

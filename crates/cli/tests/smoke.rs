@@ -17,10 +17,9 @@ fn no_arguments_prints_usage_and_fails() {
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("usage:"), "{err}");
-    for cmd in [
-        "table", "verify", "dot", "murphi", "sim", "serve", "sweep", "fuzz", "simulate", "stats",
-        "compile",
-    ] {
+    for cmd in
+        ["table", "verify", "dot", "murphi", "sim", "serve", "sweep", "fuzz", "stats", "compile"]
+    {
         assert!(err.contains(cmd), "usage line missing `{cmd}`: {err}");
     }
 }
@@ -398,6 +397,31 @@ fn unparsable_numeric_flags_are_usage_errors() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(&format!("bad {flag} `{value}`")), "{args:?}: {err}");
         assert!(!String::from_utf8_lossy(&out.stdout).contains("PASSED"), "{args:?}");
+    }
+}
+
+/// A misspelt flag used to be ignored, and its value with it: `verify msi
+/// --cachse 4` printed a PASSED line for MSI@2 and exited 0, and
+/// `--max-state 10` ran unbudgeted. Unknown flags and surplus operands are
+/// usage errors naming the offending token.
+#[test]
+fn unknown_flags_and_surplus_operands_are_usage_errors() {
+    for (args, token) in [
+        (&["verify", "msi", "--cachse", "4", "--stalling"][..], "--cachse"),
+        (&["verify", "msi", "--caches", "3", "--max-state", "10"], "--max-state"),
+        (&["verify", "msi", "mesi", "--caches", "2"], "`mesi`"),
+        (&["verify", "msi", "--compose", "l1=msi:1,llc=msi:2"], "`msi`"),
+        (&["stats", "msi"], "`msi`"),
+        (&["simulate", "msi"], "`simulate`"),
+    ] {
+        let out = protogen(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(token), "{args:?}: {err}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        for verdict in ["PASSED", "FAILED", "INCOMPLETE"] {
+            assert!(!stdout.contains(verdict), "{args:?} printed a verdict: {stdout}");
+        }
     }
 }
 

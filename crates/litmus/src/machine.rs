@@ -38,10 +38,9 @@
 use crate::test::{LitmusTest, Op, Val};
 use protogen_core::Generated;
 use protogen_runtime::{
-    apply_into, select_arc_indexed, ApplyOutcome, CacheBlock, DirEntry, FsmIndex, MachineCtx, Msg,
-    NodeId,
+    ApplyOutcome, CacheBlock, DirEntry, Line, Machine, MachineCtx, Msg, NodeId, Selected, Slot,
 };
-use protogen_spec::{Access, Arc, ArcKind, ArcNote, Event, Fsm, Ssp};
+use protogen_spec::{Access, Arc, ArcNote, Event, Fsm, Ssp};
 use std::collections::{BTreeSet, HashSet};
 use std::error::Error;
 use std::fmt;
@@ -112,10 +111,8 @@ impl Error for LitmusError {}
 #[derive(Debug)]
 pub struct Harness<'a> {
     ssp: &'a Ssp,
-    cache: &'a Fsm,
-    dir: &'a Fsm,
-    cache_idx: FsmIndex,
-    dir_idx: FsmIndex,
+    cache: Machine<&'a Fsm>,
+    dir: Machine<&'a Fsm>,
 }
 
 /// One litmus machine state: per-(thread, location) cache blocks,
@@ -142,10 +139,8 @@ impl<'a> Harness<'a> {
     pub fn new(ssp: &'a Ssp, generated: &'a Generated) -> Self {
         Harness {
             ssp,
-            cache: &generated.cache,
-            dir: &generated.directory,
-            cache_idx: FsmIndex::new(&generated.cache),
-            dir_idx: FsmIndex::new(&generated.directory),
+            cache: Machine::new(&generated.cache),
+            dir: Machine::new(&generated.directory),
         }
     }
 
@@ -203,29 +198,62 @@ impl Run<'_> {
         st.chans[m.src.as_usize() * self.n_nodes + m.dst.as_usize()].push((addr, m));
     }
 
-    /// Applies a cache arc to block `(t, addr)`, routes its sends, and
+    /// The controller `node` runs.
+    fn machine(&self, node: NodeId) -> &Machine<&Fsm> {
+        if node == self.dir_id {
+            &self.h.dir
+        } else {
+            &self.h.cache
+        }
+    }
+
+    /// `node`'s line for location `addr` as the dispatch kernel reads it.
+    fn slot<'s>(&self, st: &'s MState, node: NodeId, addr: u8) -> Slot<'s> {
+        if node == self.dir_id {
+            st.dirs[addr as usize].slot()
+        } else {
+            st.caches[self.block_idx(node.as_usize(), addr)].slot()
+        }
+    }
+
+    /// `node`'s line for location `addr` as the dispatch kernel writes it.
+    fn ctx<'s>(&self, st: &'s mut MState, node: NodeId, addr: u8) -> MachineCtx<'s> {
+        if node == self.dir_id {
+            st.dirs[addr as usize].ctx(node, node)
+        } else {
+            st.caches[self.block_idx(node.as_usize(), addr)].ctx(node, self.dir_id)
+        }
+    }
+
+    /// Applies `arc` to `node`'s line for `addr`, routes its sends, and
     /// returns what was performed.
-    fn cache_apply(
+    fn apply(
         &self,
         st: &mut MState,
-        t: usize,
+        node: NodeId,
         addr: u8,
         arc: &Arc,
         msg: Option<&Msg>,
         store_value: Val,
     ) -> Result<Option<(Access, Option<Val>)>, LitmusError> {
-        let i = self.block_idx(t, addr);
-        let mut block = st.caches[i].clone();
         let mut out = ApplyOutcome::default();
-        let ctx =
-            MachineCtx::Cache { block: &mut block, self_id: NodeId(t as u8), dir_id: self.dir_id };
-        apply_into(self.h.cache, arc, msg, ctx, store_value, &mut out)
+        self.machine(node)
+            .apply(arc, msg, self.ctx(st, node, addr), store_value, &mut out)
             .map_err(|e| LitmusError::Exec(e.to_string()))?;
-        st.caches[i] = block;
         for m in out.outgoing.drain(..) {
             self.push_msg(st, addr, m);
         }
         Ok(out.performed)
+    }
+
+    /// The arc thread `t`'s block for `addr` takes on `access` in `st`,
+    /// unless there is none or it stalls.
+    fn access_arc(&self, st: &MState, t: usize, addr: u8, access: Access) -> Option<&Arc> {
+        let slot = self.slot(st, NodeId(t as u8), addr);
+        match self.h.cache.select(slot, Event::Access(access), None) {
+            Selected::Arc(arc) => Some(arc),
+            Selected::Stall | Selected::None => None,
+        }
     }
 
     /// The thread's next program step, if it is enabled in `st`.
@@ -240,24 +268,12 @@ impl Run<'_> {
             Op::Load { addr, .. } => (addr, Access::Load, 0),
             Op::Store { addr, val } => (addr, Access::Store, val),
         };
-        let block = &st.caches[self.block_idx(t, addr)];
-        let had_pending = block.pending.is_some();
-        let Some(arc) = select_arc_indexed(
-            self.h.cache,
-            &self.h.cache_idx,
-            block.state,
-            Event::Access(access),
-            None,
-            Some(block),
-            None,
-        ) else {
+        let had_pending = st.caches[self.block_idx(t, addr)].pending.is_some();
+        let Some(arc) = self.access_arc(st, t, addr, access) else {
             return Ok(None);
         };
-        if arc.kind == ArcKind::Stall {
-            return Ok(None);
-        }
         let mut succ = st.clone();
-        let performed = self.cache_apply(&mut succ, t, addr, arc, None, store_value)?;
+        let performed = self.apply(&mut succ, NodeId(t as u8), addr, arc, None, store_value)?;
         match performed {
             Some((_, v)) => {
                 if let Op::Load { reg, .. } = op {
@@ -309,82 +325,36 @@ impl Run<'_> {
         qi: usize,
     ) -> Result<Option<MState>, LitmusError> {
         let (addr, msg) = st.chans[ci][qi];
-        if msg.dst == self.dir_id {
-            let entry = &st.dirs[addr as usize];
-            let Some(arc) = select_arc_indexed(
-                self.h.dir,
-                &self.h.dir_idx,
-                entry.state,
-                Event::Msg(msg.mtype),
-                Some(&msg),
-                None,
-                Some(entry),
-            ) else {
+        let (machine, slot) = (self.machine(msg.dst), self.slot(st, msg.dst, addr));
+        let arc = match machine.select(slot, Event::Msg(msg.mtype), Some(&msg)) {
+            Selected::Arc(arc) => arc,
+            Selected::Stall => return Ok(None),
+            Selected::None => {
                 return Err(LitmusError::UnexpectedMessage {
-                    node: self.dir_id.to_string(),
-                    state: self.h.dir.state(entry.state).name.clone(),
+                    node: msg.dst.to_string(),
+                    state: machine.fsm().state(slot.state()).name.clone(),
                     msg: msg.to_string(),
                 });
-            };
-            if arc.kind == ArcKind::Stall {
-                return Ok(None);
             }
-            let mut succ = st.clone();
-            succ.chans[ci].remove(qi);
-            let mut entry = succ.dirs[addr as usize].clone();
-            let mut out = ApplyOutcome::default();
-            apply_into(
-                self.h.dir,
-                arc,
-                Some(&msg),
-                MachineCtx::Dir { entry: &mut entry, self_id: self.dir_id },
-                0,
-                &mut out,
-            )
-            .map_err(|e| LitmusError::Exec(e.to_string()))?;
-            succ.dirs[addr as usize] = entry;
-            for m in out.outgoing.drain(..) {
-                self.push_msg(&mut succ, addr, m);
-            }
-            return Ok(Some(succ));
-        }
-
-        let t = msg.dst.as_usize();
-        let block = &st.caches[self.block_idx(t, addr)];
-        let Some(arc) = select_arc_indexed(
-            self.h.cache,
-            &self.h.cache_idx,
-            block.state,
-            Event::Msg(msg.mtype),
-            Some(&msg),
-            Some(block),
-            None,
-        ) else {
-            return Err(LitmusError::UnexpectedMessage {
-                node: msg.dst.to_string(),
-                state: self.h.cache.state(block.state).name.clone(),
-                msg: msg.to_string(),
-            });
         };
-        if arc.kind == ArcKind::Stall {
-            return Ok(None);
-        }
-        // If this delivery completes the thread's in-flight store, the
-        // performing action needs that store's value.
-        let cur_op = self.test.threads[t].get(st.cursor[t] as usize);
+        // The thread whose in-flight operation this delivery may complete
+        // (the directory has no program). If that operation is a store to
+        // this location, the performing action needs its value.
+        let thread = Some(msg.dst.as_usize()).filter(|&t| t < self.n_threads && st.in_flight[t]);
+        let cur_op = thread.and_then(|t| self.test.threads[t].get(st.cursor[t] as usize));
         let store_value = match cur_op {
-            Some(&Op::Store { addr: a, val }) if st.in_flight[t] && a == addr => val,
+            Some(&Op::Store { addr: a, val }) if a == addr => val,
             _ => 0,
         };
         let mut succ = st.clone();
         succ.chans[ci].remove(qi);
-        let performed = self.cache_apply(&mut succ, t, addr, arc, Some(&msg), store_value)?;
-        if let Some((access, v)) = performed {
+        let performed = self.apply(&mut succ, msg.dst, addr, arc, Some(&msg), store_value)?;
+        if let (Some(t), Some((access, v))) = (thread, performed) {
             // A performed Load/Store completes the thread's program
             // operation (warmup loads have `in_flight` unset and need no
             // bookkeeping); a performed Replacement is a self-downgrade or
             // writeback finishing, which is not a program event.
-            if matches!(access, Access::Load | Access::Store) && st.in_flight[t] {
+            if matches!(access, Access::Load | Access::Store) {
                 if let Some(&Op::Load { reg, .. }) = cur_op {
                     succ.regs[reg as usize] = v.ok_or_else(|| {
                         LitmusError::Exec("load completed without a value".into())
@@ -397,22 +367,13 @@ impl Run<'_> {
         Ok(Some(succ))
     }
 
-    /// The spontaneous-replacement arc of `block`, if `note` matches and
-    /// the block has no transaction pending.
-    fn spontaneous_arc(&self, block: &CacheBlock, note: ArcNote) -> Option<&Arc> {
-        if block.pending.is_some() {
+    /// The spontaneous-replacement arc of thread `t`'s block for `addr`, if
+    /// `note` matches and the block has no transaction pending.
+    fn spontaneous_arc(&self, st: &MState, t: usize, addr: u8, note: ArcNote) -> Option<&Arc> {
+        if st.caches[self.block_idx(t, addr)].pending.is_some() {
             return None;
         }
-        let arc = select_arc_indexed(
-            self.h.cache,
-            &self.h.cache_idx,
-            block.state,
-            Event::Access(Access::Replacement),
-            None,
-            Some(block),
-            None,
-        )?;
-        (arc.kind != ArcKind::Stall && arc.note == note).then_some(arc)
+        self.access_arc(st, t, addr, Access::Replacement).filter(|arc| arc.note == note)
     }
 
     /// Self-invalidation successors: per line, or per whole cache when the
@@ -422,10 +383,7 @@ impl Run<'_> {
         for t in 0..self.n_threads {
             if self.h.ssp.si_epoch {
                 let applicable: Vec<u8> = (0..self.n_addrs as u8)
-                    .filter(|&a| {
-                        self.spontaneous_arc(&st.caches[self.block_idx(t, a)], ArcNote::SelfInv)
-                            .is_some()
-                    })
+                    .filter(|&a| self.spontaneous_arc(st, t, a, ArcNote::SelfInv).is_some())
                     .collect();
                 if applicable.is_empty() {
                     continue;
@@ -433,20 +391,18 @@ impl Run<'_> {
                 let mut succ = st.clone();
                 for a in applicable {
                     let arc = self
-                        .spontaneous_arc(&succ.caches[self.block_idx(t, a)], ArcNote::SelfInv)
+                        .spontaneous_arc(&succ, t, a, ArcNote::SelfInv)
                         .expect("epoch member still applicable");
-                    self.cache_apply(&mut succ, t, a, arc, None, 0)?;
+                    self.apply(&mut succ, NodeId(t as u8), a, arc, None, 0)?;
                 }
                 out.push(succ);
             } else {
                 for a in 0..self.n_addrs as u8 {
-                    let Some(arc) =
-                        self.spontaneous_arc(&st.caches[self.block_idx(t, a)], ArcNote::SelfInv)
-                    else {
+                    let Some(arc) = self.spontaneous_arc(st, t, a, ArcNote::SelfInv) else {
                         continue;
                     };
                     let mut succ = st.clone();
-                    self.cache_apply(&mut succ, t, a, arc, None, 0)?;
+                    self.apply(&mut succ, NodeId(t as u8), a, arc, None, 0)?;
                     out.push(succ);
                 }
             }
@@ -458,13 +414,11 @@ impl Run<'_> {
     fn sd_steps(&self, st: &MState, out: &mut Vec<MState>) -> Result<(), LitmusError> {
         for t in 0..self.n_threads {
             for a in 0..self.n_addrs as u8 {
-                let Some(arc) =
-                    self.spontaneous_arc(&st.caches[self.block_idx(t, a)], ArcNote::SelfDown)
-                else {
+                let Some(arc) = self.spontaneous_arc(st, t, a, ArcNote::SelfDown) else {
                     continue;
                 };
                 let mut succ = st.clone();
-                self.cache_apply(&mut succ, t, a, arc, None, 0)?;
+                self.apply(&mut succ, NodeId(t as u8), a, arc, None, 0)?;
                 out.push(succ);
             }
         }
@@ -503,24 +457,16 @@ impl Run<'_> {
         let mut cands = Vec::new();
         for t in 0..self.n_threads {
             for a in 0..self.n_addrs as u8 {
-                let block = &st.caches[self.block_idx(t, a)];
-                let arc = select_arc_indexed(
-                    self.h.cache,
-                    &self.h.cache_idx,
-                    block.state,
-                    Event::Access(Access::Load),
-                    None,
-                    Some(block),
-                    None,
-                )
-                .filter(|arc| arc.kind != ArcKind::Stall)
-                .ok_or_else(|| LitmusError::Deadlock {
-                    detail: format!(
-                        "warmup load stalls in {}",
-                        self.h.cache.state(block.state).name
-                    ),
+                let arc = self.access_arc(st, t, a, Access::Load).ok_or_else(|| {
+                    let block = &st.caches[self.block_idx(t, a)];
+                    LitmusError::Deadlock {
+                        detail: format!(
+                            "warmup load stalls in {}",
+                            self.h.cache.fsm().state(block.state).name
+                        ),
+                    }
                 })?;
-                self.cache_apply(st, t, a, arc, None, 0)?;
+                self.apply(st, NodeId(t as u8), a, arc, None, 0)?;
                 let mut rounds = 0usize;
                 while st.chans.iter().any(|q| !q.is_empty()) {
                     rounds += 1;

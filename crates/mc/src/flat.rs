@@ -14,10 +14,8 @@ use crate::explore::{
 use crate::property::{materialize, Property, PropertyCtx, PropertySet};
 use crate::store::{fingerprint_bytes, STEP_NONE};
 use crate::system::{SysState, MAX_CACHES};
-use protogen_runtime::{
-    apply_into, select_arc_indexed, ApplyOutcome, FsmIndex, MachineCtx, MachineTag, NodeId, PairSet,
-};
-use protogen_spec::{Access, Event, Fsm};
+use protogen_runtime::{ApplyOutcome, Machine, Msg, PairSet, Selected};
+use protogen_spec::{Access, Arc, Event, Fsm};
 use std::fmt;
 
 /// Model-checker configuration.
@@ -179,11 +177,9 @@ impl fmt::Display for Step {
 /// result is thread-count- and interleaving-independent.
 #[derive(Debug)]
 pub struct ModelChecker<'a> {
-    cache_fsm: &'a Fsm,
-    dir_fsm: &'a Fsm,
+    cache: Machine<&'a Fsm>,
+    dir: Machine<&'a Fsm>,
     cfg: McConfig,
-    cache_idx: FsmIndex,
-    dir_idx: FsmIndex,
     /// The materialized property objects: the built-ins selected by
     /// `cfg.properties`, in deterministic order, plus any custom ones
     /// attached via [`ModelChecker::add_property`].
@@ -204,10 +200,8 @@ impl<'a> ModelChecker<'a> {
             "n_caches {} outside 1..={MAX_CACHES}: the sharer list is an 8-bit mask",
             cfg.n_caches
         );
-        let cache_idx = FsmIndex::new(cache_fsm);
-        let dir_idx = FsmIndex::new(dir_fsm);
         let props = materialize(cfg.properties);
-        ModelChecker { cache_fsm, dir_fsm, cfg, cache_idx, dir_idx, props }
+        ModelChecker { cache: Machine::new(cache_fsm), dir: Machine::new(dir_fsm), cfg, props }
     }
 
     /// Attaches a custom property (checked after the built-ins, in
@@ -222,7 +216,16 @@ impl<'a> ModelChecker<'a> {
     }
 
     fn property_ctx(&self) -> PropertyCtx<'_> {
-        PropertyCtx { cache_fsm: self.cache_fsm, dir_fsm: self.dir_fsm }
+        PropertyCtx { cache_fsm: self.cache.fsm(), dir_fsm: self.dir.fsm() }
+    }
+
+    /// The controller node `node` runs (`n_caches` = the directory).
+    fn machine(&self, node: u8) -> &Machine<&'a Fsm> {
+        if node as usize == self.cfg.n_caches {
+            &self.dir
+        } else {
+            &self.cache
+        }
     }
 
     /// First violation any property reports on a load hit, in check order.
@@ -274,27 +277,15 @@ impl<'a> ModelChecker<'a> {
     /// recording them on canonical representatives covers every orbit
     /// member.
     fn observe(&self, state: &SysState, step: Step, cov: &mut PairSet) {
-        match step {
+        let (node, event) = match step {
             Step::Deliver { src, dst, idx } => {
                 let msg = state.channels[src as usize][dst as usize][idx as usize];
-                if dst as usize == state.n_caches() {
-                    cov.insert((MachineTag::DIRECTORY, state.dir.state, Event::Msg(msg.mtype)));
-                } else {
-                    cov.insert((
-                        MachineTag::CACHE,
-                        state.caches[dst as usize].state,
-                        Event::Msg(msg.mtype),
-                    ));
-                }
+                (dst, Event::Msg(msg.mtype))
             }
-            Step::IssueAccess { cache, access } => {
-                cov.insert((
-                    MachineTag::CACHE,
-                    state.caches[cache as usize].state,
-                    Event::Access(access),
-                ));
-            }
-        }
+            Step::IssueAccess { cache, access } => (cache, Event::Access(access)),
+        };
+        let slot = state.slot(node as usize);
+        cov.insert((slot.tag(), slot.state(), event));
     }
 
     /// Computes the successor of `state` for `step` into the scratch
@@ -342,82 +333,24 @@ impl<'a> ModelChecker<'a> {
         st: &mut StepScratch,
     ) -> Result<bool, ViolationKind> {
         let msg = state.channels[src as usize][dst as usize][idx as usize];
-        let is_dir = dst as usize == state.n_caches();
-        let event = Event::Msg(msg.mtype);
-        let arc = if is_dir {
-            select_arc_indexed(
-                self.dir_fsm,
-                &self.dir_idx,
-                state.dir.state,
-                event,
-                Some(&msg),
-                None,
-                Some(&state.dir),
-            )
-        } else {
-            let block = &state.caches[dst as usize];
-            select_arc_indexed(
-                self.cache_fsm,
-                &self.cache_idx,
-                block.state,
-                event,
-                Some(&msg),
-                Some(block),
-                None,
-            )
+        let (machine, slot) = (self.machine(dst), state.slot(dst as usize));
+        let arc = match machine.select(slot, Event::Msg(msg.mtype), Some(&msg)) {
+            Selected::Arc(arc) => arc,
+            Selected::Stall => return Ok(false),
+            Selected::None => {
+                let who = if dst as usize == state.n_caches() {
+                    "directory".to_string()
+                } else {
+                    format!("cache n{dst}")
+                };
+                return Err(ViolationKind::UnexpectedMessage(machine.unexpected(who, slot, msg)));
+            }
         };
-        let Some(arc) = arc else {
-            let holder = if is_dir {
-                format!("directory in {}", self.dir_fsm.state(state.dir.state).full_name())
-            } else {
-                format!(
-                    "cache n{dst} in {}",
-                    self.cache_fsm.state(state.caches[dst as usize].state).full_name()
-                )
-            };
-            return Err(ViolationKind::UnexpectedMessage(format!("{msg} at {holder}")));
-        };
-        if arc.kind == protogen_spec::ArcKind::Stall {
-            return Ok(false);
-        }
-        st.sync(state, succ);
-        st.touched = Some(Touched { machine: dst, delivered: Some((src, dst)) });
-        let outcome = &mut st.outcome;
-        succ.channels[src as usize][dst as usize].remove(idx as usize);
-        let store_value = (state.ghost + 1) % self.cfg.value_domain;
-        if is_dir {
-            let dir_id = succ.dir_id();
-            apply_into(
-                self.dir_fsm,
-                arc,
-                Some(&msg),
-                MachineCtx::Dir { entry: &mut succ.dir, self_id: dir_id },
-                store_value,
-                outcome,
-            )
-        } else {
-            let dir_id = succ.dir_id();
-            apply_into(
-                self.cache_fsm,
-                arc,
-                Some(&msg),
-                MachineCtx::Cache {
-                    block: &mut succ.caches[dst as usize],
-                    self_id: NodeId(dst),
-                    dir_id,
-                },
-                store_value,
-                outcome,
-            )
-        }
-        .map_err(exec_violation)?;
-        if let Some((Access::Store, _)) = outcome.performed {
-            succ.ghost = store_value;
-        }
         // Completion loads (e.g. the single access after invalidation in
         // IS_D_I) read the response data by construction; the physical
         // data-value check applies to hits only (design note in DESIGN.md).
-        self.route(succ, outcome)?;
+        self.fire(state, dst, arc, Some((src, idx, &msg)), succ, st)?;
+        self.route(succ, &st.outcome)?;
         Ok(true)
     }
 
@@ -430,53 +363,54 @@ impl<'a> ModelChecker<'a> {
         st: &mut StepScratch,
     ) -> Result<bool, ViolationKind> {
         let block = &state.caches[cache as usize];
-        let arc = select_arc_indexed(
-            self.cache_fsm,
-            &self.cache_idx,
-            block.state,
-            Event::Access(access),
-            None,
-            Some(block),
-            None,
-        );
-        let Some(arc) = arc else { return Ok(false) };
-        if arc.kind == protogen_spec::ArcKind::Stall {
+        let Selected::Arc(arc) =
+            self.cache.select(state.slot(cache as usize), Event::Access(access), None)
+        else {
             return Ok(false);
-        }
+        };
         let is_hit = arc.actions.iter().any(|a| matches!(a, protogen_spec::Action::PerformAccess));
         if !is_hit && block.pending.is_some() {
             // One outstanding transaction per block per cache (§V-F).
             return Ok(false);
         }
-        st.sync(state, succ);
-        st.touched = Some(Touched { machine: cache, delivered: None });
-        let outcome = &mut st.outcome;
-        let store_value = (state.ghost + 1) % self.cfg.value_domain;
-        let dir_id = succ.dir_id();
-        apply_into(
-            self.cache_fsm,
-            arc,
-            None,
-            MachineCtx::Cache {
-                block: &mut succ.caches[cache as usize],
-                self_id: NodeId(cache),
-                dir_id,
-            },
-            store_value,
-            outcome,
-        )
-        .map_err(exec_violation)?;
-        match outcome.performed {
-            Some((Access::Store, _)) => succ.ghost = store_value,
-            Some((Access::Load, Some(v))) => {
-                if let Some(kind) = self.check_load_hit(cache, v, state.ghost) {
-                    return Err(kind);
-                }
+        self.fire(state, cache, arc, None, succ, st)?;
+        if let Some((Access::Load, Some(v))) = st.outcome.performed {
+            if let Some(kind) = self.check_load_hit(cache, v, state.ghost) {
+                return Err(kind);
             }
-            _ => {}
         }
-        self.route(succ, outcome)?;
+        self.route(succ, &st.outcome)?;
         Ok(true)
+    }
+
+    /// The second half of a step, once `arc` was selected on the parent
+    /// `state`: restores the scratch successor, records what is about to
+    /// be written, takes the delivered message (`(src, idx, msg)`, if the
+    /// step is a delivery) off its queue and applies `arc` to `node`.
+    fn fire(
+        &self,
+        state: &SysState,
+        node: u8,
+        arc: &Arc,
+        delivered: Option<(u8, u8, &Msg)>,
+        succ: &mut SysState,
+        st: &mut StepScratch,
+    ) -> Result<(), ViolationKind> {
+        st.sync(state, succ);
+        let from = delivered.map(|(src, ..)| (src, node));
+        st.touched = Some(Touched { machine: node, delivered: from });
+        if let Some((src, idx, _)) = delivered {
+            succ.channels[src as usize][node as usize].remove(idx as usize);
+        }
+        let store_value = (state.ghost + 1) % self.cfg.value_domain;
+        let msg = delivered.map(|(.., msg)| msg);
+        self.machine(node)
+            .apply(arc, msg, succ.ctx(node as usize), store_value, &mut st.outcome)
+            .map_err(exec_violation)?;
+        if let Some((Access::Store, _)) = st.outcome.performed {
+            succ.ghost = store_value;
+        }
+        Ok(())
     }
 
     /// Injects the outcome's outgoing messages into `succ`'s channels,
@@ -513,10 +447,10 @@ impl<'a> ModelChecker<'a> {
 /// the next step restores only that from the parent instead of copying
 /// the whole state.
 ///
-/// What a step may write is bounded by construction: `deliver_into`
-/// removes from one queue, `apply_into` holds a `&mut` to one cache block
-/// or the directory entry, `route` pushes the outcome's outgoing messages
-/// onto the queues they name, and the ghost is one byte. The first two are
+/// What a step may write is bounded by construction: `fire` removes from
+/// one queue and hands `Machine::apply` a `&mut` to one cache block or the
+/// directory entry, `route` pushes the outcome's outgoing messages onto
+/// the queues they name, and the ghost is one byte. The first two are
 /// recorded in `touched` before anything fallible runs and the routed
 /// queues are read back from `outcome.outgoing` — a superset of what
 /// `route` pushed, whether the step returned `Ok` or `Err` — so every exit
@@ -599,7 +533,7 @@ impl TransitionSystem for ModelChecker<'_> {
             cfg.store,
             self.property_names().join(","),
         );
-        let fsms = format!("{:?}\x1f{:?}", self.cache_fsm, self.dir_fsm);
+        let fsms = format!("{:?}\x1f{:?}", self.cache.fsm(), self.dir.fsm());
         (fingerprint_bytes(desc.as_bytes()), fingerprint_bytes(fsms.as_bytes()))
     }
 
@@ -710,25 +644,22 @@ impl TransitionSystem for ModelChecker<'_> {
     }
 
     fn describe(&self, state: &SysState, step: Step) -> String {
+        let state_name = |node: u8| {
+            self.machine(node).fsm().state(state.slot(node as usize).state()).full_name()
+        };
         match step {
             Step::Deliver { src, dst, idx } => {
                 let msg = state.channels[src as usize][dst as usize][idx as usize];
-                let mname = &self.cache_fsm.msg(msg.mtype).name;
+                let mname = &self.cache.fsm().msg(msg.mtype).name;
                 let holder = if dst as usize == state.n_caches() {
-                    format!("dir[{}]", self.dir_fsm.state(state.dir.state).full_name())
+                    format!("dir[{}]", state_name(dst))
                 } else {
-                    format!(
-                        "n{dst}[{}]",
-                        self.cache_fsm.state(state.caches[dst as usize].state).full_name()
-                    )
+                    format!("n{dst}[{}]", state_name(dst))
                 };
                 format!("{mname} {msg} -> {holder}")
             }
             Step::IssueAccess { cache, access } => {
-                format!(
-                    "n{cache}[{}] {access}",
-                    self.cache_fsm.state(state.caches[cache as usize].state).full_name()
-                )
+                format!("n{cache}[{}] {access}", state_name(cache))
             }
         }
     }

@@ -73,10 +73,9 @@ use crate::store::{absorb, fingerprint_bytes};
 use crate::system::{put_block, put_dir, put_queue, Decoder};
 use protogen_core::Composed;
 use protogen_runtime::{
-    apply_into, select_arc_indexed, ApplyOutcome, CacheBlock, DirEntry, FsmIndex, MachineCtx, Msg,
-    NodeId, Val,
+    ApplyOutcome, CacheBlock, DirEntry, Line, Machine, Msg, NodeId, Selected, Slot, Val,
 };
-use protogen_spec::{Access, Event, Fsm, FsmStateId, MsgClass, Perm};
+use protogen_spec::{Access, Arc, Event, Fsm, FsmStateId, MsgClass, Perm};
 use std::fmt;
 use std::path::PathBuf;
 
@@ -156,10 +155,8 @@ struct LevelRt {
     label: String,
     fanout: usize,
     ordered: bool,
-    cache_fsm: Fsm,
-    dir_fsm: Fsm,
-    cache_idx: FsmIndex,
-    dir_idx: FsmIndex,
+    cache: Machine<Fsm>,
+    dir: Machine<Fsm>,
     /// Message class by `MsgId`, for glue gating.
     classes: Vec<MsgClass>,
     /// Needed outer permission by `MsgId` — `None` for the root level,
@@ -342,7 +339,7 @@ impl HierScratch {
     /// a restore of exactly what the previous step wrote — its subnet's
     /// delivered and routed-into queues (the latter read back from
     /// `outcome.outgoing`, a superset of what `route` pushed on any exit),
-    /// the machine `apply_into` borrowed, the one data field a glue sync
+    /// the machine `Machine::apply` borrowed, the one data field a glue sync
     /// mirrors it into, and the ghost.
     fn sync(&mut self, state: &HierState, succ: &mut HierState) {
         if self.synced {
@@ -431,10 +428,8 @@ impl HierChecker {
                     label: l.label.clone(),
                     fanout: l.fanout,
                     ordered: g.ssp.network_ordered,
-                    cache_idx: FsmIndex::new(&g.cache),
-                    dir_idx: FsmIndex::new(&g.directory),
-                    cache_fsm: g.cache.clone(),
-                    dir_fsm: g.directory.clone(),
+                    cache: Machine::new(g.cache.clone()),
+                    dir: Machine::new(g.directory.clone()),
                     classes: g.ssp.messages.iter().map(|m| m.class).collect(),
                     needed: (j + 1 < k).then(|| composed.glue[j].needed_perm.clone()),
                 }
@@ -486,7 +481,7 @@ impl HierChecker {
     /// states only keeps children from being granted copies mid-parent-
     /// transaction.
     fn eff_perm(&self, s: &HierState, jm: usize, node: usize) -> Perm {
-        let st = self.levels[jm].cache_fsm.state(s.caches[jm][node].state);
+        let st = self.levels[jm].cache.fsm().state(s.caches[jm][node].state);
         if st.is_stable() {
             st.perm
         } else {
@@ -514,7 +509,7 @@ impl HierChecker {
         let dir = &s.dirs[j][node];
         s.caches[j][node * f..(node + 1) * f].iter().all(|c| *c == initial)
             && s.chans[j][node].iter().flatten().all(|q| q.is_empty())
-            && self.levels[j].dir_fsm.state(dir.state).is_stable()
+            && self.levels[j].dir.fsm().state(dir.state).is_stable()
             && dir.owner.is_none()
             && dir.sharers == 0
             && dir.chain_slots.is_empty()
@@ -535,136 +530,47 @@ impl HierChecker {
         let lvl = &self.levels[j];
         let f = lvl.fanout;
         let msg = state.chans[j][p][src][dst][idx];
-        let event = Event::Msg(msg.mtype);
-        let k = self.depth();
-        if dst == f {
-            // Into the level-j directory, hosted by machine-level-(j+1)
-            // node p. Acquire gating: below the root, a request needs the
-            // hosting node to hold enough outer permission.
-            if j + 1 < k
-                && lvl.classes[msg.mtype.as_usize()] == MsgClass::Request
+        let class = lvl.classes[msg.mtype.as_usize()];
+        // The receiver: the level-j directory, hosted by machine-level-(j+1)
+        // node p, or the cache side of machine-level-j node g.
+        let to_dir = dst == f;
+        let g = p * f + dst;
+        let (machine, slot) = if to_dir {
+            // Acquire gating: below the root, a request needs the hosting
+            // node to hold enough outer permission.
+            if j + 1 < self.depth()
+                && class == MsgClass::Request
                 && lvl.needed.as_ref().expect("non-root level has glue")[msg.mtype.as_usize()]
                     > self.eff_perm(state, j + 1, p)
             {
                 return Ok(false);
             }
-            let entry = &state.dirs[j][p];
-            let arc = select_arc_indexed(
-                &lvl.dir_fsm,
-                &lvl.dir_idx,
-                entry.state,
-                event,
-                Some(&msg),
-                None,
-                Some(entry),
-            );
-            let Some(arc) = arc else {
-                return Err(ViolationKind::UnexpectedMessage(format!(
-                    "{msg} at {} directory p{p} in {}",
-                    lvl.label,
-                    lvl.dir_fsm.state(entry.state).full_name()
-                )));
-            };
-            if arc.kind == protogen_spec::ArcKind::Stall {
-                return Ok(false);
-            }
-            scratch.sync(state, succ);
-            scratch.touched =
-                Some(Touched { level: j, parent: p, cache: None, delivered: Some((src, dst)) });
-            let outcome = &mut scratch.outcome;
-            succ.chans[j][p][src][dst].remove(idx);
-            let pre_dir_data = state.dirs[j][p].data;
-            apply_into(
-                &lvl.dir_fsm,
-                arc,
-                Some(&msg),
-                MachineCtx::Dir { entry: &mut succ.dirs[j][p], self_id: NodeId(f as u8) },
-                (state.ghost + 1) % self.cfg.value_domain,
-                outcome,
-            )
-            .map_err(exec_violation)?;
-            // Writebacks landing in the directory refresh the hosting
-            // node's outer copy, so the value rides outer evictions and
-            // forwards unchanged.
-            if j + 1 < k
-                && succ.dirs[j][p].data != pre_dir_data
-                && succ.caches[j + 1][p].data.is_some()
-            {
-                succ.caches[j + 1][p].data = Some(succ.dirs[j][p].data);
-            }
-            self.route(succ, j, p, outcome)?;
-            Ok(true)
+            (&lvl.dir, Slot::Dir(&state.dirs[j][p]))
         } else {
-            // Into the cache side of machine-level-j node g. Release
-            // gating: a forward must wait until g's inner subnet holds no
-            // data.
-            let g = p * f + dst;
-            if j >= 1
-                && lvl.classes[msg.mtype.as_usize()] == MsgClass::Forward
-                && self.has_copies(state, j - 1, g)
-            {
+            // Release gating: a forward must wait until g's inner subnet
+            // holds no data.
+            if j >= 1 && class == MsgClass::Forward && self.has_copies(state, j - 1, g) {
                 return Ok(false);
             }
-            let block = &state.caches[j][g];
-            let arc = select_arc_indexed(
-                &lvl.cache_fsm,
-                &lvl.cache_idx,
-                block.state,
-                event,
-                Some(&msg),
-                Some(block),
-                None,
-            );
-            let Some(arc) = arc else {
-                return Err(ViolationKind::UnexpectedMessage(format!(
-                    "{msg} at node L{j}.{g} in {}",
-                    lvl.cache_fsm.state(block.state).full_name()
-                )));
-            };
-            if arc.kind == protogen_spec::ArcKind::Stall {
-                return Ok(false);
+            (&lvl.cache, Slot::Cache(&state.caches[j][g]))
+        };
+        let arc = match machine.select(slot, Event::Msg(msg.mtype), Some(&msg)) {
+            Selected::Arc(arc) => arc,
+            Selected::Stall => return Ok(false),
+            Selected::None => {
+                let who = if to_dir {
+                    format!("{} directory p{p}", lvl.label)
+                } else {
+                    format!("node L{j}.{g}")
+                };
+                return Err(ViolationKind::UnexpectedMessage(machine.unexpected(who, slot, msg)));
             }
-            scratch.sync(state, succ);
-            scratch.touched =
-                Some(Touched { level: j, parent: p, cache: Some(g), delivered: Some((src, dst)) });
-            let outcome = &mut scratch.outcome;
-            succ.chans[j][p][src][dst].remove(idx);
-            let store_value = (state.ghost + 1) % self.cfg.value_domain;
-            let pre_data = state.caches[j][g].data;
-            apply_into(
-                &lvl.cache_fsm,
-                arc,
-                Some(&msg),
-                MachineCtx::Cache {
-                    block: &mut succ.caches[j][g],
-                    self_id: NodeId(dst as u8),
-                    dir_id: NodeId(f as u8),
-                },
-                if j == 0 { store_value } else { state.ghost },
-                outcome,
-            )
-            .map_err(exec_violation)?;
-            if j == 0 {
-                if let Some((Access::Store, _)) = outcome.performed {
-                    succ.ghost = store_value;
-                }
-            } else {
-                // Data-transparent parent: a completed glue Store keeps
-                // the value the outer protocol delivered instead of the
-                // minted store value, and never advances the ghost.
-                let blk = &mut succ.caches[j][g];
-                if let Some((Access::Store, _)) = outcome.performed {
-                    blk.data = msg.data.or(pre_data);
-                }
-                if blk.data != pre_data {
-                    if let Some(v) = blk.data {
-                        succ.dirs[j - 1][g].data = v;
-                    }
-                }
-            }
-            self.route(succ, j, p, outcome)?;
-            Ok(true)
-        }
+        };
+        let cache = (!to_dir).then_some(g);
+        let touched = Touched { level: j, parent: p, cache, delivered: Some((src, dst)) };
+        self.fire(state, touched, arc, Some((idx, &msg)), succ, scratch)?;
+        self.route(succ, j, p, &scratch.outcome)?;
+        Ok(true)
     }
 
     fn issue_into(
@@ -677,71 +583,100 @@ impl HierChecker {
         scratch: &mut HierScratch,
     ) -> Result<bool, ViolationKind> {
         let lvl = &self.levels[jm];
-        let f = lvl.fanout;
         let block = &state.caches[jm][node];
-        let arc = select_arc_indexed(
-            &lvl.cache_fsm,
-            &lvl.cache_idx,
-            block.state,
-            Event::Access(access),
-            None,
-            Some(block),
-            None,
-        );
-        let Some(arc) = arc else { return Ok(false) };
-        if arc.kind == protogen_spec::ArcKind::Stall {
+        let Selected::Arc(arc) = lvl.cache.select(block.slot(), Event::Access(access), None) else {
             return Ok(false);
-        }
+        };
         let is_hit = arc.actions.iter().any(|a| matches!(a, protogen_spec::Action::PerformAccess));
         if !is_hit && block.pending.is_some() {
             // One outstanding transaction per block per node (§V-F).
             return Ok(false);
         }
-        let (local, parent) = (node % f, node / f);
+        let parent = node / lvl.fanout;
+        let touched = Touched { level: jm, parent, cache: Some(node), delivered: None };
+        self.fire(state, touched, arc, None, succ, scratch)?;
+        if let Some((Access::Load, Some(v))) = scratch.outcome.performed {
+            if jm == 0 && self.cfg.properties.data_value && v != state.ghost {
+                return Err(ViolationKind::DataValue(format!(
+                    "leaf node L0.{node} load hit returned {v}, expected {}",
+                    state.ghost
+                )));
+            }
+        }
+        self.route(succ, jm, parent, &scratch.outcome)?;
+        Ok(true)
+    }
+
+    /// The second half of a step, once `arc` was selected on the parent
+    /// `state`: restores the scratch successor, records `t` — what is about
+    /// to be written — takes the delivered message (`(idx, msg)`, if the
+    /// step is a delivery) off its queue, applies `arc` to the machine `t`
+    /// names and mirrors the data it moved across the hosting boundary.
+    fn fire(
+        &self,
+        state: &HierState,
+        t: Touched,
+        arc: &Arc,
+        delivered: Option<(usize, &Msg)>,
+        succ: &mut HierState,
+        scratch: &mut HierScratch,
+    ) -> Result<(), ViolationKind> {
+        let (j, p) = (t.level, t.parent);
+        let lvl = &self.levels[j];
+        let dir_id = NodeId(lvl.fanout as u8);
         scratch.sync(state, succ);
-        scratch.touched = Some(Touched { level: jm, parent, cache: Some(node), delivered: None });
+        scratch.touched = Some(t);
         let outcome = &mut scratch.outcome;
+        if let (Some((src, dst)), Some((idx, _))) = (t.delivered, delivered) {
+            succ.chans[j][p][src][dst].remove(idx);
+        }
+        let msg = delivered.map(|(_, msg)| msg);
         let store_value = (state.ghost + 1) % self.cfg.value_domain;
-        let pre_data = block.data;
-        apply_into(
-            &lvl.cache_fsm,
-            arc,
-            None,
-            MachineCtx::Cache {
-                block: &mut succ.caches[jm][node],
-                self_id: NodeId(local as u8),
-                dir_id: NodeId(f as u8),
-            },
-            if jm == 0 { store_value } else { state.ghost },
-            outcome,
-        )
-        .map_err(exec_violation)?;
-        if jm == 0 {
-            match outcome.performed {
-                Some((Access::Store, _)) => succ.ghost = store_value,
-                Some((Access::Load, Some(v)))
-                    if self.cfg.properties.data_value && v != state.ghost =>
+        // Parents are data-transparent: only a leaf store mints a value.
+        let (machine, ctx, value) = match t.cache {
+            None => (&lvl.dir, succ.dirs[j][p].ctx(dir_id, dir_id), store_value),
+            Some(g) => (
+                &lvl.cache,
+                succ.caches[j][g].ctx(NodeId((g % lvl.fanout) as u8), dir_id),
+                if j == 0 { store_value } else { state.ghost },
+            ),
+        };
+        machine.apply(arc, msg, ctx, value, outcome).map_err(exec_violation)?;
+        let stored = matches!(outcome.performed, Some((Access::Store, _)));
+        match t.cache {
+            // Writebacks landing in the directory refresh the hosting
+            // node's outer copy, so the value rides outer evictions and
+            // forwards unchanged.
+            None => {
+                if j + 1 < self.depth()
+                    && succ.dirs[j][p].data != state.dirs[j][p].data
+                    && succ.caches[j + 1][p].data.is_some()
                 {
-                    return Err(ViolationKind::DataValue(format!(
-                        "leaf node L0.{node} load hit returned {v}, expected {}",
-                        state.ghost
-                    )));
+                    succ.caches[j + 1][p].data = Some(succ.dirs[j][p].data);
                 }
-                _ => {}
             }
-        } else {
-            let blk = &mut succ.caches[jm][node];
-            if let Some((Access::Store, _)) = outcome.performed {
-                blk.data = pre_data;
+            Some(_) if j == 0 => {
+                if stored {
+                    succ.ghost = store_value;
+                }
             }
-            if blk.data != pre_data {
-                if let Some(v) = blk.data {
-                    succ.dirs[jm - 1][node].data = v;
+            // A completed glue Store keeps the value the outer protocol
+            // delivered (or the node already held) instead of the minted
+            // store value, and never advances the ghost.
+            Some(g) => {
+                let pre_data = state.caches[j][g].data;
+                let blk = &mut succ.caches[j][g];
+                if stored {
+                    blk.data = msg.and_then(|m| m.data).or(pre_data);
+                }
+                if blk.data != pre_data {
+                    if let Some(v) = blk.data {
+                        succ.dirs[j - 1][g].data = v;
+                    }
                 }
             }
         }
-        self.route(succ, jm, parent, outcome)?;
-        Ok(true)
+        Ok(())
     }
 
     /// Injects the outcome's outgoing messages into the acting machine's
@@ -923,7 +858,12 @@ impl TransitionSystem for HierChecker {
         for l in &self.levels {
             machines += &format!(
                 "{} {} {} {:?} {:?} {:?}\x1f",
-                l.label, l.fanout, l.ordered, l.cache_fsm, l.dir_fsm, l.needed
+                l.label,
+                l.fanout,
+                l.ordered,
+                l.cache.fsm(),
+                l.dir.fsm(),
+                l.needed
             );
         }
         (fingerprint_bytes(desc.as_bytes()), fingerprint_bytes(machines.as_bytes()))
@@ -1049,7 +989,7 @@ impl TransitionSystem for HierChecker {
                         access: Access::Store,
                     });
                 }
-                let st = self.levels[jm].cache_fsm.state(block.state);
+                let st = self.levels[jm].cache.fsm().state(block.state);
                 if st.is_stable()
                     && block.state != FsmStateId(0)
                     && self.inner_quiescent(s, jm, node)
@@ -1112,13 +1052,13 @@ impl TransitionSystem for HierChecker {
         let props = &self.cfg.properties;
         if props.swmr || props.single_writer {
             for (lvl, blocks) in self.levels.iter().zip(&s.caches) {
-                let conflict = perm_conflict(&lvl.cache_fsm, blocks, props.swmr, Some(&lvl.label));
+                let conflict = perm_conflict(lvl.cache.fsm(), blocks, props.swmr, Some(&lvl.label));
                 if conflict.is_some() {
                     return conflict;
                 }
             }
         }
-        let leaves = (&self.levels[0].cache_fsm, &s.caches[0]);
+        let leaves = (self.levels[0].cache.fsm(), &s.caches[0]);
         props.data_value.then(|| stale_copy(leaves.0, leaves.1, s.ghost, true)).flatten()
     }
 

@@ -1,6 +1,6 @@
 //! The model-checked system: N caches + directory + channels.
 
-use protogen_runtime::{CacheBlock, DirEntry, Msg, NodeId, Val};
+use protogen_runtime::{CacheBlock, DirEntry, Line, MachineCtx, Msg, NodeId, Slot, Val};
 use protogen_spec::{Access, FsmStateId, MsgId};
 
 /// The most caches one directory can serve: [`DirEntry::sharers`] is a
@@ -230,6 +230,24 @@ impl SysState {
     /// The directory's node id.
     pub fn dir_id(&self) -> NodeId {
         NodeId(self.caches.len() as u8)
+    }
+
+    /// Node `node`'s line as the dispatch kernel reads it: cache `node`'s
+    /// block, or the directory entry for `node == n_caches`.
+    pub fn slot(&self, node: usize) -> Slot<'_> {
+        match self.caches.get(node) {
+            Some(block) => block.slot(),
+            None => self.dir.slot(),
+        }
+    }
+
+    /// Node `node`'s line as the dispatch kernel writes it.
+    pub fn ctx(&mut self, node: usize) -> MachineCtx<'_> {
+        let dir_id = self.dir_id();
+        match self.caches.get_mut(node) {
+            Some(block) => block.ctx(NodeId(node as u8), dir_id),
+            None => self.dir.ctx(dir_id, dir_id),
+        }
     }
 
     /// Total number of in-flight messages.

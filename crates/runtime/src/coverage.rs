@@ -1,7 +1,7 @@
 //! Control-coverage bookkeeping shared by the model checker and the
 //! simulator.
 //!
-//! Both tools drive the same generated FSMs through [`crate::select_arc`];
+//! Both tools drive the same generated FSMs through [`crate::Machine`];
 //! recording every `(machine, state, event)` dispatch they attempt makes
 //! the two comparable: a simulated run under an ordered network must never
 //! observe a pair the exhaustive model checker did not visit at the same

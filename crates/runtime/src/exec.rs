@@ -81,8 +81,6 @@ pub struct ApplyOutcome {
     pub outgoing: Vec<Msg>,
     /// An access that was performed, with the value a load returned.
     pub performed: Option<(Access, Option<Val>)>,
-    /// The arc was a stall: nothing happened; the event must be retried.
-    pub stalled: bool,
 }
 
 impl ApplyOutcome {
@@ -91,34 +89,16 @@ impl ApplyOutcome {
     pub fn clear(&mut self) {
         self.outgoing.clear();
         self.performed = None;
-        self.stalled = false;
     }
 }
 
 /// Selects the first arc of `fsm` out of `state` for `event` whose guards
-/// all pass. Guarded SSP entries come before synthesized fallbacks in arc
-/// order, so first-match gives the "else" semantics the generator relies
-/// on. Returns `None` when the machine has no transition for the event —
-/// for messages this means the protocol is incomplete (a generation bug the
-/// model checker reports).
-pub fn select_arc<'f>(
-    fsm: &'f Fsm,
-    state: FsmStateId,
-    event: Event,
-    msg: Option<&Msg>,
-    cache: Option<&CacheBlock>,
-    dir: Option<&DirEntry>,
-) -> Option<&'f Arc> {
-    fsm.arcs
-        .iter()
-        .filter(|a| a.from == state && a.event == event)
-        .find(|a| a.guards.iter().all(|g| eval_guard(*g, fsm, msg, cache, dir)))
-}
-
-/// [`select_arc`] through a prebuilt [`crate::FsmIndex`]: same first-match
-/// semantics, but only the candidate arcs for `(state, event)` are
-/// examined instead of the whole arc list. This is the model checker's hot
-/// path; `index` must have been built from this `fsm`.
+/// all pass, examining only the candidates `index` lists for `(state,
+/// event)`; `index` must have been built from this `fsm`. Returns `None`
+/// when the machine has no transition for the event.
+///
+/// The primitive under [`crate::Machine::select`], which is what executors
+/// call.
 pub fn select_arc_indexed<'f>(
     fsm: &'f Fsm,
     index: &crate::FsmIndex,
@@ -194,6 +174,7 @@ fn eval_guard(
 /// reuses one outcome (and its `outgoing` buffer) across millions of
 /// transitions. The outcome is cleared on entry; on error it holds
 /// whatever was produced before the failure and must not be interpreted.
+/// A stall arc does nothing. The primitive under [`crate::Machine::apply`].
 ///
 /// `store_value` is the value a store writes when one is performed (the
 /// harness chooses it; the model checker uses a bounded ghost counter).
@@ -212,7 +193,6 @@ pub fn apply_into(
 ) -> Result<(), ExecError> {
     out.clear();
     if arc.kind == ArcKind::Stall {
-        out.stalled = true;
         return Ok(());
     }
     let ctx = || format!("{} state {}", fsm.machine, fsm.state(arc.from).name);
@@ -572,7 +552,7 @@ mod tests {
             &mut out,
         )
         .unwrap();
-        assert!(out.stalled);
+        assert_eq!(out, ApplyOutcome::default());
         assert_eq!(block, CacheBlock::new());
     }
 

@@ -1,11 +1,10 @@
 //! Precomputed arc lookup tables for the exploration hot path.
 //!
-//! [`select_arc`](crate::select_arc) scans every arc of the FSM linearly on
-//! each event — fine for a simulator driving one block, but the model
-//! checker selects arcs hundreds of millions of times. [`FsmIndex`] buckets
-//! the arcs of an [`Fsm`] by `(source state, event)` once, preserving arc
-//! order (first-match semantics), so a lookup touches only the candidate
-//! arcs for that slot. The index is immutable after construction and holds
+//! Scanning every arc of the FSM on each event would be fine for a
+//! simulator driving one block, but the model checker selects arcs hundreds
+//! of millions of times. [`FsmIndex`] buckets the arcs of an [`Fsm`] by
+//! `(source state, event)` once, preserving arc order (first-match
+//! semantics), so a lookup touches only the candidate arcs for that slot. The index is immutable after construction and holds
 //! no interior mutability, so it is `Sync` and can be shared freely across
 //! worker threads.
 

@@ -1,9 +1,11 @@
 //! Operational semantics for generated protocol FSMs.
 //!
-//! Both the model checker (`protogen-mc`) and the performance simulator
-//! (`protogen-sim`) execute generated [`protogen_spec::Fsm`]s through this
-//! crate, so the machine that is verified is exactly the machine that is
-//! simulated.
+//! The model checkers (`protogen-mc`), the performance simulator
+//! (`protogen-sim`), the live service (`protogen-serve`) and the litmus
+//! machine (`protogen-litmus`) all execute generated
+//! [`protogen_spec::Fsm`]s through this crate's one dispatch kernel,
+//! [`Machine`] — so the machine that is verified is exactly the machine
+//! that is simulated and served.
 //!
 //! The runtime models one cache block (coherence protocols are specified
 //! per block, §IV-A): a [`CacheBlock`] per cache, one [`DirEntry`], and
@@ -25,11 +27,13 @@
 mod coverage;
 mod exec;
 mod index;
+mod machine;
 mod msg;
 mod state;
 
 pub use coverage::{MachineRole, MachineTag, PairSet, StateEventPair};
-pub use exec::{apply_into, select_arc, select_arc_indexed, ApplyOutcome, ExecError, MachineCtx};
+pub use exec::{apply_into, select_arc_indexed, ApplyOutcome, ExecError, MachineCtx};
 pub use index::FsmIndex;
+pub use machine::{Line, Machine, Selected, Slot};
 pub use msg::{Msg, NodeId, Val};
 pub use state::{CacheBlock, DirEntry};

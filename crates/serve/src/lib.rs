@@ -4,7 +4,7 @@
 //! Every other runtime in this workspace (model checker, simulator,
 //! fuzzer) is lockstep-deterministic. This crate executes the same
 //! [`protogen_spec::Fsm`]s — through the same [`protogen_runtime`]
-//! semantics (`FsmIndex` arc selection, `apply_into` application) — as a
+//! semantics (the `Machine` dispatch kernel: select, then apply) — as a
 //! real concurrent service: one worker thread per cache, one per
 //! directory shard, connected by the bounded lock-free mailboxes in
 //! [`mailbox`], driven by the workload generators from `protogen-sim`.

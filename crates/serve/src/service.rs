@@ -36,11 +36,11 @@ use crate::fault::{FaultPlan, FaultState, FaultStats};
 use crate::mailbox::{Envelope, Fabric};
 use crate::{ServeConfig, ServeError, ServeReport, StopReason};
 use protogen_runtime::{
-    apply_into, select_arc_indexed, ApplyOutcome, CacheBlock, DirEntry, FsmIndex, MachineCtx,
-    MachineTag, Msg, NodeId, PairSet,
+    ApplyOutcome, CacheBlock, DirEntry, ExecError, Line, Machine, MachineTag, Msg, NodeId, PairSet,
+    Selected,
 };
 use protogen_sim::{Histogram, Op};
-use protogen_spec::{Access, ArcKind, Event, Fsm, FsmStateId, MsgId, Perm};
+use protogen_spec::{Access, Event, Fsm, FsmStateId, MsgId, Perm};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
@@ -49,9 +49,9 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Dense per-worker coverage bitset: one bit per `(state, event)` slot,
-/// laid out exactly like [`FsmIndex`]'s table. Recording a dispatch is a
-/// single OR on the hot path; the sets merge into the shared [`PairSet`]
-/// representation once, at join time.
+/// laid out exactly like [`protogen_runtime::FsmIndex`]'s table. Recording
+/// a dispatch is a single OR on the hot path; the sets merge into the
+/// shared [`PairSet`] representation once, at join time.
 struct DenseCoverage {
     events_per_state: usize,
     bits: Vec<u64>,
@@ -99,10 +99,8 @@ impl DenseCoverage {
 
 /// State shared by every worker thread for one run.
 struct Shared<'f> {
-    cache_fsm: &'f Fsm,
-    dir_fsm: &'f Fsm,
-    cache_idx: FsmIndex,
-    dir_idx: FsmIndex,
+    cache: Machine<&'f Fsm>,
+    dir: Machine<&'f Fsm>,
     fabric: Fabric,
     n_caches: usize,
     dir_shards: usize,
@@ -206,9 +204,22 @@ struct WorkerOut {
     fault: FaultStats,
 }
 
-enum StepOutcome {
-    /// The head was applied and removed.
+/// How one dispatch attempt on a line ended.
+enum Dispatch {
+    /// The arc fired: the line is updated and its messages are published.
     Applied,
+    /// The FSM has no transition for the event.
+    NoArc,
+    /// The event must wait — a stall arc, or an output edge without room
+    /// for the arc's messages; the line is untouched.
+    Blocked,
+    /// The arc's actions failed against the line (the run is broken).
+    Failed(ExecError),
+}
+
+enum StepOutcome {
+    /// The head was applied and removed; it was for this block.
+    Applied(u32),
     /// The head must wait (stall arc or full output edge); the edge's
     /// queue is blocked behind it until the next pass.
     Parked,
@@ -241,6 +252,206 @@ fn drain(sh: &Shared, topo: usize, queues: &mut [VecDeque<Envelope>]) {
     }
 }
 
+/// What every worker is: one controller's lines for all blocks — cache
+/// blocks or directory entries — the per-edge queues feeding them, and
+/// the pass bookkeeping. A directory shard is exactly this; a cache
+/// worker ([`CacheWorker`]) adds the issuing side.
+struct Node<'s, 'f, L> {
+    sh: &'s Shared<'f>,
+    machine: &'s Machine<&'f Fsm>,
+    /// How messages name this worker: `cache 3`, `dir shard 1`.
+    who: String,
+    /// Topology index (ring endpoint).
+    topo: usize,
+    /// The FSM identity arcs run under (every shard is the directory).
+    self_id: NodeId,
+    lines: Vec<L>,
+    scratch: L,
+    outcome: ApplyOutcome,
+    queues: Vec<VecDeque<Envelope>>,
+    out: WorkerOut,
+    fault: FaultState,
+    /// Consecutive passes without progress, and passes in total.
+    idle: u32,
+    ticks: u64,
+}
+
+impl<'s, 'f, L: Line> Node<'s, 'f, L> {
+    fn new(sh: &'s Shared<'f>, who: String, topo: usize, initial: L) -> Self {
+        let tag = initial.slot().tag();
+        let (machine, self_id) = if tag == MachineTag::CACHE {
+            (&sh.cache, NodeId(topo as u8))
+        } else {
+            (&sh.dir, NodeId(sh.n_caches as u8))
+        };
+        Node {
+            sh,
+            machine,
+            who,
+            topo,
+            self_id,
+            lines: vec![initial.clone(); sh.n_addrs],
+            scratch: initial,
+            outcome: ApplyOutcome::default(),
+            queues: (0..sh.fabric.nodes()).map(|_| VecDeque::new()).collect(),
+            out: WorkerOut {
+                tag,
+                coverage: DenseCoverage::new(machine.fsm()),
+                miss_latency_ns: Vec::new(),
+                hits: 0,
+                misses: 0,
+                messages: 0,
+                peak_queue_depth: 0,
+                fault: FaultStats::default(),
+            },
+            fault: FaultState::new(sh.fabric.nodes()),
+            idle: 0,
+            ticks: 0,
+        }
+    }
+
+    /// Dispatches `event` on block `addr`'s line. Application is
+    /// tentative: the arc steps a scratch copy, and only if its messages
+    /// fit the output edges is the copy committed and are they published;
+    /// `self.outcome` then says what the arc performed.
+    fn dispatch(&mut self, addr: u32, event: Event, msg: Option<&Msg>) -> Dispatch {
+        let (sh, machine) = (self.sh, self.machine);
+        let line = &self.lines[addr as usize];
+        self.out.coverage.record(line.slot().state(), event);
+        let arc = match machine.select(line.slot(), event, msg) {
+            Selected::Arc(arc) => arc,
+            Selected::Stall => return Dispatch::Blocked,
+            Selected::None => return Dispatch::NoArc,
+        };
+        self.scratch.clone_from(line);
+        let ctx = self.scratch.ctx(self.self_id, NodeId(sh.n_caches as u8));
+        if let Err(e) = machine.apply(arc, msg, ctx, 0, &mut self.outcome) {
+            return Dispatch::Failed(e);
+        }
+        if !sh.outgoing_fits(self.topo, addr, &self.outcome.outgoing, self.fault.withheld) {
+            if self.fault.withheld > 0 {
+                self.fault.stats.squeeze_parks += 1;
+            }
+            return Dispatch::Blocked;
+        }
+        std::mem::swap(&mut self.lines[addr as usize], &mut self.scratch);
+        sh.publish(self.topo, addr, &self.outcome.outgoing);
+        Dispatch::Applied
+    }
+
+    /// Applies the head of edge `src`'s queue, if any.
+    fn step_msg(&mut self, src: usize) -> StepOutcome {
+        let Some(&Envelope { addr, msg }) = self.queues[src].front() else {
+            return StepOutcome::Parked; // empty edge: nothing to do
+        };
+        let sh = self.sh;
+        match self.dispatch(addr, Event::Msg(msg.mtype), Some(&msg)) {
+            Dispatch::Applied => {
+                sh.in_flight.fetch_sub(1, Ordering::SeqCst);
+                self.queues[src].pop_front();
+                self.out.messages += 1;
+                StepOutcome::Applied(addr)
+            }
+            Dispatch::Blocked => StepOutcome::Parked, // retry next pass
+            Dispatch::NoArc => {
+                let state = self.lines[addr as usize].slot().state();
+                sh.fail(ServeError::UnexpectedMessage(format!(
+                    "{} in state {} cannot handle {msg} for block {addr}",
+                    self.who,
+                    self.machine.fsm().state(state).name,
+                )));
+                StepOutcome::Failed
+            }
+            Dispatch::Failed(e) => {
+                sh.fail(ServeError::Exec(format!("{} applying {msg}: {e}", self.who)));
+                StepOutcome::Failed
+            }
+        }
+    }
+
+    /// One drain-and-dispatch pass over every input edge; `applied` runs
+    /// after each message applied, with its block address. Returns whether
+    /// anything was applied, or `None` when the run failed.
+    fn deliver_pass(&mut self, mut applied: impl FnMut(&mut Self, u32)) -> Option<bool> {
+        let sh = self.sh;
+        if let Some(plan) = sh.plan.as_ref() {
+            self.fault.begin_pass(plan, self.topo);
+        }
+        let mut progress = false;
+        drain(sh, self.topo, &mut self.queues);
+        for src in 0..sh.fabric.nodes() {
+            loop {
+                if self.queues[src].is_empty() {
+                    break;
+                }
+                if let Some(plan) = sh.plan.as_ref() {
+                    if self.fault.edge_held(plan, self.topo, src) {
+                        break; // head delayed; the edge waits behind it
+                    }
+                }
+                match self.step_msg(src) {
+                    StepOutcome::Applied(addr) => {
+                        self.fault.consumed(src);
+                        progress = true;
+                        applied(self, addr);
+                    }
+                    StepOutcome::Parked => break,
+                    StepOutcome::Failed => return None,
+                }
+            }
+        }
+        Some(progress)
+    }
+
+    /// The end of every pass: records queue depth, then — on an idle pass —
+    /// looks for quiescence and backs off. The wall-clock deadline is
+    /// checked every 8192nd busy pass and every 64th idle one. Returns
+    /// whether the worker should run another pass.
+    fn end_pass(&mut self, progress: bool) -> bool {
+        let sh = self.sh;
+        let depth: usize = self.queues.iter().map(VecDeque::len).sum();
+        self.out.peak_queue_depth = self.out.peak_queue_depth.max(depth);
+        self.ticks += 1;
+        let mut check_deadline = self.ticks % 8192 == 0;
+        if progress {
+            self.idle = 0;
+        } else {
+            self.idle += 1;
+            if self.idle % 64 == 0 {
+                if sh.quiescent() {
+                    sh.done.store(true, Ordering::SeqCst);
+                    return false;
+                }
+                check_deadline = true;
+            }
+        }
+        if check_deadline && Instant::now() >= sh.deadline {
+            sh.fail(deadline_error(sh));
+            return false;
+        }
+        if !progress {
+            idle_backoff(self.idle);
+        }
+        true
+    }
+
+    fn finish(mut self) -> WorkerOut {
+        self.out.fault = self.fault.stats;
+        self.out
+    }
+}
+
+/// A directory shard: deliver passes until the run is done.
+fn run_dir_shard(mut node: Node<DirEntry>) -> WorkerOut {
+    while !node.sh.done.load(Ordering::SeqCst) {
+        let Some(progress) = node.deliver_pass(|_, _| {}) else { break };
+        if !node.end_pass(progress) {
+            break;
+        }
+    }
+    node.finish()
+}
+
 /// The crash-recovery state machine a planned cache crash walks through.
 /// Recovery uses only ordinary `Replacement` transitions of the verified
 /// FSM, so every step stays inside the checked envelope (DESIGN.md §13).
@@ -259,127 +470,36 @@ enum CrashPhase {
 }
 
 struct CacheWorker<'s, 'f> {
-    sh: &'s Shared<'f>,
-    /// This cache's id: FSM identity `NodeId(id)` and topology index.
-    id: usize,
+    /// The delivery side; `node.topo` is this cache's id.
+    node: Node<'s, 'f, CacheBlock>,
     schedule: Vec<Op>,
     cursor: usize,
     /// The launched transaction: block address and issue instant.
     outstanding: Option<(u32, Instant)>,
     declared_done: bool,
-    blocks: Vec<CacheBlock>,
-    scratch: CacheBlock,
-    outcome: ApplyOutcome,
-    queues: Vec<VecDeque<Envelope>>,
-    out: WorkerOut,
-    fault: FaultState,
     /// Schedule position this cache crashes at, from the fault plan.
     crash_at: Option<usize>,
     phase: CrashPhase,
 }
 
 impl<'s, 'f> CacheWorker<'s, 'f> {
-    fn new(sh: &'s Shared<'f>, id: usize, schedule: Vec<Op>) -> Self {
+    fn new(sh: &'s Shared<'f>, id: usize, who: String, schedule: Vec<Op>) -> Self {
         let crash_at = sh.plan.as_ref().and_then(|p| p.crash_cursor(id, schedule.len()));
         CacheWorker {
-            sh,
-            id,
+            node: Node::new(sh, who, id, CacheBlock::new()),
             schedule,
             cursor: 0,
             outstanding: None,
             declared_done: false,
-            blocks: vec![CacheBlock::new(); shared_addrs(sh)],
-            scratch: CacheBlock::new(),
-            outcome: ApplyOutcome::default(),
-            queues: (0..sh.fabric.nodes()).map(|_| VecDeque::new()).collect(),
-            out: WorkerOut {
-                tag: MachineTag::CACHE,
-                coverage: DenseCoverage::new(sh.cache_fsm),
-                miss_latency_ns: Vec::new(),
-                hits: 0,
-                misses: 0,
-                messages: 0,
-                peak_queue_depth: 0,
-                fault: FaultStats::default(),
-            },
-            fault: FaultState::new(sh.fabric.nodes()),
             crash_at,
             phase: CrashPhase::Normal,
         }
-    }
-
-    /// Applies the head of edge `src`'s queue, if any.
-    fn step_msg(&mut self, src: usize) -> StepOutcome {
-        let Some(&env) = self.queues[src].front() else {
-            return StepOutcome::Parked; // empty edge: nothing to do
-        };
-        let sh = self.sh;
-        let addr = env.addr;
-        let block = &self.blocks[addr as usize];
-        let event = Event::Msg(env.msg.mtype);
-        self.out.coverage.record(block.state, event);
-        let arc = select_arc_indexed(
-            sh.cache_fsm,
-            &sh.cache_idx,
-            block.state,
-            event,
-            Some(&env.msg),
-            Some(block),
-            None,
-        );
-        let Some(arc) = arc else {
-            sh.fail(ServeError::UnexpectedMessage(format!(
-                "cache {} in state {} cannot handle {} for block {addr}",
-                self.id,
-                sh.cache_fsm.state(block.state).name,
-                env.msg
-            )));
-            return StepOutcome::Failed;
-        };
-        if arc.kind == ArcKind::Stall {
-            return StepOutcome::Parked;
-        }
-        self.scratch.clone_from(block);
-        let ctx = MachineCtx::Cache {
-            block: &mut self.scratch,
-            self_id: NodeId(self.id as u8),
-            dir_id: NodeId(sh.n_caches as u8),
-        };
-        if let Err(e) = apply_into(sh.cache_fsm, arc, Some(&env.msg), ctx, 0, &mut self.outcome) {
-            sh.fail(ServeError::Exec(format!("cache {} applying {}: {e}", self.id, env.msg)));
-            return StepOutcome::Failed;
-        }
-        if !sh.outgoing_fits(self.id, addr, &self.outcome.outgoing, self.fault.withheld) {
-            if self.fault.withheld > 0 {
-                self.fault.stats.squeeze_parks += 1;
-            }
-            return StepOutcome::Parked; // retry once the edge drains
-        }
-        std::mem::swap(&mut self.blocks[addr as usize], &mut self.scratch);
-        sh.publish(self.id, addr, &self.outcome.outgoing);
-        sh.in_flight.fetch_sub(1, Ordering::SeqCst);
-        self.queues[src].pop_front();
-        self.out.messages += 1;
-        if self.outcome.performed.is_some() {
-            if let Some((oaddr, t0)) = self.outstanding {
-                if oaddr == addr {
-                    // Evacuation transactions complete here too, but only
-                    // demand misses count toward miss latency.
-                    if !matches!(self.phase, CrashPhase::Flushing { .. }) {
-                        self.out.miss_latency_ns.push(t0.elapsed().as_nanos() as u64);
-                    }
-                    self.outstanding = None;
-                }
-            }
-        }
-        StepOutcome::Applied
     }
 
     /// Issues scheduled accesses until a transaction launches, an access
     /// must wait, or the hit budget for this pass is spent. Returns
     /// whether anything completed or launched.
     fn try_issue(&mut self) -> bool {
-        let sh = self.sh;
         let mut progressed = false;
         let mut hit_budget = 1024u32;
         while self.outstanding.is_none() && hit_budget > 0 {
@@ -389,60 +509,35 @@ impl<'s, 'f> CacheWorker<'s, 'f> {
                 break; // the crash point is due; advance_crash takes over
             }
             let Some(&op) = self.schedule.get(self.cursor) else { break };
-            let addr = op.addr;
-            let block = &self.blocks[addr as usize];
-            let event = Event::Access(op.access);
-            self.out.coverage.record(block.state, event);
-            let arc = select_arc_indexed(
-                sh.cache_fsm,
-                &sh.cache_idx,
-                block.state,
-                event,
-                None,
-                Some(block),
-                None,
-            );
-            let Some(arc) = arc else {
-                // No transition: the access needs nothing (e.g. replacing
-                // an invalid block) — complete it on the spot.
-                self.cursor += 1;
-                self.out.hits += 1;
-                hit_budget -= 1;
-                progressed = true;
-                continue;
-            };
-            if arc.kind == ArcKind::Stall {
-                break; // retry after the blocking chain resolves
-            }
-            self.scratch.clone_from(block);
-            let ctx = MachineCtx::Cache {
-                block: &mut self.scratch,
-                self_id: NodeId(self.id as u8),
-                dir_id: NodeId(sh.n_caches as u8),
-            };
-            if let Err(e) = apply_into(sh.cache_fsm, arc, None, ctx, 0, &mut self.outcome) {
-                sh.fail(ServeError::Exec(format!(
-                    "cache {} issuing {:?} on block {addr}: {e}",
-                    self.id, op.access
-                )));
-                return progressed;
-            }
-            if !sh.outgoing_fits(self.id, addr, &self.outcome.outgoing, self.fault.withheld) {
-                if self.fault.withheld > 0 {
-                    self.fault.stats.squeeze_parks += 1;
+            match self.node.dispatch(op.addr, Event::Access(op.access), None) {
+                Dispatch::Applied => {
+                    self.cursor += 1;
+                    progressed = true;
+                    if self.node.outcome.performed.is_some() {
+                        self.node.out.hits += 1;
+                        hit_budget -= 1;
+                    } else {
+                        self.node.out.misses += 1;
+                        self.outstanding = Some((op.addr, Instant::now()));
+                    }
                 }
-                break; // output backpressure: retry next pass
-            }
-            std::mem::swap(&mut self.blocks[addr as usize], &mut self.scratch);
-            sh.publish(self.id, addr, &self.outcome.outgoing);
-            self.cursor += 1;
-            progressed = true;
-            if self.outcome.performed.is_some() {
-                self.out.hits += 1;
-                hit_budget -= 1;
-            } else {
-                self.out.misses += 1;
-                self.outstanding = Some((addr, Instant::now()));
+                Dispatch::NoArc => {
+                    // No transition: the access needs nothing (e.g. replacing
+                    // an invalid block) — complete it on the spot.
+                    self.cursor += 1;
+                    self.node.out.hits += 1;
+                    hit_budget -= 1;
+                    progressed = true;
+                }
+                // A blocking chain or output backpressure: retry next pass.
+                Dispatch::Blocked => break,
+                Dispatch::Failed(e) => {
+                    self.node.sh.fail(ServeError::Exec(format!(
+                        "{} issuing {:?} on block {}: {e}",
+                        self.node.who, op.access, op.addr
+                    )));
+                    break;
+                }
             }
         }
         progressed
@@ -467,20 +562,19 @@ impl<'s, 'f> CacheWorker<'s, 'f> {
                 if self.outstanding.is_some() {
                     return; // the in-flight transaction drains first
                 }
-                if self.sh.plan.as_ref().is_some_and(|p| p.unsafe_reset()) {
+                let node = &mut self.node;
+                if node.sh.plan.as_ref().is_some_and(|p| p.unsafe_reset()) {
                     // Planted recovery bug: drop every line *without*
                     // telling the directory. It still believes this cache
                     // holds them, so the conformance oracle must flag the
                     // run (the fuzz campaign's negative control).
-                    let fsm = self.sh.cache_fsm;
-                    self.fault.stats.lines_lost += self
-                        .blocks
-                        .iter()
-                        .filter(|b| fsm.state(b.state).perm != Perm::None)
-                        .count() as u64;
-                    self.blocks.fill(CacheBlock::new());
+                    let fsm = node.machine.fsm();
+                    node.fault.stats.lines_lost +=
+                        node.lines.iter().filter(|b| fsm.state(b.state).perm != Perm::None).count()
+                            as u64;
+                    node.lines.fill(CacheBlock::new());
                     self.phase = CrashPhase::Done;
-                    self.fault.stats.crashes_completed += 1;
+                    node.fault.stats.crashes_completed += 1;
                 } else {
                     self.phase = CrashPhase::Flushing { addr: 0 };
                 }
@@ -495,108 +589,59 @@ impl<'s, 'f> CacheWorker<'s, 'f> {
     /// time (the one-outstanding discipline the issue path follows).
     /// Blocks with nothing to evacuate complete on the spot.
     fn try_flush(&mut self) -> bool {
-        let sh = self.sh;
         let mut progressed = false;
         while self.outstanding.is_none() {
             let CrashPhase::Flushing { addr } = self.phase else { break };
-            if addr as usize >= self.blocks.len() {
+            if addr as usize >= self.node.lines.len() {
                 self.phase = CrashPhase::Done;
-                self.fault.stats.crashes_completed += 1;
+                self.node.fault.stats.crashes_completed += 1;
                 progressed = true;
                 break;
             }
-            let block = &self.blocks[addr as usize];
-            let event = Event::Access(Access::Replacement);
-            self.out.coverage.record(block.state, event);
-            let arc = select_arc_indexed(
-                sh.cache_fsm,
-                &sh.cache_idx,
-                block.state,
-                event,
-                None,
-                Some(block),
-                None,
-            );
-            let Some(arc) = arc else {
-                // Nothing to evacuate (the block is already invalid).
-                self.phase = CrashPhase::Flushing { addr: addr + 1 };
-                progressed = true;
-                continue;
-            };
-            if arc.kind == ArcKind::Stall {
-                break; // a blocking chain holds this block; retry next pass
-            }
-            self.scratch.clone_from(block);
-            let ctx = MachineCtx::Cache {
-                block: &mut self.scratch,
-                self_id: NodeId(self.id as u8),
-                dir_id: NodeId(sh.n_caches as u8),
-            };
-            if let Err(e) = apply_into(sh.cache_fsm, arc, None, ctx, 0, &mut self.outcome) {
-                sh.fail(ServeError::Exec(format!(
-                    "cache {} evacuating block {addr} during crash recovery: {e}",
-                    self.id
-                )));
-                return progressed;
-            }
-            if !sh.outgoing_fits(self.id, addr, &self.outcome.outgoing, self.fault.withheld) {
-                if self.fault.withheld > 0 {
-                    self.fault.stats.squeeze_parks += 1;
+            match self.node.dispatch(addr, Event::Access(Access::Replacement), None) {
+                Dispatch::Applied => {
+                    if self.node.outcome.performed.is_none() {
+                        self.node.fault.stats.recovery_writebacks += 1;
+                        self.outstanding = Some((addr, Instant::now()));
+                    }
                 }
-                break; // output backpressure: retry next pass
+                // Nothing to evacuate (the block is already invalid).
+                Dispatch::NoArc => {}
+                // A blocking chain holds this block, or output
+                // backpressure: retry next pass.
+                Dispatch::Blocked => break,
+                Dispatch::Failed(e) => {
+                    self.node.sh.fail(ServeError::Exec(format!(
+                        "{} evacuating block {addr} during crash recovery: {e}",
+                        self.node.who
+                    )));
+                    break;
+                }
             }
-            std::mem::swap(&mut self.blocks[addr as usize], &mut self.scratch);
-            sh.publish(self.id, addr, &self.outcome.outgoing);
             progressed = true;
             self.phase = CrashPhase::Flushing { addr: addr + 1 };
-            if self.outcome.performed.is_none() {
-                self.fault.stats.recovery_writebacks += 1;
-                self.outstanding = Some((addr, Instant::now()));
-            }
         }
         progressed
     }
 
     fn run(mut self) -> WorkerOut {
-        self.run_loop();
-        self.out.fault = self.fault.stats;
-        self.out
-    }
-
-    fn run_loop(&mut self) {
-        let sh = self.sh;
-        let nodes = sh.fabric.nodes();
-        let mut idle = 0u32;
-        let mut ticks = 0u64;
-        loop {
-            if sh.done.load(Ordering::SeqCst) {
-                break;
-            }
-            if let Some(plan) = sh.plan.as_ref() {
-                self.fault.begin_pass(plan, self.id);
-            }
-            let mut progress = false;
-            drain(sh, self.id, &mut self.queues);
-            for src in 0..nodes {
-                loop {
-                    if self.queues[src].is_empty() {
-                        break;
-                    }
-                    if let Some(plan) = sh.plan.as_ref() {
-                        if self.fault.edge_held(plan, self.id, src) {
-                            break; // head delayed; the edge waits behind it
-                        }
-                    }
-                    match self.step_msg(src) {
-                        StepOutcome::Applied => {
-                            self.fault.consumed(src);
-                            progress = true;
-                        }
-                        StepOutcome::Parked => break,
-                        StepOutcome::Failed => return,
+        let sh = self.node.sh;
+        while !sh.done.load(Ordering::SeqCst) {
+            let outstanding = &mut self.outstanding;
+            let flushing = matches!(self.phase, CrashPhase::Flushing { .. });
+            let delivered = self.node.deliver_pass(|node, addr| {
+                if node.outcome.performed.is_none() {
+                    return;
+                }
+                if let Some((_, t0)) = outstanding.take_if(|o| o.0 == addr) {
+                    // Evacuation transactions complete here too, but only
+                    // demand misses count toward miss latency.
+                    if !flushing {
+                        node.out.miss_latency_ns.push(t0.elapsed().as_nanos() as u64);
                     }
                 }
-            }
+            });
+            let Some(mut progress) = delivered else { break };
             self.advance_crash();
             progress |= match self.phase {
                 CrashPhase::Flushing { .. } => self.try_flush(),
@@ -611,184 +656,11 @@ impl<'s, 'f> CacheWorker<'s, 'f> {
                 self.declared_done = true;
                 sh.cores_done.fetch_add(1, Ordering::SeqCst);
             }
-            let depth: usize = self.queues.iter().map(VecDeque::len).sum();
-            self.out.peak_queue_depth = self.out.peak_queue_depth.max(depth);
-            ticks += 1;
-            if progress {
-                idle = 0;
-                if ticks % 8192 == 0 && Instant::now() >= sh.deadline {
-                    sh.fail(deadline_error(sh));
-                    break;
-                }
-                continue;
-            }
-            idle += 1;
-            if idle % 64 == 0 {
-                if sh.quiescent() {
-                    sh.done.store(true, Ordering::SeqCst);
-                    break;
-                }
-                if Instant::now() >= sh.deadline {
-                    sh.fail(deadline_error(sh));
-                    break;
-                }
-            }
-            idle_backoff(idle);
-        }
-    }
-}
-
-struct DirWorker<'s, 'f> {
-    sh: &'s Shared<'f>,
-    /// Shard index; topology index is `n_caches + shard`.
-    shard: usize,
-    entries: Vec<DirEntry>,
-    scratch: DirEntry,
-    outcome: ApplyOutcome,
-    queues: Vec<VecDeque<Envelope>>,
-    out: WorkerOut,
-    fault: FaultState,
-}
-
-impl<'s, 'f> DirWorker<'s, 'f> {
-    fn new(sh: &'s Shared<'f>, shard: usize) -> Self {
-        DirWorker {
-            sh,
-            shard,
-            entries: vec![DirEntry::new(0); shared_addrs(sh)],
-            scratch: DirEntry::new(0),
-            outcome: ApplyOutcome::default(),
-            queues: (0..sh.fabric.nodes()).map(|_| VecDeque::new()).collect(),
-            out: WorkerOut {
-                tag: MachineTag::DIRECTORY,
-                coverage: DenseCoverage::new(sh.dir_fsm),
-                miss_latency_ns: Vec::new(),
-                hits: 0,
-                misses: 0,
-                messages: 0,
-                peak_queue_depth: 0,
-                fault: FaultStats::default(),
-            },
-            fault: FaultState::new(sh.fabric.nodes()),
-        }
-    }
-
-    fn topo(&self) -> usize {
-        self.sh.n_caches + self.shard
-    }
-
-    fn step_msg(&mut self, src: usize) -> StepOutcome {
-        let Some(&env) = self.queues[src].front() else {
-            return StepOutcome::Parked;
-        };
-        let sh = self.sh;
-        let addr = env.addr;
-        let entry = &self.entries[addr as usize];
-        let event = Event::Msg(env.msg.mtype);
-        self.out.coverage.record(entry.state, event);
-        let arc = select_arc_indexed(
-            sh.dir_fsm,
-            &sh.dir_idx,
-            entry.state,
-            event,
-            Some(&env.msg),
-            None,
-            Some(entry),
-        );
-        let Some(arc) = arc else {
-            sh.fail(ServeError::UnexpectedMessage(format!(
-                "dir shard {} in state {} cannot handle {} for block {addr}",
-                self.shard,
-                sh.dir_fsm.state(entry.state).name,
-                env.msg
-            )));
-            return StepOutcome::Failed;
-        };
-        if arc.kind == ArcKind::Stall {
-            return StepOutcome::Parked;
-        }
-        self.scratch.clone_from(entry);
-        let ctx = MachineCtx::Dir { entry: &mut self.scratch, self_id: NodeId(sh.n_caches as u8) };
-        if let Err(e) = apply_into(sh.dir_fsm, arc, Some(&env.msg), ctx, 0, &mut self.outcome) {
-            sh.fail(ServeError::Exec(format!(
-                "dir shard {} applying {}: {e}",
-                self.shard, env.msg
-            )));
-            return StepOutcome::Failed;
-        }
-        if !sh.outgoing_fits(self.topo(), addr, &self.outcome.outgoing, self.fault.withheld) {
-            if self.fault.withheld > 0 {
-                self.fault.stats.squeeze_parks += 1;
-            }
-            return StepOutcome::Parked;
-        }
-        std::mem::swap(&mut self.entries[addr as usize], &mut self.scratch);
-        sh.publish(self.topo(), addr, &self.outcome.outgoing);
-        sh.in_flight.fetch_sub(1, Ordering::SeqCst);
-        self.queues[src].pop_front();
-        self.out.messages += 1;
-        StepOutcome::Applied
-    }
-
-    fn run(mut self) -> WorkerOut {
-        self.run_loop();
-        self.out.fault = self.fault.stats;
-        self.out
-    }
-
-    fn run_loop(&mut self) {
-        let sh = self.sh;
-        let nodes = sh.fabric.nodes();
-        let topo = self.topo();
-        let mut idle = 0u32;
-        loop {
-            if sh.done.load(Ordering::SeqCst) {
+            if !self.node.end_pass(progress) {
                 break;
             }
-            if let Some(plan) = sh.plan.as_ref() {
-                self.fault.begin_pass(plan, topo);
-            }
-            let mut progress = false;
-            drain(sh, topo, &mut self.queues);
-            for src in 0..nodes {
-                loop {
-                    if self.queues[src].is_empty() {
-                        break;
-                    }
-                    if let Some(plan) = sh.plan.as_ref() {
-                        if self.fault.edge_held(plan, topo, src) {
-                            break; // head delayed; the edge waits behind it
-                        }
-                    }
-                    match self.step_msg(src) {
-                        StepOutcome::Applied => {
-                            self.fault.consumed(src);
-                            progress = true;
-                        }
-                        StepOutcome::Parked => break,
-                        StepOutcome::Failed => return,
-                    }
-                }
-            }
-            let depth: usize = self.queues.iter().map(VecDeque::len).sum();
-            self.out.peak_queue_depth = self.out.peak_queue_depth.max(depth);
-            if progress {
-                idle = 0;
-                continue;
-            }
-            idle += 1;
-            if idle % 64 == 0 {
-                if sh.quiescent() {
-                    sh.done.store(true, Ordering::SeqCst);
-                    break;
-                }
-                if Instant::now() >= sh.deadline {
-                    sh.fail(deadline_error(sh));
-                    break;
-                }
-            }
-            idle_backoff(idle);
         }
+        self.node.finish()
     }
 }
 
@@ -799,10 +671,6 @@ fn deadline_error(sh: &Shared) -> ServeError {
         sh.cores_done.load(Ordering::SeqCst),
         sh.n_caches
     ))
-}
-
-fn shared_addrs(sh: &Shared) -> usize {
-    sh.n_addrs
 }
 
 /// Runs a worker body under a panic guard: a panicking worker becomes
@@ -853,10 +721,8 @@ pub fn serve(cache: &Fsm, dir: &Fsm, cfg: &ServeConfig) -> Result<ServeReport, S
 
     let nodes = cfg.n_caches + cfg.dir_shards;
     let sh = Shared {
-        cache_fsm: cache,
-        dir_fsm: dir,
-        cache_idx: FsmIndex::new(cache),
-        dir_idx: FsmIndex::new(dir),
+        cache: Machine::new(cache),
+        dir: Machine::new(dir),
         fabric: Fabric::new(nodes, cfg.mailbox_cap),
         n_caches: cfg.n_caches,
         dir_shards: cfg.dir_shards,
@@ -873,17 +739,17 @@ pub fn serve(cache: &Fsm, dir: &Fsm, cfg: &ServeConfig) -> Result<ServeReport, S
     let outs: Vec<WorkerOut> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(nodes);
         for (id, schedule) in schedules.into_iter().enumerate() {
-            let sh = &sh;
+            let (sh, who) = (&sh, format!("cache {id}"));
             handles.push(scope.spawn(move || {
-                supervise(sh, format!("cache {id}"), move || {
-                    CacheWorker::new(sh, id, schedule).run()
-                })
+                supervise(sh, who.clone(), move || CacheWorker::new(sh, id, who, schedule).run())
             }));
         }
         for shard in 0..cfg.dir_shards {
-            let sh = &sh;
+            let (sh, who) = (&sh, format!("dir shard {shard}"));
             handles.push(scope.spawn(move || {
-                supervise(sh, format!("dir shard {shard}"), move || DirWorker::new(sh, shard).run())
+                supervise(sh, who.clone(), move || {
+                    run_dir_shard(Node::new(sh, who, sh.n_caches + shard, DirEntry::new(0)))
+                })
             }));
         }
         // `supervise` converts worker panics into a recorded failure, so

@@ -127,6 +127,47 @@ fn worker_panic_is_isolated_and_reported() {
     });
 }
 
+/// A message the receiving controller has no transition for fails the run
+/// with one wording for both kinds of worker: who, in which state, which
+/// message, for which block.
+#[test]
+fn unexpected_messages_name_worker_state_message_and_block() {
+    use protogen_sim::TraceOp;
+    use protogen_spec::{Access, Event};
+    let g = generate(&protogen_protocols::msi(), &GenConfig::stalling()).unwrap();
+    // One cache loading block 1: GetS to the directory in I, Data back to
+    // the cache in IS_D. Cut the arc at either end.
+    let without = |fsm: &protogen_spec::Fsm, state: &str, msg: &str| {
+        let (state, msg) = (fsm.state_by_name(state).unwrap(), fsm.msg_by_name(msg).unwrap());
+        let mut cut = fsm.clone();
+        cut.arcs.retain(|a| !(a.from == state && a.event == Event::Msg(msg)));
+        assert!(cut.arcs.len() < fsm.arcs.len(), "an arc was cut");
+        cut
+    };
+    let mut cfg = ServeConfig::new(1);
+    cfg.dir_shards = 1;
+    cfg.n_addrs = 2;
+    cfg.workload = Workload::Trace(vec![TraceOp { core: 0, addr: 1, access: Access::Load }]);
+    for (cache, dir, text) in [
+        (
+            g.cache.clone(),
+            without(&g.directory, "I", "GetS"),
+            "dir shard 0 in state I cannot handle m0[n0→n1 req=n0] for block 1",
+        ),
+        (
+            without(&g.cache, "IS_D", "Data"),
+            g.directory.clone(),
+            "cache 0 in state IS_D cannot handle m7[n1→n0 req=n0 data=0] for block 1",
+        ),
+    ] {
+        let cfg = cfg.clone();
+        with_watchdog(60, move || match serve(&cache, &dir, &cfg) {
+            Err(ServeError::UnexpectedMessage(m)) => assert_eq!(m, text),
+            other => panic!("expected UnexpectedMessage, got {other:?}"),
+        });
+    }
+}
+
 /// The wall-clock backstop is a *timeout with partial measurements*, not
 /// a protocol failure: `serve` returns the report marked
 /// [`StopReason::Deadline`].

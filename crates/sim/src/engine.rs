@@ -14,10 +14,9 @@ use crate::stats::{Histogram, SimResult};
 use crate::workload::Op;
 use crate::SimError;
 use protogen_runtime::{
-    apply_into, select_arc_indexed, ApplyOutcome, CacheBlock, DirEntry, FsmIndex, MachineCtx,
-    MachineTag, NodeId, PairSet,
+    ApplyOutcome, CacheBlock, DirEntry, Line, Machine, Msg, NodeId, PairSet, Selected, Slot,
 };
-use protogen_spec::{ArcKind, Event, Fsm};
+use protogen_spec::{Arc, Event, Fsm};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -39,10 +38,8 @@ pub fn simulate(cache_fsm: &Fsm, dir_fsm: &Fsm, cfg: &SimConfig) -> Result<SimRe
 }
 
 struct Engine<'a> {
-    cache_fsm: &'a Fsm,
-    dir_fsm: &'a Fsm,
-    cache_idx: FsmIndex,
-    dir_idx: FsmIndex,
+    cache: Machine<&'a Fsm>,
+    dir: Machine<&'a Fsm>,
     cfg: &'a SimConfig,
     rng: StdRng,
     /// `caches[c][a]` — cache `c`'s state for block `a`.
@@ -74,10 +71,8 @@ impl<'a> Engine<'a> {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let schedules = cfg.workload.schedules(n, cfg.n_addrs, cfg.accesses_per_core, &mut rng)?;
         Ok(Engine {
-            cache_fsm,
-            dir_fsm,
-            cache_idx: FsmIndex::new(cache_fsm),
-            dir_idx: FsmIndex::new(dir_fsm),
+            cache: Machine::new(cache_fsm),
+            dir: Machine::new(dir_fsm),
             cfg,
             rng,
             caches: vec![vec![CacheBlock::new(); cfg.n_addrs]; n],
@@ -114,7 +109,7 @@ impl<'a> Engine<'a> {
             self.deliver_phase(t)?;
             self.issue_phase(t)?;
             self.busy_dir_cycles +=
-                self.dirs.iter().filter(|d| !self.dir_fsm.state(d.state).is_stable()).count()
+                self.dirs.iter().filter(|d| !self.dir.fsm().state(d.state).is_stable()).count()
                     as u64;
             t += 1;
         }
@@ -187,91 +182,34 @@ impl<'a> Engine<'a> {
         let is_dir = dst == self.dir_node();
         let event = Event::Msg(msg.mtype);
         let a = addr as usize;
+        let (machine, slot) = if is_dir {
+            (&self.dir, Slot::Dir(&self.dirs[a]))
+        } else {
+            (&self.cache, Slot::Cache(&self.caches[dst][a]))
+        };
         if let Some(cov) = self.coverage.as_mut() {
-            let pair = if is_dir {
-                (MachineTag::DIRECTORY, self.dirs[a].state, event)
-            } else {
-                (MachineTag::CACHE, self.caches[dst][a].state, event)
-            };
-            cov.insert(pair);
+            cov.insert((slot.tag(), slot.state(), event));
         }
-        let arc = if is_dir {
-            select_arc_indexed(
-                self.dir_fsm,
-                &self.dir_idx,
-                self.dirs[a].state,
-                event,
-                Some(&msg),
-                None,
-                Some(&self.dirs[a]),
-            )
-        } else {
-            select_arc_indexed(
-                self.cache_fsm,
-                &self.cache_idx,
-                self.caches[dst][a].state,
-                event,
-                Some(&msg),
-                Some(&self.caches[dst][a]),
-                None,
-            )
+        let arc = match machine.select(slot, event, Some(&msg)) {
+            Selected::Arc(arc) => arc,
+            Selected::Stall => return Ok(Delivery::Stalled),
+            Selected::None => {
+                let who = if is_dir { "directory".to_string() } else { format!("cache n{dst}") };
+                let what = format_args!("{msg} (block {addr})");
+                return Err(SimError::UnexpectedMessage(machine.unexpected(who, slot, what)));
+            }
         };
-        let Some(arc) = arc else {
-            let holder = if is_dir {
-                format!("directory in {}", self.dir_fsm.state(self.dirs[a].state).full_name())
-            } else {
-                format!(
-                    "cache n{dst} in {}",
-                    self.cache_fsm.state(self.caches[dst][a].state).full_name()
-                )
-            };
-            return Err(SimError::UnexpectedMessage(format!("{msg} (block {addr}) at {holder}")));
-        };
-        if arc.kind == ArcKind::Stall {
-            return Ok(Delivery::Stalled);
-        }
-        // Tentative apply on a copy: committing requires the outgoing
-        // messages to fit their (possibly bounded) channels.
-        let dir_id = NodeId(self.dir_node() as u8);
-        let (committed_cache, committed_dir);
-        if is_dir {
-            let mut entry = self.dirs[a].clone();
-            apply_into(
-                self.dir_fsm,
-                arc,
-                Some(&msg),
-                MachineCtx::Dir { entry: &mut entry, self_id: dir_id },
-                0,
-                &mut self.outcome,
-            )
-            .map_err(SimError::Exec)?;
-            committed_cache = None;
-            committed_dir = Some(entry);
+        let ids = (NodeId(dst as u8), NodeId(self.dir_node() as u8));
+        let (net, out) = (&self.net, &mut self.outcome);
+        let committed = if is_dir {
+            tentative(machine, arc, Some(&msg), &mut self.dirs[a], ids, net, out)
         } else {
-            let mut block = self.caches[dst][a].clone();
-            apply_into(
-                self.cache_fsm,
-                arc,
-                Some(&msg),
-                MachineCtx::Cache { block: &mut block, self_id: NodeId(dst as u8), dir_id },
-                0,
-                &mut self.outcome,
-            )
-            .map_err(SimError::Exec)?;
-            committed_cache = Some(block);
-            committed_dir = None;
-        }
-        if !self.net.accepts(&self.outcome.outgoing) {
+            tentative(machine, arc, Some(&msg), &mut self.caches[dst][a], ids, net, out)
+        }?;
+        if !committed {
             return Ok(Delivery::Backpressured);
         }
-        // Commit.
         self.net.take(src, dst, idx);
-        if let Some(entry) = committed_dir {
-            self.dirs[a] = entry;
-        }
-        if let Some(block) = committed_cache {
-            self.caches[dst][a] = block;
-        }
         self.result.messages += 1;
         for &m in &self.outcome.outgoing {
             self.net.send(t, SimMsg { addr, msg: m }, &mut self.rng);
@@ -302,45 +240,29 @@ impl<'a> Engine<'a> {
             let op = self.schedules[c][self.cursor[c]];
             let a = op.addr as usize;
             let event = Event::Access(op.access);
+            let slot = Slot::Cache(&self.caches[c][a]);
             if let Some(cov) = self.coverage.as_mut() {
-                cov.insert((MachineTag::CACHE, self.caches[c][a].state, event));
+                cov.insert((slot.tag(), slot.state(), event));
             }
-            let arc = select_arc_indexed(
-                self.cache_fsm,
-                &self.cache_idx,
-                self.caches[c][a].state,
-                event,
-                None,
-                Some(&self.caches[c][a]),
-                None,
-            );
-            let Some(arc) = arc else {
-                // The SSP defines no behaviour (replacement of an invalid
-                // block): trivially complete.
-                self.cursor[c] += 1;
-                self.result.completed += 1;
-                self.result.hits += 1;
-                self.next_issue[c] = t + self.cfg.think_time;
-                continue;
+            let arc = match self.cache.select(slot, event, None) {
+                Selected::Arc(arc) => arc,
+                Selected::Stall => continue, // retry next cycle
+                Selected::None => {
+                    // The SSP defines no behaviour (replacement of an invalid
+                    // block): trivially complete.
+                    self.cursor[c] += 1;
+                    self.result.completed += 1;
+                    self.result.hits += 1;
+                    self.next_issue[c] = t + self.cfg.think_time;
+                    continue;
+                }
             };
-            if arc.kind == ArcKind::Stall {
-                continue; // retry next cycle
-            }
-            let mut block = self.caches[c][a].clone();
-            apply_into(
-                self.cache_fsm,
-                arc,
-                None,
-                MachineCtx::Cache { block: &mut block, self_id: NodeId(c as u8), dir_id },
-                0,
-                &mut self.outcome,
-            )
-            .map_err(SimError::Exec)?;
-            if !self.net.accepts(&self.outcome.outgoing) {
+            let block = &mut self.caches[c][a];
+            let ids = (NodeId(c as u8), dir_id);
+            if !tentative(&self.cache, arc, None, block, ids, &self.net, &mut self.outcome)? {
                 self.result.backpressure_cycles += 1;
                 continue; // retry when the channel drains
             }
-            self.caches[c][a] = block;
             self.cursor[c] += 1;
             for &m in &self.outcome.outgoing {
                 self.net.send(t, SimMsg { addr: op.addr, msg: m }, &mut self.rng);
@@ -361,4 +283,25 @@ enum Delivery {
     Done,
     Stalled,
     Backpressured,
+}
+
+/// Applies `arc` to a copy of `line` and commits the copy only when the
+/// outgoing messages fit their (possibly bounded) channels; `Ok(false)` is
+/// backpressure, with `line` untouched. `ids` is `(self, directory)`.
+fn tentative<L: Line>(
+    machine: &Machine<&Fsm>,
+    arc: &Arc,
+    msg: Option<&Msg>,
+    line: &mut L,
+    ids: (NodeId, NodeId),
+    net: &Network,
+    out: &mut ApplyOutcome,
+) -> Result<bool, SimError> {
+    let mut next = line.clone();
+    machine.apply(arc, msg, next.ctx(ids.0, ids.1), 0, out).map_err(SimError::Exec)?;
+    let fits = net.accepts(&out.outgoing);
+    if fits {
+        *line = next;
+    }
+    Ok(fits)
 }

@@ -160,8 +160,8 @@ fn e7_figure2_isd_inv() {
 }
 
 /// E8 — §VI-A: stalling MSI/MESI/MOSI verify for SWMR, data value,
-/// deadlock freedom and completeness (2 caches here; 3-cache runs live in
-/// the benchmark harness).
+/// deadlock freedom and completeness (2 caches here; the 3-cache runs are
+/// the nightly `paper-eval` job's `protogen verify … --caches 3`).
 #[test]
 fn e8_stalling_protocols_verify() {
     for ssp in
@@ -282,7 +282,7 @@ fn dsl_and_builder_msi_are_equivalent() {
 }
 
 /// Every protocol × both concurrency configs verifies at 2 caches — the
-/// full §VI sweep (3-cache runs are in the bench harness; they pass too).
+/// full §VI sweep (the nightly `paper-eval` job runs it at 3 caches).
 #[test]
 fn full_sweep_all_protocols_verify() {
     for ssp in protogen::protocols::all() {
