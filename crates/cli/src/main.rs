@@ -5,6 +5,7 @@
 //! protogen verify  <protocol> [--stalling] [--caches N] [--threads N] [--max-states N]
 //!                  [--mem-budget BYTES] [--store full|delta|fp-only] [--spill-chunk BYTES]
 //!                  [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]
+//!                  [--property sc|tso|weak|none|P+Q]
 //! protogen verify  --compose l1=msi:2,llc=mesi [--stalling] [the same flags, minus --caches]
 //! protogen dot     <protocol> [--stalling] [--machine cache|dir]
 //! protogen murphi  <protocol> [--stalling] [--caches N]
@@ -16,7 +17,7 @@
 //!                  [--workload W] [--store-pct P] [--ops N] [--seed N]
 //!                  [--duration SECS] [--mailbox-cap N] [--threads N] [--json]
 //!                  [--faults delay,stall,squeeze,crash|all] [--fault-seed N]
-//!                  [--crash-at-op N]
+//!                  [--crash-at-op N] [--property sc|tso|weak|none|P+Q]
 //! protogen sweep   [--protocols a,b] [--caches 2,4] [--accesses N] [--seed N]
 //!                  [--threads N] [--list] [--out DIR] [--json]
 //! protogen fuzz    [--seed N] [--mutants N] [--threads N] [--budget N]
@@ -24,16 +25,18 @@
 //! protogen fuzz    --replay FILE [--budget N]
 //! protogen litmus  [protocol|all] [--tests SB,MP] [--threads N] [--seed N]
 //!                  [--depth N] [--markdown]
-//! protogen stats   [--stalling]
-//! protogen compile <file.pgen> [--stalling] [--caches N] [--threads N] [--max-states N]
+//! protogen stats
+//! protogen compile <file.pgen> [the flags of verify, minus --compose]
 //! ```
 //!
 //! `--threads` sets the worker count (default: all available cores);
 //! verification and sweep results are identical for every thread count.
 //! `--caches` takes a count in 1..=8 (the directory's sharer list is an
 //! 8-bit mask); anything else is a usage error, exit 2 — as is a flag the
-//! CLI does not know or an operand the subcommand does not take, so a typo
-//! never runs at a default with a verdict printed.
+//! CLI does not know, a flag that belongs to another subcommand, or an
+//! operand the subcommand does not take, so a typo never runs at a default
+//! with a verdict printed. When stdout is closed early (`protogen stats |
+//! head -1`) the process ends quietly with exit 141.
 //!
 //! `--compose` points `verify`, `table`, or `dot` at a *hierarchical
 //! composition* instead of a flat protocol: a comma-separated stack of
@@ -113,83 +116,134 @@ use protogen_sim::{
 use protogen_spec::{Composition, LevelSpec, Ssp};
 use std::process::ExitCode;
 
+/// Exit status when stdout was closed before the output was delivered: what
+/// a shell reports for a process killed by `SIGPIPE`.
+const EXIT_STDOUT_CLOSED: i32 = 141;
+
+/// Writes to stdout. `print!` panics when the write fails — under `protogen
+/// stats | head -1`, a backtrace and exit 101. A closed pipe ends the
+/// process quietly instead, and never with exit 0: a `verify` whose verdict
+/// line was not delivered must not read as a pass.
+fn write_stdout(text: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(text) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("cannot write to stdout: {e}");
+        }
+        std::process::exit(EXIT_STDOUT_CLOSED);
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => { write_stdout(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// The subcommands.
+const COMMANDS: [&str; 11] = [
+    "table", "verify", "dot", "murphi", "sim", "serve", "sweep", "fuzz", "litmus", "stats",
+    "compile",
+];
+
+/// Every flag the CLI knows: its name, whether it takes a value, and the
+/// subcommands that read it — the usage block at the top of this file, as
+/// data. `compile` ends in `verify`, so it takes `verify`'s flags.
+const FLAGS: [(&str, bool, &[&str]); 39] = [
+    ("stalling", false, &["table", "verify", "dot", "murphi", "sim", "serve", "compile"]),
+    ("markdown", false, &["table", "litmus"]),
+    ("json", false, &["sim", "serve", "sweep", "fuzz"]),
+    ("list", false, &["sweep"]),
+    ("resume", false, &["verify", "compile"]),
+    ("compose", true, &["table", "verify", "dot"]),
+    ("machine", true, &["table", "dot"]),
+    ("caches", true, &["verify", "murphi", "sim", "serve", "sweep", "compile"]),
+    ("threads", true, &["verify", "serve", "sweep", "fuzz", "litmus", "compile"]),
+    ("seed", true, &["sim", "serve", "sweep", "fuzz", "litmus"]),
+    ("property", true, &["verify", "serve", "compile"]),
+    ("max-states", true, &["verify", "compile"]),
+    ("mem-budget", true, &["verify", "compile"]),
+    ("store", true, &["verify", "compile"]),
+    ("spill-chunk", true, &["verify", "compile"]),
+    ("checkpoint-dir", true, &["verify", "compile"]),
+    ("checkpoint-every", true, &["verify", "compile"]),
+    ("addrs", true, &["sim", "serve"]),
+    ("workload", true, &["sim", "serve"]),
+    ("store-pct", true, &["sim", "serve"]),
+    ("accesses", true, &["sim", "sweep"]),
+    ("trace", true, &["sim"]),
+    ("network", true, &["sim"]),
+    ("latency", true, &["sim"]),
+    ("cap", true, &["sim"]),
+    ("dir-shards", true, &["serve"]),
+    ("ops", true, &["serve"]),
+    ("duration", true, &["serve"]),
+    ("mailbox-cap", true, &["serve"]),
+    ("faults", true, &["serve"]),
+    ("fault-seed", true, &["serve"]),
+    ("crash-at-op", true, &["serve"]),
+    ("protocols", true, &["sweep", "fuzz"]),
+    ("out", true, &["sweep", "fuzz"]),
+    ("mutants", true, &["fuzz"]),
+    ("budget", true, &["fuzz"]),
+    ("replay", true, &["fuzz"]),
+    ("tests", true, &["litmus"]),
+    ("depth", true, &["litmus"]),
+];
+
 struct Args {
-    flags: Vec<String>,
+    /// `(flag, value)`; a switch carries an empty value.
+    flags: Vec<(&'static str, String)>,
     positional: Vec<String>,
 }
 
 impl Args {
-    /// Splits the command line into flags and operands. The two lists
-    /// below are every flag the CLI knows, for all subcommands; a `--flag`
-    /// in neither is a usage error (exit 2, naming it): ignored,
-    /// `--cachse 4` would verify at the default cache count and
-    /// `--max-state 10` run unbudgeted, each printing a verdict.
+    /// Splits the command line into flags and operands. A `--flag` that is
+    /// not in [`FLAGS`], or not in the row of the subcommand it is given
+    /// to, is a usage error (exit 2, naming it): ignored, `--cachse 4`
+    /// would verify at the default cache count, `--max-state 10` run
+    /// unbudgeted and `verify --json` print a human-readable line, each
+    /// with a verdict and exit 0.
     fn parse() -> Args {
-        let mut flags = Vec::new();
+        let mut flags: Vec<(&'static str, String)> = Vec::new();
         let mut positional = Vec::new();
         let mut it = std::env::args().skip(1);
         while let Some(a) = it.next() {
-            if let Some(f) = a.strip_prefix("--") {
-                let needs_value = matches!(
-                    f,
-                    "machine"
-                        | "caches"
-                        | "threads"
-                        | "addrs"
-                        | "accesses"
-                        | "workload"
-                        | "store-pct"
-                        | "dir-shards"
-                        | "ops"
-                        | "duration"
-                        | "mailbox-cap"
-                        | "trace"
-                        | "network"
-                        | "latency"
-                        | "cap"
-                        | "seed"
-                        | "protocols"
-                        | "out"
-                        | "mutants"
-                        | "budget"
-                        | "max-states"
-                        | "mem-budget"
-                        | "store"
-                        | "spill-chunk"
-                        | "replay"
-                        | "compose"
-                        | "property"
-                        | "tests"
-                        | "depth"
-                        | "checkpoint-dir"
-                        | "checkpoint-every"
-                        | "faults"
-                        | "fault-seed"
-                        | "crash-at-op"
-                );
-                let is_switch = matches!(f, "stalling" | "markdown" | "json" | "list" | "resume");
-                if needs_value {
-                    let v = it.next().unwrap_or_default();
-                    flags.push(format!("{f}={v}"));
-                } else if is_switch {
-                    flags.push(f.to_string());
-                } else {
-                    eprintln!("unknown flag `--{f}`");
+            let Some(f) = a.strip_prefix("--") else {
+                positional.push(a);
+                continue;
+            };
+            let Some(&(name, takes_value, _)) = FLAGS.iter().find(|(name, ..)| *name == f) else {
+                eprintln!("unknown flag `--{f}`");
+                std::process::exit(2);
+            };
+            flags.push((
+                name,
+                if takes_value { it.next().unwrap_or_default() } else { String::new() },
+            ));
+        }
+        // An unknown subcommand is reported as such by `main`.
+        if let Some(cmd) = positional.first().filter(|c| COMMANDS.contains(&c.as_str())) {
+            for (name, _, commands) in FLAGS {
+                if flags.iter().any(|(f, _)| *f == name) && !commands.contains(&cmd.as_str()) {
+                    eprintln!("`{cmd}` takes no `--{name}` (a flag of: {})", commands.join(", "));
                     std::process::exit(2);
                 }
-            } else {
-                positional.push(a);
             }
         }
         Args { flags, positional }
     }
 
     fn flag(&self, name: &str) -> bool {
-        self.flags.iter().any(|f| f == name)
+        self.flags.iter().any(|(f, _)| *f == name)
     }
 
     fn value(&self, name: &str) -> Option<&str> {
-        self.flags.iter().find_map(|f| f.strip_prefix(&format!("{name}=")))
+        self.flags.iter().find(|(f, _)| *f == name).map(|(_, v)| v.as_str())
     }
 }
 
@@ -341,7 +395,7 @@ fn verify(target: Target, args: &Args, threads: usize) -> bool {
             (if resume { mc.resume() } else { Ok(mc.run()) }, String::new())
         }
         Target::Composed(composed, _) => {
-            let hc = HierChecker::new(composed, cfg.into());
+            let hc = HierChecker::new(composed, cfg);
             // A group of 1 is what symmetry off reads too: say when it is
             // the cap that turned the reduction off.
             let order = hc.group_order();
@@ -366,7 +420,7 @@ fn verify(target: Target, args: &Args, threads: usize) -> bool {
         eprintln!("cannot resume: {e}");
         std::process::exit(2)
     });
-    println!(
+    outln!(
         "{name}: {} — {} states, {} transitions, {:.2}s ({:.0} states/s) on {} thread{}{shape}",
         // A limit that fired before any violation proved nothing either
         // way: not a pass (exit 1), but not a counterexample.
@@ -383,7 +437,7 @@ fn verify(target: Target, args: &Args, threads: usize) -> bool {
         if r.threads == 1 { "" } else { "s" }
     );
     if r.spill_bytes > 0 {
-        println!(
+        outln!(
             "spilled {} bytes in {} chunks under the memory budget (peak accounted RAM {} \
              bytes){}",
             r.spill_bytes,
@@ -395,20 +449,20 @@ fn verify(target: Target, args: &Args, threads: usize) -> bool {
         );
     }
     if fp_only {
-        println!(
+        outln!(
             "fingerprint-only store: no counterexample traces; expected state pairs merged by \
              a 64-bit collision ≈ {:.3e}",
             r.expected_collision_pairs()
         );
     }
     if let Some(v) = &r.violation {
-        println!("violation: {}", v.kind);
+        outln!("violation: {}", v.kind);
         for line in &v.trace {
-            println!("  {line}");
+            outln!("  {line}");
         }
     }
     if let Some(l) = &r.limit {
-        println!("stopped early: {l} — partial stats only (raise --max-states to go further)");
+        outln!("stopped early: {l} — partial stats only (raise --max-states to go further)");
     }
     r.passed()
 }
@@ -478,16 +532,13 @@ fn compose_cmd(cmd: &str, comp: &Composition, args: &Args, threads: usize) -> Ex
         "verify" => exit_code(verify(Target::Composed(&composed, comp), args, threads)),
         "table" => {
             let opts = TableOptions { markdown: args.flag("markdown"), ..TableOptions::default() };
-            print!("{}", render_composed_table(&composed, &opts));
+            out!("{}", render_composed_table(&composed, &opts));
             ExitCode::SUCCESS
         }
-        "dot" => {
-            print!("{}", to_dot_composed(&composed));
+        // `FLAGS` admits `--compose` on verify, table and dot only.
+        _ => {
+            out!("{}", to_dot_composed(&composed));
             ExitCode::SUCCESS
-        }
-        other => {
-            eprintln!("--compose supports verify, table, and dot (not `{other}`)");
-            ExitCode::from(2)
         }
     }
 }
@@ -572,17 +623,26 @@ fn sim(ssp: &Ssp, g: &Generated, args: &Args) -> ExitCode {
                     ("seed", Json::U64(cfg.seed)),
                     ("stats", r.to_json()),
                 ]);
-                print!("{}", doc.render());
+                out!("{}", doc.render());
             } else {
-                println!(
+                outln!(
                     "{}: {} accesses ({} hits, {} misses) in {} cycles under {}",
-                    ssp.name, r.completed, r.hits, r.misses, r.cycles, cfg.workload
+                    ssp.name,
+                    r.completed,
+                    r.hits,
+                    r.misses,
+                    r.cycles,
+                    cfg.workload
                 );
-                println!(
+                outln!(
                     "  miss latency p50/p95/p99/max: {}/{}/{}/{} (avg {:.1})",
-                    r.p50_latency, r.p95_latency, r.p99_latency, r.max_latency, r.avg_miss_latency
+                    r.p50_latency,
+                    r.p95_latency,
+                    r.p99_latency,
+                    r.max_latency,
+                    r.avg_miss_latency
                 );
-                println!(
+                outln!(
                     "  {} messages ({:.1}/miss), {} stall-cycles, {} backpressure-cycles, \
                      dir occupancy {:.1}%",
                     r.messages,
@@ -689,9 +749,9 @@ fn serve_cmd(ssp: &Ssp, g: &Generated, args: &Args, caches: usize, threads: usiz
             ("envelope_pairs", Json::U64(envelope.len() as u64)),
             ("report", report.to_json(&g.cache, &g.directory, &escapes)),
         ]);
-        print!("{}", doc.render());
+        out!("{}", doc.render());
     } else {
-        println!(
+        outln!(
             "{}: {} ops ({} hits, {} misses) in {:.3}s — {:.0} ops/s over {} cache \
              worker(s) + {} dir shard(s)",
             ssp.name,
@@ -704,7 +764,7 @@ fn serve_cmd(ssp: &Ssp, g: &Generated, args: &Args, caches: usize, threads: usiz
             report.dir_shards
         );
         if !report.miss_latency.is_empty() {
-            println!(
+            outln!(
                 "  miss latency p50/p95/p99/max: {}/{}/{}/{} ns",
                 report.miss_latency.percentile(50.0),
                 report.miss_latency.percentile(95.0),
@@ -712,19 +772,16 @@ fn serve_cmd(ssp: &Ssp, g: &Generated, args: &Args, caches: usize, threads: usiz
                 report.miss_latency.max()
             );
         }
-        println!(
-            "  {} messages, peak queue depths {:?}",
-            report.messages, report.peak_queue_depths
-        );
-        println!(
+        outln!("  {} messages, peak queue depths {:?}", report.messages, report.peak_queue_depths);
+        outln!(
             "  live coverage: {} pairs, all inside the {}-pair checked envelope: {}",
             report.coverage.len(),
             envelope.len(),
             if escapes.is_empty() { "yes" } else { "NO" }
         );
-        println!("  stop reason: {}", report.stop_reason.label());
+        outln!("  stop reason: {}", report.stop_reason.label());
         if let Some(fs) = &report.faults {
-            println!(
+            outln!(
                 "  faults: {}/{} crash recoveries, {} recovery writeback(s), {} delay(s), \
                  {} stall(s), {} squeeze park(s){}",
                 fs.crashes_completed,
@@ -783,7 +840,7 @@ fn sweep(args: &Args, threads: usize) -> ExitCode {
     cfg.accesses_per_core = num_flag(args, "accesses").unwrap_or(cfg.accesses_per_core);
     cfg.seed = num_flag(args, "seed").unwrap_or(cfg.seed);
     if args.flag("list") {
-        print!("{}", cfg.listing());
+        out!("{}", cfg.listing());
         return ExitCode::SUCCESS;
     }
     let report = match run_sweep(&cfg) {
@@ -812,17 +869,22 @@ fn sweep(args: &Args, threads: usize) -> ExitCode {
             eprintln!("cannot write {}: {e}", path.display());
             return ExitCode::FAILURE;
         }
-        println!("wrote {} cell files + sweep.json to {}", report.cells.len(), dir.display());
+        outln!("wrote {} cell files + sweep.json to {}", report.cells.len(), dir.display());
     }
     if args.flag("json") {
-        print!("{}", report.to_json().render());
+        out!("{}", report.to_json().render());
     } else if args.value("out").is_none() {
-        println!(
+        outln!(
             "{:<44} {:>9} {:>6} {:>6} {:>6} {:>8}",
-            "cell", "cycles", "p50", "p95", "stalls", "msgs"
+            "cell",
+            "cycles",
+            "p50",
+            "p95",
+            "stalls",
+            "msgs"
         );
         for c in &report.cells {
-            println!(
+            outln!(
                 "{:<44} {:>9} {:>6} {:>6} {:>6} {:>8}",
                 c.cell.label(),
                 c.stats.cycles,
@@ -871,9 +933,9 @@ fn fuzz(args: &Args, threads: usize) -> ExitCode {
             return ExitCode::from(2);
         };
         let r = run_mutant(&base, &script.mutations, &script.gen_config(), cfg.budget, false);
-        println!("{}: {}", r.outcome.label(), r.outcome.detail());
+        outln!("{}: {}", r.outcome.label(), r.outcome.detail());
         for line in &r.trace {
-            println!("  {line}");
+            outln!("  {line}");
         }
         // A script whose site no longer applies did not reconstruct the
         // mutant — that is a usage error, not "the bug is fixed".
@@ -917,29 +979,29 @@ fn fuzz(args: &Args, threads: usize) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        println!(
+        outln!(
             "wrote fuzz.json + {} reproducer script(s) to {}",
             report.unexpected().len(),
             dir.display()
         );
     }
     if args.flag("json") {
-        print!("{}", report.to_json().render());
+        out!("{}", report.to_json().render());
     } else {
-        println!("fuzz: seed {}, {} mutants, budget {}", report.seed, cfg.mutants, report.budget);
+        outln!("fuzz: seed {}, {} mutants, budget {}", report.seed, cfg.mutants, report.budget);
         for (label, count) in report.distribution() {
             if count > 0 {
-                println!("  {label:<22} {count:>6}");
+                outln!("  {label:<22} {count:>6}");
             }
             if label == "rejected-by-checker" {
                 // The property-aware breakdown of what the checker caught.
                 for (family, n) in report.checker_families() {
-                    println!("    {family:<20} {n:>6}");
+                    outln!("    {family:<20} {n:>6}");
                 }
             }
         }
         for c in &report.controls {
-            println!(
+            outln!(
                 "control {:<38} {} ({})",
                 c.name,
                 if c.caught { "CAUGHT" } else { "MISSED" },
@@ -948,9 +1010,9 @@ fn fuzz(args: &Args, threads: usize) -> ExitCode {
         }
         for r in report.unexpected() {
             let s = r.shrunk.as_ref().expect("unexpected records carry a shrunk case");
-            println!("unexpected mutant {}: {} — {}", r.index, r.outcome, r.detail);
+            outln!("unexpected mutant {}: {} — {}", r.index, r.outcome, r.detail);
             for line in s.script.lines() {
-                println!("  {line}");
+                outln!("  {line}");
             }
         }
     }
@@ -1012,9 +1074,9 @@ fn litmus_cmd(args: &Args, threads: usize) -> ExitCode {
         }
         Ok(report) => {
             if args.flag("markdown") {
-                print!("{}", report.render_markdown());
+                out!("{}", report.render_markdown());
             } else {
-                print!("{}", report.render_text());
+                out!("{}", report.render_text());
             }
             if report.passed() {
                 ExitCode::SUCCESS
@@ -1029,9 +1091,7 @@ fn litmus_cmd(args: &Args, threads: usize) -> ExitCode {
 fn main() -> ExitCode {
     let args = Args::parse();
     let Some(cmd) = args.positional.first().map(String::as_str) else {
-        eprintln!(
-            "usage: protogen <table|verify|dot|murphi|sim|serve|sweep|fuzz|litmus|stats|compile> …"
-        );
+        eprintln!("usage: protogen <{}> …", COMMANDS.join("|"));
         return ExitCode::from(2);
     };
     // Operands after the subcommand: one protocol (or file), except where
@@ -1055,9 +1115,14 @@ fn main() -> ExitCode {
 
     match cmd {
         "stats" => {
-            println!(
+            outln!(
                 "{:<14} {:<13} {:>12} {:>12} {:>10} {:>10}",
-                "protocol", "config", "cache-states", "dir-states", "cache-arcs", "dir-arcs"
+                "protocol",
+                "config",
+                "cache-states",
+                "dir-states",
+                "cache-arcs",
+                "dir-arcs"
             );
             for ssp in protogen_protocols::all() {
                 for (label, cfg) in [
@@ -1065,7 +1130,7 @@ fn main() -> ExitCode {
                     ("non-stalling", GenConfig::non_stalling()),
                 ] {
                     match generate(&ssp, &cfg) {
-                        Ok(g) => println!(
+                        Ok(g) => outln!(
                             "{:<14} {:<13} {:>12} {:>12} {:>10} {:>10}",
                             ssp.name,
                             label,
@@ -1074,7 +1139,7 @@ fn main() -> ExitCode {
                             g.cache.transition_count(),
                             g.directory.transition_count()
                         ),
-                        Err(e) => println!("{:<14} {label}: error {e}", ssp.name),
+                        Err(e) => outln!("{:<14} {label}: error {e}", ssp.name),
                     }
                 }
             }
@@ -1112,18 +1177,18 @@ fn main() -> ExitCode {
                         if args.value("machine") == Some("dir") { &g.directory } else { &g.cache };
                     let opts =
                         TableOptions { markdown: args.flag("markdown"), ..TableOptions::default() };
-                    println!("{}", g.report);
-                    println!("{}", render_table(machine, &opts));
+                    outln!("{}", g.report);
+                    outln!("{}", render_table(machine, &opts));
                     ExitCode::SUCCESS
                 }
                 "dot" => {
                     let machine =
                         if args.value("machine") == Some("dir") { &g.directory } else { &g.cache };
-                    println!("{}", to_dot(machine));
+                    outln!("{}", to_dot(machine));
                     ExitCode::SUCCESS
                 }
                 "murphi" => {
-                    println!("{}", to_murphi(&g.cache, &g.directory, caches()));
+                    outln!("{}", to_murphi(&g.cache, &g.directory, caches()));
                     ExitCode::SUCCESS
                 }
                 "verify" => exit_code(verify(Target::Flat(&g, &ssp, caches()), &args, threads)),
@@ -1167,7 +1232,7 @@ fn main() -> ExitCode {
                     }
                 };
                 let composed = compose_or_exit(&comp, &args);
-                print!("{}", render_composed_table(&composed, &TableOptions::default()));
+                out!("{}", render_composed_table(&composed, &TableOptions::default()));
                 return exit_code(verify(Target::Composed(&composed, &comp), &args, threads));
             }
             let ssp = match protogen_dsl::lower(&ast) {
@@ -1178,8 +1243,8 @@ fn main() -> ExitCode {
                 }
             };
             let g = generate_or_exit(&ssp, &args);
-            println!("{}", g.report);
-            println!("{}", render_table(&g.cache, &TableOptions::default()));
+            outln!("{}", g.report);
+            outln!("{}", render_table(&g.cache, &TableOptions::default()));
             exit_code(verify(Target::Flat(&g, &ssp, caches()), &args, threads))
         }
         other => {

@@ -402,13 +402,21 @@ fn unparsable_numeric_flags_are_usage_errors() {
 
 /// A misspelt flag used to be ignored, and its value with it: `verify msi
 /// --cachse 4` printed a PASSED line for MSI@2 and exited 0, and
-/// `--max-state 10` ran unbudgeted. Unknown flags and surplus operands are
-/// usage errors naming the offending token.
+/// `--max-state 10` ran unbudgeted. So was a flag of another subcommand:
+/// `verify msi --json` printed a human-readable PASSED line, `sim …
+/// --max-states 9` bounded nothing. Unknown flags, misplaced flags (named
+/// with the subcommand that refused them) and surplus operands are usage
+/// errors naming the offending token.
 #[test]
 fn unknown_flags_and_surplus_operands_are_usage_errors() {
     for (args, token) in [
         (&["verify", "msi", "--cachse", "4", "--stalling"][..], "--cachse"),
         (&["verify", "msi", "--caches", "3", "--max-state", "10"], "--max-state"),
+        (&["verify", "msi", "--ops", "5"], "`verify` takes no `--ops`"),
+        (&["verify", "msi", "--json"], "`verify` takes no `--json`"),
+        (&["sim", "msi", "--max-states", "9"], "`sim` takes no `--max-states`"),
+        (&["serve", "msi", "--mutants", "1"], "`serve` takes no `--mutants`"),
+        (&["stats", "--stalling"], "`stats` takes no `--stalling`"),
         (&["verify", "msi", "mesi", "--caches", "2"], "`mesi`"),
         (&["verify", "msi", "--compose", "l1=msi:1,llc=msi:2"], "`msi`"),
         (&["stats", "msi"], "`msi`"),
@@ -422,6 +430,29 @@ fn unknown_flags_and_surplus_operands_are_usage_errors() {
         for verdict in ["PASSED", "FAILED", "INCOMPLETE"] {
             assert!(!stdout.contains(verdict), "{args:?} printed a verdict: {stdout}");
         }
+    }
+}
+
+/// A reader that closes stdout early (`protogen stats | head -1`) used to
+/// kill the process with a `failed printing to stdout` panic, a backtrace
+/// and exit 101. It now ends quietly, and not with exit 0: a `verify` whose
+/// verdict line was not delivered must not read as a pass.
+#[test]
+fn closed_stdout_ends_the_process_quietly() {
+    use std::process::Stdio;
+    for args in [&["stats"][..], &["table", "mesi"], &["verify", "msi", "--threads", "1"]] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_protogen"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("protogen binary runs");
+        // Closed before the child has generated anything to print.
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("protogen exits");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert_eq!(out.status.code(), Some(141), "{args:?}: {err}");
     }
 }
 

@@ -3,60 +3,60 @@
 
 use crate::error::GenError;
 use protogen_spec::{
-    Access, Action, Dst, Effect, Guard, MsgClass, MsgId, Perm, Ssp, StableId, Trigger, WaitChain,
-    WaitTo,
+    Access, Action, Dst, Effect, Guard, MsgClass, MsgId, Perm, Ssp, SspEntry, StableId, Trigger,
+    WaitChain, WaitTo,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
-/// One cache transaction: an `(stable state, access)` pair that issues a
-/// request and waits.
+/// One transaction: an SSP entry that issues a request and waits. A cache
+/// transaction is triggered by an access (`I` + store sends GetM and awaits
+/// Data); a directory transaction by a request whose processing spans an
+/// await (`M` + GetS awaits the owner's writeback).
 #[derive(Debug, Clone)]
-pub struct TxnInfo {
+pub struct Txn {
     /// Index of the SSP entry this transaction came from.
     pub entry_idx: usize,
     /// Initial stable state `S_i`.
     pub from: StableId,
-    /// The access that triggers the transaction.
-    pub access: Access,
-    /// The primary request message sent to the directory.
+    /// What starts the transaction: an access (cache) or a request
+    /// (directory).
+    pub trigger: Trigger,
+    /// Guards on the trigger (directory entries only).
+    pub guards: Vec<Guard>,
+    /// The primary request message sent to the directory (cache
+    /// transactions only).
     pub request_msg: Option<MsgId>,
-    /// Request actions (sends, counter resets).
-    pub request_actions: Vec<Action>,
     /// The await structure.
     pub chain: WaitChain,
-    /// All stable states the transaction can complete into.
+    /// All stable states the transaction can complete into; exactly one for
+    /// a directory transaction.
     pub finals: Vec<StableId>,
     /// Per await point: whether the block still holds the (valid) data copy
     /// it had in `from` on every path to that point. Drives the Step-4
     /// access rule for chain states.
     pub retains_data: Vec<bool>,
     /// Per await point: whether a valid data copy is present on every path
-    /// (either retained from `from` or received). Drives response deferral
-    /// under the immediate policy.
+    /// (either retained from `from` or received). Drives response deferral.
     pub data_present: Vec<bool>,
 }
 
-/// One directory transaction: a request whose processing spans an await
-/// (e.g. M + GetS waits for the owner's writeback).
-#[derive(Debug, Clone)]
-pub struct DirTxnInfo {
-    /// Index of the SSP entry.
-    pub entry_idx: usize,
-    /// Directory state the transaction starts in.
-    pub from: StableId,
-    /// The request that triggers it.
-    pub trigger: MsgId,
-    /// Optional guard on the trigger.
-    pub guards: Vec<Guard>,
-    /// Request actions.
-    pub request_actions: Vec<Action>,
-    /// The await structure.
-    pub chain: WaitChain,
-    /// The (single) stable state the transaction completes into.
-    pub final_state: StableId,
-    /// Per await point: whether the directory's data copy is valid on every
-    /// path to that point.
-    pub data_present: Vec<bool>,
+impl Txn {
+    /// Catalogues `entry` if it issues a request and waits; `from_valid`
+    /// says whether the block holds valid data when the transaction starts.
+    fn new(ssp: &Ssp, entry_idx: usize, entry: &SspEntry, from_valid: bool) -> Option<Txn> {
+        let Effect::Issue { request, chain } = &entry.effect else { return None };
+        Some(Txn {
+            entry_idx,
+            from: entry.state,
+            trigger: entry.trigger,
+            guards: entry.guards.clone(),
+            request_msg: primary_request(ssp, request),
+            chain: chain.clone(),
+            finals: chain.final_states(),
+            retains_data: flow_data(chain, from_valid, FlowMode::Retains),
+            data_present: flow_data(chain, from_valid, FlowMode::Present),
+        })
+    }
 }
 
 /// Results of analyzing a preprocessed SSP.
@@ -72,11 +72,11 @@ pub struct Analysis {
     /// Cache stable state → forwards that can arrive there.
     pub fwds_at: Vec<Vec<MsgId>>,
     /// Cache transactions.
-    pub txns: Vec<TxnInfo>,
+    pub txns: Vec<Txn>,
     /// `(state, access)` → transaction index.
     pub txn_by_trigger: BTreeMap<(StableId, Access), usize>,
     /// Directory transactions.
-    pub dir_txns: Vec<DirTxnInfo>,
+    pub dir_txns: Vec<Txn>,
     /// Request message → the `(access, cache state)` sites that issue it.
     pub request_sites: BTreeMap<MsgId, Vec<(Access, StableId)>>,
     /// Requests that only ever downgrade permissions (Put-class). The
@@ -122,41 +122,26 @@ impl Analysis {
             let Trigger::Access(access) = e.trigger else {
                 continue;
             };
-            let Effect::Issue { request, chain } = &e.effect else {
+            let from_valid = ssp.cache.state(e.state).data_valid;
+            let Some(txn) = Txn::new(ssp, entry_idx, e, from_valid) else {
                 continue;
             };
-            let request_msg = primary_request(ssp, request);
-            if let Some(r) = request_msg {
+            if let Some(r) = txn.request_msg {
                 request_sites.entry(r).or_default().push((access, e.state));
             }
-            let finals = chain.final_states();
-            if finals.is_empty() {
+            if txn.finals.is_empty() {
                 return Err(GenError::InvalidSsp(format!(
                     "cache transaction from {} on {access} never completes",
                     ssp.cache.state(e.state).name
                 )));
             }
-            let idx = txns.len();
-            if txn_by_trigger.insert((e.state, access), idx).is_some() {
+            if txn_by_trigger.insert((e.state, access), txns.len()).is_some() {
                 return Err(GenError::Unsupported(format!(
                     "two transactions for ({}, {access})",
                     ssp.cache.state(e.state).name
                 )));
             }
-            let from_valid = ssp.cache.state(e.state).data_valid;
-            let retains_data = flow_data(chain, from_valid, FlowMode::Retains);
-            let data_present = flow_data(chain, from_valid, FlowMode::Present);
-            txns.push(TxnInfo {
-                entry_idx,
-                from: e.state,
-                access,
-                request_msg,
-                request_actions: request.clone(),
-                chain: chain.clone(),
-                finals,
-                retains_data,
-                data_present,
-            });
+            txns.push(txn);
         }
 
         let mut dir_txns = Vec::new();
@@ -164,32 +149,21 @@ impl Analysis {
             let Trigger::Msg(trigger) = e.trigger else {
                 continue;
             };
-            let Effect::Issue { request, chain } = &e.effect else {
+            // The directory's data copy is stale while a cache owns the
+            // block, which is exactly when the SSP makes it wait for a
+            // writeback; model "present" as false until data arrives.
+            let Some(txn) = Txn::new(ssp, entry_idx, e, false) else {
                 continue;
             };
-            let finals = chain.final_states();
-            if finals.len() != 1 {
+            if txn.finals.len() != 1 {
                 return Err(GenError::Unsupported(format!(
                     "directory transaction at {} on `{}` has {} final states (need exactly 1)",
                     ssp.directory.state(e.state).name,
                     ssp.msg(trigger).name,
-                    finals.len()
+                    txn.finals.len()
                 )));
             }
-            // The directory's data copy is stale while a cache owns the
-            // block, which is exactly when the SSP makes it wait for a
-            // writeback; model "present" as false until data arrives.
-            let data_present = flow_data(chain, false, FlowMode::Present);
-            dir_txns.push(DirTxnInfo {
-                entry_idx,
-                from: e.state,
-                trigger,
-                guards: e.guards.clone(),
-                request_actions: request.clone(),
-                chain: chain.clone(),
-                final_state: finals[0],
-                data_present,
-            });
+            dir_txns.push(txn);
         }
 
         // A request is a downgrade (Put-class) when every transaction that
@@ -265,7 +239,10 @@ enum FlowMode {
 fn flow_data(chain: &WaitChain, from_valid: bool, mode: FlowMode) -> Vec<bool> {
     let n = chain.nodes.len();
     let mut val = vec![true; n];
-    val[0] = from_valid;
+    // An empty chain is reported by the caller ("never completes").
+    if let Some(entry) = val.first_mut() {
+        *entry = from_valid;
+    }
     // Small chains: iterate to a fixpoint with an all-paths AND.
     for _ in 0..=n {
         for (i, node) in chain.nodes.iter().enumerate() {

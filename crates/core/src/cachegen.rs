@@ -1,146 +1,101 @@
-//! Cache controller generation: Steps 1–4 of §V.
+//! Cache controller generation: Steps 1–4 of §V, as a policy over the
+//! generation kernel ([`crate::weave`]). What is the cache's own: access
+//! permissions in transient states (Step 4), Case 1 and late Case 1,
+//! zombies, defensive handlers, and when a racing forward is stalled or its
+//! data response deferred.
 
-use crate::analysis::Analysis;
-use crate::config::{Concurrency, GenConfig, TransientAccessPolicy};
+use crate::analysis::{Analysis, Txn};
+use crate::config::{Concurrency, GenConfig, ResponsePolicy, TransientAccessPolicy};
 use crate::error::GenError;
 use crate::report::Reinterpretation;
+use crate::weave::{defer_sends, At, Elem, Key, Weave};
 use protogen_spec::{
-    Access, AckSrc, Action, Arc, ArcKind, ArcNote, ChainLink, Dst, Effect, EntryNote, Event, Fsm,
-    FsmState, FsmStateId, FsmStateKind, MachineKind, MsgId, Perm, ReqField, Ssp, StableId,
-    TransientMeta, Trigger, WaitTo,
+    Access, Action, ArcNote, Effect, EntryNote, Event, Fsm, FsmStateId, MachineKind, MsgId, Perm,
+    Ssp, StableId, Trigger, WaitTo,
 };
-use std::collections::{HashMap, VecDeque};
-
-/// One processed forward in a deferral chain, with its (already rewritten)
-/// deferred completion sends.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct Elem {
-    pub fwd: MsgId,
-    pub logical_to: StableId,
-    /// Deferred sends, rewritten to address `Dst::ChainReq(slot)`.
-    pub deferred: Vec<Action>,
-}
-
-/// Identity of a generated cache state.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) enum Key {
-    Stable(StableId),
-    /// Await point `w` of transaction `txn` with a deferral chain.
-    Wait {
-        txn: usize,
-        w: usize,
-        chain: Vec<Elem>,
-    },
-    /// The own transaction became moot (Case 1 with no restart); drain the
-    /// outstanding response and land in `logical`.
-    Zombie {
-        txn: usize,
-        w: usize,
-        logical: StableId,
-    },
-}
 
 pub(crate) struct CacheGen<'a> {
     ssp: &'a Ssp,
     cfg: &'a GenConfig,
     an: &'a Analysis,
-    states: Vec<(Key, String)>,
-    index: HashMap<Key, FsmStateId>,
-    names: HashMap<String, Key>,
-    arcs: Vec<Arc>,
-    work: VecDeque<FsmStateId>,
-    pub(crate) reinterpretations: Vec<Reinterpretation>,
-    pub(crate) warnings: Vec<String>,
+    w: Weave<'a>,
+    reinterpretations: Vec<Reinterpretation>,
+    warnings: Vec<String>,
+}
+
+/// Whether a reaction sends the block's data.
+fn sends_data(actions: &[Action]) -> bool {
+    actions.iter().any(|a| matches!(a, Action::Send(sp) if sp.data.is_some()))
 }
 
 impl<'a> CacheGen<'a> {
-    pub(crate) fn new(ssp: &'a Ssp, cfg: &'a GenConfig, an: &'a Analysis) -> Self {
-        CacheGen {
+    /// Generates the cache controller FSM.
+    pub(crate) fn run(
+        ssp: &'a Ssp,
+        cfg: &'a GenConfig,
+        an: &'a Analysis,
+    ) -> Result<(Fsm, Vec<Reinterpretation>, Vec<String>), GenError> {
+        let mut g = CacheGen {
             ssp,
             cfg,
             an,
-            states: Vec::new(),
-            index: HashMap::new(),
-            names: HashMap::new(),
-            arcs: Vec::new(),
-            work: VecDeque::new(),
+            w: Weave::new(ssp, MachineKind::Cache, &an.txns, cfg.pending_limit),
             reinterpretations: Vec::new(),
             warnings: Vec::new(),
-        }
-    }
-
-    /// Runs generation and produces the cache controller FSM.
-    pub(crate) fn run(mut self) -> Result<(Fsm, Vec<Reinterpretation>, Vec<String>), GenError> {
-        // Step 1: State Sets start as the stable states themselves; we
-        // intern every stable state first so ids line up with the SSP and
-        // the initial state is id 0.
-        for s in self.ssp.cache.state_ids() {
-            self.intern(Key::Stable(s));
-        }
-        while let Some(id) = self.work.pop_front() {
-            self.emit(id)?;
-        }
-        if self.cfg.defensive_stable_handlers {
-            self.emit_defensive()?;
-        }
-        let fsm = self.build_fsm();
-        Ok((fsm, self.reinterpretations, self.warnings))
-    }
-
-    fn intern(&mut self, key: Key) -> FsmStateId {
-        if let Some(&id) = self.index.get(&key) {
-            return id;
-        }
-        let mut name = self.name_of(&key);
-        while let Some(existing) = self.names.get(&name) {
-            if *existing != key {
-                name.push('+');
-            } else {
-                break;
+        };
+        while let Some((id, key)) = g.w.next() {
+            match key {
+                Key::Stable(s) => g.emit_stable(id, s)?,
+                Key::Wait { txn, w, chain } => g.emit_wait(At { id, txn, w, chain: &chain })?,
+                Key::Zombie { txn, w, logical } => g.emit_zombie(id, txn, w, logical)?,
             }
         }
-        let id = FsmStateId::from_usize(self.states.len());
-        self.names.insert(name.clone(), key.clone());
-        self.index.insert(key.clone(), id);
-        self.states.push((key, name));
-        self.work.push_back(id);
-        id
+        if cfg.defensive_stable_handlers {
+            g.emit_defensive()?;
+        }
+        let fsm = g.w.finish(|w, id, key| {
+            // Step 4 output: the permission a transient state grants,
+            // derived from its generated access arcs.
+            let granted = || {
+                if w.performs(id, Access::Store) {
+                    Perm::ReadWrite
+                } else if w.performs(id, Access::Load) {
+                    Perm::Read
+                } else {
+                    Perm::None
+                }
+            };
+            match key {
+                Key::Stable(s) => {
+                    let decl = ssp.cache.state(*s);
+                    (vec![*s], decl.perm, decl.data_valid)
+                }
+                Key::Wait { txn, w: wait, chain } => {
+                    let sets = match chain.last() {
+                        Some(last) => vec![last.logical_to],
+                        None => {
+                            let t = &an.txns[*txn];
+                            let mut v = if *wait == 0 { vec![t.from] } else { vec![] };
+                            v.extend(t.finals.iter().copied());
+                            v.sort();
+                            v.dedup();
+                            v
+                        }
+                    };
+                    (sets, granted(), false)
+                }
+                Key::Zombie { logical, .. } => (vec![*logical], granted(), false),
+            }
+        });
+        Ok((fsm, g.reinterpretations, g.warnings))
     }
 
     fn sname(&self, s: StableId) -> &str {
         &self.ssp.cache.state(s).name
     }
 
-    fn name_of(&self, key: &Key) -> String {
-        match key {
-            Key::Stable(s) => self.sname(*s).to_string(),
-            Key::Wait { txn, w, chain } => {
-                let t = &self.an.txns[*txn];
-                let tag = &t.chain.nodes[*w].tag;
-                let mut n = format!("{}{}_{}", self.sname(t.from), self.sname(t.finals[0]), tag);
-                if !chain.is_empty() {
-                    n.push('_');
-                    for e in chain {
-                        n.push_str(self.sname(e.logical_to));
-                    }
-                }
-                n
-            }
-            Key::Zombie { txn, w, logical } => {
-                let t = &self.an.txns[*txn];
-                let tag = &t.chain.nodes[*w].tag;
-                format!("{}{}_{}", self.sname(*logical), self.sname(*logical), tag)
-            }
-        }
-    }
-
-    fn emit(&mut self, id: FsmStateId) -> Result<(), GenError> {
-        let key = self.states[id.as_usize()].0.clone();
-        match key {
-            Key::Stable(s) => self.emit_stable(id, s),
-            Key::Wait { txn, w, chain } => self.emit_wait(id, txn, w, &chain),
-            Key::Zombie { txn, w, logical } => self.emit_zombie(id, txn, w, logical),
-        }
+    fn txn(&self, txn: usize) -> &'a Txn {
+        &self.an.txns[txn]
     }
 
     // ----- stable states --------------------------------------------------
@@ -159,23 +114,14 @@ impl<'a> CacheGen<'a> {
                 EntryNote::SelfInvalidate => ArcNote::SelfInv,
                 EntryNote::SelfDowngrade => ArcNote::SelfDown,
             };
-            match &e.effect {
-                Effect::Local { actions, next } => {
-                    let to = next.map_or(id, |n| self.intern(Key::Stable(n)));
-                    self.push(id, Event::Access(access), vec![], actions.clone(), to, note);
-                }
-                Effect::Issue { request, .. } => {
-                    let txn = self.an.txn_by_trigger[&(s, access)];
-                    let to = self.intern(Key::Wait { txn, w: 0, chain: vec![] });
-                    self.push(id, Event::Access(access), vec![], request.clone(), to, note);
-                }
-            }
+            let txn = self.an.txn_by_trigger.get(&(s, access)).copied();
+            self.w.emit_entry(id, Event::Access(access), vec![], &e.effect, txn, note)?;
         }
         // Forwards arriving in this stable state, straight from the SSP.
-        for &f in &self.an.fwds_at[s.as_usize()].clone() {
+        for &f in &self.an.fwds_at[s.as_usize()] {
             let (actions, next) = self.reaction(s, f)?;
-            let to = next.map_or(id, |n| self.intern(Key::Stable(n)));
-            self.push(id, Event::Msg(f), vec![], actions, to, ArcNote::Ssp);
+            let to = next.map_or(id, |n| self.w.intern(Key::Stable(n)));
+            self.w.push(id, Event::Msg(f), vec![], actions, to, ArcNote::Ssp);
         }
         Ok(())
     }
@@ -213,14 +159,14 @@ impl<'a> CacheGen<'a> {
     /// forwards (owner forwards) are provably consumed by the owner states
     /// that hold the data.
     fn emit_defensive(&mut self) -> Result<(), GenError> {
-        for (&f, assoc_states) in &self.an.fwd_assoc.clone() {
+        for (&f, assoc_states) in &self.an.fwd_assoc {
             // All associated states must demand the same data-free response
             // for a context-free defensive handler to exist.
             let mut acks: Option<Vec<Action>> = None;
             let mut ok = true;
             for &assoc in assoc_states {
                 let (actions, _next) = self.reaction(assoc, f)?;
-                if actions.iter().any(|a| matches!(a, Action::Send(sp) if sp.data.is_some())) {
+                if sends_data(&actions) {
                     ok = false;
                     break;
                 }
@@ -239,11 +185,9 @@ impl<'a> CacheGen<'a> {
             if !ok {
                 continue;
             }
-            for i in 0..self.states.len() {
-                let id = FsmStateId::from_usize(i);
-                let has_arc = self.arcs.iter().any(|a| a.from == id && a.event == Event::Msg(f));
-                if !has_arc {
-                    self.push(id, Event::Msg(f), vec![], acks.clone(), id, ArcNote::Defensive);
+            for id in self.w.state_ids() {
+                if !self.w.handles(id, Event::Msg(f)) {
+                    self.w.push(id, Event::Msg(f), vec![], acks.clone(), id, ArcNote::Defensive);
                 }
             }
         }
@@ -252,22 +196,16 @@ impl<'a> CacheGen<'a> {
 
     // ----- transient states ------------------------------------------------
 
-    fn emit_wait(
-        &mut self,
-        id: FsmStateId,
-        txn: usize,
-        w: usize,
-        chain: &[Elem],
-    ) -> Result<(), GenError> {
-        self.emit_wait_accesses(id, txn, w, chain);
-        self.emit_wait_own_arcs(id, txn, w, chain);
-        self.emit_wait_forwards(id, txn, w, chain)?;
-        Ok(())
+    fn emit_wait(&mut self, at: At) -> Result<(), GenError> {
+        self.emit_wait_accesses(at);
+        // Interning order is the state-id assignment: own arcs first.
+        self.w.own_arcs(at);
+        self.emit_wait_forwards(at)
     }
 
     /// Step 4: access permissions in transient states.
-    fn emit_wait_accesses(&mut self, id: FsmStateId, txn: usize, w: usize, chain: &[Elem]) {
-        let t = &self.an.txns[txn];
+    fn emit_wait_accesses(&mut self, at: At) {
+        let t = self.txn(at.txn);
         for access in Access::ALL {
             let allowed = match (access, self.cfg.transient_access) {
                 (Access::Replacement, _) => false, // never evict mid-transaction
@@ -276,97 +214,47 @@ impl<'a> CacheGen<'a> {
                     let perm_ok = |s: StableId| self.ssp.cache.state(s).perm.allows(access);
                     perm_ok(t.from)
                         && t.finals.iter().all(|&f| perm_ok(f))
-                        && chain.iter().all(|e| perm_ok(e.logical_to))
-                        && (chain.is_empty() || t.retains_data[w])
+                        && at.chain.iter().all(|e| perm_ok(e.logical_to))
+                        && (at.chain.is_empty() || t.retains_data[at.w])
                 }
             };
+            let event = Event::Access(access);
             if allowed {
-                self.push(
-                    id,
-                    Event::Access(access),
+                self.w.push(
+                    at.id,
+                    event,
                     vec![],
                     vec![Action::PerformAccess],
-                    id,
+                    at.id,
                     ArcNote::Step2,
                 );
             } else {
-                self.stall(id, Event::Access(access), ArcNote::Step2);
-            }
-        }
-    }
-
-    /// Step 2: the transaction's own response arcs, extended with deferred
-    /// responses when a chain is present.
-    fn emit_wait_own_arcs(&mut self, id: FsmStateId, txn: usize, w: usize, chain: &[Elem]) {
-        let node = self.an.txns[txn].chain.nodes[w].clone();
-        for arc in &node.arcs {
-            match arc.to {
-                WaitTo::Wait(w2) => {
-                    let to = self.intern(Key::Wait { txn, w: w2, chain: chain.to_vec() });
-                    self.push(
-                        id,
-                        Event::Msg(arc.msg),
-                        arc.guards.clone(),
-                        arc.actions.clone(),
-                        to,
-                        ArcNote::Step2,
-                    );
-                }
-                WaitTo::Done(s) => {
-                    if chain.is_empty() {
-                        let to = self.intern(Key::Stable(s));
-                        self.push(
-                            id,
-                            Event::Msg(arc.msg),
-                            arc.guards.clone(),
-                            arc.actions.clone(),
-                            to,
-                            ArcNote::Step2,
-                        );
-                    } else {
-                        // Complete the own transaction (which may perform
-                        // the pending access — for a chain ending without
-                        // permission this is the single access after
-                        // invalidation, the livelock fix of §VI-B), then
-                        // send every deferred response in chain order, then
-                        // land in the chain's final state.
-                        let final_state = chain.last().expect("chain non-empty").logical_to;
-                        let mut actions = arc.actions.clone();
-                        for e in chain {
-                            actions.extend(e.deferred.iter().cloned());
-                        }
-                        let to = self.intern(Key::Stable(final_state));
-                        self.push(
-                            id,
-                            Event::Msg(arc.msg),
-                            arc.guards.clone(),
-                            actions,
-                            to,
-                            ArcNote::Completion,
-                        );
-                    }
-                }
+                self.w.stall(at.id, event, ArcNote::Step2);
             }
         }
     }
 
     /// Step 3: forwards racing with the own transaction.
-    fn emit_wait_forwards(
-        &mut self,
-        id: FsmStateId,
-        txn: usize,
-        w: usize,
-        chain: &[Elem],
-    ) -> Result<(), GenError> {
-        let t = self.an.txns[txn].clone();
-        if chain.is_empty() {
+    fn emit_wait_forwards(&mut self, at: At) -> Result<(), GenError> {
+        let t = self.txn(at.txn);
+        let an = self.an;
+        let fwds_at = |s: StableId| &an.fwds_at[s.as_usize()];
+        if let Some(last) = at.chain.last() {
+            // With a non-empty chain the own request is known to be
+            // serialized and every earlier racing transaction has been
+            // observed; only forwards associated with the chain's current
+            // logical state can arrive.
+            for &f in fwds_at(last.logical_to) {
+                self.case2(at, f, last.logical_to)?;
+            }
+        } else {
             // Case 1 candidates: forwards associated with the initial stable
             // state can only arrive while the directory may not yet have
             // serialized the own request — that is, before any response has
             // moved the transaction past its entry await point.
-            if w == 0 {
-                for &f in self.an.fwds_at[t.from.as_usize()].clone().iter() {
-                    self.case1(id, txn, f)?;
+            if at.w == 0 {
+                for &f in fwds_at(t.from) {
+                    self.case1(at.id, at.txn, f)?;
                 }
             }
             // Case 2 candidates: forwards associated with any final state.
@@ -375,31 +263,22 @@ impl<'a> CacheGen<'a> {
             // preprocessing must have renamed it (§V-A).
             let mut seen = Vec::new();
             for &fin in &t.finals {
-                for &f in self.an.fwds_at[fin.as_usize()].clone().iter() {
+                for &f in fwds_at(fin) {
                     if seen.contains(&f) {
                         continue;
                     }
-                    let assoc = &self.an.fwd_assoc[&f];
-                    if assoc.contains(&t.from) && w == 0 {
+                    if an.fwd_assoc[&f].contains(&t.from) && at.w == 0 {
                         return Err(GenError::Ambiguous(format!(
-                            "forward `{}` can arrive in both the initial state {} and a                              final state {} of the same transaction; it needs renaming",
+                            "forward `{}` can arrive in both the initial state {} and a \
+                             final state {} of the same transaction; it needs renaming",
                             self.ssp.msg(f).name,
                             self.sname(t.from),
                             self.sname(fin)
                         )));
                     }
                     seen.push(f);
-                    self.case2(id, txn, w, chain, f, fin)?;
+                    self.case2(at, f, fin)?;
                 }
-            }
-        } else {
-            // With a non-empty chain the own request is known to be
-            // serialized and every earlier racing transaction has been
-            // observed; only forwards associated with the chain's current
-            // logical state can arrive.
-            let logical = chain.last().expect("non-empty").logical_to;
-            for &f in self.an.fwds_at[logical.as_usize()].clone().iter() {
-                self.case2(id, txn, w, chain, f, logical)?;
             }
         }
         // Late Case 1: a forward associated with the *initial* state is
@@ -409,28 +288,24 @@ impl<'a> CacheGen<'a> {
         // O_Fwd_GetS). Respond immediately and continue; possible only
         // while the reaction leaves the initial state's view unchanged and
         // the block still holds the initial data.
-        if w > 0 || !chain.is_empty() {
-            let t2 = self.an.txns[txn].clone();
-            for &f in self.an.fwds_at[t2.from.as_usize()].clone().iter() {
-                let covered = self.arcs.iter().any(|a| a.from == id && a.event == Event::Msg(f));
-                if covered {
+        if at.w > 0 || !at.chain.is_empty() {
+            for &f in fwds_at(t.from) {
+                if self.w.handles(at.id, Event::Msg(f)) {
                     continue;
                 }
-                let (actions, next) = self.reaction(t2.from, f)?;
-                if next.unwrap_or(t2.from) != t2.from {
+                let (actions, next) = self.reaction(t.from, f)?;
+                if next.unwrap_or(t.from) != t.from {
                     continue; // epoch-ending; unreachable here, let MC judge
                 }
-                let needs_data =
-                    actions.iter().any(|a| matches!(a, Action::Send(sp) if sp.data.is_some()));
-                if needs_data && !t2.retains_data[w] {
+                if sends_data(&actions) && !t.retains_data[at.w] {
                     self.warnings.push(format!(
                         "late forward `{}` at {} would need data the block no longer holds",
                         self.ssp.msg(f).name,
-                        self.states[id.as_usize()].1
+                        self.w.name(at.id)
                     ));
                     continue;
                 }
-                self.push(id, Event::Msg(f), vec![], actions, id, ArcNote::Case1);
+                self.w.push(at.id, Event::Msg(f), vec![], actions, at.id, ArcNote::Case1);
             }
         }
         Ok(())
@@ -441,21 +316,24 @@ impl<'a> CacheGen<'a> {
     /// logically restart the own transaction from the reaction's target
     /// state.
     fn case1(&mut self, id: FsmStateId, txn: usize, f: MsgId) -> Result<(), GenError> {
-        let t = self.an.txns[txn].clone();
+        let t = self.txn(txn);
         let (mut resp, next) = self.reaction(t.from, f)?;
         let s_l = next.unwrap_or(t.from);
-        let restart = self.ssp.cache.entries_for(s_l, Trigger::Access(t.access));
+        let restart = self.ssp.cache.entries_for(s_l, t.trigger);
         let to = match restart.first().map(|e| &e.effect) {
             None => {
                 // The restarted access is moot (a replacement from a state
                 // with no replacement behaviour): drain the outstanding
                 // response of the already-issued request. The directory's
                 // stale-Put rule guarantees that response arrives.
-                self.intern(Key::Zombie { txn, w: 0, logical: s_l })
+                self.w.intern(Key::Zombie { txn, w: 0, logical: s_l })
             }
             Some(Effect::Issue { .. }) => {
-                let txn2 = self.an.txn_by_trigger[&(s_l, t.access)];
-                let t2 = &self.an.txns[txn2];
+                let Trigger::Access(access) = t.trigger else {
+                    unreachable!("cache transactions start on an access")
+                };
+                let txn2 = self.an.txn_by_trigger[&(s_l, access)];
+                let t2 = self.txn(txn2);
                 if t2.request_msg != t.request_msg {
                     // The same access issues a different request from the
                     // restarted state (Upgrade vs GetM): the earlier request
@@ -477,7 +355,7 @@ impl<'a> CacheGen<'a> {
                 // Do NOT re-execute the request actions: the original
                 // request is still in flight and the acknowledgment
                 // counters must survive the restart.
-                self.intern(Key::Wait { txn: txn2, w: 0, chain: vec![] })
+                self.w.intern(Key::Wait { txn: txn2, w: 0, chain: vec![] })
             }
             Some(Effect::Local { actions, next }) => {
                 // The restarted access is satisfiable locally (a silent
@@ -486,91 +364,42 @@ impl<'a> CacheGen<'a> {
                 // already-issued request.
                 let logical = next.unwrap_or(s_l);
                 resp.extend(actions.iter().cloned());
-                self.intern(Key::Zombie { txn, w: 0, logical })
+                self.w.intern(Key::Zombie { txn, w: 0, logical })
             }
         };
-        self.push(id, Event::Msg(f), vec![], resp, to, ArcNote::Case1);
+        self.w.push(id, Event::Msg(f), vec![], resp, to, ArcNote::Case1);
         Ok(())
     }
 
     /// Case 2 (§V-D2): the other transaction was ordered later. Stall, or
     /// transition immediately with (possibly deferred) responses.
-    fn case2(
-        &mut self,
-        id: FsmStateId,
-        txn: usize,
-        w: usize,
-        chain: &[Elem],
-        f: MsgId,
-        logical_from: StableId,
-    ) -> Result<(), GenError> {
+    fn case2(&mut self, at: At, f: MsgId, logical_from: StableId) -> Result<(), GenError> {
         let (actions, next) = self.reaction(logical_from, f)?;
-        if self.cfg.concurrency == Concurrency::Stalling {
-            let dataless =
-                !actions.iter().any(|a| matches!(a, Action::Send(sp) if sp.data.is_some()));
-            // On an ordered network every Case 2 stall is safe. Without
-            // ordering, a *stale* forward (one serialized before the own
-            // request, whose epoch-ending acknowledgment overtook it) can
-            // appear here, and stalling its data-free acknowledgment can
-            // close a dependency cycle (the supplier of the own response
-            // waits for exactly that acknowledgment). Process data-free
-            // forwards; stall only data-bearing ones (harmless when
-            // channels do not block).
-            if self.ssp.network_ordered || !dataless {
-                self.stall(id, Event::Msg(f), ArcNote::Case2);
-                return Ok(());
-            }
-        }
-        let logical_to = next.unwrap_or(logical_from);
-
-        let slot = chain.iter().filter(|e| !e.deferred.is_empty()).count();
-        let mut immediate = Vec::new();
-        let mut deferred = Vec::new();
-        for a in actions {
-            match a {
-                Action::Send(mut sp) if sp.data.is_some() && self.defers_data(txn, w) => {
-                    if sp.dst == Dst::Req {
-                        sp.dst = Dst::ChainReq(slot);
-                    }
-                    if sp.req == ReqField::FromMsg {
-                        sp.req = ReqField::Chain(slot);
-                    }
-                    if matches!(
-                        sp.ack_count,
-                        Some(AckSrc::SharersExceptReqCount) | Some(AckSrc::FromMsg)
-                    ) {
-                        // Both the sharer count and a piggybacked count are
-                        // serialization-time values; the slot captured them
-                        // when the request was processed.
-                        sp.ack_count = Some(AckSrc::Captured);
-                    }
-                    if deferred.is_empty() {
-                        // Capture the forward's requestor in the deferred
-                        // send's original position.
-                        immediate.push(Action::RecordChainReq);
-                    }
-                    deferred.push(Action::Send(sp));
-                }
-                other => immediate.push(other),
-            }
-        }
-
-        if logical_to == logical_from && deferred.is_empty() {
-            // No logical movement and nothing owed: a pure self-loop
-            // (O + O_Fwd_GetS in MOSI). Keeps the chain — and the state
-            // space — finite.
-            self.push(id, Event::Msg(f), vec![], immediate, id, ArcNote::Case2);
+        // On an ordered network every Case 2 stall is safe. Without
+        // ordering, a *stale* forward (one serialized before the own
+        // request, whose epoch-ending acknowledgment overtook it) can
+        // appear here, and stalling its data-free acknowledgment can
+        // close a dependency cycle (the supplier of the own response
+        // waits for exactly that acknowledgment). Process data-free
+        // forwards; stall only data-bearing ones (harmless when
+        // channels do not block).
+        if self.cfg.concurrency == Concurrency::Stalling
+            && (self.ssp.network_ordered || sends_data(&actions))
+        {
+            self.w.stall(at.id, Event::Msg(f), ArcNote::Case2);
             return Ok(());
         }
-        if chain.len() >= self.cfg.pending_limit {
-            // Pending transaction limit L reached (§V-D2): stall.
-            self.stall(id, Event::Msg(f), ArcNote::Case2);
-            return Ok(());
-        }
-        let mut new_chain = chain.to_vec();
-        new_chain.push(Elem { fwd: f, logical_to, deferred });
-        let to = self.intern(Key::Wait { txn, w, chain: new_chain });
-        self.push(id, Event::Msg(f), vec![], immediate, to, ArcNote::Case2);
+        let defers_data = self.defers_data(at.txn, at.w);
+        let (immediate, deferred) =
+            defer_sends(&actions, at.chain, |sp| sp.data.is_some() && defers_data);
+        let elem = Elem {
+            msg: f,
+            entry: 0,
+            logical_to: next.unwrap_or(logical_from),
+            deferred,
+            updates_data: false,
+        };
+        self.w.extend_chain(at, vec![], immediate, elem, logical_from, ArcNote::Case2);
         Ok(())
     }
 
@@ -579,13 +408,13 @@ impl<'a> CacheGen<'a> {
     fn defers_data(&self, txn: usize, w: usize) -> bool {
         match self.cfg.response_policy {
             // Deferring every data response preserves SWMR in physical time.
-            crate::config::ResponsePolicy::DeferData => true,
+            ResponsePolicy::DeferData => true,
             // Immediate mode sends data as soon as it is present — but a
             // pending *store* must still complete first or readers would
             // observe pre-store data from a logically earlier epoch.
-            crate::config::ResponsePolicy::Immediate => {
-                let t = &self.an.txns[txn];
-                t.access == Access::Store || !t.data_present[w]
+            ResponsePolicy::Immediate => {
+                let t = self.txn(txn);
+                t.trigger == Trigger::Access(Access::Store) || !t.data_present[w]
             }
         }
     }
@@ -600,50 +429,28 @@ impl<'a> CacheGen<'a> {
         logical: StableId,
     ) -> Result<(), GenError> {
         for access in Access::ALL {
-            self.stall(id, Event::Access(access), ArcNote::Case1);
+            self.w.stall(id, Event::Access(access), ArcNote::Case1);
         }
         // Drain the original transaction's responses; the pending access is
         // completed trivially (the replacement's work was done by the
         // earlier-ordered transaction).
-        let node = self.an.txns[txn].chain.nodes[w].clone();
-        for arc in &node.arcs {
+        for arc in &self.txn(txn).chain.nodes[w].arcs {
             let keep: Vec<Action> = arc
                 .actions
                 .iter()
                 .filter(|a| matches!(a, Action::PerformAccess))
                 .cloned()
                 .collect();
-            match arc.to {
-                WaitTo::Wait(w2) => {
-                    let to = self.intern(Key::Zombie { txn, w: w2, logical });
-                    self.push(
-                        id,
-                        Event::Msg(arc.msg),
-                        arc.guards.clone(),
-                        keep,
-                        to,
-                        ArcNote::Case1,
-                    );
-                }
-                WaitTo::Done(_) => {
-                    let to = self.intern(Key::Stable(logical));
-                    self.push(
-                        id,
-                        Event::Msg(arc.msg),
-                        arc.guards.clone(),
-                        keep,
-                        to,
-                        ArcNote::Case1,
-                    );
-                }
-            }
+            let to = self.w.intern(match arc.to {
+                WaitTo::Wait(w2) => Key::Zombie { txn, w: w2, logical },
+                WaitTo::Done(_) => Key::Stable(logical),
+            });
+            self.w.push(id, Event::Msg(arc.msg), arc.guards.clone(), keep, to, ArcNote::Case1);
         }
         // Forwards can still arrive for the logical state.
-        for &f in self.an.fwds_at[logical.as_usize()].clone().iter() {
+        for &f in &self.an.fwds_at[logical.as_usize()] {
             let (actions, next) = self.reaction(logical, f)?;
-            let needs_data =
-                actions.iter().any(|a| matches!(a, Action::Send(sp) if sp.data.is_some()));
-            if needs_data && !self.ssp.cache.state(logical).data_valid {
+            if sends_data(&actions) && !self.ssp.cache.state(logical).data_valid {
                 return Err(GenError::Unsupported(format!(
                     "forward `{}` at drained state {} needs data the cache no longer holds",
                     self.ssp.msg(f).name,
@@ -654,121 +461,10 @@ impl<'a> CacheGen<'a> {
             let to = if logical2 == logical {
                 id
             } else {
-                self.intern(Key::Zombie { txn, w, logical: logical2 })
+                self.w.intern(Key::Zombie { txn, w, logical: logical2 })
             };
-            self.push(id, Event::Msg(f), vec![], actions, to, ArcNote::Case2);
+            self.w.push(id, Event::Msg(f), vec![], actions, to, ArcNote::Case2);
         }
         Ok(())
-    }
-
-    // ----- plumbing ---------------------------------------------------------
-
-    fn push(
-        &mut self,
-        from: FsmStateId,
-        event: Event,
-        guards: Vec<protogen_spec::Guard>,
-        actions: Vec<Action>,
-        to: FsmStateId,
-        note: ArcNote,
-    ) {
-        self.arcs.push(Arc { from, event, guards, actions, to, kind: ArcKind::Normal, note });
-    }
-
-    fn stall(&mut self, from: FsmStateId, event: Event, note: ArcNote) {
-        self.arcs.push(Arc {
-            from,
-            event,
-            guards: vec![],
-            actions: vec![],
-            to: from,
-            kind: ArcKind::Stall,
-            note,
-        });
-    }
-
-    fn build_fsm(&self) -> Fsm {
-        let mut states = Vec::with_capacity(self.states.len());
-        for (i, (key, name)) in self.states.iter().enumerate() {
-            let id = FsmStateId::from_usize(i);
-            let (kind, state_sets) = match key {
-                Key::Stable(s) => (FsmStateKind::Stable(*s), vec![*s]),
-                Key::Wait { txn, w, chain } => {
-                    let t = &self.an.txns[*txn];
-                    let links = chain
-                        .iter()
-                        .map(|e| ChainLink {
-                            forward: e.fwd,
-                            logical_to: e.logical_to,
-                            has_deferred_response: !e.deferred.is_empty(),
-                        })
-                        .collect();
-                    let meta = TransientMeta {
-                        own_from: t.from,
-                        own_to: t.finals[0],
-                        wait_tag: t.chain.nodes[*w].tag.clone(),
-                        chain: links,
-                    };
-                    let sets = if chain.is_empty() {
-                        let mut v = if *w == 0 { vec![t.from] } else { vec![] };
-                        v.extend(t.finals.iter().copied());
-                        v.sort();
-                        v.dedup();
-                        v
-                    } else {
-                        vec![chain.last().expect("non-empty").logical_to]
-                    };
-                    (FsmStateKind::Transient(meta), sets)
-                }
-                Key::Zombie { txn, w, logical } => {
-                    let t = &self.an.txns[*txn];
-                    let meta = TransientMeta {
-                        own_from: *logical,
-                        own_to: *logical,
-                        wait_tag: t.chain.nodes[*w].tag.clone(),
-                        chain: vec![],
-                    };
-                    (FsmStateKind::Transient(meta), vec![*logical])
-                }
-            };
-            // Step 4 output: the permission a state grants, derived from its
-            // generated access arcs.
-            let perm = match key {
-                Key::Stable(s) => self.ssp.cache.state(*s).perm,
-                _ => {
-                    let hit = |a: Access| {
-                        self.arcs.iter().any(|x| {
-                            x.from == id && x.event == Event::Access(a) && x.kind == ArcKind::Normal
-                        })
-                    };
-                    if hit(Access::Store) {
-                        Perm::ReadWrite
-                    } else if hit(Access::Load) {
-                        Perm::Read
-                    } else {
-                        Perm::None
-                    }
-                }
-            };
-            let data_valid = match key {
-                Key::Stable(s) => self.ssp.cache.state(*s).data_valid,
-                _ => false,
-            };
-            states.push(FsmState {
-                name: name.clone(),
-                kind,
-                state_sets,
-                perm,
-                data_valid,
-                merged_names: vec![],
-            });
-        }
-        Fsm {
-            protocol: self.ssp.name.clone(),
-            machine: MachineKind::Cache,
-            messages: self.ssp.messages.clone(),
-            states,
-            arcs: self.arcs.clone(),
-        }
     }
 }

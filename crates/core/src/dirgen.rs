@@ -1,4 +1,5 @@
-//! Directory controller generation (§V-F).
+//! Directory controller generation (§V-F), as a policy over the generation
+//! kernel ([`crate::weave`]).
 //!
 //! The directory is the serialization point, so there is no Case 1: every
 //! request arriving while the directory is mid-transaction belongs to a
@@ -6,125 +7,87 @@
 //! synthesized stale-Put rule, request reinterpretation (§V-D1), and the
 //! bound of one outstanding multi-step transaction (design note N9).
 
-use crate::analysis::Analysis;
+use crate::analysis::{Analysis, Txn};
 use crate::config::{Concurrency, GenConfig};
 use crate::error::GenError;
 use crate::report::Reinterpretation;
+use crate::weave::{defer_sends, At, Elem, Key, Weave};
 use protogen_spec::{
-    AckSrc, Action, Arc, ArcKind, ArcNote, ChainLink, Dst, Effect, Event, Fsm, FsmState,
-    FsmStateId, FsmStateKind, Guard, MachineKind, MsgClass, MsgId, Perm, ReqField, Ssp, SspEntry,
-    StableId, TransientMeta, Trigger, WaitTo,
+    Action, ArcNote, DataSrc, Dst, Effect, Event, Fsm, FsmStateId, Guard, MachineKind, MsgClass,
+    MsgId, Perm, ReqField, SendSpec, Ssp, StableId, Trigger,
 };
-use std::collections::{HashMap, VecDeque};
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Elem {
-    req: MsgId,
-    /// SSP entry index that processed the request (distinguishes guarded
-    /// variants with different targets).
+/// An SSP entry that processes a request in some directory state, under
+/// the guards and provenance it is used with there.
+struct Handler<'a> {
+    /// Index of the SSP entry.
     entry: usize,
-    logical_to: StableId,
-    deferred: Vec<Action>,
-    /// The element installed a newer data copy (a writeback serialized
-    /// after the own transaction): the own transaction's completion must
-    /// not overwrite it.
-    updates_data: bool,
+    guards: Vec<Guard>,
+    effect: &'a Effect,
+    note: ArcNote,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Key {
-    Stable(StableId),
-    Wait { txn: usize, w: usize, chain: Vec<Elem> },
+/// Whether a set of handlers for one trigger covers all cases: an unguarded
+/// entry, or a complementary guard pair.
+fn covered(handlers: &[Handler]) -> bool {
+    if handlers.iter().any(|h| h.guards.is_empty()) {
+        return true;
+    }
+    let guards: Vec<Guard> =
+        handlers.iter().filter(|h| h.guards.len() == 1).map(|h| h.guards[0]).collect();
+    guards.iter().any(|g| guards.contains(&g.negate()))
+}
+
+/// The stable state the directory logically occupies at an await point of
+/// `t` behind `chain`.
+fn logical_state(t: &Txn, chain: &[Elem]) -> StableId {
+    chain.last().map_or(t.finals[0], |e| e.logical_to)
 }
 
 pub(crate) struct DirGen<'a> {
     ssp: &'a Ssp,
     cfg: &'a GenConfig,
     an: &'a Analysis,
-    states: Vec<(Key, String)>,
-    index: HashMap<Key, FsmStateId>,
-    names: HashMap<String, Key>,
-    arcs: Vec<Arc>,
-    work: VecDeque<FsmStateId>,
-    pub(crate) reinterpretations: Vec<Reinterpretation>,
-    pub(crate) warnings: Vec<String>,
+    w: Weave<'a>,
+    reinterpretations: Vec<Reinterpretation>,
+    warnings: Vec<String>,
 }
 
 impl<'a> DirGen<'a> {
-    pub(crate) fn new(ssp: &'a Ssp, cfg: &'a GenConfig, an: &'a Analysis) -> Self {
-        DirGen {
+    /// Generates the directory controller FSM.
+    pub(crate) fn run(
+        ssp: &'a Ssp,
+        cfg: &'a GenConfig,
+        an: &'a Analysis,
+    ) -> Result<(Fsm, Vec<Reinterpretation>, Vec<String>), GenError> {
+        let mut g = DirGen {
             ssp,
             cfg,
             an,
-            states: Vec::new(),
-            index: HashMap::new(),
-            names: HashMap::new(),
-            arcs: Vec::new(),
-            work: VecDeque::new(),
+            w: Weave::new(ssp, MachineKind::Directory, &an.dir_txns, cfg.pending_limit),
             reinterpretations: Vec::new(),
             warnings: Vec::new(),
+        };
+        while let Some((id, key)) = g.w.next() {
+            match key {
+                Key::Stable(s) => g.emit_stable(id, s)?,
+                Key::Wait { txn, w, chain } => g.emit_wait(At { id, txn, w, chain: &chain })?,
+                Key::Zombie { .. } => unreachable!("the directory has no Case 1"),
+            }
         }
-    }
-
-    pub(crate) fn run(mut self) -> Result<(Fsm, Vec<Reinterpretation>, Vec<String>), GenError> {
-        for s in self.ssp.directory.state_ids() {
-            self.intern(Key::Stable(s));
-        }
-        while let Some(id) = self.work.pop_front() {
-            self.emit(id)?;
-        }
-        let fsm = self.build_fsm();
-        Ok((fsm, self.reinterpretations, self.warnings))
+        let fsm = g.w.finish(|_, _, key| {
+            let logical = match key {
+                Key::Stable(s) => *s,
+                Key::Wait { txn, chain, .. } => logical_state(&an.dir_txns[*txn], chain),
+                Key::Zombie { logical, .. } => *logical,
+            };
+            (vec![logical], Perm::None, true)
+        });
+        Ok((fsm, g.reinterpretations, g.warnings))
     }
 
     fn sname(&self, s: StableId) -> &str {
         &self.ssp.directory.state(s).name
-    }
-
-    fn name_of(&self, key: &Key) -> String {
-        match key {
-            Key::Stable(s) => self.sname(*s).to_string(),
-            Key::Wait { txn, w, chain } => {
-                let t = &self.an.dir_txns[*txn];
-                let tag = &t.chain.nodes[*w].tag;
-                let mut n = format!("{}{}_{}", self.sname(t.from), self.sname(t.final_state), tag);
-                if !chain.is_empty() {
-                    n.push('_');
-                    for e in chain {
-                        n.push_str(self.sname(e.logical_to));
-                    }
-                }
-                n
-            }
-        }
-    }
-
-    fn intern(&mut self, key: Key) -> FsmStateId {
-        if let Some(&id) = self.index.get(&key) {
-            return id;
-        }
-        let mut name = self.name_of(&key);
-        while let Some(existing) = self.names.get(&name) {
-            if *existing != key {
-                name.push('+');
-            } else {
-                break;
-            }
-        }
-        let id = FsmStateId::from_usize(self.states.len());
-        self.names.insert(name.clone(), key.clone());
-        self.index.insert(key.clone(), id);
-        self.states.push((key, name));
-        self.work.push_back(id);
-        id
-    }
-
-    fn emit(&mut self, id: FsmStateId) -> Result<(), GenError> {
-        let key = self.states[id.as_usize()].0.clone();
-        match key {
-            Key::Stable(s) => self.emit_stable(id, s),
-            Key::Wait { txn, w, chain } => self.emit_wait(id, txn, w, &chain),
-        }
     }
 
     /// All messages the directory can receive: requests, plus any
@@ -134,104 +97,47 @@ impl<'a> DirGen<'a> {
         self.ssp.msg_ids().filter(|&m| self.ssp.msg(m).class != MsgClass::Forward).collect()
     }
 
+    /// The SSP entries for `m` in stable state `s`, in declaration order.
+    fn handlers(&self, s: StableId, m: MsgId, note: ArcNote) -> Vec<Handler<'a>> {
+        let entries = self.ssp.directory.entries.iter().enumerate();
+        entries
+            .filter(|(_, e)| e.state == s && e.trigger == Trigger::Msg(m))
+            .map(|(entry, e)| Handler { entry, guards: e.guards.clone(), effect: &e.effect, note })
+            .collect()
+    }
+
+    fn emit_handler(&mut self, id: FsmStateId, m: MsgId, h: &Handler) -> Result<(), GenError> {
+        let txn = self.an.dir_txn_by_entry(h.entry);
+        self.w.emit_entry(id, Event::Msg(m), h.guards.clone(), h.effect, txn, h.note)
+    }
+
     fn emit_stable(&mut self, id: FsmStateId, s: StableId) -> Result<(), GenError> {
         for m in self.receivable() {
-            let entries: Vec<(usize, SspEntry)> = self
-                .ssp
-                .directory
-                .entries
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.state == s && e.trigger == Trigger::Msg(m))
-                .map(|(i, e)| (i, e.clone()))
-                .collect();
-            if entries.is_empty() {
+            let direct = self.handlers(s, m, ArcNote::Ssp);
+            if direct.is_empty() {
                 self.emit_missing(id, s, m)?;
                 continue;
             }
-            for (entry_idx, e) in &entries {
-                match &e.effect {
-                    Effect::Local { actions, next } => {
-                        let to = next.map_or(id, |n| self.intern(Key::Stable(n)));
-                        self.push(
-                            id,
-                            Event::Msg(m),
-                            e.guards.clone(),
-                            actions.clone(),
-                            to,
-                            ArcNote::Ssp,
-                        );
-                    }
-                    Effect::Issue { request, .. } => {
-                        let txn = self.an.dir_txn_by_entry(*entry_idx).ok_or_else(|| {
-                            GenError::Internal("directory transaction not catalogued".into())
-                        })?;
-                        let to = self.intern(Key::Wait { txn, w: 0, chain: vec![] });
-                        self.push(
-                            id,
-                            Event::Msg(m),
-                            e.guards.clone(),
-                            request.clone(),
-                            to,
-                            ArcNote::Ssp,
-                        );
-                    }
-                }
+            for h in &direct {
+                self.emit_handler(id, m, h)?;
             }
-            // Guarded entries may not cover every requestor (PutM from a
-            // non-owner at M): append the stale-Put fallback as an "else".
-            if self.an.downgrades.contains(&m) && !self.covered(&entries) {
+            if covered(&direct) {
+                continue;
+            }
+            if self.an.downgrades.contains(&m) {
+                // Guarded entries may not cover every requestor (PutM from a
+                // non-owner at M): append the stale-Put fallback as an "else".
                 self.stale_fallback(id, m);
-            }
-            // Guarded *upgrade* entries that do not cover every requestor
-            // (Upgrade from a cache that is no longer a sharer, §V-D1):
-            // append the reinterpretation as the "else" branch.
-            if !self.an.downgrades.contains(&m)
-                && self.ssp.msg(m).class == MsgClass::Request
-                && !self.covered(&entries)
-            {
-                for (entry_idx, e, note) in self.reinterp_entries(s, m) {
-                    match &e.effect {
-                        Effect::Local { actions, next } => {
-                            let to = next.map_or(id, |n| self.intern(Key::Stable(n)));
-                            self.push(
-                                id,
-                                Event::Msg(m),
-                                e.guards.clone(),
-                                actions.clone(),
-                                to,
-                                note,
-                            );
-                        }
-                        Effect::Issue { request, .. } => {
-                            if let Some(txn) = self.an.dir_txn_by_entry(entry_idx) {
-                                let to = self.intern(Key::Wait { txn, w: 0, chain: vec![] });
-                                self.push(
-                                    id,
-                                    Event::Msg(m),
-                                    e.guards.clone(),
-                                    request.clone(),
-                                    to,
-                                    note,
-                                );
-                            }
-                        }
-                    }
+            } else if self.ssp.msg(m).class == MsgClass::Request {
+                // Guarded *upgrade* entries that do not cover every requestor
+                // (Upgrade from a cache that is no longer a sharer, §V-D1):
+                // append the reinterpretation as the "else" branch.
+                for h in self.reinterp_entries(s, m) {
+                    self.emit_handler(id, m, &h)?;
                 }
             }
         }
         Ok(())
-    }
-
-    /// Whether a set of entries for one trigger covers all cases: an
-    /// unguarded entry, or a complementary guard pair.
-    fn covered(&self, entries: &[(usize, SspEntry)]) -> bool {
-        if entries.iter().any(|(_, e)| e.guards.is_empty()) {
-            return true;
-        }
-        let guards: Vec<Guard> =
-            entries.iter().filter(|(_, e)| e.guards.len() == 1).map(|(_, e)| e.guards[0]).collect();
-        guards.iter().any(|g| guards.contains(&g.negate()))
     }
 
     /// No SSP entry handles `m` in stable state `s`: synthesize a
@@ -245,31 +151,8 @@ impl<'a> DirGen<'a> {
         // MOSI directory in O: the owner was demoted M→O by a read, so its
         // PutM is this state's PutO); an upgrade from a state the requestor
         // no longer occupies (Upgrade → GetM).
-        let entries = self.reinterp_entries(s, m);
-        for (entry_idx, e, note) in entries {
-            let guards = if self.an.downgrades.contains(&m) {
-                // Only the current owner's stale downgrade carries current
-                // data and ownership; anyone else's is acknowledged below.
-                let mut g = vec![Guard::ReqIsOwner];
-                g.extend(e.guards.iter().copied());
-                g
-            } else {
-                e.guards.clone()
-            };
-            match &e.effect {
-                Effect::Local { actions, next } => {
-                    let to = next.map_or(id, |n| self.intern(Key::Stable(n)));
-                    self.push(id, Event::Msg(m), guards, actions.clone(), to, note);
-                }
-                Effect::Issue { request, .. } => {
-                    let txn = self
-                        .an
-                        .dir_txn_by_entry(entry_idx)
-                        .ok_or_else(|| GenError::Internal("missing dir txn".into()))?;
-                    let to = self.intern(Key::Wait { txn, w: 0, chain: vec![] });
-                    self.push(id, Event::Msg(m), guards, request.clone(), to, note);
-                }
-            }
+        for h in self.reinterp_entries(s, m) {
+            self.emit_handler(id, m, &h)?;
         }
         if self.an.downgrades.contains(&m) {
             self.stale_fallback(id, m);
@@ -287,68 +170,26 @@ impl<'a> DirGen<'a> {
             ));
             return;
         };
-        let mut actions = vec![Action::Send(
-            protogen_spec::SendSpec::new(ack, Dst::Req).req_field(ReqField::FromMsg),
-        )];
+        let mut actions =
+            vec![Action::Send(SendSpec::new(ack, Dst::Req).req_field(ReqField::FromMsg))];
         if self.cfg.dir_stale_put_cleanup {
             actions.push(Action::RemoveReqFromSharers);
         }
-        self.push(id, Event::Msg(m), vec![], actions, id, ArcNote::StalePut);
+        self.w.push(id, Event::Msg(m), vec![], actions, id, ArcNote::StalePut);
     }
 
     // ----- transient states -------------------------------------------------
 
-    fn emit_wait(
-        &mut self,
-        id: FsmStateId,
-        txn: usize,
-        w: usize,
-        chain: &[Elem],
-    ) -> Result<(), GenError> {
-        let t = self.an.dir_txns[txn].clone();
-        let logical = chain.last().map(|e| e.logical_to).unwrap_or(t.final_state);
-
-        // Own transaction arcs (awaiting the owner's writeback).
-        let node = t.chain.nodes[w].clone();
-        for arc in &node.arcs {
-            match arc.to {
-                WaitTo::Wait(w2) => {
-                    let to = self.intern(Key::Wait { txn, w: w2, chain: chain.to_vec() });
-                    self.push(
-                        id,
-                        Event::Msg(arc.msg),
-                        arc.guards.clone(),
-                        arc.actions.clone(),
-                        to,
-                        ArcNote::Step2,
-                    );
-                }
-                WaitTo::Done(s) => {
-                    let final_state = if chain.is_empty() { s } else { logical };
-                    let mut actions = arc.actions.clone();
-                    if chain.iter().any(|e| e.updates_data) {
-                        // A later-serialized writeback already installed
-                        // newer data; the own transaction's copy is stale.
-                        actions.retain(|a| !matches!(a, Action::CopyDataFromMsg));
-                    }
-                    for e in chain {
-                        actions.extend(e.deferred.iter().cloned());
-                    }
-                    let to = self.intern(Key::Stable(final_state));
-                    let note = if chain.is_empty() { ArcNote::Step2 } else { ArcNote::Completion };
-                    self.push(id, Event::Msg(arc.msg), arc.guards.clone(), actions, to, note);
-                }
-            }
-        }
+    fn emit_wait(&mut self, at: At) -> Result<(), GenError> {
+        let logical = logical_state(&self.an.dir_txns[at.txn], at.chain);
+        // Own transaction arcs (awaiting the owner's writeback) come first:
+        // interning order is the state-id assignment.
+        self.w.own_arcs(at);
 
         // Requests racing with the transaction: always ordered after.
-        let serialize_by_stalling =
-            self.cfg.concurrency == Concurrency::Stalling || !self.ssp.network_ordered;
+        let awaited = &self.an.dir_txns[at.txn].chain.nodes[at.w].arcs;
         for m in self.receivable() {
-            if node.arcs.iter().any(|a| a.msg == m) {
-                continue; // awaited by the own transaction
-            }
-            if self.ssp.msg(m).class != MsgClass::Request {
+            if awaited.iter().any(|a| a.msg == m) || self.ssp.msg(m).class != MsgClass::Request {
                 continue;
             }
             let is_downgrade = self.an.downgrades.contains(&m);
@@ -359,56 +200,36 @@ impl<'a> DirGen<'a> {
             // Unordered channels make stalling safe (a stalled message
             // blocks nothing). On ordered channels the opposite holds: a
             // stalled Put would block the writeback behind it on the same
-            // channel, so downgrades are processed, and their
-            // acknowledgments cannot overtake anything (same channel).
-            if !self.ssp.network_ordered {
-                self.stall(id, Event::Msg(m), ArcNote::Case2);
-                continue;
-            }
-            if serialize_by_stalling && !is_downgrade {
-                self.stall(id, Event::Msg(m), ArcNote::Case2);
+            // channel, so downgrades are processed even by a stalling
+            // directory, and their acknowledgments cannot overtake anything
+            // (same channel).
+            if !self.ssp.network_ordered
+                || (self.cfg.concurrency == Concurrency::Stalling && !is_downgrade)
+            {
+                self.w.stall(at.id, Event::Msg(m), ArcNote::Case2);
                 continue;
             }
             let entries = self.entries_with_reinterp(logical, m);
-            if entries.is_empty() {
-                if self.an.downgrades.contains(&m) {
-                    self.stale_fallback(id, m);
-                }
-                continue;
-            }
-            let mut covered = false;
-            for (entry_idx, e, note) in &entries {
-                if e.guards.is_empty() {
-                    covered = true;
-                }
-                match &e.effect {
+            for h in &entries {
+                match h.effect {
                     Effect::Local { actions, next } => {
-                        let logical_to = next.unwrap_or(logical);
-                        self.case2_local(
-                            id,
-                            txn,
-                            w,
-                            chain,
-                            m,
-                            *entry_idx,
-                            e.guards.clone(),
-                            actions,
-                            logical_to,
-                            *note,
-                        );
+                        self.case2_local(at, m, h, actions, logical, next.unwrap_or(logical));
                     }
                     Effect::Issue { .. } => {
                         // Starting a second multi-step transaction while one
                         // is outstanding: serialize by stalling (note N9).
-                        self.stall_guarded(id, Event::Msg(m), e.guards.clone(), ArcNote::Case2);
+                        self.w.stall_guarded(
+                            at.id,
+                            Event::Msg(m),
+                            h.guards.clone(),
+                            ArcNote::Case2,
+                        );
                     }
                 }
             }
             // Guard coverage at transient states mirrors stable states.
-            let plain: Vec<(usize, SspEntry)> =
-                entries.iter().map(|(i, e, _)| (*i, e.clone())).collect();
-            if !covered && self.an.downgrades.contains(&m) && !self.covered(&plain) {
-                self.stale_fallback(id, m);
+            if is_downgrade && !covered(&entries) {
+                self.stale_fallback(at.id, m);
             }
         }
         Ok(())
@@ -417,37 +238,18 @@ impl<'a> DirGen<'a> {
     /// SSP entries for `(state, msg)`, following one reinterpretation hop
     /// when there is no direct entry or the direct entries do not cover
     /// every case.
-    fn entries_with_reinterp(&mut self, s: StableId, m: MsgId) -> Vec<(usize, SspEntry, ArcNote)> {
-        let mut direct: Vec<(usize, SspEntry, ArcNote)> = self
-            .ssp
-            .directory
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.state == s && e.trigger == Trigger::Msg(m))
-            .map(|(i, e)| (i, e.clone(), ArcNote::Case2))
-            .collect();
-        let plain: Vec<(usize, SspEntry)> =
-            direct.iter().map(|(i, e, _)| (*i, e.clone())).collect();
-        if !direct.is_empty() && self.covered(&plain) {
-            return direct;
+    fn entries_with_reinterp(&mut self, s: StableId, m: MsgId) -> Vec<Handler<'a>> {
+        let mut entries = self.handlers(s, m, ArcNote::Case2);
+        if entries.is_empty() || !covered(&entries) {
+            entries.extend(self.reinterp_entries(s, m));
         }
-        let mut reinterp = self.reinterp_entries(s, m);
-        if self.an.downgrades.contains(&m) {
-            for (_, e, _) in &mut reinterp {
-                let mut g = vec![Guard::ReqIsOwner];
-                g.extend(e.guards.iter().copied());
-                e.guards = g;
-            }
-        }
-        direct.extend(reinterp);
-        direct
+        entries
     }
 
     /// The entries a reinterpreted request maps to: the request the same
     /// access issues from a different cache state, when this directory
     /// state handles that request (§V-D1).
-    fn reinterp_entries(&mut self, s: StableId, m: MsgId) -> Vec<(usize, SspEntry, ArcNote)> {
+    fn reinterp_entries(&mut self, s: StableId, m: MsgId) -> Vec<Handler<'a>> {
         if self.ssp.msg(m).class != MsgClass::Request {
             return vec![];
         }
@@ -455,7 +257,8 @@ impl<'a> DirGen<'a> {
         // alternative must be the request the same access issues from the
         // cache state this directory state corresponds to by name (a PutM
         // at directory O is the demoted owner's PutO, never a PutS).
-        let required_from = if self.an.downgrades.contains(&m) {
+        let is_downgrade = self.an.downgrades.contains(&m);
+        let required_from = if is_downgrade {
             match self.ssp.cache.state_by_name(self.sname(s)) {
                 Some(cs) => Some(cs),
                 None => return vec![],
@@ -463,41 +266,37 @@ impl<'a> DirGen<'a> {
         } else {
             None
         };
-        let sites = self.an.request_sites.get(&m).cloned().unwrap_or_default();
-        for (access, _) in sites {
+        let sites = self.an.request_sites.get(&m).map_or(&[][..], Vec::as_slice);
+        for &(access, _) in sites {
             for (&(from2, acc2), &txn2) in self.an.txn_by_trigger.iter() {
-                if acc2 != access {
+                if acc2 != access || required_from.is_some_and(|rf| from2 != rf) {
                     continue;
-                }
-                if let Some(rf) = required_from {
-                    if from2 != rf {
-                        continue;
-                    }
                 }
                 let Some(alt) = self.an.txns[txn2].request_msg else { continue };
                 if alt == m {
                     continue;
                 }
-                let alt_entries: Vec<(usize, SspEntry, ArcNote)> = self
-                    .ssp
-                    .directory
-                    .entries
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| e.state == s && e.trigger == Trigger::Msg(alt))
-                    .map(|(i, e)| (i, e.clone(), ArcNote::Reinterpret))
-                    .collect();
-                if !alt_entries.is_empty() {
-                    let rec = Reinterpretation {
-                        original: self.ssp.msg(m).name.clone(),
-                        treated_as: self.ssp.msg(alt).name.clone(),
-                        dir_state: self.sname(s).to_string(),
-                    };
-                    if !self.reinterpretations.contains(&rec) {
-                        self.reinterpretations.push(rec);
-                    }
-                    return alt_entries;
+                let mut alt_entries = self.handlers(s, alt, ArcNote::Reinterpret);
+                if alt_entries.is_empty() {
+                    continue;
                 }
+                if is_downgrade {
+                    // Only the current owner's stale downgrade carries
+                    // current data and ownership; anyone else's falls
+                    // through to the stale-Put acknowledgment.
+                    for h in &mut alt_entries {
+                        h.guards.insert(0, Guard::ReqIsOwner);
+                    }
+                }
+                let rec = Reinterpretation {
+                    original: self.ssp.msg(m).name.clone(),
+                    treated_as: self.ssp.msg(alt).name.clone(),
+                    dir_state: self.sname(s).to_string(),
+                };
+                if !self.reinterpretations.contains(&rec) {
+                    self.reinterpretations.push(rec);
+                }
+                return alt_entries;
             }
         }
         vec![]
@@ -506,25 +305,18 @@ impl<'a> DirGen<'a> {
     /// Case 2 processing of a single-step reaction at a transient directory
     /// state: apply auxiliary updates and data-free sends immediately, defer
     /// data-bearing sends the directory cannot satisfy yet.
-    #[allow(clippy::too_many_arguments)]
     fn case2_local(
         &mut self,
-        id: FsmStateId,
-        txn: usize,
-        w: usize,
-        chain: &[Elem],
+        at: At,
         m: MsgId,
-        entry_idx: usize,
-        guards: Vec<Guard>,
+        h: &Handler,
         actions: &[Action],
+        logical: StableId,
         logical_to: StableId,
-        note: ArcNote,
     ) {
-        let t = &self.an.dir_txns[txn];
-        let logical = chain.last().map(|e| e.logical_to).unwrap_or(t.final_state);
-        let data_ready = t.data_present[w];
+        let data_ready = self.an.dir_txns[at.txn].data_present[at.w];
         let updates_data = actions.iter().any(|a| matches!(a, Action::CopyDataFromMsg));
-        if updates_data && chain.iter().any(|e| !e.deferred.is_empty()) {
+        if updates_data && at.chain.iter().any(|e| !e.deferred.is_empty()) {
             // A deferred data response serialized *before* this writeback is
             // still owed; completing it later with the newer data would let
             // an earlier reader observe a later write. Serialize by
@@ -532,135 +324,12 @@ impl<'a> DirGen<'a> {
             // The stall keeps the entry's guards: a *stale* Put from some
             // other cache must fall through to the acknowledgment fallback
             // or it would block the channel carrying the writeback.
-            self.stall_guarded(id, Event::Msg(m), guards, ArcNote::Case2);
+            self.w.stall_guarded(at.id, Event::Msg(m), h.guards.clone(), ArcNote::Case2);
             return;
         }
-        let slot = chain.iter().filter(|e| !e.deferred.is_empty()).count();
-        let mut immediate = Vec::new();
-        let mut deferred = Vec::new();
-        for a in actions {
-            match a {
-                Action::Send(sp)
-                    if sp.data == Some(protogen_spec::DataSrc::OwnBlock) && !data_ready =>
-                {
-                    let mut sp = *sp;
-                    if sp.dst == Dst::Req {
-                        sp.dst = Dst::ChainReq(slot);
-                    }
-                    if sp.req == ReqField::FromMsg {
-                        sp.req = ReqField::Chain(slot);
-                    }
-                    if matches!(
-                        sp.ack_count,
-                        Some(AckSrc::SharersExceptReqCount) | Some(AckSrc::FromMsg)
-                    ) {
-                        // Both the sharer count and a piggybacked count are
-                        // serialization-time values; the slot captured them
-                        // when the request was processed.
-                        sp.ack_count = Some(AckSrc::Captured);
-                    }
-                    if deferred.is_empty() {
-                        // Capture (requestor, |sharers \ req|) *here*, in the
-                        // deferred send's original position: later actions of
-                        // the same reaction may clear the sharer list.
-                        immediate.push(Action::RecordChainReq);
-                    }
-                    deferred.push(Action::Send(sp));
-                }
-                other => immediate.push(*other),
-            }
-        }
-        if logical_to == logical && deferred.is_empty() {
-            self.push(id, Event::Msg(m), guards, immediate, id, note);
-            return;
-        }
-        if chain.len() >= self.cfg.pending_limit {
-            // The stall keeps the entry's guards so differently-guarded
-            // variants (and the stale fallback) behind it stay reachable.
-            self.stall_guarded(id, Event::Msg(m), guards, ArcNote::Case2);
-            return;
-        }
-        let mut new_chain = chain.to_vec();
-        new_chain.push(Elem { req: m, entry: entry_idx, logical_to, deferred, updates_data });
-        let to = self.intern(Key::Wait { txn, w, chain: new_chain });
-        self.push(id, Event::Msg(m), guards, immediate, to, note);
-    }
-
-    // ----- plumbing -----------------------------------------------------------
-
-    fn push(
-        &mut self,
-        from: FsmStateId,
-        event: Event,
-        guards: Vec<Guard>,
-        actions: Vec<Action>,
-        to: FsmStateId,
-        note: ArcNote,
-    ) {
-        self.arcs.push(Arc { from, event, guards, actions, to, kind: ArcKind::Normal, note });
-    }
-
-    fn stall(&mut self, from: FsmStateId, event: Event, note: ArcNote) {
-        self.stall_guarded(from, event, vec![], note);
-    }
-
-    fn stall_guarded(&mut self, from: FsmStateId, event: Event, guards: Vec<Guard>, note: ArcNote) {
-        if self.arcs.iter().any(|a| {
-            a.from == from && a.event == event && a.kind == ArcKind::Stall && a.guards == guards
-        }) {
-            return;
-        }
-        self.arcs.push(Arc {
-            from,
-            event,
-            guards,
-            actions: vec![],
-            to: from,
-            kind: ArcKind::Stall,
-            note,
-        });
-    }
-
-    fn build_fsm(&self) -> Fsm {
-        let mut states = Vec::with_capacity(self.states.len());
-        for (key, name) in &self.states {
-            let (kind, sets) = match key {
-                Key::Stable(s) => (FsmStateKind::Stable(*s), vec![*s]),
-                Key::Wait { txn, w, chain } => {
-                    let t = &self.an.dir_txns[*txn];
-                    let links = chain
-                        .iter()
-                        .map(|e| ChainLink {
-                            forward: e.req,
-                            logical_to: e.logical_to,
-                            has_deferred_response: !e.deferred.is_empty(),
-                        })
-                        .collect();
-                    let meta = TransientMeta {
-                        own_from: t.from,
-                        own_to: t.final_state,
-                        wait_tag: t.chain.nodes[*w].tag.clone(),
-                        chain: links,
-                    };
-                    let logical = chain.last().map(|e| e.logical_to).unwrap_or(t.final_state);
-                    (FsmStateKind::Transient(meta), vec![logical])
-                }
-            };
-            states.push(FsmState {
-                name: name.clone(),
-                kind,
-                state_sets: sets,
-                perm: Perm::None,
-                data_valid: true,
-                merged_names: vec![],
-            });
-        }
-        Fsm {
-            protocol: self.ssp.name.clone(),
-            machine: MachineKind::Directory,
-            messages: self.ssp.messages.clone(),
-            states,
-            arcs: self.arcs.clone(),
-        }
+        let (immediate, deferred) =
+            defer_sends(actions, at.chain, |sp| sp.data == Some(DataSrc::OwnBlock) && !data_ready);
+        let elem = Elem { msg: m, entry: h.entry, logical_to, deferred, updates_data };
+        self.w.extend_chain(at, h.guards.clone(), immediate, elem, logical, h.note);
     }
 }

@@ -68,8 +68,9 @@ mod error;
 mod minimize;
 mod preprocess;
 mod report;
+mod weave;
 
-pub use analysis::{Analysis, DirTxnInfo, TxnInfo};
+pub use analysis::{Analysis, Txn};
 pub use compose::{compose, Composed, ComposedLevel, GlueSpec};
 pub use config::{Concurrency, GenConfig, ResponsePolicy, TransientAccessPolicy};
 pub use error::GenError;
@@ -104,9 +105,8 @@ pub fn generate(ssp: &Ssp, config: &GenConfig) -> Result<Generated, GenError> {
     let (pre, renames) = preprocess(ssp)?;
     let an = Analysis::of(&pre)?;
 
-    let (cache_raw, mut reinterp, mut warnings) =
-        cachegen::CacheGen::new(&pre, config, &an).run()?;
-    let (dir_raw, dir_reinterp, dir_warnings) = dirgen::DirGen::new(&pre, config, &an).run()?;
+    let (cache_raw, mut reinterp, mut warnings) = cachegen::CacheGen::run(&pre, config, &an)?;
+    let (dir_raw, dir_reinterp, dir_warnings) = dirgen::DirGen::run(&pre, config, &an)?;
     for r in dir_reinterp {
         // Directory-side records carry the state; they subsume cache-side
         // placeholders for the same pair.

@@ -290,6 +290,29 @@ mod tests {
     }
 
     #[test]
+    fn ambiguous_forward_error_text_is_pinned() {
+        // Fuzz regression (seed 1, mutant 112): a retargeted completion
+        // makes a transaction from S end in S, so `Inv` is associated with
+        // both its initial and its final state. The generator's message
+        // is user-visible (it is the record's detail line) and once
+        // carried 30 spaces from a lost line continuation.
+        let script = crate::Script::parse(
+            "protocol mosi\nconfig non-stalling\nmutate swap-transition-target 5\n",
+        )
+        .unwrap();
+        let ssp = protogen_protocols::by_name(&script.protocol).unwrap();
+        let r = run_mutant(&ssp, &script.mutations, &script.gen_config(), 50_000, false);
+        assert_eq!(
+            r.outcome,
+            Outcome::RejectedByGenerator(
+                "ambiguous specification: forward `Inv` can arrive in both the initial state S \
+                 and a final state S of the same transaction; it needs renaming"
+                    .into()
+            )
+        );
+    }
+
+    #[test]
     fn send_to_missing_owner_is_caught_not_unexpected() {
         // Fuzz regression (seed 1, mutant 444): retargeting
         // msi-unordered's forward sends twice makes the directory address

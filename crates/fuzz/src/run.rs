@@ -398,6 +398,12 @@ fn run_control(c: &Control, bases: &dyn Fn(&str) -> Option<Ssp>, budget: usize) 
 pub fn run_recovery_control(budget: usize) -> ControlRecord {
     use protogen_serve::{checked_envelope, serve, FaultConfig, ServeConfig, StopReason};
 
+    /// The planted bug usually wedges the run, and a wedged run is only
+    /// "caught" once its deadline passes: this is how long every campaign
+    /// (and every test that runs one) sleeps. A healthy run of this size
+    /// quiesces in about 10 ms, so 2 s is not mistaken for a wedge.
+    const DEADLINE_SECONDS: f64 = 2.0;
+
     let name = "serve-crash-recovery-drops-lines";
     let miss = |detail: &str| ControlRecord {
         name,
@@ -423,6 +429,7 @@ pub fn run_recovery_control(budget: usize) -> ControlRecord {
         cfg.n_addrs = 4;
         cfg.total_ops = 8_000;
         cfg.mailbox_cap = 16;
+        cfg.max_seconds = DEADLINE_SECONDS;
         // Store-heavy: the crashed cache almost surely holds lines to lose.
         cfg.workload = protogen_sim::Workload::Uniform { store_pct: 90 };
         cfg.seed = seed;

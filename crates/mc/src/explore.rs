@@ -27,10 +27,9 @@ use std::path::Path;
 use std::sync::atomic::Ordering::Relaxed;
 use std::time::Instant;
 
-/// The explorer's resource settings, as a borrowed view over whichever
-/// configuration type a system carries ([`crate::McConfig`] and
-/// [`crate::HierConfig`] expose them under the same field names; the
-/// field docs live on [`crate::McConfig`]).
+/// The explorer's resource settings, as a borrowed view over the checker
+/// configuration ([`crate::McConfig`], for flat protocols and composed
+/// stacks alike; the field docs live there).
 #[derive(Debug, Clone, Copy)]
 pub struct Resources<'a> {
     /// State budget, checked at BFS-level granularity.

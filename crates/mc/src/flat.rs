@@ -23,7 +23,8 @@ use std::fmt;
 pub struct McConfig {
     /// Number of caches (the paper verifies with 3, the most Murϕ could
     /// handle without exhausting memory; the sharded explorer is built to
-    /// go past that).
+    /// go past that). A composed stack ([`crate::HierConfig`]) takes its
+    /// node counts from the composition's fanouts instead.
     pub n_caches: usize,
     /// Abort exploration after this many states (checked at BFS-level
     /// granularity, so the final count may overshoot by one level).
@@ -34,6 +35,8 @@ pub struct McConfig {
     /// Error out when a channel exceeds this length.
     pub channel_cap: usize,
     /// Point-to-point ordered channels (`true`) or arbitrary reordering.
+    /// A composed stack orders each level's channels as that level's SSP
+    /// declares instead.
     pub ordered: bool,
     /// Which built-in correctness properties to enforce (defaults to the
     /// SC contract: SWMR + data-value + deadlock freedom). Weak-memory
@@ -50,7 +53,8 @@ pub struct McConfig {
     pub threads: usize,
     /// Record every `(machine, state, event)` dispatch attempted during
     /// exploration into [`CheckResult::coverage`]. Off by default: the
-    /// simulator-conformance tests are the only consumer.
+    /// simulator-conformance tests are the only consumer (flat checker
+    /// only; a composed stack ignores it).
     pub collect_pair_coverage: bool,
     /// Upper bound on the states one visited-set shard may hold. Defaults
     /// to (and is clamped to) the packed-id hardware limit of 2²⁷

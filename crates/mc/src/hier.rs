@@ -64,11 +64,10 @@ use crate::canon::{queue_hash, subnet_sort_key};
 use crate::checkpoint::CheckpointError;
 use crate::delta::SectionMap;
 use crate::explore::{
-    exec_violation, explore, resume, CheckResult, Resources, StoreMode, TransitionSystem,
-    ViolationKind,
+    exec_violation, explore, resume, CheckResult, Resources, TransitionSystem, ViolationKind,
 };
 use crate::flat::McConfig;
-use crate::property::{perm_conflict, stale_copy, PropertySet};
+use crate::property::{perm_conflict, stale_copy};
 use crate::store::{absorb, fingerprint_bytes};
 use crate::system::{put_block, put_dir, put_queue, Decoder};
 use protogen_core::Composed;
@@ -77,7 +76,6 @@ use protogen_runtime::{
 };
 use protogen_spec::{Access, Arc, Event, Fsm, FsmStateId, MsgClass, Perm};
 use std::fmt;
-use std::path::PathBuf;
 
 /// Largest wreath-product group the canonicalizer reduces under; stacks
 /// whose group is bigger run without symmetry reduction (a fully symmetric
@@ -86,69 +84,15 @@ use std::path::PathBuf;
 /// MSI-under-MSI has a group of 8).
 pub const MAX_GROUP: usize = 40_320;
 
-/// Hierarchical checker configuration: five semantic fields, then the
-/// explorer's resource settings under the same names, defaults and
-/// meanings as [`McConfig`]'s (documented there). Channel ordering is per
-/// level — taken from each level's SSP — so it is not configured here.
-#[derive(Debug, Clone)]
-pub struct HierConfig {
-    /// Abort exploration after this many canonical states (checked at
-    /// BFS-level granularity).
-    pub max_states: usize,
-    /// Store values cycle through `0..value_domain` (leaf stores only;
-    /// parents are data-transparent).
-    pub value_domain: u8,
-    /// Error out when any subnet channel exceeds this length.
-    pub channel_cap: usize,
-    /// Which built-in properties to enforce. `swmr`/`single_writer` are
-    /// checked per level; `data_value` at the leaves; `deadlock_free`
-    /// with glue issues and copy-draining evictions counted as progress.
-    pub properties: PropertySet,
-    /// Canonicalize under the per-level sibling permutation group.
-    pub symmetry: bool,
-    /// See [`McConfig::threads`] (`0` = available parallelism).
-    pub threads: usize,
-    /// See [`McConfig::store`].
-    pub store: StoreMode,
-    /// See [`McConfig::mem_budget_bytes`].
-    pub mem_budget_bytes: usize,
-    /// See [`McConfig::spill_chunk_bytes`].
-    pub spill_chunk_bytes: usize,
-    /// See [`McConfig::shard_capacity`].
-    pub shard_capacity: usize,
-    /// See [`McConfig::checkpoint_dir`].
-    pub checkpoint_dir: Option<PathBuf>,
-    /// See [`McConfig::checkpoint_every`].
-    pub checkpoint_every: u32,
-}
-
-impl Default for HierConfig {
-    fn default() -> Self {
-        McConfig::default().into()
-    }
-}
-
-/// Every [`HierConfig`] field is a [`McConfig`] field: the flat
-/// configuration minus what a stack takes from its composition
-/// (`n_caches`, `ordered`) and the flat-only coverage hook.
-impl From<McConfig> for HierConfig {
-    fn from(c: McConfig) -> Self {
-        HierConfig {
-            max_states: c.max_states,
-            value_domain: c.value_domain,
-            channel_cap: c.channel_cap,
-            properties: c.properties,
-            symmetry: c.symmetry,
-            threads: c.threads,
-            store: c.store,
-            mem_budget_bytes: c.mem_budget_bytes,
-            spill_chunk_bytes: c.spill_chunk_bytes,
-            shard_capacity: c.shard_capacity,
-            checkpoint_dir: c.checkpoint_dir,
-            checkpoint_every: c.checkpoint_every,
-        }
-    }
-}
+/// A composed stack is checked under the flat checker's configuration.
+/// What a stack takes from its composition instead is ignored here:
+/// [`McConfig::n_caches`] (the fanouts), [`McConfig::ordered`] (channel
+/// ordering is per level, from each level's SSP) and the flat-only
+/// [`McConfig::collect_pair_coverage`]. `swmr`/`single_writer` are checked
+/// per level, `data_value` at the leaves (stores are leaf-only; parents are
+/// data-transparent), and `deadlock_free` counts glue issues and
+/// copy-draining evictions as progress.
+pub type HierConfig = McConfig;
 
 /// One protocol level at runtime.
 struct LevelRt {
@@ -830,17 +774,7 @@ impl TransitionSystem for HierChecker {
     type Scratch = HierScratch;
 
     fn resources(&self) -> Resources<'_> {
-        let c = &self.cfg;
-        Resources {
-            max_states: c.max_states,
-            threads: c.threads,
-            store: c.store,
-            mem_budget_bytes: c.mem_budget_bytes,
-            spill_chunk_bytes: c.spill_chunk_bytes,
-            shard_capacity: c.shard_capacity,
-            checkpoint_dir: c.checkpoint_dir.as_deref(),
-            checkpoint_every: c.checkpoint_every,
-        }
+        self.cfg.resources()
     }
 
     fn identity_fp(&self) -> (u64, u64) {

@@ -296,7 +296,7 @@ fn flat_and_composed_checkpoints_refuse_each_other() {
         max_states: 200,
         ..McConfig::with_caches_and_threads(2, 2)
     };
-    let hier_cfg = HierConfig::from(flat_cfg.clone());
+    let hier_cfg = flat_cfg.clone();
 
     ModelChecker::new(&g.cache, &g.directory, flat_cfg.clone()).run();
     let err = HierChecker::new(&composed, hier_cfg.clone()).resume().err().unwrap();

@@ -97,6 +97,11 @@ impl DenseCoverage {
     }
 }
 
+/// A field kept off its neighbours' cache lines (128 bytes: x86 prefetches
+/// lines in adjacent pairs).
+#[repr(align(128))]
+struct OwnLine<T>(T);
+
 /// State shared by every worker thread for one run.
 struct Shared<'f> {
     cache: Machine<&'f Fsm>,
@@ -106,7 +111,11 @@ struct Shared<'f> {
     dir_shards: usize,
     n_addrs: usize,
     /// Messages published but not yet applied (rings + local queues).
-    in_flight: AtomicU64,
+    /// Every worker writes it once per message while reading the fields
+    /// around it on every dispatch, and `Shared` lives on `serve`'s stack:
+    /// unpadded, which of them share its line — and with that a third of
+    /// the throughput — changes with where the stack happens to start.
+    in_flight: OwnLine<AtomicU64>,
     /// Cores that have completed their whole schedule.
     cores_done: AtomicUsize,
     /// Set on quiescence, failure, or deadline: everyone exits.
@@ -162,7 +171,7 @@ impl<'f> Shared<'f> {
         if outgoing.is_empty() {
             return;
         }
-        self.in_flight.fetch_add(outgoing.len() as u64, Ordering::SeqCst);
+        self.in_flight.0.fetch_add(outgoing.len() as u64, Ordering::SeqCst);
         for m in outgoing {
             let dst = self.route(m.dst, addr);
             self.fabric
@@ -188,7 +197,7 @@ impl<'f> Shared<'f> {
     /// reached `n_caches` means the system is truly drained.
     fn quiescent(&self) -> bool {
         self.cores_done.load(Ordering::SeqCst) == self.n_caches
-            && self.in_flight.load(Ordering::SeqCst) == 0
+            && self.in_flight.0.load(Ordering::SeqCst) == 0
     }
 }
 
@@ -347,7 +356,7 @@ impl<'s, 'f, L: Line> Node<'s, 'f, L> {
         let sh = self.sh;
         match self.dispatch(addr, Event::Msg(msg.mtype), Some(&msg)) {
             Dispatch::Applied => {
-                sh.in_flight.fetch_sub(1, Ordering::SeqCst);
+                sh.in_flight.0.fetch_sub(1, Ordering::SeqCst);
                 self.queues[src].pop_front();
                 self.out.messages += 1;
                 StepOutcome::Applied(addr)
@@ -667,7 +676,7 @@ impl<'s, 'f> CacheWorker<'s, 'f> {
 fn deadline_error(sh: &Shared) -> ServeError {
     ServeError::Deadline(format!(
         "run did not quiesce in time ({} message(s) still in flight, {}/{} cores done issuing)",
-        sh.in_flight.load(Ordering::SeqCst),
+        sh.in_flight.0.load(Ordering::SeqCst),
         sh.cores_done.load(Ordering::SeqCst),
         sh.n_caches
     ))
@@ -727,7 +736,7 @@ pub fn serve(cache: &Fsm, dir: &Fsm, cfg: &ServeConfig) -> Result<ServeReport, S
         n_caches: cfg.n_caches,
         dir_shards: cfg.dir_shards,
         n_addrs: cfg.n_addrs,
-        in_flight: AtomicU64::new(0),
+        in_flight: OwnLine(AtomicU64::new(0)),
         cores_done: AtomicUsize::new(0),
         done: AtomicBool::new(false),
         failure: Mutex::new(None),

@@ -55,20 +55,34 @@ fn fault_matrix_stays_inside_the_verified_envelope() {
             with_watchdog(120, move || {
                 let mut cfg = base_cfg(20_000);
                 cfg.faults = Some(FaultConfig::all(11));
-                let report = serve(&g.cache, &g.directory, &cfg)
-                    .unwrap_or_else(|e| panic!("{label}: faulted run failed: {e}"));
-                assert_eq!(report.stop_reason, StopReason::Quiesced, "{label}");
-                assert_eq!(report.ops, 20_000, "{label}: every op completes despite faults");
-                let fs = report.faults.expect("fault stats are reported");
-                assert_eq!(fs.planned_crashes, 1, "{label}");
-                assert_eq!(fs.crashes_completed, 1, "{label}: recovery must finish");
-                assert_eq!(fs.lines_lost, 0, "{label}: proper recovery loses nothing");
-                assert!(fs.delays_injected > 0, "{label}: delays must actually fire");
-                let escapes = report.escapes(&envelope);
-                assert!(
-                    escapes.is_empty(),
-                    "{label}: faulted run escaped the envelope: {escapes:?}"
-                );
+                // Alone, a core finishes its 10,000 ops in a millisecond or
+                // two. When the host starts the second cache worker later
+                // than that (about one run in six beside this binary's
+                // other tests on 2 vCPUs) the caches run one after the
+                // other: 21 misses, 66 messages, and often none of them
+                // draws a delay. Such a run must still pass every other
+                // check, but it proves nothing about delays: run again.
+                let mut delays = 0;
+                for _attempt in 0..5 {
+                    let report = serve(&g.cache, &g.directory, &cfg)
+                        .unwrap_or_else(|e| panic!("{label}: faulted run failed: {e}"));
+                    assert_eq!(report.stop_reason, StopReason::Quiesced, "{label}");
+                    assert_eq!(report.ops, 20_000, "{label}: every op completes despite faults");
+                    let fs = report.faults.as_ref().expect("fault stats are reported");
+                    assert_eq!(fs.planned_crashes, 1, "{label}");
+                    assert_eq!(fs.crashes_completed, 1, "{label}: recovery must finish");
+                    assert_eq!(fs.lines_lost, 0, "{label}: proper recovery loses nothing");
+                    let escapes = report.escapes(&envelope);
+                    assert!(
+                        escapes.is_empty(),
+                        "{label}: faulted run escaped the envelope: {escapes:?}"
+                    );
+                    delays = fs.delays_injected;
+                    if delays > 0 {
+                        break;
+                    }
+                }
+                assert!(delays > 0, "{label}: delays must actually fire");
             });
         }
     }
@@ -249,6 +263,9 @@ fn unsafe_reset_recovery_bug_is_caught() {
         let mut caught_nonvacuous = false;
         for seed in 0..4 {
             let mut cfg = base_cfg(8_000);
+            // The lost lines usually wedge the run, which is then caught
+            // only at its deadline; a healthy run this size takes ≈ 10 ms.
+            cfg.max_seconds = 2.0;
             cfg.workload = Workload::Uniform { store_pct: 90 }; // store-heavy: lines to lose
             cfg.faults =
                 Some(FaultConfig { crashes: 1, unsafe_reset: true, ..FaultConfig::none(seed) });

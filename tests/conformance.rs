@@ -429,6 +429,110 @@ fn tso_cc_counterexample_trace_is_pinned() {
     }
 }
 
+/// Every generated machine, pinned: the digest of the `Debug` text of both
+/// controllers and the report (the construction the checkpoint identity
+/// hash already trusts) for every bundled protocol × {stalling,
+/// non-stalling} × {minimized, raw}, and for each non-default `GenConfig`
+/// value the experiment and property tests exercise, on MSI and MOSI.
+/// State ids are interning order and arc order is emission order, so any
+/// reordering inside the generator — not only a behavioural change — shows
+/// up here in seconds. Recorded on the commit before ISSUE 19 moved the
+/// generators onto one kernel; a mismatch prints the whole actual table.
+#[test]
+fn generated_machines_are_pinned() {
+    use protogen::gen::{ResponsePolicy, TransientAccessPolicy};
+    // (protocol, what is varied, configuration)
+    let mut rows: Vec<(&str, String, GenConfig)> = Vec::new();
+    for name in protogen::protocols::NAMES {
+        for base in [GenConfig::stalling(), GenConfig::non_stalling()] {
+            for minimize in [true, false] {
+                let what =
+                    format!("{} {}", config_label(&base), if minimize { "min" } else { "raw" });
+                rows.push((name, what, GenConfig { minimize, ..base.clone() }));
+            }
+        }
+    }
+    let d = GenConfig::default;
+    let variants: [(&str, GenConfig); 7] = [
+        (
+            "conservative",
+            GenConfig { transient_access: TransientAccessPolicy::Conservative, ..d() },
+        ),
+        ("immediate", GenConfig { response_policy: ResponsePolicy::Immediate, ..d() }),
+        ("L=1", GenConfig { pending_limit: 1, ..d() }),
+        ("L=2", GenConfig { pending_limit: 2, ..d() }),
+        ("L=4", GenConfig { pending_limit: 4, ..d() }),
+        ("no-cleanup", GenConfig { dir_stale_put_cleanup: false, ..d() }),
+        ("no-defensive", GenConfig { defensive_stable_handlers: false, ..d() }),
+    ];
+    for name in ["msi", "mosi"] {
+        for (what, cfg) in &variants {
+            rows.push((name, what.to_string(), cfg.clone()));
+        }
+    }
+    let actual: Vec<(String, u64)> = rows
+        .into_iter()
+        .map(|(name, what, cfg)| {
+            let label = format!("{name} {what}");
+            let ssp = protogen::protocols::by_name(name).expect("bundled protocol");
+            let g = generate(&ssp, &cfg).unwrap_or_else(|e| panic!("{label}: {e}"));
+            let text = format!("{:?}{:?}{:?}", g.cache, g.directory, g.report);
+            (label, protogen::mc::fingerprint_bytes(text.as_bytes()))
+        })
+        .collect();
+    let table: String =
+        actual.iter().map(|(l, fp)| format!("        (\"{l}\", {fp:#018x}),\n")).collect();
+    assert!(
+        actual.iter().map(|(label, fp)| (label.as_str(), *fp)).eq(GENERATED_DIGESTS),
+        "generated machines changed; actual table:\n{table}"
+    );
+}
+
+const GENERATED_DIGESTS: [(&str, u64); 42] = [
+    ("msi stalling min", 0x7c5fd0d7a6e567fb),
+    ("msi stalling raw", 0x60e9562afdd421ad),
+    ("msi non-stalling min", 0xffe19b323930e104),
+    ("msi non-stalling raw", 0x348eafd1862dac91),
+    ("mesi stalling min", 0xe468f5b87a9dd4ee),
+    ("mesi stalling raw", 0xb2706f52d5c61b17),
+    ("mesi non-stalling min", 0xc8a151f8a0a361fc),
+    ("mesi non-stalling raw", 0xa31e7e92ee2e2ca0),
+    ("mosi stalling min", 0x28ffb1f3ab148ab7),
+    ("mosi stalling raw", 0x3c58710e9efd3a9d),
+    ("mosi non-stalling min", 0xda35c27b370c1383),
+    ("mosi non-stalling raw", 0x55c350f5cbb0ebf2),
+    ("msi-upgrade stalling min", 0xf1024ee5bf023ad1),
+    ("msi-upgrade stalling raw", 0x2c411f2d31a9bb26),
+    ("msi-upgrade non-stalling min", 0xfc6e866f3629c61c),
+    ("msi-upgrade non-stalling raw", 0xbcc34a2107458e9b),
+    ("msi-unordered stalling min", 0xfa0d0127c2291d53),
+    ("msi-unordered stalling raw", 0x5eaa01fd691cfdb7),
+    ("msi-unordered non-stalling min", 0x26094ec1e07b67c4),
+    ("msi-unordered non-stalling raw", 0xebd0ddc9a71d5657),
+    ("tso-cc stalling min", 0xd9dc6d07b4d1dc66),
+    ("tso-cc stalling raw", 0xd9dc6d07b4d1dc66),
+    ("tso-cc non-stalling min", 0x33b7fa9099c478a1),
+    ("tso-cc non-stalling raw", 0x8039a840ce14673a),
+    ("si-sd stalling min", 0xdce8dba97902826f),
+    ("si-sd stalling raw", 0xdce8dba97902826f),
+    ("si-sd non-stalling min", 0xdce8dba97902826f),
+    ("si-sd non-stalling raw", 0xdce8dba97902826f),
+    ("msi conservative", 0x802aef74839ebd05),
+    ("msi immediate", 0xffe19b323930e104),
+    ("msi L=1", 0x4d97d030488d3603),
+    ("msi L=2", 0x46c9a74f3d97a241),
+    ("msi L=4", 0x9cad6b60239cd643),
+    ("msi no-cleanup", 0x5b462c1d2eda9ad1),
+    ("msi no-defensive", 0xfc63f05f1482fea6),
+    ("mosi conservative", 0x08dd2e25ddda19d7),
+    ("mosi immediate", 0xda35c27b370c1383),
+    ("mosi L=1", 0xcde4936d0c0a0751),
+    ("mosi L=2", 0x5e08baa973b0a48c),
+    ("mosi L=4", 0x5641bb4197a042a2),
+    ("mosi no-cleanup", 0xb01101c3e1d16b05),
+    ("mosi no-defensive", 0x714ab437d6e72b45),
+];
+
 /// The same determinism spine on a composed stack: the fuzz campaign's
 /// glue-weakened control (2×2 MSI-under-MSI, `GetM` gate `ReadWrite →
 /// Read`) yields the byte-identical SWMR violation and counterexample
