@@ -314,6 +314,15 @@ fn num_flag<T: std::str::FromStr>(args: &Args, name: &str) -> Option<T> {
     parsed_flag(args, name, "", |v| v.parse().ok())
 }
 
+/// `--store-pct` (`sim`, `serve`): a percentage, 50 when absent. 101 is a
+/// typo, not "always store".
+fn store_pct_flag(args: &Args) -> u8 {
+    parsed_flag(args, "store-pct", " (a percentage, 0 to 100)", |v| {
+        v.parse().ok().filter(|pct| *pct <= 100)
+    })
+    .unwrap_or(50)
+}
+
 /// A cache count: `1..=MAX_CACHES`. Zero caches verify nothing (a vacuous
 /// "PASSED"), and the directory's sharer list is an 8-bit mask, so cache 8
 /// would alias cache 0 — a wrong state space with a verdict printed.
@@ -561,11 +570,7 @@ fn sim_config(ssp: &Ssp, args: &Args) -> Result<SimConfig, String> {
     if let Some(v) = args.value("seed") {
         cfg.seed = v.parse().map_err(|_| format!("bad --seed `{v}`"))?;
     }
-    let store_pct = args
-        .value("store-pct")
-        .map(|v| v.parse().map_err(|_| format!("bad --store-pct `{v}`")))
-        .transpose()?
-        .unwrap_or(50);
+    let store_pct = store_pct_flag(args);
     cfg.workload = if let Some(path) = args.value("trace") {
         let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         Workload::Trace(parse_trace(&src).map_err(|e| e.to_string())?)
@@ -675,7 +680,7 @@ fn serve_cmd(ssp: &Ssp, g: &Generated, args: &Args, caches: usize, threads: usiz
     cfg.seed = num_flag(args, "seed").unwrap_or(cfg.seed);
     cfg.mailbox_cap = num_flag(args, "mailbox-cap").unwrap_or(cfg.mailbox_cap);
     cfg.max_seconds = num_flag(args, "duration").unwrap_or(cfg.max_seconds);
-    let store_pct = num_flag(args, "store-pct").unwrap_or(50);
+    let store_pct = store_pct_flag(args);
     cfg.workload = match Workload::parse(args.value("workload").unwrap_or("uniform"), store_pct) {
         Ok(w) => w,
         Err(e) => return usage_err(e),

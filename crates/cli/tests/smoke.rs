@@ -400,6 +400,54 @@ fn unparsable_numeric_flags_are_usage_errors() {
     }
 }
 
+/// `--store-pct 101` used to run labelled `uniform-101` (and behave as 100);
+/// a hop latency near `u64::MAX` used to panic in the dev profile and wrap
+/// in release. Both are usage errors, for `sim` and `serve` alike.
+#[test]
+fn out_of_range_percentages_and_latencies_are_usage_errors() {
+    for (args, needle) in [
+        (&["sim", "mesi", "--store-pct", "101"][..], "bad --store-pct `101`"),
+        (&["serve", "msi", "--caches", "2", "--store-pct", "101"], "bad --store-pct `101`"),
+        (
+            &["sim", "mesi", "--latency", "geometric:18446744073709551615:50", "--accesses", "5"],
+            "base above 4294967295",
+        ),
+        (&["sim", "mesi", "--latency", "uniform:1:18446744073709551615"], "hi above 4294967295"),
+    ] {
+        let out = protogen(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(needle), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+    }
+}
+
+/// A wedged simulation used to spin through all 50 M cycles of the safety
+/// limit (20 s) before saying only that it had. One-deep buffers wedge MESI
+/// within a few hundred cycles: the run stops there and names what is
+/// stuck. A latency no run can wait out jumps to the limit.
+#[test]
+fn wedged_simulations_fail_fast_and_say_what_is_stuck() {
+    let start = std::time::Instant::now();
+    let out = protogen(&["sim", "mesi", "--cap", "1"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    for needle in [
+        "deadlocked at cycle",
+        "core 0: block",
+        "in flight since cycle",
+        "channel n",
+        "backpressured",
+    ] {
+        assert!(err.contains(needle), "missing `{needle}`: {err}");
+    }
+    let out = protogen(&["sim", "mesi", "--latency", "fixed:4294967295"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("exceeded 50000000 cycles"), "{err}");
+    assert!(start.elapsed().as_secs() < 5, "wedged runs took {:?}", start.elapsed());
+}
+
 /// A misspelt flag used to be ignored, and its value with it: `verify msi
 /// --cachse 4` printed a PASSED line for MSI@2 and exited 0, and
 /// `--max-state 10` ran unbudgeted. So was a flag of another subcommand:

@@ -41,7 +41,9 @@ impl LatencyDist {
                 if lo >= hi {
                     lo
                 } else {
-                    rng.gen_range(lo..=hi)
+                    // One below the top: an inclusive range ending at
+                    // `u64::MAX` has no half-open form to sample from.
+                    rng.gen_range(lo..=hi.min(u64::MAX - 1))
                 }
             }
             LatencyDist::Geometric { base, extra_pct } => {
@@ -51,21 +53,27 @@ impl LatencyDist {
                 while extra < 64 && rng.gen_range(0..100u64) < p {
                     extra += 1;
                 }
-                base + extra
+                base.saturating_add(extra)
             }
         }
     }
 
-    /// Parses `fixed:N`, `uniform:LO:HI`, or `geometric:BASE:PCT`.
+    /// Parses `fixed:N`, `uniform:LO:HI`, or `geometric:BASE:PCT`. A hop
+    /// takes at most `u32::MAX` cycles: nothing a run could wait out is
+    /// excluded, and sums of hop latencies stay far from `u64::MAX`.
     pub fn parse(s: &str) -> Result<LatencyDist, String> {
         let mut parts = s.split(':');
         let kind = parts.next().unwrap_or_default();
         let mut num = |what: &str| -> Result<u64, String> {
-            parts
+            let n: u64 = parts
                 .next()
                 .ok_or_else(|| format!("latency `{s}`: missing {what}"))?
                 .parse()
-                .map_err(|_| format!("latency `{s}`: bad {what}"))
+                .map_err(|_| format!("latency `{s}`: bad {what}"))?;
+            if n > u64::from(u32::MAX) {
+                return Err(format!("latency `{s}`: {what} above {}", u32::MAX));
+            }
+            Ok(n)
         };
         let dist = match kind {
             "fixed" => LatencyDist::Fixed(num("cycle count")?),
@@ -212,6 +220,28 @@ mod tests {
         assert!(LatencyDist::parse("uniform:9:3").is_err());
         assert!(LatencyDist::parse("gaussian:1").is_err());
         assert!(LatencyDist::parse("fixed:").is_err());
+    }
+
+    #[test]
+    fn hop_latencies_are_capped_at_parse_and_saturate_at_sample() {
+        let max = u64::MAX;
+        assert_eq!(LatencyDist::parse("fixed:4294967295"), Ok(LatencyDist::Fixed(u32::MAX.into())));
+        for s in [
+            "fixed:4294967296",
+            &format!("geometric:{max}:50"),
+            &format!("uniform:1:{max}"),
+            &format!("uniform:{max}:{max}"),
+        ] {
+            let err = LatencyDist::parse(s).unwrap_err();
+            assert!(err.contains("above 4294967295"), "{s}: {err}");
+        }
+        // Library callers build the enum directly: sampling must not wrap.
+        let mut rng = StdRng::seed_from_u64(2);
+        for _ in 0..50 {
+            assert_eq!(LatencyDist::Geometric { base: max, extra_pct: 99 }.sample(&mut rng), max);
+            assert!(LatencyDist::Uniform { lo: 1, hi: max }.sample(&mut rng) >= 1);
+            assert!(LatencyDist::Uniform { lo: 0, hi: max }.sample(&mut rng) <= max);
+        }
     }
 
     #[test]

@@ -7,6 +7,12 @@
 //! issue its next scheduled access; a stalled message blocks its block's
 //! channel lane, a full bounded buffer defers the event that would
 //! overflow it (backpressure).
+//!
+//! The loop is cycle-stepped in its semantics and event-driven in its cost:
+//! what a cycle needs to know about the whole system (when each node's
+//! first message ripens, busy directory entries, accesses still to
+//! complete) is kept where it changes, and a cycle that commits nothing
+//! stands for every cycle up to the next time gate (see [`Engine::run`]).
 
 use crate::config::SimConfig;
 use crate::network::{Network, SimMsg};
@@ -19,6 +25,7 @@ use protogen_runtime::{
 use protogen_spec::{Arc, Event, Fsm};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::fmt::Write;
 
 /// Runs one simulation.
 ///
@@ -32,6 +39,9 @@ use rand::SeedableRng;
 ///   interconnect);
 /// * [`SimError::Exec`] — the generated FSM misbehaved (a generator bug;
 ///   the model checker rules this out for verified protocols);
+/// * [`SimError::Deadlock`] — a cycle committed nothing with nothing left
+///   waiting on time: the run can never complete, and the error says what
+///   is stuck;
 /// * [`SimError::Livelock`] — `max_cycles` elapsed without completing.
 pub fn simulate(cache_fsm: &Fsm, dir_fsm: &Fsm, cfg: &SimConfig) -> Result<SimResult, SimError> {
     Engine::new(cache_fsm, dir_fsm, cfg)?.run()
@@ -48,12 +58,19 @@ struct Engine<'a> {
     dirs: Vec<DirEntry>,
     net: Network,
     schedules: Vec<Vec<Op>>,
+    /// Accesses scheduled over all cores. Every access completes exactly
+    /// once, so the cores are all idle exactly when `result.completed`
+    /// reaches this.
+    total_ops: usize,
     cursor: Vec<usize>,
     /// Per-core outstanding transaction: `(block, issue cycle)`.
     in_flight: Vec<Option<(u32, u64)>>,
     next_issue: Vec<u64>,
     latencies: Histogram,
     result: SimResult,
+    /// Directory entries in a transient state right now, kept by
+    /// [`Engine::try_deliver`] — the only place a directory line commits.
+    busy_dirs: u64,
     busy_dir_cycles: u64,
     coverage: Option<PairSet>,
     cand_buf: Vec<usize>,
@@ -78,12 +95,14 @@ impl<'a> Engine<'a> {
             caches: vec![vec![CacheBlock::new(); cfg.n_addrs]; n],
             dirs: vec![DirEntry::new(0); cfg.n_addrs],
             net: Network::new(n + 1, cfg.network),
+            total_ops: schedules.iter().map(Vec::len).sum(),
             cursor: vec![0; schedules.len()],
             schedules,
             in_flight: vec![None; n],
             next_issue: vec![0; n],
             latencies: Histogram::new(),
             result: SimResult::default(),
+            busy_dirs: 0,
             busy_dir_cycles: 0,
             coverage: cfg.collect_coverage.then(PairSet::new),
             cand_buf: Vec::new(),
@@ -95,24 +114,54 @@ impl<'a> Engine<'a> {
         self.cfg.n_caches
     }
 
+    /// Steps the system to completion.
+    ///
+    /// Time enters a cycle through two gates only — a queued message's
+    /// `ready` and a core's `next_issue` — and the RNG, the lines and the
+    /// queues change only when an event commits. So a cycle that commits
+    /// nothing is repeated exactly by every cycle before the next gate
+    /// opens: the loop charges their stall, backpressure and busy-directory
+    /// counts in one multiplication and moves the clock to the gate. With
+    /// no gate left to open the cycle is a fixed point, and the run is
+    /// reported deadlocked there instead of at `max_cycles`.
     fn run(mut self) -> Result<SimResult, SimError> {
         let mut t: u64 = 0;
-        loop {
-            let idle_cores = (0..self.cfg.n_caches)
-                .all(|c| self.cursor[c] >= self.schedules[c].len() && self.in_flight[c].is_none());
-            if idle_cores && self.net.is_empty() {
-                break;
+        // Far enough below `u64::MAX` that `t + 1` cannot wrap.
+        let limit = self.cfg.max_cycles.min(u64::MAX - 2);
+        let livelock = SimError::Livelock { cycles: self.cfg.max_cycles };
+        while self.result.completed < self.total_ops || !self.net.is_empty() {
+            if t > limit {
+                return Err(livelock);
             }
-            if t > self.cfg.max_cycles {
-                return Err(SimError::Livelock { cycles: self.cfg.max_cycles });
+            debug_assert!(self.counters_agree(), "incremental counters drifted at cycle {t}");
+            let (stalls, backpressure) =
+                (self.result.stall_cycles, self.result.backpressure_cycles);
+            let committed = self.deliver_phase(t)? | self.issue_phase(t)?;
+            let mut span = 1;
+            if !committed {
+                let Some(wake) = self.next_gate(t) else {
+                    return Err(self.deadlock(t));
+                };
+                if wake > limit {
+                    return Err(livelock);
+                }
+                span = wake - t;
+                let repeat = |now: u64, before: u64| {
+                    now.saturating_add((now - before).saturating_mul(span - 1))
+                };
+                self.result.stall_cycles = repeat(self.result.stall_cycles, stalls);
+                self.result.backpressure_cycles =
+                    repeat(self.result.backpressure_cycles, backpressure);
             }
-            self.deliver_phase(t)?;
-            self.issue_phase(t)?;
-            self.busy_dir_cycles +=
-                self.dirs.iter().filter(|d| !self.dir.fsm().state(d.state).is_stable()).count()
-                    as u64;
-            t += 1;
+            self.busy_dir_cycles =
+                self.busy_dir_cycles.saturating_add(self.busy_dirs.saturating_mul(span));
+            t += span;
         }
+        Ok(self.finish(t))
+    }
+
+    /// The report of a run that completed in `t` cycles.
+    fn finish(mut self, t: u64) -> SimResult {
         self.result.cycles = t;
         self.result.avg_miss_latency = self.latencies.mean();
         self.result.p50_latency = self.latencies.percentile(50.0);
@@ -132,13 +181,18 @@ impl<'a> Engine<'a> {
         };
         self.result.peak_channel_depth = self.net.peak_depth;
         self.result.coverage = self.coverage.take();
-        Ok(self.result)
+        self.result
     }
 
-    /// Delivers at most one ripe message per destination node.
-    fn deliver_phase(&mut self, t: u64) -> Result<(), SimError> {
+    /// Delivers at most one ripe message per destination node; whether any
+    /// was delivered.
+    fn deliver_phase(&mut self, t: u64) -> Result<bool, SimError> {
         let total = self.cfg.n_caches + 1;
+        let mut any_delivered = false;
         for dst in 0..total {
+            if self.net.ripens_at(dst) > t {
+                continue;
+            }
             let mut delivered = false;
             let mut saw_stall = false;
             let mut saw_backpressure = false;
@@ -166,8 +220,9 @@ impl<'a> Engine<'a> {
             if !delivered && saw_backpressure {
                 self.result.backpressure_cycles += 1;
             }
+            any_delivered |= delivered;
         }
-        Ok(())
+        Ok(any_delivered)
     }
 
     /// Attempts to deliver candidate `idx` of channel `src → dst`.
@@ -202,10 +257,15 @@ impl<'a> Engine<'a> {
         let ids = (NodeId(dst as u8), NodeId(self.dir_node() as u8));
         let (net, out) = (&self.net, &mut self.outcome);
         let committed = if is_dir {
-            tentative(machine, arc, Some(&msg), &mut self.dirs[a], ids, net, out)
+            let entry = &mut self.dirs[a];
+            let was_busy = is_busy(machine, entry);
+            let committed = tentative(machine, arc, Some(&msg), entry, ids, net, out)?;
+            self.busy_dirs =
+                self.busy_dirs - u64::from(was_busy) + u64::from(is_busy(machine, entry));
+            committed
         } else {
-            tentative(machine, arc, Some(&msg), &mut self.caches[dst][a], ids, net, out)
-        }?;
+            tentative(machine, arc, Some(&msg), &mut self.caches[dst][a], ids, net, out)?
+        };
         if !committed {
             return Ok(Delivery::Backpressured);
         }
@@ -220,21 +280,24 @@ impl<'a> Engine<'a> {
                     self.in_flight[dst] = None;
                     self.latencies.record(t - start);
                     self.result.completed += 1;
-                    self.next_issue[dst] = t + self.cfg.think_time;
+                    self.next_issue[dst] = t.saturating_add(self.cfg.think_time);
                 }
             }
         }
         Ok(Delivery::Done)
     }
 
-    /// Idle cores issue their next scheduled access.
-    fn issue_phase(&mut self, t: u64) -> Result<(), SimError> {
+    /// Whether core `c` has an access to issue once its think time is over.
+    fn may_issue(&self, c: usize) -> bool {
+        self.cursor[c] < self.schedules[c].len() && self.in_flight[c].is_none()
+    }
+
+    /// Idle cores issue their next scheduled access; whether any did.
+    fn issue_phase(&mut self, t: u64) -> Result<bool, SimError> {
         let dir_id = NodeId(self.dir_node() as u8);
+        let mut issued = false;
         for c in 0..self.cfg.n_caches {
-            if self.cursor[c] >= self.schedules[c].len()
-                || self.in_flight[c].is_some()
-                || self.next_issue[c] > t
-            {
+            if !self.may_issue(c) || self.next_issue[c] > t {
                 continue;
             }
             let op = self.schedules[c][self.cursor[c]];
@@ -250,10 +313,11 @@ impl<'a> Engine<'a> {
                 Selected::None => {
                     // The SSP defines no behaviour (replacement of an invalid
                     // block): trivially complete.
+                    issued = true;
                     self.cursor[c] += 1;
                     self.result.completed += 1;
                     self.result.hits += 1;
-                    self.next_issue[c] = t + self.cfg.think_time;
+                    self.next_issue[c] = t.saturating_add(self.cfg.think_time);
                     continue;
                 }
             };
@@ -263,6 +327,7 @@ impl<'a> Engine<'a> {
                 self.result.backpressure_cycles += 1;
                 continue; // retry when the channel drains
             }
+            issued = true;
             self.cursor[c] += 1;
             for &m in &self.outcome.outgoing {
                 self.net.send(t, SimMsg { addr: op.addr, msg: m }, &mut self.rng);
@@ -270,13 +335,87 @@ impl<'a> Engine<'a> {
             if self.outcome.performed.is_some() {
                 self.result.completed += 1;
                 self.result.hits += 1;
-                self.next_issue[c] = t + self.cfg.think_time;
+                self.next_issue[c] = t.saturating_add(self.cfg.think_time);
             } else {
                 self.in_flight[c] = Some((op.addr, t));
             }
         }
-        Ok(())
+        Ok(issued)
     }
+
+    /// The earliest cycle after `t` at which a time gate opens — a queued
+    /// message ripens or a thinking core may issue — if any is still shut.
+    fn next_gate(&self, t: u64) -> Option<u64> {
+        let thinking = (0..self.cfg.n_caches)
+            .filter(|&c| self.may_issue(c) && self.next_issue[c] > t)
+            .map(|c| self.next_issue[c]);
+        self.net.next_ripening(t).into_iter().chain(thinking).min()
+    }
+
+    /// The fixed point reached at cycle `t`, worded for whoever has to debug
+    /// it: per unfinished core what it waits for, per non-empty channel its
+    /// depth and what holds its head.
+    fn deadlock(&self, t: u64) -> SimError {
+        let held = |machine: &Machine<&Fsm>, slot: Slot<'_>, event, msg: Option<&Msg>| {
+            let why = match machine.select(slot, event, msg) {
+                Selected::Stall => "stalled",
+                // It has an arc and the cycle committed nothing: its sends
+                // found a full channel.
+                _ => "backpressured",
+            };
+            (why, machine.fsm().state(slot.state()).full_name())
+        };
+        let mut stuck = String::new();
+        for c in 0..self.cfg.n_caches {
+            if let Some((addr, since)) = self.in_flight[c] {
+                let state = self.cache.fsm().state(self.caches[c][addr as usize].state);
+                let _ = writeln!(
+                    stuck,
+                    "  core {c}: block {addr} in flight since cycle {since}, cache in {}",
+                    state.full_name()
+                );
+            } else if let Some(op) = self.schedules[c].get(self.cursor[c]) {
+                let slot = Slot::Cache(&self.caches[c][op.addr as usize]);
+                let (why, state) = held(&self.cache, slot, Event::Access(op.access), None);
+                let _ = writeln!(
+                    stuck,
+                    "  core {c}: {} of block {} {why}, cache in {state}",
+                    op.access, op.addr
+                );
+            }
+        }
+        for (src, dst, depth, SimMsg { addr, msg }) in self.net.backlog() {
+            let (machine, slot) = if dst == self.dir_node() {
+                (&self.dir, Slot::Dir(&self.dirs[addr as usize]))
+            } else {
+                (&self.cache, Slot::Cache(&self.caches[dst][addr as usize]))
+            };
+            let (why, state) = held(machine, slot, Event::Msg(msg.mtype), Some(&msg));
+            let name = &machine.fsm().msg(msg.mtype).name;
+            let _ = writeln!(
+                stuck,
+                "  channel n{src}→n{dst}: {depth} queued, head {name} (block {addr}) {why}, \
+                 n{dst} in {state}"
+            );
+        }
+        SimError::Deadlock { cycle: t, stuck }
+    }
+
+    /// Whether the counters the loop keeps agree with the scans they
+    /// replaced (`debug_assert!`ed every executed cycle).
+    fn counters_agree(&self) -> bool {
+        let busy = self.dirs.iter().filter(|d| is_busy(&self.dir, d)).count() as u64;
+        let idle = (0..self.cfg.n_caches)
+            .all(|c| self.cursor[c] >= self.schedules[c].len() && self.in_flight[c].is_none());
+        busy == self.busy_dirs
+            && idle == (self.result.completed == self.total_ops)
+            && self.net.counters_agree()
+    }
+}
+
+/// Whether a directory entry is mid-transaction (in a transient state).
+fn is_busy(dir: &Machine<&Fsm>, entry: &DirEntry) -> bool {
+    !dir.fsm().state(entry.state).is_stable()
 }
 
 enum Delivery {
@@ -285,9 +424,11 @@ enum Delivery {
     Backpressured,
 }
 
-/// Applies `arc` to a copy of `line` and commits the copy only when the
-/// outgoing messages fit their (possibly bounded) channels; `Ok(false)` is
-/// backpressure, with `line` untouched. `ids` is `(self, directory)`.
+/// Applies `arc` to `line` and keeps the result only when the outgoing
+/// messages fit their (possibly bounded) channels; `Ok(false)` is
+/// backpressure, with `line` put back as it was. Unbounded channels take
+/// anything, so only a bounded network pays for the copy to put back.
+/// `ids` is `(self, directory)`.
 fn tentative<L: Line>(
     machine: &Machine<&Fsm>,
     arc: &Arc,
@@ -297,11 +438,174 @@ fn tentative<L: Line>(
     net: &Network,
     out: &mut ApplyOutcome,
 ) -> Result<bool, SimError> {
-    let mut next = line.clone();
-    machine.apply(arc, msg, next.ctx(ids.0, ids.1), 0, out).map_err(SimError::Exec)?;
-    let fits = net.accepts(&out.outgoing);
-    if fits {
-        *line = next;
+    let before = net.is_bounded().then(|| line.clone());
+    machine.apply(arc, msg, line.ctx(ids.0, ids.1), 0, out).map_err(SimError::Exec)?;
+    match before {
+        Some(before) if !net.accepts(&out.outgoing) => {
+            *line = before;
+            Ok(false)
+        }
+        _ => Ok(true),
     }
-    Ok(fits)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{LatencyDist, NetModel, NetworkConfig};
+    use crate::workload::Workload;
+    use protogen_core::{generate, GenConfig, Generated};
+    use std::time::Instant;
+
+    fn generated(name: &str, gc: &GenConfig) -> Generated {
+        generate(&protogen_protocols::by_name(name).unwrap(), gc).unwrap()
+    }
+
+    impl Engine<'_> {
+        /// The loop as it stood before it learned to count and skip: one
+        /// cycle at a time, the busy directories recounted in each. The
+        /// oracle for [`Engine::run`] (and the only other stepping loop).
+        fn run_stepped(mut self) -> Result<SimResult, SimError> {
+            let mut t: u64 = 0;
+            while self.result.completed < self.total_ops || !self.net.is_empty() {
+                if t > self.cfg.max_cycles {
+                    return Err(SimError::Livelock { cycles: self.cfg.max_cycles });
+                }
+                assert!(self.counters_agree(), "incremental counters drifted at cycle {t}");
+                self.deliver_phase(t)?;
+                self.issue_phase(t)?;
+                self.busy_dir_cycles +=
+                    self.dirs.iter().filter(|d| is_busy(&self.dir, d)).count() as u64;
+                t += 1;
+            }
+            Ok(self.finish(t))
+        }
+    }
+
+    /// Shapes that stall, backpressure, think and reorder.
+    fn shapes() -> Vec<(&'static str, SimConfig)> {
+        let base = SimConfig { accesses_per_core: 60, ..SimConfig::default() };
+        let net = |model, latency, capacity| NetworkConfig { model, latency, capacity };
+        vec![
+            ("mesi", SimConfig { think_time: 50, ..base.clone() }),
+            (
+                "msi",
+                SimConfig {
+                    workload: Workload::FalseSharing,
+                    network: net(NetModel::Ordered, LatencyDist::Fixed(20), 1),
+                    ..base.clone()
+                },
+            ),
+            (
+                "tso-cc",
+                SimConfig {
+                    n_addrs: 2,
+                    think_time: 0,
+                    workload: Workload::Migratory,
+                    network: net(NetModel::Ordered, LatencyDist::Uniform { lo: 2, hi: 30 }, 1),
+                    ..base.clone()
+                },
+            ),
+            (
+                "msi-unordered",
+                SimConfig {
+                    n_caches: 3,
+                    n_addrs: 2,
+                    think_time: 7,
+                    workload: Workload::FalseSharing,
+                    network: net(NetModel::Unordered, LatencyDist::Uniform { lo: 1, hi: 40 }, 2),
+                    ..base
+                },
+            ),
+        ]
+    }
+
+    #[test]
+    fn skipping_loop_reports_what_the_stepped_loop_reports() {
+        let (mut stalled, mut backpressured) = (false, false);
+        for (name, cfg) in shapes() {
+            for gc in [GenConfig::stalling(), GenConfig::non_stalling()] {
+                let g = generated(name, &gc);
+                let engine = || Engine::new(&g.cache, &g.directory, &cfg).unwrap();
+                let (skipped, stepped) = (engine().run().unwrap(), engine().run_stepped().unwrap());
+                assert_eq!(
+                    skipped.to_json().render(),
+                    stepped.to_json().render(),
+                    "{name} ({:?})",
+                    gc.concurrency
+                );
+                stalled |= stepped.stall_cycles > 0;
+                backpressured |= stepped.backpressure_cycles > 0;
+            }
+        }
+        assert!(stalled && backpressured, "the shapes must exercise the bulk-charged counters");
+    }
+
+    #[test]
+    fn simulated_idle_time_costs_no_host_time() {
+        let g = generated("msi", &GenConfig::non_stalling());
+        let cfg = SimConfig {
+            think_time: 1_000_000_000,
+            accesses_per_core: 10,
+            max_cycles: u64::MAX,
+            ..SimConfig::default()
+        };
+        let start = Instant::now();
+        let r = simulate(&g.cache, &g.directory, &cfg).unwrap();
+        assert_eq!(r.completed, 40);
+        assert!(r.cycles > 1_000_000_000, "{} cycles", r.cycles);
+        assert!(start.elapsed().as_secs() < 2, "{:?} for 40 accesses", start.elapsed());
+    }
+
+    #[test]
+    fn a_wedged_run_is_reported_at_its_fixed_point() {
+        // One-deep buffers: an event with two sends on one channel never
+        // fits, and waiting channels close a cycle.
+        let tight = |latency| NetworkConfig { model: NetModel::Ordered, latency, capacity: 1 };
+        let wedged = [
+            ("mesi", SimConfig { network: tight(LatencyDist::Fixed(8)), ..SimConfig::default() }),
+            (
+                "msi-unordered",
+                SimConfig {
+                    n_caches: 3,
+                    n_addrs: 2,
+                    accesses_per_core: 50,
+                    workload: Workload::Uniform { store_pct: 80 },
+                    network: tight(LatencyDist::Fixed(20)),
+                    ..SimConfig::default()
+                },
+            ),
+        ];
+        for (name, cfg) in wedged {
+            let g = generated(name, &GenConfig::non_stalling());
+            let start = Instant::now();
+            let Err(SimError::Deadlock { cycle, stuck }) = simulate(&g.cache, &g.directory, &cfg)
+            else {
+                panic!("{name}: expected a deadlock");
+            };
+            assert!(cycle < 100_000, "{name}: fixed point only at cycle {cycle}");
+            assert!(start.elapsed().as_secs() < 2, "{name}: {:?}", start.elapsed());
+            assert!(stuck.contains("in flight since cycle"), "{name}: {stuck}");
+            assert!(stuck.contains("queued, head"), "{name}: {stuck}");
+            assert!(
+                stuck.contains("backpressured") || stuck.contains("stalled"),
+                "{name}: {stuck}"
+            );
+            // The stepped loop agrees that nothing ever moves again.
+            let limited = SimConfig { max_cycles: cycle + 5_000, ..cfg };
+            let stepped = Engine::new(&g.cache, &g.directory, &limited).unwrap().run_stepped();
+            assert_eq!(stepped.unwrap_err(), SimError::Livelock { cycles: cycle + 5_000 });
+        }
+    }
+
+    #[test]
+    fn a_latency_no_run_can_wait_out_jumps_to_the_cycle_limit() {
+        let g = generated("mesi", &GenConfig::non_stalling());
+        for latency in [u64::from(u32::MAX), u64::MAX] {
+            let cfg =
+                SimConfig { network: NetworkConfig::ordered(latency), ..SimConfig::default() };
+            let err = simulate(&g.cache, &g.directory, &cfg).unwrap_err();
+            assert_eq!(err, SimError::Livelock { cycles: cfg.max_cycles });
+        }
+    }
 }

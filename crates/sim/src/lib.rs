@@ -68,6 +68,19 @@ pub enum SimError {
     /// A controller received a message it has no transition for — usually
     /// an ordered-network protocol run over a reordering interconnect.
     UnexpectedMessage(String),
+    /// A cycle committed no event while nothing was left waiting on time
+    /// (every queued message ripe, every core with work past its think
+    /// time): a fixed point of a deterministic system, so the workload can
+    /// never complete. Typically bounded buffers too shallow for one
+    /// event's sends.
+    Deadlock {
+        /// The cycle at which the fixed point was reached.
+        cycle: u64,
+        /// One line per unfinished core (what it waits for, in which cache
+        /// state) and per non-empty channel (its depth, its head message
+        /// and whether that is stalled or backpressured).
+        stuck: String,
+    },
     /// The cycle safety limit elapsed without completing the workload.
     Livelock {
         /// The configured limit that was exceeded.
@@ -83,6 +96,14 @@ impl fmt::Display for SimError {
             SimError::Exec(e) => write!(f, "execution error: {e}"),
             SimError::UnexpectedMessage(d) => {
                 write!(f, "unexpected message: {d} (protocol/network mismatch?)")
+            }
+            SimError::Deadlock { cycle, stuck } => {
+                write!(
+                    f,
+                    "simulation deadlocked at cycle {cycle}: no event can commit and none is \
+                     waiting on time\n{}",
+                    stuck.trim_end()
+                )
             }
             SimError::Livelock { cycles } => {
                 write!(f, "simulation exceeded {cycles} cycles (livelock?)")

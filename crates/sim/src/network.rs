@@ -33,37 +33,74 @@ struct Entry {
 ///   standard head-of-line-blocking fix).
 /// * **Unordered** — every ripe message is a candidate, so latency jitter
 ///   reorders delivery arbitrarily.
+///
+/// What the engine asks every cycle — is anything queued, can anything be
+/// delivered *to this node* yet — is answered from a count and a per-node
+/// earliest `ready` kept by [`Network::send`] and [`Network::take`], not by
+/// walking the queues.
 #[derive(Debug)]
 pub(crate) struct Network {
     cfg: NetworkConfig,
-    chans: Vec<Vec<VecDeque<Entry>>>,
-    /// Scratch for the ordered candidate scan (reused across calls; the
-    /// engine scans every channel every cycle, so this is a hot path).
+    n_nodes: usize,
+    /// Channel `src → dst` is `chans[dst * n_nodes + src]`: the channels
+    /// into one node, which a delivery scans together, sit together.
+    chans: Vec<VecDeque<Entry>>,
+    /// Per destination node, the earliest `ready` among the messages queued
+    /// for it (`NEVER` when none is): before that cycle the node has no
+    /// candidate, ordered or not.
+    earliest: Vec<u64>,
+    /// Messages queued anywhere.
+    queued: usize,
+    /// Scratch for the ordered candidate scan (reused across calls).
     seen_addrs: Vec<u32>,
     /// Deepest any channel ever grew.
     pub peak_depth: usize,
 }
 
+/// The `ready` of a message that is not there.
+const NEVER: u64 = u64::MAX;
+
 impl Network {
     pub fn new(n_nodes: usize, cfg: NetworkConfig) -> Network {
         Network {
             cfg,
-            chans: (0..n_nodes).map(|_| (0..n_nodes).map(|_| VecDeque::new()).collect()).collect(),
+            n_nodes,
+            chans: (0..n_nodes * n_nodes).map(|_| VecDeque::new()).collect(),
+            earliest: vec![NEVER; n_nodes],
+            queued: 0,
             seen_addrs: Vec::new(),
             peak_depth: 0,
         }
     }
 
+    fn index(&self, src: usize, dst: usize) -> usize {
+        dst * self.n_nodes + src
+    }
+
+    fn chan(&self, src: usize, dst: usize) -> &VecDeque<Entry> {
+        &self.chans[self.index(src, dst)]
+    }
+
+    /// The channels into `dst`, by source.
+    fn inbound(&self, dst: usize) -> &[VecDeque<Entry>] {
+        &self.chans[dst * self.n_nodes..][..self.n_nodes]
+    }
+
+    /// Whether channels have a capacity at all (a send can be refused).
+    pub fn is_bounded(&self) -> bool {
+        self.cfg.capacity != 0
+    }
+
     /// Whether every message of `outgoing` fits its channel's bounded
     /// buffer (always true with unbounded buffers).
     pub fn accepts(&self, outgoing: &[protogen_runtime::Msg]) -> bool {
-        if self.cfg.capacity == 0 {
+        if !self.is_bounded() {
             return true;
         }
         for (i, m) in outgoing.iter().enumerate() {
             let same_channel_before =
                 outgoing[..i].iter().filter(|p| p.src == m.src && p.dst == m.dst).count();
-            let q = &self.chans[m.src.as_usize()][m.dst.as_usize()];
+            let q = self.chan(m.src.as_usize(), m.dst.as_usize());
             if q.len() + same_channel_before + 1 > self.cfg.capacity {
                 return false;
             }
@@ -73,8 +110,11 @@ impl Network {
 
     /// Enqueues one message at time `now`, sampling its delivery latency.
     pub fn send(&mut self, now: u64, sm: SimMsg, rng: &mut StdRng) {
-        let mut ready = now + self.cfg.latency.sample(rng).max(1);
-        let q = &mut self.chans[sm.msg.src.as_usize()][sm.msg.dst.as_usize()];
+        // Saturating, and short of the one value that means "no message".
+        let mut ready = now.saturating_add(self.cfg.latency.sample(rng).max(1)).min(NEVER - 1);
+        let dst = sm.msg.dst.as_usize();
+        let index = self.index(sm.msg.src.as_usize(), dst);
+        let q = &mut self.chans[index];
         if self.cfg.model == NetModel::Ordered {
             // FIFO commit order: jitter may widen gaps, never reorder.
             if let Some(back) = q.back() {
@@ -83,29 +123,41 @@ impl Network {
         }
         q.push_back(Entry { ready, msg: sm });
         self.peak_depth = self.peak_depth.max(q.len());
+        self.earliest[dst] = self.earliest[dst].min(ready);
+        self.queued += 1;
+    }
+
+    /// The first cycle at which `dst` can have a candidate: the earliest
+    /// `ready` among the messages queued for it, `u64::MAX` with none.
+    pub fn ripens_at(&self, dst: usize) -> u64 {
+        self.earliest[dst]
     }
 
     /// Collects the queue indices deliverable from `src` to `dst` at time
     /// `now` into `buf`, in queue (send) order.
     pub fn candidates(&mut self, src: usize, dst: usize, now: u64, buf: &mut Vec<usize>) {
         buf.clear();
-        let q = &self.chans[src][dst];
+        let q = &self.chans[self.index(src, dst)];
         match self.cfg.model {
             NetModel::Unordered => {
                 buf.extend((0..q.len()).filter(|&i| q[i].ready <= now));
             }
             NetModel::Ordered => {
                 // The oldest queued message of each block is that block's
-                // head; younger same-block messages wait behind it.
+                // head; younger same-block messages wait behind it. Ready
+                // times are monotone along an ordered channel: behind the
+                // first unripe message (an unripe front, mostly) nothing
+                // is ripe.
                 self.seen_addrs.clear();
                 for (i, e) in q.iter().enumerate() {
+                    if e.ready > now {
+                        break;
+                    }
                     if self.seen_addrs.contains(&e.msg.addr) {
                         continue;
                     }
                     self.seen_addrs.push(e.msg.addr);
-                    if e.ready <= now {
-                        buf.push(i);
-                    }
+                    buf.push(i);
                 }
             }
         }
@@ -113,17 +165,63 @@ impl Network {
 
     /// The message at queue position `idx` of channel `src → dst`.
     pub fn peek(&self, src: usize, dst: usize, idx: usize) -> SimMsg {
-        self.chans[src][dst][idx].msg
+        self.chan(src, dst)[idx].msg
     }
 
     /// Removes and returns the message at queue position `idx`.
     pub fn take(&mut self, src: usize, dst: usize, idx: usize) -> SimMsg {
-        self.chans[src][dst].remove(idx).expect("valid candidate index").msg
+        let index = self.index(src, dst);
+        let e = self.chans[index].remove(idx).expect("valid candidate index");
+        self.queued -= 1;
+        self.earliest[dst] = self.earliest_from(dst, 0);
+        e.msg
+    }
+
+    /// The earliest `ready` at or after `from` among the messages queued for
+    /// `dst` (`NEVER` with none), from the queues themselves.
+    fn earliest_from(&self, dst: usize, from: u64) -> u64 {
+        let first = |q: &VecDeque<Entry>| {
+            let mut ready = q.iter().map(|e| e.ready).filter(|&r| r >= from);
+            match self.cfg.model {
+                // Monotone: the first is the earliest.
+                NetModel::Ordered => ready.next(),
+                NetModel::Unordered => ready.min(),
+            }
+        };
+        self.inbound(dst).iter().filter_map(first).min().unwrap_or(NEVER)
     }
 
     /// Whether no message is in flight anywhere.
     pub fn is_empty(&self) -> bool {
-        self.chans.iter().flatten().all(VecDeque::is_empty)
+        self.queued == 0
+    }
+
+    /// The earliest time after `now` at which a queued message ripens, if
+    /// any is still unripe.
+    pub fn next_ripening(&self, now: u64) -> Option<u64> {
+        let next = |dst: usize| match self.earliest[dst] {
+            // Nothing for `dst` is ripe yet: its earliest is its next.
+            at if at > now => at,
+            // Ripe messages are waiting (stalled, backpressured, or behind
+            // this cycle's delivery): look past them.
+            _ => self.earliest_from(dst, now.saturating_add(1)),
+        };
+        (0..self.n_nodes).map(next).min().filter(|&at| at != NEVER)
+    }
+
+    /// The non-empty channels as `(src, dst, depth, front message)`, in
+    /// delivery-scan order.
+    pub fn backlog(&self) -> impl Iterator<Item = (usize, usize, usize, SimMsg)> + '_ {
+        self.chans.iter().enumerate().filter_map(move |(i, q)| {
+            q.front().map(|e| (i % self.n_nodes, i / self.n_nodes, q.len(), e.msg))
+        })
+    }
+
+    /// Whether the counters agree with a full recount of the queues they
+    /// summarise (what `debug_assert!` holds them to every cycle).
+    pub fn counters_agree(&self) -> bool {
+        self.queued == self.chans.iter().map(VecDeque::len).sum::<usize>()
+            && (0..self.n_nodes).all(|dst| self.earliest[dst] == self.earliest_from(dst, 0))
     }
 }
 
@@ -221,5 +319,76 @@ mod tests {
         assert!(net.accepts(&[msg(0, 1)]));
         assert!(!net.accepts(&[msg(0, 1), msg(0, 1)]));
         assert_eq!(net.peak_depth, 1);
+    }
+
+    #[test]
+    fn counters_follow_sends_and_takes() {
+        for model in [NetModel::Ordered, NetModel::Unordered] {
+            let cfg = NetworkConfig {
+                model,
+                latency: LatencyDist::Uniform { lo: 1, hi: 9 },
+                capacity: 0,
+            };
+            let mut net = Network::new(3, cfg);
+            let mut rng = StdRng::seed_from_u64(4);
+            assert!(net.is_empty() && net.next_ripening(0).is_none());
+            for i in 0..12u8 {
+                net.send(
+                    u64::from(i),
+                    SimMsg { addr: u32::from(i % 3), msg: msg(i % 2, 2) },
+                    &mut rng,
+                );
+                assert!(net.counters_agree());
+            }
+            assert_eq!((net.ripens_at(0), net.ripens_at(1)), (NEVER, NEVER));
+            assert_eq!(net.next_ripening(0), Some(net.ripens_at(2)));
+            assert_eq!(
+                net.backlog().map(|(src, dst, depth, _)| (src, dst, depth)).collect::<Vec<_>>(),
+                [(0, 2, 6), (1, 2, 6)]
+            );
+            let mut buf = Vec::new();
+            let mut now = 0;
+            while !net.is_empty() {
+                // The next ripening is exactly when the next candidate shows.
+                let wake = net.next_ripening(now).expect("unripe messages are queued");
+                for src in 0..2 {
+                    net.candidates(src, 2, wake - 1, &mut buf);
+                    assert!(buf.is_empty(), "{model}: ripe before the announced time {wake}");
+                }
+                now = wake;
+                for src in 0..2 {
+                    net.candidates(src, 2, now, &mut buf);
+                    while let Some(idx) = buf.pop() {
+                        net.take(src, 2, idx);
+                        assert!(net.counters_agree());
+                    }
+                }
+            }
+            assert_eq!(net.ripens_at(2), NEVER);
+            assert!(net.next_ripening(now).is_none());
+        }
+    }
+
+    #[test]
+    fn an_unripe_ordered_front_hides_the_whole_channel() {
+        let mut net = Network::new(2, NetworkConfig::ordered(5));
+        let mut rng = StdRng::seed_from_u64(0);
+        for addr in 0..4 {
+            net.send(0, SimMsg { addr, msg: msg(0, 1) }, &mut rng);
+        }
+        let mut buf = vec![9];
+        net.candidates(0, 1, 4, &mut buf);
+        assert!(buf.is_empty());
+        net.candidates(0, 1, 5, &mut buf);
+        assert_eq!(buf, [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn ready_times_saturate() {
+        let mut net = Network::new(2, NetworkConfig::ordered(u64::MAX));
+        let mut rng = StdRng::seed_from_u64(0);
+        net.send(7, SimMsg { addr: 0, msg: msg(0, 1) }, &mut rng);
+        assert_eq!(net.next_ripening(7), Some(NEVER - 1));
+        assert!(net.counters_agree());
     }
 }

@@ -81,8 +81,12 @@ impl Workload {
         ]
     }
 
-    /// Parses a workload name as accepted by the CLI.
+    /// Parses a workload name as accepted by the CLI. `store_pct` is a
+    /// percentage: a value above 100 is refused whichever workload is named.
     pub fn parse(name: &str, store_pct: u8) -> Result<Workload, String> {
+        if store_pct > 100 {
+            return Err(format!("bad store percentage `{store_pct}` (0 to 100)"));
+        }
         Ok(match name {
             "uniform" => Workload::Uniform { store_pct },
             "zipfian" => Workload::Zipfian { store_pct },
@@ -330,6 +334,15 @@ mod tests {
                     assert!((op.addr as usize) < 5, "{w}: addr {}", op.addr);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn parse_refuses_store_percentages_above_100() {
+        assert_eq!(Workload::parse("uniform", 100), Ok(Workload::Uniform { store_pct: 100 }));
+        for name in ["uniform", "zipfian", "private"] {
+            let err = Workload::parse(name, 101).unwrap_err();
+            assert!(err.contains("`101` (0 to 100)"), "{err}");
         }
     }
 
