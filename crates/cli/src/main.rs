@@ -1,42 +1,24 @@
 //! `protogen` — the command-line front door to the toolchain.
 //!
-//! ```text
-//! protogen table   <protocol> [--stalling] [--machine cache|dir] [--markdown]
-//! protogen verify  <protocol> [--stalling] [--caches N] [--threads N] [--max-states N]
-//!                  [--mem-budget BYTES] [--store full|delta|fp-only] [--spill-chunk BYTES]
-//!                  [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]
-//!                  [--property sc|tso|weak|none|P+Q]
-//! protogen verify  --compose l1=msi:2,llc=mesi [--stalling] [the same flags, minus --caches]
-//! protogen dot     <protocol> [--stalling] [--machine cache|dir]
-//! protogen murphi  <protocol> [--stalling] [--caches N]
-//! protogen sim     <protocol> [--stalling] [--caches N] [--addrs N] [--accesses N]
-//!                  [--workload W] [--store-pct P] [--trace FILE]
-//!                  [--network ordered|unordered] [--latency DIST] [--cap N]
-//!                  [--seed N] [--json]
-//! protogen serve   <protocol> [--stalling] [--caches N] [--dir-shards N] [--addrs N]
-//!                  [--workload W] [--store-pct P] [--ops N] [--seed N]
-//!                  [--duration SECS] [--mailbox-cap N] [--threads N] [--json]
-//!                  [--faults delay,stall,squeeze,crash|all] [--fault-seed N]
-//!                  [--crash-at-op N] [--property sc|tso|weak|none|P+Q]
-//! protogen sweep   [--protocols a,b] [--caches 2,4] [--accesses N] [--seed N]
-//!                  [--threads N] [--list] [--out DIR] [--json]
-//! protogen fuzz    [--seed N] [--mutants N] [--threads N] [--budget N]
-//!                  [--protocols a,b] [--out DIR] [--json]
-//! protogen fuzz    --replay FILE [--budget N]
-//! protogen litmus  [protocol|all] [--tests SB,MP] [--threads N] [--seed N]
-//!                  [--depth N] [--markdown]
-//! protogen stats
-//! protogen compile <file.pgen> [the flags of verify, minus --compose]
-//! ```
+//! The command line is described once: [`COMMANDS`] (subcommand, operand,
+//! entry point) and [`FLAGS`] (flag, the *kind* of value it takes, the
+//! subcommands that read it). [`Args::parse`] checks every token against
+//! the two tables before anything runs; each subcommand's usage line is
+//! generated from them (README.md lists all eleven, held equal by a test).
 //!
-//! `--threads` sets the worker count (default: all available cores);
+//! Exit codes: 0 pass · 1 ran, and the answer is no (`FAILED`,
+//! `INCOMPLETE`, a coverage escape, a run error) · 2 the command line was
+//! wrong and nothing ran · 3 `serve` hit its deadline · 4 `serve`'s fault
+//! plan did not finish · 141 stdout was closed early (`protogen stats |
+//! head -1`). Exit 2 covers a flag the CLI does not know, a flag of
+//! another subcommand, a repeated flag, a missing, unparsable or
+//! out-of-range value and a surplus operand, each named on stderr above
+//! the usage line — a typo never runs at a default with a verdict printed.
+//!
+//! `--threads` sets the worker count (0 or absent: all available cores);
 //! verification and sweep results are identical for every thread count.
 //! `--caches` takes a count in 1..=8 (the directory's sharer list is an
-//! 8-bit mask); anything else is a usage error, exit 2 — as is a flag the
-//! CLI does not know, a flag that belongs to another subcommand, or an
-//! operand the subcommand does not take, so a typo never runs at a default
-//! with a verdict printed. When stdout is closed early (`protogen stats |
-//! head -1`) the process ends quietly with exit 141.
+//! 8-bit mask).
 //!
 //! `--compose` points `verify`, `table`, or `dot` at a *hierarchical
 //! composition* instead of a flat protocol: a comma-separated stack of
@@ -105,15 +87,19 @@ use protogen_backend::{
 use protogen_core::{compose, generate, Composed, GenConfig, Generated};
 use protogen_litmus::{run_suite, Limits};
 use protogen_mc::{
-    HierChecker, McConfig, ModelChecker, PropertySet, StoreMode, MAX_CACHES, MAX_GROUP,
+    HierChecker, McConfig, ModelChecker, PropertySet, ResourceLimit, StoreMode, MAX_CACHES,
+    MAX_GROUP, SHARD_CAPACITY,
 };
 use protogen_serve::{
     checked_envelope, pair_label, serve, FaultConfig, ServeConfig, ServeError, StopReason,
 };
 use protogen_sim::{
-    parse_trace, run_sweep, simulate, Json, LatencyDist, NetModel, SimConfig, SweepConfig, Workload,
+    parse_trace, run_sweep, simulate, Json, LatencyDist, NetModel, SimConfig, SimError,
+    SweepConfig, Workload,
 };
-use protogen_spec::{Composition, LevelSpec, Ssp};
+use protogen_spec::{Composition, Fsm, LevelSpec, Ssp};
+use std::fmt::Display;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Exit status when stdout was closed before the output was delivered: what
@@ -144,111 +130,376 @@ macro_rules! outln {
     ($($arg:tt)*) => { write_stdout(format_args!("{}\n", format_args!($($arg)*))) };
 }
 
+/// A command line that was wrong. Nothing has run: `main` prints the
+/// message above the subcommand's usage line and exits 2.
+#[derive(Debug)]
+struct Usage(String);
+
+/// What every subcommand returns: its exit code, or why it could not start.
+type Run = Result<ExitCode, Usage>;
+
+/// A run that started and failed: says why, exit 1.
+fn failed(why: impl Display) -> Run {
+    eprintln!("{why}");
+    Ok(ExitCode::FAILURE)
+}
+
+/// A subcommand: its name, its operand, its entry point.
+struct Command {
+    name: &'static str,
+    /// `<x>`: required, unless `--compose` names the target instead;
+    /// `[x]`: optional; empty: none.
+    operand: &'static str,
+    run: fn(&Args) -> Run,
+}
+
 /// The subcommands.
-const COMMANDS: [&str; 11] = [
-    "table", "verify", "dot", "murphi", "sim", "serve", "sweep", "fuzz", "litmus", "stats",
-    "compile",
+const COMMANDS: [Command; 11] = [
+    Command { name: "table", operand: "<protocol>", run: table },
+    Command { name: "verify", operand: "<protocol>", run: verify_cmd },
+    Command { name: "dot", operand: "<protocol>", run: dot },
+    Command { name: "murphi", operand: "<protocol>", run: murphi },
+    Command { name: "sim", operand: "<protocol>", run: sim },
+    Command { name: "serve", operand: "<protocol>", run: serve_cmd },
+    Command { name: "sweep", operand: "", run: sweep },
+    Command { name: "fuzz", operand: "", run: fuzz },
+    Command { name: "litmus", operand: "[protocol|all]", run: litmus_cmd },
+    Command { name: "stats", operand: "", run: stats },
+    Command { name: "compile", operand: "<file.pgen>", run: compile },
 ];
 
-/// Every flag the CLI knows: its name, whether it takes a value, and the
-/// subcommands that read it — the usage block at the top of this file, as
-/// data. `compile` ends in `verify`, so it takes `verify`'s flags.
-const FLAGS: [(&str, bool, &[&str]); 39] = [
-    ("stalling", false, &["table", "verify", "dot", "murphi", "sim", "serve", "compile"]),
-    ("markdown", false, &["table", "litmus"]),
-    ("json", false, &["sim", "serve", "sweep", "fuzz"]),
-    ("list", false, &["sweep"]),
-    ("resume", false, &["verify", "compile"]),
-    ("compose", true, &["table", "verify", "dot"]),
-    ("machine", true, &["table", "dot"]),
-    ("caches", true, &["verify", "murphi", "sim", "serve", "sweep", "compile"]),
-    ("threads", true, &["verify", "serve", "sweep", "fuzz", "litmus", "compile"]),
-    ("seed", true, &["sim", "serve", "sweep", "fuzz", "litmus"]),
-    ("property", true, &["verify", "serve", "compile"]),
-    ("max-states", true, &["verify", "compile"]),
-    ("mem-budget", true, &["verify", "compile"]),
-    ("store", true, &["verify", "compile"]),
-    ("spill-chunk", true, &["verify", "compile"]),
-    ("checkpoint-dir", true, &["verify", "compile"]),
-    ("checkpoint-every", true, &["verify", "compile"]),
-    ("addrs", true, &["sim", "serve"]),
-    ("workload", true, &["sim", "serve"]),
-    ("store-pct", true, &["sim", "serve"]),
-    ("accesses", true, &["sim", "sweep"]),
-    ("trace", true, &["sim"]),
-    ("network", true, &["sim"]),
-    ("latency", true, &["sim"]),
-    ("cap", true, &["sim"]),
-    ("dir-shards", true, &["serve"]),
-    ("ops", true, &["serve"]),
-    ("duration", true, &["serve"]),
-    ("mailbox-cap", true, &["serve"]),
-    ("faults", true, &["serve"]),
-    ("fault-seed", true, &["serve"]),
-    ("crash-at-op", true, &["serve"]),
-    ("protocols", true, &["sweep", "fuzz"]),
-    ("out", true, &["sweep", "fuzz"]),
-    ("mutants", true, &["fuzz"]),
-    ("budget", true, &["fuzz"]),
-    ("replay", true, &["fuzz"]),
-    ("tests", true, &["litmus"]),
-    ("depth", true, &["litmus"]),
+/// The shape of a flag's value. [`Args::parse`] checks it once, whatever
+/// the subcommand; the text kinds carry what the usage line shows for the
+/// value. Rules about what a value *means* (`dir_shards + n_caches ≤ 64`,
+/// a known workload name) stay with the library that owns the meaning.
+#[derive(Clone, Copy, PartialEq)]
+enum Kind {
+    /// No value.
+    Switch,
+    /// Cache counts, each in `1..=MAX_CACHES` and given once: zero caches
+    /// verify nothing (a vacuous "PASSED"), and the directory's sharer list
+    /// is an 8-bit mask, so cache 8 would alias cache 0. `sweep` takes a
+    /// comma list, every other subcommand exactly one.
+    Counts,
+    /// A whole number in `min..=max`.
+    Num(u64, u64),
+    /// A byte size with optional binary K/M/G suffix (`64M` = 64 MiB).
+    Bytes,
+    /// Seconds: positive and finite.
+    Seconds,
+    /// One of the listed words.
+    OneOf(&'static [&'static str]),
+    /// Non-empty text: a path, or a value whose grammar a library's parser
+    /// owns.
+    Text(&'static str),
+    /// A comma list of non-empty items, none given twice.
+    List(&'static str),
+}
+
+/// Fits `usize` and, for the seeds, `u64`.
+const UNSIGNED: Kind = Kind::Num(0, usize::MAX as u64);
+/// At least 1: zero operations, accesses or states is a run of nothing
+/// with a pass-shaped report.
+const POSITIVE: Kind = Kind::Num(1, usize::MAX as u64);
+const PERCENT: Kind = Kind::Num(0, 100);
+
+/// Whether no item occurs twice.
+fn distinct<T: PartialEq>(items: &[T]) -> bool {
+    items.iter().enumerate().all(|(i, item)| !items[..i].contains(item))
+}
+
+impl Kind {
+    /// The value as [`Args`] keeps it — a byte size in bytes, anything else
+    /// as given — or `None` when the kind does not admit `v`.
+    fn check(self, v: &str) -> Option<String> {
+        let admitted = match self {
+            Kind::Switch => false,
+            Kind::Counts => {
+                let count = |n: &str| n.parse().ok().filter(|n| (1..=MAX_CACHES).contains(n));
+                let counts: Option<Vec<usize>> = v.split(',').map(count).collect();
+                counts.is_some_and(|counts| distinct(&counts))
+            }
+            Kind::Num(min, max) => v.parse().is_ok_and(|n: u64| (min..=max).contains(&n)),
+            Kind::Bytes => {
+                let (digits, shift) = match v.as_bytes().last()? {
+                    b'K' | b'k' => (&v[..v.len() - 1], 10),
+                    b'M' | b'm' => (&v[..v.len() - 1], 20),
+                    b'G' | b'g' => (&v[..v.len() - 1], 30),
+                    _ => (v, 0),
+                };
+                let bytes = digits.parse::<usize>().ok()?.checked_mul(1 << shift)?;
+                return Some(bytes.to_string());
+            }
+            Kind::Seconds => v.parse().is_ok_and(|s: f64| s.is_finite() && s > 0.0),
+            Kind::OneOf(words) => words.contains(&v),
+            Kind::Text(_) => !v.is_empty(),
+            Kind::List(_) => {
+                let items: Vec<String> = v.split(',').map(|i| i.trim().to_lowercase()).collect();
+                items.iter().all(|i| !i.is_empty()) && distinct(&items)
+            }
+        };
+        admitted.then(|| v.to_string())
+    }
+
+    /// What the kind accepts, for the error that refuses a value.
+    fn accepts(self) -> String {
+        match self {
+            Kind::Switch => "no value".into(),
+            Kind::Counts => format!(
+                "a count in 1..={MAX_CACHES}: the sharer list is an 8-bit mask; `sweep` takes a \
+                 comma list of distinct counts"
+            ),
+            UNSIGNED => "a whole number".into(),
+            POSITIVE => "a whole number, at least 1: a run of nothing verifies nothing".into(),
+            Kind::Num(min, max) => format!("a whole number in {min}..={max}"),
+            Kind::Bytes => "bytes, with optional K/M/G suffix".into(),
+            Kind::Seconds => "seconds, positive and finite".into(),
+            Kind::OneOf(words) => words.join(" or "),
+            Kind::Text(what) => format!("{what}, not empty"),
+            Kind::List(what) => format!("{what}: a comma list, no item empty or given twice"),
+        }
+    }
+
+    /// How the usage line shows the value.
+    fn placeholder(self) -> String {
+        match self {
+            Kind::Switch => String::new(),
+            Kind::Counts | Kind::Num(..) => " N".into(),
+            Kind::Bytes => " BYTES".into(),
+            Kind::Seconds => " SECS".into(),
+            Kind::OneOf(words) => format!(" {}", words.join("|")),
+            Kind::Text(what) | Kind::List(what) => format!(" {what}"),
+        }
+    }
+}
+
+/// Every flag the CLI knows: its name, the kind of value it takes, and the
+/// subcommands that read it. The only place any of the three is written: a
+/// row is all a new flag needs to be parsed, range-checked, refused when
+/// repeated, valueless or on the wrong subcommand, and shown in the usage
+/// line. `compile` ends in `verify`, so it takes `verify`'s flags.
+const FLAGS: [(&str, Kind, &[&str]); 39] = [
+    ("stalling", Kind::Switch, &["table", "verify", "dot", "murphi", "sim", "serve", "compile"]),
+    ("markdown", Kind::Switch, &["table", "litmus"]),
+    ("json", Kind::Switch, &["sim", "serve", "sweep", "fuzz"]),
+    ("list", Kind::Switch, &["sweep"]),
+    ("resume", Kind::Switch, &["verify", "compile"]),
+    ("compose", Kind::Text("l1=msi:2,llc=mesi"), &["table", "verify", "dot"]),
+    ("machine", Kind::OneOf(&["cache", "dir"]), &["table", "dot"]),
+    ("caches", Kind::Counts, &["verify", "murphi", "sim", "serve", "sweep", "compile"]),
+    ("threads", UNSIGNED, &["verify", "serve", "sweep", "fuzz", "litmus", "compile"]),
+    ("seed", UNSIGNED, &["sim", "serve", "sweep", "fuzz", "litmus"]),
+    ("property", Kind::Text("sc|tso|weak|none|P+Q"), &["verify", "serve", "compile"]),
+    ("max-states", POSITIVE, &["verify", "compile"]),
+    ("mem-budget", Kind::Bytes, &["verify", "compile"]),
+    ("store", Kind::Text("full|delta|fp-only"), &["verify", "compile"]),
+    ("spill-chunk", Kind::Bytes, &["verify", "compile"]),
+    ("checkpoint-dir", Kind::Text("DIR"), &["verify", "compile"]),
+    ("checkpoint-every", Kind::Num(1, u32::MAX as u64), &["verify", "compile"]),
+    ("addrs", UNSIGNED, &["sim", "serve"]),
+    ("workload", Kind::Text("W"), &["sim", "serve"]),
+    ("store-pct", PERCENT, &["sim", "serve"]),
+    ("accesses", POSITIVE, &["sim", "sweep"]),
+    ("trace", Kind::Text("FILE"), &["sim"]),
+    ("network", Kind::OneOf(&["ordered", "unordered"]), &["sim"]),
+    ("latency", Kind::Text("DIST"), &["sim"]),
+    ("cap", UNSIGNED, &["sim"]),
+    ("dir-shards", UNSIGNED, &["serve"]),
+    ("ops", POSITIVE, &["serve"]),
+    ("duration", Kind::Seconds, &["serve"]),
+    ("mailbox-cap", UNSIGNED, &["serve"]),
+    ("faults", Kind::List("delay,stall,squeeze,crash|all"), &["serve"]),
+    ("fault-seed", UNSIGNED, &["serve"]),
+    ("crash-at-op", UNSIGNED, &["serve"]),
+    ("protocols", Kind::List("a,b"), &["sweep", "fuzz"]),
+    ("out", Kind::Text("DIR"), &["sweep", "fuzz"]),
+    ("mutants", UNSIGNED, &["fuzz"]),
+    ("budget", POSITIVE, &["fuzz"]),
+    ("replay", Kind::Text("FILE"), &["fuzz"]),
+    ("tests", Kind::List("SB,MP"), &["litmus"]),
+    ("depth", POSITIVE, &["litmus"]),
 ];
 
+/// The usage line of `cmd`, generated from the two tables; of the program
+/// when the subcommand is not known.
+fn usage_line(cmd: Option<&Command>) -> String {
+    let Some(cmd) = cmd else {
+        let names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+        return format!("usage: protogen <{}> …", names.join("|"));
+    };
+    let mut line = format!("usage: protogen {}", cmd.name);
+    if !cmd.operand.is_empty() {
+        line += &format!(" {}", cmd.operand);
+    }
+    for (name, kind, _) in FLAGS.iter().filter(|(.., cmds)| cmds.contains(&cmd.name)) {
+        let value = match kind {
+            Kind::Counts if cmd.name == "sweep" => " N,N".into(),
+            _ => kind.placeholder(),
+        };
+        line += &format!(" [--{name}{value}]");
+    }
+    line
+}
+
+/// A checked command line: every value has passed the kind its flag's row
+/// names, so the typed accessors cannot fail.
 struct Args {
+    cmd: &'static Command,
+    operand: Option<String>,
     /// `(flag, value)`; a switch carries an empty value.
     flags: Vec<(&'static str, String)>,
-    positional: Vec<String>,
 }
 
 impl Args {
-    /// Splits the command line into flags and operands. A `--flag` that is
-    /// not in [`FLAGS`], or not in the row of the subcommand it is given
-    /// to, is a usage error (exit 2, naming it): ignored, `--cachse 4`
-    /// would verify at the default cache count, `--max-state 10` run
-    /// unbudgeted and `verify --json` print a human-readable line, each
-    /// with a verdict and exit 0.
-    fn parse() -> Args {
-        let mut flags: Vec<(&'static str, String)> = Vec::new();
-        let mut positional = Vec::new();
-        let mut it = std::env::args().skip(1);
-        while let Some(a) = it.next() {
-            let Some(f) = a.strip_prefix("--") else {
-                positional.push(a);
+    /// Checks the command line against [`COMMANDS`] and [`FLAGS`]. Refused,
+    /// with the subcommand when it is known (for its usage line): a flag in
+    /// neither table, or not in the row of this subcommand; a flag given
+    /// twice; a value that is missing or not of the flag's kind; an operand
+    /// the subcommand does not take, or a missing one. Ignored, `--cachse
+    /// 4` would verify at the default cache count, `--caches 2 --caches 3`
+    /// at 2, `--out` (value forgotten) write into the current directory —
+    /// each with a verdict and exit 0.
+    fn parse(
+        argv: impl IntoIterator<Item = String>,
+    ) -> Result<Args, (Option<&'static Command>, Usage)> {
+        // Which tokens are values is a property of the flag, not of the
+        // subcommand — which may come after them.
+        let mut given = Vec::new();
+        let mut operands = Vec::new();
+        let mut argv = argv.into_iter().peekable();
+        while let Some(arg) = argv.next() {
+            let Some(f) = arg.strip_prefix("--") else {
+                operands.push(arg);
                 continue;
             };
-            let Some(&(name, takes_value, _)) = FLAGS.iter().find(|(name, ..)| *name == f) else {
-                eprintln!("unknown flag `--{f}`");
-                std::process::exit(2);
+            let Some(row) = FLAGS.iter().find(|(name, ..)| *name == f) else {
+                return Err((None, Usage(format!("unknown flag `--{f}`"))));
             };
-            flags.push((
-                name,
-                if takes_value { it.next().unwrap_or_default() } else { String::new() },
+            // A following `--flag` is the next flag, not this one's value.
+            let takes_value = !matches!(row.1, Kind::Switch);
+            given.push((row, argv.next_if(|v| takes_value && !v.starts_with("--"))));
+        }
+        let mut operands = operands.into_iter();
+        let Some(name) = operands.next() else {
+            return Err((None, Usage("no subcommand given".into())));
+        };
+        let Some(cmd) = COMMANDS.iter().find(|c| c.name == name) else {
+            return Err((None, Usage(format!("unknown command `{name}`"))));
+        };
+        let bad = |why: String| Err((Some(cmd), Usage(why)));
+
+        let mut flags: Vec<(&'static str, String)> = Vec::new();
+        for (&(name, kind, cmds), raw) in given {
+            if !cmds.contains(&cmd.name) {
+                let of = cmds.join(", ");
+                return bad(format!("`{}` takes no `--{name}` (a flag of: {of})", cmd.name));
+            }
+            if flags.iter().any(|(f, _)| *f == name) {
+                return bad(format!("`--{name}` is given twice"));
+            }
+            let value = if matches!(kind, Kind::Switch) {
+                String::new()
+            } else {
+                let Some(v) = raw else {
+                    return bad(format!("`--{name}` needs a value ({})", kind.accepts()));
+                };
+                // Only `sweep` runs a grid of cache counts.
+                let one = cmd.name != "sweep" && matches!(kind, Kind::Counts);
+                let Some(value) = kind.check(&v).filter(|v| !(one && v.contains(','))) else {
+                    return bad(format!("bad --{name} `{v}` ({})", kind.accepts()));
+                };
+                value
+            };
+            flags.push((name, value));
+        }
+
+        // A surplus operand is most often the value of a misspelt flag, so
+        // it is refused rather than ignored.
+        let operands: Vec<String> = operands.collect();
+        let composed = flags.iter().any(|(f, _)| *f == "compose");
+        let takes = usize::from(!cmd.operand.is_empty() && !composed);
+        if let Some(extra) = operands.get(takes) {
+            return bad(format!(
+                "unexpected argument `{extra}`: `{}` takes {takes} operand(s) here",
+                cmd.name
             ));
         }
-        // An unknown subcommand is reported as such by `main`.
-        if let Some(cmd) = positional.first().filter(|c| COMMANDS.contains(&c.as_str())) {
-            for (name, _, commands) in FLAGS {
-                if flags.iter().any(|(f, _)| *f == name) && !commands.contains(&cmd.as_str()) {
-                    eprintln!("`{cmd}` takes no `--{name}` (a flag of: {})", commands.join(", "));
-                    std::process::exit(2);
-                }
-            }
+        if operands.is_empty() && takes == 1 && cmd.operand.starts_with('<') {
+            return bad(format!("`{}` needs {}", cmd.name, cmd.operand));
         }
-        Args { flags, positional }
+        Ok(Args { cmd, operand: operands.into_iter().next(), flags })
+    }
+
+    /// The value of `--name`, if given.
+    fn text(&self, name: &str) -> Option<&str> {
+        self.flags.iter().find(|(f, _)| *f == name).map(|(_, v)| v.as_str())
     }
 
     fn flag(&self, name: &str) -> bool {
-        self.flags.iter().any(|(f, _)| *f == name)
+        self.text(name).is_some()
     }
 
-    fn value(&self, name: &str) -> Option<&str> {
-        self.flags.iter().find(|(f, _)| *f == name).map(|(_, v)| v.as_str())
+    /// A numeric flag, in the type of the field it sets.
+    fn num<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.text(name).map(|v| v.parse().ok().expect("FLAGS bounds a number to its field"))
+    }
+
+    /// Overwrites `field` — a configuration default — with `--name`, if given.
+    fn set<T: std::str::FromStr>(&self, name: &str, field: &mut T) {
+        if let Some(n) = self.num(name) {
+            *field = n;
+        }
+    }
+
+    /// The items of a list flag.
+    fn list(&self, name: &str) -> Option<impl Iterator<Item = &str>> {
+        self.text(name).map(|list| list.split(','))
+    }
+
+    /// A value whose grammar a library owns, through that library's parser.
+    fn parsed<T, E: Display>(
+        &self,
+        name: &str,
+        parse: impl FnOnce(&str) -> Result<T, E>,
+    ) -> Result<Option<T>, Usage> {
+        let parsed = self.text(name).map(parse).transpose();
+        parsed.map_err(|e| Usage(format!("bad --{name}: {e}")))
+    }
+
+    /// `--caches`, as given.
+    fn counts(&self) -> Option<Vec<usize>> {
+        let count = |n: &str| n.parse().expect("checked as a count list");
+        self.list("caches").map(|counts| counts.map(count).collect())
+    }
+
+    /// `--caches` where one count is taken: 2 when absent.
+    fn caches(&self) -> usize {
+        self.counts().map_or(2, |counts| counts[0])
+    }
+
+    /// `--threads`; 0 or absent is every available core.
+    fn threads(&self) -> usize {
+        match self.num("threads") {
+            None | Some(0) => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            Some(n) => n,
+        }
+    }
+
+    /// The operand of a subcommand that requires one.
+    fn operand(&self) -> &str {
+        self.operand.as_deref().expect("Args::parse refuses a missing operand")
     }
 }
 
-fn protocol(name: &str) -> Option<Ssp> {
-    protogen_protocols::by_name(name)
+/// The bundled protocol called `name`.
+fn protocol(name: &str) -> Result<Ssp, Usage> {
+    protogen_protocols::by_name(name).ok_or_else(|| {
+        Usage(format!("unknown protocol `{name}` (try {})", protogen_protocols::NAMES.join(", ")))
+    })
+}
+
+fn read(path: &str) -> Result<String, Usage> {
+    std::fs::read_to_string(path).map_err(|e| Usage(format!("cannot read {path}: {e}")))
 }
 
 fn gen_config(args: &Args) -> GenConfig {
@@ -259,151 +510,166 @@ fn gen_config(args: &Args) -> GenConfig {
     }
 }
 
-fn generate_or_exit(ssp: &Ssp, args: &Args) -> Generated {
-    match generate(ssp, &gen_config(args)) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("generation failed: {e}");
-            std::process::exit(2);
+fn generated(ssp: &Ssp, args: &Args) -> Result<Generated, Usage> {
+    generate(ssp, &gen_config(args)).map_err(|e| Usage(format!("generation failed: {e}")))
+}
+
+/// The flat protocol the operand names, generated.
+fn flat(args: &Args) -> Result<(Ssp, Generated), Usage> {
+    let ssp = protocol(args.operand())?;
+    let g = generated(&ssp, args)?;
+    Ok((ssp, g))
+}
+
+/// `--machine`: the directory controller, or (the default) the cache's.
+fn machine<'g>(args: &Args, g: &'g Generated) -> &'g Fsm {
+    match args.text("machine") {
+        Some("dir") => &g.directory,
+        _ => &g.cache,
+    }
+}
+
+/// Builds a [`Composition`] from `label=protocol[:fanout]` level specs,
+/// leaf-first. Fanout defaults to 1.
+fn build_composition(
+    name: &str,
+    levels: impl Iterator<Item = Result<(String, String, usize), String>>,
+) -> Result<Composition, String> {
+    let mut out = Vec::new();
+    for level in levels {
+        let (label, proto, fanout) = level?;
+        let ssp = protocol(&proto).map_err(|Usage(e)| format!("{e}, in composition"))?;
+        out.push(LevelSpec { label, ssp, fanout });
+    }
+    if out.is_empty() {
+        return Err("composition has no levels".into());
+    }
+    Ok(Composition { name: name.to_string(), levels: out })
+}
+
+/// Parses the `--compose l1=msi:2,llc=mesi` level list.
+fn parse_compose_flag(spec: &str) -> Result<Composition, String> {
+    build_composition(
+        spec,
+        spec.split(',').map(|part| {
+            let (label, rest) = part
+                .split_once('=')
+                .filter(|(label, _)| !label.is_empty())
+                .ok_or(format!("bad level `{part}` (want label=protocol[:fanout])"))?;
+            let (proto, fanout) = match rest.split_once(':') {
+                Some((p, f)) => {
+                    (p, f.parse().map_err(|_| format!("bad fanout `{f}` in `{part}`"))?)
+                }
+                None => (rest, 1),
+            };
+            Ok((label.to_string(), proto.to_string(), fanout))
+        }),
+    )
+}
+
+/// What `verify`, `table` and `dot` are pointed at: a flat protocol or a
+/// composed stack, generated. One per process, so the variants' sizes are
+/// of no account.
+#[allow(clippy::large_enum_variant)]
+enum Target {
+    Flat(Ssp, Generated),
+    Stack(Composition, Composed),
+}
+
+/// Generates a composition, refusing one the checker cannot index.
+fn composed(comp: Composition, args: &Args) -> Result<Target, Usage> {
+    let composed = compose(&comp, &gen_config(args)).map_err(|e| e.to_string());
+    match composed.and_then(|c| HierChecker::check_size(&c).map(|()| c)) {
+        Ok(composed) => Ok(Target::Stack(comp, composed)),
+        Err(e) => Err(Usage(format!("composition failed: {e}"))),
+    }
+}
+
+/// The stack `--compose` names, or else the flat protocol the operand names.
+fn target(args: &Args) -> Result<Target, Usage> {
+    match args.parsed("compose", parse_compose_flag)? {
+        Some(comp) => composed(comp, args),
+        None => flat(args).map(|(ssp, g)| Target::Flat(ssp, g)),
+    }
+}
+
+/// The controller tables of `target`, under `--markdown` and `--machine`
+/// where the subcommand takes them.
+fn print_tables(target: &Target, args: &Args) {
+    let opts = TableOptions { markdown: args.flag("markdown"), ..TableOptions::default() };
+    match target {
+        Target::Stack(_, composed) => out!("{}", render_composed_table(composed, &opts)),
+        Target::Flat(_, g) => {
+            outln!("{}", g.report);
+            outln!("{}", render_table(machine(args, g), &opts));
         }
     }
 }
 
-/// Parses a byte size with optional binary K/M/G suffix (`64M` = 64 MiB).
-fn parse_bytes(v: &str) -> Option<usize> {
-    let (digits, shift) = match v.as_bytes().last()? {
-        b'K' | b'k' => (&v[..v.len() - 1], 10),
-        b'M' | b'm' => (&v[..v.len() - 1], 20),
-        b'G' | b'g' => (&v[..v.len() - 1], 30),
-        _ => (v, 0),
+/// The checker configuration `verify`'s flags describe — one set of
+/// resource and property flags for flat protocols and composed stacks.
+fn mc_config(target: &Target, args: &Args) -> Result<McConfig, Usage> {
+    // The property contract defaults to what the (leaf) protocol declares
+    // — inner levels are where cores live; `--property` overrides it
+    // (e.g. `--property sc` to demonstrate that TSO-CC really does trade
+    // SWMR away).
+    let leaf = match target {
+        Target::Flat(ssp, _) => ssp,
+        Target::Stack(comp, _) => &comp.levels[0].ssp,
     };
-    digits.parse::<usize>().ok()?.checked_shl(shift)
+    let mut cfg = McConfig {
+        threads: args.threads(),
+        properties: property_set(leaf, args)?,
+        checkpoint_dir: args.text("checkpoint-dir").map(PathBuf::from),
+        ..McConfig::default()
+    };
+    // Deep cache counts can exceed the 20M-state default budget.
+    args.set("max-states", &mut cfg.max_states);
+    args.set("mem-budget", &mut cfg.mem_budget_bytes);
+    args.set("spill-chunk", &mut cfg.spill_chunk_bytes);
+    args.set("checkpoint-every", &mut cfg.checkpoint_every);
+    if let Some(store) = args.parsed("store", str::parse)? {
+        cfg.store = store;
+    }
+    if args.flag("resume") && cfg.checkpoint_dir.is_none() {
+        return Err(Usage(
+            "--resume requires --checkpoint-dir (where the checkpoints live)".into(),
+        ));
+    }
+    Ok(cfg)
 }
 
 /// Resolves the `--property` flag: a named contract (`sc`, `tso`, `weak`,
 /// `none`) or a `+`-combination of individual properties; defaults to the
 /// set the protocol's declared memory model promises.
-fn property_set(ssp: &Ssp, args: &Args) -> PropertySet {
-    match args.value("property") {
-        None => PropertySet::promised(ssp.consistency),
-        Some(v) => match v.parse() {
-            Ok(set) => set,
-            Err(e) => {
-                eprintln!("bad --property: {e}");
-                std::process::exit(2);
-            }
-        },
+fn property_set(ssp: &Ssp, args: &Args) -> Result<PropertySet, Usage> {
+    let given = args.parsed("property", str::parse)?;
+    Ok(given.unwrap_or_else(|| PropertySet::promised(ssp.consistency)))
+}
+
+/// What would let a limit-stopped exploration go further.
+fn limit_hint(limit: &ResourceLimit) -> String {
+    match limit {
+        ResourceLimit::StateBudget => "raise --max-states to go further".into(),
+        ResourceLimit::ShardCapacity { shard } => format!(
+            "shard {shard} holds SHARD_CAPACITY = {SHARD_CAPACITY} states and --max-states cannot \
+             raise that; more --threads = more shards"
+        ),
     }
 }
 
-/// Parses flag `--name` with `parse`; an unparsable value is a usage error
-/// (exit 2, naming the flag and the value), never a silent fall-back to
-/// the default — a verification at the wrong cache count must not print a
-/// "PASSED"-shaped line.
-fn parsed_flag<T>(args: &Args, name: &str, hint: &str, parse: fn(&str) -> Option<T>) -> Option<T> {
-    args.value(name).map(|v| {
-        parse(v).unwrap_or_else(|| {
-            eprintln!("bad --{name} `{v}`{hint}");
-            std::process::exit(2)
-        })
-    })
-}
-
-/// A numeric flag.
-fn num_flag<T: std::str::FromStr>(args: &Args, name: &str) -> Option<T> {
-    parsed_flag(args, name, "", |v| v.parse().ok())
-}
-
-/// `--store-pct` (`sim`, `serve`): a percentage, 50 when absent. 101 is a
-/// typo, not "always store".
-fn store_pct_flag(args: &Args) -> u8 {
-    parsed_flag(args, "store-pct", " (a percentage, 0 to 100)", |v| {
-        v.parse().ok().filter(|pct| *pct <= 100)
-    })
-    .unwrap_or(50)
-}
-
-/// A cache count: `1..=MAX_CACHES`. Zero caches verify nothing (a vacuous
-/// "PASSED"), and the directory's sharer list is an 8-bit mask, so cache 8
-/// would alias cache 0 — a wrong state space with a verdict printed.
-fn parse_cache_count(v: &str) -> Option<usize> {
-    v.parse().ok().filter(|n| (1..=MAX_CACHES).contains(n))
-}
-
-fn cache_count_hint() -> String {
-    format!(" (a count in 1..={MAX_CACHES}: the sharer list is an 8-bit mask)")
-}
-
-/// A byte-size flag (`--mem-budget`, `--spill-chunk`).
-fn bytes_flag(args: &Args, name: &str) -> Option<usize> {
-    parsed_flag(args, name, " (bytes, with optional K/M/G suffix)", parse_bytes)
-}
-
-/// What `verify` is pointed at: a flat protocol at a cache count, or a
-/// composed stack.
-enum Target<'a> {
-    Flat(&'a Generated, &'a Ssp, usize),
-    Composed(&'a Composed, &'a Composition),
-}
-
-/// `verify` for flat protocols and composed stacks alike: one set of
-/// resource/property flags, one explorer, one result printer.
-fn verify(target: Target, args: &Args, threads: usize) -> bool {
-    // The property contract defaults to what the (leaf) protocol declares
-    // — inner levels are where cores live; `--property` overrides it
-    // (e.g. `--property sc` to demonstrate that TSO-CC really does trade
-    // SWMR away).
-    let (name, leaf) = match target {
-        Target::Flat(_, ssp, _) => (&ssp.name, ssp),
-        Target::Composed(_, comp) => (&comp.name, &comp.levels[0].ssp),
-    };
-    let mut cfg = McConfig { threads, properties: property_set(leaf, args), ..McConfig::default() };
-    // `--max-states` raises (or lowers) the exploration budget — deep
-    // cache counts can exceed the 20M-state default. A zero budget would
-    // stop before the initial state and print a "PASSED"-shaped line for
-    // an exploration that proved nothing, so reject it outright.
-    match num_flag(args, "max-states") {
-        Some(0) => {
-            eprintln!(
-                "bad --max-states `0`: the budget must admit at least the initial state \
-                 (an empty exploration verifies nothing)"
-            );
-            std::process::exit(2);
-        }
-        Some(n) => cfg.max_states = n,
-        None => {}
-    }
-    cfg.mem_budget_bytes = bytes_flag(args, "mem-budget").unwrap_or(cfg.mem_budget_bytes);
-    cfg.spill_chunk_bytes = bytes_flag(args, "spill-chunk").unwrap_or(cfg.spill_chunk_bytes);
-    if let Some(v) = args.value("store") {
-        cfg.store = v.parse().unwrap_or_else(|e| {
-            eprintln!("bad --store: {e}");
-            std::process::exit(2)
-        });
-    }
-    cfg.checkpoint_dir = args.value("checkpoint-dir").map(std::path::PathBuf::from);
-    match num_flag(args, "checkpoint-every") {
-        Some(0) => {
-            eprintln!("bad --checkpoint-every `0` (whole epochs, at least 1)");
-            std::process::exit(2);
-        }
-        Some(n) => cfg.checkpoint_every = n,
-        None => {}
-    }
-    let resume = args.flag("resume");
-    if resume && cfg.checkpoint_dir.is_none() {
-        eprintln!("--resume requires --checkpoint-dir (where the checkpoints live)");
-        std::process::exit(2);
-    }
-    let fp_only = cfg.store == StoreMode::FpOnly;
-    let (r, shape) = match target {
-        Target::Flat(g, ssp, n) => {
-            cfg.n_caches = n;
+/// `verify` for flat protocols and composed stacks alike: one explorer,
+/// one result printer.
+fn verify(target: &Target, mut cfg: McConfig, args: &Args) -> Run {
+    let (fp_only, resume) = (cfg.store == StoreMode::FpOnly, args.flag("resume"));
+    let (name, r, shape) = match target {
+        Target::Flat(ssp, g) => {
+            cfg.n_caches = args.caches();
             cfg.ordered = ssp.network_ordered;
             let mc = ModelChecker::new(&g.cache, &g.directory, cfg);
-            (if resume { mc.resume() } else { Ok(mc.run()) }, String::new())
+            (&ssp.name, if resume { mc.resume() } else { Ok(mc.run()) }, String::new())
         }
-        Target::Composed(composed, _) => {
+        Target::Stack(comp, composed) => {
             let hc = HierChecker::new(composed, cfg);
             // A group of 1 is what symmetry off reads too: say when it is
             // the cap that turned the reduction off.
@@ -419,16 +685,13 @@ fn verify(target: Target, args: &Args, threads: usize) -> bool {
                 composed.depth(),
                 hc.counts().iter().sum::<usize>() - 1,
             );
-            (if resume { hc.resume() } else { Ok(hc.check()) }, shape)
+            (&comp.name, if resume { hc.resume() } else { Ok(hc.check()) }, shape)
         }
     };
     // Corruption and mismatches are hard errors, never a silent fresh
     // start: a "PASSED" that quietly re-ran from scratch would
     // misrepresent what was verified.
-    let r = r.unwrap_or_else(|e| {
-        eprintln!("cannot resume: {e}");
-        std::process::exit(2)
-    });
+    let r = r.map_err(|e| Usage(format!("cannot resume: {e}")))?;
     outln!(
         "{name}: {} — {} states, {} transitions, {:.2}s ({:.0} states/s) on {} thread{}{shape}",
         // A limit that fired before any violation proved nothing either
@@ -471,291 +734,299 @@ fn verify(target: Target, args: &Args, threads: usize) -> bool {
         }
     }
     if let Some(l) = &r.limit {
-        outln!("stopped early: {l} — partial stats only (raise --max-states to go further)");
+        outln!("stopped early: {l} — partial stats only ({})", limit_hint(l));
     }
-    r.passed()
+    Ok(ExitCode::from(u8::from(!r.passed())))
 }
 
-/// Exit code 0 for a passed verification, 1 for a failed or incomplete one.
-fn exit_code(passed: bool) -> ExitCode {
-    ExitCode::from(u8::from(!passed))
+fn verify_cmd(args: &Args) -> Run {
+    let target = target(args)?;
+    let cfg = mc_config(&target, args)?;
+    verify(&target, cfg, args)
 }
 
-/// Builds a [`Composition`] from `label=protocol[:fanout]` level specs,
-/// leaf-first. Fanout defaults to 1.
-fn build_composition(
-    name: &str,
-    levels: impl Iterator<Item = Result<(String, String, usize), String>>,
-) -> Result<Composition, String> {
-    let mut out = Vec::new();
-    for level in levels {
-        let (label, proto, fanout) = level?;
-        let ssp = protocol(&proto).ok_or(format!(
-            "unknown protocol `{proto}` in composition (try msi, mesi, mosi, msi-upgrade, \
-             msi-unordered, tso-cc, si-sd)"
-        ))?;
-        out.push(LevelSpec { label, ssp, fanout });
+fn table(args: &Args) -> Run {
+    print_tables(&target(args)?, args);
+    Ok(ExitCode::SUCCESS)
+}
+
+fn dot(args: &Args) -> Run {
+    match target(args)? {
+        Target::Stack(_, composed) => out!("{}", to_dot_composed(&composed)),
+        Target::Flat(_, g) => outln!("{}", to_dot(machine(args, &g))),
     }
-    if out.is_empty() {
-        return Err("composition has no levels".into());
-    }
-    Ok(Composition { name: name.to_string(), levels: out })
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Parses the `--compose l1=msi:2,llc=mesi` level list.
-fn parse_compose_flag(spec: &str) -> Result<Composition, String> {
-    build_composition(
-        spec,
-        spec.split(',').map(|part| {
-            let (label, rest) = part
-                .split_once('=')
-                .ok_or(format!("bad level `{part}` (want label=protocol[:fanout])"))?;
-            let (proto, fanout) = match rest.split_once(':') {
-                Some((p, f)) => {
-                    (p, f.parse().map_err(|_| format!("bad fanout `{f}` in `{part}`"))?)
-                }
-                None => (rest, 1),
-            };
-            Ok((label.to_string(), proto.to_string(), fanout))
-        }),
-    )
+fn murphi(args: &Args) -> Run {
+    let (_, g) = flat(args)?;
+    outln!("{}", to_murphi(&g.cache, &g.directory, args.caches()));
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Generates a composition or exits with a usage error, mirroring
-/// [`generate_or_exit`] for the composed pipeline.
-fn compose_or_exit(comp: &Composition, args: &Args) -> Composed {
-    let composed = compose(comp, &gen_config(args)).map_err(|e| e.to_string());
-    match composed.and_then(|c| HierChecker::check_size(&c).map(|()| c)) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("composition failed: {e}");
-            std::process::exit(2);
+/// `compile`: a `.pgen` file through `table` and `verify`. Everything the
+/// command line can get wrong is settled before the table is printed.
+fn compile(args: &Args) -> Run {
+    let path = args.operand();
+    let ast = protogen_dsl::parse(&read(path)?).map_err(|e| Usage(e.to_string()))?;
+    let target = if ast.compose.is_empty() {
+        let ssp = protogen_dsl::lower(&ast).map_err(|e| Usage(e.to_string()))?;
+        let g = generated(&ssp, args)?;
+        Target::Flat(ssp, g)
+    } else {
+        // A `compose { … }` block makes this a composition source: resolve
+        // the referenced protocols and run the composed pipeline.
+        let levels = ast
+            .compose
+            .iter()
+            .map(|l| Ok((l.label.clone(), l.protocol.clone(), l.fanout.unwrap_or(1) as usize)));
+        let comp = build_composition(&ast.name, levels)
+            .map_err(|e| Usage(format!("bad compose block in {path}: {e}")))?;
+        composed(comp, args)?
+    };
+    let cfg = mc_config(&target, args)?;
+    print_tables(&target, args);
+    verify(&target, cfg, args)
+}
+
+fn stats(_: &Args) -> Run {
+    outln!(
+        "{:<14} {:<13} {:>12} {:>12} {:>10} {:>10}",
+        "protocol",
+        "config",
+        "cache-states",
+        "dir-states",
+        "cache-arcs",
+        "dir-arcs"
+    );
+    for ssp in protogen_protocols::all() {
+        for (label, cfg) in
+            [("stalling", GenConfig::stalling()), ("non-stalling", GenConfig::non_stalling())]
+        {
+            match generate(&ssp, &cfg) {
+                Ok(g) => outln!(
+                    "{:<14} {:<13} {:>12} {:>12} {:>10} {:>10}",
+                    ssp.name,
+                    label,
+                    g.cache.state_count(),
+                    g.directory.state_count(),
+                    g.cache.transition_count(),
+                    g.directory.transition_count()
+                ),
+                Err(e) => outln!("{:<14} {label}: error {e}", ssp.name),
+            }
         }
     }
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Dispatches `verify`/`table`/`dot` over a resolved composition.
-fn compose_cmd(cmd: &str, comp: &Composition, args: &Args, threads: usize) -> ExitCode {
-    let composed = compose_or_exit(comp, args);
-    match cmd {
-        "verify" => exit_code(verify(Target::Composed(&composed, comp), args, threads)),
-        "table" => {
-            let opts = TableOptions { markdown: args.flag("markdown"), ..TableOptions::default() };
-            out!("{}", render_composed_table(&composed, &opts));
-            ExitCode::SUCCESS
-        }
-        // `FLAGS` admits `--compose` on verify, table and dot only.
-        _ => {
-            out!("{}", to_dot_composed(&composed));
-            ExitCode::SUCCESS
-        }
+/// The one place a report reaches stdout: the document under `--json`,
+/// the lines `text` prints otherwise.
+fn emit(args: &Args, json: impl FnOnce() -> Json, text: impl FnOnce()) {
+    if args.flag("json") {
+        out!("{}", json().render());
+    } else {
+        text();
     }
+}
+
+/// The fields `sim`'s and `serve`'s JSON documents open with.
+fn run_header(ssp: &Ssp, args: &Args, workload: &Workload) -> [(&'static str, Json); 3] {
+    let config = if args.flag("stalling") { "stalling" } else { "non-stalling" };
+    [
+        ("protocol", Json::Str(ssp.name.clone())),
+        ("config", Json::Str(config.into())),
+        ("workload", Json::Str(workload.label())),
+    ]
+}
+
+/// Writes `contents` to `dir/name`, creating `dir` on the way: the one
+/// path `sweep --out` and `fuzz --out` files take to disk.
+fn write_artifact(dir: &Path, name: &str, contents: &str) -> Result<(), String> {
+    let path = dir.join(name);
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&path, contents))
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
+
+/// `--workload` under `--store-pct` (`sim`, `serve`): uniform at 50 %
+/// stores when absent.
+fn workload(args: &Args) -> Result<Workload, Usage> {
+    let store_pct = args.num("store-pct").unwrap_or(50);
+    Workload::parse(args.text("workload").unwrap_or("uniform"), store_pct)
+        .map_err(|e| Usage(format!("bad --workload: {e}")))
 }
 
 /// Builds a [`SimConfig`] from CLI flags, warning (and clamping to FIFO
 /// delivery) when an ordered-network protocol is pointed at an unordered
 /// interconnect.
-fn sim_config(ssp: &Ssp, args: &Args) -> Result<SimConfig, String> {
+fn sim_config(ssp: &Ssp, args: &Args) -> Result<SimConfig, Usage> {
     let mut cfg = SimConfig::default();
-    if let Some(v) = args.value("caches") {
-        cfg.n_caches = parse_cache_count(v)
-            .ok_or_else(|| format!("bad --caches `{v}`{}", cache_count_hint()))?;
+    if let Some(counts) = args.counts() {
+        cfg.n_caches = counts[0];
     }
-    if let Some(v) = args.value("addrs") {
-        cfg.n_addrs = v.parse().map_err(|_| format!("bad --addrs `{v}`"))?;
-    }
-    if let Some(v) = args.value("accesses") {
-        cfg.accesses_per_core = v.parse().map_err(|_| format!("bad --accesses `{v}`"))?;
-    }
-    if let Some(v) = args.value("seed") {
-        cfg.seed = v.parse().map_err(|_| format!("bad --seed `{v}`"))?;
-    }
-    let store_pct = store_pct_flag(args);
-    cfg.workload = if let Some(path) = args.value("trace") {
-        let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        Workload::Trace(parse_trace(&src).map_err(|e| e.to_string())?)
-    } else {
-        Workload::parse(args.value("workload").unwrap_or("uniform"), store_pct)?
+    args.set("addrs", &mut cfg.n_addrs);
+    args.set("accesses", &mut cfg.accesses_per_core);
+    args.set("seed", &mut cfg.seed);
+    args.set("cap", &mut cfg.network.capacity);
+    cfg.workload = match args.text("trace") {
+        Some(path) => Workload::Trace(
+            parse_trace(&read(path)?).map_err(|e| Usage(format!("bad --trace {path}: {e}")))?,
+        ),
+        None => workload(args)?,
     };
-    match args.value("network") {
-        None | Some("ordered") => {}
-        Some("unordered") => {
-            // An unordered request implies jittered hops (the sweep's
-            // unordered point) unless --latency overrides below.
-            cfg.network.latency = LatencyDist::Uniform { lo: 4, hi: 16 };
-            if ssp.network_ordered {
-                eprintln!(
-                    "note: {} is generated for ordered networks; applying latency jitter \
-                     with per-block FIFO delivery instead of reordering",
-                    ssp.name
-                );
-            } else {
-                cfg.network.model = NetModel::Unordered;
-            }
+    if args.text("network") == Some("unordered") {
+        // An unordered request implies jittered hops (the sweep's
+        // unordered point) unless --latency overrides below.
+        cfg.network.latency = LatencyDist::Uniform { lo: 4, hi: 16 };
+        if ssp.network_ordered {
+            eprintln!(
+                "note: {} is generated for ordered networks; applying latency jitter \
+                 with per-block FIFO delivery instead of reordering",
+                ssp.name
+            );
+        } else {
+            cfg.network.model = NetModel::Unordered;
         }
-        Some(other) => return Err(format!("bad --network `{other}` (ordered or unordered)")),
     }
-    if let Some(v) = args.value("latency") {
-        cfg.network.latency = LatencyDist::parse(v)?;
-    }
-    if let Some(v) = args.value("cap") {
-        cfg.network.capacity = v.parse().map_err(|_| format!("bad --cap `{v}`"))?;
+    if let Some(latency) = args.parsed("latency", LatencyDist::parse)? {
+        cfg.network.latency = latency;
     }
     Ok(cfg)
 }
 
-fn sim(ssp: &Ssp, g: &Generated, args: &Args) -> ExitCode {
-    let cfg = match sim_config(ssp, args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
+fn sim(args: &Args) -> Run {
+    let (ssp, g) = flat(args)?;
+    let cfg = sim_config(&ssp, args)?;
+    let r = match simulate(&g.cache, &g.directory, &cfg) {
+        Ok(r) => r,
+        // Raised while the schedules are expanded, before cycle 0: the
+        // workload does not fit the system the flags describe.
+        Err(e @ SimError::Workload(_)) => {
+            let (caches, addrs) = (cfg.n_caches, cfg.n_addrs);
+            return Err(Usage(format!("{e} (under --caches {caches} --addrs {addrs})")));
         }
+        Err(e) => return failed(format_args!("simulation failed: {e}")),
     };
-    match simulate(&g.cache, &g.directory, &cfg) {
-        Ok(r) => {
-            if args.flag("json") {
-                let doc = Json::obj([
-                    ("protocol", Json::Str(ssp.name.clone())),
-                    (
-                        "config",
-                        Json::Str(
-                            if args.flag("stalling") { "stalling" } else { "non-stalling" }.into(),
-                        ),
-                    ),
-                    ("workload", Json::Str(cfg.workload.label())),
-                    ("caches", Json::U64(cfg.n_caches as u64)),
-                    ("seed", Json::U64(cfg.seed)),
-                    ("stats", r.to_json()),
-                ]);
-                out!("{}", doc.render());
-            } else {
-                outln!(
-                    "{}: {} accesses ({} hits, {} misses) in {} cycles under {}",
-                    ssp.name,
-                    r.completed,
-                    r.hits,
-                    r.misses,
-                    r.cycles,
-                    cfg.workload
-                );
-                outln!(
-                    "  miss latency p50/p95/p99/max: {}/{}/{}/{} (avg {:.1})",
-                    r.p50_latency,
-                    r.p95_latency,
-                    r.p99_latency,
-                    r.max_latency,
-                    r.avg_miss_latency
-                );
-                outln!(
-                    "  {} messages ({:.1}/miss), {} stall-cycles, {} backpressure-cycles, \
-                     dir occupancy {:.1}%",
-                    r.messages,
-                    r.msgs_per_miss,
-                    r.stall_cycles,
-                    r.backpressure_cycles,
-                    r.dir_occupancy * 100.0
-                );
+    let json = || {
+        let [protocol, config, workload] = run_header(&ssp, args, &cfg.workload);
+        let caches = ("caches", Json::U64(cfg.n_caches as u64));
+        let seed = ("seed", Json::U64(cfg.seed));
+        Json::obj([protocol, config, workload, caches, seed, ("stats", r.to_json())])
+    };
+    emit(args, json, || {
+        outln!(
+            "{}: {} accesses ({} hits, {} misses) in {} cycles under {}",
+            ssp.name,
+            r.completed,
+            r.hits,
+            r.misses,
+            r.cycles,
+            cfg.workload
+        );
+        outln!(
+            "  miss latency p50/p95/p99/max: {}/{}/{}/{} (avg {:.1})",
+            r.p50_latency,
+            r.p95_latency,
+            r.p99_latency,
+            r.max_latency,
+            r.avg_miss_latency
+        );
+        outln!(
+            "  {} messages ({:.1}/miss), {} stall-cycles, {} backpressure-cycles, \
+             dir occupancy {:.1}%",
+            r.messages,
+            r.msgs_per_miss,
+            r.stall_cycles,
+            r.backpressure_cycles,
+            r.dir_occupancy * 100.0
+        );
+    });
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `--faults`, with `--fault-seed` and `--crash-at-op`, which mean nothing
+/// without it.
+fn fault_config(args: &Args, run_seed: u64) -> Result<Option<FaultConfig>, Usage> {
+    let Some(classes) = args.list("faults") else {
+        return match ["fault-seed", "crash-at-op"].into_iter().find(|f| args.flag(f)) {
+            Some(flag) => Err(Usage(format!("--{flag} requires --faults (e.g. --faults crash)"))),
+            None => Ok(None),
+        };
+    };
+    // The fault seed defaults to the workload seed: one seed replays the
+    // whole run, faults included.
+    let seed = args.num("fault-seed").unwrap_or(run_seed);
+    let mut fc = FaultConfig::none(seed);
+    for class in classes {
+        match class.trim() {
+            "all" => fc = FaultConfig::all(seed),
+            "delay" | "delays" => fc.delays = true,
+            "stall" | "stalls" => fc.stalls = true,
+            "squeeze" | "squeezes" => fc.squeezes = true,
+            "crash" | "crashes" => fc.crashes = fc.crashes.max(1),
+            other => {
+                return Err(Usage(format!(
+                    "bad --faults item `{other}` (delay, stall, squeeze, crash, or all)"
+                )))
             }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("simulation failed: {e}");
-            ExitCode::FAILURE
         }
     }
+    if let Some(n) = args.num("crash-at-op") {
+        fc.crash_at_op = Some(n);
+        fc.crashes = fc.crashes.max(1);
+    }
+    Ok(Some(fc))
 }
 
 /// `protogen serve`: model-check the coverage envelope, run the live
 /// multi-threaded service, and fail on any escape or invariant violation.
-fn serve_cmd(ssp: &Ssp, g: &Generated, args: &Args, caches: usize, threads: usize) -> ExitCode {
-    let usage_err = |m: String| -> ExitCode {
-        eprintln!("{m}");
-        ExitCode::from(2)
-    };
+fn serve_cmd(args: &Args) -> Run {
+    let (ssp, g) = flat(args)?;
+    let caches = args.caches();
     let mut cfg = ServeConfig::new(caches);
-    cfg.dir_shards = num_flag(args, "dir-shards").unwrap_or(cfg.dir_shards);
-    cfg.n_addrs = num_flag(args, "addrs").unwrap_or(cfg.n_addrs);
-    cfg.total_ops = num_flag(args, "ops").unwrap_or(cfg.total_ops);
-    cfg.seed = num_flag(args, "seed").unwrap_or(cfg.seed);
-    cfg.mailbox_cap = num_flag(args, "mailbox-cap").unwrap_or(cfg.mailbox_cap);
-    cfg.max_seconds = num_flag(args, "duration").unwrap_or(cfg.max_seconds);
-    let store_pct = store_pct_flag(args);
-    cfg.workload = match Workload::parse(args.value("workload").unwrap_or("uniform"), store_pct) {
-        Ok(w) => w,
-        Err(e) => return usage_err(e),
-    };
-    if let Some(list) = args.value("faults") {
-        // The fault seed defaults to the workload seed: one seed replays
-        // the whole run, faults included.
-        let seed = num_flag(args, "fault-seed").unwrap_or(cfg.seed);
-        let mut fc = FaultConfig::none(seed);
-        for item in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-            match item {
-                "all" => fc = FaultConfig::all(seed),
-                "delay" | "delays" => fc.delays = true,
-                "stall" | "stalls" => fc.stalls = true,
-                "squeeze" | "squeezes" => fc.squeezes = true,
-                "crash" | "crashes" => fc.crashes = fc.crashes.max(1),
-                other => {
-                    return usage_err(format!(
-                        "bad --faults item `{other}` (delay, stall, squeeze, crash, or all)"
-                    ))
-                }
-            }
-        }
-        if let Some(n) = num_flag(args, "crash-at-op") {
-            fc.crash_at_op = Some(n);
-            fc.crashes = fc.crashes.max(1);
-        }
-        cfg.faults = Some(fc);
-    } else if args.value("crash-at-op").is_some() {
-        return usage_err("--crash-at-op requires --faults (e.g. --faults crash)".into());
-    }
+    args.set("dir-shards", &mut cfg.dir_shards);
+    args.set("addrs", &mut cfg.n_addrs);
+    args.set("ops", &mut cfg.total_ops);
+    args.set("seed", &mut cfg.seed);
+    args.set("mailbox-cap", &mut cfg.mailbox_cap);
+    args.set("duration", &mut cfg.max_seconds);
+    cfg.workload = workload(args)?;
+    cfg.faults = fault_config(args, cfg.seed)?;
+    // Before the envelope is model-checked (seconds at 4 caches), not after.
+    cfg.validate().map_err(|e| Usage(e.to_string()))?;
 
     // The envelope: exhaustive pair coverage at the same cache count. Runs
     // first so a protocol the checker rejects never goes live. Progress
     // goes to stderr — `--json` keeps stdout machine-readable.
     let mut mc_cfg = McConfig::with_caches(caches);
     mc_cfg.ordered = ssp.network_ordered;
-    mc_cfg.threads = threads;
+    mc_cfg.threads = args.threads();
     // The envelope enforces exactly the contract `verify` enforces: the
     // property set the protocol's memory model promises (or --property).
-    mc_cfg.properties = property_set(ssp, args);
+    mc_cfg.properties = property_set(&ssp, args)?;
     eprintln!("model-checking the {caches}-cache envelope for {}…", ssp.name);
     let envelope = match checked_envelope(&g.cache, &g.directory, mc_cfg) {
         Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return failed(e),
     };
     eprintln!("envelope: {} model-checked (machine, state, event) pairs", envelope.len());
 
     let report = match serve(&g.cache, &g.directory, &cfg) {
         Ok(r) => r,
-        Err(ServeError::Config(m)) => return usage_err(format!("bad configuration: {m}")),
-        Err(e) => {
-            eprintln!("service run FAILED: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e @ ServeError::Config(_)) => return Err(Usage(e.to_string())),
+        Err(e) => return failed(format_args!("service run FAILED: {e}")),
     };
     let escapes = report.escapes(&envelope);
 
-    if args.flag("json") {
-        let doc = Json::obj([
-            ("protocol", Json::Str(ssp.name.clone())),
-            (
-                "config",
-                Json::Str(if args.flag("stalling") { "stalling" } else { "non-stalling" }.into()),
-            ),
-            ("workload", Json::Str(cfg.workload.label())),
-            ("seed", Json::U64(cfg.seed)),
-            ("envelope_pairs", Json::U64(envelope.len() as u64)),
-            ("report", report.to_json(&g.cache, &g.directory, &escapes)),
-        ]);
-        out!("{}", doc.render());
-    } else {
+    let json = || {
+        let [protocol, config, workload] = run_header(&ssp, args, &cfg.workload);
+        let seed = ("seed", Json::U64(cfg.seed));
+        let pairs = ("envelope_pairs", Json::U64(envelope.len() as u64));
+        let report = ("report", report.to_json(&g.cache, &g.directory, &escapes));
+        Json::obj([protocol, config, workload, seed, pairs, report])
+    };
+    emit(args, json, || {
         outln!(
             "{}: {} ops ({} hits, {} misses) in {:.3}s — {:.0} ops/s over {} cache \
              worker(s) + {} dir shard(s)",
@@ -802,7 +1073,7 @@ fn serve_cmd(ssp: &Ssp, g: &Generated, args: &Args, caches: usize, threads: usiz
                 }
             );
         }
-    }
+    });
     if !escapes.is_empty() {
         eprintln!(
             "COVERAGE ESCAPE: {} live pair(s) the model checker never visited:",
@@ -811,74 +1082,60 @@ fn serve_cmd(ssp: &Ssp, g: &Generated, args: &Args, caches: usize, threads: usiz
         for p in &escapes {
             eprintln!("  {}", pair_label(&g.cache, &g.directory, p));
         }
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     match report.stop_reason {
-        StopReason::Quiesced => ExitCode::SUCCESS,
+        StopReason::Quiesced => Ok(ExitCode::SUCCESS),
         StopReason::Deadline => {
             eprintln!("run stopped at the wall-clock deadline — partial measurements only");
-            ExitCode::from(3)
+            Ok(ExitCode::from(3))
         }
         StopReason::Fault => {
             eprintln!("fault plan did not complete (crash point never reached) — inconclusive");
-            ExitCode::from(4)
+            Ok(ExitCode::from(4))
         }
     }
 }
 
-fn sweep(args: &Args, threads: usize) -> ExitCode {
-    let mut cfg = SweepConfig { threads, ..SweepConfig::default() };
-    if let Some(list) = args.value("protocols") {
-        cfg.protocols = list.split(',').map(str::to_string).collect();
+/// `--protocols` (`sweep`, `fuzz`): bundled names, looked up before
+/// anything runs.
+fn protocols(args: &Args, names: &mut Vec<String>) -> Result<(), Usage> {
+    if let Some(list) = args.list("protocols") {
+        *names =
+            list.map(|name| protocol(name).map(|_| name.to_string())).collect::<Result<_, _>>()?;
     }
-    if let Some(list) = args.value("caches") {
-        match list.split(',').map(parse_cache_count).collect::<Option<Vec<usize>>>() {
-            Some(counts) => cfg.cache_counts = counts,
-            None => {
-                eprintln!(
-                    "bad --caches `{list}` (comma-separated counts, each in 1..={MAX_CACHES})"
-                );
-                return ExitCode::from(2);
-            }
-        }
+    Ok(())
+}
+
+fn sweep(args: &Args) -> Run {
+    let mut cfg = SweepConfig { threads: args.threads(), ..SweepConfig::default() };
+    protocols(args, &mut cfg.protocols)?;
+    if let Some(counts) = args.counts() {
+        cfg.cache_counts = counts;
     }
-    cfg.accesses_per_core = num_flag(args, "accesses").unwrap_or(cfg.accesses_per_core);
-    cfg.seed = num_flag(args, "seed").unwrap_or(cfg.seed);
+    args.set("accesses", &mut cfg.accesses_per_core);
+    args.set("seed", &mut cfg.seed);
     if args.flag("list") {
         out!("{}", cfg.listing());
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     let report = match run_sweep(&cfg) {
         Ok(r) => r,
-        Err(e) => {
-            eprintln!("sweep failed: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return failed(format_args!("sweep failed: {e}")),
     };
-    if let Some(dir) = args.value("out") {
-        let dir = std::path::Path::new(dir);
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
+    let out_dir = args.text("out").map(Path::new);
+    if let Some(dir) = out_dir {
         // One diffable JSON per config cell, plus the merged report.
-        for cell in &report.cells {
-            let path = dir.join(format!("{}.json", cell.cell.label()));
-            if let Err(e) = std::fs::write(&path, cell.to_json().render()) {
-                eprintln!("cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
+        let cells = report.cells.iter().map(|c| (format!("{}.json", c.cell.label()), c.to_json()));
+        for (name, doc) in cells.chain([("sweep.json".to_string(), report.to_json())]) {
+            if let Err(e) = write_artifact(dir, &name, &doc.render()) {
+                return failed(e);
             }
-        }
-        let path = dir.join("sweep.json");
-        if let Err(e) = std::fs::write(&path, report.to_json().render()) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
         }
         outln!("wrote {} cell files + sweep.json to {}", report.cells.len(), dir.display());
     }
-    if args.flag("json") {
-        out!("{}", report.to_json().render());
-    } else if args.value("out").is_none() {
+    // The files are the report of a run under `--out`.
+    let table = || {
         outln!(
             "{:<44} {:>9} {:>6} {:>6} {:>6} {:>8}",
             "cell",
@@ -899,100 +1156,81 @@ fn sweep(args: &Args, threads: usize) -> ExitCode {
                 c.stats.messages
             );
         }
+    };
+    emit(
+        args,
+        || report.to_json(),
+        || {
+            if out_dir.is_none() {
+                table()
+            }
+        },
+    );
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `fuzz --replay`: one reproducer script back through the pipeline.
+fn replay(path: &str, budget: usize) -> Run {
+    use protogen_fuzz::{run_mutant, Outcome, Script};
+    let script = Script::parse(&read(path)?).map_err(|e| Usage(e.to_string()))?;
+    let base = protocol(&script.protocol)?;
+    let r = run_mutant(&base, &script.mutations, &script.gen_config(), budget, false);
+    outln!("{}: {}", r.outcome.label(), r.outcome.detail());
+    for line in &r.trace {
+        outln!("  {line}");
     }
-    ExitCode::SUCCESS
+    match r.outcome {
+        // A script whose site no longer applies did not reconstruct the
+        // mutant — that is a usage error, not "the bug is fixed".
+        Outcome::MutationInapplicable(_) => {
+            Err(Usage(format!("{path} no longer applies to `{}`", script.protocol)))
+        }
+        o if o.is_unexpected() => Ok(ExitCode::FAILURE),
+        _ => Ok(ExitCode::SUCCESS),
+    }
 }
 
 /// `protogen fuzz`: a seeded mutation campaign (or a single `--replay`).
 ///
 /// Exit code 0 only when every negative control was caught *and* no
 /// unexpected outcome (generator/checker panic, exec violation) appeared.
-fn fuzz(args: &Args, threads: usize) -> ExitCode {
-    use protogen_fuzz::{run_fuzz, run_mutant, FuzzConfig, Script};
-    let mut cfg = FuzzConfig { threads, ..FuzzConfig::default() };
-    cfg.seed = num_flag(args, "seed").unwrap_or(cfg.seed);
-    cfg.mutants = num_flag(args, "mutants").unwrap_or(cfg.mutants);
-    cfg.budget = num_flag(args, "budget").unwrap_or(cfg.budget);
-    if let Some(list) = args.value("protocols") {
-        cfg.protocols = list.split(',').map(str::to_string).collect();
-    }
-
-    // Single-reproducer replay: run one script back through the pipeline.
-    if let Some(path) = args.value("replay") {
-        let src = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let script = match Script::parse(&src) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::from(2);
-            }
-        };
-        let Some(base) = protogen_protocols::by_name(&script.protocol) else {
-            eprintln!("unknown protocol `{}`", script.protocol);
-            return ExitCode::from(2);
-        };
-        let r = run_mutant(&base, &script.mutations, &script.gen_config(), cfg.budget, false);
-        outln!("{}: {}", r.outcome.label(), r.outcome.detail());
-        for line in &r.trace {
-            outln!("  {line}");
-        }
-        // A script whose site no longer applies did not reconstruct the
-        // mutant — that is a usage error, not "the bug is fixed".
-        return match r.outcome {
-            protogen_fuzz::Outcome::MutationInapplicable(_) => ExitCode::from(2),
-            o if o.is_unexpected() => ExitCode::FAILURE,
-            _ => ExitCode::SUCCESS,
-        };
+fn fuzz(args: &Args) -> Run {
+    use protogen_fuzz::{run_fuzz, FuzzConfig};
+    let mut cfg = FuzzConfig { threads: args.threads(), ..FuzzConfig::default() };
+    args.set("seed", &mut cfg.seed);
+    args.set("mutants", &mut cfg.mutants);
+    args.set("budget", &mut cfg.budget);
+    protocols(args, &mut cfg.protocols)?;
+    if let Some(path) = args.text("replay") {
+        return replay(path, cfg.budget);
     }
 
     // Mutant pipelines panic by design; compress each panic to one line
     // so caught-and-classified mutants don't spray backtraces, while a
     // panic that *escapes* the harness still leaves a trail to debug.
     std::panic::set_hook(Box::new(|info| eprintln!("fuzz worker panic: {info}")));
-    let report = match run_fuzz(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            let _ = std::panic::take_hook();
-            eprintln!("fuzz failed: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let report = run_fuzz(&cfg);
     let _ = std::panic::take_hook();
+    let report = report.map_err(|e| Usage(format!("fuzz failed: {e}")))?;
+    let unexpected: Vec<_> = report
+        .unexpected()
+        .into_iter()
+        .map(|r| (r, r.shrunk.as_ref().expect("unexpected records carry a shrunk case")))
+        .collect();
 
-    if let Some(dir) = args.value("out") {
-        let dir = std::path::Path::new(dir);
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-        let path = dir.join("fuzz.json");
-        if let Err(e) = std::fs::write(&path, report.to_json().render()) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        for r in report.unexpected() {
-            let s = r.shrunk.as_ref().expect("unexpected records carry a shrunk case");
-            let path = dir.join(format!("repro-{}.mut", r.index));
-            if let Err(e) = std::fs::write(&path, &s.script) {
-                eprintln!("cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
+    if let Some(dir) = args.text("out").map(Path::new) {
+        let scripts =
+            unexpected.iter().map(|(r, s)| (format!("repro-{}.mut", r.index), s.script.clone()));
+        let summary = ("fuzz.json".to_string(), report.to_json().render());
+        for (name, contents) in std::iter::once(summary).chain(scripts) {
+            if let Err(e) = write_artifact(dir, &name, &contents) {
+                return failed(e);
             }
         }
-        outln!(
-            "wrote fuzz.json + {} reproducer script(s) to {}",
-            report.unexpected().len(),
-            dir.display()
-        );
+        let n = unexpected.len();
+        outln!("wrote fuzz.json + {n} reproducer script(s) to {}", dir.display());
     }
-    if args.flag("json") {
-        out!("{}", report.to_json().render());
-    } else {
+    let text = || {
         outln!("fuzz: seed {}, {} mutants, budget {}", report.seed, cfg.mutants, report.budget);
         for (label, count) in report.distribution() {
             if count > 0 {
@@ -1013,248 +1251,208 @@ fn fuzz(args: &Args, threads: usize) -> ExitCode {
                 c.detail
             );
         }
-        for r in report.unexpected() {
-            let s = r.shrunk.as_ref().expect("unexpected records carry a shrunk case");
+        for (r, s) in &unexpected {
             outln!("unexpected mutant {}: {} — {}", r.index, r.outcome, r.detail);
             for line in s.script.lines() {
                 outln!("  {line}");
             }
         }
-    }
-    if report.all_controls_caught() && report.unexpected().is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    };
+    emit(args, || report.to_json(), text);
+    Ok(ExitCode::from(u8::from(!(report.all_controls_caught() && unexpected.is_empty()))))
 }
 
 /// `protogen litmus`: classify protocols against the litmus suite and
 /// fail unless every one matches its promised memory model.
-fn litmus_cmd(args: &Args, threads: usize) -> ExitCode {
-    let which = args.positional.get(1).map(String::as_str).unwrap_or("all");
-    let ssps: Vec<Ssp> = if which == "all" {
-        protogen_protocols::all()
-    } else {
-        match protocol(which) {
-            Some(ssp) => vec![ssp],
-            None => {
-                eprintln!(
-                    "unknown protocol `{which}` (try all, msi, mesi, mosi, msi-upgrade, \
-                     msi-unordered, tso-cc, si-sd)"
-                );
-                return ExitCode::from(2);
-            }
-        }
+fn litmus_cmd(args: &Args) -> Run {
+    let ssps = match args.operand.as_deref() {
+        None | Some("all") => protogen_protocols::all(),
+        Some(name) => vec![protocol(name)?],
     };
-    let all_tests = protogen_litmus::bundled();
-    let tests: Vec<_> = match args.value("tests") {
-        None => all_tests,
-        Some(list) => {
-            let mut picked = Vec::new();
-            for name in list.split(',') {
-                match all_tests.iter().find(|t| t.name.eq_ignore_ascii_case(name.trim())) {
-                    Some(t) => picked.push(t.clone()),
-                    None => {
-                        let known: Vec<&str> = all_tests.iter().map(|t| t.name.as_str()).collect();
-                        eprintln!("unknown litmus test `{name}` (known: {})", known.join(", "));
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            picked
+    let bundled = protogen_litmus::bundled();
+    let tests = match args.list("tests") {
+        None => bundled,
+        Some(names) => {
+            let pick = |name: &str| {
+                let test = bundled.iter().find(|t| t.name.eq_ignore_ascii_case(name.trim()));
+                test.cloned().ok_or_else(|| {
+                    let known: Vec<&str> = bundled.iter().map(|t| t.name.as_str()).collect();
+                    Usage(format!("unknown litmus test `{name}` (known: {})", known.join(", ")))
+                })
+            };
+            names.map(pick).collect::<Result<_, _>>()?
         }
     };
     let mut limits = Limits::default();
-    limits.max_states = num_flag(args, "depth").unwrap_or(limits.max_states);
-    limits.seed = num_flag(args, "seed").unwrap_or(limits.seed);
-    let workers = if threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        threads
+    args.set("depth", &mut limits.max_states);
+    args.set("seed", &mut limits.seed);
+    let report = match run_suite(&ssps, &tests, &limits, args.threads()) {
+        Ok(report) => report,
+        Err(e) => return failed(format_args!("litmus: {e}")),
     };
-    match run_suite(&ssps, &tests, &limits, workers) {
-        Err(e) => {
-            eprintln!("litmus: {e}");
-            ExitCode::FAILURE
-        }
-        Ok(report) => {
-            if args.flag("markdown") {
-                out!("{}", report.render_markdown());
-            } else {
-                out!("{}", report.render_text());
-            }
-            if report.passed() {
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("litmus: observed memory model differs from the specification's promise");
-                ExitCode::FAILURE
-            }
-        }
+    if args.flag("markdown") {
+        out!("{}", report.render_markdown());
+    } else {
+        out!("{}", report.render_text());
     }
+    if !report.passed() {
+        return failed("litmus: observed memory model differs from the specification's promise");
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
-    let args = Args::parse();
-    let Some(cmd) = args.positional.first().map(String::as_str) else {
-        eprintln!("usage: protogen <{}> …", COMMANDS.join("|"));
-        return ExitCode::from(2);
+    let (cmd, run) = match Args::parse(std::env::args().skip(1)) {
+        Ok(args) => (Some(args.cmd), (args.cmd.run)(&args)),
+        Err((cmd, usage)) => (cmd, Err(usage)),
     };
-    // Operands after the subcommand: one protocol (or file), except where
-    // the subcommand takes none. A surplus one is most often the value of
-    // a misspelt flag, so it is refused rather than ignored.
-    let operands = match cmd {
-        "stats" | "sweep" | "fuzz" => 0,
-        "table" | "verify" | "dot" if args.value("compose").is_some() => 0,
-        _ => 1,
-    };
-    if let Some(extra) = args.positional.get(1 + operands) {
-        eprintln!("unexpected argument `{extra}`: `{cmd}` takes {operands} operand(s) here");
-        return ExitCode::from(2);
-    }
-    // Parsed on use: `sweep --caches 2,4` takes a list, everything else a
-    // count.
-    let caches =
-        || parsed_flag(&args, "caches", &cache_count_hint(), parse_cache_count).unwrap_or(2);
-    // 0 = "auto": the checker resolves it to available_parallelism.
-    let threads: usize = num_flag(&args, "threads").unwrap_or(0);
+    run.unwrap_or_else(|Usage(why)| {
+        eprintln!("{why}\n{}", usage_line(cmd));
+        ExitCode::from(2)
+    })
+}
 
-    match cmd {
-        "stats" => {
-            outln!(
-                "{:<14} {:<13} {:>12} {:>12} {:>10} {:>10}",
-                "protocol",
-                "config",
-                "cache-states",
-                "dir-states",
-                "cache-arcs",
-                "dir-arcs"
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &[&str]) -> Result<Args, String> {
+        Args::parse(line.iter().map(|s| s.to_string())).map_err(|(_, Usage(why))| why)
+    }
+
+    /// `cmd` with the operand it needs (none once `--compose` names the
+    /// target), followed by `rest`.
+    fn line<'a>(cmd: &Command, rest: &[&'a str]) -> Vec<&'a str> {
+        let mut line = vec![cmd.name];
+        if cmd.operand.starts_with('<') && !rest.contains(&"--compose") {
+            line.push("msi");
+        }
+        line.extend(rest);
+        line
+    }
+
+    /// One value the kind admits, and values it must refuse.
+    fn samples(kind: Kind) -> (&'static str, Vec<&'static str>) {
+        const NOT_NUMBERS: [&str; 6] = ["", "-1", "1e3", "18446744073709551616", "3x", "banana"];
+        match kind {
+            Kind::Switch => unreachable!("a switch has no value"),
+            Kind::Counts => ("3", [&NOT_NUMBERS[..], &["0", "9", "2,,4", "2,2", "2,9"]].concat()),
+            Kind::Num(min, max) => {
+                let mut bad = NOT_NUMBERS.to_vec();
+                bad.extend((min > 0).then_some("0"));
+                bad.extend((max == 100).then_some("101"));
+                bad.extend((max == u64::from(u32::MAX)).then_some("4294967296"));
+                ("1", bad)
+            }
+            Kind::Bytes => ("64M", [&NOT_NUMBERS[..], &["64X", "lots", "99999999999G"]].concat()),
+            Kind::Seconds => ("1.5", vec!["", "nan", "inf", "-inf", "-1", "0", "soon"]),
+            Kind::OneOf(words) => (words[0], vec!["", "foo", "directory"]),
+            Kind::Text(_) => ("x", vec![""]),
+            Kind::List(_) => ("a,b", vec!["", ",", "a,,b", "a,", "a,a", "SB,sb", "a, a"]),
+        }
+    }
+
+    /// Reads `--name` back through the accessor of its kind.
+    fn read_back(args: &Args, name: &str, kind: Kind) {
+        match kind {
+            Kind::Switch => assert!(args.flag(name)),
+            Kind::Counts => assert_eq!(args.counts(), Some(vec![3])),
+            Kind::Num(..) => assert_eq!(args.num::<u64>(name), Some(1)),
+            Kind::Bytes => assert_eq!(args.num::<usize>(name), Some(64 << 20)),
+            Kind::Seconds => assert_eq!(args.num::<f64>(name), Some(1.5)),
+            Kind::OneOf(_) | Kind::Text(_) => assert!(args.text(name).is_some()),
+            Kind::List(_) => assert_eq!(args.list(name).map(Iterator::count), Some(2)),
+        }
+    }
+
+    /// The table tests itself: every (subcommand, flag) pair, every way a
+    /// flag can be given wrongly, every kind's hostile values.
+    #[test]
+    fn every_flag_is_checked_on_every_subcommand() {
+        for cmd in &COMMANDS {
+            assert!(parse(&line(cmd, &[])).is_ok(), "{}", cmd.name);
+            for &(name, kind, cmds) in &FLAGS {
+                let flag = format!("--{name}");
+                let err = |rest: &[&str]| match parse(&line(cmd, rest)) {
+                    Ok(_) => panic!("`{} {rest:?}` was accepted", cmd.name),
+                    Err(why) => {
+                        assert!(why.contains(&flag), "{} {rest:?}: {why}", cmd.name);
+                        why
+                    }
+                };
+                let switch = matches!(kind, Kind::Switch);
+                let (good, hostile) = if switch { ("", vec![]) } else { samples(kind) };
+                let given: &[&str] = if switch { &[&flag] } else { &[&flag, good] };
+                if !cmds.contains(&cmd.name) {
+                    assert!(err(given).contains("takes no"), "{} {flag}", cmd.name);
+                    continue;
+                }
+                let args =
+                    parse(&line(cmd, given)).unwrap_or_else(|why| panic!("{given:?}: {why}"));
+                read_back(&args, name, kind);
+                assert!(err(&[given, given].concat()).contains("twice"));
+                if switch {
+                    continue;
+                }
+                assert!(err(&[&flag]).contains("needs a value"));
+                // A flag that follows is the next flag, not the value.
+                assert!(err(&[&flag, "--stalling"]).contains("needs a value"));
+                for value in hostile {
+                    let why = err(&[&flag, value]);
+                    assert!(why.contains(&format!("`{value}`")), "{} {flag}: {why}", cmd.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_sweep_takes_a_list_of_cache_counts() {
+        assert_eq!(parse(&["sweep", "--caches", "2,4"]).unwrap().counts(), Some(vec![2, 4]));
+        let why = parse(&["verify", "msi", "--caches", "2,4"]).err().unwrap();
+        assert!(why.contains("bad --caches `2,4`") && why.contains("1..=8"), "{why}");
+        assert_eq!(parse(&["verify", "msi"]).unwrap().caches(), 2);
+    }
+
+    #[test]
+    fn operands_are_counted() {
+        let err = |line: &[&str]| parse(line).err().unwrap_or_else(|| panic!("{line:?} accepted"));
+        assert!(err(&[]).contains("no subcommand"));
+        assert!(err(&["frobnicate"]).contains("`frobnicate`"));
+        assert!(err(&["verify", "msi", "--cachse", "4"]).contains("`--cachse`"));
+        for cmd in &COMMANDS {
+            let required = cmd.operand.starts_with('<');
+            assert_eq!(parse(&[cmd.name]).is_err(), required, "{}", cmd.name);
+            let takes = usize::from(!cmd.operand.is_empty());
+            assert!(
+                err(&[&[cmd.name][..], &["a", "b"][..takes + 1]].concat()).contains("unexpected")
             );
-            for ssp in protogen_protocols::all() {
-                for (label, cfg) in [
-                    ("stalling", GenConfig::stalling()),
-                    ("non-stalling", GenConfig::non_stalling()),
-                ] {
-                    match generate(&ssp, &cfg) {
-                        Ok(g) => outln!(
-                            "{:<14} {:<13} {:>12} {:>12} {:>10} {:>10}",
-                            ssp.name,
-                            label,
-                            g.cache.state_count(),
-                            g.directory.state_count(),
-                            g.cache.transition_count(),
-                            g.directory.transition_count()
-                        ),
-                        Err(e) => outln!("{:<14} {label}: error {e}", ssp.name),
-                    }
-                }
-            }
-            ExitCode::SUCCESS
         }
-        "sweep" => sweep(&args, threads),
-        "fuzz" => fuzz(&args, threads),
-        "litmus" => litmus_cmd(&args, threads),
-        "table" | "verify" | "dot" | "murphi" | "sim" | "serve" => {
-            if let Some(spec) = args.value("compose") {
-                let comp = match parse_compose_flag(spec) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        eprintln!("bad --compose: {e}");
-                        return ExitCode::from(2);
-                    }
-                };
-                return compose_cmd(cmd, &comp, &args, threads);
-            }
-            let Some(name) = args.positional.get(1) else {
-                eprintln!("usage: protogen {cmd} <protocol> [flags]");
-                return ExitCode::from(2);
-            };
-            let Some(ssp) = protocol(name) else {
-                eprintln!(
-                    "unknown protocol `{name}` (try msi, mesi, mosi, msi-upgrade, \
-                     msi-unordered, tso-cc, si-sd)"
-                );
-                return ExitCode::from(2);
-            };
-            let g = generate_or_exit(&ssp, &args);
-            match cmd {
-                "table" => {
-                    let machine =
-                        if args.value("machine") == Some("dir") { &g.directory } else { &g.cache };
-                    let opts =
-                        TableOptions { markdown: args.flag("markdown"), ..TableOptions::default() };
-                    outln!("{}", g.report);
-                    outln!("{}", render_table(machine, &opts));
-                    ExitCode::SUCCESS
-                }
-                "dot" => {
-                    let machine =
-                        if args.value("machine") == Some("dir") { &g.directory } else { &g.cache };
-                    outln!("{}", to_dot(machine));
-                    ExitCode::SUCCESS
-                }
-                "murphi" => {
-                    outln!("{}", to_murphi(&g.cache, &g.directory, caches()));
-                    ExitCode::SUCCESS
-                }
-                "verify" => exit_code(verify(Target::Flat(&g, &ssp, caches()), &args, threads)),
-                "serve" => serve_cmd(&ssp, &g, &args, caches(), threads),
-                _ => sim(&ssp, &g, &args),
-            }
+        assert!(parse(&["verify", "--compose", "l1=msi"]).is_ok());
+        assert!(err(&["verify", "msi", "--compose", "l1=msi"]).contains("`msi`"));
+        // The subcommand need not come first.
+        assert_eq!(parse(&["--caches", "3", "verify", "msi"]).unwrap().caches(), 3);
+    }
+
+    /// README's flag reference is the generated usage, line for line
+    /// (README wraps them; whitespace is not compared).
+    #[test]
+    fn readme_lists_the_generated_usage_lines() {
+        let words = |text: &str| text.split_whitespace().collect::<Vec<_>>().join(" ");
+        let readme = words(include_str!("../../../README.md"));
+        for cmd in &COMMANDS {
+            let usage = usage_line(Some(cmd));
+            let synopsis = usage.strip_prefix("usage: ").expect("usage lines open alike");
+            assert!(readme.contains(&words(synopsis)), "README.md lacks: {synopsis}");
         }
-        "compile" => {
-            let Some(path) = args.positional.get(1) else {
-                eprintln!("usage: protogen compile <file.pgen> [flags]");
-                return ExitCode::from(2);
-            };
-            let src = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let ast = match protogen_dsl::parse(&src) {
-                Ok(a) => a,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::from(2);
-                }
-            };
-            // A `compose { … }` block makes this a composition source:
-            // resolve the referenced protocols and run the composed
-            // pipeline (table + verify) instead of the flat one.
-            if !ast.compose.is_empty() {
-                let comp = match build_composition(
-                    &ast.name,
-                    ast.compose.iter().map(|l| {
-                        Ok((l.label.clone(), l.protocol.clone(), l.fanout.unwrap_or(1) as usize))
-                    }),
-                ) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        eprintln!("bad compose block in {path}: {e}");
-                        return ExitCode::from(2);
-                    }
-                };
-                let composed = compose_or_exit(&comp, &args);
-                out!("{}", render_composed_table(&composed, &TableOptions::default()));
-                return exit_code(verify(Target::Composed(&composed, &comp), &args, threads));
-            }
-            let ssp = match protogen_dsl::lower(&ast) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let g = generate_or_exit(&ssp, &args);
-            outln!("{}", g.report);
-            outln!("{}", render_table(&g.cache, &TableOptions::default()));
-            exit_code(verify(Target::Flat(&g, &ssp, caches()), &args, threads))
+    }
+
+    #[test]
+    fn the_hint_follows_the_limit_that_stopped_the_run() {
+        assert_eq!(limit_hint(&ResourceLimit::StateBudget), "raise --max-states to go further");
+        let hint = limit_hint(&ResourceLimit::ShardCapacity { shard: 3 });
+        for needle in ["shard 3", &SHARD_CAPACITY.to_string(), "more --threads"] {
+            assert!(hint.contains(needle), "{hint}");
         }
-        other => {
-            eprintln!("unknown command `{other}`");
-            ExitCode::from(2)
-        }
+        assert!(!hint.contains("raise --max-states"), "{hint}");
     }
 }

@@ -7,6 +7,27 @@ fn protogen(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_protogen")).args(args).output().expect("protogen binary runs")
 }
 
+/// Runs `protogen` in a fresh, empty working directory; returns its output
+/// and the names of whatever it left there.
+fn protogen_in_empty_dir(args: &[&str]) -> (Output, Vec<String>) {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("protogen-smoke-cwd-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_protogen"))
+        .args(args)
+        .current_dir(&dir)
+        .output()
+        .expect("protogen binary runs");
+    let left = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    (out, left)
+}
+
 fn msi_pgen_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../dsl/protocols/msi.pgen")
 }
@@ -385,11 +406,11 @@ fn verify_compose_takes_threads_and_resumes_from_a_checkpoint() {
 /// `verify msi --caches 3x` printed a PASSED line for MSI@2 and exited 0.
 #[test]
 fn unparsable_numeric_flags_are_usage_errors() {
+    // `--threads banana` and `--seed -1` are among the hostile values
+    // `main.rs`'s table test gives every numeric flag on every subcommand.
     for args in [
         &["verify", "msi", "--caches", "3x"][..],
-        &["verify", "msi", "--threads", "banana"],
         &["litmus", "msi", "--tests", "SB", "--depth", "deep"],
-        &["litmus", "msi", "--tests", "SB", "--seed", "-1"],
     ] {
         let out = protogen(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -405,11 +426,11 @@ fn unparsable_numeric_flags_are_usage_errors() {
 /// in release. Both are usage errors, for `sim` and `serve` alike.
 #[test]
 fn out_of_range_percentages_and_latencies_are_usage_errors() {
+    // `--store-pct 101` is the percentage kind's hostile value in `main.rs`'s
+    // table test, for `sim` and `serve` alike.
     for (args, needle) in [
-        (&["sim", "mesi", "--store-pct", "101"][..], "bad --store-pct `101`"),
-        (&["serve", "msi", "--caches", "2", "--store-pct", "101"], "bad --store-pct `101`"),
         (
-            &["sim", "mesi", "--latency", "geometric:18446744073709551615:50", "--accesses", "5"],
+            &["sim", "mesi", "--latency", "geometric:18446744073709551615:50", "--accesses", "5"][..],
             "base above 4294967295",
         ),
         (&["sim", "mesi", "--latency", "uniform:1:18446744073709551615"], "hi above 4294967295"),
@@ -481,6 +502,54 @@ fn unknown_flags_and_surplus_operands_are_usage_errors() {
     }
 }
 
+/// Command lines that used to be misread and run anyway: a value forgotten
+/// at the end (`sweep --out` wrote 65 files into the current directory,
+/// `verify msi --checkpoint-dir` checkpointed into it and passed), a flag
+/// given twice (the first won), a word outside a closed set (`--machine
+/// foo` meant "cache"), a fault flag without `--faults`, an empty fault
+/// plan, an empty level label, a litmus test run twice; and runs of nothing
+/// that printed a pass-shaped report. Exit 2, the flag and the value named
+/// above the subcommand's usage line, nothing printed, nothing written.
+#[test]
+fn misread_command_lines_exit_2_and_touch_nothing() {
+    for (args, needles) in [
+        (&["sweep", "--out"][..], &["`--out` needs a value"][..]),
+        (&["sweep", "--out", "--json"], &["`--out` needs a value"]),
+        (&["verify", "msi", "--checkpoint-dir"], &["`--checkpoint-dir` needs a value"]),
+        (&["sim", "msi", "--seed"], &["`--seed` needs a value"]),
+        (&["verify", "msi", "--caches", "2", "--caches", "3"], &["`--caches` is given twice"]),
+        (&["table", "msi", "--machine", "foo"], &["bad --machine `foo`", "cache or dir"]),
+        (&["dot", "msi", "--machine", "directory"], &["bad --machine `directory`"]),
+        (&["serve", "msi", "--fault-seed", "3"], &["--fault-seed requires --faults"]),
+        (&["serve", "msi", "--faults", ""], &["bad --faults ``"]),
+        (&["serve", "msi", "--faults", ","], &["bad --faults `,`"]),
+        (&["verify", "--compose", "=msi"], &["bad --compose", "`=msi`"]),
+        (&["litmus", "msi", "--tests", "SB,SB"], &["bad --tests `SB,SB`"]),
+        (&["sim", "msi", "--accesses", "0"], &["bad --accesses `0`", "verifies nothing"]),
+        (&["serve", "msi", "--ops", "0"], &["bad --ops `0`"]),
+        (&["sweep", "--accesses", "0"], &["bad --accesses `0`"]),
+        (&["fuzz", "--budget", "0"], &["bad --budget `0`"]),
+        (&["litmus", "msi", "--depth", "0"], &["bad --depth `0`"]),
+        (&["sweep", "--protocols", "nosuch"], &["unknown protocol `nosuch`"]),
+        (&["sim", "msi", "--addrs", "0"], &["at least one cache and one address", "--addrs 0"]),
+        (&["serve", "msi", "--addrs", "0"], &["n_addrs must be at least 1"]),
+        (&["serve", "msi", "--dir-shards", "0"], &["dir_shards must be 1..=62, got 0"]),
+        (&["serve", "msi", "--mailbox-cap", "0"], &["mailbox_cap must be at least 16, got 0"]),
+        (&["serve", "msi", "--duration", "0"], &["bad --duration `0`", "positive and finite"]),
+    ] {
+        let (out, left) = protogen_in_empty_dir(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        for needle in needles.iter().copied().chain([&*format!("\nusage: protogen {}", args[0])]) {
+            assert!(err.contains(needle), "{args:?} lacks `{needle}`: {err}");
+        }
+        // `serve` used to model-check the envelope before refusing.
+        assert!(!err.contains("model-checking"), "{args:?} started work: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+        assert!(left.is_empty(), "{args:?} left {left:?} behind");
+    }
+}
+
 /// A reader that closes stdout early (`protogen stats | head -1`) used to
 /// kill the process with a `failed printing to stdout` panic, a backtrace
 /// and exit 101. It now ends quietly, and not with exit 0: a `verify` whose
@@ -511,14 +580,9 @@ fn closed_stdout_ends_the_process_quietly() {
 /// that still starts.
 #[test]
 fn out_of_range_cache_counts_are_usage_errors() {
-    for args in [
-        &["verify", "msi", "--caches", "0"][..],
-        &["verify", "msi", "--caches", "9"],
-        &["murphi", "msi", "--caches", "9"],
-        &["sim", "msi", "--caches", "0"],
-        &["serve", "msi", "--ops", "10", "--caches", "9"],
-        &["sweep", "--list", "--caches", "2,9"],
-    ] {
+    // Every other subcommand that takes a count gets 0 and 9 from `main.rs`'s
+    // table test.
+    for args in [&["verify", "msi", "--caches", "0"][..], &["sweep", "--list", "--caches", "2,9"]] {
         let out = protogen(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let err = String::from_utf8_lossy(&out.stderr);

@@ -100,7 +100,13 @@ impl ServeConfig {
         }
     }
 
-    pub(crate) fn validate(&self) -> Result<(), ServeError> {
+    /// Checks the ranges [`serve`] relies on, so a front end can refuse a
+    /// configuration before it model-checks the envelope.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Config`] naming the field and the value refused.
+    pub fn validate(&self) -> Result<(), ServeError> {
         let fail = |m: String| Err(ServeError::Config(m));
         if !(1..=8).contains(&self.n_caches) {
             return fail(format!("n_caches must be 1..=8, got {}", self.n_caches));
