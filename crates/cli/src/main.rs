@@ -1088,6 +1088,9 @@ fn serve_cmd(args: &Args) -> Run {
         StopReason::Quiesced => Ok(ExitCode::SUCCESS),
         StopReason::Deadline => {
             eprintln!("run stopped at the wall-clock deadline — partial measurements only");
+            if let Some(detail) = &report.stop_detail {
+                eprintln!("{detail}");
+            }
             Ok(ExitCode::from(3))
         }
         StopReason::Fault => {

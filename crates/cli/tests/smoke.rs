@@ -323,6 +323,29 @@ fn serve_unfinished_fault_plan_exits_4() {
 }
 
 #[test]
+fn serve_deadline_exits_3_and_says_who_holds_what() {
+    // 10M ops per core cannot finish in 50 ms (a pass completes at most
+    // 1024, the deadline is looked at every 8192nd pass at the latest).
+    let args = ["serve", "msi", "--caches", "2", "--ops", "20000000", "--duration", "0.05"];
+    let out = protogen(&args);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{err}");
+    for want in [
+        "partial measurements only",
+        "message(s) still in flight, 0/2 cores done issuing",
+        "\n  cache 0: sent ",
+        "\n  cache 1: sent ",
+        "\n  dir shard 0: sent ",
+    ] {
+        assert!(err.contains(want), "no {want:?} in {err}");
+    }
+    let out = protogen(&[&args[..], &["--json"]].concat());
+    assert_eq!(out.status.code(), Some(3));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("\"stop_detail\": \"run did not quiesce in time ("), "{text}");
+}
+
+#[test]
 fn verify_checkpoints_and_resumes_to_identical_counts() {
     let dir = std::env::temp_dir().join(format!("protogen-smoke-ck-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

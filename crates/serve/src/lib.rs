@@ -266,6 +266,10 @@ pub struct ServeReport {
     /// Why the run stopped (clean quiescence, the deadline backstop, or
     /// an unfinished fault plan).
     pub stop_reason: StopReason,
+    /// `Some` exactly when the deadline fired: messages in flight, cores
+    /// done, and per worker its counters, the block and FSM state it waits
+    /// in, and each non-empty edge queue's depth and head message.
+    pub stop_detail: Option<String>,
     /// Fault/recovery counters; `Some` exactly when fault injection was
     /// configured.
     pub faults: Option<FaultStats>,
@@ -310,6 +314,9 @@ impl ServeReport {
             ),
             ("stop_reason", Json::Str(self.stop_reason.label().into())),
         ]);
+        if let Some(detail) = &self.stop_detail {
+            doc.push("stop_detail", Json::Str(detail.clone()));
+        }
         if let Some(fs) = &self.faults {
             doc.push(
                 "faults",

@@ -3,9 +3,9 @@
 //!
 //! Every node follows the same pass structure:
 //!
-//! 1. **Drain**: take the ready-set mask and move every published
-//!    envelope out of the bounded rings into unbounded per-edge local
-//!    queues. Draining is unconditional — a node never refuses input —
+//! 1. **Drain**: peek every inbound ring's head slot and move every
+//!    published envelope out of the bounded rings into unbounded per-edge
+//!    local queues. Draining is unconditional — a node never refuses input —
 //!    which is what makes the bounded rings deadlock-free: ring space at
 //!    every edge is always eventually regenerated, no matter how wedged
 //!    the consumer's own output side is (the producer-drains-own-inbox
@@ -23,17 +23,27 @@
 //!    launching a transaction otherwise (one outstanding access per
 //!    core, the discipline `crates/sim` models).
 //!
-//! Termination is quiescence detection: a global in-flight message
-//! counter (incremented at publish, decremented only after the receiving
-//! apply has published its own follow-ups) plus a count of cores done
-//! issuing. Once every core is done and the counter reads zero — both
-//! `SeqCst`, so a stale zero cannot be observed — the system can never
-//! make progress again, and the run is complete. A protocol deadlock
-//! (impossible inside the verified envelope) would instead trip the
-//! wall-clock deadline.
+//! Termination is quiescence detection without a shared counter. Each
+//! worker owns a `sent`/`received` pair on its own cache line
+//! ([`Traffic`]) that nobody else writes: `sent` grows *before* the
+//! messages are pushed, `received` only *after* the receiving apply has
+//! published its own follow-ups. An idle worker that sees every core done
+//! issuing reads **all `received`, then all `sent`**, and equal sums end
+//! the run. Both are monotone and Σsent ≥ Σreceived at every instant, so a
+//! Σreceived read early can only be too small and a Σsent read late only
+//! too large: if they still agree, they agreed at an instant between the
+//! sweeps — no message existed anywhere and, all cores done, none could be
+//! issued. (In happens-before terms: the release store of `received` the
+//! first sweep acquired comes after that message's, and its follow-ups',
+//! `sent` stores, so the second sweep counts them all; equal sums make the
+//! two sets equal and every follow-up chain closed.) Sweeping `sent` first
+//! would be unsound: a receive-and-forward between the sweeps raises both
+//! sums by one and hides the forwarded message. A protocol deadlock
+//! (impossible inside the verified envelope) trips the wall-clock deadline
+//! instead, and [`ServeReport::stop_detail`] then says who holds what.
 
 use crate::fault::{FaultPlan, FaultState, FaultStats};
-use crate::mailbox::{Envelope, Fabric};
+use crate::mailbox::{Envelope, Fabric, OwnLine};
 use crate::{ServeConfig, ServeError, ServeReport, StopReason};
 use protogen_runtime::{
     ApplyOutcome, CacheBlock, DirEntry, ExecError, Line, Machine, MachineTag, Msg, NodeId, PairSet,
@@ -97,10 +107,26 @@ impl DenseCoverage {
     }
 }
 
-/// A field kept off its neighbours' cache lines (128 bytes: x86 prefetches
-/// lines in adjacent pairs).
-#[repr(align(128))]
-struct OwnLine<T>(T);
+/// One worker's message counters (module doc), read by others only on
+/// idle passes.
+#[derive(Debug, Default)]
+struct Traffic {
+    sent: AtomicU64,
+    received: AtomicU64,
+}
+
+/// Owner-side increment: nobody else writes `counter`, so no RMW. The
+/// release store pairs with the sweeps' loads in [`Shared::quiescent`].
+fn bump(counter: &AtomicU64, by: u64) {
+    counter.store(counter.load(Ordering::Relaxed) + by, Ordering::Release);
+}
+
+/// The two-sweep quiescence rule (module doc): every `received` is read
+/// before any `sent`, and the sums must agree.
+fn sweeps_agree(received: impl Iterator<Item = u64>, sent: impl Iterator<Item = u64>) -> bool {
+    let received: u64 = received.sum();
+    received == sent.sum::<u64>()
+}
 
 /// State shared by every worker thread for one run.
 struct Shared<'f> {
@@ -110,12 +136,8 @@ struct Shared<'f> {
     n_caches: usize,
     dir_shards: usize,
     n_addrs: usize,
-    /// Messages published but not yet applied (rings + local queues).
-    /// Every worker writes it once per message while reading the fields
-    /// around it on every dispatch, and `Shared` lives on `serve`'s stack:
-    /// unpadded, which of them share its line — and with that a third of
-    /// the throughput — changes with where the stack happens to start.
-    in_flight: OwnLine<AtomicU64>,
+    /// Per-worker message counters, indexed like the fabric's nodes.
+    traffic: Vec<OwnLine<Traffic>>,
     /// Cores that have completed their whole schedule.
     cores_done: AtomicUsize,
     /// Set on quiescence, failure, or deadline: everyone exits.
@@ -141,6 +163,14 @@ impl<'f> Shared<'f> {
         }
     }
 
+    /// How reports name topology index `topo`: `cache 3`, `dir shard 1`.
+    fn name(&self, topo: usize) -> String {
+        match topo.checked_sub(self.n_caches) {
+            None => format!("cache {topo}"),
+            Some(shard) => format!("dir shard {shard}"),
+        }
+    }
+
     /// Whether every message in `outgoing` fits its output ring right
     /// now. Sound as a pre-commit check: this thread is the only producer
     /// on each of those rings, so space cannot shrink before the pushes.
@@ -158,7 +188,7 @@ impl<'f> Shared<'f> {
                 }
             }
             let needed = outgoing[i..].iter().filter(|n| self.route(n.dst, addr) == d).count();
-            if self.fabric.ring(src, d).space().saturating_sub(withheld) < needed {
+            if !self.fabric.ring(src, d).has_space(needed + withheld) {
                 return false;
             }
         }
@@ -171,7 +201,7 @@ impl<'f> Shared<'f> {
         if outgoing.is_empty() {
             return;
         }
-        self.in_flight.0.fetch_add(outgoing.len() as u64, Ordering::SeqCst);
+        bump(&self.traffic[src].0.sent, outgoing.len() as u64);
         for m in outgoing {
             let dst = self.route(m.dst, addr);
             self.fabric
@@ -191,13 +221,19 @@ impl<'f> Shared<'f> {
         self.done.store(true, Ordering::SeqCst);
     }
 
-    /// Quiescence: no core will issue again and no message is anywhere.
-    /// `in_flight` increments happen-before the matching decrement, and
-    /// both sides are `SeqCst`, so reading 0 here after `cores_done`
-    /// reached `n_caches` means the system is truly drained.
+    fn received(&self) -> impl Iterator<Item = u64> + '_ {
+        self.traffic.iter().map(|t| t.0.received.load(Ordering::SeqCst))
+    }
+
+    fn sent(&self) -> impl Iterator<Item = u64> + '_ {
+        self.traffic.iter().map(|t| t.0.sent.load(Ordering::SeqCst))
+    }
+
+    /// Quiescence: no core will issue again and no message is anywhere
+    /// (the two-sweep argument in the module doc).
     fn quiescent(&self) -> bool {
         self.cores_done.load(Ordering::SeqCst) == self.n_caches
-            && self.in_flight.0.load(Ordering::SeqCst) == 0
+            && sweeps_agree(self.received(), self.sent())
     }
 }
 
@@ -208,9 +244,10 @@ struct WorkerOut {
     miss_latency_ns: Vec<u64>,
     hits: u64,
     misses: u64,
-    messages: u64,
     peak_queue_depth: usize,
     fault: FaultStats,
+    /// What the worker still held when it exited, for the deadline report.
+    held: String,
 }
 
 /// How one dispatch attempt on a line ended.
@@ -286,7 +323,7 @@ struct Node<'s, 'f, L> {
 }
 
 impl<'s, 'f, L: Line> Node<'s, 'f, L> {
-    fn new(sh: &'s Shared<'f>, who: String, topo: usize, initial: L) -> Self {
+    fn new(sh: &'s Shared<'f>, topo: usize, initial: L) -> Self {
         let tag = initial.slot().tag();
         let (machine, self_id) = if tag == MachineTag::CACHE {
             (&sh.cache, NodeId(topo as u8))
@@ -296,7 +333,7 @@ impl<'s, 'f, L: Line> Node<'s, 'f, L> {
         Node {
             sh,
             machine,
-            who,
+            who: sh.name(topo),
             topo,
             self_id,
             lines: vec![initial.clone(); sh.n_addrs],
@@ -309,9 +346,9 @@ impl<'s, 'f, L: Line> Node<'s, 'f, L> {
                 miss_latency_ns: Vec::new(),
                 hits: 0,
                 misses: 0,
-                messages: 0,
                 peak_queue_depth: 0,
                 fault: FaultStats::default(),
+                held: String::new(),
             },
             fault: FaultState::new(sh.fabric.nodes()),
             idle: 0,
@@ -348,6 +385,11 @@ impl<'s, 'f, L: Line> Node<'s, 'f, L> {
         Dispatch::Applied
     }
 
+    /// The FSM state block `addr`'s line is in, by name.
+    fn state_name(&self, addr: u32) -> &str {
+        &self.machine.fsm().state(self.lines[addr as usize].slot().state()).name
+    }
+
     /// Applies the head of edge `src`'s queue, if any.
     fn step_msg(&mut self, src: usize) -> StepOutcome {
         let Some(&Envelope { addr, msg }) = self.queues[src].front() else {
@@ -356,18 +398,16 @@ impl<'s, 'f, L: Line> Node<'s, 'f, L> {
         let sh = self.sh;
         match self.dispatch(addr, Event::Msg(msg.mtype), Some(&msg)) {
             Dispatch::Applied => {
-                sh.in_flight.0.fetch_sub(1, Ordering::SeqCst);
+                bump(&sh.traffic[self.topo].0.received, 1);
                 self.queues[src].pop_front();
-                self.out.messages += 1;
                 StepOutcome::Applied(addr)
             }
             Dispatch::Blocked => StepOutcome::Parked, // retry next pass
             Dispatch::NoArc => {
-                let state = self.lines[addr as usize].slot().state();
                 sh.fail(ServeError::UnexpectedMessage(format!(
                     "{} in state {} cannot handle {msg} for block {addr}",
                     self.who,
-                    self.machine.fsm().state(state).name,
+                    self.state_name(addr),
                 )));
                 StepOutcome::Failed
             }
@@ -435,7 +475,7 @@ impl<'s, 'f, L: Line> Node<'s, 'f, L> {
             }
         }
         if check_deadline && Instant::now() >= sh.deadline {
-            sh.fail(deadline_error(sh));
+            sh.fail(ServeError::Deadline("run did not quiesce in time".into()));
             return false;
         }
         if !progress {
@@ -444,7 +484,24 @@ impl<'s, 'f, L: Line> Node<'s, 'f, L> {
         true
     }
 
-    fn finish(mut self) -> WorkerOut {
+    /// Ends the worker, leaving its line of the deadline report: counters,
+    /// the block a cache core still `waiting` on, every non-empty edge.
+    fn finish(mut self, waiting: Option<u32>) -> WorkerOut {
+        drain(self.sh, self.topo, &mut self.queues); // what the rings still hold, too
+        let traffic = &self.sh.traffic[self.topo].0;
+        let (sent, received) =
+            (traffic.sent.load(Ordering::Relaxed), traffic.received.load(Ordering::Relaxed));
+        let mut held = format!("{}: sent {sent}, received {received}", self.who);
+        if let Some(addr) = waiting {
+            held += &format!("; waiting on block {addr} in state {}", self.state_name(addr));
+        }
+        for (src, queue) in self.queues.iter().enumerate() {
+            if let Some(Envelope { addr, msg }) = queue.front() {
+                let (depth, from) = (queue.len(), self.sh.name(src));
+                held += &format!("; {depth} queued from {from}, head {msg} for block {addr}");
+            }
+        }
+        self.out.held = held;
         self.out.fault = self.fault.stats;
         self.out
     }
@@ -458,7 +515,7 @@ fn run_dir_shard(mut node: Node<DirEntry>) -> WorkerOut {
             break;
         }
     }
-    node.finish()
+    node.finish(None)
 }
 
 /// The crash-recovery state machine a planned cache crash walks through.
@@ -492,10 +549,10 @@ struct CacheWorker<'s, 'f> {
 }
 
 impl<'s, 'f> CacheWorker<'s, 'f> {
-    fn new(sh: &'s Shared<'f>, id: usize, who: String, schedule: Vec<Op>) -> Self {
+    fn new(sh: &'s Shared<'f>, id: usize, schedule: Vec<Op>) -> Self {
         let crash_at = sh.plan.as_ref().and_then(|p| p.crash_cursor(id, schedule.len()));
         CacheWorker {
-            node: Node::new(sh, who, id, CacheBlock::new()),
+            node: Node::new(sh, id, CacheBlock::new()),
             schedule,
             cursor: 0,
             outstanding: None,
@@ -669,17 +726,25 @@ impl<'s, 'f> CacheWorker<'s, 'f> {
                 break;
             }
         }
-        self.node.finish()
+        self.node.finish(self.outstanding.map(|(addr, _)| addr))
     }
 }
 
-fn deadline_error(sh: &Shared) -> ServeError {
-    ServeError::Deadline(format!(
-        "run did not quiesce in time ({} message(s) still in flight, {}/{} cores done issuing)",
-        sh.in_flight.0.load(Ordering::SeqCst),
+/// The deadline report, built after every worker has exited (so the
+/// counters are final): the in-flight count Σsent − Σreceived, cores
+/// done, then one line per worker with what it held.
+fn deadline_detail(sh: &Shared, why: &str, outs: &[WorkerOut]) -> String {
+    let mut detail = format!(
+        "{why} ({} message(s) still in flight, {}/{} cores done issuing)",
+        sh.sent().sum::<u64>() - sh.received().sum::<u64>(),
         sh.cores_done.load(Ordering::SeqCst),
         sh.n_caches
-    ))
+    );
+    for out in outs {
+        detail.push_str("\n  ");
+        detail.push_str(&out.held);
+    }
+    detail
 }
 
 /// Runs a worker body under a panic guard: a panicking worker becomes
@@ -736,7 +801,7 @@ pub fn serve(cache: &Fsm, dir: &Fsm, cfg: &ServeConfig) -> Result<ServeReport, S
         n_caches: cfg.n_caches,
         dir_shards: cfg.dir_shards,
         n_addrs: cfg.n_addrs,
-        in_flight: OwnLine(AtomicU64::new(0)),
+        traffic: (0..nodes).map(|_| OwnLine::default()).collect(),
         cores_done: AtomicUsize::new(0),
         done: AtomicBool::new(false),
         failure: Mutex::new(None),
@@ -748,16 +813,16 @@ pub fn serve(cache: &Fsm, dir: &Fsm, cfg: &ServeConfig) -> Result<ServeReport, S
     let outs: Vec<WorkerOut> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(nodes);
         for (id, schedule) in schedules.into_iter().enumerate() {
-            let (sh, who) = (&sh, format!("cache {id}"));
+            let sh = &sh;
             handles.push(scope.spawn(move || {
-                supervise(sh, who.clone(), move || CacheWorker::new(sh, id, who, schedule).run())
+                supervise(sh, sh.name(id), move || CacheWorker::new(sh, id, schedule).run())
             }));
         }
         for shard in 0..cfg.dir_shards {
-            let (sh, who) = (&sh, format!("dir shard {shard}"));
+            let (sh, topo) = (&sh, cfg.n_caches + shard);
             handles.push(scope.spawn(move || {
-                supervise(sh, who.clone(), move || {
-                    run_dir_shard(Node::new(sh, who, sh.n_caches + shard, DirEntry::new(0)))
+                supervise(sh, sh.name(topo), move || {
+                    run_dir_shard(Node::new(sh, topo, DirEntry::new(0)))
                 })
             }));
         }
@@ -770,16 +835,20 @@ pub fn serve(cache: &Fsm, dir: &Fsm, cfg: &ServeConfig) -> Result<ServeReport, S
     });
     let seconds = start.elapsed().as_secs_f64();
 
-    let failure = sh.failure.lock().unwrap_or_else(|p| p.into_inner()).take();
-    let deadline_hit = matches!(failure, Some(ServeError::Deadline(_)));
-    if let Some(e) = failure {
-        if !deadline_hit {
-            return Err(e);
-        }
-        // A deadline is a *timeout with partial measurements*, not a
-        // protocol failure: report what was measured, marked
-        // `StopReason::Deadline` (the CLI still exits non-zero).
-    }
+    // A deadline is a *timeout with partial measurements*, not a protocol
+    // failure: report what was measured and who held what, marked
+    // `StopReason::Deadline` (the CLI still exits non-zero).
+    let stop_detail = match sh.failure.lock().unwrap_or_else(|p| p.into_inner()).take() {
+        Some(ServeError::Deadline(why)) => Some(deadline_detail(&sh, &why, &outs)),
+        Some(e) => return Err(e),
+        None => None,
+    };
+    // Quiescence that fired must be true: with every worker gone, nothing
+    // is counted sent but not received.
+    assert!(
+        stop_detail.is_some() || sweeps_agree(sh.received(), sh.sent()),
+        "quiescence fired with messages in flight"
+    );
 
     let mut fault_stats = sh
         .plan
@@ -794,12 +863,13 @@ pub fn serve(cache: &Fsm, dir: &Fsm, cfg: &ServeConfig) -> Result<ServeReport, S
         ops: 0,
         hits: 0,
         misses: 0,
-        messages: 0,
+        messages: sh.received().sum(),
         seconds,
         miss_latency: Histogram::new(),
         peak_queue_depths: Vec::with_capacity(nodes),
         coverage: PairSet::new(),
         stop_reason: StopReason::Quiesced,
+        stop_detail: None,
         faults: None,
     };
     for out in &outs {
@@ -809,7 +879,6 @@ pub fn serve(cache: &Fsm, dir: &Fsm, cfg: &ServeConfig) -> Result<ServeReport, S
         }
         report.hits += out.hits;
         report.misses += out.misses;
-        report.messages += out.messages;
         report.peak_queue_depths.push(out.peak_queue_depth);
         if let Some(fs) = &mut fault_stats {
             fs.absorb(&out.fault);
@@ -818,7 +887,7 @@ pub fn serve(cache: &Fsm, dir: &Fsm, cfg: &ServeConfig) -> Result<ServeReport, S
     report.ops = report.hits + report.misses;
     report.miss_latency = miss_latency;
     report.coverage = coverage;
-    report.stop_reason = if deadline_hit {
+    report.stop_reason = if stop_detail.is_some() {
         StopReason::Deadline
     } else if fault_stats.is_some_and(|fs| fs.crashes_completed < fs.planned_crashes) {
         // Quiesced, but the fault plan never finished (e.g. an explicit
@@ -828,6 +897,58 @@ pub fn serve(cache: &Fsm, dir: &Fsm, cfg: &ServeConfig) -> Result<ServeReport, S
     } else {
         StopReason::Quiesced
     };
+    report.stop_detail = stop_detail;
     report.faults = fault_stats;
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::Cell;
+
+    /// One sweep over `counters`, in order; `before` runs as the sweep starts.
+    fn sweep<'a>(
+        counters: &'a [Cell<u64>],
+        before: impl FnOnce() + 'a,
+    ) -> impl Iterator<Item = u64> + 'a {
+        let mut before = Some(before);
+        counters.iter().map(move |c| {
+            if let Some(step) = before.take() {
+                step();
+            }
+            c.get()
+        })
+    }
+
+    /// The two-sweep rule on hand-built snapshots. Worker `a` has sent one
+    /// message that `b` has not applied yet; between the two sweeps `b`
+    /// applies it and forwards a follow-up (`sent[b]` before `received[b]`,
+    /// as `step_msg` does). Received-first sees 0 ≠ 2. Sent-first would see
+    /// 1 = 1 with the follow-up still in flight — which is why the order is
+    /// part of the rule.
+    #[test]
+    fn sweeps_must_read_received_before_sent() {
+        let (sent, received) = ([Cell::new(1), Cell::new(0)], [Cell::new(0), Cell::new(0)]);
+        let b_applies_and_forwards = || {
+            sent[1].set(1);
+            received[1].set(1);
+        };
+        let b_rewinds = || {
+            sent[1].set(0);
+            received[1].set(0);
+        };
+        assert!(!sweeps_agree(sweep(&received, || ()), sweep(&sent, b_applies_and_forwards)));
+        b_rewinds();
+        assert!(
+            sweeps_agree(sweep(&sent, || ()), sweep(&received, b_applies_and_forwards)),
+            "sent-first is fooled: equal sums, one message in flight"
+        );
+        // Nothing moving: in flight is refused, drained is accepted.
+        b_rewinds();
+        assert!(!sweeps_agree(sweep(&received, || ()), sweep(&sent, || ())));
+        b_applies_and_forwards();
+        received[0].set(1);
+        assert!(sweeps_agree(sweep(&received, || ()), sweep(&sent, || ())));
+    }
 }
