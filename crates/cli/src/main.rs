@@ -34,7 +34,9 @@
 //!
 //! `verify` prints one verdict word: `PASSED`, `FAILED` (a violation,
 //! followed by its trace) or `INCOMPLETE` (a limit such as `--max-states`
-//! stopped the exploration first); the last two exit 1.
+//! stopped the exploration first); the last two exit 1. The verdict line
+//! ends with `; properties <set>`, the property set the run checked
+//! (`sc`, `tso`, `weak`, `none` or a `+`-combination).
 //!
 //! `verify --mem-budget` caps the checker's accounted RAM (suffixes K/M/G,
 //! binary): over budget, cold frontier bytes and frozen visited records
@@ -662,6 +664,7 @@ fn limit_hint(limit: &ResourceLimit) -> String {
 /// one result printer.
 fn verify(target: &Target, mut cfg: McConfig, args: &Args) -> Run {
     let (fp_only, resume) = (cfg.store == StoreMode::FpOnly, args.flag("resume"));
+    let properties = cfg.properties;
     let (name, r, shape) = match target {
         Target::Flat(ssp, g) => {
             cfg.n_caches = args.caches();
@@ -693,7 +696,8 @@ fn verify(target: &Target, mut cfg: McConfig, args: &Args) -> Run {
     // misrepresent what was verified.
     let r = r.map_err(|e| Usage(format!("cannot resume: {e}")))?;
     outln!(
-        "{name}: {} — {} states, {} transitions, {:.2}s ({:.0} states/s) on {} thread{}{shape}",
+        "{name}: {} — {} states, {} transitions, {:.2}s ({:.0} states/s) on {} thread{}{shape}; \
+         properties {properties}",
         // A limit that fired before any violation proved nothing either
         // way: not a pass (exit 1), but not a counterexample.
         match (&r.violation, &r.limit) {

@@ -170,6 +170,7 @@ fn compile_bundled_msi_spec_verifies() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("MSI"), "{stdout}");
     assert!(stdout.contains("PASSED"), "{stdout}");
+    assert!(stdout.contains("; properties sc\n"), "compile's verdict names its set: {stdout}");
 }
 
 #[test]
@@ -650,7 +651,7 @@ fn stacks_past_the_level_node_bound_are_usage_errors() {
     assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("3 levels, 292 nodes, no symmetry reduction: group order"), "{stdout}");
-    assert!(stdout.contains(" > 40320\n"), "{stdout}");
+    assert!(stdout.contains(" > 40320; properties sc\n"), "{stdout}");
     assert!(stdout.contains("state budget exhausted"), "{stdout}");
 }
 
@@ -672,6 +673,40 @@ fn budget_stops_read_incomplete_and_violations_failed() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("FAILED") && stdout.contains("violation:"), "{stdout}");
     assert!(!stdout.contains("INCOMPLETE"), "{stdout}");
+}
+
+/// A `PASSED` says what it passed: the verdict line ends with the property
+/// set the run checked, for flat protocols and composed stacks alike, and
+/// `--property` reaches the composed path.
+#[test]
+fn verdict_lines_name_the_checked_properties() {
+    let verdict = |args: &[&str]| {
+        let out = protogen(args);
+        let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+        (out.status.code(), stdout.lines().next().unwrap_or_default().to_string())
+    };
+    let (code, sc) = verdict(&["verify", "msi", "--caches", "2"]);
+    assert_eq!(code, Some(0), "{sc}");
+    assert!(sc.starts_with("MSI: PASSED — 1534 states, 4110 transitions"), "{sc}");
+    assert!(sc.ends_with("; properties sc"), "{sc}");
+    let (code, none) = verdict(&["verify", "msi", "--caches", "2", "--property", "none"]);
+    assert_eq!(code, Some(0), "{none}");
+    assert!(none.ends_with("; properties none"), "{none}");
+    let counts = |line: &str| line.split(" transitions").next().unwrap_or_default().to_string();
+    assert_eq!(counts(&sc), counts(&none));
+
+    let stack = ["verify", "--compose", "l1=tso-cc:2", "--threads", "1"];
+    let (code, failed) = verdict(&[&stack[..], &["--property", "sc"]].concat());
+    assert_eq!(code, Some(1), "{failed}");
+    assert!(failed.contains("FAILED — 64 states, 132 transitions"), "{failed}");
+    assert!(failed.ends_with("symmetry group 2; properties sc"), "{failed}");
+    let (code, tso) = verdict(&[&stack[..], &["--property", "tso"]].concat());
+    assert_eq!(code, Some(0), "{tso}");
+    assert!(tso.contains("PASSED — 980 states, 2922 transitions"), "{tso}");
+    assert!(tso.ends_with("; properties tso"), "{tso}");
+    let (code, none) = verdict(&[&stack[..], &["--property", "none"]].concat());
+    assert_eq!(code, Some(0), "{none}");
+    assert!(none.ends_with("; 1 levels, 2 nodes, symmetry group 2; properties none"), "{none}");
 }
 
 #[test]

@@ -11,9 +11,9 @@
 //! write, and two subtrees end up with incompatible leaf permissions. The
 //! seeded negative control pins that the hierarchical checker catches it.
 
-use crate::harness::{panic_message, violation_family, Outcome, RunResult};
+use crate::harness::{classify, panic_message, Outcome, RunResult};
 use protogen_core::{compose, Composed, GenConfig};
-use protogen_mc::{HierChecker, HierConfig, ViolationKind};
+use protogen_mc::{HierChecker, HierConfig};
 use protogen_spec::{Composition, Perm};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -82,24 +82,7 @@ pub fn run_composed_mutant(
     // mutants: the campaign parallelizes across mutants instead.
     let cfg = HierConfig { max_states: budget.max(1), threads: 1, ..HierConfig::default() };
     let result = catch_unwind(AssertUnwindSafe(|| HierChecker::new(&composed, cfg).check()));
-    match result {
-        Err(payload) => no_trace(Outcome::CheckerPanic(panic_message(payload))),
-        Ok(r) => {
-            if let Some(v) = r.violation {
-                let outcome = match &v.kind {
-                    ViolationKind::Exec(d) => Outcome::ExecViolation(d.clone()),
-                    kind => {
-                        Outcome::Caught { family: violation_family(kind), detail: kind.to_string() }
-                    }
-                };
-                RunResult { outcome, trace: v.trace }
-            } else if r.hit_state_limit {
-                no_trace(Outcome::ResourceExhausted(format!("state budget of {budget} exhausted")))
-            } else {
-                no_trace(Outcome::SilentPass { states: r.states, transitions: r.transitions })
-            }
-        }
-    }
+    result.map_or_else(|payload| no_trace(Outcome::CheckerPanic(panic_message(payload))), classify)
 }
 
 /// The seeded composed negative control: the 2×2 MSI-under-MSI stack
@@ -136,6 +119,14 @@ mod tests {
         };
         assert_eq!(family, "swmr", "a weakened write gate must break SWMR");
         assert!(!r.trace.is_empty(), "caught outcomes carry the counterexample");
+    }
+
+    #[test]
+    fn budget_stops_name_the_limit_like_flat_ones() {
+        let (comp, _) = glue_control();
+        let r = run_composed_mutant(&comp, &[], &GenConfig::stalling(), 10);
+        assert_eq!(r.outcome, Outcome::ResourceExhausted("state budget exhausted".into()));
+        assert!(r.trace.is_empty());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use crate::mutate::{apply_all, Mutation};
 use protogen_core::{generate, GenConfig};
-use protogen_mc::{McConfig, ModelChecker, PropertySet, ViolationKind};
+use protogen_mc::{CheckResult, McConfig, ModelChecker, PropertySet, ViolationKind};
 use protogen_spec::Ssp;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -36,15 +36,14 @@ pub enum Outcome {
     /// message names the stage.
     GeneratorPanic(String),
     /// The model checker found a protocol violation (SWMR, data value,
-    /// deadlock, unexpected message, channel overflow, a named custom
-    /// property): the oracle caught the mutant. Carries the violated
-    /// property's family label (the property-aware taxonomy key) and the
-    /// rendered violation kind.
+    /// deadlock, unexpected message, channel overflow, illegal action):
+    /// the oracle caught the mutant. Carries the violated property's
+    /// family label (the property-aware taxonomy key) and the rendered
+    /// violation kind.
     Caught {
         /// Which property family fired: `swmr`, `data-value`,
-        /// `deadlock`, `unexpected-message`, `channel-overflow`,
-        /// `illegal-action`, or `property:<name>` for a custom
-        /// [`protogen_mc::Predicate`].
+        /// `deadlock`, `unexpected-message`, `channel-overflow` or
+        /// `illegal-action`.
         family: String,
         /// The rendered violation kind.
         detail: String,
@@ -55,8 +54,8 @@ pub enum Outcome {
     ExecViolation(String),
     /// The model checker itself panicked — an unexpected toolchain bug.
     CheckerPanic(String),
-    /// The budgeted quick-check ran out of states before exhausting the
-    /// space (verdict unknown).
+    /// A resource limit stopped the budgeted quick-check before it
+    /// exhausted the space (verdict unknown); carries the limit's wording.
     ResourceExhausted(String),
     /// The mutant generated and verified clean: the mutation was
     /// behaviour-preserving or unobservable at 2 caches.
@@ -94,7 +93,7 @@ impl Outcome {
     }
 
     /// The violated property's family label — the property-aware
-    /// taxonomy key (`swmr`, `deadlock`, `property:<name>`, …) — when
+    /// taxonomy key (`swmr`, `deadlock`, …) — when
     /// the checker caught this mutant; `None` for every other outcome.
     pub fn family(&self) -> Option<&str> {
         match self {
@@ -133,22 +132,38 @@ pub struct RunResult {
 }
 
 /// The property-aware taxonomy key for a caught violation: which
-/// checker property family fired. Built-in invariants get a fixed slug;
-/// custom predicates get `property:<name>` so report distributions
-/// distinguish *which* property did the catching.
-pub(crate) fn violation_family(kind: &ViolationKind) -> String {
+/// checker property family fired, so report distributions distinguish
+/// *which* property did the catching.
+fn violation_family(kind: &ViolationKind) -> &'static str {
     match kind {
-        ViolationKind::Swmr(_) => "swmr".to_string(),
-        ViolationKind::DataValue(_) => "data-value".to_string(),
-        ViolationKind::Deadlock => "deadlock".to_string(),
-        ViolationKind::UnexpectedMessage(_) => "unexpected-message".to_string(),
-        ViolationKind::ChannelOverflow(_) => "channel-overflow".to_string(),
-        ViolationKind::IllegalAction(_) => "illegal-action".to_string(),
-        ViolationKind::Property { property, .. } => format!("property:{property}"),
+        ViolationKind::Swmr(_) => "swmr",
+        ViolationKind::DataValue(_) => "data-value",
+        ViolationKind::Deadlock => "deadlock",
+        ViolationKind::UnexpectedMessage(_) => "unexpected-message",
+        ViolationKind::ChannelOverflow(_) => "channel-overflow",
+        ViolationKind::IllegalAction(_) => "illegal-action",
         // `Exec` is classified as `Outcome::ExecViolation` before this
         // function is ever consulted.
-        ViolationKind::Exec(_) => "exec".to_string(),
+        ViolationKind::Exec(_) => "exec",
     }
+}
+
+/// The verdict rule for a finished checker run, flat or composed: a
+/// violation is caught (or, for [`ViolationKind::Exec`], a generator bug),
+/// a resource limit leaves the verdict unknown, and anything else passed.
+pub(crate) fn classify(r: CheckResult) -> RunResult {
+    let outcome = match (&r.violation, r.limit) {
+        (Some(v), _) => match &v.kind {
+            ViolationKind::Exec(d) => Outcome::ExecViolation(d.clone()),
+            kind => Outcome::Caught {
+                family: violation_family(kind).to_string(),
+                detail: kind.to_string(),
+            },
+        },
+        (None, Some(limit)) => Outcome::ResourceExhausted(limit.to_string()),
+        (None, None) => Outcome::SilentPass { states: r.states, transitions: r.transitions },
+    };
+    RunResult { outcome, trace: r.violation.map(|v| v.trace).unwrap_or_default() }
 }
 
 /// Renders a captured panic payload.
@@ -224,24 +239,7 @@ pub fn run_mutant(
     let result = catch_unwind(AssertUnwindSafe(|| {
         ModelChecker::new(&generated.cache, &generated.directory, mc_cfg).run()
     }));
-    match result {
-        Err(payload) => no_trace(Outcome::CheckerPanic(panic_message(payload))),
-        Ok(r) => {
-            if let Some(v) = r.violation {
-                let outcome = match &v.kind {
-                    ViolationKind::Exec(d) => Outcome::ExecViolation(d.clone()),
-                    kind => {
-                        Outcome::Caught { family: violation_family(kind), detail: kind.to_string() }
-                    }
-                };
-                RunResult { outcome, trace: v.trace }
-            } else if let Some(limit) = r.limit {
-                no_trace(Outcome::ResourceExhausted(limit.to_string()))
-            } else {
-                no_trace(Outcome::SilentPass { states: r.states, transitions: r.transitions })
-            }
-        }
-    }
+    result.map_or_else(|payload| no_trace(Outcome::CheckerPanic(panic_message(payload))), classify)
 }
 
 #[cfg(test)]

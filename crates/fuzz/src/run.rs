@@ -176,8 +176,8 @@ pub struct ControlRecord {
     pub name: &'static str,
     /// Outcome label the run produced.
     pub outcome: String,
-    /// Property family that caught the control (`swmr`,
-    /// `property:<name>`, …), when the checker did the catching.
+    /// Property family that caught the control (`swmr`, `deadlock`, …),
+    /// when the checker did the catching.
     pub family: Option<String>,
     /// Outcome detail (violation kind, …).
     pub detail: String,
@@ -213,8 +213,7 @@ pub struct MutantRecord {
     /// Outcome label.
     pub outcome: String,
     /// Property family that fired (`rejected-by-checker` outcomes only):
-    /// a built-in invariant slug or `property:<name>` for a custom
-    /// predicate.
+    /// a built-in invariant slug.
     pub family: Option<String>,
     /// Outcome detail.
     pub detail: String,

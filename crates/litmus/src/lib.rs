@@ -1,7 +1,7 @@
 //! Litmus-test harness for generated coherence protocols.
 //!
 //! The model checker (`crates/mc`) verifies per-block safety under a
-//! pluggable property set; this crate answers the complementary
+//! selectable property set; this crate answers the complementary
 //! *cross-block* question: what memory model do a protocol's observable
 //! executions actually implement? It runs the classical litmus tests —
 //! store buffering (SB), message passing (MP), load buffering (LB),

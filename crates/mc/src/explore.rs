@@ -317,14 +317,6 @@ pub enum ViolationKind {
     /// structure (absent message context, bad deferred slot): a generator
     /// bug.
     Exec(String),
-    /// A custom [`crate::Property`] (e.g. a per-litmus assertion) reported
-    /// a violation.
-    Property {
-        /// The property's name.
-        property: String,
-        /// What it saw.
-        detail: String,
-    },
 }
 
 /// Deterministic ordering key over violation kinds (rank, detail) so the
@@ -338,7 +330,6 @@ fn kind_key(kind: &ViolationKind) -> (u8, &str) {
         ViolationKind::ChannelOverflow(d) => (4, d),
         ViolationKind::IllegalAction(d) => (5, d),
         ViolationKind::Exec(d) => (6, d),
-        ViolationKind::Property { detail, .. } => (7, detail),
     }
 }
 
@@ -368,9 +359,6 @@ impl fmt::Display for ViolationKind {
             ViolationKind::ChannelOverflow(d) => write!(f, "channel overflow: {d}"),
             ViolationKind::IllegalAction(d) => write!(f, "illegal action: {d}"),
             ViolationKind::Exec(d) => write!(f, "execution error: {d}"),
-            ViolationKind::Property { property, detail } => {
-                write!(f, "property '{property}' violated: {detail}")
-            }
         }
     }
 }
@@ -396,11 +384,9 @@ pub struct CheckResult {
     pub transitions: usize,
     /// The deterministically chosen first violation, if any.
     pub violation: Option<Violation>,
-    /// Whether a resource bound stopped exploration before exhausting the
-    /// space (`limit` names which one).
-    pub hit_state_limit: bool,
-    /// The resource bound that stopped exploration, when one did. The
-    /// stats above are the partial exploration up to that point.
+    /// The resource bound that stopped exploration before it exhausted
+    /// the space, when one did. The stats above are the partial
+    /// exploration up to that point.
     pub limit: Option<ResourceLimit>,
     /// Wall-clock seconds spent exploring.
     pub seconds: f64,
@@ -428,7 +414,7 @@ pub struct CheckResult {
 impl CheckResult {
     /// Whether the protocol passed every check over the explored space.
     pub fn passed(&self) -> bool {
-        self.violation.is_none() && !self.hit_state_limit
+        self.violation.is_none() && self.limit.is_none()
     }
 
     /// Expected number of state pairs merged by a 64-bit fingerprint
@@ -1257,7 +1243,6 @@ pub(crate) fn explore<S: TransitionSystem>(
         states,
         transitions,
         violation,
-        hit_state_limit: hit_limit,
         limit,
         seconds: start.elapsed().as_secs_f64(),
         store_bytes,
@@ -1466,7 +1451,7 @@ mod tests {
             ModelChecker::new(&g.cache, &g.directory, cfg).run()
         };
         let (r1, r4) = (run(1), run(4));
-        assert!(r1.hit_state_limit && !r1.passed());
+        assert!(!r1.passed());
         assert_eq!(r1.limit, Some(ResourceLimit::StateBudget));
         // The budget is enforced at level granularity, so the count may
         // overshoot by one level but must still be reached…
@@ -1474,7 +1459,7 @@ mod tests {
         // …and be identical at any thread count.
         assert_eq!(r1.states, r4.states);
         assert_eq!(r1.transitions, r4.transitions);
-        assert_eq!(r1.hit_state_limit, r4.hit_state_limit);
+        assert_eq!(r1.limit, r4.limit);
         assert!(r1.store_bytes > 0);
     }
 
@@ -1560,7 +1545,6 @@ mod tests {
         cfg.shard_capacity = 40;
         let r = ModelChecker::new(&g.cache, &g.directory, cfg).run();
         assert!(!r.passed(), "an incomplete exploration must not pass");
-        assert!(r.hit_state_limit);
         assert_eq!(r.limit, Some(ResourceLimit::ShardCapacity { shard: 0 }));
         assert_eq!(r.states, 40, "the shard stops growing exactly at capacity");
         assert!(r.transitions > 0, "partial stats survive the early stop");

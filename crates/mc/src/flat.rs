@@ -11,7 +11,7 @@ use crate::explore::{
     exec_violation, explore, reference_bfs, resume, CheckResult, Resources, StoreMode,
     TransitionSystem, ViolationKind,
 };
-use crate::property::{materialize, Property, PropertyCtx, PropertySet};
+use crate::property::{LevelBlocks, PropertySet};
 use crate::store::{fingerprint_bytes, STEP_NONE};
 use crate::system::{SysState, MAX_CACHES};
 use protogen_runtime::{ApplyOutcome, Machine, Msg, PairSet, Selected};
@@ -41,8 +41,7 @@ pub struct McConfig {
     /// Which built-in correctness properties to enforce (defaults to the
     /// SC contract: SWMR + data-value + deadlock freedom). Weak-memory
     /// protocols select the contract they actually promise via
-    /// [`PropertySet::promised`]; custom [`crate::Property`] objects are
-    /// attached with [`ModelChecker::add_property`].
+    /// [`PropertySet::promised`].
     pub properties: PropertySet,
     /// Canonicalize states under cache-id permutation (Murϕ scalarsets).
     pub symmetry: bool,
@@ -184,10 +183,6 @@ pub struct ModelChecker<'a> {
     cache: Machine<&'a Fsm>,
     dir: Machine<&'a Fsm>,
     cfg: McConfig,
-    /// The materialized property objects: the built-ins selected by
-    /// `cfg.properties`, in deterministic order, plus any custom ones
-    /// attached via [`ModelChecker::add_property`].
-    props: Vec<Box<dyn Property>>,
 }
 
 impl<'a> ModelChecker<'a> {
@@ -204,23 +199,7 @@ impl<'a> ModelChecker<'a> {
             "n_caches {} outside 1..={MAX_CACHES}: the sharer list is an 8-bit mask",
             cfg.n_caches
         );
-        let props = materialize(cfg.properties);
-        ModelChecker { cache: Machine::new(cache_fsm), dir: Machine::new(dir_fsm), cfg, props }
-    }
-
-    /// Attaches a custom property (checked after the built-ins, in
-    /// attachment order). The per-litmus-assertion hook.
-    pub fn add_property(&mut self, p: Box<dyn Property>) {
-        self.props.push(p);
-    }
-
-    /// Names of the properties this checker enforces, in check order.
-    pub fn property_names(&self) -> Vec<&str> {
-        self.props.iter().map(|p| p.name()).collect()
-    }
-
-    fn property_ctx(&self) -> PropertyCtx<'_> {
-        PropertyCtx { cache_fsm: self.cache.fsm(), dir_fsm: self.dir.fsm() }
+        ModelChecker { cache: Machine::new(cache_fsm), dir: Machine::new(dir_fsm), cfg }
     }
 
     /// The controller node `node` runs (`n_caches` = the directory).
@@ -230,12 +209,6 @@ impl<'a> ModelChecker<'a> {
         } else {
             &self.cache
         }
-    }
-
-    /// First violation any property reports on a load hit, in check order.
-    fn check_load_hit(&self, cache: u8, value: u8, ghost: u8) -> Option<ViolationKind> {
-        let cx = self.property_ctx();
-        self.props.iter().find_map(|p| p.check_load_hit(&cx, cache, value, ghost))
     }
 
     /// Runs breadth-first exploration until exhaustion, a violation, or the
@@ -379,7 +352,9 @@ impl<'a> ModelChecker<'a> {
         }
         self.fire(state, cache, arc, None, succ, st)?;
         if let Some((Access::Load, Some(v))) = st.outcome.performed {
-            if let Some(kind) = self.check_load_hit(cache, v, state.ghost) {
+            if let Some(kind) =
+                self.cfg.properties.check_load_hit(cache as usize, v, state.ghost, false)
+            {
                 return Err(kind);
             }
         }
@@ -443,6 +418,23 @@ impl<'a> ModelChecker<'a> {
     pub fn sample_states(&self, limit: usize) -> Vec<SysState> {
         let encs = reference_bfs(self, limit).0;
         encs.iter().map(|e| SysState::decode(e, self.cfg.n_caches)).collect()
+    }
+
+    /// What `identity_fp` hashes of the configuration. Committed
+    /// checkpoints pin it byte for byte, `props=` included (the enabled
+    /// properties in check order).
+    fn identity_desc(&self) -> String {
+        let cfg = &self.cfg;
+        format!(
+            "caches={} domain={} cap={} ordered={} symmetry={} store={:?} props={}",
+            cfg.n_caches,
+            cfg.value_domain,
+            cfg.channel_cap,
+            cfg.ordered,
+            cfg.symmetry,
+            cfg.store,
+            cfg.properties.check_order(),
+        )
     }
 }
 
@@ -526,17 +518,7 @@ impl TransitionSystem for ModelChecker<'_> {
     }
 
     fn identity_fp(&self) -> (u64, u64) {
-        let cfg = &self.cfg;
-        let desc = format!(
-            "caches={} domain={} cap={} ordered={} symmetry={} store={:?} props={}",
-            cfg.n_caches,
-            cfg.value_domain,
-            cfg.channel_cap,
-            cfg.ordered,
-            cfg.symmetry,
-            cfg.store,
-            self.property_names().join(","),
-        );
+        let desc = self.identity_desc();
         let fsms = format!("{:?}\x1f{:?}", self.cache.fsm(), self.dir.fsm());
         (fingerprint_bytes(desc.as_bytes()), fingerprint_bytes(fsms.as_bytes()))
     }
@@ -599,13 +581,14 @@ impl TransitionSystem for ModelChecker<'_> {
     }
 
     fn check_state(&self, state: &SysState) -> Option<ViolationKind> {
-        let cx = self.property_ctx();
-        self.props.iter().find_map(|p| p.check_state(&cx, state))
+        let caches = LevelBlocks { fsm: self.cache.fsm(), blocks: &state.caches, label: None };
+        self.cfg.properties.check_state(std::iter::once(caches), state.ghost)
     }
 
     fn check_quiescence(&self, state: &SysState) -> Option<ViolationKind> {
-        let cx = self.property_ctx();
-        self.props.iter().find_map(|p| p.check_quiescence(&cx, state))
+        self.cfg
+            .properties
+            .check_quiescence(|| state.messages_in_flight() > 0 || state.has_pending_access())
     }
 
     fn canonical_fp(&self, state: &SysState, scratch: &mut FlatScratch) -> u64 {
@@ -665,6 +648,36 @@ impl TransitionSystem for ModelChecker<'_> {
             Step::IssueAccess { cache, access } => {
                 format!("n{cache}[{}] {access}", state_name(cache))
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use protogen_core::{generate, GenConfig};
+
+    /// Committed flat checkpoints resume only while this string stays
+    /// byte-identical: `props=` lists the enabled properties in check
+    /// order, `,`-joined — not `Display`'s `+`-joined order.
+    #[test]
+    fn identity_description_is_pinned_for_the_named_sets() {
+        let g = generate(&protogen_protocols::msi(), &GenConfig::stalling()).unwrap();
+        for (set, props) in [
+            (PropertySet::sc(), "swmr,data-value,deadlock"),
+            (PropertySet::tso(), "single-writer,deadlock"),
+            (PropertySet::weak(), "deadlock"),
+            (PropertySet::none(), ""),
+        ] {
+            let cfg = McConfig { properties: set, ..McConfig::default() };
+            let mc = ModelChecker::new(&g.cache, &g.directory, cfg);
+            assert_eq!(
+                mc.identity_desc(),
+                format!(
+                    "caches=3 domain=2 cap=8 ordered=true symmetry=true store=Full props={props}"
+                ),
+                "{set}"
+            );
         }
     }
 }

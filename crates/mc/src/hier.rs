@@ -67,7 +67,7 @@ use crate::explore::{
     exec_violation, explore, resume, CheckResult, Resources, TransitionSystem, ViolationKind,
 };
 use crate::flat::McConfig;
-use crate::property::{perm_conflict, stale_copy};
+use crate::property::LevelBlocks;
 use crate::store::{absorb, fingerprint_bytes};
 use crate::system::{put_block, put_dir, put_queue, Decoder};
 use protogen_core::Composed;
@@ -539,12 +539,10 @@ impl HierChecker {
         let parent = node / lvl.fanout;
         let touched = Touched { level: jm, parent, cache: Some(node), delivered: None };
         self.fire(state, touched, arc, None, succ, scratch)?;
-        if let Some((Access::Load, Some(v))) = scratch.outcome.performed {
-            if jm == 0 && self.cfg.properties.data_value && v != state.ghost {
-                return Err(ViolationKind::DataValue(format!(
-                    "leaf node L0.{node} load hit returned {v}, expected {}",
-                    state.ghost
-                )));
+        // Parents are data-transparent: only leaf hits are checked.
+        if let (0, Some((Access::Load, Some(v)))) = (jm, scratch.outcome.performed) {
+            if let Some(kind) = self.cfg.properties.check_load_hit(node, v, state.ghost, true) {
+                return Err(kind);
             }
         }
         self.route(succ, jm, parent, &scratch.outcome)?;
@@ -983,23 +981,18 @@ impl TransitionSystem for HierChecker {
     /// State-level properties: per-level SWMR / single-writer, leaf-level
     /// data-value.
     fn check_state(&self, s: &HierState) -> Option<ViolationKind> {
-        let props = &self.cfg.properties;
-        if props.swmr || props.single_writer {
-            for (lvl, blocks) in self.levels.iter().zip(&s.caches) {
-                let conflict = perm_conflict(lvl.cache.fsm(), blocks, props.swmr, Some(&lvl.label));
-                if conflict.is_some() {
-                    return conflict;
-                }
-            }
-        }
-        let leaves = (self.levels[0].cache.fsm(), &s.caches[0]);
-        props.data_value.then(|| stale_copy(leaves.0, leaves.1, s.ghost, true)).flatten()
+        let levels = self.levels.iter().zip(&s.caches).map(|(l, blocks)| LevelBlocks {
+            fsm: l.cache.fsm(),
+            blocks,
+            label: Some(&l.label),
+        });
+        self.cfg.properties.check_state(levels, s.ghost)
     }
 
     fn check_quiescence(&self, state: &HierState) -> Option<ViolationKind> {
-        (self.cfg.properties.deadlock_free
-            && (state.messages_in_flight() > 0 || state.has_pending_access()))
-        .then_some(ViolationKind::Deadlock)
+        self.cfg
+            .properties
+            .check_quiescence(|| state.messages_in_flight() > 0 || state.has_pending_access())
     }
 
     /// The canonical fingerprint of `s`, its encoding left in `sc.best` for
@@ -1418,7 +1411,8 @@ mod tests {
             HierChecker::new(&stack(4), HierConfig { max_states: 50, ..HierConfig::default() });
         assert_eq!((widest.counts()[0], widest.group_size()), (MAX_LEVEL_NODES, 1));
         let res = widest.check();
-        assert!(res.violation.is_none() && res.hit_state_limit, "{:?}", res.violation);
+        assert!(res.violation.is_none(), "{:?}", res.violation);
+        assert_eq!(res.limit, Some(crate::ResourceLimit::StateBudget));
         let err = HierChecker::check_size(&stack(5)).unwrap_err();
         assert!(err.contains("level 0 (l1) has 320 nodes"), "{err}");
         let refused =

@@ -74,8 +74,6 @@ pub use flat::{FlatScratch, McConfig, ModelChecker, Step};
 pub use hier::{
     HStep, HierChecker, HierConfig, HierResult, HierScratch, HierState, MAX_GROUP, MAX_LEVEL_NODES,
 };
-pub use property::{
-    DataValue, DeadlockFree, Predicate, Property, PropertyCtx, PropertySet, SingleWriter, Swmr,
-};
+pub use property::PropertySet;
 pub use store::{fingerprint_bytes, FpPassthroughHasher, MAX_SHARDS, SHARD_CAPACITY};
 pub use system::{invert, permutations, SysState, MAX_CACHES};

@@ -1,4 +1,5 @@
-//! Pluggable correctness properties.
+//! The correctness properties a run enforces, evaluated in one place for
+//! both checkers.
 //!
 //! The checker originally hard-wired SWMR, data-value coherence, and
 //! deadlock freedom — correct for SC protocols and wrong for everything
@@ -8,10 +9,9 @@
 //! invariants would reject the weak-memory families as buggy; holding none
 //! would verify nothing.
 //!
-//! This module makes the invariant layer pluggable: each invariant is a
-//! [`Property`] implementation, and [`PropertySet`] selects the built-ins a
-//! run enforces. The set a protocol *promises* is derived from its declared
-//! [`MemoryModel`] via [`PropertySet::promised`]:
+//! [`PropertySet`] selects the built-ins a run enforces. The set a
+//! protocol *promises* is derived from its declared [`MemoryModel`] via
+//! [`PropertySet::promised`]:
 //!
 //! | model | properties |
 //! |---|---|
@@ -19,68 +19,20 @@
 //! | `tso`  | single-writer + deadlock-free |
 //! | `weak` | deadlock-free |
 //!
-//! Custom properties (per-litmus assertions, experiment-specific
-//! predicates) implement [`Property`] directly — or use [`Predicate`] for
-//! closure-based one-offs — and are attached with
-//! [`crate::ModelChecker::add_property`].
+//! The flat checker and the composed one reach the invariants through the
+//! three checks here and nothing else — `check_state` over every level's
+//! cache blocks, `check_load_hit` on a leaf load hit, `check_quiescence`
+//! on a state where no step makes progress — which evaluate in one fixed
+//! order: swmr, single-writer, data-value, deadlock. A new built-in is one
+//! `PropertySet` field plus one arm in the check that evaluates it.
 
 use crate::explore::ViolationKind;
-use crate::system::SysState;
 use protogen_runtime::{CacheBlock, Val};
 use protogen_spec::{Fsm, MemoryModel, Perm};
 use std::fmt;
 
-/// Read-only context handed to property checks: the FSMs give permission
-/// and stability information for the states a [`SysState`] references.
-#[derive(Debug, Clone, Copy)]
-pub struct PropertyCtx<'a> {
-    /// The generated cache controller.
-    pub cache_fsm: &'a Fsm,
-    /// The generated directory controller.
-    pub dir_fsm: &'a Fsm,
-}
-
-/// A correctness property checked during exploration.
-///
-/// Hooks default to "no violation"; a property implements the ones it
-/// needs. All three are called on the exploration hot path, so
-/// implementations should be cheap and allocation-free until they actually
-/// find a violation.
-pub trait Property: fmt::Debug + Send + Sync {
-    /// Short name for reports and taxonomy labels (e.g. `"swmr"`).
-    fn name(&self) -> &str;
-
-    /// Checked on every newly reached state.
-    fn check_state(&self, cx: &PropertyCtx<'_>, state: &SysState) -> Option<ViolationKind> {
-        let _ = (cx, state);
-        None
-    }
-
-    /// Checked when a load *hits* in cache `cache` returning `value` while
-    /// the ghost memory holds `ghost`. (Completion loads read the response
-    /// data by construction and are not routed here.)
-    fn check_load_hit(
-        &self,
-        cx: &PropertyCtx<'_>,
-        cache: u8,
-        value: u8,
-        ghost: u8,
-    ) -> Option<ViolationKind> {
-        let _ = (cx, cache, value, ghost);
-        None
-    }
-
-    /// Checked on states where no message delivery is possible — the
-    /// liveness hook. `state` still has whatever in-flight work exists.
-    fn check_quiescence(&self, cx: &PropertyCtx<'_>, state: &SysState) -> Option<ViolationKind> {
-        let _ = (cx, state);
-        None
-    }
-}
-
 /// Which built-in properties a run enforces. Cloneable/Copy so it travels
-/// in [`crate::McConfig`]; the checker materializes it into boxed
-/// [`Property`] objects at construction.
+/// in [`crate::McConfig`]; flat and composed runs evaluate it alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PropertySet {
     /// Physical single-writer/multiple-reader over permission states.
@@ -126,6 +78,66 @@ impl PropertySet {
             MemoryModel::Tso => PropertySet::tso(),
             MemoryModel::Weak => PropertySet::weak(),
         }
+    }
+
+    /// The enabled properties in check order, `,`-joined. This is the flat
+    /// checker's checkpoint identity, so committed checkpoints pin it; it
+    /// is not [`Display`](fmt::Display)'s `+`-joined order, which the
+    /// composed checker's identity pins in turn.
+    pub(crate) fn check_order(&self) -> String {
+        let names = [
+            (self.swmr, "swmr"),
+            (self.single_writer, "single-writer"),
+            (self.data_value, "data-value"),
+            (self.deadlock_free, "deadlock"),
+        ];
+        names.iter().filter(|(on, _)| *on).map(|(_, name)| *name).collect::<Vec<_>>().join(",")
+    }
+
+    /// The state checks over every level's cache blocks, leaves first:
+    /// swmr or single-writer per level, then data-value over the leaves
+    /// against `ghost`. The first violation found is the state's.
+    pub(crate) fn check_state<'a, L>(&self, mut levels: L, ghost: Val) -> Option<ViolationKind>
+    where
+        L: Iterator<Item = LevelBlocks<'a>> + Clone,
+    {
+        if self.swmr || self.single_writer {
+            // Two writers are found before a writer/reader pair, so the
+            // SWMR scan reports every single-writer conflict verbatim.
+            for l in levels.clone() {
+                let conflict = perm_conflict(l.fsm, l.blocks, self.swmr, l.label);
+                if conflict.is_some() {
+                    return conflict;
+                }
+            }
+        }
+        let leaves = levels.next().filter(|_| self.data_value)?;
+        stale_copy(leaves.fsm, leaves.blocks, ghost, leaves.label.is_some())
+    }
+
+    /// The load-hit check: leaf cache `cache` hit a load returning `value`
+    /// while the ghost memory holds `ghost`. Completion loads read the
+    /// response data by construction and are not routed here. `composed`
+    /// selects the composed stack's wording.
+    pub(crate) fn check_load_hit(
+        &self,
+        cache: usize,
+        value: Val,
+        ghost: Val,
+        composed: bool,
+    ) -> Option<ViolationKind> {
+        (self.data_value && value != ghost).then(|| {
+            let who = leaf_name(cache, composed);
+            ViolationKind::DataValue(format!("{who} load hit returned {value}, expected {ghost}"))
+        })
+    }
+
+    /// The quiescence check, on a state where no step makes progress:
+    /// deadlock freedom fails when the state is `busy` — messages in flight
+    /// or accesses pending. New accesses can only add transactions, never
+    /// unblock existing ones, so they do not count as progress.
+    pub(crate) fn check_quiescence(&self, busy: impl FnOnce() -> bool) -> Option<ViolationKind> {
+        (self.deadlock_free && busy()).then_some(ViolationKind::Deadlock)
     }
 }
 
@@ -199,30 +211,30 @@ impl std::str::FromStr for PropertySet {
     }
 }
 
-/// Materializes the built-in [`Property`] objects a [`PropertySet`]
-/// selects, in deterministic check order (safety before liveness).
-pub fn materialize(set: PropertySet) -> Vec<Box<dyn Property>> {
-    let mut props: Vec<Box<dyn Property>> = Vec::new();
-    if set.swmr {
-        props.push(Box::new(Swmr));
+/// One level's cache blocks as the state checks see them: the FSM they
+/// run and, in a composed stack, the level's label — which only shapes the
+/// messages (`None` words them for a flat system).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LevelBlocks<'a> {
+    pub(crate) fsm: &'a Fsm,
+    pub(crate) blocks: &'a [CacheBlock],
+    pub(crate) label: Option<&'a str>,
+}
+
+/// How a violation names leaf cache `i`.
+fn leaf_name(i: usize, composed: bool) -> String {
+    if composed {
+        format!("leaf node L0.{i}")
+    } else {
+        format!("cache n{i}")
     }
-    if set.single_writer {
-        props.push(Box::new(SingleWriter));
-    }
-    if set.data_value {
-        props.push(Box::new(DataValue));
-    }
-    if set.deadlock_free {
-        props.push(Box::new(DeadlockFree));
-    }
-    props
 }
 
 /// The first permission conflict among `blocks` (all running `fsm`): two
 /// writers, or — when `readers_too` — a writer and a reader. `level` names
 /// the protocol level of a composed stack (`None` for a flat system); it
 /// only shapes the message.
-pub(crate) fn perm_conflict(
+fn perm_conflict(
     fsm: &Fsm,
     blocks: &[CacheBlock],
     readers_too: bool,
@@ -254,19 +266,19 @@ pub(crate) fn perm_conflict(
 }
 
 /// The first stable, readable, data-valid copy among `blocks` that does
-/// not hold `ghost`. `leaf` selects the composed-stack wording.
-pub(crate) fn stale_copy(
+/// not hold `ghost`. `composed` selects the composed-stack wording.
+fn stale_copy(
     fsm: &Fsm,
     blocks: &[CacheBlock],
     ghost: Val,
-    leaf: bool,
+    composed: bool,
 ) -> Option<ViolationKind> {
     blocks.iter().enumerate().find_map(|(i, c)| {
         let st = fsm.state(c.state);
         let stale =
             st.is_stable() && st.perm >= Perm::Read && st.data_valid && c.data != Some(ghost);
         stale.then(|| {
-            let who = if leaf { format!("leaf node L0.{i}") } else { format!("cache n{i}") };
+            let who = leaf_name(i, composed);
             let name = st.full_name();
             ViolationKind::DataValue(format!(
                 "{who} in {name} holds {:?}, expected {ghost}",
@@ -274,122 +286,6 @@ pub(crate) fn stale_copy(
             ))
         })
     })
-}
-
-/// Single-writer/multiple-reader: no cache holds write permission while
-/// any other cache holds any permission.
-#[derive(Debug, Clone, Copy)]
-pub struct Swmr;
-
-impl Property for Swmr {
-    fn name(&self) -> &str {
-        "swmr"
-    }
-
-    fn check_state(&self, cx: &PropertyCtx<'_>, state: &SysState) -> Option<ViolationKind> {
-        perm_conflict(cx.cache_fsm, &state.caches, true, None)
-    }
-}
-
-/// At most one cache holds write permission at a time; read copies may be
-/// stale. The half of SWMR that lazy-coherence protocols keep: writes stay
-/// serialized even though readers are not invalidated.
-#[derive(Debug, Clone, Copy)]
-pub struct SingleWriter;
-
-impl Property for SingleWriter {
-    fn name(&self) -> &str {
-        "single-writer"
-    }
-
-    fn check_state(&self, cx: &PropertyCtx<'_>, state: &SysState) -> Option<ViolationKind> {
-        perm_conflict(cx.cache_fsm, &state.caches, false, None)
-    }
-}
-
-/// Data-value coherence: every readable stable copy, and every load hit,
-/// returns the latest store (tracked by the ghost memory).
-#[derive(Debug, Clone, Copy)]
-pub struct DataValue;
-
-impl Property for DataValue {
-    fn name(&self) -> &str {
-        "data-value"
-    }
-
-    fn check_state(&self, cx: &PropertyCtx<'_>, state: &SysState) -> Option<ViolationKind> {
-        stale_copy(cx.cache_fsm, &state.caches, state.ghost, false)
-    }
-
-    fn check_load_hit(
-        &self,
-        _cx: &PropertyCtx<'_>,
-        cache: u8,
-        value: u8,
-        ghost: u8,
-    ) -> Option<ViolationKind> {
-        if value != ghost {
-            return Some(ViolationKind::DataValue(format!(
-                "cache n{cache} load hit returned {value}, expected {ghost}"
-            )));
-        }
-        None
-    }
-}
-
-/// Deadlock freedom: a state with in-flight messages or pending accesses
-/// must have at least one deliverable message. New accesses can only add
-/// transactions, never unblock existing ones, so they do not count as
-/// progress.
-#[derive(Debug, Clone, Copy)]
-pub struct DeadlockFree;
-
-impl Property for DeadlockFree {
-    fn name(&self) -> &str {
-        "deadlock"
-    }
-
-    fn check_quiescence(&self, _cx: &PropertyCtx<'_>, state: &SysState) -> Option<ViolationKind> {
-        if state.messages_in_flight() > 0 || state.has_pending_access() {
-            return Some(ViolationKind::Deadlock);
-        }
-        None
-    }
-}
-
-/// A closure-based custom property over whole states — the per-litmus
-/// assertion hook. Returns `Some(detail)` to report a violation.
-pub struct Predicate {
-    name: String,
-    #[allow(clippy::type_complexity)]
-    f: Box<dyn Fn(&PropertyCtx<'_>, &SysState) -> Option<String> + Send + Sync>,
-}
-
-impl Predicate {
-    /// Builds a predicate property named `name`.
-    pub fn new(
-        name: impl Into<String>,
-        f: impl Fn(&PropertyCtx<'_>, &SysState) -> Option<String> + Send + Sync + 'static,
-    ) -> Self {
-        Predicate { name: name.into(), f: Box::new(f) }
-    }
-}
-
-impl fmt::Debug for Predicate {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Predicate").field("name", &self.name).finish_non_exhaustive()
-    }
-}
-
-impl Property for Predicate {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn check_state(&self, cx: &PropertyCtx<'_>, state: &SysState) -> Option<ViolationKind> {
-        (self.f)(cx, state)
-            .map(|detail| ViolationKind::Property { property: self.name.clone(), detail })
-    }
 }
 
 #[cfg(test)]
@@ -419,9 +315,25 @@ mod tests {
     }
 
     #[test]
-    fn materialize_orders_safety_before_liveness() {
-        let props = materialize(PropertySet::sc());
-        let names: Vec<&str> = props.iter().map(|p| p.name()).collect();
-        assert_eq!(names, ["swmr", "data-value", "deadlock"]);
+    fn check_order_is_safety_before_liveness() {
+        assert_eq!(PropertySet::sc().check_order(), "swmr,data-value,deadlock");
+        let all: PropertySet = "deadlock+data-value+single-writer+swmr".parse().unwrap();
+        assert_eq!(all.check_order(), "swmr,single-writer,data-value,deadlock");
+        assert_eq!(all.to_string(), "swmr+data-value+single-writer+deadlock");
+        assert_eq!(PropertySet::none().check_order(), "");
+    }
+
+    #[test]
+    fn only_enabled_checks_fire() {
+        let hit = |set: PropertySet| set.check_load_hit(1, 0, 1, false);
+        let hit = hit(PropertySet::sc()).expect("a stale hit breaks data-value");
+        assert_eq!(
+            hit.to_string(),
+            "data-value violation: cache n1 load hit returned 0, expected 1"
+        );
+        assert_eq!(PropertySet::tso().check_load_hit(1, 0, 1, true), None);
+        assert_eq!(PropertySet::weak().check_quiescence(|| true), Some(ViolationKind::Deadlock));
+        assert_eq!(PropertySet::weak().check_quiescence(|| false), None);
+        assert_eq!(PropertySet::none().check_quiescence(|| unreachable!("not evaluated")), None);
     }
 }

@@ -110,7 +110,7 @@ fn resumed_violation_trace_is_byte_identical() {
     cfg.max_states = 40;
     let partial = ModelChecker::new(&g.cache, &g.directory, cfg.clone()).run();
     assert!(
-        partial.violation.is_none() && partial.hit_state_limit,
+        partial.violation.is_none() && partial.limit == Some(ResourceLimit::StateBudget),
         "interruption must land before the violation (partial: {:?})",
         partial.violation
     );

@@ -22,7 +22,7 @@
 use protogen_core::{compose, generate, GenConfig};
 use protogen_mc::{
     permutations, reference_bfs, Canonicalizer, HierChecker, HierConfig, HierState, McConfig,
-    ModelChecker, ResourceLimit, StoreMode, SysState, TransitionSystem,
+    ModelChecker, PropertySet, ResourceLimit, StoreMode, SysState, TransitionSystem,
 };
 
 fn checker(comp: &protogen_spec::Composition) -> HierChecker {
@@ -93,6 +93,67 @@ fn one_level_stacks_are_flat_byte_for_byte_at_three_caches() {
     assert_identity("msi", 3);
     assert_identity("mesi", 3);
     assert_identity("mosi", 2);
+}
+
+/// Both checkers evaluate one property path, so a one-level stack must
+/// reach the flat checker's verdict on every cell: all bundled protocols ×
+/// the named property sets × both generator configs at 2 caches agree on
+/// the verdict, the counts and the kind of violation (the wording differs:
+/// `cache n0` flat, `level l1 node 0` composed). A few cells are pinned.
+#[test]
+fn one_level_stacks_reach_the_flat_verdict_under_every_property_set() {
+    let mut pinned = 0;
+    for name in protogen_protocols::NAMES {
+        let ssp = protogen_protocols::by_name(name).unwrap();
+        let comp = protogen_protocols::flat_composition(name, 2).unwrap();
+        for (config, gen) in
+            [("stalling", GenConfig::stalling()), ("non-stalling", GenConfig::non_stalling())]
+        {
+            let g = generate(&ssp, &gen).unwrap();
+            let composed = compose(&comp, &gen).unwrap();
+            for properties in
+                [PropertySet::sc(), PropertySet::tso(), PropertySet::weak(), PropertySet::none()]
+            {
+                let cfg = McConfig {
+                    properties,
+                    ordered: ssp.network_ordered,
+                    ..McConfig::with_caches(2)
+                };
+                let flat = ModelChecker::new(&g.cache, &g.directory, cfg.clone()).run();
+                let stack = HierChecker::new(&composed, cfg).check();
+                let label = format!("{name} ({config}) under {properties}");
+                let kind = |r: &protogen_mc::CheckResult| {
+                    r.violation.as_ref().map(|v| std::mem::discriminant(&v.kind))
+                };
+                assert_eq!(stack.passed(), flat.passed(), "{label}: verdicts diverge");
+                assert_eq!(
+                    (stack.states, stack.transitions),
+                    (flat.states, flat.transitions),
+                    "{label}: counts diverge"
+                );
+                assert_eq!(
+                    kind(&stack),
+                    kind(&flat),
+                    "{label}: {:?} vs {:?}",
+                    stack.violation,
+                    flat.violation
+                );
+                let want = match (name, config, properties.to_string().as_str()) {
+                    ("tso-cc", _, "sc") => Some((false, 64, 132)),
+                    ("si-sd", _, "sc") => Some((false, 55, 127)),
+                    ("si-sd", _, "tso") => Some((false, 56, 127)),
+                    ("tso-cc", "non-stalling", "tso") => Some((true, 980, 2922)),
+                    ("tso-cc", "stalling", "tso") => Some((true, 872, 2586)),
+                    _ => None,
+                };
+                if let Some(want) = want {
+                    assert_eq!((flat.passed(), flat.states, flat.transitions), want, "{label}");
+                    pinned += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(pinned, 8, "every pinned cell ran");
 }
 
 #[test]

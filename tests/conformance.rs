@@ -212,33 +212,6 @@ fn property_sets_select_what_each_protocol_promises() {
     assert_eq!(PropertySet::promised(ssp.consistency), PropertySet::tso());
 }
 
-/// Custom closure properties attach to a checker and surface as
-/// `ViolationKind::Property` with the predicate's name — the per-litmus
-/// assertion hook.
-#[test]
-fn custom_predicate_properties_report_violations() {
-    use protogen::mc::{Predicate, ViolationKind};
-    let ssp = protogen::protocols::msi();
-    let g = generate(&ssp, &GenConfig::non_stalling()).unwrap();
-    let mut mc = ModelChecker::new(&g.cache, &g.directory, McConfig::with_caches(2));
-    // A deliberately false invariant: MSI certainly reaches a writer.
-    mc.add_property(Box::new(Predicate::new("no-writer-ever", |cx, state| {
-        state
-            .caches
-            .iter()
-            .any(|c| cx.cache_fsm.state(c.state).perm == protogen::spec::Perm::ReadWrite)
-            .then(|| "a cache reached write permission".to_string())
-    })));
-    let r = mc.run();
-    match r.violation.map(|v| v.kind) {
-        Some(ViolationKind::Property { property, detail }) => {
-            assert_eq!(property, "no-writer-ever");
-            assert!(detail.contains("write permission"), "{detail}");
-        }
-        other => panic!("expected the custom property to fire, got {other:?}"),
-    }
-}
-
 /// The sharded explorer is thread-count-invariant: for every bundled
 /// protocol (both generator configurations) at 2 caches, a 1-worker run
 /// and a 4-worker run report identical `states`/`transitions` counts and
@@ -263,7 +236,7 @@ fn parallel_and_single_threaded_runs_agree() {
                 r4.violation.as_ref().map(|v| &v.kind),
                 "{label}: violation kind diverges"
             );
-            assert_eq!(r1.hit_state_limit, r4.hit_state_limit, "{label}: limit flag diverges");
+            assert_eq!(r1.limit, r4.limit, "{label}: limit diverges");
         }
     }
     // The negative control: TSO-CC under the *full* invariant set fails
@@ -318,7 +291,7 @@ fn store_tiers_and_memory_budgets_preserve_results() {
             let label = format!("{} ({threads}t, {store:?}, budget {budget})", ssp.name);
             assert_eq!(reference.states, r.states, "{label}: states diverge");
             assert_eq!(reference.transitions, r.transitions, "{label}: transitions diverge");
-            assert_eq!(reference.hit_state_limit, r.hit_state_limit, "{label}: limit diverges");
+            assert_eq!(reference.limit, r.limit, "{label}: limit diverges");
             assert!(r.passed(), "{label}: verdict diverges");
             // Fp-only keeps no records and these 2-cache frontiers stay
             // under one spill chunk, so only the record-keeping modes are
