@@ -714,10 +714,12 @@ fn verify(target: &Target, mut cfg: McConfig, args: &Args) -> Run {
     );
     if r.spill_bytes > 0 {
         outln!(
-            "spilled {} bytes in {} chunks under the memory budget (peak accounted RAM {} \
-             bytes){}",
+            "spilled {} bytes in {} chunks (frontier {} bytes, visited records {} bytes) under \
+             the memory budget (peak accounted RAM {} bytes){}",
             r.spill_bytes,
             r.spill_chunks,
+            r.frontier_spill_bytes,
+            r.visited_spill_bytes,
             r.peak_mem_bytes,
             // "spilled + completed" is not an early stop: unless a limit
             // fired below, the whole space was still explored.

@@ -119,12 +119,45 @@ fn verify_under_memory_budget_spills_and_completes() {
     assert!(b.contains("spilled"), "budgeted run never spilled:\n{b}");
     assert!(b.contains("exploration completed"), "{b}");
     assert!(!b.contains("stopped early"), "{b}");
+    assert_spill_names_both_tiers(&b);
     let prefix = |out: &str| out.split(" transitions").next().unwrap_or_default().to_string();
     assert_eq!(prefix(&b), prefix(&u), "budgeted:\n{b}\nunbudgeted:\n{u}");
 
     let out = protogen(&["verify", "msi", "--mem-budget", "lots"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("bad --mem-budget"));
+}
+
+/// The spill line says which tier filled: `spilled N bytes in C chunks
+/// (frontier A bytes, visited records B bytes) …` with `A + B = N`. A
+/// 1 KiB budget is exceeded by both tiers.
+fn assert_spill_names_both_tiers(stdout: &str) {
+    let line = stdout.lines().find(|l| l.starts_with("spilled ")).expect("a spill line");
+    let number_after = |key: &str| -> u64 {
+        let rest = &line[line.find(key).unwrap_or_else(|| panic!("no `{key}` in {line}"))..];
+        rest[key.len()..].split(' ').next().unwrap().parse().unwrap()
+    };
+    let total = number_after("spilled ");
+    let frontier = number_after("(frontier ");
+    let visited = number_after(", visited records ");
+    assert_eq!(total, frontier + visited, "{line}");
+    assert!(frontier > 0 && visited > 0, "a tier never spilled: {line}");
+    assert!(line.ends_with(" — exploration completed"), "{line}");
+}
+
+#[cfg(unix)]
+#[test]
+fn verify_compose_under_memory_budget_names_both_spill_tiers() {
+    let stack = ["verify", "--compose", "l1=msi:1,llc=msi:2", "--stalling"];
+    let budget = ["--store", "delta", "--mem-budget", "1K", "--spill-chunk", "4K"];
+    let budgeted = protogen(&[&stack[..], &budget[..]].concat());
+    let unbudgeted = protogen(&stack);
+    assert!(budgeted.status.success(), "{}", String::from_utf8_lossy(&budgeted.stderr));
+    let b = String::from_utf8_lossy(&budgeted.stdout);
+    let u = String::from_utf8_lossy(&unbudgeted.stdout);
+    assert_spill_names_both_tiers(&b);
+    let prefix = |out: &str| out.split(" transitions").next().unwrap_or_default().to_string();
+    assert_eq!(prefix(&b), prefix(&u), "budgeted:\n{b}\nunbudgeted:\n{u}");
 }
 
 #[test]

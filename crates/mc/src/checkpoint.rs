@@ -7,13 +7,14 @@
 //! the epoch that just closed), the next-frontier arena is empty, all
 //! batch queues are drained, and the current frontier is read-only for
 //! the rest of the run — so a shard's state is exactly its fingerprint
-//! map, its record vector, and one encoding arena. Those are written
-//! verbatim (delta-compressed arenas stay delta-compressed — the §9 codec
-//! is reused as the on-disk format), each shard to its own checksummed
-//! file, with a versioned manifest committed last via rename. A process
-//! killed at any instant — including `kill -9` mid-write — therefore
-//! leaves either a complete committed checkpoint or none: shard files
-//! without a manifest are invisible to resume.
+//! map, its records (each written with its derived depth), and one
+//! encoding arena. Those are written verbatim (delta-compressed arenas
+//! stay delta-compressed — the §9 codec is reused as the on-disk format),
+//! each shard to its own checksummed file, with a versioned manifest
+//! committed last via rename. A process killed at any instant — including
+//! `kill -9` mid-write — therefore leaves either a complete committed
+//! checkpoint or none: shard files without a manifest are invisible to
+//! resume.
 //!
 //! Resume rebuilds the workers from the newest committed checkpoint and
 //! re-enters the epoch loop at the recorded depth. Because the checkpoint
@@ -63,12 +64,12 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// One shard's restored state: fingerprints in shard-local id order, the
-/// full record vector (empty in fingerprint-only mode), and the frontier
-/// index + arena for the epoch about to run.
+/// One shard's restored state: the visited store (every record hot, no
+/// spill tier — a resumed run re-freezes under its own memory budget
+/// exactly as a fresh one would), and the frontier index + arena for the
+/// epoch about to run.
 pub(crate) struct ShardSnapshot {
-    pub fps: Vec<u64>,
-    pub recs: Vec<StateRec>,
+    pub store: ShardStore,
     pub entries: Vec<FrontEntry>,
     pub arena: Vec<u8>,
 }
@@ -184,7 +185,9 @@ fn shard_path(dir: &Path, depth: u32, shard: usize) -> PathBuf {
 }
 
 /// Serializes one shard (visited store + current frontier) and writes it
-/// under the (not-yet-committed) checkpoint directory for `depth`.
+/// under the (not-yet-committed) checkpoint directory for `depth`. Each
+/// record carries its derived depth, frozen ones read back through the
+/// spill tier.
 pub(crate) fn write_shard(
     dir: &Path,
     depth: u32,
@@ -194,7 +197,7 @@ pub(crate) fn write_shard(
     keeps_recs: bool,
 ) -> io::Result<()> {
     std::fs::create_dir_all(ck_dir(dir, depth))?;
-    let (fps, recs) = store.snapshot(keeps_recs);
+    let fps = store.map.by_lid();
     let arena = cur.global_bytes()?;
 
     let mut out = Vec::with_capacity(64 + fps.len() * 28 + cur.index.len() * 25 + arena.len());
@@ -208,11 +211,12 @@ pub(crate) fn write_shard(
     }
     put_u8(&mut out, keeps_recs as u8);
     if keeps_recs {
-        for r in &recs {
+        for lid in 0..fps.len() {
+            let r = store.rec(lid);
             put_u64(&mut out, r.parent_fp);
             put_u32(&mut out, r.parent.raw());
             put_u32(&mut out, r.step);
-            put_u32(&mut out, r.depth);
+            put_u32(&mut out, store.depth(lid));
         }
     }
     put_u64(&mut out, cur.index.len() as u64);
@@ -419,9 +423,9 @@ fn load_shard(
         )));
     }
     let n = r.len(8)?;
-    let mut fps = Vec::with_capacity(n);
-    for _ in 0..n {
-        fps.push(r.u64()?);
+    let mut store = ShardStore::new();
+    for lid in 0..n {
+        store.map.insert(r.u64()?, lid as u32);
     }
     let file_keeps = r.u8()? != 0;
     if file_keeps != keeps_recs {
@@ -431,17 +435,29 @@ fn load_shard(
             if keeps_recs { "requires" } else { "omits" },
         )));
     }
-    let mut recs = Vec::new();
     if file_keeps {
-        recs.reserve(n);
-        for _ in 0..n {
+        for lid in 0..n {
             let parent_fp = r.u64()?;
             let parent = Gid::from_raw(r.u32()?);
             let step = r.u32()?;
             let rdepth = r.u32()?;
-            recs.push(StateRec { parent_fp, parent, step, depth: rdepth });
+            // Records were appended level by level, so their depths rebuild
+            // the store's level starts; any other order is corruption.
+            if rdepth > depth {
+                return Err(CheckpointError::new(format!(
+                    "{what} is corrupt: record {lid} has depth {rdepth}, past the checkpoint's \
+                     {depth}"
+                )));
+            }
+            if let Err(open) = store.push_rec_at(StateRec { parent_fp, parent, step }, rdepth) {
+                return Err(CheckpointError::new(format!(
+                    "{what} is corrupt: record {lid} has depth {rdepth} after a record of depth \
+                     {open}"
+                )));
+            }
         }
     }
+    store.open_levels_through(depth);
     let n_entries = r.len(25)?;
     let mut entries = Vec::with_capacity(n_entries);
     for _ in 0..n_entries {
@@ -474,7 +490,7 @@ fn load_shard(
             arena.len()
         )));
     }
-    Ok(ShardSnapshot { fps, recs, entries, arena })
+    Ok(ShardSnapshot { store, entries, arena })
 }
 
 #[cfg(test)]
@@ -499,9 +515,16 @@ mod tests {
             parent_fp: i.wrapping_mul(0x9E37_79B9),
             parent: Gid::from_raw(i as u32 & 0x0FFF_FFFF),
             step: i as u32,
-            depth: (i / 7) as u32,
         }
     }
+
+    /// The depth `build` files record `lid` under.
+    fn depth_of(lid: usize) -> u32 {
+        (lid / 7) as u32
+    }
+
+    /// A checkpoint depth no `build` record exceeds (at most 200 states).
+    const TOP: u32 = 30;
 
     /// Builds a (store, frontier) pair from proptest-chosen shapes.
     fn build(
@@ -513,7 +536,7 @@ mod tests {
         for (lid, &fp) in fps.iter().enumerate() {
             store.map.insert(fp, lid as u32);
             if keeps_recs {
-                store.push_rec(rec(lid as u64));
+                store.push_rec_at(rec(lid as u64), depth_of(lid)).unwrap();
             }
         }
         let mut cur = FrontierBuf::default();
@@ -551,32 +574,28 @@ mod tests {
         }
         let (store, cur, arena) = build(&fps, &entry_lens, keeps_recs);
         let dir = tmpdir("roundtrip");
-        write_shard(&dir, 3, 0, &store, &cur, keeps_recs).unwrap();
-        let path = shard_path(&dir, 3, 0);
+        write_shard(&dir, TOP, 0, &store, &cur, keeps_recs).unwrap();
+        let path = shard_path(&dir, TOP, 0);
         let bytes = std::fs::read(&path).unwrap();
         let sum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-        let snap = load_shard(&dir, 3, 0, bytes.len() as u64, sum, keeps_recs).unwrap();
-        let mut want_fps = vec![0u64; store.len()];
-        for (&fp, &lid) in &store.map {
-            want_fps[lid as usize] = fp;
-        }
-        assert_eq!(snap.fps, want_fps);
+        let snap = load_shard(&dir, TOP, 0, bytes.len() as u64, sum, keeps_recs).unwrap();
+        assert_eq!(snap.store.map.by_lid(), fps);
         assert_eq!(snap.arena, arena);
         assert_eq!(snap.entries.len(), cur.index.len());
         for (a, b) in snap.entries.iter().zip(cur.index.iter()) {
             assert_eq!((a.off, a.len, a.lid, a.delta, a.fp), (b.off, b.len, b.lid, b.delta, b.fp));
         }
         if keeps_recs {
-            assert_eq!(snap.recs.len(), store.len());
-            for (lid, r) in snap.recs.iter().enumerate() {
-                let w = rec(lid as u64);
+            assert_eq!(snap.store.rec_count(), store.len());
+            for lid in 0..store.len() {
+                let (r, w) = (snap.store.rec(lid), rec(lid as u64));
                 assert_eq!(
-                    (r.parent_fp, r.parent.raw(), r.step, r.depth),
-                    (w.parent_fp, w.parent.raw(), w.step, w.depth)
+                    (r.parent_fp, r.parent.raw(), r.step, snap.store.depth(lid)),
+                    (w.parent_fp, w.parent.raw(), w.step, depth_of(lid))
                 );
             }
         } else {
-            assert!(snap.recs.is_empty());
+            assert_eq!(snap.store.rec_count(), 0);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -646,6 +665,38 @@ mod tests {
                 err.to_string().contains("truncated") || err.to_string().contains("corrupt"),
                 "unhelpful error at {keep}: {err}"
             );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn out_of_order_record_depths_are_refused_not_a_panic() {
+        // Four records of depth 0 written at depth 1; rewrite record depths
+        // (after magic, version, shard, depth, count, 4 fingerprints and
+        // the keeps flag, 20 bytes a record, depth last) and re-seal the
+        // checksum, so only the loader's order check can catch them.
+        let (store, cur, _) = build(&[11, 22, 33, 44], &[3], true);
+        let dir = tmpdir("depths");
+        write_shard(&dir, 1, 0, &store, &cur, true).unwrap();
+        let path = shard_path(&dir, 1, 0);
+        let good = std::fs::read(&path).unwrap();
+        let depth_at = |i: usize| 24 + 4 * 8 + 1 + 20 * i + 16;
+        for (depths, want) in [
+            ([0, 1, 1, 0], "record 3 has depth 0 after a record of depth 1"),
+            ([0, 0, 1, 2], "record 3 has depth 2, past the checkpoint's 1"),
+        ] {
+            let mut bytes = good.clone();
+            for (i, d) in depths.into_iter().enumerate() {
+                bytes[depth_at(i)..depth_at(i) + 4].copy_from_slice(&(d as u32).to_le_bytes());
+            }
+            let body = bytes.len() - 8;
+            let sum = fingerprint_bytes(&bytes[..body]);
+            bytes[body..].copy_from_slice(&sum.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            let err = load_shard(&dir, 1, 0, bytes.len() as u64, sum, true)
+                .err()
+                .expect("out-of-order depths must not load");
+            assert!(err.to_string().contains(want), "{err}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -391,19 +391,24 @@ pub struct CheckResult {
     /// Wall-clock seconds spent exploring.
     pub seconds: f64,
     /// Peak bytes held by the sharded visited set (fingerprint maps plus
-    /// packed parent-pointer records).
+    /// packed parent-pointer records), sampled at epoch boundaries with
+    /// `peak_mem_bytes` and summed across workers.
     pub store_bytes: usize,
     /// Peak accounted RAM across one whole epoch: visited shards *plus*
     /// frontier arenas, outbox/batch-pool allocations, and queued inbox
     /// batches — the figure the old `store_bytes` understated. Sampled at
     /// epoch boundaries and summed across workers.
     pub peak_mem_bytes: usize,
-    /// Payload bytes written to spill files (frontier arenas + frozen
-    /// visited records) over the whole run. Zero when no memory budget is
-    /// set or it was never exceeded.
+    /// Payload bytes written to spill files over the whole run: the sum
+    /// of `frontier_spill_bytes` and `visited_spill_bytes`. Zero when no
+    /// memory budget is set or it was never exceeded.
     pub spill_bytes: u64,
-    /// Spill chunks written over the whole run.
+    /// Spill chunks written over the whole run, both tiers.
     pub spill_chunks: u64,
+    /// The part of `spill_bytes` written by frontier arenas.
+    pub frontier_spill_bytes: u64,
+    /// The part of `spill_bytes` written by frozen visited records.
+    pub visited_spill_bytes: u64,
     /// Worker threads used.
     pub threads: usize,
     /// Every `(machine, state, event)` dispatch attempted, when
@@ -621,11 +626,11 @@ struct Worker<'w, S: TransitionSystem> {
     new_count: usize,
     depth: u32,
     cap: usize,
-    /// `store.len()` at the start of the current epoch: a duplicate hit
-    /// with `lid >= epoch_start` was inserted *this* epoch (records append
-    /// monotonically per epoch), which is exactly the old
-    /// `rec.depth == depth + 1` parent-race condition — without reading a
-    /// possibly-frozen record.
+    /// First record id of the level this epoch inserts (what
+    /// [`ShardStore::open_level`] returned): a duplicate hit with
+    /// `lid >= epoch_start` was inserted *this* epoch (records append
+    /// monotonically per epoch), which is exactly the parent-race
+    /// condition — without reading a possibly-frozen record.
     epoch_start: u32,
     /// This worker's slice of [`Resources::mem_budget_bytes`] (0 = no
     /// budget, spilling off).
@@ -704,7 +709,6 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
                 parent_fp: fp0,
                 parent: Gid::pack(self.t, 0),
                 step: STEP_NONE,
-                depth: 0,
             });
         }
         self.cur.append(self.map, enc, 0, fp0, self.delta_mode);
@@ -714,7 +718,7 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
     /// restored visited store and frontier, positioned at the top of the
     /// checkpointed epoch (exactly where the checkpoint was taken).
     fn restore_snapshot(&mut self, snap: crate::checkpoint::ShardSnapshot, depth: u32) {
-        self.store = ShardStore::restore(&snap.fps, snap.recs);
+        self.store = snap.store;
         self.cur = FrontierBuf::restored(snap.entries, snap.arena);
         self.depth = depth;
     }
@@ -727,7 +731,7 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
     /// the calling thread instead of deadlocking the phaser.
     fn run(mut self) -> (ShardStore, S::Scratch) {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        self.epoch_start = self.store.len() as u32;
+        self.epoch_start = self.store.open_level();
         loop {
             let coord = self.coord;
             // Expand this shard's frontier, routing successor encodings
@@ -785,8 +789,8 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
                 // returned shard).
                 let (cb, cc) = self.cur.spill_totals();
                 let (nb, nc) = self.next.spill_totals();
-                coord.spill_bytes.fetch_add(cb + nb, Relaxed);
-                coord.spill_chunks.fetch_add(cc + nc, Relaxed);
+                coord.frontier_spill_bytes.fetch_add(cb + nb, Relaxed);
+                coord.frontier_spill_chunks.fetch_add(cc + nc, Relaxed);
                 return (self.store, self.scratch);
             }
             std::mem::swap(&mut self.cur, &mut self.next);
@@ -794,7 +798,7 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
             self.chunk_at = usize::MAX;
             self.prev_full.clear();
             self.depth += 1;
-            self.epoch_start = self.store.len() as u32;
+            self.epoch_start = self.store.open_level();
             // Checkpoint point: the one place in an epoch where shard
             // state is minimal and final — records frozen, `next` empty,
             // queues drained, `cur` read-only from here on. The trigger
@@ -994,12 +998,12 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
     /// duplicates from this shard's own expansion never pay for byte
     /// emission.
     fn insert(&mut self, fp: u64, parent_fp: u64, parent: Gid, step: u32, enc: Option<&[u8]>) {
-        if let Some(&lid) = self.store.map.get(&fp) {
+        if let Some(lid) = self.store.map.get(fp) {
             // Same-level parent race: `lid >= epoch_start` identifies a
-            // this-epoch insert (== the old `rec.depth == depth + 1`
-            // check) without touching a possibly-frozen record; records
-            // from earlier epochs are final. No records exist to race on
-            // in fingerprint-only mode.
+            // this-epoch insert (a record of depth `depth + 1`) without
+            // touching a possibly-frozen record; records from earlier
+            // epochs are final. No records exist to race on in
+            // fingerprint-only mode.
             if self.keeps_recs && lid >= self.epoch_start {
                 let rec = self.store.rec_mut(lid as usize);
                 if (parent_fp, step) < (rec.parent_fp, rec.step) {
@@ -1017,7 +1021,7 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
             let lid = local as u32;
             self.store.map.insert(fp, lid);
             if self.keeps_recs {
-                self.store.push_rec(StateRec { parent_fp, parent, step, depth: self.depth + 1 });
+                self.store.push_rec(StateRec { parent_fp, parent, step });
             }
             if self.delta_mode {
                 match enc {
@@ -1115,10 +1119,11 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
         // (rare) capacity retained across the rendezvous.
         let mem = self.accounted_bytes() + self.inboxes[self.t].mem_bytes();
         self.coord.epoch_mem.fetch_add(mem, Relaxed);
+        self.coord.epoch_store.fetch_add(self.store.mem_bytes(), Relaxed);
         // At this point every record is final: parent-race updates only
         // ever touch records inserted in the *current* epoch, and this
-        // epoch's inserts are all in. So the whole hot vector can freeze
-        // to disk in one chunk.
+        // epoch's inserts are all in. So every hot record can freeze to
+        // disk in one chunk.
         if self.budget_share != 0 && self.keeps_recs && self.accounted_bytes() > self.budget_share {
             self.store.spill_frozen("visited").expect("visited spill write failed");
         }
@@ -1208,13 +1213,14 @@ pub(crate) fn explore<S: TransitionSystem>(
 
     let states = stores.iter().map(|s| s.len()).sum();
     let transitions = coord.transitions.load(Relaxed);
-    let store_bytes = stores.iter().map(|s| s.mem_bytes()).sum();
+    let store_bytes = coord.peak_store.load(Relaxed);
     let peak_mem_bytes = coord.peak_mem.load(Relaxed);
-    let (mut spill_bytes, mut spill_chunks) =
-        (coord.spill_bytes.load(Relaxed), coord.spill_chunks.load(Relaxed));
+    let frontier_spill_bytes = coord.frontier_spill_bytes.load(Relaxed);
+    let (mut visited_spill_bytes, mut spill_chunks) =
+        (0, coord.frontier_spill_chunks.load(Relaxed));
     for s in &stores {
         let (b, c) = s.spill_totals();
-        spill_bytes += b;
+        visited_spill_bytes += b;
         spill_chunks += c;
     }
     let (violation, hit_limit) =
@@ -1247,8 +1253,10 @@ pub(crate) fn explore<S: TransitionSystem>(
         seconds: start.elapsed().as_secs_f64(),
         store_bytes,
         peak_mem_bytes,
-        spill_bytes,
+        spill_bytes: frontier_spill_bytes + visited_spill_bytes,
         spill_chunks,
+        frontier_spill_bytes,
+        visited_spill_bytes,
         threads,
         coverage: None,
     };
@@ -1259,10 +1267,10 @@ pub(crate) fn explore<S: TransitionSystem>(
 /// selects the minimum-key violation of the epoch, or stops on
 /// exhaustion / the state budget.
 fn decide(coord: &Coordinator, max_states: usize) -> Decision {
-    // Fold the epoch's fleet-wide memory sample into the running peak
-    // and reset the accumulator for the next epoch.
-    let epoch_mem = coord.epoch_mem.swap(0, Relaxed);
-    coord.peak_mem.fetch_max(epoch_mem, Relaxed);
+    // Fold the epoch's fleet-wide memory samples into the running peaks
+    // and reset the accumulators for the next epoch.
+    coord.peak_mem.fetch_max(coord.epoch_mem.swap(0, Relaxed), Relaxed);
+    coord.peak_store.fetch_max(coord.epoch_store.swap(0, Relaxed), Relaxed);
     let mut agg = coord.agg.lock().unwrap();
     let mut vios = std::mem::take(&mut agg.violations);
     let new_states = std::mem::take(&mut agg.new_states);
@@ -1298,10 +1306,11 @@ fn build_trace<S: TransitionSystem>(sys: &S, stores: &[ShardStore], v: &VioCand)
     let mut steps = Vec::new();
     let mut cur = v.parent;
     loop {
-        let rec = stores[cur.shard()].rec(cur.local());
-        if rec.depth == 0 {
+        let store = &stores[cur.shard()];
+        if store.depth(cur.local()) == 0 {
             break;
         }
+        let rec = store.rec(cur.local());
         steps.push(rec.step);
         cur = rec.parent;
     }

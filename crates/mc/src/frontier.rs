@@ -323,11 +323,15 @@ pub(crate) struct Coordinator {
     /// Running maximum of `epoch_mem` over all epochs — the run's peak
     /// accounted memory.
     pub peak_mem: AtomicUsize,
+    /// The visited shards' part of `epoch_mem`, folded the same way.
+    pub epoch_store: AtomicUsize,
+    /// Running maximum of `epoch_store` — the run's peak store bytes.
+    pub peak_store: AtomicUsize,
     /// Payload bytes spilled by frontier arenas fleet-wide (visited-record
     /// spill totals are summed from the returned shards instead).
-    pub spill_bytes: AtomicU64,
+    pub frontier_spill_bytes: AtomicU64,
     /// Chunks spilled by frontier arenas fleet-wide.
-    pub spill_chunks: AtomicU64,
+    pub frontier_spill_chunks: AtomicU64,
     /// Set when any worker's phase panicked: every worker keeps hitting
     /// the rendezvous but skips real work, so the fleet drains instead of
     /// deadlocking the phaser.
@@ -347,8 +351,10 @@ impl Coordinator {
             exhausted_shard: AtomicUsize::new(usize::MAX),
             epoch_mem: AtomicUsize::new(0),
             peak_mem: AtomicUsize::new(0),
-            spill_bytes: AtomicU64::new(0),
-            spill_chunks: AtomicU64::new(0),
+            epoch_store: AtomicUsize::new(0),
+            peak_store: AtomicUsize::new(0),
+            frontier_spill_bytes: AtomicU64::new(0),
+            frontier_spill_chunks: AtomicU64::new(0),
             aborted: AtomicBool::new(false),
             panic: Mutex::new(None),
         }

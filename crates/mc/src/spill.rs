@@ -41,6 +41,8 @@ pub(crate) struct SpillFile {
     written: u64,
     /// Cumulative chunks appended (survives [`SpillFile::reset`]).
     chunks: u64,
+    /// Payload bytes of the chunk being written part by part.
+    open: u64,
 }
 
 impl SpillFile {
@@ -55,15 +57,30 @@ impl SpillFile {
         // even a SIGKILLed run leaks no scratch space.
         let path =
             if cfg!(unix) && std::fs::remove_file(&path).is_ok() { None } else { Some(path) };
-        Ok(SpillFile { file, path, len: 0, written: 0, chunks: 0 })
+        Ok(SpillFile { file, path, len: 0, written: 0, chunks: 0, open: 0 })
     }
 
     /// Appends `bytes` as one chunk, padding the file to the next page
     /// boundary, and returns the chunk's file offset.
     pub fn append_chunk(&mut self, bytes: &[u8]) -> io::Result<u64> {
-        let off = self.len;
+        self.write_part(bytes)?;
+        self.end_chunk()
+    }
+
+    /// Appends `bytes` to the chunk being written; the chunk ends at the
+    /// next [`SpillFile::end_chunk`]. Lets a caller serialize a chunk
+    /// piece by piece instead of staging it whole in memory.
+    pub fn write_part(&mut self, bytes: &[u8]) -> io::Result<()> {
         self.file.write_all(bytes)?;
-        let end = off + bytes.len() as u64;
+        self.open += bytes.len() as u64;
+        Ok(())
+    }
+
+    /// Closes the chunk written by [`SpillFile::write_part`], padding the
+    /// file to the next page boundary, and returns the chunk's offset.
+    pub fn end_chunk(&mut self) -> io::Result<u64> {
+        let off = self.len;
+        let end = off + self.open;
         let aligned = end.div_ceil(PAGE) * PAGE;
         if aligned > end {
             // Seek-past-end + the next write would also materialize the
@@ -72,8 +89,9 @@ impl SpillFile {
             self.file.write_all(&vec![0u8; (aligned - end) as usize])?;
         }
         self.len = aligned;
-        self.written += bytes.len() as u64;
+        self.written += self.open;
         self.chunks += 1;
+        self.open = 0;
         Ok(off)
     }
 
@@ -98,6 +116,7 @@ impl SpillFile {
         self.file.set_len(0)?;
         self.file.seek(SeekFrom::Start(0))?;
         self.len = 0;
+        self.open = 0;
         Ok(())
     }
 
