@@ -7,7 +7,8 @@
 //! * [`to_dot`] / [`to_dot_composed`] — Graphviz diagrams (Figures 1 and
 //!   2; composed-stack topology with dashed glue edges);
 //! * [`render_composed_table`] — one table section per composition level;
-//! * [`to_murphi`] — Murϕ model text (§IV-B's verification back-end).
+//! * [`to_murphi`] — a Murϕ rule skeleton for §IV-B's verification
+//!   back-end; it does not run yet.
 //!
 //! # Example
 //!

@@ -1,16 +1,25 @@
-//! Murϕ back-end: emit the generated protocol as Murϕ model text (§IV-B:
-//! "we have implemented a backend to the language of the Murϕ model
-//! checker").
+//! Murϕ back-end (§IV-B: "we have implemented a backend to the language of
+//! the Murϕ model checker") — so far a rule *skeleton* that does not run.
 //!
-//! The emitted model mirrors the built-in checker's system: N caches, one
-//! directory, per-pair ordered channels, SWMR and data-value invariants.
-//! The text is golden-tested; executing it requires the external `mu`
-//! compiler, which the repository's own checker substitutes for.
+//! What it emits: the declarations (a `Proc` scalarset, state, message and
+//! record types, one `net` of *unordered* `multiset` channels per cache,
+//! not the checker's per-pair FIFOs) and one `rule` per non-stall arc,
+//! guarded by the source state and the arc's guards, whose body sets the
+//! target state and lists the arc's actions as `--` comments only. The
+//! rules bind neither `p` nor `msg` (no `ruleset`, no receive from `net`),
+//! the guards and the closing SWMR / data-value invariants call helpers
+//! (`cacheHasWrite`, `acksSatisfied`, `isSharer`, …) that are never
+//! defined, and there is no `startstate` and no access-issue rule. The
+//! text therefore does not run as emitted, and its tests check only that
+//! names appear; the repository's own checker (`protogen-mc`) is what
+//! verifies. A complete, runnable model is open work.
 
 use protogen_spec::{ArcKind, Event, Fsm, Guard, MachineKind};
 use std::fmt::Write as _;
 
-/// Emits a Murϕ model for the protocol's two controllers.
+/// Emits a Murϕ rule skeleton for the protocol's two controllers. It does
+/// not run yet: actions are comments, helpers are undefined and channels
+/// are unordered.
 pub fn to_murphi(cache: &Fsm, dir: &Fsm, n_caches: usize) -> String {
     let mut out = String::new();
     let w = &mut out;

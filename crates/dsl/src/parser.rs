@@ -26,7 +26,12 @@ impl Parser {
     }
 
     fn here(&self) -> String {
-        let t = &self.toks[self.pos];
+        self.at(self.pos)
+    }
+
+    /// The `line:col` of token `pos`.
+    fn at(&self, pos: usize) -> String {
+        let t = &self.toks[pos];
         format!("{}:{}", t.line, t.col)
     }
 
@@ -101,13 +106,15 @@ pub fn parse(src: &str) -> Result<Spec, ParseError> {
             TokenKind::Ident(word) => match word.as_str() {
                 "network" => {
                     p.bump();
+                    let at = p.pos;
                     let mode = p.ident()?;
                     spec.ordered = match mode.as_str() {
                         "ordered" => true,
                         "unordered" => false,
                         other => {
                             return Err(ParseError(format!(
-                                "network must be ordered|unordered, found `{other}`"
+                                "network must be ordered|unordered, found `{other}` at {}",
+                                p.at(at)
                             )))
                         }
                     };
@@ -115,12 +122,14 @@ pub fn parse(src: &str) -> Result<Spec, ParseError> {
                 }
                 "consistency" => {
                     p.bump();
+                    let at = p.pos;
                     let model = p.ident()?;
                     match model.as_str() {
                         "sc" | "tso" | "weak" => spec.consistency = model,
                         other => {
                             return Err(ParseError(format!(
-                                "consistency must be sc|tso|weak, found `{other}`"
+                                "consistency must be sc|tso|weak, found `{other}` at {}",
+                                p.at(at)
                             )))
                         }
                     }
@@ -128,13 +137,15 @@ pub fn parse(src: &str) -> Result<Spec, ParseError> {
                 }
                 "si" => {
                     p.bump();
+                    let at = p.pos;
                     let mode = p.ident()?;
                     spec.si_epoch = match mode.as_str() {
                         "epoch" => true,
                         "line" => false,
                         other => {
                             return Err(ParseError(format!(
-                                "si must be epoch|line, found `{other}`"
+                                "si must be epoch|line, found `{other}` at {}",
+                                p.at(at)
                             )))
                         }
                     };
@@ -158,6 +169,7 @@ pub fn parse(src: &str) -> Result<Spec, ParseError> {
                 }
                 "architecture" => {
                     p.bump();
+                    let at = p.pos;
                     let which = p.ident()?;
                     let procs = parse_arch(&mut p)?;
                     match which.as_str() {
@@ -165,7 +177,8 @@ pub fn parse(src: &str) -> Result<Spec, ParseError> {
                         "directory" => spec.dir_procs = procs,
                         other => {
                             return Err(ParseError(format!(
-                                "architecture must be cache|directory, found `{other}`"
+                                "architecture must be cache|directory, found `{other}` at {}",
+                                p.at(at)
                             )))
                         }
                     }
@@ -249,11 +262,14 @@ fn parse_states(p: &mut Parser) -> Result<Vec<StateDecl>, ParseError> {
         let mut perm = "none".to_string();
         let mut data = false;
         while *p.peek() != TokenKind::Semi {
+            let at = p.pos;
             let w = p.ident()?;
             match w.as_str() {
                 "read" | "readwrite" | "none" => perm = w,
                 "data" => data = true,
-                other => return Err(ParseError(format!("unknown state flag `{other}`"))),
+                other => {
+                    return Err(ParseError(format!("unknown state flag `{other}` at {}", p.at(at))))
+                }
             }
         }
         p.expect(&TokenKind::Semi)?;
@@ -368,10 +384,16 @@ fn parse_stmt(p: &mut Parser) -> Result<Stmt, ParseError> {
                 let mut a = p.ident()?;
                 if *p.peek() == TokenKind::Eq {
                     p.bump();
+                    let at = p.pos;
                     match p.bump() {
                         TokenKind::Ident(v) => a = format!("{a}={v}"),
                         TokenKind::Int(v) => a = format!("{a}={v}"),
-                        other => return Err(ParseError(format!("bad send argument {other}"))),
+                        other => {
+                            return Err(ParseError(format!(
+                                "bad send argument {other} at {}",
+                                p.at(at)
+                            )))
+                        }
                     }
                 }
                 args.push(a);
@@ -465,6 +487,26 @@ mod tests {
     fn reports_position_on_error() {
         let err = parse("protocol X;\nbogus").unwrap_err();
         assert!(err.to_string().contains("bogus"));
+    }
+
+    /// A misspelt word where the grammar wants one of a fixed set names
+    /// its own line and column, like every other parse error.
+    #[test]
+    fn bad_keyword_values_name_their_position() {
+        for (src, want) in [
+            ("protocol X;\nnetwork o", "found `o` at 2:9"),
+            ("protocol X;\n consistency pso;", "found `pso` at 2:14"),
+            ("protocol X;\nsi decay;", "found `decay` at 2:4"),
+            ("protocol X;\narchitecture core { }", "found `core` at 2:14"),
+            ("protocol X;\ncache { state I\n  dirty; }", "state flag `dirty` at 3:3"),
+            (
+                "protocol X; architecture cache {\nprocess(I, load) { send M(a=;",
+                "argument `;` at 2:29",
+            ),
+        ] {
+            let err = parse(src).unwrap_err().to_string();
+            assert!(err.ends_with(want), "{err}");
+        }
     }
 
     #[test]

@@ -33,12 +33,13 @@
 //! The key is a function of one *subnet* — sibling blocks, their directory
 //! entry, their channels ([`subnet_sort_key`]) — and the flat system is
 //! one subnet. A composed stack (`crate::hier`) has one per parent, builds
-//! its subtree keys on the same function, and applies the same rule under
-//! every parent, so a one-level stack selects this module's bytes.
+//! its subtree keys on the same function, and runs the same [`Sweep`]
+//! under every parent, so a one-level stack selects this module's bytes.
 
 use crate::store::{absorb, fingerprint_bytes, GOLDEN};
+use crate::subnet::{Subnet, Subnets, ONLY};
 use crate::system::SysState;
-use protogen_runtime::{CacheBlock, DirEntry, Msg, NodeId};
+use protogen_runtime::{Msg, NodeId};
 use protogen_spec::Access;
 
 /// How an encoded node id relates to the cache whose key is being built.
@@ -73,30 +74,22 @@ pub(crate) fn queue_hash(q: &[Msg], this: usize, n: usize) -> u64 {
     h
 }
 
-/// The permutation-invariant symmetry sort key of node `i` of one subnet —
-/// `caches.len()` sibling blocks under the directory entry `dir`, with
-/// `chans[src][dst]` the subnet-local FIFOs (id `caches.len()` is the
-/// directory): a 64-bit hash of the node's FSM state, its scalar block
-/// fields, the directory-facing bits that name it, its chain slots
-/// (endpoint roles only), and the multiset of in-flight messages on every
-/// channel touching it. Queue order *within* a channel is preserved
-/// (channels move wholesale under a permutation); the combination *across*
-/// same-role partners is a commutative sum, because a permutation may
-/// reorder which other sibling is "first".
+/// The permutation-invariant symmetry sort key of node `i` of one subnet
+/// (id `net.caches.len()` is its directory): a 64-bit hash of the node's
+/// FSM state, its scalar block fields, the directory-facing bits that name
+/// it, its chain slots (endpoint roles only), and the multiset of in-flight
+/// messages on every channel touching it. Queue order *within* a channel
+/// is preserved (channels move wholesale under a permutation); the
+/// combination *across* same-role partners is a commutative sum, because a
+/// permutation may reorder which other sibling is "first".
 ///
 /// This is the one key function of both systems: the flat checker's whole
-/// state is one such subnet ([`cache_sort_key`]), and a composed stack's
-/// `caches[j][p·f..]` / `dirs[j][p]` / `chans[j][p]` is one per parent
-/// (`crate::hier` absorbs what hangs below a node on top of it).
+/// state is one subnet ([`cache_sort_key`]), and a composed stack has one
+/// per parent (`crate::hier` absorbs what hangs below a node on top of it).
 #[inline]
-pub(crate) fn subnet_sort_key(
-    caches: &[CacheBlock],
-    dir: &DirEntry,
-    chans: &[Vec<Vec<Msg>>],
-    i: usize,
-) -> u64 {
-    let n = caches.len();
-    let c = &caches[i];
+pub(crate) fn subnet_sort_key(net: &Subnet<'_>, i: usize) -> u64 {
+    let (n, dir, chans) = (net.caches.len(), net.dir, net.chans);
+    let c = &net.caches[i];
     // Every scalar block field plus the directory-facing bits that name
     // this cache, packed into one word (fields are tiny by the bounding
     // discipline; 0x1ff/0x3 are the `None` sentinels).
@@ -146,118 +139,119 @@ pub(crate) fn subnet_sort_key(
 /// cache_sort_key(&s.permuted(p), p[i])` for every permutation `p` — the
 /// property that makes orbit pruning sound (DESIGN.md §8).
 pub fn cache_sort_key(s: &SysState, i: usize) -> u64 {
-    subnet_sort_key(&s.caches, &s.dir, &s.channels, i)
+    subnet_sort_key(&s.subnet(ONLY), i)
 }
 
-/// The pruned symmetry canonicalizer: one per worker thread, owning the
-/// scratch buffers the sweep reuses across millions of states.
-///
-/// [`Canonicalizer::canonical_fp`] selects the same representative as the
-/// full-sweep [`SysState::canonical_encoding`] over all n! permutations —
-/// minimum `(key sequence, fingerprint)`, ties broken by enumeration
-/// order — while enumerating only the arrangements that sort caches by
-/// [`cache_sort_key`]. Each candidate is encoded once into a reusable
-/// buffer and the winning buffer is kept, so emitting the canonical
-/// encoding afterwards is a copy, not a second walk of the state.
+/// The orbit-pruned sweep both canonicalizers run: over nodes on one or
+/// more levels, every `fanout` consecutive nodes of a level sharing a
+/// parent, it lists each parent's children in ascending `(key, index)`
+/// order — the *base arrangement* — and enumerates only the permutations
+/// within equal-key sibling runs. Each candidate arrangement is encoded
+/// once into a reusable buffer; the representative is the one with the
+/// minimum fingerprint, ties by enumeration order: runs top level first,
+/// then in ascending slot order, the last run varying fastest, each run's
+/// permutations in [`crate::permutations`]' order. The flat system is one
+/// level of `n` caches under one parent; a composed stack has one level
+/// per machine level below the root.
 #[derive(Debug)]
-pub struct Canonicalizer {
-    n: usize,
-    symmetry: bool,
-    /// Per-group-size permutation tables, built on first use:
-    /// `perm_tables[k]` holds every permutation of `0..k` in
-    /// [`crate::permutations`]' order, `k` bytes each, back to back
-    /// (empty = not built yet; a group has at least one member).
-    perm_tables: Vec<Vec<u8>>,
-    keys: Vec<u64>,
-    /// Cache indices sorted by `(key, index)` — the base arrangement.
-    base: Vec<u8>,
-    /// Equal-key runs in `base`, as `(start, len)`.
-    groups: Vec<(u8, u8)>,
-    /// Scratch: candidate slot→cache assignment and its inverse.
-    inv: Vec<u8>,
-    perm: Vec<u8>,
-    /// Mixed-radix counter over within-group permutations.
+pub(crate) struct Sweep {
+    /// Children per parent, per level.
+    fanouts: Vec<usize>,
+    /// `keys[level][node]`: every node's permutation-invariant sort key,
+    /// filled in by the caller before [`Sweep::sort`].
+    pub(crate) keys: Vec<Vec<u64>>,
+    /// `base[level][p·f..(p+1)·f]`: parent `p`'s children sorted by `(key,
+    /// index)`.
+    pub(crate) base: Vec<Vec<u8>>,
+    /// `base` with the current candidate's within-run permutations
+    /// applied: `order[level][p·f + off]` is the child of parent `p` placed
+    /// at sibling offset `off`.
+    pub(crate) order: Vec<Vec<u8>>,
+    /// Equal-key sibling runs of two or more, as `(level, start, len)`, in
+    /// enumeration order.
+    runs: Vec<(usize, usize, usize)>,
+    /// Mixed-radix counter over within-run permutations.
     counters: Vec<u32>,
-    /// The candidate being encoded, and the encoding the most recent
-    /// [`Canonicalizer::canonical_fp`] selected.
+    /// `perm_tables[k]`: every permutation of `0..k`, `k` bytes each, back
+    /// to back; built on first use (empty = not built yet).
+    perm_tables: Vec<Vec<u8>>,
+    /// The candidate being encoded, and the encoding the last sweep
+    /// selected.
     cur: Vec<u8>,
     best: Vec<u8>,
 }
 
-impl Canonicalizer {
-    /// A canonicalizer for `n_caches` caches. With `symmetry` off it
-    /// degenerates to the identity map (fingerprint of the raw encoding).
-    pub fn new(n_caches: usize, symmetry: bool) -> Self {
-        Canonicalizer {
-            n: n_caches,
-            symmetry,
-            perm_tables: vec![Vec::new(); n_caches + 1],
-            keys: vec![0; n_caches],
-            base: (0..n_caches as u8).collect(),
-            groups: Vec::with_capacity(n_caches),
-            inv: (0..n_caches as u8).collect(),
-            perm: (0..n_caches as u8).collect(),
-            counters: vec![0; n_caches],
+impl Sweep {
+    /// A sweep over levels of `(nodes, fanout)`, leaves first. Every
+    /// arrangement starts as the identity.
+    pub(crate) fn new(shape: &[(usize, usize)]) -> Self {
+        let ident: Vec<Vec<u8>> =
+            shape.iter().map(|&(n, _)| (0..n).map(|i| i as u8).collect()).collect();
+        let fanouts: Vec<usize> = shape.iter().map(|&(_, f)| f).collect();
+        Sweep {
+            perm_tables: vec![Vec::new(); fanouts.iter().max().map_or(1, |f| f + 1)],
+            fanouts,
+            keys: shape.iter().map(|&(n, _)| vec![0; n]).collect(),
+            base: ident.clone(),
+            order: ident,
+            runs: Vec::new(),
+            counters: Vec::new(),
             cur: Vec::new(),
             best: Vec::new(),
         }
     }
 
-    /// The canonical fingerprint of `s` — identical for every member of
-    /// its symmetry orbit. Also keeps the canonical encoding, which
-    /// [`Canonicalizer::encode_best_into`] and
-    /// [`Canonicalizer::canonical_rep`] reuse.
-    pub fn canonical_fp(&mut self, s: &SysState) -> u64 {
-        if !self.symmetry {
-            // `perm`/`inv` are still the identity `new` set: only the
-            // sweep below writes them.
-            self.best.clear();
-            s.encode_permuted_to(&self.perm, &self.inv, &mut self.best);
-            return fingerprint_bytes(&self.best);
-        }
-        // Sort caches by (key, index): the base arrangement.
-        for i in 0..self.n {
-            self.keys[i] = cache_sort_key(s, i);
-            self.base[i] = i as u8;
-        }
-        let keys = &self.keys;
-        self.base.sort_by_key(|&c| (keys[c as usize], c));
-        // Equal-key runs.
-        self.groups.clear();
-        let mut start = 0usize;
-        for i in 1..=self.n {
-            if i == self.n || keys[self.base[i] as usize] != keys[self.base[start] as usize] {
-                self.groups.push((start as u8, (i - start) as u8));
-                start = i;
+    /// Lists every parent's children on `level` in ascending `(key,
+    /// index)` order.
+    pub(crate) fn sort(&mut self, level: usize) {
+        let (keys, f) = (&self.keys[level], self.fanouts[level]);
+        for (p, sibs) in self.base[level].chunks_mut(f).enumerate() {
+            for (off, slot) in sibs.iter_mut().enumerate() {
+                *slot = (p * f + off) as u8;
             }
+            sibs.sort_unstable_by_key(|&c| (keys[c as usize], c));
         }
-        for &(_, glen) in &self.groups {
-            let table = &mut self.perm_tables[glen as usize];
-            if table.is_empty() {
-                *table = crate::system::permutations(glen as usize).concat();
-            }
-        }
-        // Enumerate the product of within-group permutations with a
-        // mixed-radix counter; minimize (fp, enumeration index). The key
-        // sequence is constant across candidates by construction, so it
-        // never needs comparing here.
-        let mut best_fp = u64::MAX;
-        self.best.clear();
-        self.counters[..self.groups.len()].fill(0);
-        loop {
-            for (gi, &(gstart, glen)) in self.groups.iter().enumerate() {
-                let (gstart, glen) = (gstart as usize, glen as usize);
-                let at = self.counters[gi] as usize * glen;
-                let sigma = &self.perm_tables[glen][at..at + glen];
-                for (off, &k) in sigma.iter().enumerate() {
-                    self.inv[gstart + off] = self.base[gstart + k as usize];
+    }
+
+    /// Selects the representative among the arrangements of the sorted
+    /// levels; `encode(order, out)` appends the encoding of arrangement
+    /// `order`. Returns its fingerprint and keeps its bytes for
+    /// [`Sweep::best`]. The key sequence is constant across candidates by
+    /// construction, so it never needs comparing here.
+    pub(crate) fn minimize(&mut self, mut encode: impl FnMut(&[Vec<u8>], &mut Vec<u8>)) -> u64 {
+        self.runs.clear();
+        for (level, &f) in self.fanouts.iter().enumerate().rev() {
+            let keys = &self.keys[level];
+            for (p, sibs) in self.base[level].chunks(f).enumerate() {
+                let mut start = 0;
+                for end in 1..=f {
+                    if end == f || keys[sibs[end] as usize] != keys[sibs[start] as usize] {
+                        let len = end - start;
+                        if len > 1 {
+                            self.runs.push((level, p * f + start, len));
+                            if self.perm_tables[len].is_empty() {
+                                self.perm_tables[len] = crate::system::permutations(len).concat();
+                            }
+                        }
+                        start = end;
+                    }
                 }
             }
-            for (slot, &src) in self.inv.iter().enumerate() {
-                self.perm[src as usize] = slot as u8;
+        }
+        self.order.clone_from(&self.base);
+        self.counters.clear();
+        self.counters.resize(self.runs.len(), 0);
+        let mut best_fp = u64::MAX;
+        self.best.clear();
+        loop {
+            for (&(level, start, len), &at) in self.runs.iter().zip(&self.counters) {
+                let sigma = &self.perm_tables[len][at as usize * len..][..len];
+                for (off, &k) in sigma.iter().enumerate() {
+                    self.order[level][start + off] = self.base[level][start + k as usize];
+                }
             }
             self.cur.clear();
-            s.encode_permuted_to(&self.perm, &self.inv, &mut self.cur);
+            encode(&self.order, &mut self.cur);
             let fp = fingerprint_bytes(&self.cur);
             // `best` is empty only before the first candidate, which must
             // win even at `fp == u64::MAX`.
@@ -266,21 +260,95 @@ impl Canonicalizer {
                 std::mem::swap(&mut self.best, &mut self.cur);
             }
             // Advance the counter; done when it wraps.
-            let mut gi = self.groups.len();
+            let mut i = self.runs.len();
             loop {
-                if gi == 0 {
+                if i == 0 {
                     return best_fp;
                 }
-                gi -= 1;
-                let glen = self.groups[gi].1 as usize;
-                let radix = (self.perm_tables[glen].len() / glen) as u32;
-                self.counters[gi] += 1;
-                if self.counters[gi] < radix {
+                i -= 1;
+                let len = self.runs[i].2;
+                self.counters[i] += 1;
+                if (self.counters[i] as usize) < self.perm_tables[len].len() / len {
                     break;
                 }
-                self.counters[gi] = 0;
+                self.counters[i] = 0;
             }
         }
+    }
+
+    /// The unreduced case: the one candidate `encode` appends is the
+    /// representative.
+    pub(crate) fn keep(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> u64 {
+        self.runs.clear();
+        self.best.clear();
+        encode(&mut self.best);
+        fingerprint_bytes(&self.best)
+    }
+
+    /// The encoding the last [`Sweep::minimize`] or [`Sweep::keep`] chose.
+    pub(crate) fn best(&self) -> &[u8] {
+        &self.best
+    }
+
+    /// The number of candidates the last sweep enumerated: the product of
+    /// the factorials of its runs' lengths.
+    pub(crate) fn candidates(&self) -> usize {
+        self.runs.iter().map(|&(_, _, len)| (1..=len).product::<usize>()).product()
+    }
+}
+
+/// The pruned symmetry canonicalizer of the flat system: one per worker
+/// thread, owning the `Sweep` it reuses across millions of states.
+///
+/// [`Canonicalizer::canonical_fp`] selects the same representative as the
+/// full-sweep [`SysState::canonical_encoding`] over all n! permutations —
+/// minimum `(key sequence, fingerprint)`, ties broken by enumeration
+/// order — while enumerating only the arrangements that sort caches by
+/// [`cache_sort_key`]. The winning encoding is kept, so emitting it
+/// afterwards is a copy, not a second walk of the state.
+#[derive(Debug)]
+pub struct Canonicalizer {
+    symmetry: bool,
+    sweep: Sweep,
+    /// The candidate's cache → slot map, the inverse of the sweep's
+    /// slot → cache `order[0]`. The identity until the first sweep, and
+    /// for good with symmetry off.
+    perm: Vec<u8>,
+}
+
+impl Canonicalizer {
+    /// A canonicalizer for `n_caches` caches. With `symmetry` off it
+    /// degenerates to the identity map (fingerprint of the raw encoding).
+    pub fn new(n_caches: usize, symmetry: bool) -> Self {
+        Canonicalizer {
+            symmetry,
+            sweep: Sweep::new(&[(n_caches, n_caches)]),
+            perm: (0..n_caches as u8).collect(),
+        }
+    }
+
+    /// The canonical fingerprint of `s` — identical for every member of
+    /// its symmetry orbit. Also keeps the canonical encoding, which
+    /// [`Canonicalizer::encode_best_into`] and
+    /// [`Canonicalizer::canonical_rep`] reuse.
+    pub fn canonical_fp(&mut self, s: &SysState) -> u64 {
+        let Canonicalizer { symmetry, sweep, perm } = self;
+        if !*symmetry {
+            let ident = &*perm;
+            return sweep.keep(|out| s.encode_permuted_to(ident, ident, out));
+        }
+        let net = s.subnet(ONLY);
+        for (i, key) in sweep.keys[0].iter_mut().enumerate() {
+            *key = subnet_sort_key(&net, i);
+        }
+        sweep.sort(0);
+        sweep.minimize(|order, out| {
+            let inv = &order[0];
+            for (slot, &cache) in inv.iter().enumerate() {
+                perm[cache as usize] = slot as u8;
+            }
+            s.encode_permuted_to(perm, inv, out);
+        })
     }
 
     /// [`Canonicalizer::canonical_fp`] plus the canonical encoding bytes,
@@ -297,14 +365,14 @@ impl Canonicalizer {
     /// which batch arena to encode into), so the sweep and the byte
     /// emission are split.
     pub fn encode_best_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.best);
+        out.extend_from_slice(self.sweep.best());
     }
 
     /// Materializes the canonical orbit representative (cold paths:
     /// initial state, counterexample replay).
     pub fn canonical_rep(&mut self, s: &SysState) -> SysState {
         self.canonical_fp(s);
-        SysState::decode(&self.best, self.n)
+        SysState::decode(self.sweep.best(), self.perm.len())
     }
 
     /// The number of permutations the pruned sweep would enumerate for
@@ -312,11 +380,8 @@ impl Canonicalizer {
     /// factorials of the equal-key group sizes. Exposed for the
     /// canonicalization microbenchmark and tests.
     pub fn pruned_candidates(&mut self, s: &SysState) -> usize {
-        if !self.symmetry {
-            return 1;
-        }
         self.canonical_fp(s);
-        self.groups.iter().map(|&(_, len)| (1..=len as usize).product::<usize>()).product()
+        self.sweep.candidates()
     }
 }
 
@@ -431,7 +496,7 @@ mod tests {
         let s = busy_state();
         let mut canon = Canonicalizer::new(3, true);
         canon.canonical_fp(&s);
-        assert_eq!(invert(&canon.perm), canon.inv);
+        assert_eq!(invert(&canon.perm), canon.sweep.order[0]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The flat system: N caches under one directory, stepped through the
-//! shared runtime semantics and explored by the generic explorer
-//! (`explore.rs`) — its configuration, its steps, and the
+//! The flat system: N caches under one directory — the one-subnet case of
+//! the subnet kernel (`subnet.rs`) — explored by the generic explorer
+//! (`explore.rs`): its configuration, its steps, and the
 //! [`TransitionSystem`] implementation over [`SysState`] and the pruned
 //! [`Canonicalizer`].
 
@@ -8,14 +8,15 @@ use crate::canon::Canonicalizer;
 use crate::checkpoint::CheckpointError;
 use crate::delta::SectionMap;
 use crate::explore::{
-    exec_violation, explore, reference_bfs, resume, CheckResult, Resources, StoreMode,
-    TransitionSystem, ViolationKind,
+    explore, reference_bfs, resume, CheckResult, Resources, StoreMode, TransitionSystem,
+    ViolationKind,
 };
 use crate::property::{LevelBlocks, PropertySet};
 use crate::store::{fingerprint_bytes, STEP_NONE};
+use crate::subnet::{At, Kernel, StepScratch, Subnet, SubnetMut, Subnets, ONLY};
 use crate::system::{SysState, MAX_CACHES};
-use protogen_runtime::{ApplyOutcome, Machine, Msg, PairSet, Selected};
-use protogen_spec::{Access, Arc, Event, Fsm};
+use protogen_runtime::{Machine, PairSet};
+use protogen_spec::{Access, Event, Fsm};
 use std::fmt;
 
 /// Model-checker configuration.
@@ -202,15 +203,6 @@ impl<'a> ModelChecker<'a> {
         ModelChecker { cache: Machine::new(cache_fsm), dir: Machine::new(dir_fsm), cfg }
     }
 
-    /// The controller node `node` runs (`n_caches` = the directory).
-    fn machine(&self, node: u8) -> &Machine<&'a Fsm> {
-        if node as usize == self.cfg.n_caches {
-            &self.dir
-        } else {
-            &self.cache
-        }
-    }
-
     /// Runs breadth-first exploration until exhaustion, a violation, or the
     /// state limit.
     pub fn run(&self) -> CheckResult {
@@ -261,17 +253,15 @@ impl<'a> ModelChecker<'a> {
             }
             Step::IssueAccess { cache, access } => (cache, Event::Access(access)),
         };
-        let slot = state.slot(node as usize);
+        let slot = state.subnet(ONLY).slot(node as usize);
         cov.insert((slot.tag(), slot.state(), event));
     }
 
     /// Computes the successor of `state` for `step` into the scratch
-    /// state `succ`, restoring from `state` only what the previous step on
-    /// this `(succ, st)` pair wrote (see [`StepScratch`]), so steady-state
-    /// stepping neither allocates nor copies the untouched channels.
-    /// Returns `Ok(false)` when the step is not enabled (stalled message,
-    /// absent access arc, busy cache) — `succ` is garbage then and must
-    /// not be read.
+    /// state `succ` through the subnet kernel: the flat system is its one
+    /// subnet. Returns `Ok(false)` when the step is not enabled (stalled
+    /// message, absent access arc, busy cache) — `succ` is garbage then and
+    /// must not be read.
     fn step_into(
         &self,
         state: &SysState,
@@ -279,9 +269,15 @@ impl<'a> ModelChecker<'a> {
         succ: &mut SysState,
         st: &mut StepScratch,
     ) -> Result<bool, ViolationKind> {
+        let kernel = Kernel { cache: &self.cache, dir: &self.dir, cfg: &self.cfg, label: None };
         match step {
-            Step::Deliver { src, dst, idx } => self.deliver_into(state, src, dst, idx, succ, st),
-            Step::IssueAccess { cache, access } => self.issue_into(state, cache, access, succ, st),
+            Step::Deliver { src, dst, idx } => {
+                let at = (src as usize, dst as usize, idx as usize);
+                kernel.deliver(state, ONLY, at, succ, st)
+            }
+            Step::IssueAccess { cache, access } => {
+                kernel.issue(state, ONLY, cache as usize, access, succ, st)
+            }
         }
     }
 
@@ -298,115 +294,6 @@ impl<'a> ModelChecker<'a> {
         let mut succ = SysState::initial(self.cfg.n_caches);
         let enabled = self.step_into(state, step, &mut succ, &mut StepScratch::default())?;
         Ok(enabled.then_some(succ))
-    }
-
-    fn deliver_into(
-        &self,
-        state: &SysState,
-        src: u8,
-        dst: u8,
-        idx: u8,
-        succ: &mut SysState,
-        st: &mut StepScratch,
-    ) -> Result<bool, ViolationKind> {
-        let msg = state.channels[src as usize][dst as usize][idx as usize];
-        let (machine, slot) = (self.machine(dst), state.slot(dst as usize));
-        let arc = match machine.select(slot, Event::Msg(msg.mtype), Some(&msg)) {
-            Selected::Arc(arc) => arc,
-            Selected::Stall => return Ok(false),
-            Selected::None => {
-                let who = if dst as usize == state.n_caches() {
-                    "directory".to_string()
-                } else {
-                    format!("cache n{dst}")
-                };
-                return Err(ViolationKind::UnexpectedMessage(machine.unexpected(who, slot, msg)));
-            }
-        };
-        // Completion loads (e.g. the single access after invalidation in
-        // IS_D_I) read the response data by construction; the physical
-        // data-value check applies to hits only (design note in DESIGN.md).
-        self.fire(state, dst, arc, Some((src, idx, &msg)), succ, st)?;
-        self.route(succ, &st.outcome)?;
-        Ok(true)
-    }
-
-    fn issue_into(
-        &self,
-        state: &SysState,
-        cache: u8,
-        access: Access,
-        succ: &mut SysState,
-        st: &mut StepScratch,
-    ) -> Result<bool, ViolationKind> {
-        let block = &state.caches[cache as usize];
-        let Selected::Arc(arc) =
-            self.cache.select(state.slot(cache as usize), Event::Access(access), None)
-        else {
-            return Ok(false);
-        };
-        let is_hit = arc.actions.iter().any(|a| matches!(a, protogen_spec::Action::PerformAccess));
-        if !is_hit && block.pending.is_some() {
-            // One outstanding transaction per block per cache (§V-F).
-            return Ok(false);
-        }
-        self.fire(state, cache, arc, None, succ, st)?;
-        if let Some((Access::Load, Some(v))) = st.outcome.performed {
-            if let Some(kind) =
-                self.cfg.properties.check_load_hit(cache as usize, v, state.ghost, false)
-            {
-                return Err(kind);
-            }
-        }
-        self.route(succ, &st.outcome)?;
-        Ok(true)
-    }
-
-    /// The second half of a step, once `arc` was selected on the parent
-    /// `state`: restores the scratch successor, records what is about to
-    /// be written, takes the delivered message (`(src, idx, msg)`, if the
-    /// step is a delivery) off its queue and applies `arc` to `node`.
-    fn fire(
-        &self,
-        state: &SysState,
-        node: u8,
-        arc: &Arc,
-        delivered: Option<(u8, u8, &Msg)>,
-        succ: &mut SysState,
-        st: &mut StepScratch,
-    ) -> Result<(), ViolationKind> {
-        st.sync(state, succ);
-        let from = delivered.map(|(src, ..)| (src, node));
-        st.touched = Some(Touched { machine: node, delivered: from });
-        if let Some((src, idx, _)) = delivered {
-            succ.channels[src as usize][node as usize].remove(idx as usize);
-        }
-        let store_value = (state.ghost + 1) % self.cfg.value_domain;
-        let msg = delivered.map(|(.., msg)| msg);
-        self.machine(node)
-            .apply(arc, msg, succ.ctx(node as usize), store_value, &mut st.outcome)
-            .map_err(exec_violation)?;
-        if let Some((Access::Store, _)) = st.outcome.performed {
-            succ.ghost = store_value;
-        }
-        Ok(())
-    }
-
-    /// Injects the outcome's outgoing messages into `succ`'s channels,
-    /// checking the capacity bound.
-    fn route(&self, succ: &mut SysState, outcome: &ApplyOutcome) -> Result<(), ViolationKind> {
-        for i in 0..outcome.outgoing.len() {
-            let m = outcome.outgoing[i];
-            succ.send(m);
-            let q = &succ.channels[m.src.as_usize()][m.dst.as_usize()];
-            if q.len() > self.cfg.channel_cap {
-                return Err(ViolationKind::ChannelOverflow(format!(
-                    "channel n{}→n{} exceeded {}",
-                    m.src.0, m.dst.0, self.cfg.channel_cap
-                )));
-            }
-        }
-        Ok(())
     }
 
     /// A breadth-first sample of reachable canonical representatives
@@ -438,63 +325,18 @@ impl<'a> ModelChecker<'a> {
     }
 }
 
-/// What stepping needs between calls: the reusable apply outcome and the
-/// record of what the previous step wrote into its successor scratch, so
-/// the next step restores only that from the parent instead of copying
-/// the whole state.
-///
-/// What a step may write is bounded by construction: `fire` removes from
-/// one queue and hands `Machine::apply` a `&mut` to one cache block or the
-/// directory entry, `route` pushes the outcome's outgoing messages onto
-/// the queues they name, and the ghost is one byte. The first two are
-/// recorded in `touched` before anything fallible runs and the routed
-/// queues are read back from `outcome.outgoing` — a superset of what
-/// `route` pushed, whether the step returned `Ok` or `Err` — so every exit
-/// leaves a record [`StepScratch::sync`] can restore from.
-#[derive(Debug, Default)]
-struct StepScratch {
-    outcome: ApplyOutcome,
-    /// Whether `succ` equals the parent everywhere but in what `touched`
-    /// and `outcome.outgoing` name. False in a fresh scratch and after
-    /// [`TransitionSystem::decode_into`] loaded a new parent.
-    synced: bool,
-    touched: Option<Touched>,
-}
+impl Subnets for SysState {
+    fn subnet(&self, _: At) -> Subnet<'_> {
+        Subnet { caches: &self.caches, dir: &self.dir, chans: &self.channels, ghost: self.ghost }
+    }
 
-#[derive(Debug, Clone, Copy)]
-struct Touched {
-    /// The machine the step applied an arc to (`n_caches` = the directory).
-    machine: u8,
-    /// The queue it delivered from.
-    delivered: Option<(u8, u8)>,
-}
-
-impl StepScratch {
-    /// Makes `succ` equal `state`: one whole copy when unsynced, otherwise
-    /// a restore of exactly what the previous step wrote.
-    fn sync(&mut self, state: &SysState, succ: &mut SysState) {
-        if self.synced {
-            if let Some(t) = self.touched.take() {
-                let mut restore_queue = |src: usize, dst: usize| {
-                    succ.channels[src][dst].clone_from(&state.channels[src][dst]);
-                };
-                if let Some((src, dst)) = t.delivered {
-                    restore_queue(src as usize, dst as usize);
-                }
-                for m in &self.outcome.outgoing {
-                    restore_queue(m.src.as_usize(), m.dst.as_usize());
-                }
-                match t.machine as usize {
-                    m if m < state.n_caches() => succ.caches[m].clone_from(&state.caches[m]),
-                    _ => succ.dir.clone_from(&state.dir),
-                }
-                succ.ghost = state.ghost;
-            }
-        } else {
-            succ.clone_from(state);
-            self.synced = true;
+    fn subnet_mut(&mut self, _: At) -> SubnetMut<'_> {
+        SubnetMut {
+            caches: &mut self.caches,
+            dir: &mut self.dir,
+            chans: &mut self.channels,
+            ghost: &mut self.ghost,
         }
-        debug_assert!(succ == state, "restored successor scratch differs from its parent");
     }
 }
 
@@ -541,19 +383,9 @@ impl TransitionSystem for ModelChecker<'_> {
 
     fn steps_into(&self, state: &SysState, out: &mut Vec<Step>) {
         out.clear();
-        let n = state.n_caches() + 1;
-        for src in 0..n {
-            for dst in 0..n {
-                let q = &state.channels[src][dst];
-                if q.is_empty() {
-                    continue;
-                }
-                let last = if self.cfg.ordered { 1 } else { q.len() };
-                for idx in 0..last {
-                    out.push(Step::Deliver { src: src as u8, dst: dst as u8, idx: idx as u8 });
-                }
-            }
-        }
+        state.subnet(ONLY).deliveries(self.cfg.ordered, |src, dst, idx| {
+            out.push(Step::Deliver { src: src as u8, dst: dst as u8, idx: idx as u8 });
+        });
         for cache in 0..state.n_caches() {
             for access in Access::ALL {
                 out.push(Step::IssueAccess { cache: cache as u8, access });
@@ -601,7 +433,7 @@ impl TransitionSystem for ModelChecker<'_> {
 
     fn decode_into(&self, bytes: &[u8], state: &mut SysState, scratch: &mut FlatScratch) {
         state.decode_into(bytes, self.cfg.n_caches);
-        scratch.step.synced = false;
+        scratch.step.unsync();
     }
 
     /// Preserves [`Step`]'s derived ordering: deliveries sort before
@@ -632,7 +464,9 @@ impl TransitionSystem for ModelChecker<'_> {
 
     fn describe(&self, state: &SysState, step: Step) -> String {
         let state_name = |node: u8| {
-            self.machine(node).fsm().state(state.slot(node as usize).state()).full_name()
+            let slot = state.subnet(ONLY).slot(node as usize);
+            let machine = if node as usize == self.cfg.n_caches { &self.dir } else { &self.cache };
+            machine.fsm().state(slot.state()).full_name()
         };
         match step {
             Step::Deliver { src, dst, idx } => {

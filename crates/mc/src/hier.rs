@@ -60,21 +60,18 @@
 //! [`MAX_GROUP`] runs unreduced: a fully symmetric state still enumerates
 //! its whole tie product, so the cap bounds the worst case.
 
-use crate::canon::{queue_hash, subnet_sort_key};
+use crate::canon::{queue_hash, subnet_sort_key, Sweep};
 use crate::checkpoint::CheckpointError;
 use crate::delta::SectionMap;
-use crate::explore::{
-    exec_violation, explore, resume, CheckResult, Resources, TransitionSystem, ViolationKind,
-};
+use crate::explore::{explore, resume, CheckResult, Resources, TransitionSystem, ViolationKind};
 use crate::flat::McConfig;
 use crate::property::LevelBlocks;
 use crate::store::{absorb, fingerprint_bytes};
-use crate::system::{put_block, put_dir, put_queue, Decoder};
+use crate::subnet::{At, Kernel, StepScratch, Subnet, SubnetMut, Subnets};
+use crate::system::{put_block, put_chans_renamed, put_dir_renamed, rename, Decoder};
 use protogen_core::Composed;
-use protogen_runtime::{
-    ApplyOutcome, CacheBlock, DirEntry, Line, Machine, Msg, NodeId, Selected, Slot, Val,
-};
-use protogen_spec::{Access, Arc, Event, Fsm, FsmStateId, MsgClass, Perm};
+use protogen_runtime::{ApplyOutcome, CacheBlock, DirEntry, Machine, Msg, Val};
+use protogen_spec::{Access, Fsm, FsmStateId, MsgClass, Perm};
 use std::fmt;
 
 /// Largest wreath-product group the canonicalizer reduces under; stacks
@@ -205,119 +202,116 @@ impl fmt::Display for HStep {
     }
 }
 
-/// One element of the wreath-product symmetry group: a node-index map per
-/// machine level (the root's is trivially `[0]`), with children always
-/// moving with their parents.
+/// One element of the wreath-product symmetry group, as the tables the
+/// encoder renames through: where every node goes, children always moving
+/// with their parents, and how each subnet's local ids rename.
 #[derive(Debug)]
 struct HierPerm {
-    /// `maps[jm][old] = new` node index at machine level `jm`.
-    maps: Vec<Vec<u8>>,
-    /// `invs[jm][new] = old`.
+    /// Fanout per machine level below the root.
+    fanouts: Vec<usize>,
+    /// `invs[jm][new] = old` node index at machine level `jm` (the root's
+    /// is trivially `[0]`).
     invs: Vec<Vec<u8>>,
+    /// `local[jm][old]`: node `old`'s new subnet-local id — read from
+    /// `p·f`, the renaming table of the subnet under old parent `p`.
+    local: Vec<Vec<u8>>,
+    /// `back[jm][p·f + new]`: the old local id at new local id `new` under
+    /// old parent `p` — that table's inverse.
+    back: Vec<Vec<u8>>,
 }
 
 impl HierPerm {
-    fn identity(counts: &[usize]) -> Self {
-        let maps: Vec<Vec<u8>> =
+    /// The identity of a stack of `counts` nodes per machine level.
+    fn identity(counts: &[usize], fanouts: &[usize]) -> Self {
+        let ident: Vec<Vec<u8>> =
             counts.iter().map(|&n| (0..n).map(|g| g as u8).collect()).collect();
-        HierPerm { invs: maps.clone(), maps }
+        let mut perm = HierPerm {
+            fanouts: fanouts.to_vec(),
+            invs: ident.clone(),
+            local: ident.clone(),
+            back: ident.clone(),
+        };
+        perm.arrange(&ident);
+        perm
+    }
+
+    /// Fills the tables for the arrangement `order` (`order[jm][p·f + off]`
+    /// is the child of old parent `p` placed at sibling offset `off`, as
+    /// [`Sweep`] lists it), top-down: a parent's new slot decides where its
+    /// children's run of slots starts.
+    fn arrange(&mut self, order: &[Vec<u8>]) {
+        for jm in (0..self.fanouts.len()).rev() {
+            let f = self.fanouts[jm];
+            let (lo, hi) = self.invs.split_at_mut(jm + 1);
+            for (p2, &p) in hi[0].iter().enumerate() {
+                let first = p as usize * f;
+                for off in 0..f {
+                    let old = order[jm][first + off];
+                    lo[jm][p2 * f + off] = old;
+                    self.local[jm][old as usize] = off as u8;
+                    self.back[jm][first + off] = old - first as u8;
+                }
+            }
+        }
+    }
+
+    /// The renaming table of the level-`j` subnet under old parent `p`,
+    /// and its inverse.
+    fn tables(&self, j: usize, p: usize) -> (&[u8], &[u8]) {
+        let at = p * self.fanouts[j]..(p + 1) * self.fanouts[j];
+        (&self.local[j][at.clone()], &self.back[j][at])
     }
 }
 
 /// Outcome of a hierarchical checking run: the shared explorer's.
 pub type HierResult = CheckResult;
 
-/// The composed system's per-worker scratch: the canonicalizer's buffers
-/// (`best` holds the encoding the last `canonical_fp` selected), the
-/// reusable apply outcome, and the record of what the previous step wrote
-/// into its successor scratch — restored from the parent before the next
-/// step instead of copying the whole state (the flat checker's
-/// discipline, see `flat.rs`).
+/// The composed system's per-worker scratch: the orbit-pruned sweep (its
+/// `best` holds the encoding the last `canonical_fp` selected), the
+/// candidate group element, and the subnet kernel's stepping scratch.
 #[derive(Debug)]
 pub struct HierScratch {
-    best: Vec<u8>,
-    cur: Vec<u8>,
-    /// `keys[jm][g]`: the subtree key of machine-level-`jm` node `g`.
-    keys: Vec<Vec<u64>>,
-    /// `base[jm][p·f..(p+1)·f]`: the children of machine-level-`jm+1` node
-    /// `p`, sorted by `(key, index)` — the base arrangement.
-    base: Vec<Vec<u8>>,
-    /// `base` with the current candidate's within-run permutations applied.
-    order: Vec<Vec<u8>>,
-    /// Equal-key sibling runs of two or more in `base`, as `(level, start,
-    /// len)`, in enumeration order.
-    ties: Vec<(usize, usize, usize)>,
-    /// Mixed-radix counter over within-run permutations.
-    counters: Vec<u32>,
-    /// Per-run-length permutation tables, built on first use (the layout
-    /// of [`crate::Canonicalizer`]'s).
-    perm_tables: Vec<Vec<u8>>,
+    sweep: Sweep,
     /// The candidate group element being encoded; the identity until the
     /// first sweep, and for good when the stack runs unreduced.
     perm: HierPerm,
-    outcome: ApplyOutcome,
-    /// Whether the successor scratch equals the parent everywhere but in
-    /// what `touched` names. False when fresh and after `decode_into`.
-    synced: bool,
-    touched: Option<Touched>,
+    step: StepScratch,
 }
 
-/// What one step may write, recorded before anything fallible runs: a
-/// step acts inside one subnet — it removes from one of its queues and
-/// routes the outcome's outgoing messages onto others — and applies an arc
-/// to one machine of it, whose data a hosting / hosted neighbour mirrors.
-#[derive(Debug, Clone, Copy)]
-struct Touched {
-    /// The subnet `(protocol level, parent)` acted in.
-    level: usize,
-    parent: usize,
-    /// The machine-level-`level` node whose cache side ran the arc; `None`
-    /// = the subnet's directory did.
-    cache: Option<usize>,
-    /// The subnet-local queue delivered from.
-    delivered: Option<(usize, usize)>,
-}
-
-impl HierScratch {
-    /// Makes `succ` equal `state`: one whole copy when unsynced, otherwise
-    /// a restore of exactly what the previous step wrote — its subnet's
-    /// delivered and routed-into queues (the latter read back from
-    /// `outcome.outgoing`, a superset of what `route` pushed on any exit),
-    /// the machine `Machine::apply` borrowed, the one data field a glue sync
-    /// mirrors it into, and the ghost.
-    fn sync(&mut self, state: &HierState, succ: &mut HierState) {
-        if self.synced {
-            if let Some(t) = self.touched.take() {
-                let (j, p) = (t.level, t.parent);
-                let (from, to) = (&state.chans[j][p], &mut succ.chans[j][p]);
-                if let Some((src, dst)) = t.delivered {
-                    to[src][dst].clone_from(&from[src][dst]);
-                }
-                for m in &self.outcome.outgoing {
-                    let (src, dst) = (m.src.as_usize(), m.dst.as_usize());
-                    to[src][dst].clone_from(&from[src][dst]);
-                }
-                match t.cache {
-                    Some(g) => {
-                        succ.caches[j][g].clone_from(&state.caches[j][g]);
-                        if j >= 1 {
-                            succ.dirs[j - 1][g].data = state.dirs[j - 1][g].data;
-                        }
-                    }
-                    None => {
-                        succ.dirs[j][p].clone_from(&state.dirs[j][p]);
-                        if j + 1 < state.caches.len() {
-                            succ.caches[j + 1][p].data = state.caches[j + 1][p].data;
-                        }
-                    }
-                }
-                succ.ghost = state.ghost;
-            }
-        } else {
-            succ.clone_from(state);
-            self.synced = true;
+impl Subnets for HierState {
+    fn subnet(&self, (j, p): At) -> Subnet<'_> {
+        let f = self.chans[j][p].len() - 1;
+        Subnet {
+            caches: &self.caches[j][p * f..(p + 1) * f],
+            dir: &self.dirs[j][p],
+            chans: &self.chans[j][p],
+            ghost: self.ghost,
         }
-        debug_assert!(succ == state, "restored successor scratch differs from its parent");
+    }
+
+    fn subnet_mut(&mut self, (j, p): At) -> SubnetMut<'_> {
+        let f = self.chans[j][p].len() - 1;
+        SubnetMut {
+            caches: &mut self.caches[j][p * f..(p + 1) * f],
+            dir: &mut self.dirs[j][p],
+            chans: &mut self.chans[j][p],
+            ghost: &mut self.ghost,
+        }
+    }
+
+    /// The one data field [`HierChecker::mirror`] copies a step's line
+    /// into: the inner directory a parent's cache side hosts, or the outer
+    /// block of the node hosting a directory.
+    fn restore_outside(&mut self, from: &Self, (j, p): At, node: usize) {
+        let f = self.chans[j][p].len() - 1;
+        if node < f {
+            if j >= 1 {
+                let g = p * f + node;
+                self.dirs[j - 1][g].data = from.dirs[j - 1][g].data;
+            }
+        } else if j + 1 < self.caches.len() {
+            self.caches[j + 1][p].data = from.caches[j + 1][p].data;
+        }
     }
 }
 
@@ -438,262 +432,121 @@ impl HierChecker {
     /// level down suffices: a node only drops its own data after its own
     /// subnet drained, so "child data-free" implies "subtree data-free".
     fn has_copies(&self, s: &HierState, j: usize, p: usize) -> bool {
-        let f = self.levels[j].fanout;
-        s.caches[j][p * f..(p + 1) * f].iter().any(|c| c.data.is_some())
-            || s.chans[j][p].iter().flatten().flatten().any(|m| m.data.is_some())
+        let net = s.subnet((j, p));
+        net.caches.iter().any(|c| c.data.is_some())
+            || net.chans.iter().flatten().flatten().any(|m| m.data.is_some())
     }
 
     /// Whether node `node` (machine level `jm ≥ 1`) may write its line
     /// back out: every child block back to initial, no in-flight inner
     /// message, and its inner directory stable with no owner or sharers.
     fn inner_quiescent(&self, s: &HierState, jm: usize, node: usize) -> bool {
-        let j = jm - 1;
-        let f = self.levels[j].fanout;
-        let initial = CacheBlock::new();
-        let dir = &s.dirs[j][node];
-        s.caches[j][node * f..(node + 1) * f].iter().all(|c| *c == initial)
-            && s.chans[j][node].iter().flatten().all(|q| q.is_empty())
-            && self.levels[j].dir.fsm().state(dir.state).is_stable()
-            && dir.owner.is_none()
-            && dir.sharers == 0
-            && dir.chain_slots.is_empty()
+        let (net, initial) = (s.subnet((jm - 1, node)), CacheBlock::new());
+        net.caches.iter().all(|c| *c == initial)
+            && net.chans.iter().flatten().all(|q| q.is_empty())
+            && self.levels[jm - 1].dir.fsm().state(net.dir.state).is_stable()
+            && net.dir.owner.is_none()
+            && net.dir.sharers == 0
+            && net.dir.chain_slots.is_empty()
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn deliver_into(
-        &self,
-        state: &HierState,
-        j: usize,
-        p: usize,
-        src: usize,
-        dst: usize,
-        idx: usize,
-        succ: &mut HierState,
-        scratch: &mut HierScratch,
-    ) -> Result<bool, ViolationKind> {
+    /// The subnet kernel over protocol level `j`'s machines.
+    fn kernel(&self, j: usize) -> Kernel<'_, Fsm> {
         let lvl = &self.levels[j];
-        let f = lvl.fanout;
-        let msg = state.chans[j][p][src][dst][idx];
+        Kernel { cache: &lvl.cache, dir: &lvl.dir, cfg: &self.cfg, label: Some(&lvl.label) }
+    }
+
+    /// Glue gating: whether `msg`, headed for node `dst` of subnet `(j,
+    /// p)`, must wait. Acquire: below the root, a request into the
+    /// directory needs the hosting node to hold enough outer permission.
+    /// Release: a forward into a parent's cache side waits until that
+    /// node's inner subnet holds no data.
+    fn gated(&self, s: &HierState, (j, p): At, dst: usize, msg: &Msg) -> bool {
+        let lvl = &self.levels[j];
         let class = lvl.classes[msg.mtype.as_usize()];
-        // The receiver: the level-j directory, hosted by machine-level-(j+1)
-        // node p, or the cache side of machine-level-j node g.
-        let to_dir = dst == f;
-        let g = p * f + dst;
-        let (machine, slot) = if to_dir {
-            // Acquire gating: below the root, a request needs the hosting
-            // node to hold enough outer permission.
-            if j + 1 < self.depth()
+        if dst == lvl.fanout {
+            j + 1 < self.depth()
                 && class == MsgClass::Request
                 && lvl.needed.as_ref().expect("non-root level has glue")[msg.mtype.as_usize()]
-                    > self.eff_perm(state, j + 1, p)
-            {
-                return Ok(false);
-            }
-            (&lvl.dir, Slot::Dir(&state.dirs[j][p]))
+                    > self.eff_perm(s, j + 1, p)
         } else {
-            // Release gating: a forward must wait until g's inner subnet
-            // holds no data.
-            if j >= 1 && class == MsgClass::Forward && self.has_copies(state, j - 1, g) {
-                return Ok(false);
-            }
-            (&lvl.cache, Slot::Cache(&state.caches[j][g]))
-        };
-        let arc = match machine.select(slot, Event::Msg(msg.mtype), Some(&msg)) {
-            Selected::Arc(arc) => arc,
-            Selected::Stall => return Ok(false),
-            Selected::None => {
-                let who = if to_dir {
-                    format!("{} directory p{p}", lvl.label)
-                } else {
-                    format!("node L{j}.{g}")
-                };
-                return Err(ViolationKind::UnexpectedMessage(machine.unexpected(who, slot, msg)));
-            }
-        };
-        let cache = (!to_dir).then_some(g);
-        let touched = Touched { level: j, parent: p, cache, delivered: Some((src, dst)) };
-        self.fire(state, touched, arc, Some((idx, &msg)), succ, scratch)?;
-        self.route(succ, j, p, &scratch.outcome)?;
-        Ok(true)
+            j >= 1 && class == MsgClass::Forward && self.has_copies(s, j - 1, p * lvl.fanout + dst)
+        }
     }
 
-    fn issue_into(
+    /// Parents are data-transparent: after the kernel applied a step to
+    /// node `node` of subnet `(j, p)` (`delivered`, if it was a delivery),
+    /// mirrors the data it moved across the hosting boundary. A writeback
+    /// landing in a directory refreshes the hosting node's outer copy, so
+    /// the value rides outer evictions and forwards unchanged; a completed
+    /// glue Store keeps the value the outer protocol delivered (or the node
+    /// already held) instead of a minted one, and the inner directory the
+    /// node hosts follows its outer block.
+    fn mirror(
         &self,
         state: &HierState,
-        jm: usize,
+        (j, p): At,
         node: usize,
-        access: Access,
+        delivered: Option<Msg>,
         succ: &mut HierState,
-        scratch: &mut HierScratch,
-    ) -> Result<bool, ViolationKind> {
-        let lvl = &self.levels[jm];
-        let block = &state.caches[jm][node];
-        let Selected::Arc(arc) = lvl.cache.select(block.slot(), Event::Access(access), None) else {
-            return Ok(false);
-        };
-        let is_hit = arc.actions.iter().any(|a| matches!(a, protogen_spec::Action::PerformAccess));
-        if !is_hit && block.pending.is_some() {
-            // One outstanding transaction per block per node (§V-F).
-            return Ok(false);
-        }
-        let parent = node / lvl.fanout;
-        let touched = Touched { level: jm, parent, cache: Some(node), delivered: None };
-        self.fire(state, touched, arc, None, succ, scratch)?;
-        // Parents are data-transparent: only leaf hits are checked.
-        if let (0, Some((Access::Load, Some(v)))) = (jm, scratch.outcome.performed) {
-            if let Some(kind) = self.cfg.properties.check_load_hit(node, v, state.ghost, true) {
-                return Err(kind);
-            }
-        }
-        self.route(succ, jm, parent, &scratch.outcome)?;
-        Ok(true)
-    }
-
-    /// The second half of a step, once `arc` was selected on the parent
-    /// `state`: restores the scratch successor, records `t` — what is about
-    /// to be written — takes the delivered message (`(idx, msg)`, if the
-    /// step is a delivery) off its queue, applies `arc` to the machine `t`
-    /// names and mirrors the data it moved across the hosting boundary.
-    fn fire(
-        &self,
-        state: &HierState,
-        t: Touched,
-        arc: &Arc,
-        delivered: Option<(usize, &Msg)>,
-        succ: &mut HierState,
-        scratch: &mut HierScratch,
-    ) -> Result<(), ViolationKind> {
-        let (j, p) = (t.level, t.parent);
-        let lvl = &self.levels[j];
-        let dir_id = NodeId(lvl.fanout as u8);
-        scratch.sync(state, succ);
-        scratch.touched = Some(t);
-        let outcome = &mut scratch.outcome;
-        if let (Some((src, dst)), Some((idx, _))) = (t.delivered, delivered) {
-            succ.chans[j][p][src][dst].remove(idx);
-        }
-        let msg = delivered.map(|(_, msg)| msg);
-        let store_value = (state.ghost + 1) % self.cfg.value_domain;
-        // Parents are data-transparent: only a leaf store mints a value.
-        let (machine, ctx, value) = match t.cache {
-            None => (&lvl.dir, succ.dirs[j][p].ctx(dir_id, dir_id), store_value),
-            Some(g) => (
-                &lvl.cache,
-                succ.caches[j][g].ctx(NodeId((g % lvl.fanout) as u8), dir_id),
-                if j == 0 { store_value } else { state.ghost },
-            ),
-        };
-        machine.apply(arc, msg, ctx, value, outcome).map_err(exec_violation)?;
-        let stored = matches!(outcome.performed, Some((Access::Store, _)));
-        match t.cache {
-            // Writebacks landing in the directory refresh the hosting
-            // node's outer copy, so the value rides outer evictions and
-            // forwards unchanged.
-            None => {
-                if j + 1 < self.depth()
-                    && succ.dirs[j][p].data != state.dirs[j][p].data
-                    && succ.caches[j + 1][p].data.is_some()
-                {
-                    succ.caches[j + 1][p].data = Some(succ.dirs[j][p].data);
-                }
-            }
-            Some(_) if j == 0 => {
-                if stored {
-                    succ.ghost = store_value;
-                }
-            }
-            // A completed glue Store keeps the value the outer protocol
-            // delivered (or the node already held) instead of the minted
-            // store value, and never advances the ghost.
-            Some(g) => {
-                let pre_data = state.caches[j][g].data;
-                let blk = &mut succ.caches[j][g];
-                if stored {
-                    blk.data = msg.and_then(|m| m.data).or(pre_data);
-                }
-                if blk.data != pre_data {
-                    if let Some(v) = blk.data {
-                        succ.dirs[j - 1][g].data = v;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Injects the outcome's outgoing messages into the acting machine's
-    /// subnet, checking the capacity bound.
-    fn route(
-        &self,
-        succ: &mut HierState,
-        j: usize,
-        p: usize,
         outcome: &ApplyOutcome,
-    ) -> Result<(), ViolationKind> {
-        for i in 0..outcome.outgoing.len() {
-            let m = outcome.outgoing[i];
-            let q = &mut succ.chans[j][p][m.src.as_usize()][m.dst.as_usize()];
-            q.push(m);
-            if q.len() > self.cfg.channel_cap {
-                return Err(ViolationKind::ChannelOverflow(format!(
-                    "channel L{j}/p{p} n{}→n{} exceeded {}",
-                    m.src.0, m.dst.0, self.cfg.channel_cap
-                )));
+    ) {
+        let f = self.levels[j].fanout;
+        if node == f {
+            if j + 1 < self.depth()
+                && succ.dirs[j][p].data != state.dirs[j][p].data
+                && succ.caches[j + 1][p].data.is_some()
+            {
+                succ.caches[j + 1][p].data = Some(succ.dirs[j][p].data);
+            }
+        } else if j >= 1 {
+            let g = p * f + node;
+            let pre_data = state.caches[j][g].data;
+            let blk = &mut succ.caches[j][g];
+            if matches!(outcome.performed, Some((Access::Store, _))) {
+                blk.data = delivered.and_then(|m| m.data).or(pre_data);
+            }
+            if blk.data != pre_data {
+                if let Some(v) = blk.data {
+                    succ.dirs[j - 1][g].data = v;
+                }
             }
         }
-        Ok(())
     }
 
     /// Appends the byte encoding of the state under `perm` to `sink`.
     /// Sections are laid out exactly like the flat encoding — all cache
     /// blocks (levels leaf-first), then all directory entries, then all
     /// channels, then the ghost byte, through the same per-section codecs
-    /// — so the delta store's section map generalizes over both.
+    /// — so the delta store's section map generalizes over both. Every
+    /// subnet renames its local ids through its own table in `perm`.
     fn encode_permuted(&self, s: &HierState, perm: &HierPerm, sink: &mut Vec<u8>) {
         let k = self.depth();
-        // Subnet-local id renaming inside the level-`j` subnet whose
-        // *old* parent index is `p` (the directory id `f` is fixed).
-        let local = |j: usize, p: usize| {
-            let f = self.levels[j].fanout;
-            move |id: NodeId| match id.as_usize() {
-                c if c < f => perm.maps[j][p * f + c] % f as u8,
-                _ => id.0,
-            }
-        };
         for jm in 0..k {
             let f = self.levels[jm].fanout;
-            for &g in &perm.invs[jm] {
-                put_block(sink, &s.caches[jm][g as usize], local(jm, g as usize / f));
+            for (p2, &p) in perm.invs[jm + 1].iter().enumerate() {
+                let (local, _) = perm.tables(jm, p as usize);
+                for &g in &perm.invs[jm][p2 * f..(p2 + 1) * f] {
+                    put_block(sink, &s.caches[jm][g as usize], rename(local));
+                }
             }
         }
         for j in 0..k {
             for &p in &perm.invs[j + 1] {
-                let (dir, map) = (&s.dirs[j][p as usize], local(j, p as usize));
-                let sharers = (0..self.levels[j].fanout as u8)
-                    .filter(|c| dir.sharers & (1 << c) != 0)
-                    .fold(0u8, |acc, c| acc | 1 << map(NodeId(c)));
-                put_dir(sink, dir, sharers, map);
+                put_dir_renamed(sink, &s.dirs[j][p as usize], perm.tables(j, p as usize).0);
             }
         }
         for j in 0..k {
-            let f = self.levels[j].fanout;
-            for (p2, &p) in perm.invs[j + 1].iter().enumerate() {
-                let map = local(j, p as usize);
-                let inv_local =
-                    |c2: usize| if c2 < f { perm.invs[j][p2 * f + c2] as usize % f } else { c2 };
-                for s2 in 0..=f {
-                    for d2 in 0..=f {
-                        let q = &s.chans[j][p as usize][inv_local(s2)][inv_local(d2)];
-                        put_queue(sink, q, map);
-                    }
-                }
+            for &p in &perm.invs[j + 1] {
+                let (local, back) = perm.tables(j, p as usize);
+                put_chans_renamed(sink, &s.chans[j][p as usize], local, back);
             }
         }
         sink.push(s.ghost);
     }
 
-    /// Fills `keys` leaves-first with every node's subtree key and `base`
-    /// with every parent's children in ascending `(key, index)` order.
+    /// Fills the sweep's keys leaves-first with every node's subtree key,
+    /// sorting every parent's children by them level by level.
     ///
     /// A node's key is the flat sort key over its own subnet, absorbed —
     /// above the leaves — with the scalar fields of the inner directory it
@@ -701,14 +554,12 @@ impl HierChecker {
     /// and with its children's keys in sorted order. Nothing in it hashes
     /// a concrete sibling index, so `key(g, s) == key(π(g), π·s)` for
     /// every group element π: the contract that makes the pruning exact.
-    fn sort_siblings(&self, s: &HierState, keys: &mut [Vec<u64>], base: &mut [Vec<u8>]) {
+    fn sort_siblings(&self, s: &HierState, sweep: &mut Sweep) {
         for jm in 0..self.depth() {
             let f = self.levels[jm].fanout;
-            let (below, at) = keys.split_at_mut(jm);
-            for g in 0..self.counts[jm] {
-                let p = g / f;
-                let sibs = &s.caches[jm][p * f..(p + 1) * f];
-                let mut h = subnet_sort_key(sibs, &s.dirs[jm][p], &s.chans[jm][p], g % f);
+            let (below, at) = sweep.keys.split_at_mut(jm);
+            for (g, key) in at[0].iter_mut().enumerate() {
+                let mut h = subnet_sort_key(&s.subnet((jm, g / f)), g % f);
                 if jm >= 1 {
                     let fi = self.levels[jm - 1].fanout;
                     let d = &s.dirs[jm - 1][g];
@@ -722,19 +573,13 @@ impl HierChecker {
                         h = absorb(h, *a as u64);
                     }
                     h = absorb(h, queue_hash(&s.chans[jm - 1][g][fi][fi], fi, fi));
-                    for &c in &base[jm - 1][g * fi..(g + 1) * fi] {
+                    for &c in &sweep.base[jm - 1][g * fi..(g + 1) * fi] {
                         h = absorb(h, below[jm - 1][c as usize]);
                     }
                 }
-                at[0][g] = h;
+                *key = h;
             }
-            let keys = &at[0];
-            for (p, sibs) in base[jm].chunks_mut(f).enumerate() {
-                for (off, slot) in sibs.iter_mut().enumerate() {
-                    *slot = (p * f + off) as u8;
-                }
-                sibs.sort_unstable_by_key(|&c| (keys[c as usize], c));
-            }
+            sweep.sort(jm);
         }
     }
 
@@ -743,11 +588,8 @@ impl HierChecker {
     /// of the factorials of its equal-key sibling runs. Exposed for tests
     /// and measurements, like [`crate::Canonicalizer::pruned_candidates`].
     pub fn pruned_candidates(&self, s: &HierState, scratch: &mut HierScratch) -> usize {
-        if !self.reduces() {
-            return 1;
-        }
         self.canonical_fp(s, scratch);
-        scratch.ties.iter().map(|&(_, _, len)| (1..=len).product::<usize>()).product()
+        scratch.sweep.candidates()
     }
 
     /// Runs breadth-first exploration on the shared explorer until
@@ -827,20 +669,12 @@ impl TransitionSystem for HierChecker {
     }
 
     fn scratch(&self) -> HierScratch {
-        let below_root = &self.counts[..self.depth()];
+        let fanouts: Vec<usize> = self.levels.iter().map(|l| l.fanout).collect();
+        let shape: Vec<_> = self.counts.iter().copied().zip(fanouts.iter().copied()).collect();
         HierScratch {
-            best: Vec::new(),
-            cur: Vec::new(),
-            keys: below_root.iter().map(|&n| vec![0; n]).collect(),
-            base: below_root.iter().map(|&n| vec![0; n]).collect(),
-            order: Vec::new(),
-            ties: Vec::new(),
-            counters: Vec::new(),
-            perm_tables: vec![Vec::new(); protogen_spec::MAX_FANOUT + 1],
-            perm: HierPerm::identity(&self.counts),
-            outcome: ApplyOutcome::default(),
-            synced: false,
-            touched: None,
+            sweep: Sweep::new(&shape),
+            perm: HierPerm::identity(&self.counts, &fanouts),
+            step: StepScratch::default(),
         }
     }
 
@@ -853,27 +687,16 @@ impl TransitionSystem for HierChecker {
         out.clear();
         let k = self.depth();
         for j in 0..k {
-            let lvl = &self.levels[j];
-            let total = lvl.fanout + 1;
             for p in 0..self.counts[j + 1] {
-                for src in 0..total {
-                    for dst in 0..total {
-                        let q = &s.chans[j][p][src][dst];
-                        if q.is_empty() {
-                            continue;
-                        }
-                        let last = if lvl.ordered { 1 } else { q.len() };
-                        for idx in 0..last {
-                            out.push(HStep::Deliver {
-                                level: j as u8,
-                                parent: p as u8,
-                                src: src as u8,
-                                dst: dst as u8,
-                                idx: idx as u8,
-                            });
-                        }
-                    }
-                }
+                s.subnet((j, p)).deliveries(self.levels[j].ordered, |src, dst, idx| {
+                    out.push(HStep::Deliver {
+                        level: j as u8,
+                        parent: p as u8,
+                        src: src as u8,
+                        dst: dst as u8,
+                        idx: idx as u8,
+                    });
+                });
             }
         }
         for node in 0..self.counts[0] {
@@ -937,8 +760,10 @@ impl TransitionSystem for HierChecker {
     }
 
     /// Computes the successor of `state` for `step` into the scratch state
-    /// `succ`. Returns `Ok(false)` when the step is not enabled — gated by
-    /// glue, stalled, absent arc, busy node — and `succ` is garbage then.
+    /// `succ` through the subnet kernel: glue gating before it, data
+    /// mirroring after it. Returns `Ok(false)` when the step is not
+    /// enabled — gated by glue, stalled, absent arc, busy node — and `succ`
+    /// is garbage then.
     fn successor_into(
         &self,
         state: &HierState,
@@ -946,21 +771,30 @@ impl TransitionSystem for HierChecker {
         succ: &mut HierState,
         scratch: &mut HierScratch,
     ) -> Result<bool, ViolationKind> {
-        match step {
-            HStep::Deliver { level, parent, src, dst, idx } => self.deliver_into(
-                state,
-                level as usize,
-                parent as usize,
-                src as usize,
-                dst as usize,
-                idx as usize,
-                succ,
-                scratch,
-            ),
-            HStep::Issue { mlevel, node, access } => {
-                self.issue_into(state, mlevel as usize, node as usize, access, succ, scratch)
+        let st = &mut scratch.step;
+        let (at, node, delivered) = match step {
+            HStep::Deliver { level, parent, src, dst, idx } => {
+                let at = (level as usize, parent as usize);
+                let pos = (src as usize, dst as usize, idx as usize);
+                let msg = state.chans[at.0][at.1][pos.0][pos.1][pos.2];
+                if self.gated(state, at, pos.1, &msg)
+                    || !self.kernel(at.0).deliver(state, at, pos, succ, st)?
+                {
+                    return Ok(false);
+                }
+                (at, pos.1, Some(msg))
             }
-        }
+            HStep::Issue { mlevel, node, access } => {
+                let (j, f) = (mlevel as usize, self.levels[mlevel as usize].fanout);
+                let (at, cache) = ((j, node as usize / f), node as usize % f);
+                if !self.kernel(j).issue(state, at, cache, access, succ, st)? {
+                    return Ok(false);
+                }
+                (at, cache, None)
+            }
+        };
+        self.mirror(state, at, node, delivered, succ, &st.outcome);
+        Ok(true)
     }
 
     /// Deliveries always; in a real stack also glue issues (they unblock
@@ -995,100 +829,32 @@ impl TransitionSystem for HierChecker {
             .check_quiescence(|| state.messages_in_flight() > 0 || state.has_pending_access())
     }
 
-    /// The canonical fingerprint of `s`, its encoding left in `sc.best` for
+    /// The canonical fingerprint of `s`, its encoding left in the sweep for
     /// the encode call: among the group elements that list siblings in
     /// ascending key order under every parent, the one whose encoding has
-    /// the minimum fingerprint, ties by enumeration order —
-    /// [`crate::Canonicalizer`]'s rule and, for one level, its exact
-    /// enumeration order: runs in ascending slot order (top level first in
-    /// a taller stack), the last varying fastest, `slot[start + off] =
-    /// base[start + σ[off]]`.
+    /// the minimum fingerprint, ties by enumeration order — the one
+    /// `Sweep` [`crate::Canonicalizer`] runs too, so a one-level stack
+    /// selects the flat checker's bytes.
     fn canonical_fp(&self, s: &HierState, sc: &mut HierScratch) -> u64 {
-        let HierScratch { best, cur, keys, base, order, ties, counters, perm_tables, perm, .. } =
-            sc;
+        let HierScratch { sweep, perm, .. } = sc;
         if !self.reduces() {
-            best.clear();
-            self.encode_permuted(s, perm, best);
-            return fingerprint_bytes(best);
+            return sweep.keep(|out| self.encode_permuted(s, perm, out));
         }
-        self.sort_siblings(s, keys, base);
-        ties.clear();
-        for jm in (0..self.depth()).rev() {
-            let f = self.levels[jm].fanout;
-            let key = |slot: usize| keys[jm][base[jm][slot] as usize];
-            let mut start = 0;
-            for end in 1..=self.counts[jm] {
-                if end % f == 0 || key(end) != key(start) {
-                    let len = end - start;
-                    if len > 1 {
-                        ties.push((jm, start, len));
-                        if perm_tables[len].is_empty() {
-                            perm_tables[len] = crate::system::permutations(len).concat();
-                        }
-                    }
-                    start = end;
-                }
-            }
-        }
-        order.clone_from(base);
-        counters.clear();
-        counters.resize(ties.len(), 0);
-        let mut best_fp = u64::MAX;
-        best.clear();
-        loop {
-            for (&(jm, start, len), &at) in ties.iter().zip(counters.iter()) {
-                let sigma = &perm_tables[len][at as usize * len..][..len];
-                for (off, &k) in sigma.iter().enumerate() {
-                    order[jm][start + off] = base[jm][start + k as usize];
-                }
-            }
-            // Top-down: a parent's slot decides where its children's run
-            // of slots starts.
-            for jm in (0..self.depth()).rev() {
-                let f = self.levels[jm].fanout;
-                let (lo, hi) = perm.invs.split_at_mut(jm + 1);
-                for (p2, &p) in hi[0].iter().enumerate() {
-                    for off in 0..f {
-                        let old = order[jm][p as usize * f + off];
-                        lo[jm][p2 * f + off] = old;
-                        perm.maps[jm][old as usize] = (p2 * f + off) as u8;
-                    }
-                }
-            }
-            cur.clear();
-            self.encode_permuted(s, perm, cur);
-            let fp = fingerprint_bytes(cur);
-            // `best` is empty only before the first candidate, which must
-            // win even at `fp == u64::MAX`.
-            if fp < best_fp || best.is_empty() {
-                best_fp = fp;
-                std::mem::swap(best, cur);
-            }
-            // Advance the counter; done when it wraps.
-            let mut gi = ties.len();
-            loop {
-                if gi == 0 {
-                    return best_fp;
-                }
-                gi -= 1;
-                let len = ties[gi].2;
-                counters[gi] += 1;
-                if (counters[gi] as usize) < perm_tables[len].len() / len {
-                    break;
-                }
-                counters[gi] = 0;
-            }
-        }
+        self.sort_siblings(s, sweep);
+        sweep.minimize(|order, out| {
+            perm.arrange(order);
+            self.encode_permuted(s, perm, out);
+        })
     }
 
     fn encode_canonical_into(&self, scratch: &HierScratch, out: &mut Vec<u8>) {
-        out.extend_from_slice(&scratch.best);
+        out.extend_from_slice(scratch.sweep.best());
     }
 
     /// Decodes an identity-permutation encoding back into `s` (shaped by
     /// [`Self::initial`]): sections arrive in `s`'s own nesting order.
     fn decode_into(&self, bytes: &[u8], s: &mut HierState, scratch: &mut HierScratch) {
-        scratch.synced = false;
+        scratch.step.unsync();
         let mut d = Decoder::new(bytes);
         s.caches.iter_mut().flatten().for_each(|c| d.block(c));
         s.dirs.iter_mut().flatten().for_each(|e| d.dir(e));
@@ -1143,6 +909,7 @@ mod tests {
     use super::*;
     use protogen_core::{compose, GenConfig};
     use protogen_protocols::{flat_composition, msi_under_msi};
+    use protogen_runtime::NodeId;
     use std::collections::HashMap;
 
     fn checker(comp: &protogen_spec::Composition, cfg: HierConfig) -> HierChecker {
@@ -1186,13 +953,23 @@ mod tests {
             }
             partials = next;
         }
-        partials
-            .into_iter()
-            .map(|maps| HierPerm {
-                invs: maps.iter().map(|m| crate::system::invert(m)).collect(),
-                maps,
-            })
-            .collect()
+        let fanouts: Vec<usize> = hc.levels.iter().map(|l| l.fanout).collect();
+        let element = |maps: Vec<Vec<u8>>| {
+            // The checker's own tables, from the arrangement that puts old
+            // child `g` of old parent `p` at sibling offset `maps[g] % f`.
+            let mut order = maps.clone();
+            for (jm, &f) in fanouts.iter().enumerate() {
+                for (g, &to) in maps[jm].iter().enumerate() {
+                    order[jm][g / f * f + to as usize % f] = g as u8;
+                }
+            }
+            let mut perm = HierPerm::identity(&hc.counts, &fanouts);
+            perm.arrange(&order);
+            let invs: Vec<_> = maps.iter().map(|m| crate::system::invert(m)).collect();
+            assert_eq!(perm.invs, invs, "the tables place every node where `maps` does");
+            perm
+        };
+        partials.into_iter().map(element).collect()
     }
 
     /// The oracle's representative (this checker's first rule): encode
@@ -1208,7 +985,7 @@ mod tests {
 
     fn canonical(hc: &HierChecker, s: &HierState, sc: &mut HierScratch) -> Vec<u8> {
         hc.canonical_fp(s, sc);
-        sc.best.clone()
+        sc.sweep.best().to_vec()
     }
 
     #[test]
@@ -1287,10 +1064,13 @@ mod tests {
                     let pruned = canonical(&hc, &succ, &mut sc);
                     for jm in 0..hc.depth() {
                         let f = hc.levels[jm].fanout;
-                        assert_eq!(crate::system::invert(&sc.perm.maps[jm]), sc.perm.invs[jm]);
-                        for (g, &to) in sc.perm.maps[jm].iter().enumerate() {
-                            let parent = sc.perm.maps[jm + 1][g / f];
-                            assert_eq!(to / f as u8, parent, "a child left its parent");
+                        let maps = crate::system::invert(&sc.perm.invs[jm]);
+                        let parents = crate::system::invert(&sc.perm.invs[jm + 1]);
+                        for (g, &to) in maps.iter().enumerate() {
+                            assert_eq!(to / f as u8, parents[g / f], "a child left its parent");
+                            assert_eq!(sc.perm.local[jm][g], to % f as u8, "local table");
+                            let back = sc.perm.back[jm][g / f * f + (to as usize % f)];
+                            assert_eq!(back as usize, g % f, "inverse local table");
                         }
                     }
                     let sweep = sweep_min(&hc, &group, &succ);
@@ -1370,12 +1150,12 @@ mod tests {
         for dir in 0..3 {
             initial[42 + dir * 6 + 2] = 255; // no owner
         }
-        assert_eq!(sc.best, initial);
+        assert_eq!(sc.sweep.best(), initial);
         assert_eq!(hc.pruned_candidates(&hc.initial(), &mut sc), 8, "fully symmetric");
 
         assert_eq!(hc.canonical_fp(&busy_state(&hc), &mut sc), 0x9089a806ee4224bc);
         assert_eq!(
-            sc.best,
+            sc.sweep.best(),
             [
                 0, 0, 255, 0, 255, 255, 0, 0, 0, 255, 0, 255, 1, 0, 0, 0, 255, 0, 255, 0, 0, 2, 0,
                 1, 0, 255, 255, 0, 0, 0, 255, 0, 255, 255, 0, 2, 0, 1, 0, 255, 255, 0, 0, 0, 255,

@@ -61,6 +61,7 @@ mod hier;
 mod property;
 mod spill;
 mod store;
+mod subnet;
 mod system;
 
 pub use canon::{cache_sort_key, Canonicalizer};

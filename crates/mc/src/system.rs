@@ -1,6 +1,6 @@
 //! The model-checked system: N caches + directory + channels.
 
-use protogen_runtime::{CacheBlock, DirEntry, Line, MachineCtx, Msg, NodeId, Slot, Val};
+use protogen_runtime::{CacheBlock, DirEntry, Msg, NodeId, Val};
 use protogen_spec::{Access, FsmStateId, MsgId};
 
 /// The most caches one directory can serve: [`DirEntry::sharers`] is a
@@ -23,7 +23,8 @@ pub fn invert(perm: &[u8]) -> Vec<u8> {
 // channel queues and a ghost byte with these exact byte formats — u16
 // state ids, one byte per scalar with `0xff` as the `None` sentinel,
 // explicit length prefixes — which is what lets one `SectionMap` walk
-// either. Node ids are renamed through `map` on the way out.
+// either. Node ids are renamed on the way out, per subnet, through a
+// table from old subnet-local id to new ([`rename`]).
 
 #[inline(always)]
 fn put_slots(out: &mut Vec<u8>, slots: &[(NodeId, u8)], map: impl Fn(NodeId) -> u8) {
@@ -51,7 +52,7 @@ pub(crate) fn put_block(out: &mut Vec<u8>, c: &CacheBlock, map: impl Fn(NodeId) 
 /// One directory section: 6 fixed bytes + 2 per chain slot. `sharers` is
 /// the already-renamed sharer mask.
 #[inline(always)]
-pub(crate) fn put_dir(out: &mut Vec<u8>, dir: &DirEntry, sharers: u8, map: impl Fn(NodeId) -> u8) {
+fn put_dir(out: &mut Vec<u8>, dir: &DirEntry, sharers: u8, map: impl Fn(NodeId) -> u8) {
     let [s0, s1] = u16::try_from(dir.state.0).expect("state id exceeds u16").to_le_bytes();
     out.extend_from_slice(&[
         s0,
@@ -64,9 +65,46 @@ pub(crate) fn put_dir(out: &mut Vec<u8>, dir: &DirEntry, sharers: u8, map: impl 
     put_slots(out, &dir.chain_slots, map);
 }
 
+/// Renames subnet-local node ids through `perm` (old id → new id); ids
+/// past its end — the subnet's directory — are fixed points.
+#[inline(always)]
+pub(crate) fn rename(perm: &[u8]) -> impl Fn(NodeId) -> u8 + Copy + '_ {
+    move |id| perm.get(id.as_usize()).copied().unwrap_or(id.0)
+}
+
+/// One subnet's directory section, its cache ids renamed through `perm`.
+#[inline(always)]
+pub(crate) fn put_dir_renamed(out: &mut Vec<u8>, dir: &DirEntry, perm: &[u8]) {
+    let mut sharers = 0u8;
+    for (i, &p) in perm.iter().enumerate() {
+        if dir.sharers & (1 << i) != 0 {
+            sharers |= 1 << p;
+        }
+    }
+    put_dir(out, dir, sharers, rename(perm));
+}
+
+/// One subnet's `(f+1)²` channel sections in renamed `(src, dst)` order,
+/// ids renamed through `perm`; `inv` is its inverse (new id → old id).
+#[inline(always)]
+pub(crate) fn put_chans_renamed(
+    out: &mut Vec<u8>,
+    chans: &[Vec<Vec<Msg>>],
+    perm: &[u8],
+    inv: &[u8],
+) {
+    let old = |x: usize| inv.get(x).map_or(x, |&o| o as usize);
+    for s2 in 0..chans.len() {
+        let row = &chans[old(s2)];
+        for d2 in 0..chans.len() {
+            put_queue(out, &row[old(d2)], rename(perm));
+        }
+    }
+}
+
 /// One channel-queue section: a length byte + 7 per message.
 #[inline(always)]
-pub(crate) fn put_queue(out: &mut Vec<u8>, q: &[Msg], map: impl Fn(NodeId) -> u8) {
+fn put_queue(out: &mut Vec<u8>, q: &[Msg], map: impl Fn(NodeId) -> u8) {
     out.push(q.len() as u8);
     for m in q {
         let [t0, t1] = m.mtype.0.to_le_bytes();
@@ -232,24 +270,6 @@ impl SysState {
         NodeId(self.caches.len() as u8)
     }
 
-    /// Node `node`'s line as the dispatch kernel reads it: cache `node`'s
-    /// block, or the directory entry for `node == n_caches`.
-    pub fn slot(&self, node: usize) -> Slot<'_> {
-        match self.caches.get(node) {
-            Some(block) => block.slot(),
-            None => self.dir.slot(),
-        }
-    }
-
-    /// Node `node`'s line as the dispatch kernel writes it.
-    pub fn ctx(&mut self, node: usize) -> MachineCtx<'_> {
-        let dir_id = self.dir_id();
-        match self.caches.get_mut(node) {
-            Some(block) => block.ctx(NodeId(node as u8), dir_id),
-            None => self.dir.ctx(dir_id, dir_id),
-        }
-    }
-
     /// Total number of in-flight messages.
     pub fn messages_in_flight(&self) -> usize {
         self.channels.iter().flatten().map(|q| q.len()).sum()
@@ -285,34 +305,13 @@ impl SysState {
     /// so the encoding is injective and a 64-bit fingerprint of it can
     /// stand in for the full state.
     pub fn encode_permuted_to(&self, perm: &[u8], inv: &[u8], out: &mut Vec<u8>) {
-        let n = self.n_caches();
-        debug_assert_eq!(perm.len(), n);
-        debug_assert_eq!(inv.len(), n);
-        let map = |id: NodeId| -> u8 {
-            if id.as_usize() < n {
-                perm[id.as_usize()]
-            } else {
-                id.0
-            }
-        };
-        for &src_cache in inv.iter() {
-            put_block(out, &self.caches[src_cache as usize], map);
+        debug_assert_eq!(perm.len(), self.n_caches());
+        debug_assert_eq!(inv.len(), self.n_caches());
+        for &src_cache in inv {
+            put_block(out, &self.caches[src_cache as usize], rename(perm));
         }
-        let mut sharers = 0u8;
-        for (i, &p) in perm.iter().enumerate() {
-            if self.dir.sharers & (1 << i) != 0 {
-                sharers |= 1 << p;
-            }
-        }
-        put_dir(out, &self.dir, sharers, map);
-        let total = n + 1;
-        let src_of = |x: usize| if x < n { inv[x] as usize } else { x };
-        for s2 in 0..total {
-            let row = &self.channels[src_of(s2)];
-            for d2 in 0..total {
-                put_queue(out, &row[src_of(d2)], map);
-            }
-        }
+        put_dir_renamed(out, &self.dir, perm);
+        put_chans_renamed(out, &self.channels, perm, inv);
         out.push(self.ghost);
     }
 
@@ -426,7 +425,8 @@ impl SysState {
     }
 }
 
-/// All permutations of `0..n` (n is tiny: at most 4 caches).
+/// All permutations of `0..n`, in lexicographic order (`n` is small: at
+/// most [`MAX_CACHES`] caches or `MAX_FANOUT` siblings).
 pub fn permutations(n: usize) -> Vec<Vec<u8>> {
     fn go(acc: &mut Vec<Vec<u8>>, cur: &mut Vec<u8>, used: &mut Vec<bool>, n: usize) {
         if cur.len() == n {

@@ -7,9 +7,10 @@
 //!    the flat checker's `n` caches + directory, so its canonical state
 //!    and transition counts must match exactly (glue never fires, parent
 //!    semantics never engage, and the wreath group degenerates to the
-//!    full symmetric group) — and, both canonicalizers following one
-//!    representative rule, so must the canonical bytes and fingerprint
-//!    they select on every reachable state.
+//!    full symmetric group) — and, both checkers stepping through one
+//!    subnet kernel and canonicalizing with one sweep, so must the
+//!    canonical bytes and fingerprint they select on every reachable
+//!    state, and the outcome of every candidate step from it.
 //! 2. **End-to-end stack verification** — the bundled two-level stacks
 //!    (2 L1s per L2, 2 L2s) pass per-level SWMR, leaf-level data-value,
 //!    and deadlock freedom over their whole reachable space.
@@ -21,8 +22,9 @@
 
 use protogen_core::{compose, generate, GenConfig};
 use protogen_mc::{
-    permutations, reference_bfs, Canonicalizer, HierChecker, HierConfig, HierState, McConfig,
-    ModelChecker, PropertySet, ResourceLimit, StoreMode, SysState, TransitionSystem,
+    permutations, reference_bfs, Canonicalizer, HStep, HierChecker, HierConfig, HierState,
+    McConfig, ModelChecker, PropertySet, ResourceLimit, Step, StoreMode, SysState,
+    TransitionSystem,
 };
 
 fn checker(comp: &protogen_spec::Composition) -> HierChecker {
@@ -35,8 +37,9 @@ fn checked(comp: &protogen_spec::Composition) -> protogen_mc::HierResult {
 }
 
 /// Flat-vs-composed identity at the same cache count, for every protocol
-/// that satisfies the composition interface: the same counts, and the same
-/// canonical bytes and fingerprint on every reachable state.
+/// that satisfies the composition interface: the same counts, the same
+/// canonical bytes and fingerprint on every reachable state, and the same
+/// outcome for every candidate step of every reachable state.
 fn assert_identity(name: &str, n: usize) {
     let ssp = protogen_protocols::by_name(name).unwrap();
     let g = generate(&ssp, &GenConfig::stalling()).unwrap();
@@ -75,6 +78,52 @@ fn assert_identity(name: &str, n: usize) {
         hc.encode_canonical_into(&scratch, &mut stack_bytes);
         assert_eq!(&flat_bytes, enc, "{name}@{n}: state {i} left its orbit");
         assert_eq!((stack_fp, &stack_bytes), (flat_fp, &flat_bytes), "{name}@{n}: state {i}");
+    }
+
+    // Step for step: from every reachable state, every candidate step has
+    // the same outcome on both — enabled with the same canonical successor
+    // bytes, disabled, or the same kind of violation.
+    let (mut fsc, mut hsc) = (mc.scratch(), hc.scratch());
+    let (mut fstate, mut fsucc, mut hstate, mut hsucc) =
+        (mc.initial(), mc.initial(), hc.initial(), hc.initial());
+    let (mut fsteps, mut hsteps) = (Vec::new(), Vec::new());
+    for (i, enc) in encs.iter().enumerate() {
+        mc.decode_into(enc, &mut fstate, &mut fsc);
+        hc.decode_into(enc, &mut hstate, &mut hsc);
+        mc.steps_into(&fstate, &mut fsteps);
+        hc.steps_into(&hstate, &mut hsteps);
+        let as_stack = |step: &Step| match *step {
+            Step::Deliver { src, dst, idx } => {
+                HStep::Deliver { level: 0, parent: 0, src, dst, idx }
+            }
+            Step::IssueAccess { cache, access } => HStep::Issue { mlevel: 0, node: cache, access },
+        };
+        assert_eq!(fsteps.iter().map(as_stack).collect::<Vec<_>>(), hsteps, "{name}@{n}: {i}");
+        for (&fstep, &hstep) in fsteps.iter().zip(&hsteps) {
+            let at = format!("{name}@{n}: state {i}, {fstep}");
+            match (
+                mc.successor_into(&fstate, fstep, &mut fsucc, &mut fsc),
+                hc.successor_into(&hstate, hstep, &mut hsucc, &mut hsc),
+            ) {
+                (Ok(true), Ok(true)) => {
+                    assert_eq!(
+                        mc.canonical_fp(&fsucc, &mut fsc),
+                        hc.canonical_fp(&hsucc, &mut hsc)
+                    );
+                    flat_bytes.clear();
+                    stack_bytes.clear();
+                    mc.encode_canonical_into(&fsc, &mut flat_bytes);
+                    hc.encode_canonical_into(&hsc, &mut stack_bytes);
+                    assert_eq!(flat_bytes, stack_bytes, "{at}: successors differ");
+                }
+                (Ok(false), Ok(false)) => {}
+                (Err(f), Err(h)) => {
+                    let same = std::mem::discriminant(&f) == std::mem::discriminant(&h);
+                    assert!(same, "{at}: {f} vs {h}");
+                }
+                (f, h) => panic!("{at}: {f:?} vs {h:?}"),
+            }
+        }
     }
 }
 
