@@ -1,6 +1,10 @@
 //! Render a generated FSM as a table in the style of the paper's Table VI.
 
-use protogen_spec::{Access, AccessSummary, ArcKind, ArcNote, Event, Fsm, Guard, MsgClass};
+use protogen_spec::{
+    Access, AccessSummary, Action, Arc, ArcKind, ArcNote, Event, Fsm, FsmState, Guard, MsgClass,
+    MsgId,
+};
+use std::fmt::Write;
 
 /// Rendering options.
 #[derive(Debug, Clone)]
@@ -26,18 +30,16 @@ impl Default for TableOptions {
 /// tables split `Data (ack=0)` from `Data (ack>0)` and `Inv-Ack` from
 /// `Last-Inv-Ack`.
 pub fn render_table(fsm: &Fsm, opts: &TableOptions) -> String {
-    // Columns: accesses + every message with at least one arc.
-    let mut msg_cols: Vec<protogen_spec::MsgId> = Vec::new();
-    for a in &fsm.arcs {
+    let shown = |a: &Arc| !(opts.hide_defensive && a.note == ArcNote::Defensive);
+    // Columns: accesses + every message with at least one shown arc.
+    let mut reacts = vec![false; fsm.messages.len()];
+    for a in fsm.arcs.iter().filter(|a| shown(a)) {
         if let Event::Msg(m) = a.event {
-            if opts.hide_defensive && a.note == ArcNote::Defensive {
-                continue;
-            }
-            if !msg_cols.contains(&m) {
-                msg_cols.push(m);
-            }
+            reacts[m.as_usize()] = true;
         }
     }
+    let mut msg_cols: Vec<MsgId> =
+        (0..reacts.len()).filter(|&i| reacts[i]).map(MsgId::from_usize).collect();
     msg_cols.sort_by_key(|m| {
         let d = fsm.msg(*m);
         (
@@ -50,136 +52,178 @@ pub fn render_table(fsm: &Fsm, opts: &TableOptions) -> String {
         )
     });
 
-    let is_cache = fsm.machine == protogen_spec::MachineKind::Cache;
-    let mut headers: Vec<String> = vec!["State".into()];
-    if is_cache {
-        headers.extend(["load", "store", "repl"].map(String::from));
-    }
-    for &m in &msg_cols {
-        headers.push(fsm.msg(m).name.clone());
+    // Each state's arcs, in arc order.
+    let mut by_state: Vec<Vec<&Arc>> = vec![Vec::new(); fsm.states.len()];
+    for a in &fsm.arcs {
+        by_state[a.from.as_usize()].push(a);
     }
 
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    for sid in fsm.state_ids() {
-        let st = fsm.state(sid);
-        let mut row = vec![st.full_name()];
+    let is_cache = fsm.machine == protogen_spec::MachineKind::Cache;
+    let accesses: &[&str] = if is_cache { &["load", "store", "repl"] } else { &[] };
+    let msg_names = msg_cols.iter().map(|&m| fsm.msg(m).name.as_str());
+    let mut grid = Grid::new(["State"].iter().chain(accesses).copied().chain(msg_names));
+    let out = &mut grid.text;
+    for (sid, arcs) in fsm.state_ids().zip(&by_state) {
+        push_full_name(out, fsm.state(sid));
+        grid.ends.push(out.len());
         if is_cache {
             for access in Access::ALL {
-                row.push(match fsm.access_summary(sid, access) {
-                    AccessSummary::Hit => "hit".into(),
-                    AccessSummary::Stall => "stall".into(),
+                let first = arcs.iter().copied().find(|a| a.event == Event::Access(access));
+                match AccessSummary::of(first) {
+                    AccessSummary::Undefined => {}
+                    AccessSummary::Stall => out.push_str("stall"),
+                    AccessSummary::Hit => out.push_str("hit"),
                     AccessSummary::Issue(to) => {
-                        let target = fsm.state(to).full_name();
-                        let req = fsm
-                            .arcs_for(sid, Event::Access(access))
-                            .first()
-                            .and_then(|a| first_send_name(fsm, &a.actions))
-                            .unwrap_or_default();
-                        if req.is_empty() {
-                            format!("/{target}")
-                        } else {
-                            format!("{req}/{target}")
+                        if let Some(req) = first.and_then(|a| first_send(&a.actions)) {
+                            out.push_str(&fsm.msg(req).name);
                         }
+                        out.push('/');
+                        push_full_name(out, fsm.state(to));
                     }
-                    AccessSummary::Undefined => String::new(),
-                });
+                }
+                grid.ends.push(out.len());
             }
         }
         for &m in &msg_cols {
-            let arcs = fsm.arcs_for(sid, Event::Msg(m));
-            let mut cells = Vec::new();
-            for a in arcs {
-                if opts.hide_defensive && a.note == ArcNote::Defensive {
+            let cells = arcs.iter().filter(|a| a.event == Event::Msg(m) && shown(a));
+            for (i, a) in cells.enumerate() {
+                // `|` inside a cell would break the Markdown table grid.
+                if i > 0 {
+                    out.push_str(if opts.markdown { " ; " } else { " | " });
+                }
+                push_guards(out, &a.guards);
+                if a.kind == ArcKind::Stall {
+                    out.push_str("stall");
                     continue;
                 }
-                let mut cell = String::new();
-                if !a.guards.is_empty() {
-                    let gs: Vec<String> = a.guards.iter().map(render_guard).collect();
-                    cell.push_str(&format!("[{}] ", gs.join("&")));
-                }
-                if a.kind == ArcKind::Stall {
-                    cell.push_str("stall");
-                } else {
-                    let sends: Vec<String> = a
-                        .actions
-                        .iter()
-                        .filter_map(|act| match act {
-                            protogen_spec::Action::Send(sp) => {
-                                Some(format!("{}>{}", fsm.msg(sp.msg).name, sp.dst))
-                            }
-                            _ => None,
-                        })
-                        .collect();
-                    if !sends.is_empty() {
-                        cell.push_str(&sends.join(","));
-                    }
-                    if a.to != sid {
-                        cell.push_str(&format!("/{}", fsm.state(a.to).full_name()));
-                    } else if sends.is_empty() {
-                        cell.push('-');
+                let mut sends = 0;
+                for act in &a.actions {
+                    if let Action::Send(sp) = act {
+                        if sends > 0 {
+                            out.push(',');
+                        }
+                        sends += 1;
+                        let _ = write!(out, "{}>{}", fsm.msg(sp.msg).name, sp.dst);
                     }
                 }
-                cells.push(cell);
+                if a.to != sid {
+                    out.push('/');
+                    push_full_name(out, fsm.state(a.to));
+                } else if sends == 0 {
+                    out.push('-');
+                }
             }
-            // `|` inside a cell would break the Markdown table grid.
-            row.push(cells.join(if opts.markdown { " ; " } else { " | " }));
+            grid.ends.push(out.len());
         }
-        rows.push(row);
     }
-
-    layout(&headers, &rows, opts.markdown)
+    grid.layout(opts.markdown)
 }
 
-fn render_guard(g: &Guard) -> String {
-    g.to_string()
+/// [`protogen_spec::FsmState::full_name`], written in place.
+fn push_full_name(out: &mut String, st: &FsmState) {
+    out.push_str(&st.name);
+    for m in &st.merged_names {
+        out.push('=');
+        out.push_str(m);
+    }
 }
 
-fn first_send_name(fsm: &Fsm, actions: &[protogen_spec::Action]) -> Option<String> {
+/// `[g1&g2] `, or nothing for an unguarded entry.
+fn push_guards(out: &mut String, guards: &[Guard]) {
+    if guards.is_empty() {
+        return;
+    }
+    out.push('[');
+    for (i, g) in guards.iter().enumerate() {
+        if i > 0 {
+            out.push('&');
+        }
+        let _ = write!(out, "{g}");
+    }
+    out.push_str("] ");
+}
+
+fn first_send(actions: &[Action]) -> Option<MsgId> {
     actions.iter().find_map(|a| match a {
-        protogen_spec::Action::Send(sp) => Some(fsm.msg(sp.msg).name.clone()),
+        Action::Send(sp) => Some(sp.msg),
         _ => None,
     })
 }
 
-fn layout(headers: &[String], rows: &[Vec<String>], markdown: bool) -> String {
-    let ncols = headers.len();
-    let mut widths = vec![0usize; ncols];
-    for (i, h) in headers.iter().enumerate() {
-        widths[i] = h.len();
-    }
-    for row in rows {
-        for (i, c) in row.iter().enumerate() {
-            widths[i] = widths[i].max(c.len());
+/// A table under construction: the text of every cell in one buffer,
+/// row-major with the headers first; cell `k` ends at `ends[k]`.
+struct Grid {
+    ncols: usize,
+    text: String,
+    ends: Vec<usize>,
+}
+
+impl Grid {
+    fn new<'h>(headers: impl IntoIterator<Item = &'h str>) -> Grid {
+        let mut grid = Grid { ncols: 0, text: String::new(), ends: Vec::new() };
+        for h in headers {
+            grid.text.push_str(h);
+            grid.ends.push(grid.text.len());
         }
+        grid.ncols = grid.ends.len();
+        grid
     }
-    let mut out = String::new();
-    let sep = if markdown { " | " } else { "  " };
-    let edge = if markdown { "| " } else { "" };
-    let edge_r = if markdown { " |" } else { "" };
-    let line = |cells: &[String], out: &mut String| {
-        out.push_str(edge);
+
+    /// Aligns the cells into columns as wide as their widest cell (in
+    /// bytes), padding each to that width (in characters).
+    fn layout(&self, markdown: bool) -> String {
+        let ncols = self.ncols;
+        let mut begin = 0;
+        let cells: Vec<&str> = self
+            .ends
+            .iter()
+            .map(|&end| {
+                let cell = &self.text[begin..end];
+                begin = end;
+                cell
+            })
+            .collect();
+        let mut widths = vec![0usize; ncols];
         for (i, c) in cells.iter().enumerate() {
-            out.push_str(&format!("{:w$}", c, w = widths[i]));
-            if i + 1 < ncols {
-                out.push_str(sep);
-            }
+            widths[i % ncols] = widths[i % ncols].max(c.len());
         }
-        out.push_str(edge_r);
-        out.push('\n');
-    };
-    line(headers, &mut out);
-    if markdown {
-        let dashes: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
-        line(&dashes, &mut out);
-    } else {
+        let sep = if markdown { " | " } else { "  " };
+        let (edge, edge_r) = if markdown { ("| ", " |") } else { ("", "") };
         let total: usize = widths.iter().sum::<usize>() + sep.len() * (ncols - 1);
-        out.push_str(&"-".repeat(total));
+        let mut out = String::with_capacity((total + 5) * (cells.len() / ncols + 1));
+        let pad = |out: &mut String, n: usize, c: char| out.extend(std::iter::repeat_n(c, n));
+        let line = |row: &[&str], out: &mut String| {
+            out.push_str(edge);
+            for (i, (c, w)) in row.iter().zip(&widths).enumerate() {
+                out.push_str(c);
+                pad(out, w.saturating_sub(c.chars().count()), ' ');
+                if i + 1 < ncols {
+                    out.push_str(sep);
+                }
+            }
+            out.push_str(edge_r);
+            out.push('\n');
+        };
+        let mut rows = cells.chunks(ncols);
+        line(rows.next().unwrap_or_default(), &mut out);
+        if markdown {
+            out.push_str(edge);
+            for (i, &w) in widths.iter().enumerate() {
+                pad(&mut out, w, '-');
+                if i + 1 < ncols {
+                    out.push_str(sep);
+                }
+            }
+            out.push_str(edge_r);
+        } else {
+            pad(&mut out, total, '-');
+        }
         out.push('\n');
+        for row in rows {
+            line(row, &mut out);
+        }
+        out
     }
-    for row in rows {
-        line(row, &mut out);
-    }
-    out
 }
 
 /// Renders the atomic SSP of one machine as a table (the paper's Tables I
@@ -202,66 +246,58 @@ pub fn render_ssp_table(ssp: &protogen_spec::Ssp, kind: protogen_spec::MachineKi
             headers.push(ssp.msg(mid).name.clone());
         }
     }
-    let mut rows = Vec::new();
+    let mut grid = Grid::new(headers.iter().map(String::as_str));
+    let out = &mut grid.text;
     for sid in m.state_ids() {
-        let mut row = vec![m.state(sid).name.clone()];
+        out.push_str(&m.state(sid).name);
+        grid.ends.push(out.len());
         for &t in &triggers {
-            let entries = m.entries_for(sid, t);
-            let cells: Vec<String> = entries
-                .iter()
-                .map(|e| {
-                    let mut cell = String::new();
-                    if !e.guards.is_empty() {
-                        let gs: Vec<String> = e.guards.iter().map(render_guard).collect();
-                        cell.push_str(&format!("[{}] ", gs.join("&")));
-                    }
-                    match &e.effect {
-                        Effect::Local { actions, next } => {
-                            let sends: Vec<String> = actions
-                                .iter()
-                                .filter_map(|a| match a {
-                                    protogen_spec::Action::Send(sp) => {
-                                        Some(format!("{}>{}", ssp.msg(sp.msg).name, sp.dst))
-                                    }
-                                    protogen_spec::Action::PerformAccess => Some("hit".into()),
-                                    _ => None,
-                                })
-                                .collect();
-                            cell.push_str(&sends.join(","));
-                            if let Some(n) = next {
-                                cell.push_str(&format!("/{}", m.state(*n).name));
+            for (i, e) in m.entries_for(sid, t).iter().enumerate() {
+                if i > 0 {
+                    out.push_str(" | ");
+                }
+                push_guards(out, &e.guards);
+                match &e.effect {
+                    Effect::Local { actions, next } => {
+                        let mut shown = 0;
+                        for a in actions {
+                            if !matches!(a, Action::Send(_) | Action::PerformAccess) {
+                                continue;
+                            }
+                            if shown > 0 {
+                                out.push(',');
+                            }
+                            shown += 1;
+                            match a {
+                                Action::Send(sp) => {
+                                    let _ = write!(out, "{}>{}", ssp.msg(sp.msg).name, sp.dst);
+                                }
+                                _ => out.push_str("hit"),
                             }
                         }
-                        Effect::Issue { request, chain } => {
-                            if let Some(r) = first_send_name_ssp(ssp, request) {
-                                cell.push_str(&r);
-                            }
-                            let finals: Vec<String> = chain
-                                .final_states()
-                                .iter()
-                                .map(|f| m.state(*f).name.clone())
-                                .collect();
-                            cell.push_str(&format!("../{}", finals.join("|")));
+                        if let Some(n) = next {
+                            out.push('/');
+                            out.push_str(&m.state(*n).name);
                         }
                     }
-                    cell
-                })
-                .collect();
-            row.push(cells.join(" | "));
+                    Effect::Issue { request, chain } => {
+                        if let Some(r) = first_send(request) {
+                            out.push_str(&ssp.msg(r).name);
+                        }
+                        out.push_str("../");
+                        for (k, f) in chain.final_states().iter().enumerate() {
+                            if k > 0 {
+                                out.push('|');
+                            }
+                            out.push_str(&m.state(*f).name);
+                        }
+                    }
+                }
+            }
+            grid.ends.push(out.len());
         }
-        rows.push(row);
     }
-    layout(&headers, &rows, false)
-}
-
-fn first_send_name_ssp(
-    ssp: &protogen_spec::Ssp,
-    actions: &[protogen_spec::Action],
-) -> Option<String> {
-    actions.iter().find_map(|a| match a {
-        protogen_spec::Action::Send(sp) => Some(ssp.msg(sp.msg).name.clone()),
-        _ => None,
-    })
+    grid.layout(false)
 }
 
 /// Renders a composed stack as one table section per level, leaf-first:

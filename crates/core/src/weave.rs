@@ -84,6 +84,8 @@ pub(crate) struct Weave<'a> {
     index: HashMap<Key, FsmStateId>,
     names: HashSet<String>,
     arcs: Vec<Arc>,
+    /// Indices into `arcs` of each state's arcs, in push order.
+    arcs_of: Vec<Vec<usize>>,
     /// States `..emitted` have had their arcs generated.
     emitted: usize,
 }
@@ -106,6 +108,7 @@ impl<'a> Weave<'a> {
             index: HashMap::new(),
             names: HashSet::new(),
             arcs: Vec::new(),
+            arcs_of: Vec::new(),
             emitted: 0,
         };
         for s in ssp.machine(kind).state_ids() {
@@ -136,6 +139,7 @@ impl<'a> Weave<'a> {
         self.names.insert(name.clone());
         self.index.insert(key.clone(), id);
         self.states.push((key, name));
+        self.arcs_of.push(Vec::new());
         id
     }
 
@@ -173,16 +177,24 @@ impl<'a> Weave<'a> {
         (0..self.states.len()).map(FsmStateId::from_usize)
     }
 
+    /// The arcs pushed so far from `id`.
+    fn arcs_from(&self, id: FsmStateId) -> impl Iterator<Item = &Arc> {
+        self.arcs_of[id.as_usize()].iter().map(|&k| &self.arcs[k])
+    }
+
     /// Whether `id` already has an arc (of any kind) for `event`.
     pub(crate) fn handles(&self, id: FsmStateId, event: Event) -> bool {
-        self.arcs.iter().any(|a| a.from == id && a.event == event)
+        self.arcs_from(id).any(|a| a.event == event)
     }
 
     /// Whether `id` performs `access` (has a non-stall arc for it).
     pub(crate) fn performs(&self, id: FsmStateId, access: Access) -> bool {
-        self.arcs
-            .iter()
-            .any(|a| a.from == id && a.event == Event::Access(access) && a.kind == ArcKind::Normal)
+        self.arcs_from(id).any(|a| a.event == Event::Access(access) && a.kind == ArcKind::Normal)
+    }
+
+    fn add(&mut self, arc: Arc) {
+        self.arcs_of[arc.from.as_usize()].push(self.arcs.len());
+        self.arcs.push(arc);
     }
 
     pub(crate) fn push(
@@ -194,7 +206,7 @@ impl<'a> Weave<'a> {
         to: FsmStateId,
         note: ArcNote,
     ) {
-        self.arcs.push(Arc { from, event, guards, actions, to, kind: ArcKind::Normal, note });
+        self.add(Arc { from, event, guards, actions, to, kind: ArcKind::Normal, note });
     }
 
     pub(crate) fn stall(&mut self, from: FsmStateId, event: Event, note: ArcNote) {
@@ -210,12 +222,13 @@ impl<'a> Weave<'a> {
         guards: Vec<Guard>,
         note: ArcNote,
     ) {
-        if self.arcs.iter().any(|a| {
-            a.from == from && a.event == event && a.kind == ArcKind::Stall && a.guards == guards
-        }) {
+        if self
+            .arcs_from(from)
+            .any(|a| a.event == event && a.kind == ArcKind::Stall && a.guards == guards)
+        {
             return;
         }
-        self.arcs.push(Arc {
+        self.add(Arc {
             from,
             event,
             guards,

@@ -15,13 +15,13 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-struct Parser {
-    toks: Vec<Token>,
+struct Parser<'s> {
+    toks: Vec<Token<'s>>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &TokenKind {
+impl<'s> Parser<'s> {
+    fn peek(&self) -> &TokenKind<'s> {
         &self.toks[self.pos].kind
     }
 
@@ -35,8 +35,8 @@ impl Parser {
         format!("{}:{}", t.line, t.col)
     }
 
-    fn bump(&mut self) -> TokenKind {
-        let k = self.toks[self.pos].kind.clone();
+    fn bump(&mut self) -> TokenKind<'s> {
+        let k = self.toks[self.pos].kind;
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
@@ -54,7 +54,7 @@ impl Parser {
 
     fn ident(&mut self) -> Result<String, ParseError> {
         match self.bump() {
-            TokenKind::Ident(s) => Ok(s),
+            TokenKind::Ident(s) => Ok(s.to_string()),
             other => {
                 Err(ParseError(format!("expected identifier, found {other} at {}", self.here())))
             }
@@ -62,7 +62,7 @@ impl Parser {
     }
 
     fn eat_ident(&mut self, word: &str) -> bool {
-        if matches!(self.peek(), TokenKind::Ident(s) if s == word) {
+        if *self.peek() == TokenKind::Ident(word) {
             self.bump();
             true
         } else {
@@ -101,9 +101,9 @@ pub fn parse(src: &str) -> Result<Spec, ParseError> {
     };
 
     loop {
-        match p.peek().clone() {
+        match *p.peek() {
             TokenKind::Eof => break,
-            TokenKind::Ident(word) => match word.as_str() {
+            TokenKind::Ident(word) => match word {
                 "network" => {
                     p.bump();
                     let at = p.pos;
@@ -200,7 +200,7 @@ pub fn parse(src: &str) -> Result<Spec, ParseError> {
 /// label, a protocol name, and an optional parenthesized fanout. All
 /// words are contextual identifiers, so labels or protocols named
 /// `compose` (or any other keyword) parse fine.
-fn parse_compose(p: &mut Parser, out: &mut Vec<ComposeLevel>) -> Result<(), ParseError> {
+fn parse_compose(p: &mut Parser<'_>, out: &mut Vec<ComposeLevel>) -> Result<(), ParseError> {
     p.expect(&TokenKind::LBrace)?;
     while *p.peek() != TokenKind::RBrace {
         let label = p.ident()?;
@@ -229,7 +229,7 @@ fn parse_compose(p: &mut Parser, out: &mut Vec<ComposeLevel>) -> Result<(), Pars
     Ok(())
 }
 
-fn parse_message(p: &mut Parser) -> Result<MessageDecl, ParseError> {
+fn parse_message(p: &mut Parser<'_>) -> Result<MessageDecl, ParseError> {
     let name = p.ident()?;
     p.expect(&TokenKind::Colon)?;
     let class = p.ident()?;
@@ -251,7 +251,7 @@ fn parse_message(p: &mut Parser) -> Result<MessageDecl, ParseError> {
     Ok(MessageDecl { name, class, fields, vnet })
 }
 
-fn parse_states(p: &mut Parser) -> Result<Vec<StateDecl>, ParseError> {
+fn parse_states(p: &mut Parser<'_>) -> Result<Vec<StateDecl>, ParseError> {
     p.expect(&TokenKind::LBrace)?;
     let mut out = vec![];
     while *p.peek() != TokenKind::RBrace {
@@ -279,7 +279,7 @@ fn parse_states(p: &mut Parser) -> Result<Vec<StateDecl>, ParseError> {
     Ok(out)
 }
 
-fn parse_arch(p: &mut Parser) -> Result<Vec<Process>, ParseError> {
+fn parse_arch(p: &mut Parser<'_>) -> Result<Vec<Process>, ParseError> {
     p.expect(&TokenKind::LBrace)?;
     let mut out = vec![];
     while *p.peek() != TokenKind::RBrace {
@@ -297,7 +297,7 @@ fn parse_arch(p: &mut Parser) -> Result<Vec<Process>, ParseError> {
         let mut next = None;
         let mut awaits = vec![];
         loop {
-            match p.peek().clone() {
+            match *p.peek() {
                 TokenKind::RBrace => {
                     p.bump();
                     break;
@@ -307,7 +307,7 @@ fn parse_arch(p: &mut Parser) -> Result<Vec<Process>, ParseError> {
                     next = Some(p.ident()?);
                     p.expect(&TokenKind::Semi)?;
                 }
-                TokenKind::Ident(w) if w == "await" => {
+                TokenKind::Ident("await") => {
                     p.bump();
                     awaits.push(parse_await(p)?);
                 }
@@ -320,7 +320,7 @@ fn parse_arch(p: &mut Parser) -> Result<Vec<Process>, ParseError> {
     Ok(out)
 }
 
-fn parse_guards(p: &mut Parser) -> Result<Vec<String>, ParseError> {
+fn parse_guards(p: &mut Parser<'_>) -> Result<Vec<String>, ParseError> {
     let mut out = vec![];
     if p.eat_ident("if") {
         loop {
@@ -335,7 +335,7 @@ fn parse_guards(p: &mut Parser) -> Result<Vec<String>, ParseError> {
     Ok(out)
 }
 
-fn parse_await(p: &mut Parser) -> Result<AwaitBlock, ParseError> {
+fn parse_await(p: &mut Parser<'_>) -> Result<AwaitBlock, ParseError> {
     let tag = p.ident()?;
     p.expect(&TokenKind::LBrace)?;
     let mut whens = vec![];
@@ -349,7 +349,7 @@ fn parse_await(p: &mut Parser) -> Result<AwaitBlock, ParseError> {
         let mut stmts = vec![];
         let target;
         loop {
-            match p.peek().clone() {
+            match *p.peek() {
                 TokenKind::Arrow => {
                     p.bump();
                     let s = p.ident()?;
@@ -373,7 +373,7 @@ fn parse_await(p: &mut Parser) -> Result<AwaitBlock, ParseError> {
     Ok(AwaitBlock { tag, whens })
 }
 
-fn parse_stmt(p: &mut Parser) -> Result<Stmt, ParseError> {
+fn parse_stmt(p: &mut Parser<'_>) -> Result<Stmt, ParseError> {
     let word = p.ident()?;
     if word == "send" {
         let msg = p.ident()?;

@@ -196,6 +196,21 @@ pub enum AccessSummary {
     Undefined,
 }
 
+impl AccessSummary {
+    /// The summary of an access that `first`, a state's first arc for it,
+    /// decides (`None`: the state has no arc for the access).
+    pub fn of(first: Option<&Arc>) -> AccessSummary {
+        let Some(a) = first else { return AccessSummary::Undefined };
+        if a.kind == ArcKind::Stall {
+            AccessSummary::Stall
+        } else if a.to == a.from && a.actions.iter().all(|x| matches!(x, Action::PerformAccess)) {
+            AccessSummary::Hit
+        } else {
+            AccessSummary::Issue(a.to)
+        }
+    }
+}
+
 /// A state of a generated FSM.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FsmState {
@@ -329,18 +344,7 @@ impl Fsm {
 
     /// Summarizes how `state` treats `access` (for table rendering).
     pub fn access_summary(&self, state: FsmStateId, access: Access) -> AccessSummary {
-        let arcs = self.arcs_for(state, Event::Access(access));
-        if arcs.is_empty() {
-            return AccessSummary::Undefined;
-        }
-        let a = arcs[0];
-        if a.kind == ArcKind::Stall {
-            AccessSummary::Stall
-        } else if a.to == state && a.actions.iter().all(|x| matches!(x, Action::PerformAccess)) {
-            AccessSummary::Hit
-        } else {
-            AccessSummary::Issue(a.to)
-        }
+        AccessSummary::of(self.arcs_from(state).find(|a| a.event == Event::Access(access)))
     }
 
     /// Returns the ids of all transient states.

@@ -506,6 +506,90 @@ const GENERATED_DIGESTS: [(&str, u64); 42] = [
     ("mosi no-defensive", 0x714ab437d6e72b45),
 ];
 
+/// The front end and the table renderer, pinned the same way: the digest
+/// of the `Debug` text of the SSP each bundled `.pgen` source parses to,
+/// and of every table the renderer draws from the machines generated from
+/// it — cache and directory, in aligned, Markdown and show-defensive mode,
+/// stalling and non-stalling. Recorded on the commit before the lexer
+/// moved to bytes and tables to one grouping pass; a mismatch prints the
+/// whole actual table.
+#[test]
+fn front_end_outputs_are_pinned() {
+    use protogen::backend::{render_table, TableOptions};
+    use protogen::dsl;
+    let sources = [
+        ("msi.pgen", dsl::MSI_PGEN),
+        ("mesi.pgen", dsl::MESI_PGEN),
+        ("mosi.pgen", dsl::MOSI_PGEN),
+        ("msi_upgrade.pgen", dsl::MSI_UPGRADE_PGEN),
+        ("msi_unordered.pgen", dsl::MSI_UNORDERED_PGEN),
+        ("tso_cc.pgen", dsl::TSO_CC_PGEN),
+        ("si_sd.pgen", dsl::SI_SD_PGEN),
+    ];
+    let modes = [
+        TableOptions::default(),
+        TableOptions { markdown: true, ..TableOptions::default() },
+        TableOptions { hide_defensive: false, ..TableOptions::default() },
+    ];
+    let fp = |text: String| protogen::mc::fingerprint_bytes(text.as_bytes());
+    let mut actual: Vec<(String, u64)> = Vec::new();
+    for (file, src) in sources {
+        let ssp = dsl::parse_protocol(src).unwrap_or_else(|e| panic!("{file}: {e}"));
+        actual.push((format!("{file} parse"), fp(format!("{ssp:?}"))));
+        for cfg in [GenConfig::stalling(), GenConfig::non_stalling()] {
+            let g = generate(&ssp, &cfg).unwrap_or_else(|e| panic!("{file}: {e}"));
+            for (machine, fsm) in [("cache", &g.cache), ("dir", &g.directory)] {
+                let text = modes.iter().map(|o| render_table(fsm, o)).collect();
+                actual.push((format!("{file} {} {machine}", config_label(&cfg)), fp(text)));
+            }
+        }
+    }
+    let table: String =
+        actual.iter().map(|(l, fp)| format!("        (\"{l}\", {fp:#018x}),\n")).collect();
+    assert!(
+        actual.iter().map(|(label, fp)| (label.as_str(), *fp)).eq(FRONT_END_DIGESTS),
+        "front-end output changed; actual table:\n{table}"
+    );
+}
+
+const FRONT_END_DIGESTS: [(&str, u64); 35] = [
+    ("msi.pgen parse", 0x98d75246e8bb9790),
+    ("msi.pgen stalling cache", 0x4982a90aabc75825),
+    ("msi.pgen stalling dir", 0x75621fbacb303595),
+    ("msi.pgen non-stalling cache", 0x6f438d517d8982b8),
+    ("msi.pgen non-stalling dir", 0x211e6a4b3ea07c10),
+    ("mesi.pgen parse", 0x85584b4ece23ae1a),
+    ("mesi.pgen stalling cache", 0x82ddad3fed72827d),
+    ("mesi.pgen stalling dir", 0xf00dc7fff1c1de53),
+    ("mesi.pgen non-stalling cache", 0x37b5abd7d0dd233b),
+    ("mesi.pgen non-stalling dir", 0x572ca200a1481cb5),
+    ("mosi.pgen parse", 0xa3717d85ffa25f43),
+    ("mosi.pgen stalling cache", 0x06d572e3f85290f4),
+    ("mosi.pgen stalling dir", 0x989857decdf60c0f),
+    ("mosi.pgen non-stalling cache", 0x956b059b26ad7431),
+    ("mosi.pgen non-stalling dir", 0x989857decdf60c0f),
+    ("msi_upgrade.pgen parse", 0x18a06072fbb95ea3),
+    ("msi_upgrade.pgen stalling cache", 0x763fc5c994cdb919),
+    ("msi_upgrade.pgen stalling dir", 0x1e511b5d844c4a06),
+    ("msi_upgrade.pgen non-stalling cache", 0xe3459c84150698b3),
+    ("msi_upgrade.pgen non-stalling dir", 0x4f9cd8c7f483578f),
+    ("msi_unordered.pgen parse", 0xdef16a91b0d95dfe),
+    ("msi_unordered.pgen stalling cache", 0xf1c36b299e2dbcf1),
+    ("msi_unordered.pgen stalling dir", 0x5138d37329ac55ba),
+    ("msi_unordered.pgen non-stalling cache", 0x49425fb592edfe03),
+    ("msi_unordered.pgen non-stalling dir", 0x5138d37329ac55ba),
+    ("tso_cc.pgen parse", 0xd7a441a9f75bd2e3),
+    ("tso_cc.pgen stalling cache", 0xba7a62b9b5790941),
+    ("tso_cc.pgen stalling dir", 0x5fbc306fad4516f3),
+    ("tso_cc.pgen non-stalling cache", 0xd80e93b3902cfe26),
+    ("tso_cc.pgen non-stalling dir", 0x11d0bca00aa03d98),
+    ("si_sd.pgen parse", 0x3a362e41532ac472),
+    ("si_sd.pgen stalling cache", 0x08accc082a0b862a),
+    ("si_sd.pgen stalling dir", 0x37f5ab9d0e2c68ff),
+    ("si_sd.pgen non-stalling cache", 0x08accc082a0b862a),
+    ("si_sd.pgen non-stalling dir", 0x37f5ab9d0e2c68ff),
+];
+
 /// The same determinism spine on a composed stack: the fuzz campaign's
 /// glue-weakened control (2×2 MSI-under-MSI, `GetM` gate `ReadWrite →
 /// Read`) yields the byte-identical SWMR violation and counterexample
