@@ -564,8 +564,9 @@ fn unknown_flags_and_surplus_operands_are_usage_errors() {
 /// `verify msi --checkpoint-dir` checkpointed into it and passed), a flag
 /// given twice (the first won), a word outside a closed set (`--machine
 /// foo` meant "cache"), a fault flag without `--faults`, an empty fault
-/// plan, an empty level label, a litmus test run twice; and runs of nothing
-/// that printed a pass-shaped report. Exit 2, the flag and the value named
+/// plan, an empty level label, a litmus test run twice; runs of nothing
+/// that printed a pass-shaped report; block counts past the `u32` addresses
+/// that aborted on allocation. Exit 2, the flag and the value named
 /// above the subcommand's usage line, nothing printed, nothing written.
 #[test]
 fn misread_command_lines_exit_2_and_touch_nothing() {
@@ -590,6 +591,15 @@ fn misread_command_lines_exit_2_and_touch_nothing() {
         (&["sweep", "--protocols", "nosuch"], &["unknown protocol `nosuch`"]),
         (&["sim", "msi", "--addrs", "0"], &["at least one cache and one address", "--addrs 0"]),
         (&["serve", "msi", "--addrs", "0"], &["n_addrs must be at least 1"]),
+        // Past the u32 addresses: both used to abort allocating 40 GB.
+        (
+            &["sim", "mesi", "--addrs", "5000000000"],
+            &["n_addrs must be at most 4294967296, got 5000000000"],
+        ),
+        (
+            &["serve", "mesi", "--addrs", "5000000000", "--ops", "10"],
+            &["n_addrs must be at most 4294967296, got 5000000000"],
+        ),
         (&["serve", "msi", "--dir-shards", "0"], &["dir_shards must be 1..=62, got 0"]),
         (&["serve", "msi", "--mailbox-cap", "0"], &["mailbox_cap must be at least 16, got 0"]),
         (&["serve", "msi", "--duration", "0"], &["bad --duration `0`", "positive and finite"]),

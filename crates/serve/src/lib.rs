@@ -121,6 +121,10 @@ impl ServeConfig {
         if self.n_addrs == 0 {
             return fail("n_addrs must be at least 1".into());
         }
+        // A block is named by a u32 throughout the workspace.
+        if self.n_addrs as u64 > 1 << 32 {
+            return fail(format!("n_addrs must be at most {}, got {}", 1u64 << 32, self.n_addrs));
+        }
         if self.mailbox_cap < 16 {
             return fail(format!("mailbox_cap must be at least 16, got {}", self.mailbox_cap));
         }

@@ -135,7 +135,6 @@ struct Shared<'f> {
     fabric: Fabric,
     n_caches: usize,
     dir_shards: usize,
-    n_addrs: usize,
     /// Per-worker message counters, indexed like the fabric's nodes.
     traffic: Vec<OwnLine<Traffic>>,
     /// Cores that have completed their whole schedule.
@@ -323,7 +322,9 @@ struct Node<'s, 'f, L> {
 }
 
 impl<'s, 'f, L: Line> Node<'s, 'f, L> {
-    fn new(sh: &'s Shared<'f>, topo: usize, initial: L) -> Self {
+    /// `lines` holds one line per block (at least one, by `validate`).
+    fn new(sh: &'s Shared<'f>, topo: usize, lines: Vec<L>) -> Self {
+        let initial = lines[0].clone();
         let tag = initial.slot().tag();
         let (machine, self_id) = if tag == MachineTag::CACHE {
             (&sh.cache, NodeId(topo as u8))
@@ -336,7 +337,7 @@ impl<'s, 'f, L: Line> Node<'s, 'f, L> {
             who: sh.name(topo),
             topo,
             self_id,
-            lines: vec![initial.clone(); sh.n_addrs],
+            lines,
             scratch: initial,
             outcome: ApplyOutcome::default(),
             queues: (0..sh.fabric.nodes()).map(|_| VecDeque::new()).collect(),
@@ -549,10 +550,10 @@ struct CacheWorker<'s, 'f> {
 }
 
 impl<'s, 'f> CacheWorker<'s, 'f> {
-    fn new(sh: &'s Shared<'f>, id: usize, schedule: Vec<Op>) -> Self {
+    fn new(sh: &'s Shared<'f>, id: usize, schedule: Vec<Op>, lines: Vec<CacheBlock>) -> Self {
         let crash_at = sh.plan.as_ref().and_then(|p| p.crash_cursor(id, schedule.len()));
         CacheWorker {
-            node: Node::new(sh, id, CacheBlock::new()),
+            node: Node::new(sh, id, lines),
             schedule,
             cursor: 0,
             outstanding: None,
@@ -772,6 +773,17 @@ fn supervise(sh: &Shared, worker: String, body: impl FnOnce() -> WorkerOut) -> O
     }
 }
 
+/// `n` copies of `initial`, one per block, or [`ServeError::Config`] when
+/// the memory for them cannot be had (instead of an abort).
+fn block_table<L: Clone>(initial: L, n: usize) -> Result<Vec<L>, ServeError> {
+    let mut table = Vec::new();
+    table
+        .try_reserve_exact(n)
+        .map_err(|_| ServeError::Config(format!("no memory for the lines of {n} blocks")))?;
+    table.resize(n, initial);
+    Ok(table)
+}
+
 /// Runs the service to quiescence and reports what it measured.
 ///
 /// `cache`/`dir` are the generated FSMs to execute (the very ones the
@@ -792,6 +804,14 @@ pub fn serve(cache: &Fsm, dir: &Fsm, cfg: &ServeConfig) -> Result<ServeReport, S
         .workload
         .schedules(cfg.n_caches, cfg.n_addrs, per_core, &mut rng)
         .map_err(|e| ServeError::Config(e.to_string()))?;
+    // Every worker's lines, allocated before any worker starts: a block
+    // count beyond memory is a refused configuration, not an abort.
+    let cache_lines = (0..cfg.n_caches)
+        .map(|_| block_table(CacheBlock::new(), cfg.n_addrs))
+        .collect::<Result<Vec<_>, _>>()?;
+    let shard_lines = (0..cfg.dir_shards)
+        .map(|_| block_table(DirEntry::new(0), cfg.n_addrs))
+        .collect::<Result<Vec<_>, _>>()?;
 
     let nodes = cfg.n_caches + cfg.dir_shards;
     let sh = Shared {
@@ -800,7 +820,6 @@ pub fn serve(cache: &Fsm, dir: &Fsm, cfg: &ServeConfig) -> Result<ServeReport, S
         fabric: Fabric::new(nodes, cfg.mailbox_cap),
         n_caches: cfg.n_caches,
         dir_shards: cfg.dir_shards,
-        n_addrs: cfg.n_addrs,
         traffic: (0..nodes).map(|_| OwnLine::default()).collect(),
         cores_done: AtomicUsize::new(0),
         done: AtomicBool::new(false),
@@ -812,18 +831,16 @@ pub fn serve(cache: &Fsm, dir: &Fsm, cfg: &ServeConfig) -> Result<ServeReport, S
     let start = Instant::now();
     let outs: Vec<WorkerOut> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(nodes);
-        for (id, schedule) in schedules.into_iter().enumerate() {
+        for (id, (schedule, lines)) in schedules.into_iter().zip(cache_lines).enumerate() {
             let sh = &sh;
             handles.push(scope.spawn(move || {
-                supervise(sh, sh.name(id), move || CacheWorker::new(sh, id, schedule).run())
+                supervise(sh, sh.name(id), move || CacheWorker::new(sh, id, schedule, lines).run())
             }));
         }
-        for shard in 0..cfg.dir_shards {
+        for (shard, lines) in shard_lines.into_iter().enumerate() {
             let (sh, topo) = (&sh, cfg.n_caches + shard);
             handles.push(scope.spawn(move || {
-                supervise(sh, sh.name(topo), move || {
-                    run_dir_shard(Node::new(sh, topo, DirEntry::new(0)))
-                })
+                supervise(sh, sh.name(topo), move || run_dir_shard(Node::new(sh, topo, lines)))
             }));
         }
         // `supervise` converts worker panics into a recorded failure, so

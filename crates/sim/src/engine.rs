@@ -85,6 +85,13 @@ impl<'a> Engine<'a> {
             // The sharer list is a u8 bitmask throughout the workspace.
             return Err(SimError::Workload(format!("n_caches must be 1..=8, got {n}")));
         }
+        if cfg.n_addrs as u64 > MAX_ADDRS {
+            // A block is named by a u32 throughout the workspace.
+            return Err(SimError::Workload(format!(
+                "n_addrs must be at most {MAX_ADDRS}, got {}",
+                cfg.n_addrs
+            )));
+        }
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let schedules = cfg.workload.schedules(n, cfg.n_addrs, cfg.accesses_per_core, &mut rng)?;
         Ok(Engine {
@@ -92,8 +99,10 @@ impl<'a> Engine<'a> {
             dir: Machine::new(dir_fsm),
             cfg,
             rng,
-            caches: vec![vec![CacheBlock::new(); cfg.n_addrs]; n],
-            dirs: vec![DirEntry::new(0); cfg.n_addrs],
+            caches: (0..n)
+                .map(|_| block_table(CacheBlock::new(), cfg.n_addrs))
+                .collect::<Result<_, _>>()?,
+            dirs: block_table(DirEntry::new(0), cfg.n_addrs)?,
             net: Network::new(n + 1, cfg.network),
             total_ops: schedules.iter().map(Vec::len).sum(),
             cursor: vec![0; schedules.len()],
@@ -187,31 +196,30 @@ impl<'a> Engine<'a> {
     /// Delivers at most one ripe message per destination node; whether any
     /// was delivered.
     fn deliver_phase(&mut self, t: u64) -> Result<bool, SimError> {
-        let total = self.cfg.n_caches + 1;
+        let mut cands = std::mem::take(&mut self.cand_buf);
         let mut any_delivered = false;
-        for dst in 0..total {
+        for dst in 0..=self.dir_node() {
             if self.net.ripens_at(dst) > t {
                 continue;
             }
             let mut delivered = false;
             let mut saw_stall = false;
             let mut saw_backpressure = false;
-            'src: for src in 0..total {
-                let mut cands = std::mem::take(&mut self.cand_buf);
+            // Only a delivery changes the channels into `dst`, and the
+            // scan ends with it: the set taken here is the set scanned.
+            // Sources are tried in ascending order; empty channels have
+            // no candidate, so skipping them changes no delivery.
+            'src: for src in self.net.sources(dst) {
                 self.net.candidates(src, dst, t, &mut cands);
                 for &idx in &cands {
                     match self.try_deliver(t, src, dst, idx)? {
                         Delivery::Done => {
                             delivered = true;
-                            break;
+                            break 'src;
                         }
                         Delivery::Stalled => saw_stall = true,
                         Delivery::Backpressured => saw_backpressure = true,
                     }
-                }
-                self.cand_buf = cands;
-                if delivered {
-                    break 'src;
                 }
             }
             if !delivered && saw_stall {
@@ -222,6 +230,7 @@ impl<'a> Engine<'a> {
             }
             any_delivered |= delivered;
         }
+        self.cand_buf = cands;
         Ok(any_delivered)
     }
 
@@ -413,6 +422,20 @@ impl<'a> Engine<'a> {
     }
 }
 
+/// The most blocks a run can have: one per `u32` address.
+const MAX_ADDRS: u64 = 1 << 32;
+
+/// `n` copies of `initial`, one per block, or [`SimError::Workload`] when
+/// the memory for them cannot be had (instead of an abort).
+fn block_table<L: Clone>(initial: L, n: usize) -> Result<Vec<L>, SimError> {
+    let mut table = Vec::new();
+    table
+        .try_reserve_exact(n)
+        .map_err(|_| SimError::Workload(format!("no memory for the lines of {n} blocks")))?;
+    table.resize(n, initial);
+    Ok(table)
+}
+
 /// Whether a directory entry is mid-transaction (in a transient state).
 fn is_busy(dir: &Machine<&Fsm>, entry: &DirEntry) -> bool {
     !dir.fsm().state(entry.state).is_stable()
@@ -459,86 +482,6 @@ mod tests {
 
     fn generated(name: &str, gc: &GenConfig) -> Generated {
         generate(&protogen_protocols::by_name(name).unwrap(), gc).unwrap()
-    }
-
-    impl Engine<'_> {
-        /// The loop as it stood before it learned to count and skip: one
-        /// cycle at a time, the busy directories recounted in each. The
-        /// oracle for [`Engine::run`] (and the only other stepping loop).
-        fn run_stepped(mut self) -> Result<SimResult, SimError> {
-            let mut t: u64 = 0;
-            while self.result.completed < self.total_ops || !self.net.is_empty() {
-                if t > self.cfg.max_cycles {
-                    return Err(SimError::Livelock { cycles: self.cfg.max_cycles });
-                }
-                assert!(self.counters_agree(), "incremental counters drifted at cycle {t}");
-                self.deliver_phase(t)?;
-                self.issue_phase(t)?;
-                self.busy_dir_cycles +=
-                    self.dirs.iter().filter(|d| is_busy(&self.dir, d)).count() as u64;
-                t += 1;
-            }
-            Ok(self.finish(t))
-        }
-    }
-
-    /// Shapes that stall, backpressure, think and reorder.
-    fn shapes() -> Vec<(&'static str, SimConfig)> {
-        let base = SimConfig { accesses_per_core: 60, ..SimConfig::default() };
-        let net = |model, latency, capacity| NetworkConfig { model, latency, capacity };
-        vec![
-            ("mesi", SimConfig { think_time: 50, ..base.clone() }),
-            (
-                "msi",
-                SimConfig {
-                    workload: Workload::FalseSharing,
-                    network: net(NetModel::Ordered, LatencyDist::Fixed(20), 1),
-                    ..base.clone()
-                },
-            ),
-            (
-                "tso-cc",
-                SimConfig {
-                    n_addrs: 2,
-                    think_time: 0,
-                    workload: Workload::Migratory,
-                    network: net(NetModel::Ordered, LatencyDist::Uniform { lo: 2, hi: 30 }, 1),
-                    ..base.clone()
-                },
-            ),
-            (
-                "msi-unordered",
-                SimConfig {
-                    n_caches: 3,
-                    n_addrs: 2,
-                    think_time: 7,
-                    workload: Workload::FalseSharing,
-                    network: net(NetModel::Unordered, LatencyDist::Uniform { lo: 1, hi: 40 }, 2),
-                    ..base
-                },
-            ),
-        ]
-    }
-
-    #[test]
-    fn skipping_loop_reports_what_the_stepped_loop_reports() {
-        let (mut stalled, mut backpressured) = (false, false);
-        for (name, cfg) in shapes() {
-            for gc in [GenConfig::stalling(), GenConfig::non_stalling()] {
-                let g = generated(name, &gc);
-                let engine = || Engine::new(&g.cache, &g.directory, &cfg).unwrap();
-                let (skipped, stepped) = (engine().run().unwrap(), engine().run_stepped().unwrap());
-                assert_eq!(
-                    skipped.to_json().render(),
-                    stepped.to_json().render(),
-                    "{name} ({:?})",
-                    gc.concurrency
-                );
-                stalled |= stepped.stall_cycles > 0;
-                backpressured |= stepped.backpressure_cycles > 0;
-            }
-        }
-        assert!(stalled && backpressured, "the shapes must exercise the bulk-charged counters");
     }
 
     #[test]
@@ -591,10 +534,6 @@ mod tests {
                 stuck.contains("backpressured") || stuck.contains("stalled"),
                 "{name}: {stuck}"
             );
-            // The stepped loop agrees that nothing ever moves again.
-            let limited = SimConfig { max_cycles: cycle + 5_000, ..cfg };
-            let stepped = Engine::new(&g.cache, &g.directory, &limited).unwrap().run_stepped();
-            assert_eq!(stepped.unwrap_err(), SimError::Livelock { cycles: cycle + 5_000 });
         }
     }
 

@@ -35,9 +35,10 @@ struct Entry {
 ///   reorders delivery arbitrarily.
 ///
 /// What the engine asks every cycle — is anything queued, can anything be
-/// delivered *to this node* yet — is answered from a count and a per-node
-/// earliest `ready` kept by [`Network::send`] and [`Network::take`], not by
-/// walking the queues.
+/// delivered *to this node* yet, which channels into it hold anything — is
+/// answered from a count, a per-node earliest `ready` and a per-node set of
+/// non-empty inbound channels kept by [`Network::send`] and
+/// [`Network::take`], not by walking the queues.
 #[derive(Debug)]
 pub(crate) struct Network {
     cfg: NetworkConfig,
@@ -49,6 +50,10 @@ pub(crate) struct Network {
     /// for it (`NEVER` when none is): before that cycle the node has no
     /// candidate, ordered or not.
     earliest: Vec<u64>,
+    /// Per destination node, bit `src` set exactly when channel `src → dst`
+    /// holds a message: delivery and the earliest-`ready` upkeep visit only
+    /// these channels, in ascending source order.
+    sources: Vec<u32>,
     /// Messages queued anywhere.
     queued: usize,
     /// Scratch for the ordered candidate scan (reused across calls).
@@ -62,11 +67,13 @@ const NEVER: u64 = u64::MAX;
 
 impl Network {
     pub fn new(n_nodes: usize, cfg: NetworkConfig) -> Network {
+        assert!(n_nodes <= 32, "a source set is a u32 bitmask, got {n_nodes} nodes");
         Network {
             cfg,
             n_nodes,
             chans: (0..n_nodes * n_nodes).map(|_| VecDeque::new()).collect(),
             earliest: vec![NEVER; n_nodes],
+            sources: vec![0; n_nodes],
             queued: 0,
             seen_addrs: Vec::new(),
             peak_depth: 0,
@@ -79,11 +86,6 @@ impl Network {
 
     fn chan(&self, src: usize, dst: usize) -> &VecDeque<Entry> {
         &self.chans[self.index(src, dst)]
-    }
-
-    /// The channels into `dst`, by source.
-    fn inbound(&self, dst: usize) -> &[VecDeque<Entry>] {
-        &self.chans[dst * self.n_nodes..][..self.n_nodes]
     }
 
     /// Whether channels have a capacity at all (a send can be refused).
@@ -112,8 +114,8 @@ impl Network {
     pub fn send(&mut self, now: u64, sm: SimMsg, rng: &mut StdRng) {
         // Saturating, and short of the one value that means "no message".
         let mut ready = now.saturating_add(self.cfg.latency.sample(rng).max(1)).min(NEVER - 1);
-        let dst = sm.msg.dst.as_usize();
-        let index = self.index(sm.msg.src.as_usize(), dst);
+        let (src, dst) = (sm.msg.src.as_usize(), sm.msg.dst.as_usize());
+        let index = self.index(src, dst);
         let q = &mut self.chans[index];
         if self.cfg.model == NetModel::Ordered {
             // FIFO commit order: jitter may widen gaps, never reorder.
@@ -124,6 +126,7 @@ impl Network {
         q.push_back(Entry { ready, msg: sm });
         self.peak_depth = self.peak_depth.max(q.len());
         self.earliest[dst] = self.earliest[dst].min(ready);
+        self.sources[dst] |= 1 << src;
         self.queued += 1;
     }
 
@@ -131,6 +134,17 @@ impl Network {
     /// `ready` among the messages queued for it, `u64::MAX` with none.
     pub fn ripens_at(&self, dst: usize) -> u64 {
         self.earliest[dst]
+    }
+
+    /// The sources whose channel into `dst` holds a message, ascending: the
+    /// set as it stands now, not as later sends and takes change it.
+    pub fn sources(&self, dst: usize) -> impl Iterator<Item = usize> {
+        let mut set = self.sources[dst];
+        std::iter::from_fn(move || {
+            let src = (set != 0).then(|| set.trailing_zeros() as usize)?;
+            set &= set - 1;
+            Some(src)
+        })
     }
 
     /// Collects the queue indices deliverable from `src` to `dst` at time
@@ -148,6 +162,9 @@ impl Network {
                 // times are monotone along an ordered channel: behind the
                 // first unripe message (an unripe front, mostly) nothing
                 // is ripe.
+                if q.front().is_none_or(|e| e.ready > now) {
+                    return;
+                }
                 self.seen_addrs.clear();
                 for (i, e) in q.iter().enumerate() {
                     if e.ready > now {
@@ -171,9 +188,17 @@ impl Network {
     /// Removes and returns the message at queue position `idx`.
     pub fn take(&mut self, src: usize, dst: usize, idx: usize) -> SimMsg {
         let index = self.index(src, dst);
-        let e = self.chans[index].remove(idx).expect("valid candidate index");
+        let q = &mut self.chans[index];
+        let e = if idx == 0 { q.pop_front() } else { q.remove(idx) };
+        let e = e.expect("valid candidate index");
+        if q.is_empty() {
+            self.sources[dst] &= !(1 << src);
+        }
         self.queued -= 1;
-        self.earliest[dst] = self.earliest_from(dst, 0);
+        // A later message leaves the earliest where it was.
+        if e.ready == self.earliest[dst] {
+            self.earliest[dst] = self.earliest_from(dst, 0);
+        }
         e.msg
     }
 
@@ -188,7 +213,7 @@ impl Network {
                 NetModel::Unordered => ready.min(),
             }
         };
-        self.inbound(dst).iter().filter_map(first).min().unwrap_or(NEVER)
+        self.sources(dst).filter_map(|src| first(self.chan(src, dst))).min().unwrap_or(NEVER)
     }
 
     /// Whether no message is in flight anywhere.
@@ -217,11 +242,20 @@ impl Network {
         })
     }
 
-    /// Whether the counters agree with a full recount of the queues they
-    /// summarise (what `debug_assert!` holds them to every cycle).
+    /// Whether the counters and source sets agree with a full recount of
+    /// the queues they summarise (what `debug_assert!` holds them to every
+    /// cycle). The recount reads every channel, never the sets.
     pub fn counters_agree(&self) -> bool {
+        let inbound_agree = |dst: usize| {
+            let inbound = &self.chans[dst * self.n_nodes..][..self.n_nodes];
+            let sources = (0..self.n_nodes)
+                .filter(|&src| !inbound[src].is_empty())
+                .fold(0, |set, src| set | 1 << src);
+            let earliest = inbound.iter().flatten().map(|e| e.ready).min().unwrap_or(NEVER);
+            self.sources[dst] == sources && self.earliest[dst] == earliest
+        };
         self.queued == self.chans.iter().map(VecDeque::len).sum::<usize>()
-            && (0..self.n_nodes).all(|dst| self.earliest[dst] == self.earliest_from(dst, 0))
+            && (0..self.n_nodes).all(inbound_agree)
     }
 }
 
@@ -367,6 +401,45 @@ mod tests {
             assert_eq!(net.ripens_at(2), NEVER);
             assert!(net.next_ripening(now).is_none());
         }
+    }
+
+    #[test]
+    fn a_source_stays_set_until_its_channel_empties() {
+        for model in [NetModel::Ordered, NetModel::Unordered] {
+            let cfg = NetworkConfig { model, latency: LatencyDist::Fixed(1), capacity: 0 };
+            let mut net = Network::new(3, cfg);
+            let mut rng = StdRng::seed_from_u64(0);
+            let sources = |net: &Network| net.sources(0).collect::<Vec<_>>();
+            net.send(0, SimMsg { addr: 0, msg: msg(2, 0) }, &mut rng);
+            net.send(0, SimMsg { addr: 1, msg: msg(2, 0) }, &mut rng);
+            net.send(0, SimMsg { addr: 0, msg: msg(1, 0) }, &mut rng);
+            assert_eq!((sources(&net), net.sources(1).count()), (vec![1, 2], 0), "{model}");
+            let mut buf = Vec::new();
+            net.candidates(2, 0, 1, &mut buf);
+            assert_eq!(buf, [0, 1], "{model}");
+            // A message behind the head goes; one is left, and so is the bit.
+            net.take(2, 0, 1);
+            assert_eq!(sources(&net), [1, 2], "{model}");
+            assert!(net.counters_agree());
+            // The last message goes, and the bit with it.
+            net.take(2, 0, 0);
+            assert_eq!(sources(&net), [1], "{model}");
+            assert!(net.counters_agree());
+            net.take(1, 0, 0);
+            assert!(sources(&net).is_empty() && net.is_empty() && net.counters_agree());
+        }
+    }
+
+    #[test]
+    fn the_recount_catches_a_stale_source_set() {
+        let mut net = Network::new(2, NetworkConfig::ordered(1));
+        let mut rng = StdRng::seed_from_u64(0);
+        net.send(0, SimMsg { addr: 0, msg: msg(0, 1) }, &mut rng);
+        assert!(net.counters_agree());
+        net.sources[1] = 0;
+        assert!(!net.counters_agree(), "a set bit missing");
+        net.sources[1] = 0b11;
+        assert!(!net.counters_agree(), "a bit set for an empty channel");
     }
 
     #[test]

@@ -154,12 +154,16 @@ impl Workload {
             return Ok(per_core);
         }
 
-        let zipf = ZipfTable::new(n_addrs);
+        // 8 bytes a block: built only for the workload that samples it.
+        let zipf = match self {
+            Workload::Zipfian { .. } => Some(ZipfTable::new(n_addrs)?),
+            _ => None,
+        };
         let mut per_core = Vec::with_capacity(n_caches);
         for core in 0..n_caches {
             let mut ops = Vec::with_capacity(accesses_per_core);
             for step in 0..accesses_per_core {
-                ops.push(self.synth_op(core, step, n_addrs, &zipf, rng));
+                ops.push(self.synth_op(core, step, n_addrs, zipf.as_ref(), rng));
             }
             per_core.push(ops);
         }
@@ -171,7 +175,7 @@ impl Workload {
         core: usize,
         step: usize,
         n_addrs: usize,
-        zipf: &ZipfTable,
+        zipf: Option<&ZipfTable>,
         rng: &mut StdRng,
     ) -> Op {
         match *self {
@@ -179,6 +183,7 @@ impl Workload {
                 Op { addr: rng.gen_range(0..n_addrs as u32), access: pick_store(rng, store_pct) }
             }
             Workload::Zipfian { store_pct } => {
+                let zipf = zipf.expect("schedules() builds the table for Zipfian");
                 Op { addr: zipf.sample(rng), access: pick_store(rng, store_pct) }
             }
             Workload::ProducerConsumer => {
@@ -214,16 +219,21 @@ struct ZipfTable {
 }
 
 impl ZipfTable {
-    const SCALE: u64 = 1_000_000;
-
-    fn new(n_addrs: usize) -> ZipfTable {
-        let mut cumulative = Vec::with_capacity(n_addrs);
+    /// The weight of rank 0, at least the block count so that no rank's
+    /// weight rounds down to zero (which would leave its block untouched).
+    /// At most a million blocks keep the scale the tables were recorded at.
+    fn new(n_addrs: usize) -> Result<ZipfTable, SimError> {
+        let scale = (n_addrs as u64).max(1_000_000);
+        let mut cumulative = Vec::new();
+        cumulative.try_reserve_exact(n_addrs).map_err(|_| {
+            SimError::Workload(format!("no memory for the Zipf table of {n_addrs} blocks"))
+        })?;
         let mut total = 0u64;
         for rank in 0..n_addrs as u64 {
-            total += ZipfTable::SCALE / (rank + 1);
+            total += scale / (rank + 1);
             cumulative.push(total);
         }
-        ZipfTable { cumulative }
+        Ok(ZipfTable { cumulative })
     }
 
     fn sample(&self, rng: &mut StdRng) -> u32 {
@@ -349,12 +359,38 @@ mod tests {
     #[test]
     fn zipf_prefers_low_ranks() {
         let mut rng = StdRng::seed_from_u64(3);
-        let t = ZipfTable::new(8);
+        let t = ZipfTable::new(8).unwrap();
         let mut counts = [0usize; 8];
         for _ in 0..8000 {
             counts[t.sample(&mut rng) as usize] += 1;
         }
         assert!(counts[0] > counts[3] && counts[3] > counts[7], "{counts:?}");
+    }
+
+    #[test]
+    fn zipf_tables_up_to_a_million_blocks_keep_their_weights() {
+        let t = ZipfTable::new(64).unwrap();
+        let mut total = 0;
+        for (rank, &c) in t.cumulative.iter().enumerate() {
+            total += 1_000_000 / (rank as u64 + 1);
+            assert_eq!(c, total, "rank {rank}");
+        }
+    }
+
+    #[test]
+    fn zipf_reaches_ranks_past_a_million() {
+        // Weight `1/(rank+1)` at a scale of 10^6 rounded every rank from
+        // 999,999 on to zero: those blocks were never drawn.
+        let n = 1_500_000;
+        let t = ZipfTable::new(n).unwrap();
+        let mut rng = StdRng::seed_from_u64(7);
+        let draws = 200_000;
+        let past = (0..draws).filter(|_| t.sample(&mut rng) >= 1_000_000).count();
+        // The share of ranks ≥ 10^6 is ln(1.5) / H(1.5 M) ≈ 2.7 %.
+        let share = past as f64 / draws as f64;
+        assert!((0.02..0.035).contains(&share), "{past} of {draws} draws past rank 10^6");
+        let max = (0..draws).map(|_| t.sample(&mut rng)).max().unwrap();
+        assert!(max as usize >= n - 10_000, "highest block drawn {max}");
     }
 
     #[test]
