@@ -625,15 +625,25 @@ fn misread_command_lines_exit_2_and_touch_nothing() {
 fn closed_stdout_ends_the_process_quietly() {
     use std::process::Stdio;
     for args in [&["stats"][..], &["table", "mesi"], &["verify", "msi", "--threads", "1"]] {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_protogen"))
-            .args(args)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
+        // Closed before the child has generated anything to print: stdout
+        // is a pipe whose reading end belonged to a process that has
+        // already exited without reading. Closing the reading end after
+        // the spawn would race a fast subcommand, which can write its
+        // whole output into the pipe buffer first and exit 0.
+        let mut reader = Command::new(env!("CARGO_BIN_EXE_protogen"))
+            .stdin(Stdio::piped())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
             .spawn()
             .expect("protogen binary runs");
-        // Closed before the child has generated anything to print.
-        drop(child.stdout.take());
-        let out = child.wait_with_output().expect("protogen exits");
+        let closed = reader.stdin.take().expect("piped stdin");
+        reader.wait().expect("protogen exits");
+        let out = Command::new(env!("CARGO_BIN_EXE_protogen"))
+            .args(args)
+            .stdout(Stdio::from(closed))
+            .stderr(Stdio::piped())
+            .output()
+            .expect("protogen exits");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(!err.contains("panicked"), "{args:?}: {err}");
         assert_eq!(out.status.code(), Some(141), "{args:?}: {err}");

@@ -65,6 +65,7 @@ mod compose;
 mod config;
 mod dirgen;
 mod error;
+mod fx;
 mod minimize;
 mod preprocess;
 mod report;

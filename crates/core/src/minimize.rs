@@ -13,9 +13,9 @@
 //! row id, and a round compares states by their sorted (row id, target
 //! class) pairs.
 
+use crate::fx::{FxMap, FxSet};
 use crate::report::Merge;
 use protogen_spec::{Action, Arc, ArcKind, ArcNote, Event, Fsm, FsmStateId, Guard};
-use std::collections::{HashMap, HashSet};
 
 /// An arc's target-free part: what it reacts to and what it does.
 type Row<'f> = (Event, ArcKind, &'f [Guard], &'f [Action]);
@@ -32,7 +32,7 @@ type Split<'s> = (u32, &'s [(u32, u32)]);
 /// [`protogen_spec::FsmState::merged_names`] and reported.
 pub fn minimize(fsm: &Fsm) -> (Fsm, Vec<Merge>) {
     let n = fsm.states.len();
-    let mut interned: HashMap<Row, u32> = HashMap::new();
+    let mut interned: FxMap<Row, u32> = FxMap::default();
     let row: Vec<u32> = fsm
         .arcs
         .iter()
@@ -72,7 +72,7 @@ pub fn minimize(fsm: &Fsm) -> (Fsm, Vec<Merge>) {
         }
         // Classes are numbered by first member, so a class id is also the
         // surviving state's new id once the partition is stable.
-        let mut next: HashMap<Split, u32> = HashMap::with_capacity(n);
+        let mut next: FxMap<Split, u32> = FxMap::with_capacity_and_hasher(n, Default::default());
         let next_class: Vec<u32> = (0..n)
             .map(|i| {
                 let fresh = next.len() as u32;
@@ -113,7 +113,7 @@ pub fn minimize(fsm: &Fsm) -> (Fsm, Vec<Merge>) {
     // A state's arcs are its representative's; two of them that differ
     // only in a target merged away are the same arc.
     let mut arcs = Vec::new();
-    let mut seen: HashSet<(u32, ArcNote, u32, u32)> = HashSet::new();
+    let mut seen: FxSet<(u32, ArcNote, u32, u32)> = FxSet::default();
     for (c, &rep) in reps.iter().enumerate() {
         let from = c as u32;
         for &k in &by_state[start[rep]..start[rep + 1]] {
@@ -149,6 +149,7 @@ mod tests {
         Access, Dst, FsmState, FsmStateKind, MachineKind, MsgId, Perm, SendSpec, StableId,
         TransientMeta,
     };
+    use std::collections::HashMap;
 
     /// The refinement this module shipped with before rows were interned:
     /// each round renders every state's rows to bytes, actions through

@@ -18,12 +18,12 @@
 
 use crate::analysis::Txn;
 use crate::error::GenError;
+use crate::fx::{FxMap, FxSet};
 use protogen_spec::{
     Access, AckSrc, Action, Arc, ArcKind, ArcNote, ChainLink, Dst, Effect, Event, Fsm, FsmState,
     FsmStateId, FsmStateKind, Guard, MachineKind, MsgId, Perm, ReqField, SendSpec, Ssp, StableId,
     TransientMeta, WaitTo,
 };
-use std::collections::{HashMap, HashSet};
 
 /// One later-ordered message processed while the own transaction was in
 /// flight, with its (already rewritten) deferred completion sends.
@@ -81,8 +81,8 @@ pub(crate) struct Weave<'a> {
     txns: &'a [Txn],
     pending_limit: usize,
     states: Vec<(Key, String)>,
-    index: HashMap<Key, FsmStateId>,
-    names: HashSet<String>,
+    index: FxMap<Key, FsmStateId>,
+    names: FxSet<String>,
     arcs: Vec<Arc>,
     /// Indices into `arcs` of each state's arcs, in push order.
     arcs_of: Vec<Vec<usize>>,
@@ -105,8 +105,8 @@ impl<'a> Weave<'a> {
             txns,
             pending_limit,
             states: Vec::new(),
-            index: HashMap::new(),
-            names: HashSet::new(),
+            index: FxMap::default(),
+            names: FxSet::default(),
             arcs: Vec::new(),
             arcs_of: Vec::new(),
             emitted: 0,

@@ -3,7 +3,8 @@
 //!
 //! The explorer is an epoch-synchronized, sharded-frontier BFS: `threads`
 //! workers each own one shard of the visited set (a state belongs to the
-//! shard `fingerprint % threads`, see [`crate::store`]). Within an epoch
+//! shard `fingerprint % threads`, see [`crate::store`]); worker 0 is the
+//! calling thread, the others are scoped threads. Within an epoch
 //! (one BFS level) a worker expands its frontier — held as canonical
 //! *encodings*, decoded into a per-worker scratch state — steps each
 //! successor into a second scratch state (no per-step clone), and routes
@@ -34,7 +35,8 @@ use std::time::Instant;
 pub struct Resources<'a> {
     /// State budget, checked at BFS-level granularity.
     pub max_states: usize,
-    /// Worker threads (= visited-set shards); `0` = available parallelism.
+    /// Workers (= visited-set shards), the calling thread being worker 0;
+    /// `0` = available parallelism.
     pub threads: usize,
     /// How visited/frontier states are stored.
     pub store: StoreMode,
@@ -409,7 +411,7 @@ pub struct CheckResult {
     pub frontier_spill_bytes: u64,
     /// The part of `spill_bytes` written by frozen visited records.
     pub visited_spill_bytes: u64,
-    /// Worker threads used.
+    /// Workers used, the calling thread included.
     pub threads: usize,
     /// Every `(machine, state, event)` dispatch attempted, when
     /// [`crate::McConfig::collect_pair_coverage`] was set.
@@ -1186,23 +1188,27 @@ pub(crate) fn explore<S: TransitionSystem>(
         }
     };
 
+    // Worker 0 runs on the calling thread and workers `1..threads` on
+    // scoped threads, so a one-worker run creates no thread at all.
     let (stores, scratches): (Vec<ShardStore>, Vec<S::Scratch>) = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let (inboxes, coord, enc0) = (&inboxes, &coord, &enc0);
-                let snap = snaps[t].take();
-                s.spawn(move || {
-                    let mut w = Worker::new(sys, t, threads, inboxes, coord);
-                    match snap {
-                        Some(snap) => w.restore_snapshot(snap, depth0),
-                        None if t == owner0 => w.seed_root(enc0, fp0),
-                        None => {}
-                    }
-                    w.run()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).unzip()
+        let mut worker = |t: usize| {
+            let (inboxes, coord, enc0) = (&inboxes, &coord, &enc0);
+            let snap = snaps[t].take();
+            move || {
+                let mut w = Worker::new(sys, t, threads, inboxes, coord);
+                match snap {
+                    Some(snap) => w.restore_snapshot(snap, depth0),
+                    None if t == owner0 => w.seed_root(enc0, fp0),
+                    None => {}
+                }
+                w.run()
+            }
+        };
+        let handles: Vec<_> = (1..threads).map(|t| s.spawn(worker(t))).collect();
+        let first = worker(0)();
+        std::iter::once(first)
+            .chain(handles.into_iter().map(|h| h.join().expect("worker panicked")))
+            .unzip()
     });
 
     // A worker phase panicked: all workers drained cleanly through the
@@ -1423,14 +1429,122 @@ mod tests {
             states: vec![state("D")],
             arcs: vec![],
         };
-        let mut cfg = McConfig::with_caches(2);
-        cfg.threads = 4;
-        let mc = ModelChecker::new(&cache, &dir, cfg);
-        // The fleet must drain through the epoch rendezvous and re-raise
-        // the worker's panic on this thread — a deadlocked phaser would
-        // hang the test instead.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| mc.run()));
-        assert!(result.is_err(), "corrupt arc target must panic, not pass");
+        // At 1 the panicking worker is this thread itself; at 2 and 4 it
+        // may be either the caller or a scoped thread.
+        for threads in [1, 2, 4] {
+            let mut cfg = McConfig::with_caches(2);
+            cfg.threads = threads;
+            let mc = ModelChecker::new(&cache, &dir, cfg);
+            // The fleet must drain through the epoch rendezvous and
+            // re-raise the worker's panic on this thread — a deadlocked
+            // phaser would hang the test instead.
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| mc.run()));
+            assert!(result.is_err(), "{threads} workers: corrupt arc target must panic, not pass");
+        }
+    }
+
+    /// A [`ModelChecker`] that records which threads make the per-worker
+    /// calls ([`TransitionSystem::scratch`] and
+    /// [`TransitionSystem::successor_into`]).
+    struct ThreadRecorder<'a> {
+        inner: ModelChecker<'a>,
+        seen: std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>,
+    }
+
+    impl ThreadRecorder<'_> {
+        fn record(&self) {
+            self.seen.lock().unwrap().insert(std::thread::current().id());
+        }
+    }
+
+    impl TransitionSystem for ThreadRecorder<'_> {
+        type State = <ModelChecker<'static> as TransitionSystem>::State;
+        type Step = Step;
+        type Scratch = <ModelChecker<'static> as TransitionSystem>::Scratch;
+
+        fn resources(&self) -> Resources<'_> {
+            self.inner.resources()
+        }
+        fn identity_fp(&self) -> (u64, u64) {
+            self.inner.identity_fp()
+        }
+        fn section_map(&self) -> SectionMap {
+            self.inner.section_map()
+        }
+        fn initial(&self) -> Self::State {
+            self.inner.initial()
+        }
+        fn scratch(&self) -> Self::Scratch {
+            self.record();
+            self.inner.scratch()
+        }
+        fn steps_into(&self, state: &Self::State, out: &mut Vec<Step>) {
+            self.inner.steps_into(state, out)
+        }
+        fn successor_into(
+            &self,
+            state: &Self::State,
+            step: Step,
+            succ: &mut Self::State,
+            scratch: &mut Self::Scratch,
+        ) -> Result<bool, ViolationKind> {
+            self.record();
+            self.inner.successor_into(state, step, succ, scratch)
+        }
+        fn is_progress(&self, state: &Self::State, step: Step) -> bool {
+            self.inner.is_progress(state, step)
+        }
+        fn check_state(&self, state: &Self::State) -> Option<ViolationKind> {
+            self.inner.check_state(state)
+        }
+        fn check_quiescence(&self, state: &Self::State) -> Option<ViolationKind> {
+            self.inner.check_quiescence(state)
+        }
+        fn canonical_fp(&self, state: &Self::State, scratch: &mut Self::Scratch) -> u64 {
+            self.inner.canonical_fp(state, scratch)
+        }
+        fn encode_canonical_into(&self, scratch: &Self::Scratch, out: &mut Vec<u8>) {
+            self.inner.encode_canonical_into(scratch, out)
+        }
+        fn decode_into(&self, bytes: &[u8], state: &mut Self::State, scratch: &mut Self::Scratch) {
+            self.inner.decode_into(bytes, state, scratch)
+        }
+        fn pack_step(step: Step) -> u32 {
+            ModelChecker::pack_step(step)
+        }
+        fn unpack_step(packed: u32) -> Step {
+            ModelChecker::unpack_step(packed)
+        }
+        fn describe(&self, state: &Self::State, step: Step) -> String {
+            self.inner.describe(state, step)
+        }
+    }
+
+    #[test]
+    fn the_caller_is_worker_zero() {
+        let ssp = protogen_protocols::msi();
+        let g = protogen_core::generate(&ssp, &protogen_core::GenConfig::stalling()).unwrap();
+        let me = std::thread::current().id();
+        let run = |threads: usize| {
+            let rec = ThreadRecorder {
+                inner: ModelChecker::new(
+                    &g.cache,
+                    &g.directory,
+                    McConfig::with_caches_and_threads(2, threads),
+                ),
+                seen: Default::default(),
+            };
+            let (r, _) = explore(&rec, None);
+            assert_eq!(r.threads, threads);
+            (r, rec.seen.into_inner().unwrap())
+        };
+        let (r1, seen1) = run(1);
+        assert_eq!(seen1, [me].into(), "a one-worker run must stay on the caller");
+        let (r3, seen3) = run(3);
+        assert_eq!(seen3.len(), 3, "three workers, three threads: {seen3:?}");
+        assert!(seen3.contains(&me), "the caller must be one of the workers");
+        assert!(r1.passed());
+        assert_eq!((r1.states, r1.transitions), (r3.states, r3.transitions));
     }
 
     #[test]

@@ -46,9 +46,11 @@ pub struct McConfig {
     pub properties: PropertySet,
     /// Canonicalize states under cache-id permutation (Murϕ scalarsets).
     pub symmetry: bool,
-    /// Worker threads (= visited-set shards). `0` — the default — means
-    /// "use [`std::thread::available_parallelism`]"; values are clamped
-    /// to [`crate::MAX_SHARDS`]. Results are identical for every thread
+    /// Workers (= visited-set shards). The calling thread is worker 0
+    /// and each further worker is a scoped thread, so `1` creates no
+    /// thread. `0` — the default — means "use
+    /// [`std::thread::available_parallelism`]"; values are clamped to
+    /// [`crate::MAX_SHARDS`]. Results are identical for every worker
     /// count.
     pub threads: usize,
     /// Record every `(machine, state, event)` dispatch attempted during
