@@ -22,8 +22,8 @@
 //! run produces byte-identical states, transitions, violation, and
 //! counterexample trace to an uninterrupted one (pinned by
 //! `tests/checkpoint_conformance.rs` and the CI `resume` job). The one
-//! caveat: pair coverage ([`crate::McConfig::collect_pair_coverage`]) is
-//! merged per epoch and not checkpointed, so a resumed run only reports
+//! caveat: pair coverage ([`crate::CheckResult::coverage`]) is recorded
+//! per worker and not checkpointed, so a resumed run only reports
 //! coverage for the epochs it actually executed.
 //!
 //! DESIGN.md §13 carries the consistency argument in full.

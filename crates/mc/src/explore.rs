@@ -23,6 +23,7 @@ use crate::checkpoint::{CheckpointError, LoadedCheckpoint};
 use crate::delta::SectionMap;
 use crate::frontier::{CandBatch, CandMeta, Coordinator, Decision, Inbox, Outboxes, VioCand};
 use crate::store::{Gid, ShardStore, StateRec, STEP_NONE};
+use protogen_runtime::{Coverage, PairSet};
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::Ordering::Relaxed;
@@ -98,8 +99,8 @@ pub trait TransitionSystem: Sync {
     /// One scheduling decision.
     type Step: Copy;
     /// Per-worker scratch the hot path reuses: canonicalizer buffers, the
-    /// apply outcome, and whatever else a system accumulates per worker
-    /// (the flat checker's pair coverage). Handed back when a run ends.
+    /// apply outcome, and the worker's coverage recorders, which
+    /// [`coverage`](Self::coverage) hands back when a run ends.
     type Scratch: Send;
 
     /// The resource settings of this run.
@@ -167,6 +168,10 @@ pub trait TransitionSystem: Sync {
     /// and marks `scratch`'s successor state unsynced: `state` is a new
     /// parent (see [`successor_into`](Self::successor_into)).
     fn decode_into(&self, bytes: &[u8], state: &mut Self::State, scratch: &mut Self::Scratch);
+
+    /// The coverage recorders in `scratch`, merged over every worker into
+    /// [`CheckResult::coverage`] when a run ends.
+    fn coverage(scratch: &Self::Scratch) -> &[Coverage];
 
     /// Packs a step into 32 bits (see the trait-level contract).
     fn pack_step(step: Self::Step) -> u32;
@@ -413,9 +418,10 @@ pub struct CheckResult {
     pub visited_spill_bytes: u64,
     /// Workers used, the calling thread included.
     pub threads: usize,
-    /// Every `(machine, state, event)` dispatch attempted, when
-    /// [`crate::McConfig::collect_pair_coverage`] was set.
-    pub coverage: Option<protogen_runtime::PairSet>,
+    /// Every `(machine, state, event)` dispatch the run attempted, tagged
+    /// with its protocol level. A resumed run covers only the epochs it
+    /// executed itself (coverage is not checkpointed).
+    pub coverage: PairSet,
 }
 
 impl CheckResult {
@@ -1148,9 +1154,7 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
 /// resume. A resumed run's states, transitions, violation, and
 /// counterexample trace are byte-identical to an uninterrupted run's;
 /// wall-clock and memory statistics describe only the resumed portion.
-pub(crate) fn resume<S: TransitionSystem>(
-    sys: &S,
-) -> Result<(CheckResult, Vec<S::Scratch>), CheckpointError> {
+pub(crate) fn resume<S: TransitionSystem>(sys: &S) -> Result<CheckResult, CheckpointError> {
     let res = sys.resources();
     let loaded = crate::checkpoint::load_latest(res.checkpoint_dir, sys.identity_fp(), res.store)?;
     Ok(explore(sys, Some(loaded)))
@@ -1158,11 +1162,10 @@ pub(crate) fn resume<S: TransitionSystem>(
 
 /// Runs breadth-first exploration of `sys` until exhaustion, a violation,
 /// or a resource limit, from the initial state or a loaded checkpoint.
-/// Returns the result (with `coverage` unset) and every worker's scratch.
 pub(crate) fn explore<S: TransitionSystem>(
     sys: &S,
     resume: Option<LoadedCheckpoint>,
-) -> (CheckResult, Vec<S::Scratch>) {
+) -> CheckResult {
     let start = Instant::now();
     let res = sys.resources();
     let threads = resume.as_ref().map_or_else(|| res.effective_threads(), |r| r.threads);
@@ -1251,7 +1254,7 @@ pub(crate) fn explore<S: TransitionSystem>(
         None
     };
 
-    let result = CheckResult {
+    CheckResult {
         states,
         transitions,
         violation,
@@ -1264,9 +1267,8 @@ pub(crate) fn explore<S: TransitionSystem>(
         frontier_spill_bytes,
         visited_spill_bytes,
         threads,
-        coverage: None,
-    };
-    (result, scratches)
+        coverage: Coverage::merge(scratches.iter().flat_map(S::coverage)),
+    }
 }
 
 /// Decision (run by the last arriver at the dedup rendezvous):
@@ -1509,6 +1511,9 @@ mod tests {
         fn decode_into(&self, bytes: &[u8], state: &mut Self::State, scratch: &mut Self::Scratch) {
             self.inner.decode_into(bytes, state, scratch)
         }
+        fn coverage(scratch: &Self::Scratch) -> &[Coverage] {
+            ModelChecker::coverage(scratch)
+        }
         fn pack_step(step: Step) -> u32 {
             ModelChecker::pack_step(step)
         }
@@ -1534,7 +1539,7 @@ mod tests {
                 ),
                 seen: Default::default(),
             };
-            let (r, _) = explore(&rec, None);
+            let r = explore(&rec, None);
             assert_eq!(r.threads, threads);
             (r, rec.seen.into_inner().unwrap())
         };

@@ -15,8 +15,8 @@ use crate::property::{LevelBlocks, PropertySet};
 use crate::store::{fingerprint_bytes, STEP_NONE};
 use crate::subnet::{At, Kernel, StepScratch, Subnet, SubnetMut, Subnets, ONLY};
 use crate::system::{SysState, MAX_CACHES};
-use protogen_runtime::{Machine, PairSet};
-use protogen_spec::{Access, Event, Fsm};
+use protogen_runtime::{Coverage, Machine};
+use protogen_spec::{Access, Fsm};
 use std::fmt;
 
 /// Model-checker configuration.
@@ -53,11 +53,6 @@ pub struct McConfig {
     /// [`crate::MAX_SHARDS`]. Results are identical for every worker
     /// count.
     pub threads: usize,
-    /// Record every `(machine, state, event)` dispatch attempted during
-    /// exploration into [`CheckResult::coverage`]. Off by default: the
-    /// simulator-conformance tests are the only consumer (flat checker
-    /// only; a composed stack ignores it).
-    pub collect_pair_coverage: bool,
     /// Upper bound on the states one visited-set shard may hold. Defaults
     /// to (and is clamped to) the packed-id hardware limit of 2²⁷
     /// ([`crate::SHARD_CAPACITY`]); exceeding it stops exploration with a
@@ -107,7 +102,6 @@ impl Default for McConfig {
             properties: PropertySet::sc(),
             symmetry: true,
             threads: 0,
-            collect_pair_coverage: false,
             shard_capacity: crate::store::SHARD_CAPACITY,
             mem_budget_bytes: 0,
             store: StoreMode::Full,
@@ -208,7 +202,7 @@ impl<'a> ModelChecker<'a> {
     /// Runs breadth-first exploration until exhaustion, a violation, or the
     /// state limit.
     pub fn run(&self) -> CheckResult {
-        self.finish(explore(self, None))
+        explore(self, None)
     }
 
     /// Resumes exploration from the newest committed checkpoint under
@@ -219,16 +213,7 @@ impl<'a> ModelChecker<'a> {
     /// from the manifest — and pair coverage, which is not checkpointed,
     /// covers only re-executed epochs.
     pub fn resume(&self) -> Result<CheckResult, CheckpointError> {
-        resume(self).map(|out| self.finish(out))
-    }
-
-    /// Folds the workers' pair-coverage sets into the result (coverage is
-    /// a flat-only hook, so it travels in this system's scratch).
-    fn finish(&self, (mut result, scratches): (CheckResult, Vec<FlatScratch>)) -> CheckResult {
-        if self.cfg.collect_pair_coverage {
-            result.coverage = Some(scratches.into_iter().filter_map(|s| s.cov).flatten().collect());
-        }
-        result
+        resume(self)
     }
 
     /// All candidate steps from `state`, in canonical order: deliveries
@@ -240,23 +225,6 @@ impl<'a> ModelChecker<'a> {
         let mut out = Vec::new();
         self.steps_into(state, &mut out);
         out
-    }
-
-    /// Pair-coverage recording: notes which `(machine, state, event)`
-    /// pair `step` dispatches on. Pairs are permutation-invariant (all
-    /// caches run the same FSM and message types survive renaming), so
-    /// recording them on canonical representatives covers every orbit
-    /// member.
-    fn observe(&self, state: &SysState, step: Step, cov: &mut PairSet) {
-        let (node, event) = match step {
-            Step::Deliver { src, dst, idx } => {
-                let msg = state.channels[src as usize][dst as usize][idx as usize];
-                (dst, Event::Msg(msg.mtype))
-            }
-            Step::IssueAccess { cache, access } => (cache, Event::Access(access)),
-        };
-        let slot = state.subnet(ONLY).slot(node as usize);
-        cov.insert((slot.tag(), slot.state(), event));
     }
 
     /// Computes the successor of `state` for `step` into the scratch
@@ -294,7 +262,7 @@ impl<'a> ModelChecker<'a> {
         step: Step,
     ) -> Result<Option<SysState>, ViolationKind> {
         let mut succ = SysState::initial(self.cfg.n_caches);
-        let enabled = self.step_into(state, step, &mut succ, &mut StepScratch::default())?;
+        let enabled = self.step_into(state, step, &mut succ, &mut self.step_scratch())?;
         Ok(enabled.then_some(succ))
     }
 
@@ -307,6 +275,11 @@ impl<'a> ModelChecker<'a> {
     pub fn sample_states(&self, limit: usize) -> Vec<SysState> {
         let encs = reference_bfs(self, limit).0;
         encs.iter().map(|e| SysState::decode(e, self.cfg.n_caches)).collect()
+    }
+
+    /// A stepping scratch recording this system's one level.
+    fn step_scratch(&self) -> StepScratch {
+        StepScratch::new([(self.cache.fsm(), self.dir.fsm())])
     }
 
     /// What `identity_fp` hashes of the configuration. Committed
@@ -342,14 +315,12 @@ impl Subnets for SysState {
     }
 }
 
-/// The flat system's per-worker scratch: the stepping scratch, the pruned
-/// canonicalizer, and — only when [`McConfig::collect_pair_coverage`] is
-/// set — the worker's pair set.
+/// The flat system's per-worker scratch: the stepping scratch (with the
+/// worker's coverage recorders) and the pruned canonicalizer.
 #[derive(Debug)]
 pub struct FlatScratch {
     step: StepScratch,
     canon: Canonicalizer,
-    cov: Option<PairSet>,
 }
 
 impl TransitionSystem for ModelChecker<'_> {
@@ -377,9 +348,8 @@ impl TransitionSystem for ModelChecker<'_> {
 
     fn scratch(&self) -> FlatScratch {
         FlatScratch {
-            step: StepScratch::default(),
+            step: self.step_scratch(),
             canon: Canonicalizer::new(self.cfg.n_caches, self.cfg.symmetry),
-            cov: self.cfg.collect_pair_coverage.then(PairSet::new),
         }
     }
 
@@ -402,9 +372,6 @@ impl TransitionSystem for ModelChecker<'_> {
         succ: &mut SysState,
         scratch: &mut FlatScratch,
     ) -> Result<bool, ViolationKind> {
-        if let Some(cov) = scratch.cov.as_mut() {
-            self.observe(state, step, cov);
-        }
         self.step_into(state, step, succ, &mut scratch.step)
     }
 
@@ -436,6 +403,13 @@ impl TransitionSystem for ModelChecker<'_> {
     fn decode_into(&self, bytes: &[u8], state: &mut SysState, scratch: &mut FlatScratch) {
         state.decode_into(bytes, self.cfg.n_caches);
         scratch.step.unsync();
+    }
+
+    /// Pairs are permutation-invariant (all caches run the same FSM and
+    /// message types survive renaming), so recording them on canonical
+    /// representatives covers every orbit member.
+    fn coverage(scratch: &FlatScratch) -> &[Coverage] {
+        &scratch.step.coverage
     }
 
     /// Preserves [`Step`]'s derived ordering: deliveries sort before

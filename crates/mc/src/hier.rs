@@ -70,7 +70,7 @@ use crate::store::{absorb, fingerprint_bytes};
 use crate::subnet::{At, Kernel, StepScratch, Subnet, SubnetMut, Subnets};
 use crate::system::{put_block, put_chans_renamed, put_dir_renamed, rename, Decoder};
 use protogen_core::Composed;
-use protogen_runtime::{ApplyOutcome, CacheBlock, DirEntry, Machine, Msg, Val};
+use protogen_runtime::{ApplyOutcome, CacheBlock, Coverage, DirEntry, Machine, Msg, Val};
 use protogen_spec::{Access, Fsm, FsmStateId, MsgClass, Perm};
 use std::fmt;
 
@@ -83,12 +83,13 @@ pub const MAX_GROUP: usize = 40_320;
 
 /// A composed stack is checked under the flat checker's configuration.
 /// What a stack takes from its composition instead is ignored here:
-/// [`McConfig::n_caches`] (the fanouts), [`McConfig::ordered`] (channel
-/// ordering is per level, from each level's SSP) and the flat-only
-/// [`McConfig::collect_pair_coverage`]. `swmr`/`single_writer` are checked
-/// per level, `data_value` at the leaves (stores are leaf-only; parents are
-/// data-transparent), and `deadlock_free` counts glue issues and
-/// copy-draining evictions as progress.
+/// [`McConfig::n_caches`] (the fanouts) and [`McConfig::ordered`] (channel
+/// ordering is per level, from each level's SSP). Pair coverage is
+/// recorded per level, tagged with it, as the flat checker records its one
+/// level. `swmr`/`single_writer` are checked per level, `data_value` at the
+/// leaves (stores are leaf-only; parents are data-transparent), and
+/// `deadlock_free` counts glue issues and copy-draining evictions as
+/// progress.
 pub type HierConfig = McConfig;
 
 /// One protocol level at runtime.
@@ -268,7 +269,8 @@ pub type HierResult = CheckResult;
 
 /// The composed system's per-worker scratch: the orbit-pruned sweep (its
 /// `best` holds the encoding the last `canonical_fp` selected), the
-/// candidate group element, and the subnet kernel's stepping scratch.
+/// candidate group element, and the subnet kernel's stepping scratch
+/// (with the worker's coverage recorders, two per level).
 #[derive(Debug)]
 pub struct HierScratch {
     sweep: Sweep,
@@ -596,7 +598,7 @@ impl HierChecker {
     /// exhaustion, a violation, or a resource limit. Deterministic at any
     /// thread count, store mode, and memory budget.
     pub fn check(&self) -> HierResult {
-        explore(self, None).0
+        explore(self, None)
     }
 
     /// Resumes from the newest committed checkpoint under
@@ -604,7 +606,7 @@ impl HierChecker {
     /// a hard [`CheckpointError`] unless it was written by this exact
     /// stack and configuration, byte-identical results otherwise.
     pub fn resume(&self) -> Result<HierResult, CheckpointError> {
-        resume(self).map(|out| out.0)
+        resume(self)
     }
 }
 
@@ -674,7 +676,7 @@ impl TransitionSystem for HierChecker {
         HierScratch {
             sweep: Sweep::new(&shape),
             perm: HierPerm::identity(&self.counts, &fanouts),
-            step: StepScratch::default(),
+            step: StepScratch::new(self.levels.iter().map(|l| (l.cache.fsm(), l.dir.fsm()))),
         }
     }
 
@@ -860,6 +862,10 @@ impl TransitionSystem for HierChecker {
         s.dirs.iter_mut().flatten().for_each(|e| d.dir(e));
         s.chans.iter_mut().flatten().flatten().flatten().for_each(|q| d.queue(q));
         s.ghost = d.ghost();
+    }
+
+    fn coverage(scratch: &HierScratch) -> &[Coverage] {
+        &scratch.step.coverage
     }
 
     /// Preserves [`HStep`]'s derived ordering (the order `steps_into`

@@ -10,12 +10,13 @@
 //! previous step wrote. A checker keeps what is its own: the composed one
 //! gates deliveries by glue before the kernel, mirrors data across the
 //! hosting boundary after it, and restores the mirrored fields through
-//! [`Subnets::restore_outside`].
+//! [`Subnets::restore_outside`]. Coverage is recorded here too, so both
+//! checkers record every dispatch they attempt in one place.
 
 use crate::explore::{exec_violation, ViolationKind};
 use crate::flat::McConfig;
-use protogen_runtime::{ApplyOutcome, CacheBlock, DirEntry, Line, Machine, Msg, NodeId, Selected};
-use protogen_runtime::{Slot, Val};
+use protogen_runtime::{ApplyOutcome, CacheBlock, Coverage, DirEntry, Line, Machine, Msg, NodeId};
+use protogen_runtime::{Selected, Slot, Val};
 use protogen_spec::{Access, Action, Arc, Event, Fsm};
 use std::borrow::Borrow;
 use std::fmt;
@@ -85,10 +86,10 @@ pub(crate) trait Subnets: Clone + PartialEq + fmt::Debug {
     fn restore_outside(&mut self, _from: &Self, _at: At, _node: usize) {}
 }
 
-/// What stepping keeps between calls: the reusable apply outcome and the
+/// What stepping keeps between calls: the reusable apply outcome, the
 /// record of what the previous step wrote into its successor scratch, so
 /// the next step restores only that from the parent instead of copying
-/// the whole state.
+/// the whole state, and the worker's coverage recorders.
 ///
 /// What a step may write is bounded by construction: `fire` removes from
 /// one queue and hands `Machine::apply` one line of one subnet, `route`
@@ -97,13 +98,15 @@ pub(crate) trait Subnets: Clone + PartialEq + fmt::Debug {
 /// recorded before anything fallible runs and the routed queues are read
 /// back from `outcome.outgoing` — a superset of what `route` pushed on any
 /// exit — so every step leaves a record [`StepScratch::sync`] restores.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct StepScratch {
     pub(crate) outcome: ApplyOutcome,
     /// Whether `succ` equals the parent everywhere but in what `touched`
     /// and `outcome.outgoing` name.
     synced: bool,
     touched: Option<Touched>,
+    /// Level `j`'s cache recorder at `2j`, its directory's at `2j + 1`.
+    pub(crate) coverage: Vec<Coverage>,
 }
 
 /// The subnet a step acted in, the node whose line it applied an arc to
@@ -116,6 +119,23 @@ struct Touched {
 }
 
 impl StepScratch {
+    /// A scratch for a system whose protocol levels, leaf first, run these
+    /// `(cache, directory)` FSMs.
+    pub(crate) fn new<'f>(levels: impl IntoIterator<Item = (&'f Fsm, &'f Fsm)>) -> StepScratch {
+        let coverage = (levels.into_iter().enumerate())
+            .flat_map(|(j, (cache, dir))| Coverage::level(cache, dir, j as u8))
+            .collect();
+        StepScratch { outcome: ApplyOutcome::default(), synced: false, touched: None, coverage }
+    }
+
+    /// Records that `slot`, a line of protocol level `level`, was offered
+    /// `event`.
+    #[inline]
+    fn record(&mut self, level: usize, slot: Slot<'_>, event: Event) {
+        let side = usize::from(matches!(slot, Slot::Dir(_)));
+        self.coverage[2 * level + side].record(slot.state(), event);
+    }
+
     /// Forgets what the successor scratch holds (a new parent was
     /// decoded): the next step copies its parent whole.
     pub(crate) fn unsync(&mut self) {
@@ -172,6 +192,7 @@ impl<F: Borrow<Fsm>> Kernel<'_, F> {
         let net = state.subnet(at);
         let msg = net.chans[src][dst][idx];
         let (machine, slot) = (self.machine(dst, net.caches.len()), net.slot(dst));
+        st.record(at.0, slot, Event::Msg(msg.mtype));
         let arc = match machine.select(slot, Event::Msg(msg.mtype), Some(&msg)) {
             Selected::Arc(arc) => arc,
             Selected::Stall => return Ok(false),
@@ -202,6 +223,7 @@ impl<F: Borrow<Fsm>> Kernel<'_, F> {
     ) -> Result<bool, ViolationKind> {
         let net = state.subnet(at);
         let block = &net.caches[cache];
+        st.record(at.0, block.slot(), Event::Access(access));
         let Selected::Arc(arc) = self.cache.select(block.slot(), Event::Access(access), None)
         else {
             return Ok(false);

@@ -26,6 +26,7 @@ use protogen_mc::{
     McConfig, ModelChecker, PropertySet, ResourceLimit, Step, StoreMode, SysState,
     TransitionSystem,
 };
+use protogen_runtime::MachineTag;
 
 fn checker(comp: &protogen_spec::Composition) -> HierChecker {
     let composed = compose(comp, &GenConfig::stalling()).unwrap();
@@ -147,8 +148,9 @@ fn one_level_stacks_are_flat_byte_for_byte_at_three_caches() {
 /// Both checkers evaluate one property path, so a one-level stack must
 /// reach the flat checker's verdict on every cell: all bundled protocols ×
 /// the named property sets × both generator configs at 2 caches agree on
-/// the verdict, the counts and the kind of violation (the wording differs:
-/// `cache n0` flat, `level l1 node 0` composed). A few cells are pinned.
+/// the verdict, the counts, the kind of violation (the wording differs:
+/// `cache n0` flat, `level l1 node 0` composed) and the pair coverage. A
+/// few cells are pinned.
 #[test]
 fn one_level_stacks_reach_the_flat_verdict_under_every_property_set() {
     let mut pinned = 0;
@@ -187,6 +189,7 @@ fn one_level_stacks_reach_the_flat_verdict_under_every_property_set() {
                     stack.violation,
                     flat.violation
                 );
+                assert_eq!(stack.coverage, flat.coverage, "{label}: pair coverage diverges");
                 let want = match (name, config, properties.to_string().as_str()) {
                     ("tso-cc", _, "sc") => Some((false, 64, 132)),
                     ("si-sd", _, "sc") => Some((false, 55, 127)),
@@ -213,6 +216,11 @@ fn msi_under_msi_verifies_end_to_end() {
     // parent data transparency, or per-level symmetry shows up here first.
     assert_eq!(res.states, 343_838);
     assert_eq!(res.transitions, 1_584_992);
+    // Coverage is recorded per level: both sides of both levels dispatched.
+    let tags: std::collections::BTreeSet<MachineTag> =
+        res.coverage.iter().map(|&(tag, ..)| tag).collect();
+    let (c, d) = (MachineTag::cache, MachineTag::directory);
+    assert_eq!(tags, [c(0), d(0), c(1), d(1)].into());
 }
 
 #[test]

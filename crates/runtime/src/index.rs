@@ -8,7 +8,7 @@
 //! no interior mutability, so it is `Sync` and can be shared freely across
 //! worker threads.
 
-use protogen_spec::{Access, Event, Fsm, FsmStateId};
+use protogen_spec::{Access, Event, Fsm, FsmStateId, MsgId};
 
 /// A dense `(state, event) → candidate arcs` table for one [`Fsm`].
 ///
@@ -27,12 +27,23 @@ pub struct FsmIndex {
     arc_ids: Vec<u32>,
 }
 
-fn event_offset(event: Event) -> usize {
+/// Where `event` sits among one state's slots: `[Load, Store,
+/// Replacement, Msg(0), Msg(1), …]` (shared with [`crate::Coverage`]).
+pub(crate) fn event_offset(event: Event) -> usize {
     match event {
         Event::Access(Access::Load) => 0,
         Event::Access(Access::Store) => 1,
         Event::Access(Access::Replacement) => 2,
         Event::Msg(m) => 3 + m.as_usize(),
+    }
+}
+
+/// The event at `offset` among one state's slots: [`event_offset`]'s
+/// inverse.
+pub(crate) fn event_at(offset: usize) -> Event {
+    match Access::ALL.get(offset) {
+        Some(&access) => Event::Access(access),
+        None => Event::Msg(MsgId((offset - 3) as u16)),
     }
 }
 

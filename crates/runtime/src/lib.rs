@@ -31,9 +31,9 @@ mod machine;
 mod msg;
 mod state;
 
-pub use coverage::{MachineRole, MachineTag, PairSet, StateEventPair};
+pub use coverage::{Coverage, MachineRole, MachineTag, PairSet, StateEventPair};
 pub use exec::{apply_into, select_arc_indexed, ApplyOutcome, ExecError, MachineCtx};
 pub use index::FsmIndex;
-pub use machine::{Line, Machine, Selected, Slot};
+pub use machine::{block_table, Line, Machine, Selected, Slot};
 pub use msg::{Msg, NodeId, Val};
 pub use state::{CacheBlock, DirEntry};

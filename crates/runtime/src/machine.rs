@@ -15,7 +15,6 @@
 //! service apply to a scratch copy and commit it only if the outgoing
 //! messages fit their channels.
 
-use crate::coverage::MachineTag;
 use crate::exec::{apply_into, select_arc_indexed, ApplyOutcome, ExecError, MachineCtx};
 use crate::index::FsmIndex;
 use crate::msg::{Msg, NodeId, Val};
@@ -51,14 +50,6 @@ impl Slot<'_> {
             Slot::Dir(entry) => entry.state,
         }
     }
-
-    /// The flat coverage tag of the machine the line belongs to.
-    pub fn tag(self) -> MachineTag {
-        match self {
-            Slot::Cache(_) => MachineTag::CACHE,
-            Slot::Dir(_) => MachineTag::DIRECTORY,
-        }
-    }
 }
 
 /// What [`Machine::select`] found for a `(line, event)` dispatch.
@@ -83,6 +74,16 @@ pub trait Line: Clone {
     /// The write view [`Machine::apply`] takes. A directory entry is its
     /// own directory: it takes `self_id` and ignores `dir_id`.
     fn ctx(&mut self, self_id: NodeId, dir_id: NodeId) -> MachineCtx<'_>;
+}
+
+/// `n` copies of `initial`, one per block, allocated fallibly: `Err`
+/// words the refusal when the memory for them cannot be had, so a block
+/// count beyond memory is a refused configuration instead of an abort.
+pub fn block_table<L: Line>(initial: L, n: usize) -> Result<Vec<L>, String> {
+    let mut table = Vec::new();
+    table.try_reserve_exact(n).map_err(|_| format!("no memory for the lines of {n} blocks"))?;
+    table.resize(n, initial);
+    Ok(table)
 }
 
 impl Line for CacheBlock {
@@ -156,5 +157,21 @@ impl<F: Borrow<Fsm>> Machine<F> {
     /// found no transition for it in `slot`'s state".
     pub fn unexpected(&self, who: impl Display, slot: Slot<'_>, msg: impl Display) -> String {
         format!("{msg} at {who} in {}", self.fsm().state(slot.state()).full_name())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn block_tables_beyond_memory_are_refused_not_aborted() {
+        let table = block_table(DirEntry::new(0), 3).unwrap();
+        assert_eq!(table, vec![DirEntry::new(0); 3]);
+        let n = usize::MAX;
+        assert_eq!(
+            block_table(CacheBlock::new(), n),
+            Err(format!("no memory for the lines of {n} blocks"))
+        );
     }
 }

@@ -187,17 +187,16 @@ impl fmt::Display for ServeError {
 
 impl Error for ServeError {}
 
-/// Runs the exhaustive model checker with pair-coverage collection forced
-/// on and returns the coverage set — the envelope live runs are checked
-/// against. `cfg` should use the same cache count as the service run and
-/// the protocol's network-ordering assumption.
+/// Runs the exhaustive model checker and returns the pair coverage it
+/// recorded — the envelope live runs are checked against. `cfg` should use
+/// the same cache count as the service run and the protocol's
+/// network-ordering assumption.
 ///
 /// # Errors
 ///
 /// [`ServeError::Envelope`] when the checker reports a violation or stops
 /// on a resource limit: a partial envelope would produce false escapes.
-pub fn checked_envelope(cache: &Fsm, dir: &Fsm, mut cfg: McConfig) -> Result<PairSet, ServeError> {
-    cfg.collect_pair_coverage = true;
+pub fn checked_envelope(cache: &Fsm, dir: &Fsm, cfg: McConfig) -> Result<PairSet, ServeError> {
     let r = ModelChecker::new(cache, dir, cfg).run();
     if !r.passed() {
         let why = match &r.violation {
@@ -209,10 +208,7 @@ pub fn checked_envelope(cache: &Fsm, dir: &Fsm, mut cfg: McConfig) -> Result<Pai
             r.states
         )));
     }
-    // SAFETY OF THE EXPECT: `collect_pair_coverage` was set four lines
-    // up, and `ModelChecker::run` always populates `coverage` when it is
-    // set — a `None` here is a checker bug, not a runtime condition.
-    Ok(r.coverage.expect("collect_pair_coverage was set"))
+    Ok(r.coverage)
 }
 
 /// Why a service run stopped.

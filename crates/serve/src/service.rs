@@ -46,66 +46,17 @@ use crate::fault::{FaultPlan, FaultState, FaultStats};
 use crate::mailbox::{Envelope, Fabric, OwnLine};
 use crate::{ServeConfig, ServeError, ServeReport, StopReason};
 use protogen_runtime::{
-    ApplyOutcome, CacheBlock, DirEntry, ExecError, Line, Machine, MachineTag, Msg, NodeId, PairSet,
-    Selected,
+    block_table, ApplyOutcome, CacheBlock, Coverage, DirEntry, ExecError, Line, Machine,
+    MachineTag, Msg, NodeId, Selected, Slot,
 };
 use protogen_sim::{Histogram, Op};
-use protogen_spec::{Access, Event, Fsm, FsmStateId, MsgId, Perm};
+use protogen_spec::{Access, Event, Fsm, Perm};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// Dense per-worker coverage bitset: one bit per `(state, event)` slot,
-/// laid out exactly like [`protogen_runtime::FsmIndex`]'s table. Recording
-/// a dispatch is a single OR on the hot path; the sets merge into the
-/// shared [`PairSet`] representation once, at join time.
-struct DenseCoverage {
-    events_per_state: usize,
-    bits: Vec<u64>,
-}
-
-fn event_offset(event: Event) -> usize {
-    match event {
-        Event::Access(Access::Load) => 0,
-        Event::Access(Access::Store) => 1,
-        Event::Access(Access::Replacement) => 2,
-        Event::Msg(m) => 3 + m.as_usize(),
-    }
-}
-
-impl DenseCoverage {
-    fn new(fsm: &Fsm) -> DenseCoverage {
-        let events_per_state = 3 + fsm.messages.len();
-        let slots = fsm.state_count() * events_per_state;
-        DenseCoverage { events_per_state, bits: vec![0; slots.div_ceil(64)] }
-    }
-
-    fn record(&mut self, state: FsmStateId, event: Event) {
-        let slot = state.as_usize() * self.events_per_state + event_offset(event);
-        self.bits[slot / 64] |= 1 << (slot % 64);
-    }
-
-    fn merge_into(&self, tag: MachineTag, out: &mut PairSet) {
-        for (word_ix, &word) in self.bits.iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                let slot = word_ix * 64 + w.trailing_zeros() as usize;
-                w &= w - 1;
-                let state = FsmStateId((slot / self.events_per_state) as u32);
-                let event = match slot % self.events_per_state {
-                    0 => Event::Access(Access::Load),
-                    1 => Event::Access(Access::Store),
-                    2 => Event::Access(Access::Replacement),
-                    o => Event::Msg(MsgId((o - 3) as u16)),
-                };
-                out.insert((tag, state, event));
-            }
-        }
-    }
-}
 
 /// One worker's message counters (module doc), read by others only on
 /// idle passes.
@@ -238,8 +189,7 @@ impl<'f> Shared<'f> {
 
 /// What one worker measured, merged into the [`ServeReport`] at join.
 struct WorkerOut {
-    tag: MachineTag,
-    coverage: DenseCoverage,
+    coverage: Coverage,
     miss_latency_ns: Vec<u64>,
     hits: u64,
     misses: u64,
@@ -325,11 +275,9 @@ impl<'s, 'f, L: Line> Node<'s, 'f, L> {
     /// `lines` holds one line per block (at least one, by `validate`).
     fn new(sh: &'s Shared<'f>, topo: usize, lines: Vec<L>) -> Self {
         let initial = lines[0].clone();
-        let tag = initial.slot().tag();
-        let (machine, self_id) = if tag == MachineTag::CACHE {
-            (&sh.cache, NodeId(topo as u8))
-        } else {
-            (&sh.dir, NodeId(sh.n_caches as u8))
+        let (tag, machine, self_id) = match initial.slot() {
+            Slot::Cache(_) => (MachineTag::CACHE, &sh.cache, NodeId(topo as u8)),
+            Slot::Dir(_) => (MachineTag::DIRECTORY, &sh.dir, NodeId(sh.n_caches as u8)),
         };
         Node {
             sh,
@@ -342,8 +290,7 @@ impl<'s, 'f, L: Line> Node<'s, 'f, L> {
             outcome: ApplyOutcome::default(),
             queues: (0..sh.fabric.nodes()).map(|_| VecDeque::new()).collect(),
             out: WorkerOut {
-                tag,
-                coverage: DenseCoverage::new(machine.fsm()),
+                coverage: Coverage::new(machine.fsm(), tag),
                 miss_latency_ns: Vec::new(),
                 hits: 0,
                 misses: 0,
@@ -773,17 +720,6 @@ fn supervise(sh: &Shared, worker: String, body: impl FnOnce() -> WorkerOut) -> O
     }
 }
 
-/// `n` copies of `initial`, one per block, or [`ServeError::Config`] when
-/// the memory for them cannot be had (instead of an abort).
-fn block_table<L: Clone>(initial: L, n: usize) -> Result<Vec<L>, ServeError> {
-    let mut table = Vec::new();
-    table
-        .try_reserve_exact(n)
-        .map_err(|_| ServeError::Config(format!("no memory for the lines of {n} blocks")))?;
-    table.resize(n, initial);
-    Ok(table)
-}
-
 /// Runs the service to quiescence and reports what it measured.
 ///
 /// `cache`/`dir` are the generated FSMs to execute (the very ones the
@@ -808,10 +744,12 @@ pub fn serve(cache: &Fsm, dir: &Fsm, cfg: &ServeConfig) -> Result<ServeReport, S
     // count beyond memory is a refused configuration, not an abort.
     let cache_lines = (0..cfg.n_caches)
         .map(|_| block_table(CacheBlock::new(), cfg.n_addrs))
-        .collect::<Result<Vec<_>, _>>()?;
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(ServeError::Config)?;
     let shard_lines = (0..cfg.dir_shards)
         .map(|_| block_table(DirEntry::new(0), cfg.n_addrs))
-        .collect::<Result<Vec<_>, _>>()?;
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(ServeError::Config)?;
 
     let nodes = cfg.n_caches + cfg.dir_shards;
     let sh = Shared {
@@ -871,7 +809,6 @@ pub fn serve(cache: &Fsm, dir: &Fsm, cfg: &ServeConfig) -> Result<ServeReport, S
         .plan
         .as_ref()
         .map(|p| FaultStats { planned_crashes: p.planned_crashes() as u64, ..Default::default() });
-    let mut coverage = PairSet::new();
     let mut miss_latency = Histogram::new();
     let mut report = ServeReport {
         n_caches: cfg.n_caches,
@@ -884,13 +821,12 @@ pub fn serve(cache: &Fsm, dir: &Fsm, cfg: &ServeConfig) -> Result<ServeReport, S
         seconds,
         miss_latency: Histogram::new(),
         peak_queue_depths: Vec::with_capacity(nodes),
-        coverage: PairSet::new(),
+        coverage: Coverage::merge(outs.iter().map(|out| &out.coverage)),
         stop_reason: StopReason::Quiesced,
         stop_detail: None,
         faults: None,
     };
     for out in &outs {
-        out.coverage.merge_into(out.tag, &mut coverage);
         for &ns in &out.miss_latency_ns {
             miss_latency.record(ns);
         }
@@ -903,7 +839,6 @@ pub fn serve(cache: &Fsm, dir: &Fsm, cfg: &ServeConfig) -> Result<ServeReport, S
     }
     report.ops = report.hits + report.misses;
     report.miss_latency = miss_latency;
-    report.coverage = coverage;
     report.stop_reason = if stop_detail.is_some() {
         StopReason::Deadline
     } else if fault_stats.is_some_and(|fs| fs.crashes_completed < fs.planned_crashes) {

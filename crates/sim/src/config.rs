@@ -184,10 +184,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Safety limit on simulated cycles.
     pub max_cycles: u64,
-    /// Record every `(machine, state, event)` dispatch into
-    /// [`crate::SimResult::coverage`] (conformance testing against the
-    /// model checker; off by default).
-    pub collect_coverage: bool,
 }
 
 impl Default for SimConfig {
@@ -201,7 +197,6 @@ impl Default for SimConfig {
             network: NetworkConfig::default(),
             seed: 0xC0FFEE,
             max_cycles: 50_000_000,
-            collect_coverage: false,
         }
     }
 }

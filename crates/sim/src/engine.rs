@@ -20,7 +20,8 @@ use crate::stats::{Histogram, SimResult};
 use crate::workload::Op;
 use crate::SimError;
 use protogen_runtime::{
-    ApplyOutcome, CacheBlock, DirEntry, Line, Machine, Msg, NodeId, PairSet, Selected, Slot,
+    block_table, ApplyOutcome, CacheBlock, Coverage, DirEntry, Line, Machine, Msg, NodeId,
+    Selected, Slot,
 };
 use protogen_spec::{Arc, Event, Fsm};
 use rand::rngs::StdRng;
@@ -72,7 +73,8 @@ struct Engine<'a> {
     /// [`Engine::try_deliver`] — the only place a directory line commits.
     busy_dirs: u64,
     busy_dir_cycles: u64,
-    coverage: Option<PairSet>,
+    /// The cache's and the directory's coverage recorders, in that order.
+    coverage: [Coverage; 2],
     cand_buf: Vec<usize>,
     /// The one apply outcome (outgoing-message buffer) every step reuses.
     outcome: ApplyOutcome,
@@ -101,8 +103,9 @@ impl<'a> Engine<'a> {
             rng,
             caches: (0..n)
                 .map(|_| block_table(CacheBlock::new(), cfg.n_addrs))
-                .collect::<Result<_, _>>()?,
-            dirs: block_table(DirEntry::new(0), cfg.n_addrs)?,
+                .collect::<Result<_, _>>()
+                .map_err(SimError::Workload)?,
+            dirs: block_table(DirEntry::new(0), cfg.n_addrs).map_err(SimError::Workload)?,
             net: Network::new(n + 1, cfg.network),
             total_ops: schedules.iter().map(Vec::len).sum(),
             cursor: vec![0; schedules.len()],
@@ -113,7 +116,7 @@ impl<'a> Engine<'a> {
             result: SimResult::default(),
             busy_dirs: 0,
             busy_dir_cycles: 0,
-            coverage: cfg.collect_coverage.then(PairSet::new),
+            coverage: Coverage::level(cache_fsm, dir_fsm, 0),
             cand_buf: Vec::new(),
             outcome: ApplyOutcome::default(),
         })
@@ -189,7 +192,7 @@ impl<'a> Engine<'a> {
             0.0
         };
         self.result.peak_channel_depth = self.net.peak_depth;
-        self.result.coverage = self.coverage.take();
+        self.result.coverage = Coverage::merge(&self.coverage);
         self.result
     }
 
@@ -251,9 +254,7 @@ impl<'a> Engine<'a> {
         } else {
             (&self.cache, Slot::Cache(&self.caches[dst][a]))
         };
-        if let Some(cov) = self.coverage.as_mut() {
-            cov.insert((slot.tag(), slot.state(), event));
-        }
+        self.coverage[usize::from(is_dir)].record(slot.state(), event);
         let arc = match machine.select(slot, event, Some(&msg)) {
             Selected::Arc(arc) => arc,
             Selected::Stall => return Ok(Delivery::Stalled),
@@ -313,9 +314,7 @@ impl<'a> Engine<'a> {
             let a = op.addr as usize;
             let event = Event::Access(op.access);
             let slot = Slot::Cache(&self.caches[c][a]);
-            if let Some(cov) = self.coverage.as_mut() {
-                cov.insert((slot.tag(), slot.state(), event));
-            }
+            self.coverage[0].record(slot.state(), event);
             let arc = match self.cache.select(slot, event, None) {
                 Selected::Arc(arc) => arc,
                 Selected::Stall => continue, // retry next cycle
@@ -424,17 +423,6 @@ impl<'a> Engine<'a> {
 
 /// The most blocks a run can have: one per `u32` address.
 const MAX_ADDRS: u64 = 1 << 32;
-
-/// `n` copies of `initial`, one per block, or [`SimError::Workload`] when
-/// the memory for them cannot be had (instead of an abort).
-fn block_table<L: Clone>(initial: L, n: usize) -> Result<Vec<L>, SimError> {
-    let mut table = Vec::new();
-    table
-        .try_reserve_exact(n)
-        .map_err(|_| SimError::Workload(format!("no memory for the lines of {n} blocks")))?;
-    table.resize(n, initial);
-    Ok(table)
-}
 
 /// Whether a directory entry is mid-transaction (in a transient state).
 fn is_busy(dir: &Machine<&Fsm>, entry: &DirEntry) -> bool {

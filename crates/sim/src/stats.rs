@@ -115,9 +115,9 @@ pub struct SimResult {
     /// Fraction of directory-entry cycles spent in a transient (busy)
     /// state — how occupied the directory was mid-transaction.
     pub dir_occupancy: f64,
-    /// Observed `(machine, state, event)` dispatches, when
-    /// [`crate::SimConfig::collect_coverage`] was set. Not serialized.
-    pub coverage: Option<PairSet>,
+    /// Every `(machine, state, event)` dispatch the run attempted, for
+    /// conformance against the model checker. Not serialized.
+    pub coverage: PairSet,
 }
 
 impl SimResult {

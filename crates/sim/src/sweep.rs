@@ -310,7 +310,6 @@ fn run_cell(cfg: &SweepConfig, cell: SweepCell) -> Result<CellResult, SimError> 
         network,
         seed,
         max_cycles: cfg.max_cycles,
-        collect_coverage: false,
     };
     let stats = simulate(&g.cache, &g.directory, &sim_cfg)
         .map_err(|e| SimError::Workload(format!("{}: {e}", cell.label())))?;

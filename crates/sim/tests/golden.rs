@@ -121,7 +121,6 @@ fn run_grid() -> Vec<Cell> {
                     // A wedged cell must not cost the parent's engine 50 M
                     // cycles; no cell of this grid comes near the limit.
                     max_cycles: 200_000,
-                    collect_coverage: false,
                 };
                 cells.push(Cell { label, result: simulate(&g.cache, &g.directory, &cfg) });
             }

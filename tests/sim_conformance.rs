@@ -19,10 +19,9 @@ fn ordered_sim_only_dispatches_on_model_checked_pairs() {
             let g = generate(&ssp, &gc).unwrap();
             let mut mc_cfg = McConfig::with_caches(2);
             mc_cfg.ordered = ssp.network_ordered;
-            mc_cfg.collect_pair_coverage = true;
             let checked = ModelChecker::new(&g.cache, &g.directory, mc_cfg).run();
             assert!(checked.passed(), "{name}: {:?}", checked.violation);
-            let checked_pairs = checked.coverage.expect("coverage requested");
+            let checked_pairs = checked.coverage;
             assert!(!checked_pairs.is_empty());
 
             for workload in Workload::synthetic() {
@@ -31,12 +30,11 @@ fn ordered_sim_only_dispatches_on_model_checked_pairs() {
                     n_addrs: 2,
                     accesses_per_core: 60,
                     workload: workload.clone(),
-                    collect_coverage: true,
                     ..SimConfig::default()
                 };
                 let r = simulate(&g.cache, &g.directory, &sim_cfg)
                     .unwrap_or_else(|e| panic!("{name} under {workload}: {e}"));
-                let observed = r.coverage.expect("coverage requested");
+                let observed = r.coverage;
                 let unchecked: Vec<_> = observed.difference(&checked_pairs).collect();
                 assert!(
                     unchecked.is_empty(),
