@@ -304,8 +304,8 @@ impl Sweep {
 /// full-sweep [`SysState::canonical_encoding`] over all n! permutations —
 /// minimum `(key sequence, fingerprint)`, ties broken by enumeration
 /// order — while enumerating only the arrangements that sort caches by
-/// [`cache_sort_key`]. The winning encoding is kept, so emitting it
-/// afterwards is a copy, not a second walk of the state.
+/// [`cache_sort_key`]. The winning encoding is kept, so reading it
+/// afterwards is a borrow, not a second walk of the state.
 #[derive(Debug)]
 pub struct Canonicalizer {
     symmetry: bool,
@@ -329,7 +329,7 @@ impl Canonicalizer {
 
     /// The canonical fingerprint of `s` — identical for every member of
     /// its symmetry orbit. Also keeps the canonical encoding, which
-    /// [`Canonicalizer::encode_best_into`] and
+    /// [`Canonicalizer::encode_canonical_into`] and
     /// [`Canonicalizer::canonical_rep`] reuse.
     pub fn canonical_fp(&mut self, s: &SysState) -> u64 {
         let Canonicalizer { symmetry, sweep, perm } = self;
@@ -355,17 +355,15 @@ impl Canonicalizer {
     /// appended to `out` — the one-stop call.
     pub fn encode_canonical_into(&mut self, s: &SysState, out: &mut Vec<u8>) -> u64 {
         let fp = self.canonical_fp(s);
-        self.encode_best_into(out);
+        out.extend_from_slice(self.best());
         fp
     }
 
-    /// Appends the canonical encoding selected by the most recent
-    /// [`Canonicalizer::canonical_fp`] call to `out`. The expand path
-    /// needs the fingerprint first (it decides the owning shard, and thus
-    /// which batch arena to encode into), so the sweep and the byte
-    /// emission are split.
-    pub fn encode_best_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(self.sweep.best());
+    /// The canonical encoding selected by the most recent
+    /// [`Canonicalizer::canonical_fp`] call, lent to the explorer (which
+    /// needs the fingerprint first to pick the owning shard).
+    pub(crate) fn best(&self) -> &[u8] {
+        self.sweep.best()
     }
 
     /// Materializes the canonical orbit representative (cold paths:

@@ -198,9 +198,9 @@ pub(crate) fn write_shard(
 ) -> io::Result<()> {
     std::fs::create_dir_all(ck_dir(dir, depth))?;
     let fps = store.map.by_lid();
-    let arena = cur.global_bytes()?;
+    let arena_len = cur.global_len();
 
-    let mut out = Vec::with_capacity(64 + fps.len() * 28 + cur.index.len() * 25 + arena.len());
+    let mut out = Vec::with_capacity(64 + fps.len() * 28 + cur.index.len() * 25 + arena_len);
     put_u32(&mut out, SHARD_MAGIC);
     put_u32(&mut out, VERSION);
     put_u32(&mut out, shard as u32);
@@ -227,8 +227,8 @@ pub(crate) fn write_shard(
         put_u8(&mut out, e.delta as u8);
         put_u64(&mut out, e.fp);
     }
-    put_u64(&mut out, arena.len() as u64);
-    out.extend_from_slice(&arena);
+    put_u64(&mut out, arena_len as u64);
+    cur.append_global_to(&mut out)?;
     let sum = fingerprint_bytes(&out);
     put_u64(&mut out, sum);
     std::fs::write(shard_path(dir, depth, shard), &out)

@@ -87,8 +87,8 @@ impl Resources<'_> {
 ///   that order, and never yields `u32::MAX` — so "minimum packed step" is
 ///   "first in canonical order" at any thread count;
 /// * [`canonical_fp`](Self::canonical_fp) is constant on a symmetry orbit
-///   and [`encode_canonical_into`](Self::encode_canonical_into) emits the
-///   one representative encoding that fingerprint belongs to, which
+///   and [`canonical_bytes`](Self::canonical_bytes) lends the one
+///   representative encoding that fingerprint belongs to, which
 ///   [`decode_into`](Self::decode_into) inverts and
 ///   [`section_map`](Self::section_map) describes;
 /// * [`identity_fp`](Self::identity_fp) changes whenever the reachable
@@ -157,12 +157,13 @@ pub trait TransitionSystem: Sync {
     fn check_quiescence(&self, state: &Self::State) -> Option<ViolationKind>;
 
     /// The canonical fingerprint of `state`; keeps the canonical encoding
-    /// it belongs to in `scratch` for the encode call that may follow.
+    /// it belongs to in `scratch`, where
+    /// [`canonical_bytes`](Self::canonical_bytes) lends it out.
     fn canonical_fp(&self, state: &Self::State, scratch: &mut Self::Scratch) -> u64;
 
-    /// Appends the canonical encoding the most recent
+    /// The canonical encoding the most recent
     /// [`canonical_fp`](Self::canonical_fp) call on `scratch` selected.
-    fn encode_canonical_into(&self, scratch: &Self::Scratch, out: &mut Vec<u8>);
+    fn canonical_bytes<'s>(&self, scratch: &'s Self::Scratch) -> &'s [u8];
 
     /// Decodes a canonical encoding into `state`, reusing its allocations,
     /// and marks `scratch`'s successor state unsynced: `state` is a new
@@ -193,11 +194,11 @@ pub trait TransitionSystem: Sync {
 pub fn reference_bfs<S: TransitionSystem>(sys: &S, limit: usize) -> (Vec<Vec<u8>>, usize) {
     let mut scratch = sys.scratch();
     let (mut state, mut succ) = (sys.initial(), sys.initial());
-    let (mut steps, mut enc) = (Vec::new(), Vec::new());
+    let mut steps = Vec::new();
     sys.canonical_fp(&state, &mut scratch);
-    sys.encode_canonical_into(&scratch, &mut enc);
-    let mut seen = std::collections::HashSet::from([enc.clone()]);
-    let mut order = vec![enc.clone()];
+    let root = sys.canonical_bytes(&scratch).to_vec();
+    let mut seen = std::collections::HashSet::from([root.clone()]);
+    let mut order = vec![root];
     let (mut at, mut transitions) = (0usize, 0usize);
     while at < order.len() && order.len() < limit {
         sys.decode_into(&order[at], &mut state, &mut scratch);
@@ -212,11 +213,10 @@ pub fn reference_bfs<S: TransitionSystem>(sys: &S, limit: usize) -> (Vec<Vec<u8>
                     continue;
                 }
                 sys.canonical_fp(&succ, &mut scratch);
-                enc.clear();
-                sys.encode_canonical_into(&scratch, &mut enc);
-                if !seen.contains(&enc) {
-                    seen.insert(enc.clone());
-                    order.push(enc.clone());
+                let enc = sys.canonical_bytes(&scratch);
+                if !seen.contains(enc) {
+                    seen.insert(enc.to_vec());
+                    order.push(enc.to_vec());
                 }
             }
         }
@@ -519,7 +519,7 @@ impl FrontierBuf {
 
     /// Appends `full` (a complete canonical encoding) as the next entry,
     /// delta-compressing against the previous entry when `delta_mode` and
-    /// the delta actually wins.
+    /// the delta actually wins. Every frontier entry is written here.
     fn append(&mut self, map: SectionMap, full: &[u8], lid: u32, fp: u64, delta_mode: bool) {
         let off = self.spilled_off + self.bytes.len();
         let start = self.bytes.len();
@@ -575,14 +575,19 @@ impl FrontierBuf {
         self.spill.as_ref().map_or((0, 0), |s| (s.total_written(), s.total_chunks()))
     }
 
-    /// Materializes the arena's *global* byte string for the checkpoint
+    /// Length of the arena's *global* byte string (spilled plus hot).
+    pub(crate) fn global_len(&self) -> usize {
+        self.spilled_off + self.bytes.len()
+    }
+
+    /// Appends the arena's global byte string to `out` for the checkpoint
     /// tier: spilled chunks in offset order followed by the hot tail.
     /// Because entry offsets are global, the concatenation reproduces the
     /// arena with every index offset unchanged.
-    pub(crate) fn global_bytes(&self) -> std::io::Result<Vec<u8>> {
-        let mut out = Vec::with_capacity(self.spilled_off + self.bytes.len());
+    pub(crate) fn append_global_to(&self, out: &mut Vec<u8>) -> std::io::Result<()> {
+        let base = out.len();
         for &(off, len, file_off) in &self.chunks {
-            debug_assert_eq!(off, out.len());
+            debug_assert_eq!(base + off, out.len());
             let start = out.len();
             out.resize(start + len, 0);
             self.spill
@@ -591,7 +596,7 @@ impl FrontierBuf {
                 .read_exact_at(&mut out[start..], file_off)?;
         }
         out.extend_from_slice(&self.bytes);
-        Ok(out)
+        Ok(())
     }
 
     /// Rebuilds an arena from a checkpoint snapshot: everything hot, no
@@ -648,9 +653,6 @@ struct Worker<'w, S: TransitionSystem> {
     /// [`StoreMode::delta_frontier`] / [`StoreMode::keeps_recs`], cached.
     delta_mode: bool,
     keeps_recs: bool,
-    /// Scratch: the successor's full encoding (delta mode encodes here
-    /// first, then diffs into the arena).
-    enc_scratch: Vec<u8>,
     /// Scratch: previous frontier entry's reconstructed full encoding
     /// (the delta base while reading `cur` sequentially).
     prev_full: Vec<u8>,
@@ -698,7 +700,6 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
             spill_chunk: res.spill_chunk_bytes.max(crate::spill::PAGE as usize),
             delta_mode: res.store.delta_frontier(),
             keeps_recs: res.store.keeps_recs(),
-            enc_scratch: Vec::new(),
             prev_full: Vec::new(),
             cur_full: Vec::new(),
             chunk_buf: Vec::new(),
@@ -987,7 +988,7 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
         } else {
             let bytes = self.out.bytes_of(owner);
             let off = bytes.len() as u32;
-            self.sys.encode_canonical_into(&self.scratch, bytes);
+            bytes.extend_from_slice(self.sys.canonical_bytes(&self.scratch));
             let len = bytes.len() as u32 - off;
             if let Some(batch) =
                 self.out.push_meta(owner, CandMeta { fp, parent_fp, parent, step, off, len })
@@ -1000,11 +1001,10 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
     /// The one dedup-or-insert path (own-shard and cross-shard candidates
     /// must never diverge — the parent-race fold and the capacity check
     /// are part of the determinism contract). `enc` carries the canonical
-    /// encoding when it already exists (a candidate received from another
-    /// worker: a new state is one `extend_from_slice`, a duplicate costs
-    /// nothing); `None` means "encode `self.succ` via the system", so
-    /// duplicates from this shard's own expansion never pay for byte
-    /// emission.
+    /// encoding of a candidate received from another worker; `None` means
+    /// "the bytes the system lends for `self.succ`". Either way a
+    /// duplicate copies nothing and a new state is copied once, into the
+    /// arena.
     fn insert(&mut self, fp: u64, parent_fp: u64, parent: Gid, step: u32, enc: Option<&[u8]>) {
         if let Some(lid) = self.store.map.get(fp) {
             // Same-level parent race: `lid >= epoch_start` identifies a
@@ -1031,28 +1031,8 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
             if self.keeps_recs {
                 self.store.push_rec(StateRec { parent_fp, parent, step });
             }
-            if self.delta_mode {
-                match enc {
-                    Some(e) => self.next.append(self.map, e, lid, fp, true),
-                    None => {
-                        self.enc_scratch.clear();
-                        self.sys.encode_canonical_into(&self.scratch, &mut self.enc_scratch);
-                        self.next.append(self.map, &self.enc_scratch, lid, fp, true);
-                    }
-                }
-            } else {
-                // Full mode copies the encoding straight into the arena:
-                // duplicates from this shard's own expansion never pay for
-                // byte emission, new states pay exactly once.
-                let off = self.next.spilled_off + self.next.bytes.len();
-                let start = self.next.bytes.len();
-                match enc {
-                    Some(e) => self.next.bytes.extend_from_slice(e),
-                    None => self.sys.encode_canonical_into(&self.scratch, &mut self.next.bytes),
-                }
-                let len = (self.next.bytes.len() - start) as u32;
-                self.next.index.push(FrontEntry { off, len, lid, delta: false, fp });
-            }
+            let full = enc.unwrap_or_else(|| self.sys.canonical_bytes(&self.scratch));
+            self.next.append(self.map, full, lid, fp, self.delta_mode);
             self.new_count += 1;
             self.maybe_spill_frontier();
         }
@@ -1173,8 +1153,7 @@ pub(crate) fn explore<S: TransitionSystem>(
     let mut scratch0 = sys.scratch();
     let initial = sys.initial();
     let fp0 = sys.canonical_fp(&initial, &mut scratch0);
-    let mut enc0 = Vec::new();
-    sys.encode_canonical_into(&scratch0, &mut enc0);
+    let enc0 = sys.canonical_bytes(&scratch0);
     let owner0 = (fp0 % threads as u64) as usize;
 
     let inboxes: Vec<Inbox> = (0..threads).map(|_| Inbox::default()).collect();
@@ -1195,7 +1174,7 @@ pub(crate) fn explore<S: TransitionSystem>(
     // scoped threads, so a one-worker run creates no thread at all.
     let (stores, scratches): (Vec<ShardStore>, Vec<S::Scratch>) = std::thread::scope(|s| {
         let mut worker = |t: usize| {
-            let (inboxes, coord, enc0) = (&inboxes, &coord, &enc0);
+            let (inboxes, coord) = (&inboxes, &coord);
             let snap = snaps[t].take();
             move || {
                 let mut w = Worker::new(sys, t, threads, inboxes, coord);
@@ -1328,13 +1307,13 @@ fn build_trace<S: TransitionSystem>(sys: &S, stores: &[ShardStore], v: &VioCand)
     }
     let mut scratch = sys.scratch();
     let (mut state, mut succ) = (sys.initial(), sys.initial());
-    let (mut lines, mut enc) = (Vec::new(), Vec::new());
+    let mut lines = Vec::new();
     // Steps were recorded against canonical representatives, so the
-    // replay re-canonicalizes (encode, then decode) after every step.
-    let mut canonicalize = |from: &S::State, into: &mut S::State, scratch: &mut S::Scratch| {
+    // replay re-canonicalizes (encode, then decode) after every step. The
+    // bytes are copied out: `decode_into` takes the scratch that lends them.
+    let canonicalize = |from: &S::State, into: &mut S::State, scratch: &mut S::Scratch| {
         sys.canonical_fp(from, scratch);
-        enc.clear();
-        sys.encode_canonical_into(scratch, &mut enc);
+        let enc = sys.canonical_bytes(scratch).to_vec();
         sys.decode_into(&enc, into, scratch);
     };
     canonicalize(&succ, &mut state, &mut scratch);
@@ -1505,8 +1484,8 @@ mod tests {
         fn canonical_fp(&self, state: &Self::State, scratch: &mut Self::Scratch) -> u64 {
             self.inner.canonical_fp(state, scratch)
         }
-        fn encode_canonical_into(&self, scratch: &Self::Scratch, out: &mut Vec<u8>) {
-            self.inner.encode_canonical_into(scratch, out)
+        fn canonical_bytes<'s>(&self, scratch: &'s Self::Scratch) -> &'s [u8] {
+            self.inner.canonical_bytes(scratch)
         }
         fn decode_into(&self, bytes: &[u8], state: &mut Self::State, scratch: &mut Self::Scratch) {
             self.inner.decode_into(bytes, state, scratch)
@@ -1566,6 +1545,105 @@ mod tests {
             assert!(msg.contains(&format!("n_caches {n} outside 1..=8")), "{msg}");
         }
         let _ = ModelChecker::new(&g.cache, &g.directory, McConfig::with_caches(crate::MAX_CACHES));
+    }
+
+    #[test]
+    #[should_panic(expected = "value_domain")]
+    fn flat_checker_refuses_an_empty_value_domain() {
+        let ssp = protogen_protocols::msi();
+        let g = protogen_core::generate(&ssp, &protogen_core::GenConfig::stalling()).unwrap();
+        let cfg = McConfig { value_domain: 0, ..McConfig::with_caches(2) };
+        let _ = ModelChecker::new(&g.cache, &g.directory, cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "value_domain")]
+    fn composed_checker_refuses_an_empty_value_domain() {
+        let comp = protogen_protocols::msi_under_msi(1, 2);
+        let composed =
+            protogen_core::compose(&comp, &protogen_core::GenConfig::stalling()).unwrap();
+        let cfg = crate::HierConfig { value_domain: 0, ..crate::HierConfig::default() };
+        let _ = crate::HierChecker::new(&composed, cfg);
+    }
+
+    /// The arena writer in every store mode: delta runs with restarts, two
+    /// deltas that would outgrow their targets, and two spilled chunks,
+    /// read back through the checkpoint append and a restored arena.
+    #[test]
+    fn arena_entries_replay_in_order_across_restarts_and_spills() {
+        // The one-cache flat layout: a 7-byte cache block, a 6-byte
+        // directory entry, four channel queues and the ghost byte.
+        let map = SectionMap::flat(1);
+        // Entry `LOADED` has one message in every queue, so it differs from
+        // both neighbours in every section: those deltas would be the
+        // whole encoding plus the section mask.
+        const LOADED: usize = 100;
+        let encs: Vec<Vec<u8>> = (0..200)
+            .map(|i| {
+                let mut e =
+                    vec![i as u8, (i >> 8) as u8, 0, 0, 0, 0, 0, (i * 7) as u8, 0, 0, 0, 0, 0];
+                for _ in 0..4 {
+                    e.extend_from_slice(if i == LOADED { &[1, 9, 9, 9, 9, 9, 9, 9] } else { &[0] });
+                }
+                e.push(i as u8 & 1);
+                e
+            })
+            .collect();
+        let replay = |index: &[FrontEntry], arena: &[u8]| {
+            let mut fulls: Vec<Vec<u8>> = Vec::new();
+            for e in index {
+                let raw = &arena[e.off..e.off + e.len as usize];
+                let mut full = Vec::new();
+                match fulls.last() {
+                    Some(prev) if e.delta => map.apply_delta(prev, raw, &mut full),
+                    _ => full.extend_from_slice(raw),
+                }
+                fulls.push(full);
+            }
+            fulls
+        };
+        for mode in [StoreMode::Full, StoreMode::Delta, StoreMode::FpOnly] {
+            let mut buf = FrontierBuf::new();
+            for (i, e) in encs.iter().enumerate() {
+                if (i == 60 || i == 150) && crate::spill::SPILL_SUPPORTED {
+                    buf.spill_hot("frontier").unwrap();
+                }
+                buf.append(map, e, i as u32, !(i as u64), mode.delta_frontier());
+            }
+            let fulls: Vec<usize> = (0..encs.len()).filter(|&i| !buf.index[i].delta).collect();
+            if mode.delta_frontier() {
+                // Restarts after DELTA_RESTART deltas, at 65 and at 166
+                // (the count restarts at the fallbacks).
+                assert_eq!(fulls, [0, 65, LOADED, LOADED + 1, 166], "{mode:?}");
+            } else {
+                assert_eq!(fulls.len(), encs.len(), "{mode:?}");
+            }
+            if crate::spill::SPILL_SUPPORTED {
+                assert_eq!(buf.spill_totals().1, 2, "{mode:?}");
+            }
+            // The entry bytes, rebuilt from the index alone.
+            let mut want = Vec::new();
+            for (i, e) in buf.index.iter().enumerate() {
+                assert_eq!((e.off, e.lid, e.fp), (want.len(), i as u32, !(i as u64)));
+                if e.delta {
+                    map.encode_delta(&encs[i - 1], &encs[i], &mut want);
+                } else {
+                    want.extend_from_slice(&encs[i]);
+                }
+                assert_eq!(want.len(), e.off + e.len as usize, "{mode:?}: entry {i}");
+            }
+            // The checkpoint append lands after whatever the buffer holds.
+            let mut global = vec![0xa5; 3];
+            buf.append_global_to(&mut global).unwrap();
+            assert_eq!(buf.global_len(), want.len());
+            assert_eq!(global[3..], want[..], "{mode:?}");
+            assert_eq!(replay(&buf.index, &global[3..]), encs, "{mode:?}");
+            let restored = FrontierBuf::restored(buf.index.clone(), want.clone());
+            assert_eq!(replay(&restored.index, &restored.bytes), encs, "{mode:?}");
+            let mut again = Vec::new();
+            restored.append_global_to(&mut again).unwrap();
+            assert_eq!(again, want, "{mode:?}");
+        }
     }
 
     #[test]

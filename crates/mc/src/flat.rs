@@ -189,13 +189,16 @@ impl<'a> ModelChecker<'a> {
     ///
     /// Panics when [`McConfig::n_caches`] is outside `1..=`[`MAX_CACHES`]:
     /// zero caches verify nothing, and past the sharer mask's width cache
-    /// ids alias — either would report a verdict for the wrong space.
+    /// ids alias — either would report a verdict for the wrong space. Also
+    /// panics when [`McConfig::value_domain`] is 0: stores draw their value
+    /// modulo the domain.
     pub fn new(cache_fsm: &'a Fsm, dir_fsm: &'a Fsm, cfg: McConfig) -> Self {
         assert!(
             (1..=MAX_CACHES).contains(&cfg.n_caches),
             "n_caches {} outside 1..={MAX_CACHES}: the sharer list is an 8-bit mask",
             cfg.n_caches
         );
+        assert!(cfg.value_domain >= 1, "value_domain 0: stores draw their value modulo it");
         ModelChecker { cache: Machine::new(cache_fsm), dir: Machine::new(dir_fsm), cfg }
     }
 
@@ -396,8 +399,8 @@ impl TransitionSystem for ModelChecker<'_> {
         scratch.canon.canonical_fp(state)
     }
 
-    fn encode_canonical_into(&self, scratch: &FlatScratch, out: &mut Vec<u8>) {
-        scratch.canon.encode_best_into(out);
+    fn canonical_bytes<'s>(&self, scratch: &'s FlatScratch) -> &'s [u8] {
+        scratch.canon.best()
     }
 
     fn decode_into(&self, bytes: &[u8], state: &mut SysState, scratch: &mut FlatScratch) {

@@ -351,12 +351,14 @@ impl HierChecker {
     ///
     /// # Panics
     ///
-    /// Panics when [`Self::check_size`] refuses the stack: node indices
-    /// would wrap.
+    /// Panics when [`Self::check_size`] refuses the stack (node indices
+    /// would wrap), or when [`HierConfig::value_domain`] is 0 (stores draw
+    /// their value modulo the domain).
     pub fn new(composed: &Composed, cfg: HierConfig) -> Self {
         if let Err(e) = Self::check_size(composed) {
             panic!("{e}");
         }
+        assert!(cfg.value_domain >= 1, "value_domain 0: stores draw their value modulo it");
         let k = composed.depth();
         let levels: Vec<LevelRt> = composed
             .levels
@@ -832,7 +834,7 @@ impl TransitionSystem for HierChecker {
     }
 
     /// The canonical fingerprint of `s`, its encoding left in the sweep for
-    /// the encode call: among the group elements that list siblings in
+    /// `canonical_bytes` to lend: among the group elements that list siblings in
     /// ascending key order under every parent, the one whose encoding has
     /// the minimum fingerprint, ties by enumeration order — the one
     /// `Sweep` [`crate::Canonicalizer`] runs too, so a one-level stack
@@ -849,8 +851,8 @@ impl TransitionSystem for HierChecker {
         })
     }
 
-    fn encode_canonical_into(&self, scratch: &HierScratch, out: &mut Vec<u8>) {
-        out.extend_from_slice(scratch.sweep.best());
+    fn canonical_bytes<'s>(&self, scratch: &'s HierScratch) -> &'s [u8] {
+        scratch.sweep.best()
     }
 
     /// Decodes an identity-permutation encoding back into `s` (shaped by

@@ -76,7 +76,7 @@ fn assert_identity(name: &str, n: usize) {
         stack_bytes.clear();
         let flat_fp = canon.encode_canonical_into(&s, &mut flat_bytes);
         let stack_fp = hc.canonical_fp(&stacked, &mut scratch);
-        hc.encode_canonical_into(&scratch, &mut stack_bytes);
+        stack_bytes.extend_from_slice(hc.canonical_bytes(&scratch));
         assert_eq!(&flat_bytes, enc, "{name}@{n}: state {i} left its orbit");
         assert_eq!((stack_fp, &stack_bytes), (flat_fp, &flat_bytes), "{name}@{n}: state {i}");
     }
@@ -113,8 +113,8 @@ fn assert_identity(name: &str, n: usize) {
                     );
                     flat_bytes.clear();
                     stack_bytes.clear();
-                    mc.encode_canonical_into(&fsc, &mut flat_bytes);
-                    hc.encode_canonical_into(&hsc, &mut stack_bytes);
+                    flat_bytes.extend_from_slice(mc.canonical_bytes(&fsc));
+                    stack_bytes.extend_from_slice(hc.canonical_bytes(&hsc));
                     assert_eq!(flat_bytes, stack_bytes, "{at}: successors differ");
                 }
                 (Ok(false), Ok(false)) => {}

@@ -58,7 +58,7 @@ fn draw(seed: &mut u64) -> u64 {
 fn encode(raw: &HierChecker, s: &HierState, sc: &mut HierScratch) -> Vec<u8> {
     let mut out = Vec::new();
     raw.canonical_fp(s, sc);
-    raw.encode_canonical_into(sc, &mut out);
+    out.extend_from_slice(raw.canonical_bytes(sc));
     out
 }
 
@@ -66,7 +66,7 @@ fn encode(raw: &HierChecker, s: &HierState, sc: &mut HierScratch) -> Vec<u8> {
 fn canonical(hc: &HierChecker, s: &HierState, sc: &mut HierScratch) -> (u64, Vec<u8>) {
     let mut out = Vec::new();
     let fp = hc.canonical_fp(s, sc);
-    hc.encode_canonical_into(sc, &mut out);
+    out.extend_from_slice(hc.canonical_bytes(sc));
     (fp, out)
 }
 

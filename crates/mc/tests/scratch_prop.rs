@@ -56,7 +56,7 @@ fn assert_scratch_matches_full_copy<S>(
                     if draw() % candidates == 0 {
                         sys.canonical_fp(&succ, &mut scratch);
                         next.clear();
-                        sys.encode_canonical_into(&scratch, &mut next);
+                        next.extend_from_slice(sys.canonical_bytes(&scratch));
                     }
                 }
             }

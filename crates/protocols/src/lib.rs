@@ -44,7 +44,7 @@ pub use sanity::{sim_sanity, SimSanity};
 pub use si_sd::si_sd;
 pub use tso_cc::tso_cc;
 
-use protogen_spec::{MemoryModel, Ssp};
+use protogen_spec::Ssp;
 
 /// All built-in protocols, for sweeps and benchmarks.
 pub fn all() -> Vec<Ssp> {
@@ -54,15 +54,6 @@ pub fn all() -> Vec<Ssp> {
 /// The CLI names of the built-in protocols, in [`all`]'s order.
 pub const NAMES: [&str; 7] =
     ["msi", "mesi", "mosi", "msi-upgrade", "msi-unordered", "tso-cc", "si-sd"];
-
-/// Whether a protocol intentionally trades physical SWMR and data-value
-/// freshness (§VI-D): TSO-CC and the SI/SD family self-invalidate lazily,
-/// so those invariants must be relaxed when checking them. Derived from
-/// the declared memory model — any non-SC spec trades some of the SC
-/// contract; the checker's `PropertySet::promised` says which part.
-pub fn trades_swmr(ssp: &Ssp) -> bool {
-    ssp.consistency != MemoryModel::Sc
-}
 
 /// Looks a protocol up by its CLI name (see [`NAMES`]).
 pub fn by_name(name: &str) -> Option<Ssp> {
