@@ -9,8 +9,8 @@
 //! Exit codes: 0 pass · 1 ran, and the answer is no (`FAILED`,
 //! `INCOMPLETE`, a coverage escape, a run error) · 2 the command line was
 //! wrong and nothing ran · 3 `serve` hit its deadline · 4 `serve`'s fault
-//! plan did not finish · 141 stdout was closed early (`protogen stats |
-//! head -1`). Exit 2 covers a flag the CLI does not know, a flag of
+//! plan did not finish · 141 stdout was closed early (`protogen table msi
+//! | head -1`). Exit 2 covers a flag the CLI does not know, a flag of
 //! another subcommand, a repeated flag, a missing, unparsable or
 //! out-of-range value and a surplus operand, each named on stderr above
 //! the usage line — a typo never runs at a default with a verdict printed.
@@ -86,11 +86,11 @@
 use protogen_backend::{
     render_composed_table, render_table, to_dot, to_dot_composed, to_murphi, TableOptions,
 };
-use protogen_core::{compose, generate, Composed, GenConfig, Generated};
+use protogen_core::{compose, generate, par, Composed, GenConfig, Generated};
 use protogen_litmus::{run_suite, Limits};
 use protogen_mc::{
-    HierChecker, McConfig, ModelChecker, PropertySet, ResourceLimit, StoreMode, MAX_CACHES,
-    MAX_GROUP, SHARD_CAPACITY,
+    CheckResult, HierChecker, McConfig, ModelChecker, PropertySet, ResourceLimit, StoreMode,
+    MAX_CACHES, MAX_GROUP, SHARD_CAPACITY,
 };
 use protogen_serve::{
     checked_envelope, pair_label, serve, FaultConfig, ServeConfig, ServeError, StopReason,
@@ -109,7 +109,7 @@ use std::process::ExitCode;
 const EXIT_STDOUT_CLOSED: i32 = 141;
 
 /// Writes to stdout. `print!` panics when the write fails — under `protogen
-/// stats | head -1`, a backtrace and exit 101. A closed pipe ends the
+/// table msi | head -1`, a backtrace and exit 101. A closed pipe ends the
 /// process quietly instead, and never with exit 0: a `verify` whose verdict
 /// line was not delivered must not read as a pass.
 fn write_stdout(text: std::fmt::Arguments) {
@@ -131,6 +131,8 @@ macro_rules! out {
 macro_rules! outln {
     ($($arg:tt)*) => { write_stdout(format_args!("{}\n", format_args!($($arg)*))) };
 }
+
+mod reproduce;
 
 /// A command line that was wrong. Nothing has run: `main` prints the
 /// message above the subcommand's usage line and exits 2.
@@ -166,7 +168,7 @@ const COMMANDS: [Command; 11] = [
     Command { name: "sweep", operand: "", run: sweep },
     Command { name: "fuzz", operand: "", run: fuzz },
     Command { name: "litmus", operand: "[protocol|all]", run: litmus_cmd },
-    Command { name: "stats", operand: "", run: stats },
+    Command { name: "reproduce", operand: "", run: reproduce::reproduce },
     Command { name: "compile", operand: "<file.pgen>", run: compile },
 ];
 
@@ -289,7 +291,7 @@ const FLAGS: [(&str, Kind, &[&str]); 39] = [
     ("compose", Kind::Text("l1=msi:2,llc=mesi"), &["table", "verify", "dot"]),
     ("machine", Kind::OneOf(&["cache", "dir"]), &["table", "dot"]),
     ("caches", Kind::Counts, &["verify", "murphi", "sim", "serve", "sweep", "compile"]),
-    ("threads", UNSIGNED, &["verify", "serve", "sweep", "fuzz", "litmus", "compile"]),
+    ("threads", UNSIGNED, &["verify", "serve", "sweep", "fuzz", "litmus", "reproduce", "compile"]),
     ("seed", UNSIGNED, &["sim", "serve", "sweep", "fuzz", "litmus"]),
     ("property", Kind::Text("sc|tso|weak|none|P+Q"), &["verify", "serve", "compile"]),
     ("max-states", POSITIVE, &["verify", "compile"]),
@@ -481,10 +483,7 @@ impl Args {
 
     /// `--threads`; 0 or absent is every available core.
     fn threads(&self) -> usize {
-        match self.num("threads") {
-            None | Some(0) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            Some(n) => n,
-        }
+        par::threads(self.num("threads").unwrap_or(0), usize::MAX)
     }
 
     /// The operand of a subcommand that requires one.
@@ -660,6 +659,16 @@ fn limit_hint(limit: &ResourceLimit) -> String {
     }
 }
 
+/// The verdict word of a check. A limit that fired before any violation
+/// proved nothing either way: not a pass, but not a counterexample.
+fn verdict(r: &CheckResult) -> &'static str {
+    match (&r.violation, &r.limit) {
+        (Some(_), _) => "FAILED",
+        (None, Some(_)) => "INCOMPLETE",
+        (None, None) => "PASSED",
+    }
+}
+
 /// `verify` for flat protocols and composed stacks alike: one explorer,
 /// one result printer.
 fn verify(target: &Target, mut cfg: McConfig, args: &Args) -> Run {
@@ -698,13 +707,7 @@ fn verify(target: &Target, mut cfg: McConfig, args: &Args) -> Run {
     outln!(
         "{name}: {} — {} states, {} transitions, {:.2}s ({:.0} states/s) on {} thread{}{shape}; \
          properties {properties}",
-        // A limit that fired before any violation proved nothing either
-        // way: not a pass (exit 1), but not a counterexample.
-        match (&r.violation, &r.limit) {
-            (Some(_), _) => "FAILED",
-            (None, Some(_)) => "INCOMPLETE",
-            (None, None) => "PASSED",
-        },
+        verdict(&r),
         r.states,
         r.transitions,
         r.seconds,
@@ -793,37 +796,6 @@ fn compile(args: &Args) -> Run {
     let cfg = mc_config(&target, args)?;
     print_tables(&target, args);
     verify(&target, cfg, args)
-}
-
-fn stats(_: &Args) -> Run {
-    outln!(
-        "{:<14} {:<13} {:>12} {:>12} {:>10} {:>10}",
-        "protocol",
-        "config",
-        "cache-states",
-        "dir-states",
-        "cache-arcs",
-        "dir-arcs"
-    );
-    for ssp in protogen_protocols::all() {
-        for (label, cfg) in
-            [("stalling", GenConfig::stalling()), ("non-stalling", GenConfig::non_stalling())]
-        {
-            match generate(&ssp, &cfg) {
-                Ok(g) => outln!(
-                    "{:<14} {:<13} {:>12} {:>12} {:>10} {:>10}",
-                    ssp.name,
-                    label,
-                    g.cache.state_count(),
-                    g.directory.state_count(),
-                    g.cache.transition_count(),
-                    g.directory.transition_count()
-                ),
-                Err(e) => outln!("{:<14} {label}: error {e}", ssp.name),
-            }
-        }
-    }
-    Ok(ExitCode::SUCCESS)
 }
 
 /// The one place a report reaches stdout: the document under `--json`,
@@ -1178,6 +1150,17 @@ fn sweep(args: &Args) -> Run {
     Ok(ExitCode::SUCCESS)
 }
 
+/// Runs a fuzz campaign's `run`. Mutant pipelines panic by design; each
+/// panic is compressed to one line so caught-and-classified mutants don't
+/// spray backtraces, while a panic that *escapes* the harness still leaves
+/// a trail to debug.
+fn quiet_panics<T>(run: impl FnOnce() -> T) -> T {
+    std::panic::set_hook(Box::new(|info| eprintln!("fuzz worker panic: {info}")));
+    let result = run();
+    let _ = std::panic::take_hook();
+    result
+}
+
 /// `fuzz --replay`: one reproducer script back through the pipeline.
 fn replay(path: &str, budget: usize) -> Run {
     use protogen_fuzz::{run_mutant, Outcome, Script};
@@ -1214,13 +1197,7 @@ fn fuzz(args: &Args) -> Run {
         return replay(path, cfg.budget);
     }
 
-    // Mutant pipelines panic by design; compress each panic to one line
-    // so caught-and-classified mutants don't spray backtraces, while a
-    // panic that *escapes* the harness still leaves a trail to debug.
-    std::panic::set_hook(Box::new(|info| eprintln!("fuzz worker panic: {info}")));
-    let report = run_fuzz(&cfg);
-    let _ = std::panic::take_hook();
-    let report = report.map_err(|e| Usage(format!("fuzz failed: {e}")))?;
+    let report = quiet_panics(|| run_fuzz(&cfg)).map_err(|e| Usage(format!("fuzz failed: {e}")))?;
     let unexpected: Vec<_> = report
         .unexpected()
         .into_iter()

@@ -38,9 +38,18 @@ fn no_arguments_prints_usage_and_fails() {
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("usage:"), "{err}");
-    for cmd in
-        ["table", "verify", "dot", "murphi", "sim", "serve", "sweep", "fuzz", "stats", "compile"]
-    {
+    for cmd in [
+        "table",
+        "verify",
+        "dot",
+        "murphi",
+        "sim",
+        "serve",
+        "sweep",
+        "fuzz",
+        "reproduce",
+        "compile",
+    ] {
         assert!(err.contains(cmd), "usage line missing `{cmd}`: {err}");
     }
 }
@@ -542,10 +551,10 @@ fn unknown_flags_and_surplus_operands_are_usage_errors() {
         (&["verify", "msi", "--json"], "`verify` takes no `--json`"),
         (&["sim", "msi", "--max-states", "9"], "`sim` takes no `--max-states`"),
         (&["serve", "msi", "--mutants", "1"], "`serve` takes no `--mutants`"),
-        (&["stats", "--stalling"], "`stats` takes no `--stalling`"),
+        (&["reproduce", "--stalling"], "`reproduce` takes no `--stalling`"),
         (&["verify", "msi", "mesi", "--caches", "2"], "`mesi`"),
         (&["verify", "msi", "--compose", "l1=msi:1,llc=msi:2"], "`msi`"),
-        (&["stats", "msi"], "`msi`"),
+        (&["reproduce", "msi"], "`msi`"),
         (&["simulate", "msi"], "`simulate`"),
     ] {
         let out = protogen(args);
@@ -617,14 +626,14 @@ fn misread_command_lines_exit_2_and_touch_nothing() {
     }
 }
 
-/// A reader that closes stdout early (`protogen stats | head -1`) used to
+/// A reader that closes stdout early (`protogen table msi | head -1`) used to
 /// kill the process with a `failed printing to stdout` panic, a backtrace
 /// and exit 101. It now ends quietly, and not with exit 0: a `verify` whose
 /// verdict line was not delivered must not read as a pass.
 #[test]
 fn closed_stdout_ends_the_process_quietly() {
     use std::process::Stdio;
-    for args in [&["stats"][..], &["table", "mesi"], &["verify", "msi", "--threads", "1"]] {
+    for args in [&["table", "mesi"][..], &["verify", "msi", "--threads", "1"]] {
         // Closed before the child has generated anything to print: stdout
         // is a pipe whose reading end belonged to a process that has
         // already exited without reading. Closing the reading end after
@@ -822,18 +831,6 @@ fn sweep_out_writes_one_json_per_cell() {
         std::fs::read_to_string(dir.join("msi.non-stall.uniform-50.c2.ordered.json")).unwrap();
     assert!(cell_text.contains("\"stats\""), "{cell_text}");
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn stats_covers_every_protocol_in_both_configs() {
-    let out = protogen(&["stats"]);
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    for name in ["MSI", "MESI", "MOSI", "MSI-Upgrade", "MSI-unordered", "TSO-CC"] {
-        assert!(stdout.contains(name), "{name} missing from stats:\n{stdout}");
-    }
-    assert!(stdout.contains("stalling") && stdout.contains("non-stalling"));
-    assert!(!stdout.contains("error"), "{stdout}");
 }
 
 #[test]

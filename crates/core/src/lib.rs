@@ -67,6 +67,7 @@ mod dirgen;
 mod error;
 mod fx;
 mod minimize;
+pub mod par;
 mod preprocess;
 mod report;
 mod weave;

@@ -1,18 +1,19 @@
 //! The fuzzing driver: seeded mutant derivation, negative controls,
 //! multi-threaded batch execution, and the deterministic report.
 //!
-//! Mutants are sharded statically across workers (`index % threads`, the
-//! same discipline as the simulator's sweep sharding) and every mutant
-//! derives its RNG stream from the fuzz seed and its index alone — never
-//! from thread identity or timing — so the merged report is
-//! **byte-identical for any thread count**. CI diffs the JSON to enforce
-//! exactly that.
+//! Mutants fan out through [`protogen_core::par`] (mutant `i` on worker
+//! `i % threads`, as the simulator's sweep does) and every mutant derives
+//! its RNG stream from the fuzz seed and its index alone
+//! ([`par::job_seed`]) — never from thread identity or timing — so the
+//! merged report is **byte-identical for any thread count**. CI diffs the
+//! JSON to enforce exactly that.
 
 use crate::compose::{glue_control, run_composed_mutant};
 use crate::harness::{run_mutant, Outcome};
 use crate::mutate::{apply, site_count, MutOp, Mutation};
 use crate::script::Script;
 use crate::shrink::shrink;
+use protogen_core::par;
 use protogen_sim::Json;
 use protogen_spec::Ssp;
 use rand::rngs::StdRng;
@@ -48,27 +49,6 @@ impl Default for FuzzConfig {
     }
 }
 
-impl FuzzConfig {
-    /// The worker count actually used.
-    pub fn effective_threads(&self) -> usize {
-        let t = if self.threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            self.threads
-        };
-        t.clamp(1, self.mutants.max(1))
-    }
-}
-
-/// SplitMix64 — derives one mutant's seed from the fuzz seed and the
-/// mutant index, independent of thread assignment.
-fn mutant_seed(fuzz_seed: u64, index: usize) -> u64 {
-    let mut z = fuzz_seed ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// One derived mutant: which base protocol, which generator
 /// configuration, and which mutations.
 #[derive(Debug, Clone)]
@@ -86,7 +66,7 @@ pub struct MutantSpec {
 /// Derives mutant `index` of a run: a pure function of `(seed, index)`
 /// and the (ordered) base-protocol list.
 pub fn derive_mutant(seed: u64, index: usize, bases: &[Ssp]) -> MutantSpec {
-    let mut rng = StdRng::seed_from_u64(mutant_seed(seed, index));
+    let mut rng = StdRng::seed_from_u64(par::job_seed(seed, index));
     let protocol_idx = rng.gen_range(0..bases.len());
     let stalling = rng.gen_bool(0.5);
     let n_muts = 1 + rng.gen_range(0usize..3);
@@ -474,8 +454,8 @@ pub fn run_glue_control(budget: usize) -> ControlRecord {
 }
 
 /// Runs a full fuzzing campaign: every negative control, then `mutants`
-/// seeded mutants fanned across [`FuzzConfig::effective_threads`]
-/// workers, with every unexpected outcome shrunk to a minimal
+/// seeded mutants fanned across `cfg.threads` workers
+/// ([`par::map_indexed`]), with every unexpected outcome shrunk to a minimal
 /// reproducer.
 ///
 /// # Errors
@@ -500,65 +480,45 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> Result<FuzzReport, String> {
     controls.push(run_glue_control(cfg.budget));
     controls.push(run_recovery_control(cfg.budget));
 
-    let threads = cfg.effective_threads();
-    let bases_ref = &bases;
-    let worker = |w: usize| -> Vec<MutantRecord> {
-        (0..cfg.mutants)
-            .filter(|i| i % threads == w)
-            .map(|index| {
-                let spec = derive_mutant(cfg.seed, index, bases_ref);
-                let base = &bases_ref[spec.protocol_idx];
-                let gen_cfg = if spec.stalling {
-                    protogen_core::GenConfig::stalling()
-                } else {
-                    protogen_core::GenConfig::non_stalling()
-                };
-                let r = run_mutant(base, &spec.mutations, &gen_cfg, cfg.budget, false);
-                let shrunk = r.outcome.is_unexpected().then(|| {
-                    let s = shrink(base, &spec.mutations, &gen_cfg, cfg.budget, r.outcome.label());
-                    let script = Script {
-                        protocol: cfg.protocols[spec.protocol_idx].clone(),
-                        stalling: spec.stalling,
-                        mutations: s.mutations.clone(),
-                    };
-                    ShrunkCase {
-                        script: script.render(&format!(
-                            "seed {} mutant {} — outcome {}",
-                            cfg.seed,
-                            index,
-                            s.result.outcome.label()
-                        )),
-                        outcome: s.result.outcome.label().to_string(),
-                        detail: s.result.outcome.detail(),
-                        trace: s.result.trace,
-                    }
-                });
-                MutantRecord {
+    let records = par::map_indexed(cfg.mutants, cfg.threads, |index| {
+        let spec = derive_mutant(cfg.seed, index, &bases);
+        let base = &bases[spec.protocol_idx];
+        let gen_cfg = if spec.stalling {
+            protogen_core::GenConfig::stalling()
+        } else {
+            protogen_core::GenConfig::non_stalling()
+        };
+        let r = run_mutant(base, &spec.mutations, &gen_cfg, cfg.budget, false);
+        let shrunk = r.outcome.is_unexpected().then(|| {
+            let s = shrink(base, &spec.mutations, &gen_cfg, cfg.budget, r.outcome.label());
+            let script = Script {
+                protocol: cfg.protocols[spec.protocol_idx].clone(),
+                stalling: spec.stalling,
+                mutations: s.mutations.clone(),
+            };
+            ShrunkCase {
+                script: script.render(&format!(
+                    "seed {} mutant {} — outcome {}",
+                    cfg.seed,
                     index,
-                    protocol: cfg.protocols[spec.protocol_idx].clone(),
-                    config: if spec.stalling { "stalling" } else { "non-stalling" },
-                    mutations: spec.mutations,
-                    outcome: r.outcome.label().to_string(),
-                    family: r.outcome.family().map(str::to_string),
-                    detail: r.outcome.detail(),
-                    shrunk,
-                }
-            })
-            .collect()
-    };
-
-    let mut merged: Vec<Option<MutantRecord>> = Vec::new();
-    merged.resize_with(cfg.mutants, || None);
-    let per_worker: Vec<Vec<MutantRecord>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads).map(|w| s.spawn(move || worker(w))).collect();
-        handles.into_iter().map(|h| h.join().expect("fuzz worker panicked")).collect()
+                    s.result.outcome.label()
+                )),
+                outcome: s.result.outcome.label().to_string(),
+                detail: s.result.outcome.detail(),
+                trace: s.result.trace,
+            }
+        });
+        MutantRecord {
+            index,
+            protocol: cfg.protocols[spec.protocol_idx].clone(),
+            config: if spec.stalling { "stalling" } else { "non-stalling" },
+            mutations: spec.mutations,
+            outcome: r.outcome.label().to_string(),
+            family: r.outcome.family().map(str::to_string),
+            detail: r.outcome.detail(),
+            shrunk,
+        }
     });
-    for rec in per_worker.into_iter().flatten() {
-        let slot = rec.index;
-        merged[slot] = Some(rec);
-    }
-    let records: Vec<MutantRecord> =
-        merged.into_iter().map(|r| r.expect("every index sharded to one worker")).collect();
 
     Ok(FuzzReport {
         seed: cfg.seed,

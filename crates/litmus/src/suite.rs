@@ -13,7 +13,7 @@
 use crate::machine::{Harness, Limits, LitmusError};
 use crate::reference::{sc_outcomes, tso_outcomes};
 use crate::test::{render_outcomes, LitmusTest, Val};
-use protogen_core::{generate, GenConfig};
+use protogen_core::{generate, par, GenConfig};
 use protogen_spec::{MemoryModel, Ssp};
 use std::collections::BTreeSet;
 use std::error::Error;
@@ -222,10 +222,10 @@ pub fn run_test(
     })
 }
 
-/// Runs the whole suite: every `ssp` × every `test`, sharded over
-/// `workers` OS threads (pair `i` goes to worker `i % workers`). The
-/// report is assembled in input order, so it is identical for any worker
-/// count — a conformance test relies on this.
+/// Runs the whole suite: every `ssp` × every `test`, fanned over `workers`
+/// threads (0: every core) by [`par::map_indexed`], pair `i` on worker
+/// `i % workers`. The report is assembled in input order, so it is
+/// identical for any worker count — a conformance test relies on this.
 ///
 /// # Errors
 ///
@@ -236,7 +236,6 @@ pub fn run_suite(
     limits: &Limits,
     workers: usize,
 ) -> Result<SuiteReport, SuiteError> {
-    let workers = workers.max(1);
     let generated: Vec<_> = ssps
         .iter()
         .map(|ssp| generate(ssp, &GenConfig::default()).expect("bundled protocols generate"))
@@ -246,34 +245,13 @@ pub fn run_suite(
 
     let pairs: Vec<(usize, usize)> =
         (0..ssps.len()).flat_map(|p| (0..tests.len()).map(move |t| (p, t))).collect();
-    let mut slots: Vec<Option<Result<TestReport, SuiteError>>> = vec![None; pairs.len()];
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for w in 0..workers {
-            let harnesses = &harnesses;
-            let pairs = &pairs;
-            handles.push(scope.spawn(move || {
-                let mut results = Vec::new();
-                for (i, &(p, t)) in pairs.iter().enumerate() {
-                    if i % workers != w {
-                        continue;
-                    }
-                    let r = run_test(&harnesses[p], &tests[t], limits).map_err(|e| SuiteError {
-                        protocol: ssps[p].name.clone(),
-                        test: tests[t].name.clone(),
-                        source: e,
-                    });
-                    results.push((i, r));
-                }
-                results
-            }));
-        }
-        for h in handles {
-            for (i, r) in h.join().expect("litmus worker panicked") {
-                slots[i] = Some(r);
-            }
-        }
+    let results = par::map_indexed(pairs.len(), workers, |i| {
+        let (p, t) = pairs[i];
+        run_test(&harnesses[p], &tests[t], limits).map_err(|e| SuiteError {
+            protocol: ssps[p].name.clone(),
+            test: tests[t].name.clone(),
+            source: e,
+        })
     });
 
     let mut protocols: Vec<ProtocolReport> = ssps
@@ -284,9 +262,8 @@ pub fn run_suite(
             tests: Vec::new(),
         })
         .collect();
-    for (slot, &(p, _)) in slots.into_iter().zip(&pairs) {
-        let report = slot.expect("every pair sharded to exactly one worker")?;
-        protocols[p].tests.push(report);
+    for (result, &(p, _)) in results.into_iter().zip(&pairs) {
+        protocols[p].tests.push(result?);
     }
     Ok(SuiteReport { protocols })
 }

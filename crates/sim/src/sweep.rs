@@ -1,10 +1,9 @@
 //! Multi-threaded configuration sweeps over the
 //! `protocol × stalling × workload × cache-count × network` grid.
 //!
-//! Cells are sharded statically across workers (`cell.index % threads`,
-//! the same deterministic-by-construction discipline as the model
-//! checker's sharded explorer) and every cell derives its own RNG seed
-//! from the sweep seed and the cell index alone — never from thread
+//! Cells fan out through [`protogen_core::par`] (cell `i` on worker
+//! `i % threads`) and every cell derives its own RNG seed from the sweep
+//! seed and the cell index alone ([`par::job_seed`]) — never from thread
 //! identity or timing — so the merged report is **byte-identical for any
 //! thread count**. CI diffs the JSON to enforce exactly that.
 
@@ -13,7 +12,7 @@ use crate::engine::simulate;
 use crate::stats::Json;
 use crate::workload::Workload;
 use crate::{SimError, SimResult};
-use protogen_core::{generate, GenConfig};
+use protogen_core::{generate, par, GenConfig};
 
 /// A named interconnect point of the sweep grid.
 #[derive(Debug, Clone)]
@@ -149,16 +148,6 @@ impl SweepConfig {
         out
     }
 
-    /// The worker count actually used.
-    pub fn effective_threads(&self) -> usize {
-        let t = if self.threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            self.threads
-        };
-        t.clamp(1, self.cells().len().max(1))
-    }
-
     /// Human-readable grid listing for `protogen sweep --list`: one line
     /// per cell plus a dimension summary.
     pub fn listing(&self) -> String {
@@ -181,15 +170,6 @@ impl SweepConfig {
         ));
         out
     }
-}
-
-/// SplitMix64 — derives one cell's seed from the sweep seed and the cell
-/// index, so cell results are independent of thread assignment.
-fn cell_seed(sweep_seed: u64, index: usize) -> u64 {
-    let mut z = sweep_seed ^ (index as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
 }
 
 /// One completed cell.
@@ -247,8 +227,8 @@ impl SweepReport {
     }
 }
 
-/// Runs every cell of the grid across [`SweepConfig::effective_threads`]
-/// workers.
+/// Runs every cell of the grid on `cfg.threads` workers
+/// ([`protogen_core::par::map_indexed`]).
 ///
 /// # Errors
 ///
@@ -256,32 +236,8 @@ impl SweepReport {
 /// failure, or simulation failure), independent of thread schedule.
 pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepReport, SimError> {
     let cells = cfg.cells();
-    if cells.is_empty() {
-        return Ok(SweepReport { cells: Vec::new() });
-    }
-    let threads = cfg.effective_threads();
-    let mut merged: Vec<Option<Result<CellResult, SimError>>> = Vec::new();
-    merged.resize_with(cells.len(), || None);
-
-    let worker_results: Vec<Vec<(usize, Result<CellResult, SimError>)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let my_cells: Vec<SweepCell> =
-                    cells.iter().filter(|c| c.index % threads == w).cloned().collect();
-                s.spawn(move || my_cells.into_iter().map(|c| (c.index, run_cell(cfg, c))).collect())
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("sweep worker panicked")).collect()
-    });
-    for (idx, res) in worker_results.into_iter().flatten() {
-        merged[idx] = Some(res);
-    }
-
-    let mut out = Vec::with_capacity(merged.len());
-    for slot in merged {
-        out.push(slot.expect("every cell sharded to exactly one worker")?);
-    }
-    Ok(SweepReport { cells: out })
+    let results = par::map_indexed(cells.len(), cfg.threads, |i| run_cell(cfg, cells[i].clone()));
+    Ok(SweepReport { cells: results.into_iter().collect::<Result<_, _>>()? })
 }
 
 fn run_cell(cfg: &SweepConfig, cell: SweepCell) -> Result<CellResult, SimError> {
@@ -300,7 +256,7 @@ fn run_cell(cfg: &SweepConfig, cell: SweepCell) -> Result<CellResult, SimError> 
     if fifo_clamped {
         network.model = NetModel::Ordered;
     }
-    let seed = cell_seed(cfg.seed, cell.index);
+    let seed = par::job_seed(cfg.seed, cell.index);
     let sim_cfg = SimConfig {
         n_caches: cell.n_caches,
         n_addrs: cfg.n_addrs,
@@ -337,8 +293,11 @@ mod tests {
 
     #[test]
     fn cell_seeds_depend_on_index_not_thread() {
-        assert_ne!(cell_seed(1, 0), cell_seed(1, 1));
-        assert_eq!(cell_seed(1, 5), cell_seed(1, 5));
+        let cfg = SweepConfig::default();
+        let cells = cfg.cells();
+        let seed = |i: usize| run_cell(&cfg, cells[i].clone()).unwrap().seed;
+        assert_eq!(seed(5), par::job_seed(cfg.seed, 5));
+        assert_ne!(seed(5), seed(4));
     }
 
     #[test]

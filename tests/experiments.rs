@@ -72,10 +72,9 @@ fn e4_step2_transient_states() {
 /// states, extra non-stalling states, and merges.
 #[test]
 fn e5_table_vi_nonstalling_msi() {
+    // The state count itself (18; the paper's table lists 19) is pinned by
+    // `protogen reproduce`'s `sizes` block, diffed against EXPERIMENTS.md.
     let g = non_stalling_msi();
-    // 18–20 states (§VI-B). The paper's table lists 19; our minimizer
-    // additionally proves SI_A bisimilar to II_A (one fewer).
-    assert!((18..=20).contains(&g.cache.state_count()), "state count {}", g.cache.state_count());
     // Count transitions the way the paper does: real protocol actions,
     // excluding synthesized defensive acknowledgments of stale forwards.
     let core_transitions = g
@@ -157,34 +156,6 @@ fn e7_figure2_isd_inv() {
     let arcs = g.cache.arcs_for(isdi, Event::Msg(data));
     assert_eq!(arcs[0].to, i);
     assert!(arcs[0].actions.iter().any(|a| matches!(a, protogen::spec::Action::PerformAccess)));
-}
-
-/// E8 — §VI-A: stalling MSI/MESI/MOSI verify for SWMR, data value,
-/// deadlock freedom and completeness (2 caches here; the 3-cache runs are
-/// the nightly `paper-eval` job's `protogen verify … --caches 3`).
-#[test]
-fn e8_stalling_protocols_verify() {
-    for ssp in
-        [protogen::protocols::msi(), protogen::protocols::mesi(), protogen::protocols::mosi()]
-    {
-        let g = generate(&ssp, &GenConfig::stalling()).unwrap();
-        let r = ModelChecker::new(&g.cache, &g.directory, McConfig::with_caches(2)).run();
-        assert!(r.passed(), "{}: {:?}", ssp.name, r.violation);
-    }
-}
-
-/// E9 — §VI-B: non-stalling MSI/MESI/MOSI verify; state counts fall in the
-/// paper's 18–20 band for MSI/MESI-class protocols.
-#[test]
-fn e9_nonstalling_protocols_verify() {
-    for ssp in
-        [protogen::protocols::msi(), protogen::protocols::mesi(), protogen::protocols::mosi()]
-    {
-        let g = generate(&ssp, &GenConfig::non_stalling()).unwrap();
-        assert!(g.cache.state_count() >= 18, "{}: {}", ssp.name, g.cache.state_count());
-        let r = ModelChecker::new(&g.cache, &g.directory, McConfig::with_caches(2)).run();
-        assert!(r.passed(), "{}: {:?}", ssp.name, r.violation);
-    }
 }
 
 /// E9 (shape) — the non-stalling protocol acts exactly where the stalling
@@ -282,7 +253,8 @@ fn dsl_and_builder_msi_are_equivalent() {
 }
 
 /// Every protocol × both concurrency configs verifies at 2 caches — the
-/// full §VI sweep (the nightly `paper-eval` job runs it at 3 caches).
+/// full §VI sweep, E8 and E9 included (`protogen reproduce`'s `verify-3`
+/// block runs it at 3 caches, and CI diffs that block).
 #[test]
 fn full_sweep_all_protocols_verify() {
     for ssp in protogen::protocols::all() {
