@@ -704,14 +704,20 @@ fn verify(target: &Target, mut cfg: McConfig, args: &Args) -> Run {
     // start: a "PASSED" that quietly re-ran from scratch would
     // misrepresent what was verified.
     let r = r.map_err(|e| Usage(format!("cannot resume: {e}")))?;
+    // `seconds` times only this process's epochs while `states` counts the
+    // checkpointed ones too, so a resumed run has no honest rate to print.
+    let rate = if resume {
+        "resumed".to_string()
+    } else {
+        format!("{:.0} states/s", r.states as f64 / r.seconds.max(1e-9))
+    };
     outln!(
-        "{name}: {} — {} states, {} transitions, {:.2}s ({:.0} states/s) on {} thread{}{shape}; \
+        "{name}: {} — {} states, {} transitions, {:.2}s ({rate}) on {} thread{}{shape}; \
          properties {properties}",
         verdict(&r),
         r.states,
         r.transitions,
         r.seconds,
-        r.states as f64 / r.seconds.max(1e-9),
         r.threads,
         if r.threads == 1 { "" } else { "s" }
     );

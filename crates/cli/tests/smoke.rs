@@ -433,6 +433,12 @@ fn verify_checkpoints_and_resumes_to_identical_counts() {
     assert!(resumed.status.success(), "{}", String::from_utf8_lossy(&resumed.stderr));
     assert_eq!(counts(&resumed), counts(&full), "resume must match the uninterrupted run");
     assert!(counts(&full).contains("states"), "count extraction worked: {}", counts(&full));
+    // The resumed process timed only the epochs it ran, so its verdict
+    // line must not divide every state by that time.
+    let line = String::from_utf8_lossy(&resumed.stdout).lines().next().unwrap_or("").to_string();
+    assert!(line.contains("s (resumed) on 2 threads"), "{line}");
+    assert!(!line.contains("states/s"), "a rate over states this run did not explore: {line}");
+    assert!(String::from_utf8_lossy(&full.stdout).contains(" states/s) on 2 threads"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -28,7 +28,8 @@
 //!
 //! DESIGN.md §13 carries the consistency argument in full.
 
-use crate::explore::{FrontEntry, FrontierBuf, StoreMode};
+use crate::explore::{FrontEntry, FrontierBuf};
+use crate::flat::McConfig;
 use crate::frontier::Coordinator;
 use crate::store::{fingerprint_bytes, Gid, ShardStore, StateRec, MAX_SHARDS};
 use std::fmt;
@@ -85,10 +86,6 @@ pub(crate) struct LoadedCheckpoint {
 
 // ---------------------------------------------------------------------
 // Little-endian byte codec (append-only writer, checked reader).
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -209,7 +206,7 @@ pub(crate) fn write_shard(
     for &fp in &fps {
         put_u64(&mut out, fp);
     }
-    put_u8(&mut out, keeps_recs as u8);
+    out.push(keeps_recs as u8);
     if keeps_recs {
         for lid in 0..fps.len() {
             let r = store.rec(lid);
@@ -224,7 +221,7 @@ pub(crate) fn write_shard(
         put_u64(&mut out, e.off as u64);
         put_u32(&mut out, e.len);
         put_u32(&mut out, e.lid);
-        put_u8(&mut out, e.delta as u8);
+        out.push(e.delta as u8);
         put_u64(&mut out, e.fp);
     }
     put_u64(&mut out, arena_len as u64);
@@ -255,17 +252,13 @@ pub(crate) fn commit(
     put_u64(&mut out, identity.0);
     put_u64(&mut out, identity.1);
     for t in 0..threads {
-        let bytes = std::fs::metadata(shard_path(dir, depth, t))?.len();
-        // The shard's own trailing checksum, lifted into the manifest so
-        // resume can verify each file against an independently-committed
-        // record of it.
-        let mut f = std::fs::read(shard_path(dir, depth, t))?;
-        let tail = f.split_off(f.len().saturating_sub(8));
-        let sum = u64::from_le_bytes(
-            tail.as_slice().try_into().map_err(|_| io::Error::other("short shard file"))?,
-        );
-        put_u64(&mut out, bytes);
-        put_u64(&mut out, sum);
+        // The shard's length and its own trailing checksum, lifted into the
+        // manifest so resume can verify each file against an
+        // independently-committed record of it.
+        let f = std::fs::read(shard_path(dir, depth, t))?;
+        let sum = f.len().checked_sub(8).ok_or_else(|| io::Error::other("short shard file"))?;
+        put_u64(&mut out, f.len() as u64);
+        out.extend_from_slice(&f[sum..]);
     }
     let sum = fingerprint_bytes(&out);
     put_u64(&mut out, sum);
@@ -310,17 +303,17 @@ fn committed_depths(dir: &Path) -> Result<Vec<u32>, CheckpointError> {
     Ok(depths)
 }
 
-/// Loads and fully validates the newest committed checkpoint under `dir`
-/// against the resuming system's `identity`
-/// ([`crate::TransitionSystem::identity_fp`]) and store mode. Every
-/// validation failure is a hard error with a description of what did not
-/// match — a questionable checkpoint is never silently skipped in favour
-/// of an older one.
+/// Loads and fully validates the newest committed checkpoint under
+/// `cfg`'s checkpoint directory against the resuming system's `identity`
+/// ([`crate::TransitionSystem::identity_fp`]) and `cfg`'s store mode.
+/// Every validation failure is a hard error with a description of what
+/// did not match — a questionable checkpoint is never silently skipped in
+/// favour of an older one.
 pub(crate) fn load_latest(
-    dir: Option<&Path>,
+    cfg: &McConfig,
     identity: (u64, u64),
-    store: StoreMode,
 ) -> Result<LoadedCheckpoint, CheckpointError> {
+    let dir = cfg.checkpoint_dir.as_deref();
     let dir =
         dir.ok_or_else(|| CheckpointError::new("resume requires checkpoint_dir to be set"))?;
     let depths = committed_depths(dir)?;
@@ -376,7 +369,7 @@ pub(crate) fn load_latest(
 
     let mut shards = Vec::with_capacity(threads);
     for (t, &(want_len, want_sum)) in shard_meta.iter().enumerate() {
-        shards.push(load_shard(dir, depth, t, want_len, want_sum, store.keeps_recs())?);
+        shards.push(load_shard(dir, depth, t, want_len, want_sum, cfg.store.keeps_recs())?);
     }
     Ok(LoadedCheckpoint { depth, threads, total_states, transitions, shards })
 }

@@ -21,61 +21,15 @@
 
 use crate::checkpoint::{CheckpointError, LoadedCheckpoint};
 use crate::delta::SectionMap;
+use crate::flat::McConfig;
 use crate::frontier::{CandBatch, CandMeta, Coordinator, Decision, Inbox, Outboxes, VioCand};
-use crate::store::{Gid, ShardStore, StateRec, STEP_NONE};
+use crate::store::{Gid, ShardStore, StateRec, MAX_SHARDS, STEP_NONE};
+use protogen_core::par;
 use protogen_runtime::{Coverage, PairSet};
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::Ordering::Relaxed;
 use std::time::Instant;
-
-/// The explorer's resource settings, as a borrowed view over the checker
-/// configuration ([`crate::McConfig`], for flat protocols and composed
-/// stacks alike; the field docs live there).
-#[derive(Debug, Clone, Copy)]
-pub struct Resources<'a> {
-    /// State budget, checked at BFS-level granularity.
-    pub max_states: usize,
-    /// Workers (= visited-set shards), the calling thread being worker 0;
-    /// `0` = available parallelism.
-    pub threads: usize,
-    /// How visited/frontier states are stored.
-    pub store: StoreMode,
-    /// Soft RAM budget (`0` = no spilling).
-    pub mem_budget_bytes: usize,
-    /// Spill granularity.
-    pub spill_chunk_bytes: usize,
-    /// Per-shard state bound.
-    pub shard_capacity: usize,
-    /// Where epoch-boundary checkpoints go (`None` = no checkpointing).
-    pub checkpoint_dir: Option<&'a Path>,
-    /// Checkpoint cadence in BFS levels.
-    pub checkpoint_every: u32,
-}
-
-impl Resources<'_> {
-    /// The worker count actually used: `threads` resolved against the
-    /// machine and clamped to `1..=MAX_SHARDS`.
-    pub fn effective_threads(&self) -> usize {
-        let t = if self.threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            self.threads
-        };
-        t.clamp(1, crate::store::MAX_SHARDS)
-    }
-
-    /// The per-shard state bound actually enforced: `shard_capacity`
-    /// clamped to the packed-id limit (a zero is treated as "no extra
-    /// bound").
-    pub fn effective_shard_capacity(&self) -> usize {
-        if self.shard_capacity == 0 {
-            crate::store::SHARD_CAPACITY
-        } else {
-            self.shard_capacity.min(crate::store::SHARD_CAPACITY)
-        }
-    }
-}
 
 /// A system the explorer can search. The contract every implementation
 /// owes the determinism argument (DESIGN.md "Explorer and
@@ -103,8 +57,10 @@ pub trait TransitionSystem: Sync {
     /// [`coverage`](Self::coverage) hands back when a run ends.
     type Scratch: Send;
 
-    /// The resource settings of this run.
-    fn resources(&self) -> Resources<'_>;
+    /// The checker configuration this system runs under: the explorer
+    /// reads its resource settings (workers, budgets, store mode,
+    /// checkpoints) from it.
+    fn config(&self) -> &McConfig;
 
     /// `(configuration, machines)` fingerprints binding a checkpoint to
     /// the exact system whose exploration it froze: the first covers
@@ -278,9 +234,9 @@ impl std::str::FromStr for StoreMode {
 /// `false`: an incomplete exploration proves nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResourceLimit {
-    /// The global [`Resources::max_states`] budget was spent.
+    /// The global [`McConfig::max_states`] budget was spent.
     StateBudget,
-    /// A visited-set shard reached [`Resources::shard_capacity`] states (the
+    /// A visited-set shard reached [`McConfig::shard_capacity`] states (the
     /// shard id is recorded; with several full shards in one level, the
     /// smallest id wins deterministically).
     ShardCapacity {
@@ -469,7 +425,9 @@ const DELTA_RESTART: u32 = 64;
 /// One BFS level of one shard: canonical encodings in one contiguous
 /// arena. Two of these per worker (current and next) are recycled for the
 /// whole run — frontier states cost ~the encoding length each, with no
-/// per-state allocation.
+/// per-state allocation. The arena's layout is this type's alone: entries
+/// go in through [`FrontierBuf::append`] and come out through
+/// [`FrontierBuf::entry`].
 ///
 /// Two orthogonal tiers stack on the seed design (DESIGN.md §9): in delta
 /// mode each appended encoding is stored as a sectioned diff against the
@@ -482,6 +440,9 @@ pub(crate) struct FrontierBuf {
     /// The hot tail: bytes `spilled_off..` of the global arena.
     pub(crate) bytes: Vec<u8>,
     pub(crate) index: Vec<FrontEntry>,
+    /// The section layout entries are delta-compressed over; `None` keeps
+    /// every entry full.
+    delta: Option<SectionMap>,
     /// Global offset of `bytes[0]` (= bytes already spilled).
     spilled_off: usize,
     /// `(global_off, len, file_off)` per spilled chunk, in offset order.
@@ -493,18 +454,32 @@ pub(crate) struct FrontierBuf {
     last: Vec<u8>,
     /// Consecutive delta entries since the last full one.
     since_full: u32,
+    /// Read side: the spilled chunk loaded last, and its index.
+    chunk: Vec<u8>,
+    chunk_at: Option<usize>,
+    /// Read side, delta mode: the previous entry's full encoding and the
+    /// buffer the current one is rebuilt into.
+    base: Vec<u8>,
+    full: Vec<u8>,
 }
 
 impl FrontierBuf {
-    /// An empty arena whose byte capacity starts at — and so, growing by
-    /// doubling, stays — a power of two. Encodings are appended whole, so
-    /// an arena grown from empty would size itself `len·2ᵏ` instead:
-    /// block sizes no other arena or level frees or reuses, which read as
-    /// +8 % peak RSS over repeated verifications in one process.
-    fn new() -> Self {
-        FrontierBuf { bytes: Vec::with_capacity(crate::spill::PAGE as usize), ..Self::default() }
+    /// An empty arena, delta-compressed over `delta` when given, whose
+    /// byte capacity starts at — and so, growing by doubling, stays — a
+    /// power of two. Encodings are appended whole, so an arena grown from
+    /// empty would size itself `len·2ᵏ` instead: block sizes no other
+    /// arena or level frees or reuses, which read as +8 % peak RSS over
+    /// repeated verifications in one process.
+    pub(crate) fn new(delta: Option<SectionMap>) -> Self {
+        FrontierBuf {
+            bytes: Vec::with_capacity(crate::spill::PAGE as usize),
+            delta,
+            ..Self::default()
+        }
     }
 
+    /// Empties the arena for the next level's appends. The loaded chunk is
+    /// freed: only the arena being read needs one.
     fn clear(&mut self) {
         self.bytes.clear();
         self.index.clear();
@@ -515,34 +490,72 @@ impl FrontierBuf {
         }
         self.last.clear();
         self.since_full = 0;
+        self.chunk = Vec::new();
+        self.chunk_at = None;
+        self.base.clear();
     }
 
     /// Appends `full` (a complete canonical encoding) as the next entry,
-    /// delta-compressing against the previous entry when `delta_mode` and
-    /// the delta actually wins. Every frontier entry is written here.
-    fn append(&mut self, map: SectionMap, full: &[u8], lid: u32, fp: u64, delta_mode: bool) {
+    /// delta-compressing against the previous entry in delta mode when the
+    /// delta actually wins. Every frontier entry is written here.
+    fn append(&mut self, full: &[u8], lid: u32, fp: u64) {
         let off = self.spilled_off + self.bytes.len();
         let start = self.bytes.len();
-        let delta = if delta_mode && !self.last.is_empty() && self.since_full < DELTA_RESTART {
-            let dlen = map.encode_delta(&self.last, full, &mut self.bytes);
-            if dlen >= full.len() {
-                self.bytes.truncate(start);
+        let delta = match self.delta {
+            Some(map) if !self.last.is_empty() && self.since_full < DELTA_RESTART => {
+                let dlen = map.encode_delta(&self.last, full, &mut self.bytes);
+                if dlen >= full.len() {
+                    self.bytes.truncate(start);
+                    self.bytes.extend_from_slice(full);
+                }
+                dlen < full.len()
+            }
+            _ => {
                 self.bytes.extend_from_slice(full);
                 false
-            } else {
-                true
             }
-        } else {
-            self.bytes.extend_from_slice(full);
-            false
         };
         self.since_full = if delta { self.since_full + 1 } else { 0 };
-        if delta_mode {
+        if self.delta.is_some() {
             self.last.clear();
             self.last.extend_from_slice(full);
         }
         let len = (self.bytes.len() - start) as u32;
         self.index.push(FrontEntry { off, len, lid, delta, fp });
+    }
+
+    /// Entry `i`'s full canonical encoding, read where it lies — in the
+    /// hot tail or in its spilled chunk, loaded whole on first touch — and
+    /// in delta mode rebuilt against the previous entry's, which is kept as
+    /// the next base. Entries are read in index order within an epoch: the
+    /// delta chain and the streamed chunk loads rely on it.
+    pub(crate) fn entry(&mut self, i: usize) -> &[u8] {
+        let e = self.index[i];
+        let (lies_in, start) = if e.off >= self.spilled_off {
+            (&self.bytes, e.off - self.spilled_off)
+        } else {
+            let ci = self.chunks.partition_point(|&(off, len, _)| off + len <= e.off);
+            let (off, len, file_off) = self.chunks[ci];
+            if self.chunk_at != Some(ci) {
+                self.chunk.resize(len, 0);
+                let spill = self.spill.as_ref().expect("spilled frontier implies a spill file");
+                spill.read_exact_at(&mut self.chunk, file_off).expect("frontier spill read failed");
+                self.chunk_at = Some(ci);
+            }
+            (&self.chunk, e.off - off)
+        };
+        let raw = &lies_in[start..start + e.len as usize];
+        let Some(map) = self.delta else {
+            return raw;
+        };
+        self.full.clear();
+        if e.delta {
+            map.apply_delta(&self.base, raw, &mut self.full);
+        } else {
+            self.full.extend_from_slice(raw);
+        }
+        std::mem::swap(&mut self.base, &mut self.full);
+        &self.base
     }
 
     /// Flushes the whole hot tail to the spill file as one page-aligned
@@ -562,7 +575,8 @@ impl FrontierBuf {
         Ok(())
     }
 
-    /// RAM held by this arena's allocations.
+    /// RAM held by this arena's allocations (the read side's buffers are
+    /// scratch, not accounted).
     fn mem_bytes(&self) -> usize {
         self.bytes.capacity()
             + self.index.capacity() * std::mem::size_of::<FrontEntry>()
@@ -599,14 +613,15 @@ impl FrontierBuf {
         Ok(())
     }
 
-    /// Rebuilds an arena from a checkpoint snapshot: everything hot, no
+    /// Refills the arena from a checkpoint snapshot: everything hot, no
     /// spill tier. The delta-append state (`last`/`since_full`) is *not*
     /// part of a snapshot and need not be: after a restore the arena is
-    /// only ever read sequentially (reads reconstruct delta chains from
-    /// the entries themselves), and the first append after the next
-    /// `clear()` always restarts with a full encoding.
-    pub(crate) fn restored(index: Vec<FrontEntry>, bytes: Vec<u8>) -> FrontierBuf {
-        FrontierBuf { bytes, index, ..FrontierBuf::default() }
+    /// only ever read sequentially ([`FrontierBuf::entry`] rebuilds delta
+    /// chains from the entries themselves), and the first append after the
+    /// next `clear()` always restarts with a full encoding.
+    pub(crate) fn restore(&mut self, index: Vec<FrontEntry>, bytes: Vec<u8>) {
+        self.clear();
+        (self.index, self.bytes) = (index, bytes);
     }
 }
 
@@ -617,11 +632,7 @@ impl FrontierBuf {
 /// makes steady-state expansion allocation-free.
 struct Worker<'w, S: TransitionSystem> {
     sys: &'w S,
-    /// The run's resource settings and encoding layout, read once.
-    res: Resources<'w>,
-    map: SectionMap,
     t: usize,
-    n_shards: usize,
     store: ShardStore,
     cur: FrontierBuf,
     next: FrontierBuf,
@@ -645,47 +656,30 @@ struct Worker<'w, S: TransitionSystem> {
     /// monotonically per epoch), which is exactly the parent-race
     /// condition — without reading a possibly-frozen record.
     epoch_start: u32,
-    /// This worker's slice of [`Resources::mem_budget_bytes`] (0 = no
+    /// This worker's slice of [`McConfig::mem_budget_bytes`] (0 = no
     /// budget, spilling off).
     budget_share: usize,
     /// Minimum hot-tail size before a frontier flush is considered.
     spill_chunk: usize,
-    /// [`StoreMode::delta_frontier`] / [`StoreMode::keeps_recs`], cached.
-    delta_mode: bool,
+    /// [`StoreMode::keeps_recs`], cached.
     keeps_recs: bool,
-    /// Scratch: previous frontier entry's reconstructed full encoding
-    /// (the delta base while reading `cur` sequentially).
-    prev_full: Vec<u8>,
-    /// Scratch: the current entry's reconstructed full encoding.
-    cur_full: Vec<u8>,
-    /// Scratch: the spilled chunk of `cur` currently loaded.
-    chunk_buf: Vec<u8>,
-    /// Index into `cur.chunks` of `chunk_buf` (`usize::MAX` = none).
-    chunk_at: usize,
     inboxes: &'w [Inbox],
     coord: &'w Coordinator,
 }
 
 impl<'w, S: TransitionSystem> Worker<'w, S> {
-    fn new(
-        sys: &'w S,
-        t: usize,
-        n_shards: usize,
-        inboxes: &'w [Inbox],
-        coord: &'w Coordinator,
-    ) -> Self {
-        let res = sys.resources();
+    /// Worker `t` of as many as there are `inboxes`.
+    fn new(sys: &'w S, t: usize, inboxes: &'w [Inbox], coord: &'w Coordinator) -> Self {
+        let (cfg, n_shards) = (sys.config(), inboxes.len());
         // The budget is ignored on platforms without positioned file reads.
-        let budget = if crate::spill::SPILL_SUPPORTED { res.mem_budget_bytes } else { 0 };
+        let budget = if crate::spill::SPILL_SUPPORTED { cfg.mem_budget_bytes } else { 0 };
+        let arena = || FrontierBuf::new(cfg.store.delta_frontier().then(|| sys.section_map()));
         Worker {
             sys,
-            res,
-            map: sys.section_map(),
             t,
-            n_shards,
             store: ShardStore::new(),
-            cur: FrontierBuf::new(),
-            next: FrontierBuf::new(),
+            cur: arena(),
+            next: arena(),
             out: Outboxes::new(n_shards),
             scratch: sys.scratch(),
             state: sys.initial(),
@@ -694,16 +688,11 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
             violations: Vec::new(),
             new_count: 0,
             depth: 0,
-            cap: res.effective_shard_capacity(),
+            cap: cfg.effective_shard_capacity(),
             epoch_start: 0,
             budget_share: if budget == 0 { 0 } else { (budget / n_shards).max(1) },
-            spill_chunk: res.spill_chunk_bytes.max(crate::spill::PAGE as usize),
-            delta_mode: res.store.delta_frontier(),
-            keeps_recs: res.store.keeps_recs(),
-            prev_full: Vec::new(),
-            cur_full: Vec::new(),
-            chunk_buf: Vec::new(),
-            chunk_at: usize::MAX,
+            spill_chunk: cfg.spill_chunk_bytes.max(crate::spill::PAGE as usize),
+            keeps_recs: cfg.store.keeps_recs(),
             inboxes,
             coord,
         }
@@ -720,7 +709,7 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
                 step: STEP_NONE,
             });
         }
-        self.cur.append(self.map, enc, 0, fp0, self.delta_mode);
+        self.cur.append(enc, 0, fp0);
     }
 
     /// Installs a loaded checkpoint shard in place of a fresh start: the
@@ -728,66 +717,42 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
     /// checkpointed epoch (exactly where the checkpoint was taken).
     fn restore_snapshot(&mut self, snap: crate::checkpoint::ShardSnapshot, depth: u32) {
         self.store = snap.store;
-        self.cur = FrontierBuf::restored(snap.entries, snap.arena);
+        self.cur.restore(snap.entries, snap.arena);
         self.depth = depth;
     }
 
     /// The worker loop: one iteration per BFS epoch.
     ///
-    /// Each phase body runs under `catch_unwind`: a panicking worker
-    /// records its payload on the coordinator and keeps rendezvousing
-    /// doing no work, so the fleet drains and the panic is re-raised on
-    /// the calling thread instead of deadlocking the phaser.
+    /// Each phase body runs under [`Coordinator::guard`]: a panicking
+    /// worker records its payload on the coordinator and keeps
+    /// rendezvousing doing no work, so the fleet drains and the panic is
+    /// re-raised on the calling thread instead of deadlocking the phaser.
     fn run(mut self) -> (ShardStore, S::Scratch) {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
         self.epoch_start = self.store.open_level();
+        let cfg = self.sys.config();
         loop {
             let coord = self.coord;
             // Expand this shard's frontier, routing successor encodings
             // and draining arriving batches opportunistically.
-            if !coord.aborted.load(Relaxed) {
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| self.expand_epoch())) {
-                    coord.record_panic(payload);
-                }
-            }
+            coord.guard(|| self.expand_epoch());
             // Expansion boundary: everyone's candidates are queued. While
             // waiting for stragglers, keep servicing the inbox so bounded
             // queues cannot wedge the fleet.
             coord.phaser.arrive_and_drain(|| {
-                if !coord.aborted.load(Relaxed) {
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
-                        self.drain_available();
-                    })) {
-                        coord.record_panic(payload);
-                    }
-                }
+                coord.guard(|| self.drain_available());
             });
             // Final drain + merge of this epoch's counts and violations.
-            if !coord.aborted.load(Relaxed) {
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| self.finish_epoch())) {
-                    coord.record_panic(payload);
-                }
-            }
+            coord.guard(|| self.finish_epoch());
             // Decision boundary: the last arriver publishes the epoch
             // decision for everyone.
-            let max_states = self.res.max_states;
             coord.phaser.arrive(|| {
-                let dec = if coord.aborted.load(Relaxed) {
-                    Decision::Stop { violation: None, hit_limit: false }
-                } else {
-                    match catch_unwind(AssertUnwindSafe(|| decide(coord, max_states))) {
-                        Ok(dec) => dec,
-                        Err(payload) => {
-                            coord.record_panic(payload);
-                            Decision::Stop { violation: None, hit_limit: false }
-                        }
-                    }
-                };
+                let dec = coord.guard(|| decide(coord, cfg.max_states));
                 // Poison-recovery: a panicking sibling already recorded
                 // its payload on the coordinator; the decision value
                 // itself is always written whole, so the lock's data is
                 // usable even when poisoned.
-                *coord.decision.lock().unwrap_or_else(|e| e.into_inner()) = dec;
+                *coord.decision.lock().unwrap_or_else(|e| e.into_inner()) =
+                    dec.unwrap_or(Decision::Stop { violation: None, hit_limit: false });
             });
             if matches!(
                 *coord.decision.lock().unwrap_or_else(|e| e.into_inner()),
@@ -804,8 +769,6 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
             }
             std::mem::swap(&mut self.cur, &mut self.next);
             self.next.clear();
-            self.chunk_at = usize::MAX;
-            self.prev_full.clear();
             self.depth += 1;
             self.epoch_start = self.store.open_level();
             // Checkpoint point: the one place in an epoch where shard
@@ -813,8 +776,8 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
             // queues drained, `cur` read-only from here on. The trigger
             // depends only on (depth, config), so every worker takes the
             // extra rendezvous in lockstep.
-            if let Some(dir) = self.res.checkpoint_dir {
-                if self.depth.is_multiple_of(self.res.checkpoint_every.max(1)) {
+            if let Some(dir) = cfg.checkpoint_dir.as_deref() {
+                if self.depth.is_multiple_of(cfg.checkpoint_every.max(1)) {
                     self.write_checkpoint(dir);
                 }
             }
@@ -822,38 +785,29 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
     }
 
     /// Writes this shard's checkpoint file, then rendezvouses; the last
-    /// arriver commits the manifest. Both steps run under `catch_unwind`
-    /// with the fleet's usual panic discipline; a panic anywhere means the
-    /// manifest is never committed, so the previous checkpoint (if any)
-    /// stays the authoritative one.
+    /// arriver commits the manifest. Both steps run under
+    /// [`Coordinator::guard`]; a panic anywhere means the manifest is
+    /// never committed, so the previous checkpoint (if any) stays the
+    /// authoritative one.
     fn write_checkpoint(&mut self, dir: &Path) {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
         let coord = self.coord;
-        if !coord.aborted.load(Relaxed) {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
-                crate::checkpoint::write_shard(
-                    dir,
-                    self.depth,
-                    self.t,
-                    &self.store,
-                    &self.cur,
-                    self.keeps_recs,
-                )
-                .expect("checkpoint shard write failed");
-            })) {
-                coord.record_panic(payload);
-            }
-        }
-        let (sys, depth, n_shards) = (self.sys, self.depth, self.n_shards);
+        coord.guard(|| {
+            crate::checkpoint::write_shard(
+                dir,
+                self.depth,
+                self.t,
+                &self.store,
+                &self.cur,
+                self.keeps_recs,
+            )
+            .expect("checkpoint shard write failed")
+        });
+        let (sys, depth, n_shards) = (self.sys, self.depth, self.inboxes.len());
         coord.phaser.arrive(|| {
-            if !coord.aborted.load(Relaxed) {
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
-                    crate::checkpoint::commit(dir, depth, n_shards, sys.identity_fp(), coord)
-                        .expect("checkpoint manifest commit failed");
-                })) {
-                    coord.record_panic(payload);
-                }
-            }
+            coord.guard(|| {
+                crate::checkpoint::commit(dir, depth, n_shards, sys.identity_fp(), coord)
+                    .expect("checkpoint manifest commit failed")
+            });
         });
     }
 
@@ -865,11 +819,11 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
         for i in 0..self.cur.index.len() {
             // Service the inbox between expansions so deduplication
             // overlaps expansion instead of serializing behind it.
-            if self.n_shards > 1 && i & 0xf == 0 {
+            if self.inboxes.len() > 1 && i & 0xf == 0 {
                 self.drain_available();
             }
             let e = self.cur.index[i];
-            self.load_entry(i);
+            self.sys.decode_into(self.cur.entry(i), &mut self.state, &mut self.scratch);
             let gid = Gid::pack(self.t, e.lid as usize);
             let mut progress = false;
             self.sys.steps_into(&self.state, &mut self.steps_buf);
@@ -877,29 +831,23 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
                 let step = self.steps_buf[si];
                 let stepped =
                     self.sys.successor_into(&self.state, step, &mut self.succ, &mut self.scratch);
-                match stepped {
-                    Err(kind) => self.violations.push(VioCand {
-                        parent: gid,
-                        parent_fp: e.fp,
-                        step: S::pack_step(step),
-                        kind,
-                    }),
-                    Ok(false) => {}
+                let kind = match stepped {
+                    Err(kind) => kind,
+                    Ok(false) => continue,
                     Ok(true) => {
                         progress = progress || self.sys.is_progress(&self.state, step);
                         local_transitions += 1;
-                        if let Some(kind) = self.sys.check_state(&self.succ) {
-                            self.violations.push(VioCand {
-                                parent: gid,
-                                parent_fp: e.fp,
-                                step: S::pack_step(step),
-                                kind,
-                            });
-                        } else {
-                            self.route_succ(e.fp, gid, S::pack_step(step));
+                        match self.sys.check_state(&self.succ) {
+                            Some(kind) => kind,
+                            None => {
+                                self.route_succ(e.fp, gid, S::pack_step(step));
+                                continue;
+                            }
                         }
                     }
-                }
+                };
+                let step = S::pack_step(step);
+                self.violations.push(VioCand { parent: gid, parent_fp: e.fp, step, kind });
             }
             // Liveness hook: no enabled step from this state counts as
             // progress (what does is the system's call — for the flat
@@ -918,7 +866,7 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
         }
         // Seal and deliver every open batch (end of this epoch's
         // expansion), then merge the level counters.
-        for shard in 0..self.n_shards {
+        for shard in 0..self.inboxes.len() {
             if shard != self.t {
                 if let Some(batch) = self.out.take(shard) {
                     self.deliver(shard, batch);
@@ -928,61 +876,12 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
         self.coord.transitions.fetch_add(local_transitions, Relaxed);
     }
 
-    /// Decodes frontier entry `i` into the scratch state, resolving the
-    /// spill tier and the delta chain. Entries are only ever read in
-    /// index order within an epoch — the sequential contract the delta
-    /// chain (each entry's base is its predecessor's full encoding) and
-    /// the streamed chunk loads rely on.
-    fn load_entry(&mut self, i: usize) {
-        let e = self.cur.index[i];
-        if !self.delta_mode && e.off >= self.cur.spilled_off {
-            // Full mode, hot arena: the seed fast path, zero copies.
-            let start = e.off - self.cur.spilled_off;
-            self.sys.decode_into(
-                &self.cur.bytes[start..start + e.len as usize],
-                &mut self.state,
-                &mut self.scratch,
-            );
-            return;
-        }
-        let (in_hot, start) = if e.off >= self.cur.spilled_off {
-            (true, e.off - self.cur.spilled_off)
-        } else {
-            let ci = self.cur.chunks.partition_point(|&(off, len, _)| off + len <= e.off);
-            if self.chunk_at != ci {
-                let (_, clen, file_off) = self.cur.chunks[ci];
-                self.chunk_buf.resize(clen, 0);
-                self.cur
-                    .spill
-                    .as_ref()
-                    .expect("spilled frontier implies a spill file")
-                    .read_exact_at(&mut self.chunk_buf, file_off)
-                    .expect("frontier spill read failed");
-                self.chunk_at = ci;
-            }
-            (false, e.off - self.cur.chunks[self.chunk_at].0)
-        };
-        let raw = if in_hot {
-            &self.cur.bytes[start..start + e.len as usize]
-        } else {
-            &self.chunk_buf[start..start + e.len as usize]
-        };
-        self.cur_full.clear();
-        if e.delta {
-            self.map.apply_delta(&self.prev_full, raw, &mut self.cur_full);
-        } else {
-            self.cur_full.extend_from_slice(raw);
-        }
-        self.sys.decode_into(&self.cur_full, &mut self.state, &mut self.scratch);
-        std::mem::swap(&mut self.prev_full, &mut self.cur_full);
-    }
-
     /// Routes the successor in `self.succ`: canonicalize, fingerprint,
     /// and either insert locally (own shard — no bytes ever copied for
     /// duplicates) or append the canonical encoding to the owner's batch.
     fn route_succ(&mut self, parent_fp: u64, parent: Gid, step: u32) {
         let fp = self.sys.canonical_fp(&self.succ, &mut self.scratch);
-        let owner = (fp % self.n_shards as u64) as usize;
+        let owner = (fp % self.inboxes.len() as u64) as usize;
         if owner == self.t {
             self.insert(fp, parent_fp, parent, step, None);
         } else {
@@ -1032,7 +931,7 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
                 self.store.push_rec(StateRec { parent_fp, parent, step });
             }
             let full = enc.unwrap_or_else(|| self.sys.canonical_bytes(&self.scratch));
-            self.next.append(self.map, full, lid, fp, self.delta_mode);
+            self.next.append(full, lid, fp);
             self.new_count += 1;
             self.maybe_spill_frontier();
         }
@@ -1125,18 +1024,17 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
 }
 
 /// Resumes exploration of `sys` from the newest committed checkpoint
-/// under its [`Resources::checkpoint_dir`]. The checkpoint is fully
+/// under its [`McConfig::checkpoint_dir`]. The checkpoint is fully
 /// validated first — checksums, manifest↔shard agreement, and that
 /// [`TransitionSystem::identity_fp`] matches what it was written under;
 /// any mismatch or corruption is a hard [`CheckpointError`], never a
 /// silent fresh start. The worker count comes from the manifest (shard
-/// assignment is `fp % threads`), so [`Resources::threads`] is ignored on
+/// assignment is `fp % threads`), so [`McConfig::threads`] is ignored on
 /// resume. A resumed run's states, transitions, violation, and
 /// counterexample trace are byte-identical to an uninterrupted run's;
 /// wall-clock and memory statistics describe only the resumed portion.
 pub(crate) fn resume<S: TransitionSystem>(sys: &S) -> Result<CheckResult, CheckpointError> {
-    let res = sys.resources();
-    let loaded = crate::checkpoint::load_latest(res.checkpoint_dir, sys.identity_fp(), res.store)?;
+    let loaded = crate::checkpoint::load_latest(sys.config(), sys.identity_fp())?;
     Ok(explore(sys, Some(loaded)))
 }
 
@@ -1147,8 +1045,9 @@ pub(crate) fn explore<S: TransitionSystem>(
     resume: Option<LoadedCheckpoint>,
 ) -> CheckResult {
     let start = Instant::now();
-    let res = sys.resources();
-    let threads = resume.as_ref().map_or_else(|| res.effective_threads(), |r| r.threads);
+    let requested = sys.config().threads;
+    let threads =
+        resume.as_ref().map_or_else(|| par::threads(requested, MAX_SHARDS), |r| r.threads);
 
     let mut scratch0 = sys.scratch();
     let initial = sys.initial();
@@ -1177,7 +1076,7 @@ pub(crate) fn explore<S: TransitionSystem>(
             let (inboxes, coord) = (&inboxes, &coord);
             let snap = snaps[t].take();
             move || {
-                let mut w = Worker::new(sys, t, threads, inboxes, coord);
+                let mut w = Worker::new(sys, t, inboxes, coord);
                 match snap {
                     Some(snap) => w.restore_snapshot(snap, depth0),
                     None if t == owner0 => w.seed_root(enc0, fp0),
@@ -1199,10 +1098,13 @@ pub(crate) fn explore<S: TransitionSystem>(
         std::panic::resume_unwind(payload);
     }
 
-    let states = stores.iter().map(|s| s.len()).sum();
-    let transitions = coord.transitions.load(Relaxed);
-    let store_bytes = coord.peak_store.load(Relaxed);
-    let peak_mem_bytes = coord.peak_mem.load(Relaxed);
+    let (violation, hit_limit) =
+        match coord.decision.into_inner().unwrap_or_else(|e| e.into_inner()) {
+            Decision::Stop { violation, hit_limit } => (violation, hit_limit),
+            Decision::Continue => (None, false),
+        };
+    let violation =
+        violation.map(|v| Violation { trace: build_trace(sys, &stores, &v), kind: v.kind });
     let frontier_spill_bytes = coord.frontier_spill_bytes.load(Relaxed);
     let (mut visited_spill_bytes, mut spill_chunks) =
         (0, coord.frontier_spill_chunks.load(Relaxed));
@@ -1211,36 +1113,17 @@ pub(crate) fn explore<S: TransitionSystem>(
         visited_spill_bytes += b;
         spill_chunks += c;
     }
-    let (violation, hit_limit) =
-        match coord.decision.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            Decision::Stop { violation, hit_limit } => {
-                let v = violation.map(|v| Violation {
-                    kind: v.kind.clone(),
-                    trace: build_trace(sys, &stores, &v),
-                });
-                (v, hit_limit)
-            }
-            Decision::Continue => (None, false),
-        };
-    let limit = if hit_limit {
-        let shard = coord.exhausted_shard.load(Relaxed);
-        if shard == usize::MAX {
-            Some(ResourceLimit::StateBudget)
-        } else {
-            Some(ResourceLimit::ShardCapacity { shard })
-        }
-    } else {
-        None
-    };
-
     CheckResult {
-        states,
-        transitions,
+        states: stores.iter().map(|s| s.len()).sum(),
+        transitions: coord.transitions.load(Relaxed),
         violation,
-        limit,
+        limit: hit_limit.then(|| match coord.exhausted_shard.load(Relaxed) {
+            usize::MAX => ResourceLimit::StateBudget,
+            shard => ResourceLimit::ShardCapacity { shard },
+        }),
         seconds: start.elapsed().as_secs_f64(),
-        store_bytes,
-        peak_mem_bytes,
+        store_bytes: coord.peak_store.load(Relaxed),
+        peak_mem_bytes: coord.peak_mem.load(Relaxed),
         spill_bytes: frontier_spill_bytes + visited_spill_bytes,
         spill_chunks,
         frontier_spill_bytes,
@@ -1283,7 +1166,7 @@ fn decide(coord: &Coordinator, max_states: usize) -> Decision {
 /// parent-pointer records across shards, then renders it by replaying
 /// from the initial state through canonical representatives.
 fn build_trace<S: TransitionSystem>(sys: &S, stores: &[ShardStore], v: &VioCand) -> Vec<String> {
-    if !sys.resources().store.keeps_recs() {
+    if !sys.config().store.keeps_recs() {
         return vec![
             "no counterexample trace: the fingerprint-only store keeps no parent records \
              (rerun with --store=full or --store=delta to reconstruct one)"
@@ -1362,15 +1245,19 @@ mod tests {
         }
     }
 
+    /// The explorer runs `par::threads(threads, MAX_SHARDS)` workers: 0 is
+    /// every core, and the count is clamped to `1..=MAX_SHARDS`.
     #[test]
     fn effective_threads_resolves_and_clamps() {
-        let mut cfg = McConfig::with_caches(2);
-        cfg.threads = 0;
-        assert!(cfg.resources().effective_threads() >= 1);
-        cfg.threads = 1_000;
-        assert_eq!(cfg.resources().effective_threads(), crate::store::MAX_SHARDS);
-        cfg.threads = 3;
-        assert_eq!(cfg.resources().effective_threads(), 3);
+        let ssp = protogen_protocols::msi();
+        let g = protogen_core::generate(&ssp, &protogen_core::GenConfig::stalling()).unwrap();
+        let workers = |threads: usize| {
+            let cfg = McConfig::with_caches_and_threads(2, threads);
+            ModelChecker::new(&g.cache, &g.directory, cfg).run().threads
+        };
+        assert!(workers(0) >= 1);
+        assert_eq!(workers(1_000), MAX_SHARDS);
+        assert_eq!(workers(3), 3);
     }
 
     #[test]
@@ -1443,8 +1330,8 @@ mod tests {
         type Step = Step;
         type Scratch = <ModelChecker<'static> as TransitionSystem>::Scratch;
 
-        fn resources(&self) -> Resources<'_> {
-            self.inner.resources()
+        fn config(&self) -> &McConfig {
+            self.inner.config()
         }
         fn identity_fp(&self) -> (u64, u64) {
             self.inner.identity_fp()
@@ -1547,28 +1434,10 @@ mod tests {
         let _ = ModelChecker::new(&g.cache, &g.directory, McConfig::with_caches(crate::MAX_CACHES));
     }
 
-    #[test]
-    #[should_panic(expected = "value_domain")]
-    fn flat_checker_refuses_an_empty_value_domain() {
-        let ssp = protogen_protocols::msi();
-        let g = protogen_core::generate(&ssp, &protogen_core::GenConfig::stalling()).unwrap();
-        let cfg = McConfig { value_domain: 0, ..McConfig::with_caches(2) };
-        let _ = ModelChecker::new(&g.cache, &g.directory, cfg);
-    }
-
-    #[test]
-    #[should_panic(expected = "value_domain")]
-    fn composed_checker_refuses_an_empty_value_domain() {
-        let comp = protogen_protocols::msi_under_msi(1, 2);
-        let composed =
-            protogen_core::compose(&comp, &protogen_core::GenConfig::stalling()).unwrap();
-        let cfg = crate::HierConfig { value_domain: 0, ..crate::HierConfig::default() };
-        let _ = crate::HierChecker::new(&composed, cfg);
-    }
-
-    /// The arena writer in every store mode: delta runs with restarts, two
-    /// deltas that would outgrow their targets, and two spilled chunks,
-    /// read back through the checkpoint append and a restored arena.
+    /// The arena in every store mode: delta runs with restarts, two deltas
+    /// that would outgrow their targets, and two spilled chunks, read back
+    /// through `entry` (from both chunks and the hot tail), the checkpoint
+    /// append and a restored arena.
     #[test]
     fn arena_entries_replay_in_order_across_restarts_and_spills() {
         // The one-cache flat layout: a 7-byte cache block, a 6-byte
@@ -1603,13 +1472,18 @@ mod tests {
             fulls
         };
         for mode in [StoreMode::Full, StoreMode::Delta, StoreMode::FpOnly] {
-            let mut buf = FrontierBuf::new();
+            let arena = || FrontierBuf::new(mode.delta_frontier().then_some(map));
+            let read = |buf: &mut FrontierBuf| {
+                (0..buf.index.len()).map(|i| buf.entry(i).to_vec()).collect::<Vec<_>>()
+            };
+            let mut buf = arena();
             for (i, e) in encs.iter().enumerate() {
                 if (i == 60 || i == 150) && crate::spill::SPILL_SUPPORTED {
                     buf.spill_hot("frontier").unwrap();
                 }
-                buf.append(map, e, i as u32, !(i as u64), mode.delta_frontier());
+                buf.append(e, i as u32, !(i as u64));
             }
+            assert_eq!(read(&mut buf), encs, "{mode:?}");
             let fulls: Vec<usize> = (0..encs.len()).filter(|&i| !buf.index[i].delta).collect();
             if mode.delta_frontier() {
                 // Restarts after DELTA_RESTART deltas, at 65 and at 166
@@ -1638,8 +1512,9 @@ mod tests {
             assert_eq!(buf.global_len(), want.len());
             assert_eq!(global[3..], want[..], "{mode:?}");
             assert_eq!(replay(&buf.index, &global[3..]), encs, "{mode:?}");
-            let restored = FrontierBuf::restored(buf.index.clone(), want.clone());
-            assert_eq!(replay(&restored.index, &restored.bytes), encs, "{mode:?}");
+            let mut restored = arena();
+            restored.restore(buf.index.clone(), want.clone());
+            assert_eq!(read(&mut restored), encs, "{mode:?}");
             let mut again = Vec::new();
             restored.append_global_to(&mut again).unwrap();
             assert_eq!(again, want, "{mode:?}");
@@ -1760,13 +1635,13 @@ mod tests {
     #[test]
     fn shard_capacity_resolves_and_clamps() {
         let mut cfg = McConfig::with_caches(2);
-        assert_eq!(cfg.resources().effective_shard_capacity(), crate::store::SHARD_CAPACITY);
+        assert_eq!(cfg.effective_shard_capacity(), crate::store::SHARD_CAPACITY);
         cfg.shard_capacity = 0;
-        assert_eq!(cfg.resources().effective_shard_capacity(), crate::store::SHARD_CAPACITY);
+        assert_eq!(cfg.effective_shard_capacity(), crate::store::SHARD_CAPACITY);
         cfg.shard_capacity = usize::MAX;
-        assert_eq!(cfg.resources().effective_shard_capacity(), crate::store::SHARD_CAPACITY);
+        assert_eq!(cfg.effective_shard_capacity(), crate::store::SHARD_CAPACITY);
         cfg.shard_capacity = 100;
-        assert_eq!(cfg.resources().effective_shard_capacity(), 100);
+        assert_eq!(cfg.effective_shard_capacity(), 100);
     }
 
     #[test]

@@ -8,8 +8,7 @@ use crate::canon::Canonicalizer;
 use crate::checkpoint::CheckpointError;
 use crate::delta::SectionMap;
 use crate::explore::{
-    explore, reference_bfs, resume, CheckResult, Resources, StoreMode, TransitionSystem,
-    ViolationKind,
+    explore, reference_bfs, resume, CheckResult, StoreMode, TransitionSystem, ViolationKind,
 };
 use crate::property::{LevelBlocks, PropertySet};
 use crate::store::{fingerprint_bytes, STEP_NONE};
@@ -18,6 +17,10 @@ use crate::system::{SysState, MAX_CACHES};
 use protogen_runtime::{Coverage, Machine};
 use protogen_spec::{Access, Fsm};
 use std::fmt;
+
+/// Store values cycle through `0..VALUE_DOMAIN` (the smallest domain in
+/// which a store can change the value: the standard bounding discipline).
+pub(crate) const VALUE_DOMAIN: u8 = 2;
 
 /// Model-checker configuration.
 #[derive(Debug, Clone)]
@@ -30,9 +33,6 @@ pub struct McConfig {
     /// Abort exploration after this many states (checked at BFS-level
     /// granularity, so the final count may overshoot by one level).
     pub max_states: usize,
-    /// Store values cycle through `0..value_domain` (small domain, the
-    /// standard bounding discipline).
-    pub value_domain: u8,
     /// Error out when a channel exceeds this length.
     pub channel_cap: usize,
     /// Point-to-point ordered channels (`true`) or arbitrary reordering.
@@ -96,7 +96,6 @@ impl Default for McConfig {
         McConfig {
             n_caches: 3,
             max_states: 20_000_000,
-            value_domain: 2,
             channel_cap: 8,
             ordered: true,
             properties: PropertySet::sc(),
@@ -123,17 +122,13 @@ impl McConfig {
         McConfig { n_caches: n, threads, ..McConfig::default() }
     }
 
-    /// The explorer's view of this configuration's resource settings.
-    pub fn resources(&self) -> Resources<'_> {
-        Resources {
-            max_states: self.max_states,
-            threads: self.threads,
-            store: self.store,
-            mem_budget_bytes: self.mem_budget_bytes,
-            spill_chunk_bytes: self.spill_chunk_bytes,
-            shard_capacity: self.shard_capacity,
-            checkpoint_dir: self.checkpoint_dir.as_deref(),
-            checkpoint_every: self.checkpoint_every,
+    /// The per-shard state bound actually enforced: `shard_capacity`
+    /// clamped to the packed-id limit (a zero is treated as "no extra
+    /// bound").
+    pub(crate) fn effective_shard_capacity(&self) -> usize {
+        match self.shard_capacity {
+            0 => crate::store::SHARD_CAPACITY,
+            cap => cap.min(crate::store::SHARD_CAPACITY),
         }
     }
 }
@@ -189,16 +184,13 @@ impl<'a> ModelChecker<'a> {
     ///
     /// Panics when [`McConfig::n_caches`] is outside `1..=`[`MAX_CACHES`]:
     /// zero caches verify nothing, and past the sharer mask's width cache
-    /// ids alias — either would report a verdict for the wrong space. Also
-    /// panics when [`McConfig::value_domain`] is 0: stores draw their value
-    /// modulo the domain.
+    /// ids alias — either would report a verdict for the wrong space.
     pub fn new(cache_fsm: &'a Fsm, dir_fsm: &'a Fsm, cfg: McConfig) -> Self {
         assert!(
             (1..=MAX_CACHES).contains(&cfg.n_caches),
             "n_caches {} outside 1..={MAX_CACHES}: the sharer list is an 8-bit mask",
             cfg.n_caches
         );
-        assert!(cfg.value_domain >= 1, "value_domain 0: stores draw their value modulo it");
         ModelChecker { cache: Machine::new(cache_fsm), dir: Machine::new(dir_fsm), cfg }
     }
 
@@ -242,16 +234,20 @@ impl<'a> ModelChecker<'a> {
         succ: &mut SysState,
         st: &mut StepScratch,
     ) -> Result<bool, ViolationKind> {
-        let kernel = Kernel { cache: &self.cache, dir: &self.dir, cfg: &self.cfg, label: None };
         match step {
             Step::Deliver { src, dst, idx } => {
                 let at = (src as usize, dst as usize, idx as usize);
-                kernel.deliver(state, ONLY, at, succ, st)
+                self.kernel().deliver(state, ONLY, at, succ, st)
             }
             Step::IssueAccess { cache, access } => {
-                kernel.issue(state, ONLY, cache as usize, access, succ, st)
+                self.kernel().issue(state, ONLY, cache as usize, access, succ, st)
             }
         }
+    }
+
+    /// The subnet kernel over this system's one level.
+    fn kernel(&self) -> Kernel<'_, &'a Fsm> {
+        Kernel { cache: &self.cache, dir: &self.dir, cfg: &self.cfg, label: None }
     }
 
     /// The clone-per-step successor as a standalone state (`Ok(None)`
@@ -291,9 +287,8 @@ impl<'a> ModelChecker<'a> {
     fn identity_desc(&self) -> String {
         let cfg = &self.cfg;
         format!(
-            "caches={} domain={} cap={} ordered={} symmetry={} store={:?} props={}",
+            "caches={} domain={VALUE_DOMAIN} cap={} ordered={} symmetry={} store={:?} props={}",
             cfg.n_caches,
-            cfg.value_domain,
             cfg.channel_cap,
             cfg.ordered,
             cfg.symmetry,
@@ -331,8 +326,8 @@ impl TransitionSystem for ModelChecker<'_> {
     type Step = Step;
     type Scratch = FlatScratch;
 
-    fn resources(&self) -> Resources<'_> {
-        self.cfg.resources()
+    fn config(&self) -> &McConfig {
+        &self.cfg
     }
 
     fn identity_fp(&self) -> (u64, u64) {
@@ -442,26 +437,7 @@ impl TransitionSystem for ModelChecker<'_> {
     }
 
     fn describe(&self, state: &SysState, step: Step) -> String {
-        let state_name = |node: u8| {
-            let slot = state.subnet(ONLY).slot(node as usize);
-            let machine = if node as usize == self.cfg.n_caches { &self.dir } else { &self.cache };
-            machine.fsm().state(slot.state()).full_name()
-        };
-        match step {
-            Step::Deliver { src, dst, idx } => {
-                let msg = state.channels[src as usize][dst as usize][idx as usize];
-                let mname = &self.cache.fsm().msg(msg.mtype).name;
-                let holder = if dst as usize == state.n_caches() {
-                    format!("dir[{}]", state_name(dst))
-                } else {
-                    format!("n{dst}[{}]", state_name(dst))
-                };
-                format!("{mname} {msg} -> {holder}")
-            }
-            Step::IssueAccess { cache, access } => {
-                format!("n{cache}[{}] {access}", state_name(cache))
-            }
-        }
+        self.kernel().describe(state, ONLY, step)
     }
 }
 

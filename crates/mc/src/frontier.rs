@@ -19,6 +19,8 @@
 //! determinism proof sketch.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering::{Relaxed, SeqCst};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
@@ -360,14 +362,24 @@ impl Coordinator {
         }
     }
 
-    /// Records a worker-phase panic (first one wins) and flips the abort
-    /// flag so every worker exits at the next decision point.
-    pub fn record_panic(&self, payload: Box<dyn std::any::Any + Send>) {
+    /// Runs one worker phase unless the fleet is aborting. A panic in it
+    /// is recorded (first one wins) and flips the abort flag, so every
+    /// worker keeps rendezvousing without work and exits at the next
+    /// decision point. `None`: the phase was skipped or panicked.
+    pub fn guard<T>(&self, phase: impl FnOnce() -> T) -> Option<T> {
+        if self.aborted.load(Relaxed) {
+            return None;
+        }
+        let payload = match catch_unwind(AssertUnwindSafe(phase)) {
+            Ok(value) => return Some(value),
+            Err(payload) => payload,
+        };
         let mut slot = self.panic.lock().unwrap_or_else(|e| e.into_inner());
         if slot.is_none() {
             *slot = Some(payload);
         }
-        self.aborted.store(true, std::sync::atomic::Ordering::SeqCst);
+        self.aborted.store(true, SeqCst);
+        None
     }
 }
 

@@ -63,8 +63,8 @@
 use crate::canon::{queue_hash, subnet_sort_key, Sweep};
 use crate::checkpoint::CheckpointError;
 use crate::delta::SectionMap;
-use crate::explore::{explore, resume, CheckResult, Resources, TransitionSystem, ViolationKind};
-use crate::flat::McConfig;
+use crate::explore::{explore, resume, CheckResult, TransitionSystem, ViolationKind};
+use crate::flat::{McConfig, Step, VALUE_DOMAIN};
 use crate::property::LevelBlocks;
 use crate::store::{absorb, fingerprint_bytes};
 use crate::subnet::{At, Kernel, StepScratch, Subnet, SubnetMut, Subnets};
@@ -72,7 +72,6 @@ use crate::system::{put_block, put_chans_renamed, put_dir_renamed, rename, Decod
 use protogen_core::Composed;
 use protogen_runtime::{ApplyOutcome, CacheBlock, Coverage, DirEntry, Machine, Msg, Val};
 use protogen_spec::{Access, Fsm, FsmStateId, MsgClass, Perm};
-use std::fmt;
 
 /// Largest wreath-product group the canonicalizer reduces under; stacks
 /// whose group is bigger run without symmetry reduction (a fully symmetric
@@ -188,19 +187,6 @@ pub enum HStep {
         /// The access issued.
         access: Access,
     },
-}
-
-impl fmt::Display for HStep {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            HStep::Deliver { level, parent, src, dst, idx } => {
-                write!(f, "deliver L{level}/p{parent}: n{src} -> n{dst} [{idx}]")
-            }
-            HStep::Issue { mlevel, node, access } => {
-                write!(f, "node L{mlevel}.{node} issues {access:?}")
-            }
-        }
-    }
 }
 
 /// One element of the wreath-product symmetry group, as the tables the
@@ -352,13 +338,11 @@ impl HierChecker {
     /// # Panics
     ///
     /// Panics when [`Self::check_size`] refuses the stack (node indices
-    /// would wrap), or when [`HierConfig::value_domain`] is 0 (stores draw
-    /// their value modulo the domain).
+    /// would wrap).
     pub fn new(composed: &Composed, cfg: HierConfig) -> Self {
         if let Err(e) = Self::check_size(composed) {
             panic!("{e}");
         }
-        assert!(cfg.value_domain >= 1, "value_domain 0: stores draw their value modulo it");
         let k = composed.depth();
         let levels: Vec<LevelRt> = composed
             .levels
@@ -617,8 +601,8 @@ impl TransitionSystem for HierChecker {
     type Step = HStep;
     type Scratch = HierScratch;
 
-    fn resources(&self) -> Resources<'_> {
-        self.cfg.resources()
+    fn config(&self) -> &McConfig {
+        &self.cfg
     }
 
     fn identity_fp(&self) -> (u64, u64) {
@@ -628,9 +612,9 @@ impl TransitionSystem for HierChecker {
         // written under another rule (the byte-minimal sweep this checker
         // started with) is a configuration mismatch, not resumable input.
         let desc = format!(
-            "hier counts={:?} domain={} cap={} symmetry={} canon=sorted-siblings store={:?} \
-             props={}",
-            self.counts, c.value_domain, c.channel_cap, c.symmetry, c.store, c.properties,
+            "hier counts={:?} domain={VALUE_DOMAIN} cap={} symmetry={} canon=sorted-siblings \
+             store={:?} props={}",
+            self.counts, c.channel_cap, c.symmetry, c.store, c.properties,
         );
         let mut machines = String::new();
         for l in &self.levels {
@@ -907,8 +891,19 @@ impl TransitionSystem for HierChecker {
         }
     }
 
-    fn describe(&self, _: &HierState, step: HStep) -> String {
-        step.to_string()
+    /// The subnet kernel's line for the step as its subnet sees it.
+    fn describe(&self, state: &HierState, step: HStep) -> String {
+        match step {
+            HStep::Deliver { level, parent, src, dst, idx } => {
+                let at = (level as usize, parent as usize);
+                self.kernel(at.0).describe(state, at, Step::Deliver { src, dst, idx })
+            }
+            HStep::Issue { mlevel, node, access } => {
+                let (j, f) = (mlevel as usize, self.levels[mlevel as usize].fanout);
+                let step = Step::IssueAccess { cache: (node as usize % f) as u8, access };
+                self.kernel(j).describe(state, (j, node as usize / f), step)
+            }
+        }
     }
 }
 
@@ -1206,5 +1201,27 @@ mod tests {
         let refused =
             std::panic::catch_unwind(|| HierChecker::new(&stack(5), HierConfig::default()));
         assert!(refused.is_err(), "an oversized stack must not construct");
+    }
+
+    /// A composed counterexample names what each delivery carried and
+    /// whom it reached — `L0/p0: GetS m0[n1→n2 req=n1] -> l1 directory
+    /// p0[I]` — and each issuing node's state, as the flat trace does.
+    #[test]
+    fn composed_trace_lines_name_the_message_and_the_receiving_state() {
+        let comp = flat_composition("tso-cc", 2).unwrap();
+        let composed = compose(&comp, &GenConfig::non_stalling()).unwrap();
+        let hc = HierChecker::new(&composed, HierConfig::default());
+        let trace = hc.check().violation.expect("tso-cc is not SC").trace;
+        let g = &composed.levels[0].generated;
+        let delivery = trace.iter().find(|l| l.starts_with("L0/p0: ")).expect("a delivery");
+        let (msg, receiver) = delivery["L0/p0: ".len()..].split_once(" -> ").unwrap();
+        let (name, fields) = msg.split_once(' ').unwrap();
+        assert!(g.cache.messages.iter().any(|m| m.name == name), "{delivery}");
+        assert!(fields.contains(" req=n") && fields.ends_with(']'), "{delivery}");
+        let (who, state) = receiver.strip_suffix(']').unwrap().rsplit_once('[').unwrap();
+        assert!(who.starts_with("node L0.") || who == "l1 directory p0", "{delivery}");
+        let fsm = if who.starts_with("node") { &g.cache } else { &g.directory };
+        assert!(fsm.states.iter().any(|st| st.full_name() == state), "{delivery}");
+        assert!(trace.iter().any(|l| l.starts_with("node L0.0[I] ")), "{trace:?}");
     }
 }

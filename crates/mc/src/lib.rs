@@ -15,12 +15,15 @@
 //! pruned symmetry canonicalization ([`Canonicalizer`]) and scratch
 //! stepping that restores only what the previous step wrote. Its results
 //! — states, transitions, the chosen violation, and the counterexample
-//! trace — are identical for every thread count and run. The explorer is generic over a
-//! [`TransitionSystem`]: [`ModelChecker`] (N caches under one directory)
-//! and [`HierChecker`] (a composed stack) are its two implementations and
-//! share every flag, store tier and the checkpoint format. See DESIGN.md
-//! §3 for the trait contract and the store, and §8 for the hot-path
-//! design and its correctness arguments.
+//! trace — are identical for every thread count and run. The explorer is
+//! generic over a [`TransitionSystem`]: [`ModelChecker`] (N caches under
+//! one directory) and [`HierChecker`] (a composed stack) are its two
+//! implementations, and both hand it the one [`McConfig`] they run under
+//! ([`TransitionSystem::config`]), so they share every flag, store tier
+//! and the checkpoint format. Frontier arenas read back their own entries
+//! in every store mode and spill tier. See DESIGN.md §3 for the trait
+//! contract and the store, §8 for the hot-path design and its correctness
+//! arguments, and §9 for the arena's tiers.
 //!
 //! Checked properties:
 //!
@@ -68,7 +71,7 @@ pub use canon::{cache_sort_key, Canonicalizer};
 pub use checkpoint::CheckpointError;
 pub use delta::{apply_delta, encode_delta, SectionMap};
 pub use explore::{
-    reference_bfs, CheckResult, ResourceLimit, Resources, StoreMode, TransitionSystem, Violation,
+    reference_bfs, CheckResult, ResourceLimit, StoreMode, TransitionSystem, Violation,
     ViolationKind,
 };
 pub use flat::{FlatScratch, McConfig, ModelChecker, Step};

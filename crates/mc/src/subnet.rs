@@ -14,7 +14,7 @@
 //! checkers record every dispatch they attempt in one place.
 
 use crate::explore::{exec_violation, ViolationKind};
-use crate::flat::McConfig;
+use crate::flat::{McConfig, Step, VALUE_DOMAIN};
 use protogen_runtime::{ApplyOutcome, CacheBlock, Coverage, DirEntry, Line, Machine, Msg, NodeId};
 use protogen_runtime::{Selected, Slot, Val};
 use protogen_spec::{Access, Action, Arc, Event, Fsm};
@@ -245,6 +245,33 @@ impl<F: Borrow<Fsm>> Kernel<'_, F> {
         self.route(succ, at, &st.outcome)
     }
 
+    /// One counterexample-trace line for `step` taken in subnet `at`. A
+    /// delivery names the message and its fields, then the receiver and its
+    /// state (a composed stack prefixes the subnet, whose local ids the
+    /// message carries); an issue names the cache and its state, then the
+    /// access.
+    pub(crate) fn describe<S: Subnets>(&self, state: &S, at: At, step: Step) -> String {
+        let net = state.subnet(at);
+        let f = net.caches.len();
+        let holder = |node: usize| {
+            let name = self.machine(node, f).fsm().state(net.slot(node).state()).full_name();
+            match self.label {
+                None if node == f => format!("dir[{name}]"),
+                None => format!("n{node}[{name}]"),
+                Some(_) => format!("{}[{name}]", self.who(at, node, f)),
+            }
+        };
+        match step {
+            Step::Deliver { src, dst, idx } => {
+                let msg = net.chans[src as usize][dst as usize][idx as usize];
+                let mname = &self.cache.fsm().msg(msg.mtype).name;
+                let place = self.label.map_or(String::new(), |_| format!("L{}/p{}: ", at.0, at.1));
+                format!("{place}{mname} {msg} -> {}", holder(dst as usize))
+            }
+            Step::IssueAccess { cache, access } => format!("{} {access}", holder(cache as usize)),
+        }
+    }
+
     /// The machine node `node` of an `f`-cache subnet runs.
     fn machine(&self, node: usize, f: usize) -> &Machine<F> {
         if node == f {
@@ -285,7 +312,7 @@ impl<F: Borrow<Fsm>> Kernel<'_, F> {
         let from = delivered.map(|(src, ..)| (src, node));
         st.touched = Some(Touched { at, node, delivered: from });
         let (ghost, leaf) = (state.subnet(at).ghost, at.0 == 0);
-        let value = if leaf { (ghost + 1) % self.cfg.value_domain } else { ghost };
+        let value = if leaf { (ghost + 1) % VALUE_DOMAIN } else { ghost };
         let net = succ.subnet_mut(at);
         if let Some((src, idx, _)) = delivered {
             net.chans[src][node].remove(idx);

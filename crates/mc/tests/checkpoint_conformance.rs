@@ -52,15 +52,14 @@ fn assert_resume_matches(tag: &str, cfg_base: McConfig, interrupt_at: usize) {
     assert_eq!(resumed.states, full.states, "states must match uninterrupted run");
     assert_eq!(resumed.transitions, full.transitions, "transitions must match");
     assert!(resumed.passed());
-    let threads = cfg_base.resources().effective_threads();
+    let threads = protogen_core::par::threads(cfg_base.threads, protogen_mc::MAX_SHARDS);
     assert_eq!(resumed.threads, threads, "threads come from the manifest");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn resumed_run_matches_uninterrupted_counts() {
-    let mut cfg = McConfig::with_caches_and_threads(2, 2);
-    cfg.value_domain = 2;
+    let cfg = McConfig::with_caches_and_threads(2, 2);
     assert_resume_matches("basic", cfg, 200);
 }
 
@@ -197,9 +196,9 @@ fn resume_refuses_mismatched_configuration() {
     cfg.max_states = 200;
     ModelChecker::new(&g.cache, &g.directory, cfg.clone()).run();
 
-    // Different value domain ⇒ different reachable space: refuse.
+    // Different channel bound ⇒ different reachable space: refuse.
     let mut wrong = cfg.clone();
-    wrong.value_domain = 3;
+    wrong.channel_cap = 3;
     let err = ModelChecker::new(&g.cache, &g.directory, wrong).resume().err().unwrap();
     assert!(err.to_string().contains("configuration"), "{err}");
 

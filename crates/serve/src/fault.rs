@@ -1,14 +1,13 @@
 //! Deterministic fault injection for the live service.
 //!
-//! A [`FaultPlan`] is a *pure function* of the seed and the run's
-//! topology: every fault decision — whether an edge's next message is
-//! delayed and for how many passes, whether a worker stalls this window,
-//! how much mailbox capacity a squeeze withholds, at which schedule
-//! position a cache crashes — is derived by hashing
-//! `(seed, site, sequence)` with a splitmix64 finalizer. Same seed, same
-//! config ⇒ byte-identical plan (pinned by a `PartialEq` test), and a
-//! replayed run injects exactly the same faults at the same logical
-//! points.
+//! Every fault decision a [`FaultConfig`] makes — whether an edge's next
+//! message is delayed and for how many passes, whether a worker stalls
+//! this window, how much mailbox capacity a squeeze withholds, at which
+//! schedule position a cache crashes — is a *pure function* of the config
+//! and the run's topology, derived by hashing `(seed, site, sequence)`
+//! with a splitmix64 finalizer. Equal configs ⇒ identical decisions
+//! (pinned by a test), and a replayed run injects exactly the same faults
+//! at the same logical points.
 //!
 //! The injected faults are, by construction, faults the verified
 //! envelope must tolerate (DESIGN.md §13 carries the argument per fault
@@ -115,36 +114,8 @@ const TAG_STALL: u64 = 0x57;
 const TAG_SQUEEZE: u64 = 0x5C;
 const TAG_CRASH: u64 = 0xC4;
 
-/// The expanded, replayable fault schedule for one run. A pure function
-/// of `(FaultConfig, topology)`: constructing it twice yields equal
-/// plans, which is what makes fault runs seed-deterministic.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultPlan {
-    seed: u64,
-    delays: bool,
-    stalls: bool,
-    squeezes: bool,
-    crashes: usize,
-    crash_at_op: Option<usize>,
-    unsafe_reset: bool,
-    mailbox_cap: usize,
-}
-
-impl FaultPlan {
-    /// Expands a config against the run's topology.
-    pub fn expand(cfg: &FaultConfig, n_caches: usize, mailbox_cap: usize) -> FaultPlan {
-        FaultPlan {
-            seed: cfg.seed,
-            delays: cfg.delays,
-            stalls: cfg.stalls,
-            squeezes: cfg.squeezes,
-            crashes: cfg.crashes.min(n_caches),
-            crash_at_op: cfg.crash_at_op,
-            unsafe_reset: cfg.unsafe_reset,
-            mailbox_cap,
-        }
-    }
-
+/// The fault decisions: pure functions of the config and their arguments.
+impl FaultConfig {
     /// Passes the head of in-edge `src` at node `node` must wait before
     /// its `seq`-th message may be applied. Roughly 1 in 16 messages is
     /// held, for 1–7 passes — enough to shuffle cross-edge arrival orders
@@ -173,24 +144,25 @@ impl FaultPlan {
 
     /// Output-ring slots node `node` must pretend are occupied during
     /// pass-window `window` (a transient capacity squeeze; at most half
-    /// the ring, so forward progress is never lost entirely).
-    pub fn squeeze(&self, node: usize, window: u64) -> usize {
+    /// of the `mailbox_cap`-slot ring, so forward progress is never lost
+    /// entirely).
+    pub fn squeeze(&self, node: usize, window: u64, mailbox_cap: usize) -> usize {
         if !self.squeezes {
             return 0;
         }
         let h = mix64(self.seed ^ TAG_SQUEEZE ^ ((node as u64) << 48) ^ window);
         if h % 4 == 0 {
-            ((h >> 8) as usize) % (self.mailbox_cap / 2).max(1)
+            ((h >> 8) as usize) % (mailbox_cap / 2).max(1)
         } else {
             0
         }
     }
 
-    /// The schedule position at which `cache` crashes, if it does.
-    /// Derived crash points land in the middle half of the schedule so
-    /// the run always exercises both pre-crash traffic and post-recovery
-    /// rejoin; an explicit [`FaultConfig::crash_at_op`] is used verbatim
-    /// (even past the schedule end — see its docs).
+    /// The schedule position at which `cache` crashes, if it does (caches
+    /// `0..crashes` do). Derived crash points land in the middle half of
+    /// the schedule so the run always exercises both pre-crash traffic and
+    /// post-recovery rejoin; an explicit [`FaultConfig::crash_at_op`] is
+    /// used verbatim (even past the schedule end — see its docs).
     pub fn crash_cursor(&self, cache: usize, schedule_len: usize) -> Option<usize> {
         if cache >= self.crashes {
             return None;
@@ -201,16 +173,6 @@ impl FaultPlan {
         let h = mix64(self.seed ^ TAG_CRASH ^ cache as u64);
         let quarter = (schedule_len / 4).max(1);
         Some(quarter + (h as usize % (2 * quarter).max(1)))
-    }
-
-    /// How many caches this plan crashes.
-    pub fn planned_crashes(&self) -> usize {
-        self.crashes
-    }
-
-    /// Whether the crash path is the planted recovery bug.
-    pub fn unsafe_reset(&self) -> bool {
-        self.unsafe_reset
     }
 }
 
@@ -249,7 +211,7 @@ impl FaultStats {
 }
 
 /// Per-edge delivery-delay state for one worker (the mutable cursor the
-/// immutable [`FaultPlan`] is consulted through).
+/// immutable [`FaultConfig`] is consulted through).
 #[derive(Debug, Default, Clone)]
 pub(crate) struct EdgeDelay {
     /// Messages consumed from this edge so far (the delay draw's index).
@@ -262,7 +224,7 @@ pub(crate) struct EdgeDelay {
 
 /// Per-worker fault bookkeeping: pass/window counters, edge-delay
 /// cursors, and the current squeeze. One per worker thread; all decisions
-/// delegate to the shared immutable plan.
+/// delegate to the shared immutable config.
 #[derive(Debug)]
 pub(crate) struct FaultState {
     delays: Vec<EdgeDelay>,
@@ -290,13 +252,13 @@ impl FaultState {
 
     /// Starts a worker pass: advances the window, applies at most one
     /// stall per window, and refreshes the active squeeze.
-    pub(crate) fn begin_pass(&mut self, plan: &FaultPlan, node: usize) {
+    pub(crate) fn begin_pass(&mut self, faults: &FaultConfig, node: usize, mailbox_cap: usize) {
         self.pass += 1;
         let window = self.pass >> WINDOW_SHIFT;
-        self.withheld = plan.squeeze(node, window);
+        self.withheld = faults.squeeze(node, window, mailbox_cap);
         if window != self.last_stall_window {
             self.last_stall_window = window;
-            if let Some(us) = plan.stall_us(node, window) {
+            if let Some(us) = faults.stall_us(node, window) {
                 self.stats.stalls_injected += 1;
                 std::thread::sleep(std::time::Duration::from_micros(us));
             }
@@ -305,11 +267,11 @@ impl FaultState {
 
     /// Whether edge `src`'s head is held by a delivery delay this pass.
     /// Draws the delay lazily per head; each held head is counted once.
-    pub(crate) fn edge_held(&mut self, plan: &FaultPlan, node: usize, src: usize) -> bool {
+    pub(crate) fn edge_held(&mut self, faults: &FaultConfig, node: usize, src: usize) -> bool {
         let d = &mut self.delays[src];
         if !d.armed {
             d.armed = true;
-            d.hold = plan.delay(node, src, d.seq);
+            d.hold = faults.delay(node, src, d.seq);
             if d.hold > 0 {
                 self.stats.delays_injected += 1;
             }
@@ -338,10 +300,7 @@ mod tests {
 
     #[test]
     fn plan_is_a_pure_function_of_seed_and_topology() {
-        let cfg = FaultConfig::all(42);
-        let a = FaultPlan::expand(&cfg, 4, 1024);
-        let b = FaultPlan::expand(&cfg, 4, 1024);
-        assert_eq!(a, b);
+        let (a, b) = (FaultConfig::all(42), FaultConfig::all(42));
         // Every decision replays identically.
         for node in 0..6 {
             for src in 0..6 {
@@ -351,13 +310,12 @@ mod tests {
             }
             for w in 0..50 {
                 assert_eq!(a.stall_us(node, w), b.stall_us(node, w));
-                assert_eq!(a.squeeze(node, w), b.squeeze(node, w));
+                assert_eq!(a.squeeze(node, w, 1024), b.squeeze(node, w, 1024));
             }
         }
         assert_eq!(a.crash_cursor(0, 1000), b.crash_cursor(0, 1000));
         // A different seed actually changes the schedule.
-        let c = FaultPlan::expand(&FaultConfig::all(43), 4, 1024);
-        assert_ne!(a, c);
+        let c = FaultConfig::all(43);
         let differs = (0..64u64).any(|s| a.delay(0, 1, s) != c.delay(0, 1, s))
             || a.crash_cursor(0, 1000) != c.crash_cursor(0, 1000);
         assert!(differs, "seed must influence the schedule");
@@ -365,48 +323,46 @@ mod tests {
 
     #[test]
     fn faults_actually_fire_and_stay_bounded() {
-        let plan = FaultPlan::expand(&FaultConfig::all(7), 2, 64);
+        let faults = FaultConfig::all(7);
         let mut delayed = 0u32;
         for seq in 0..4096 {
-            let d = plan.delay(0, 1, seq);
+            let d = faults.delay(0, 1, seq);
             assert!(d <= 7);
             delayed += (d > 0) as u32;
         }
         // ~1/16 of 4096 ≈ 256; allow wide slack but require presence.
         assert!(delayed > 64, "delays must fire ({delayed})");
-        let stalls = (0..4096).filter(|&w| plan.stall_us(0, w).is_some()).count();
+        let stalls = (0..4096).filter(|&w| faults.stall_us(0, w).is_some()).count();
         assert!(stalls > 128, "stalls must fire ({stalls})");
         for w in 0..4096 {
-            assert!(plan.squeeze(0, w) < 32, "squeeze bounded by half the ring");
+            assert!(faults.squeeze(0, w, 64) < 32, "squeeze bounded by half the ring");
         }
-        let squeezes = (0..4096).filter(|&w| plan.squeeze(0, w) > 0).count();
+        let squeezes = (0..4096).filter(|&w| faults.squeeze(0, w, 64) > 0).count();
         assert!(squeezes > 256, "squeezes must fire ({squeezes})");
     }
 
     #[test]
     fn crash_cursor_lands_in_the_middle_half() {
         for seed in 0..64 {
-            let plan =
-                FaultPlan::expand(&FaultConfig { crashes: 2, ..FaultConfig::all(seed) }, 4, 1024);
+            let faults = FaultConfig { crashes: 2, ..FaultConfig::all(seed) };
             for cache in 0..2 {
-                let at = plan.crash_cursor(cache, 1000).unwrap();
+                let at = faults.crash_cursor(cache, 1000).unwrap();
                 assert!((250..750).contains(&at), "seed {seed} cache {cache}: {at}");
             }
-            assert_eq!(plan.crash_cursor(2, 1000), None);
-            assert_eq!(plan.crash_cursor(3, 1000), None);
+            assert_eq!(faults.crash_cursor(2, 1000), None);
+            assert_eq!(faults.crash_cursor(3, 1000), None);
         }
     }
 
     #[test]
     fn explicit_crash_at_op_is_used_verbatim() {
-        let cfg = FaultConfig { crash_at_op: Some(123_456), ..FaultConfig::all(1) };
-        let plan = FaultPlan::expand(&cfg, 2, 1024);
-        assert_eq!(plan.crash_cursor(0, 100), Some(123_456));
+        let faults = FaultConfig { crash_at_op: Some(123_456), ..FaultConfig::all(1) };
+        assert_eq!(faults.crash_cursor(0, 100), Some(123_456));
     }
 
     #[test]
     fn edge_delay_state_holds_then_releases_fifo_heads() {
-        let plan = FaultPlan::expand(&FaultConfig::all(3), 2, 1024);
+        let faults = FaultConfig::all(3);
         let mut st = FaultState::new(4);
         // Find a (node, src, seq) that delays, then verify the state
         // machine holds for exactly that many passes and re-draws after
@@ -414,7 +370,7 @@ mod tests {
         let mut seen_hold = false;
         for _ in 0..2000 {
             let mut passes_held = 0u32;
-            while st.edge_held(&plan, 0, 1) {
+            while st.edge_held(&faults, 0, 1) {
                 passes_held += 1;
                 assert!(passes_held <= 7, "holds are bounded");
             }

@@ -46,7 +46,7 @@ pub mod fault;
 pub mod mailbox;
 mod service;
 
-pub use fault::{FaultConfig, FaultPlan, FaultStats};
+pub use fault::{FaultConfig, FaultStats};
 pub use service::serve;
 
 use protogen_mc::{McConfig, ModelChecker};

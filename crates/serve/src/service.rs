@@ -42,7 +42,7 @@
 //! (impossible inside the verified envelope) trips the wall-clock deadline
 //! instead, and [`ServeReport::stop_detail`] then says who holds what.
 
-use crate::fault::{FaultPlan, FaultState, FaultStats};
+use crate::fault::{FaultConfig, FaultState, FaultStats};
 use crate::mailbox::{Envelope, Fabric, OwnLine};
 use crate::{ServeConfig, ServeError, ServeReport, StopReason};
 use protogen_runtime::{
@@ -95,9 +95,11 @@ struct Shared<'f> {
     /// First failure wins; later ones are dropped.
     failure: Mutex<Option<ServeError>>,
     deadline: Instant,
-    /// The expanded fault schedule, when fault injection is on. Immutable
-    /// and consulted through each worker's own [`FaultState`] cursors.
-    plan: Option<FaultPlan>,
+    /// The fault schedule, when fault injection is on. Immutable and
+    /// consulted through each worker's own [`FaultState`] cursors.
+    faults: Option<&'f FaultConfig>,
+    /// Slots per fabric ring (what a capacity squeeze withholds part of).
+    mailbox_cap: usize,
 }
 
 impl<'f> Shared<'f> {
@@ -371,8 +373,8 @@ impl<'s, 'f, L: Line> Node<'s, 'f, L> {
     /// anything was applied, or `None` when the run failed.
     fn deliver_pass(&mut self, mut applied: impl FnMut(&mut Self, u32)) -> Option<bool> {
         let sh = self.sh;
-        if let Some(plan) = sh.plan.as_ref() {
-            self.fault.begin_pass(plan, self.topo);
+        if let Some(faults) = sh.faults {
+            self.fault.begin_pass(faults, self.topo, sh.mailbox_cap);
         }
         let mut progress = false;
         drain(sh, self.topo, &mut self.queues);
@@ -381,8 +383,8 @@ impl<'s, 'f, L: Line> Node<'s, 'f, L> {
                 if self.queues[src].is_empty() {
                     break;
                 }
-                if let Some(plan) = sh.plan.as_ref() {
-                    if self.fault.edge_held(plan, self.topo, src) {
+                if let Some(faults) = sh.faults {
+                    if self.fault.edge_held(faults, self.topo, src) {
                         break; // head delayed; the edge waits behind it
                     }
                 }
@@ -498,7 +500,7 @@ struct CacheWorker<'s, 'f> {
 
 impl<'s, 'f> CacheWorker<'s, 'f> {
     fn new(sh: &'s Shared<'f>, id: usize, schedule: Vec<Op>, lines: Vec<CacheBlock>) -> Self {
-        let crash_at = sh.plan.as_ref().and_then(|p| p.crash_cursor(id, schedule.len()));
+        let crash_at = sh.faults.and_then(|f| f.crash_cursor(id, schedule.len()));
         CacheWorker {
             node: Node::new(sh, id, lines),
             schedule,
@@ -577,7 +579,7 @@ impl<'s, 'f> CacheWorker<'s, 'f> {
                     return; // the in-flight transaction drains first
                 }
                 let node = &mut self.node;
-                if node.sh.plan.as_ref().is_some_and(|p| p.unsafe_reset()) {
+                if node.sh.faults.is_some_and(|f| f.unsafe_reset) {
                     // Planted recovery bug: drop every line *without*
                     // telling the directory. It still believes this cache
                     // holds them, so the conformance oracle must flag the
@@ -763,7 +765,8 @@ pub fn serve(cache: &Fsm, dir: &Fsm, cfg: &ServeConfig) -> Result<ServeReport, S
         done: AtomicBool::new(false),
         failure: Mutex::new(None),
         deadline: Instant::now() + Duration::from_secs_f64(cfg.max_seconds),
-        plan: cfg.faults.as_ref().map(|f| FaultPlan::expand(f, cfg.n_caches, cfg.mailbox_cap)),
+        faults: cfg.faults.as_ref(),
+        mailbox_cap: cfg.mailbox_cap,
     };
 
     let start = Instant::now();
@@ -805,10 +808,11 @@ pub fn serve(cache: &Fsm, dir: &Fsm, cfg: &ServeConfig) -> Result<ServeReport, S
         "quiescence fired with messages in flight"
     );
 
-    let mut fault_stats = sh
-        .plan
-        .as_ref()
-        .map(|p| FaultStats { planned_crashes: p.planned_crashes() as u64, ..Default::default() });
+    // Caches `0..crashes` crash: never more than there are caches.
+    let mut fault_stats = sh.faults.map(|f| FaultStats {
+        planned_crashes: f.crashes.min(cfg.n_caches) as u64,
+        ..Default::default()
+    });
     let mut miss_latency = Histogram::new();
     let mut report = ServeReport {
         n_caches: cfg.n_caches,

@@ -8,9 +8,7 @@
 
 use protogen_core::{generate, GenConfig};
 use protogen_mc::McConfig;
-use protogen_serve::{
-    checked_envelope, serve, FaultConfig, FaultPlan, ServeConfig, ServeError, StopReason,
-};
+use protogen_serve::{checked_envelope, serve, FaultConfig, ServeConfig, ServeError, StopReason};
 use protogen_sim::Workload;
 use std::sync::mpsc;
 use std::time::Duration;
@@ -216,15 +214,22 @@ fn abandoned_crash_reports_fault_stop_reason() {
     });
 }
 
-/// Same seed ⇒ same fault plan and the same logical outcome. Wall-clock
-/// fields (seconds, latencies) and counters coupled to thread
+/// Same seed ⇒ same fault decisions and the same logical outcome.
+/// Wall-clock fields (seconds, latencies) and counters coupled to thread
 /// interleaving (delay/stall tallies, recovery traffic volume) are
-/// legitimately run-dependent, so determinism is pinned on the plan
-/// itself plus the interleaving-independent outcome facts.
+/// legitimately run-dependent, so determinism is pinned on the decisions
+/// themselves plus the interleaving-independent outcome facts.
 #[test]
 fn fault_runs_are_seed_deterministic() {
-    let cfg = FaultConfig::all(99);
-    assert_eq!(FaultPlan::expand(&cfg, 4, 64), FaultPlan::expand(&cfg, 4, 64));
+    let (a, b) = (FaultConfig::all(99), FaultConfig::all(99));
+    for node in 0..6 {
+        for w in 0..64 {
+            assert_eq!(a.delay(node, 1, w), b.delay(node, 1, w));
+            assert_eq!(a.stall_us(node, w), b.stall_us(node, w));
+            assert_eq!(a.squeeze(node, w, 64), b.squeeze(node, w, 64));
+        }
+    }
+    assert_eq!(a.crash_cursor(0, 10_000), b.crash_cursor(0, 10_000));
 
     let g = generate(&protogen_protocols::msi(), &GenConfig::non_stalling()).unwrap();
     let envelope =
