@@ -285,7 +285,7 @@ impl Kind {
 const FLAGS: [(&str, Kind, &[&str]); 39] = [
     ("stalling", Kind::Switch, &["table", "verify", "dot", "murphi", "sim", "serve", "compile"]),
     ("markdown", Kind::Switch, &["table", "litmus"]),
-    ("json", Kind::Switch, &["sim", "serve", "sweep", "fuzz"]),
+    ("json", Kind::Switch, &["verify", "sim", "serve", "sweep", "fuzz", "compile"]),
     ("list", Kind::Switch, &["sweep"]),
     ("resume", Kind::Switch, &["verify", "compile"]),
     ("compose", Kind::Text("l1=msi:2,llc=mesi"), &["table", "verify", "dot"]),
@@ -711,47 +711,100 @@ fn verify(target: &Target, mut cfg: McConfig, args: &Args) -> Run {
     } else {
         format!("{:.0} states/s", r.states as f64 / r.seconds.max(1e-9))
     };
-    outln!(
-        "{name}: {} — {} states, {} transitions, {:.2}s ({rate}) on {} thread{}{shape}; \
-         properties {properties}",
-        verdict(&r),
-        r.states,
-        r.transitions,
-        r.seconds,
-        r.threads,
-        if r.threads == 1 { "" } else { "s" }
-    );
-    if r.spill_bytes > 0 {
+    let json = || verify_json(name, &r, properties);
+    emit(args, json, || {
         outln!(
-            "spilled {} bytes in {} chunks (frontier {} bytes, visited records {} bytes) under \
-             the memory budget (peak accounted RAM {} bytes){}",
-            r.spill_bytes,
-            r.spill_chunks,
-            r.frontier_spill_bytes,
-            r.visited_spill_bytes,
-            r.peak_mem_bytes,
-            // "spilled + completed" is not an early stop: unless a limit
-            // fired below, the whole space was still explored.
-            if r.limit.is_none() { " — exploration completed" } else { "" }
+            "{name}: {} — {} states, {} transitions, {:.2}s ({rate}) on {} thread{}{shape}; \
+             properties {properties}",
+            verdict(&r),
+            r.states,
+            r.transitions,
+            r.seconds,
+            r.threads,
+            if r.threads == 1 { "" } else { "s" }
         );
-    }
-    if fp_only {
-        outln!(
-            "fingerprint-only store: no counterexample traces; expected state pairs merged by \
-             a 64-bit collision ≈ {:.3e}",
-            r.expected_collision_pairs()
-        );
+        if r.spill_bytes > 0 {
+            outln!(
+                "spilled {} bytes in {} chunks (frontier {} bytes, visited records {} bytes) \
+                 under the memory budget (peak accounted RAM {} bytes){}",
+                r.spill_bytes,
+                r.spill_chunks,
+                r.frontier_spill_bytes,
+                r.visited_spill_bytes,
+                r.peak_mem_bytes,
+                // "spilled + completed" is not an early stop: unless a limit
+                // fired below, the whole space was still explored.
+                if r.limit.is_none() { " — exploration completed" } else { "" }
+            );
+        }
+        if fp_only {
+            outln!(
+                "fingerprint-only store: no counterexample traces; expected state pairs merged \
+                 by a 64-bit collision ≈ {:.3e}",
+                r.expected_collision_pairs()
+            );
+        }
+        if let Some(v) = &r.violation {
+            outln!("violation: {}", v.kind);
+            for line in &v.trace {
+                outln!("  {line}");
+            }
+        }
+        if let Some(l) = &r.limit {
+            outln!("stopped early: {l} — partial stats only ({})", limit_hint(l));
+        }
+    });
+    Ok(ExitCode::from(u8::from(!r.passed())))
+}
+
+/// `verify --json`: the verdict line's figures, the violation and its
+/// trace, the limit that fired, and the visited set's memory by component
+/// with the fingerprint map's counters. `limit` and `violation` are absent
+/// when nothing fired.
+fn verify_json(name: &str, r: &CheckResult, properties: PropertySet) -> Json {
+    let (split, counters) = (r.store_split, r.store_counters);
+    let mut doc = Json::obj([
+        ("protocol", Json::Str(name.to_string())),
+        ("verdict", Json::Str(verdict(r).into())),
+        ("properties", Json::Str(properties.to_string())),
+        ("states", Json::U64(r.states as u64)),
+        ("transitions", Json::U64(r.transitions as u64)),
+        ("threads", Json::U64(r.threads as u64)),
+        ("seconds", Json::F64(r.seconds)),
+        (
+            "memory",
+            Json::obj([
+                ("store_bytes", Json::U64(r.store_bytes as u64)),
+                ("store_bytes_per_state", Json::F64(r.store_bytes as f64 / r.states as f64)),
+                ("column_bytes", Json::U64(split.column as u64)),
+                ("slot_bytes", Json::U64(split.slots as u64)),
+                ("record_bytes", Json::U64(split.records as u64)),
+                ("peak_mem_bytes", Json::U64(r.peak_mem_bytes as u64)),
+                ("frontier_spill_bytes", Json::U64(r.frontier_spill_bytes)),
+                ("visited_spill_bytes", Json::U64(r.visited_spill_bytes)),
+                ("spill_chunks", Json::U64(r.spill_chunks)),
+            ]),
+        ),
+        (
+            "store",
+            Json::obj([
+                ("lookups", Json::U64(counters.lookups)),
+                ("probes", Json::U64(counters.probes)),
+                ("column_reads", Json::U64(counters.column_reads)),
+            ]),
+        ),
+    ]);
+    if let Some(l) = &r.limit {
+        doc.push("limit", Json::Str(l.to_string()));
     }
     if let Some(v) = &r.violation {
-        outln!("violation: {}", v.kind);
-        for line in &v.trace {
-            outln!("  {line}");
-        }
+        let trace = v.trace.iter().map(|l| Json::Str(l.clone())).collect();
+        doc.push(
+            "violation",
+            Json::obj([("kind", Json::Str(v.kind.to_string())), ("trace", Json::Arr(trace))]),
+        );
     }
-    if let Some(l) = &r.limit {
-        outln!("stopped early: {l} — partial stats only ({})", limit_hint(l));
-    }
-    Ok(ExitCode::from(u8::from(!r.passed())))
+    doc
 }
 
 fn verify_cmd(args: &Args) -> Run {
@@ -800,7 +853,10 @@ fn compile(args: &Args) -> Run {
         composed(comp, args)?
     };
     let cfg = mc_config(&target, args)?;
-    print_tables(&target, args);
+    // Under `--json` stdout carries the verification's document alone.
+    if !args.flag("json") {
+        print_tables(&target, args);
+    }
     verify(&target, cfg, args)
 }
 

@@ -215,6 +215,43 @@ fn compile_bundled_msi_spec_verifies() {
     assert!(stdout.contains("; properties sc\n"), "compile's verdict names its set: {stdout}");
 }
 
+/// `verify --json` (and `compile --json`) prints one document whose
+/// figures are the text verdict line's, with the same exit code; the
+/// violation's trace and a fired limit come along.
+#[test]
+fn verify_json_is_one_document_matching_the_text_line() {
+    let field = |doc: &str, key: &str| -> u64 {
+        let at = doc.find(&format!("\"{key}\": ")).unwrap_or_else(|| panic!("{key}: {doc}"));
+        let rest = &doc[at + key.len() + 4..];
+        rest[..rest.find(|c: char| !c.is_ascii_digit()).unwrap()].parse().unwrap()
+    };
+    let pgen = msi_pgen_path();
+    let pgen = pgen.to_str().unwrap();
+    for args in [
+        &["verify", "msi", "--caches", "3", "--threads", "2"][..],
+        &["verify", "tso-cc", "--property", "sc", "--caches", "2"],
+        &["verify", "--compose", "l1=msi:2,llc=msi:2", "--stalling", "--max-states", "300"],
+        &["compile", pgen, "--caches", "2"],
+    ] {
+        let (text, json) = (protogen(args), protogen(&[args, &["--json"]].concat()));
+        assert_eq!(text.status.code(), json.status.code(), "{args:?}");
+        let (text, doc) =
+            (String::from_utf8_lossy(&text.stdout), String::from_utf8_lossy(&json.stdout));
+        assert!(doc.starts_with("{\n") && doc.ends_with("\n}\n"), "{args:?}: {doc}");
+        assert_eq!(doc.matches("\n}\n").count(), 1, "{args:?}: one document: {doc}");
+        let line = text.lines().find(|l| l.contains(" states, ")).expect("a verdict line");
+        let (states, transitions) = (field(&doc, "states"), field(&doc, "transitions"));
+        assert!(line.contains(&format!(" {states} states, {transitions} transitions")), "{line}");
+        let verdict = ["PASSED", "FAILED", "INCOMPLETE"].into_iter().find(|v| line.contains(v));
+        assert!(doc.contains(&format!("\"verdict\": \"{}\"", verdict.unwrap())), "{doc}");
+        assert_eq!(text.contains("violation:"), doc.contains("\"violation\""), "{args:?}");
+        assert_eq!(text.contains("stopped early:"), doc.contains("\"limit\""), "{args:?}");
+        let trace_lines = text.lines().skip_while(|l| !l.starts_with("violation:")).count();
+        assert_eq!(trace_lines > 1, doc.contains("\"trace\""), "{args:?}");
+        assert!(field(&doc, "store_bytes") > 0 && field(&doc, "lookups") > 0, "{doc}");
+    }
+}
+
 #[test]
 fn compile_rejects_missing_file() {
     let out = protogen(&["compile", "/nonexistent/file.pgen"]);
@@ -554,7 +591,7 @@ fn unknown_flags_and_surplus_operands_are_usage_errors() {
         (&["verify", "msi", "--cachse", "4", "--stalling"][..], "--cachse"),
         (&["verify", "msi", "--caches", "3", "--max-state", "10"], "--max-state"),
         (&["verify", "msi", "--ops", "5"], "`verify` takes no `--ops`"),
-        (&["verify", "msi", "--json"], "`verify` takes no `--json`"),
+        (&["verify", "msi", "--markdown"], "`verify` takes no `--markdown`"),
         (&["sim", "msi", "--max-states", "9"], "`sim` takes no `--max-states`"),
         (&["serve", "msi", "--mutants", "1"], "`serve` takes no `--mutants`"),
         (&["reproduce", "--stalling"], "`reproduce` takes no `--stalling`"),

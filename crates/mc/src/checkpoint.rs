@@ -194,21 +194,21 @@ pub(crate) fn write_shard(
     keeps_recs: bool,
 ) -> io::Result<()> {
     std::fs::create_dir_all(ck_dir(dir, depth))?;
-    let fps = store.map.by_lid();
+    let n = store.len();
     let arena_len = cur.global_len();
 
-    let mut out = Vec::with_capacity(64 + fps.len() * 28 + cur.index.len() * 25 + arena_len);
+    let mut out = Vec::with_capacity(64 + n * 28 + cur.index.len() * 25 + arena_len);
     put_u32(&mut out, SHARD_MAGIC);
     put_u32(&mut out, VERSION);
     put_u32(&mut out, shard as u32);
     put_u32(&mut out, depth);
-    put_u64(&mut out, fps.len() as u64);
-    for &fp in &fps {
+    put_u64(&mut out, n as u64);
+    for fp in store.map.by_lid() {
         put_u64(&mut out, fp);
     }
     out.push(keeps_recs as u8);
     if keeps_recs {
-        for lid in 0..fps.len() {
+        for lid in 0..n {
             let r = store.rec(lid);
             put_u64(&mut out, r.parent_fp);
             put_u32(&mut out, r.parent.raw());
@@ -369,15 +369,26 @@ pub(crate) fn load_latest(
 
     let mut shards = Vec::with_capacity(threads);
     for (t, &(want_len, want_sum)) in shard_meta.iter().enumerate() {
-        shards.push(load_shard(dir, depth, t, want_len, want_sum, cfg.store.keeps_recs())?);
+        let keeps_recs = cfg.store.keeps_recs();
+        shards.push(load_shard(dir, depth, t, threads, want_len, want_sum, keeps_recs)?);
+    }
+    // The manifest's count drives `max_states` after the resume: it must
+    // be the states the shards actually hold.
+    let held: usize = shards.iter().map(|s| s.store.len()).sum();
+    if held != total_states {
+        return Err(CheckpointError::new(format!(
+            "manifest is corrupt: it records {total_states} states but its shards hold {held}"
+        )));
     }
     Ok(LoadedCheckpoint { depth, threads, total_states, transitions, shards })
 }
 
+/// Loads shard `shard` of a `threads`-shard checkpoint.
 fn load_shard(
     dir: &Path,
     depth: u32,
     shard: usize,
+    threads: usize,
     want_len: u64,
     want_sum: u64,
     keeps_recs: bool,
@@ -418,7 +429,22 @@ fn load_shard(
     let n = r.len(8)?;
     let mut store = ShardStore::new();
     for lid in 0..n {
-        store.map.insert(r.u64()?, lid as u32);
+        // A repeated fingerprint would leave the shard one state short of
+        // its records and shift every later id; one owned by another
+        // shard would never be found by dedup and be explored again.
+        let fp = r.u64()?;
+        if let Some(first) = store.map.get(fp) {
+            return Err(CheckpointError::new(format!(
+                "{what} is corrupt: state {lid} repeats the fingerprint {fp:#018x} of state {first}"
+            )));
+        }
+        let owner = fp % threads as u64;
+        if owner != shard as u64 {
+            return Err(CheckpointError::new(format!(
+                "{what} is corrupt: state {lid}'s fingerprint {fp:#018x} belongs to shard {owner}"
+            )));
+        }
+        store.map.push(fp);
     }
     let file_keeps = r.u8()? != 0;
     if file_keeps != keeps_recs {
@@ -527,7 +553,7 @@ mod tests {
     ) -> (ShardStore, FrontierBuf, Vec<u8>) {
         let mut store = ShardStore::new();
         for (lid, &fp) in fps.iter().enumerate() {
-            store.map.insert(fp, lid as u32);
+            store.map.push(fp);
             if keeps_recs {
                 store.push_rec_at(rec(lid as u64), depth_of(lid)).unwrap();
             }
@@ -571,8 +597,8 @@ mod tests {
         let path = shard_path(&dir, TOP, 0);
         let bytes = std::fs::read(&path).unwrap();
         let sum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-        let snap = load_shard(&dir, TOP, 0, bytes.len() as u64, sum, keeps_recs).unwrap();
-        assert_eq!(snap.store.map.by_lid(), fps);
+        let snap = load_shard(&dir, TOP, 0, 1, bytes.len() as u64, sum, keeps_recs).unwrap();
+        assert_eq!(snap.store.map.by_lid().collect::<Vec<_>>(), fps);
         assert_eq!(snap.arena, arena);
         assert_eq!(snap.entries.len(), cur.index.len());
         for (a, b) in snap.entries.iter().zip(cur.index.iter()) {
@@ -629,7 +655,7 @@ mod tests {
             // Whether the flip landed in the payload or the trailing
             // checksum itself, load must fail; use the *original* sum as
             // the manifest record so a tail flip is caught either way.
-            let err = load_shard(&dir, 1, 0, bytes.len() as u64, sum, true)
+            let err = load_shard(&dir, 1, 0, 1, bytes.len() as u64, sum, true)
                 .err()
                 .expect("corrupt shard must not load");
             let msg = err.to_string();
@@ -651,7 +677,7 @@ mod tests {
         let full = std::fs::read(&path).unwrap();
         for keep in [0, 3, full.len() / 2, full.len() - 1] {
             std::fs::write(&path, &full[..keep]).unwrap();
-            let err = load_shard(&dir, 2, 0, keep as u64, 0, true)
+            let err = load_shard(&dir, 2, 0, 1, keep as u64, 0, true)
                 .err()
                 .expect("truncated shard must not load");
             assert!(
@@ -686,7 +712,7 @@ mod tests {
             let sum = fingerprint_bytes(&bytes[..body]);
             bytes[body..].copy_from_slice(&sum.to_le_bytes());
             std::fs::write(&path, &bytes).unwrap();
-            let err = load_shard(&dir, 1, 0, bytes.len() as u64, sum, true)
+            let err = load_shard(&dir, 1, 0, 1, bytes.len() as u64, sum, true)
                 .err()
                 .expect("out-of-order depths must not load");
             assert!(err.to_string().contains(want), "{err}");

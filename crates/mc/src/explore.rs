@@ -23,7 +23,7 @@ use crate::checkpoint::{CheckpointError, LoadedCheckpoint};
 use crate::delta::SectionMap;
 use crate::flat::McConfig;
 use crate::frontier::{CandBatch, CandMeta, Coordinator, Decision, Inbox, Outboxes, VioCand};
-use crate::store::{Gid, ShardStore, StateRec, MAX_SHARDS, STEP_NONE};
+use crate::store::{Gid, ShardStore, StateRec, StoreBytes, StoreCounters, MAX_SHARDS, STEP_NONE};
 use protogen_core::par;
 use protogen_runtime::{Coverage, PairSet};
 use std::fmt;
@@ -353,10 +353,16 @@ pub struct CheckResult {
     pub limit: Option<ResourceLimit>,
     /// Wall-clock seconds spent exploring.
     pub seconds: f64,
-    /// Peak bytes held by the sharded visited set (fingerprint maps plus
-    /// packed parent-pointer records), sampled at epoch boundaries with
-    /// `peak_mem_bytes` and summed across workers.
+    /// Peak bytes held by the sharded visited set (fingerprint columns,
+    /// slot tables and packed parent-pointer records), sampled at epoch
+    /// boundaries with `peak_mem_bytes` and summed across workers.
     pub store_bytes: usize,
+    /// `store_bytes` by component, at the epoch that set the peak.
+    pub store_split: StoreBytes,
+    /// The fingerprint maps' work, summed over shards when the run ends
+    /// (see [`StoreCounters`] for which counts repeat across thread
+    /// counts).
+    pub store_counters: StoreCounters,
     /// Peak accounted RAM across one whole epoch: visited shards *plus*
     /// frontier arenas, outbox/batch-pool allocations, and queued inbox
     /// batches — the figure the old `store_bytes` understated. Sampled at
@@ -701,7 +707,7 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
     /// Installs the canonical initial state (`enc`, fingerprint `fp0`) as
     /// this shard's root.
     fn seed_root(&mut self, enc: &[u8], fp0: u64) {
-        self.store.map.insert(fp0, 0);
+        self.store.map.push(fp0);
         if self.keeps_recs {
             self.store.push_rec(StateRec {
                 parent_fp: fp0,
@@ -926,7 +932,7 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
                 return;
             }
             let lid = local as u32;
-            self.store.map.insert(fp, lid);
+            self.store.map.push(fp);
             if self.keeps_recs {
                 self.store.push_rec(StateRec { parent_fp, parent, step });
             }
@@ -1006,7 +1012,7 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
         // (rare) capacity retained across the rendezvous.
         let mem = self.accounted_bytes() + self.inboxes[self.t].mem_bytes();
         self.coord.epoch_mem.fetch_add(mem, Relaxed);
-        self.coord.epoch_store.fetch_add(self.store.mem_bytes(), Relaxed);
+        let store = self.store.bytes();
         // At this point every record is final: parent-race updates only
         // ever touch records inserted in the *current* epoch, and this
         // epoch's inserts are all in. So every hot record can freeze to
@@ -1017,6 +1023,7 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
         self.coord.total_states.fetch_add(self.new_count, Relaxed);
         let mut agg = self.coord.agg.lock().unwrap();
         agg.new_states += self.new_count;
+        agg.store += store;
         agg.violations.append(&mut self.violations);
         drop(agg);
         self.new_count = 0;
@@ -1108,11 +1115,14 @@ pub(crate) fn explore<S: TransitionSystem>(
     let frontier_spill_bytes = coord.frontier_spill_bytes.load(Relaxed);
     let (mut visited_spill_bytes, mut spill_chunks) =
         (0, coord.frontier_spill_chunks.load(Relaxed));
+    let mut store_counters = StoreCounters::default();
     for s in &stores {
         let (b, c) = s.spill_totals();
         visited_spill_bytes += b;
         spill_chunks += c;
+        store_counters += s.map.counters;
     }
+    let peak_store = coord.agg.into_inner().unwrap_or_else(|e| e.into_inner()).peak_store;
     CheckResult {
         states: stores.iter().map(|s| s.len()).sum(),
         transitions: coord.transitions.load(Relaxed),
@@ -1122,7 +1132,9 @@ pub(crate) fn explore<S: TransitionSystem>(
             shard => ResourceLimit::ShardCapacity { shard },
         }),
         seconds: start.elapsed().as_secs_f64(),
-        store_bytes: coord.peak_store.load(Relaxed),
+        store_bytes: peak_store.total(),
+        store_split: peak_store,
+        store_counters,
         peak_mem_bytes: coord.peak_mem.load(Relaxed),
         spill_bytes: frontier_spill_bytes + visited_spill_bytes,
         spill_chunks,
@@ -1140,8 +1152,11 @@ fn decide(coord: &Coordinator, max_states: usize) -> Decision {
     // Fold the epoch's fleet-wide memory samples into the running peaks
     // and reset the accumulators for the next epoch.
     coord.peak_mem.fetch_max(coord.epoch_mem.swap(0, Relaxed), Relaxed);
-    coord.peak_store.fetch_max(coord.epoch_store.swap(0, Relaxed), Relaxed);
     let mut agg = coord.agg.lock().unwrap();
+    let store = std::mem::take(&mut agg.store);
+    if store.total() > agg.peak_store.total() {
+        agg.peak_store = store;
+    }
     let mut vios = std::mem::take(&mut agg.violations);
     let new_states = std::mem::take(&mut agg.new_states);
     drop(agg);
@@ -1611,6 +1626,33 @@ mod tests {
             r.peak_mem_bytes,
             r.store_bytes
         );
+    }
+
+    #[test]
+    fn store_split_repeats_and_lookups_match_across_thread_counts() {
+        let ssp = protogen_protocols::mesi();
+        let g = protogen_core::generate(&ssp, &protogen_core::GenConfig::stalling()).unwrap();
+        let run = |threads: usize| {
+            let mut cfg = McConfig::with_caches(3);
+            cfg.threads = threads;
+            ModelChecker::new(&g.cache, &g.directory, cfg).run()
+        };
+        let mut lookups = Vec::new();
+        for threads in [1, 2, 4] {
+            let (a, b) = (run(threads), run(threads));
+            assert!(a.passed(), "{:?}", a.violation);
+            // Which shard holds a state and how many each part holds
+            // depend only on the fingerprints, so the bytes repeat.
+            assert_eq!(a.store_split, b.store_split, "{threads} threads");
+            assert_eq!(a.store_split.total(), a.store_bytes);
+            assert!(a.store_split.column > 0 && a.store_split.slots > 0);
+            assert!(a.store_split.records > 0);
+            // One lookup per deduplicated candidate, whoever owns it.
+            assert_eq!(a.store_counters.lookups, b.store_counters.lookups);
+            assert!(a.store_counters.probes >= a.store_counters.lookups);
+            lookups.push(a.store_counters.lookups);
+        }
+        assert!(lookups.iter().all(|&l| l == lookups[0] && l > 0), "{lookups:?}");
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use crate::explore::ViolationKind;
-use crate::store::Gid;
+use crate::store::{Gid, StoreBytes};
 
 /// One successor candidate en route to its owning shard: the fixed-width
 /// part. The state itself travels as its canonical encoding in the
@@ -214,6 +214,11 @@ pub(crate) struct LevelAgg {
     pub new_states: usize,
     /// Violations discovered this epoch, across all workers.
     pub violations: Vec<VioCand>,
+    /// The visited shards' bytes this epoch, summed over shards (the
+    /// store's part of `Coordinator::epoch_mem`).
+    pub store: StoreBytes,
+    /// The largest `store` of the run so far, kept by the decision leader.
+    pub peak_store: StoreBytes,
 }
 
 /// What the whole fleet does after the current epoch.
@@ -325,10 +330,6 @@ pub(crate) struct Coordinator {
     /// Running maximum of `epoch_mem` over all epochs — the run's peak
     /// accounted memory.
     pub peak_mem: AtomicUsize,
-    /// The visited shards' part of `epoch_mem`, folded the same way.
-    pub epoch_store: AtomicUsize,
-    /// Running maximum of `epoch_store` — the run's peak store bytes.
-    pub peak_store: AtomicUsize,
     /// Payload bytes spilled by frontier arenas fleet-wide (visited-record
     /// spill totals are summed from the returned shards instead).
     pub frontier_spill_bytes: AtomicU64,
@@ -353,8 +354,6 @@ impl Coordinator {
             exhausted_shard: AtomicUsize::new(usize::MAX),
             epoch_mem: AtomicUsize::new(0),
             peak_mem: AtomicUsize::new(0),
-            epoch_store: AtomicUsize::new(0),
-            peak_store: AtomicUsize::new(0),
             frontier_spill_bytes: AtomicU64::new(0),
             frontier_spill_chunks: AtomicU64::new(0),
             aborted: AtomicBool::new(false),

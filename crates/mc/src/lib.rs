@@ -79,5 +79,5 @@ pub use hier::{
     HStep, HierChecker, HierConfig, HierResult, HierScratch, HierState, MAX_GROUP, MAX_LEVEL_NODES,
 };
 pub use property::PropertySet;
-pub use store::{fingerprint_bytes, FpPassthroughHasher, MAX_SHARDS, SHARD_CAPACITY};
+pub use store::{fingerprint_bytes, StoreBytes, StoreCounters, MAX_SHARDS, SHARD_CAPACITY};
 pub use system::{invert, permutations, SysState, MAX_CACHES};

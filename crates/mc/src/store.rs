@@ -1,31 +1,29 @@
 //! The sharded visited-state store: 64-bit fingerprints, packed
-//! parent-pointer records, and the per-shard hash map that deduplicates
-//! them.
+//! parent-pointer records, and the per-shard map that deduplicates them.
 //!
 //! Instead of keying the visited set by an owned byte encoding of each
 //! state (the seed design: an owned `Vec<u8>` of ~100–250 bytes per state
-//! plus `HashMap` overhead), each state is reduced to a 64-bit fingerprint
+//! plus hash-table overhead), each state is reduced to a 64-bit fingerprint
 //! of its canonical encoding, and the only per-state storage is one packed
-//! [`StateRec`] (16 bytes) plus a `u64 → u32` map entry. States are
+//! [`StateRec`] (16 bytes), the fingerprint itself in an id-ordered column
+//! (8 bytes) and one 4-byte slot of the map that indexes it. States are
 //! partitioned across shards by `fingerprint % n_shards`, so a given state
 //! is only ever inserted, deduplicated, or parent-updated by its owning
 //! shard — no locking on the store itself.
 //!
-//! Nothing in a shard grows as one block: the map is [`PARTS`] tables
-//! that resize independently (a resize rehashes 1/`PARTS` of the map, and
-//! the block it frees fits the next part's growth), and records live in
-//! fixed [`CHUNK_RECS`]-record chunks that are never reallocated. A second
-//! verification in the same process therefore reuses the first one's
-//! blocks instead of stacking fresh multi-MB ones on a fragmented heap.
+//! Nothing in a shard grows as one block: the map's slots are [`PARTS`]
+//! tables that resize independently (a resize rehashes 1/`PARTS` of the
+//! map, and the block it frees fits the next part's growth), and the
+//! fingerprint column and the records live in fixed 64 KiB chunks that
+//! are never reallocated. A second verification in the same process
+//! therefore reuses the first one's blocks instead of stacking fresh
+//! multi-MB ones on a fragmented heap.
 //!
 //! Fingerprinting is lossy by construction (hash compaction, as in Murϕ's
 //! `-b` mode): two distinct states may collide and be treated as one, in
 //! which case part of the state space is silently pruned. DESIGN.md §3
 //! carries the collision-risk arithmetic; at the default 20 M-state budget
 //! the expected number of colliding pairs is ≈ 1.1 × 10⁻⁵.
-
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Upper bound on worker threads / shards (the global-id packing gives a
 /// shard 5 bits).
@@ -97,8 +95,8 @@ pub(crate) const STEP_NONE: u32 = u32::MAX;
 
 /// One visited state, packed to 16 bytes. The state itself is *not*
 /// stored — only the (parent, step) edge used for counterexample-trace
-/// reconstruction (the state's own fingerprint lives in the `FpMap` key
-/// and in the frontier entry, so the record does not repeat it). Nor is
+/// reconstruction (the state's own fingerprint lives in the [`FpMap`]
+/// column and in the frontier entry, so the record does not repeat it). Nor is
 /// its BFS depth: records are appended level by level, so the shard
 /// derives it from where each level starts ([`ShardStore::depth`]).
 /// `parent_fp` is kept so that when the same state is reached from
@@ -116,117 +114,239 @@ pub(crate) struct StateRec {
     pub step: u32,
 }
 
-/// Pass-through hasher for fingerprint keys: the fingerprint is already a
-/// well-mixed 64-bit hash, so re-hashing it would be pure waste.
-#[derive(Debug, Default, Clone)]
-pub struct FpPassthroughHasher(u64);
-
-impl Hasher for FpPassthroughHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        // SAFETY OF THE UNREACHABLE: this hasher is only ever installed
-        // in `FpMap`'s parts (`HashMap<u64, u32, _>`), whose key type
-        // hashes exclusively through `write_u64`. No byte-slice key can
-        // reach here without changing the parts' key type, which would
-        // fail to compile against `FpMap`'s `get`/`insert` anyway — so this
-        // is a checker bug, not an input condition, and panicking is
-        // correct.
-        unreachable!("fingerprint maps only hash u64 keys");
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = x;
-    }
-}
-
-type FpBuild = BuildHasherDefault<FpPassthroughHasher>;
-
-/// Tables the fingerprint map is split into.
+/// Parts the fingerprint map's slots are split into.
 const PARTS: usize = 64;
 
 /// First fingerprint bit of the part index (bits 32..38 for 64 parts).
-/// No table reads them: hashbrown takes its bucket index from the low bits
-/// and its 7-bit control tag from the top ones, and shard routing
-/// (`fp % threads`) reads the low bits for power-of-two thread counts.
 const PART_SHIFT: u32 = 32;
 
-/// Control bytes hashbrown appends to every allocated table (one SSE2
-/// group, mirroring the first).
-const GROUP_WIDTH: usize = 16;
+/// First fingerprint bit of a slot's home index: a part of 2^k slots
+/// probes from bits 38..38+k (k ≤ 26), which the part index does not read
+/// and shard routing (`fp % threads`, the low bits for power-of-two
+/// thread counts) does not either.
+const HOME_SHIFT: u32 = 38;
 
-/// Entries a part makes room for on its first insert (32 buckets, 560
-/// bytes). A part then skips the 4 → 8 → 16-bucket steps, which in a
-/// space of ~1,300 states (~20 a part) were over a third of the map's
-/// cost.
-const PART_FIRST: usize = 28;
+/// First fingerprint bit of the 24-bit field a slot's tag is folded
+/// from (bits 8..32): disjoint from the home index, the part index and
+/// power-of-two shard routing, so entries that share a part and a home
+/// slot still spread over all 15 tags.
+const TAG_SHIFT: u32 = 8;
 
-/// Bytes allocated by a table of `cap` = `capacity()`: hashbrown holds
-/// `cap + 1` buckets below 8 and `cap / 7 × 8` from there (no entry is
-/// ever removed, so `capacity()` is exactly the load limit of its
-/// buckets), each one padded `(u64, u32)` slot plus one control byte.
-fn table_bytes(cap: usize) -> usize {
-    if cap == 0 {
-        return 0;
-    }
-    let buckets = if cap < 8 { cap + 1 } else { cap / 7 * 8 };
-    buckets * (std::mem::size_of::<(u64, u32)>() + 1) + GROUP_WIDTH
+/// Low slot bits holding the tag (1..=15; an all-zero slot is empty).
+const TAG_BITS: u32 = 4;
+const TAG_MASK: u32 = (1 << TAG_BITS) - 1;
+
+// Every shard-local id fits a slot beside its tag.
+const _: () = assert!(LOCAL_BITS + TAG_BITS <= u32::BITS);
+
+/// Slots a part allocates on its first insert (128 bytes, 24 entries
+/// below the load limit): a space of ~1,300 states (~20 a part) never
+/// resizes.
+const PART_FIRST: usize = 32;
+
+/// A part doubles before an insert would fill more than
+/// `LOAD_NUM / LOAD_DEN` of its slots.
+const LOAD_NUM: usize = 3;
+const LOAD_DEN: usize = 4;
+
+/// Fingerprints per column chunk: 2¹³ × 8 B = 64 KiB, allocated whole and
+/// never reallocated, like the record chunks.
+const COL_CHUNK: usize = 1 << 13;
+
+/// The slot an entry of fingerprint `fp` starts probing from.
+fn home(fp: u64, mask: usize) -> usize {
+    (fp >> HOME_SHIFT) as usize & mask
 }
 
-/// `fingerprint → shard-local record index`, as [`PARTS`] tables chosen
-/// by fingerprint bits [`PART_SHIFT`]`..`: a resize rehashes one part, and
-/// no allocation is ever larger than a part.
+/// The tag a slot of fingerprint `fp` carries, in 1..=15.
+fn tag(fp: u64) -> u32 {
+    ((fp >> TAG_SHIFT) as u32 & 0xFF_FFFF) % TAG_MASK + 1
+}
+
+/// Writes `slot` into the first empty slot at or after `fp`'s home.
+fn place(slots: &mut [u32], fp: u64, slot: u32) {
+    let mask = slots.len() - 1;
+    let mut i = home(fp, mask);
+    while slots[i] != 0 {
+        i = (i + 1) & mask;
+    }
+    slots[i] = slot;
+}
+
+/// What the fingerprint map did over a run, counted per shard in plain
+/// fields of the worker that owns it and summed when the run ends.
+///
+/// `lookups` is one per dedup query, so it is the same at every thread
+/// count. `probes` and `column_reads` depend on where entries landed in
+/// their parts, which follows insertion order, which follows batch
+/// arrival at 2+ threads: they are telemetry, not a pinned count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StoreCounters {
+    /// Fingerprints looked up (a resumed run counts the checkpoint
+    /// loader's duplicate checks too).
+    pub lookups: u64,
+    /// Slots read by those lookups.
+    pub probes: u64,
+    /// Tag matches confirmed against the fingerprint column.
+    pub column_reads: u64,
+}
+
+impl std::ops::AddAssign for StoreCounters {
+    fn add_assign(&mut self, o: StoreCounters) {
+        self.lookups += o.lookups;
+        self.probes += o.probes;
+        self.column_reads += o.column_reads;
+    }
+}
+
+/// The visited set's accounted bytes by component, each charged as
+/// allocated.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StoreBytes {
+    /// Fingerprint-column chunks, whole, and their directory.
+    pub column: usize,
+    /// The map parts' slot tables.
+    pub slots: usize,
+    /// Record chunks (hot and free), their directories, the spill-chunk
+    /// directory and the level starts.
+    pub records: usize,
+}
+
+impl StoreBytes {
+    /// All three components.
+    pub fn total(&self) -> usize {
+        self.column + self.slots + self.records
+    }
+}
+
+impl std::ops::AddAssign for StoreBytes {
+    fn add_assign(&mut self, o: StoreBytes) {
+        self.column += o.column;
+        self.slots += o.slots;
+        self.records += o.records;
+    }
+}
+
+/// One part of the map: open-addressed slots `lid << 4 | tag`, probed
+/// linearly.
+#[derive(Debug, Default)]
+struct Part {
+    slots: Vec<u32>,
+    len: usize,
+}
+
+/// `fingerprint → shard-local id`: the shard's fingerprints in id order
+/// (the column), indexed by [`PARTS`] tables of 4-byte slots chosen by
+/// fingerprint bits [`PART_SHIFT`]`..`. A slot holds an id and a 4-bit
+/// tag; every tag match is confirmed against the full fingerprint in the
+/// column, so the map answers exactly what a `u64 → u32` map would. A
+/// part doubles on its own past its load limit, rehashing its entries
+/// from the column, so no allocation is ever larger than a part.
 #[derive(Debug)]
 pub(crate) struct FpMap {
-    parts: [HashMap<u64, u32, FpBuild>; PARTS],
-    /// Entries over all parts.
+    /// Fingerprint of id `i` at `column[i / COL_CHUNK][i % COL_CHUNK]`.
+    column: Vec<Vec<u64>>,
+    parts: [Part; PARTS],
     len: usize,
-    /// Bytes allocated over all parts, kept current on every resize so
-    /// that the budget check reading it stays O(1).
-    bytes: usize,
+    /// Bytes of all slot tables, kept current on every resize so that
+    /// the budget check reading it stays O(1).
+    slot_bytes: usize,
+    pub(crate) counters: StoreCounters,
 }
 
 impl FpMap {
     fn new() -> FpMap {
-        FpMap { parts: std::array::from_fn(|_| HashMap::default()), len: 0, bytes: 0 }
+        FpMap {
+            column: Vec::new(),
+            parts: std::array::from_fn(|_| Part::default()),
+            len: 0,
+            slot_bytes: 0,
+            counters: StoreCounters::default(),
+        }
     }
 
     fn part(fp: u64) -> usize {
         (fp >> PART_SHIFT) as usize % PARTS
     }
 
-    pub(crate) fn get(&self, fp: u64) -> Option<u32> {
-        self.parts[Self::part(fp)].get(&fp).copied()
+    /// The fingerprint of shard-local id `lid`.
+    fn fp(&self, lid: u32) -> u64 {
+        let i = lid as usize;
+        self.column[i / COL_CHUNK][i % COL_CHUNK]
     }
 
-    pub(crate) fn insert(&mut self, fp: u64, lid: u32) {
-        let part = &mut self.parts[Self::part(fp)];
-        let cap = part.capacity();
-        if cap == 0 {
-            part.reserve(PART_FIRST);
+    pub(crate) fn get(&mut self, fp: u64) -> Option<u32> {
+        let slots = &self.parts[Self::part(fp)].slots;
+        let (mut probes, mut reads, mut found) = (0, 0, None);
+        if !slots.is_empty() {
+            let (mask, tag) = (slots.len() - 1, tag(fp));
+            let mut i = home(fp, mask);
+            loop {
+                let s = slots[i];
+                probes += 1;
+                if s == 0 {
+                    break;
+                }
+                if s & TAG_MASK == tag {
+                    reads += 1;
+                    if self.fp(s >> TAG_BITS) == fp {
+                        found = Some(s >> TAG_BITS);
+                        break;
+                    }
+                }
+                i = (i + 1) & mask;
+            }
         }
-        if part.insert(fp, lid).is_none() {
-            self.len += 1;
+        self.counters.lookups += 1;
+        self.counters.probes += probes;
+        self.counters.column_reads += reads;
+        found
+    }
+
+    /// Appends `fp` as the next shard-local id. The caller has checked
+    /// that `get(fp)` is `None`.
+    pub(crate) fn push(&mut self, fp: u64) {
+        let lid = self.len as u32;
+        if self.column.last().is_none_or(|c| c.len() == COL_CHUNK) {
+            self.column.push(Vec::with_capacity(COL_CHUNK));
         }
-        if part.capacity() != cap {
-            self.bytes = self.bytes + table_bytes(part.capacity()) - table_bytes(cap);
+        self.column.last_mut().expect("a chunk with room was just ensured").push(fp);
+        self.len += 1;
+        let p = Self::part(fp);
+        if (self.parts[p].len + 1) * LOAD_DEN > self.parts[p].slots.len() * LOAD_NUM {
+            self.grow(p);
         }
+        let part = &mut self.parts[p];
+        part.len += 1;
+        place(&mut part.slots, fp, (lid << TAG_BITS) | tag(fp));
+    }
+
+    /// Doubles part `p`, re-placing its entries from the column.
+    fn grow(&mut self, p: usize) {
+        let old = &self.parts[p].slots;
+        let mut slots = vec![0u32; if old.is_empty() { PART_FIRST } else { 2 * old.len() }];
+        for &s in old.iter().filter(|&&s| s != 0) {
+            place(&mut slots, self.fp(s >> TAG_BITS), s);
+        }
+        self.slot_bytes += (slots.len() - old.len()) * std::mem::size_of::<u32>();
+        self.parts[p].slots = slots;
     }
 
     pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// The map inverted: fingerprints in shard-local id order (ids are
-    /// dense `0..len`).
-    pub(crate) fn by_lid(&self) -> Vec<u64> {
-        let mut fps = vec![0u64; self.len];
-        for (&fp, &lid) in self.parts.iter().flatten() {
-            fps[lid as usize] = fp;
-        }
-        fps
+    /// The shard's fingerprints in shard-local id order (ids are dense
+    /// `0..len`): the column itself.
+    pub(crate) fn by_lid(&self) -> impl Iterator<Item = u64> + '_ {
+        self.column.iter().flatten().copied()
+    }
+
+    /// Bytes of the column: every chunk whole, plus the chunk directory.
+    fn column_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.column.len() * COL_CHUNK * size_of::<u64>()
+            + self.column.capacity() * size_of::<Vec<u64>>()
     }
 }
 
@@ -248,9 +368,9 @@ const REC_BYTES: usize = 16;
 /// keep exploring; the emptied chunks take the next epochs' records.
 /// [`ShardStore::rec`] reads through the tier transparently; only
 /// counterexample-trace reconstruction and checkpoints ever touch frozen
-/// records. The fingerprint map itself always stays in RAM — it is the
-/// dedup hot path. In fingerprint-only mode no records exist at all and
-/// the map is the entire shard.
+/// records. The fingerprint map (column and slots) always stays in RAM —
+/// it is the dedup hot path. In fingerprint-only mode no records exist at
+/// all and the map is the entire shard.
 #[derive(Debug)]
 pub(crate) struct ShardStore {
     pub map: FpMap,
@@ -403,17 +523,25 @@ impl ShardStore {
         Ok(())
     }
 
-    /// RAM held by this shard's visited set: every allocated map bucket
-    /// plus control bytes, every record chunk whole (hot or free), and
-    /// the bookkeeping vectors; frozen records live on disk and cost one
+    /// RAM held by this shard's visited set: every column chunk and
+    /// record chunk whole (hot or free), every slot table, and the
+    /// bookkeeping vectors; frozen records live on disk and cost one
     /// descriptor each. O(1): the budget check reads it per insert.
     pub(crate) fn mem_bytes(&self) -> usize {
+        self.bytes().total()
+    }
+
+    /// [`ShardStore::mem_bytes`] by component.
+    pub(crate) fn bytes(&self) -> StoreBytes {
         use std::mem::size_of;
-        self.map.bytes
-            + (self.hot.len() + self.free.len()) * CHUNK_RECS * size_of::<StateRec>()
-            + (self.hot.capacity() + self.free.capacity()) * size_of::<Vec<StateRec>>()
-            + self.frozen.capacity() * size_of::<(usize, usize, u64)>()
-            + self.levels.capacity() * size_of::<u32>()
+        StoreBytes {
+            column: self.map.column_bytes(),
+            slots: self.map.slot_bytes,
+            records: (self.hot.len() + self.free.len()) * CHUNK_RECS * size_of::<StateRec>()
+                + (self.hot.capacity() + self.free.capacity()) * size_of::<Vec<StateRec>>()
+                + self.frozen.capacity() * size_of::<(usize, usize, u64)>()
+                + self.levels.capacity() * size_of::<u32>(),
+        }
     }
 
     /// Cumulative `(payload bytes, chunks)` written to this shard's spill
@@ -469,6 +597,7 @@ pub fn fingerprint_bytes(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn gid_packs_and_unpacks() {
@@ -588,38 +717,75 @@ mod tests {
         let mut s = ShardStore::new();
         let empty = s.mem_bytes();
         assert!(empty < 64, "an empty shard holds no table and no chunk: {empty}");
-        s.map.insert(7, 0);
+        s.map.push(7);
         s.push_rec(StateRec { parent_fp: 7, parent: Gid::pack(0, 0), step: STEP_NONE });
-        // One part's first table, one whole record chunk.
-        let chunk = CHUNK_RECS * std::mem::size_of::<StateRec>();
-        assert_eq!(s.map.bytes, table_bytes(PART_FIRST));
-        assert_eq!(table_bytes(PART_FIRST), 32 * 17 + GROUP_WIDTH);
-        assert!(s.mem_bytes() >= s.map.bytes + chunk);
+        // One column chunk, one part's first slot table, one record chunk.
+        let b = s.bytes();
+        let directory = s.map.column.capacity() * std::mem::size_of::<Vec<u64>>();
+        assert_eq!(b.column, COL_CHUNK * 8 + directory);
+        assert_eq!(b.slots, PART_FIRST * 4);
+        assert!(b.records >= CHUNK_RECS * std::mem::size_of::<StateRec>());
+        assert_eq!(s.mem_bytes(), b.total());
         assert_eq!(s.len(), 1);
     }
 
+    /// Bytes the map holds, recounted from its allocations.
+    fn recount(m: &FpMap) -> usize {
+        m.column.len() * COL_CHUNK * 8
+            + m.column.capacity() * std::mem::size_of::<Vec<u64>>()
+            + m.parts.iter().map(|p| p.slots.len() * 4).sum::<usize>()
+    }
+
     #[test]
-    fn map_bytes_charge_allocated_buckets_not_capacity() {
-        // hashbrown's load limit is 7/8 of its buckets: the 254,130-state
-        // shard of MESI stalling @4 sits in 2¹⁹ buckets, not 458,752.
-        assert_eq!(table_bytes(458_752), 524_288 * 17 + GROUP_WIDTH);
-        assert_eq!(table_bytes(7), 8 * 17 + GROUP_WIDTH);
-        assert_eq!(table_bytes(0), 0);
-        // The running total is the sum over parts, and no part holds more
-        // than a few times its fair share.
+    fn map_agrees_with_a_hash_map_oracle() {
+        // Adversarial fingerprints first: 0 and u64::MAX, then 512 that
+        // share one part, one home slot at every table size and one tag
+        // (they differ only in bits 0..8 and in bits 32..38's neighbour
+        // part for the second half), so probe chains run long and every
+        // tag match must be settled by the column.
+        let crowd = 0xABCD_EF01_2345_6789_u64 & !0xFF;
+        let mut fps: Vec<u64> = vec![0, u64::MAX];
+        fps.extend((0..256).map(|low| crowd | low));
+        fps.extend((0..256).map(|low| (crowd ^ (1 << PART_SHIFT)) | low));
+        let shared = fps[2..].iter().filter(|&&fp| FpMap::part(fp) == FpMap::part(crowd));
+        assert!(shared.clone().all(|&fp| tag(fp) == tag(crowd) && home(fp, !0) == home(crowd, !0)));
+        assert_eq!(shared.count(), 256);
+        // Then 10⁵ pseudo-random ones, a few of them repeats.
+        fps.extend((0..100_000u64).map(|i| mix64((i % 99_000) ^ 0x5EED)));
+
         let mut m = FpMap::new();
-        for i in 0..50_000u64 {
-            m.insert(mix64(i), i as u32);
+        let mut oracle: HashMap<u64, u32> = HashMap::new();
+        let mut order = Vec::new();
+        for (i, &fp) in fps.iter().enumerate() {
+            assert_eq!(m.get(fp), oracle.get(&fp).copied(), "lookup of {fp:#x} before insert {i}");
+            if oracle.contains_key(&fp) {
+                continue;
+            }
+            oracle.insert(fp, order.len() as u32);
+            order.push(fp);
+            m.push(fp);
+            assert_eq!(m.get(fp), Some(order.len() as u32 - 1), "{fp:#x} just inserted");
+            // An earlier key and a key never inserted agree too.
+            let earlier = order[mix64(i as u64) as usize % order.len()];
+            assert_eq!(m.get(earlier), oracle.get(&earlier).copied());
+            let absent = mix64(fp ^ 0xDEAD);
+            assert_eq!(m.get(absent), oracle.get(&absent).copied());
+            assert_eq!(m.column_bytes() + m.slot_bytes, recount(&m), "after insert {i}");
+            if i % 4096 == 0 {
+                assert!(oracle.iter().all(|(&fp, &lid)| m.get(fp) == Some(lid)));
+            }
         }
-        assert_eq!(m.len(), 50_000);
-        let parts: usize = m.parts.iter().map(|p| table_bytes(p.capacity())).sum();
-        assert_eq!(m.bytes, parts);
-        let largest = m.parts.iter().map(|p| p.len()).max().unwrap();
-        assert!(largest < 2 * 50_000 / PARTS, "parts are unbalanced: {largest}");
-        assert_eq!(m.get(mix64(123)), Some(123));
-        assert_eq!(m.get(mix64(50_000)), None);
-        let fps = m.by_lid();
-        assert!(fps.iter().enumerate().all(|(i, &fp)| fp == mix64(i as u64)));
+        assert!(oracle.iter().all(|(&fp, &lid)| m.get(fp) == Some(lid)));
+        assert_eq!(m.len(), oracle.len());
+        assert_eq!(m.by_lid().collect::<Vec<_>>(), order, "by_lid is insertion order");
+        for p in &m.parts {
+            assert_eq!(p.len, p.slots.iter().filter(|&&s| s != 0).count());
+            assert!(p.len * LOAD_DEN <= p.slots.len() * LOAD_NUM, "a part is over its load limit");
+        }
+        let largest = m.parts.iter().map(|p| p.len).max().unwrap();
+        assert!(largest < 2 * m.len() / PARTS, "parts are unbalanced: {largest}");
+        let c = m.counters;
+        assert!(c.lookups > 0 && c.probes >= c.lookups && c.column_reads > 0, "{c:?}");
     }
 
     #[test]

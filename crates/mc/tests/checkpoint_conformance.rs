@@ -308,3 +308,117 @@ fn flat_and_composed_checkpoints_refuse_each_other() {
     assert!(err.to_string().contains("glue"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Runs MSI @2 on two shards, checkpointing every epoch up to a
+/// 200-state budget; returns the run's configuration and the directory
+/// of its committed checkpoint.
+fn committed_checkpoint(tag: &str) -> (McConfig, PathBuf) {
+    let g = generate(&protogen_protocols::msi(), &GenConfig::stalling()).unwrap();
+    let dir = tmpdir(tag);
+    let cfg = McConfig {
+        checkpoint_dir: Some(dir.clone()),
+        checkpoint_every: 1,
+        max_states: 200,
+        ..McConfig::with_caches_and_threads(2, 2)
+    };
+    ModelChecker::new(&g.cache, &g.directory, cfg.clone()).run();
+    let ck = std::fs::read_dir(&dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.path())
+        .find(|p| p.join("manifest.bin").is_file())
+        .expect("a committed checkpoint");
+    (cfg, ck)
+}
+
+/// Rewrites shard `t` of the checkpoint in `ck` through `edit` (given the
+/// payload), then re-signs the shard's checksum and the manifest's record
+/// of it and its own checksum with `fingerprint_bytes` — so only the
+/// loader's structural checks can refuse the edit.
+fn edit_and_resign(ck: &std::path::Path, t: usize, edit: impl FnOnce(&mut [u8])) {
+    let resign = |bytes: &mut Vec<u8>| {
+        let body = bytes.len() - 8;
+        let sum = protogen_mc::fingerprint_bytes(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        sum
+    };
+    let path = ck.join(format!("shard-{t}.bin"));
+    let mut shard = std::fs::read(&path).unwrap();
+    let body = shard.len() - 8;
+    edit(&mut shard[..body]);
+    let sum = resign(&mut shard);
+    std::fs::write(&path, &shard).unwrap();
+    // Manifest: 48 header bytes, then `(length, checksum)` per shard.
+    let mpath = ck.join("manifest.bin");
+    let mut manifest = std::fs::read(&mpath).unwrap();
+    let at = 48 + 16 * t + 8;
+    manifest[at..at + 8].copy_from_slice(&sum.to_le_bytes());
+    resign(&mut manifest);
+    std::fs::write(&mpath, &manifest).unwrap();
+}
+
+/// Shard-file layout: the fingerprint of state `lid` at byte 24 + 8·lid.
+fn fp_at(shard: &[u8], lid: usize) -> u64 {
+    u64::from_le_bytes(shard[24 + 8 * lid..32 + 8 * lid].try_into().unwrap())
+}
+
+fn set_fp(shard: &mut [u8], lid: usize, fp: u64) {
+    shard[24 + 8 * lid..32 + 8 * lid].copy_from_slice(&fp.to_le_bytes());
+}
+
+fn resume_error(cfg: McConfig) -> String {
+    let g = generate(&protogen_protocols::msi(), &GenConfig::stalling()).unwrap();
+    let err = ModelChecker::new(&g.cache, &g.directory, cfg).resume();
+    err.map(|r| r.states).expect_err("a corrupt checkpoint resumed").to_string()
+}
+
+/// A fingerprint listed twice in one shard used to overwrite the first
+/// one's id: the shard then counted one state fewer than its records and
+/// every later id pointed at the wrong state.
+#[test]
+fn a_shard_repeating_a_fingerprint_is_refused() {
+    let (cfg, ck) = committed_checkpoint("repeat");
+    edit_and_resign(&ck, 0, |s| {
+        let first = fp_at(s, 0);
+        set_fp(s, 1, first);
+    });
+    let err = resume_error(cfg);
+    assert!(err.contains("corrupt") && err.contains("state 1 repeats"), "{err}");
+    let _ = std::fs::remove_dir_all(ck.parent().unwrap());
+}
+
+/// A fingerprint that another shard owns (`fp % threads`) used to load
+/// where no dedup query would ever look for it, so its state was explored
+/// again.
+#[test]
+fn a_shard_holding_another_shards_fingerprint_is_refused() {
+    let (cfg, ck) = committed_checkpoint("owner");
+    edit_and_resign(&ck, 1, |s| {
+        let moved = fp_at(s, 0) ^ 1;
+        set_fp(s, 0, moved);
+    });
+    let err = resume_error(cfg);
+    assert!(err.contains("corrupt") && err.contains("belongs to shard 0"), "{err}");
+    let _ = std::fs::remove_dir_all(ck.parent().unwrap());
+}
+
+/// The manifest's state count drives `--max-states` after a resume; it
+/// used to be taken on trust.
+#[test]
+fn a_manifest_miscounting_its_shards_is_refused() {
+    let (cfg, ck) = committed_checkpoint("total");
+    // The count sits at byte 16; an empty shard edit re-signs the
+    // manifest around it.
+    let mpath = ck.join("manifest.bin");
+    let mut manifest = std::fs::read(&mpath).unwrap();
+    let total = u64::from_le_bytes(manifest[16..24].try_into().unwrap());
+    manifest[16..24].copy_from_slice(&(total + 1).to_le_bytes());
+    std::fs::write(&mpath, &manifest).unwrap();
+    edit_and_resign(&ck, 0, |_| {});
+    let err = resume_error(cfg);
+    assert!(
+        err.contains(&format!("records {} states but its shards hold {total}", total + 1)),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(ck.parent().unwrap());
+}
