@@ -1225,10 +1225,9 @@ fn quiet_panics<T>(run: impl FnOnce() -> T) -> T {
 
 /// `fuzz --replay`: one reproducer script back through the pipeline.
 fn replay(path: &str, budget: usize) -> Run {
-    use protogen_fuzz::{run_mutant, Outcome, Script};
+    use protogen_fuzz::{Outcome, Script};
     let script = Script::parse(&read(path)?).map_err(|e| Usage(e.to_string()))?;
-    let base = protocol(&script.protocol)?;
-    let r = run_mutant(&base, &script.mutations, &script.gen_config(), budget, false);
+    let r = script.subject(protocol(&script.protocol)?).run(budget);
     outln!("{}: {}", r.outcome.label(), r.outcome.detail());
     for line in &r.trace {
         outln!("  {line}");
@@ -1263,12 +1262,12 @@ fn fuzz(args: &Args) -> Run {
     let unexpected: Vec<_> = report
         .unexpected()
         .into_iter()
-        .map(|r| (r, r.shrunk.as_ref().expect("unexpected records carry a shrunk case")))
+        .map(|r| (r, r.reproducer(report.seed).expect("unexpected records carry a shrunk case")))
         .collect();
 
     if let Some(dir) = args.text("out").map(Path::new) {
         let scripts =
-            unexpected.iter().map(|(r, s)| (format!("repro-{}.mut", r.index), s.script.clone()));
+            unexpected.iter().map(|(r, script)| (format!("repro-{}.mut", r.index), script.clone()));
         let summary = ("fuzz.json".to_string(), report.to_json().render());
         for (name, contents) in std::iter::once(summary).chain(scripts) {
             if let Err(e) = write_artifact(dir, &name, &contents) {
@@ -1295,13 +1294,14 @@ fn fuzz(args: &Args) -> Run {
             outln!(
                 "control {:<38} {} ({})",
                 c.name,
-                if c.caught { "CAUGHT" } else { "MISSED" },
-                c.detail
+                if c.caught() { "CAUGHT" } else { "MISSED" },
+                c.result.outcome.detail()
             );
         }
-        for (r, s) in &unexpected {
-            outln!("unexpected mutant {}: {} — {}", r.index, r.outcome, r.detail);
-            for line in s.script.lines() {
+        for (r, script) in &unexpected {
+            let o = &r.result.outcome;
+            outln!("unexpected mutant {}: {} — {}", r.index, o.label(), o.detail());
+            for line in script.lines() {
                 outln!("  {line}");
             }
         }

@@ -165,7 +165,7 @@ fn fuzz(threads: usize) -> Output {
         dist.iter().map(|(label, count)| format!("{label} | {count} | {:.1}%", share(*count)));
     let families: Vec<_> =
         report.checker_families().iter().map(|(f, c)| format!("{c} {f}")).collect();
-    let caught = report.controls.iter().filter(|c| c.caught).count();
+    let caught = report.controls.iter().filter(|c| c.caught()).count();
     let rows = outcomes.chain([
         format!("checker families | {} | ", families.join(", ")),
         format!("negative controls caught | {caught} of {} | ", report.controls.len()),

@@ -11,11 +11,8 @@
 //! write, and two subtrees end up with incompatible leaf permissions. The
 //! seeded negative control pins that the hierarchical checker catches it.
 
-use crate::harness::{classify, panic_message, Outcome, RunResult};
-use protogen_core::{compose, Composed, GenConfig};
-use protogen_mc::{HierChecker, HierConfig};
+use protogen_core::Composed;
 use protogen_spec::{Composition, Perm};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One glue mutation: weaken the outer permission that inner message
 /// `msg` of glue layer `level` needs at its hosting node before delivery.
@@ -58,37 +55,10 @@ pub fn apply_glue(c: &mut Composed, m: GlueMutation) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs a composition with `mutations` applied to its derived glue
-/// through the hierarchical checker, classifying the outcome exactly as
-/// [`crate::run_mutant`] does for flat mutants. Never panics.
-pub fn run_composed_mutant(
-    comp: &Composition,
-    mutations: &[GlueMutation],
-    gen_cfg: &GenConfig,
-    budget: usize,
-) -> RunResult {
-    let no_trace = |outcome| RunResult { outcome, trace: Vec::new() };
-    let mut composed = match catch_unwind(AssertUnwindSafe(|| compose(comp, gen_cfg))) {
-        Ok(Ok(c)) => c,
-        Ok(Err(e)) => return no_trace(Outcome::RejectedByGenerator(e.to_string())),
-        Err(payload) => return no_trace(Outcome::GeneratorPanic(panic_message(payload))),
-    };
-    for &m in mutations {
-        if let Err(e) = apply_glue(&mut composed, m) {
-            return no_trace(Outcome::MutationInapplicable(e));
-        }
-    }
-    // One checker thread per mutant, as `quick_check_config` pins for flat
-    // mutants: the campaign parallelizes across mutants instead.
-    let cfg = HierConfig { max_states: budget.max(1), threads: 1, ..HierConfig::default() };
-    let result = catch_unwind(AssertUnwindSafe(|| HierChecker::new(&composed, cfg).check()));
-    result.map_or_else(|payload| no_trace(Outcome::CheckerPanic(panic_message(payload))), classify)
-}
-
 /// The seeded composed negative control: the 2×2 MSI-under-MSI stack
 /// with the `GetM` gate weakened `ReadWrite → Read`. Returns the
 /// composition and the mutation so callers (the campaign, tests, CI) run
-/// it identically.
+/// it identically; [`crate::Subject::Glue`] runs it through the pipeline.
 pub fn glue_control() -> (Composition, GlueMutation) {
     let comp = protogen_protocols::msi_under_msi(2, 2);
     let getm =
@@ -99,11 +69,23 @@ pub fn glue_control() -> (Composition, GlueMutation) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Outcome, RunResult, Subject};
+    use protogen_core::GenConfig;
+
+    fn run_glue(
+        comp: &Composition,
+        mutations: &[GlueMutation],
+        gen: &GenConfig,
+        budget: usize,
+    ) -> RunResult {
+        let (comp, mutations, gen) = (comp.clone(), mutations.to_vec(), gen.clone());
+        Subject::Glue { comp, mutations, gen }.run(budget)
+    }
 
     #[test]
     fn unmutated_composition_passes_silently() {
         let (comp, _) = glue_control();
-        let r = run_composed_mutant(&comp, &[], &GenConfig::stalling(), 1_000_000);
+        let r = run_glue(&comp, &[], &GenConfig::stalling(), 1_000_000);
         assert!(matches!(r.outcome, Outcome::SilentPass { .. }), "{:?}", r.outcome);
     }
 
@@ -113,18 +95,18 @@ mod tests {
         // read-holding parent breaks leaf-level coherence, and the
         // checker must say so with a counterexample.
         let (comp, m) = glue_control();
-        let r = run_composed_mutant(&comp, &[m], &GenConfig::stalling(), 1_000_000);
+        let r = run_glue(&comp, &[m], &GenConfig::stalling(), 1_000_000);
         let Outcome::Caught { family, .. } = &r.outcome else {
             panic!("expected a caught violation, got {:?}", r.outcome);
         };
-        assert_eq!(family, "swmr", "a weakened write gate must break SWMR");
+        assert_eq!(*family, "swmr", "a weakened write gate must break SWMR");
         assert!(!r.trace.is_empty(), "caught outcomes carry the counterexample");
     }
 
     #[test]
     fn budget_stops_name_the_limit_like_flat_ones() {
         let (comp, _) = glue_control();
-        let r = run_composed_mutant(&comp, &[], &GenConfig::stalling(), 10);
+        let r = run_glue(&comp, &[], &GenConfig::stalling(), 10);
         assert_eq!(r.outcome, Outcome::ResourceExhausted("state budget exhausted".into()));
         assert!(r.trace.is_empty());
     }
@@ -133,10 +115,10 @@ mod tests {
     fn non_weakening_mutations_are_inapplicable() {
         let (comp, mut m) = glue_control();
         m.to = Perm::ReadWrite; // no-op, not a weakening
-        let r = run_composed_mutant(&comp, &[m], &GenConfig::stalling(), 10_000);
+        let r = run_glue(&comp, &[m], &GenConfig::stalling(), 10_000);
         assert!(matches!(r.outcome, Outcome::MutationInapplicable(_)), "{:?}", r.outcome);
         m.msg = 9999;
-        let r = run_composed_mutant(&comp, &[m], &GenConfig::stalling(), 10_000);
+        let r = run_glue(&comp, &[m], &GenConfig::stalling(), 10_000);
         assert!(matches!(r.outcome, Outcome::MutationInapplicable(_)), "{:?}", r.outcome);
     }
 }

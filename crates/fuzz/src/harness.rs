@@ -1,51 +1,60 @@
-//! Running one mutant through the pipeline and classifying what happened.
+//! The pipeline: one [`Subject`] through its guarded stages to one typed
+//! [`RunResult`].
 //!
-//! The harness drives `validate → generate → model-check` with every stage
-//! under `catch_unwind`, so a mutant can *never* abort the fuzzing
-//! process: a panic anywhere in the pipeline is captured and classified
-//! as an unexpected outcome (the bug class the fuzzer exists to find).
+//! A subject is a base SSP with mutations (`mutate → validate → generate →
+//! model-check`) or a composition with glue mutations (`compose → mutate
+//! glue → hierarchical check`). Every stage runs under the one stage guard,
+//! which turns the stage's structured error or panic into that stage's
+//! [`Outcome`], so a subject can *never* abort the fuzzing process: a
+//! panic anywhere in the pipeline is captured and classified as an
+//! unexpected outcome (the bug class the fuzzer exists to find).
 //!
-//! The model-check stage runs in budgeted quick-check mode: 2 caches, one
-//! worker thread, a configurable state budget, and the structured
-//! resource-exhaustion outcome from [`protogen_mc`] when the budget is
-//! spent — never an abort.
+//! The model-check stage runs in budgeted quick-check mode: 2 caches (or
+//! the composition's tree), one worker thread, a configurable state
+//! budget, and the structured resource-exhaustion outcome from
+//! [`protogen_mc`] when the budget is spent — never an abort.
 
+use crate::compose::{apply_glue, GlueMutation};
 use crate::mutate::{apply_all, Mutation};
-use protogen_core::{generate, GenConfig};
-use protogen_mc::{CheckResult, McConfig, ModelChecker, PropertySet, ViolationKind};
-use protogen_spec::Ssp;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use protogen_core::{compose, generate, GenConfig};
+use protogen_mc::{CheckResult, HierChecker, HierConfig, McConfig, ModelChecker};
+use protogen_mc::{PropertySet, ViolationKind};
+use protogen_spec::{Composition, Ssp};
+use std::convert::Infallible;
+use std::fmt::Display;
+use std::panic::AssertUnwindSafe;
 
-/// What running one mutant through the pipeline produced.
+/// What running one subject through the pipeline produced.
 ///
 /// The first three variants are the *working* rejection paths (the
-/// toolchain noticed something was off and said so); `Caught` is the
-/// checker doing its oracle job; the `…Panic` and `ExecViolation`
-/// variants are **unexpected** — evidence of a toolchain bug — and get
-/// shrunk to a minimal reproducer.
+/// toolchain noticed something was off and said so); `Caught` is an
+/// oracle doing its job; the `…Panic` and `ExecViolation` variants are
+/// **unexpected** — evidence of a toolchain bug — and get shrunk to a
+/// minimal reproducer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Outcome {
     /// A mutation site was out of range (only reachable while shrinking).
     MutationInapplicable(String),
     /// `Ssp::validate` rejected the mutant.
     RejectedAtBuild(String),
-    /// `generate` returned a structured [`protogen_core::GenError`].
+    /// `generate` (or `compose`) returned a structured
+    /// [`protogen_core::GenError`].
     RejectedByGenerator(String),
     /// A pre-checking stage (mutation application, validation, or the
     /// generator itself) panicked — an unexpected toolchain bug. The
     /// message names the stage.
     GeneratorPanic(String),
-    /// The model checker found a protocol violation (SWMR, data value,
-    /// deadlock, unexpected message, channel overflow, illegal action):
-    /// the oracle caught the mutant. Carries the violated property's
-    /// family label (the property-aware taxonomy key) and the rendered
-    /// violation kind.
+    /// An oracle found a protocol violation: the model checker (SWMR, data
+    /// value, deadlock, unexpected message, channel overflow, illegal
+    /// action) or, for the live recovery control, the serve-side
+    /// conformance oracle (family `serve-conformance`, label
+    /// `rejected-by-oracle`).
     Caught {
         /// Which property family fired: `swmr`, `data-value`,
-        /// `deadlock`, `unexpected-message`, `channel-overflow` or
-        /// `illegal-action`.
-        family: String,
-        /// The rendered violation kind.
+        /// `deadlock`, `unexpected-message`, `channel-overflow`,
+        /// `illegal-action` or `serve-conformance`.
+        family: &'static str,
+        /// The rendered violation.
         detail: String,
     },
     /// The checker hit a [`ViolationKind::Exec`] violation: the runtime
@@ -54,10 +63,10 @@ pub enum Outcome {
     ExecViolation(String),
     /// The model checker itself panicked — an unexpected toolchain bug.
     CheckerPanic(String),
-    /// A resource limit stopped the budgeted quick-check before it
-    /// exhausted the space (verdict unknown); carries the limit's wording.
+    /// A resource limit stopped the run before it reached a verdict;
+    /// carries the limit's wording.
     ResourceExhausted(String),
-    /// The mutant generated and verified clean: the mutation was
+    /// The subject generated and verified clean: the mutation was
     /// behaviour-preserving or unobservable at 2 caches.
     SilentPass {
         /// States the quick-check explored.
@@ -67,7 +76,25 @@ pub enum Outcome {
     },
 }
 
+/// The family of a violation the live `serve` run's conformance oracle
+/// flags (a protocol error, an envelope escape or a wedged run), as
+/// opposed to one the model checker finds.
+pub(crate) const SERVE_CONFORMANCE: &str = "serve-conformance";
+
 impl Outcome {
+    /// One outcome of every class a mutant can end in, in report order.
+    pub(crate) const CLASSES: [Outcome; 9] = [
+        Outcome::RejectedAtBuild(String::new()),
+        Outcome::RejectedByGenerator(String::new()),
+        Outcome::Caught { family: "", detail: String::new() },
+        Outcome::SilentPass { states: 0, transitions: 0 },
+        Outcome::ResourceExhausted(String::new()),
+        Outcome::GeneratorPanic(String::new()),
+        Outcome::ExecViolation(String::new()),
+        Outcome::CheckerPanic(String::new()),
+        Outcome::MutationInapplicable(String::new()),
+    ];
+
     /// Stable classification label (the report's distribution key).
     pub fn label(&self) -> &'static str {
         match self {
@@ -75,6 +102,7 @@ impl Outcome {
             Outcome::RejectedAtBuild(_) => "rejected-at-build",
             Outcome::RejectedByGenerator(_) => "rejected-by-generator",
             Outcome::GeneratorPanic(_) => "generator-panic",
+            Outcome::Caught { family: SERVE_CONFORMANCE, .. } => "rejected-by-oracle",
             Outcome::Caught { .. } => "rejected-by-checker",
             Outcome::ExecViolation(_) => "exec-violation",
             Outcome::CheckerPanic(_) => "checker-panic",
@@ -93,9 +121,9 @@ impl Outcome {
     }
 
     /// The violated property's family label — the property-aware
-    /// taxonomy key (`swmr`, `deadlock`, …) — when
-    /// the checker caught this mutant; `None` for every other outcome.
-    pub fn family(&self) -> Option<&str> {
+    /// taxonomy key (`swmr`, `deadlock`, …) — when an oracle caught the
+    /// subject; `None` for every other outcome.
+    pub fn family(&self) -> Option<&'static str> {
         match self {
             Outcome::Caught { family, .. } => Some(family),
             _ => None,
@@ -120,7 +148,7 @@ impl Outcome {
     }
 }
 
-/// The result of running one mutant: its outcome plus the checker's
+/// The result of running one subject: its outcome plus the checker's
 /// counterexample trace when one exists.
 #[derive(Debug, Clone)]
 pub struct RunResult {
@@ -129,6 +157,116 @@ pub struct RunResult {
     /// Counterexample trace lines (empty unless the checker found a
     /// violation).
     pub trace: Vec<String>,
+}
+
+/// What one pipeline run checks.
+#[derive(Debug, Clone)]
+pub enum Subject {
+    /// A base SSP with mutations, generated under `gen` and checked flat.
+    Flat {
+        /// The unmutated protocol.
+        base: Ssp,
+        /// The ordered mutation list.
+        mutations: Vec<Mutation>,
+        /// The generator configuration.
+        gen: GenConfig,
+        /// Check the full SC invariant set instead of the properties the
+        /// base's memory model promises (the TSO-CC relaxation control).
+        full_invariants: bool,
+    },
+    /// A composition whose derived glue gets mutations, generated under
+    /// `gen` and checked hierarchically.
+    Glue {
+        /// The stack.
+        comp: Composition,
+        /// The ordered glue mutation list.
+        mutations: Vec<GlueMutation>,
+        /// The generator configuration of every level.
+        gen: GenConfig,
+    },
+}
+
+impl Subject {
+    /// Runs the subject through its stages with a `budget`-state
+    /// quick-check. Never panics: every stage is guarded, every failure
+    /// is classified.
+    pub fn run(&self, budget: usize) -> RunResult {
+        let checked = match self {
+            Subject::Flat { base, mutations, gen, full_invariants } => {
+                flat(base, mutations, gen, budget, *full_invariants)
+            }
+            Subject::Glue { comp, mutations, gen } => glue(comp, mutations, gen, budget),
+        };
+        checked.map_or_else(|outcome| RunResult { outcome, trace: Vec::new() }, classify)
+    }
+}
+
+/// The flat stages: mutate → validate → generate → model-check.
+fn flat(
+    base: &Ssp,
+    mutations: &[Mutation],
+    gen: &GenConfig,
+    budget: usize,
+    full_invariants: bool,
+) -> Result<CheckResult, Outcome> {
+    let ssp =
+        guard(|| apply_all(base, mutations), Outcome::MutationInapplicable, during("mutation"))?;
+    guard(|| ssp.validate(), Outcome::RejectedAtBuild, during("validation"))?;
+    let g = guard(|| generate(&ssp, gen), Outcome::RejectedByGenerator, Outcome::GeneratorPanic)?;
+    let cfg = quick_check_config(&ssp, budget, full_invariants);
+    checked(|| ModelChecker::new(&g.cache, &g.directory, cfg).run())
+}
+
+/// The glue stages: compose → mutate the derived glue → hierarchical
+/// check, on one checker thread as flat mutants get (the campaign
+/// parallelizes across mutants instead).
+fn glue(
+    comp: &Composition,
+    mutations: &[GlueMutation],
+    gen: &GenConfig,
+    budget: usize,
+) -> Result<CheckResult, Outcome> {
+    let mut composed =
+        guard(|| compose(comp, gen), Outcome::RejectedByGenerator, Outcome::GeneratorPanic)?;
+    let mutate = || mutations.iter().try_for_each(|&m| apply_glue(&mut composed, m));
+    guard(mutate, Outcome::MutationInapplicable, during("mutation"))?;
+    let cfg = HierConfig { max_states: budget.max(1), threads: 1, ..HierConfig::default() };
+    checked(|| HierChecker::new(&composed, cfg).check())
+}
+
+/// The one stage guard: runs `stage`, turning its structured error into
+/// `rejected(message)` and a panic into `panicked(message)`.
+fn guard<T, E: Display>(
+    stage: impl FnOnce() -> Result<T, E>,
+    rejected: impl FnOnce(String) -> Outcome,
+    panicked: impl FnOnce(String) -> Outcome,
+) -> Result<T, Outcome> {
+    match std::panic::catch_unwind(AssertUnwindSafe(stage)) {
+        Ok(result) => result.map_err(|e| rejected(e.to_string())),
+        Err(payload) => Err(panicked(panic_message(payload))),
+    }
+}
+
+/// A panic in a stage before generation, named after the stage.
+fn during(stage: &'static str) -> impl FnOnce(String) -> Outcome {
+    move |p| Outcome::GeneratorPanic(format!("during {stage}: {p}"))
+}
+
+/// The check stage: a checker has no structured error, only a verdict or
+/// a panic.
+fn checked(check: impl FnOnce() -> CheckResult) -> Result<CheckResult, Outcome> {
+    guard(|| Ok::<_, Infallible>(check()), Outcome::CheckerPanic, Outcome::CheckerPanic)
+}
+
+/// Renders a captured panic payload.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
 }
 
 /// The property-aware taxonomy key for a caught violation: which
@@ -155,26 +293,12 @@ pub(crate) fn classify(r: CheckResult) -> RunResult {
     let outcome = match (&r.violation, r.limit) {
         (Some(v), _) => match &v.kind {
             ViolationKind::Exec(d) => Outcome::ExecViolation(d.clone()),
-            kind => Outcome::Caught {
-                family: violation_family(kind).to_string(),
-                detail: kind.to_string(),
-            },
+            kind => Outcome::Caught { family: violation_family(kind), detail: kind.to_string() },
         },
         (None, Some(limit)) => Outcome::ResourceExhausted(limit.to_string()),
         (None, None) => Outcome::SilentPass { states: r.states, transitions: r.transitions },
     };
     RunResult { outcome, trace: r.violation.map(|v| v.trace).unwrap_or_default() }
-}
-
-/// Renders a captured panic payload.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// The budgeted quick-check configuration for `ssp`: 2 caches, one
@@ -183,7 +307,7 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// ([`protogen_mc::PropertySet::promised`]), exactly as the conformance
 /// matrix does; `full_invariants` forces the complete SC set anyway (the
 /// relaxation negative control).
-pub fn quick_check_config(ssp: &Ssp, budget: usize, full_invariants: bool) -> McConfig {
+fn quick_check_config(ssp: &Ssp, budget: usize, full_invariants: bool) -> McConfig {
     let mut cfg = McConfig::with_caches(2);
     cfg.threads = 1;
     cfg.max_states = budget.max(1);
@@ -196,56 +320,21 @@ pub fn quick_check_config(ssp: &Ssp, budget: usize, full_invariants: bool) -> Mc
     cfg
 }
 
-/// Runs `base + mutations` through the pipeline under `gen_cfg`.
-///
-/// Never panics: every stage is wrapped, every failure is classified.
-pub fn run_mutant(
-    base: &Ssp,
-    mutations: &[Mutation],
-    gen_cfg: &GenConfig,
-    budget: usize,
-    full_invariants: bool,
-) -> RunResult {
-    let no_trace = |outcome| RunResult { outcome, trace: Vec::new() };
-    // Mutation application and validation are wrapped like every later
-    // stage: the harness contract is that *no* mutant input can abort
-    // the campaign, however pathological.
-    let ssp = match catch_unwind(AssertUnwindSafe(|| apply_all(base, mutations))) {
-        Ok(Ok(ssp)) => ssp,
-        Ok(Err(e)) => return no_trace(Outcome::MutationInapplicable(e.to_string())),
-        Err(payload) => {
-            return no_trace(Outcome::GeneratorPanic(format!(
-                "during mutation: {}",
-                panic_message(payload)
-            )))
-        }
-    };
-    match catch_unwind(AssertUnwindSafe(|| ssp.validate())) {
-        Ok(Ok(())) => {}
-        Ok(Err(e)) => return no_trace(Outcome::RejectedAtBuild(e.to_string())),
-        Err(payload) => {
-            return no_trace(Outcome::GeneratorPanic(format!(
-                "during validation: {}",
-                panic_message(payload)
-            )))
-        }
-    }
-    let generated = match catch_unwind(AssertUnwindSafe(|| generate(&ssp, gen_cfg))) {
-        Ok(Ok(g)) => g,
-        Ok(Err(e)) => return no_trace(Outcome::RejectedByGenerator(e.to_string())),
-        Err(payload) => return no_trace(Outcome::GeneratorPanic(panic_message(payload))),
-    };
-    let mc_cfg = quick_check_config(&ssp, budget, full_invariants);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        ModelChecker::new(&generated.cache, &generated.directory, mc_cfg).run()
-    }));
-    result.map_or_else(|payload| no_trace(Outcome::CheckerPanic(panic_message(payload))), classify)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mutate::MutOp;
+
+    fn run_mutant(
+        base: &Ssp,
+        mutations: &[Mutation],
+        gen: &GenConfig,
+        budget: usize,
+        full_invariants: bool,
+    ) -> RunResult {
+        let (base, mutations, gen) = (base.clone(), mutations.to_vec(), gen.clone());
+        Subject::Flat { base, mutations, gen, full_invariants }.run(budget)
+    }
 
     #[test]
     fn unmutated_msi_passes_silently() {
@@ -298,8 +387,7 @@ mod tests {
             "protocol mosi\nconfig non-stalling\nmutate swap-transition-target 5\n",
         )
         .unwrap();
-        let ssp = protogen_protocols::by_name(&script.protocol).unwrap();
-        let r = run_mutant(&ssp, &script.mutations, &script.gen_config(), 50_000, false);
+        let r = script.subject(protogen_protocols::by_name(&script.protocol).unwrap()).run(50_000);
         assert_eq!(
             r.outcome,
             Outcome::RejectedByGenerator(

@@ -10,13 +10,15 @@
 //!    reaction, swap a transition target, flip a permission, reorder
 //!    await arcs, drop an acknowledgment, retarget a forward), addressed
 //!    by deterministic `(operator, site)` pairs.
-//! 2. **Run** ([`harness`]): push each mutant through
-//!    `validate → generate → model-check` (2 caches, budgeted
-//!    quick-check) with every stage under `catch_unwind`, classifying the
-//!    outcome: rejected-at-build, rejected-by-generator,
-//!    rejected-by-checker (the oracle working), resource-exhausted,
-//!    silent-pass — or the *unexpected* classes (generator panic, checker
-//!    panic, exec violation) that evidence toolchain bugs.
+//! 2. **Run** ([`harness`]): push each [`Subject`] — a base SSP with
+//!    mutations, or a composed stack with glue mutations ([`mod@compose`])
+//!    — through `validate → generate → model-check` (2 caches, budgeted
+//!    quick-check), every stage under one guard, into one typed
+//!    [`RunResult`] whose [`Outcome`] is rejected-at-build,
+//!    rejected-by-generator, rejected-by-checker (the oracle working),
+//!    resource-exhausted, silent-pass — or one of the *unexpected* classes
+//!    (generator panic, checker panic, exec violation) that evidence
+//!    toolchain bugs.
 //! 3. **Shrink** ([`mod@shrink`]): greedily reduce any unexpected outcome to
 //!    a minimal mutation set and emit a replayable mutation script
 //!    ([`script`]) plus the checker trace.
@@ -24,9 +26,12 @@
 //! Batches fan across threads with index-derived seeds (the sweep-sharding
 //! discipline of `protogen-sim`): reports are **byte-identical at any
 //! thread count**. Seeded negative controls — the TSO-CC invariant
-//! relaxation, four hand-planted protocol bugs, and a composed stack with
-//! a weakened glue gate ([`mod@compose`]) — calibrate every run: a
-//! campaign that misses one is broken by construction.
+//! relaxation, four hand-planted protocol bugs, a composed stack with a
+//! weakened glue gate, and a live `serve` run with a lossy crash recovery
+//! — calibrate every run, each caught only by the property family it
+//! names: a campaign that misses one is broken by construction. Every
+//! mutant's [`MutantRecord`] and every control's [`ControlRecord`] keeps
+//! its typed result; [`FuzzReport::to_json`] renders them.
 //!
 //! # Example
 //!
@@ -55,12 +60,7 @@ pub mod shrink;
 
 mod run;
 
-pub use compose::{apply_glue, glue_control, run_composed_mutant, GlueMutation};
-pub use harness::{quick_check_config, run_mutant, Outcome, RunResult};
-pub use mutate::{apply, apply_all, site_count, Inapplicable, MutOp, Mutation};
-pub use run::{
-    derive_mutant, negative_controls, run_fuzz, run_glue_control, run_recovery_control, Control,
-    ControlRecord, FuzzConfig, FuzzReport, MutantRecord, MutantSpec, ShrunkCase, LABELS,
-};
-pub use script::{Script, ScriptError};
-pub use shrink::{shrink, Shrunk};
+pub use compose::{apply_glue, glue_control};
+pub use harness::{Outcome, RunResult, Subject};
+pub use run::{run_fuzz, ControlRecord, FuzzConfig, FuzzReport, MutantRecord};
+pub use script::Script;

@@ -8,12 +8,12 @@
 //! merged report is **byte-identical for any thread count**. CI diffs the
 //! JSON to enforce exactly that.
 
-use crate::compose::{glue_control, run_composed_mutant};
-use crate::harness::{run_mutant, Outcome};
+use crate::compose::glue_control;
+use crate::harness::{classify, Outcome, RunResult, Subject, SERVE_CONFORMANCE};
 use crate::mutate::{apply, site_count, MutOp, Mutation};
 use crate::script::Script;
-use crate::shrink::shrink;
-use protogen_core::par;
+use crate::shrink::{shrink, Shrunk};
+use protogen_core::{par, GenConfig};
 use protogen_sim::Json;
 use protogen_spec::Ssp;
 use rand::rngs::StdRng;
@@ -49,28 +49,15 @@ impl Default for FuzzConfig {
     }
 }
 
-/// One derived mutant: which base protocol, which generator
-/// configuration, and which mutations.
-#[derive(Debug, Clone)]
-pub struct MutantSpec {
-    /// Position in the run.
-    pub index: usize,
-    /// Index into the run's protocol list.
-    pub protocol_idx: usize,
-    /// Stalling (`true`) or non-stalling generation.
-    pub stalling: bool,
-    /// The ordered mutation list (1–3 mutations).
-    pub mutations: Vec<Mutation>,
-}
-
-/// Derives mutant `index` of a run: a pure function of `(seed, index)`
-/// and the (ordered) base-protocol list.
-pub fn derive_mutant(seed: u64, index: usize, bases: &[Ssp]) -> MutantSpec {
+/// Derives mutant `index` of a run — its base and its script, 1–3
+/// mutations — as a pure function of `(seed, index)` and the (ordered)
+/// `(name, base)` list.
+fn derive_mutant(seed: u64, index: usize, bases: &[(String, Ssp)]) -> (&Ssp, Script) {
     let mut rng = StdRng::seed_from_u64(par::job_seed(seed, index));
-    let protocol_idx = rng.gen_range(0..bases.len());
+    let (protocol, base) = &bases[rng.gen_range(0..bases.len())];
     let stalling = rng.gen_bool(0.5);
     let n_muts = 1 + rng.gen_range(0usize..3);
-    let mut ssp = bases[protocol_idx].clone();
+    let mut ssp = base.clone();
     let mut mutations = Vec::with_capacity(n_muts);
     for _ in 0..n_muts {
         // Cycle through the catalog from a seeded starting point until an
@@ -89,94 +76,147 @@ pub fn derive_mutant(seed: u64, index: usize, bases: &[Ssp]) -> MutantSpec {
             break;
         }
     }
-    MutantSpec { index, protocol_idx, stalling, mutations }
+    (base, Script { protocol: protocol.clone(), stalling, mutations })
 }
 
-/// A seeded known-bad mutant (or invariant relaxation) the checker
-/// *must* catch — the fuzzer's calibration set.
-#[derive(Debug, Clone)]
-pub struct Control {
-    /// Stable control name.
-    pub name: &'static str,
-    /// What the control injects.
-    pub script: Script,
-    /// Run the full invariant set even for relaxed protocols (the TSO-CC
-    /// relaxation control).
-    pub full_invariants: bool,
-}
-
-/// The bundled negative controls: the TSO-CC invariant relaxation plus
-/// four hand-seeded protocol bugs. A fuzzing run that misses any of them
-/// is broken by construction.
-pub fn negative_controls() -> Vec<Control> {
-    let mutation = |op, site| Mutation { op, site };
-    let msi = |mutations| Script { protocol: "msi".into(), stalling: false, mutations };
-    vec![
-        // TSO-CC trades physical SWMR / data-value freshness by design
-        // (§VI-D): under the *full* invariant set it must fail.
-        Control {
-            name: "tso-cc-relaxation",
-            script: Script { protocol: "tso-cc".into(), stalling: false, mutations: vec![] },
-            full_invariants: true,
-        },
-        // S silently gains write permission: two sharers become two
-        // writers (SWMR).
-        Control {
-            name: "msi-s-gains-write-permission",
-            script: msi(vec![mutation(MutOp::FlipPermission, 1)]),
-            full_invariants: false,
-        },
-        // The directory's S+GetM reaction is deleted: a store from S hits
-        // an unhandled request (completeness).
-        Control {
-            name: "msi-dir-drops-s-getm",
-            script: msi(vec![mutation(MutOp::DropDirReaction, 3)]),
-            full_invariants: false,
-        },
-        // The I-store transaction completes into the wrong stable state.
-        Control {
-            name: "msi-store-completes-into-wrong-state",
-            script: msi(vec![mutation(MutOp::SwapTransitionTarget, 1)]),
-            full_invariants: false,
-        },
-        // The cache's Inv reaction no longer sends Inv-Ack: the upgrading
-        // store waits forever (deadlock).
-        Control {
-            name: "msi-inv-ack-never-sent",
-            script: msi(vec![mutation(MutOp::DropAck, 0)]),
-            full_invariants: false,
-        },
-    ]
-}
-
-/// A control's result.
+/// A negative control's result.
 #[derive(Debug, Clone)]
 pub struct ControlRecord {
     /// The control's name.
     pub name: &'static str,
-    /// Outcome label the run produced.
-    pub outcome: String,
-    /// Property family that caught the control (`swmr`, `deadlock`, …),
-    /// when the checker did the catching.
-    pub family: Option<String>,
-    /// Outcome detail (violation kind, …).
-    pub detail: String,
-    /// Whether the checker caught it (`outcome == "rejected-by-checker"`).
-    pub caught: bool,
+    /// The property family that must catch the control.
+    pub family: &'static str,
+    /// What the run produced.
+    pub result: RunResult,
 }
 
-/// A shrunk reproducer attached to an unexpected outcome.
-#[derive(Debug, Clone)]
-pub struct ShrunkCase {
-    /// The replayable mutation script.
-    pub script: String,
-    /// Outcome label of the shrunk reproducer.
-    pub outcome: String,
-    /// Outcome detail of the shrunk reproducer.
-    pub detail: String,
-    /// Counterexample trace of the shrunk reproducer, when the checker
-    /// produced one.
-    pub trace: Vec<String>,
+impl ControlRecord {
+    /// Whether the control was caught, by the family that must catch it.
+    pub fn caught(&self) -> bool {
+        self.result.outcome.family() == Some(self.family)
+    }
+}
+
+/// Runs the calibration set every campaign starts with: known-bad
+/// subjects the checker must catch, each by a named property family, then
+/// the live recovery control. A campaign that misses any of them is
+/// broken by construction.
+fn run_controls(budget: usize) -> Vec<ControlRecord> {
+    let flat = |base, mutations, full_invariants| Subject::Flat {
+        base,
+        mutations,
+        gen: GenConfig::non_stalling(),
+        full_invariants,
+    };
+    let msi = |op, site| flat(protogen_protocols::msi(), vec![Mutation { op, site }], false);
+    let (comp, getm) = glue_control();
+    let subjects = [
+        // TSO-CC trades physical SWMR / data-value freshness by design
+        // (§VI-D): under the *full* invariant set it must fail.
+        ("tso-cc-relaxation", "swmr", flat(protogen_protocols::tso_cc(), vec![], true)),
+        // S silently gains write permission: two sharers become two
+        // writers.
+        ("msi-s-gains-write-permission", "swmr", msi(MutOp::FlipPermission, 1)),
+        // The directory's S+GetM reaction is deleted: a store from S hits
+        // an unhandled request (completeness).
+        ("msi-dir-drops-s-getm", "unexpected-message", msi(MutOp::DropDirReaction, 3)),
+        // The I-store transaction completes into the wrong stable state.
+        (
+            "msi-store-completes-into-wrong-state",
+            "unexpected-message",
+            msi(MutOp::SwapTransitionTarget, 1),
+        ),
+        // The cache's Inv reaction no longer sends Inv-Ack: the upgrading
+        // store waits forever.
+        ("msi-inv-ack-never-sent", "deadlock", msi(MutOp::DropAck, 0)),
+        // A parent holding only a read copy serves an inner write
+        // (`crate::compose`).
+        (
+            "msi-under-msi-glue-getm-weakened",
+            "swmr",
+            Subject::Glue { comp, mutations: vec![getm], gen: GenConfig::stalling() },
+        ),
+    ];
+    let mut records: Vec<ControlRecord> = subjects
+        .into_iter()
+        .map(|(name, family, subject)| ControlRecord { name, family, result: subject.run(budget) })
+        .collect();
+    records.push(ControlRecord {
+        name: "serve-crash-recovery-drops-lines",
+        family: SERVE_CONFORMANCE,
+        result: recovery_control(budget),
+    });
+    records
+}
+
+/// The crash-recovery negative control: a live `serve` run whose crashed
+/// cache uses the planted [`unsafe_reset`] recovery bug — dropping its
+/// lines without the write-back/invalidate traffic — which the serve-side
+/// conformance oracle (protocol error, envelope escape, or a non-quiescent
+/// stop reason) must flag. The other controls calibrate the *checker's*
+/// oracles; this one calibrates the *live run's*.
+///
+/// The live run is multi-threaded, so which seed first produces a
+/// non-vacuous caught run can vary with scheduling; the result carries
+/// only the verdict and fixed text, keeping the fuzz report byte-identical
+/// across thread counts.
+///
+/// [`unsafe_reset`]: protogen_serve::FaultConfig::unsafe_reset
+fn recovery_control(budget: usize) -> RunResult {
+    use protogen_serve::{serve, FaultConfig, ServeConfig, StopReason};
+
+    /// The planted bug usually wedges the run, and a wedged run is only
+    /// "caught" once its deadline passes: this is how long every campaign
+    /// (and every test that runs one) sleeps. A healthy run of this size
+    /// quiesces in about 10 ms, so 2 s is not mistaken for a wedge.
+    const DEADLINE_SECONDS: f64 = 2.0;
+
+    let no_trace = |outcome| RunResult { outcome, trace: Vec::new() };
+    let g = match protogen_core::generate(&protogen_protocols::msi(), &GenConfig::non_stalling()) {
+        Ok(g) => g,
+        Err(e) => return no_trace(Outcome::RejectedByGenerator(e.to_string())),
+    };
+    // The envelope: MSI@2 exhausts in well under the default quick-check
+    // budget; raise the cap for generous budgets so it is never partial.
+    let mut mc_cfg = protogen_mc::McConfig::with_caches(2);
+    mc_cfg.max_states = mc_cfg.max_states.max(budget);
+    let envelope = protogen_mc::ModelChecker::new(&g.cache, &g.directory, mc_cfg).run();
+    if !envelope.passed() {
+        return classify(envelope);
+    }
+    for seed in 0..5u64 {
+        let mut cfg = ServeConfig::new(2);
+        cfg.dir_shards = 2;
+        cfg.n_addrs = 4;
+        cfg.total_ops = 8_000;
+        cfg.mailbox_cap = 16;
+        cfg.max_seconds = DEADLINE_SECONDS;
+        // Store-heavy: the crashed cache almost surely holds lines to lose.
+        cfg.workload = protogen_sim::Workload::Uniform { store_pct: 90 };
+        cfg.seed = seed;
+        cfg.faults =
+            Some(FaultConfig { crashes: 1, unsafe_reset: true, ..FaultConfig::none(seed) });
+        let flagged = match serve(&g.cache, &g.directory, &cfg) {
+            Err(_) => true, // dropped state made a later message unhandleable
+            Ok(report) => {
+                if report.faults.is_some_and(|f| f.lines_lost == 0) {
+                    continue; // vacuous: nothing was held at the crash point
+                }
+                !report.escapes(&envelope.coverage).is_empty()
+                    || report.stop_reason != StopReason::Quiesced
+            }
+        };
+        return no_trace(if flagged {
+            let detail = "planted lossy crash recovery flagged by the live-run oracle".into();
+            Outcome::Caught { family: SERVE_CONFORMANCE, detail }
+        } else {
+            // Lines were lost, yet the run quiesced inside the envelope.
+            Outcome::SilentPass { states: envelope.states, transitions: envelope.transitions }
+        });
+    }
+    no_trace(Outcome::ResourceExhausted(
+        "every seed was vacuous (no lines held at the crash point)".into(),
+    ))
 }
 
 /// One mutant's record in the report.
@@ -184,35 +224,24 @@ pub struct ShrunkCase {
 pub struct MutantRecord {
     /// Position in the run.
     pub index: usize,
-    /// Base protocol CLI name.
-    pub protocol: String,
-    /// `"stalling"` or `"non-stalling"`.
-    pub config: &'static str,
-    /// The applied mutations.
-    pub mutations: Vec<Mutation>,
-    /// Outcome label.
-    pub outcome: String,
-    /// Property family that fired (`rejected-by-checker` outcomes only):
-    /// a built-in invariant slug.
-    pub family: Option<String>,
-    /// Outcome detail.
-    pub detail: String,
-    /// Present exactly when the outcome was unexpected.
-    pub shrunk: Option<ShrunkCase>,
+    /// The mutant: base protocol, generator configuration, mutations.
+    pub script: Script,
+    /// What the run produced.
+    pub result: RunResult,
+    /// The shrunk reproducer, present exactly when the outcome was
+    /// unexpected.
+    pub shrunk: Option<Shrunk>,
 }
 
-/// Classification labels in report order.
-pub const LABELS: [&str; 9] = [
-    "rejected-at-build",
-    "rejected-by-generator",
-    "rejected-by-checker",
-    "silent-pass",
-    "resource-exhausted",
-    "generator-panic",
-    "exec-violation",
-    "checker-panic",
-    "mutation-inapplicable",
-];
+impl MutantRecord {
+    /// The shrunk reproducer as a replayable script, headed by the
+    /// campaign's `seed`, the mutant's index and the reproducer's outcome.
+    pub fn reproducer(&self, seed: u64) -> Option<String> {
+        let s = self.shrunk.as_ref()?;
+        let label = s.result.outcome.label();
+        Some(s.script.render(&format!("seed {seed} mutant {} — outcome {label}", self.index)))
+    }
+}
 
 /// The merged result of one fuzzing run.
 #[derive(Debug, Clone)]
@@ -230,12 +259,11 @@ pub struct FuzzReport {
 }
 
 impl FuzzReport {
-    /// `(label, count)` over [`LABELS`], including zero rows.
+    /// `(label, count)` over every outcome class in report order,
+    /// including zero rows.
     pub fn distribution(&self) -> Vec<(&'static str, usize)> {
-        LABELS
-            .iter()
-            .map(|&l| (l, self.records.iter().filter(|r| r.outcome == l).count()))
-            .collect()
+        let count = |l| self.records.iter().filter(|r| r.result.outcome.label() == l).count();
+        Outcome::CLASSES.iter().map(|c| (c.label(), count(c.label()))).collect()
     }
 
     /// The mutants whose outcome was unexpected (toolchain bugs).
@@ -247,209 +275,73 @@ impl FuzzReport {
     /// property-aware refinement of the `rejected-by-checker` row.
     /// Families are sorted by name, so the breakdown is deterministic for
     /// any thread count.
-    pub fn checker_families(&self) -> Vec<(String, usize)> {
-        let mut counts: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
-        for r in &self.records {
-            if let Some(f) = r.family.as_deref() {
-                *counts.entry(f).or_insert(0) += 1;
-            }
+    pub fn checker_families(&self) -> Vec<(&'static str, usize)> {
+        let mut counts = std::collections::BTreeMap::new();
+        for f in self.records.iter().filter_map(|r| r.result.outcome.family()) {
+            *counts.entry(f).or_insert(0) += 1;
         }
-        counts.into_iter().map(|(f, c)| (f.to_string(), c)).collect()
+        counts.into_iter().collect()
     }
 
     /// Whether every negative control was caught.
     pub fn all_controls_caught(&self) -> bool {
-        self.controls.iter().all(|c| c.caught)
+        self.controls.iter().all(ControlRecord::caught)
     }
 
     /// The whole run as one deterministic JSON document (no wall-clock
     /// timing: byte-identical for a fixed seed at any thread count).
     pub fn to_json(&self) -> Json {
-        let dist = Json::Obj(
-            self.distribution()
-                .into_iter()
-                .map(|(l, c)| (l.to_string(), Json::U64(c as u64)))
-                .collect(),
-        );
-        let families = Json::Obj(
-            self.checker_families().into_iter().map(|(f, c)| (f, Json::U64(c as u64))).collect(),
-        );
-        let controls = Json::Arr(
-            self.controls
-                .iter()
-                .map(|c| {
-                    Json::obj([
-                        ("name", Json::Str(c.name.to_string())),
-                        ("outcome", Json::Str(c.outcome.clone())),
-                        ("family", Json::Str(c.family.clone().unwrap_or_default())),
-                        ("detail", Json::Str(c.detail.clone())),
-                        ("caught", Json::Bool(c.caught)),
-                    ])
-                })
-                .collect(),
-        );
-        let unexpected = Json::Arr(
-            self.unexpected()
-                .iter()
-                .map(|r| {
-                    let s = r.shrunk.as_ref().expect("unexpected() filters on shrunk");
-                    Json::obj([
-                        ("index", Json::U64(r.index as u64)),
-                        ("protocol", Json::Str(r.protocol.clone())),
-                        ("config", Json::Str(r.config.to_string())),
-                        ("outcome", Json::Str(r.outcome.clone())),
-                        ("detail", Json::Str(r.detail.clone())),
-                        ("script", Json::Str(s.script.clone())),
-                        ("trace", Json::Arr(s.trace.iter().cloned().map(Json::Str).collect())),
-                    ])
-                })
-                .collect(),
-        );
-        let mutants = Json::Arr(
-            self.records
-                .iter()
-                .map(|r| {
-                    let muts =
-                        r.mutations.iter().map(|m| m.to_string()).collect::<Vec<_>>().join("; ");
-                    Json::obj([
-                        ("index", Json::U64(r.index as u64)),
-                        ("protocol", Json::Str(r.protocol.clone())),
-                        ("config", Json::Str(r.config.to_string())),
-                        ("mutations", Json::Str(muts)),
-                        ("outcome", Json::Str(r.outcome.clone())),
-                        ("family", Json::Str(r.family.clone().unwrap_or_default())),
-                        ("detail", Json::Str(r.detail.clone())),
-                    ])
-                })
-                .collect(),
-        );
+        let text = |s: &str| Json::Str(s.to_string());
+        let counts = |rows: Vec<(&str, usize)>| {
+            Json::Obj(rows.into_iter().map(|(k, c)| (k.to_string(), Json::U64(c as u64))).collect())
+        };
+        let controls = self.controls.iter().map(|c| {
+            let o = &c.result.outcome;
+            Json::obj([
+                ("name", text(c.name)),
+                ("outcome", text(o.label())),
+                ("family", text(o.family().unwrap_or_default())),
+                ("detail", Json::Str(o.detail())),
+                ("caught", Json::Bool(c.caught())),
+            ])
+        });
+        let unexpected = self.unexpected().into_iter().map(|r| {
+            let (o, s) = (&r.result.outcome, r.shrunk.as_ref().expect("unexpected() filters"));
+            Json::obj([
+                ("index", Json::U64(r.index as u64)),
+                ("protocol", text(&r.script.protocol)),
+                ("config", text(r.script.config())),
+                ("outcome", text(o.label())),
+                ("detail", Json::Str(o.detail())),
+                ("script", Json::Str(r.reproducer(self.seed).unwrap_or_default())),
+                ("trace", Json::Arr(s.result.trace.iter().map(|l| text(l)).collect())),
+            ])
+        });
+        let mutants = self.records.iter().map(|r| {
+            let o = &r.result.outcome;
+            let muts = r.script.mutations.iter().map(|m| m.to_string()).collect::<Vec<_>>();
+            Json::obj([
+                ("index", Json::U64(r.index as u64)),
+                ("protocol", text(&r.script.protocol)),
+                ("config", text(r.script.config())),
+                ("mutations", Json::Str(muts.join("; "))),
+                ("outcome", text(o.label())),
+                ("family", text(o.family().unwrap_or_default())),
+                ("detail", Json::Str(o.detail())),
+            ])
+        });
         Json::obj([
             ("seed", Json::U64(self.seed)),
             ("mutants", Json::U64(self.records.len() as u64)),
             ("budget", Json::U64(self.budget as u64)),
-            ("protocols", Json::Arr(self.protocols.iter().cloned().map(Json::Str).collect())),
-            ("distribution", dist),
-            ("checker_families", families),
+            ("protocols", Json::Arr(self.protocols.iter().map(|p| text(p)).collect())),
+            ("distribution", counts(self.distribution())),
+            ("checker_families", counts(self.checker_families())),
             ("controls_caught", Json::Bool(self.all_controls_caught())),
-            ("controls", controls),
-            ("unexpected", unexpected),
-            ("results", mutants),
+            ("controls", Json::Arr(controls.collect())),
+            ("unexpected", Json::Arr(unexpected.collect())),
+            ("results", Json::Arr(mutants.collect())),
         ])
-    }
-}
-
-/// Runs one control through the pipeline.
-fn run_control(c: &Control, bases: &dyn Fn(&str) -> Option<Ssp>, budget: usize) -> ControlRecord {
-    let Some(base) = bases(&c.script.protocol) else {
-        return ControlRecord {
-            name: c.name,
-            outcome: "unknown-protocol".into(),
-            family: None,
-            detail: c.script.protocol.clone(),
-            caught: false,
-        };
-    };
-    let r =
-        run_mutant(&base, &c.script.mutations, &c.script.gen_config(), budget, c.full_invariants);
-    ControlRecord {
-        name: c.name,
-        outcome: r.outcome.label().to_string(),
-        family: r.outcome.family().map(str::to_string),
-        detail: r.outcome.detail(),
-        caught: matches!(r.outcome, Outcome::Caught { .. }),
-    }
-}
-
-/// Runs the crash-recovery negative control: a live `serve` run whose
-/// crashed cache uses the planted [`unsafe_reset`] recovery bug —
-/// dropping its lines without the write-back/invalidate traffic — which
-/// the serve-side conformance oracle (protocol error, envelope escape,
-/// or a non-quiescent stop reason) must flag. The other controls
-/// calibrate the *checker's* oracles; this one calibrates the *live
-/// run's*.
-///
-/// The live run is multi-threaded, so which seed first produces a
-/// non-vacuous caught run can vary with scheduling; the record carries
-/// only the aggregate verdict and fixed text, keeping the fuzz report
-/// byte-identical across thread counts.
-///
-/// [`unsafe_reset`]: protogen_serve::FaultConfig::unsafe_reset
-pub fn run_recovery_control(budget: usize) -> ControlRecord {
-    use protogen_serve::{checked_envelope, serve, FaultConfig, ServeConfig, StopReason};
-
-    /// The planted bug usually wedges the run, and a wedged run is only
-    /// "caught" once its deadline passes: this is how long every campaign
-    /// (and every test that runs one) sleeps. A healthy run of this size
-    /// quiesces in about 10 ms, so 2 s is not mistaken for a wedge.
-    const DEADLINE_SECONDS: f64 = 2.0;
-
-    let name = "serve-crash-recovery-drops-lines";
-    let miss = |detail: &str| ControlRecord {
-        name,
-        outcome: "silent-pass".into(),
-        family: None,
-        detail: detail.into(),
-        caught: false,
-    };
-    let ssp = protogen_protocols::msi();
-    let Ok(g) = protogen_core::generate(&ssp, &protogen_core::GenConfig::non_stalling()) else {
-        return miss("base protocol failed to generate");
-    };
-    // MSI@2 exhausts in well under the default quick-check budget; raise
-    // the cap for generous budgets so the envelope is never partial.
-    let mut mc_cfg = protogen_mc::McConfig::with_caches(2);
-    mc_cfg.max_states = mc_cfg.max_states.max(budget);
-    let Ok(envelope) = checked_envelope(&g.cache, &g.directory, mc_cfg) else {
-        return miss("envelope verification failed");
-    };
-    for seed in 0..5u64 {
-        let mut cfg = ServeConfig::new(2);
-        cfg.dir_shards = 2;
-        cfg.n_addrs = 4;
-        cfg.total_ops = 8_000;
-        cfg.mailbox_cap = 16;
-        cfg.max_seconds = DEADLINE_SECONDS;
-        // Store-heavy: the crashed cache almost surely holds lines to lose.
-        cfg.workload = protogen_sim::Workload::Uniform { store_pct: 90 };
-        cfg.seed = seed;
-        cfg.faults =
-            Some(FaultConfig { crashes: 1, unsafe_reset: true, ..FaultConfig::none(seed) });
-        let caught = match serve(&g.cache, &g.directory, &cfg) {
-            Err(_) => true, // dropped state made a later message unhandleable
-            Ok(report) => {
-                if report.faults.is_some_and(|f| f.lines_lost == 0) {
-                    continue; // vacuous: nothing was held at the crash point
-                }
-                !report.escapes(&envelope).is_empty() || report.stop_reason != StopReason::Quiesced
-            }
-        };
-        if caught {
-            return ControlRecord {
-                name,
-                outcome: "rejected-by-oracle".into(),
-                family: Some("serve-conformance".into()),
-                detail: "planted lossy crash recovery flagged by the live-run oracle".into(),
-                caught: true,
-            };
-        }
-        return miss("lines were lost but no oracle fired");
-    }
-    miss("every seed was vacuous (no lines held at the crash point)")
-}
-
-/// Runs the composed negative control: MSI-under-MSI 2×2 with the `GetM`
-/// glue gate weakened `ReadWrite → Read` (see [`crate::compose`]), checked
-/// hierarchically. The flat controls calibrate the flat pipeline; this one
-/// calibrates the composition pass and the hierarchical checker.
-pub fn run_glue_control(budget: usize) -> ControlRecord {
-    let (comp, m) = glue_control();
-    let r = run_composed_mutant(&comp, &[m], &protogen_core::GenConfig::stalling(), budget);
-    ControlRecord {
-        name: "msi-under-msi-glue-getm-weakened",
-        outcome: r.outcome.label().to_string(),
-        family: r.outcome.family().map(str::to_string),
-        detail: r.outcome.detail(),
-        caught: matches!(r.outcome, Outcome::Caught { .. }),
     }
 }
 
@@ -467,59 +359,21 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> Result<FuzzReport, String> {
         let ssp = protogen_protocols::by_name(name).ok_or_else(|| {
             format!("unknown protocol `{name}` (try {})", protogen_protocols::NAMES.join(", "))
         })?;
-        bases.push(ssp);
+        bases.push((name.clone(), ssp));
     }
     if bases.is_empty() {
         return Err("no base protocols configured".into());
     }
-
-    let mut controls: Vec<ControlRecord> = negative_controls()
-        .iter()
-        .map(|c| run_control(c, &|n| protogen_protocols::by_name(n), cfg.budget))
-        .collect();
-    controls.push(run_glue_control(cfg.budget));
-    controls.push(run_recovery_control(cfg.budget));
-
+    let controls = run_controls(cfg.budget);
     let records = par::map_indexed(cfg.mutants, cfg.threads, |index| {
-        let spec = derive_mutant(cfg.seed, index, &bases);
-        let base = &bases[spec.protocol_idx];
-        let gen_cfg = if spec.stalling {
-            protogen_core::GenConfig::stalling()
-        } else {
-            protogen_core::GenConfig::non_stalling()
-        };
-        let r = run_mutant(base, &spec.mutations, &gen_cfg, cfg.budget, false);
-        let shrunk = r.outcome.is_unexpected().then(|| {
-            let s = shrink(base, &spec.mutations, &gen_cfg, cfg.budget, r.outcome.label());
-            let script = Script {
-                protocol: cfg.protocols[spec.protocol_idx].clone(),
-                stalling: spec.stalling,
-                mutations: s.mutations.clone(),
-            };
-            ShrunkCase {
-                script: script.render(&format!(
-                    "seed {} mutant {} — outcome {}",
-                    cfg.seed,
-                    index,
-                    s.result.outcome.label()
-                )),
-                outcome: s.result.outcome.label().to_string(),
-                detail: s.result.outcome.detail(),
-                trace: s.result.trace,
-            }
-        });
-        MutantRecord {
-            index,
-            protocol: cfg.protocols[spec.protocol_idx].clone(),
-            config: if spec.stalling { "stalling" } else { "non-stalling" },
-            mutations: spec.mutations,
-            outcome: r.outcome.label().to_string(),
-            family: r.outcome.family().map(str::to_string),
-            detail: r.outcome.detail(),
-            shrunk,
-        }
+        let (base, script) = derive_mutant(cfg.seed, index, &bases);
+        let result = script.subject(base.clone()).run(cfg.budget);
+        let shrunk = result
+            .outcome
+            .is_unexpected()
+            .then(|| shrink(base, &script, cfg.budget, &result.outcome));
+        MutantRecord { index, script, result, shrunk }
     });
-
     Ok(FuzzReport {
         seed: cfg.seed,
         budget: cfg.budget,
@@ -535,49 +389,86 @@ mod tests {
 
     #[test]
     fn mutant_derivation_is_a_pure_function_of_seed_and_index() {
-        let bases: Vec<Ssp> = vec![protogen_protocols::msi(), protogen_protocols::mesi()];
+        let bases =
+            ["msi", "mesi"].map(|n| (n.to_string(), protogen_protocols::by_name(n).unwrap()));
         for index in 0..16 {
-            let a = derive_mutant(7, index, &bases);
-            let b = derive_mutant(7, index, &bases);
-            assert_eq!(a.mutations, b.mutations, "mutant {index} drifted");
-            assert_eq!(a.protocol_idx, b.protocol_idx);
-            assert_eq!(a.stalling, b.stalling);
-            assert!(!a.mutations.is_empty() && a.mutations.len() <= 3);
+            let (a, b) = (derive_mutant(7, index, &bases), derive_mutant(7, index, &bases));
+            assert_eq!(a.1, b.1, "mutant {index} drifted");
+            let named = &bases.iter().find(|(n, _)| *n == a.1.protocol).unwrap().1;
+            assert!(std::ptr::eq(a.0, named), "the script names its base");
+            assert!(!a.1.mutations.is_empty() && a.1.mutations.len() <= 3);
         }
         // Different seeds diverge somewhere in a small window.
-        let differs = (0..16).any(|i| {
-            derive_mutant(7, i, &bases).mutations != derive_mutant(8, i, &bases).mutations
-        });
+        let differs =
+            (0..16).any(|i| derive_mutant(7, i, &bases).1 != derive_mutant(8, i, &bases).1);
         assert!(differs, "seed does not influence derivation");
     }
 
     #[test]
     fn every_negative_control_is_caught() {
-        for c in negative_controls() {
-            let rec = run_control(&c, &|n| protogen_protocols::by_name(n), 200_000);
-            assert!(rec.caught, "{}: {} — {}", c.name, rec.outcome, rec.detail);
-            assert!(rec.family.is_some(), "{}: caught without a property family", c.name);
+        // The taxonomy is property-aware: each control names *which*
+        // family must catch it, and nothing else counts as a catch.
+        let expected = [
+            ("tso-cc-relaxation", "swmr"),
+            ("msi-s-gains-write-permission", "swmr"),
+            ("msi-dir-drops-s-getm", "unexpected-message"),
+            ("msi-store-completes-into-wrong-state", "unexpected-message"),
+            ("msi-inv-ack-never-sent", "deadlock"),
+            ("msi-under-msi-glue-getm-weakened", "swmr"),
+            ("serve-crash-recovery-drops-lines", "serve-conformance"),
+        ];
+        let records = run_controls(200_000);
+        assert_eq!(records.len(), expected.len());
+        for (rec, (name, family)) in records.iter().zip(expected) {
+            let o = &rec.result.outcome;
+            assert_eq!((rec.name, rec.family), (name, family));
+            assert_eq!(o.family(), Some(family), "{name}: {} — {}", o.label(), o.detail());
+            assert!(rec.caught(), "{name}");
         }
     }
 
     #[test]
     fn controls_are_caught_by_the_expected_property_families() {
-        // The taxonomy is property-aware: each seeded bug names *which*
-        // invariant family fired, not just that something did.
-        let expected =
-            [("msi-s-gains-write-permission", "swmr"), ("msi-inv-ack-never-sent", "deadlock")];
-        for (name, family) in expected {
-            let c = negative_controls().into_iter().find(|c| c.name == name).unwrap();
-            let rec = run_control(&c, &|n| protogen_protocols::by_name(n), 200_000);
-            assert_eq!(rec.family.as_deref(), Some(family), "{name}: {}", rec.detail);
-        }
+        // A control counts as caught only when the family it names fires:
+        // another family's catch, or no catch at all, is a miss.
+        let record = |outcome| ControlRecord {
+            name: "msi-inv-ack-never-sent",
+            family: "deadlock",
+            result: RunResult { outcome, trace: Vec::new() },
+        };
+        let caught_by = |family| Outcome::Caught { family, detail: String::new() };
+        assert!(record(caught_by("deadlock")).caught());
+        assert!(!record(caught_by("swmr")).caught());
+        assert!(!record(Outcome::SilentPass { states: 1, transitions: 0 }).caught());
+        assert!(!record(Outcome::CheckerPanic("boom".into())).caught());
     }
 
     #[test]
     fn recovery_control_is_caught_by_the_live_oracle() {
-        let rec = run_recovery_control(20_000);
-        assert!(rec.caught, "{}: {} — {}", rec.name, rec.outcome, rec.detail);
-        assert_eq!(rec.family.as_deref(), Some("serve-conformance"));
+        // The live run's verdict carries no trace and fixed text, so the
+        // report stays byte-identical across thread counts.
+        let o = recovery_control(20_000);
+        assert_eq!(o.outcome.family(), Some(SERVE_CONFORMANCE), "{}", o.outcome.detail());
+        assert!(o.trace.is_empty());
+        assert_eq!(
+            o.outcome.detail(),
+            "planted lossy crash recovery flagged by the live-run oracle"
+        );
+    }
+
+    #[test]
+    fn reproducers_name_seed_mutant_and_outcome() {
+        let mutations = vec![Mutation { op: MutOp::DropAck, site: 0 }];
+        let script = Script { protocol: "msi".into(), stalling: true, mutations };
+        let result = RunResult { outcome: Outcome::CheckerPanic("boom".into()), trace: vec![] };
+        let shrunk = Shrunk { script: script.clone(), result: result.clone() };
+        let r = MutantRecord { index: 4, script, result, shrunk: Some(shrunk) };
+        assert_eq!(
+            r.reproducer(9).unwrap(),
+            "# protogen fuzz reproducer\n# seed 9 mutant 4 — outcome checker-panic\n\
+             protocol msi\nconfig stalling\nmutate drop-ack 0\n"
+        );
+        assert_eq!(MutantRecord { shrunk: None, ..r }.reproducer(9), None);
     }
 
     #[test]
@@ -589,8 +480,10 @@ mod tests {
             protocols: vec!["msi".into(), "mesi".into()],
             threads: 1,
         };
-        let one = run_fuzz(&base).unwrap();
-        let four = run_fuzz(&FuzzConfig { threads: 4, ..base }).unwrap();
-        assert_eq!(one.to_json().render(), four.to_json().render());
+        let one = run_fuzz(&base).unwrap().to_json().render();
+        let four = run_fuzz(&FuzzConfig { threads: 4, ..base }).unwrap().to_json().render();
+        assert_eq!(one, four);
+        // Every byte of the report, as the previous pipeline rendered it.
+        assert_eq!(protogen_mc::fingerprint_bytes(one.as_bytes()), 0x8f6a_cf7d_8044_4366, "{one}");
     }
 }

@@ -14,8 +14,10 @@
 //! mutate drop-ack 0
 //! ```
 
+use crate::harness::Subject;
 use crate::mutate::{MutOp, Mutation};
 use protogen_core::GenConfig;
+use protogen_spec::Ssp;
 use std::fmt;
 
 /// A parsed (or to-be-rendered) mutation script.
@@ -39,6 +41,22 @@ impl Script {
         }
     }
 
+    /// The configuration's script name: `stalling` or `non-stalling`.
+    pub(crate) fn config(&self) -> &'static str {
+        if self.stalling {
+            "stalling"
+        } else {
+            "non-stalling"
+        }
+    }
+
+    /// The flat subject the script describes, applied to `base` (the
+    /// protocol the script names).
+    pub fn subject(&self, base: Ssp) -> Subject {
+        let (mutations, gen) = (self.mutations.clone(), self.gen_config());
+        Subject::Flat { base, mutations, gen, full_invariants: false }
+    }
+
     /// Renders the script with an optional `# …` comment header line.
     pub fn render(&self, comment: &str) -> String {
         let mut out = String::from("# protogen fuzz reproducer\n");
@@ -48,10 +66,7 @@ impl Script {
             }
         }
         out.push_str(&format!("protocol {}\n", self.protocol));
-        out.push_str(&format!(
-            "config {}\n",
-            if self.stalling { "stalling" } else { "non-stalling" }
-        ));
+        out.push_str(&format!("config {}\n", self.config()));
         for m in &self.mutations {
             out.push_str(&format!("mutate {m}\n"));
         }

@@ -6,50 +6,43 @@
 //! the drop while the outcome label is preserved, repeat to fixpoint) is
 //! exact enough and deterministic.
 
-use crate::harness::{run_mutant, RunResult};
-use crate::mutate::Mutation;
-use protogen_core::GenConfig;
+use crate::harness::{Outcome, RunResult};
+use crate::script::Script;
 use protogen_spec::Ssp;
 
-/// A shrunk reproducer: the minimal mutation list plus the rerun that
-/// confirms it still produces the target outcome.
+/// A shrunk reproducer: the minimal script plus the rerun that confirms
+/// it still produces the target outcome.
 #[derive(Debug, Clone)]
 pub struct Shrunk {
-    /// The minimal mutation list (never empty unless the base protocol
-    /// itself produces the outcome).
-    pub mutations: Vec<Mutation>,
-    /// The confirming run of the minimal list.
+    /// The script with the minimal mutation list (never empty unless the
+    /// base protocol itself produces the outcome).
+    pub script: Script,
+    /// The confirming run of the minimal script.
     pub result: RunResult,
 }
 
-/// Shrinks `mutations` against `base`, preserving the outcome *label* of
-/// the original run (panic messages may differ between equivalent
-/// reproducers; the class is what matters).
+/// Shrinks `script`'s mutations against `base`, preserving the *label* of
+/// the original run's `target` outcome (panic messages may differ between
+/// equivalent reproducers; the class is what matters).
 ///
 /// Deterministic: the scan order is left to right, restarting after every
 /// successful removal, so the result depends only on the inputs.
-pub fn shrink(
-    base: &Ssp,
-    mutations: &[Mutation],
-    gen_cfg: &GenConfig,
-    budget: usize,
-    target_label: &str,
-) -> Shrunk {
-    let mut current: Vec<Mutation> = mutations.to_vec();
+pub fn shrink(base: &Ssp, script: &Script, budget: usize, target: &Outcome) -> Shrunk {
+    let mut current = script.clone();
     'outer: loop {
-        for i in 0..current.len() {
+        for i in 0..current.mutations.len() {
             let mut candidate = current.clone();
-            candidate.remove(i);
-            let r = run_mutant(base, &candidate, gen_cfg, budget, false);
-            if r.outcome.label() == target_label {
+            candidate.mutations.remove(i);
+            let r = candidate.subject(base.clone()).run(budget);
+            if r.outcome.label() == target.label() {
                 current = candidate;
                 continue 'outer;
             }
         }
         break;
     }
-    let result = run_mutant(base, &current, gen_cfg, budget, false);
-    Shrunk { mutations: current, result }
+    let result = current.subject(base.clone()).run(budget);
+    Shrunk { script: current, result }
 }
 
 #[cfg(test)]
@@ -67,12 +60,12 @@ mod tests {
             Mutation { op: MutOp::ReorderWaitArcs, site: 0 },
             Mutation { op: MutOp::FlipPermission, site: s.as_usize() },
         ];
-        let cfg = GenConfig::non_stalling();
-        let full = run_mutant(&base, &muts, &cfg, 200_000, false);
+        let script = Script { protocol: "msi".into(), stalling: false, mutations: muts };
+        let full = script.subject(base.clone()).run(200_000);
         assert_eq!(full.outcome.label(), "rejected-by-checker", "{:?}", full.outcome);
-        let shrunk = shrink(&base, &muts, &cfg, 200_000, full.outcome.label());
-        assert_eq!(shrunk.mutations.len(), 1, "{:?}", shrunk.mutations);
-        assert_eq!(shrunk.mutations[0].op, MutOp::FlipPermission);
+        let shrunk = shrink(&base, &script, 200_000, &full.outcome);
+        assert_eq!(shrunk.script.mutations.len(), 1, "{:?}", shrunk.script);
+        assert_eq!(shrunk.script.mutations[0].op, MutOp::FlipPermission);
         assert_eq!(shrunk.result.outcome.label(), "rejected-by-checker");
     }
 }

@@ -71,23 +71,6 @@ impl LitmusTest {
             .iter()
             .position(|conj| conj.iter().all(|&(r, v)| outcome.get(r as usize) == Some(&v)))
     }
-
-    /// Renders a thread's program as source-like text (for reports).
-    pub fn render_thread(&self, t: usize) -> String {
-        let mut s = String::new();
-        for op in &self.threads[t] {
-            match *op {
-                Op::Load { addr, reg } => s.push_str(&format!(
-                    "{} = {}; ",
-                    self.registers[reg as usize], self.addrs[addr as usize]
-                )),
-                Op::Store { addr, val } => {
-                    s.push_str(&format!("{} = {}; ", self.addrs[addr as usize], val))
-                }
-            }
-        }
-        s.trim_end().to_string()
-    }
 }
 
 /// Parse errors, with a line number and explanation.
@@ -466,12 +449,5 @@ mod tests {
         assert_eq!(err.line, 2);
         assert!(parse_litmus("").is_err());
         assert!(parse_litmus("litmus T;").unwrap_err().msg.contains("no threads"));
-    }
-
-    #[test]
-    fn render_thread_round_trips_the_shorthand() {
-        let mp = parse_litmus(MP).unwrap();
-        assert_eq!(mp.render_thread(0), "x = 1; y = 1;");
-        assert_eq!(mp.render_thread(1), "r0 = y; r1 = x;");
     }
 }

@@ -169,23 +169,6 @@ impl SspBuilder {
         self
     }
 
-    /// Adds a silent eviction: a replacement handled locally with no
-    /// message (TSO-CC's self-invalidating shared copies; clean-eviction
-    /// optimizations).
-    pub fn cache_react_silent_replacement(&mut self, state: StableId, to: StableId) -> &mut Self {
-        self.cache.entries.push(SspEntry {
-            state,
-            trigger: Trigger::Access(Access::Replacement),
-            guards: vec![],
-            effect: Effect::Local {
-                actions: vec![Action::PerformAccess, Action::InvalidateData],
-                next: Some(to),
-            },
-            note: EntryNote::Demand,
-        });
-        self
-    }
-
     /// Adds a *self-invalidation*: the cache may spontaneously drop its
     /// readable copy of `state`, silently, at any sync point. Semantically a
     /// silent replacement, but tagged [`EntryNote::SelfInvalidate`] so the
@@ -342,25 +325,6 @@ impl SspBuilder {
         self
     }
 
-    /// Adds a guarded multi-step directory transaction.
-    pub fn dir_issue_guarded(
-        &mut self,
-        state: StableId,
-        msg: MsgId,
-        guard: Guard,
-        request: Vec<Action>,
-        chain: WaitChain,
-    ) -> &mut Self {
-        self.directory.entries.push(SspEntry {
-            state,
-            trigger: Trigger::Msg(msg),
-            guards: vec![guard],
-            effect: Effect::Issue { request, chain },
-            note: EntryNote::Demand,
-        });
-        self
-    }
-
     // ----- send helpers (pure constructors) -----------------------------
 
     /// Request to the directory: `send msg to Dir` with a reset of the
@@ -386,16 +350,6 @@ impl SspBuilder {
         Action::Send(
             SendSpec::new(msg, Dst::Req)
                 .data(DataSrc::OwnBlock)
-                .acks(AckSrc::SharersExceptReqCount)
-                .req_field(ReqField::FromMsg),
-        )
-    }
-
-    /// Directory: `send msg (ack count = |sharers \ req|) to requestor`
-    /// (ack-count-only responses, e.g. for Upgrade requests).
-    pub fn send_acks_to_req(&self, msg: MsgId) -> Action {
-        Action::Send(
-            SendSpec::new(msg, Dst::Req)
                 .acks(AckSrc::SharersExceptReqCount)
                 .req_field(ReqField::FromMsg),
         )

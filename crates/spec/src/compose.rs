@@ -59,11 +59,6 @@ impl Composition {
         self.levels[machine_level..].iter().map(|l| l.fanout).product()
     }
 
-    /// Total leaf caches in the tree.
-    pub fn leaf_count(&self) -> usize {
-        self.node_count(0)
-    }
-
     /// Validates the stack: every protocol must be individually valid, and
     /// adjacent levels must have compatible interfaces (see
     /// [`validate_interface`]).
@@ -167,7 +162,7 @@ mod tests {
                 LevelSpec { label: "l2".into(), ssp: toy(), fanout: 3 },
             ],
         };
-        assert_eq!(c.leaf_count(), 6);
+        assert_eq!(c.node_count(0), 6);
         assert_eq!(c.node_count(1), 3);
         assert_eq!(c.depth(), 2);
     }

@@ -162,12 +162,6 @@ pub struct TransientMeta {
 }
 
 impl TransientMeta {
-    /// The stable state the block finally lands in after the own transaction
-    /// completes and every chain link is applied.
-    pub fn final_state(&self) -> StableId {
-        self.chain.last().map(|l| l.logical_to).unwrap_or(self.own_to)
-    }
-
     /// Number of deferred-response requestor slots this state needs.
     pub fn deferred_slots(&self) -> usize {
         self.chain.iter().filter(|l| l.has_deferred_response).count()
@@ -342,11 +336,6 @@ impl Fsm {
         self.arcs.iter().filter(|a| a.kind == ArcKind::Stall).count()
     }
 
-    /// Summarizes how `state` treats `access` (for table rendering).
-    pub fn access_summary(&self, state: FsmStateId, access: Access) -> AccessSummary {
-        AccessSummary::of(self.arcs_from(state).find(|a| a.event == Event::Access(access)))
-    }
-
     /// Returns the ids of all transient states.
     pub fn transient_states(&self) -> Vec<FsmStateId> {
         self.state_ids().filter(|&s| !self.state(s.to_owned()).is_stable()).collect()
@@ -417,17 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn access_summaries() {
-        let f = tiny_fsm();
-        assert_eq!(
-            f.access_summary(FsmStateId(0), Access::Load),
-            AccessSummary::Issue(FsmStateId(1))
-        );
-        assert_eq!(f.access_summary(FsmStateId(1), Access::Store), AccessSummary::Stall);
-        assert_eq!(f.access_summary(FsmStateId(0), Access::Replacement), AccessSummary::Undefined);
-    }
-
-    #[test]
     fn name_lookup_includes_merged() {
         let f = tiny_fsm();
         assert_eq!(f.state_by_name("XY_D"), Some(FsmStateId(1)));
@@ -446,7 +424,6 @@ mod tests {
                 has_deferred_response: true,
             }],
         };
-        assert_eq!(m.final_state(), StableId(1));
         assert_eq!(m.deferred_slots(), 1);
     }
 }

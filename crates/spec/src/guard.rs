@@ -68,24 +68,6 @@ impl Guard {
             SomeSharersExceptReq => NoSharersExceptReq,
         }
     }
-
-    /// Whether the guard inspects directory auxiliary state (owner/sharers).
-    pub fn is_directory_guard(self) -> bool {
-        use Guard::*;
-        matches!(
-            self,
-            ReqIsOwner
-                | ReqIsNotOwner
-                | ReqInSharers
-                | ReqNotInSharers
-                | ReqIsLastSharer
-                | ReqIsNotLastSharer
-                | SharersEmpty
-                | SharersNonEmpty
-                | NoSharersExceptReq
-                | SomeSharersExceptReq
-        )
-    }
 }
 
 impl fmt::Display for Guard {
@@ -135,11 +117,5 @@ mod tests {
         ] {
             assert_eq!(g.negate().negate(), g, "{g}");
         }
-    }
-
-    #[test]
-    fn directory_guards_classified() {
-        assert!(Guard::ReqIsOwner.is_directory_guard());
-        assert!(!Guard::AckCountIsZero.is_directory_guard());
     }
 }
