@@ -1,10 +1,11 @@
 //! `protogen` — the command-line front door to the toolchain.
 //!
 //! The command line is described once: [`COMMANDS`] (subcommand, operand,
-//! entry point) and [`FLAGS`] (flag, the *kind* of value it takes, the
-//! subcommands that read it). [`Args::parse`] checks every token against
-//! the two tables before anything runs; each subcommand's usage line is
-//! generated from them (README.md lists all eleven, held equal by a test).
+//! entry point), [`FLAGS`] (flag, the *kind* of value it takes, the
+//! subcommands that read it, the flags it needs) and [`REPLACES`].
+//! [`Args::parse`] checks every token against the tables before anything
+//! runs; each subcommand's usage line is generated from them (README.md
+//! lists all eleven, held equal by a test).
 //!
 //! Exit codes: 0 pass · 1 ran, and the answer is no (`FAILED`,
 //! `INCOMPLETE`, a coverage escape, a run error) · 2 the command line was
@@ -12,8 +13,9 @@
 //! plan did not finish · 141 stdout was closed early (`protogen table msi
 //! | head -1`). Exit 2 covers a flag the CLI does not know, a flag of
 //! another subcommand, a repeated flag, a missing, unparsable or
-//! out-of-range value and a surplus operand, each named on stderr above
-//! the usage line — a typo never runs at a default with a verdict printed.
+//! out-of-range value, a flag the command would ignore and a surplus
+//! operand, each named on stderr above the usage line — a typo never runs
+//! at a default with a verdict printed.
 //!
 //! `--threads` sets the worker count (0 or absent: all available cores);
 //! verification and sweep results are identical for every thread count.
@@ -96,8 +98,8 @@ use protogen_serve::{
     checked_envelope, pair_label, serve, FaultConfig, ServeConfig, ServeError, StopReason,
 };
 use protogen_sim::{
-    parse_trace, run_sweep, simulate, Json, LatencyDist, NetModel, SimConfig, SimError,
-    SweepConfig, Workload,
+    parse_trace, run_sweep, simulate, Json, LatencyDist, NetModel, NetworkConfig, SimConfig,
+    SimError, SweepConfig, Workload,
 };
 use protogen_spec::{Composition, Fsm, LevelSpec, Ssp};
 use std::fmt::Display;
@@ -206,6 +208,8 @@ const UNSIGNED: Kind = Kind::Num(0, usize::MAX as u64);
 /// with a pass-shaped report.
 const POSITIVE: Kind = Kind::Num(1, usize::MAX as u64);
 const PERCENT: Kind = Kind::Num(0, 100);
+/// Checkpoint intervals, in depths: the field is a `u32`.
+const DEPTHS: Kind = Kind::Num(1, u32::MAX as u64);
 
 /// Whether no item occurs twice.
 fn distinct<T: PartialEq>(items: &[T]) -> bool {
@@ -277,51 +281,73 @@ impl Kind {
     }
 }
 
-/// Every flag the CLI knows: its name, the kind of value it takes, and the
-/// subcommands that read it. The only place any of the three is written: a
-/// row is all a new flag needs to be parsed, range-checked, refused when
-/// repeated, valueless or on the wrong subcommand, and shown in the usage
-/// line. `compile` ends in `verify`, so it takes `verify`'s flags.
-const FLAGS: [(&str, Kind, &[&str]); 39] = [
-    ("stalling", Kind::Switch, &["table", "verify", "dot", "murphi", "sim", "serve", "compile"]),
-    ("markdown", Kind::Switch, &["table", "litmus"]),
-    ("json", Kind::Switch, &["verify", "sim", "serve", "sweep", "fuzz", "compile"]),
-    ("list", Kind::Switch, &["sweep"]),
-    ("resume", Kind::Switch, &["verify", "compile"]),
-    ("compose", Kind::Text("l1=msi:2,llc=mesi"), &["table", "verify", "dot"]),
-    ("machine", Kind::OneOf(&["cache", "dir"]), &["table", "dot"]),
-    ("caches", Kind::Counts, &["verify", "murphi", "sim", "serve", "sweep", "compile"]),
-    ("threads", UNSIGNED, &["verify", "serve", "sweep", "fuzz", "litmus", "reproduce", "compile"]),
-    ("seed", UNSIGNED, &["sim", "serve", "sweep", "fuzz", "litmus"]),
-    ("property", Kind::Text("sc|tso|weak|none|P+Q"), &["verify", "serve", "compile"]),
-    ("max-states", POSITIVE, &["verify", "compile"]),
-    ("mem-budget", Kind::Bytes, &["verify", "compile"]),
-    ("store", Kind::Text("full|delta|fp-only"), &["verify", "compile"]),
-    ("spill-chunk", Kind::Bytes, &["verify", "compile"]),
-    ("checkpoint-dir", Kind::Text("DIR"), &["verify", "compile"]),
-    ("checkpoint-every", Kind::Num(1, u32::MAX as u64), &["verify", "compile"]),
-    ("addrs", UNSIGNED, &["sim", "serve"]),
-    ("workload", Kind::Text("W"), &["sim", "serve"]),
-    ("store-pct", PERCENT, &["sim", "serve"]),
-    ("accesses", POSITIVE, &["sim", "sweep"]),
-    ("trace", Kind::Text("FILE"), &["sim"]),
-    ("network", Kind::OneOf(&["ordered", "unordered"]), &["sim"]),
-    ("latency", Kind::Text("DIST"), &["sim"]),
-    ("cap", UNSIGNED, &["sim"]),
-    ("dir-shards", UNSIGNED, &["serve"]),
-    ("ops", POSITIVE, &["serve"]),
-    ("duration", Kind::Seconds, &["serve"]),
-    ("mailbox-cap", UNSIGNED, &["serve"]),
-    ("faults", Kind::List("delay,stall,squeeze,crash|all"), &["serve"]),
-    ("fault-seed", UNSIGNED, &["serve"]),
-    ("crash-at-op", UNSIGNED, &["serve"]),
-    ("protocols", Kind::List("a,b"), &["sweep", "fuzz"]),
-    ("out", Kind::Text("DIR"), &["sweep", "fuzz"]),
-    ("mutants", UNSIGNED, &["fuzz"]),
-    ("budget", POSITIVE, &["fuzz"]),
-    ("replay", Kind::Text("FILE"), &["fuzz"]),
-    ("tests", Kind::List("SB,MP"), &["litmus"]),
-    ("depth", POSITIVE, &["litmus"]),
+/// Every flag the CLI knows: its name, the kind of value it takes, the
+/// subcommands that read it, and the flags without which it has no effect.
+/// The only place any of the four is written: a row is all a new flag needs
+/// to be parsed, range-checked, refused when repeated, valueless, on the
+/// wrong subcommand or without what it needs, and shown in the usage line.
+/// `compile` ends in `verify`, so it takes `verify`'s flags.
+const FLAGS: [(&str, Kind, &[&str], &[&str]); 39] = [
+    (
+        "stalling",
+        Kind::Switch,
+        &["table", "verify", "dot", "murphi", "sim", "serve", "compile"],
+        &[],
+    ),
+    ("markdown", Kind::Switch, &["table", "litmus"], &[]),
+    ("json", Kind::Switch, &["verify", "sim", "serve", "sweep", "fuzz", "compile"], &[]),
+    ("list", Kind::Switch, &["sweep"], &[]),
+    ("resume", Kind::Switch, &["verify", "compile"], &["checkpoint-dir"]),
+    ("compose", Kind::Text("l1=msi:2,llc=mesi"), &["table", "verify", "dot"], &[]),
+    ("machine", Kind::OneOf(&["cache", "dir"]), &["table", "dot"], &[]),
+    ("caches", Kind::Counts, &["verify", "murphi", "sim", "serve", "sweep", "compile"], &[]),
+    (
+        "threads",
+        UNSIGNED,
+        &["verify", "serve", "sweep", "fuzz", "litmus", "reproduce", "compile"],
+        &[],
+    ),
+    ("seed", UNSIGNED, &["sim", "serve", "sweep", "fuzz", "litmus"], &[]),
+    ("property", Kind::Text("sc|tso|weak|none|P+Q"), &["verify", "serve", "compile"], &[]),
+    ("max-states", POSITIVE, &["verify", "compile"], &[]),
+    ("mem-budget", Kind::Bytes, &["verify", "compile"], &[]),
+    ("store", Kind::Text("full|delta|fp-only"), &["verify", "compile"], &[]),
+    ("spill-chunk", Kind::Bytes, &["verify", "compile"], &["mem-budget"]),
+    ("checkpoint-dir", Kind::Text("DIR"), &["verify", "compile"], &[]),
+    ("checkpoint-every", DEPTHS, &["verify", "compile"], &["checkpoint-dir"]),
+    ("addrs", UNSIGNED, &["sim", "serve"], &[]),
+    ("workload", Kind::Text("W"), &["sim", "serve"], &[]),
+    ("store-pct", PERCENT, &["sim", "serve"], &[]),
+    ("accesses", POSITIVE, &["sim", "sweep"], &[]),
+    ("trace", Kind::Text("FILE"), &["sim"], &[]),
+    ("network", Kind::OneOf(&["ordered", "unordered"]), &["sim"], &[]),
+    ("latency", Kind::Text("DIST"), &["sim"], &[]),
+    ("cap", UNSIGNED, &["sim"], &[]),
+    ("dir-shards", UNSIGNED, &["serve"], &[]),
+    ("ops", POSITIVE, &["serve"], &[]),
+    ("duration", Kind::Seconds, &["serve"], &[]),
+    ("mailbox-cap", UNSIGNED, &["serve"], &[]),
+    ("faults", Kind::List("delay,stall,squeeze,crash|all"), &["serve"], &[]),
+    ("fault-seed", UNSIGNED, &["serve"], &["faults"]),
+    ("crash-at-op", UNSIGNED, &["serve"], &["faults"]),
+    ("protocols", Kind::List("a,b"), &["sweep", "fuzz"], &[]),
+    ("out", Kind::Text("DIR"), &["sweep", "fuzz"], &[]),
+    ("mutants", UNSIGNED, &["fuzz"], &[]),
+    ("budget", POSITIVE, &["fuzz"], &[]),
+    ("replay", Kind::Text("FILE"), &["fuzz"], &[]),
+    ("tests", Kind::List("SB,MP"), &["litmus"], &[]),
+    ("depth", POSITIVE, &["litmus"], &[]),
+];
+
+/// Each flag with the flags it replaces: given with it, those would be
+/// ignored. A trace fixes the operations a run makes, a listing runs
+/// nothing, a replay runs one script, and a composed stack's tables are per
+/// level.
+const REPLACES: [(&str, &[&str]); 4] = [
+    ("compose", &["machine"]),
+    ("trace", &["workload", "store-pct", "accesses"]),
+    ("list", &["out", "json"]),
+    ("replay", &["mutants", "seed", "protocols", "out", "json"]),
 ];
 
 /// The usage line of `cmd`, generated from the two tables; of the program
@@ -335,7 +361,7 @@ fn usage_line(cmd: Option<&Command>) -> String {
     if !cmd.operand.is_empty() {
         line += &format!(" {}", cmd.operand);
     }
-    for (name, kind, _) in FLAGS.iter().filter(|(.., cmds)| cmds.contains(&cmd.name)) {
+    for (name, kind, ..) in FLAGS.iter().filter(|(_, _, cmds, _)| cmds.contains(&cmd.name)) {
         let value = match kind {
             Kind::Counts if cmd.name == "sweep" => " N,N".into(),
             _ => kind.placeholder(),
@@ -355,14 +381,16 @@ struct Args {
 }
 
 impl Args {
-    /// Checks the command line against [`COMMANDS`] and [`FLAGS`]. Refused,
-    /// with the subcommand when it is known (for its usage line): a flag in
-    /// neither table, or not in the row of this subcommand; a flag given
-    /// twice; a value that is missing or not of the flag's kind; an operand
-    /// the subcommand does not take, or a missing one. Ignored, `--cachse
-    /// 4` would verify at the default cache count, `--caches 2 --caches 3`
-    /// at 2, `--out` (value forgotten) write into the current directory —
-    /// each with a verdict and exit 0.
+    /// Checks the command line against [`COMMANDS`], [`FLAGS`] and
+    /// [`REPLACES`]. Refused, with the subcommand when it is known (for its
+    /// usage line): a flag in neither table, or not in the row of this
+    /// subcommand; a flag given twice; a value that is missing or not of
+    /// the flag's kind; a flag without one it needs, or with one that
+    /// replaces it; an operand the subcommand does not take, or a missing
+    /// one. Ignored, `--cachse 4` would verify at the default cache count,
+    /// `--caches 2 --caches 3` at 2, `--out` (value forgotten) write into
+    /// the current directory, `--checkpoint-every 4` alone checkpoint
+    /// nothing — each with a verdict and exit 0.
     fn parse(
         argv: impl IntoIterator<Item = String>,
     ) -> Result<Args, (Option<&'static Command>, Usage)> {
@@ -393,7 +421,7 @@ impl Args {
         let bad = |why: String| Err((Some(cmd), Usage(why)));
 
         let mut flags: Vec<(&'static str, String)> = Vec::new();
-        for (&(name, kind, cmds), raw) in given {
+        for (&(name, kind, cmds, _), raw) in given {
             if !cmds.contains(&cmd.name) {
                 let of = cmds.join(", ");
                 return bad(format!("`{}` takes no `--{name}` (a flag of: {of})", cmd.name));
@@ -415,6 +443,19 @@ impl Args {
                 value
             };
             flags.push((name, value));
+        }
+        // A flag that would be ignored is refused, so that no run reads as
+        // if it had taken it.
+        let has = |flag: &str| flags.iter().any(|(f, _)| *f == flag);
+        for &(name, .., needs) in FLAGS.iter().filter(|(name, ..)| has(name)) {
+            if let Some(need) = needs.iter().find(|need| !has(need)) {
+                return bad(format!("--{name} requires --{need}"));
+            }
+        }
+        for (a, replaced) in REPLACES.iter().filter(|(a, _)| has(a)) {
+            if let Some(b) = replaced.iter().find(|b| has(b)) {
+                return bad(format!("--{a} replaces --{b}: `{}` would ignore --{b}", cmd.name));
+            }
         }
 
         // A surplus operand is most often the value of a misspelt flag, so
@@ -577,8 +618,15 @@ enum Target {
     Stack(Composition, Composed),
 }
 
-/// Generates a composition, refusing one the checker cannot index.
-fn composed(comp: Composition, args: &Args) -> Result<Target, Usage> {
+/// Generates a composition, refusing one the checker cannot index, and
+/// `--caches`, which a stack ignores: `from` (`--compose`, or a file's
+/// `compose` block) sets its node counts through the fanouts.
+fn composed(comp: Composition, from: &str, args: &Args) -> Result<Target, Usage> {
+    if args.flag("caches") {
+        return Err(Usage(format!(
+            "--caches does not apply to a composed stack: the fanouts of {from} set its node counts"
+        )));
+    }
     let composed = compose(&comp, &gen_config(args)).map_err(|e| e.to_string());
     match composed.and_then(|c| HierChecker::check_size(&c).map(|()| c)) {
         Ok(composed) => Ok(Target::Stack(comp, composed)),
@@ -589,7 +637,7 @@ fn composed(comp: Composition, args: &Args) -> Result<Target, Usage> {
 /// The stack `--compose` names, or else the flat protocol the operand names.
 fn target(args: &Args) -> Result<Target, Usage> {
     match args.parsed("compose", parse_compose_flag)? {
-        Some(comp) => composed(comp, args),
+        Some(comp) => composed(comp, "--compose", args),
         None => flat(args).map(|(ssp, g)| Target::Flat(ssp, g)),
     }
 }
@@ -631,11 +679,6 @@ fn mc_config(target: &Target, args: &Args) -> Result<McConfig, Usage> {
     args.set("checkpoint-every", &mut cfg.checkpoint_every);
     if let Some(store) = args.parsed("store", str::parse)? {
         cfg.store = store;
-    }
-    if args.flag("resume") && cfg.checkpoint_dir.is_none() {
-        return Err(Usage(
-            "--resume requires --checkpoint-dir (where the checkpoints live)".into(),
-        ));
     }
     Ok(cfg)
 }
@@ -850,7 +893,7 @@ fn compile(args: &Args) -> Run {
             .map(|l| Ok((l.label.clone(), l.protocol.clone(), l.fanout.unwrap_or(1) as usize)));
         let comp = build_composition(&ast.name, levels)
             .map_err(|e| Usage(format!("bad compose block in {path}: {e}")))?;
-        composed(comp, args)?
+        composed(comp, &format!("the compose block of {path}"), args)?
     };
     let cfg = mc_config(&target, args)?;
     // Under `--json` stdout carries the verification's document alone.
@@ -897,9 +940,9 @@ fn workload(args: &Args) -> Result<Workload, Usage> {
         .map_err(|e| Usage(format!("bad --workload: {e}")))
 }
 
-/// Builds a [`SimConfig`] from CLI flags, warning (and clamping to FIFO
-/// delivery) when an ordered-network protocol is pointed at an unordered
-/// interconnect.
+/// Builds a [`SimConfig`] from CLI flags, warning when an ordered-network
+/// protocol keeps FIFO delivery on the unordered interconnect
+/// ([`NetworkConfig::for_protocol`]).
 fn sim_config(ssp: &Ssp, args: &Args) -> Result<SimConfig, Usage> {
     let mut cfg = SimConfig::default();
     if let Some(counts) = args.counts() {
@@ -908,27 +951,26 @@ fn sim_config(ssp: &Ssp, args: &Args) -> Result<SimConfig, Usage> {
     args.set("addrs", &mut cfg.n_addrs);
     args.set("accesses", &mut cfg.accesses_per_core);
     args.set("seed", &mut cfg.seed);
-    args.set("cap", &mut cfg.network.capacity);
     cfg.workload = match args.text("trace") {
         Some(path) => Workload::Trace(
             parse_trace(&read(path)?).map_err(|e| Usage(format!("bad --trace {path}: {e}")))?,
         ),
         None => workload(args)?,
     };
-    if args.text("network") == Some("unordered") {
-        // An unordered request implies jittered hops (the sweep's
-        // unordered point) unless --latency overrides below.
-        cfg.network.latency = LatencyDist::Uniform { lo: 4, hi: 16 };
-        if ssp.network_ordered {
-            eprintln!(
-                "note: {} is generated for ordered networks; applying latency jitter \
-                 with per-block FIFO delivery instead of reordering",
-                ssp.name
-            );
-        } else {
-            cfg.network.model = NetModel::Unordered;
-        }
+    let model = match args.text("network") {
+        Some("unordered") => NetModel::Unordered,
+        _ => NetModel::Ordered,
+    };
+    let (network, fifo_clamped) = NetworkConfig::for_protocol(model, ssp.network_ordered);
+    cfg.network = network;
+    if fifo_clamped {
+        eprintln!(
+            "note: {} is generated for ordered networks; applying latency jitter \
+             with per-block FIFO delivery instead of reordering",
+            ssp.name
+        );
     }
+    args.set("cap", &mut cfg.network.capacity);
     if let Some(latency) = args.parsed("latency", LatencyDist::parse)? {
         cfg.network.latency = latency;
     }
@@ -985,14 +1027,10 @@ fn sim(args: &Args) -> Run {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `--faults`, with `--fault-seed` and `--crash-at-op`, which mean nothing
-/// without it.
+/// `--faults`, with `--fault-seed` and `--crash-at-op`, which need it.
 fn fault_config(args: &Args, run_seed: u64) -> Result<Option<FaultConfig>, Usage> {
     let Some(classes) = args.list("faults") else {
-        return match ["fault-seed", "crash-at-op"].into_iter().find(|f| args.flag(f)) {
-            Some(flag) => Err(Usage(format!("--{flag} requires --faults (e.g. --faults crash)"))),
-            None => Ok(None),
-        };
+        return Ok(None);
     };
     // The fault seed defaults to the workload seed: one seed replays the
     // whole run, faults included.
@@ -1413,13 +1451,24 @@ mod tests {
         }
     }
 
+    /// `--name VALUE` for a value the flag's kind admits.
+    fn good(name: &str) -> Vec<String> {
+        let &(_, kind, ..) = FLAGS.iter().find(|(f, ..)| *f == name).expect("a flag");
+        let switch = matches!(kind, Kind::Switch);
+        let value = (!switch).then(|| samples(kind).0.to_string());
+        std::iter::once(format!("--{name}")).chain(value).collect()
+    }
+
     /// The table tests itself: every (subcommand, flag) pair, every way a
     /// flag can be given wrongly, every kind's hostile values.
     #[test]
     fn every_flag_is_checked_on_every_subcommand() {
         for cmd in &COMMANDS {
             assert!(parse(&line(cmd, &[])).is_ok(), "{}", cmd.name);
-            for &(name, kind, cmds) in &FLAGS {
+            for &(name, kind, cmds, needs) in &FLAGS {
+                // What the flag needs, given once and well.
+                let with: Vec<String> = needs.iter().flat_map(|need| good(need)).collect();
+                let with: Vec<&str> = with.iter().map(String::as_str).collect();
                 let flag = format!("--{name}");
                 let err = |rest: &[&str]| match parse(&line(cmd, rest)) {
                     Ok(_) => panic!("`{} {rest:?}` was accepted", cmd.name),
@@ -1435,10 +1484,10 @@ mod tests {
                     assert!(err(given).contains("takes no"), "{} {flag}", cmd.name);
                     continue;
                 }
-                let args =
-                    parse(&line(cmd, given)).unwrap_or_else(|why| panic!("{given:?}: {why}"));
+                let args = parse(&line(cmd, &[&with, given].concat()))
+                    .unwrap_or_else(|why| panic!("{given:?}: {why}"));
                 read_back(&args, name, kind);
-                assert!(err(&[given, given].concat()).contains("twice"));
+                assert!(err(&[&with, given, given].concat()).contains("twice"));
                 if switch {
                     continue;
                 }
@@ -1450,6 +1499,38 @@ mod tests {
                     assert!(why.contains(&format!("`{value}`")), "{} {flag}: {why}", cmd.name);
                 }
             }
+        }
+    }
+
+    /// A flag that would be ignored is refused with the flag that makes it
+    /// so: one it needs and lacks, or one that replaces it. Each rule names
+    /// flags of the same subcommands.
+    #[test]
+    fn flags_a_command_would_ignore_are_refused() {
+        let row = |name: &str| FLAGS.iter().find(|(f, ..)| *f == name).expect("a flag");
+        for &(name, _, cmds, needs) in &FLAGS {
+            for cmd in cmds.iter().copied() {
+                let cmd = COMMANDS.iter().find(|c| c.name == cmd).expect("a command");
+                for need in needs {
+                    assert!(row(need).2.contains(&cmd.name), "--{need} is no flag of {}", cmd.name);
+                    let alone = good(name);
+                    let alone: Vec<&str> = alone.iter().map(String::as_str).collect();
+                    let why = parse(&line(cmd, &alone)).err().expect("refused");
+                    assert_eq!(why, format!("--{name} requires --{need}"));
+                }
+            }
+        }
+        for (a, b) in REPLACES.iter().flat_map(|(a, bs)| bs.iter().map(move |b| (*a, *b))) {
+            let cmds = row(a).2.iter().filter(|cmd| row(b).2.contains(cmd));
+            let mut shared = 0;
+            for cmd in cmds.map(|name| COMMANDS.iter().find(|c| c.name == *name).unwrap()) {
+                shared += 1;
+                let both = [good(a), good(b)].concat();
+                let both: Vec<&str> = both.iter().map(String::as_str).collect();
+                let why = parse(&line(cmd, &both)).err().expect("refused");
+                assert!(why.starts_with(&format!("--{a} replaces --{b}: ")), "{why}");
+            }
+            assert!(shared > 0, "--{a} and --{b} share no subcommand");
         }
     }
 

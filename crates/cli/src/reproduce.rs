@@ -12,7 +12,7 @@ use protogen_litmus::{bundled, run_suite, Limits};
 use protogen_mc::{McConfig, ModelChecker, PropertySet};
 use protogen_protocols::{all, mesi, msi};
 use protogen_sim::Workload::{FalseSharing, Migratory, Private, ProducerConsumer, Uniform};
-use protogen_sim::{run_sweep, simulate, SimConfig, SweepConfig};
+use protogen_sim::{run_sweep, simulate, NetModel, SimConfig, SweepConfig};
 use protogen_spec::Ssp;
 use std::process::ExitCode;
 
@@ -133,13 +133,13 @@ fn contention(_: usize) -> Output {
 /// The ordered cells of `sweep --protocols msi --caches 4`, each with the
 /// grid index and seed it has in the whole grid.
 fn stall_vs_nonstall(threads: usize) -> Output {
-    let mut cfg = SweepConfig { cache_counts: vec![4], threads, ..SweepConfig::default() };
-    cfg.protocols = vec!["msi".into()];
+    let protocols = vec!["msi".into()];
+    let cfg = SweepConfig { protocols, cache_counts: vec![4], threads, ..SweepConfig::default() };
     let report = run_sweep(&cfg).expect("the MSI grid simulates");
     let mut cells: Vec<_> =
-        report.cells.iter().filter(|c| c.cell.network.name == "ordered").collect();
+        report.cells.iter().filter(|c| c.cell.network == NetModel::Ordered).collect();
     // Stable: a workload's stalling cell stays ahead of its non-stalling one.
-    cells.sort_by_key(|c| cfg.workloads.iter().position(|w| *w == c.cell.workload));
+    cells.sort_by_key(|c| SweepConfig::WORKLOADS.iter().position(|w| *w == c.cell.workload));
     let rows = cells.into_iter().map(|c| {
         let config = if c.cell.stalling { "stalling" } else { "non-stalling" };
         let [cycles, p50, p95, stalls] =

@@ -617,11 +617,26 @@ fn unknown_flags_and_surplus_operands_are_usage_errors() {
 /// given twice (the first won), a word outside a closed set (`--machine
 /// foo` meant "cache"), a fault flag without `--faults`, an empty fault
 /// plan, an empty level label, a litmus test run twice; runs of nothing
-/// that printed a pass-shaped report; block counts past the `u32` addresses
-/// that aborted on allocation. Exit 2, the flag and the value named
-/// above the subcommand's usage line, nothing printed, nothing written.
+/// that printed a pass-shaped report (an empty trace among them); block
+/// counts past the `u32` addresses that aborted on allocation; a flag the
+/// command dropped (`--caches` on a composed stack, `--machine` on a
+/// composed table, `--checkpoint-every` without `--checkpoint-dir`,
+/// `--spill-chunk` without `--mem-budget`, what a trace, a listing or a
+/// replay replaces). Exit 2, the flag and the value named above the
+/// subcommand's usage line, nothing printed, nothing written.
 #[test]
 fn misread_command_lines_exit_2_and_touch_nothing() {
+    let dir = std::env::temp_dir().join(format!("protogen-smoke-misread-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = |name: &str, contents: &str| {
+        std::fs::write(dir.join(name), contents).unwrap();
+        dir.join(name).to_str().unwrap().to_string()
+    };
+    let stack = file("stack.pgen", "protocol H;\ncompose {\n  l1: msi(2);\n  llc: mesi;\n}\n");
+    let trace = file("t.trc", "0 st 0\n1 ld 0\n");
+    let empty = file("empty.trc", "# nothing but comments\n\n# and blank lines\n");
+    let script = file("s.mut", "protocol msi\nconfig non-stalling\nmutate flip-permission 1\n");
+    let (stack, trace, empty, script) = (&*stack, &*trace, &*empty, &*script);
     for (args, needles) in [
         (&["sweep", "--out"][..], &["`--out` needs a value"][..]),
         (&["sweep", "--out", "--json"], &["`--out` needs a value"]),
@@ -655,6 +670,32 @@ fn misread_command_lines_exit_2_and_touch_nothing() {
         (&["serve", "msi", "--dir-shards", "0"], &["dir_shards must be 1..=62, got 0"]),
         (&["serve", "msi", "--mailbox-cap", "0"], &["mailbox_cap must be at least 16, got 0"]),
         (&["serve", "msi", "--duration", "0"], &["bad --duration `0`", "positive and finite"]),
+        (&["sim", "msi", "--trace", empty], &["trace line 3: no operation"]),
+        (&["verify", "--compose", "l1=msi:2", "--caches", "4"], &["--caches", "--compose"]),
+        (&["compile", stack, "--caches", "3"], &["--caches", "compose block"]),
+        (
+            &["table", "--compose", "l1=msi:2", "--machine", "dir"],
+            &["--compose replaces --machine"],
+        ),
+        (&["dot", "--compose", "l1=msi:2", "--machine", "dir"], &["--compose replaces --machine"]),
+        (
+            &["verify", "msi", "--checkpoint-every", "2"],
+            &["--checkpoint-every requires --checkpoint-dir"],
+        ),
+        (&["verify", "msi", "--spill-chunk", "4K"], &["--spill-chunk requires --mem-budget"]),
+        (
+            &["sim", "msi", "--trace", trace, "--workload", "zipfian"],
+            &["--trace replaces --workload"],
+        ),
+        (&["sim", "msi", "--trace", trace, "--store-pct", "30"], &["--trace replaces --store-pct"]),
+        (&["sim", "msi", "--trace", trace, "--accesses", "9"], &["--trace replaces --accesses"]),
+        (&["sweep", "--list", "--out", "cells"], &["--list replaces --out"]),
+        (&["sweep", "--list", "--json"], &["--list replaces --json"]),
+        (&["fuzz", "--replay", script, "--mutants", "3"], &["--replay replaces --mutants"]),
+        (&["fuzz", "--replay", script, "--seed", "3"], &["--replay replaces --seed"]),
+        (&["fuzz", "--replay", script, "--protocols", "msi"], &["--replay replaces --protocols"]),
+        (&["fuzz", "--replay", script, "--out", "repro"], &["--replay replaces --out"]),
+        (&["fuzz", "--replay", script, "--json"], &["--replay replaces --json"]),
     ] {
         let (out, left) = protogen_in_empty_dir(args);
         let err = String::from_utf8_lossy(&out.stderr);
@@ -667,6 +708,7 @@ fn misread_command_lines_exit_2_and_touch_nothing() {
         assert!(out.stdout.is_empty(), "{args:?} printed a report");
         assert!(left.is_empty(), "{args:?} left {left:?} behind");
     }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A reader that closes stdout early (`protogen table msi | head -1`) used to

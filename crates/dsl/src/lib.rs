@@ -24,13 +24,9 @@ pub mod ast;
 mod lexer;
 mod lower;
 mod parser;
-mod render;
 
-pub use ast::ComposeLevel;
-pub use lexer::{tokenize, Token, TokenKind};
 pub use lower::{lower, LowerError};
 pub use parser::{parse, ParseError};
-pub use render::render;
 
 use std::error::Error;
 use std::fmt;
@@ -94,31 +90,6 @@ pub fn parse_protocol(src: &str) -> Result<protogen_spec::Ssp, DslError> {
     lower::lower(&ast).map_err(DslError::Lower)
 }
 
-/// Parses a source carrying a `compose { l1: msi(2); llc: mesi; }` block
-/// and returns its levels, leaf-first.
-///
-/// The protocol references come back *by name* — this crate has no
-/// protocol registry, so the caller resolves them (the CLI maps each onto
-/// `protogen_protocols::by_name` and builds a
-/// `protogen_spec::Composition`). A composition source needs only the
-/// `protocol NAME;` header and the `compose` block; any flat-protocol
-/// sections alongside are parsed but not returned here.
-///
-/// # Errors
-///
-/// Returns a [`DslError`] on a syntax error or when the source has no
-/// `compose` block.
-pub fn parse_composition(src: &str) -> Result<Vec<ComposeLevel>, DslError> {
-    let ast = parser::parse(src).map_err(DslError::Parse)?;
-    if ast.compose.is_empty() {
-        return Err(DslError::Parse(ParseError(format!(
-            "`{}` declares no `compose` block",
-            ast.name
-        ))));
-    }
-    Ok(ast.compose)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,15 +120,14 @@ mod tests {
     }
 
     #[test]
-    fn parse_composition_returns_levels_and_rejects_flat_sources() {
-        let levels =
-            parse_composition("protocol H; compose { l1: msi(2); llc: mesi(2); }").unwrap();
-        assert_eq!(levels.len(), 2);
-        assert_eq!(levels[0].protocol, "msi");
-        assert_eq!(levels[1].fanout, Some(2));
-        assert!(parse_composition(MSI_PGEN).is_err());
-        // And the reverse: a composition source does not lower to one SSP.
-        assert!(parse_protocol("protocol H; compose { l1: msi(2); }").is_err());
+    fn composition_sources_do_not_lower_to_one_ssp() {
+        let src = "protocol H; compose { l1: msi(2); llc: mesi(2); }";
+        let ast = parse(src).unwrap();
+        assert_eq!(ast.compose.len(), 2);
+        assert_eq!(ast.compose[0].protocol, "msi");
+        assert_eq!(ast.compose[1].fanout, Some(2));
+        assert!(parse(MSI_PGEN).unwrap().compose.is_empty());
+        assert!(parse_protocol(src).is_err());
     }
 
     #[test]

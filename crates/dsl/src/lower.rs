@@ -29,7 +29,7 @@ pub fn lower(spec: &Spec) -> Result<protogen_spec::Ssp, LowerError> {
     if !spec.compose.is_empty() {
         return Err(LowerError(
             "composition specs do not lower to a single SSP; resolve the `compose` levels \
-             against a protocol registry (see `parse_composition`)"
+             against a protocol registry (`parse` returns them as `Spec::compose`)"
                 .into(),
         ));
     }

@@ -540,6 +540,91 @@ mod tests {
         assert_eq!(spec.compose[1].label, "state");
     }
 
+    /// A `compose` block may close the source, after every flat section;
+    /// the sections before it parse as they would alone.
+    #[test]
+    fn compose_block_at_the_end_of_the_source_parses() {
+        let src = r#"
+            protocol Stack;
+            network unordered;
+            message Get : request;
+            message Data : response { data };
+            cache { state I; state V read; }
+            directory { state I; state V; }
+            architecture cache {
+                process(I, load) {
+                    send Get to dir;
+                    await D { when Data: copy_data; perform; -> V; }
+                }
+            }
+            architecture directory {
+                process(I, Get) { send Data(data) to req; -> V; }
+            }
+            compose { l1: msi(2); llc: mesi; }
+        "#;
+        let spec = parse(src).unwrap();
+        assert_eq!((spec.name.as_str(), spec.ordered), ("Stack", false));
+        let messages: Vec<_> = spec.messages.iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(messages, ["Get", "Data"]);
+        assert_eq!(spec.messages[1].fields, ["data"]);
+        assert_eq!(spec.cache_states[1].perm, "read");
+        assert_eq!(spec.dir_states.len(), 2);
+        let load = &spec.cache_procs[0];
+        assert_eq!((load.state.as_str(), load.trigger.as_str()), ("I", "load"));
+        assert_eq!(load.awaits[0].whens[0].target, WhenTarget::Done("V".into()));
+        assert_eq!(spec.dir_procs[0].next.as_deref(), Some("V"));
+        assert_eq!(
+            spec.compose,
+            vec![
+                ComposeLevel { label: "l1".into(), protocol: "msi".into(), fanout: Some(2) },
+                ComposeLevel { label: "llc".into(), protocol: "mesi".into(), fanout: None },
+            ]
+        );
+    }
+
+    /// Every name position is a bare identifier the parser never
+    /// dispatches on, so names that collide with keywords, `compose`
+    /// included, need no escaping.
+    #[test]
+    fn keyword_colliding_names_parse_as_names() {
+        let src = r#"
+            protocol compose;
+            message compose : request;
+            message state : response { data };
+            cache { state compose readwrite; state state; }
+            directory { state process; }
+            architecture cache {
+                process(compose, load) { perform; }
+                process(state, compose) { perform; -> compose; }
+            }
+            architecture directory { }
+            compose { compose: compose(2); state: state; }
+        "#;
+        let spec = parse(src).unwrap();
+        assert_eq!(spec.name, "compose");
+        let messages: Vec<_> = spec.messages.iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(messages, ["compose", "state"]);
+        let states: Vec<_> = spec.cache_states.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(states, ["compose", "state"]);
+        assert_eq!(spec.dir_states[0].name, "process");
+        let second = &spec.cache_procs[1];
+        assert_eq!((second.state.as_str(), second.trigger.as_str()), ("state", "compose"));
+        assert_eq!(second.body, [Stmt::Word("perform".into())]);
+        assert_eq!(second.next.as_deref(), Some("compose"));
+        assert!(spec.dir_procs.is_empty());
+        assert_eq!(
+            spec.compose,
+            vec![
+                ComposeLevel {
+                    label: "compose".into(),
+                    protocol: "compose".into(),
+                    fanout: Some(2)
+                },
+                ComposeLevel { label: "state".into(), protocol: "state".into(), fanout: None },
+            ]
+        );
+    }
+
     #[test]
     fn rejects_malformed_compose_levels() {
         assert!(parse("protocol H; compose { l1 msi; }").is_err());

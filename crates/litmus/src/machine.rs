@@ -44,6 +44,7 @@ use protogen_spec::{Access, Arc, ArcNote, Event, Fsm, Ssp};
 use std::collections::{BTreeSet, HashSet};
 use std::error::Error;
 use std::fmt;
+use std::hash::Hash;
 
 /// Exploration limits and (order-only) perturbation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,6 +107,48 @@ impl fmt::Display for LitmusError {
 }
 
 impl Error for LitmusError {}
+
+/// The depth-first search the litmus machine and the reference models
+/// share. A state that `outcome` maps to `Some` is terminal; any other
+/// must have a successor ([`LitmusError::Deadlock`]), and at most
+/// [`Limits::max_states`] states are visited; the seed rotates push order.
+pub(crate) fn exhaust<S: Clone + Eq + Hash>(
+    test: &LitmusTest,
+    init: S,
+    limits: &Limits,
+    mut successors: impl FnMut(&S, &mut Vec<S>) -> Result<(), LitmusError>,
+    outcome: impl Fn(&S) -> Option<Vec<Val>>,
+) -> Result<BTreeSet<Vec<Val>>, LitmusError> {
+    let mut outcomes = BTreeSet::new();
+    let mut visited: HashSet<S> = HashSet::new();
+    let mut stack = vec![init];
+    let mut succs = Vec::new();
+    while let Some(st) = stack.pop() {
+        if !visited.insert(st.clone()) {
+            continue;
+        }
+        if visited.len() > limits.max_states {
+            return Err(LitmusError::StateLimit { limit: limits.max_states });
+        }
+        if let Some(o) = outcome(&st) {
+            outcomes.insert(o);
+            continue;
+        }
+        succs.clear();
+        successors(&st, &mut succs)?;
+        if succs.is_empty() {
+            return Err(LitmusError::Deadlock {
+                detail: format!("non-terminal state with no enabled step in {}", test.name),
+            });
+        }
+        if limits.seed != 0 {
+            let k = (limits.seed as usize) % succs.len();
+            succs.rotate_left(k);
+        }
+        stack.extend(succs.drain(..).filter(|s| !visited.contains(s)));
+    }
+    Ok(outcomes)
+}
 
 /// A generated protocol wired up for litmus runs.
 #[derive(Debug)]
@@ -432,7 +475,6 @@ impl Run<'_> {
     }
 
     fn successors(&self, st: &MState, succs: &mut Vec<MState>) -> Result<(), LitmusError> {
-        succs.clear();
         for t in 0..self.n_threads {
             if let Some(s) = self.try_program_step(st, t)? {
                 succs.push(s);
@@ -498,41 +540,8 @@ impl Run<'_> {
     fn outcomes(&self, limits: &Limits) -> Result<BTreeSet<Vec<Val>>, LitmusError> {
         let mut init = self.initial();
         self.warmup(&mut init)?;
-        let mut outcomes = BTreeSet::new();
-        let mut visited: HashSet<MState> = HashSet::new();
-        let mut stack = vec![init];
-        let mut succs = Vec::new();
-        while let Some(st) = stack.pop() {
-            if !visited.insert(st.clone()) {
-                continue;
-            }
-            if visited.len() > limits.max_states {
-                return Err(LitmusError::StateLimit { limit: limits.max_states });
-            }
-            if self.terminal(&st) {
-                outcomes.insert(st.regs.clone());
-                continue;
-            }
-            self.successors(&st, &mut succs)?;
-            if succs.is_empty() {
-                return Err(LitmusError::Deadlock {
-                    detail: format!(
-                        "non-terminal state with no enabled step in {}",
-                        self.test.name
-                    ),
-                });
-            }
-            if limits.seed != 0 {
-                let k = (limits.seed as usize) % succs.len();
-                succs.rotate_left(k);
-            }
-            for s in succs.drain(..) {
-                if !visited.contains(&s) {
-                    stack.push(s);
-                }
-            }
-        }
-        Ok(outcomes)
+        let outcome = |st: &MState| self.terminal(st).then(|| st.regs.clone());
+        exhaust(self.test, init, limits, |st, succs| self.successors(st, succs), outcome)
     }
 }
 

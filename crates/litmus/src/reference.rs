@@ -14,8 +14,9 @@
 //!
 //! Outcomes are register tuples in [`LitmusTest::registers`] order.
 
+use crate::machine::{exhaust, Limits};
 use crate::test::{LitmusTest, Op, Val};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct RefState {
@@ -34,19 +35,7 @@ fn enumerate(test: &LitmusTest, buffered: bool) -> BTreeSet<Vec<Val>> {
         regs: vec![0; test.registers.len()],
         buffers: vec![Vec::new(); n],
     };
-    let mut outcomes = BTreeSet::new();
-    let mut seen: HashSet<RefState> = HashSet::new();
-    let mut stack = vec![init];
-    while let Some(st) = stack.pop() {
-        if !seen.insert(st.clone()) {
-            continue;
-        }
-        let done = (0..n).all(|t| st.cursor[t] as usize == test.threads[t].len())
-            && st.buffers.iter().all(Vec::is_empty);
-        if done {
-            outcomes.insert(st.regs.clone());
-            continue;
-        }
+    let successors = |st: &RefState, succs: &mut Vec<RefState>| {
         for t in 0..n {
             // Execute the thread's next operation.
             if let Some(&op) = test.threads[t].get(st.cursor[t] as usize) {
@@ -65,18 +54,26 @@ fn enumerate(test: &LitmusTest, buffered: bool) -> BTreeSet<Vec<Val>> {
                         }
                     }
                 }
-                stack.push(s);
+                succs.push(s);
             }
             // Drain the thread's oldest buffered store to memory.
             if !st.buffers[t].is_empty() {
                 let mut s = st.clone();
                 let (addr, val) = s.buffers[t].remove(0);
                 s.mem[addr as usize] = val;
-                stack.push(s);
+                succs.push(s);
             }
         }
-    }
-    outcomes
+        Ok(())
+    };
+    let outcome = |st: &RefState| {
+        let done = (0..n).all(|t| st.cursor[t] as usize == test.threads[t].len())
+            && st.buffers.iter().all(Vec::is_empty);
+        done.then(|| st.regs.clone())
+    };
+    // A state with work left always has a step, and no bound applies.
+    let limits = Limits { max_states: usize::MAX, seed: 0 };
+    exhaust(test, init, &limits, successors, outcome).expect("reference models never get stuck")
 }
 
 /// All outcomes the test admits under sequential consistency.

@@ -154,6 +154,22 @@ impl NetworkConfig {
     pub fn unordered(latency: LatencyDist) -> Self {
         NetworkConfig { model: NetModel::Unordered, latency, capacity: 0 }
     }
+
+    /// The interconnect `model` names for `sim --network` and the sweep's
+    /// network dimension: ordered is fixed 8-cycle hops; unordered is
+    /// uniform 4–16-cycle hops, so latency jitter actually reorders. A
+    /// protocol generated for ordered networks (`protocol_ordered`) keeps
+    /// FIFO delivery under that jitter, since reordering would feed its
+    /// controllers messages they provably cannot handle; the flag says
+    /// whether that clamp applied.
+    pub fn for_protocol(model: NetModel, protocol_ordered: bool) -> (Self, bool) {
+        if model == NetModel::Ordered {
+            return (NetworkConfig::default(), false);
+        }
+        let model = if protocol_ordered { NetModel::Ordered } else { NetModel::Unordered };
+        let latency = LatencyDist::Uniform { lo: 4, hi: 16 };
+        (NetworkConfig { model, latency, capacity: 0 }, protocol_ordered)
+    }
 }
 
 impl Default for NetworkConfig {

@@ -52,8 +52,8 @@ mod workload;
 pub use config::{LatencyDist, NetModel, NetworkConfig, SimConfig};
 pub use engine::simulate;
 pub use stats::{Histogram, Json, SimResult};
-pub use sweep::{run_sweep, CellResult, NetPoint, SweepCell, SweepConfig, SweepReport};
-pub use workload::{parse_trace, render_trace, Op, TraceOp, Workload};
+pub use sweep::{run_sweep, CellResult, SweepCell, SweepConfig, SweepReport};
+pub use workload::{parse_trace, Op, TraceOp, Workload};
 
 use protogen_runtime::ExecError;
 use std::error::Error;

@@ -7,85 +7,38 @@
 //! identity or timing — so the merged report is **byte-identical for any
 //! thread count**. CI diffs the JSON to enforce exactly that.
 
-use crate::config::{LatencyDist, NetModel, NetworkConfig, SimConfig};
+use crate::config::{NetModel, NetworkConfig, SimConfig};
 use crate::engine::simulate;
 use crate::stats::Json;
 use crate::workload::Workload;
 use crate::{SimError, SimResult};
 use protogen_core::{generate, par, GenConfig};
 
-/// A named interconnect point of the sweep grid.
-#[derive(Debug, Clone)]
-pub struct NetPoint {
-    /// Grid-dimension name (`ordered`, `unordered`, …).
-    pub name: String,
-    /// The interconnect configuration behind the name.
-    pub config: NetworkConfig,
-}
-
-impl NetPoint {
-    /// The default ordered point: fixed 8-cycle hops.
-    pub fn ordered() -> NetPoint {
-        NetPoint { name: "ordered".into(), config: NetworkConfig::ordered(8) }
-    }
-
-    /// The default unordered point: uniform 4–16-cycle hops, so latency
-    /// jitter actually reorders.
-    pub fn unordered() -> NetPoint {
-        NetPoint {
-            name: "unordered".into(),
-            config: NetworkConfig::unordered(LatencyDist::Uniform { lo: 4, hi: 16 }),
-        }
-    }
-}
-
-/// The sweep grid and per-run parameters.
+/// The sweep grid's free dimensions and per-run parameters. Every cell
+/// otherwise runs [`SimConfig::default`].
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
     /// Protocol CLI names (see `protogen_protocols::NAMES`).
     pub protocols: Vec<String>,
-    /// Generation configs: `true` = stalling, `false` = non-stalling.
-    pub stalling: Vec<bool>,
-    /// Workloads to run.
-    pub workloads: Vec<Workload>,
     /// Cache counts.
     pub cache_counts: Vec<usize>,
-    /// Interconnect points.
-    pub networks: Vec<NetPoint>,
-    /// Blocks in play per run.
-    pub n_addrs: usize,
     /// Accesses each core performs per run.
     pub accesses_per_core: usize,
-    /// Core think time between accesses.
-    pub think_time: u64,
     /// Sweep seed; each cell derives its own from this and its index.
     pub seed: u64,
     /// Worker threads; `0` means all available cores. Results are
     /// identical for every value.
     pub threads: usize,
-    /// Per-run cycle safety limit.
-    pub max_cycles: u64,
 }
 
 impl Default for SweepConfig {
     fn default() -> Self {
         SweepConfig {
             protocols: vec!["msi".into(), "mesi".into()],
-            stalling: vec![true, false],
-            workloads: vec![
-                Workload::Uniform { store_pct: 50 },
-                Workload::Zipfian { store_pct: 50 },
-                Workload::ProducerConsumer,
-                Workload::FalseSharing,
-            ],
             cache_counts: vec![2, 4],
-            networks: vec![NetPoint::ordered(), NetPoint::unordered()],
-            n_addrs: 4,
             accesses_per_core: 200,
-            think_time: 2,
             seed: 0xC0FFEE,
             threads: 0,
-            max_cycles: 50_000_000,
         }
     }
 }
@@ -103,8 +56,8 @@ pub struct SweepCell {
     pub workload: Workload,
     /// Cache count.
     pub n_caches: usize,
-    /// The interconnect point.
-    pub network: NetPoint,
+    /// The interconnect ([`NetworkConfig::for_protocol`] builds it).
+    pub network: NetModel,
 }
 
 impl SweepCell {
@@ -117,28 +70,40 @@ impl SweepCell {
             if self.stalling { "stall" } else { "non-stall" },
             self.workload.label(),
             self.n_caches,
-            self.network.name
+            self.network
         )
     }
 }
 
 impl SweepConfig {
+    /// The generation configs of the grid: stalling, then non-stalling.
+    pub const STALLING: [bool; 2] = [true, false];
+    /// The workloads of the grid.
+    pub const WORKLOADS: [Workload; 4] = [
+        Workload::Uniform { store_pct: 50 },
+        Workload::Zipfian { store_pct: 50 },
+        Workload::ProducerConsumer,
+        Workload::FalseSharing,
+    ];
+    /// The interconnects of the grid.
+    pub const NETWORKS: [NetModel; 2] = [NetModel::Ordered, NetModel::Unordered];
+
     /// Expands the grid in deterministic nested order (protocol outermost,
     /// network innermost).
     pub fn cells(&self) -> Vec<SweepCell> {
         let mut out = Vec::new();
         for protocol in &self.protocols {
-            for &stalling in &self.stalling {
-                for workload in &self.workloads {
+            for stalling in Self::STALLING {
+                for workload in &Self::WORKLOADS {
                     for &n_caches in &self.cache_counts {
-                        for network in &self.networks {
+                        for network in Self::NETWORKS {
                             out.push(SweepCell {
                                 index: out.len(),
                                 protocol: protocol.clone(),
                                 stalling,
                                 workload: workload.clone(),
                                 n_caches,
-                                network: network.clone(),
+                                network,
                             });
                         }
                     }
@@ -161,10 +126,10 @@ impl SweepConfig {
              ({} accesses/core each, seed {:#x})\n",
             cells.len(),
             self.protocols.len(),
-            self.stalling.len(),
-            self.workloads.len(),
+            Self::STALLING.len(),
+            Self::WORKLOADS.len(),
             self.cache_counts.len(),
-            self.networks.len(),
+            Self::NETWORKS.len(),
             self.accesses_per_core,
             self.seed,
         ));
@@ -200,7 +165,7 @@ impl CellResult {
             ),
             ("workload", Json::Str(self.cell.workload.label())),
             ("caches", Json::U64(self.cell.n_caches as u64)),
-            ("network", Json::Str(self.cell.network.name.clone())),
+            ("network", Json::Str(self.cell.network.to_string())),
             ("fifo_clamped", Json::Bool(self.fifo_clamped)),
             ("seed", Json::U64(self.seed)),
             ("stats", self.stats.to_json()),
@@ -251,21 +216,15 @@ fn run_cell(cfg: &SweepConfig, cell: SweepCell) -> Result<CellResult, SimError> 
     let gen_cfg = if cell.stalling { GenConfig::stalling() } else { GenConfig::non_stalling() };
     let g = generate(&ssp, &gen_cfg)
         .map_err(|e| SimError::Workload(format!("{}: generation failed: {e}", cell.label())))?;
-    let mut network = cell.network.config;
-    let fifo_clamped = ssp.network_ordered && network.model == NetModel::Unordered;
-    if fifo_clamped {
-        network.model = NetModel::Ordered;
-    }
+    let (network, fifo_clamped) = NetworkConfig::for_protocol(cell.network, ssp.network_ordered);
     let seed = par::job_seed(cfg.seed, cell.index);
     let sim_cfg = SimConfig {
         n_caches: cell.n_caches,
-        n_addrs: cfg.n_addrs,
-        think_time: cfg.think_time,
-        accesses_per_core: cfg.accesses_per_core,
         workload: cell.workload.clone(),
         network,
         seed,
-        max_cycles: cfg.max_cycles,
+        accesses_per_core: cfg.accesses_per_core,
+        ..SimConfig::default()
     };
     let stats = simulate(&g.cache, &g.directory, &sim_cfg)
         .map_err(|e| SimError::Workload(format!("{}: {e}", cell.label())))?;
@@ -310,7 +269,7 @@ mod tests {
     #[test]
     fn small_sweep_is_thread_count_invariant() {
         let base = SweepConfig {
-            workloads: vec![Workload::Uniform { store_pct: 50 }, Workload::ProducerConsumer],
+            protocols: vec!["msi".into()],
             cache_counts: vec![2],
             accesses_per_core: 30,
             ..SweepConfig::default()

@@ -1,5 +1,5 @@
 //! Hostile input: every text reader of the toolchain — the DSL
-//! (`parse_protocol`, `parse_composition`), litmus tests, `.trc` traces
+//! (`parse`, `parse_protocol`), litmus tests, `.trc` traces
 //! and fuzz `.mut` scripts — over a deterministic corpus built from the
 //! bundled sources: prefix truncations of each, and single-byte
 //! substitutions. Every reader gets every input. Nothing may panic, and
@@ -14,7 +14,7 @@
 //! of them (`cargo test --release --test hostile_input -- --ignored`, a
 //! few seconds).
 
-use protogen::dsl::{parse_composition, parse_protocol, DslError};
+use protogen::dsl::{parse, parse_protocol, DslError};
 use protogen::fuzz::Script;
 use protogen::litmus::parse_litmus;
 use protogen::sim::{parse_trace, SimError};
@@ -60,7 +60,7 @@ fn read_all(input: &str) -> Result<(), String> {
         (1..=lines).contains(&line).then_some(()).ok_or(format!("{what} names line {line}"))
     };
     let dsl = |result: Result<_, DslError>| match result {
-        Err(DslError::Parse(e)) if !e.0.contains("declares no `compose` block") => {
+        Err(DslError::Parse(e)) => {
             named("DSL", dsl_line(&e.0).unwrap_or(0)).map_err(|m| format!("{m}: {e}"))
         }
         _ => Ok(()),
@@ -69,7 +69,7 @@ fn read_all(input: &str) -> Result<(), String> {
         catch_unwind(AssertUnwindSafe(run)).map_err(|_| format!("{reader} panicked"))?
     };
     guarded("parse_protocol", &|| dsl(parse_protocol(input).map(drop)))?;
-    guarded("parse_composition", &|| dsl(parse_composition(input).map(drop)))?;
+    guarded("parse", &|| dsl(parse(input).map(drop).map_err(DslError::Parse)))?;
     guarded("parse_litmus", &|| match parse_litmus(input) {
         Err(e) => named("litmus", e.line),
         Ok(_) => Ok(()),
