@@ -77,10 +77,10 @@
 //! exhaustively enumerating the classical litmus tests (SB, MP, LB, IRIW,
 //! CoRR) through the generated FSMs and comparing against executable SC
 //! and TSO reference models. The exit code is non-zero unless every
-//! protocol is classified exactly as its specification promises.
-//! `--depth` bounds the per-(protocol, test) state space; `--seed` only
-//! perturbs exploration order (the enumeration is exhaustive, so outcomes
-//! are seed-invariant).
+//! protocol is classified exactly as its specification promises. Each
+//! (protocol, test) pair runs on the model checker's explorer: `--depth`
+//! bounds its state space and `--threads` sets its workers (the search is
+//! exhaustive, so the report is the same at every worker count).
 //!
 //! `<protocol>` is one of: msi, mesi, mosi, msi-upgrade, msi-unordered,
 //! tso-cc, si-sd.
@@ -89,7 +89,7 @@ use protogen_backend::{
     render_composed_table, render_table, to_dot, to_dot_composed, to_murphi, TableOptions,
 };
 use protogen_core::{compose, generate, par, Composed, GenConfig, Generated};
-use protogen_litmus::{run_suite, Limits};
+use protogen_litmus::run_suite;
 use protogen_mc::{
     CheckResult, HierChecker, McConfig, ModelChecker, PropertySet, ResourceLimit, StoreMode,
     MAX_CACHES, MAX_GROUP, SHARD_CAPACITY,
@@ -307,7 +307,7 @@ const FLAGS: [(&str, Kind, &[&str], &[&str]); 39] = [
         &["verify", "serve", "sweep", "fuzz", "litmus", "reproduce", "compile"],
         &[],
     ),
-    ("seed", UNSIGNED, &["sim", "serve", "sweep", "fuzz", "litmus"], &[]),
+    ("seed", UNSIGNED, &["sim", "serve", "sweep", "fuzz"], &[]),
     ("property", Kind::Text("sc|tso|weak|none|P+Q"), &["verify", "serve", "compile"], &[]),
     ("max-states", POSITIVE, &["verify", "compile"], &[]),
     ("mem-budget", Kind::Bytes, &["verify", "compile"], &[]),
@@ -1369,10 +1369,9 @@ fn litmus_cmd(args: &Args) -> Run {
             names.map(pick).collect::<Result<_, _>>()?
         }
     };
-    let mut limits = Limits::default();
-    args.set("depth", &mut limits.max_states);
-    args.set("seed", &mut limits.seed);
-    let report = match run_suite(&ssps, &tests, &limits, args.threads()) {
+    let mut max_states = protogen_litmus::MAX_STATES;
+    args.set("depth", &mut max_states);
+    let report = match run_suite(&ssps, &tests, max_states, args.threads()) {
         Ok(report) => report,
         Err(e) => return failed(format_args!("litmus: {e}")),
     };

@@ -8,7 +8,7 @@
 use super::{failed, quiet_panics, verdict, write_stdout, Args, Run};
 use protogen_core::{generate, GenConfig, Generated};
 use protogen_fuzz::{run_fuzz, FuzzConfig};
-use protogen_litmus::{bundled, run_suite, Limits};
+use protogen_litmus::{bundled, run_suite, MAX_STATES};
 use protogen_mc::{McConfig, ModelChecker, PropertySet};
 use protogen_protocols::{all, mesi, msi};
 use protogen_sim::Workload::{FalseSharing, Migratory, Private, ProducerConsumer, Uniform};
@@ -150,7 +150,7 @@ fn stall_vs_nonstall(threads: usize) -> Output {
 }
 
 fn litmus(threads: usize) -> Output {
-    match run_suite(&all(), &bundled(), &Limits::default(), threads) {
+    match run_suite(&all(), &bundled(), MAX_STATES, threads) {
         Ok(report) => (report.render_markdown(), report.passed()),
         Err(e) => (format!("litmus: {e}\n"), false),
     }

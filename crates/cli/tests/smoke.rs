@@ -655,6 +655,8 @@ fn misread_command_lines_exit_2_and_touch_nothing() {
         (&["sweep", "--accesses", "0"], &["bad --accesses `0`"]),
         (&["fuzz", "--budget", "0"], &["bad --budget `0`"]),
         (&["litmus", "msi", "--depth", "0"], &["bad --depth `0`"]),
+        // The explorer's breadth-first order is canonical: nothing to seed.
+        (&["litmus", "msi", "--seed", "1"], &["`litmus` takes no `--seed`"]),
         (&["sweep", "--protocols", "nosuch"], &["unknown protocol `nosuch`"]),
         (&["sim", "msi", "--addrs", "0"], &["at least one cache and one address", "--addrs 0"]),
         (&["serve", "msi", "--addrs", "0"], &["n_addrs must be at least 1"]),

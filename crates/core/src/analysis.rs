@@ -217,7 +217,7 @@ impl Analysis {
 }
 
 /// The primary request of a transaction: the first request-class send.
-pub fn primary_request(ssp: &Ssp, actions: &[Action]) -> Option<MsgId> {
+fn primary_request(ssp: &Ssp, actions: &[Action]) -> Option<MsgId> {
     actions.iter().find_map(|a| match a {
         Action::Send(s) if s.dst == Dst::Dir && ssp.msg(s.msg).class == MsgClass::Request => {
             Some(s.msg)

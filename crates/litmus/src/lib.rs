@@ -3,14 +3,12 @@
 //! The model checker (`crates/mc`) verifies per-block safety under a
 //! selectable property set; this crate answers the complementary
 //! *cross-block* question: what memory model do a protocol's observable
-//! executions actually implement? It runs the classical litmus tests —
-//! store buffering (SB), message passing (MP), load buffering (LB),
-//! independent reads of independent writes (IRIW), read-read coherence
-//! (CoRR) — through the generated cache and directory FSMs over multiple
-//! locations, enumerates **every** interleaving of program steps, message
-//! deliveries, and spontaneous self-invalidation/self-downgrade decay, and
-//! compares the outcome set against executable SC and TSO reference
-//! models.
+//! executions actually implement? It runs the classical litmus tests (SB,
+//! MP, LB, IRIW, CoRR) through the generated cache and directory FSMs
+//! over multiple locations on the model checker's explorer, which
+//! enumerates **every** interleaving of program steps, message deliveries
+//! and self-invalidation/self-downgrade decay, and compares the outcome
+//! set against executable SC and TSO reference models.
 //!
 //! A protocol passes when it is classified exactly as its SSP promises:
 //! MSI-family protocols must be SC, TSO-CC must show store-buffering
@@ -20,10 +18,10 @@
 //! # Example
 //!
 //! ```
-//! use protogen_litmus::{bundled, run_suite, Limits, Verdict};
+//! use protogen_litmus::{bundled, run_suite, Verdict, MAX_STATES};
 //!
 //! let ssps = vec![protogen_protocols::msi(), protogen_protocols::tso_cc()];
-//! let report = run_suite(&ssps, &bundled(), &Limits::default(), 2).unwrap();
+//! let report = run_suite(&ssps, &bundled(), MAX_STATES, 2).unwrap();
 //! assert!(report.passed());
 //! assert_eq!(report.protocols[0].verdict(), Verdict::Sc);
 //! assert_eq!(report.protocols[1].verdict(), Verdict::Tso);
@@ -37,7 +35,7 @@ pub mod reference;
 mod suite;
 mod test;
 
-pub use machine::{Harness, Limits, LitmusError};
+pub use machine::{outcomes, LitmusError, MAX_STATES};
 pub use suite::{
     run_suite, run_test, ProtocolReport, SuiteError, SuiteReport, TestReport, Verdict,
 };

@@ -10,10 +10,10 @@
 //! SC-strong implementation labelled TSO fails the gate just like a
 //! too-weak one.
 
-use crate::machine::{Harness, Limits, LitmusError};
+use crate::machine::{outcomes, LitmusError};
 use crate::reference::{sc_outcomes, tso_outcomes};
 use crate::test::{render_outcomes, LitmusTest, Val};
-use protogen_core::{generate, par, GenConfig};
+use protogen_core::{generate, GenConfig, Generated};
 use protogen_spec::{MemoryModel, Ssp};
 use std::collections::BTreeSet;
 use std::error::Error;
@@ -69,6 +69,9 @@ pub struct TestReport {
     pub forbidden: Vec<String>,
     /// Rendered outcomes beyond the SC reference (the interesting ones).
     pub beyond_sc: Vec<String>,
+    /// States the explorer visited (the same at every worker count; not
+    /// rendered).
+    pub states: usize,
 }
 
 /// One protocol's behaviour across the whole suite.
@@ -112,22 +115,15 @@ impl SuiteReport {
         let mut s = String::new();
         for p in &self.protocols {
             let status = if p.passed() { "ok" } else { "FAIL" };
-            s.push_str(&format!(
-                "{}: promised {}, observed {} [{}]\n",
-                p.protocol,
-                p.promised,
-                p.verdict(),
-                status
-            ));
+            let (promised, observed) = (p.promised, p.verdict());
+            s += &format!("{}: promised {promised}, observed {observed} [{status}]\n", p.protocol);
             for t in &p.tests {
-                s.push_str(&format!(
-                    "  {:<5} {:<4} {} outcomes (SC ref {}, TSO ref {})",
-                    t.test,
-                    t.verdict.to_string(),
-                    t.outcomes.len(),
-                    t.n_sc,
-                    t.n_tso
-                ));
+                let (verdict, n, sc, tso) =
+                    (t.verdict.to_string(), t.outcomes.len(), t.n_sc, t.n_tso);
+                s += &format!(
+                    "  {:<5} {verdict:<4} {n} outcomes (SC ref {sc}, TSO ref {tso})",
+                    t.test
+                );
                 if !t.beyond_sc.is_empty() {
                     s.push_str(&format!("; beyond SC: {}", t.beyond_sc.join(" ")));
                 }
@@ -142,14 +138,10 @@ impl SuiteReport {
 
     /// A GitHub-flavoured markdown table (EXPERIMENTS.md, CI artifacts).
     pub fn render_markdown(&self) -> String {
-        let tests: Vec<&str> = self
-            .protocols
-            .first()
-            .map(|p| p.tests.iter().map(|t| t.test.as_str()).collect())
-            .unwrap_or_default();
+        let tests = self.protocols.first().map_or(&[][..], |p| &p.tests[..]);
         let mut s = String::from("| protocol | promised |");
-        for t in &tests {
-            s.push_str(&format!(" {t} |"));
+        for t in tests {
+            s.push_str(&format!(" {} |", t.test));
         }
         s.push_str(" observed | gate |\n|---|---|");
         s.push_str(&"---|".repeat(tests.len() + 2));
@@ -159,11 +151,8 @@ impl SuiteReport {
             for t in &p.tests {
                 s.push_str(&format!(" {} ({}) |", t.verdict, t.outcomes.len()));
             }
-            s.push_str(&format!(
-                " {} | {} |\n",
-                p.verdict(),
-                if p.passed() { "pass" } else { "**fail**" }
-            ));
+            let gate = if p.passed() { "pass" } else { "**fail**" };
+            s.push_str(&format!(" {} | {gate} |\n", p.verdict()));
         }
         s
     }
@@ -188,17 +177,20 @@ impl fmt::Display for SuiteError {
 
 impl Error for SuiteError {}
 
-/// Runs one litmus test against one wired-up protocol.
+/// Runs one litmus test against `ssp`'s `generated` machines, exploring up
+/// to `max_states` states with `threads` workers (0: every core).
 ///
 /// # Errors
 ///
 /// Propagates enumeration failures as [`LitmusError`].
 pub fn run_test(
-    harness: &Harness<'_>,
+    ssp: &Ssp,
+    generated: &Generated,
     test: &LitmusTest,
-    limits: &Limits,
+    max_states: usize,
+    threads: usize,
 ) -> Result<TestReport, LitmusError> {
-    let outcomes = harness.outcomes(test, limits)?;
+    let (outcomes, states) = outcomes(ssp, generated, test, max_states, threads)?;
     let sc = sc_outcomes(test);
     let tso = tso_outcomes(test);
     let verdict = if outcomes.is_subset(&sc) {
@@ -219,13 +211,14 @@ pub fn run_test(
         forbidden: render_outcomes(test, &forbidden),
         beyond_sc: render_outcomes(test, &beyond),
         outcomes,
+        states,
     })
 }
 
-/// Runs the whole suite: every `ssp` × every `test`, fanned over `workers`
-/// threads (0: every core) by [`par::map_indexed`], pair `i` on worker
-/// `i % workers`. The report is assembled in input order, so it is
-/// identical for any worker count — a conformance test relies on this.
+/// Runs the whole suite: every `ssp` × every `test` in input order, each
+/// pair explored with `threads` workers (0: every core) up to `max_states`
+/// states. The search is exhaustive, so the report is identical for any
+/// worker count — a conformance test relies on this.
 ///
 /// # Errors
 ///
@@ -233,37 +226,24 @@ pub fn run_test(
 pub fn run_suite(
     ssps: &[Ssp],
     tests: &[LitmusTest],
-    limits: &Limits,
-    workers: usize,
+    max_states: usize,
+    threads: usize,
 ) -> Result<SuiteReport, SuiteError> {
-    let generated: Vec<_> = ssps
-        .iter()
-        .map(|ssp| generate(ssp, &GenConfig::default()).expect("bundled protocols generate"))
-        .collect();
-    let harnesses: Vec<Harness<'_>> =
-        ssps.iter().zip(&generated).map(|(ssp, g)| Harness::new(ssp, g)).collect();
-
-    let pairs: Vec<(usize, usize)> =
-        (0..ssps.len()).flat_map(|p| (0..tests.len()).map(move |t| (p, t))).collect();
-    let results = par::map_indexed(pairs.len(), workers, |i| {
-        let (p, t) = pairs[i];
-        run_test(&harnesses[p], &tests[t], limits).map_err(|e| SuiteError {
-            protocol: ssps[p].name.clone(),
-            test: tests[t].name.clone(),
-            source: e,
-        })
-    });
-
-    let mut protocols: Vec<ProtocolReport> = ssps
-        .iter()
-        .map(|ssp| ProtocolReport {
+    let mut protocols = Vec::new();
+    for ssp in ssps {
+        let generated = generate(ssp, &GenConfig::default()).expect("bundled protocols generate");
+        let run = |test: &LitmusTest| {
+            run_test(ssp, &generated, test, max_states, threads).map_err(|source| SuiteError {
+                protocol: ssp.name.clone(),
+                test: test.name.clone(),
+                source,
+            })
+        };
+        protocols.push(ProtocolReport {
             protocol: ssp.name.clone(),
             promised: Verdict::promised(ssp.consistency),
-            tests: Vec::new(),
-        })
-        .collect();
-    for (result, &(p, _)) in results.into_iter().zip(&pairs) {
-        protocols[p].tests.push(result?);
+            tests: tests.iter().map(run).collect::<Result<_, _>>()?,
+        });
     }
     Ok(SuiteReport { protocols })
 }
@@ -271,6 +251,7 @@ pub fn run_suite(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::MAX_STATES;
     use crate::test::bundled;
 
     #[test]
@@ -284,7 +265,7 @@ mod tests {
     #[test]
     fn suite_classifies_msi_and_tso_cc_as_promised() {
         let ssps = vec![protogen_protocols::msi(), protogen_protocols::tso_cc()];
-        let report = run_suite(&ssps, &bundled(), &Limits::default(), 2).unwrap();
+        let report = run_suite(&ssps, &bundled(), MAX_STATES, 2).unwrap();
         assert!(report.passed(), "{}", report.render_text());
         assert_eq!(report.protocols[0].verdict(), Verdict::Sc);
         assert_eq!(report.protocols[1].verdict(), Verdict::Tso);
@@ -293,9 +274,40 @@ mod tests {
     #[test]
     fn markdown_table_has_a_row_per_protocol() {
         let ssps = vec![protogen_protocols::msi()];
-        let report = run_suite(&ssps, &bundled(), &Limits::default(), 1).unwrap();
+        let report = run_suite(&ssps, &bundled(), MAX_STATES, 1).unwrap();
         let md = report.render_markdown();
         assert!(md.contains("| MSI | SC |"), "{md}");
         assert!(md.contains("| pass |"), "{md}");
+    }
+
+    /// The states the explorer visits for every bundled (protocol, test)
+    /// pair, in `protogen_protocols::all()` × `bundled()` order, pinned and
+    /// equal at 1, 2 and 4 workers. Queues are per (source, destination,
+    /// location), so states that differ only in how two locations'
+    /// messages interleave on one link are one state.
+    #[test]
+    fn every_pair_explores_its_pinned_state_count() {
+        const STATES: [[usize; 5]; 7] = [
+            [154, 125, 135, 133_249, 52],     // MSI
+            [154, 125, 135, 133_249, 52],     // MESI
+            [126, 99, 117, 130_774, 47],      // MOSI
+            [154, 125, 135, 133_249, 52],     // MSI-Upgrade
+            [158, 129, 139, 147_044, 56],     // MSI-unordered
+            [509, 451, 409, 73_177, 116],     // TSO-CC
+            [2376, 1790, 1176, 347_904, 137], // SI-SD
+        ];
+        let ssps = protogen_protocols::all();
+        let reference = run_suite(&ssps, &bundled(), MAX_STATES, 1).unwrap();
+        assert!(reference.passed(), "{}", reference.render_text());
+        let states: Vec<Vec<usize>> = reference
+            .protocols
+            .iter()
+            .map(|p| p.tests.iter().map(|t| t.states).collect())
+            .collect();
+        assert_eq!(states, STATES.map(Vec::from), "explored state counts moved");
+        for threads in [2, 4] {
+            let report = run_suite(&ssps, &bundled(), MAX_STATES, threads).unwrap();
+            assert_eq!(report, reference, "{threads} workers changed the report");
+        }
     }
 }

@@ -10,10 +10,10 @@
 //! section, `(n+1)²` channel-queue sections, and the one-byte ghost
 //! value, and every section's length is recoverable from its own bytes
 //! (the length prefixes [`crate::SysState::encode_permuted_to`] emits).
-//! A leveled encoding ([`crate::HierChecker`]) is the same four groups
-//! with different counts, so the walker is parameterized by a
-//! [`SectionMap`] derived from either topology rather than hard-coding
-//! the flat `n + 2 + (n+1)²` layout.
+//! A leveled encoding ([`crate::HierChecker`]) or a litmus run's is the
+//! same four groups with other counts and ghost length, so the walker is
+//! parameterized by a [`SectionMap`] rather than hard-coding the flat
+//! `n + 2 + (n+1)²` layout.
 //!
 //! The delta of `target` against `base` is a section bitmask (one bit per
 //! section, set = changed) followed by the raw bytes of exactly the
@@ -39,51 +39,42 @@ enum Kind {
     Dir,
     /// One `(src, dst)` channel queue: 1 length byte + 7 per message.
     Channel,
-    /// The ghost-memory value: 1 byte.
+    /// The trailing ghost section: [`SectionMap`]'s `ghost` bytes.
     Ghost,
 }
 
-/// Length of the section of `kind` starting at `bytes[pos]`.
-fn section_len(bytes: &[u8], pos: usize, kind: Kind) -> usize {
-    match kind {
-        Kind::Cache => 7 + 2 * bytes[pos + 6] as usize,
-        Kind::Dir => 6 + 2 * bytes[pos + 5] as usize,
-        Kind::Channel => 1 + 7 * bytes[pos] as usize,
-        Kind::Ghost => 1,
-    }
-}
-
-/// The section layout of one encoding family. Both the flat encoding
-/// ([`crate::SysState::encode`]) and the leveled one
-/// ([`crate::HierChecker`]) group their sections the same way — every
-/// cache block first, then every directory entry, then every channel
-/// queue, then the ghost byte — so a layout is fully described by three
-/// counts. Copy-sized by design: the delta hot path builds one per call
-/// without allocating.
+/// The section layout of one encoding family. Every family groups its
+/// sections the same way — every cache block first, then every directory
+/// entry, then every channel queue, then the ghost section — so a layout
+/// is three counts and the ghost's length. Copy-sized by design: the
+/// delta hot path builds one per call without allocating.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SectionMap {
     caches: usize,
     dirs: usize,
     channels: usize,
+    ghost: usize,
 }
 
 impl SectionMap {
     /// The flat `n`-cache layout: `n` cache sections, one directory,
-    /// `(n+1)²` channels.
+    /// `(n+1)²` channels and the one-byte ghost.
     pub fn flat(n_caches: usize) -> Self {
-        SectionMap { caches: n_caches, dirs: 1, channels: (n_caches + 1) * (n_caches + 1) }
+        let nodes = n_caches + 1;
+        SectionMap { caches: n_caches, dirs: 1, channels: nodes * nodes, ghost: 1 }
     }
 
-    /// A leveled layout: `cache_counts[jm]` blocks per machine level and
-    /// one `(parents, fanout)` subnet shape per protocol level, each
+    /// A leveled layout: `cache_counts[jm]` blocks per machine level, one
+    /// `(parents, fanout)` subnet shape per protocol level, each
     /// contributing `parents` directory sections and `parents·(fanout+1)²`
-    /// channel sections. `SectionMap::leveled(&[n], &[(1, n)])` equals
-    /// [`SectionMap::flat`]`(n)` — the layouts coincide by construction.
-    pub fn leveled(cache_counts: &[usize], subnets: &[(usize, usize)]) -> Self {
+    /// channel sections, and a `ghost`-byte trailing section.
+    /// `SectionMap::leveled(&[n], &[(1, n)], 1)` is [`SectionMap::flat`]`(n)`.
+    pub fn leveled(cache_counts: &[usize], subnets: &[(usize, usize)], ghost: usize) -> Self {
         SectionMap {
             caches: cache_counts.iter().sum(),
             dirs: subnets.iter().map(|&(p, _)| p).sum(),
             channels: subnets.iter().map(|&(p, f)| p * (f + 1) * (f + 1)).sum(),
+            ghost,
         }
     }
 
@@ -100,6 +91,16 @@ impl SectionMap {
             .chain(std::iter::once(Kind::Ghost))
     }
 
+    /// Length of the section of `kind` starting at `bytes[pos]`.
+    fn section_len(&self, bytes: &[u8], pos: usize, kind: Kind) -> usize {
+        match kind {
+            Kind::Cache => 7 + 2 * bytes[pos + 6] as usize,
+            Kind::Dir => 6 + 2 * bytes[pos + 5] as usize,
+            Kind::Channel => 1 + 7 * bytes[pos] as usize,
+            Kind::Ghost => self.ghost,
+        }
+    }
+
     /// Appends to `out` the delta that rewrites `base` into `target`.
     /// Both must be complete encodings of this layout. Returns the
     /// delta's length in bytes — callers fall back to storing `target`
@@ -109,8 +110,8 @@ impl SectionMap {
         out.resize(mask_start + self.section_count().div_ceil(8), 0);
         let (mut bp, mut tp) = (0usize, 0usize);
         for (i, kind) in self.kinds().enumerate() {
-            let bl = section_len(base, bp, kind);
-            let tl = section_len(target, tp, kind);
+            let bl = self.section_len(base, bp, kind);
+            let tl = self.section_len(target, tp, kind);
             if base[bp..bp + bl] != target[tp..tp + tl] {
                 out[mask_start + i / 8] |= 1 << (i % 8);
                 out.extend_from_slice(&target[tp..tp + tl]);
@@ -137,9 +138,9 @@ impl SectionMap {
         let mask_len = self.section_count().div_ceil(8);
         let (mut bp, mut dp) = (0usize, mask_len);
         for (i, kind) in self.kinds().enumerate() {
-            let bl = section_len(base, bp, kind);
+            let bl = self.section_len(base, bp, kind);
             if delta[i / 8] & (1 << (i % 8)) != 0 {
-                let tl = section_len(delta, dp, kind);
+                let tl = self.section_len(delta, dp, kind);
                 out.extend_from_slice(&delta[dp..dp + tl]);
                 dp += tl;
             } else {
@@ -194,10 +195,10 @@ mod tests {
     #[test]
     fn leveled_one_level_layout_equals_flat() {
         for n in 1..=6usize {
-            assert_eq!(SectionMap::leveled(&[n], &[(1, n)]), SectionMap::flat(n), "n={n}");
+            assert_eq!(SectionMap::leveled(&[n], &[(1, n)], 1), SectionMap::flat(n), "n={n}");
         }
         // A 2×2 two-level stack: 4+2 caches, 2+1 dirs, 2·9+9 channels.
-        let m = SectionMap::leveled(&[4, 2], &[(2, 2), (1, 2)]);
+        let m = SectionMap::leveled(&[4, 2], &[(2, 2), (1, 2)], 1);
         assert_eq!(m.section_count(), 6 + 3 + 27 + 1);
     }
 

@@ -14,10 +14,10 @@
 //! publishes the budget/violation decision (see [`crate::frontier`]). The
 //! design is deterministic by construction: states, transitions, the
 //! chosen violation, and the counterexample trace are identical for every
-//! thread count and every run. The flat checker ([`crate::ModelChecker`])
-//! and the composed one ([`crate::HierChecker`]) are the two systems it is
-//! instantiated over; DESIGN.md "Explorer and `TransitionSystem`" carries
-//! the trait contract and the determinism argument.
+//! thread count and every run. It is instantiated over the flat checker
+//! ([`crate::ModelChecker`]), the composed one ([`crate::HierChecker`]) and
+//! the litmus harness's runs; DESIGN.md "Explorer and `TransitionSystem`"
+//! carries the trait contract and the determinism argument.
 
 use crate::checkpoint::{CheckpointError, LoadedCheckpoint};
 use crate::delta::SectionMap;
@@ -1042,7 +1042,13 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
 /// wall-clock and memory statistics describe only the resumed portion.
 pub(crate) fn resume<S: TransitionSystem>(sys: &S) -> Result<CheckResult, CheckpointError> {
     let loaded = crate::checkpoint::load_latest(sys.config(), sys.identity_fp())?;
-    Ok(explore(sys, Some(loaded)))
+    Ok(explore(sys, Some(loaded)).0)
+}
+
+/// Explores `sys` as [`crate::ModelChecker::run`] does, and hands back
+/// every worker's scratch (in worker order) for the caller to merge.
+pub fn explore_system<S: TransitionSystem>(sys: &S) -> (CheckResult, Vec<S::Scratch>) {
+    explore(sys, None)
 }
 
 /// Runs breadth-first exploration of `sys` until exhaustion, a violation,
@@ -1050,7 +1056,7 @@ pub(crate) fn resume<S: TransitionSystem>(sys: &S) -> Result<CheckResult, Checkp
 pub(crate) fn explore<S: TransitionSystem>(
     sys: &S,
     resume: Option<LoadedCheckpoint>,
-) -> CheckResult {
+) -> (CheckResult, Vec<S::Scratch>) {
     let start = Instant::now();
     let requested = sys.config().threads;
     let threads =
@@ -1123,7 +1129,7 @@ pub(crate) fn explore<S: TransitionSystem>(
         store_counters += s.map.counters;
     }
     let peak_store = coord.agg.into_inner().unwrap_or_else(|e| e.into_inner()).peak_store;
-    CheckResult {
+    let result = CheckResult {
         states: stores.iter().map(|s| s.len()).sum(),
         transitions: coord.transitions.load(Relaxed),
         violation,
@@ -1142,7 +1148,8 @@ pub(crate) fn explore<S: TransitionSystem>(
         visited_spill_bytes,
         threads,
         coverage: Coverage::merge(scratches.iter().flat_map(S::coverage)),
-    }
+    };
+    (result, scratches)
 }
 
 /// Decision (run by the last arriver at the dedup rendezvous):
@@ -1420,7 +1427,7 @@ mod tests {
                 ),
                 seen: Default::default(),
             };
-            let r = explore(&rec, None);
+            let r = explore(&rec, None).0;
             assert_eq!(r.threads, threads);
             (r, rec.seen.into_inner().unwrap())
         };

@@ -197,7 +197,7 @@ impl<'a> ModelChecker<'a> {
     /// Runs breadth-first exploration until exhaustion, a violation, or the
     /// state limit.
     pub fn run(&self) -> CheckResult {
-        explore(self, None)
+        explore(self, None).0
     }
 
     /// Resumes exploration from the newest committed checkpoint under

@@ -584,7 +584,7 @@ impl HierChecker {
     /// exhaustion, a violation, or a resource limit. Deterministic at any
     /// thread count, store mode, and memory budget.
     pub fn check(&self) -> HierResult {
-        explore(self, None)
+        explore(self, None).0
     }
 
     /// Resumes from the newest committed checkpoint under
@@ -636,7 +636,7 @@ impl TransitionSystem for HierChecker {
     fn section_map(&self) -> SectionMap {
         let k = self.depth();
         let subnets: Vec<_> = (0..k).map(|j| (self.counts[j + 1], self.levels[j].fanout)).collect();
-        SectionMap::leveled(&self.counts[..k], &subnets)
+        SectionMap::leveled(&self.counts[..k], &subnets, 1)
     }
 
     /// The initial state: every block invalid, every directory initial
@@ -847,7 +847,7 @@ impl TransitionSystem for HierChecker {
         s.caches.iter_mut().flatten().for_each(|c| d.block(c));
         s.dirs.iter_mut().flatten().for_each(|e| d.dir(e));
         s.chans.iter_mut().flatten().flatten().flatten().for_each(|q| d.queue(q));
-        s.ghost = d.ghost();
+        s.ghost = d.ghost_section(1)[0];
     }
 
     fn coverage(scratch: &HierScratch) -> &[Coverage] {

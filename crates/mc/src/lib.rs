@@ -16,11 +16,12 @@
 //! stepping that restores only what the previous step wrote. Its results
 //! — states, transitions, the chosen violation, and the counterexample
 //! trace — are identical for every thread count and run. The explorer is
-//! generic over a [`TransitionSystem`]: [`ModelChecker`] (N caches under
-//! one directory) and [`HierChecker`] (a composed stack) are its two
-//! implementations, and both hand it the one [`McConfig`] they run under
-//! ([`TransitionSystem::config`]), so they share every flag, store tier
-//! and the checkpoint format. Frontier arenas read back their own entries
+//! generic over a [`TransitionSystem`] and has three systems:
+//! [`ModelChecker`] (N caches under one directory), [`HierChecker`] (a
+//! composed stack) and the litmus harness's runs (`protogen_litmus`,
+//! through [`explore_system`]). Each hands it the one [`McConfig`] it runs
+//! under ([`TransitionSystem::config`]), so they share every flag, store
+//! tier and the checkpoint format. Frontier arenas read back their own entries
 //! in every store mode and spill tier. See DESIGN.md §3 for the trait
 //! contract and the store, §8 for the hot-path design and its correctness
 //! arguments, and §9 for the arena's tiers.
@@ -71,13 +72,14 @@ pub use canon::{cache_sort_key, Canonicalizer};
 pub use checkpoint::CheckpointError;
 pub use delta::{apply_delta, encode_delta, SectionMap};
 pub use explore::{
-    reference_bfs, CheckResult, ResourceLimit, StoreMode, TransitionSystem, Violation,
-    ViolationKind,
+    explore_system, reference_bfs, CheckResult, ResourceLimit, StoreMode, TransitionSystem,
+    Violation, ViolationKind,
 };
 pub use flat::{FlatScratch, McConfig, ModelChecker, Step};
 pub use hier::{
     HStep, HierChecker, HierConfig, HierResult, HierScratch, HierState, MAX_GROUP, MAX_LEVEL_NODES,
 };
 pub use property::PropertySet;
-pub use store::{fingerprint_bytes, StoreBytes, StoreCounters, MAX_SHARDS, SHARD_CAPACITY};
+pub use store::{fingerprint_bytes, mix64, StoreBytes, StoreCounters, MAX_SHARDS, SHARD_CAPACITY};
 pub use system::{invert, permutations, SysState, MAX_CACHES};
+pub use system::{put_block, put_dir, put_queue, Decoder};

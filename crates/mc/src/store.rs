@@ -554,7 +554,7 @@ impl ShardStore {
 pub(crate) const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The splitmix64 finalizer: a full-avalanche bijection on `u64`.
-pub(crate) fn mix64(mut z: u64) -> u64 {
+pub fn mix64(mut z: u64) -> u64 {
     z ^= z >> 30;
     z = z.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z ^= z >> 27;

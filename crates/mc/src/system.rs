@@ -18,13 +18,13 @@ pub fn invert(perm: &[u8]) -> Vec<u8> {
 }
 
 // ---------------------------------------------------------------------
-// Per-section codecs, shared by the flat encoding below and the leveled
-// one (`crate::hier`): both lay out cache blocks, directory entries,
-// channel queues and a ghost byte with these exact byte formats — u16
-// state ids, one byte per scalar with `0xff` as the `None` sentinel,
-// explicit length prefixes — which is what lets one `SectionMap` walk
-// either. Node ids are renamed on the way out, per subnet, through a
-// table from old subnet-local id to new ([`rename`]).
+// Per-section codecs, shared by the flat encoding below, the leveled
+// one (`crate::hier`) and the litmus harness: all lay out cache blocks,
+// directory entries, channel queues and a ghost section with these exact
+// byte formats — u16 state ids, one byte per scalar with `0xff` as the
+// `None` sentinel, explicit length prefixes — which is what lets one
+// `SectionMap` walk any of them. Node ids are renamed on the way out
+// through a table from old subnet-local id to new ([`rename`]).
 
 #[inline(always)]
 fn put_slots(out: &mut Vec<u8>, slots: &[(NodeId, u8)], map: impl Fn(NodeId) -> u8) {
@@ -35,7 +35,7 @@ fn put_slots(out: &mut Vec<u8>, slots: &[(NodeId, u8)], map: impl Fn(NodeId) -> 
 
 /// One cache-block section: 7 fixed bytes + 2 per chain slot.
 #[inline(always)]
-pub(crate) fn put_block(out: &mut Vec<u8>, c: &CacheBlock, map: impl Fn(NodeId) -> u8) {
+pub fn put_block(out: &mut Vec<u8>, c: &CacheBlock, map: impl Fn(NodeId) -> u8) {
     let [s0, s1] = u16::try_from(c.state.0).expect("state id exceeds u16").to_le_bytes();
     out.extend_from_slice(&[
         s0,
@@ -52,7 +52,7 @@ pub(crate) fn put_block(out: &mut Vec<u8>, c: &CacheBlock, map: impl Fn(NodeId) 
 /// One directory section: 6 fixed bytes + 2 per chain slot. `sharers` is
 /// the already-renamed sharer mask.
 #[inline(always)]
-fn put_dir(out: &mut Vec<u8>, dir: &DirEntry, sharers: u8, map: impl Fn(NodeId) -> u8) {
+pub fn put_dir(out: &mut Vec<u8>, dir: &DirEntry, sharers: u8, map: impl Fn(NodeId) -> u8) {
     let [s0, s1] = u16::try_from(dir.state.0).expect("state id exceeds u16").to_le_bytes();
     out.extend_from_slice(&[
         s0,
@@ -104,7 +104,7 @@ pub(crate) fn put_chans_renamed(
 
 /// One channel-queue section: a length byte + 7 per message.
 #[inline(always)]
-fn put_queue(out: &mut Vec<u8>, q: &[Msg], map: impl Fn(NodeId) -> u8) {
+pub fn put_queue(out: &mut Vec<u8>, q: &[Msg], map: impl Fn(NodeId) -> u8) {
     out.push(q.len() as u8);
     for m in q {
         let [t0, t1] = m.mtype.0.to_le_bytes();
@@ -128,10 +128,11 @@ fn put_queue(out: &mut Vec<u8>, q: &[Msg], map: impl Fn(NodeId) -> u8) {
 /// pass the manifest + shard checksum gate (`crate::checkpoint`) before
 /// any decode, so a bad byte is a checker bug and must abort loudly
 /// rather than decode a wrong-but-plausible state.
-pub(crate) struct Decoder<'a>(&'a [u8]);
+pub struct Decoder<'a>(&'a [u8]);
 
 impl<'a> Decoder<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+    /// A reader positioned at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
         Decoder(bytes)
     }
 
@@ -160,8 +161,9 @@ impl<'a> Decoder<'a> {
         }
     }
 
+    /// Reads one [`put_block`] section into `c`.
     #[inline(always)]
-    pub(crate) fn block(&mut self, c: &mut CacheBlock) {
+    pub fn block(&mut self, c: &mut CacheBlock) {
         c.state = FsmStateId(self.u16() as u32);
         c.data = self.opt();
         c.acks_received = self.u8();
@@ -172,8 +174,9 @@ impl<'a> Decoder<'a> {
         self.slots(&mut c.chain_slots);
     }
 
+    /// Reads one [`put_dir`] section into `dir`.
     #[inline(always)]
-    pub(crate) fn dir(&mut self, dir: &mut DirEntry) {
+    pub fn dir(&mut self, dir: &mut DirEntry) {
         dir.state = FsmStateId(self.u16() as u32);
         dir.owner = self.opt().map(NodeId);
         dir.sharers = self.u8();
@@ -181,8 +184,9 @@ impl<'a> Decoder<'a> {
         self.slots(&mut dir.chain_slots);
     }
 
+    /// Reads one [`put_queue`] section into `q`.
     #[inline(always)]
-    pub(crate) fn queue(&mut self, q: &mut Vec<Msg>) {
+    pub fn queue(&mut self, q: &mut Vec<Msg>) {
         q.clear();
         for _ in 0..self.u8() {
             q.push(Msg {
@@ -196,11 +200,10 @@ impl<'a> Decoder<'a> {
         }
     }
 
-    /// Reads the trailing ghost byte and checks nothing follows it.
-    pub(crate) fn ghost(mut self) -> Val {
-        let ghost = self.u8();
-        assert!(self.0.is_empty(), "trailing bytes after a complete state decode");
-        ghost
+    /// Reads the trailing `len`-byte ghost section; nothing may follow it.
+    pub fn ghost_section(self, len: usize) -> &'a [u8] {
+        assert_eq!(self.0.len(), len, "ghost section of the wrong length");
+        self.0
     }
 }
 
@@ -379,7 +382,7 @@ impl SysState {
                 d.queue(q);
             }
         }
-        self.ghost = d.ghost();
+        self.ghost = d.ghost_section(1)[0];
     }
 
     /// [`SysState::decode_into`] into a fresh state.

@@ -5,9 +5,9 @@
 //! this window, how much mailbox capacity a squeeze withholds, at which
 //! schedule position a cache crashes — is a *pure function* of the config
 //! and the run's topology, derived by hashing `(seed, site, sequence)`
-//! with a splitmix64 finalizer. Equal configs ⇒ identical decisions
-//! (pinned by a test), and a replayed run injects exactly the same faults
-//! at the same logical points.
+//! with the checker's splitmix64 finalizer (`protogen_mc::mix64`). Equal
+//! configs ⇒ identical decisions (pinned by a test), and a replayed run
+//! injects exactly the same faults at the same logical points.
 //!
 //! The injected faults are, by construction, faults the verified
 //! envelope must tolerate (DESIGN.md §13 carries the argument per fault
@@ -39,6 +39,8 @@
 //! conformance oracle must flag the run (an out-of-envelope pair or an
 //! unexpected message), proving the oracle would catch a real recovery
 //! bug.
+
+use protogen_mc::mix64;
 
 /// Which faults to inject into a [`crate::serve`] run, and the seed that
 /// makes the schedule replayable.
@@ -95,16 +97,6 @@ impl FaultConfig {
             unsafe_reset: false,
         }
     }
-}
-
-/// The splitmix64 finalizer: full-avalanche bijection on `u64`, the same
-/// mixer the checker's fingerprinting uses.
-fn mix64(mut z: u64) -> u64 {
-    z ^= z >> 30;
-    z = z.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z ^= z >> 27;
-    z = z.wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Domain-separation tags so the same counter never feeds two different

@@ -78,7 +78,7 @@ impl Envelope {
     }
 
     /// Inverse of [`Envelope::pack`].
-    pub fn unpack(w0: u64, w1: u64) -> Envelope {
+    fn unpack(w0: u64, w1: u64) -> Envelope {
         let flags = (w1 >> 8) & 0xff;
         Envelope {
             addr: w0 as u32,
