@@ -249,6 +249,12 @@ fn verify_json_is_one_document_matching_the_text_line() {
         let trace_lines = text.lines().skip_while(|l| !l.starts_with("violation:")).count();
         assert_eq!(trace_lines > 1, doc.contains("\"trace\""), "{args:?}");
         assert!(field(&doc, "store_bytes") > 0 && field(&doc, "lookups") > 0, "{doc}");
+        // The peak epoch's accounted RAM splits into the visited set, the
+        // frontier arenas, the side column of parent-race keys and the
+        // candidate batches.
+        let (frontier, hot) = (field(&doc, "frontier_bytes"), field(&doc, "hot_level_bytes"));
+        assert!(frontier > 0 && hot > 0, "{doc}");
+        assert!(frontier + hot < field(&doc, "peak_mem_bytes"), "{doc}");
     }
 }
 

@@ -8,13 +8,14 @@
 //! batch queues are drained, and the current frontier is read-only for
 //! the rest of the run — so a shard's state is exactly its fingerprint
 //! map, its records (each written with its derived depth), and one
-//! encoding arena. Those are written verbatim (delta-compressed arenas
-//! stay delta-compressed — the §9 codec is reused as the on-disk format),
-//! each shard to its own checksummed file, with a versioned manifest
-//! committed last via rename. A process killed at any instant — including
-//! `kill -9` mid-write — therefore leaves either a complete committed
-//! checkpoint or none: shard files without a manifest are invisible to
-//! resume.
+//! encoding arena. (The side column of parent-race keys is empty there:
+//! the level it served was frozen when the next one opened.) Those are
+//! written verbatim (delta-compressed arenas stay delta-compressed — the
+//! §9 codec is reused as the on-disk format), each shard to its own
+//! checksummed file, with a versioned manifest committed last via rename.
+//! A process killed at any instant — including `kill -9` mid-write —
+//! therefore leaves either a complete committed checkpoint or none: shard
+//! files without a manifest are invisible to resume.
 //!
 //! Resume rebuilds the workers from the newest committed checkpoint and
 //! re-enters the epoch loop at the recorded depth. Because the checkpoint
@@ -40,9 +41,17 @@ use std::sync::atomic::Ordering::Relaxed;
 /// Shard-file magic ("PGCK") and manifest magic ("PGMF"), little-endian.
 const SHARD_MAGIC: u32 = 0x4B43_4750;
 const MANIFEST_MAGIC: u32 = 0x464D_4750;
-/// Bump on any layout change: resume refuses other versions outright
-/// rather than misreading them.
-const VERSION: u32 = 1;
+/// The layout this build writes. Bump on any layout change: resume refuses
+/// versions it does not know outright rather than misreading them.
+///
+/// Version 2 writes a record as its parent's id and depth (8 bytes) and a
+/// frontier entry without its fingerprint (17 bytes). Version 1 also wrote
+/// each record's parent fingerprint and step and each entry's fingerprint;
+/// the loader still reads it, dropping the first two (the explorer keeps
+/// them only for the level being inserted, and a checkpoint is taken
+/// between levels) and checking each entry's fingerprint against the
+/// column.
+const VERSION: u32 = 2;
 
 /// Why a checkpoint could not be loaded. Always a hard, descriptive
 /// error: a checkpoint that fails validation must never be silently
@@ -197,7 +206,7 @@ pub(crate) fn write_shard(
     let n = store.len();
     let arena_len = cur.global_len();
 
-    let mut out = Vec::with_capacity(64 + n * 28 + cur.index.len() * 25 + arena_len);
+    let mut out = Vec::with_capacity(64 + n * 16 + cur.index.len() * 17 + arena_len);
     put_u32(&mut out, SHARD_MAGIC);
     put_u32(&mut out, VERSION);
     put_u32(&mut out, shard as u32);
@@ -209,20 +218,16 @@ pub(crate) fn write_shard(
     out.push(keeps_recs as u8);
     if keeps_recs {
         for lid in 0..n {
-            let r = store.rec(lid);
-            put_u64(&mut out, r.parent_fp);
-            put_u32(&mut out, r.parent.raw());
-            put_u32(&mut out, r.step);
+            put_u32(&mut out, store.rec(lid).parent.raw());
             put_u32(&mut out, store.depth(lid));
         }
     }
     put_u64(&mut out, cur.index.len() as u64);
     for e in &cur.index {
         put_u64(&mut out, e.off as u64);
-        put_u32(&mut out, e.len);
+        put_u32(&mut out, e.len());
         put_u32(&mut out, e.lid);
-        out.push(e.delta as u8);
-        put_u64(&mut out, e.fp);
+        out.push(e.delta() as u8);
     }
     put_u64(&mut out, arena_len as u64);
     cur.append_global_to(&mut out)?;
@@ -330,9 +335,9 @@ pub(crate) fn load_latest(
         return Err(CheckpointError::new("manifest has wrong magic (not a checkpoint manifest)"));
     }
     let version = r.u32()?;
-    if version != VERSION {
+    if !(1..=VERSION).contains(&version) {
         return Err(CheckpointError::new(format!(
-            "manifest version {version} unsupported (this build reads version {VERSION})"
+            "manifest version {version} unsupported (this build reads versions 1 to {VERSION})"
         )));
     }
     let mdepth = r.u32()?;
@@ -415,9 +420,10 @@ fn load_shard(
         return Err(CheckpointError::new(format!("{what} has wrong magic")));
     }
     let version = r.u32()?;
-    if version != VERSION {
+    if !(1..=VERSION).contains(&version) {
         return Err(CheckpointError::new(format!("{what} has unsupported version {version}")));
     }
+    let v1 = version == 1;
     let fshard = r.u32()? as usize;
     let fdepth = r.u32()?;
     if fshard != shard || fdepth != depth {
@@ -456,9 +462,13 @@ fn load_shard(
     }
     if file_keeps {
         for lid in 0..n {
-            let parent_fp = r.u64()?;
+            if v1 {
+                r.u64()?; // the parent's fingerprint
+            }
             let parent = Gid::from_raw(r.u32()?);
-            let step = r.u32()?;
+            if v1 {
+                r.u32()?; // the step
+            }
             let rdepth = r.u32()?;
             // Records were appended level by level, so their depths rebuild
             // the store's level starts; any other order is corruption.
@@ -468,7 +478,7 @@ fn load_shard(
                      {depth}"
                 )));
             }
-            if let Err(open) = store.push_rec_at(StateRec { parent_fp, parent, step }, rdepth) {
+            if let Err(open) = store.push_rec_at(StateRec { parent }, rdepth) {
                 return Err(CheckpointError::new(format!(
                     "{what} is corrupt: record {lid} has depth {rdepth} after a record of depth \
                      {open}"
@@ -477,15 +487,29 @@ fn load_shard(
         }
     }
     store.open_levels_through(depth);
-    let n_entries = r.len(25)?;
+    let n_entries = r.len(if v1 { 25 } else { 17 })?;
     let mut entries = Vec::with_capacity(n_entries);
-    for _ in 0..n_entries {
+    for i in 0..n_entries {
         let off = r.u64()? as usize;
         let len = r.u32()?;
         let lid = r.u32()?;
         let delta = r.u8()? != 0;
-        let fp = r.u64()?;
-        entries.push(FrontEntry { off, len, lid, delta, fp });
+        if v1 {
+            let fp = r.u64()?;
+            if (lid as usize) < n && store.map.fp(lid) != fp {
+                return Err(CheckpointError::new(format!(
+                    "{what} is corrupt: frontier entry {i} carries fingerprint {fp:#018x}, but \
+                     state {lid}'s is {:#018x}",
+                    store.map.fp(lid)
+                )));
+            }
+        }
+        if len >= FrontEntry::DELTA {
+            return Err(CheckpointError::new(format!(
+                "{what} is corrupt: frontier entry {i} is {len} bytes long"
+            )));
+        }
+        entries.push(FrontEntry::new(off, len, lid, delta));
     }
     let arena_len = r.len(1)?;
     let arena = r.take(arena_len)?.to_vec();
@@ -501,7 +525,7 @@ fn load_shard(
                 e.off, expect_off, e.lid, n
             )));
         }
-        expect_off += e.len as usize;
+        expect_off += e.len() as usize;
     }
     if expect_off != arena.len() {
         return Err(CheckpointError::new(format!(
@@ -530,11 +554,7 @@ mod tests {
     }
 
     fn rec(i: u64) -> StateRec {
-        StateRec {
-            parent_fp: i.wrapping_mul(0x9E37_79B9),
-            parent: Gid::from_raw(i as u32 & 0x0FFF_FFFF),
-            step: i as u32,
-        }
+        StateRec { parent: Gid::from_raw(i as u32 & 0x0FFF_FFFF) }
     }
 
     /// The depth `build` files record `lid` under.
@@ -567,13 +587,7 @@ mod tests {
             for k in 0..len {
                 arena.push((k as u8).wrapping_mul(31).wrapping_add(i as u8));
             }
-            cur.index.push(FrontEntry {
-                off,
-                len: len as u32,
-                lid,
-                delta: i % 3 == 0 && i > 0,
-                fp: fps.get(lid as usize).copied().unwrap_or(0),
-            });
+            cur.index.push(FrontEntry::new(off, len as u32, lid, i % 3 == 0 && i > 0));
             off += len;
         }
         cur.bytes = arena.clone();
@@ -601,16 +615,16 @@ mod tests {
         assert_eq!(snap.store.map.by_lid().collect::<Vec<_>>(), fps);
         assert_eq!(snap.arena, arena);
         assert_eq!(snap.entries.len(), cur.index.len());
-        for (a, b) in snap.entries.iter().zip(cur.index.iter()) {
-            assert_eq!((a.off, a.len, a.lid, a.delta, a.fp), (b.off, b.len, b.lid, b.delta, b.fp));
+        for (&a, &b) in snap.entries.iter().zip(cur.index.iter()) {
+            assert_eq!((a.off, a.len(), a.lid, a.delta()), (b.off, b.len(), b.lid, b.delta()));
         }
         if keeps_recs {
             assert_eq!(snap.store.rec_count(), store.len());
             for lid in 0..store.len() {
                 let (r, w) = (snap.store.rec(lid), rec(lid as u64));
                 assert_eq!(
-                    (r.parent_fp, r.parent.raw(), r.step, snap.store.depth(lid)),
-                    (w.parent_fp, w.parent.raw(), w.step, depth_of(lid))
+                    (r.parent.raw(), snap.store.depth(lid)),
+                    (w.parent.raw(), depth_of(lid))
                 );
             }
         } else {
@@ -692,14 +706,14 @@ mod tests {
     fn out_of_order_record_depths_are_refused_not_a_panic() {
         // Four records of depth 0 written at depth 1; rewrite record depths
         // (after magic, version, shard, depth, count, 4 fingerprints and
-        // the keeps flag, 20 bytes a record, depth last) and re-seal the
+        // the keeps flag, 8 bytes a record, depth last) and re-seal the
         // checksum, so only the loader's order check can catch them.
         let (store, cur, _) = build(&[11, 22, 33, 44], &[3], true);
         let dir = tmpdir("depths");
         write_shard(&dir, 1, 0, &store, &cur, true).unwrap();
         let path = shard_path(&dir, 1, 0);
         let good = std::fs::read(&path).unwrap();
-        let depth_at = |i: usize| 24 + 4 * 8 + 1 + 20 * i + 16;
+        let depth_at = |i: usize| 24 + 4 * 8 + 1 + 8 * i + 4;
         for (depths, want) in [
             ([0, 1, 1, 0], "record 3 has depth 0 after a record of depth 1"),
             ([0, 0, 1, 2], "record 3 has depth 2, past the checkpoint's 1"),
@@ -717,6 +731,37 @@ mod tests {
                 .expect("out-of-order depths must not load");
             assert!(err.to_string().contains(want), "{err}");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A version-1 shard file (the committed MSI @3 fixture) loads with its
+    /// records' parent fingerprints and steps dropped, and an entry whose
+    /// fingerprint is not its state's in the column is refused.
+    #[test]
+    fn version_1_shards_load_and_their_entry_fingerprints_are_checked() {
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ck-msi3-parent");
+        let good = std::fs::read(shard_path(&fixture, 1, 0)).unwrap();
+        assert_eq!(u32::from_le_bytes(good[4..8].try_into().unwrap()), 1, "a version-1 file");
+        let dir = tmpdir("v1");
+        std::fs::create_dir_all(ck_dir(&dir, 1)).unwrap();
+        let load = |bytes: &[u8]| {
+            std::fs::write(shard_path(&dir, 1, 0), bytes).unwrap();
+            let sum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
+            load_shard(&dir, 1, 0, 2, bytes.len() as u64, sum, true)
+        };
+        let snap = load(&good).unwrap();
+        let n = snap.store.len();
+        assert!(n > 0 && !snap.entries.is_empty() && snap.store.rec_count() == n);
+        // Entry 0's fingerprint: past the header, the column, the flag, the
+        // 20-byte records and the entry count, 17 bytes into the entry.
+        let at = 24 + 8 * n + 1 + 20 * n + 8 + 17;
+        let mut bad = good.clone();
+        bad[at] ^= 1;
+        let body = bad.len() - 8;
+        let sum = fingerprint_bytes(&bad[..body]);
+        bad[body..].copy_from_slice(&sum.to_le_bytes());
+        let err = load(&bad).err().expect("a wrong entry fingerprint must not load");
+        assert!(err.to_string().contains("frontier entry 0 carries fingerprint"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

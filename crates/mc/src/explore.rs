@@ -14,10 +14,14 @@
 //! publishes the budget/violation decision (see [`crate::frontier`]). The
 //! design is deterministic by construction: states, transitions, the
 //! chosen violation, and the counterexample trace are identical for every
-//! thread count and every run. It is instantiated over the flat checker
-//! ([`crate::ModelChecker`]), the composed one ([`crate::HierChecker`]) and
-//! the litmus harness's runs; DESIGN.md "Explorer and `TransitionSystem`"
-//! carries the trait contract and the determinism argument.
+//! thread count and every run. A visited state keeps only its parent's id
+//! ([`crate::store`]); the parent-race key is kept for the level being
+//! inserted only, and a counterexample's steps are re-derived from the
+//! parents on replay (`build_trace`). It is instantiated over the flat
+//! checker ([`crate::ModelChecker`]), the composed one
+//! ([`crate::HierChecker`]) and the litmus harness's runs; DESIGN.md
+//! "Explorer and `TransitionSystem`" carries the trait contract and the
+//! determinism argument.
 
 use crate::checkpoint::{CheckpointError, LoadedCheckpoint};
 use crate::delta::SectionMap;
@@ -364,10 +368,18 @@ pub struct CheckResult {
     /// counts).
     pub store_counters: StoreCounters,
     /// Peak accounted RAM across one whole epoch: visited shards *plus*
-    /// frontier arenas, outbox/batch-pool allocations, and queued inbox
-    /// batches — the figure the old `store_bytes` understated. Sampled at
-    /// epoch boundaries and summed across workers.
+    /// their side columns, frontier arenas, outbox/batch-pool allocations,
+    /// and queued inbox batches — the figure the old `store_bytes`
+    /// understated. Sampled at epoch boundaries and summed across workers.
     pub peak_mem_bytes: usize,
+    /// The part of `peak_mem_bytes` held by both frontier arenas and their
+    /// indexes, at the epoch that set it.
+    pub frontier_bytes: usize,
+    /// The part of `peak_mem_bytes` held by the side columns that keep the
+    /// parent-race keys of the level being inserted, at the epoch that set
+    /// it. The rest is the visited shards and the candidate batches (none
+    /// at one worker).
+    pub hot_level_bytes: usize,
     /// Payload bytes written to spill files over the whole run: the sum
     /// of `frontier_spill_bytes` and `visited_spill_bytes`. Zero when no
     /// memory budget is set or it was never exceeded.
@@ -402,10 +414,10 @@ impl CheckResult {
     }
 }
 
-/// One frontier entry: a canonical encoding (`off..off+len` in the
-/// arena's *global* byte space, which spans spilled chunks plus the hot
-/// tail) plus the state's shard-local id and fingerprint. The fingerprint
-/// rides along so expansion never touches the store.
+/// One frontier entry, 16 bytes: a canonical encoding (`off..off+len()`
+/// in the arena's *global* byte space, which spans spilled chunks plus the
+/// hot tail) plus the state's shard-local id. The state's fingerprint is
+/// not copied here: expansion reads it from the shard's column by `lid`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FrontEntry {
     /// Global arena offset. `usize`, not `u32`: a single shard's level
@@ -413,12 +425,32 @@ pub(crate) struct FrontEntry {
     /// 2^27 states; ~120 B of encoding each), and a truncated offset
     /// would silently decode a wrong-but-plausible state next epoch.
     pub(crate) off: usize,
-    pub(crate) len: u32,
+    /// The entry's byte length, with [`FrontEntry::DELTA`] set when the
+    /// bytes are a delta against the previous entry's full encoding rather
+    /// than a full encoding themselves.
+    len: u32,
     pub(crate) lid: u32,
-    /// Whether the bytes are a delta against the previous entry's full
-    /// encoding rather than a full encoding themselves.
-    pub(crate) delta: bool,
-    pub(crate) fp: u64,
+}
+
+impl FrontEntry {
+    /// The delta flag's bit in `len`; lengths stay below it.
+    pub(crate) const DELTA: u32 = 1 << 31;
+
+    /// An entry of `len < DELTA` bytes at `off`.
+    pub(crate) fn new(off: usize, len: u32, lid: u32, delta: bool) -> Self {
+        assert!(len < Self::DELTA, "a frontier entry of {len} bytes");
+        Self { off, len: len | if delta { Self::DELTA } else { 0 }, lid }
+    }
+
+    /// The entry's byte length.
+    pub(crate) fn len(self) -> u32 {
+        self.len & !Self::DELTA
+    }
+
+    /// Whether the bytes are a delta against the previous entry.
+    pub(crate) fn delta(self) -> bool {
+        self.len & Self::DELTA != 0
+    }
 }
 
 /// Consecutive delta entries allowed before a full-encoding restart.
@@ -504,7 +536,7 @@ impl FrontierBuf {
     /// Appends `full` (a complete canonical encoding) as the next entry,
     /// delta-compressing against the previous entry in delta mode when the
     /// delta actually wins. Every frontier entry is written here.
-    fn append(&mut self, full: &[u8], lid: u32, fp: u64) {
+    fn append(&mut self, full: &[u8], lid: u32) {
         let off = self.spilled_off + self.bytes.len();
         let start = self.bytes.len();
         let delta = match self.delta {
@@ -527,7 +559,7 @@ impl FrontierBuf {
             self.last.extend_from_slice(full);
         }
         let len = (self.bytes.len() - start) as u32;
-        self.index.push(FrontEntry { off, len, lid, delta, fp });
+        self.index.push(FrontEntry::new(off, len, lid, delta));
     }
 
     /// Entry `i`'s full canonical encoding, read where it lies — in the
@@ -550,12 +582,12 @@ impl FrontierBuf {
             }
             (&self.chunk, e.off - off)
         };
-        let raw = &lies_in[start..start + e.len as usize];
+        let raw = &lies_in[start..start + e.len() as usize];
         let Some(map) = self.delta else {
             return raw;
         };
         self.full.clear();
-        if e.delta {
+        if e.delta() {
             map.apply_delta(&self.base, raw, &mut self.full);
         } else {
             self.full.extend_from_slice(raw);
@@ -709,13 +741,9 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
     fn seed_root(&mut self, enc: &[u8], fp0: u64) {
         self.store.map.push(fp0);
         if self.keeps_recs {
-            self.store.push_rec(StateRec {
-                parent_fp: fp0,
-                parent: Gid::pack(self.t, 0),
-                step: STEP_NONE,
-            });
+            self.store.push_rec(StateRec { parent: Gid::pack(self.t, 0) });
         }
-        self.cur.append(enc, 0, fp0);
+        self.cur.append(enc, 0);
     }
 
     /// Installs a loaded checkpoint shard in place of a fresh start: the
@@ -828,9 +856,9 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
             if self.inboxes.len() > 1 && i & 0xf == 0 {
                 self.drain_available();
             }
-            let e = self.cur.index[i];
+            let lid = self.cur.index[i].lid;
             self.sys.decode_into(self.cur.entry(i), &mut self.state, &mut self.scratch);
-            let gid = Gid::pack(self.t, e.lid as usize);
+            let (gid, fp) = (Gid::pack(self.t, lid as usize), self.store.map.fp(lid));
             let mut progress = false;
             self.sys.steps_into(&self.state, &mut self.steps_buf);
             for si in 0..self.steps_buf.len() {
@@ -846,14 +874,14 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
                         match self.sys.check_state(&self.succ) {
                             Some(kind) => kind,
                             None => {
-                                self.route_succ(e.fp, gid, S::pack_step(step));
+                                self.route_succ(fp, gid, S::pack_step(step));
                                 continue;
                             }
                         }
                     }
                 };
                 let step = S::pack_step(step);
-                self.violations.push(VioCand { parent: gid, parent_fp: e.fp, step, kind });
+                self.violations.push(VioCand { parent: gid, parent_fp: fp, step, kind });
             }
             // Liveness hook: no enabled step from this state counts as
             // progress (what does is the system's call — for the flat
@@ -863,7 +891,7 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
                 if let Some(kind) = self.sys.check_quiescence(&self.state) {
                     self.violations.push(VioCand {
                         parent: gid,
-                        parent_fp: e.fp,
+                        parent_fp: fp,
                         step: STEP_NONE,
                         kind,
                     });
@@ -913,17 +941,12 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
     fn insert(&mut self, fp: u64, parent_fp: u64, parent: Gid, step: u32, enc: Option<&[u8]>) {
         if let Some(lid) = self.store.map.get(fp) {
             // Same-level parent race: `lid >= epoch_start` identifies a
-            // this-epoch insert (a record of depth `depth + 1`) without
-            // touching a possibly-frozen record; records from earlier
-            // epochs are final. No records exist to race on in
-            // fingerprint-only mode.
+            // this-epoch insert (a record of depth `depth + 1`, whose key
+            // is in the side column) without touching a possibly-frozen
+            // record; records from earlier epochs are final. No records
+            // exist to race on in fingerprint-only mode.
             if self.keeps_recs && lid >= self.epoch_start {
-                let rec = self.store.rec_mut(lid as usize);
-                if (parent_fp, step) < (rec.parent_fp, rec.step) {
-                    rec.parent_fp = parent_fp;
-                    rec.parent = parent;
-                    rec.step = step;
-                }
+                self.store.fold_parent(lid as usize, parent, (parent_fp, step));
             }
         } else {
             let local = self.store.len();
@@ -934,10 +957,10 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
             let lid = local as u32;
             self.store.map.push(fp);
             if self.keeps_recs {
-                self.store.push_rec(StateRec { parent_fp, parent, step });
+                self.store.push_new(parent, (parent_fp, step));
             }
             let full = enc.unwrap_or_else(|| self.sys.canonical_bytes(&self.scratch));
-            self.next.append(full, lid, fp);
+            self.next.append(full, lid);
             self.new_count += 1;
             self.maybe_spill_frontier();
         }
@@ -955,10 +978,19 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
     }
 
     /// RAM accounted against this worker's budget share: visited shard,
-    /// both frontier arenas, and the outbox batches + recycled-arena pool
-    /// (everything the old store-only figure left out).
+    /// its side column, both frontier arenas, and the outbox batches +
+    /// recycled-arena pool (everything the old store-only figure left
+    /// out).
     fn accounted_bytes(&self) -> usize {
-        self.store.mem_bytes() + self.cur.mem_bytes() + self.next.mem_bytes() + self.out.mem_bytes()
+        self.store.mem_bytes()
+            + self.store.hot_level_bytes()
+            + self.frontier_bytes()
+            + self.out.mem_bytes()
+    }
+
+    /// Both frontier arenas and their indexes.
+    fn frontier_bytes(&self) -> usize {
+        self.cur.mem_bytes() + self.next.mem_bytes()
     }
 
     /// Drains every batch currently queued for this shard. Returns
@@ -1012,7 +1044,8 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
         // (rare) capacity retained across the rendezvous.
         let mem = self.accounted_bytes() + self.inboxes[self.t].mem_bytes();
         self.coord.epoch_mem.fetch_add(mem, Relaxed);
-        let store = self.store.bytes();
+        let (store, frontier) = (self.store.bytes(), self.frontier_bytes());
+        let hot_level = self.store.hot_level_bytes();
         // At this point every record is final: parent-race updates only
         // ever touch records inserted in the *current* epoch, and this
         // epoch's inserts are all in. So every hot record can freeze to
@@ -1024,6 +1057,8 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
         let mut agg = self.coord.agg.lock().unwrap();
         agg.new_states += self.new_count;
         agg.store += store;
+        agg.frontier += frontier;
+        agg.hot_level += hot_level;
         agg.violations.append(&mut self.violations);
         drop(agg);
         self.new_count = 0;
@@ -1128,7 +1163,7 @@ pub(crate) fn explore<S: TransitionSystem>(
         spill_chunks += c;
         store_counters += s.map.counters;
     }
-    let peak_store = coord.agg.into_inner().unwrap_or_else(|e| e.into_inner()).peak_store;
+    let agg = coord.agg.into_inner().unwrap_or_else(|e| e.into_inner());
     let result = CheckResult {
         states: stores.iter().map(|s| s.len()).sum(),
         transitions: coord.transitions.load(Relaxed),
@@ -1138,10 +1173,12 @@ pub(crate) fn explore<S: TransitionSystem>(
             shard => ResourceLimit::ShardCapacity { shard },
         }),
         seconds: start.elapsed().as_secs_f64(),
-        store_bytes: peak_store.total(),
-        store_split: peak_store,
+        store_bytes: agg.peak_store.total(),
+        store_split: agg.peak_store,
         store_counters,
         peak_mem_bytes: coord.peak_mem.load(Relaxed),
+        frontier_bytes: agg.peak_frontier,
+        hot_level_bytes: agg.peak_hot_level,
         spill_bytes: frontier_spill_bytes + visited_spill_bytes,
         spill_chunks,
         frontier_spill_bytes,
@@ -1158,11 +1195,17 @@ pub(crate) fn explore<S: TransitionSystem>(
 fn decide(coord: &Coordinator, max_states: usize) -> Decision {
     // Fold the epoch's fleet-wide memory samples into the running peaks
     // and reset the accumulators for the next epoch.
-    coord.peak_mem.fetch_max(coord.epoch_mem.swap(0, Relaxed), Relaxed);
+    let mem = coord.epoch_mem.swap(0, Relaxed);
+    let mem_peaked = coord.peak_mem.fetch_max(mem, Relaxed) < mem;
     let mut agg = coord.agg.lock().unwrap();
     let store = std::mem::take(&mut agg.store);
     if store.total() > agg.peak_store.total() {
         agg.peak_store = store;
+    }
+    let (frontier, hot_level) =
+        (std::mem::take(&mut agg.frontier), std::mem::take(&mut agg.hot_level));
+    if mem_peaked {
+        (agg.peak_frontier, agg.peak_hot_level) = (frontier, hot_level);
     }
     let mut vios = std::mem::take(&mut agg.violations);
     let new_states = std::mem::take(&mut agg.new_states);
@@ -1184,9 +1227,18 @@ fn decide(coord: &Coordinator, max_states: usize) -> Decision {
     }
 }
 
-/// Rebuilds the step chain to the violation by walking the packed
-/// parent-pointer records across shards, then renders it by replaying
-/// from the initial state through canonical representatives.
+/// Rebuilds the counterexample to the violation: walks the parent ids
+/// across shards to the root, collecting the fingerprints on the way, then
+/// replays from the initial state through canonical representatives,
+/// re-deriving each step from its parent.
+///
+/// The step re-derived into a state is the first, in
+/// [`TransitionSystem::steps_into`] order, that is enabled, passes
+/// [`TransitionSystem::check_state`] and canonicalizes to the state's
+/// fingerprint — exactly the candidates the explorer routed, so this is the
+/// minimum packed step the parent race kept (packing preserves listing
+/// order). Should two steps reach one fingerprint through a collision, both
+/// pick the same minimum.
 fn build_trace<S: TransitionSystem>(sys: &S, stores: &[ShardStore], v: &VioCand) -> Vec<String> {
     if !sys.config().store.keeps_recs() {
         return vec![
@@ -1195,46 +1247,51 @@ fn build_trace<S: TransitionSystem>(sys: &S, stores: &[ShardStore], v: &VioCand)
                 .into(),
         ];
     }
-    let mut steps = Vec::new();
+    let mut chain = Vec::new();
     let mut cur = v.parent;
     loop {
         let store = &stores[cur.shard()];
         if store.depth(cur.local()) == 0 {
             break;
         }
-        let rec = store.rec(cur.local());
-        steps.push(rec.step);
-        cur = rec.parent;
+        chain.push(store.map.fp(cur.local() as u32));
+        cur = store.rec(cur.local()).parent;
     }
-    steps.reverse();
-    if v.step != STEP_NONE {
-        steps.push(v.step);
-    }
+    chain.reverse();
     let mut scratch = sys.scratch();
     let (mut state, mut succ) = (sys.initial(), sys.initial());
-    let mut lines = Vec::new();
-    // Steps were recorded against canonical representatives, so the
-    // replay re-canonicalizes (encode, then decode) after every step. The
-    // bytes are copied out: `decode_into` takes the scratch that lends them.
+    let (mut steps, mut lines) = (Vec::new(), Vec::new());
+    // Steps lead from canonical representatives, so the replay
+    // re-canonicalizes (encode, then decode) after every step. The bytes
+    // are copied out: `decode_into` takes the scratch that lends them.
     let canonicalize = |from: &S::State, into: &mut S::State, scratch: &mut S::Scratch| {
         sys.canonical_fp(from, scratch);
         let enc = sys.canonical_bytes(scratch).to_vec();
         sys.decode_into(&enc, into, scratch);
     };
     canonicalize(&succ, &mut state, &mut scratch);
-    for step in steps.into_iter().map(S::unpack_step) {
+    for fp in chain {
+        sys.steps_into(&state, &mut steps);
+        let step = steps.iter().copied().find(|&step| {
+            matches!(sys.successor_into(&state, step, &mut succ, &mut scratch), Ok(true))
+                && sys.check_state(&succ).is_none()
+                && sys.canonical_fp(&succ, &mut scratch) == fp
+        });
+        let Some(step) = step else {
+            lines.push(format!("(no step reaches the recorded state {fp:#018x})"));
+            return lines;
+        };
+        lines.push(sys.describe(&state, step));
+        canonicalize(&succ, &mut state, &mut scratch);
+    }
+    if v.step != STEP_NONE {
+        let step = S::unpack_step(v.step);
         let desc = sys.describe(&state, step);
-        match sys.successor_into(&state, step, &mut succ, &mut scratch) {
-            Ok(true) => {
-                lines.push(desc);
-                canonicalize(&succ, &mut state, &mut scratch);
-            }
-            Ok(false) => lines.push(format!("{desc} (not enabled?)")),
-            Err(kind) => {
-                lines.push(format!("{desc} => {kind}"));
-                break;
-            }
-        }
+        lines.push(match sys.successor_into(&state, step, &mut succ, &mut scratch) {
+            Ok(true) => desc,
+            Ok(false) => format!("{desc} (not enabled?)"),
+            Err(kind) => format!("{desc} => {kind}"),
+        });
     }
     lines
 }
@@ -1440,6 +1497,94 @@ mod tests {
         assert_eq!((r1.states, r1.transitions), (r3.states, r3.transitions));
     }
 
+    /// A counter below 3, which 3 violates: step 1 and step 2 both add 1
+    /// (twins into one child), step 0 jumps to a dead end 100 higher.
+    struct Twins(McConfig);
+
+    impl TransitionSystem for Twins {
+        type State = u8;
+        type Step = u32;
+        /// The canonical bytes lent out, and no coverage recorders.
+        type Scratch = (Vec<u8>, Vec<Coverage>);
+
+        fn config(&self) -> &McConfig {
+            &self.0
+        }
+        fn identity_fp(&self) -> (u64, u64) {
+            (0, 0)
+        }
+        fn section_map(&self) -> SectionMap {
+            unreachable!("full store only")
+        }
+        fn initial(&self) -> u8 {
+            0
+        }
+        fn scratch(&self) -> Self::Scratch {
+            Default::default()
+        }
+        fn steps_into(&self, state: &u8, out: &mut Vec<u32>) {
+            out.clear();
+            if *state < 3 {
+                out.extend(0..3);
+            }
+        }
+        fn successor_into(
+            &self,
+            state: &u8,
+            step: u32,
+            succ: &mut u8,
+            _: &mut Self::Scratch,
+        ) -> Result<bool, ViolationKind> {
+            *succ = state + [100, 1, 1][step as usize];
+            Ok(true)
+        }
+        fn is_progress(&self, _: &u8, _: u32) -> bool {
+            true
+        }
+        fn check_state(&self, state: &u8) -> Option<ViolationKind> {
+            (*state == 3).then(|| ViolationKind::DataValue("three".into()))
+        }
+        fn check_quiescence(&self, _: &u8) -> Option<ViolationKind> {
+            None
+        }
+        fn canonical_fp(&self, state: &u8, scratch: &mut Self::Scratch) -> u64 {
+            scratch.0 = vec![*state];
+            crate::fingerprint_bytes(&scratch.0)
+        }
+        fn canonical_bytes<'s>(&self, scratch: &'s Self::Scratch) -> &'s [u8] {
+            &scratch.0
+        }
+        fn decode_into(&self, bytes: &[u8], state: &mut u8, _: &mut Self::Scratch) {
+            *state = bytes[0];
+        }
+        fn coverage(scratch: &Self::Scratch) -> &[Coverage] {
+            &scratch.1
+        }
+        fn pack_step(step: u32) -> u32 {
+            step
+        }
+        fn unpack_step(packed: u32) -> u32 {
+            packed
+        }
+        fn describe(&self, state: &u8, step: u32) -> String {
+            format!("{state} step {step}")
+        }
+    }
+
+    #[test]
+    fn the_lower_of_two_twin_steps_is_re_derived() {
+        // Records keep no step: replay re-derives each one as the first
+        // step from the parent that reaches the child — past step 0 (a
+        // different child) and before its twin, step 2.
+        for threads in [1, 2, 4] {
+            let r = explore(&Twins(McConfig::with_caches_and_threads(1, threads)), None).0;
+            assert_eq!((r.states, r.transitions), (6, 9), "{threads} threads");
+            let v = r.violation.expect("3 is reached");
+            assert_eq!(v.kind, ViolationKind::DataValue("three".into()));
+            assert_eq!(v.trace, ["0 step 1", "1 step 1", "2 step 1"], "{threads} threads");
+        }
+    }
+
     #[test]
     fn cache_counts_outside_the_sharer_mask_are_refused() {
         // 0 caches would pass vacuously; at 9 the u8 sharer mask aliases
@@ -1454,6 +1599,35 @@ mod tests {
             assert!(msg.contains(&format!("n_caches {n} outside 1..=8")), "{msg}");
         }
         let _ = ModelChecker::new(&g.cache, &g.directory, McConfig::with_caches(crate::MAX_CACHES));
+    }
+
+    #[test]
+    fn channel_caps_past_one_byte_are_refused() {
+        // At 256 a full queue's length byte reads 0 and its last message's
+        // delivery index 255 is the first's: states and steps would alias.
+        let g = protogen_core::generate(
+            &protogen_protocols::msi(),
+            &protogen_core::GenConfig::stalling(),
+        )
+        .unwrap();
+        let composed = protogen_core::compose(
+            &protogen_protocols::msi_under_msi(1, 2),
+            &protogen_core::GenConfig::stalling(),
+        )
+        .unwrap();
+        let cfg = |channel_cap| McConfig { channel_cap, ..McConfig::with_caches(2) };
+        let refused = |built: std::thread::Result<()>| {
+            let msg = *built.expect_err("must refuse").downcast::<String>().unwrap();
+            assert!(msg.contains("channel_cap 256 over 255"), "{msg}");
+        };
+        refused(std::panic::catch_unwind(|| {
+            ModelChecker::new(&g.cache, &g.directory, cfg(crate::MAX_CHANNEL_CAP + 1));
+        }));
+        refused(std::panic::catch_unwind(|| {
+            crate::HierChecker::new(&composed, cfg(crate::MAX_CHANNEL_CAP + 1));
+        }));
+        ModelChecker::new(&g.cache, &g.directory, cfg(crate::MAX_CHANNEL_CAP));
+        crate::HierChecker::new(&composed, cfg(crate::MAX_CHANNEL_CAP));
     }
 
     /// The arena in every store mode: delta runs with restarts, two deltas
@@ -1483,10 +1657,10 @@ mod tests {
         let replay = |index: &[FrontEntry], arena: &[u8]| {
             let mut fulls: Vec<Vec<u8>> = Vec::new();
             for e in index {
-                let raw = &arena[e.off..e.off + e.len as usize];
+                let raw = &arena[e.off..e.off + e.len() as usize];
                 let mut full = Vec::new();
                 match fulls.last() {
-                    Some(prev) if e.delta => map.apply_delta(prev, raw, &mut full),
+                    Some(prev) if e.delta() => map.apply_delta(prev, raw, &mut full),
                     _ => full.extend_from_slice(raw),
                 }
                 fulls.push(full);
@@ -1503,10 +1677,10 @@ mod tests {
                 if (i == 60 || i == 150) && crate::spill::SPILL_SUPPORTED {
                     buf.spill_hot("frontier").unwrap();
                 }
-                buf.append(e, i as u32, !(i as u64));
+                buf.append(e, i as u32);
             }
             assert_eq!(read(&mut buf), encs, "{mode:?}");
-            let fulls: Vec<usize> = (0..encs.len()).filter(|&i| !buf.index[i].delta).collect();
+            let fulls: Vec<usize> = (0..encs.len()).filter(|&i| !buf.index[i].delta()).collect();
             if mode.delta_frontier() {
                 // Restarts after DELTA_RESTART deltas, at 65 and at 166
                 // (the count restarts at the fallbacks).
@@ -1520,13 +1694,13 @@ mod tests {
             // The entry bytes, rebuilt from the index alone.
             let mut want = Vec::new();
             for (i, e) in buf.index.iter().enumerate() {
-                assert_eq!((e.off, e.lid, e.fp), (want.len(), i as u32, !(i as u64)));
-                if e.delta {
+                assert_eq!((e.off, e.lid), (want.len(), i as u32));
+                if e.delta() {
                     map.encode_delta(&encs[i - 1], &encs[i], &mut want);
                 } else {
                     want.extend_from_slice(&encs[i]);
                 }
-                assert_eq!(want.len(), e.off + e.len as usize, "{mode:?}: entry {i}");
+                assert_eq!(want.len(), e.off + e.len() as usize, "{mode:?}: entry {i}");
             }
             // The checkpoint append lands after whatever the buffer holds.
             let mut global = vec![0xa5; 3];

@@ -13,7 +13,7 @@ use crate::explore::{
 use crate::property::{LevelBlocks, PropertySet};
 use crate::store::{fingerprint_bytes, STEP_NONE};
 use crate::subnet::{At, Kernel, StepScratch, Subnet, SubnetMut, Subnets, ONLY};
-use crate::system::{SysState, MAX_CACHES};
+use crate::system::{SysState, MAX_CACHES, MAX_CHANNEL_CAP};
 use protogen_runtime::{Coverage, Machine};
 use protogen_spec::{Access, Fsm};
 use std::fmt;
@@ -131,6 +131,18 @@ impl McConfig {
             cap => cap.min(crate::store::SHARD_CAPACITY),
         }
     }
+
+    /// Refuses a [`McConfig::channel_cap`] past [`MAX_CHANNEL_CAP`]: two
+    /// distinct states would share an encoding, and a delivery step could
+    /// name the wrong message.
+    pub(crate) fn assert_channel_cap(&self) {
+        assert!(
+            self.channel_cap <= MAX_CHANNEL_CAP,
+            "channel_cap {} over {MAX_CHANNEL_CAP}: a queue's length and a delivery's index are \
+             one byte",
+            self.channel_cap
+        );
+    }
 }
 
 /// One scheduling decision of the explored system.
@@ -184,13 +196,16 @@ impl<'a> ModelChecker<'a> {
     ///
     /// Panics when [`McConfig::n_caches`] is outside `1..=`[`MAX_CACHES`]:
     /// zero caches verify nothing, and past the sharer mask's width cache
-    /// ids alias — either would report a verdict for the wrong space.
+    /// ids alias — either would report a verdict for the wrong space. Panics
+    /// too when [`McConfig::channel_cap`] is over [`MAX_CHANNEL_CAP`], where
+    /// queue lengths and delivery indices wrap.
     pub fn new(cache_fsm: &'a Fsm, dir_fsm: &'a Fsm, cfg: McConfig) -> Self {
         assert!(
             (1..=MAX_CACHES).contains(&cfg.n_caches),
             "n_caches {} outside 1..={MAX_CACHES}: the sharer list is an 8-bit mask",
             cfg.n_caches
         );
+        cfg.assert_channel_cap();
         ModelChecker { cache: Machine::new(cache_fsm), dir: Machine::new(dir_fsm), cfg }
     }
 

@@ -219,6 +219,16 @@ pub(crate) struct LevelAgg {
     pub store: StoreBytes,
     /// The largest `store` of the run so far, kept by the decision leader.
     pub peak_store: StoreBytes,
+    /// Both frontier arenas and their indexes this epoch, summed over
+    /// shards (another part of `Coordinator::epoch_mem`).
+    pub frontier: usize,
+    /// The side columns of parent-race keys this epoch, summed over shards
+    /// (another part of `Coordinator::epoch_mem`).
+    pub hot_level: usize,
+    /// `frontier` at the epoch that set `Coordinator::peak_mem`.
+    pub peak_frontier: usize,
+    /// `hot_level` at the epoch that set `Coordinator::peak_mem`.
+    pub peak_hot_level: usize,
 }
 
 /// What the whole fleet does after the current epoch.
@@ -324,8 +334,9 @@ pub(crate) struct Coordinator {
     /// shard stops exploration with a structured outcome.
     pub exhausted_shard: AtomicUsize,
     /// Accounted RAM summed by workers over the current epoch (store +
-    /// frontier arenas + outbox pools + queued inbox batches); the
-    /// decision leader folds it into `peak_mem` and zeroes it.
+    /// side columns + frontier arenas + outbox pools + queued inbox
+    /// batches); the decision leader folds it into `peak_mem` and zeroes
+    /// it.
     pub epoch_mem: AtomicUsize,
     /// Running maximum of `epoch_mem` over all epochs — the run's peak
     /// accounted memory.

@@ -338,11 +338,14 @@ impl HierChecker {
     /// # Panics
     ///
     /// Panics when [`Self::check_size`] refuses the stack (node indices
-    /// would wrap).
+    /// would wrap), or when [`McConfig::channel_cap`] is over
+    /// [`crate::MAX_CHANNEL_CAP`] (queue lengths and delivery indices
+    /// would).
     pub fn new(composed: &Composed, cfg: HierConfig) -> Self {
         if let Err(e) = Self::check_size(composed) {
             panic!("{e}");
         }
+        cfg.assert_channel_cap();
         let k = composed.depth();
         let levels: Vec<LevelRt> = composed
             .levels

@@ -1,15 +1,26 @@
-//! The sharded visited-state store: 64-bit fingerprints, packed
+//! The sharded visited-state store: 64-bit fingerprints, 4-byte
 //! parent-pointer records, and the per-shard map that deduplicates them.
 //!
 //! Instead of keying the visited set by an owned byte encoding of each
 //! state (the seed design: an owned `Vec<u8>` of ~100–250 bytes per state
 //! plus hash-table overhead), each state is reduced to a 64-bit fingerprint
-//! of its canonical encoding, and the only per-state storage is one packed
-//! [`StateRec`] (16 bytes), the fingerprint itself in an id-ordered column
-//! (8 bytes) and one 4-byte slot of the map that indexes it. States are
-//! partitioned across shards by `fingerprint % n_shards`, so a given state
-//! is only ever inserted, deduplicated, or parent-updated by its owning
-//! shard — no locking on the store itself.
+//! of its canonical encoding, and the only per-state storage is one
+//! [`StateRec`] (4 bytes: the parent's global id), the fingerprint itself
+//! in an id-ordered column (8 bytes) and one 4-byte slot of the map that
+//! indexes it. States are partitioned across shards by
+//! `fingerprint % n_shards`, so a given state is only ever inserted,
+//! deduplicated, or parent-updated by its owning shard — no locking on
+//! the store itself.
+//!
+//! A record keeps neither the step its parent took nor the parent's
+//! fingerprint. The fingerprint is the key of the same-level parent race
+//! (the minimum `(parent fingerprint, step)` survives), so it and the step
+//! are kept only for the level being inserted, in a side column the shard
+//! clears when [`ShardStore::open_level`] freezes that level. The step is
+//! re-derived when a counterexample is rebuilt (`explore::build_trace`):
+//! the first step, in listing order, that leads from the parent to the
+//! child's fingerprint is the minimum packed step, which is the one the
+//! race kept.
 //!
 //! Nothing in a shard grows as one block: the map's slots are [`PARTS`]
 //! tables that resize independently (a resize rehashes 1/`PARTS` of the
@@ -89,30 +100,27 @@ impl Gid {
     }
 }
 
-/// Sentinel for "no step" in a packed step slot (the root record, and
-/// deadlock violations which have no final step).
+/// Sentinel for "no step" in a packed step slot (deadlock violations,
+/// which have no final step).
 pub(crate) const STEP_NONE: u32 = u32::MAX;
 
-/// One visited state, packed to 16 bytes. The state itself is *not*
-/// stored — only the (parent, step) edge used for counterexample-trace
-/// reconstruction (the state's own fingerprint lives in the [`FpMap`]
-/// column and in the frontier entry, so the record does not repeat it). Nor is
-/// its BFS depth: records are appended level by level, so the shard
-/// derives it from where each level starts ([`ShardStore::depth`]).
-/// `parent_fp` is kept so that when the same state is reached from
-/// several parents within one BFS level, the surviving edge is the
-/// minimum of `(parent_fp, step)` — a thread-interleaving-independent
-/// choice that keeps traces byte-identical run to run.
+/// One visited state, packed to 4 bytes: the parent's global id, the edge
+/// counterexample-trace reconstruction walks. The state itself is *not*
+/// stored, nor is its fingerprint (it lives in the [`FpMap`] column), its
+/// BFS depth (records are appended level by level, so the shard derives it
+/// from where each level starts, [`ShardStore::depth`]) or the step its
+/// parent took (re-derived on replay; see the module docs).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct StateRec {
-    /// Fingerprint of the parent state (tie-break key for same-level
-    /// parent races).
-    pub parent_fp: u64,
     /// The parent's global id; self-referential for the root.
     pub parent: Gid,
-    /// Packed step taken from the parent ([`STEP_NONE`] for the root).
-    pub step: u32,
 }
+
+/// The same-level parent-race key of an edge: `(parent fingerprint,
+/// packed step)`. When several parents of one BFS level reach a state,
+/// the edge with the minimum key survives — a choice independent of
+/// thread interleaving, which keeps traces byte-identical run to run.
+pub(crate) type RaceKey = (u64, u32);
 
 /// Parts the fingerprint map's slots are split into.
 const PARTS: usize = 64;
@@ -270,7 +278,7 @@ impl FpMap {
     }
 
     /// The fingerprint of shard-local id `lid`.
-    fn fp(&self, lid: u32) -> u64 {
+    pub(crate) fn fp(&self, lid: u32) -> u64 {
         let i = lid as usize;
         self.column[i / COL_CHUNK][i % COL_CHUNK]
     }
@@ -350,20 +358,21 @@ impl FpMap {
     }
 }
 
-/// Records per hot chunk: 2¹² × 16 B = 64 KiB, allocated whole and never
+/// Records per hot chunk: 2¹⁴ × 4 B = 64 KiB, allocated whole and never
 /// reallocated — below glibc's default mmap threshold, so a chunk is
 /// always heap memory the next chunk (or the next run) can reuse.
-const CHUNK_RECS: usize = 1 << 12;
+const CHUNK_RECS: usize = 1 << 14;
 
 /// Serialized width of one [`StateRec`] in the spill tier.
-const REC_BYTES: usize = 16;
+const REC_BYTES: usize = 4;
 
 /// One shard of the visited set: the fingerprint map plus the packed
 /// records it indexes. Owned exclusively by one worker thread.
 ///
 /// Under a memory budget the records are *tiered*: at epoch boundaries
 /// every record is frozen (BFS level synchronization means only records
-/// inserted in the current epoch are ever parent-updated), so the
+/// inserted in the current epoch are ever parent-updated, and their race
+/// keys are dropped when the next level opens), so the
 /// explorer may flush every hot chunk to one page-aligned spill chunk and
 /// keep exploring; the emptied chunks take the next epochs' records.
 /// [`ShardStore::rec`] reads through the tier transparently; only
@@ -389,6 +398,9 @@ pub(crate) struct ShardStore {
     /// appended level by level, so a record's depth is the last level
     /// starting at or before it.
     levels: Vec<u32>,
+    /// The side column: the race key of record `levels.last() + i` at
+    /// `i`, for the records of the open level only.
+    hot_level: Vec<RaceKey>,
 }
 
 impl ShardStore {
@@ -401,6 +413,7 @@ impl ShardStore {
             frozen: Vec::new(),
             spill: None,
             levels: vec![0],
+            hot_level: Vec::new(),
         }
     }
 
@@ -426,11 +439,38 @@ impl ShardStore {
         self.hot.last_mut().expect("a chunk with room was just ensured").push(rec);
     }
 
+    /// Appends the record of a state first reached in the open level,
+    /// from `parent` along the edge keyed `key`.
+    pub(crate) fn push_new(&mut self, parent: Gid, key: RaceKey) {
+        debug_assert_eq!(self.level_start() + self.hot_level.len(), self.rec_count());
+        self.push_rec(StateRec { parent });
+        self.hot_level.push(key);
+    }
+
+    /// Offers record `local` of the open level another edge: `parent`
+    /// along `key` replaces the recorded parent when its key is smaller.
+    pub(crate) fn fold_parent(&mut self, local: usize, parent: Gid, key: RaceKey) {
+        let i = local - self.level_start();
+        if key < self.hot_level[i] {
+            self.hot_level[i] = key;
+            let i = local - self.spilled;
+            self.hot[i / CHUNK_RECS][i % CHUNK_RECS].parent = parent;
+        }
+    }
+
+    /// The first record of the open level.
+    fn level_start(&self) -> usize {
+        *self.levels.last().expect("level 0 is always open") as usize
+    }
+
     /// Opens the next BFS level: records pushed from here on are one
-    /// deeper. Returns the level's first record id.
+    /// deeper, and the records of the level before are final, so their
+    /// race keys are dropped (the side column keeps its allocation for
+    /// the next level). Returns the level's first record id.
     pub(crate) fn open_level(&mut self) -> u32 {
         let start = self.rec_count() as u32;
         self.levels.push(start);
+        self.hot_level.clear();
         start
     }
 
@@ -477,18 +517,7 @@ impl ShardStore {
             .expect("frozen records imply a spill file")
             .read_exact_at(&mut buf, file_off + ((local - first) * REC_BYTES) as u64)
             .expect("spill read failed");
-        StateRec {
-            parent_fp: u64::from_le_bytes(buf[0..8].try_into().unwrap()),
-            parent: Gid(u32::from_le_bytes(buf[8..12].try_into().unwrap())),
-            step: u32::from_le_bytes(buf[12..16].try_into().unwrap()),
-        }
-    }
-
-    /// Mutable access to a *hot* record (same-epoch parent-race updates
-    /// only touch records inserted this epoch, which are never frozen).
-    pub(crate) fn rec_mut(&mut self, local: usize) -> &mut StateRec {
-        let i = local - self.spilled;
-        &mut self.hot[i / CHUNK_RECS][i % CHUNK_RECS]
+        StateRec { parent: Gid(u32::from_le_bytes(buf)) }
     }
 
     /// Freezes every hot record to one spill chunk, serialized chunk by
@@ -507,9 +536,7 @@ impl ShardStore {
         for chunk in &self.hot {
             bytes.clear();
             for r in chunk {
-                bytes.extend_from_slice(&r.parent_fp.to_le_bytes());
                 bytes.extend_from_slice(&r.parent.0.to_le_bytes());
-                bytes.extend_from_slice(&r.step.to_le_bytes());
             }
             spill.write_part(&bytes)?;
         }
@@ -542,6 +569,12 @@ impl ShardStore {
                 + self.frozen.capacity() * size_of::<(usize, usize, u64)>()
                 + self.levels.capacity() * size_of::<u32>(),
         }
+    }
+
+    /// RAM held by the side column: its allocation, which the largest
+    /// level inserted so far has sized.
+    pub(crate) fn hot_level_bytes(&self) -> usize {
+        self.hot_level.capacity() * std::mem::size_of::<RaceKey>()
     }
 
     /// Cumulative `(payload bytes, chunks)` written to this shard's spill
@@ -699,17 +732,17 @@ mod tests {
     }
 
     fn rec(i: u64) -> StateRec {
-        StateRec { parent_fp: i * 31, parent: Gid::pack(1, i as usize), step: i as u32 }
+        StateRec { parent: Gid::pack(1, i as usize) }
     }
 
-    fn fields(r: StateRec) -> (u64, Gid, u32) {
-        (r.parent_fp, r.parent, r.step)
+    fn fields(r: StateRec) -> Gid {
+        r.parent
     }
 
     #[test]
-    fn state_records_are_16_bytes() {
-        assert_eq!(std::mem::size_of::<StateRec>(), 16);
-        assert_eq!(REC_BYTES, 16);
+    fn state_records_are_4_bytes() {
+        assert_eq!(std::mem::size_of::<StateRec>(), 4);
+        assert_eq!(REC_BYTES, 4);
     }
 
     #[test]
@@ -718,7 +751,7 @@ mod tests {
         let empty = s.mem_bytes();
         assert!(empty < 64, "an empty shard holds no table and no chunk: {empty}");
         s.map.push(7);
-        s.push_rec(StateRec { parent_fp: 7, parent: Gid::pack(0, 0), step: STEP_NONE });
+        s.push_rec(StateRec { parent: Gid::pack(0, 0) });
         // One column chunk, one part's first slot table, one record chunk.
         let b = s.bytes();
         let directory = s.map.column.capacity() * std::mem::size_of::<Vec<u64>>();
@@ -832,6 +865,46 @@ mod tests {
     }
 
     #[test]
+    fn the_side_column_is_empty_after_every_epoch() {
+        // Levels of 1, 5, 0, a chunk and a half and 3 records after the
+        // root, every record raced by a losing and (every other one) a
+        // winning edge, spilling after odd levels.
+        let mut s = ShardStore::new();
+        s.push_rec(rec(0));
+        let mut want = vec![rec(0).parent];
+        let mut widest = 0;
+        for (d, n) in [1, 5, 0, CHUNK_RECS + CHUNK_RECS / 2, 3].into_iter().enumerate() {
+            let start = s.open_level() as usize;
+            assert!(s.hot_level.is_empty(), "level {d} opened on a non-empty side column");
+            assert!(s.hot_level_bytes() >= widest * std::mem::size_of::<RaceKey>());
+            let fp = |i: usize| mix64(i as u64) | 1;
+            for i in 0..n {
+                s.push_new(Gid::pack(2, i), (fp(i), 7));
+            }
+            assert_eq!(s.hot_level.len(), n);
+            for i in 0..n {
+                // A larger step from the same parent loses; a smaller
+                // parent fingerprint wins whatever its step.
+                s.fold_parent(start + i, Gid::pack(3, i), (fp(i), 8));
+                if i % 2 == 0 {
+                    s.fold_parent(start + i, Gid::pack(4, i), (fp(i) - 1, u32::MAX - 1));
+                }
+                want.push(Gid::pack(if i % 2 == 0 { 4 } else { 2 }, i));
+            }
+            widest = widest.max(n);
+            if crate::spill::SPILL_SUPPORTED && d % 2 == 1 {
+                s.spill_frozen("test").unwrap();
+            }
+        }
+        s.open_level();
+        assert!(s.hot_level.is_empty() && s.hot_level_bytes() >= widest * 16);
+        assert_eq!(s.rec_count(), want.len());
+        for (lid, &parent) in want.iter().enumerate() {
+            assert_eq!(s.rec(lid).parent, parent, "record {lid}");
+        }
+    }
+
+    #[test]
     fn restoring_refuses_a_decreasing_depth_sequence() {
         let mut s = ShardStore::new();
         s.push_rec_at(rec(0), 0).unwrap();
@@ -885,13 +958,11 @@ mod tests {
         for i in 25..30 {
             s.push_rec(rec(i));
         }
-        // Hot reads, frozen reads across both chunks, and mutation of a
-        // hot record must all agree with what was pushed.
+        // Hot reads and frozen reads across both chunks must agree with
+        // what was pushed.
         for i in 0..30u64 {
             assert_eq!(fields(s.rec(i as usize)), fields(rec(i)), "record {i}");
         }
-        s.rec_mut(27).step = 999;
-        assert_eq!(s.rec(27).step, 999);
         let (bytes, chunks) = s.spill_totals();
         assert_eq!(chunks, 2);
         assert_eq!(bytes, 25 * REC_BYTES as u64);

@@ -8,6 +8,12 @@ use protogen_spec::{Access, FsmStateId, MsgId};
 /// the symmetry sweep's worst case is `MAX_CACHES!` permutations.
 pub const MAX_CACHES: usize = 8;
 
+/// The longest channel a checker may bound its queues to
+/// ([`crate::McConfig::channel_cap`]): a queue section stores its length
+/// in one byte ([`put_queue`]) and a packed delivery step names the
+/// message's index in one byte, so a longer queue would wrap both.
+pub const MAX_CHANNEL_CAP: usize = u8::MAX as usize;
+
 /// The inverse of a permutation over `0..n`: `invert(p)[p[i]] == i`.
 pub fn invert(perm: &[u8]) -> Vec<u8> {
     let mut inv = vec![0u8; perm.len()];

@@ -402,6 +402,70 @@ fn tso_cc_counterexample_trace_is_pinned() {
     }
 }
 
+/// A counterexample sixteen steps long, pinned at 1, 2 and 4 threads, in
+/// full and delta stores, with and without a memory budget that freezes
+/// the visited records to disk: mutant 28 of `fuzz --seed 1 --mutants
+/// 500` (MESI non-stalling under three mutations), which the checker
+/// catches only at depth 16. A visited state keeps only its parent's id, so
+/// every line but the last is a step re-derived from its parent on replay;
+/// the text is the one the checker printed when each record stored its
+/// step.
+#[test]
+fn a_sixteen_step_counterexample_is_pinned_across_threads_stores_and_budgets() {
+    use protogen::fuzz::{mutate::apply_all, Script};
+    use protogen::mc::{StoreMode, ViolationKind};
+    let script = Script::parse(
+        "protocol mesi\nconfig non-stalling\nmutate swap-transition-target 4\n\
+         mutate duplicate-dir-reaction 1\nmutate reorder-wait-arcs 3\n",
+    )
+    .unwrap();
+    let ssp = apply_all(&protogen::protocols::mesi(), &script.mutations).unwrap();
+    let g = generate(&ssp, &script.gen_config()).unwrap();
+    for threads in [1, 2, 4] {
+        for store in [StoreMode::Full, StoreMode::Delta] {
+            for budget in [0, 64 << 10] {
+                let cfg = McConfig {
+                    threads,
+                    store,
+                    mem_budget_bytes: budget,
+                    ..McConfig::with_caches(2)
+                };
+                let r = ModelChecker::new(&g.cache, &g.directory, cfg).run();
+                let label = format!("{threads} threads, {store:?}, budget {budget}");
+                assert_eq!((r.states, r.transitions), (1069, 2399), "{label}");
+                // The budget is below one shard's first record chunk, so
+                // the trace walk reads records back from the spill tier.
+                assert_eq!(r.visited_spill_bytes > 0, budget > 0 && cfg!(unix), "{label}");
+                let v = r.violation.expect("the mutant fails");
+                let unexpected = "m6[n2→n0 req=n1] at cache n0 in I";
+                assert_eq!(v.kind, ViolationKind::UnexpectedMessage(unexpected.into()), "{label}");
+                assert_eq!(
+                    v.trace,
+                    [
+                        "n0[I] load",
+                        "n1[I] load",
+                        "GetS m0[n0→n2 req=n0] -> dir[I]",
+                        "DataE m9[n2→n0 req=n0 data=0] -> n0[IS_D]",
+                        "GetS m0[n0→n2 req=n0] -> dir[EM]",
+                        "Fwd_GetS m5[n2→n0 req=n1] -> n0[E]",
+                        "Data m8[n1→n0 req=n0 data=0] -> n0[IS_D]",
+                        "n0[S] store",
+                        "GetM m1[n0→n2 req=n0] -> dir[EMS_D]",
+                        "Inv m7[n2→n0 req=n1] -> n0[S]",
+                        "Data m8[n0→n2 req=n0 data=0] -> dir[EMS_D_EM]",
+                        "Inv_Ack m10[n1→n0 req=n0] -> n0[SI_AD]",
+                        "Data m8[n2→n0 req=n0 acks=1 data=0] -> n0[SI_AD]",
+                        "n0[I] store",
+                        "GetM m1[n0→n2 req=n0] -> dir[EM]",
+                        &format!("Fwd_GetM m6[n2→n0 req=n1] -> n0[I] => unexpected message: {unexpected}"),
+                    ],
+                    "{label}"
+                );
+            }
+        }
+    }
+}
+
 /// Every generated machine, pinned: the digest of the `Debug` text of both
 /// controllers and the report (the construction the checkpoint identity
 /// hash already trusts) for every bundled protocol × {stalling,
