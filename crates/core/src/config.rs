@@ -1,11 +1,10 @@
 //! Generation configuration (the ProtoGen input parameters of §IV-A).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Whether generated controllers stall on racing transactions or process
 /// them with additional transient states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Concurrency {
     /// Stall on potentially racing requests (at the cost of performance,
     /// while still preventing deadlocks). Forwards belonging to transactions
@@ -28,7 +27,7 @@ impl fmt::Display for Concurrency {
 }
 
 /// How responses owed to later-ordered transactions are sent (§V-D2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ResponsePolicy {
     /// "Immediate Transition, Deferred Responses": data-bearing responses
     /// are deferred until the own transaction completes, preserving SWMR in
@@ -51,7 +50,7 @@ impl fmt::Display for ResponsePolicy {
 }
 
 /// Which accesses are permitted in transient states (Step 4, §V-E).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TransientAccessPolicy {
     /// The paper's rule: an access is permitted in a transient state when
     /// the transaction's initial stable state, every final stable state, and
@@ -80,7 +79,7 @@ impl fmt::Display for TransientAccessPolicy {
 /// The defaults generate the paper's headline configuration: non-stalling
 /// controllers with deferred data responses, the Step-4 access rule, a
 /// pending-transaction limit of 3, and primer-style stale-Put cleanup.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GenConfig {
     /// Stalling or non-stalling controllers.
     pub concurrency: Concurrency,

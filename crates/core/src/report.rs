@@ -1,12 +1,11 @@
 //! Generation report: everything the paper's evaluation section talks about.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A forwarded-request rename performed during preprocessing (Tables III/IV
 /// of the paper: `Fwd_GetS` arriving at both M and O becomes `Fwd_GetS` at M
 /// and `O_Fwd_GetS` at O).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rename {
     /// Original message name.
     pub original: String,
@@ -19,7 +18,7 @@ pub struct Rename {
 /// A request reinterpretation requirement discovered during generation
 /// (§V-D1: the directory reinterprets an Upgrade that arrives for a block
 /// whose requestor is no longer a sharer as a GetM).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Reinterpretation {
     /// The request as sent.
     pub original: String,
@@ -32,7 +31,7 @@ pub struct Reinterpretation {
 /// A state merge performed by minimization (§VI-B: "ProtoGen was able to
 /// merge some states that were kept separate in the primer like
 /// IMAS = SMAS").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Merge {
     /// The surviving state name.
     pub kept: String,
@@ -41,7 +40,7 @@ pub struct Merge {
 }
 
 /// Per-controller statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ControllerStats {
     /// Stable states (from the SSP).
     pub stable_states: usize,
@@ -61,7 +60,7 @@ impl ControllerStats {
 }
 
 /// The full report accompanying a generated protocol.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct GenReport {
     /// Protocol name.
     pub protocol: String,

@@ -31,32 +31,30 @@ pub use parser::{parse, ParseError};
 use std::error::Error;
 use std::fmt;
 
-/// The bundled MSI protocol source (equivalent to
-/// `protogen_protocols::msi()`).
+/// The MSI protocol: the source of `protogen_protocols::msi()`.
 pub const MSI_PGEN: &str = include_str!("../protocols/msi.pgen");
 
-/// The bundled MESI protocol source (equivalent to
-/// `protogen_protocols::mesi()`).
+/// The MESI protocol: the source of `protogen_protocols::mesi()`.
 pub const MESI_PGEN: &str = include_str!("../protocols/mesi.pgen");
 
-/// The bundled MOSI protocol source (equivalent to
-/// `protogen_protocols::mosi()`) — the paper's preprocessing example.
+/// The MOSI protocol, the paper's preprocessing example: the source of
+/// `protogen_protocols::mosi()`.
 pub const MOSI_PGEN: &str = include_str!("../protocols/mosi.pgen");
 
-/// The bundled MSI+Upgrade protocol source (§V-D1's reinterpretation
-/// example; equivalent to `protogen_protocols::msi_upgrade()`).
+/// The MSI+Upgrade protocol, §V-D1's reinterpretation example: the source
+/// of `protogen_protocols::msi_upgrade()`.
 pub const MSI_UPGRADE_PGEN: &str = include_str!("../protocols/msi_upgrade.pgen");
 
-/// The bundled MSI-for-unordered-networks source (§VI-C's handshake
-/// protocol; equivalent to `protogen_protocols::msi_unordered()`).
+/// The MSI protocol for unordered networks, §VI-C's handshake protocol: the
+/// source of `protogen_protocols::msi_unordered()`.
 pub const MSI_UNORDERED_PGEN: &str = include_str!("../protocols/msi_unordered.pgen");
 
-/// The bundled simplified TSO-CC source (§VI-D; equivalent to
-/// `protogen_protocols::tso_cc()`).
+/// The simplified TSO-CC protocol (§VI-D): the source of
+/// `protogen_protocols::tso_cc()`.
 pub const TSO_CC_PGEN: &str = include_str!("../protocols/tso_cc.pgen");
 
-/// The bundled self-invalidate/self-downgrade source (VIPS-M family;
-/// equivalent to `protogen_protocols::si_sd()`).
+/// The self-invalidate/self-downgrade protocol (VIPS-M family): the source
+/// of `protogen_protocols::si_sd()`.
 pub const SI_SD_PGEN: &str = include_str!("../protocols/si_sd.pgen");
 
 /// Front-end errors.

@@ -149,8 +149,7 @@ impl SimResult {
 /// 2-space-indented with a trailing newline at the document root.
 ///
 /// This is the serialization layer the whole workspace's JSON artifacts go
-/// through (sweep cells, fuzz and serve reports); the types stay `serde`-derive
-/// ready for the day the real crates replace the `compat/` stand-ins.
+/// through (sweep cells, fuzz and serve reports).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `true` / `false`.

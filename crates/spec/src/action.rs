@@ -1,11 +1,10 @@
 //! Transition actions: message sends and auxiliary-state updates.
 
 use crate::ids::MsgId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Destination of an outgoing message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dst {
     /// The directory.
     Dir,
@@ -38,7 +37,7 @@ impl fmt::Display for Dst {
 }
 
 /// Where the data payload of an outgoing message comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataSrc {
     /// The machine's own copy of the block (for the directory this is the
     /// memory/LLC copy).
@@ -57,7 +56,7 @@ impl fmt::Display for DataSrc {
 }
 
 /// Where the acknowledgment count of an outgoing message comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AckSrc {
     /// `|sharers \ {requestor}|` — the number of invalidations the directory
     /// sends on behalf of this request.
@@ -87,7 +86,7 @@ impl fmt::Display for AckSrc {
 }
 
 /// What goes in the `requestor` field of an outgoing message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ReqField {
     /// The sending node itself (used by initial requests).
     #[default]
@@ -110,7 +109,7 @@ impl fmt::Display for ReqField {
 }
 
 /// A fully specified message send.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SendSpec {
     /// Message type to send.
     pub msg: MsgId,
@@ -154,7 +153,7 @@ impl SendSpec {
 /// The action vocabulary is fixed and small; the DSL front-end lowers the
 /// free-form statements of the paper's Listing 1 into this set, and the
 /// runtime executes it directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Action {
     /// Send a message.
     Send(SendSpec),

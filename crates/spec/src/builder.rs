@@ -25,9 +25,6 @@ pub struct SspBuilder {
     messages: Vec<MsgDecl>,
     cache: MachineSsp,
     directory: MachineSsp,
-    network_ordered: bool,
-    consistency: MemoryModel,
-    si_epoch: bool,
 }
 
 impl SspBuilder {
@@ -38,34 +35,7 @@ impl SspBuilder {
             messages: Vec::new(),
             cache: MachineSsp::new(MachineKind::Cache),
             directory: MachineSsp::new(MachineKind::Directory),
-            network_ordered: true,
-            consistency: MemoryModel::Sc,
-            si_epoch: false,
         }
-    }
-
-    /// Declares whether the interconnect guarantees point-to-point ordering
-    /// (the default is `true`; §VI-C protocols set `false`).
-    pub fn network_ordered(&mut self, ordered: bool) -> &mut Self {
-        self.network_ordered = ordered;
-        self
-    }
-
-    /// Declares the memory model the protocol promises (default
-    /// [`MemoryModel::Sc`]). Weak-memory protocols relax SWMR/data-value
-    /// coherence and must declare the model they *do* preserve so the
-    /// checker and litmus harness know what to hold them to.
-    pub fn consistency(&mut self, model: MemoryModel) -> &mut Self {
-        self.consistency = model;
-        self
-    }
-
-    /// Declares that self-invalidations fire as whole-cache epochs (all
-    /// self-invalidating lines drop together), like TSO-CC's timestamp
-    /// rollover. The default is per-line self-invalidation.
-    pub fn si_epoch(&mut self, epoch: bool) -> &mut Self {
-        self.si_epoch = epoch;
-        self
     }
 
     // ----- declarations -------------------------------------------------
@@ -85,24 +55,10 @@ impl SspBuilder {
         self.push_msg(MsgDecl::new(name, class).with_data().with_ack_count())
     }
 
-    /// Declares a message carrying an acknowledgment count only.
-    pub fn ack_count_message(&mut self, name: impl Into<String>, class: MsgClass) -> MsgId {
-        self.push_msg(MsgDecl::new(name, class).with_ack_count())
-    }
-
     fn push_msg(&mut self, decl: MsgDecl) -> MsgId {
         let id = MsgId::from_usize(self.messages.len());
         self.messages.push(decl);
         id
-    }
-
-    /// Overrides the virtual network a message travels on. Virtual-channel
-    /// assignment is protocol-correctness input (§IV-C of the paper): e.g.
-    /// Put-Ack must travel on the forward network so it cannot overtake a
-    /// forwarded request to the same cache.
-    pub fn assign_vnet(&mut self, msg: MsgId, vnet: crate::VirtualNet) -> &mut Self {
-        self.messages[msg.as_usize()].vnet = vnet;
-        self
     }
 
     /// Declares a cache stable state. The first declared state is initial.
@@ -153,59 +109,6 @@ impl SspBuilder {
             guards: vec![],
             effect: Effect::Local { actions: vec![Action::PerformAccess], next: None },
             note: EntryNote::Demand,
-        });
-        self
-    }
-
-    /// Adds a cache hit that also silently changes state (E→M upgrades).
-    pub fn cache_hit_move(&mut self, state: StableId, access: Access, next: StableId) -> &mut Self {
-        self.cache.entries.push(SspEntry {
-            state,
-            trigger: Trigger::Access(access),
-            guards: vec![],
-            effect: Effect::Local { actions: vec![Action::PerformAccess], next: Some(next) },
-            note: EntryNote::Demand,
-        });
-        self
-    }
-
-    /// Adds a *self-invalidation*: the cache may spontaneously drop its
-    /// readable copy of `state`, silently, at any sync point. Semantically a
-    /// silent replacement, but tagged [`EntryNote::SelfInvalidate`] so the
-    /// litmus harness treats it as a memory-model step rather than a
-    /// capacity eviction (per-line, or whole-cache when [`Self::si_epoch`]
-    /// is set).
-    pub fn cache_self_invalidate(&mut self, state: StableId, to: StableId) -> &mut Self {
-        self.cache.entries.push(SspEntry {
-            state,
-            trigger: Trigger::Access(Access::Replacement),
-            guards: vec![],
-            effect: Effect::Local {
-                actions: vec![Action::PerformAccess, Action::InvalidateData],
-                next: Some(to),
-            },
-            note: EntryNote::SelfInvalidate,
-        });
-        self
-    }
-
-    /// Adds a *self-downgrade*: the cache may spontaneously give up write
-    /// ownership of `state`, performing the `request` actions (typically a
-    /// data writeback to the directory) and entering `chain`. Tagged
-    /// [`EntryNote::SelfDowngrade`]; the chain usually completes into a
-    /// still-readable state (M→S), unlike a demand eviction's M→I.
-    pub fn cache_self_downgrade(
-        &mut self,
-        state: StableId,
-        request: Vec<Action>,
-        chain: WaitChain,
-    ) -> &mut Self {
-        self.cache.entries.push(SspEntry {
-            state,
-            trigger: Trigger::Access(Access::Replacement),
-            guards: vec![],
-            effect: Effect::Issue { request, chain },
-            note: EntryNote::SelfDowngrade,
         });
         self
     }
@@ -285,46 +188,6 @@ impl SspBuilder {
         self
     }
 
-    /// Adds a directory reaction guarded by a *conjunction* of guards
-    /// (e.g. PutO when the requestor is still the owner AND sharers
-    /// remain).
-    pub fn dir_react_guards(
-        &mut self,
-        state: StableId,
-        msg: MsgId,
-        guards: Vec<Guard>,
-        actions: Vec<Action>,
-        next: Option<StableId>,
-    ) -> &mut Self {
-        self.directory.entries.push(SspEntry {
-            state,
-            trigger: Trigger::Msg(msg),
-            guards,
-            effect: Effect::Local { actions, next },
-            note: EntryNote::Demand,
-        });
-        self
-    }
-
-    /// Adds a multi-step directory transaction (e.g. M + GetS: forward to
-    /// the owner, await the owner's data, then go to S).
-    pub fn dir_issue(
-        &mut self,
-        state: StableId,
-        msg: MsgId,
-        request: Vec<Action>,
-        chain: WaitChain,
-    ) -> &mut Self {
-        self.directory.entries.push(SspEntry {
-            state,
-            trigger: Trigger::Msg(msg),
-            guards: vec![],
-            effect: Effect::Issue { request, chain },
-            note: EntryNote::Demand,
-        });
-        self
-    }
-
     // ----- send helpers (pure constructors) -----------------------------
 
     /// Request to the directory: `send msg to Dir` with a reset of the
@@ -371,11 +234,6 @@ impl SspBuilder {
         Action::Send(SendSpec::new(msg, Dst::SharersExceptReq).req_field(ReqField::FromMsg))
     }
 
-    /// Cache: `send msg (Data) to Dir` (writebacks).
-    pub fn send_data_to_dir(&self, msg: MsgId) -> Action {
-        Action::Send(SendSpec::new(msg, Dst::Dir).data(DataSrc::OwnBlock))
-    }
-
     // ----- chain helpers ------------------------------------------------
 
     /// A single await point for one data response: `await { when data:
@@ -390,37 +248,6 @@ impl SspBuilder {
                     actions: vec![Action::CopyDataFromMsg, Action::PerformAccess],
                     to: WaitTo::Done(done),
                 }],
-            }],
-        }
-    }
-
-    /// A single await point for one data response with two possible final
-    /// states depending on the message received (MESI: Data → S,
-    /// DataExclusive → E).
-    pub fn await_data2(
-        &self,
-        data_a: MsgId,
-        done_a: StableId,
-        data_b: MsgId,
-        done_b: StableId,
-    ) -> WaitChain {
-        WaitChain {
-            nodes: vec![WaitNode {
-                tag: "D".into(),
-                arcs: vec![
-                    WaitArc {
-                        msg: data_a,
-                        guards: vec![],
-                        actions: vec![Action::CopyDataFromMsg, Action::PerformAccess],
-                        to: WaitTo::Done(done_a),
-                    },
-                    WaitArc {
-                        msg: data_b,
-                        guards: vec![],
-                        actions: vec![Action::CopyDataFromMsg, Action::PerformAccess],
-                        to: WaitTo::Done(done_b),
-                    },
-                ],
             }],
         }
     }
@@ -499,79 +326,11 @@ impl SspBuilder {
         }
     }
 
-    /// Like [`SspBuilder::await_data_acks`] but the first response carries
-    /// only an acknowledgment count, no data (Upgrade-style requests; the
-    /// requestor already holds valid data).
-    pub fn await_count_acks(&self, count: MsgId, inv_ack: MsgId, done: StableId) -> WaitChain {
-        WaitChain {
-            nodes: vec![
-                WaitNode {
-                    tag: "AC".into(),
-                    arcs: vec![
-                        WaitArc {
-                            msg: count,
-                            guards: vec![Guard::AcksComplete],
-                            actions: vec![Action::PerformAccess, Action::ResetAcks],
-                            to: WaitTo::Done(done),
-                        },
-                        WaitArc {
-                            msg: count,
-                            guards: vec![Guard::AcksIncomplete],
-                            actions: vec![Action::SetExpectedAcksFromMsg],
-                            to: WaitTo::Wait(1),
-                        },
-                        WaitArc {
-                            msg: inv_ack,
-                            guards: vec![],
-                            actions: vec![Action::IncAcksReceived],
-                            to: WaitTo::Wait(0),
-                        },
-                    ],
-                },
-                WaitNode {
-                    tag: "A".into(),
-                    arcs: vec![
-                        WaitArc {
-                            msg: inv_ack,
-                            guards: vec![Guard::AcksComplete],
-                            actions: vec![
-                                Action::IncAcksReceived,
-                                Action::PerformAccess,
-                                Action::ResetAcks,
-                            ],
-                            to: WaitTo::Done(done),
-                        },
-                        WaitArc {
-                            msg: inv_ack,
-                            guards: vec![Guard::AcksIncomplete],
-                            actions: vec![Action::IncAcksReceived],
-                            to: WaitTo::Wait(1),
-                        },
-                    ],
-                },
-            ],
-        }
-    }
-
-    /// Directory: a single await point for a writeback from the owner:
-    /// `await { when data: mem = msg.data; State = done }`.
-    pub fn await_owner_data(&self, data: MsgId, done: StableId) -> WaitChain {
-        WaitChain {
-            nodes: vec![WaitNode {
-                tag: "D".into(),
-                arcs: vec![WaitArc {
-                    msg: data,
-                    guards: vec![],
-                    actions: vec![Action::CopyDataFromMsg],
-                    to: WaitTo::Done(done),
-                }],
-            }],
-        }
-    }
-
     // ----- finish -------------------------------------------------------
 
-    /// Builds and validates the protocol.
+    /// Builds and validates the protocol: point-to-point ordered, promising
+    /// SC, with per-line self-invalidation. Set the public [`Ssp`] fields
+    /// afterwards for anything else.
     ///
     /// # Errors
     ///
@@ -582,9 +341,9 @@ impl SspBuilder {
             messages: self.messages,
             cache: self.cache,
             directory: self.directory,
-            network_ordered: self.network_ordered,
-            consistency: self.consistency,
-            si_epoch: self.si_epoch,
+            network_ordered: true,
+            consistency: MemoryModel::Sc,
+            si_epoch: false,
         };
         ssp.validate()?;
         Ok(ssp)

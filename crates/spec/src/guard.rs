@@ -1,6 +1,5 @@
 //! Transition guards.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A predicate restricting when a transition may fire.
@@ -10,7 +9,7 @@ use std::fmt;
 /// for directories). The vocabulary is deliberately small: it is exactly what
 /// the paper's SSPs need, and every guard is executable by both the model
 /// checker and the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Guard {
     /// The incoming message's acknowledgment count is zero.
     AckCountIsZero,

@@ -1,15 +1,12 @@
 //! Index newtypes used throughout the IR.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a stable state within one machine specification.
 ///
 /// Stable state ids index into [`crate::MachineSsp::states`]. Each machine
 /// (cache, directory) has its own id space.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct StableId(pub u16);
 
 impl StableId {
@@ -38,9 +35,7 @@ impl fmt::Display for StableId {
 ///
 /// Message ids index into [`crate::Ssp::messages`]; the id space is shared by
 /// both machines.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MsgId(pub u16);
 
 impl MsgId {

@@ -72,15 +72,13 @@ pub use ssp::{
 };
 pub use validate::validate;
 
-use serde::{Deserialize, Serialize};
-
 /// A complete stable state protocol: messages plus the cache and directory
 /// machine specifications.
 ///
 /// An `Ssp` is the *input* to protocol generation. It assumes an atomic
 /// system model: every transaction appears to happen instantaneously, so the
 /// specification only mentions stable states.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ssp {
     /// Protocol name, e.g. `"MSI"`.
     pub name: String,
