@@ -266,63 +266,81 @@ fn flow_data(chain: &WaitChain, from_valid: bool, mode: FlowMode) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use protogen_spec::{MsgClass, Perm, SspBuilder};
 
-    /// A small MSI-like SSP for analysis tests.
+    /// A small MSI-like SSP for analysis tests: MSI's cache side without
+    /// Fwd_GetS and PutS, over a partial directory (enough for validity).
+    const MINI: &str = r#"
+        protocol mini;
+        message GetS : request;
+        message GetM : request;
+        message PutM : request { data };
+        message Inv : forward;
+        message Fwd_GetM : forward;
+        message Data : response { data, acks };
+        message Inv_Ack : response;
+        message Put_Ack : response;
+        cache { state I; state S read; state M readwrite; }
+        directory { state I; state S; state M; }
+        architecture cache {
+            process(S, load) { perform; }
+            process(M, load) { perform; }
+            process(M, store) { perform; }
+            process(I, load) {
+                reset_acks;
+                send GetS to dir;
+                await D { when Data: copy_data; perform; -> S; }
+            }
+            process(I, store) {
+                reset_acks;
+                send GetM to dir;
+                await AD {
+                    when Data if acks_complete: copy_data; perform; reset_acks; -> M;
+                    when Data if acks_incomplete: copy_data; set_expected; => A;
+                    when Inv_Ack: inc_acks; => AD;
+                }
+                await A {
+                    when Inv_Ack if acks_complete: inc_acks; perform; reset_acks; -> M;
+                    when Inv_Ack if acks_incomplete: inc_acks; => A;
+                }
+            }
+            process(S, store) {
+                reset_acks;
+                send GetM to dir;
+                await AD {
+                    when Data if acks_complete: copy_data; perform; reset_acks; -> M;
+                    when Data if acks_incomplete: copy_data; set_expected; => A;
+                    when Inv_Ack: inc_acks; => AD;
+                }
+                await A {
+                    when Inv_Ack if acks_complete: inc_acks; perform; reset_acks; -> M;
+                    when Inv_Ack if acks_incomplete: inc_acks; => A;
+                }
+            }
+            process(M, replacement) {
+                reset_acks;
+                send PutM(data) to dir;
+                await A { when Put_Ack: perform; -> I; }
+            }
+            process(S, Inv) { send Inv_Ack to req; -> I; }
+            process(M, Fwd_GetM) { send Data(data) to req; -> I; }
+        }
+        architecture directory {
+            process(I, GetS) { send Data(data) to req; add_sharer; -> S; }
+            process(I, GetM) { send Data(data, acks) to req; set_owner; -> M; }
+            process(S, GetM) {
+                send Data(data, acks) to req;
+                send Inv to sharers;
+                set_owner;
+                clear_sharers;
+                -> M;
+            }
+            process(M, GetM) { send Fwd_GetM to owner; set_owner; }
+            process(M, PutM) if owner { copy_data; send Put_Ack to req; clear_owner; -> I; }
+        }
+    "#;
+
     fn mini() -> Ssp {
-        let mut b = SspBuilder::new("mini");
-        let get_s = b.message("GetS", MsgClass::Request);
-        let get_m = b.message("GetM", MsgClass::Request);
-        let put_m = b.data_message("PutM", MsgClass::Request);
-        let inv = b.message("Inv", MsgClass::Forward);
-        let fwd_get_m = b.message("Fwd_GetM", MsgClass::Forward);
-        let data = b.data_ack_message("Data", MsgClass::Response);
-        let inv_ack = b.message("Inv_Ack", MsgClass::Response);
-        let put_ack = b.message("Put_Ack", MsgClass::Response);
-        let i = b.cache_state("I", Perm::None);
-        let s = b.cache_state("S", Perm::Read);
-        let m = b.cache_state("M", Perm::ReadWrite);
-        let di = b.dir_state("I");
-        let ds = b.dir_state("S");
-        let dm = b.dir_state("M");
-        b.cache_hit(s, Access::Load);
-        b.cache_hit(m, Access::Load);
-        b.cache_hit(m, Access::Store);
-        let req = b.send_req(get_s);
-        let chain = b.await_data(data, s);
-        b.cache_issue(i, Access::Load, req, chain);
-        let req = b.send_req(get_m);
-        let chain = b.await_data_acks(data, inv_ack, m);
-        b.cache_issue(i, Access::Store, req, chain);
-        let req = b.send_req(get_m);
-        let chain = b.await_data_acks(data, inv_ack, m);
-        b.cache_issue(s, Access::Store, req, chain);
-        let req = b.send_req_data(put_m);
-        let chain = b.await_ack(put_ack, i);
-        b.cache_issue(m, Access::Replacement, req, chain);
-        let ia = b.send_to_req(inv_ack);
-        b.cache_react(s, inv, vec![ia], Some(i));
-        let d = b.send_data_to_req(data);
-        b.cache_react(m, fwd_get_m, vec![d], Some(i));
-        // Directory (partial; enough for validity).
-        let d = b.send_data_to_req(data);
-        b.dir_react(di, get_s, vec![d, Action::AddReqToSharers], Some(ds));
-        let d = b.send_data_acks_to_req(data);
-        b.dir_react(di, get_m, vec![d, Action::SetOwnerToReq], Some(dm));
-        let d = b.send_data_acks_to_req(data);
-        let iv = b.inv_sharers(inv);
-        b.dir_react(ds, get_m, vec![d, iv, Action::SetOwnerToReq, Action::ClearSharers], Some(dm));
-        let f = b.fwd_to_owner(fwd_get_m);
-        b.dir_react(dm, get_m, vec![f, Action::SetOwnerToReq], None);
-        let pa = b.send_to_req(put_ack);
-        b.dir_react_guarded(
-            dm,
-            put_m,
-            Guard::ReqIsOwner,
-            vec![Action::CopyDataFromMsg, pa, Action::ClearOwner],
-            Some(di),
-        );
-        b.build().expect("mini SSP is valid")
+        protogen_dsl::parse_protocol(MINI).expect("mini SSP is valid")
     }
 
     #[test]

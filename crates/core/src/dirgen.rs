@@ -333,3 +333,26 @@ impl<'a> DirGen<'a> {
         self.w.extend_chain(at, h.guards.clone(), immediate, elem, logical, h.note);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::{generate, GenConfig};
+
+    /// Directory states always hold the block: the generator never reads a
+    /// directory `StableDecl::data_valid`, so flipping every one of them
+    /// leaves both generated machines unchanged.
+    #[test]
+    fn directory_data_valid_is_not_read() {
+        for ssp in [protogen_protocols::msi(), protogen_protocols::mesi()] {
+            let mut flipped = ssp.clone();
+            for s in &mut flipped.directory.states {
+                s.data_valid = !s.data_valid;
+            }
+            for cfg in [GenConfig::stalling(), GenConfig::non_stalling()] {
+                let (a, b) = (generate(&ssp, &cfg).unwrap(), generate(&flipped, &cfg).unwrap());
+                assert_eq!(a.cache, b.cache, "{} cache", ssp.name);
+                assert_eq!(a.directory, b.directory, "{} directory", ssp.name);
+            }
+        }
+    }
+}

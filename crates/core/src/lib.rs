@@ -29,28 +29,12 @@
 //!
 //! ```
 //! use protogen_core::{generate, GenConfig};
-//! # use protogen_spec::{SspBuilder, MsgClass, Perm, Access};
-//! # fn toy() -> protogen_spec::Ssp {
-//! #     let mut b = SspBuilder::new("toy");
-//! #     let get = b.message("Get", MsgClass::Request);
-//! #     let data = b.data_message("Data", MsgClass::Response);
-//! #     let i = b.cache_state("I", Perm::None);
-//! #     let v = b.cache_state("V", Perm::Read);
-//! #     let di = b.dir_state("I");
-//! #     let dv = b.dir_state("V");
-//! #     b.cache_hit(v, Access::Load);
-//! #     let req = b.send_req(get);
-//! #     let chain = b.await_data(data, v);
-//! #     b.cache_issue(i, Access::Load, req, chain);
-//! #     let send = b.send_data_to_req(data);
-//! #     b.dir_react(di, get, vec![send], Some(dv));
-//! #     b.build().unwrap()
-//! # }
+//!
 //! # fn main() -> Result<(), protogen_core::GenError> {
-//! let ssp = toy();
+//! let ssp = protogen_protocols::msi();
 //! let generated = generate(&ssp, &GenConfig::default())?;
-//! // One transient state was created for the I -> V transaction.
-//! assert!(generated.cache.state_by_name("IV_D").is_some());
+//! // A load in I waits for Data in the transient state IS_D (Table V).
+//! assert!(generated.cache.state_by_name("IS_D").is_some());
 //! println!("{}", generated.report);
 //! # Ok(())
 //! # }

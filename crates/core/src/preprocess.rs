@@ -143,41 +143,39 @@ fn rewrite_entry(effect: &mut Effect, from: MsgId, to: MsgId) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use protogen_spec::{Access, MsgClass, Perm, SspBuilder};
+    use protogen_spec::MsgClass;
 
     /// A MOSI fragment reproducing Tables III/IV: Fwd_GetS arrives at both
     /// M and O.
+    const MOSI_FRAGMENT: &str = r#"
+        protocol mosi_fragment;
+        message GetS : request;
+        message Fwd_GetS : forward;
+        message Data : response { data };
+        cache { state I; state S read; state O read data; state M readwrite; }
+        directory { state I; state S; state O; state M; }
+        architecture cache {
+            // M + Fwd_GetS: send data, downgrade to O.
+            process(M, Fwd_GetS) { send Data(data) to req; -> O; }
+            // O + Fwd_GetS: send data, stay O.
+            process(O, Fwd_GetS) { send Data(data) to req; }
+            // I + load so the protocol has at least one transaction.
+            process(I, load) {
+                reset_acks;
+                send GetS to dir;
+                await D { when Data: copy_data; perform; -> I; }
+            }
+        }
+        architecture directory {
+            // M + GetS and O + GetS both forward.
+            process(M, GetS) { send Fwd_GetS to owner; add_sharer; -> O; }
+            process(O, GetS) { send Fwd_GetS to owner; add_sharer; }
+            process(I, GetS) { send Data(data) to req; add_sharer; }
+        }
+    "#;
+
     fn mosi_fragment() -> Ssp {
-        let mut b = SspBuilder::new("mosi-fragment");
-        let get_s = b.message("GetS", MsgClass::Request);
-        let fwd_get_s = b.message("Fwd_GetS", MsgClass::Forward);
-        let data = b.data_message("Data", MsgClass::Response);
-        let i = b.cache_state("I", Perm::None);
-        let _s = b.cache_state("S", Perm::Read);
-        let o = b.cache_state_full("O", Perm::Read, true);
-        let m = b.cache_state("M", Perm::ReadWrite);
-        let di = b.dir_state("I");
-        let _ds = b.dir_state("S");
-        let do_ = b.dir_state("O");
-        let dm = b.dir_state("M");
-        // M + Fwd_GetS: send data, downgrade to O.
-        let d = b.send_data_to_req(data);
-        b.cache_react(m, fwd_get_s, vec![d], Some(o));
-        // O + Fwd_GetS: send data, stay O.
-        let d = b.send_data_to_req(data);
-        b.cache_react(o, fwd_get_s, vec![d], None);
-        // Cache I + load so the protocol has at least one transaction.
-        let req = b.send_req(get_s);
-        let chain = b.await_data(data, i);
-        b.cache_issue(i, Access::Load, req, chain);
-        // Directory: M + GetS and O + GetS both forward.
-        let f = b.fwd_to_owner(fwd_get_s);
-        b.dir_react(dm, get_s, vec![f, Action::AddReqToSharers], Some(do_));
-        let f = b.fwd_to_owner(fwd_get_s);
-        b.dir_react(do_, get_s, vec![f, Action::AddReqToSharers], None);
-        let d = b.send_data_to_req(data);
-        b.dir_react(di, get_s, vec![d, Action::AddReqToSharers], None);
-        b.build().expect("fragment is valid")
+        protogen_dsl::parse_protocol(MOSI_FRAGMENT).expect("fragment is valid")
     }
 
     #[test]

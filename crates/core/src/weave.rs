@@ -432,7 +432,7 @@ pub(crate) fn defer_sends(
 mod tests {
     use super::*;
     use crate::analysis::Analysis;
-    use protogen_spec::{DataSrc, MsgClass, SspBuilder};
+    use protogen_spec::DataSrc;
 
     fn elem(deferred: Vec<Action>) -> Elem {
         Elem { msg: MsgId(0), entry: 0, logical_to: StableId(1), deferred, updates_data: false }
@@ -442,25 +442,32 @@ mod tests {
         vec![Action::Send(SendSpec::new(MsgId(1), Dst::ChainReq(0)))]
     }
 
+    /// The two-state I/V toy: a load miss fetches data from the directory.
+    const TOY: &str = r#"
+        protocol toy;
+        message Get : request;
+        message Data : response { data };
+        cache { state I; state V read; }
+        directory { state I; state V; }
+        architecture cache {
+            process(V, load) { perform; }
+            process(I, load) {
+                reset_acks;
+                send Get to dir;
+                await D { when Data: copy_data; perform; -> V; }
+            }
+        }
+        architecture directory {
+            process(I, Get) { send Data(data) to req; -> V; }
+        }
+    "#;
+
     /// Distinct keys whose names coincide (chains that differ only in what
     /// they owe) get `+` suffixes in interning order; a known key keeps its
     /// id and name.
     #[test]
     fn intern_disambiguates_clashing_names() {
-        let mut b = SspBuilder::new("toy");
-        let get = b.message("Get", MsgClass::Request);
-        let data = b.data_message("Data", MsgClass::Response);
-        let i = b.cache_state("I", Perm::None);
-        let v = b.cache_state("V", Perm::Read);
-        let di = b.dir_state("I");
-        let dv = b.dir_state("V");
-        b.cache_hit(v, Access::Load);
-        let req = b.send_req(get);
-        let chain = b.await_data(data, v);
-        b.cache_issue(i, Access::Load, req, chain);
-        let send = b.send_data_to_req(data);
-        b.dir_react(di, get, vec![send], Some(dv));
-        let ssp = b.build().unwrap();
+        let ssp = protogen_dsl::parse_protocol(TOY).unwrap();
         let an = Analysis::of(&ssp).unwrap();
 
         let mut w = Weave::new(&ssp, MachineKind::Cache, &an.txns, 3);

@@ -101,6 +101,35 @@ mod tests {
         assert!(ssp.msg_by_name("Fwd_GetS").is_some());
     }
 
+    /// Footnote 2 of the paper: in both of MSI's store misses, Inv_Acks
+    /// that overtake the Data response are counted in `AD` itself, and a
+    /// Data that finds every ack already in completes straight to M.
+    #[test]
+    fn bundled_msi_store_misses_handle_early_acks() {
+        use protogen_spec::{Access, Effect, Guard, Trigger, WaitTo};
+        let ssp = parse_protocol(MSI_PGEN).unwrap();
+        let data = ssp.msg_by_name("Data").unwrap();
+        let inv_ack = ssp.msg_by_name("Inv_Ack").unwrap();
+        let m = ssp.cache.state_by_name("M").unwrap();
+        for from in ["I", "S"] {
+            let s = ssp.cache.state_by_name(from).unwrap();
+            let entry = &ssp.cache.entries_for(s, Trigger::Access(Access::Store))[0];
+            let Effect::Issue { chain, .. } = &entry.effect else {
+                panic!("({from}, store) is not a transaction")
+            };
+            let ad = &chain.nodes[0];
+            assert_eq!(ad.tag, "AD");
+            let self_loop = ad.arcs.iter().find(|a| a.msg == inv_ack).expect("Inv_Ack arc in AD");
+            assert_eq!(self_loop.to, WaitTo::Wait(0), "({from}, store)");
+            assert!(
+                ad.arcs.iter().any(|a| a.msg == data
+                    && a.guards == [Guard::AcksComplete]
+                    && a.to == WaitTo::Done(m)),
+                "({from}, store)"
+            );
+        }
+    }
+
     #[test]
     fn bundled_mesi_parses_and_validates() {
         let ssp = parse_protocol(MESI_PGEN).unwrap();
@@ -126,6 +155,16 @@ mod tests {
         assert_eq!(ast.compose[1].fanout, Some(2));
         assert!(parse(MSI_PGEN).unwrap().compose.is_empty());
         assert!(parse_protocol(src).is_err());
+    }
+
+    /// A `data` suffix overrides the permission's default: MOSI's O is
+    /// read-only yet holds valid data (`state O read data`).
+    #[test]
+    fn bundled_mosi_owned_state_is_read_with_valid_data() {
+        let ssp = parse_protocol(MOSI_PGEN).unwrap();
+        let o = ssp.cache.state(ssp.cache.state_by_name("O").unwrap());
+        assert_eq!(o.perm, protogen_spec::Perm::Read);
+        assert!(o.data_valid);
     }
 
     #[test]

@@ -415,7 +415,11 @@ mod tests {
             protocol: "t".into(),
             machine: protogen_spec::MachineKind::Cache,
             messages: vec![
-                MsgDecl::new("Data", MsgClass::Response).with_data().with_ack_count(),
+                MsgDecl {
+                    carries_data: true,
+                    carries_ack_count: true,
+                    ..MsgDecl::new("Data", MsgClass::Response)
+                },
                 MsgDecl::new("Inv_Ack", MsgClass::Response),
             ],
             states: vec![

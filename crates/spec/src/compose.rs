@@ -129,70 +129,3 @@ pub fn validate_interface(ssp: &Ssp) -> Result<(), String> {
     }
     Ok(())
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{MsgClass, SspBuilder};
-
-    fn toy() -> Ssp {
-        let mut b = SspBuilder::new("toy");
-        let get = b.message("Get", MsgClass::Request);
-        let data = b.data_message("Data", MsgClass::Response);
-        let i = b.cache_state("I", Perm::None);
-        let v = b.cache_state("V", Perm::Read);
-        let di = b.dir_state("I");
-        let dv = b.dir_state("V");
-        b.cache_hit(v, Access::Load);
-        let req = b.send_req(get);
-        let chain = b.await_data(data, v);
-        b.cache_issue(i, Access::Load, req, chain);
-        let send = b.send_data_to_req(data);
-        b.dir_react(di, get, vec![send], Some(dv));
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn node_counts_multiply_fanouts() {
-        let c = Composition {
-            name: "t".into(),
-            levels: vec![
-                LevelSpec { label: "l1".into(), ssp: toy(), fanout: 2 },
-                LevelSpec { label: "l2".into(), ssp: toy(), fanout: 3 },
-            ],
-        };
-        assert_eq!(c.node_count(0), 6);
-        assert_eq!(c.node_count(1), 3);
-        assert_eq!(c.depth(), 2);
-    }
-
-    #[test]
-    fn toy_protocol_fails_interface_validation() {
-        // The toy protocol has no read-write state and no store handling:
-        // fine as a one-level composition, rejected as a stacked level.
-        let flat = Composition {
-            name: "flat".into(),
-            levels: vec![LevelSpec { label: "l1".into(), ssp: toy(), fanout: 2 }],
-        };
-        flat.validate().unwrap();
-        let stacked = Composition {
-            name: "stack".into(),
-            levels: vec![
-                LevelSpec { label: "l1".into(), ssp: toy(), fanout: 2 },
-                LevelSpec { label: "l2".into(), ssp: toy(), fanout: 2 },
-            ],
-        };
-        assert!(stacked.validate().is_err());
-    }
-
-    #[test]
-    fn fanout_bounds_are_enforced() {
-        let mut c = Composition {
-            name: "t".into(),
-            levels: vec![LevelSpec { label: "l1".into(), ssp: toy(), fanout: 9 }],
-        };
-        assert!(c.validate().is_err());
-        c.levels[0].fanout = 0;
-        assert!(c.validate().is_err());
-    }
-}

@@ -347,7 +347,10 @@ mod tests {
         Fsm {
             protocol: "toy".into(),
             machine: MachineKind::Cache,
-            messages: vec![MsgDecl::new("Data", crate::MsgClass::Response).with_data()],
+            messages: vec![MsgDecl {
+                carries_data: true,
+                ..MsgDecl::new("Data", crate::MsgClass::Response)
+            }],
             states: vec![
                 FsmState {
                     name: "I".into(),

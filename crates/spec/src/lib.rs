@@ -16,36 +16,44 @@
 //!
 //! # Example
 //!
-//! Build a two-state toy SSP programmatically and validate it:
+//! A protocol is written in the DSL (`protogen-dsl`, §IV-A of the paper)
+//! and lowered to this IR; the rest of the workspace reads [`Ssp`]'s
+//! fields:
 //!
 //! ```
-//! use protogen_spec::{SspBuilder, MsgClass, Perm, Access};
+//! use protogen_spec::{Perm, Trigger, Access, Effect};
 //!
-//! # fn main() -> Result<(), protogen_spec::SpecError> {
-//! let mut b = SspBuilder::new("toy");
-//! let get = b.message("Get", MsgClass::Request);
-//! let data = b.data_message("Data", MsgClass::Response);
-//! let i = b.cache_state("I", Perm::None);
-//! let v = b.cache_state("V", Perm::Read);
-//! let di = b.dir_state("I");
-//! let dv = b.dir_state("V");
-//! b.cache_hit(v, Access::Load);
-//! let req = b.send_req(get);
-//! let chain = b.await_data(data, v);
-//! b.cache_issue(i, Access::Load, req, chain);
-//! let send = b.send_data_to_req(data);
-//! b.dir_react(di, get, vec![send], Some(dv));
-//! let ssp = b.build()?;
+//! let ssp = protogen_dsl::parse_protocol(r#"
+//!     protocol toy;
+//!     message Get : request;
+//!     message Data : response { data };
+//!     cache { state I; state V read; }
+//!     directory { state I; state V; }
+//!     architecture cache {
+//!         process(V, load) { perform; }
+//!         process(I, load) {
+//!             reset_acks;
+//!             send Get to dir;
+//!             await D { when Data: copy_data; perform; -> V; }
+//!         }
+//!     }
+//!     architecture directory {
+//!         process(I, Get) { send Data(data) to req; -> V; }
+//!     }
+//! "#).unwrap();
 //! assert_eq!(ssp.cache.states.len(), 2);
-//! # Ok(())
-//! # }
+//! let i = ssp.cache.state_by_name("I").unwrap();
+//! assert_eq!(ssp.cache.state(i).perm, Perm::None);
+//! // The load miss is a transaction with one await point, `D`.
+//! let miss = &ssp.cache.entries_for(i, Trigger::Access(Access::Load))[0];
+//! assert!(matches!(&miss.effect, Effect::Issue { chain, .. } if chain.nodes[0].tag == "D"));
+//! assert!(ssp.msg(ssp.msg_by_name("Data").unwrap()).carries_data);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod action;
-mod builder;
 mod compose;
 mod error;
 mod fsm;
@@ -56,7 +64,6 @@ mod ssp;
 mod validate;
 
 pub use action::{AckSrc, Action, DataSrc, Dst, ReqField, SendSpec};
-pub use builder::SspBuilder;
 pub use compose::{validate_interface, Composition, LevelSpec, MAX_FANOUT};
 pub use error::SpecError;
 pub use fsm::{

@@ -99,18 +99,6 @@ impl MsgDecl {
         };
         MsgDecl { name: name.into(), class, vnet, carries_data: false, carries_ack_count: false }
     }
-
-    /// Marks the message as carrying block data.
-    pub fn with_data(mut self) -> Self {
-        self.carries_data = true;
-        self
-    }
-
-    /// Marks the message as carrying an acknowledgment count.
-    pub fn with_ack_count(mut self) -> Self {
-        self.carries_ack_count = true;
-        self
-    }
 }
 
 impl fmt::Display for MsgDecl {
@@ -128,12 +116,6 @@ mod tests {
         assert_eq!(MsgDecl::new("GetS", MsgClass::Request).vnet, VirtualNet::Request);
         assert_eq!(MsgDecl::new("Inv", MsgClass::Forward).vnet, VirtualNet::Forward);
         assert_eq!(MsgDecl::new("Data", MsgClass::Response).vnet, VirtualNet::Response);
-    }
-
-    #[test]
-    fn payload_builders() {
-        let d = MsgDecl::new("Data", MsgClass::Response).with_data().with_ack_count();
-        assert!(d.carries_data && d.carries_ack_count);
     }
 
     #[test]

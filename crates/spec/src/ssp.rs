@@ -101,7 +101,9 @@ pub struct StableDecl {
     pub name: String,
     /// Access permission the state grants (meaningful for caches only).
     pub perm: Perm,
-    /// Whether a block in this state holds a valid data copy.
+    /// Whether a block in this state holds a valid data copy (meaningful
+    /// for caches only: the directory generator treats every directory
+    /// state as holding the block).
     pub data_valid: bool,
 }
 

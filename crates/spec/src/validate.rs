@@ -229,81 +229,3 @@ fn validate_actions(ssp: &Ssp, m: &MachineSsp, actions: &[Action]) -> Result<(),
     }
     Ok(())
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::builder::SspBuilder;
-    use crate::ssp::{Access, Perm, SspEntry};
-    use crate::{MsgClass, StableId};
-
-    fn toy() -> SspBuilder {
-        let mut b = SspBuilder::new("toy");
-        let get = b.message("Get", MsgClass::Request);
-        let data = b.data_message("Data", MsgClass::Response);
-        let i = b.cache_state("I", Perm::None);
-        let v = b.cache_state("V", Perm::Read);
-        let di = b.dir_state("I");
-        let dv = b.dir_state("V");
-        b.cache_hit(v, Access::Load);
-        let req = b.send_req(get);
-        let chain = b.await_data(data, v);
-        b.cache_issue(i, Access::Load, req, chain);
-        let send = b.send_data_to_req(data);
-        b.dir_react(di, get, vec![send], Some(dv));
-        b
-    }
-
-    #[test]
-    fn valid_toy_passes() {
-        toy().build().expect("toy protocol should validate");
-    }
-
-    #[test]
-    fn duplicate_message_name_rejected() {
-        let mut b = toy();
-        b.message("Get", MsgClass::Request);
-        assert!(matches!(b.build(), Err(SpecError::DuplicateName(_))));
-    }
-
-    #[test]
-    fn directory_access_trigger_rejected() {
-        let mut ssp = toy().build().unwrap();
-        ssp.directory.entries.push(SspEntry {
-            state: StableId(0),
-            trigger: Trigger::Access(Access::Load),
-            guards: vec![],
-            effect: Effect::Local { actions: vec![], next: None },
-            note: EntryNote::Demand,
-        });
-        let err = ssp.validate().unwrap_err();
-        assert!(err.to_string().contains("accesses"));
-    }
-
-    #[test]
-    fn readable_state_without_data_rejected() {
-        // Fuzz regression (seed 1, mutant 4: `flip-permission 0` on MSI):
-        // granting I read permission while it holds no data used to
-        // survive validation and generate controllers whose IS_D hit arcs
-        // failed at run time with "load on invalid data". The
-        // contradiction must be rejected at build, naming the state.
-        let mut ssp = toy().build().unwrap();
-        ssp.cache.states[0].perm = Perm::Read; // I: perm R, data_valid false
-        let err = ssp.validate().unwrap_err();
-        assert!(err.to_string().contains("`I`"), "{err}");
-        assert!(err.to_string().contains("no valid data"), "{err}");
-    }
-
-    #[test]
-    fn out_of_range_state_rejected() {
-        let mut ssp = toy().build().unwrap();
-        ssp.cache.entries.push(SspEntry {
-            state: StableId(99),
-            trigger: Trigger::Access(Access::Load),
-            guards: vec![],
-            effect: Effect::Local { actions: vec![], next: None },
-            note: EntryNote::Demand,
-        });
-        assert!(ssp.validate().is_err());
-    }
-}
