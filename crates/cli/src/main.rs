@@ -823,6 +823,7 @@ fn verify_json(name: &str, r: &CheckResult, properties: PropertySet) -> Json {
                 ("slot_bytes", Json::U64(split.slots as u64)),
                 ("record_bytes", Json::U64(split.records as u64)),
                 ("peak_mem_bytes", Json::U64(r.peak_mem_bytes as u64)),
+                ("peak_mem_depth", Json::U64(u64::from(r.peak_mem_depth))),
                 ("frontier_bytes", Json::U64(r.frontier_bytes as u64)),
                 ("hot_level_bytes", Json::U64(r.hot_level_bytes as u64)),
                 ("frontier_spill_bytes", Json::U64(r.frontier_spill_bytes)),

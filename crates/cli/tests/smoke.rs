@@ -250,11 +250,12 @@ fn verify_json_is_one_document_matching_the_text_line() {
         assert_eq!(trace_lines > 1, doc.contains("\"trace\""), "{args:?}");
         assert!(field(&doc, "store_bytes") > 0 && field(&doc, "lookups") > 0, "{doc}");
         // The peak epoch's accounted RAM splits into the visited set, the
-        // frontier arenas, the side column of parent-race keys and the
-        // candidate batches.
+        // frontier's pages, the side column of parent-race keys and the
+        // candidate batches; the epoch is named by the depth it expanded.
         let (frontier, hot) = (field(&doc, "frontier_bytes"), field(&doc, "hot_level_bytes"));
         assert!(frontier > 0 && hot > 0, "{doc}");
         assert!(frontier + hot < field(&doc, "peak_mem_bytes"), "{doc}");
+        assert!(field(&doc, "peak_mem_depth") <= field(&doc, "states"), "{doc}");
     }
 }
 

@@ -28,6 +28,7 @@ mod parser;
 pub use lower::{lower, LowerError};
 pub use parser::{parse, ParseError};
 
+use protogen_spec::SpecError;
 use std::error::Error;
 use std::fmt;
 
@@ -64,6 +65,8 @@ pub enum DslError {
     Parse(ParseError),
     /// Semantic error during lowering.
     Lower(LowerError),
+    /// The lowered SSP failed [`protogen_spec::Ssp::validate`].
+    Spec(SpecError),
 }
 
 impl fmt::Display for DslError {
@@ -71,7 +74,14 @@ impl fmt::Display for DslError {
         match self {
             DslError::Parse(e) => write!(f, "{e}"),
             DslError::Lower(e) => write!(f, "{e}"),
+            DslError::Spec(e) => write!(f, "lowering error: {e}"),
         }
+    }
+}
+
+impl From<LowerError> for DslError {
+    fn from(e: LowerError) -> Self {
+        DslError::Lower(e)
     }
 }
 
@@ -85,7 +95,7 @@ impl Error for DslError {}
 /// problem.
 pub fn parse_protocol(src: &str) -> Result<protogen_spec::Ssp, DslError> {
     let ast = parser::parse(src).map_err(DslError::Parse)?;
-    lower::lower(&ast).map_err(DslError::Lower)
+    lower::lower(&ast)
 }
 
 #[cfg(test)]
@@ -155,6 +165,35 @@ mod tests {
         assert_eq!(ast.compose[1].fanout, Some(2));
         assert!(parse(MSI_PGEN).unwrap().compose.is_empty());
         assert!(parse_protocol(src).is_err());
+    }
+
+    /// The validator's typed error reaches the caller: a message declared
+    /// twice is a `SpecError::DuplicateName`, printed as before.
+    #[test]
+    fn a_message_declared_twice_is_a_typed_spec_error() {
+        let src = "protocol twice;
+            network ordered;
+            message Get : request;
+            message Get : request;
+            message Data : response { data };
+            cache { state I; state V read; }
+            directory { state I; state V; }
+            architecture cache {
+                process(V, load) { perform; }
+                process(I, load) {
+                    send Get to dir;
+                    await D { when Data: copy_data; perform; -> V; }
+                }
+            }
+            architecture directory {
+                process(I, Get) { send Data(data) to req; -> V; }
+            }";
+        let err = parse_protocol(src).unwrap_err();
+        assert!(
+            matches!(&err, DslError::Spec(SpecError::DuplicateName(n)) if n == "Get"),
+            "{err:?}"
+        );
+        assert_eq!(err.to_string(), "lowering error: duplicate name `Get`");
     }
 
     /// A `data` suffix overrides the permission's default: MOSI's O is

@@ -1,6 +1,7 @@
 //! Lowering: AST → `protogen_spec::Ssp`.
 
 use crate::ast::*;
+use crate::DslError;
 use protogen_spec::{
     Access, AckSrc, Action, DataSrc, Dst, Effect, EntryNote, Guard, MachineKind, MachineSsp,
     MemoryModel, MsgClass, MsgDecl, MsgId, Perm, ReqField, SendSpec, SspEntry, StableDecl, Trigger,
@@ -23,9 +24,17 @@ impl std::error::Error for LowerError {}
 ///
 /// # Errors
 ///
-/// Returns a [`LowerError`] for unknown names, malformed send arguments,
-/// or a specification the IR validator rejects.
-pub fn lower(spec: &Spec) -> Result<protogen_spec::Ssp, LowerError> {
+/// Returns [`DslError::Lower`] for unknown names or malformed send
+/// arguments, and [`DslError::Spec`] with the validator's own error for a
+/// specification the IR rejects.
+pub fn lower(spec: &Spec) -> Result<protogen_spec::Ssp, DslError> {
+    let ssp = lower_unchecked(spec)?;
+    ssp.validate().map_err(DslError::Spec)?;
+    Ok(ssp)
+}
+
+/// [`lower`] without the validator.
+fn lower_unchecked(spec: &Spec) -> Result<protogen_spec::Ssp, LowerError> {
     if !spec.compose.is_empty() {
         return Err(LowerError(
             "composition specs do not lower to a single SSP; resolve the `compose` levels \
@@ -97,7 +106,6 @@ pub fn lower(spec: &Spec) -> Result<protogen_spec::Ssp, LowerError> {
     let dir_entries = lower_procs(&ssp, MachineKind::Directory, &spec.dir_procs)?;
     ssp.directory.entries = dir_entries;
 
-    ssp.validate().map_err(|e| LowerError(e.to_string()))?;
     Ok(ssp)
 }
 

@@ -4,14 +4,14 @@
 //! point in an epoch where it is both minimal and final: the top of the
 //! epoch, immediately after the frontier swap. There, every visited
 //! record is frozen (same-level parent races only ever touch records of
-//! the epoch that just closed), the next-frontier arena is empty, all
-//! batch queues are drained, and the current frontier is read-only for
-//! the rest of the run — so a shard's state is exactly its fingerprint
-//! map, its records (each written with its derived depth), and one
-//! encoding arena. (The side column of parent-race keys is empty there:
-//! the level it served was frozen when the next one opened.) Those are
-//! written verbatim (delta-compressed arenas stay delta-compressed — the
-//! §9 codec is reused as the on-disk format), each shard to its own
+//! the epoch that just closed), the next frontier level is empty, all
+//! batch queues are drained, and the current level is not yet read — so a
+//! shard's state is exactly its fingerprint map, its records (each written
+//! with its derived depth), and one level of frontier records. (The side
+//! column of parent-race keys is empty there: the level it served was
+//! frozen when the next one opened.) Those are written verbatim (the
+//! frontier's records, delta-compressed or not, are the on-disk format
+//! — the §9 codec reused), each shard to its own
 //! checksummed file, with a versioned manifest committed last via rename.
 //! A process killed at any instant — including `kill -9` mid-write —
 //! therefore leaves either a complete committed checkpoint or none: shard
@@ -29,7 +29,7 @@
 //!
 //! DESIGN.md §13 carries the consistency argument in full.
 
-use crate::explore::{FrontEntry, FrontierBuf};
+use crate::explore::{put_record, Frontier, Record};
 use crate::flat::McConfig;
 use crate::frontier::Coordinator;
 use crate::store::{fingerprint_bytes, Gid, ShardStore, StateRec, MAX_SHARDS};
@@ -44,14 +44,18 @@ const MANIFEST_MAGIC: u32 = 0x464D_4750;
 /// The layout this build writes. Bump on any layout change: resume refuses
 /// versions it does not know outright rather than misreading them.
 ///
-/// Version 2 writes a record as its parent's id and depth (8 bytes) and a
-/// frontier entry without its fingerprint (17 bytes). Version 1 also wrote
-/// each record's parent fingerprint and step and each entry's fingerprint;
-/// the loader still reads it, dropping the first two (the explorer keeps
-/// them only for the level being inserted, and a checkpoint is taken
-/// between levels) and checking each entry's fingerprint against the
-/// column.
-const VERSION: u32 = 2;
+/// Version 3 writes the frontier level as the explorer holds it: a count
+/// and a byte length, then its records back to back (see
+/// [`crate::explore::put_record`]). Versions 1 and 2 wrote an index (a
+/// global arena offset, length, id and delta flag per entry) and the arena
+/// it pointed into; the loader still reads them, converting each entry to a
+/// record. Versions 2 and 3 write a visited record as its parent's id and
+/// depth (8 bytes). Version 1 also wrote each record's parent fingerprint
+/// and step and each entry's fingerprint: the loader drops the first two
+/// (the explorer keeps them only for the level being inserted, and a
+/// checkpoint is taken between levels) and checks each entry's fingerprint
+/// against the column.
+const VERSION: u32 = 3;
 
 /// Why a checkpoint could not be loaded. Always a hard, descriptive
 /// error: a checkpoint that fails validation must never be silently
@@ -76,12 +80,12 @@ impl std::error::Error for CheckpointError {}
 
 /// One shard's restored state: the visited store (every record hot, no
 /// spill tier — a resumed run re-freezes under its own memory budget
-/// exactly as a fresh one would), and the frontier index + arena for the
-/// epoch about to run.
+/// exactly as a fresh one would), and the frontier records of the level
+/// about to be expanded, back to back, and their count.
 pub(crate) struct ShardSnapshot {
     pub store: ShardStore,
-    pub entries: Vec<FrontEntry>,
-    pub arena: Vec<u8>,
+    pub records: Vec<u8>,
+    pub count: usize,
 }
 
 /// A committed checkpoint, loaded and validated, ready to seed workers.
@@ -190,23 +194,23 @@ fn shard_path(dir: &Path, depth: u32, shard: usize) -> PathBuf {
     ck_dir(dir, depth).join(format!("shard-{shard}.bin"))
 }
 
-/// Serializes one shard (visited store + current frontier) and writes it
-/// under the (not-yet-committed) checkpoint directory for `depth`. Each
-/// record carries its derived depth, frozen ones read back through the
-/// spill tier.
+/// Serializes one shard (visited store + the frontier's current level) and
+/// writes it under the (not-yet-committed) checkpoint directory for
+/// `depth`. Each visited record carries its derived depth, frozen ones
+/// read back through the spill tier, and so do spilled frontier pages.
 pub(crate) fn write_shard(
     dir: &Path,
     depth: u32,
     shard: usize,
     store: &ShardStore,
-    cur: &FrontierBuf,
+    frontier: &Frontier,
     keeps_recs: bool,
 ) -> io::Result<()> {
     std::fs::create_dir_all(ck_dir(dir, depth))?;
     let n = store.len();
-    let arena_len = cur.global_len();
+    let (records, records_len) = frontier.cur_size();
 
-    let mut out = Vec::with_capacity(64 + n * 16 + cur.index.len() * 17 + arena_len);
+    let mut out = Vec::with_capacity(64 + n * 16 + records_len);
     put_u32(&mut out, SHARD_MAGIC);
     put_u32(&mut out, VERSION);
     put_u32(&mut out, shard as u32);
@@ -222,15 +226,9 @@ pub(crate) fn write_shard(
             put_u32(&mut out, store.depth(lid));
         }
     }
-    put_u64(&mut out, cur.index.len() as u64);
-    for e in &cur.index {
-        put_u64(&mut out, e.off as u64);
-        put_u32(&mut out, e.len());
-        put_u32(&mut out, e.lid);
-        out.push(e.delta() as u8);
-    }
-    put_u64(&mut out, arena_len as u64);
-    cur.append_global_to(&mut out)?;
+    put_u64(&mut out, records as u64);
+    put_u64(&mut out, records_len as u64);
+    frontier.append_cur_to(&mut out)?;
     let sum = fingerprint_bytes(&out);
     put_u64(&mut out, sum);
     std::fs::write(shard_path(dir, depth, shard), &out)
@@ -487,16 +485,34 @@ fn load_shard(
         }
     }
     store.open_levels_through(depth);
+    let (records, count) = if version == VERSION {
+        let count = r.len(5)?;
+        let len = r.len(1)?;
+        (r.take(len)?.to_vec(), count)
+    } else {
+        convert_index(&mut r, v1, &store, &what)?
+    };
+    check_records(&records, count, n, &what)?;
+    Ok(ShardSnapshot { store, records, count })
+}
+
+/// Reads a version-1 or -2 frontier — an index of `(global offset, length,
+/// id, delta flag)` entries, plus each entry's fingerprint in version 1,
+/// then the arena the offsets point into — and converts it to the record
+/// stream version 3 writes. Returns the stream and its record count.
+fn convert_index(
+    r: &mut Reader<'_>,
+    v1: bool,
+    store: &ShardStore,
+    what: &str,
+) -> Result<(Vec<u8>, usize), CheckpointError> {
     let n_entries = r.len(if v1 { 25 } else { 17 })?;
     let mut entries = Vec::with_capacity(n_entries);
     for i in 0..n_entries {
-        let off = r.u64()? as usize;
-        let len = r.u32()?;
-        let lid = r.u32()?;
-        let delta = r.u8()? != 0;
+        let (off, len, lid, delta) = (r.u64()?, r.u32()?, r.u32()?, r.u8()? != 0);
         if v1 {
             let fp = r.u64()?;
-            if (lid as usize) < n && store.map.fp(lid) != fp {
+            if (lid as usize) < store.len() && store.map.fp(lid) != fp {
                 return Err(CheckpointError::new(format!(
                     "{what} is corrupt: frontier entry {i} carries fingerprint {fp:#018x}, but \
                      state {lid}'s is {:#018x}",
@@ -504,28 +520,26 @@ fn load_shard(
                 )));
             }
         }
-        if len >= FrontEntry::DELTA {
-            return Err(CheckpointError::new(format!(
-                "{what} is corrupt: frontier entry {i} is {len} bytes long"
-            )));
-        }
-        entries.push(FrontEntry::new(off, len, lid, delta));
+        entries.push((off, len as usize, lid, delta));
     }
     let arena_len = r.len(1)?;
-    let arena = r.take(arena_len)?.to_vec();
-    // Structural cross-checks: entry offsets must tile the arena, lids
-    // must be in range. Cheap, and they turn "checksum passed but the
-    // writer had a bug" into an error instead of a wrong resume.
+    let arena = r.take(arena_len)?;
+    // Entry offsets must tile the arena: cheap, and it turns "checksum
+    // passed but the writer had a bug" into an error instead of a wrong
+    // resume.
+    let mut records = Vec::with_capacity(arena.len() + 8 * entries.len());
     let mut expect_off = 0usize;
-    for e in &entries {
-        if e.off != expect_off || e.lid as usize >= n {
+    for &(off, len, lid, delta) in &entries {
+        let body = arena.get(expect_off..expect_off.saturating_add(len));
+        let Some(body) = body.filter(|_| off == expect_off as u64) else {
             return Err(CheckpointError::new(format!(
-                "{what} frontier index is inconsistent (entry at offset {}, expected {}, \
-                 lid {} of {} states)",
-                e.off, expect_off, e.lid, n
+                "{what} frontier index is inconsistent (entry at offset {off}, expected \
+                 {expect_off}, {len} bytes of an arena of {})",
+                arena.len()
             )));
-        }
-        expect_off += e.len() as usize;
+        };
+        put_record(&mut records, lid, delta, body);
+        expect_off += len;
     }
     if expect_off != arena.len() {
         return Err(CheckpointError::new(format!(
@@ -533,7 +547,36 @@ fn load_shard(
             arena.len()
         )));
     }
-    Ok(ShardSnapshot { store, entries, arena })
+    Ok((records, entries.len()))
+}
+
+/// Checks a frontier record stream before a worker reads it: `count` whole
+/// records, each naming one of the shard's `n` states, the first a full
+/// encoding (a delta needs a previous record).
+fn check_records(
+    records: &[u8],
+    count: usize,
+    n: usize,
+    what: &str,
+) -> Result<(), CheckpointError> {
+    let corrupt = |m: String| CheckpointError::new(format!("{what} is corrupt: {m}"));
+    let (mut at, mut seen) = (0usize, 0usize);
+    while at < records.len() {
+        let (rec, len) = Record::parse(&records[at..])
+            .ok_or_else(|| corrupt(format!("frontier record {seen} is cut short")))?;
+        if rec.lid as usize >= n {
+            return Err(corrupt(format!("frontier record {seen} names state {} of {n}", rec.lid)));
+        }
+        if seen == 0 && rec.delta {
+            return Err(corrupt("frontier record 0 is a delta with no base".into()));
+        }
+        at += len;
+        seen += 1;
+    }
+    if seen != count {
+        return Err(corrupt(format!("the frontier holds {seen} records, its header says {count}")));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -565,12 +608,9 @@ mod tests {
     /// A checkpoint depth no `build` record exceeds (at most 200 states).
     const TOP: u32 = 30;
 
-    /// Builds a (store, frontier) pair from proptest-chosen shapes.
-    fn build(
-        fps: &[u64],
-        entry_lens: &[u16],
-        keeps_recs: bool,
-    ) -> (ShardStore, FrontierBuf, Vec<u8>) {
+    /// Builds a (store, frontier) pair from proptest-chosen shapes, and the
+    /// frontier's record stream.
+    fn build(fps: &[u64], entry_lens: &[u32], keeps_recs: bool) -> (ShardStore, Frontier, Vec<u8>) {
         let mut store = ShardStore::new();
         for (lid, &fp) in fps.iter().enumerate() {
             store.map.push(fp);
@@ -578,26 +618,22 @@ mod tests {
                 store.push_rec_at(rec(lid as u64), depth_of(lid)).unwrap();
             }
         }
-        let mut cur = FrontierBuf::default();
-        let mut arena = Vec::new();
-        let mut off = 0usize;
+        let mut records = Vec::new();
         for (i, &len) in entry_lens.iter().enumerate() {
-            let len = len as usize;
+            let body: Vec<u8> =
+                (0..len).map(|k| (k as u8).wrapping_mul(31).wrapping_add(i as u8)).collect();
             let lid = (i % fps.len().max(1)) as u32;
-            for k in 0..len {
-                arena.push((k as u8).wrapping_mul(31).wrapping_add(i as u8));
-            }
-            cur.index.push(FrontEntry::new(off, len as u32, lid, i % 3 == 0 && i > 0));
-            off += len;
+            put_record(&mut records, lid, i % 3 == 0 && i > 0, &body);
         }
-        cur.bytes = arena.clone();
-        (store, cur, arena)
+        let mut frontier = Frontier::default();
+        frontier.restore(records.clone(), entry_lens.len());
+        (store, frontier, records)
     }
 
     /// Round-trip one shard through write_shard + load_shard directly
     /// (the manifest path is exercised by the explorer integration
     /// tests).
-    fn roundtrip(fps: Vec<u64>, entry_lens: Vec<u16>, keeps_recs: bool) {
+    fn roundtrip(fps: Vec<u64>, entry_lens: Vec<u32>, keeps_recs: bool) {
         // Deduplicate fingerprints: the map inverts them by lid.
         let mut fps = fps;
         fps.sort_unstable();
@@ -605,7 +641,7 @@ mod tests {
         if fps.is_empty() {
             fps.push(7);
         }
-        let (store, cur, arena) = build(&fps, &entry_lens, keeps_recs);
+        let (store, cur, records) = build(&fps, &entry_lens, keeps_recs);
         let dir = tmpdir("roundtrip");
         write_shard(&dir, TOP, 0, &store, &cur, keeps_recs).unwrap();
         let path = shard_path(&dir, TOP, 0);
@@ -613,11 +649,8 @@ mod tests {
         let sum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
         let snap = load_shard(&dir, TOP, 0, 1, bytes.len() as u64, sum, keeps_recs).unwrap();
         assert_eq!(snap.store.map.by_lid().collect::<Vec<_>>(), fps);
-        assert_eq!(snap.arena, arena);
-        assert_eq!(snap.entries.len(), cur.index.len());
-        for (&a, &b) in snap.entries.iter().zip(cur.index.iter()) {
-            assert_eq!((a.off, a.len(), a.lid, a.delta()), (b.off, b.len(), b.lid, b.delta()));
-        }
+        assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), VERSION);
+        assert_eq!((&snap.records, snap.count), (&records, entry_lens.len()));
         if keeps_recs {
             assert_eq!(snap.store.rec_count(), store.len());
             for lid in 0..store.len() {
@@ -636,13 +669,18 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The snapshot codec is an exact round-trip for arbitrary store
-        /// and frontier shapes, with and without parent records
+        /// The version-3 snapshot codec is an exact round-trip for arbitrary
+        /// store and frontier shapes (records of up to 66,990 bytes, so some
+        /// get pages of their own), with and without parent records
         /// (mirroring the delta codec's `delta_prop.rs` discipline).
         #[test]
         fn shard_snapshot_round_trips(
             fps in proptest::collection::vec(any::<u64>(), 1..200),
-            lens in proptest::collection::vec(0u16..300, 0..60),
+            lens in proptest::collection::vec(
+                (0u32..300, 0u8..8)
+                    .prop_map(|(len, pick)| if pick == 0 { 64_000 + 10 * len } else { len }),
+                0..60,
+            ),
             keeps in any::<bool>(),
         ) {
             roundtrip(fps, lens, keeps);
@@ -734,6 +772,61 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A version-2 shard — an index of entries and the arena it points into
+    /// — loads as the record stream version 3 writes, and an index that
+    /// does not tile its arena is refused.
+    #[test]
+    fn version_2_shards_convert_to_records() {
+        let fps = [3u64, 5, 9];
+        let bodies: [&[u8]; 4] = [b"abcdef", b"", b"xy", b"0123456789"];
+        let v2 = |offs: [u64; 4]| {
+            let mut out = Vec::new();
+            for v in [SHARD_MAGIC, 2, 0, 1] {
+                put_u32(&mut out, v);
+            }
+            put_u64(&mut out, fps.len() as u64);
+            for fp in fps {
+                put_u64(&mut out, fp);
+            }
+            out.push(1);
+            for lid in 0..fps.len() as u32 {
+                put_u32(&mut out, Gid::pack(0, lid as usize).raw());
+                put_u32(&mut out, lid.min(1));
+            }
+            put_u64(&mut out, bodies.len() as u64);
+            for (i, body) in bodies.iter().enumerate() {
+                put_u64(&mut out, offs[i]);
+                put_u32(&mut out, body.len() as u32);
+                put_u32(&mut out, i as u32 % 3);
+                out.push(u8::from(i == 2));
+            }
+            put_u64(&mut out, bodies.iter().map(|b| b.len() as u64).sum());
+            for body in bodies {
+                out.extend_from_slice(body);
+            }
+            let sum = fingerprint_bytes(&out);
+            put_u64(&mut out, sum);
+            out
+        };
+        let dir = tmpdir("v2");
+        std::fs::create_dir_all(ck_dir(&dir, 1)).unwrap();
+        let load = |bytes: &[u8]| {
+            std::fs::write(shard_path(&dir, 1, 0), bytes).unwrap();
+            let sum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
+            load_shard(&dir, 1, 0, 1, bytes.len() as u64, sum, true)
+        };
+        let snap = load(&v2([0, 6, 6, 8])).unwrap();
+        let mut want = Vec::new();
+        for (i, body) in bodies.iter().enumerate() {
+            put_record(&mut want, i as u32 % 3, i == 2, body);
+        }
+        assert_eq!((&snap.records, snap.count), (&want, bodies.len()));
+        assert_eq!(snap.store.len(), 3);
+        let err = load(&v2([0, 6, 7, 8])).err().expect("a gap in the arena must not load");
+        assert!(err.to_string().contains("frontier index is inconsistent"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A version-1 shard file (the committed MSI @3 fixture) loads with its
     /// records' parent fingerprints and steps dropped, and an entry whose
     /// fingerprint is not its state's in the column is refused.
@@ -751,7 +844,7 @@ mod tests {
         };
         let snap = load(&good).unwrap();
         let n = snap.store.len();
-        assert!(n > 0 && !snap.entries.is_empty() && snap.store.rec_count() == n);
+        assert!(n > 0 && !snap.records.is_empty() && snap.store.rec_count() == n);
         // Entry 0's fingerprint: past the header, the column, the flag, the
         // 20-byte records and the entry count, 17 bytes into the entry.
         let at = 24 + 8 * n + 1 + 20 * n + 8 + 17;

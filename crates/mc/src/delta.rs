@@ -1,10 +1,10 @@
 //! Per-machine delta compression for canonical state encodings.
 //!
 //! A successor state differs from its parent in one machine and a couple
-//! of channel queues, and consecutive frontier-arena entries (BFS
-//! siblings) share most of their bytes too — so storing every frontier
-//! state as a full [`crate::SysState::encode`] string wastes most of the
-//! arena on repetition. This module exploits the encoding's *sectioned*
+//! of channel queues, and consecutive frontier entries (BFS siblings)
+//! share most of their bytes too — so storing every frontier state as a
+//! full [`crate::SysState::encode`] string wastes most of the frontier on
+//! repetition. This module exploits the encoding's *sectioned*
 //! structure instead of running a generic byte matcher: a flat encoding for
 //! `n` caches is, in order, `n` cache-block sections, one directory
 //! section, `(n+1)²` channel-queue sections, and the one-byte ghost
@@ -132,7 +132,7 @@ impl SectionMap {
     ///
     /// Panics (via slice bounds) when `delta` was not produced against
     /// `base` under this layout — deltas only ever travel inside the
-    /// checker's frontier arenas, so a mismatch is a checker bug, not an
+    /// checker's frontier records, so a mismatch is a checker bug, not an
     /// input condition.
     pub fn apply_delta(&self, base: &[u8], delta: &[u8], out: &mut Vec<u8>) {
         let mask_len = self.section_count().div_ceil(8);

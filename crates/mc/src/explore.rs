@@ -30,6 +30,7 @@ use crate::frontier::{CandBatch, CandMeta, Coordinator, Decision, Inbox, Outboxe
 use crate::store::{Gid, ShardStore, StateRec, StoreBytes, StoreCounters, MAX_SHARDS, STEP_NONE};
 use protogen_core::par;
 use protogen_runtime::{Coverage, PairSet};
+use std::collections::VecDeque;
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::Ordering::Relaxed;
@@ -189,12 +190,12 @@ pub fn reference_bfs<S: TransitionSystem>(sys: &S, limit: usize) -> (Vec<Vec<u8>
 /// tentpole: trade reconstruction capability for RAM).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoreMode {
-    /// Full canonical encodings in the frontier arenas (the fastest mode
-    /// and the default).
+    /// Full canonical encodings in the frontier (the fastest mode and the
+    /// default).
     #[default]
     Full,
-    /// Frontier encodings are delta-compressed against the previous arena
-    /// entry (BFS siblings share most bytes — see [`crate::encode_delta`]),
+    /// Frontier encodings are delta-compressed against the previous
+    /// frontier entry (BFS siblings share most bytes — see [`crate::encode_delta`]),
     /// typically 4–8× smaller. Everything else, including counterexample
     /// traces, works as in [`StoreMode::Full`].
     Delta,
@@ -208,7 +209,7 @@ pub enum StoreMode {
 }
 
 impl StoreMode {
-    /// Whether frontier arenas hold delta-compressed encodings.
+    /// Whether frontier records hold delta-compressed encodings.
     pub(crate) fn delta_frontier(self) -> bool {
         !matches!(self, StoreMode::Full)
     }
@@ -368,12 +369,16 @@ pub struct CheckResult {
     /// counts).
     pub store_counters: StoreCounters,
     /// Peak accounted RAM across one whole epoch: visited shards *plus*
-    /// their side columns, frontier arenas, outbox/batch-pool allocations,
+    /// their side columns, frontier pages, outbox/batch-pool allocations,
     /// and queued inbox batches — the figure the old `store_bytes`
     /// understated. Sampled at epoch boundaries and summed across workers.
     pub peak_mem_bytes: usize,
-    /// The part of `peak_mem_bytes` held by both frontier arenas and their
-    /// indexes, at the epoch that set it.
+    /// The BFS depth of the level expanded in the epoch that set
+    /// `peak_mem_bytes` (0 is the root's). Repeats run to run at one
+    /// worker.
+    pub peak_mem_depth: u32,
+    /// The part of `peak_mem_bytes` held by the frontier's pages, in use
+    /// or pooled, at the epoch that set it.
     pub frontier_bytes: usize,
     /// The part of `peak_mem_bytes` held by the side columns that keep the
     /// parent-race keys of the level being inserted, at the epoch that set
@@ -386,7 +391,7 @@ pub struct CheckResult {
     pub spill_bytes: u64,
     /// Spill chunks written over the whole run, both tiers.
     pub spill_chunks: u64,
-    /// The part of `spill_bytes` written by frontier arenas.
+    /// The part of `spill_bytes` written by frontier pages.
     pub frontier_spill_bytes: u64,
     /// The part of `spill_bytes` written by frozen visited records.
     pub visited_spill_bytes: u64,
@@ -414,45 +419,6 @@ impl CheckResult {
     }
 }
 
-/// One frontier entry, 16 bytes: a canonical encoding (`off..off+len()`
-/// in the arena's *global* byte space, which spans spilled chunks plus the
-/// hot tail) plus the state's shard-local id. The state's fingerprint is
-/// not copied here: expansion reads it from the shard's column by `lid`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FrontEntry {
-    /// Global arena offset. `usize`, not `u32`: a single shard's level
-    /// arena can exceed 4 GiB at raised `--max-states` (shard capacity is
-    /// 2^27 states; ~120 B of encoding each), and a truncated offset
-    /// would silently decode a wrong-but-plausible state next epoch.
-    pub(crate) off: usize,
-    /// The entry's byte length, with [`FrontEntry::DELTA`] set when the
-    /// bytes are a delta against the previous entry's full encoding rather
-    /// than a full encoding themselves.
-    len: u32,
-    pub(crate) lid: u32,
-}
-
-impl FrontEntry {
-    /// The delta flag's bit in `len`; lengths stay below it.
-    pub(crate) const DELTA: u32 = 1 << 31;
-
-    /// An entry of `len < DELTA` bytes at `off`.
-    pub(crate) fn new(off: usize, len: u32, lid: u32, delta: bool) -> Self {
-        assert!(len < Self::DELTA, "a frontier entry of {len} bytes");
-        Self { off, len: len | if delta { Self::DELTA } else { 0 }, lid }
-    }
-
-    /// The entry's byte length.
-    pub(crate) fn len(self) -> u32 {
-        self.len & !Self::DELTA
-    }
-
-    /// Whether the bytes are a delta against the previous entry.
-    pub(crate) fn delta(self) -> bool {
-        self.len & Self::DELTA != 0
-    }
-}
-
 /// Consecutive delta entries allowed before a full-encoding restart.
 /// Entries are only ever read sequentially within an epoch, so chains
 /// could be unbounded for correctness; periodic restarts bound the cost
@@ -460,211 +426,356 @@ impl FrontEntry {
 /// (a drifted base stops compressing and falls back to full anyway).
 const DELTA_RESTART: u32 = 64;
 
-/// One BFS level of one shard: canonical encodings in one contiguous
-/// arena. Two of these per worker (current and next) are recycled for the
-/// whole run — frontier states cost ~the encoding length each, with no
-/// per-state allocation. The arena's layout is this type's alone: entries
-/// go in through [`FrontierBuf::append`] and come out through
-/// [`FrontierBuf::entry`].
-///
-/// Two orthogonal tiers stack on the seed design (DESIGN.md §9): in delta
-/// mode each appended encoding is stored as a sectioned diff against the
-/// previous entry ([`crate::encode_delta`]), and under a memory budget
-/// the hot tail is flushed to a page-aligned spill file in whole chunks,
-/// streamed back in next epoch. `off` in entries is *global* — chunk
-/// flushing never rewrites the index.
+/// Bytes in one frontier page. A record never spans pages; one longer than
+/// a page gets a page of its own, sized to it.
+const PAGE_BYTES: usize = 64 << 10;
+
+/// Free pages the pool keeps across a level boundary; the rest are freed.
+const POOL_RESERVE: usize = 4;
+
+/// Appends one frontier record to `out`: the state's shard-local id (4
+/// bytes, little-endian), the varint `len << 1 | delta`, then the `len`
+/// bytes of `body` — a full canonical encoding, or with `delta` set a
+/// sectioned diff against the previous record's full encoding. Every
+/// record is written here.
+pub(crate) fn put_record(out: &mut Vec<u8>, lid: u32, delta: bool, body: &[u8]) {
+    out.extend_from_slice(&lid.to_le_bytes());
+    let mut v = (body.len() as u64) << 1 | u64::from(delta);
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+    out.extend_from_slice(body);
+}
+
+/// The bytes [`put_record`] writes for a body of `len` bytes.
+fn record_len(len: usize) -> usize {
+    let bits = 64 - ((len as u64) << 1 | 1).leading_zeros() as usize;
+    4 + bits.div_ceil(7) + len
+}
+
+/// One frontier record, as [`put_record`] wrote it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Record<'a> {
+    /// The state's shard-local id.
+    pub(crate) lid: u32,
+    /// Whether `body` is a delta against the previous record.
+    pub(crate) delta: bool,
+    /// The encoding or the delta.
+    pub(crate) body: &'a [u8],
+}
+
+impl<'a> Record<'a> {
+    /// The record at the start of `bytes` and its length in bytes, or
+    /// `None` when `bytes` ends inside it.
+    pub(crate) fn parse(bytes: &'a [u8]) -> Option<(Record<'a>, usize)> {
+        let lid = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?);
+        let (mut v, mut shift, mut at) = (0u64, 0u32, 4usize);
+        loop {
+            let b = *bytes.get(at)?;
+            at += 1;
+            if shift >= 64 {
+                return None;
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                break;
+            }
+            shift += 7;
+        }
+        let end = at.checked_add(usize::try_from(v >> 1).ok()?)?;
+        Some((Record { lid, delta: v & 1 != 0, body: bytes.get(at..end)? }, end))
+    }
+}
+
+/// A worker's free pages. `held` counts every page the pool handed out and
+/// has not freed, in use or free, so it is the frontier's resident bytes.
 #[derive(Debug, Default)]
-pub(crate) struct FrontierBuf {
-    /// The hot tail: bytes `spilled_off..` of the global arena.
-    pub(crate) bytes: Vec<u8>,
-    pub(crate) index: Vec<FrontEntry>,
-    /// The section layout entries are delta-compressed over; `None` keeps
-    /// every entry full.
-    delta: Option<SectionMap>,
-    /// Global offset of `bytes[0]` (= bytes already spilled).
-    spilled_off: usize,
-    /// `(global_off, len, file_off)` per spilled chunk, in offset order.
-    /// Entries never span chunks: a flush always takes the whole hot
-    /// tail, and appends are entry-atomic.
-    chunks: Vec<(usize, usize, u64)>,
+struct Pool {
+    free: Vec<Vec<u8>>,
+    held: usize,
+}
+
+impl Pool {
+    /// An empty page with room for `n` bytes: a free page when `n` fits
+    /// one, else a new allocation of `max(n, PAGE_BYTES)`.
+    fn take(&mut self, n: usize) -> Vec<u8> {
+        if n <= PAGE_BYTES {
+            if let Some(page) = self.free.pop() {
+                return page;
+            }
+        }
+        let cap = n.max(PAGE_BYTES);
+        self.held += cap;
+        Vec::with_capacity(cap)
+    }
+
+    /// Takes `page` back: a standard page waits for reuse, an oversized one
+    /// is freed.
+    fn give(&mut self, mut page: Vec<u8>) {
+        if page.capacity() == PAGE_BYTES {
+            page.clear();
+            self.free.push(page);
+        } else {
+            self.held -= page.capacity();
+        }
+    }
+
+    /// Frees every free page past the first `keep`.
+    fn trim(&mut self, keep: usize) {
+        for page in self.free.drain(keep.min(self.free.len())..) {
+            self.held -= page.capacity();
+        }
+    }
+}
+
+/// One BFS level of one shard: its records in pages, oldest first. Under a
+/// memory budget the oldest pages go to the level's spill file; the ones
+/// in memory follow them, and the last takes appends.
+#[derive(Debug, Default)]
+struct Level {
+    /// `(file offset, length)` of each spilled page, oldest first.
+    spilled: VecDeque<(u64, usize)>,
+    /// The pages in memory, oldest first.
+    pages: VecDeque<Vec<u8>>,
+    /// Bytes used in `pages`.
+    hot: usize,
+    /// Records in the level.
+    len: usize,
     spill: Option<crate::spill::SpillFile>,
-    /// Delta base: the previous appended entry's *full* encoding.
+}
+
+impl Level {
+    /// The page the next record of `rec` bytes goes to: the last page when
+    /// it has room, else a new one from `pool`.
+    fn reserve(&mut self, rec: usize, pool: &mut Pool) -> &mut Vec<u8> {
+        if self.pages.back().is_none_or(|page| page.len() + rec > PAGE_BYTES) {
+            self.pages.push_back(pool.take(rec));
+        }
+        self.hot += rec;
+        self.len += 1;
+        self.pages.back_mut().expect("a page was just ensured")
+    }
+}
+
+/// A worker's BFS frontier: the level being read (`cur`) and the level
+/// being appended (`next`), both held as inline records in fixed pages
+/// drawn from one pool. A level is read once, in order: each page read to
+/// its end goes back to the pool, where `next` takes it, so the two levels
+/// together hold about one. The layout is this type's alone: records go in
+/// through [`Frontier::append`] and come out through [`Frontier::pop`].
+///
+/// Two orthogonal tiers stack on it (DESIGN.md §9): in delta mode a record
+/// holds a sectioned diff against the previous record's full encoding
+/// ([`crate::encode_delta`]), and under a memory budget `next`'s pages are
+/// flushed to its spill file and streamed back, page by page, when read.
+#[derive(Debug, Default)]
+pub(crate) struct Frontier {
+    cur: Level,
+    next: Level,
+    pool: Pool,
+    /// The section layout records are delta-compressed over; `None` keeps
+    /// every record full.
+    delta: Option<SectionMap>,
+    /// Append side, delta mode: the previous appended record's full
+    /// encoding, the consecutive deltas since the last full one, and the
+    /// buffer a delta is built in.
     last: Vec<u8>,
-    /// Consecutive delta entries since the last full one.
     since_full: u32,
-    /// Read side: the spilled chunk loaded last, and its index.
-    chunk: Vec<u8>,
-    chunk_at: Option<usize>,
-    /// Read side, delta mode: the previous entry's full encoding and the
+    delta_buf: Vec<u8>,
+    /// Read side: the page being read and the offset of its next record.
+    front: Option<Vec<u8>>,
+    at: usize,
+    /// Read side, delta mode: the previous record's full encoding and the
     /// buffer the current one is rebuilt into.
     base: Vec<u8>,
     full: Vec<u8>,
 }
 
-impl FrontierBuf {
-    /// An empty arena, delta-compressed over `delta` when given, whose
-    /// byte capacity starts at — and so, growing by doubling, stays — a
-    /// power of two. Encodings are appended whole, so an arena grown from
-    /// empty would size itself `len·2ᵏ` instead: block sizes no other
-    /// arena or level frees or reuses, which read as +8 % peak RSS over
-    /// repeated verifications in one process.
+impl Frontier {
+    /// An empty frontier, delta-compressed over `delta` when given.
     pub(crate) fn new(delta: Option<SectionMap>) -> Self {
-        FrontierBuf {
-            bytes: Vec::with_capacity(crate::spill::PAGE as usize),
-            delta,
-            ..Self::default()
-        }
+        Frontier { delta, ..Self::default() }
     }
 
-    /// Empties the arena for the next level's appends. The loaded chunk is
-    /// freed: only the arena being read needs one.
-    fn clear(&mut self) {
-        self.bytes.clear();
-        self.index.clear();
-        self.spilled_off = 0;
-        self.chunks.clear();
-        if let Some(s) = self.spill.as_mut() {
-            s.reset().expect("frontier spill reset failed");
-        }
-        self.last.clear();
-        self.since_full = 0;
-        self.chunk = Vec::new();
-        self.chunk_at = None;
-        self.base.clear();
-    }
-
-    /// Appends `full` (a complete canonical encoding) as the next entry,
-    /// delta-compressing against the previous entry in delta mode when the
+    /// Appends `full` (a complete canonical encoding) to the next level,
+    /// delta-compressed against the previous record in delta mode when the
     /// delta actually wins. Every frontier entry is written here.
-    fn append(&mut self, full: &[u8], lid: u32) {
-        let off = self.spilled_off + self.bytes.len();
-        let start = self.bytes.len();
+    pub(crate) fn append(&mut self, full: &[u8], lid: u32) {
         let delta = match self.delta {
             Some(map) if !self.last.is_empty() && self.since_full < DELTA_RESTART => {
-                let dlen = map.encode_delta(&self.last, full, &mut self.bytes);
-                if dlen >= full.len() {
-                    self.bytes.truncate(start);
-                    self.bytes.extend_from_slice(full);
-                }
-                dlen < full.len()
+                self.delta_buf.clear();
+                map.encode_delta(&self.last, full, &mut self.delta_buf) < full.len()
             }
-            _ => {
-                self.bytes.extend_from_slice(full);
-                false
-            }
+            _ => false,
         };
+        let body = if delta { &self.delta_buf[..] } else { full };
+        put_record(self.next.reserve(record_len(body.len()), &mut self.pool), lid, delta, body);
         self.since_full = if delta { self.since_full + 1 } else { 0 };
         if self.delta.is_some() {
             self.last.clear();
             self.last.extend_from_slice(full);
         }
-        let len = (self.bytes.len() - start) as u32;
-        self.index.push(FrontEntry::new(off, len, lid, delta));
     }
 
-    /// Entry `i`'s full canonical encoding, read where it lies — in the
-    /// hot tail or in its spilled chunk, loaded whole on first touch — and
-    /// in delta mode rebuilt against the previous entry's, which is kept as
-    /// the next base. Entries are read in index order within an epoch: the
-    /// delta chain and the streamed chunk loads rely on it.
-    pub(crate) fn entry(&mut self, i: usize) -> &[u8] {
-        let e = self.index[i];
-        let (lies_in, start) = if e.off >= self.spilled_off {
-            (&self.bytes, e.off - self.spilled_off)
-        } else {
-            let ci = self.chunks.partition_point(|&(off, len, _)| off + len <= e.off);
-            let (off, len, file_off) = self.chunks[ci];
-            if self.chunk_at != Some(ci) {
-                self.chunk.resize(len, 0);
-                let spill = self.spill.as_ref().expect("spilled frontier implies a spill file");
-                spill.read_exact_at(&mut self.chunk, file_off).expect("frontier spill read failed");
-                self.chunk_at = Some(ci);
+    /// The current level's next record as `(lid, full canonical encoding)`,
+    /// or `None` once the level is read. Records come out in append order:
+    /// spilled pages are streamed back one at a time, each page read to its
+    /// end returns to the pool, and in delta mode each record is rebuilt
+    /// against the previous one, which is kept as the next base.
+    pub(crate) fn pop(&mut self) -> Option<(u32, &[u8])> {
+        while self.front.as_ref().is_none_or(|page| self.at == page.len()) {
+            if let Some(page) = self.front.take() {
+                self.pool.give(page);
             }
-            (&self.chunk, e.off - off)
-        };
-        let raw = &lies_in[start..start + e.len() as usize];
+            self.at = 0;
+            self.front = Some(match self.cur.spilled.pop_front() {
+                Some((off, len)) => {
+                    let mut page = self.pool.take(len);
+                    page.resize(len, 0);
+                    let spill = self.cur.spill.as_ref().expect("spilled pages imply a spill file");
+                    spill.read_exact_at(&mut page, off).expect("frontier spill read failed");
+                    page
+                }
+                None => {
+                    let page = self.cur.pages.pop_front()?;
+                    self.cur.hot -= page.len();
+                    page
+                }
+            });
+        }
+        let page = self.front.as_deref().expect("a page with records left");
+        let (rec, n) =
+            Record::parse(&page[self.at..]).expect("a frontier page holds whole records");
+        self.at += n;
         let Some(map) = self.delta else {
-            return raw;
+            return Some((rec.lid, rec.body));
         };
         self.full.clear();
-        if e.delta() {
-            map.apply_delta(&self.base, raw, &mut self.full);
+        if rec.delta {
+            map.apply_delta(&self.base, rec.body, &mut self.full);
         } else {
-            self.full.extend_from_slice(raw);
+            self.full.extend_from_slice(rec.body);
         }
         std::mem::swap(&mut self.base, &mut self.full);
-        &self.base
+        Some((rec.lid, &self.base))
     }
 
-    /// Flushes the whole hot tail to the spill file as one page-aligned
-    /// chunk (entries stay whole: appends are entry-atomic).
-    fn spill_hot(&mut self, tag: &str) -> std::io::Result<()> {
-        if self.bytes.is_empty() {
+    /// Ends a level: the level just appended becomes the one to read, the
+    /// one just read takes the next level's appends, and the pool keeps
+    /// [`POOL_RESERVE`] free pages.
+    pub(crate) fn advance(&mut self) {
+        if let Some(page) = self.front.take() {
+            self.pool.give(page);
+        }
+        for page in self.cur.pages.drain(..) {
+            self.pool.give(page);
+        }
+        std::mem::swap(&mut self.cur, &mut self.next);
+        let next = &mut self.next;
+        next.spilled.clear();
+        (next.hot, next.len) = (0, 0);
+        if let Some(s) = next.spill.as_mut() {
+            s.reset().expect("frontier spill reset failed");
+        }
+        self.at = 0;
+        self.last.clear();
+        self.since_full = 0;
+        self.base.clear();
+        self.pool.trim(POOL_RESERVE);
+    }
+
+    /// Bytes of records in the next level's pages in memory.
+    fn next_hot(&self) -> usize {
+        self.next.hot
+    }
+
+    /// Flushes the next level's pages in memory to its spill file as one
+    /// page-aligned chunk, and gives them back to the pool.
+    fn spill_next(&mut self) -> std::io::Result<()> {
+        if self.next.pages.is_empty() {
             return Ok(());
         }
-        let spill = match self.spill.as_mut() {
+        let spill = match self.next.spill.as_mut() {
             Some(s) => s,
-            None => self.spill.insert(crate::spill::SpillFile::create(tag)?),
+            None => self.next.spill.insert(crate::spill::SpillFile::create("frontier")?),
         };
-        let file_off = spill.append_chunk(&self.bytes)?;
-        self.chunks.push((self.spilled_off, self.bytes.len(), file_off));
-        self.spilled_off += self.bytes.len();
-        self.bytes.clear();
+        for page in &self.next.pages {
+            spill.write_part(page)?;
+        }
+        let mut off = spill.end_chunk()?;
+        for page in self.next.pages.drain(..) {
+            self.next.spilled.push_back((off, page.len()));
+            off += page.len() as u64;
+            self.pool.give(page);
+        }
+        self.next.hot = 0;
         Ok(())
     }
 
-    /// RAM held by this arena's allocations (the read side's buffers are
-    /// scratch, not accounted).
+    /// RAM held by the frontier: every page in use or pooled, the spill
+    /// directories and the delta base (the read side's buffers are scratch,
+    /// not accounted).
     fn mem_bytes(&self) -> usize {
-        self.bytes.capacity()
-            + self.index.capacity() * std::mem::size_of::<FrontEntry>()
-            + self.chunks.capacity() * std::mem::size_of::<(usize, usize, u64)>()
-            + self.last.capacity()
+        let dir = |l: &Level| l.spilled.capacity() * std::mem::size_of::<(u64, usize)>();
+        self.pool.held + dir(&self.cur) + dir(&self.next) + self.last.capacity()
     }
 
-    /// Cumulative `(payload bytes, chunks)` spilled by this arena.
+    /// Cumulative `(payload bytes, chunks)` spilled by both levels.
     fn spill_totals(&self) -> (u64, u64) {
-        self.spill.as_ref().map_or((0, 0), |s| (s.total_written(), s.total_chunks()))
+        [&self.cur, &self.next]
+            .iter()
+            .filter_map(|l| l.spill.as_ref())
+            .fold((0, 0), |(b, c), s| (b + s.total_written(), c + s.total_chunks()))
     }
 
-    /// Length of the arena's *global* byte string (spilled plus hot).
-    pub(crate) fn global_len(&self) -> usize {
-        self.spilled_off + self.bytes.len()
+    /// `(records, bytes)` of the current level, spilled and in memory.
+    pub(crate) fn cur_size(&self) -> (usize, usize) {
+        let spilled: usize = self.cur.spilled.iter().map(|&(_, len)| len).sum();
+        (self.cur.len, spilled + self.cur.hot)
     }
 
-    /// Appends the arena's global byte string to `out` for the checkpoint
-    /// tier: spilled chunks in offset order followed by the hot tail.
-    /// Because entry offsets are global, the concatenation reproduces the
-    /// arena with every index offset unchanged.
-    pub(crate) fn append_global_to(&self, out: &mut Vec<u8>) -> std::io::Result<()> {
-        let base = out.len();
-        for &(off, len, file_off) in &self.chunks {
-            debug_assert_eq!(base + off, out.len());
+    /// Appends the current level's records to `out` for the checkpoint
+    /// tier: spilled pages, then the pages in memory. Taken at the top of
+    /// an epoch, before any record is read.
+    pub(crate) fn append_cur_to(&self, out: &mut Vec<u8>) -> std::io::Result<()> {
+        debug_assert!(self.front.is_none(), "a checkpoint is taken before the level is read");
+        for &(off, len) in &self.cur.spilled {
             let start = out.len();
             out.resize(start + len, 0);
-            self.spill
+            self.cur
+                .spill
                 .as_ref()
-                .ok_or_else(|| std::io::Error::other("spilled chunks without a spill file"))?
-                .read_exact_at(&mut out[start..], file_off)?;
+                .ok_or_else(|| std::io::Error::other("spilled pages without a spill file"))?
+                .read_exact_at(&mut out[start..], off)?;
         }
-        out.extend_from_slice(&self.bytes);
+        for page in &self.cur.pages {
+            out.extend_from_slice(page);
+        }
         Ok(())
     }
 
-    /// Refills the arena from a checkpoint snapshot: everything hot, no
-    /// spill tier. The delta-append state (`last`/`since_full`) is *not*
-    /// part of a snapshot and need not be: after a restore the arena is
-    /// only ever read sequentially ([`FrontierBuf::entry`] rebuilds delta
-    /// chains from the entries themselves), and the first append after the
-    /// next `clear()` always restarts with a full encoding.
-    pub(crate) fn restore(&mut self, index: Vec<FrontEntry>, bytes: Vec<u8>) {
-        self.clear();
-        (self.index, self.bytes) = (index, bytes);
+    /// Refills the current level from a checkpoint's stream of `count`
+    /// records (whole records, checked by the loader), taken as one page
+    /// with no copy: no record spans it, and once read it is freed like any
+    /// oversized page. No spill tier. The delta-append state is *not* part
+    /// of a snapshot and need not be: the restored level is only read, and
+    /// the first append after the next [`Frontier::advance`] restarts with
+    /// a full encoding.
+    pub(crate) fn restore(&mut self, records: Vec<u8>, count: usize) {
+        if records.is_empty() {
+            return;
+        }
+        self.pool.held += records.capacity();
+        self.cur.hot += records.len();
+        self.cur.len += count;
+        self.cur.pages.push_back(records);
     }
 }
 
-/// Per-thread exploration state: one visited-set shard, the current and
-/// next frontier arenas, the outgoing candidate batches, and every
+/// Per-thread exploration state: one visited-set shard, the frontier
+/// (current and next level), the outgoing candidate batches, and every
 /// scratch buffer the hot path reuses (decoded state, successor state,
 /// step list, the system's own scratch) — the worker-local arena that
 /// makes steady-state expansion allocation-free.
@@ -672,8 +783,7 @@ struct Worker<'w, S: TransitionSystem> {
     sys: &'w S,
     t: usize,
     store: ShardStore,
-    cur: FrontierBuf,
-    next: FrontierBuf,
+    frontier: Frontier,
     out: Outboxes,
     /// The system's per-worker scratch (canonicalizer, apply outcome).
     scratch: S::Scratch,
@@ -711,13 +821,11 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
         let (cfg, n_shards) = (sys.config(), inboxes.len());
         // The budget is ignored on platforms without positioned file reads.
         let budget = if crate::spill::SPILL_SUPPORTED { cfg.mem_budget_bytes } else { 0 };
-        let arena = || FrontierBuf::new(cfg.store.delta_frontier().then(|| sys.section_map()));
         Worker {
             sys,
             t,
             store: ShardStore::new(),
-            cur: arena(),
-            next: arena(),
+            frontier: Frontier::new(cfg.store.delta_frontier().then(|| sys.section_map())),
             out: Outboxes::new(n_shards),
             scratch: sys.scratch(),
             state: sys.initial(),
@@ -743,7 +851,8 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
         if self.keeps_recs {
             self.store.push_rec(StateRec { parent: Gid::pack(self.t, 0) });
         }
-        self.cur.append(enc, 0);
+        self.frontier.append(enc, 0);
+        self.frontier.advance();
     }
 
     /// Installs a loaded checkpoint shard in place of a fresh start: the
@@ -751,7 +860,7 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
     /// checkpointed epoch (exactly where the checkpoint was taken).
     fn restore_snapshot(&mut self, snap: crate::checkpoint::ShardSnapshot, depth: u32) {
         self.store = snap.store;
-        self.cur.restore(snap.entries, snap.arena);
+        self.frontier.restore(snap.records, snap.count);
         self.depth = depth;
     }
 
@@ -780,7 +889,7 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
             // Decision boundary: the last arriver publishes the epoch
             // decision for everyone.
             coord.phaser.arrive(|| {
-                let dec = coord.guard(|| decide(coord, cfg.max_states));
+                let dec = coord.guard(|| decide(coord, cfg.max_states, self.depth));
                 // Poison-recovery: a panicking sibling already recorded
                 // its payload on the coordinator; the decision value
                 // itself is always written whole, so the lock's data is
@@ -795,14 +904,12 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
                 // Fold this worker's frontier spill totals into the
                 // fleet counters (the store's totals travel with the
                 // returned shard).
-                let (cb, cc) = self.cur.spill_totals();
-                let (nb, nc) = self.next.spill_totals();
-                coord.frontier_spill_bytes.fetch_add(cb + nb, Relaxed);
-                coord.frontier_spill_chunks.fetch_add(cc + nc, Relaxed);
+                let (bytes, chunks) = self.frontier.spill_totals();
+                coord.frontier_spill_bytes.fetch_add(bytes, Relaxed);
+                coord.frontier_spill_chunks.fetch_add(chunks, Relaxed);
                 return (self.store, self.scratch);
             }
-            std::mem::swap(&mut self.cur, &mut self.next);
-            self.next.clear();
+            self.frontier.advance();
             self.depth += 1;
             self.epoch_start = self.store.open_level();
             // Checkpoint point: the one place in an epoch where shard
@@ -831,7 +938,7 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
                 self.depth,
                 self.t,
                 &self.store,
-                &self.cur,
+                &self.frontier,
                 self.keeps_recs,
             )
             .expect("checkpoint shard write failed")
@@ -850,14 +957,16 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
     /// check invariants, and route canonical encodings to owning shards.
     fn expand_epoch(&mut self) {
         let mut local_transitions = 0usize;
-        for i in 0..self.cur.index.len() {
+        for i in 0usize.. {
             // Service the inbox between expansions so deduplication
             // overlaps expansion instead of serializing behind it.
             if self.inboxes.len() > 1 && i & 0xf == 0 {
                 self.drain_available();
             }
-            let lid = self.cur.index[i].lid;
-            self.sys.decode_into(self.cur.entry(i), &mut self.state, &mut self.scratch);
+            let Some((lid, enc)) = self.frontier.pop() else {
+                break;
+            };
+            self.sys.decode_into(enc, &mut self.state, &mut self.scratch);
             let (gid, fp) = (Gid::pack(self.t, lid as usize), self.store.map.fp(lid));
             let mut progress = false;
             self.sys.steps_into(&self.state, &mut self.steps_buf);
@@ -937,7 +1046,7 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
     /// encoding of a candidate received from another worker; `None` means
     /// "the bytes the system lends for `self.succ`". Either way a
     /// duplicate copies nothing and a new state is copied once, into the
-    /// arena.
+    /// frontier.
     fn insert(&mut self, fp: u64, parent_fp: u64, parent: Gid, step: u32, enc: Option<&[u8]>) {
         if let Some(lid) = self.store.map.get(fp) {
             // Same-level parent race: `lid >= epoch_start` identifies a
@@ -960,25 +1069,25 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
                 self.store.push_new(parent, (parent_fp, step));
             }
             let full = enc.unwrap_or_else(|| self.sys.canonical_bytes(&self.scratch));
-            self.next.append(full, lid);
+            self.frontier.append(full, lid);
             self.new_count += 1;
             self.maybe_spill_frontier();
         }
     }
 
-    /// Flushes the next-frontier hot tail to its spill file when it has
-    /// reached chunk size *and* this worker is over its budget share.
+    /// Flushes the next level's pages in memory to its spill file when
+    /// they hold chunk size *and* this worker is over its budget share.
     fn maybe_spill_frontier(&mut self) {
-        if self.budget_share == 0 || self.next.bytes.len() < self.spill_chunk {
+        if self.budget_share == 0 || self.frontier.next_hot() < self.spill_chunk {
             return;
         }
         if self.accounted_bytes() > self.budget_share {
-            self.next.spill_hot("frontier").expect("frontier spill write failed");
+            self.frontier.spill_next().expect("frontier spill write failed");
         }
     }
 
     /// RAM accounted against this worker's budget share: visited shard,
-    /// its side column, both frontier arenas, and the outbox batches +
+    /// its side column, the frontier's pages, and the outbox batches +
     /// recycled-arena pool (everything the old store-only figure left
     /// out).
     fn accounted_bytes(&self) -> usize {
@@ -988,9 +1097,9 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
             + self.out.mem_bytes()
     }
 
-    /// Both frontier arenas and their indexes.
+    /// The frontier's pages, in use or pooled.
     fn frontier_bytes(&self) -> usize {
-        self.cur.mem_bytes() + self.next.mem_bytes()
+        self.frontier.mem_bytes()
     }
 
     /// Drains every batch currently queued for this shard. Returns
@@ -1177,6 +1286,7 @@ pub(crate) fn explore<S: TransitionSystem>(
         store_split: agg.peak_store,
         store_counters,
         peak_mem_bytes: coord.peak_mem.load(Relaxed),
+        peak_mem_depth: agg.peak_depth,
         frontier_bytes: agg.peak_frontier,
         hot_level_bytes: agg.peak_hot_level,
         spill_bytes: frontier_spill_bytes + visited_spill_bytes,
@@ -1189,10 +1299,10 @@ pub(crate) fn explore<S: TransitionSystem>(
     (result, scratches)
 }
 
-/// Decision (run by the last arriver at the dedup rendezvous):
-/// selects the minimum-key violation of the epoch, or stops on
-/// exhaustion / the state budget.
-fn decide(coord: &Coordinator, max_states: usize) -> Decision {
+/// Decision (run by the last arriver at the dedup rendezvous of the epoch
+/// that expanded level `depth`): selects the minimum-key violation of the
+/// epoch, or stops on exhaustion / the state budget.
+fn decide(coord: &Coordinator, max_states: usize, depth: u32) -> Decision {
     // Fold the epoch's fleet-wide memory samples into the running peaks
     // and reset the accumulators for the next epoch.
     let mem = coord.epoch_mem.swap(0, Relaxed);
@@ -1205,7 +1315,7 @@ fn decide(coord: &Coordinator, max_states: usize) -> Decision {
     let (frontier, hot_level) =
         (std::mem::take(&mut agg.frontier), std::mem::take(&mut agg.hot_level));
     if mem_peaked {
-        (agg.peak_frontier, agg.peak_hot_level) = (frontier, hot_level);
+        (agg.peak_frontier, agg.peak_hot_level, agg.peak_depth) = (frontier, hot_level, depth);
     }
     let mut vios = std::mem::take(&mut agg.violations);
     let new_states = std::mem::take(&mut agg.new_states);
@@ -1630,91 +1740,238 @@ mod tests {
         crate::HierChecker::new(&composed, cfg(crate::MAX_CHANNEL_CAP));
     }
 
-    /// The arena in every store mode: delta runs with restarts, two deltas
-    /// that would outgrow their targets, and two spilled chunks, read back
-    /// through `entry` (from both chunks and the hot tail), the checkpoint
-    /// append and a restored arena.
-    #[test]
-    fn arena_entries_replay_in_order_across_restarts_and_spills() {
-        // The one-cache flat layout: a 7-byte cache block, a 6-byte
-        // directory entry, four channel queues and the ghost byte.
-        let map = SectionMap::flat(1);
-        // Entry `LOADED` has one message in every queue, so it differs from
-        // both neighbours in every section: those deltas would be the
-        // whole encoding plus the section mask.
-        const LOADED: usize = 100;
-        let encs: Vec<Vec<u8>> = (0..200)
+    /// `n` synthetic one-cache flat encodings (a 7-byte cache block, a
+    /// 6-byte directory entry, four channel queues and the ghost byte, see
+    /// [`SectionMap::flat`]). Entry `loaded` has one message in every
+    /// queue, so it differs from both neighbours in every section: those
+    /// deltas would be the whole encoding plus the section mask.
+    fn encodings(n: usize, loaded: usize) -> Vec<Vec<u8>> {
+        (0..n)
             .map(|i| {
                 let mut e =
                     vec![i as u8, (i >> 8) as u8, 0, 0, 0, 0, 0, (i * 7) as u8, 0, 0, 0, 0, 0];
                 for _ in 0..4 {
-                    e.extend_from_slice(if i == LOADED { &[1, 9, 9, 9, 9, 9, 9, 9] } else { &[0] });
+                    e.extend_from_slice(if i == loaded { &[1, 9, 9, 9, 9, 9, 9, 9] } else { &[0] });
                 }
                 e.push(i as u8 & 1);
                 e
             })
-            .collect();
-        let replay = |index: &[FrontEntry], arena: &[u8]| {
-            let mut fulls: Vec<Vec<u8>> = Vec::new();
-            for e in index {
-                let raw = &arena[e.off..e.off + e.len() as usize];
-                let mut full = Vec::new();
-                match fulls.last() {
-                    Some(prev) if e.delta() => map.apply_delta(prev, raw, &mut full),
-                    _ => full.extend_from_slice(raw),
+            .collect()
+    }
+
+    /// Every record of `f`'s current level, read to its end.
+    fn read_all(f: &mut Frontier) -> Vec<(u32, Vec<u8>)> {
+        std::iter::from_fn(|| f.pop().map(|(lid, enc)| (lid, enc.to_vec()))).collect()
+    }
+
+    /// `(lid, encoding)` pairs for `encs`, ids in order.
+    fn numbered(encs: &[Vec<u8>]) -> Vec<(u32, Vec<u8>)> {
+        encs.iter().enumerate().map(|(i, e)| (i as u32, e.clone())).collect()
+    }
+
+    #[test]
+    fn records_round_trip_and_report_their_length() {
+        for len in [0, 1, 63, 64, 127, 128, 8191, 8192, 100_000] {
+            for delta in [false, true] {
+                let body: Vec<u8> = (0..len).map(|i| (i * 31) as u8).collect();
+                let mut out = vec![0xa5];
+                put_record(&mut out, 0xdead_beef, delta, &body);
+                assert_eq!(out.len(), 1 + record_len(len), "{len} bytes");
+                let (rec, n) = Record::parse(&out[1..]).unwrap();
+                assert_eq!(
+                    (rec, n),
+                    (Record { lid: 0xdead_beef, delta, body: &body }, out.len() - 1)
+                );
+                for cut in [0, 3, 4, out.len() - 2] {
+                    assert_eq!(Record::parse(&out[1..1 + cut]), None, "{len} bytes cut at {cut}");
                 }
-                fulls.push(full);
             }
-            fulls
-        };
+        }
+        // A length varint that never ends is refused, not shifted past 64.
+        assert_eq!(
+            Record::parse(&[
+                0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01
+            ]),
+            None
+        );
+    }
+
+    #[test]
+    fn a_record_that_does_not_fit_in_a_page_tail_starts_a_new_page() {
+        let enc = |i: usize| vec![i as u8; 1000];
+        let rec = record_len(1000);
+        let fit = PAGE_BYTES / rec;
+        let mut f = Frontier::new(None);
+        for i in 0..fit {
+            f.append(&enc(i), i as u32);
+        }
+        assert_eq!(f.next.pages.len(), 1);
+        assert_eq!(f.next.pages[0].len(), fit * rec);
+        f.append(&enc(fit), fit as u32);
+        let lens: Vec<usize> = f.next.pages.iter().map(Vec::len).collect();
+        assert_eq!(
+            lens,
+            [fit * rec, rec],
+            "the tail of {} bytes is left unused",
+            PAGE_BYTES - fit * rec
+        );
+        assert_eq!(f.next_hot(), (fit + 1) * rec);
+        f.advance();
+        let want: Vec<_> = (0..=fit).map(|i| (i as u32, enc(i))).collect();
+        assert_eq!(read_all(&mut f), want);
+        assert_eq!(f.pool.held, 2 * PAGE_BYTES, "both pages are pooled once read");
+    }
+
+    #[test]
+    fn an_encoding_longer_than_a_page_gets_a_page_of_its_own() {
+        let big: Vec<u8> = (0..PAGE_BYTES + 5000).map(|i| (i % 251) as u8).collect();
+        let encs = vec![vec![1u8; 10], big, vec![2u8; 10]];
+        let mut f = Frontier::new(None);
+        for (i, e) in encs.iter().enumerate() {
+            f.append(e, i as u32);
+        }
+        let caps: Vec<usize> = f.next.pages.iter().map(Vec::capacity).collect();
+        assert_eq!(caps, [PAGE_BYTES, record_len(encs[1].len()), PAGE_BYTES]);
+        assert_eq!(f.mem_bytes(), caps.iter().sum::<usize>());
+        f.advance();
+        assert_eq!(read_all(&mut f), numbered(&encs));
+        // Read, the oversized page is freed; the standard ones wait in the
+        // pool, which keeps its reserve across the boundary.
+        assert_eq!(f.pool.held, 2 * PAGE_BYTES);
+        f.advance();
+        assert_eq!(f.pool.free.len(), 2);
+    }
+
+    /// Delta records decode exactly over a level of several pages: across
+    /// page boundaries, the 64-entry restart and deltas that would outgrow
+    /// their targets (stored full instead); in full mode every record is.
+    #[test]
+    fn a_delta_chain_decodes_across_pages_and_restarts() {
+        let map = SectionMap::flat(1);
+        const LOADED: usize = 100;
+        let encs = encodings(20_000, LOADED);
         for mode in [StoreMode::Full, StoreMode::Delta, StoreMode::FpOnly] {
-            let arena = || FrontierBuf::new(mode.delta_frontier().then_some(map));
-            let read = |buf: &mut FrontierBuf| {
-                (0..buf.index.len()).map(|i| buf.entry(i).to_vec()).collect::<Vec<_>>()
-            };
-            let mut buf = arena();
+            let mut f = Frontier::new(mode.delta_frontier().then_some(map));
             for (i, e) in encs.iter().enumerate() {
-                if (i == 60 || i == 150) && crate::spill::SPILL_SUPPORTED {
-                    buf.spill_hot("frontier").unwrap();
-                }
-                buf.append(e, i as u32);
+                f.append(e, i as u32);
             }
-            assert_eq!(read(&mut buf), encs, "{mode:?}");
-            let fulls: Vec<usize> = (0..encs.len()).filter(|&i| !buf.index[i].delta()).collect();
+            f.advance();
+            assert!(f.cur.pages.len() >= 2, "{mode:?}: {} pages", f.cur.pages.len());
+            let mut stream = Vec::new();
+            f.append_cur_to(&mut stream).unwrap();
+            assert_eq!(f.cur_size(), (encs.len(), stream.len()), "{mode:?}");
+            let (mut at, mut fulls) = (0, Vec::new());
+            while let Some((rec, n)) = Record::parse(&stream[at..]) {
+                if !rec.delta {
+                    fulls.push(rec.lid as usize);
+                }
+                at += n;
+            }
             if mode.delta_frontier() {
-                // Restarts after DELTA_RESTART deltas, at 65 and at 166
-                // (the count restarts at the fallbacks).
-                assert_eq!(fulls, [0, 65, LOADED, LOADED + 1, 166], "{mode:?}");
+                // Restarts after DELTA_RESTART deltas, at 65 and at 166 (the
+                // count restarts at the fallbacks), and every 65 from there.
+                assert_eq!(fulls[..5], [0, 65, LOADED, LOADED + 1, 166], "{mode:?}");
+                assert!(fulls.windows(2).all(|w| w[1] - w[0] <= 65), "{mode:?}");
             } else {
                 assert_eq!(fulls.len(), encs.len(), "{mode:?}");
             }
-            if crate::spill::SPILL_SUPPORTED {
-                assert_eq!(buf.spill_totals().1, 2, "{mode:?}");
-            }
-            // The entry bytes, rebuilt from the index alone.
-            let mut want = Vec::new();
-            for (i, e) in buf.index.iter().enumerate() {
-                assert_eq!((e.off, e.lid), (want.len(), i as u32));
-                if e.delta() {
-                    map.encode_delta(&encs[i - 1], &encs[i], &mut want);
-                } else {
-                    want.extend_from_slice(&encs[i]);
-                }
-                assert_eq!(want.len(), e.off + e.len() as usize, "{mode:?}: entry {i}");
-            }
-            // The checkpoint append lands after whatever the buffer holds.
-            let mut global = vec![0xa5; 3];
-            buf.append_global_to(&mut global).unwrap();
-            assert_eq!(buf.global_len(), want.len());
-            assert_eq!(global[3..], want[..], "{mode:?}");
-            assert_eq!(replay(&buf.index, &global[3..]), encs, "{mode:?}");
-            let mut restored = arena();
-            restored.restore(buf.index.clone(), want.clone());
-            assert_eq!(read(&mut restored), encs, "{mode:?}");
+            assert_eq!(read_all(&mut f), numbered(&encs), "{mode:?}");
+            // A checkpoint's stream restores to the same level.
+            let mut restored = Frontier::new(mode.delta_frontier().then_some(map));
+            restored.restore(stream.clone(), encs.len());
             let mut again = Vec::new();
-            restored.append_global_to(&mut again).unwrap();
-            assert_eq!(again, want, "{mode:?}");
+            restored.append_cur_to(&mut again).unwrap();
+            assert_eq!(again, stream, "{mode:?}");
+            assert_eq!(read_all(&mut restored), numbered(&encs), "{mode:?}");
         }
+    }
+
+    /// Under a 1-byte budget every worker is always over its share, so the
+    /// next level is flushed whenever its pages in memory reach a chunk
+    /// (one 4 KiB spill page at least); read back, the spilled pages stream
+    /// in order ahead of the ones still in memory.
+    #[test]
+    fn under_a_one_byte_budget_spilled_pages_stream_back_in_order() {
+        if !crate::spill::SPILL_SUPPORTED {
+            return;
+        }
+        let map = SectionMap::flat(1);
+        let encs = encodings(20_000, 100);
+        for mode in [StoreMode::Full, StoreMode::Delta] {
+            let mut f = Frontier::new(mode.delta_frontier().then_some(map));
+            for (i, e) in encs.iter().enumerate() {
+                f.append(e, i as u32);
+                if f.next_hot() >= crate::spill::PAGE as usize {
+                    f.spill_next().unwrap();
+                }
+            }
+            assert!(!f.next.pages.is_empty(), "{mode:?}: the tail stays in memory");
+            f.advance();
+            assert!(f.cur.spilled.len() > 2, "{mode:?}");
+            let mut stream = Vec::new();
+            f.append_cur_to(&mut stream).unwrap();
+            assert_eq!(f.cur_size(), (encs.len(), stream.len()), "{mode:?}");
+            // The checkpoint stream read back from the spill file holds the
+            // same records, in the same order, as a level never spilled.
+            let mut unspilled = Frontier::new(mode.delta_frontier().then_some(map));
+            for (i, e) in encs.iter().enumerate() {
+                unspilled.append(e, i as u32);
+            }
+            unspilled.advance();
+            let mut want = Vec::new();
+            unspilled.append_cur_to(&mut want).unwrap();
+            assert!(stream == want, "{mode:?}: the spilled stream differs");
+            let mut restored = Frontier::new(mode.delta_frontier().then_some(map));
+            restored.restore(stream.clone(), encs.len());
+            assert_eq!(read_all(&mut restored), numbered(&encs), "{mode:?}");
+            assert_eq!(read_all(&mut f), numbered(&encs), "{mode:?}");
+            let (bytes, chunks) = f.spill_totals();
+            assert!(chunks > 2 && bytes as usize <= stream.len(), "{mode:?}");
+            // Pages streamed back reuse the pool: a few pages, never the level.
+            assert!(f.pool.held <= 4 * PAGE_BYTES, "{mode:?}: {} bytes", f.pool.held);
+        }
+    }
+
+    /// A level read while the next one is appended hands its pages over:
+    /// the frontier holds about one level, not two.
+    #[test]
+    fn read_pages_refill_the_next_level() {
+        let encs = encodings(30_000, usize::MAX);
+        let mut f = Frontier::new(None);
+        for (i, e) in encs.iter().enumerate() {
+            f.append(e, i as u32);
+        }
+        let one_level = f.pool.held;
+        assert!(one_level >= 4 * PAGE_BYTES, "{one_level} bytes");
+        for _ in 0..3 {
+            f.advance();
+            assert!(f.pool.free.len() <= POOL_RESERVE);
+            while let Some((lid, enc)) = f.pop() {
+                let enc = enc.to_vec();
+                f.append(&enc, lid);
+            }
+            assert!(f.pool.held <= one_level + 2 * PAGE_BYTES, "{} bytes", f.pool.held);
+        }
+        f.advance();
+        assert_eq!(read_all(&mut f), numbered(&encs));
+    }
+
+    /// MESI stalling at 4 caches on one worker: the frontier's pages at the
+    /// peak epoch, pooled ones included, stay within 2 MiB, and the peak
+    /// epoch (deterministic at one worker) expands depth 31.
+    #[test]
+    fn a_frontier_holds_about_one_level() {
+        let g = protogen_core::generate(
+            &protogen_protocols::mesi(),
+            &protogen_core::GenConfig::stalling(),
+        )
+        .unwrap();
+        let r = ModelChecker::new(&g.cache, &g.directory, McConfig::with_caches_and_threads(4, 1))
+            .run();
+        assert_eq!((r.states, r.transitions), (254_130, 1_163_240));
+        assert!(r.frontier_bytes <= 2 << 20, "frontier_bytes {}", r.frontier_bytes);
+        assert!(r.frontier_bytes < r.peak_mem_bytes);
+        assert_eq!(r.peak_mem_depth, 31);
     }
 
     #[test]
@@ -1799,7 +2056,7 @@ mod tests {
         cfg.threads = 2;
         let r = ModelChecker::new(&g.cache, &g.directory, cfg).run();
         assert!(r.passed());
-        // The rolled-up figure includes frontier arenas and batch pools,
+        // The rolled-up figure includes frontier pages and batch pools,
         // so it must exceed the store-only figure the seed reported.
         assert!(
             r.peak_mem_bytes > r.store_bytes,

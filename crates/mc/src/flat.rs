@@ -63,7 +63,7 @@ pub struct McConfig {
     /// distribute over `threads` shards.
     pub shard_capacity: usize,
     /// Soft RAM budget for the run's accounted state (visited shards,
-    /// frontier arenas, batch pools), split evenly across workers. When a
+    /// frontier pages, batch pools), split evenly across workers. When a
     /// worker's share is exceeded, cold frontier bytes and frozen visited
     /// records spill to page-aligned scratch files and stream back in
     /// (see DESIGN.md §9). `0` — the default — disables spilling; the
@@ -73,10 +73,10 @@ pub struct McConfig {
     /// How states are stored: full encodings, delta-compressed encodings,
     /// or fingerprints only (see [`StoreMode`]).
     pub store: StoreMode,
-    /// Spill granularity: the frontier's hot arena is flushed in chunks of
-    /// at least this many bytes (clamped up to one page). Exposed so tests
-    /// can force spilling on tiny state spaces; the default of 1 MiB is
-    /// right for real runs.
+    /// Spill granularity: the frontier's pages in memory are flushed once
+    /// they hold at least this many bytes (clamped up to one 4 KiB spill
+    /// page). Exposed so tests can force spilling on tiny state spaces; the
+    /// default of 1 MiB is right for real runs.
     pub spill_chunk_bytes: usize,
     /// Directory for epoch-boundary checkpoints. `None` — the default —
     /// disables checkpointing. When set, every [`McConfig::checkpoint_every`]-th

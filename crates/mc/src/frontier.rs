@@ -219,7 +219,7 @@ pub(crate) struct LevelAgg {
     pub store: StoreBytes,
     /// The largest `store` of the run so far, kept by the decision leader.
     pub peak_store: StoreBytes,
-    /// Both frontier arenas and their indexes this epoch, summed over
+    /// The frontiers' pages, in use or pooled, this epoch, summed over
     /// shards (another part of `Coordinator::epoch_mem`).
     pub frontier: usize,
     /// The side columns of parent-race keys this epoch, summed over shards
@@ -229,6 +229,8 @@ pub(crate) struct LevelAgg {
     pub peak_frontier: usize,
     /// `hot_level` at the epoch that set `Coordinator::peak_mem`.
     pub peak_hot_level: usize,
+    /// The depth of the level that epoch expanded.
+    pub peak_depth: u32,
 }
 
 /// What the whole fleet does after the current epoch.
@@ -334,17 +336,17 @@ pub(crate) struct Coordinator {
     /// shard stops exploration with a structured outcome.
     pub exhausted_shard: AtomicUsize,
     /// Accounted RAM summed by workers over the current epoch (store +
-    /// side columns + frontier arenas + outbox pools + queued inbox
+    /// side columns + frontier pages + outbox pools + queued inbox
     /// batches); the decision leader folds it into `peak_mem` and zeroes
     /// it.
     pub epoch_mem: AtomicUsize,
     /// Running maximum of `epoch_mem` over all epochs — the run's peak
     /// accounted memory.
     pub peak_mem: AtomicUsize,
-    /// Payload bytes spilled by frontier arenas fleet-wide (visited-record
+    /// Payload bytes spilled by frontier pages fleet-wide (visited-record
     /// spill totals are summed from the returned shards instead).
     pub frontier_spill_bytes: AtomicU64,
-    /// Chunks spilled by frontier arenas fleet-wide.
+    /// Chunks spilled by frontier pages fleet-wide.
     pub frontier_spill_chunks: AtomicU64,
     /// Set when any worker's phase panicked: every worker keeps hitting
     /// the rendezvous but skips real work, so the fleet drains instead of

@@ -60,13 +60,6 @@ impl SpillFile {
         Ok(SpillFile { file, path, len: 0, written: 0, chunks: 0, open: 0 })
     }
 
-    /// Appends `bytes` as one chunk, padding the file to the next page
-    /// boundary, and returns the chunk's file offset.
-    pub fn append_chunk(&mut self, bytes: &[u8]) -> io::Result<u64> {
-        self.write_part(bytes)?;
-        self.end_chunk()
-    }
-
     /// Appends `bytes` to the chunk being written; the chunk ends at the
     /// next [`SpillFile::end_chunk`]. Lets a caller serialize a chunk
     /// piece by piece instead of staging it whole in memory.
@@ -143,13 +136,19 @@ impl Drop for SpillFile {
 mod tests {
     use super::*;
 
+    /// Appends `bytes` as one chunk and returns its offset.
+    fn append_chunk(f: &mut SpillFile, bytes: &[u8]) -> u64 {
+        f.write_part(bytes).unwrap();
+        f.end_chunk().unwrap()
+    }
+
     #[test]
     fn chunks_are_page_aligned_and_read_back() {
         let mut f = SpillFile::create("test").unwrap();
         let a: Vec<u8> = (0..5000).map(|i| (i % 251) as u8).collect();
         let b: Vec<u8> = (0..100).map(|i| (i * 7 % 256) as u8).collect();
-        let off_a = f.append_chunk(&a).unwrap();
-        let off_b = f.append_chunk(&b).unwrap();
+        let off_a = append_chunk(&mut f, &a);
+        let off_b = append_chunk(&mut f, &b);
         assert_eq!(off_a, 0);
         assert_eq!(off_b % PAGE, 0, "chunk offsets are page-aligned");
         assert_eq!(off_b, 8192, "5000 bytes pad to two pages");
@@ -168,9 +167,9 @@ mod tests {
     #[test]
     fn reset_reuses_the_file_but_keeps_counters() {
         let mut f = SpillFile::create("test").unwrap();
-        f.append_chunk(&[1, 2, 3]).unwrap();
+        append_chunk(&mut f, &[1, 2, 3]);
         f.reset().unwrap();
-        let off = f.append_chunk(&[9, 9]).unwrap();
+        let off = append_chunk(&mut f, &[9, 9]);
         assert_eq!(off, 0, "offsets restart after reset");
         assert_eq!(f.total_written(), 5, "counters are cumulative");
         assert_eq!(f.total_chunks(), 2);
