@@ -1122,11 +1122,12 @@ fn serve_cmd(args: &Args) -> Run {
         );
         if !report.miss_latency.is_empty() {
             outln!(
-                "  miss latency p50/p95/p99/max: {}/{}/{}/{} ns",
+                "  miss latency p50/p95/p99/max: {}/{}/{}/{} ns over {} misses",
                 report.miss_latency.percentile(50.0),
                 report.miss_latency.percentile(95.0),
                 report.miss_latency.percentile(99.0),
-                report.miss_latency.max()
+                report.miss_latency.max(),
+                report.miss_latency.len()
             );
         }
         outln!("  {} messages, peak queue depths {:?}", report.messages, report.peak_queue_depths);

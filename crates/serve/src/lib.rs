@@ -256,7 +256,8 @@ pub struct ServeReport {
     pub messages: u64,
     /// Wall-clock seconds from thread launch to quiescence.
     pub seconds: f64,
-    /// Wall-clock latency of each miss transaction, in nanoseconds.
+    /// Wall-clock latency of each demand miss transaction, in nanoseconds
+    /// (evacuations during crash recovery are not counted).
     pub miss_latency: Histogram,
     /// Peak queued-message depth observed per node (caches first, then
     /// directory shards).
@@ -332,6 +333,7 @@ impl ServeReport {
             );
         }
         if !self.miss_latency.is_empty() {
+            doc.push("miss_samples", Json::U64(self.miss_latency.len() as u64));
             doc.push("miss_p50_ns", Json::U64(self.miss_latency.percentile(50.0)));
             doc.push("miss_p95_ns", Json::U64(self.miss_latency.percentile(95.0)));
             doc.push("miss_p99_ns", Json::U64(self.miss_latency.percentile(99.0)));

@@ -192,7 +192,7 @@ impl<'f> Shared<'f> {
 /// What one worker measured, merged into the [`ServeReport`] at join.
 struct WorkerOut {
     coverage: Coverage,
-    miss_latency_ns: Vec<u64>,
+    miss_latency: Histogram,
     hits: u64,
     misses: u64,
     peak_queue_depth: usize,
@@ -293,7 +293,7 @@ impl<'s, 'f, L: Line> Node<'s, 'f, L> {
             queues: (0..sh.fabric.nodes()).map(|_| VecDeque::new()).collect(),
             out: WorkerOut {
                 coverage: Coverage::new(machine.fsm(), tag),
-                miss_latency_ns: Vec::new(),
+                miss_latency: Histogram::new(),
                 hits: 0,
                 misses: 0,
                 peak_queue_depth: 0,
@@ -653,7 +653,7 @@ impl<'s, 'f> CacheWorker<'s, 'f> {
                     // Evacuation transactions complete here too, but only
                     // demand misses count toward miss latency.
                     if !flushing {
-                        node.out.miss_latency_ns.push(t0.elapsed().as_nanos() as u64);
+                        node.out.miss_latency.record(t0.elapsed().as_nanos() as u64);
                     }
                 }
             });
@@ -813,7 +813,6 @@ pub fn serve(cache: &Fsm, dir: &Fsm, cfg: &ServeConfig) -> Result<ServeReport, S
         planned_crashes: f.crashes.min(cfg.n_caches) as u64,
         ..Default::default()
     });
-    let mut miss_latency = Histogram::new();
     let mut report = ServeReport {
         n_caches: cfg.n_caches,
         dir_shards: cfg.dir_shards,
@@ -831,9 +830,7 @@ pub fn serve(cache: &Fsm, dir: &Fsm, cfg: &ServeConfig) -> Result<ServeReport, S
         faults: None,
     };
     for out in &outs {
-        for &ns in &out.miss_latency_ns {
-            miss_latency.record(ns);
-        }
+        report.miss_latency.merge(&out.miss_latency);
         report.hits += out.hits;
         report.misses += out.misses;
         report.peak_queue_depths.push(out.peak_queue_depth);
@@ -842,7 +839,6 @@ pub fn serve(cache: &Fsm, dir: &Fsm, cfg: &ServeConfig) -> Result<ServeReport, S
         }
     }
     report.ops = report.hits + report.misses;
-    report.miss_latency = miss_latency;
     report.stop_reason = if stop_detail.is_some() {
         StopReason::Deadline
     } else if fault_stats.is_some_and(|fs| fs.crashes_completed < fs.planned_crashes) {

@@ -46,6 +46,7 @@ fn quiescence_runs(runs: usize) {
         assert_eq!(report.stop_detail, None, "{label}");
         assert_eq!(report.ops, cfg.total_ops as u64, "{label}: quiesced before the schedule ended");
         assert_eq!(report.hits + report.misses, report.ops, "{label}");
+        assert_eq!(report.miss_latency.len() as u64, report.misses, "{label}: unmeasured miss");
         assert!(report.messages >= 2 * report.misses, "{label}: a transaction is a round trip");
         let escapes = report.escapes(&envelopes[caches - 1]);
         assert!(escapes.is_empty(), "{label}: escaped the envelope: {escapes:?}");
@@ -55,6 +56,22 @@ fn quiescence_runs(runs: usize) {
 #[test]
 fn tiny_runs_always_quiesce_exactly_once_everything_is_done() {
     quiescence_runs(312);
+}
+
+/// Every worker records its own miss latencies and `serve` merges them:
+/// the merged histogram must hold one sample per miss.
+#[test]
+fn merged_miss_latencies_count_every_miss() {
+    let g = generate(&protogen_protocols::msi(), &GenConfig::non_stalling()).unwrap();
+    let mut cfg = ServeConfig::new(2);
+    cfg.dir_shards = 2;
+    cfg.n_addrs = 8;
+    cfg.total_ops = 20_000;
+    cfg.workload = Workload::Uniform { store_pct: 50 };
+    let report = serve(&g.cache, &g.directory, &cfg).expect("run completes");
+    assert_eq!(report.stop_reason, StopReason::Quiesced, "{:?}", report.stop_detail);
+    assert!(report.misses > 0, "a run without misses measures nothing");
+    assert_eq!(report.miss_latency.len() as u64, report.misses);
 }
 
 /// The widest topology `serve` supports — 8 caches (the sharer-mask width)

@@ -8,19 +8,53 @@
 
 use protogen_runtime::PairSet;
 use std::fmt;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// An exact latency histogram: every sample is retained, percentiles are
-/// computed over the sorted sample set. Simulated transaction counts are
-/// small enough (thousands) that exactness beats bucketing.
+/// Values below this are counted per value; larger ones are kept raw.
+const DENSE: usize = 4096;
+
+/// An exact latency histogram that does not keep one word per sample.
 ///
-/// Percentile reads take `&self`: the sorted view is built once, on the
-/// first read after the last [`Histogram::record`], and shared by every
-/// subsequent read (amortized sorting without leaking `&mut` into
-/// read-only stats consumers).
-#[derive(Debug, Clone, Default)]
+/// A value below `DENSE` (4,096) bumps its own counter (the counter
+/// vector grows to the largest such value seen, at most `DENSE` words); a
+/// larger value goes raw into a tail, which is sorted on the first read
+/// after it changed. Count, sum and maximum are running fields. Percentiles walk the
+/// counters and then the sorted tail, so every statistic is the one a
+/// sorted copy of all samples would give. Simulated latencies (tens of
+/// cycles on the default network) and most uncontended live ones (about a
+/// microsecond) stay below `DENSE`, so such a run holds at most `DENSE`
+/// words however long it is; only samples of `DENSE` or more cost a word
+/// each.
+///
+/// Reads take `&self`: the tail sits behind a lock held only to sort or
+/// index it, so read-only stats consumers never need `&mut`.
+#[derive(Debug, Default)]
 pub struct Histogram {
-    samples: Vec<u64>,
-    sorted: std::sync::OnceLock<Vec<u64>>,
+    /// `counts[v]` = samples equal to `v`, for `v < DENSE`.
+    counts: Vec<u64>,
+    tail: Mutex<Tail>,
+    len: u64,
+    sum: u64,
+    max: u64,
+}
+
+/// Samples of at least [`DENSE`], in arrival order until first read.
+#[derive(Debug, Default, Clone)]
+struct Tail {
+    values: Vec<u64>,
+    sorted: bool,
+}
+
+impl Clone for Histogram {
+    fn clone(&self) -> Histogram {
+        Histogram {
+            counts: self.counts.clone(),
+            tail: Mutex::new(self.tail().clone()),
+            len: self.len,
+            sum: self.sum,
+            max: self.max,
+        }
+    }
 }
 
 impl Histogram {
@@ -31,51 +65,103 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&mut self, v: u64) {
-        self.samples.push(v);
-        self.sorted.take(); // invalidate the finalized view
+        self.add(v, 1);
+    }
+
+    /// Adds every sample of `other`, as if each had been recorded here.
+    pub fn merge(&mut self, other: &Histogram) {
+        for (v, &n) in other.counts.iter().enumerate() {
+            if n > 0 {
+                self.add(v as u64, n);
+            }
+        }
+        for &v in &other.tail().values {
+            self.add(v, 1);
+        }
+    }
+
+    /// Records `n` samples of value `v`: in its counter below [`DENSE`],
+    /// once per sample in the tail otherwise.
+    fn add(&mut self, v: u64, n: u64) {
+        self.len += n;
+        self.sum += v * n;
+        self.max = self.max.max(v);
+        match usize::try_from(v) {
+            Ok(i) if i < DENSE => {
+                if i >= self.counts.len() {
+                    // Double, capped at DENSE, with no allocator slack: the
+                    // counters never exceed DENSE words.
+                    let want = (i + 1).max(2 * self.counts.len()).min(DENSE);
+                    self.counts.reserve_exact(want - self.counts.len());
+                    self.counts.resize(want, 0);
+                }
+                self.counts[i] += n;
+            }
+            _ => {
+                let tail = self.tail.get_mut().unwrap_or_else(PoisonError::into_inner);
+                tail.values.extend((0..n).map(|_| v));
+                tail.sorted = false;
+            }
+        }
+    }
+
+    /// The tail, locked. A poisoned lock is taken over as is: `sorted` is
+    /// set only after a sort completes, so any interrupted update leaves
+    /// the same samples, at worst marked unsorted.
+    fn tail(&self) -> MutexGuard<'_, Tail> {
+        self.tail.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Number of samples recorded.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.len as usize
     }
 
     /// Whether no samples were recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.len == 0
     }
 
-    /// The sorted sample view, built on first use after the last record.
-    fn sorted(&self) -> &[u64] {
-        self.sorted.get_or_init(|| {
-            let mut v = self.samples.clone();
-            v.sort_unstable();
-            v
-        })
+    /// Heap bytes held by the counters and the tail.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        (self.counts.capacity() + self.tail().values.capacity()) * std::mem::size_of::<u64>()
     }
 
     /// The `p`-th percentile (nearest-rank), or 0 with no samples.
     pub fn percentile(&self, p: f64) -> u64 {
-        let sorted = self.sorted();
-        if sorted.is_empty() {
+        if self.len == 0 {
             return 0;
         }
-        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-        sorted[rank.clamp(1, sorted.len()) - 1]
+        let n = self.len as usize;
+        let rank = ((p / 100.0) * n as f64).ceil() as usize;
+        let mut rank = rank.clamp(1, n) as u64;
+        for (v, &c) in self.counts.iter().enumerate() {
+            if rank <= c {
+                return v as u64;
+            }
+            rank -= c;
+        }
+        let mut tail = self.tail();
+        if !tail.sorted {
+            tail.values.sort_unstable();
+            tail.sorted = true;
+        }
+        tail.values[rank as usize - 1]
     }
 
     /// Arithmetic mean, or 0.0 with no samples.
     pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.len == 0 {
             0.0
         } else {
-            self.samples.iter().sum::<u64>() as f64 / self.samples.len() as f64
+            self.sum as f64 / self.len as f64
         }
     }
 
     /// Largest sample, or 0 with no samples.
     pub fn max(&self) -> u64 {
-        self.samples.iter().copied().max().unwrap_or(0)
+        self.max
     }
 }
 
@@ -259,6 +345,7 @@ impl fmt::Display for Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn percentiles_use_nearest_rank() {
@@ -318,6 +405,105 @@ mod tests {
         h.record(99);
         assert_eq!(h.percentile(100.0), 99);
         assert_eq!(h.percentile(0.0), 10);
+    }
+
+    /// The sort-based histogram this module used to be: the oracle.
+    struct Reference(Vec<u64>);
+
+    impl Reference {
+        fn percentile(&self, p: f64) -> u64 {
+            let mut sorted = self.0.clone();
+            sorted.sort_unstable();
+            if sorted.is_empty() {
+                return 0;
+            }
+            let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+            sorted[rank.clamp(1, sorted.len()) - 1]
+        }
+
+        fn mean(&self) -> f64 {
+            if self.0.is_empty() {
+                0.0
+            } else {
+                self.0.iter().sum::<u64>() as f64 / self.0.len() as f64
+            }
+        }
+    }
+
+    const PERCENTILES: [f64; 8] = [0.0, 0.1, 1.0, 50.0, 95.0, 99.0, 99.9, 100.0];
+
+    fn assert_matches(h: &Histogram, samples: &[u64]) {
+        let r = Reference(samples.to_vec());
+        for p in PERCENTILES {
+            assert_eq!(h.percentile(p), r.percentile(p), "p={p} over {samples:?}");
+        }
+        assert_eq!(h.mean().to_bits(), r.mean().to_bits(), "mean over {samples:?}");
+        assert_eq!(h.max(), samples.iter().copied().max().unwrap_or(0));
+        assert_eq!(h.len(), samples.len());
+        assert_eq!(h.is_empty(), samples.is_empty());
+    }
+
+    fn histogram(samples: &[u64]) -> Histogram {
+        let mut h = Histogram::new();
+        for &v in samples {
+            h.record(v);
+        }
+        h
+    }
+
+    /// Samples on both sides of `DENSE`, its edges, and past 2³².
+    fn samples() -> impl Strategy<Value = Vec<u64>> {
+        let dense = DENSE as u64;
+        let one = (0u8..7, any::<u64>()).prop_map(move |(kind, r)| match kind {
+            0 => 0,
+            1 => dense - 1,
+            2 => dense,
+            3 => r % dense,
+            4 => dense + r % (4 * dense),
+            5 => (1 << 32) + r % (1 << 40),
+            _ => r % 64,
+        });
+        proptest::collection::vec(one, 0..300)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn statistics_equal_a_sorted_copy(s in samples()) {
+            assert_matches(&histogram(&s), &s);
+        }
+
+        #[test]
+        fn merge_equals_recording_both_in_turn(a in samples(), b in samples()) {
+            let mut merged = histogram(&a);
+            merged.percentile(50.0); // a sorted tail must take b's too
+            merged.merge(&histogram(&b));
+            let both = [a, b].concat();
+            assert_matches(&merged, &both);
+            assert_matches(&merged.clone(), &both);
+        }
+
+        #[test]
+        fn a_record_after_a_read_is_seen(s in samples(), cut in 0usize..300) {
+            let cut = cut.min(s.len());
+            let mut h = histogram(&s[..cut]);
+            assert_matches(&h, &s[..cut]);
+            for &v in &s[cut..] {
+                h.record(v);
+            }
+            assert_matches(&h, &s);
+        }
+    }
+
+    #[test]
+    fn a_million_dense_samples_fit_in_the_counters() {
+        let mut h = Histogram::new();
+        for i in 0..1_000_000u64 {
+            h.record(i * 7919 % DENSE as u64);
+        }
+        assert_eq!(h.len(), 1_000_000);
+        assert!(h.heap_bytes() <= DENSE * 8, "{} heap bytes", h.heap_bytes());
     }
 
     #[test]
