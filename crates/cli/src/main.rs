@@ -1120,13 +1120,22 @@ fn serve_cmd(args: &Args) -> Run {
             report.n_caches,
             report.dir_shards
         );
-        if !report.miss_latency.is_empty() {
+        let percentiles = report.miss_percentiles();
+        if !percentiles.is_empty() {
+            let names: Vec<&str> = percentiles.iter().map(|p| p.0).collect();
+            let values: Vec<String> =
+                percentiles.iter().map(|p| p.1.map_or("-".into(), |ns| ns.to_string())).collect();
+            let few: Vec<&str> =
+                percentiles.iter().filter(|p| p.1.is_none()).map(|p| p.0).collect();
+            let few = if few.is_empty() {
+                String::new()
+            } else {
+                format!("; too few for {}", few.join("/"))
+            };
             outln!(
-                "  miss latency p50/p95/p99/max: {}/{}/{}/{} ns over {} misses",
-                report.miss_latency.percentile(50.0),
-                report.miss_latency.percentile(95.0),
-                report.miss_latency.percentile(99.0),
-                report.miss_latency.max(),
+                "  miss latency {}: {} ns over {} misses{few}",
+                names.join("/"),
+                values.join("/"),
                 report.miss_latency.len()
             );
         }

@@ -333,6 +333,45 @@ fn serve_runs_inside_the_envelope_and_reports_json() {
     assert!(text.trim_start().starts_with('{'), "{text}");
 }
 
+/// `serve msi --seed 7` at `caches` caches and `ops` operations: its stdout.
+fn serve_msi(caches: &str, ops: &str, json: bool) -> String {
+    let mut args = vec!["serve", "msi", "--caches", caches, "--ops", ops, "--seed", "7"];
+    args.extend(json.then_some("--json"));
+    let out = protogen(&args);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8(out.stdout).unwrap()
+}
+
+/// A tail percentile needs ten misses at or beyond its rank. One cache alone
+/// misses 13 times in 100,000 operations, where p95, p99 and max used to
+/// print the same slowest miss.
+#[test]
+fn serve_reports_no_tail_from_a_handful_of_misses() {
+    let json = serve_msi("1", "100000", true);
+    for key in ["\"miss_samples\": 13,", "\"miss_p50_ns\"", "\"miss_max_ns\""] {
+        assert!(json.contains(key), "missing {key}: {json}");
+    }
+    assert!(!json.contains("miss_p95_ns") && !json.contains("miss_p99_ns"), "{json}");
+    let text = serve_msi("1", "100000", false);
+    assert!(text.contains("miss latency p50/p95/p99/max: "), "{text}");
+    assert!(
+        text.contains("/-/-/") && text.contains("over 13 misses; too few for p95/p99"),
+        "{text}"
+    );
+}
+
+/// Four caches contending for the blocks miss thousands of times: every
+/// percentile stays.
+#[test]
+fn serve_keeps_the_tail_over_thousands_of_misses() {
+    let json = serve_msi("4", "20000", true);
+    let samples = json.split("\"miss_samples\": ").nth(1).and_then(|s| s.split(',').next());
+    assert!(samples.unwrap().parse::<u64>().unwrap() >= 1000, "{json}");
+    for key in ["\"miss_p50_ns\"", "\"miss_p95_ns\"", "\"miss_p99_ns\"", "\"miss_max_ns\""] {
+        assert!(json.contains(key), "missing {key}: {json}");
+    }
+}
+
 #[test]
 fn serve_rejects_bad_flags() {
     let out = protogen(&["serve", "msi", "--ops", "many"]);

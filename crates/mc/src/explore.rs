@@ -1956,9 +1956,10 @@ mod tests {
         assert_eq!(read_all(&mut f), numbered(&encs));
     }
 
-    /// MESI stalling at 4 caches on one worker: the frontier's pages at the
-    /// peak epoch, pooled ones included, stay within 2 MiB, and the peak
-    /// epoch (deterministic at one worker) expands depth 31.
+    /// MESI stalling at 4 caches on one worker: the visited set costs at
+    /// most 22 bytes a state (20.6 with 4-byte records), the frontier's pages
+    /// at the peak epoch, pooled ones included, stay within 2 MiB, and the
+    /// peak epoch (deterministic at one worker) expands depth 31.
     #[test]
     fn a_frontier_holds_about_one_level() {
         let g = protogen_core::generate(
@@ -1969,6 +1970,7 @@ mod tests {
         let r = ModelChecker::new(&g.cache, &g.directory, McConfig::with_caches_and_threads(4, 1))
             .run();
         assert_eq!((r.states, r.transitions), (254_130, 1_163_240));
+        assert!(r.store_bytes as f64 / r.states as f64 <= 22.0, "store_bytes {}", r.store_bytes);
         assert!(r.frontier_bytes <= 2 << 20, "frontier_bytes {}", r.frontier_bytes);
         assert!(r.frontier_bytes < r.peak_mem_bytes);
         assert_eq!(r.peak_mem_depth, 31);

@@ -286,6 +286,24 @@ impl ServeReport {
         }
     }
 
+    /// The miss latency summary in nanoseconds: p50, p95, p99 and max, by
+    /// name. A tail percentile `p` is `None` unless at least ten misses lie
+    /// at or beyond its rank (`len × (100 − p) / 100 ≥ 10`): with fewer it
+    /// is the largest few misses, not a tail. Empty without misses.
+    pub fn miss_percentiles(&self) -> Vec<(&'static str, Option<u64>)> {
+        let h = &self.miss_latency;
+        if h.is_empty() {
+            return Vec::new();
+        }
+        let tail = |p: f64| (h.len() as f64 * (100.0 - p) / 100.0 >= 10.0).then(|| h.percentile(p));
+        vec![
+            ("p50", Some(h.percentile(50.0))),
+            ("p95", tail(95.0)),
+            ("p99", tail(99.0)),
+            ("max", Some(h.max())),
+        ]
+    }
+
     /// The live pairs the exhaustive checker never visited. Non-empty
     /// means the service escaped the verified envelope — callers must
     /// treat this as a hard failure.
@@ -334,10 +352,11 @@ impl ServeReport {
         }
         if !self.miss_latency.is_empty() {
             doc.push("miss_samples", Json::U64(self.miss_latency.len() as u64));
-            doc.push("miss_p50_ns", Json::U64(self.miss_latency.percentile(50.0)));
-            doc.push("miss_p95_ns", Json::U64(self.miss_latency.percentile(95.0)));
-            doc.push("miss_p99_ns", Json::U64(self.miss_latency.percentile(99.0)));
-            doc.push("miss_max_ns", Json::U64(self.miss_latency.max()));
+        }
+        for (name, ns) in self.miss_percentiles() {
+            if let Some(ns) = ns {
+                doc.push(&format!("miss_{name}_ns"), Json::U64(ns));
+            }
         }
         doc.push(
             "peak_queue_depths",
@@ -361,4 +380,40 @@ pub fn pair_label(cache: &Fsm, dir: &Fsm, pair: &StateEventPair) -> String {
         Event::Msg(m) => fsm.msg(*m).name.clone(),
     };
     format!("{who} {} × {ev}", fsm.state(*state).name)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// p95 needs 200 misses and p99 1,000: ten at or beyond the rank.
+    #[test]
+    fn a_tail_percentile_needs_ten_misses_beyond_its_rank() {
+        let tails = |misses: u64| {
+            let mut miss_latency = Histogram::new();
+            (1..=misses).for_each(|ns| miss_latency.record(ns));
+            let report = ServeReport {
+                n_caches: 1,
+                dir_shards: 1,
+                n_addrs: 1,
+                ops: misses,
+                hits: 0,
+                misses,
+                messages: 0,
+                seconds: 1.0,
+                miss_latency,
+                peak_queue_depths: Vec::new(),
+                coverage: PairSet::new(),
+                stop_reason: StopReason::Quiesced,
+                stop_detail: None,
+                faults: None,
+            };
+            report.miss_percentiles().iter().map(|(_, ns)| ns.is_some()).collect::<Vec<_>>()
+        };
+        assert!(tails(0).is_empty());
+        assert_eq!(tails(199), [true, false, false, true]);
+        assert_eq!(tails(200), [true, true, false, true]);
+        assert_eq!(tails(999), [true, true, false, true]);
+        assert_eq!(tails(1000), [true, true, true, true]);
+    }
 }
