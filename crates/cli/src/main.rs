@@ -5,7 +5,9 @@
 //! subcommands that read it, the flags it needs) and [`REPLACES`].
 //! [`Args::parse`] checks every token against the tables before anything
 //! runs; each subcommand's usage line is generated from them (README.md
-//! lists all eleven, held equal by a test).
+//! lists all ten, held equal by a test). Each report is rendered, as text
+//! and as JSON, by the library that computes it: this file parses, resolves
+//! the target, picks the exit code and [`emit`]s.
 //!
 //! Exit codes: 0 pass · 1 ran, and the answer is no (`FAILED`,
 //! `INCOMPLETE`, a coverage escape, a run error) · 2 the command line was
@@ -29,10 +31,9 @@
 //! leaf-level data-value, deadlock freedom — on the same explorer and
 //! with the same resource flags as flat `verify`, under per-level
 //! symmetry reduction; `table`/`dot --compose` render one
-//! section (or cluster) per level with the derived glue. `compile` on a
-//! `.pgen` file carrying a `compose { … }` block does the same after
-//! resolving the referenced protocol names. A stack with more than 256
-//! nodes at one level is a usage error on all of them.
+//! section (or cluster) per level with the derived glue. A `.pgen` operand
+//! with a `compose { … }` block names the same stack in the DSL. A stack
+//! with more than 256 nodes at one level is a usage error on all of them.
 //!
 //! `verify` prints one verdict word: `PASSED`, `FAILED` (a violation,
 //! followed by its trace) or `INCOMPLETE` (a limit such as `--max-states`
@@ -82,24 +83,25 @@
 //! bounds its state space and `--threads` sets its workers (the search is
 //! exhaustive, so the report is the same at every worker count).
 //!
-//! `<protocol>` is one of: msi, mesi, mosi, msi-upgrade, msi-unordered,
-//! tso-cc, si-sd.
+//! `<protocol>` is a bundled protocol — msi, mesi, mosi, msi-upgrade,
+//! msi-unordered, tso-cc, si-sd — or a path ending in `.pgen`: a protocol
+//! in the DSL, flat or a `compose { … }` stack of bundled protocols.
+//! `table`, `verify` and `dot` take either; `murphi`, `sim` and `serve` run
+//! a flat protocol.
 
 use protogen_backend::{
     render_composed_table, render_table, to_dot, to_dot_composed, to_murphi, TableOptions,
 };
 use protogen_core::{compose, generate, par, Composed, GenConfig, Generated};
 use protogen_litmus::run_suite;
-use protogen_mc::{
-    CheckResult, HierChecker, McConfig, ModelChecker, PropertySet, ResourceLimit, StoreMode,
-    MAX_CACHES, MAX_GROUP, SHARD_CAPACITY,
-};
+use protogen_mc::{HierChecker, McConfig, ModelChecker, PropertySet, MAX_CACHES, MAX_GROUP};
+use protogen_runtime::Json;
 use protogen_serve::{
     checked_envelope, pair_label, serve, FaultConfig, ServeConfig, ServeError, StopReason,
 };
 use protogen_sim::{
-    parse_trace, run_sweep, simulate, Json, LatencyDist, NetModel, NetworkConfig, SimConfig,
-    SimError, SweepConfig, Workload,
+    parse_trace, run_sweep, simulate, LatencyDist, NetModel, NetworkConfig, SimConfig, SimError,
+    SweepConfig, Workload,
 };
 use protogen_spec::{Composition, Fsm, LevelSpec, Ssp};
 use std::fmt::Display;
@@ -160,9 +162,9 @@ struct Command {
 }
 
 /// The subcommands.
-const COMMANDS: [Command; 11] = [
+const COMMANDS: [Command; 10] = [
     Command { name: "table", operand: "<protocol>", run: table },
-    Command { name: "verify", operand: "<protocol>", run: verify_cmd },
+    Command { name: "verify", operand: "<protocol>", run: verify },
     Command { name: "dot", operand: "<protocol>", run: dot },
     Command { name: "murphi", operand: "<protocol>", run: murphi },
     Command { name: "sim", operand: "<protocol>", run: sim },
@@ -171,7 +173,6 @@ const COMMANDS: [Command; 11] = [
     Command { name: "fuzz", operand: "", run: fuzz },
     Command { name: "litmus", operand: "[protocol|all]", run: litmus_cmd },
     Command { name: "reproduce", operand: "", run: reproduce::reproduce },
-    Command { name: "compile", operand: "<file.pgen>", run: compile },
 ];
 
 /// The shape of a flag's value. [`Args::parse`] checks it once, whatever
@@ -286,35 +287,25 @@ impl Kind {
 /// The only place any of the four is written: a row is all a new flag needs
 /// to be parsed, range-checked, refused when repeated, valueless, on the
 /// wrong subcommand or without what it needs, and shown in the usage line.
-/// `compile` ends in `verify`, so it takes `verify`'s flags.
+/// The subcommands that take `--compose` are those that take a stack.
 const FLAGS: [(&str, Kind, &[&str], &[&str]); 39] = [
-    (
-        "stalling",
-        Kind::Switch,
-        &["table", "verify", "dot", "murphi", "sim", "serve", "compile"],
-        &[],
-    ),
+    ("stalling", Kind::Switch, &["table", "verify", "dot", "murphi", "sim", "serve"], &[]),
     ("markdown", Kind::Switch, &["table", "litmus"], &[]),
-    ("json", Kind::Switch, &["verify", "sim", "serve", "sweep", "fuzz", "compile"], &[]),
+    ("json", Kind::Switch, &["verify", "sim", "serve", "sweep", "fuzz"], &[]),
     ("list", Kind::Switch, &["sweep"], &[]),
-    ("resume", Kind::Switch, &["verify", "compile"], &["checkpoint-dir"]),
+    ("resume", Kind::Switch, &["verify"], &["checkpoint-dir"]),
     ("compose", Kind::Text("l1=msi:2,llc=mesi"), &["table", "verify", "dot"], &[]),
     ("machine", Kind::OneOf(&["cache", "dir"]), &["table", "dot"], &[]),
-    ("caches", Kind::Counts, &["verify", "murphi", "sim", "serve", "sweep", "compile"], &[]),
-    (
-        "threads",
-        UNSIGNED,
-        &["verify", "serve", "sweep", "fuzz", "litmus", "reproduce", "compile"],
-        &[],
-    ),
+    ("caches", Kind::Counts, &["verify", "murphi", "sim", "serve", "sweep"], &[]),
+    ("threads", UNSIGNED, &["verify", "serve", "sweep", "fuzz", "litmus", "reproduce"], &[]),
     ("seed", UNSIGNED, &["sim", "serve", "sweep", "fuzz"], &[]),
-    ("property", Kind::Text("sc|tso|weak|none|P+Q"), &["verify", "serve", "compile"], &[]),
-    ("max-states", POSITIVE, &["verify", "compile"], &[]),
-    ("mem-budget", Kind::Bytes, &["verify", "compile"], &[]),
-    ("store", Kind::Text("full|delta|fp-only"), &["verify", "compile"], &[]),
-    ("spill-chunk", Kind::Bytes, &["verify", "compile"], &["mem-budget"]),
-    ("checkpoint-dir", Kind::Text("DIR"), &["verify", "compile"], &[]),
-    ("checkpoint-every", DEPTHS, &["verify", "compile"], &["checkpoint-dir"]),
+    ("property", Kind::Text("sc|tso|weak|none|P+Q"), &["verify", "serve"], &[]),
+    ("max-states", POSITIVE, &["verify"], &[]),
+    ("mem-budget", Kind::Bytes, &["verify"], &[]),
+    ("store", Kind::Text("full|delta|fp-only"), &["verify"], &[]),
+    ("spill-chunk", Kind::Bytes, &["verify"], &["mem-budget"]),
+    ("checkpoint-dir", Kind::Text("DIR"), &["verify"], &[]),
+    ("checkpoint-every", DEPTHS, &["verify"], &["checkpoint-dir"]),
     ("addrs", UNSIGNED, &["sim", "serve"], &[]),
     ("workload", Kind::Text("W"), &["sim", "serve"], &[]),
     ("store-pct", PERCENT, &["sim", "serve"], &[]),
@@ -556,13 +547,6 @@ fn generated(ssp: &Ssp, args: &Args) -> Result<Generated, Usage> {
     generate(ssp, &gen_config(args)).map_err(|e| Usage(format!("generation failed: {e}")))
 }
 
-/// The flat protocol the operand names, generated.
-fn flat(args: &Args) -> Result<(Ssp, Generated), Usage> {
-    let ssp = protocol(args.operand())?;
-    let g = generated(&ssp, args)?;
-    Ok((ssp, g))
-}
-
 /// `--machine`: the directory controller, or (the default) the cache's.
 fn machine<'g>(args: &Args, g: &'g Generated) -> &'g Fsm {
     match args.text("machine") {
@@ -609,9 +593,8 @@ fn parse_compose_flag(spec: &str) -> Result<Composition, String> {
     )
 }
 
-/// What `verify`, `table` and `dot` are pointed at: a flat protocol or a
-/// composed stack, generated. One per process, so the variants' sizes are
-/// of no account.
+/// What a subcommand is pointed at: a flat protocol or a composed stack,
+/// generated. One per process, so the variants' sizes are of no account.
 #[allow(clippy::large_enum_variant)]
 enum Target {
     Flat(Ssp, Generated),
@@ -634,25 +617,46 @@ fn composed(comp: Composition, from: &str, args: &Args) -> Result<Target, Usage>
     }
 }
 
-/// The stack `--compose` names, or else the flat protocol the operand names.
+/// The stack `--compose` names, or else the operand: a `.pgen` file — a
+/// flat protocol, or a `compose { … }` stack where the subcommand takes
+/// `--compose` — or a bundled protocol's name. The one resolver of every
+/// `<protocol>` operand.
 fn target(args: &Args) -> Result<Target, Usage> {
-    match args.parsed("compose", parse_compose_flag)? {
-        Some(comp) => composed(comp, "--compose", args),
-        None => flat(args).map(|(ssp, g)| Target::Flat(ssp, g)),
+    if let Some(comp) = args.parsed("compose", parse_compose_flag)? {
+        return composed(comp, "--compose", args);
     }
+    let path = args.operand();
+    let ssp = if path.ends_with(".pgen") {
+        let ast = protogen_dsl::parse(&read(path)?).map_err(|e| Usage(e.to_string()))?;
+        if !ast.compose.is_empty() {
+            let cmd = args.cmd.name;
+            if !FLAGS.iter().any(|(flag, _, cmds, _)| *flag == "compose" && cmds.contains(&cmd)) {
+                return Err(Usage(format!(
+                    "`{cmd}` runs a flat protocol: {path} is a composed stack"
+                )));
+            }
+            let levels = ast
+                .compose
+                .iter()
+                .map(|l| Ok((l.label.clone(), l.protocol.clone(), l.fanout.unwrap_or(1) as usize)));
+            let comp = build_composition(&ast.name, levels)
+                .map_err(|e| Usage(format!("bad compose block in {path}: {e}")))?;
+            return composed(comp, &format!("the compose block of {path}"), args);
+        }
+        protogen_dsl::lower(&ast).map_err(|e| Usage(e.to_string()))?
+    } else {
+        protocol(path)?
+    };
+    let g = generated(&ssp, args)?;
+    Ok(Target::Flat(ssp, g))
 }
 
-/// The controller tables of `target`, under `--markdown` and `--machine`
-/// where the subcommand takes them.
-fn print_tables(target: &Target, args: &Args) {
-    let opts = TableOptions { markdown: args.flag("markdown"), ..TableOptions::default() };
-    match target {
-        Target::Stack(_, composed) => out!("{}", render_composed_table(composed, &opts)),
-        Target::Flat(_, g) => {
-            outln!("{}", g.report);
-            outln!("{}", render_table(machine(args, g), &opts));
-        }
-    }
+/// The flat protocol the operand names, generated.
+fn flat(args: &Args) -> Result<(Ssp, Generated), Usage> {
+    let Target::Flat(ssp, g) = target(args)? else {
+        unreachable!("a subcommand without --compose is refused a stack")
+    };
+    Ok((ssp, g))
 }
 
 /// The checker configuration `verify`'s flags describe — one set of
@@ -691,33 +695,13 @@ fn property_set(ssp: &Ssp, args: &Args) -> Result<PropertySet, Usage> {
     Ok(given.unwrap_or_else(|| PropertySet::promised(ssp.consistency)))
 }
 
-/// What would let a limit-stopped exploration go further.
-fn limit_hint(limit: &ResourceLimit) -> String {
-    match limit {
-        ResourceLimit::StateBudget => "raise --max-states to go further".into(),
-        ResourceLimit::ShardCapacity { shard } => format!(
-            "shard {shard} holds SHARD_CAPACITY = {SHARD_CAPACITY} states and --max-states cannot \
-             raise that; more --threads = more shards"
-        ),
-    }
-}
-
-/// The verdict word of a check. A limit that fired before any violation
-/// proved nothing either way: not a pass, but not a counterexample.
-fn verdict(r: &CheckResult) -> &'static str {
-    match (&r.violation, &r.limit) {
-        (Some(_), _) => "FAILED",
-        (None, Some(_)) => "INCOMPLETE",
-        (None, None) => "PASSED",
-    }
-}
-
 /// `verify` for flat protocols and composed stacks alike: one explorer,
-/// one result printer.
-fn verify(target: &Target, mut cfg: McConfig, args: &Args) -> Run {
-    let (fp_only, resume) = (cfg.store == StoreMode::FpOnly, args.flag("resume"));
-    let properties = cfg.properties;
-    let (name, r, shape) = match target {
+/// one report.
+fn verify(args: &Args) -> Run {
+    let target = target(args)?;
+    let mut cfg = mc_config(&target, args)?;
+    let resume = args.flag("resume");
+    let (name, r, shape) = match &target {
         Target::Flat(ssp, g) => {
             cfg.n_caches = args.caches();
             cfg.ordered = ssp.network_ordered;
@@ -747,120 +731,21 @@ fn verify(target: &Target, mut cfg: McConfig, args: &Args) -> Run {
     // start: a "PASSED" that quietly re-ran from scratch would
     // misrepresent what was verified.
     let r = r.map_err(|e| Usage(format!("cannot resume: {e}")))?;
-    // `seconds` times only this process's epochs while `states` counts the
-    // checkpointed ones too, so a resumed run has no honest rate to print.
-    let rate = if resume {
-        "resumed".to_string()
-    } else {
-        format!("{:.0} states/s", r.states as f64 / r.seconds.max(1e-9))
-    };
-    let json = || verify_json(name, &r, properties);
-    emit(args, json, || {
-        outln!(
-            "{name}: {} — {} states, {} transitions, {:.2}s ({rate}) on {} thread{}{shape}; \
-             properties {properties}",
-            verdict(&r),
-            r.states,
-            r.transitions,
-            r.seconds,
-            r.threads,
-            if r.threads == 1 { "" } else { "s" }
-        );
-        if r.spill_bytes > 0 {
-            outln!(
-                "spilled {} bytes in {} chunks (frontier {} bytes, visited records {} bytes) \
-                 under the memory budget (peak accounted RAM {} bytes){}",
-                r.spill_bytes,
-                r.spill_chunks,
-                r.frontier_spill_bytes,
-                r.visited_spill_bytes,
-                r.peak_mem_bytes,
-                // "spilled + completed" is not an early stop: unless a limit
-                // fired below, the whole space was still explored.
-                if r.limit.is_none() { " — exploration completed" } else { "" }
-            );
-        }
-        if fp_only {
-            outln!(
-                "fingerprint-only store: no counterexample traces; expected state pairs merged \
-                 by a 64-bit collision ≈ {:.3e}",
-                r.expected_collision_pairs()
-            );
-        }
-        if let Some(v) = &r.violation {
-            outln!("violation: {}", v.kind);
-            for line in &v.trace {
-                outln!("  {line}");
-            }
-        }
-        if let Some(l) = &r.limit {
-            outln!("stopped early: {l} — partial stats only ({})", limit_hint(l));
-        }
-    });
+    emit(args, || r.to_json(name), || r.render_text(name, &shape));
     Ok(ExitCode::from(u8::from(!r.passed())))
 }
 
-/// `verify --json`: the verdict line's figures, the violation and its
-/// trace, the limit that fired, and the visited set's memory by component
-/// with the fingerprint map's counters. `limit` and `violation` are absent
-/// when nothing fired.
-fn verify_json(name: &str, r: &CheckResult, properties: PropertySet) -> Json {
-    let (split, counters) = (r.store_split, r.store_counters);
-    let mut doc = Json::obj([
-        ("protocol", Json::Str(name.to_string())),
-        ("verdict", Json::Str(verdict(r).into())),
-        ("properties", Json::Str(properties.to_string())),
-        ("states", Json::U64(r.states as u64)),
-        ("transitions", Json::U64(r.transitions as u64)),
-        ("threads", Json::U64(r.threads as u64)),
-        ("seconds", Json::F64(r.seconds)),
-        (
-            "memory",
-            Json::obj([
-                ("store_bytes", Json::U64(r.store_bytes as u64)),
-                ("store_bytes_per_state", Json::F64(r.store_bytes as f64 / r.states as f64)),
-                ("column_bytes", Json::U64(split.column as u64)),
-                ("slot_bytes", Json::U64(split.slots as u64)),
-                ("record_bytes", Json::U64(split.records as u64)),
-                ("peak_mem_bytes", Json::U64(r.peak_mem_bytes as u64)),
-                ("peak_mem_depth", Json::U64(u64::from(r.peak_mem_depth))),
-                ("frontier_bytes", Json::U64(r.frontier_bytes as u64)),
-                ("hot_level_bytes", Json::U64(r.hot_level_bytes as u64)),
-                ("frontier_spill_bytes", Json::U64(r.frontier_spill_bytes)),
-                ("visited_spill_bytes", Json::U64(r.visited_spill_bytes)),
-                ("spill_chunks", Json::U64(r.spill_chunks)),
-            ]),
-        ),
-        (
-            "store",
-            Json::obj([
-                ("lookups", Json::U64(counters.lookups)),
-                ("probes", Json::U64(counters.probes)),
-                ("column_reads", Json::U64(counters.column_reads)),
-            ]),
-        ),
-    ]);
-    if let Some(l) = &r.limit {
-        doc.push("limit", Json::Str(l.to_string()));
-    }
-    if let Some(v) = &r.violation {
-        let trace = v.trace.iter().map(|l| Json::Str(l.clone())).collect();
-        doc.push(
-            "violation",
-            Json::obj([("kind", Json::Str(v.kind.to_string())), ("trace", Json::Arr(trace))]),
-        );
-    }
-    doc
-}
-
-fn verify_cmd(args: &Args) -> Run {
-    let target = target(args)?;
-    let cfg = mc_config(&target, args)?;
-    verify(&target, cfg, args)
-}
-
+/// The controller tables, under `--markdown` and `--machine`: one section
+/// per level of a stack.
 fn table(args: &Args) -> Run {
-    print_tables(&target(args)?, args);
+    let opts = TableOptions { markdown: args.flag("markdown"), ..TableOptions::default() };
+    match target(args)? {
+        Target::Stack(_, composed) => out!("{}", render_composed_table(&composed, &opts)),
+        Target::Flat(_, g) => {
+            outln!("{}", g.report);
+            outln!("{}", render_table(machine(args, &g), &opts));
+        }
+    }
     Ok(ExitCode::SUCCESS)
 }
 
@@ -878,61 +763,39 @@ fn murphi(args: &Args) -> Run {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `compile`: a `.pgen` file through `table` and `verify`. Everything the
-/// command line can get wrong is settled before the table is printed.
-fn compile(args: &Args) -> Run {
-    let path = args.operand();
-    let ast = protogen_dsl::parse(&read(path)?).map_err(|e| Usage(e.to_string()))?;
-    let target = if ast.compose.is_empty() {
-        let ssp = protogen_dsl::lower(&ast).map_err(|e| Usage(e.to_string()))?;
-        let g = generated(&ssp, args)?;
-        Target::Flat(ssp, g)
-    } else {
-        // A `compose { … }` block makes this a composition source: resolve
-        // the referenced protocols and run the composed pipeline.
-        let levels = ast
-            .compose
-            .iter()
-            .map(|l| Ok((l.label.clone(), l.protocol.clone(), l.fanout.unwrap_or(1) as usize)));
-        let comp = build_composition(&ast.name, levels)
-            .map_err(|e| Usage(format!("bad compose block in {path}: {e}")))?;
-        composed(comp, &format!("the compose block of {path}"), args)?
-    };
-    let cfg = mc_config(&target, args)?;
-    // Under `--json` stdout carries the verification's document alone.
-    if !args.flag("json") {
-        print_tables(&target, args);
-    }
-    verify(&target, cfg, args)
-}
-
 /// The one place a report reaches stdout: the document under `--json`,
-/// the lines `text` prints otherwise.
-fn emit(args: &Args, json: impl FnOnce() -> Json, text: impl FnOnce()) {
+/// the text otherwise.
+fn emit(args: &Args, json: impl FnOnce() -> Json, text: impl FnOnce() -> String) {
     if args.flag("json") {
         out!("{}", json().render());
     } else {
-        text();
+        out!("{}", text());
     }
 }
 
-/// The fields `sim`'s and `serve`'s JSON documents open with.
-fn run_header(ssp: &Ssp, args: &Args, workload: &Workload) -> [(&'static str, Json); 3] {
-    let config = if args.flag("stalling") { "stalling" } else { "non-stalling" };
-    [
-        ("protocol", Json::Str(ssp.name.clone())),
-        ("config", Json::Str(config.into())),
-        ("workload", Json::Str(workload.label())),
-    ]
-}
-
-/// Writes `contents` to `dir/name`, creating `dir` on the way: the one
-/// path `sweep --out` and `fuzz --out` files take to disk.
-fn write_artifact(dir: &Path, name: &str, contents: &str) -> Result<(), String> {
-    let path = dir.join(name);
-    std::fs::create_dir_all(dir)
-        .and_then(|()| std::fs::write(&path, contents))
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))
+/// Writes `files` (name, contents) into `dir`, creating it on the way: the
+/// one path `sweep --out` and `fuzz --out` files take to disk. Then says
+/// that it `wrote` them: on stderr under `--json`, whose stdout carries the
+/// document alone.
+fn write_out(
+    args: &Args,
+    dir: &str,
+    files: &[(String, String)],
+    wrote: &str,
+) -> Result<(), String> {
+    let dir = Path::new(dir);
+    for (name, contents) in files {
+        let path = dir.join(name);
+        std::fs::create_dir_all(dir)
+            .and_then(|()| std::fs::write(&path, contents))
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    }
+    if args.flag("json") {
+        eprintln!("{wrote} to {}", dir.display());
+    } else {
+        outln!("{wrote} to {}", dir.display());
+    }
+    Ok(())
 }
 
 /// `--workload` under `--store-pct` (`sim`, `serve`): uniform at 50 %
@@ -993,66 +856,21 @@ fn sim(args: &Args) -> Run {
         }
         Err(e) => return failed(format_args!("simulation failed: {e}")),
     };
-    let json = || {
-        let [protocol, config, workload] = run_header(&ssp, args, &cfg.workload);
-        let caches = ("caches", Json::U64(cfg.n_caches as u64));
-        let seed = ("seed", Json::U64(cfg.seed));
-        Json::obj([protocol, config, workload, caches, seed, ("stats", r.to_json())])
-    };
-    emit(args, json, || {
-        outln!(
-            "{}: {} accesses ({} hits, {} misses) in {} cycles under {}",
-            ssp.name,
-            r.completed,
-            r.hits,
-            r.misses,
-            r.cycles,
-            cfg.workload
-        );
-        outln!(
-            "  miss latency p50/p95/p99/max: {}/{}/{}/{} (avg {:.1})",
-            r.p50_latency,
-            r.p95_latency,
-            r.p99_latency,
-            r.max_latency,
-            r.avg_miss_latency
-        );
-        outln!(
-            "  {} messages ({:.1}/miss), {} stall-cycles, {} backpressure-cycles, \
-             dir occupancy {:.1}%",
-            r.messages,
-            r.msgs_per_miss,
-            r.stall_cycles,
-            r.backpressure_cycles,
-            r.dir_occupancy * 100.0
-        );
-    });
+    let config = gen_config(args).concurrency.to_string();
+    emit(args, || r.document(&ssp.name, &config, &cfg), || r.render_text(&ssp.name, &cfg.workload));
     Ok(ExitCode::SUCCESS)
 }
 
 /// `--faults`, with `--fault-seed` and `--crash-at-op`, which need it.
 fn fault_config(args: &Args, run_seed: u64) -> Result<Option<FaultConfig>, Usage> {
-    let Some(classes) = args.list("faults") else {
+    let Some(classes) = args.text("faults") else {
         return Ok(None);
     };
     // The fault seed defaults to the workload seed: one seed replays the
     // whole run, faults included.
     let seed = args.num("fault-seed").unwrap_or(run_seed);
-    let mut fc = FaultConfig::none(seed);
-    for class in classes {
-        match class.trim() {
-            "all" => fc = FaultConfig::all(seed),
-            "delay" | "delays" => fc.delays = true,
-            "stall" | "stalls" => fc.stalls = true,
-            "squeeze" | "squeezes" => fc.squeezes = true,
-            "crash" | "crashes" => fc.crashes = fc.crashes.max(1),
-            other => {
-                return Err(Usage(format!(
-                    "bad --faults item `{other}` (delay, stall, squeeze, crash, or all)"
-                )))
-            }
-        }
-    }
+    let mut fc =
+        FaultConfig::parse(classes, seed).map_err(|e| Usage(format!("bad --faults {e}")))?;
     if let Some(n) = args.num("crash-at-op") {
         fc.crash_at_op = Some(n);
         fc.crashes = fc.crashes.max(1);
@@ -1098,80 +916,18 @@ fn serve_cmd(args: &Args) -> Run {
         Err(e @ ServeError::Config(_)) => return Err(Usage(e.to_string())),
         Err(e) => return failed(format_args!("service run FAILED: {e}")),
     };
+    let config = gen_config(args).concurrency.to_string();
+    let (cache, dir) = (&g.cache, &g.directory);
+    let json = || report.to_json(&ssp.name, &config, &cfg, &envelope, cache, dir);
+    emit(args, json, || report.render_text(&ssp.name, &envelope));
     let escapes = report.escapes(&envelope);
-
-    let json = || {
-        let [protocol, config, workload] = run_header(&ssp, args, &cfg.workload);
-        let seed = ("seed", Json::U64(cfg.seed));
-        let pairs = ("envelope_pairs", Json::U64(envelope.len() as u64));
-        let report = ("report", report.to_json(&g.cache, &g.directory, &escapes));
-        Json::obj([protocol, config, workload, seed, pairs, report])
-    };
-    emit(args, json, || {
-        outln!(
-            "{}: {} ops ({} hits, {} misses) in {:.3}s — {:.0} ops/s over {} cache \
-             worker(s) + {} dir shard(s)",
-            ssp.name,
-            report.ops,
-            report.hits,
-            report.misses,
-            report.seconds,
-            report.ops_per_sec(),
-            report.n_caches,
-            report.dir_shards
-        );
-        let percentiles = report.miss_percentiles();
-        if !percentiles.is_empty() {
-            let names: Vec<&str> = percentiles.iter().map(|p| p.0).collect();
-            let values: Vec<String> =
-                percentiles.iter().map(|p| p.1.map_or("-".into(), |ns| ns.to_string())).collect();
-            let few: Vec<&str> =
-                percentiles.iter().filter(|p| p.1.is_none()).map(|p| p.0).collect();
-            let few = if few.is_empty() {
-                String::new()
-            } else {
-                format!("; too few for {}", few.join("/"))
-            };
-            outln!(
-                "  miss latency {}: {} ns over {} misses{few}",
-                names.join("/"),
-                values.join("/"),
-                report.miss_latency.len()
-            );
-        }
-        outln!("  {} messages, peak queue depths {:?}", report.messages, report.peak_queue_depths);
-        outln!(
-            "  live coverage: {} pairs, all inside the {}-pair checked envelope: {}",
-            report.coverage.len(),
-            envelope.len(),
-            if escapes.is_empty() { "yes" } else { "NO" }
-        );
-        outln!("  stop reason: {}", report.stop_reason.label());
-        if let Some(fs) = &report.faults {
-            outln!(
-                "  faults: {}/{} crash recoveries, {} recovery writeback(s), {} delay(s), \
-                 {} stall(s), {} squeeze park(s){}",
-                fs.crashes_completed,
-                fs.planned_crashes,
-                fs.recovery_writebacks,
-                fs.delays_injected,
-                fs.stalls_injected,
-                fs.squeeze_parks,
-                if fs.lines_lost > 0 {
-                    format!(", {} LINE(S) LOST", fs.lines_lost)
-                } else {
-                    String::new()
-                }
-            );
-        }
-    });
     if !escapes.is_empty() {
         eprintln!(
             "COVERAGE ESCAPE: {} live pair(s) the model checker never visited:",
             escapes.len()
         );
         for p in &escapes {
-            eprintln!("  {}", pair_label(&g.cache, &g.directory, p));
+            eprintln!("  {}", pair_label(cache, dir, p));
         }
         return Ok(ExitCode::FAILURE);
     }
@@ -1217,49 +973,15 @@ fn sweep(args: &Args) -> Run {
         Ok(r) => r,
         Err(e) => return failed(format_args!("sweep failed: {e}")),
     };
-    let out_dir = args.text("out").map(Path::new);
-    if let Some(dir) = out_dir {
-        // One diffable JSON per config cell, plus the merged report.
-        let cells = report.cells.iter().map(|c| (format!("{}.json", c.cell.label()), c.to_json()));
-        for (name, doc) in cells.chain([("sweep.json".to_string(), report.to_json())]) {
-            if let Err(e) = write_artifact(dir, &name, &doc.render()) {
-                return failed(e);
-            }
+    if let Some(dir) = args.text("out") {
+        let wrote = format!("wrote {} cell files + sweep.json", report.cells.len());
+        if let Err(e) = write_out(args, dir, &report.files(), &wrote) {
+            return failed(e);
         }
-        outln!("wrote {} cell files + sweep.json to {}", report.cells.len(), dir.display());
     }
     // The files are the report of a run under `--out`.
-    let table = || {
-        outln!(
-            "{:<44} {:>9} {:>6} {:>6} {:>6} {:>8}",
-            "cell",
-            "cycles",
-            "p50",
-            "p95",
-            "stalls",
-            "msgs"
-        );
-        for c in &report.cells {
-            outln!(
-                "{:<44} {:>9} {:>6} {:>6} {:>6} {:>8}",
-                c.cell.label(),
-                c.stats.cycles,
-                c.stats.p50_latency,
-                c.stats.p95_latency,
-                c.stats.stall_cycles,
-                c.stats.messages
-            );
-        }
-    };
-    emit(
-        args,
-        || report.to_json(),
-        || {
-            if out_dir.is_none() {
-                table()
-            }
-        },
-    );
+    let text = || if args.flag("out") { String::new() } else { report.render_text() };
+    emit(args, || report.to_json(), text);
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1279,10 +1001,7 @@ fn replay(path: &str, budget: usize) -> Run {
     use protogen_fuzz::{Outcome, Script};
     let script = Script::parse(&read(path)?).map_err(|e| Usage(e.to_string()))?;
     let r = script.subject(protocol(&script.protocol)?).run(budget);
-    outln!("{}: {}", r.outcome.label(), r.outcome.detail());
-    for line in &r.trace {
-        outln!("  {line}");
-    }
+    out!("{}", r.render_text());
     match r.outcome {
         // A script whose site no longer applies did not reconstruct the
         // mutant — that is a usage error, not "the bug is fixed".
@@ -1310,55 +1029,15 @@ fn fuzz(args: &Args) -> Run {
     }
 
     let report = quiet_panics(|| run_fuzz(&cfg)).map_err(|e| Usage(format!("fuzz failed: {e}")))?;
-    let unexpected: Vec<_> = report
-        .unexpected()
-        .into_iter()
-        .map(|r| (r, r.reproducer(report.seed).expect("unexpected records carry a shrunk case")))
-        .collect();
-
-    if let Some(dir) = args.text("out").map(Path::new) {
-        let scripts =
-            unexpected.iter().map(|(r, script)| (format!("repro-{}.mut", r.index), script.clone()));
-        let summary = ("fuzz.json".to_string(), report.to_json().render());
-        for (name, contents) in std::iter::once(summary).chain(scripts) {
-            if let Err(e) = write_artifact(dir, &name, &contents) {
-                return failed(e);
-            }
+    if let Some(dir) = args.text("out") {
+        let wrote = format!("wrote fuzz.json + {} reproducer script(s)", report.unexpected().len());
+        if let Err(e) = write_out(args, dir, &report.files(), &wrote) {
+            return failed(e);
         }
-        let n = unexpected.len();
-        outln!("wrote fuzz.json + {n} reproducer script(s) to {}", dir.display());
     }
-    let text = || {
-        outln!("fuzz: seed {}, {} mutants, budget {}", report.seed, cfg.mutants, report.budget);
-        for (label, count) in report.distribution() {
-            if count > 0 {
-                outln!("  {label:<22} {count:>6}");
-            }
-            if label == "rejected-by-checker" {
-                // The property-aware breakdown of what the checker caught.
-                for (family, n) in report.checker_families() {
-                    outln!("    {family:<20} {n:>6}");
-                }
-            }
-        }
-        for c in &report.controls {
-            outln!(
-                "control {:<38} {} ({})",
-                c.name,
-                if c.caught() { "CAUGHT" } else { "MISSED" },
-                c.result.outcome.detail()
-            );
-        }
-        for (r, script) in &unexpected {
-            let o = &r.result.outcome;
-            outln!("unexpected mutant {}: {} — {}", r.index, o.label(), o.detail());
-            for line in script.lines() {
-                outln!("  {line}");
-            }
-        }
-    };
-    emit(args, || report.to_json(), text);
-    Ok(ExitCode::from(u8::from(!(report.all_controls_caught() && unexpected.is_empty()))))
+    emit(args, || report.to_json(), || report.render_text());
+    let clean = report.all_controls_caught() && report.unexpected().is_empty();
+    Ok(ExitCode::from(u8::from(!clean)))
 }
 
 /// `protogen litmus`: classify protocols against the litmus suite and
@@ -1585,15 +1264,5 @@ mod tests {
             let synopsis = usage.strip_prefix("usage: ").expect("usage lines open alike");
             assert!(readme.contains(&words(synopsis)), "README.md lacks: {synopsis}");
         }
-    }
-
-    #[test]
-    fn the_hint_follows_the_limit_that_stopped_the_run() {
-        assert_eq!(limit_hint(&ResourceLimit::StateBudget), "raise --max-states to go further");
-        let hint = limit_hint(&ResourceLimit::ShardCapacity { shard: 3 });
-        for needle in ["shard 3", &SHARD_CAPACITY.to_string(), "more --threads"] {
-            assert!(hint.contains(needle), "{hint}");
-        }
-        assert!(!hint.contains("raise --max-states"), "{hint}");
     }
 }

@@ -5,7 +5,7 @@
 //! `--threads`. Exit 1 when a verification is not `PASSED`, a litmus
 //! gate fails or a fuzz control is missed.
 
-use super::{failed, quiet_panics, verdict, write_stdout, Args, Run};
+use super::{failed, quiet_panics, write_stdout, Args, Run};
 use protogen_core::{generate, GenConfig, Generated};
 use protogen_fuzz::{run_fuzz, FuzzConfig};
 use protogen_litmus::{bundled, run_suite, MAX_STATES};
@@ -103,7 +103,7 @@ fn verification(ssps: Vec<Ssp>, caches: usize, threads: usize) -> Output {
         let r = ModelChecker::new(&g.cache, &g.directory, cfg).run();
         passed &= r.passed();
         let [states, transitions] = [r.states, r.transitions].map(|x| n(x as u64));
-        let (name, verdict) = (&ssp.name, verdict(&r));
+        let (name, verdict) = (&ssp.name, r.verdict());
         format!("{name} | {config} | {properties} | {states} | {transitions} | {verdict}")
     });
     (table("protocol | config | properties | explored states | transitions | result", rows), passed)

@@ -38,18 +38,9 @@ fn no_arguments_prints_usage_and_fails() {
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("usage:"), "{err}");
-    for cmd in [
-        "table",
-        "verify",
-        "dot",
-        "murphi",
-        "sim",
-        "serve",
-        "sweep",
-        "fuzz",
-        "reproduce",
-        "compile",
-    ] {
+    for cmd in
+        ["table", "verify", "dot", "murphi", "sim", "serve", "sweep", "fuzz", "litmus", "reproduce"]
+    {
         assert!(err.contains(cmd), "usage line missing `{cmd}`: {err}");
     }
 }
@@ -199,10 +190,12 @@ fn table_renders_generated_controller() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("| "));
 }
 
+/// The bundled MSI's DSL source compiles — parse, lower, generate — and
+/// verifies, as `verify` on the file.
 #[test]
 fn compile_bundled_msi_spec_verifies() {
     let path = msi_pgen_path();
-    let out = protogen(&["compile", path.to_str().unwrap(), "--caches", "2"]);
+    let out = protogen(&["verify", path.to_str().unwrap(), "--caches", "2"]);
     assert!(
         out.status.success(),
         "stdout: {}\nstderr: {}",
@@ -212,10 +205,10 @@ fn compile_bundled_msi_spec_verifies() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("MSI"), "{stdout}");
     assert!(stdout.contains("PASSED"), "{stdout}");
-    assert!(stdout.contains("; properties sc\n"), "compile's verdict names its set: {stdout}");
+    assert!(stdout.contains("; properties sc\n"), "the verdict names its set: {stdout}");
 }
 
-/// `verify --json` (and `compile --json`) prints one document whose
+/// `verify --json` (of a bundled name or a `.pgen` file) prints one document whose
 /// figures are the text verdict line's, with the same exit code; the
 /// violation's trace and a fired limit come along.
 #[test]
@@ -231,7 +224,7 @@ fn verify_json_is_one_document_matching_the_text_line() {
         &["verify", "msi", "--caches", "3", "--threads", "2"][..],
         &["verify", "tso-cc", "--property", "sc", "--caches", "2"],
         &["verify", "--compose", "l1=msi:2,llc=msi:2", "--stalling", "--max-states", "300"],
-        &["compile", pgen, "--caches", "2"],
+        &["verify", pgen, "--caches", "2"],
     ] {
         let (text, json) = (protogen(args), protogen(&[args, &["--json"]].concat()));
         assert_eq!(text.status.code(), json.status.code(), "{args:?}");
@@ -259,9 +252,58 @@ fn verify_json_is_one_document_matching_the_text_line() {
     }
 }
 
+/// A `.pgen` operand names the protocol its file holds, wherever a bundled
+/// name would do: the bundled MSI's source simulates byte for byte as `msi`.
+#[test]
+fn sim_on_a_pgen_file_matches_the_bundled_name() {
+    let pgen = msi_pgen_path();
+    let file = protogen(&["sim", pgen.to_str().unwrap(), "--seed", "7", "--json"]);
+    let name = protogen(&["sim", "msi", "--seed", "7", "--json"]);
+    assert!(file.status.success(), "{}", String::from_utf8_lossy(&file.stderr));
+    assert_eq!(file.stdout, name.stdout);
+}
+
+/// A `.pgen` file whose levels sit in a `compose { … }` block.
+fn stack_pgen(tag: &str) -> PathBuf {
+    let path =
+        std::env::temp_dir().join(format!("protogen-smoke-{tag}-{}.pgen", std::process::id()));
+    std::fs::write(&path, "protocol H;\ncompose {\n  l1: msi(2);\n  llc: mesi;\n}\n").unwrap();
+    path
+}
+
+#[test]
+fn table_on_a_compose_file_prints_one_section_per_level() {
+    let pgen = stack_pgen("table");
+    let out = protogen(&["table", pgen.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&pgen);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(stdout.matches("=== level ").count(), 2, "{stdout}");
+    assert!(stdout.contains("=== level 0: l1 — MSI (fanout 2, 2 nodes) ==="), "{stdout}");
+    assert!(stdout.contains("=== level 1: llc — MESI (fanout 1, 1 node) ==="), "{stdout}");
+}
+
+/// `murphi`, `sim` and `serve` run a flat protocol: a stack file is a
+/// usage error that says so, and nothing runs.
+#[test]
+fn sim_on_a_compose_file_exits_2() {
+    let pgen = stack_pgen("flat-only");
+    let path = pgen.to_str().unwrap();
+    for cmd in ["sim", "murphi", "serve"] {
+        let out = protogen(&[cmd, path]);
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let says = format!("`{cmd}` runs a flat protocol: {path} is a composed stack");
+        assert!(err.contains(&says), "{cmd}: {err}");
+        assert!(out.stdout.is_empty() && !err.contains("model-checking"), "{cmd}: {err}");
+    }
+    let _ = std::fs::remove_file(&pgen);
+}
+
+/// A `.pgen` operand that cannot be read is a usage error.
 #[test]
 fn compile_rejects_missing_file() {
-    let out = protogen(&["compile", "/nonexistent/file.pgen"]);
+    let out = protogen(&["verify", "/nonexistent/file.pgen"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));
 }
@@ -395,6 +437,18 @@ fn serve_rejects_bad_flags() {
     let out = protogen(&["serve", "msi", "--crash-at-op", "10"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("requires --faults"));
+}
+
+/// Fault classes are named in the singular, as the usage line lists them:
+/// a plural is an unknown item, refused before the envelope is checked.
+#[test]
+fn fault_classes_are_named_in_the_singular() {
+    let out = protogen(&["serve", "msi", "--faults", "delays"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("bad --faults item `delays`"), "{err}");
+    assert!(err.contains("(delay, stall, squeeze, crash, or all)"), "{err}");
+    assert!(!err.contains("model-checking") && out.stdout.is_empty(), "{err}");
 }
 
 #[test]
@@ -720,7 +774,7 @@ fn misread_command_lines_exit_2_and_touch_nothing() {
         (&["serve", "msi", "--duration", "0"], &["bad --duration `0`", "positive and finite"]),
         (&["sim", "msi", "--trace", empty], &["trace line 3: no operation"]),
         (&["verify", "--compose", "l1=msi:2", "--caches", "4"], &["--caches", "--compose"]),
-        (&["compile", stack, "--caches", "3"], &["--caches", "compose block"]),
+        (&["verify", stack, "--caches", "3"], &["--caches", "compose block"]),
         (
             &["table", "--compose", "l1=msi:2", "--machine", "dir"],
             &["--compose replaces --machine"],
@@ -831,7 +885,7 @@ fn stacks_past_the_level_node_bound_are_usage_errors() {
         &["verify", "--compose", wide, "--stalling", "--max-states", "50"][..],
         &["table", "--compose", wide],
         &["dot", "--compose", wide],
-        &["compile", pgen.to_str().unwrap()],
+        &["verify", pgen.to_str().unwrap()],
     ] {
         let out = protogen(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -933,6 +987,27 @@ fn sweep_list_prints_grid_without_running() {
     assert!(stdout.contains("64 cells"), "{stdout}");
     assert!(stdout.contains("msi.stall.uniform-50.c2.ordered"), "{stdout}");
     assert!(stdout.contains("mesi.non-stall.false-sharing.c4.unordered"), "{stdout}");
+}
+
+/// Under `--json`, stdout is the document alone even when `--out` writes
+/// files too: the line that says where they went goes to stderr.
+#[test]
+fn out_with_json_prints_one_document() {
+    let dir = std::env::temp_dir().join(format!("protogen-smoke-out-json-{}", std::process::id()));
+    let dir = dir.to_str().unwrap();
+    for args in [
+        &["sweep", "--protocols", "msi", "--caches", "2", "--accesses", "20", "--out", dir][..],
+        &["fuzz", "--mutants", "2", "--protocols", "msi", "--out", dir],
+    ] {
+        let out = protogen(&[args, &["--json"]].concat());
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        let doc = String::from_utf8_lossy(&out.stdout);
+        assert!(doc.starts_with("{\n") && doc.ends_with("\n}\n"), "{args:?}: {doc}");
+        assert_eq!(doc.matches("\n}\n").count(), 1, "{args:?}: one document: {doc}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!(" to {dir}")), "{args:?}: {err}");
+        std::fs::remove_dir_all(dir).unwrap();
+    }
 }
 
 #[test]

@@ -159,6 +159,18 @@ pub struct RunResult {
     pub trace: Vec<String>,
 }
 
+impl RunResult {
+    /// `fuzz --replay`'s text report: the outcome's label and detail, then
+    /// the counterexample trace, indented.
+    pub fn render_text(&self) -> String {
+        let mut out = format!("{}: {}\n", self.outcome.label(), self.outcome.detail());
+        for line in &self.trace {
+            out += &format!("  {line}\n");
+        }
+        out
+    }
+}
+
 /// What one pipeline run checks.
 #[derive(Debug, Clone)]
 pub enum Subject {

@@ -14,7 +14,7 @@ use crate::mutate::{apply, site_count, MutOp, Mutation};
 use crate::script::Script;
 use crate::shrink::{shrink, Shrunk};
 use protogen_core::{par, GenConfig};
-use protogen_sim::Json;
+use protogen_runtime::Json;
 use protogen_spec::Ssp;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -342,6 +342,48 @@ impl FuzzReport {
             ("unexpected", Json::Arr(unexpected.collect())),
             ("results", Json::Arr(mutants.collect())),
         ])
+    }
+
+    /// The files `fuzz --out` writes, by name: the report as `fuzz.json`,
+    /// then a `repro-<index>.mut` script per unexpected mutant.
+    pub fn files(&self) -> Vec<(String, String)> {
+        let scripts = self.unexpected().into_iter().map(|r| {
+            let script = r.reproducer(self.seed).expect("unexpected records carry a shrunk case");
+            (format!("repro-{}.mut", r.index), script)
+        });
+        std::iter::once(("fuzz.json".to_string(), self.to_json().render())).chain(scripts).collect()
+    }
+
+    /// `fuzz`'s text report: the outcome distribution with the checker's
+    /// breakdown by family, each control's verdict, and every unexpected
+    /// mutant with its reproducer script.
+    pub fn render_text(&self) -> String {
+        let (seed, budget) = (self.seed, self.budget);
+        let mut out =
+            format!("fuzz: seed {seed}, {} mutants, budget {budget}\n", self.records.len());
+        for (class, (label, count)) in Outcome::CLASSES.iter().zip(self.distribution()) {
+            if count > 0 {
+                out += &format!("  {label:<22} {count:>6}\n");
+            }
+            // The property-aware breakdown of what the checker caught.
+            if class.family().is_some() {
+                for (family, n) in self.checker_families() {
+                    out += &format!("    {family:<20} {n:>6}\n");
+                }
+            }
+        }
+        for c in &self.controls {
+            let caught = if c.caught() { "CAUGHT" } else { "MISSED" };
+            out += &format!("control {:<38} {caught} ({})\n", c.name, c.result.outcome.detail());
+        }
+        for r in self.unexpected() {
+            let o = &r.result.outcome;
+            out += &format!("unexpected mutant {}: {} — {}\n", r.index, o.label(), o.detail());
+            for line in r.reproducer(self.seed).unwrap_or_default().lines() {
+                out += &format!("  {line}\n");
+            }
+        }
+        out
     }
 }
 

@@ -27,6 +27,7 @@ use crate::checkpoint::{CheckpointError, LoadedCheckpoint};
 use crate::delta::SectionMap;
 use crate::flat::McConfig;
 use crate::frontier::{CandBatch, CandMeta, Coordinator, Decision, Inbox, Outboxes, VioCand};
+use crate::property::PropertySet;
 use crate::store::{Gid, ShardStore, StateRec, StoreBytes, StoreCounters, MAX_SHARDS, STEP_NONE};
 use protogen_core::par;
 use protogen_runtime::{Coverage, PairSet};
@@ -397,6 +398,13 @@ pub struct CheckResult {
     pub visited_spill_bytes: u64,
     /// Workers used, the calling thread included.
     pub threads: usize,
+    /// The properties the run checked.
+    pub properties: PropertySet,
+    /// How the run stored visited and frontier states.
+    pub store: StoreMode,
+    /// Whether the run continued from a checkpoint: `seconds` then times
+    /// only this process's epochs while `states` counts all of them.
+    pub resumed: bool,
     /// Every `(machine, state, event)` dispatch the run attempted, tagged
     /// with its protocol level. A resumed run covers only the epochs it
     /// executed itself (coverage is not checkpointed).
@@ -1202,6 +1210,7 @@ pub(crate) fn explore<S: TransitionSystem>(
     resume: Option<LoadedCheckpoint>,
 ) -> (CheckResult, Vec<S::Scratch>) {
     let start = Instant::now();
+    let resumed = resume.is_some();
     let requested = sys.config().threads;
     let threads =
         resume.as_ref().map_or_else(|| par::threads(requested, MAX_SHARDS), |r| r.threads);
@@ -1294,6 +1303,9 @@ pub(crate) fn explore<S: TransitionSystem>(
         frontier_spill_bytes,
         visited_spill_bytes,
         threads,
+        properties: sys.config().properties,
+        store: sys.config().store,
+        resumed,
         coverage: Coverage::merge(scratches.iter().flat_map(S::coverage)),
     };
     (result, scratches)

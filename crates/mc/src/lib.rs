@@ -63,6 +63,7 @@ mod flat;
 mod frontier;
 mod hier;
 mod property;
+mod report;
 mod spill;
 mod store;
 mod subnet;

@@ -27,6 +27,7 @@
 mod coverage;
 mod exec;
 mod index;
+mod json;
 mod machine;
 mod msg;
 mod state;
@@ -34,6 +35,7 @@ mod state;
 pub use coverage::{Coverage, MachineRole, MachineTag, PairSet, StateEventPair};
 pub use exec::{apply_into, select_arc_indexed, ApplyOutcome, ExecError, MachineCtx};
 pub use index::FsmIndex;
+pub use json::Json;
 pub use machine::{block_table, Line, Machine, Selected, Slot};
 pub use msg::{Msg, NodeId, Val};
 pub use state::{CacheBlock, DirEntry};

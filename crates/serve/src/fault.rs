@@ -97,6 +97,29 @@ impl FaultConfig {
             unsafe_reset: false,
         }
     }
+
+    /// The classes a comma list names — `delay`, `stall`, `squeeze`,
+    /// `crash`, or `all` for every one — under `seed`.
+    ///
+    /// # Errors
+    ///
+    /// The first item that names no class, with the names that do.
+    pub fn parse(classes: &str, seed: u64) -> Result<FaultConfig, String> {
+        let mut fc = FaultConfig::none(seed);
+        for class in classes.split(',') {
+            match class.trim() {
+                "all" => fc = FaultConfig::all(seed),
+                "delay" => fc.delays = true,
+                "stall" => fc.stalls = true,
+                "squeeze" => fc.squeezes = true,
+                "crash" => fc.crashes = fc.crashes.max(1),
+                other => {
+                    return Err(format!("item `{other}` (delay, stall, squeeze, crash, or all)"))
+                }
+            }
+        }
+        Ok(fc)
+    }
 }
 
 /// Domain-separation tags so the same counter never feeds two different

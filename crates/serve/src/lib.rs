@@ -50,8 +50,8 @@ pub use fault::{FaultConfig, FaultStats};
 pub use service::serve;
 
 use protogen_mc::{McConfig, ModelChecker};
-use protogen_runtime::{MachineRole, PairSet, StateEventPair};
-use protogen_sim::{Histogram, Json, Workload};
+use protogen_runtime::{Json, MachineRole, PairSet, StateEventPair};
+use protogen_sim::{run_header, Histogram, Workload};
 use protogen_spec::{Access, Event, Fsm};
 use std::error::Error;
 use std::fmt;
@@ -311,10 +311,21 @@ impl ServeReport {
         self.coverage.difference(checked).copied().collect()
     }
 
-    /// Renders the report (and the escape verdict) as the deterministic
-    /// JSON document the CLI and CI consume. `cache`/`dir` supply state
-    /// and message names for the escape labels.
-    pub fn to_json(&self, cache: &Fsm, dir: &Fsm, escapes: &[StateEventPair]) -> Json {
+    /// `serve --json`: the deterministic document the CLI and CI consume.
+    /// The run's header — `protocol`, its generator `config`, the workload
+    /// and seed of `cfg` — and the size of the checked `envelope` open it;
+    /// the report follows, with the escapes from the envelope. `cache` and
+    /// `dir` supply state and message names for the escape labels.
+    pub fn to_json(
+        &self,
+        protocol: &str,
+        config: &str,
+        cfg: &ServeConfig,
+        envelope: &PairSet,
+        cache: &Fsm,
+        dir: &Fsm,
+    ) -> Json {
+        let escapes = self.escapes(envelope);
         let mut doc = Json::obj([
             ("caches", Json::U64(self.n_caches as u64)),
             ("dir_shards", Json::U64(self.dir_shards as u64)),
@@ -362,7 +373,66 @@ impl ServeReport {
             "peak_queue_depths",
             Json::Arr(self.peak_queue_depths.iter().map(|&d| Json::U64(d as u64)).collect()),
         );
-        doc
+        let [protocol, config, workload] = run_header(protocol, config, &cfg.workload);
+        let pairs = ("envelope_pairs", Json::U64(envelope.len() as u64));
+        Json::obj([
+            protocol,
+            config,
+            workload,
+            ("seed", Json::U64(cfg.seed)),
+            pairs,
+            ("report", doc),
+        ])
+    }
+
+    /// `serve`'s text report: throughput, the miss latency summary, traffic,
+    /// whether live coverage stayed inside the checked `envelope`, the stop
+    /// reason and, under fault injection, the fault counters.
+    pub fn render_text(&self, protocol: &str, envelope: &PairSet) -> String {
+        let ServeReport { ops, hits, misses, seconds, n_caches, dir_shards, .. } = self;
+        let rate = self.ops_per_sec();
+        let mut out = format!(
+            "{protocol}: {ops} ops ({hits} hits, {misses} misses) in {seconds:.3}s — {rate:.0} \
+             ops/s over {n_caches} cache worker(s) + {dir_shards} dir shard(s)\n"
+        );
+        let percentiles = self.miss_percentiles();
+        if !percentiles.is_empty() {
+            let (names, values): (Vec<&str>, Vec<String>) = percentiles
+                .iter()
+                .map(|&(name, ns)| (name, ns.map_or("-".into(), |ns| ns.to_string())))
+                .unzip();
+            let few: Vec<&str> =
+                percentiles.iter().filter(|p| p.1.is_none()).map(|p| p.0).collect();
+            let few = (!few.is_empty()).then(|| format!("; too few for {}", few.join("/")));
+            out += &format!(
+                "  miss latency {}: {} ns over {} misses{}\n",
+                names.join("/"),
+                values.join("/"),
+                self.miss_latency.len(),
+                few.unwrap_or_default()
+            );
+        }
+        let ServeReport { messages, peak_queue_depths, coverage, stop_reason, .. } = self;
+        let inside = if self.escapes(envelope).is_empty() { "yes" } else { "NO" };
+        let (pairs, stop) = (envelope.len(), stop_reason.label());
+        out += &format!(
+            "  {messages} messages, peak queue depths {peak_queue_depths:?}\n  live coverage: {} \
+             pairs, all inside the {pairs}-pair checked envelope: {inside}\n  stop reason: {stop}\n",
+            coverage.len()
+        );
+        if let Some(fs) = &self.faults {
+            let FaultStats { delays_injected, stalls_injected, squeeze_parks, lines_lost, .. } = fs;
+            let (done, planned) = (fs.crashes_completed, fs.planned_crashes);
+            let lost = (*lines_lost > 0).then(|| format!(", {lines_lost} LINE(S) LOST"));
+            out += &format!(
+                "  faults: {done}/{planned} crash recoveries, {} recovery writeback(s), \
+                 {delays_injected} delay(s), {stalls_injected} stall(s), {squeeze_parks} squeeze \
+                 park(s){}\n",
+                fs.recovery_writebacks,
+                lost.unwrap_or_default()
+            );
+        }
+        out
     }
 }
 

@@ -21,8 +21,8 @@
 //!   independent blocks, at most one delivery per node per cycle, stalls
 //!   blocking a block's channel lane;
 //! * [`SimResult`] — latency percentiles, hit/miss/stall counts,
-//!   directory occupancy, messages per transaction, rendered through a
-//!   deterministic JSON writer ([`Json`]);
+//!   directory occupancy, messages per transaction, reported as text and
+//!   through the deterministic JSON writer ([`protogen_runtime::Json`]);
 //! * [`run_sweep`] — a multi-threaded driver fanning the
 //!   `protocol × stalling × workload × cache-count × network` grid across
 //!   workers with byte-identical results at any thread count.
@@ -51,7 +51,7 @@ mod workload;
 
 pub use config::{LatencyDist, NetModel, NetworkConfig, SimConfig};
 pub use engine::simulate;
-pub use stats::{Histogram, Json, SimResult};
+pub use stats::{run_header, Histogram, SimResult};
 pub use sweep::{run_sweep, CellResult, SweepCell, SweepConfig, SweepReport};
 pub use workload::{parse_trace, Op, TraceOp, Workload};
 

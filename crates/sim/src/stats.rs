@@ -1,13 +1,8 @@
-//! Measurement: latency histograms, aggregated run statistics, and a
-//! deterministic JSON writer.
-//!
-//! JSON rendering is byte-deterministic — object keys are emitted in
-//! insertion order and floats with a fixed precision — so two runs with
-//! the same seed produce identical files at any thread count, which is
-//! what lets CI `diff` sweep artifacts run to run.
+//! Measurement: latency histograms, aggregated run statistics, and the
+//! run's report, as text and as a JSON document.
 
-use protogen_runtime::PairSet;
-use std::fmt;
+use crate::{SimConfig, Workload};
+use protogen_runtime::{Json, PairSet};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Values below this are counted per value; larger ones are kept raw.
@@ -228,118 +223,42 @@ impl SimResult {
             ("dir_occupancy", Json::F64(self.dir_occupancy)),
         ])
     }
-}
 
-/// A JSON value with deterministic rendering: objects keep insertion
-/// order, floats print with fixed 4-decimal precision, output is
-/// 2-space-indented with a trailing newline at the document root.
-///
-/// This is the serialization layer the whole workspace's JSON artifacts go
-/// through (sweep cells, fuzz and serve reports).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `true` / `false`.
-    Bool(bool),
-    /// An unsigned integer, printed without a decimal point.
-    U64(u64),
-    /// A float, printed with fixed `{:.4}` precision.
-    F64(f64),
-    /// A string (escaped minimally: `"`, `\`, and control characters).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object in insertion order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Builds an object from `(key, value)` pairs.
-    pub fn obj<const N: usize>(entries: [(&str, Json); N]) -> Json {
-        Json::Obj(entries.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    /// `sim --json`: the run's header — `protocol`, its generator
+    /// `config`, the workload, caches and seed of `cfg` — then the stats.
+    pub fn document(&self, protocol: &str, config: &str, cfg: &SimConfig) -> Json {
+        let [protocol, config, workload] = run_header(protocol, config, &cfg.workload);
+        let (caches, seed) = (Json::U64(cfg.n_caches as u64), Json::U64(cfg.seed));
+        let stats = ("stats", self.to_json());
+        Json::obj([protocol, config, workload, ("caches", caches), ("seed", seed), stats])
     }
 
-    /// Appends a field to an object.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `self` is not an [`Json::Obj`].
-    pub fn push(&mut self, key: &str, value: Json) {
-        match self {
-            Json::Obj(entries) => entries.push((key.to_string(), value)),
-            other => panic!("push on non-object JSON value {other:?}"),
-        }
-    }
-
-    /// Renders the document with a trailing newline.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::U64(n) => out.push_str(&n.to_string()),
-            Json::F64(v) => out.push_str(&format!("{v:.4}")),
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    pad(out, indent + 1);
-                    item.write(out, indent + 1);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                pad(out, indent);
-                out.push(']');
-            }
-            Json::Obj(entries) => {
-                if entries.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (k, v)) in entries.iter().enumerate() {
-                    pad(out, indent + 1);
-                    Json::Str(k.clone()).write(out, indent + 1);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                    out.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
-                }
-                pad(out, indent);
-                out.push('}');
-            }
-        }
+    /// `sim`'s text report: the accesses, the miss latency summary and the
+    /// traffic, one line each.
+    pub fn render_text(&self, protocol: &str, workload: &Workload) -> String {
+        let SimResult { completed, hits, misses, cycles, messages, stall_cycles, .. } = self;
+        let (p50, p95, p99, max) =
+            (self.p50_latency, self.p95_latency, self.p99_latency, self.max_latency);
+        let (avg, per_miss, backpressure) =
+            (self.avg_miss_latency, self.msgs_per_miss, self.backpressure_cycles);
+        format!(
+            "{protocol}: {completed} accesses ({hits} hits, {misses} misses) in {cycles} cycles \
+             under {workload}\n  miss latency p50/p95/p99/max: {p50}/{p95}/{p99}/{max} (avg \
+             {avg:.1})\n  {messages} messages ({per_miss:.1}/miss), {stall_cycles} stall-cycles, \
+             {backpressure} backpressure-cycles, dir occupancy {:.1}%\n",
+            self.dir_occupancy * 100.0
+        )
     }
 }
 
-fn pad(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
-}
-
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render())
-    }
+/// The fields a `sim` or `serve` document opens with: the protocol, its
+/// generator configuration and the workload it ran.
+pub fn run_header(protocol: &str, config: &str, workload: &Workload) -> [(&'static str, Json); 3] {
+    [
+        ("protocol", Json::Str(protocol.to_string())),
+        ("config", Json::Str(config.to_string())),
+        ("workload", Json::Str(workload.label())),
+    ]
 }
 
 #[cfg(test)]
@@ -504,28 +423,5 @@ mod tests {
         }
         assert_eq!(h.len(), 1_000_000);
         assert!(h.heap_bytes() <= DENSE * 8, "{} heap bytes", h.heap_bytes());
-    }
-
-    #[test]
-    fn json_renders_deterministically() {
-        let j = Json::obj([
-            ("name", Json::Str("msi \"v1\"".into())),
-            ("n", Json::U64(3)),
-            ("ratio", Json::F64(1.0 / 3.0)),
-            ("flags", Json::Arr(vec![Json::Bool(true), Json::Bool(false)])),
-            ("empty", Json::Obj(vec![])),
-        ]);
-        let text = j.render();
-        assert_eq!(text, j.render());
-        assert!(text.contains("\"name\": \"msi \\\"v1\\\"\""), "{text}");
-        assert!(text.contains("\"ratio\": 0.3333"), "{text}");
-        assert!(text.contains("\"empty\": {}"), "{text}");
-        assert!(text.ends_with("}\n"), "{text}");
-    }
-
-    #[test]
-    #[should_panic(expected = "push on non-object")]
-    fn push_rejects_non_objects() {
-        Json::U64(1).push("k", Json::U64(2));
     }
 }

@@ -9,10 +9,10 @@
 
 use crate::config::{NetModel, NetworkConfig, SimConfig};
 use crate::engine::simulate;
-use crate::stats::Json;
 use crate::workload::Workload;
 use crate::{SimError, SimResult};
 use protogen_core::{generate, par, GenConfig};
+use protogen_runtime::Json;
 
 /// The sweep grid's free dimensions and per-run parameters. Every cell
 /// otherwise runs [`SimConfig::default`].
@@ -189,6 +189,35 @@ impl SweepReport {
             ("cells", Json::U64(self.cells.len() as u64)),
             ("results", Json::Arr(self.cells.iter().map(CellResult::to_json).collect())),
         ])
+    }
+
+    /// The files `sweep --out` writes, by name: one diffable document per
+    /// cell, then the merged report as `sweep.json`.
+    pub fn files(&self) -> Vec<(String, String)> {
+        let cells = self.cells.iter().map(|c| (format!("{}.json", c.cell.label()), c.to_json()));
+        let all = cells.chain([("sweep.json".to_string(), self.to_json())]);
+        all.map(|(name, doc)| (name, doc.render())).collect()
+    }
+
+    /// The sweep as a text table: per cell its cycles, miss latency p50
+    /// and p95, stall-cycles and messages.
+    pub fn render_text(&self) -> String {
+        let mut out = format!(
+            "{:<44} {:>9} {:>6} {:>6} {:>6} {:>8}\n",
+            "cell", "cycles", "p50", "p95", "stalls", "msgs"
+        );
+        for (c, s) in self.cells.iter().map(|c| (c, &c.stats)) {
+            out += &format!(
+                "{:<44} {:>9} {:>6} {:>6} {:>6} {:>8}\n",
+                c.cell.label(),
+                s.cycles,
+                s.p50_latency,
+                s.p95_latency,
+                s.stall_cycles,
+                s.messages
+            );
+        }
+        out
     }
 }
 

@@ -155,6 +155,9 @@ lints! {
         check(All, &["crates/core/src/cachegen.rs", "crates/core/src/dirgen.rs"],
               &["Arc {", "FsmState {", "AckSrc::Captured"])
             => ("crates/core/src/dirgen.rs", "let arc = Arc {")],
+    the_front_door_renders_no_report: [
+        check(Code, &["crates/cli/src/main.rs"], &["Json::"])
+            => ("crates/cli/src/main.rs", "let doc = Json::obj([(\"verdict\", verdict)]);")],
     the_front_door_has_one_exit: [
         check(Code, &["crates/cli/src/main.rs"], &["process::exit"])
             .scope(&["!fn main(", "!fn write_stdout("])
