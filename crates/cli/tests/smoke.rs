@@ -283,6 +283,27 @@ fn table_on_a_compose_file_prints_one_section_per_level() {
     assert!(stdout.contains("=== level 1: llc — MESI (fanout 1, 1 node) ==="), "{stdout}");
 }
 
+/// A compose block names a level's protocol as `--compose` does, hyphens
+/// included: a one-level file prints the same table as the flag.
+#[test]
+fn compose_blocks_name_every_bundled_protocol_as_the_flag_does() {
+    for name in protogen_protocols::NAMES {
+        let path = std::env::temp_dir()
+            .join(format!("protogen-smoke-level-{name}-{}.pgen", std::process::id()));
+        std::fs::write(&path, format!("protocol H;\ncompose {{ l1: {name}(2); }}\n")).unwrap();
+        let file = protogen(&["table", path.to_str().unwrap()]);
+        let _ = std::fs::remove_file(&path);
+        let flag = protogen(&["table", "--compose", &format!("l1={name}:2")]);
+        assert!(file.status.success(), "{name}: {}", String::from_utf8_lossy(&file.stderr));
+        assert!(flag.status.success(), "{name}: {}", String::from_utf8_lossy(&flag.stderr));
+        assert_eq!(
+            String::from_utf8_lossy(&file.stdout),
+            String::from_utf8_lossy(&flag.stdout),
+            "{name}"
+        );
+    }
+}
+
 /// `murphi`, `sim` and `serve` run a flat protocol: a stack file is a
 /// usage error that says so, and nothing runs.
 #[test]

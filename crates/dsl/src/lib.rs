@@ -3,7 +3,8 @@
 //! The paper's primary input is an SSP written in a DSL "similar in spirit
 //! to Teapot and SLICC" (Listing 1). This crate implements that front-end:
 //! a tokenizer, a recursive-descent parser, and a lowering pass onto the
-//! [`protogen_spec`] IR. The statement vocabulary covers everything the
+//! [`protogen_spec`] IR. The tokenizer and its [`Cursor`] are public: the
+//! litmus test format parses through them too. The statement vocabulary covers everything the
 //! paper's protocols need — message sends with payload sources, the
 //! acknowledgment-counter idiom of Listing 1 (`set_expected`, `inc_acks`,
 //! `acks_complete`), await blocks with guarded arms, and directory
@@ -25,6 +26,7 @@ mod lexer;
 mod lower;
 mod parser;
 
+pub use lexer::{tokenize, Cursor, LexError, Pos, Token, TokenKind, Unexpected};
 pub use lower::{lower, LowerError};
 pub use parser::{parse, ParseError};
 

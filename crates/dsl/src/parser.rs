@@ -1,7 +1,7 @@
 //! Recursive-descent parser for the ProtoGen DSL.
 
 use crate::ast::*;
-use crate::lexer::{tokenize, Token, TokenKind};
+use crate::lexer::{Cursor, TokenKind, Unexpected};
 
 /// Parse error with position information.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -15,59 +15,9 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-struct Parser<'s> {
-    toks: Vec<Token<'s>>,
-    pos: usize,
-}
-
-impl<'s> Parser<'s> {
-    fn peek(&self) -> &TokenKind<'s> {
-        &self.toks[self.pos].kind
-    }
-
-    fn here(&self) -> String {
-        self.at(self.pos)
-    }
-
-    /// The `line:col` of token `pos`.
-    fn at(&self, pos: usize) -> String {
-        let t = &self.toks[pos];
-        format!("{}:{}", t.line, t.col)
-    }
-
-    fn bump(&mut self) -> TokenKind<'s> {
-        let k = self.toks[self.pos].kind;
-        if self.pos + 1 < self.toks.len() {
-            self.pos += 1;
-        }
-        k
-    }
-
-    fn expect(&mut self, k: &TokenKind) -> Result<(), ParseError> {
-        if self.peek() == k {
-            self.bump();
-            Ok(())
-        } else {
-            Err(ParseError(format!("expected {k}, found {} at {}", self.peek(), self.here())))
-        }
-    }
-
-    fn ident(&mut self) -> Result<String, ParseError> {
-        match self.bump() {
-            TokenKind::Ident(s) => Ok(s.to_string()),
-            other => {
-                Err(ParseError(format!("expected identifier, found {other} at {}", self.here())))
-            }
-        }
-    }
-
-    fn eat_ident(&mut self, word: &str) -> bool {
-        if *self.peek() == TokenKind::Ident(word) {
-            self.bump();
-            true
-        } else {
-            false
-        }
+impl From<Unexpected<'_>> for ParseError {
+    fn from(u: Unexpected<'_>) -> Self {
+        ParseError(format!("{u} at {}", u.at))
     }
 }
 
@@ -77,14 +27,13 @@ impl<'s> Parser<'s> {
 ///
 /// Returns a [`ParseError`] describing the first syntactic problem.
 pub fn parse(src: &str) -> Result<Spec, ParseError> {
-    let toks = tokenize(src).map_err(ParseError)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Cursor::new(src).map_err(|e| ParseError(e.to_string()))?;
 
     // protocol NAME;
     if !p.eat_ident("protocol") {
         return Err(ParseError(format!("expected `protocol` header at {}", p.here())));
     }
-    let name = p.ident()?;
+    let name = p.ident()?.to_string();
     p.expect(&TokenKind::Semi)?;
 
     let mut spec = Spec {
@@ -106,15 +55,14 @@ pub fn parse(src: &str) -> Result<Spec, ParseError> {
             TokenKind::Ident(word) => match word {
                 "network" => {
                     p.bump();
-                    let at = p.pos;
+                    let at = p.here();
                     let mode = p.ident()?;
-                    spec.ordered = match mode.as_str() {
+                    spec.ordered = match mode {
                         "ordered" => true,
                         "unordered" => false,
                         other => {
                             return Err(ParseError(format!(
-                                "network must be ordered|unordered, found `{other}` at {}",
-                                p.at(at)
+                                "network must be ordered|unordered, found `{other}` at {at}"
                             )))
                         }
                     };
@@ -122,14 +70,13 @@ pub fn parse(src: &str) -> Result<Spec, ParseError> {
                 }
                 "consistency" => {
                     p.bump();
-                    let at = p.pos;
+                    let at = p.here();
                     let model = p.ident()?;
-                    match model.as_str() {
-                        "sc" | "tso" | "weak" => spec.consistency = model,
+                    match model {
+                        "sc" | "tso" | "weak" => spec.consistency = model.to_string(),
                         other => {
                             return Err(ParseError(format!(
-                                "consistency must be sc|tso|weak, found `{other}` at {}",
-                                p.at(at)
+                                "consistency must be sc|tso|weak, found `{other}` at {at}"
                             )))
                         }
                     }
@@ -137,15 +84,14 @@ pub fn parse(src: &str) -> Result<Spec, ParseError> {
                 }
                 "si" => {
                     p.bump();
-                    let at = p.pos;
+                    let at = p.here();
                     let mode = p.ident()?;
-                    spec.si_epoch = match mode.as_str() {
+                    spec.si_epoch = match mode {
                         "epoch" => true,
                         "line" => false,
                         other => {
                             return Err(ParseError(format!(
-                                "si must be epoch|line, found `{other}` at {}",
-                                p.at(at)
+                                "si must be epoch|line, found `{other}` at {at}"
                             )))
                         }
                     };
@@ -169,16 +115,15 @@ pub fn parse(src: &str) -> Result<Spec, ParseError> {
                 }
                 "architecture" => {
                     p.bump();
-                    let at = p.pos;
+                    let at = p.here();
                     let which = p.ident()?;
                     let procs = parse_arch(&mut p)?;
-                    match which.as_str() {
+                    match which {
                         "cache" => spec.cache_procs = procs,
                         "directory" => spec.dir_procs = procs,
                         other => {
                             return Err(ParseError(format!(
-                                "architecture must be cache|directory, found `{other}` at {}",
-                                p.at(at)
+                                "architecture must be cache|directory, found `{other}` at {at}"
                             )))
                         }
                     }
@@ -196,16 +141,25 @@ pub fn parse(src: &str) -> Result<Spec, ParseError> {
     Ok(spec)
 }
 
-/// `compose { l1: msi(2); llc: mesi; }` — levels leaf-first, each a
-/// label, a protocol name, and an optional parenthesized fanout. All
-/// words are contextual identifiers, so labels or protocols named
-/// `compose` (or any other keyword) parse fine.
-fn parse_compose(p: &mut Parser<'_>, out: &mut Vec<ComposeLevel>) -> Result<(), ParseError> {
+/// `compose { l1: msi-upgrade(2); llc: mesi; }` — one or more levels,
+/// leaf-first, each a label, a protocol name, and an optional
+/// parenthesized fanout. A protocol name is identifiers joined by `-`, as
+/// the CLI spells the bundled protocols. All words are contextual
+/// identifiers, so labels or protocols named `compose` (or any other
+/// keyword) parse fine.
+fn parse_compose(p: &mut Cursor<'_>, out: &mut Vec<ComposeLevel>) -> Result<(), ParseError> {
     p.expect(&TokenKind::LBrace)?;
+    if *p.peek() == TokenKind::RBrace {
+        return Err(ParseError(format!("empty compose block at {}", p.here())));
+    }
     while *p.peek() != TokenKind::RBrace {
-        let label = p.ident()?;
+        let label = p.ident()?.to_string();
         p.expect(&TokenKind::Colon)?;
-        let protocol = p.ident()?;
+        let mut protocol = p.ident()?.to_string();
+        while *p.peek() == TokenKind::Minus {
+            p.bump();
+            protocol = format!("{protocol}-{}", p.ident()?);
+        }
         let fanout = if *p.peek() == TokenKind::LParen {
             p.bump();
             let v = match p.bump() {
@@ -229,15 +183,15 @@ fn parse_compose(p: &mut Parser<'_>, out: &mut Vec<ComposeLevel>) -> Result<(), 
     Ok(())
 }
 
-fn parse_message(p: &mut Parser<'_>) -> Result<MessageDecl, ParseError> {
-    let name = p.ident()?;
+fn parse_message(p: &mut Cursor<'_>) -> Result<MessageDecl, ParseError> {
+    let name = p.ident()?.to_string();
     p.expect(&TokenKind::Colon)?;
-    let class = p.ident()?;
+    let class = p.ident()?.to_string();
     let mut fields = vec![];
     if *p.peek() == TokenKind::LBrace {
         p.bump();
         loop {
-            fields.push(p.ident()?);
+            fields.push(p.ident()?.to_string());
             if *p.peek() == TokenKind::Comma {
                 p.bump();
             } else {
@@ -246,30 +200,28 @@ fn parse_message(p: &mut Parser<'_>) -> Result<MessageDecl, ParseError> {
         }
         p.expect(&TokenKind::RBrace)?;
     }
-    let vnet = if p.eat_ident("on") { Some(p.ident()?) } else { None };
+    let vnet = if p.eat_ident("on") { Some(p.ident()?.to_string()) } else { None };
     p.expect(&TokenKind::Semi)?;
     Ok(MessageDecl { name, class, fields, vnet })
 }
 
-fn parse_states(p: &mut Parser<'_>) -> Result<Vec<StateDecl>, ParseError> {
+fn parse_states(p: &mut Cursor<'_>) -> Result<Vec<StateDecl>, ParseError> {
     p.expect(&TokenKind::LBrace)?;
     let mut out = vec![];
     while *p.peek() != TokenKind::RBrace {
         if !p.eat_ident("state") {
             return Err(ParseError(format!("expected `state` at {}", p.here())));
         }
-        let name = p.ident()?;
+        let name = p.ident()?.to_string();
         let mut perm = "none".to_string();
         let mut data = false;
         while *p.peek() != TokenKind::Semi {
-            let at = p.pos;
+            let at = p.here();
             let w = p.ident()?;
-            match w.as_str() {
-                "read" | "readwrite" | "none" => perm = w,
+            match w {
+                "read" | "readwrite" | "none" => perm = w.to_string(),
                 "data" => data = true,
-                other => {
-                    return Err(ParseError(format!("unknown state flag `{other}` at {}", p.at(at))))
-                }
+                other => return Err(ParseError(format!("unknown state flag `{other}` at {at}"))),
             }
         }
         p.expect(&TokenKind::Semi)?;
@@ -279,7 +231,7 @@ fn parse_states(p: &mut Parser<'_>) -> Result<Vec<StateDecl>, ParseError> {
     Ok(out)
 }
 
-fn parse_arch(p: &mut Parser<'_>) -> Result<Vec<Process>, ParseError> {
+fn parse_arch(p: &mut Cursor<'_>) -> Result<Vec<Process>, ParseError> {
     p.expect(&TokenKind::LBrace)?;
     let mut out = vec![];
     while *p.peek() != TokenKind::RBrace {
@@ -287,9 +239,9 @@ fn parse_arch(p: &mut Parser<'_>) -> Result<Vec<Process>, ParseError> {
             return Err(ParseError(format!("expected `process` at {}", p.here())));
         }
         p.expect(&TokenKind::LParen)?;
-        let state = p.ident()?;
+        let state = p.ident()?.to_string();
         p.expect(&TokenKind::Comma)?;
-        let trigger = p.ident()?;
+        let trigger = p.ident()?.to_string();
         p.expect(&TokenKind::RParen)?;
         let guards = parse_guards(p)?;
         p.expect(&TokenKind::LBrace)?;
@@ -304,7 +256,7 @@ fn parse_arch(p: &mut Parser<'_>) -> Result<Vec<Process>, ParseError> {
                 }
                 TokenKind::Arrow => {
                     p.bump();
-                    next = Some(p.ident()?);
+                    next = Some(p.ident()?.to_string());
                     p.expect(&TokenKind::Semi)?;
                 }
                 TokenKind::Ident("await") => {
@@ -320,11 +272,11 @@ fn parse_arch(p: &mut Parser<'_>) -> Result<Vec<Process>, ParseError> {
     Ok(out)
 }
 
-fn parse_guards(p: &mut Parser<'_>) -> Result<Vec<String>, ParseError> {
+fn parse_guards(p: &mut Cursor<'_>) -> Result<Vec<String>, ParseError> {
     let mut out = vec![];
     if p.eat_ident("if") {
         loop {
-            out.push(p.ident()?);
+            out.push(p.ident()?.to_string());
             if *p.peek() == TokenKind::AndAnd {
                 p.bump();
             } else {
@@ -335,15 +287,15 @@ fn parse_guards(p: &mut Parser<'_>) -> Result<Vec<String>, ParseError> {
     Ok(out)
 }
 
-fn parse_await(p: &mut Parser<'_>) -> Result<AwaitBlock, ParseError> {
-    let tag = p.ident()?;
+fn parse_await(p: &mut Cursor<'_>) -> Result<AwaitBlock, ParseError> {
+    let tag = p.ident()?.to_string();
     p.expect(&TokenKind::LBrace)?;
     let mut whens = vec![];
     while *p.peek() != TokenKind::RBrace {
         if !p.eat_ident("when") {
             return Err(ParseError(format!("expected `when` at {}", p.here())));
         }
-        let msg = p.ident()?;
+        let msg = p.ident()?.to_string();
         let guards = parse_guards(p)?;
         p.expect(&TokenKind::Colon)?;
         let mut stmts = vec![];
@@ -352,14 +304,14 @@ fn parse_await(p: &mut Parser<'_>) -> Result<AwaitBlock, ParseError> {
             match *p.peek() {
                 TokenKind::Arrow => {
                     p.bump();
-                    let s = p.ident()?;
+                    let s = p.ident()?.to_string();
                     p.expect(&TokenKind::Semi)?;
                     target = WhenTarget::Done(s);
                     break;
                 }
                 TokenKind::FatArrow => {
                     p.bump();
-                    let s = p.ident()?;
+                    let s = p.ident()?.to_string();
                     p.expect(&TokenKind::Semi)?;
                     target = WhenTarget::Wait(s);
                     break;
@@ -373,26 +325,23 @@ fn parse_await(p: &mut Parser<'_>) -> Result<AwaitBlock, ParseError> {
     Ok(AwaitBlock { tag, whens })
 }
 
-fn parse_stmt(p: &mut Parser<'_>) -> Result<Stmt, ParseError> {
+fn parse_stmt(p: &mut Cursor<'_>) -> Result<Stmt, ParseError> {
     let word = p.ident()?;
     if word == "send" {
-        let msg = p.ident()?;
+        let msg = p.ident()?.to_string();
         let mut args = vec![];
         if *p.peek() == TokenKind::LParen {
             p.bump();
             while *p.peek() != TokenKind::RParen {
-                let mut a = p.ident()?;
+                let mut a = p.ident()?.to_string();
                 if *p.peek() == TokenKind::Eq {
                     p.bump();
-                    let at = p.pos;
+                    let at = p.here();
                     match p.bump() {
                         TokenKind::Ident(v) => a = format!("{a}={v}"),
                         TokenKind::Int(v) => a = format!("{a}={v}"),
                         other => {
-                            return Err(ParseError(format!(
-                                "bad send argument {other} at {}",
-                                p.at(at)
-                            )))
+                            return Err(ParseError(format!("bad send argument {other} at {at}")))
                         }
                     }
                 }
@@ -406,12 +355,12 @@ fn parse_stmt(p: &mut Parser<'_>) -> Result<Stmt, ParseError> {
         if !p.eat_ident("to") {
             return Err(ParseError(format!("expected `to` in send at {}", p.here())));
         }
-        let dst = p.ident()?;
+        let dst = p.ident()?.to_string();
         p.expect(&TokenKind::Semi)?;
         Ok(Stmt::Send { msg, args, dst })
     } else {
         p.expect(&TokenKind::Semi)?;
-        Ok(Stmt::Word(word))
+        Ok(Stmt::Word(word.to_string()))
     }
 }
 
@@ -630,5 +579,20 @@ mod tests {
         assert!(parse("protocol H; compose { l1 msi; }").is_err());
         assert!(parse("protocol H; compose { l1: msi(x); }").is_err());
         assert!(parse("protocol H; compose { l1: msi(2) }").is_err());
+        assert!(parse("protocol H; compose { l1: msi-(2); }").is_err());
+        let empty = parse("protocol H;\ncompose {\n}").unwrap_err();
+        assert_eq!(empty.to_string(), "parse error: empty compose block at 3:1");
+    }
+
+    /// A protocol name in a compose block may be hyphenated, as the CLI
+    /// names the bundled protocols; no other word may.
+    #[test]
+    fn compose_protocol_names_take_hyphens() {
+        let spec = parse("protocol H; compose { l1: msi-upgrade(2); llc: tso-cc; }").unwrap();
+        let names: Vec<_> = spec.compose.iter().map(|l| l.protocol.as_str()).collect();
+        assert_eq!(names, ["msi-upgrade", "tso-cc"]);
+        let err = parse("protocol H; compose { l-1: msi; }").unwrap_err();
+        assert_eq!(err.to_string(), "parse error: expected `:`, found `-` at 1:24");
+        assert!(parse("protocol H-1;").is_err());
     }
 }

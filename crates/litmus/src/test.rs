@@ -21,6 +21,7 @@
 //! All shared locations start at 0; stores should therefore write non-zero
 //! values to be observable.
 
+use protogen_dsl::{Cursor, TokenKind, Unexpected};
 use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
@@ -149,127 +150,23 @@ pub const MAX_ADDRS: usize = 8;
 /// Maximum registers (and thus loads) per test.
 pub const MAX_REGISTERS: usize = 16;
 
-struct Cursor<'a> {
-    toks: Vec<(usize, Tok<'a>)>,
-    pos: usize,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tok<'a> {
-    Ident(&'a str),
-    Int(u64),
-    Punct(char),
-}
-
-impl fmt::Display for Tok<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Tok::Ident(s) => write!(f, "`{s}`"),
-            Tok::Int(n) => write!(f, "`{n}`"),
-            Tok::Punct(c) => write!(f, "`{c}`"),
-        }
+impl From<Unexpected<'_>> for LitmusParseError {
+    fn from(u: Unexpected<'_>) -> Self {
+        LitmusParseError { line: u.at.line, msg: u.to_string() }
     }
 }
 
-fn lex(src: &str) -> Result<Vec<(usize, Tok<'_>)>, LitmusParseError> {
-    let mut toks = Vec::new();
-    for (ln, line) in src.lines().enumerate() {
-        let line = line.split("//").next().unwrap_or("");
-        let mut rest = line;
-        loop {
-            rest = rest.trim_start();
-            if rest.is_empty() {
-                break;
-            }
-            let c = rest.chars().next().unwrap();
-            if c.is_ascii_alphabetic() || c == '_' {
-                let end = rest
-                    .find(|ch: char| !(ch.is_ascii_alphanumeric() || ch == '_'))
-                    .unwrap_or(rest.len());
-                toks.push((ln + 1, Tok::Ident(&rest[..end])));
-                rest = &rest[end..];
-            } else if c.is_ascii_digit() {
-                let end = rest.find(|ch: char| !ch.is_ascii_digit()).unwrap_or(rest.len());
-                let n: u64 = rest[..end].parse().map_err(|_| LitmusParseError {
-                    line: ln + 1,
-                    msg: format!("integer out of range: {}", &rest[..end]),
-                })?;
-                toks.push((ln + 1, Tok::Int(n)));
-                rest = &rest[end..];
-            } else if "{}();,=".contains(c) {
-                toks.push((ln + 1, Tok::Punct(c)));
-                rest = &rest[c.len_utf8()..];
-            } else {
-                return Err(LitmusParseError {
-                    line: ln + 1,
-                    msg: format!("unexpected character `{c}`"),
-                });
-            }
-        }
-    }
-    Ok(toks)
+fn fail<T>(line: usize, msg: impl Into<String>) -> Result<T, LitmusParseError> {
+    Err(LitmusParseError { line, msg: msg.into() })
 }
 
-impl<'a> Cursor<'a> {
-    fn peek(&self) -> Option<Tok<'a>> {
-        self.toks.get(self.pos).map(|&(_, t)| t)
-    }
-
-    fn line(&self) -> usize {
-        self.toks.get(self.pos.min(self.toks.len().saturating_sub(1))).map_or(1, |&(l, _)| l)
-    }
-
-    fn err(&self, msg: impl Into<String>) -> LitmusParseError {
-        LitmusParseError { line: self.line(), msg: msg.into() }
-    }
-
-    fn bump(&mut self) -> Option<Tok<'a>> {
-        let t = self.peek();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn expect_punct(&mut self, c: char) -> Result<(), LitmusParseError> {
-        match self.bump() {
-            Some(Tok::Punct(p)) if p == c => Ok(()),
-            Some(t) => Err(self.err(format!("expected `{c}`, found {t}"))),
-            None => Err(self.err(format!("expected `{c}`, found end of input"))),
-        }
-    }
-
-    fn expect_ident(&mut self) -> Result<&'a str, LitmusParseError> {
-        match self.bump() {
-            Some(Tok::Ident(s)) => Ok(s),
-            Some(t) => Err(self.err(format!("expected identifier, found {t}"))),
-            None => Err(self.err("expected identifier, found end of input")),
-        }
-    }
-
-    fn expect_keyword(&mut self, kw: &str) -> Result<(), LitmusParseError> {
-        let line = self.line();
-        match self.bump() {
-            Some(Tok::Ident(s)) if s == kw => Ok(()),
-            Some(t) => Err(LitmusParseError { line, msg: format!("expected `{kw}`, found {t}") }),
-            None => Err(LitmusParseError { line, msg: format!("expected `{kw}`") }),
-        }
-    }
-
-    fn expect_val(&mut self) -> Result<Val, LitmusParseError> {
-        let line = self.line();
-        match self.bump() {
-            Some(Tok::Int(n)) if n <= Val::MAX as u64 => Ok(n as Val),
-            Some(Tok::Int(n)) => {
-                Err(LitmusParseError { line, msg: format!("value {n} exceeds {}", Val::MAX) })
-            }
-            Some(t) => Err(LitmusParseError { line, msg: format!("expected value, found {t}") }),
-            None => Err(LitmusParseError { line, msg: "expected value".into() }),
-        }
-    }
+/// `n` as a [`Val`], or the error naming `line`.
+fn val(n: u64, line: usize) -> Result<Val, LitmusParseError> {
+    Val::try_from(n).or_else(|_| fail(line, format!("value {n} exceeds {}", Val::MAX)))
 }
 
-/// Parses litmus source into a validated [`LitmusTest`].
+/// Parses litmus source into a validated [`LitmusTest`], through the DSL's
+/// tokenizer and [`Cursor`].
 ///
 /// # Errors
 ///
@@ -277,10 +174,12 @@ impl<'a> Cursor<'a> {
 /// problems: register reuse, a name used both as register and location,
 /// or exceeding [`MAX_THREADS`] / [`MAX_ADDRS`] / [`MAX_REGISTERS`].
 pub fn parse_litmus(src: &str) -> Result<LitmusTest, LitmusParseError> {
-    let mut cur = Cursor { toks: lex(src)?, pos: 0 };
-    cur.expect_keyword("litmus")?;
-    let name = cur.expect_ident()?.to_string();
-    cur.expect_punct(';')?;
+    let mut cur = Cursor::new(src).or_else(|e| fail(e.at.line, e.msg))?;
+    if !cur.eat_ident("litmus") {
+        return fail(cur.line(), format!("expected `litmus`, found {}", cur.peek()));
+    }
+    let name = cur.ident()?.to_string();
+    cur.expect(&TokenKind::Semi)?;
 
     let mut threads: Vec<Vec<Op>> = Vec::new();
     let mut registers: Vec<String> = Vec::new();
@@ -292,101 +191,85 @@ pub fn parse_litmus(src: &str) -> Result<LitmusTest, LitmusParseError> {
             return Ok(i as u8);
         }
         if addrs.len() >= MAX_ADDRS {
-            return Err(LitmusParseError { line, msg: format!("more than {MAX_ADDRS} locations") });
+            return fail(line, format!("more than {MAX_ADDRS} locations"));
         }
         addrs.push(name.to_string());
         Ok((addrs.len() - 1) as u8)
     };
 
-    while let Some(tok) = cur.peek() {
-        match tok {
-            Tok::Ident("thread") => {
-                cur.bump();
-                cur.expect_ident()?; // thread label, informational
+    loop {
+        let line = cur.line();
+        match cur.bump() {
+            TokenKind::Eof => break,
+            TokenKind::Ident("thread") => {
+                cur.ident()?; // thread label, informational
                 if threads.len() >= MAX_THREADS {
-                    return Err(cur.err(format!("more than {MAX_THREADS} threads")));
+                    return fail(cur.line(), format!("more than {MAX_THREADS} threads"));
                 }
-                cur.expect_punct('{')?;
+                cur.expect(&TokenKind::LBrace)?;
                 let mut ops = Vec::new();
-                while cur.peek() != Some(Tok::Punct('}')) {
+                while *cur.peek() != TokenKind::RBrace {
                     let line = cur.line();
-                    let lhs = cur.expect_ident()?;
-                    cur.expect_punct('=')?;
-                    match cur.peek() {
-                        Some(Tok::Int(_)) => {
-                            let val = cur.expect_val()?;
+                    let lhs = cur.ident()?;
+                    cur.expect(&TokenKind::Eq)?;
+                    match cur.bump() {
+                        TokenKind::Int(n) => {
+                            let val = val(n, line)?;
                             let addr = intern_addr(&mut addrs, lhs, line)?;
                             ops.push(Op::Store { addr, val });
                         }
-                        Some(Tok::Ident(_)) => {
-                            let loc = cur.expect_ident()?;
+                        TokenKind::Ident(loc) => {
                             if registers.iter().any(|r| r == lhs) {
-                                return Err(LitmusParseError {
-                                    line,
-                                    msg: format!("register {lhs} assigned twice"),
-                                });
+                                return fail(line, format!("register {lhs} assigned twice"));
                             }
                             if registers.len() >= MAX_REGISTERS {
-                                return Err(LitmusParseError {
-                                    line,
-                                    msg: format!("more than {MAX_REGISTERS} registers"),
-                                });
+                                return fail(line, format!("more than {MAX_REGISTERS} registers"));
                             }
                             registers.push(lhs.to_string());
                             let reg = (registers.len() - 1) as u8;
                             let addr = intern_addr(&mut addrs, loc, line)?;
                             ops.push(Op::Load { addr, reg });
                         }
-                        other => {
-                            return Err(LitmusParseError {
-                                line,
-                                msg: match other {
-                                    Some(t) => format!("expected value or location, found {t}"),
-                                    None => "expected value or location".into(),
-                                },
-                            })
-                        }
+                        t => return fail(line, format!("expected value or location, found {t}")),
                     }
-                    cur.expect_punct(';')?;
+                    cur.expect(&TokenKind::Semi)?;
                 }
-                cur.expect_punct('}')?;
+                cur.expect(&TokenKind::RBrace)?;
                 threads.push(ops);
             }
-            Tok::Ident("forbid") => {
-                cur.bump();
-                cur.expect_punct('(')?;
+            TokenKind::Ident("forbid") => {
+                cur.expect(&TokenKind::LParen)?;
                 let mut conj = Vec::new();
                 loop {
                     let line = cur.line();
-                    let reg_name = cur.expect_ident()?;
-                    let reg = registers.iter().position(|r| r == reg_name).ok_or_else(|| {
-                        LitmusParseError { line, msg: format!("unknown register {reg_name}") }
-                    })?;
-                    cur.expect_punct('=')?;
-                    let val = cur.expect_val()?;
-                    conj.push((reg as u8, val));
+                    let reg_name = cur.ident()?;
+                    let Some(reg) = registers.iter().position(|r| r == reg_name) else {
+                        return fail(line, format!("unknown register {reg_name}"));
+                    };
+                    cur.expect(&TokenKind::Eq)?;
                     match cur.bump() {
-                        Some(Tok::Punct(',')) => continue,
-                        Some(Tok::Punct(')')) => break,
-                        Some(t) => return Err(cur.err(format!("expected `,` or `)`, found {t}"))),
-                        None => return Err(cur.err("unterminated forbid clause")),
+                        TokenKind::Int(n) => conj.push((reg as u8, val(n, line)?)),
+                        t => return fail(line, format!("expected value, found {t}")),
+                    }
+                    match cur.bump() {
+                        TokenKind::Comma => continue,
+                        TokenKind::RParen => break,
+                        TokenKind::Eof => return fail(cur.line(), "unterminated forbid clause"),
+                        t => return fail(cur.line(), format!("expected `,` or `)`, found {t}")),
                     }
                 }
-                cur.expect_punct(';')?;
+                cur.expect(&TokenKind::Semi)?;
                 forbids.push(conj);
             }
-            t => return Err(cur.err(format!("expected `thread` or `forbid`, found {t}"))),
+            t => return fail(line, format!("expected `thread` or `forbid`, found {t}")),
         }
     }
 
     if threads.is_empty() {
-        return Err(LitmusParseError { line: 1, msg: "litmus test declares no threads".into() });
+        return fail(1, "litmus test declares no threads");
     }
     if let Some(clash) = registers.iter().find(|r| addrs.contains(r)) {
-        return Err(LitmusParseError {
-            line: 1,
-            msg: format!("{clash} used both as register and location"),
-        });
+        return fail(1, format!("{clash} used both as register and location"));
     }
     Ok(LitmusTest { name, threads, registers, addrs, forbids })
 }
@@ -441,6 +324,31 @@ mod tests {
         assert!(parse_litmus(clash).unwrap_err().msg.contains("both as register and location"));
         let noreg = "litmus T;\nthread P0 { r0 = x; }\nforbid (bogus=1);\n";
         assert!(parse_litmus(noreg).unwrap_err().msg.contains("unknown register"));
+    }
+
+    /// Litmus sources are read by the DSL's tokenizer: its identifiers
+    /// (non-ASCII ones too) and comments, and its tokens named in errors,
+    /// each on its own line.
+    #[test]
+    fn sources_read_through_the_dsl_tokenizer() {
+        let src = "litmus Ü;\nthread P0 { /* store */ é = 1; r0 = y; } // load\n";
+        let t = parse_litmus(src).unwrap();
+        assert_eq!(t.name, "Ü");
+        assert_eq!(t.addrs, ["é", "y"]);
+        for (src, line, msg) in [
+            ("litmus T;\nthread P0 {\n x: 1; }\n", 3, "expected `=`, found `:`"),
+            (
+                "litmus T;\nthread P0 { r0 = x; }\nforbid (r0 -> 1);\n",
+                3,
+                "expected `=`, found `->`",
+            ),
+            ("litmus T;\nthread P0 { x = 256; }\n", 2, "value 256 exceeds 255"),
+            ("litmus T;\nthread P0 { x = 1 }\n", 2, "expected `;`, found `}`"),
+            ("litmus T;\nthread P0 { x = 1; /* }\n", 2, "unterminated block comment"),
+        ] {
+            let err = parse_litmus(src).unwrap_err();
+            assert_eq!((err.line, err.msg.as_str()), (line, msg), "{src:?}");
+        }
     }
 
     #[test]

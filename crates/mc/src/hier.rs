@@ -926,6 +926,7 @@ mod tests {
     fn tower() -> protogen_spec::Composition {
         let mut comp = msi_under_msi(2, 2);
         comp.levels.insert(1, comp.levels[0].clone());
+        comp.levels[1].label = "l2".into();
         comp
     }
 

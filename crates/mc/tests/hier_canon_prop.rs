@@ -42,6 +42,7 @@ struct Stack {
 fn tower() -> Composition {
     let mut comp = protogen_protocols::msi_under_msi(2, 2);
     comp.levels.insert(1, comp.levels[0].clone());
+    comp.levels[1].label = "l2".into();
     comp
 }
 

@@ -58,9 +58,10 @@ impl Composition {
         self.levels[machine_level..].iter().map(|l| l.fanout).product()
     }
 
-    /// Validates the stack: every protocol must be individually valid, and
-    /// adjacent levels must have compatible interfaces (see
-    /// [`validate_interface`]).
+    /// Validates the stack: labels must be distinct (violations name a
+    /// directory by its level's label), every protocol must be
+    /// individually valid, and adjacent levels must have compatible
+    /// interfaces (see [`validate_interface`]).
     ///
     /// # Errors
     ///
@@ -71,6 +72,9 @@ impl Composition {
         }
         for (j, level) in self.levels.iter().enumerate() {
             let at = |m: &str| SpecError::Invalid(format!("level {j} ({}): {m}", level.label));
+            if let Some(i) = self.levels[..j].iter().position(|l| l.label == level.label) {
+                return Err(at(&format!("label already names level {i}")));
+            }
             if level.fanout == 0 || level.fanout > MAX_FANOUT {
                 return Err(at(&format!("fanout {} out of range 1..={MAX_FANOUT}", level.fanout)));
             }

@@ -50,3 +50,18 @@ fn fanout_bounds_are_enforced() {
     c.levels[0].fanout = 0;
     assert!(c.validate().is_err());
 }
+
+/// Violation text names a directory by its level's label, so a stack
+/// whose levels share one is refused, by name.
+#[test]
+fn duplicate_level_labels_are_refused() {
+    let c = Composition {
+        name: "t".into(),
+        levels: vec![
+            LevelSpec { label: "l1".into(), ssp: toy(), fanout: 2 },
+            LevelSpec { label: "l1".into(), ssp: toy(), fanout: 2 },
+        ],
+    };
+    let err = c.validate().unwrap_err().to_string();
+    assert_eq!(err, "invalid specification: level 1 (l1): label already names level 0");
+}

@@ -241,6 +241,10 @@ lints! {
         check(All, &["crates/**.rs", "src/**.rs"],
               &["Serialize,", "Serialize)", "Deserialize,", "Deserialize)", "serde::"])
             => ("crates/spec/src/ssp.rs", "#[derive(Debug, Serialize)]")],
+    one_tokenizer_reads_every_token_grammar: [
+        check(All, &["crates/**", "!crates/dsl/src/lexer.rs"],
+              &["fn tokenize(", "fn lex(", "enum Tok"])
+            => ("crates/litmus/src/test.rs", "enum Tok<'a> { Ident(&'a str), Punct(char) }")],
     minimization_keys_on_interned_structure_not_text: [
         check(NonTest, &["crates/core/src/minimize.rs"], &["format!"])
             => ("crates/core/src/minimize.rs", "let key = format!(\"{arc:?}\");")],
