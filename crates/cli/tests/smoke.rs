@@ -321,6 +321,19 @@ fn sim_on_a_compose_file_exits_2() {
     let _ = std::fs::remove_file(&pgen);
 }
 
+/// A composition that fails validation says so once: the validation
+/// error follows `composition failed:` with no second prefix.
+#[test]
+fn an_invalid_composition_prints_one_prefix() {
+    let out = protogen(&["verify", "--compose", "l1=msi:2,l1=mesi:2"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    let says =
+        "composition failed: invalid specification: level 1 (l1): label already names level 0";
+    assert!(err.starts_with(says), "{err}");
+    assert!(out.stdout.is_empty() && !err.contains("invalid SSP"), "{err}");
+}
+
 /// A `.pgen` operand that cannot be read is a usage error.
 #[test]
 fn compile_rejects_missing_file() {

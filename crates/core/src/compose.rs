@@ -30,7 +30,7 @@
 //!   machine, carrying the (synced) data back out.
 
 use crate::{generate, GenConfig, GenError, Generated};
-use protogen_spec::{Access, Action, Composition, Effect, MsgClass, Perm, SpecError, Trigger};
+use protogen_spec::{Access, Action, Composition, Effect, MsgClass, Perm, Trigger};
 
 /// One generated level of a composition.
 #[derive(Debug, Clone)]
@@ -100,7 +100,7 @@ impl Composed {
 /// (see [`protogen_spec::Composition::validate`]) or any level fails to
 /// generate.
 pub fn compose(comp: &Composition, config: &GenConfig) -> Result<Composed, GenError> {
-    comp.validate().map_err(|e: SpecError| GenError::InvalidSsp(e.to_string()))?;
+    comp.validate()?;
     let mut levels = Vec::with_capacity(comp.levels.len());
     for level in &comp.levels {
         levels.push(ComposedLevel {

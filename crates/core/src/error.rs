@@ -1,12 +1,15 @@
 //! Generation errors.
 
+use protogen_spec::SpecError;
 use std::error::Error;
 use std::fmt;
 
 /// Errors produced during protocol generation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GenError {
-    /// The input SSP failed validation.
+    /// The input SSP or composition failed validation.
+    Spec(SpecError),
+    /// The input SSP describes a transaction that never completes.
     InvalidSsp(String),
     /// The SSP uses a construct the generator does not support; the message
     /// names it and the state where it occurs.
@@ -22,6 +25,7 @@ pub enum GenError {
 impl fmt::Display for GenError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            GenError::Spec(e) => write!(f, "{e}"),
             GenError::InvalidSsp(m) => write!(f, "invalid SSP: {m}"),
             GenError::Unsupported(m) => write!(f, "unsupported specification: {m}"),
             GenError::Ambiguous(m) => write!(f, "ambiguous specification: {m}"),
@@ -32,9 +36,9 @@ impl fmt::Display for GenError {
 
 impl Error for GenError {}
 
-impl From<protogen_spec::SpecError> for GenError {
-    fn from(e: protogen_spec::SpecError) -> Self {
-        GenError::InvalidSsp(e.to_string())
+impl From<SpecError> for GenError {
+    fn from(e: SpecError) -> Self {
+        GenError::Spec(e)
     }
 }
 
@@ -48,9 +52,17 @@ mod tests {
         assert!(GenError::Ambiguous("x".into()).to_string().contains("ambiguous"));
     }
 
+    /// A validation error is carried as itself and printed once, with no
+    /// second prefix.
     #[test]
     fn converts_spec_errors() {
-        let e: GenError = protogen_spec::SpecError::UnknownName("Q".into()).into();
-        assert!(matches!(e, GenError::InvalidSsp(_)));
+        let e: GenError = SpecError::UnknownName("Q".into()).into();
+        assert_eq!(e, GenError::Spec(SpecError::UnknownName("Q".into())));
+        let e: GenError =
+            SpecError::Invalid("level 1 (l1): label already names level 0".into()).into();
+        assert_eq!(
+            e.to_string(),
+            "invalid specification: level 1 (l1): label already names level 0"
+        );
     }
 }

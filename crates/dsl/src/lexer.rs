@@ -317,13 +317,14 @@ impl<'s> Cursor<'s> {
     ///
     /// # Errors
     ///
-    /// Returns the token found instead, at the position of the token after
-    /// it, where the cursor now stands.
+    /// Returns the token found instead, at its own position, as
+    /// [`Cursor::expect`] does.
     #[inline]
     pub fn ident(&mut self) -> Result<&'s str, Unexpected<'s>> {
+        let at = self.here();
         match self.bump() {
             TokenKind::Ident(s) => Ok(s),
-            found => Err(Unexpected { wanted: None, found, at: self.here() }),
+            found => Err(Unexpected { wanted: None, found, at }),
         }
     }
 

@@ -458,6 +458,14 @@ mod tests {
         }
     }
 
+    /// A token where an identifier belongs is reported at its own
+    /// position, not at the token after it.
+    #[test]
+    fn a_missing_identifier_names_the_offending_token() {
+        let err = parse("protocol H;\nmessage 7 : request;").unwrap_err();
+        assert_eq!(err.to_string(), "parse error: expected identifier, found `7` at 2:9");
+    }
+
     #[test]
     fn parses_compose_block() {
         let spec = parse("protocol H; compose { l1: msi(2); llc: mesi; }").unwrap();

@@ -1,35 +1,39 @@
 //! The multi-address litmus machine: a generated protocol's FSMs driven
 //! over several blocks at once, as a [`TransitionSystem`] for the model
-//! checker's explorer (the search `verify` runs, here without symmetry).
+//! checker's explorer (the search `verify` runs, here without symmetry),
+//! stepped by its subnet kernel ([`Kernel`]) like the flat and composed
+//! checkers.
 //!
 //! One cache per litmus thread plus one directory hold an FSM instance per
 //! location (coherence is specified per block, §IV-A of the paper), so
-//! each location is one flat subnet: its blocks, its directory entry and a
-//! FIFO per `(src, dst)` pair. On an ordered network each FIFO's head is
-//! deliverable, on an unordered one every message is. Cores are in-order
-//! and blocking; a load that hits returns the local copy — possibly stale,
-//! which is what the harness observes.
+//! each location is one flat subnet: its blocks, its directory entry, a
+//! FIFO per `(src, dst)` pair and a ghost byte (the value its last
+//! performed store wrote). The program state lives outside the subnets.
+//! On an ordered network each FIFO's head is deliverable, on an unordered
+//! one every message is. Cores are in-order and blocking; a load that hits
+//! returns the local copy — possibly stale, which is what the harness
+//! observes, so the run checks no per-state property.
 //!
 //! A run starts *warmed up* (every thread loaded every location once, so
 //! every cache holds a value-0 copy that self-invalidation can decay).
 //! Its steps are program issues, deliveries, self-invalidations
 //! (`ArcNote::SelfInv`, whole-cache under `si_epoch`) and self-downgrades
-//! (`ArcNote::SelfDown`); demand evictions never fire. A terminal state
-//! (every operation performed, network drained) has no step: each worker
-//! records the registers of the terminal states it steps into, merged
-//! when the run ends. Any other state without an enabled step is a
-//! deadlock.
+//! (`ArcNote::SelfDown`); demand evictions never fire. What litmus adds to
+//! the kernel is its own: program order, the decay rules, and which value
+//! a store writes. A terminal state (every operation performed, network
+//! drained) has no step: each worker records the registers of the
+//! terminal states it steps into, merged when the run ends. Any other
+//! state without an enabled step is a deadlock.
 
 use crate::test::{LitmusTest, Op, Val};
 use protogen_core::Generated;
 use protogen_mc::{
-    explore_system, fingerprint_bytes, put_block, put_dir, put_queue, Decoder, McConfig,
-    SectionMap, TransitionSystem, ViolationKind,
+    explore_system, fingerprint_bytes, put_block, put_dir, put_queue, At, Decoder, Kernel,
+    McConfig, Naming, PropertySet, SectionMap, StepScratch, Subnet, SubnetMut, Subnets, SysState,
+    TransitionSystem, ViolationKind,
 };
-use protogen_runtime::{
-    ApplyOutcome, CacheBlock, Coverage, DirEntry, Line, Machine, Msg, NodeId, Selected, Slot,
-};
-use protogen_spec::{Access, Arc, ArcNote, Event, Fsm, Ssp};
+use protogen_runtime::{Coverage, Line, Machine, NodeId, Selected};
+use protogen_spec::{Access, ArcNote, Event, Fsm, Ssp};
 use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
@@ -92,7 +96,7 @@ pub fn outcomes(
 ) -> Result<(BTreeSet<Vec<Val>>, usize), LitmusError> {
     let cfg = McConfig { max_states, threads, ..McConfig::default() };
     let mut run = Run::new(ssp, generated, test, cfg);
-    run.warmup()?;
+    run.init = run.warmup()?;
     let (result, scratches) = explore_system(&run);
     if let Some(v) = result.violation {
         return Err(LitmusError::Violation { kind: v.kind, trace: v.trace });
@@ -107,29 +111,44 @@ pub fn outcomes(
     Ok((outcomes, result.states))
 }
 
-/// One litmus machine state.
-#[derive(Debug, Clone, Default)]
+/// One litmus machine state: one flat subnet per location, then the
+/// program state.
+#[derive(Debug, Default, PartialEq)]
 struct MState {
-    /// `caches[t * n_addrs + a]` — thread `t`'s block for location `a`.
-    caches: Vec<CacheBlock>,
-    /// `dirs[a]` — the directory entry for location `a`.
-    dirs: Vec<DirEntry>,
-    /// `chans[(src * n_nodes + dst) * n_addrs + a]` — location `a`'s FIFO
-    /// from `src` to `dst`.
-    chans: Vec<Vec<Msg>>,
-    /// The program state as its own encoding (the ghost section): every
-    /// thread's next operation, then whether it issued but has not
-    /// performed, then the registers.
+    /// `locs[a]` — location `a`'s subnet: thread `t`'s block for it at
+    /// cache `t`, its directory entry, its FIFOs and its ghost byte.
+    locs: Vec<SysState>,
+    /// The program state (the rest of the ghost section): every thread's
+    /// next operation, then whether it issued but has not performed, then
+    /// the registers.
     prog: Vec<u8>,
 }
 
-impl MState {
-    /// `src`, copied into this state's allocations (`clone_from` reallocates).
-    fn copy_from(&mut self, src: &MState) {
-        self.caches.clone_from(&src.caches);
-        self.dirs.clone_from(&src.dirs);
-        self.chans.clone_from(&src.chans);
+impl Clone for MState {
+    fn clone(&self) -> Self {
+        MState { locs: self.locs.clone(), prog: self.prog.clone() }
+    }
+
+    /// Field-wise, so the subnets keep their allocations.
+    fn clone_from(&mut self, src: &Self) {
+        self.locs.clone_from(&src.locs);
         self.prog.clone_from(&src.prog);
+    }
+}
+
+/// Location `a` is subnet `(0, a)`.
+impl Subnets for MState {
+    fn subnet(&self, (_, a): At) -> Subnet<'_> {
+        self.locs[a].subnet((0, 0))
+    }
+
+    fn subnet_mut(&mut self, (_, a): At) -> SubnetMut<'_> {
+        self.locs[a].subnet_mut((0, 0))
+    }
+
+    /// A step may start or complete its thread's operation.
+    fn restore_outside(&mut self, from: &Self, _: At, _: usize) {
+        self.prog.copy_from_slice(&from.prog);
     }
 }
 
@@ -138,7 +157,8 @@ impl MState {
 enum Step {
     /// The thread issues its next program operation.
     Issue { thread: u8 },
-    /// Delivers position `idx` of `chans[q]`.
+    /// Delivers position `idx` of queue `q` (numbered as [`Run::queue`]
+    /// reads them).
     Deliver { q: u16, idx: u8 },
     /// The thread's line for `addr` self-invalidates (`down` unset) or
     /// self-downgrades; at [`EPOCH`], every line self-invalidates at once.
@@ -148,11 +168,14 @@ enum Step {
 /// The `addr` of a whole-cache self-invalidation (`Ssp::si_epoch`).
 const EPOCH: u8 = u8::MAX;
 
-/// A worker's scratch: the apply outcome, the encoding buffer, and the
-/// registers of the terminal states it stepped into.
-#[derive(Debug, Default)]
+/// A worker's scratch: the kernel's stepping scratch (with the worker's
+/// coverage recorders), the state an epoch step fires its lines in, the
+/// encoding buffer, and the registers of the terminal states it stepped
+/// into.
+#[derive(Debug)]
 struct Scratch {
-    outcome: ApplyOutcome,
+    step: StepScratch,
+    epoch: MState,
     enc: Vec<u8>,
     outcomes: BTreeSet<Vec<Val>>,
 }
@@ -168,26 +191,35 @@ struct Run<'a> {
     init: MState,
     n_threads: usize,
     n_addrs: usize,
-    dir_id: NodeId,
 }
 
 impl<'a> Run<'a> {
-    /// The cold run of `test` on `ssp`'s machines under `cfg`.
+    /// The cold run of `test` on `ssp`'s machines under `cfg`, on `ssp`'s
+    /// network and with no per-state property.
     fn new(ssp: &'a Ssp, g: &'a Generated, test: &'a LitmusTest, cfg: McConfig) -> Self {
         let (n_threads, n_addrs) = (test.threads.len(), test.addrs.len());
         let init = MState {
-            caches: vec![CacheBlock::new(); n_threads * n_addrs],
-            dirs: vec![DirEntry::new(0); n_addrs],
-            chans: vec![Vec::new(); (n_threads + 1).pow(2) * n_addrs],
+            locs: vec![SysState::initial(n_threads); n_addrs],
             prog: vec![0; 2 * n_threads + test.registers.len()],
         };
         let (cache, dir) = (Machine::new(&g.cache), Machine::new(&g.directory));
-        let dir_id = NodeId(n_threads as u8);
-        Run { ssp, cache, dir, test, cfg, init, n_threads, n_addrs, dir_id }
+        let (ordered, properties) = (ssp.network_ordered, PropertySet::none());
+        let cfg = McConfig { ordered, properties, ..cfg };
+        Run { ssp, cache, dir, test, cfg, init, n_threads, n_addrs }
     }
 
-    fn block_idx(&self, t: usize, addr: u8) -> usize {
-        t * self.n_addrs + addr as usize
+    /// The subnet kernel over the protocol's machines, naming each subnet
+    /// by its location.
+    fn kernel(&self) -> Kernel<'_, &'a Fsm> {
+        let naming = Naming::Locations(&self.test.addrs);
+        Kernel { cache: &self.cache, dir: &self.dir, cfg: &self.cfg, naming }
+    }
+
+    /// Queue `q`'s location and `(src, dst)`: queues are numbered
+    /// link-major, `(src · (n_threads + 1) + dst) · n_addrs + location`.
+    fn queue(&self, q: u16) -> (usize, usize, usize) {
+        let (link, nodes) = (q as usize / self.n_addrs, self.n_threads + 1);
+        (q as usize % self.n_addrs, link / nodes, link % nodes)
     }
 
     /// Thread `t`'s next operation, unless one is in flight or none is left.
@@ -199,42 +231,7 @@ impl<'a> Run<'a> {
     fn terminal(&self, st: &MState) -> bool {
         let n = self.n_threads;
         (0..n).all(|t| st.prog[n + t] == 0 && st.prog[t] as usize == self.test.threads[t].len())
-            && st.chans.iter().all(Vec::is_empty)
-    }
-
-    /// The controller `node` runs and its line for location `addr`.
-    fn line<'s>(&self, st: &'s MState, node: NodeId, addr: u8) -> (&Machine<&'a Fsm>, Slot<'s>) {
-        if node == self.dir_id {
-            (&self.dir, st.dirs[addr as usize].slot())
-        } else {
-            (&self.cache, st.caches[self.block_idx(node.as_usize(), addr)].slot())
-        }
-    }
-
-    /// Applies `arc` to `node`'s line for `addr`, routes its sends, and
-    /// returns what was performed.
-    fn apply(
-        &self,
-        st: &mut MState,
-        (node, addr): (NodeId, u8),
-        arc: &Arc,
-        msg: Option<&Msg>,
-        store_value: Val,
-        out: &mut ApplyOutcome,
-    ) -> Result<Option<(Access, Option<Val>)>, ViolationKind> {
-        let (machine, ctx) = if node == self.dir_id {
-            (&self.dir, st.dirs[addr as usize].ctx(node, node))
-        } else {
-            let block = &mut st.caches[self.block_idx(node.as_usize(), addr)];
-            (&self.cache, block.ctx(node, self.dir_id))
-        };
-        let applied = machine.apply(arc, msg, ctx, store_value, out);
-        applied.map_err(|e| ViolationKind::Exec(e.to_string()))?;
-        for &m in &out.outgoing {
-            let link = m.src.as_usize() * (self.n_threads + 1) + m.dst.as_usize();
-            st.chans[link * self.n_addrs + addr as usize].push(m);
-        }
-        Ok(out.performed)
+            && st.locs.iter().all(|loc| loc.messages_in_flight() == 0)
     }
 
     /// Thread `t`'s operation `op` performed with `value`: a load fills its
@@ -248,34 +245,29 @@ impl<'a> Run<'a> {
         st.prog[self.n_threads + t] = 0;
     }
 
-    /// The deliverable positions: every queue's head on an ordered
-    /// network, every message on an unordered one.
-    fn deliveries(&self, st: &MState, out: &mut Vec<Step>) {
-        for (q, chan) in st.chans.iter().enumerate() {
-            let last = if self.ssp.network_ordered { chan.len().min(1) } else { chan.len() };
-            out.extend((0..last as u8).map(|idx| Step::Deliver { q: q as u16, idx }));
-        }
-    }
-
-    /// Warms `init` up: each thread loads each location once, run to
+    /// The warmed-up state: each thread loads each location once, run to
     /// quiescence with the first deliverable message going first.
-    fn warmup(&mut self) -> Result<(), LitmusError> {
-        let mut st = std::mem::take(&mut self.init);
-        let (mut next, mut scratch, mut steps) = (st.clone(), Scratch::default(), Vec::new());
+    fn warmup(&self) -> Result<MState, LitmusError> {
+        let (mut st, mut next, mut scratch) =
+            (self.init.clone(), self.init.clone(), self.scratch());
+        let (kernel, mut steps) = (self.kernel(), Vec::new());
         let fail = |kind: ViolationKind| LitmusError::Warmup(kind.to_string());
         for t in 0..self.n_threads {
-            for a in 0..self.n_addrs as u8 {
-                let block = &st.caches[self.block_idx(t, a)];
-                let load = Event::Access(Access::Load);
-                let Selected::Arc(arc) = self.cache.select(block.slot(), load, None) else {
-                    let state = &self.cache.fsm().state(block.state).name;
+            for a in 0..self.n_addrs {
+                let load = (t, Access::Load);
+                if !kernel
+                    .issue(&st, (0, a), load, 0, &mut next, &mut scratch.step)
+                    .map_err(fail)?
+                {
+                    let state = &self.cache.fsm().state(st.locs[a].caches[t].state).name;
                     return Err(LitmusError::Warmup(format!("a load stalls in {state}")));
-                };
-                let line = (NodeId(t as u8), a);
-                self.apply(&mut st, line, arc, None, 0, &mut scratch.outcome).map_err(fail)?;
+                }
+                // Each step's parent is a copy of its successor, so the
+                // kernel's restore of what the step wrote stays exact.
                 for round in 0.. {
-                    steps.clear();
-                    self.deliveries(&st, &mut steps);
+                    st.clone_from(&next);
+                    self.steps_into(&st, &mut steps);
+                    steps.retain(|step| matches!(step, Step::Deliver { .. }));
                     if steps.is_empty() {
                         break;
                     }
@@ -285,12 +277,10 @@ impl<'a> Run<'a> {
                     if !delivered.map_err(fail)? || round == 10_000 {
                         return Err(LitmusError::Warmup("the traffic does not drain".into()));
                     }
-                    std::mem::swap(&mut st, &mut next);
                 }
             }
         }
-        self.init = st;
-        Ok(())
+        Ok(st)
     }
 }
 
@@ -310,11 +300,12 @@ impl TransitionSystem for Run<'_> {
         (fingerprint_bytes(desc.as_bytes()), fingerprint_bytes(fsms.as_bytes()))
     }
 
-    /// Each location is one flat subnet of `n_threads` caches; the program
-    /// state is the ghost section.
+    /// Each location is one flat subnet of `n_threads` caches; their ghost
+    /// bytes and the program state are the ghost section.
     fn section_map(&self) -> SectionMap {
         let caches = self.n_threads * self.n_addrs;
-        SectionMap::leveled(&[caches], &[(self.n_addrs, self.n_threads)], self.init.prog.len())
+        let ghost = self.n_addrs + self.init.prog.len();
+        SectionMap::leveled(&[caches], &[(self.n_addrs, self.n_threads)], ghost)
     }
 
     fn initial(&self) -> MState {
@@ -322,7 +313,8 @@ impl TransitionSystem for Run<'_> {
     }
 
     fn scratch(&self) -> Scratch {
-        Scratch::default()
+        let step = StepScratch::new([(self.cache.fsm(), self.dir.fsm())]);
+        Scratch { step, epoch: self.init.clone(), enc: Vec::new(), outcomes: BTreeSet::new() }
     }
 
     fn steps_into(&self, st: &MState, out: &mut Vec<Step>) {
@@ -333,7 +325,12 @@ impl TransitionSystem for Run<'_> {
         let threads = 0..self.n_threads as u8;
         let idle = threads.clone().filter(|&t| self.next_op(st, t.into()).is_some());
         out.extend(idle.map(|thread| Step::Issue { thread }));
-        self.deliveries(st, out);
+        for q in 0..((self.n_threads + 1).pow(2) * self.n_addrs) as u16 {
+            let (a, src, dst) = self.queue(q);
+            let len = st.locs[a].channels[src][dst].len();
+            let last = if self.cfg.ordered { len.min(1) } else { len };
+            out.extend((0..last as u8).map(|idx| Step::Deliver { q, idx }));
+        }
         for down in [false, true] {
             for thread in threads.clone() {
                 let decay = |addr| Step::Decay { down, thread, addr };
@@ -346,9 +343,8 @@ impl TransitionSystem for Run<'_> {
         }
     }
 
-    /// Copies the parent into `succ`'s own allocations once the step is
-    /// known to be enabled, and records `succ`'s registers when it is
-    /// terminal.
+    /// One kernel step, with the program's bookkeeping around it, and
+    /// records `succ`'s registers when it is terminal.
     fn successor_into(
         &self,
         st: &MState,
@@ -356,7 +352,7 @@ impl TransitionSystem for Run<'_> {
         succ: &mut MState,
         scratch: &mut Scratch,
     ) -> Result<bool, ViolationKind> {
-        let out = &mut scratch.outcome;
+        let (kernel, stp) = (self.kernel(), &mut scratch.step);
         match step {
             Step::Issue { thread } => {
                 let t = thread as usize;
@@ -367,79 +363,66 @@ impl TransitionSystem for Run<'_> {
                     Op::Load { addr, .. } => (addr, Access::Load, 0),
                     Op::Store { addr, val } => (addr, Access::Store, val),
                 };
-                let block = &st.caches[self.block_idx(t, addr)];
-                let event = Event::Access(access);
-                let Selected::Arc(arc) = self.cache.select(block.slot(), event, None) else {
+                // A transaction would stack on a block that already has one
+                // pending (e.g. an unacknowledged self-downgrade): the kernel
+                // refuses it, and the thread retries after it completes.
+                if !kernel.issue(st, (0, addr.into()), (t, access), value, succ, stp)? {
                     return Ok(false);
-                };
-                let had_pending = block.pending.is_some();
-                succ.copy_from(st);
-                match self.apply(succ, (NodeId(thread), addr), arc, None, value, out)? {
+                }
+                match stp.outcome.performed {
                     Some((_, value)) => self.complete(succ, t, op, value),
-                    // A transaction would stack on a block that already has
-                    // one pending (e.g. an unacknowledged self-downgrade):
-                    // retry after it completes.
-                    None if had_pending => return Ok(false),
                     None => succ.prog[self.n_threads + t] = 1,
                 }
             }
             Step::Deliver { q, idx } => {
-                let msg = st.chans[q as usize][idx as usize];
-                let addr = (q as usize % self.n_addrs) as u8;
-                let (machine, slot) = self.line(st, msg.dst, addr);
-                let arc = match machine.select(slot, Event::Msg(msg.mtype), Some(&msg)) {
-                    Selected::Arc(arc) => arc,
-                    Selected::Stall => return Ok(false),
-                    Selected::None => {
-                        let who = if msg.dst == self.dir_id { "directory" } else { "cache" };
-                        let who =
-                            format!("{who} {} for {}", msg.dst, self.test.addrs[addr as usize]);
-                        let msg = format!("{} {msg}", machine.fsm().msg(msg.mtype).name);
-                        let detail = machine.unexpected(who, slot, msg);
-                        return Err(ViolationKind::UnexpectedMessage(detail));
-                    }
-                };
                 // The thread whose operation this delivery may complete (the
                 // directory has no program); a store to this location
                 // performs with its value.
-                let t = msg.dst.as_usize();
+                let (a, src, t) = self.queue(q);
                 let in_flight = (t < self.n_threads && st.prog[self.n_threads + t] != 0)
                     .then(|| self.test.threads[t][st.prog[t] as usize]);
                 let value = match in_flight {
-                    Some(Op::Store { addr: a, val }) if a == addr => val,
+                    Some(Op::Store { addr, val }) if usize::from(addr) == a => val,
                     _ => 0,
                 };
-                succ.copy_from(st);
-                succ.chans[q as usize].remove(idx as usize);
-                let line = (msg.dst, addr);
+                if !kernel.deliver(st, (0, a), (src, t, idx.into()), value, succ, stp)? {
+                    return Ok(false);
+                }
                 // A performed Load/Store completes the thread's operation; a
                 // performed Replacement (a self-downgrade or writeback
                 // finishing) is not a program event.
                 if let (Some(op), Some((Access::Load | Access::Store, value))) =
-                    (in_flight, self.apply(succ, line, arc, Some(&msg), value, out)?)
+                    (in_flight, stp.outcome.performed)
                 {
                     self.complete(succ, t, op, value);
                 }
             }
             Step::Decay { down, thread, addr } => {
+                let t = thread as usize;
                 let note = if down { ArcNote::SelfDown } else { ArcNote::SelfInv };
-                let lines = if addr == EPOCH { 0..self.n_addrs as u8 } else { addr..addr + 1 };
-                let mut fired = false;
-                // Lines are independent: each arc is selected on the parent.
-                for a in lines {
-                    let block = &st.caches[self.block_idx(thread.into(), a)];
+                let lines =
+                    if addr == EPOCH { 0..self.n_addrs } else { addr.into()..addr as usize + 1 };
+                // Only an idle line decays, by an arc noted `note`.
+                let mut lines = lines.filter(|&a| {
+                    let block = &st.locs[a].caches[t];
                     let replace = Event::Access(Access::Replacement);
-                    let arc = match self.cache.select(block.slot(), replace, None) {
-                        Selected::Arc(arc) if arc.note == note && block.pending.is_none() => arc,
-                        _ => continue,
-                    };
-                    if !std::mem::replace(&mut fired, true) {
-                        succ.copy_from(st);
-                    }
-                    self.apply(succ, (NodeId(thread), a), arc, None, 0, out)?;
-                }
-                if !fired {
+                    block.pending.is_none()
+                        && matches!(self.cache.select(block.slot(), replace, None),
+                            Selected::Arc(arc) if arc.note == note)
+                });
+                let Some(first) = lines.next() else {
                     return Ok(false);
+                };
+                // The filter saw the arc on an idle line, so the kernel fires it.
+                let replace = (t, Access::Replacement);
+                kernel.issue(st, (0, first), replace, 0, succ, stp)?;
+                // An epoch fires every line. The kernel records one line's
+                // write per step: each further line steps from a copy of
+                // the successor, and the next step copies its parent whole.
+                for a in lines {
+                    scratch.epoch.clone_from(succ);
+                    kernel.issue(&scratch.epoch, (0, a), replace, 0, succ, stp)?;
+                    stp.unsync();
                 }
             }
         }
@@ -463,13 +446,19 @@ impl TransitionSystem for Run<'_> {
     }
 
     /// No symmetry: the canonical encoding is the state's own, written by
-    /// the model checker's section codecs.
+    /// the model checker's section codecs, location by location within
+    /// each section kind.
     fn canonical_fp(&self, st: &MState, scratch: &mut Scratch) -> u64 {
         let (out, same) = (&mut scratch.enc, |id: NodeId| id.0);
         out.clear();
-        st.caches.iter().for_each(|c| put_block(out, c, same));
-        st.dirs.iter().for_each(|d| put_dir(out, d, d.sharers, same));
-        st.chans.iter().for_each(|q| put_queue(out, q, same));
+        st.locs.iter().flat_map(|l| &l.caches).for_each(|c| put_block(out, c, same));
+        st.locs.iter().for_each(|l| put_dir(out, &l.dir, l.dir.sharers, same));
+        // Per location: a flat map over the nested queues encodes about
+        // a fifth slower.
+        for l in &st.locs {
+            l.channels.iter().flatten().for_each(|q| put_queue(out, q, same));
+        }
+        out.extend(st.locs.iter().map(|l| l.ghost));
         out.extend_from_slice(&st.prog);
         fingerprint_bytes(out)
     }
@@ -478,17 +467,21 @@ impl TransitionSystem for Run<'_> {
         &scratch.enc
     }
 
-    fn decode_into(&self, bytes: &[u8], st: &mut MState, _: &mut Scratch) {
+    fn decode_into(&self, bytes: &[u8], st: &mut MState, scratch: &mut Scratch) {
+        scratch.step.unsync();
         let mut d = Decoder::new(bytes);
-        st.caches.iter_mut().for_each(|c| d.block(c));
-        st.dirs.iter_mut().for_each(|e| d.dir(e));
-        st.chans.iter_mut().for_each(|q| d.queue(q));
-        let prog = d.ghost_section(st.prog.len());
+        st.locs.iter_mut().flat_map(|l| &mut l.caches).for_each(|c| d.block(c));
+        st.locs.iter_mut().for_each(|l| d.dir(&mut l.dir));
+        for l in &mut st.locs {
+            l.channels.iter_mut().flatten().for_each(|q| d.queue(q));
+        }
+        let (ghosts, prog) = d.ghost_section(self.n_addrs + st.prog.len()).split_at(self.n_addrs);
+        st.locs.iter_mut().zip(ghosts).for_each(|(l, &g)| l.ghost = g);
         st.prog.copy_from_slice(prog);
     }
 
-    fn coverage(_: &Scratch) -> &[Coverage] {
-        &[]
+    fn coverage(scratch: &Scratch) -> &[Coverage] {
+        &scratch.step.coverage
     }
 
     /// The variant in the top byte, then the fields in listing order.
@@ -514,35 +507,35 @@ impl TransitionSystem for Run<'_> {
     /// `<node>[<its line's state>] <what>`: a program step reads as its litmus
     /// statement (`n0[S] x = 1`), a delivery names the message.
     fn describe(&self, st: &MState, step: Step) -> String {
-        let (regs, loc) = (&self.test.registers, |a: u8| &self.test.addrs[a as usize]);
+        let (regs, loc) = (&self.test.registers, |a: usize| &self.test.addrs[a]);
         let (node, addr, what) = match step {
             Step::Issue { thread } => {
                 let t = thread as usize;
                 let (addr, stmt) = match self.test.threads[t][st.prog[t] as usize] {
                     Op::Load { addr, reg } => {
-                        (addr, format!("{} = {}", regs[reg as usize], loc(addr)))
+                        (addr, format!("{} = {}", regs[reg as usize], loc(addr.into())))
                     }
-                    Op::Store { addr, val } => (addr, format!("{} = {val}", loc(addr))),
+                    Op::Store { addr, val } => (addr, format!("{} = {val}", loc(addr.into()))),
                 };
-                (NodeId(thread), addr, stmt)
+                (t, addr.into(), stmt)
             }
             Step::Deliver { q, idx } => {
-                let msg = st.chans[q as usize][idx as usize];
-                let addr = (q as usize % self.n_addrs) as u8;
+                let (a, src, dst) = self.queue(q);
+                let msg = st.locs[a].channels[src][dst][idx as usize];
                 let name = &self.cache.fsm().msg(msg.mtype).name;
-                (msg.dst, addr, format!("receives {name} {msg} for {}", loc(addr)))
+                (dst, a, format!("receives {name} {msg} for {}", loc(a)))
             }
             Step::Decay { thread, addr: EPOCH, .. } => {
                 return format!("{} self-invalidates every line", NodeId(thread));
             }
             Step::Decay { down, thread, addr } => {
                 let verb = if down { "self-downgrades" } else { "self-invalidates" };
-                (NodeId(thread), addr, format!("{verb} {}", loc(addr)))
+                (thread.into(), addr.into(), format!("{verb} {}", loc(addr.into())))
             }
         };
-        let (machine, slot) = self.line(st, node, addr);
-        let state = machine.fsm().state(slot.state()).full_name();
-        let who = if node == self.dir_id { "dir".to_string() } else { node.to_string() };
+        let machine = if node == self.n_threads { &self.dir } else { &self.cache };
+        let state = machine.fsm().state(st.subnet((0, addr)).slot(node).state()).full_name();
+        let who = if node == self.n_threads { "dir".to_string() } else { format!("n{node}") };
         format!("{who}[{state}] {what}")
     }
 }
@@ -553,6 +546,7 @@ mod tests {
     use crate::reference::{sc_outcomes, tso_outcomes};
     use crate::test::{bundled, parse_litmus, MP, SB};
     use protogen_core::{generate, GenConfig};
+    use protogen_mc::ModelChecker;
 
     fn harness_outcomes(ssp: &Ssp, src: &str) -> BTreeSet<Vec<Val>> {
         let g = generate(ssp, &GenConfig::default()).unwrap();
@@ -656,7 +650,7 @@ mod tests {
             let g = generate(&ssp, &GenConfig::default()).unwrap();
             for test in bundled() {
                 let mut run = Run::new(&ssp, &g, &test, McConfig::default());
-                run.warmup().unwrap();
+                run.init = run.warmup().unwrap();
                 let encs = protogen_mc::reference_bfs(&run, 300).0;
                 assert!(encs.len() > 20, "{}: {} states", test.name, encs.len());
                 let (map, mut scratch, mut st) = (run.section_map(), run.scratch(), run.initial());
@@ -672,6 +666,39 @@ mod tests {
                         assert_eq!(&rebuilt, enc, "{}: delta to #{i}", test.name);
                     }
                 }
+            }
+        }
+    }
+
+    /// Every dispatch a litmus run attempts is one the flat checker also
+    /// attempts at 2 caches on the same network, with no property checked:
+    /// each location is a flat subnet of the threads' blocks, so litmus
+    /// stays inside the model-checked envelope the simulator and the live
+    /// service are held to.
+    #[test]
+    fn litmus_dispatches_stay_inside_the_checked_envelope() {
+        let two_threads: Vec<_> = bundled().into_iter().filter(|t| t.threads.len() == 2).collect();
+        let names: Vec<_> = two_threads.iter().map(|t| t.name.as_str()).collect();
+        assert_eq!(names, ["SB", "MP", "LB", "CoRR"]);
+        for ssp in protogen_protocols::all() {
+            let g = generate(&ssp, &GenConfig::default()).unwrap();
+            let cfg = McConfig {
+                ordered: ssp.network_ordered,
+                properties: PropertySet::none(),
+                ..McConfig::with_caches(2)
+            };
+            let checked = ModelChecker::new(&g.cache, &g.directory, cfg).run();
+            assert!(checked.passed(), "{}: {:?}", ssp.name, checked.violation);
+            for test in &two_threads {
+                let mut run =
+                    Run::new(&ssp, &g, test, McConfig { threads: 1, ..McConfig::default() });
+                run.init = run.warmup().unwrap();
+                let (result, _) = explore_system(&run);
+                assert!(result.passed(), "{} {}: {:?}", ssp.name, test.name, result.violation);
+                let pairs = result.coverage;
+                assert!(!pairs.is_empty(), "{} {}: no pairs recorded", ssp.name, test.name);
+                let escapes: Vec<_> = pairs.difference(&checked.coverage).collect();
+                assert!(escapes.is_empty(), "{} {}: {escapes:?}", ssp.name, test.name);
             }
         }
     }

@@ -358,4 +358,12 @@ mod tests {
         assert!(parse_litmus("").is_err());
         assert!(parse_litmus("litmus T;").unwrap_err().msg.contains("no threads"));
     }
+
+    /// A token where a name belongs is reported on its own line, also when
+    /// it ends that line.
+    #[test]
+    fn a_bad_name_at_the_end_of_a_line_names_its_own_line() {
+        let err = parse_litmus("litmus 5\n;\nthread P0 { x = 1; }\n").unwrap_err();
+        assert_eq!((err.line, err.msg.as_str()), (1, "expected identifier, found `5`"));
+    }
 }

@@ -12,15 +12,23 @@ use crate::explore::{
 };
 use crate::property::{LevelBlocks, PropertySet};
 use crate::store::{fingerprint_bytes, STEP_NONE};
-use crate::subnet::{At, Kernel, StepScratch, Subnet, SubnetMut, Subnets, ONLY};
+use crate::subnet::{At, Kernel, Naming, StepScratch, Subnet, SubnetMut, Subnets, ONLY};
 use crate::system::{SysState, MAX_CACHES, MAX_CHANNEL_CAP};
-use protogen_runtime::{Coverage, Machine};
+use protogen_runtime::{Coverage, Machine, Val};
 use protogen_spec::{Access, Fsm};
 use std::fmt;
 
 /// Store values cycle through `0..VALUE_DOMAIN` (the smallest domain in
 /// which a store can change the value: the standard bounding discipline).
 pub(crate) const VALUE_DOMAIN: u8 = 2;
+
+/// The value a checker's step stores in subnet `at` of `state`: a leaf
+/// store mints the ghost's successor, a parent's glue store is handed the
+/// ghost's (which is below `VALUE_DOMAIN`).
+#[inline]
+pub(crate) fn mint<S: Subnets>(state: &S, at: At) -> Val {
+    (state.subnet(at).ghost + u8::from(at.0 == 0)) % VALUE_DOMAIN
+}
 
 /// Model-checker configuration.
 #[derive(Debug, Clone)]
@@ -249,20 +257,21 @@ impl<'a> ModelChecker<'a> {
         succ: &mut SysState,
         st: &mut StepScratch,
     ) -> Result<bool, ViolationKind> {
+        let value = mint(state, ONLY);
         match step {
             Step::Deliver { src, dst, idx } => {
                 let at = (src as usize, dst as usize, idx as usize);
-                self.kernel().deliver(state, ONLY, at, succ, st)
+                self.kernel().deliver(state, ONLY, at, value, succ, st)
             }
             Step::IssueAccess { cache, access } => {
-                self.kernel().issue(state, ONLY, cache as usize, access, succ, st)
+                self.kernel().issue(state, ONLY, (cache as usize, access), value, succ, st)
             }
         }
     }
 
     /// The subnet kernel over this system's one level.
     fn kernel(&self) -> Kernel<'_, &'a Fsm> {
-        Kernel { cache: &self.cache, dir: &self.dir, cfg: &self.cfg, label: None }
+        Kernel { cache: &self.cache, dir: &self.dir, cfg: &self.cfg, naming: Naming::Flat }
     }
 
     /// The clone-per-step successor as a standalone state (`Ok(None)`

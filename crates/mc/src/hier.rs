@@ -64,10 +64,10 @@ use crate::canon::{queue_hash, subnet_sort_key, Sweep};
 use crate::checkpoint::CheckpointError;
 use crate::delta::SectionMap;
 use crate::explore::{explore, resume, CheckResult, TransitionSystem, ViolationKind};
-use crate::flat::{McConfig, Step, VALUE_DOMAIN};
+use crate::flat::{mint, McConfig, Step, VALUE_DOMAIN};
 use crate::property::LevelBlocks;
 use crate::store::{absorb, fingerprint_bytes};
-use crate::subnet::{At, Kernel, StepScratch, Subnet, SubnetMut, Subnets};
+use crate::subnet::{At, Kernel, Naming, StepScratch, Subnet, SubnetMut, Subnets};
 use crate::system::{put_block, put_chans_renamed, put_dir_renamed, rename, Decoder};
 use protogen_core::Composed;
 use protogen_runtime::{ApplyOutcome, CacheBlock, Coverage, DirEntry, Machine, Msg, Val};
@@ -444,7 +444,8 @@ impl HierChecker {
     /// The subnet kernel over protocol level `j`'s machines.
     fn kernel(&self, j: usize) -> Kernel<'_, Fsm> {
         let lvl = &self.levels[j];
-        Kernel { cache: &lvl.cache, dir: &lvl.dir, cfg: &self.cfg, label: Some(&lvl.label) }
+        let naming = Naming::Level(&lvl.label);
+        Kernel { cache: &lvl.cache, dir: &lvl.dir, cfg: &self.cfg, naming }
     }
 
     /// Glue gating: whether `msg`, headed for node `dst` of subnet `(j,
@@ -769,7 +770,7 @@ impl TransitionSystem for HierChecker {
                 let pos = (src as usize, dst as usize, idx as usize);
                 let msg = state.chans[at.0][at.1][pos.0][pos.1][pos.2];
                 if self.gated(state, at, pos.1, &msg)
-                    || !self.kernel(at.0).deliver(state, at, pos, succ, st)?
+                    || !self.kernel(at.0).deliver(state, at, pos, mint(state, at), succ, st)?
                 {
                     return Ok(false);
                 }
@@ -778,7 +779,7 @@ impl TransitionSystem for HierChecker {
             HStep::Issue { mlevel, node, access } => {
                 let (j, f) = (mlevel as usize, self.levels[mlevel as usize].fanout);
                 let (at, cache) = ((j, node as usize / f), node as usize % f);
-                if !self.kernel(j).issue(state, at, cache, access, succ, st)? {
+                if !self.kernel(j).issue(state, at, (cache, access), mint(state, at), succ, st)? {
                     return Ok(false);
                 }
                 (at, cache, None)

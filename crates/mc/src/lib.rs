@@ -82,5 +82,6 @@ pub use hier::{
 };
 pub use property::PropertySet;
 pub use store::{fingerprint_bytes, mix64, StoreBytes, StoreCounters, MAX_SHARDS, SHARD_CAPACITY};
+pub use subnet::{At, Kernel, Naming, StepScratch, Subnet, SubnetMut, Subnets};
 pub use system::{invert, permutations, SysState, MAX_CACHES, MAX_CHANNEL_CAP};
 pub use system::{put_block, put_dir, put_queue, Decoder};

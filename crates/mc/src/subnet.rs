@@ -1,54 +1,69 @@
-//! The subnet kernel: one step of one subnet, written once for both
-//! checkers (DESIGN.md §3, "The subnet kernel").
+//! The subnet kernel: one step of one subnet, written once for the three
+//! searching systems (DESIGN.md §3, "The subnet kernel").
 //!
 //! A *subnet* is `f` sibling cache blocks under one directory entry with
 //! the `(f+1)²` FIFOs between them (local id `f` is the directory). The
 //! flat system is one subnet; a composed stack has one per `(level,
-//! parent)`. Every step acts inside one subnet, so stepping lives here:
-//! select → stall → unexpected message → one outstanding transaction →
-//! apply → route under `channel_cap`, and the restore of exactly what the
-//! previous step wrote. A checker keeps what is its own: the composed one
-//! gates deliveries by glue before the kernel, mirrors data across the
-//! hosting boundary after it, and restores the mirrored fields through
-//! [`Subnets::restore_outside`]. Coverage is recorded here too, so both
-//! checkers record every dispatch they attempt in one place.
+//! parent)`; a litmus run one per location. Every step acts inside one
+//! subnet, so stepping lives here: select → stall → unexpected message →
+//! one outstanding transaction → apply → route under `channel_cap`, and
+//! the restore of exactly what the previous step wrote. A system keeps
+//! what is its own: the composed one gates deliveries by glue before the
+//! kernel, mirrors data across the hosting boundary after it, and restores
+//! the mirrored fields through [`Subnets::restore_outside`]; litmus keeps
+//! its program order there. Coverage is recorded here too, so every system
+//! records every dispatch it attempts in one place.
+//!
+//! Two inputs are the caller's: the value a store performed by the step
+//! writes (the checkers pass [`mint`]'s, litmus the program's), and the
+//! [`Naming`] a kernel is built with, which words its violations and
+//! trace lines.
 
 use crate::explore::{exec_violation, ViolationKind};
-use crate::flat::{McConfig, Step, VALUE_DOMAIN};
+use crate::flat::{McConfig, Step};
 use protogen_runtime::{ApplyOutcome, CacheBlock, Coverage, DirEntry, Line, Machine, Msg, NodeId};
 use protogen_runtime::{Selected, Slot, Val};
 use protogen_spec::{Access, Action, Arc, Event, Fsm};
 use std::borrow::Borrow;
 use std::fmt;
 
-/// Which subnet: `(protocol level, parent)`.
-pub(crate) type At = (usize, usize);
+/// Which subnet: `(protocol level, parent)`; a litmus run's location `a`
+/// is `(0, a)`.
+pub type At = (usize, usize);
 
 /// The flat system's one subnet: its whole state.
 pub(crate) const ONLY: At = (0, 0);
 
 /// One subnet of a state: its caches (their count is the fanout `f`),
-/// their directory entry, `chans[src][dst]` in local ids, and the
-/// state's ghost memory.
+/// their directory entry, `chans[src][dst]` in local ids, and its ghost
+/// memory.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Subnet<'s> {
-    pub(crate) caches: &'s [CacheBlock],
-    pub(crate) dir: &'s DirEntry,
-    pub(crate) chans: &'s [Vec<Vec<Msg>>],
-    pub(crate) ghost: Val,
+pub struct Subnet<'s> {
+    /// The sibling cache blocks, local ids `0..f`.
+    pub caches: &'s [CacheBlock],
+    /// Their directory entry, local id `f`.
+    pub dir: &'s DirEntry,
+    /// `chans[src][dst]`: the FIFO between two local ids, oldest first.
+    pub chans: &'s [Vec<Vec<Msg>>],
+    /// The value of the most recent store the ghost memory serialized.
+    pub ghost: Val,
 }
 
 /// [`Subnet`], writable.
-pub(crate) struct SubnetMut<'s> {
-    pub(crate) caches: &'s mut [CacheBlock],
-    pub(crate) dir: &'s mut DirEntry,
-    pub(crate) chans: &'s mut [Vec<Vec<Msg>>],
-    pub(crate) ghost: &'s mut Val,
+pub struct SubnetMut<'s> {
+    /// The sibling cache blocks.
+    pub caches: &'s mut [CacheBlock],
+    /// Their directory entry.
+    pub dir: &'s mut DirEntry,
+    /// The FIFOs between local ids.
+    pub chans: &'s mut [Vec<Vec<Msg>>],
+    /// The ghost memory.
+    pub ghost: &'s mut Val,
 }
 
 impl<'s> Subnet<'s> {
     /// Node `node`'s line as the dispatch kernel reads it.
-    pub(crate) fn slot(&self, node: usize) -> Slot<'s> {
+    pub fn slot(&self, node: usize) -> Slot<'s> {
         match self.caches.get(node) {
             Some(block) => block.slot(),
             None => self.dir.slot(),
@@ -58,13 +73,11 @@ impl<'s> Subnet<'s> {
     /// Calls `each(src, dst, idx)` on the deliverable queue positions in
     /// that order: the head of every non-empty queue, or every position
     /// when not `ordered`.
-    pub(crate) fn deliveries(&self, ordered: bool, mut each: impl FnMut(usize, usize, usize)) {
+    pub fn deliveries(&self, ordered: bool, mut each: impl FnMut(usize, usize, usize)) {
         for (src, row) in self.chans.iter().enumerate() {
             for (dst, q) in row.iter().enumerate() {
                 let last = if ordered { q.len().min(1) } else { q.len() };
-                for idx in 0..last {
-                    each(src, dst, idx);
-                }
+                (0..last).for_each(|idx| each(src, dst, idx));
             }
         }
     }
@@ -76,7 +89,7 @@ fn queue(m: &Msg) -> (usize, usize) {
 }
 
 /// A state made of subnets.
-pub(crate) trait Subnets: Clone + PartialEq + fmt::Debug {
+pub trait Subnets: Clone + PartialEq + fmt::Debug {
     /// The subnet `at` names.
     fn subnet(&self, at: At) -> Subnet<'_>;
     /// The same subnet, writable.
@@ -99,14 +112,16 @@ pub(crate) trait Subnets: Clone + PartialEq + fmt::Debug {
 /// back from `outcome.outgoing` — a superset of what `route` pushed on any
 /// exit — so every step leaves a record [`StepScratch::sync`] restores.
 #[derive(Debug)]
-pub(crate) struct StepScratch {
-    pub(crate) outcome: ApplyOutcome,
+pub struct StepScratch {
+    /// What the last step's apply did: its sends and the access it
+    /// performed.
+    pub outcome: ApplyOutcome,
     /// Whether `succ` equals the parent everywhere but in what `touched`
     /// and `outcome.outgoing` name.
     synced: bool,
     touched: Option<Touched>,
     /// Level `j`'s cache recorder at `2j`, its directory's at `2j + 1`.
-    pub(crate) coverage: Vec<Coverage>,
+    pub coverage: Vec<Coverage>,
 }
 
 /// The subnet a step acted in, the node whose line it applied an arc to
@@ -121,7 +136,7 @@ struct Touched {
 impl StepScratch {
     /// A scratch for a system whose protocol levels, leaf first, run these
     /// `(cache, directory)` FSMs.
-    pub(crate) fn new<'f>(levels: impl IntoIterator<Item = (&'f Fsm, &'f Fsm)>) -> StepScratch {
+    pub fn new<'f>(levels: impl IntoIterator<Item = (&'f Fsm, &'f Fsm)>) -> StepScratch {
         let coverage = (levels.into_iter().enumerate())
             .flat_map(|(j, (cache, dir))| Coverage::level(cache, dir, j as u8))
             .collect();
@@ -137,8 +152,9 @@ impl StepScratch {
     }
 
     /// Forgets what the successor scratch holds (a new parent was
-    /// decoded): the next step copies its parent whole.
-    pub(crate) fn unsync(&mut self) {
+    /// decoded, or the caller wrote the scratch itself): the next step
+    /// copies its parent whole.
+    pub fn unsync(&mut self) {
         self.synced = false;
     }
 
@@ -166,26 +182,47 @@ impl StepScratch {
     }
 }
 
-/// One protocol level's stepping rules: its two machines, the checker's
-/// bounds and properties, and its label in a composed stack (`None` words
-/// violations for a flat system).
-pub(crate) struct Kernel<'k, F> {
-    pub(crate) cache: &'k Machine<F>,
-    pub(crate) dir: &'k Machine<F>,
-    pub(crate) cfg: &'k McConfig,
-    pub(crate) label: Option<&'k str>,
+/// How a kernel names a node and a message in its violations and trace
+/// lines; chosen when the kernel is built, never per step.
+#[derive(Debug, Clone, Copy)]
+pub enum Naming<'k> {
+    /// The flat checker: `cache n0`, `directory`, a message by its fields
+    /// (`m6[n2→n0 req=n1]`).
+    Flat,
+    /// A composed stack's level with this label: `node L0.1`, `l1
+    /// directory p0`, the subnet as `L0/p0`.
+    Level(&'k str),
+    /// A litmus run over these locations, one subnet each: `cache n0 for
+    /// x`, `directory n2 for x`, a message by its type and fields (`GetM
+    /// m1[n0→n2 req=n0]`).
+    Locations(&'k [String]),
+}
+
+/// One protocol level's stepping rules: its two machines, the system's
+/// bounds and properties, and how it names what it reports.
+pub struct Kernel<'k, F> {
+    /// The cache controller every local id below `f` runs.
+    pub cache: &'k Machine<F>,
+    /// The directory controller local id `f` runs.
+    pub dir: &'k Machine<F>,
+    /// The channel cap and the properties a load hit is checked against.
+    pub cfg: &'k McConfig,
+    /// How violations and trace lines name nodes and messages.
+    pub naming: Naming<'k>,
 }
 
 impl<F: Borrow<Fsm>> Kernel<'_, F> {
     /// Delivers `chans[src][dst][idx]` of subnet `at` into the scratch
-    /// successor `succ`. `Ok(false)` when the receiver stalls; `succ` is
-    /// garbage then and on `Err`.
+    /// successor `succ`; a store the delivery performs writes `value`.
+    /// `Ok(false)` when the receiver stalls; `succ` is garbage then and on
+    /// `Err`.
     #[inline]
-    pub(crate) fn deliver<S: Subnets>(
+    pub fn deliver<S: Subnets>(
         &self,
         state: &S,
         at: At,
         (src, dst, idx): (usize, usize, usize),
+        value: Val,
         succ: &mut S,
         st: &mut StepScratch,
     ) -> Result<bool, ViolationKind> {
@@ -198,26 +235,30 @@ impl<F: Borrow<Fsm>> Kernel<'_, F> {
             Selected::Stall => return Ok(false),
             Selected::None => {
                 let who = self.who(at, dst, net.caches.len());
-                return Err(ViolationKind::UnexpectedMessage(machine.unexpected(who, slot, msg)));
+                let text = match self.naming {
+                    Naming::Locations(_) => format!("{} {msg}", machine.fsm().msg(msg.mtype).name),
+                    _ => msg.to_string(),
+                };
+                return Err(ViolationKind::UnexpectedMessage(machine.unexpected(who, slot, text)));
             }
         };
         // Completion loads (e.g. the single access after invalidation in
         // IS_D_I) read the response data by construction; the physical
         // data-value check applies to hits only (design note in DESIGN.md).
-        self.fire(state, at, dst, arc, Some((src, idx, &msg)), succ, st)?;
+        self.fire(state, at, dst, arc, Some((src, idx, &msg)), value, succ, st)?;
         self.route(succ, at, &st.outcome)
     }
 
-    /// Cache `cache` of subnet `at` issues `access` into `succ`.
-    /// `Ok(false)` when no arc takes the access or the cache already has a
-    /// transaction outstanding.
+    /// Cache `cache` of subnet `at` issues `access` into `succ`; a store it
+    /// performs writes `value`. `Ok(false)` when no arc takes the access or
+    /// the cache already has a transaction outstanding.
     #[inline]
-    pub(crate) fn issue<S: Subnets>(
+    pub fn issue<S: Subnets>(
         &self,
         state: &S,
         at: At,
-        cache: usize,
-        access: Access,
+        (cache, access): (usize, Access),
+        value: Val,
         succ: &mut S,
         st: &mut StepScratch,
     ) -> Result<bool, ViolationKind> {
@@ -233,12 +274,11 @@ impl<F: Borrow<Fsm>> Kernel<'_, F> {
             // One outstanding transaction per block per cache (§V-F).
             return Ok(false);
         }
-        self.fire(state, at, cache, arc, None, succ, st)?;
+        self.fire(state, at, cache, arc, None, value, succ, st)?;
         // Parents are data-transparent: only leaf hits are checked.
         if let (0, Some((Access::Load, Some(v)))) = (at.0, st.outcome.performed) {
-            let leaf = at.1 * net.caches.len() + cache;
-            let props = &self.cfg.properties;
-            if let Some(kind) = props.check_load_hit(leaf, v, net.ghost, self.label.is_some()) {
+            let (leaf, props) = (at.1 * net.caches.len() + cache, &self.cfg.properties);
+            if let Some(kind) = props.check_load_hit(leaf, v, net.ghost, self.label().is_some()) {
                 return Err(kind);
             }
         }
@@ -250,12 +290,12 @@ impl<F: Borrow<Fsm>> Kernel<'_, F> {
     /// state (a composed stack prefixes the subnet, whose local ids the
     /// message carries); an issue names the cache and its state, then the
     /// access.
-    pub(crate) fn describe<S: Subnets>(&self, state: &S, at: At, step: Step) -> String {
-        let net = state.subnet(at);
+    pub fn describe<S: Subnets>(&self, state: &S, at: At, step: Step) -> String {
+        let (net, label) = (state.subnet(at), self.label());
         let f = net.caches.len();
         let holder = |node: usize| {
             let name = self.machine(node, f).fsm().state(net.slot(node).state()).full_name();
-            match self.label {
+            match label {
                 None if node == f => format!("dir[{name}]"),
                 None => format!("n{node}[{name}]"),
                 Some(_) => format!("{}[{name}]", self.who(at, node, f)),
@@ -265,7 +305,7 @@ impl<F: Borrow<Fsm>> Kernel<'_, F> {
             Step::Deliver { src, dst, idx } => {
                 let msg = net.chans[src as usize][dst as usize][idx as usize];
                 let mname = &self.cache.fsm().msg(msg.mtype).name;
-                let place = self.label.map_or(String::new(), |_| format!("L{}/p{}: ", at.0, at.1));
+                let place = label.map_or(String::new(), |_| format!("L{}/p{}: ", at.0, at.1));
                 format!("{place}{mname} {msg} -> {}", holder(dst as usize))
             }
             Step::IssueAccess { cache, access } => format!("{} {access}", holder(cache as usize)),
@@ -281,21 +321,31 @@ impl<F: Borrow<Fsm>> Kernel<'_, F> {
         }
     }
 
+    /// The label of the composed stack's level the kernel steps.
+    fn label(&self) -> Option<&str> {
+        match self.naming {
+            Naming::Level(label) => Some(label),
+            _ => None,
+        }
+    }
+
     /// How a violation names node `node` of subnet `at`, `f` caches wide.
     fn who(&self, (level, parent): At, node: usize, f: usize) -> String {
-        match (self.label, node == f) {
-            (None, true) => "directory".to_string(),
-            (None, false) => format!("cache n{node}"),
-            (Some(label), true) => format!("{label} directory p{parent}"),
-            (Some(_), false) => format!("node L{level}.{}", parent * f + node),
+        match (self.naming, node == f) {
+            (Naming::Flat, true) => "directory".to_string(),
+            (Naming::Flat, false) => format!("cache n{node}"),
+            (Naming::Level(label), true) => format!("{label} directory p{parent}"),
+            (Naming::Level(_), false) => format!("node L{level}.{}", parent * f + node),
+            (Naming::Locations(locs), true) => format!("directory n{f} for {}", locs[parent]),
+            (Naming::Locations(locs), false) => format!("cache n{node} for {}", locs[parent]),
         }
     }
 
     /// The second half of a step, once `arc` was selected on the parent
     /// `state`: restores the scratch successor, records what is about to
     /// be written, takes the delivered message (`(src, idx, msg)`) off its
-    /// queue and applies `arc` to `node`. Only a leaf store mints a value
-    /// and advances the ghost; a parent's glue store is handed the ghost's.
+    /// queue and applies `arc` to `node`, a store writing `value`. Only a
+    /// leaf store advances the ghost.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn fire<S: Subnets>(
@@ -305,14 +355,12 @@ impl<F: Borrow<Fsm>> Kernel<'_, F> {
         node: usize,
         arc: &Arc,
         delivered: Option<(usize, usize, &Msg)>,
+        value: Val,
         succ: &mut S,
         st: &mut StepScratch,
     ) -> Result<(), ViolationKind> {
         st.sync(state, succ);
-        let from = delivered.map(|(src, ..)| (src, node));
-        st.touched = Some(Touched { at, node, delivered: from });
-        let (ghost, leaf) = (state.subnet(at).ghost, at.0 == 0);
-        let value = if leaf { (ghost + 1) % VALUE_DOMAIN } else { ghost };
+        st.touched = Some(Touched { at, node, delivered: delivered.map(|(src, ..)| (src, node)) });
         let net = succ.subnet_mut(at);
         if let Some((src, idx, _)) = delivered {
             net.chans[src][node].remove(idx);
@@ -324,7 +372,7 @@ impl<F: Borrow<Fsm>> Kernel<'_, F> {
         };
         let msg = delivered.map(|(.., msg)| msg);
         machine.apply(arc, msg, ctx, value, &mut st.outcome).map_err(exec_violation)?;
-        if leaf && matches!(st.outcome.performed, Some((Access::Store, _))) {
+        if at.0 == 0 && matches!(st.outcome.performed, Some((Access::Store, _))) {
             *net.ghost = value;
         }
         Ok(())
@@ -344,7 +392,7 @@ impl<F: Borrow<Fsm>> Kernel<'_, F> {
             let (src, dst) = queue(m);
             net.chans[src][dst].push(*m);
             if net.chans[src][dst].len() > self.cfg.channel_cap {
-                let place = self.label.map_or(String::new(), |_| format!("L{}/p{} ", at.0, at.1));
+                let place = self.label().map_or(String::new(), |_| format!("L{}/p{} ", at.0, at.1));
                 return Err(ViolationKind::ChannelOverflow(format!(
                     "channel {place}n{src}→n{dst} exceeded {}",
                     self.cfg.channel_cap

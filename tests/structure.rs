@@ -171,7 +171,11 @@ lints! {
     stepping_and_the_symmetry_sweep_are_written_once: [
         check(All, &["crates/mc/src/flat.rs", "crates/mc/src/hier.rs"],
               &[".select(", "ChannelOverflow(", "perm_tables"])
-            => ("crates/mc/src/flat.rs", "let t = perm_tables(n);")],
+            => ("crates/mc/src/flat.rs", "let t = perm_tables(n);"),
+        check(NonTest, &["crates/litmus/src/**"],
+              &[".apply(", "UnexpectedMessage(", "ChannelOverflow("])
+            => ("crates/litmus/src/machine.rs",
+                "let applied = machine.apply(arc, msg, ctx, store_value, out);")],
     the_frontier_is_appended_in_one_place: [
         check(All, &["crates/mc/src/*.rs"], &["enc_scratch", "encode_best_into",
               "fn encode_canonical_into(&self, scratch", "global_bytes"])
