@@ -3,8 +3,8 @@
 
 use crate::error::GenError;
 use protogen_spec::{
-    Access, Action, Dst, Effect, Guard, MsgClass, MsgId, Perm, Ssp, SspEntry, StableId, Trigger,
-    WaitChain, WaitTo,
+    Access, Action, Dst, Effect, Guard, MsgClass, MsgId, Perm, SpecError, Ssp, SspEntry, StableId,
+    Trigger, WaitChain, WaitTo,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -130,10 +130,10 @@ impl Analysis {
                 request_sites.entry(r).or_default().push((access, e.state));
             }
             if txn.finals.is_empty() {
-                return Err(GenError::InvalidSsp(format!(
+                return Err(GenError::Spec(SpecError::Invalid(format!(
                     "cache transaction from {} on {access} never completes",
                     ssp.cache.state(e.state).name
-                )));
+                ))));
             }
             if txn_by_trigger.insert((e.state, access), txns.len()).is_some() {
                 return Err(GenError::Unsupported(format!(

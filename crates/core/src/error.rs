@@ -7,10 +7,9 @@ use std::fmt;
 /// Errors produced during protocol generation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GenError {
-    /// The input SSP or composition failed validation.
+    /// The input SSP or composition failed validation, or describes a
+    /// transaction that never completes.
     Spec(SpecError),
-    /// The input SSP describes a transaction that never completes.
-    InvalidSsp(String),
     /// The SSP uses a construct the generator does not support; the message
     /// names it and the state where it occurs.
     Unsupported(String),
@@ -26,7 +25,6 @@ impl fmt::Display for GenError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GenError::Spec(e) => write!(f, "{e}"),
-            GenError::InvalidSsp(m) => write!(f, "invalid SSP: {m}"),
             GenError::Unsupported(m) => write!(f, "unsupported specification: {m}"),
             GenError::Ambiguous(m) => write!(f, "ambiguous specification: {m}"),
             GenError::Internal(m) => write!(f, "internal generation error: {m}"),

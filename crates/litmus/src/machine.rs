@@ -203,8 +203,7 @@ impl<'a> Run<'a> {
             prog: vec![0; 2 * n_threads + test.registers.len()],
         };
         let (cache, dir) = (Machine::new(&g.cache), Machine::new(&g.directory));
-        let (ordered, properties) = (ssp.network_ordered, PropertySet::none());
-        let cfg = McConfig { ordered, properties, ..cfg };
+        let cfg = McConfig { ordered: ssp.network_ordered, properties: PropertySet::none(), ..cfg };
         Run { ssp, cache, dir, test, cfg, init, n_threads, n_addrs }
     }
 

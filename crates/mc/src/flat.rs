@@ -22,12 +22,14 @@ use std::fmt;
 /// which a store can change the value: the standard bounding discipline).
 pub(crate) const VALUE_DOMAIN: u8 = 2;
 
-/// The value a checker's step stores in subnet `at` of `state`: a leaf
-/// store mints the ghost's successor, a parent's glue store is handed the
-/// ghost's (which is below `VALUE_DOMAIN`).
+/// The value a checker's step at protocol level `level` stores, given the
+/// state's `ghost`: a leaf store mints the ghost's successor, a parent's
+/// glue store is handed the ghost's (which is below `VALUE_DOMAIN`). It
+/// reads the ghost field, not a subnet view, so a step that turns out
+/// disabled pays next to nothing for it.
 #[inline]
-pub(crate) fn mint<S: Subnets>(state: &S, at: At) -> Val {
-    (state.subnet(at).ghost + u8::from(at.0 == 0)) % VALUE_DOMAIN
+pub(crate) fn mint(ghost: Val, level: usize) -> Val {
+    (ghost + u8::from(level == 0)) % VALUE_DOMAIN
 }
 
 /// Model-checker configuration.
@@ -257,7 +259,7 @@ impl<'a> ModelChecker<'a> {
         succ: &mut SysState,
         st: &mut StepScratch,
     ) -> Result<bool, ViolationKind> {
-        let value = mint(state, ONLY);
+        let value = mint(state.ghost, 0);
         match step {
             Step::Deliver { src, dst, idx } => {
                 let at = (src as usize, dst as usize, idx as usize);

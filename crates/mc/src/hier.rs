@@ -768,9 +768,10 @@ impl TransitionSystem for HierChecker {
             HStep::Deliver { level, parent, src, dst, idx } => {
                 let at = (level as usize, parent as usize);
                 let pos = (src as usize, dst as usize, idx as usize);
-                let msg = state.chans[at.0][at.1][pos.0][pos.1][pos.2];
+                let (msg, value) =
+                    (state.chans[at.0][at.1][pos.0][pos.1][pos.2], mint(state.ghost, at.0));
                 if self.gated(state, at, pos.1, &msg)
-                    || !self.kernel(at.0).deliver(state, at, pos, mint(state, at), succ, st)?
+                    || !self.kernel(at.0).deliver(state, at, pos, value, succ, st)?
                 {
                     return Ok(false);
                 }
@@ -779,7 +780,8 @@ impl TransitionSystem for HierChecker {
             HStep::Issue { mlevel, node, access } => {
                 let (j, f) = (mlevel as usize, self.levels[mlevel as usize].fanout);
                 let (at, cache) = ((j, node as usize / f), node as usize % f);
-                if !self.kernel(j).issue(state, at, (cache, access), mint(state, at), succ, st)? {
+                let value = mint(state.ghost, j);
+                if !self.kernel(j).issue(state, at, (cache, access), value, succ, st)? {
                     return Ok(false);
                 }
                 (at, cache, None)
