@@ -15,7 +15,7 @@
 //! records every dispatch it attempts in one place.
 //!
 //! Two inputs are the caller's: the value a store performed by the step
-//! writes (the checkers pass [`mint`]'s, litmus the program's), and the
+//! writes (the checkers pass `flat::mint`'s, litmus the program's), and the
 //! [`Naming`] a kernel is built with, which words its violations and
 //! trace lines.
 
