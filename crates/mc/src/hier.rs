@@ -287,7 +287,7 @@ impl Subnets for HierState {
         }
     }
 
-    /// The one data field [`HierChecker::mirror`] copies a step's line
+    /// The one data field `HierChecker::mirror` copies a step's line
     /// into: the inner directory a parent's cache side hosts, or the outer
     /// block of the node hosting a directory.
     fn restore_outside(&mut self, from: &Self, (j, p): At, node: usize) {

@@ -110,7 +110,7 @@ pub trait Subnets: Clone + PartialEq + fmt::Debug {
 /// byte, and the rest is [`Subnets::restore_outside`]'s. `touched` is
 /// recorded before anything fallible runs and the routed queues are read
 /// back from `outcome.outgoing` — a superset of what `route` pushed on any
-/// exit — so every step leaves a record [`StepScratch::sync`] restores.
+/// exit — so every step leaves a record the next step's restore undoes.
 #[derive(Debug)]
 pub struct StepScratch {
     /// What the last step's apply did: its sends and the access it
