@@ -252,6 +252,49 @@ fn verify_json_is_one_document_matching_the_text_line() {
     }
 }
 
+/// `verify --json` closes with the sampled phase split: the parents and
+/// successors it timed, then nanoseconds per successor for each phase.
+/// Those times and `seconds` are the document's only wall-clock figures:
+/// two one-worker runs of one command print the same document with them
+/// cut (at more workers, where a state lands decides the store's probes).
+#[test]
+fn verify_json_differs_run_to_run_only_in_its_timings() {
+    let cut = |doc: &str| -> String {
+        let mut out = Vec::new();
+        let mut lines = doc.lines();
+        while let Some(line) = lines.next() {
+            if line.starts_with("  \"phases\": {") {
+                let body: Vec<&str> =
+                    lines.by_ref().take_while(|l| !l.starts_with("  }")).collect();
+                let keys: Vec<&str> = body.iter().map(|l| l.split('"').nth(1).unwrap()).collect();
+                assert_eq!(
+                    keys,
+                    ["sampled_parents", "sampled_successors", "decode_ns", "steps_ns"]
+                        .into_iter()
+                        .chain(["check_state_ns", "canonicalise_ns", "dedup_ns"])
+                        .collect::<Vec<_>>(),
+                    "{doc}"
+                );
+                assert!(!body[0].ends_with(" 0,"), "some parent is timed: {doc}");
+            } else if !line.starts_with("  \"seconds\": ") {
+                out.push(line);
+            }
+        }
+        out.join("\n")
+    };
+    for args in [
+        &["verify", "mesi", "--stalling", "--caches", "3", "--threads", "1", "--json"][..],
+        &["verify", "--compose", "l1=tso-cc:2", "--property", "sc", "--threads", "1", "--json"],
+        &["verify", "--compose", "l1=msi:1,llc=msi:3", "--stalling", "--threads", "1", "--json"],
+    ] {
+        let (a, b) = (protogen(args), protogen(args));
+        assert_eq!(a.status.code(), b.status.code(), "{args:?}");
+        let (a, b) = (String::from_utf8_lossy(&a.stdout), String::from_utf8_lossy(&b.stdout));
+        assert!(a.contains("\"phases\": {"), "{args:?}: {a}");
+        assert_eq!(cut(&a), cut(&b), "{args:?}");
+    }
+}
+
 /// A `.pgen` operand names the protocol its file holds, wherever a bundled
 /// name would do: the bundled MSI's source simulates byte for byte as `msi`.
 #[test]

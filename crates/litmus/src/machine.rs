@@ -169,13 +169,11 @@ enum Step {
 const EPOCH: u8 = u8::MAX;
 
 /// A worker's scratch: the kernel's stepping scratch (with the worker's
-/// coverage recorders), the state an epoch step fires its lines in, the
-/// encoding buffer, and the registers of the terminal states it stepped
-/// into.
+/// coverage recorders), the encoding buffer, and the registers of the
+/// terminal states it stepped into.
 #[derive(Debug)]
 struct Scratch {
     step: StepScratch,
-    epoch: MState,
     enc: Vec<u8>,
     outcomes: BTreeSet<Vec<Val>>,
 }
@@ -313,7 +311,7 @@ impl TransitionSystem for Run<'_> {
 
     fn scratch(&self) -> Scratch {
         let step = StepScratch::new([(self.cache.fsm(), self.dir.fsm())]);
-        Scratch { step, epoch: self.init.clone(), enc: Vec::new(), outcomes: BTreeSet::new() }
+        Scratch { step, enc: Vec::new(), outcomes: BTreeSet::new() }
     }
 
     fn steps_into(&self, st: &MState, out: &mut Vec<Step>) {
@@ -402,26 +400,26 @@ impl TransitionSystem for Run<'_> {
                 let lines =
                     if addr == EPOCH { 0..self.n_addrs } else { addr.into()..addr as usize + 1 };
                 // Only an idle line decays, by an arc noted `note`.
-                let mut lines = lines.filter(|&a| {
+                let mut lines = lines.filter_map(|a| {
                     let block = &st.locs[a].caches[t];
-                    let replace = Event::Access(Access::Replacement);
-                    block.pending.is_none()
-                        && matches!(self.cache.select(block.slot(), replace, None),
-                            Selected::Arc(arc) if arc.note == note)
+                    if block.pending.is_some() {
+                        return None;
+                    }
+                    match self.cache.select(block.slot(), Event::Access(Access::Replacement), None)
+                    {
+                        Selected::Arc(arc) if arc.note == note => Some((a, arc)),
+                        _ => None,
+                    }
                 });
-                let Some(first) = lines.next() else {
+                let Some((first, arc)) = lines.next() else {
                     return Ok(false);
                 };
-                // The filter saw the arc on an idle line, so the kernel fires it.
+                // The filter selected the arc on an idle line: the kernel
+                // fires it, and an epoch's further lines on top.
                 let replace = (t, Access::Replacement);
-                kernel.issue(st, (0, first), replace, 0, succ, stp)?;
-                // An epoch fires every line. The kernel records one line's
-                // write per step: each further line steps from a copy of
-                // the successor, and the next step copies its parent whole.
-                for a in lines {
-                    scratch.epoch.clone_from(succ);
-                    kernel.issue(&scratch.epoch, (0, a), replace, 0, succ, stp)?;
-                    stp.unsync();
+                kernel.issue_arc(st, (0, first), replace, arc, 0, succ, stp)?;
+                for (a, arc) in lines {
+                    kernel.also_issue_arc((0, a), replace, arc, 0, succ, stp)?;
                 }
             }
         }

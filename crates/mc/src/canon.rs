@@ -31,15 +31,15 @@
 //! stability under random permutations).
 //!
 //! The key is a function of one *subnet* — sibling blocks, their directory
-//! entry, their channels ([`subnet_sort_key`]) — and the flat system is
+//! entry, their channels ([`subnet_sort_keys`]) — and the flat system is
 //! one subnet. A composed stack (`crate::hier`) has one per parent, builds
 //! its subtree keys on the same function, and runs the same [`Sweep`]
 //! under every parent, so a one-level stack selects this module's bytes.
 
 use crate::store::{absorb, fingerprint_bytes, GOLDEN};
 use crate::subnet::{Subnet, Subnets, ONLY};
-use crate::system::SysState;
-use protogen_runtime::{Msg, NodeId};
+use crate::system::{put_subnet, SysState};
+use protogen_runtime::{CacheBlock, DirEntry, Msg, NodeId};
 use protogen_spec::Access;
 
 /// How an encoded node id relates to the cache whose key is being built.
@@ -65,8 +65,15 @@ fn msg_word(m: &Msg, this: usize, n: usize) -> u64 {
         | m.data.map_or(0x1ff, |v| v as u64) << 31
 }
 
+/// [`queue_hash`] of an empty queue, whoever views it: most queues are.
+const EMPTY_QUEUE: u64 = absorb(GOLDEN, 0);
+
 /// Order-preserving hash of one channel queue from cache `this`'s view.
+#[inline]
 pub(crate) fn queue_hash(q: &[Msg], this: usize, n: usize) -> u64 {
+    if q.is_empty() {
+        return EMPTY_QUEUE;
+    }
     let mut h = absorb(GOLDEN, q.len() as u64);
     for m in q {
         h = absorb(h, msg_word(m, this, n));
@@ -74,26 +81,12 @@ pub(crate) fn queue_hash(q: &[Msg], this: usize, n: usize) -> u64 {
     h
 }
 
-/// The permutation-invariant symmetry sort key of node `i` of one subnet
-/// (id `net.caches.len()` is its directory): a 64-bit hash of the node's
-/// FSM state, its scalar block fields, the directory-facing bits that name
-/// it, its chain slots (endpoint roles only), and the multiset of in-flight
-/// messages on every channel touching it. Queue order *within* a channel
-/// is preserved (channels move wholesale under a permutation); the
-/// combination *across* same-role partners is a commutative sum, because a
-/// permutation may reorder which other sibling is "first".
-///
-/// This is the one key function of both systems: the flat checker's whole
-/// state is one subnet ([`cache_sort_key`]), and a composed stack has one
-/// per parent (`crate::hier` absorbs what hangs below a node on top of it).
+/// Every scalar block field of cache `i` plus the directory-facing bits
+/// that name it, packed into one word (fields are tiny by the bounding
+/// discipline; 0x1ff/0x3 are the `None` sentinels).
 #[inline]
-pub(crate) fn subnet_sort_key(net: &Subnet<'_>, i: usize) -> u64 {
-    let (n, dir, chans) = (net.caches.len(), net.dir, net.chans);
-    let c = &net.caches[i];
-    // Every scalar block field plus the directory-facing bits that name
-    // this cache, packed into one word (fields are tiny by the bounding
-    // discipline; 0x1ff/0x3 are the `None` sentinels).
-    let block = (c.state.0 as u64)
+fn block_word(c: &CacheBlock, dir: &DirEntry, i: usize) -> u64 {
+    (c.state.0 as u64)
         | c.data.map_or(0x1ff, |v| v as u64) << 16
         | (c.acks_received as u64) << 25
         | c.acks_expected.map_or(0x1ff, |v| v as u64) << 33
@@ -106,30 +99,63 @@ pub(crate) fn subnet_sort_key(net: &Subnet<'_>, i: usize) -> u64 {
         | ((dir.owner == Some(NodeId(i as u8))) as u64) << 44
         | ((dir.sharers >> i & 1) as u64) << 45
         | (dir.chain_slots.iter().filter(|(nd, _)| nd.as_usize() == i).count() as u64) << 46
-        | (c.chain_slots.len() as u64) << 50;
-    let mut h = absorb(GOLDEN, block);
-    for (node, a) in &c.chain_slots {
-        h = absorb(h, role(*node, i, n) | (*a as u64) << 2);
+        | (c.chain_slots.len() as u64) << 50
+}
+
+/// The permutation-invariant symmetry sort keys of one subnet's caches,
+/// `keys[i]` for cache `i` (id `net.caches.len()` is its directory): a
+/// 64-bit hash of the cache's FSM state, its scalar block fields, the
+/// directory-facing bits that name it, its chain slots (endpoint roles
+/// only), and the multiset of in-flight messages on every channel touching
+/// it. Queue order *within* a channel is preserved (channels move
+/// wholesale under a permutation); the combination *across* same-role
+/// partners is a commutative sum, because a permutation may reorder which
+/// other sibling is "first".
+///
+/// Each key is a chain of absorptions; the chains run stage by stage over
+/// all the subnet's caches, so the processor overlaps the caches' chains
+/// instead of waiting out one cache's before starting the next.
+///
+/// This is the one key function of both systems: the flat checker's whole
+/// state is one subnet ([`cache_sort_key`]), and a composed stack has one
+/// per parent (`crate::hier` absorbs what hangs below a node on top of it).
+#[inline]
+pub(crate) fn subnet_sort_keys(net: &Subnet<'_>, keys: &mut [u64]) {
+    let (n, dir, chans) = (net.caches.len(), net.dir, net.chans);
+    let (caches, keys) = (net.caches, &mut keys[..n]);
+    for (i, (c, key)) in caches.iter().zip(keys.iter_mut()).enumerate() {
+        *key = absorb(GOLDEN, block_word(c, dir, i));
+    }
+    for (i, (c, key)) in caches.iter().zip(keys.iter_mut()).enumerate() {
+        for (node, a) in &c.chain_slots {
+            *key = absorb(*key, role(*node, i, n) | (*a as u64) << 2);
+        }
     }
     // Channels to/from the directory keep their (fixed) direction.
-    h = absorb(h, queue_hash(&chans[i][n], i, n));
-    h = absorb(h, queue_hash(&chans[n][i], i, n));
+    for (i, key) in keys.iter_mut().enumerate() {
+        *key = absorb(*key, queue_hash(&chans[i][n], i, n));
+    }
+    for (i, key) in keys.iter_mut().enumerate() {
+        *key = absorb(*key, queue_hash(&chans[n][i], i, n));
+    }
     // Channels to/from other caches: combine per-partner pair hashes
     // commutatively, since a permutation may reorder the partners.
-    let mut peers: u64 = 0;
-    for (j, from_j) in chans[..n].iter().enumerate() {
-        if j == i {
-            continue;
+    for (i, key) in keys.iter_mut().enumerate() {
+        let mut peers: u64 = 0;
+        for (j, from_j) in chans[..n].iter().enumerate() {
+            if j == i {
+                continue;
+            }
+            let out_q = &chans[i][j];
+            let in_q = &from_j[i];
+            if out_q.is_empty() && in_q.is_empty() {
+                continue; // idle peers contribute one shared constant
+            }
+            let pair = absorb(queue_hash(out_q, i, n), queue_hash(in_q, i, n));
+            peers = peers.wrapping_add(pair);
         }
-        let out_q = &chans[i][j];
-        let in_q = &from_j[i];
-        if out_q.is_empty() && in_q.is_empty() {
-            continue; // idle peers contribute one shared constant
-        }
-        let pair = absorb(queue_hash(out_q, i, n), queue_hash(in_q, i, n));
-        peers = peers.wrapping_add(pair);
+        *key = absorb(*key, peers);
     }
-    absorb(h, peers)
 }
 
 /// The symmetry sort key of cache `i` in the flat system `s`: the subnet
@@ -139,7 +165,9 @@ pub(crate) fn subnet_sort_key(net: &Subnet<'_>, i: usize) -> u64 {
 /// cache_sort_key(&s.permuted(p), p[i])` for every permutation `p` — the
 /// property that makes orbit pruning sound (DESIGN.md §8).
 pub fn cache_sort_key(s: &SysState, i: usize) -> u64 {
-    subnet_sort_key(&s.subnet(ONLY), i)
+    let mut keys = vec![0; s.n_caches()];
+    subnet_sort_keys(&s.subnet(ONLY), &mut keys);
+    keys[i]
 }
 
 /// The orbit-pruned sweep both canonicalizers run: over nodes on one or
@@ -165,7 +193,7 @@ pub(crate) struct Sweep {
     pub(crate) base: Vec<Vec<u8>>,
     /// `base` with the current candidate's within-run permutations
     /// applied: `order[level][p·f + off]` is the child of parent `p` placed
-    /// at sibling offset `off`.
+    /// at sibling offset `off` (written only when there are ties).
     pub(crate) order: Vec<Vec<u8>>,
     /// Equal-key sibling runs of two or more, as `(level, start, len)`, in
     /// enumeration order.
@@ -202,14 +230,21 @@ impl Sweep {
     }
 
     /// Lists every parent's children on `level` in ascending `(key,
-    /// index)` order.
+    /// index)` order: each child goes to its rank, the number of siblings
+    /// whose pair is smaller — no two pairs are equal, and counting beats
+    /// a sort's data-dependent branches at these widths.
     pub(crate) fn sort(&mut self, level: usize) {
         let (keys, f) = (&self.keys[level], self.fanouts[level]);
-        for (p, sibs) in self.base[level].chunks_mut(f).enumerate() {
-            for (off, slot) in sibs.iter_mut().enumerate() {
-                *slot = (p * f + off) as u8;
+        if f == 1 {
+            return; // an only child stays where it is
+        }
+        let parents = self.base[level].chunks_exact_mut(f).zip(keys.chunks_exact(f));
+        for (p, (sibs, keys)) in parents.enumerate() {
+            for (i, &key) in keys.iter().enumerate() {
+                let before = keys[..i].iter().filter(|&&k| k <= key).count();
+                let after = keys[i + 1..].iter().filter(|&&k| k < key).count();
+                sibs[before + after] = (p * f + i) as u8;
             }
-            sibs.sort_unstable_by_key(|&c| (keys[c as usize], c));
         }
     }
 
@@ -217,10 +252,12 @@ impl Sweep {
     /// levels; `encode(order, out)` appends the encoding of arrangement
     /// `order`. Returns its fingerprint and keeps its bytes for
     /// [`Sweep::best`]. The key sequence is constant across candidates by
-    /// construction, so it never needs comparing here.
+    /// construction, so it never needs comparing here. With no tie the
+    /// one candidate is the base arrangement itself, and `order` is not
+    /// written.
     pub(crate) fn minimize(&mut self, mut encode: impl FnMut(&[Vec<u8>], &mut Vec<u8>)) -> u64 {
         self.runs.clear();
-        for (level, &f) in self.fanouts.iter().enumerate().rev() {
+        for (level, &f) in self.fanouts.iter().enumerate().rev().filter(|&(_, &f)| f > 1) {
             let keys = &self.keys[level];
             for (p, sibs) in self.base[level].chunks(f).enumerate() {
                 let mut start = 0;
@@ -237,6 +274,11 @@ impl Sweep {
                     }
                 }
             }
+        }
+        if self.runs.is_empty() {
+            self.best.clear();
+            encode(&self.base, &mut self.best);
+            return fingerprint_bytes(&self.best);
         }
         self.order.clone_from(&self.base);
         self.counters.clear();
@@ -332,23 +374,31 @@ impl Canonicalizer {
     /// [`Canonicalizer::encode_canonical_into`] and
     /// [`Canonicalizer::canonical_rep`] reuse.
     pub fn canonical_fp(&mut self, s: &SysState) -> u64 {
+        self.canonical_fp_of(&s.subnet(ONLY))
+    }
+
+    /// [`Canonicalizer::canonical_fp`] of a state that is one subnet —
+    /// the flat system's, or a one-level stack's.
+    pub(crate) fn canonical_fp_of(&mut self, net: &Subnet<'_>) -> u64 {
         let Canonicalizer { symmetry, sweep, perm } = self;
         if !*symmetry {
             let ident = &*perm;
-            return sweep.keep(|out| s.encode_permuted_to(ident, ident, out));
+            return sweep.keep(|out| put_subnet(out, net, ident, ident));
         }
-        let net = s.subnet(ONLY);
-        for (i, key) in sweep.keys[0].iter_mut().enumerate() {
-            *key = subnet_sort_key(&net, i);
-        }
+        subnet_sort_keys(net, &mut sweep.keys[0]);
         sweep.sort(0);
         sweep.minimize(|order, out| {
             let inv = &order[0];
             for (slot, &cache) in inv.iter().enumerate() {
                 perm[cache as usize] = slot as u8;
             }
-            s.encode_permuted_to(perm, inv, out);
+            put_subnet(out, net, perm, inv);
         })
+    }
+
+    /// The number of candidates the last canonicalization enumerated.
+    pub(crate) fn candidates(&self) -> usize {
+        self.sweep.candidates()
     }
 
     /// [`Canonicalizer::canonical_fp`] plus the canonical encoding bytes,
@@ -494,6 +544,10 @@ mod tests {
         let s = busy_state();
         let mut canon = Canonicalizer::new(3, true);
         canon.canonical_fp(&s);
+        // Distinct keys: the one candidate is the base arrangement.
+        assert_eq!(invert(&canon.perm), canon.sweep.base[0]);
+        let tied = SysState::initial(3);
+        canon.canonical_fp(&tied);
         assert_eq!(invert(&canon.perm), canon.sweep.order[0]);
     }
 

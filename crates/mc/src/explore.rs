@@ -344,6 +344,76 @@ pub struct Violation {
     pub trace: Vec<String>,
 }
 
+/// Where expansion time goes, from the parents each worker times: one in
+/// [`PHASE_SAMPLE`] of those it pops. Merged over workers like
+/// [`StoreCounters`]; unlike every other figure of a run it is a wall-clock
+/// measurement, so it differs run to run. Each phase's lap includes one
+/// clock read (tens of nanoseconds), which weighs most on the cheap ones.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseTimes {
+    /// Parents timed.
+    pub parents: u64,
+    /// Their enabled successors, which the per-successor figures divide
+    /// by.
+    pub successors: u64,
+    /// Decoding the parent.
+    pub decode_ns: u64,
+    /// Listing its steps and stepping each into the successor scratch,
+    /// enabled or not.
+    pub steps_ns: u64,
+    /// [`TransitionSystem::check_state`] on the enabled successors.
+    pub check_state_ns: u64,
+    /// [`TransitionSystem::canonical_fp`] on the successors that passed.
+    pub canonicalise_ns: u64,
+    /// Looking the fingerprint up in the worker's own shard, or queueing
+    /// the encoding for its owner's.
+    pub dedup_ns: u64,
+}
+
+/// A worker times one parent in this many.
+pub const PHASE_SAMPLE: u64 = 64;
+
+impl PhaseTimes {
+    /// The five phases by name, in nanoseconds per successor.
+    pub fn per_successor(&self) -> [(&'static str, f64); 5] {
+        let per = |ns: u64| ns as f64 / self.successors.max(1) as f64;
+        [
+            ("decode", per(self.decode_ns)),
+            ("steps", per(self.steps_ns)),
+            ("check_state", per(self.check_state_ns)),
+            ("canonicalise", per(self.canonicalise_ns)),
+            ("dedup", per(self.dedup_ns)),
+        ]
+    }
+}
+
+impl std::ops::AddAssign for PhaseTimes {
+    fn add_assign(&mut self, o: PhaseTimes) {
+        self.parents += o.parents;
+        self.successors += o.successors;
+        self.decode_ns += o.decode_ns;
+        self.steps_ns += o.steps_ns;
+        self.check_state_ns += o.check_state_ns;
+        self.canonicalise_ns += o.canonicalise_ns;
+        self.dedup_ns += o.dedup_ns;
+    }
+}
+
+/// A stopwatch that runs only on a timed parent: each [`Laps::lap`] adds
+/// the time since the previous one to a phase.
+struct Laps(Option<Instant>);
+
+impl Laps {
+    #[inline]
+    fn lap(&mut self, phase: &mut u64) {
+        if let Some(at) = &mut self.0 {
+            let now = Instant::now();
+            *phase += (now - *at).as_nanos() as u64;
+            *at = now;
+        }
+    }
+}
+
 /// Outcome of a model-checking run.
 #[derive(Debug, Clone)]
 pub struct CheckResult {
@@ -369,6 +439,8 @@ pub struct CheckResult {
     /// (see [`StoreCounters`] for which counts repeat across thread
     /// counts).
     pub store_counters: StoreCounters,
+    /// Where the workers' expansion time went, from a sample of parents.
+    pub phases: PhaseTimes,
     /// Peak accounted RAM across one whole epoch: visited shards *plus*
     /// their side columns, frontier pages, outbox/batch-pool allocations,
     /// and queued inbox batches — the figure the old `store_bytes`
@@ -803,6 +875,10 @@ struct Worker<'w, S: TransitionSystem> {
     succ: S::State,
     steps_buf: Vec<S::Step>,
     violations: Vec<VioCand>,
+    /// Parents popped over the run, which picks the timed ones, and what
+    /// timing them measured.
+    popped: u64,
+    phases: PhaseTimes,
     new_count: usize,
     depth: u32,
     cap: usize,
@@ -840,6 +916,8 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
             succ: sys.initial(),
             steps_buf: Vec::new(),
             violations: Vec::new(),
+            popped: 0,
+            phases: PhaseTimes::default(),
             new_count: 0,
             depth: 0,
             cap: cfg.effective_shard_capacity(),
@@ -878,7 +956,7 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
     /// worker records its payload on the coordinator and keeps
     /// rendezvousing doing no work, so the fleet drains and the panic is
     /// re-raised on the calling thread instead of deadlocking the phaser.
-    fn run(mut self) -> (ShardStore, S::Scratch) {
+    fn run(mut self) -> (ShardStore, S::Scratch, PhaseTimes) {
         self.epoch_start = self.store.open_level();
         let cfg = self.sys.config();
         loop {
@@ -915,7 +993,7 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
                 let (bytes, chunks) = self.frontier.spill_totals();
                 coord.frontier_spill_bytes.fetch_add(bytes, Relaxed);
                 coord.frontier_spill_chunks.fetch_add(chunks, Relaxed);
-                return (self.store, self.scratch);
+                return (self.store, self.scratch, self.phases);
             }
             self.frontier.advance();
             self.depth += 1;
@@ -974,7 +1052,12 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
             let Some((lid, enc)) = self.frontier.pop() else {
                 break;
             };
+            let timed = self.popped.is_multiple_of(PHASE_SAMPLE);
+            self.popped += 1;
+            let mut laps = Laps(timed.then(Instant::now));
+            let before = local_transitions;
             self.sys.decode_into(enc, &mut self.state, &mut self.scratch);
+            laps.lap(&mut self.phases.decode_ns);
             let (gid, fp) = (Gid::pack(self.t, lid as usize), self.store.map.fp(lid));
             let mut progress = false;
             self.sys.steps_into(&self.state, &mut self.steps_buf);
@@ -988,10 +1071,13 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
                     Ok(true) => {
                         progress = progress || self.sys.is_progress(&self.state, step);
                         local_transitions += 1;
-                        match self.sys.check_state(&self.succ) {
+                        laps.lap(&mut self.phases.steps_ns);
+                        let checked = self.sys.check_state(&self.succ);
+                        laps.lap(&mut self.phases.check_state_ns);
+                        match checked {
                             Some(kind) => kind,
                             None => {
-                                self.route_succ(fp, gid, S::pack_step(step));
+                                self.route_succ(fp, gid, S::pack_step(step), &mut laps);
                                 continue;
                             }
                         }
@@ -1014,6 +1100,11 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
                     });
                 }
             }
+            laps.lap(&mut self.phases.steps_ns);
+            if timed {
+                self.phases.parents += 1;
+                self.phases.successors += (local_transitions - before) as u64;
+            }
         }
         // Seal and deliver every open batch (end of this epoch's
         // expansion), then merge the level counters.
@@ -1030,8 +1121,9 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
     /// Routes the successor in `self.succ`: canonicalize, fingerprint,
     /// and either insert locally (own shard — no bytes ever copied for
     /// duplicates) or append the canonical encoding to the owner's batch.
-    fn route_succ(&mut self, parent_fp: u64, parent: Gid, step: u32) {
+    fn route_succ(&mut self, parent_fp: u64, parent: Gid, step: u32, laps: &mut Laps) {
         let fp = self.sys.canonical_fp(&self.succ, &mut self.scratch);
+        laps.lap(&mut self.phases.canonicalise_ns);
         let owner = (fp % self.inboxes.len() as u64) as usize;
         if owner == self.t {
             self.insert(fp, parent_fp, parent, step, None);
@@ -1046,6 +1138,7 @@ impl<'w, S: TransitionSystem> Worker<'w, S> {
                 self.deliver(owner, batch);
             }
         }
+        laps.lap(&mut self.phases.dedup_ns);
     }
 
     /// The one dedup-or-insert path (own-shard and cross-shard candidates
@@ -1237,7 +1330,7 @@ pub(crate) fn explore<S: TransitionSystem>(
 
     // Worker 0 runs on the calling thread and workers `1..threads` on
     // scoped threads, so a one-worker run creates no thread at all.
-    let (stores, scratches): (Vec<ShardStore>, Vec<S::Scratch>) = std::thread::scope(|s| {
+    let finished: Vec<(ShardStore, S::Scratch, PhaseTimes)> = std::thread::scope(|s| {
         let mut worker = |t: usize| {
             let (inboxes, coord) = (&inboxes, &coord);
             let snap = snaps[t].take();
@@ -1255,8 +1348,14 @@ pub(crate) fn explore<S: TransitionSystem>(
         let first = worker(0)();
         std::iter::once(first)
             .chain(handles.into_iter().map(|h| h.join().expect("worker panicked")))
-            .unzip()
+            .collect()
     });
+    let (mut stores, mut scratches, mut phases) = (Vec::new(), Vec::new(), PhaseTimes::default());
+    for (store, scratch, worker_phases) in finished {
+        stores.push(store);
+        scratches.push(scratch);
+        phases += worker_phases;
+    }
 
     // A worker phase panicked: all workers drained cleanly through the
     // rendezvous; surface the original panic here.
@@ -1294,6 +1393,7 @@ pub(crate) fn explore<S: TransitionSystem>(
         store_bytes: agg.peak_store.total(),
         store_split: agg.peak_store,
         store_counters,
+        phases,
         peak_mem_bytes: coord.peak_mem.load(Relaxed),
         peak_mem_depth: agg.peak_depth,
         frontier_bytes: agg.peak_frontier,

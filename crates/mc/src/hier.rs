@@ -60,7 +60,7 @@
 //! [`MAX_GROUP`] runs unreduced: a fully symmetric state still enumerates
 //! its whole tie product, so the cap bounds the worst case.
 
-use crate::canon::{queue_hash, subnet_sort_key, Sweep};
+use crate::canon::{queue_hash, subnet_sort_keys, Canonicalizer, Sweep};
 use crate::checkpoint::CheckpointError;
 use crate::delta::SectionMap;
 use crate::explore::{explore, resume, CheckResult, TransitionSystem, ViolationKind};
@@ -103,41 +103,101 @@ struct LevelRt {
     /// Needed outer permission by `MsgId` — `None` for the root level,
     /// whose directory is never gated.
     needed: Option<Vec<Perm>>,
+    /// `homes[g]`: the subnet and local id of node `g` of machine level
+    /// `j`, `(g / fanout, g % fanout)`, looked up rather than divided on
+    /// every issue.
+    homes: Vec<(usize, usize)>,
 }
 
-/// A complete configuration of the leveled system (one explored state).
-///
-/// Indexing: `caches[jm][g]` is the outer block of machine-level-`jm` node
-/// `g`; `dirs[j][p]` is the directory of protocol level `j` serving subnet
-/// `p` (hosted by machine-level-`j+1` node `p`); `chans[j][p][src][dst]`
-/// is the subnet-local FIFO, where ids `0..fanout` are the children and
-/// `fanout` is the directory.
+/// A complete configuration of the leveled system (one explored state):
+/// one [`HierLevel`] per protocol level, leaf first, and the ghost memory.
 #[derive(Debug, PartialEq, Eq)]
 pub struct HierState {
-    /// Outer cache blocks per machine level.
-    pub caches: Vec<Vec<CacheBlock>>,
-    /// Directory entries per protocol level.
-    pub dirs: Vec<Vec<DirEntry>>,
-    /// Subnet channels per protocol level.
-    pub chans: Vec<Vec<Vec<Vec<Vec<Msg>>>>>,
+    /// The subnets of every protocol level.
+    pub levels: Vec<HierLevel>,
     /// Ghost memory: the value of the most recent *leaf* store.
     pub ghost: Val,
 }
 
-impl Clone for HierState {
-    fn clone(&self) -> Self {
-        HierState {
-            caches: self.caches.clone(),
-            dirs: self.dirs.clone(),
-            chans: self.chans.clone(),
-            ghost: self.ghost,
+/// Protocol level `j` of a [`HierState`]: its subnets side by side, every
+/// field kind in one vector, so a subnet is three slices and the flat
+/// system's state is the one-subnet case of the same layout.
+///
+/// Indexing, with `f` the fanout: `caches[p·f + c]` is the outer block of
+/// child `c` of subnet `p` — node `p·f + c` of machine level `j`;
+/// `dirs[p]` is subnet `p`'s directory, hosted by node `p` of machine
+/// level `j + 1`; `chans[p·(f+1) + src][dst]` is subnet `p`'s FIFO between
+/// local ids (`0..f` the children, `f` the directory), as
+/// [`SysState::channels`](crate::SysState::channels) holds the flat one's.
+#[derive(Debug, PartialEq, Eq)]
+pub struct HierLevel {
+    /// Children per subnet.
+    pub fanout: usize,
+    /// The children's outer blocks, subnet by subnet.
+    pub caches: Vec<CacheBlock>,
+    /// One directory entry per subnet.
+    pub dirs: Vec<DirEntry>,
+    /// `f + 1` rows of `f + 1` FIFOs per subnet.
+    pub chans: Vec<Vec<Vec<Msg>>>,
+}
+
+impl HierLevel {
+    /// `parents` idle subnets of `fanout` children each.
+    pub fn new(parents: usize, fanout: usize) -> Self {
+        HierLevel {
+            fanout,
+            caches: vec![CacheBlock::new(); parents * fanout],
+            dirs: vec![DirEntry::new(0); parents],
+            chans: vec![vec![Vec::new(); fanout + 1]; parents * (fanout + 1)],
         }
     }
 
+    /// Subnet `p`'s channel rows.
+    #[inline]
+    fn rows(&self, p: usize) -> &[Vec<Vec<Msg>>] {
+        let n = self.fanout + 1;
+        &self.chans[p * n..(p + 1) * n]
+    }
+
+    /// Subnet `p` under the ghost memory `ghost`.
+    #[inline]
+    fn subnet(&self, p: usize, ghost: Val) -> Subnet<'_> {
+        let f = self.fanout;
+        Subnet {
+            caches: &self.caches[p * f..(p + 1) * f],
+            dir: &self.dirs[p],
+            chans: self.rows(p),
+            ghost,
+        }
+    }
+}
+
+impl Clone for HierLevel {
+    fn clone(&self) -> Self {
+        HierLevel {
+            fanout: self.fanout,
+            caches: self.caches.clone(),
+            dirs: self.dirs.clone(),
+            chans: self.chans.clone(),
+        }
+    }
+
+    /// Field-wise, so the vectors keep their allocations.
     fn clone_from(&mut self, src: &Self) {
+        self.fanout = src.fanout;
         self.caches.clone_from(&src.caches);
         self.dirs.clone_from(&src.dirs);
         self.chans.clone_from(&src.chans);
+    }
+}
+
+impl Clone for HierState {
+    fn clone(&self) -> Self {
+        HierState { levels: self.levels.clone(), ghost: self.ghost }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.levels.clone_from(&src.levels);
         self.ghost = src.ghost;
     }
 }
@@ -145,12 +205,12 @@ impl Clone for HierState {
 impl HierState {
     /// Total in-flight messages across every subnet.
     pub fn messages_in_flight(&self) -> usize {
-        self.chans.iter().flatten().flatten().flatten().map(|q| q.len()).sum()
+        self.levels.iter().flat_map(|l| l.chans.iter().flatten()).map(|q| q.len()).sum()
     }
 
     /// Whether any node at any level has an outstanding transaction.
     pub fn has_pending_access(&self) -> bool {
-        self.caches.iter().flatten().any(|c| c.pending.is_some())
+        self.levels.iter().flat_map(|l| &l.caches).any(|c| c.pending.is_some())
     }
 }
 
@@ -227,26 +287,24 @@ impl HierPerm {
     /// [`Sweep`] lists it), top-down: a parent's new slot decides where its
     /// children's run of slots starts.
     fn arrange(&mut self, order: &[Vec<u8>]) {
-        for jm in (0..self.fanouts.len()).rev() {
-            let f = self.fanouts[jm];
-            let (lo, hi) = self.invs.split_at_mut(jm + 1);
-            for (p2, &p) in hi[0].iter().enumerate() {
-                let first = p as usize * f;
-                for off in 0..f {
-                    let old = order[jm][first + off];
-                    lo[jm][p2 * f + off] = old;
-                    self.local[jm][old as usize] = off as u8;
-                    self.back[jm][first + off] = old - first as u8;
+        let HierPerm { fanouts, invs, local, back } = self;
+        for jm in (0..fanouts.len()).rev() {
+            let f = fanouts[jm];
+            let (lo, hi) = invs.split_at_mut(jm + 1);
+            let (inv, order, local, back) =
+                (&mut lo[jm], &order[jm], &mut local[jm], &mut back[jm]);
+            for (&p, to) in hi[0].iter().zip(inv.chunks_exact_mut(f)) {
+                let at = p as usize * f..(p as usize + 1) * f;
+                let first = at.start as u8;
+                for ((off, &old), (to, back)) in
+                    order[at.clone()].iter().enumerate().zip(to.iter_mut().zip(&mut back[at]))
+                {
+                    *to = old;
+                    *back = old - first;
+                    local[old as usize] = off as u8;
                 }
             }
         }
-    }
-
-    /// The renaming table of the level-`j` subnet under old parent `p`,
-    /// and its inverse.
-    fn tables(&self, j: usize, p: usize) -> (&[u8], &[u8]) {
-        let at = p * self.fanouts[j]..(p + 1) * self.fanouts[j];
-        (&self.local[j][at.clone()], &self.back[j][at])
     }
 }
 
@@ -255,50 +313,69 @@ pub type HierResult = CheckResult;
 
 /// The composed system's per-worker scratch: the orbit-pruned sweep (its
 /// `best` holds the encoding the last `canonical_fp` selected), the
-/// candidate group element, and the subnet kernel's stepping scratch
-/// (with the worker's coverage recorders, two per level).
+/// candidate group element, the subnet kernel's stepping scratch (with the
+/// worker's coverage recorders, two per level), and the decoded parent's
+/// subnet keys with what the last enabled step may have changed.
 #[derive(Debug)]
 pub struct HierScratch {
+    /// A one-level stack's canonicalizer: its state is one subnet, which
+    /// the flat system's canonicalizer encodes to the same bytes.
+    flat: Option<Canonicalizer>,
     sweep: Sweep,
     /// The candidate group element being encoded; the identity until the
     /// first sweep, and for good when the stack runs unreduced.
     perm: HierPerm,
     step: StepScratch,
+    /// `parent_keys[jm][g]`: node `g`'s key over its own subnet
+    /// ([`subnet_sort_keys`]) in the parent the steps are taken from;
+    /// filled by the first enabled step after a decode.
+    parent_keys: Vec<Vec<u64>>,
+    keyed: bool,
+    /// What the last enabled step may have written. Every other subnet
+    /// of the successor equals the parent's, and so do its keys. Taken by
+    /// the next `canonical_fp`.
+    fresh: Option<Written>,
 }
 
+/// The subnets a step may have written: its own, and the one holding the
+/// host block its mirror wrote, if it did.
+type Written = (At, Option<At>);
+
 impl Subnets for HierState {
+    #[inline]
     fn subnet(&self, (j, p): At) -> Subnet<'_> {
-        let f = self.chans[j][p].len() - 1;
-        Subnet {
-            caches: &self.caches[j][p * f..(p + 1) * f],
-            dir: &self.dirs[j][p],
-            chans: &self.chans[j][p],
-            ghost: self.ghost,
-        }
+        self.levels[j].subnet(p, self.ghost)
     }
 
+    #[inline]
     fn subnet_mut(&mut self, (j, p): At) -> SubnetMut<'_> {
-        let f = self.chans[j][p].len() - 1;
+        let (n, ghost) = (self.levels[j].fanout + 1, &mut self.ghost);
+        let (l, f) = (&mut self.levels[j], n - 1);
         SubnetMut {
-            caches: &mut self.caches[j][p * f..(p + 1) * f],
-            dir: &mut self.dirs[j][p],
-            chans: &mut self.chans[j][p],
-            ghost: &mut self.ghost,
+            caches: &mut l.caches[p * f..(p + 1) * f],
+            dir: &mut l.dirs[p],
+            chans: &mut l.chans[p * n..(p + 1) * n],
+            ghost,
         }
     }
 
     /// The one data field `HierChecker::mirror` copies a step's line
     /// into: the inner directory a parent's cache side hosts, or the outer
-    /// block of the node hosting a directory.
+    /// block of the node hosting a directory. A one-level stack has no
+    /// outside.
+    #[inline]
     fn restore_outside(&mut self, from: &Self, (j, p): At, node: usize) {
-        let f = self.chans[j][p].len() - 1;
+        if self.levels.len() == 1 {
+            return;
+        }
+        let f = self.levels[j].fanout;
         if node < f {
             if j >= 1 {
                 let g = p * f + node;
-                self.dirs[j - 1][g].data = from.dirs[j - 1][g].data;
+                self.levels[j - 1].dirs[g].data = from.levels[j - 1].dirs[g].data;
             }
-        } else if j + 1 < self.caches.len() {
-            self.caches[j + 1][p].data = from.caches[j + 1][p].data;
+        } else if j + 1 < self.levels.len() {
+            self.levels[j + 1].caches[p].data = from.levels[j + 1].caches[p].data;
         }
     }
 }
@@ -347,6 +424,7 @@ impl HierChecker {
         }
         cfg.assert_channel_cap();
         let k = composed.depth();
+        let counts: Vec<usize> = (0..=k).map(|jm| composed.node_count(jm)).collect();
         let levels: Vec<LevelRt> = composed
             .levels
             .iter()
@@ -361,10 +439,10 @@ impl HierChecker {
                     dir: Machine::new(g.directory.clone()),
                     classes: g.ssp.messages.iter().map(|m| m.class).collect(),
                     needed: (j + 1 < k).then(|| composed.glue[j].needed_perm.clone()),
+                    homes: (0..counts[j]).map(|g| (g / l.fanout, g % l.fanout)).collect(),
                 }
             })
             .collect();
-        let counts: Vec<usize> = (0..=k).map(|jm| composed.node_count(jm)).collect();
         let group_order = (0..k)
             .map(|jm| {
                 ((1..=levels[jm].fanout).product::<usize>() as f64).powi(counts[jm + 1] as i32)
@@ -410,7 +488,7 @@ impl HierChecker {
     /// states only keeps children from being granted copies mid-parent-
     /// transaction.
     fn eff_perm(&self, s: &HierState, jm: usize, node: usize) -> Perm {
-        let st = self.levels[jm].cache.fsm().state(s.caches[jm][node].state);
+        let st = self.levels[jm].cache.fsm().state(s.levels[jm].caches[node].state);
         if st.is_stable() {
             st.perm
         } else {
@@ -454,15 +532,16 @@ impl HierChecker {
     /// Release: a forward into a parent's cache side waits until that
     /// node's inner subnet holds no data.
     fn gated(&self, s: &HierState, (j, p): At, dst: usize, msg: &Msg) -> bool {
-        let lvl = &self.levels[j];
-        let class = lvl.classes[msg.mtype.as_usize()];
+        let (lvl, m) = (&self.levels[j], msg.mtype.as_usize());
         if dst == lvl.fanout {
-            j + 1 < self.depth()
-                && class == MsgClass::Request
-                && lvl.needed.as_ref().expect("non-root level has glue")[msg.mtype.as_usize()]
-                    > self.eff_perm(s, j + 1, p)
+            let Some(needed) = &lvl.needed else {
+                return false; // the root's directory
+            };
+            lvl.classes[m] == MsgClass::Request && needed[m] > self.eff_perm(s, j + 1, p)
         } else {
-            j >= 1 && class == MsgClass::Forward && self.has_copies(s, j - 1, p * lvl.fanout + dst)
+            j >= 1
+                && lvl.classes[m] == MsgClass::Forward
+                && self.has_copies(s, j - 1, p * lvl.fanout + dst)
         }
     }
 
@@ -473,7 +552,9 @@ impl HierChecker {
     /// the value rides outer evictions and forwards unchanged; a completed
     /// glue Store keeps the value the outer protocol delivered (or the node
     /// already held) instead of a minted one, and the inner directory the
-    /// node hosts follows its outer block.
+    /// node hosts follows its outer block. Returns whether it wrote the
+    /// hosting node's outer block, the one field outside the step's subnet
+    /// that a sort key reads.
     fn mirror(
         &self,
         state: &HierState,
@@ -482,28 +563,30 @@ impl HierChecker {
         delivered: Option<Msg>,
         succ: &mut HierState,
         outcome: &ApplyOutcome,
-    ) {
+    ) -> bool {
         let f = self.levels[j].fanout;
         if node == f {
-            if j + 1 < self.depth()
-                && succ.dirs[j][p].data != state.dirs[j][p].data
-                && succ.caches[j + 1][p].data.is_some()
-            {
-                succ.caches[j + 1][p].data = Some(succ.dirs[j][p].data);
+            let data = succ.levels[j].dirs[p].data;
+            if let Some(host) = succ.levels.get_mut(j + 1).map(|up| &mut up.caches[p]) {
+                if data != state.levels[j].dirs[p].data && host.data.is_some() {
+                    host.data = Some(data);
+                    return true;
+                }
             }
         } else if j >= 1 {
             let g = p * f + node;
-            let pre_data = state.caches[j][g].data;
-            let blk = &mut succ.caches[j][g];
+            let pre_data = state.levels[j].caches[g].data;
+            let blk = &mut succ.levels[j].caches[g];
             if matches!(outcome.performed, Some((Access::Store, _))) {
                 blk.data = delivered.and_then(|m| m.data).or(pre_data);
             }
             if blk.data != pre_data {
                 if let Some(v) = blk.data {
-                    succ.dirs[j - 1][g].data = v;
+                    succ.levels[j - 1].dirs[g].data = v;
                 }
             }
         }
+        false
     }
 
     /// Appends the byte encoding of the state under `perm` to `sink`.
@@ -513,25 +596,28 @@ impl HierChecker {
     /// — so the delta store's section map generalizes over both. Every
     /// subnet renames its local ids through its own table in `perm`.
     fn encode_permuted(&self, s: &HierState, perm: &HierPerm, sink: &mut Vec<u8>) {
-        let k = self.depth();
-        for jm in 0..k {
-            let f = self.levels[jm].fanout;
-            for (p2, &p) in perm.invs[jm + 1].iter().enumerate() {
-                let (local, _) = perm.tables(jm, p as usize);
-                for &g in &perm.invs[jm][p2 * f..(p2 + 1) * f] {
-                    put_block(sink, &s.caches[jm][g as usize], rename(local));
+        // Subnet `p` of level `j` renames its local ids through these
+        // `f`-byte slices of `perm.local[j]` and `perm.back[j]`.
+        let at = |p: u8, f: usize| p as usize * f..(p as usize + 1) * f;
+        for (jm, l) in s.levels.iter().enumerate() {
+            let (f, local) = (l.fanout, &perm.local[jm]);
+            for (&p, kids) in perm.invs[jm + 1].iter().zip(perm.invs[jm].chunks_exact(f)) {
+                let local = &local[at(p, f)];
+                for &g in kids {
+                    put_block(sink, &l.caches[g as usize], rename(local));
                 }
             }
         }
-        for j in 0..k {
+        for (j, l) in s.levels.iter().enumerate() {
+            let (f, local) = (l.fanout, &perm.local[j]);
             for &p in &perm.invs[j + 1] {
-                put_dir_renamed(sink, &s.dirs[j][p as usize], perm.tables(j, p as usize).0);
+                put_dir_renamed(sink, &l.dirs[p as usize], &local[at(p, f)]);
             }
         }
-        for j in 0..k {
+        for (j, l) in s.levels.iter().enumerate() {
+            let (f, local, back) = (l.fanout, &perm.local[j], &perm.back[j]);
             for &p in &perm.invs[j + 1] {
-                let (local, back) = perm.tables(j, p as usize);
-                put_chans_renamed(sink, &s.chans[j][p as usize], local, back);
+                put_chans_renamed(sink, l.rows(p as usize), &local[at(p, f)], &back[at(p, f)]);
             }
         }
         sink.push(s.ghost);
@@ -546,33 +632,66 @@ impl HierChecker {
     /// and with its children's keys in sorted order. Nothing in it hashes
     /// a concrete sibling index, so `key(g, s) == key(π(g), π·s)` for
     /// every group element π: the contract that makes the pruning exact.
-    fn sort_siblings(&self, s: &HierState, sweep: &mut Sweep) {
-        for jm in 0..self.depth() {
-            let f = self.levels[jm].fanout;
+    ///
+    /// With `parent` — the parent's subnet keys and the subnets the step
+    /// to `s` may have written — every other subnet's keys are the
+    /// parent's, copied rather than recomputed.
+    fn sort_siblings(
+        &self,
+        s: &HierState,
+        sweep: &mut Sweep,
+        parent: Option<(&[Vec<u64>], Written)>,
+    ) {
+        for (jm, l) in s.levels.iter().enumerate() {
+            let f = l.fanout;
             let (below, at) = sweep.keys.split_at_mut(jm);
-            for (g, key) in at[0].iter_mut().enumerate() {
-                let mut h = subnet_sort_key(&s.subnet((jm, g / f)), g % f);
-                if jm >= 1 {
-                    let fi = self.levels[jm - 1].fanout;
-                    let d = &s.dirs[jm - 1][g];
+            match parent {
+                Some((keys, (fresh, host))) => {
+                    at[0].copy_from_slice(&keys[jm]);
+                    for (_, p) in std::iter::once(fresh).chain(host).filter(|&(j, _)| j == jm) {
+                        subnet_sort_keys(&l.subnet(p, s.ghost), &mut at[0][p * f..(p + 1) * f]);
+                    }
+                    debug_assert_eq!(at[0], self.subnet_keys(l, s.ghost), "stale subnet keys");
+                }
+                None => self.subnet_keys_into(l, s.ghost, &mut at[0]),
+            }
+            if let Some(inner) = jm.checked_sub(1).map(|j| &s.levels[j]) {
+                let (fi, below) = (inner.fanout, &below[jm - 1]);
+                let sorted = sweep.base[jm - 1].chunks_exact(fi);
+                for (g, (key, children)) in at[0].iter_mut().zip(sorted).enumerate() {
+                    let d = &inner.dirs[g];
                     let dir = (d.state.0 as u64)
                         | (d.data as u64) << 32
                         | (d.owner.is_some() as u64) << 40
                         | (d.sharers.count_ones() as u64) << 41
                         | (d.chain_slots.len() as u64) << 45;
-                    h = absorb(h, dir);
+                    let mut h = absorb(*key, dir);
                     for (_, a) in &d.chain_slots {
                         h = absorb(h, *a as u64);
                     }
-                    h = absorb(h, queue_hash(&s.chans[jm - 1][g][fi][fi], fi, fi));
-                    for &c in &sweep.base[jm - 1][g * fi..(g + 1) * fi] {
-                        h = absorb(h, below[jm - 1][c as usize]);
+                    h = absorb(h, queue_hash(&inner.rows(g)[fi][fi], fi, fi));
+                    for &c in children {
+                        h = absorb(h, below[c as usize]);
                     }
+                    *key = h;
                 }
-                *key = h;
             }
             sweep.sort(jm);
         }
+    }
+
+    /// Every node's key over its own subnet, on one level.
+    fn subnet_keys_into(&self, l: &HierLevel, ghost: Val, keys: &mut [u64]) {
+        for (p, keys) in keys.chunks_exact_mut(l.fanout).enumerate() {
+            subnet_sort_keys(&l.subnet(p, ghost), keys);
+        }
+    }
+
+    /// [`Self::subnet_keys_into`] into a new vector.
+    fn subnet_keys(&self, l: &HierLevel, ghost: Val) -> Vec<u64> {
+        let mut keys = vec![0; l.caches.len()];
+        self.subnet_keys_into(l, ghost, &mut keys);
+        keys
     }
 
     /// The number of group elements the canonicalizer enumerates for `s`
@@ -581,7 +700,7 @@ impl HierChecker {
     /// and measurements, like [`crate::Canonicalizer::pruned_candidates`].
     pub fn pruned_candidates(&self, s: &HierState, scratch: &mut HierScratch) -> usize {
         self.canonical_fp(s, scratch);
-        scratch.sweep.candidates()
+        scratch.flat.as_ref().map_or_else(|| scratch.sweep.candidates(), Canonicalizer::candidates)
     }
 
     /// Runs breadth-first exploration on the shared explorer until
@@ -646,16 +765,9 @@ impl TransitionSystem for HierChecker {
     /// The initial state: every block invalid, every directory initial
     /// holding value 0, no messages.
     fn initial(&self) -> HierState {
-        let k = self.depth();
+        let levels = self.levels.iter().enumerate();
         HierState {
-            caches: (0..k).map(|jm| vec![CacheBlock::new(); self.counts[jm]]).collect(),
-            dirs: (0..k).map(|j| vec![DirEntry::new(0); self.counts[j + 1]]).collect(),
-            chans: (0..k)
-                .map(|j| {
-                    let total = self.levels[j].fanout + 1;
-                    vec![vec![vec![Vec::new(); total]; total]; self.counts[j + 1]]
-                })
-                .collect(),
+            levels: levels.map(|(j, l)| HierLevel::new(self.counts[j + 1], l.fanout)).collect(),
             ghost: 0,
         }
     }
@@ -664,9 +776,13 @@ impl TransitionSystem for HierChecker {
         let fanouts: Vec<usize> = self.levels.iter().map(|l| l.fanout).collect();
         let shape: Vec<_> = self.counts.iter().copied().zip(fanouts.iter().copied()).collect();
         HierScratch {
+            flat: (self.depth() == 1).then(|| Canonicalizer::new(fanouts[0], self.reduces())),
             sweep: Sweep::new(&shape),
             perm: HierPerm::identity(&self.counts, &fanouts),
             step: StepScratch::new(self.levels.iter().map(|l| (l.cache.fsm(), l.dir.fsm()))),
+            parent_keys: self.counts[..self.depth()].iter().map(|&n| vec![0; n]).collect(),
+            keyed: false,
+            fresh: None,
         }
     }
 
@@ -678,9 +794,9 @@ impl TransitionSystem for HierChecker {
     fn steps_into(&self, s: &HierState, out: &mut Vec<HStep>) {
         out.clear();
         let k = self.depth();
-        for j in 0..k {
-            for p in 0..self.counts[j + 1] {
-                s.subnet((j, p)).deliveries(self.levels[j].ordered, |src, dst, idx| {
+        for (j, l) in s.levels.iter().enumerate() {
+            for p in 0..l.dirs.len() {
+                l.subnet(p, s.ghost).deliveries(self.levels[j].ordered, |src, dst, idx| {
                     out.push(HStep::Deliver {
                         level: j as u8,
                         parent: p as u8,
@@ -703,14 +819,14 @@ impl TransitionSystem for HierChecker {
             let f = self.levels[j].fanout;
             let needed = self.levels[j].needed.as_ref().expect("non-root level has glue");
             for node in 0..self.counts[jm] {
-                let block = &s.caches[jm][node];
+                let block = &s.levels[jm].caches[node];
                 if block.pending.is_some() {
                     continue;
                 }
                 let eff = self.eff_perm(s, jm, node);
                 let (mut want_load, mut want_store) = (false, false);
-                for src in 0..=f {
-                    for m in &s.chans[j][node][src][f] {
+                for row in s.levels[j].rows(node) {
+                    for m in &row[f] {
                         if self.levels[j].classes[m.mtype.as_usize()] != MsgClass::Request {
                             continue;
                         }
@@ -763,31 +879,45 @@ impl TransitionSystem for HierChecker {
         succ: &mut HierState,
         scratch: &mut HierScratch,
     ) -> Result<bool, ViolationKind> {
-        let st = &mut scratch.step;
+        scratch.fresh = None;
+        let (st, glued) = (&mut scratch.step, self.depth() > 1);
         let (at, node, delivered) = match step {
             HStep::Deliver { level, parent, src, dst, idx } => {
                 let at = (level as usize, parent as usize);
                 let pos = (src as usize, dst as usize, idx as usize);
-                let (msg, value) =
-                    (state.chans[at.0][at.1][pos.0][pos.1][pos.2], mint(state.ghost, at.0));
+                let (kernel, value) = (self.kernel(at.0), mint(state.ghost, at.0));
+                if !glued {
+                    return kernel.deliver(state, at, pos, value, succ, st);
+                }
+                let msg = state.levels[at.0].rows(at.1)[pos.0][pos.1][pos.2];
                 if self.gated(state, at, pos.1, &msg)
-                    || !self.kernel(at.0).deliver(state, at, pos, value, succ, st)?
+                    || !kernel.deliver(state, at, pos, value, succ, st)?
                 {
                     return Ok(false);
                 }
                 (at, pos.1, Some(msg))
             }
             HStep::Issue { mlevel, node, access } => {
-                let (j, f) = (mlevel as usize, self.levels[mlevel as usize].fanout);
-                let (at, cache) = ((j, node as usize / f), node as usize % f);
-                let value = mint(state.ghost, j);
+                let j = mlevel as usize;
+                let (p, cache) = self.levels[j].homes[node as usize];
+                let (at, value) = ((j, p), mint(state.ghost, j));
                 if !self.kernel(j).issue(state, at, (cache, access), value, succ, st)? {
                     return Ok(false);
                 }
                 (at, cache, None)
             }
         };
-        self.mirror(state, at, node, delivered, succ, &st.outcome);
+        let host = glued && self.mirror(state, at, node, delivered, succ, &st.outcome);
+        if glued && self.reduces() {
+            if !scratch.keyed {
+                for (l, keys) in state.levels.iter().zip(&mut scratch.parent_keys) {
+                    self.subnet_keys_into(l, state.ghost, keys);
+                }
+                scratch.keyed = true;
+            }
+            let up = host.then(|| (at.0 + 1, self.levels[at.0 + 1].homes[at.1].0));
+            scratch.fresh = Some((at, up));
+        }
         Ok(true)
     }
 
@@ -801,7 +931,7 @@ impl TransitionSystem for HierChecker {
                 self.depth() > 1
                     && (mlevel >= 1
                         || (access == Access::Replacement
-                            && state.caches[0][node as usize].data.is_some()))
+                            && state.levels[0].caches[node as usize].data.is_some()))
             }
         }
     }
@@ -809,9 +939,9 @@ impl TransitionSystem for HierChecker {
     /// State-level properties: per-level SWMR / single-writer, leaf-level
     /// data-value.
     fn check_state(&self, s: &HierState) -> Option<ViolationKind> {
-        let levels = self.levels.iter().zip(&s.caches).map(|(l, blocks)| LevelBlocks {
+        let levels = self.levels.iter().zip(&s.levels).map(|(l, at)| LevelBlocks {
             fsm: l.cache.fsm(),
-            blocks,
+            blocks: &at.caches,
             label: Some(&l.label),
         });
         self.cfg.properties.check_state(levels, s.ghost)
@@ -830,11 +960,15 @@ impl TransitionSystem for HierChecker {
     /// `Sweep` [`crate::Canonicalizer`] runs too, so a one-level stack
     /// selects the flat checker's bytes.
     fn canonical_fp(&self, s: &HierState, sc: &mut HierScratch) -> u64 {
-        let HierScratch { sweep, perm, .. } = sc;
+        let HierScratch { flat, sweep, perm, parent_keys, fresh, .. } = sc;
+        if let Some(canon) = flat {
+            return canon.canonical_fp_of(&s.levels[0].subnet(0, s.ghost));
+        }
         if !self.reduces() {
             return sweep.keep(|out| self.encode_permuted(s, perm, out));
         }
-        self.sort_siblings(s, sweep);
+        let parent = fresh.take().map(|fresh| (&parent_keys[..], fresh));
+        self.sort_siblings(s, sweep, parent);
         sweep.minimize(|order, out| {
             perm.arrange(order);
             self.encode_permuted(s, perm, out);
@@ -842,17 +976,33 @@ impl TransitionSystem for HierChecker {
     }
 
     fn canonical_bytes<'s>(&self, scratch: &'s HierScratch) -> &'s [u8] {
-        scratch.sweep.best()
+        scratch.flat.as_ref().map_or_else(|| scratch.sweep.best(), Canonicalizer::best)
     }
 
     /// Decodes an identity-permutation encoding back into `s` (shaped by
-    /// [`Self::initial`]): sections arrive in `s`'s own nesting order.
+    /// [`Self::initial`]): each section kind arrives level by level, in
+    /// the order each level's vector holds it.
     fn decode_into(&self, bytes: &[u8], s: &mut HierState, scratch: &mut HierScratch) {
         scratch.step.unsync();
+        (scratch.keyed, scratch.fresh) = (false, None);
         let mut d = Decoder::new(bytes);
-        s.caches.iter_mut().flatten().for_each(|c| d.block(c));
-        s.dirs.iter_mut().flatten().for_each(|e| d.dir(e));
-        s.chans.iter_mut().flatten().flatten().flatten().for_each(|q| d.queue(q));
+        for l in &mut s.levels {
+            for c in &mut l.caches {
+                d.block(c);
+            }
+        }
+        for l in &mut s.levels {
+            for e in &mut l.dirs {
+                d.dir(e);
+            }
+        }
+        for l in &mut s.levels {
+            for row in &mut l.chans {
+                for q in row {
+                    d.queue(q);
+                }
+            }
+        }
         s.ghost = d.ghost_section(1)[0];
     }
 
@@ -905,9 +1055,10 @@ impl TransitionSystem for HierChecker {
                 self.kernel(at.0).describe(state, at, Step::Deliver { src, dst, idx })
             }
             HStep::Issue { mlevel, node, access } => {
-                let (j, f) = (mlevel as usize, self.levels[mlevel as usize].fanout);
-                let step = Step::IssueAccess { cache: (node as usize % f) as u8, access };
-                self.kernel(j).describe(state, (j, node as usize / f), step)
+                let j = mlevel as usize;
+                let (p, cache) = self.levels[j].homes[node as usize];
+                let step = Step::IssueAccess { cache: cache as u8, access };
+                self.kernel(j).describe(state, (j, p), step)
             }
         }
     }
@@ -1042,13 +1193,13 @@ mod tests {
         let hc = checker(&msi_under_msi(2, 2), HierConfig::default());
         let mut sc = hc.scratch();
         let mut a = hc.initial();
-        a.caches[0][0].data = Some(1);
+        a.levels[0].caches[0].data = Some(1);
         let mut b = hc.initial();
-        b.caches[0][3].data = Some(1);
+        b.levels[0].caches[3].data = Some(1);
         assert_eq!(canonical(&hc, &a, &mut sc), canonical(&hc, &b, &mut sc));
         // But a leaf and an L2 holding data are NOT symmetric.
         let mut c = hc.initial();
-        c.caches[1][0].data = Some(1);
+        c.levels[1].caches[0].data = Some(1);
         assert_ne!(canonical(&hc, &a, &mut sc), canonical(&hc, &c, &mut sc));
     }
 
@@ -1129,18 +1280,18 @@ mod tests {
             data,
         };
         let mut s = hc.initial();
-        s.caches[0][3].state = FsmStateId(2);
-        s.caches[0][3].data = Some(1);
-        s.caches[0][2].pending = Some(Access::Load);
-        s.caches[0][0].pending = Some(Access::Store);
-        s.caches[1][1].state = FsmStateId(2);
-        s.caches[1][1].data = Some(1);
-        s.dirs[0][1].owner = Some(NodeId(1));
-        s.dirs[0][1].data = 1;
-        s.dirs[1][0].owner = Some(NodeId(1));
-        s.chans[0][1][0][2].push(msg(0, 0, 2, 0, None));
-        s.chans[0][0][0][2].push(msg(1, 0, 2, 0, None));
-        s.chans[1][0][2][0].push(msg(3, 2, 0, 1, Some(1)));
+        s.levels[0].caches[3].state = FsmStateId(2);
+        s.levels[0].caches[3].data = Some(1);
+        s.levels[0].caches[2].pending = Some(Access::Load);
+        s.levels[0].caches[0].pending = Some(Access::Store);
+        s.levels[1].caches[1].state = FsmStateId(2);
+        s.levels[1].caches[1].data = Some(1);
+        s.levels[0].dirs[1].owner = Some(NodeId(1));
+        s.levels[0].dirs[1].data = 1;
+        s.levels[1].dirs[0].owner = Some(NodeId(1));
+        s.levels[0].chans[3][2].push(msg(0, 0, 2, 0, None));
+        s.levels[0].chans[0][2].push(msg(1, 0, 2, 0, None));
+        s.levels[1].chans[2][0].push(msg(3, 2, 0, 1, Some(1)));
         s.ghost = 1;
         s
     }

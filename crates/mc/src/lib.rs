@@ -73,12 +73,13 @@ pub use canon::{cache_sort_key, Canonicalizer};
 pub use checkpoint::CheckpointError;
 pub use delta::{apply_delta, encode_delta, SectionMap};
 pub use explore::{
-    explore_system, reference_bfs, CheckResult, ResourceLimit, StoreMode, TransitionSystem,
-    Violation, ViolationKind,
+    explore_system, reference_bfs, CheckResult, PhaseTimes, ResourceLimit, StoreMode,
+    TransitionSystem, Violation, ViolationKind, PHASE_SAMPLE,
 };
 pub use flat::{FlatScratch, McConfig, ModelChecker, Step};
 pub use hier::{
-    HStep, HierChecker, HierConfig, HierResult, HierScratch, HierState, MAX_GROUP, MAX_LEVEL_NODES,
+    HStep, HierChecker, HierConfig, HierLevel, HierResult, HierScratch, HierState, MAX_GROUP,
+    MAX_LEVEL_NODES,
 };
 pub use property::PropertySet;
 pub use store::{fingerprint_bytes, mix64, StoreBytes, StoreCounters, MAX_SHARDS, SHARD_CAPACITY};

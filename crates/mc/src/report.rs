@@ -68,8 +68,9 @@ impl CheckResult {
 
     /// The report as one JSON document: the verdict line's figures, the
     /// visited set's memory by component with the fingerprint map's
-    /// counters, then the limit that fired and the violation with its
-    /// trace, each absent when nothing fired.
+    /// counters, the sampled phase split (nanoseconds per successor), then
+    /// the limit that fired and the violation with its trace, each absent
+    /// when nothing fired.
     pub fn to_json(&self, name: &str) -> Json {
         let (split, counters) = (self.store_split, self.store_counters);
         let per_state = self.store_bytes as f64 / self.states as f64;
@@ -107,6 +108,14 @@ impl CheckResult {
                 ]),
             ),
         ]);
+        let mut phases = Json::obj([
+            ("sampled_parents", Json::U64(self.phases.parents)),
+            ("sampled_successors", Json::U64(self.phases.successors)),
+        ]);
+        for (phase, ns) in self.phases.per_successor() {
+            phases.push(&format!("{phase}_ns"), Json::F64(ns));
+        }
+        doc.push("phases", phases);
         if let Some(l) = &self.limit {
             doc.push("limit", Json::Str(l.to_string()));
         }

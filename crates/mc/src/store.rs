@@ -587,7 +587,7 @@ impl ShardStore {
 pub(crate) const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The splitmix64 finalizer: a full-avalanche bijection on `u64`.
-pub fn mix64(mut z: u64) -> u64 {
+pub const fn mix64(mut z: u64) -> u64 {
     z ^= z >> 30;
     z = z.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z ^= z >> 27;
@@ -600,7 +600,7 @@ pub fn mix64(mut z: u64) -> u64 {
 /// input bit avalanches across all 64 output bits. Shared with the
 /// canonicalizer's sort-key hashing (`crate::canon`).
 #[inline(always)]
-pub(crate) fn absorb(h: u64, chunk: u64) -> u64 {
+pub(crate) const fn absorb(h: u64, chunk: u64) -> u64 {
     mix64(h ^ chunk).wrapping_add(GOLDEN)
 }
 

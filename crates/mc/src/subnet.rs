@@ -107,10 +107,11 @@ pub trait Subnets: Clone + PartialEq + fmt::Debug {
 /// What a step may write is bounded by construction: `fire` removes from
 /// one queue and hands `Machine::apply` one line of one subnet, `route`
 /// pushes onto the queues the outgoing messages name, the ghost is one
-/// byte, and the rest is [`Subnets::restore_outside`]'s. `touched` is
-/// recorded before anything fallible runs and the routed queues are read
-/// back from `outcome.outgoing` — a superset of what `route` pushed on any
-/// exit — so every step leaves a record the next step's restore undoes.
+/// byte, and the rest is [`Subnets::restore_outside`]'s. A line is
+/// recorded in `touched` before anything fallible runs, and each queue in
+/// `queues` before anything is pushed onto it, so every step leaves a
+/// record the next step's restore undoes — a step that fires several
+/// lines ([`Kernel::also_issue_arc`]) one per line.
 #[derive(Debug)]
 pub struct StepScratch {
     /// What the last step's apply did: its sends and the access it
@@ -119,18 +120,19 @@ pub struct StepScratch {
     /// Whether `succ` equals the parent everywhere but in what `touched`
     /// and `outcome.outgoing` name.
     synced: bool,
-    touched: Option<Touched>,
+    touched: Vec<Touched>,
+    /// The queues the touched lines' steps delivered from or routed onto.
+    queues: Vec<(At, (usize, usize))>,
     /// Level `j`'s cache recorder at `2j`, its directory's at `2j + 1`.
     pub coverage: Vec<Coverage>,
 }
 
-/// The subnet a step acted in, the node whose line it applied an arc to
-/// (`f` = the directory), and the queue it delivered from.
+/// The subnet a step acted in and the node whose line it applied an arc
+/// to (`f` = the directory).
 #[derive(Debug, Clone, Copy)]
 struct Touched {
     at: At,
     node: usize,
-    delivered: Option<(usize, usize)>,
 }
 
 impl StepScratch {
@@ -140,7 +142,13 @@ impl StepScratch {
         let coverage = (levels.into_iter().enumerate())
             .flat_map(|(j, (cache, dir))| Coverage::level(cache, dir, j as u8))
             .collect();
-        StepScratch { outcome: ApplyOutcome::default(), synced: false, touched: None, coverage }
+        StepScratch {
+            outcome: ApplyOutcome::default(),
+            synced: false,
+            touched: Vec::new(),
+            queues: Vec::new(),
+            coverage,
+        }
     }
 
     /// Records that `slot`, a line of protocol level `level`, was offered
@@ -165,19 +173,23 @@ impl StepScratch {
         if !self.synced {
             succ.clone_from(state);
             self.synced = true;
-        } else if let Some(t) = self.touched.take() {
-            let (from, to) = (state.subnet(t.at), succ.subnet_mut(t.at));
-            let queues = t.delivered.into_iter();
-            for (src, dst) in queues.chain(self.outcome.outgoing.iter().map(queue)) {
+        } else {
+            for &(at, (src, dst)) in &self.queues {
+                let (from, to) = (state.subnet(at), succ.subnet_mut(at));
                 to.chans[src][dst].clone_from(&from.chans[src][dst]);
             }
-            match from.caches.get(t.node) {
-                Some(block) => to.caches[t.node].clone_from(block),
-                None => to.dir.clone_from(from.dir),
+            for &Touched { at, node } in &self.touched {
+                let (from, to) = (state.subnet(at), succ.subnet_mut(at));
+                match from.caches.get(node) {
+                    Some(block) => to.caches[node].clone_from(block),
+                    None => to.dir.clone_from(from.dir),
+                }
+                *to.ghost = from.ghost;
+                succ.restore_outside(state, at, node);
             }
-            *to.ghost = from.ghost;
-            succ.restore_outside(state, t.at, t.node);
         }
+        self.touched.clear();
+        self.queues.clear();
         debug_assert!(succ == state, "restored successor scratch differs from its parent");
     }
 }
@@ -245,8 +257,9 @@ impl<F: Borrow<Fsm>> Kernel<'_, F> {
         // Completion loads (e.g. the single access after invalidation in
         // IS_D_I) read the response data by construction; the physical
         // data-value check applies to hits only (design note in DESIGN.md).
-        self.fire(state, at, dst, arc, Some((src, idx, &msg)), value, succ, st)?;
-        self.route(succ, at, &st.outcome)
+        st.sync(state, succ);
+        let net = self.fire(at, dst, arc, Some((src, idx, &msg)), value, succ, st)?;
+        self.route(net, at, st)
     }
 
     /// Cache `cache` of subnet `at` issues `access` into `succ`; a store it
@@ -269,12 +282,51 @@ impl<F: Borrow<Fsm>> Kernel<'_, F> {
         else {
             return Ok(false);
         };
+        self.issue_from(state, net, at, cache, arc, value, succ, st)
+    }
+
+    /// [`Kernel::issue`] with `arc`, the arc the cache's machine selects
+    /// for `access` in `state`, already in hand.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub fn issue_arc<S: Subnets>(
+        &self,
+        state: &S,
+        at: At,
+        (cache, access): (usize, Access),
+        arc: &Arc,
+        value: Val,
+        succ: &mut S,
+        st: &mut StepScratch,
+    ) -> Result<bool, ViolationKind> {
+        let net = state.subnet(at);
+        st.record(at.0, net.caches[cache].slot(), Event::Access(access));
+        self.issue_from(state, net, at, cache, arc, value, succ, st)
+    }
+
+    /// The rest of an issue once its coverage is recorded and its arc
+    /// selected: the one-transaction rule, the step, the load-hit check.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn issue_from<S: Subnets>(
+        &self,
+        state: &S,
+        net: Subnet<'_>,
+        at: At,
+        cache: usize,
+        arc: &Arc,
+        value: Val,
+        succ: &mut S,
+        st: &mut StepScratch,
+    ) -> Result<bool, ViolationKind> {
+        let block = &net.caches[cache];
         let is_hit = arc.actions.iter().any(|a| matches!(a, Action::PerformAccess));
         if !is_hit && block.pending.is_some() {
             // One outstanding transaction per block per cache (§V-F).
             return Ok(false);
         }
-        self.fire(state, at, cache, arc, None, value, succ, st)?;
+        st.sync(state, succ);
+        let fired = self.fire(at, cache, arc, None, value, succ, st)?;
         // Parents are data-transparent: only leaf hits are checked.
         if let (0, Some((Access::Load, Some(v)))) = (at.0, st.outcome.performed) {
             let (leaf, props) = (at.1 * net.caches.len() + cache, &self.cfg.properties);
@@ -282,7 +334,27 @@ impl<F: Borrow<Fsm>> Kernel<'_, F> {
                 return Err(kind);
             }
         }
-        self.route(succ, at, &st.outcome)
+        self.route(fired, at, st)
+    }
+
+    /// Fires one more line in the step whose successor `succ` holds:
+    /// cache `cache` of subnet `at` takes `arc`, the arc its machine
+    /// selects for `access`, on the line as `succ` has it — a line no
+    /// earlier part of the step wrote. A store it performs writes `value`;
+    /// no load hit is checked. The restore before the next step undoes
+    /// every line the step fired.
+    pub fn also_issue_arc<S: Subnets>(
+        &self,
+        at: At,
+        (cache, access): (usize, Access),
+        arc: &Arc,
+        value: Val,
+        succ: &mut S,
+        st: &mut StepScratch,
+    ) -> Result<bool, ViolationKind> {
+        st.record(at.0, succ.subnet(at).caches[cache].slot(), Event::Access(access));
+        let net = self.fire(at, cache, arc, None, value, succ, st)?;
+        self.route(net, at, st)
     }
 
     /// One counterexample-trace line for `step` taken in subnet `at`. A
@@ -341,28 +413,27 @@ impl<F: Borrow<Fsm>> Kernel<'_, F> {
         }
     }
 
-    /// The second half of a step, once `arc` was selected on the parent
-    /// `state`: restores the scratch successor, records what is about to
-    /// be written, takes the delivered message (`(src, idx, msg)`) off its
-    /// queue and applies `arc` to `node`, a store writing `value`. Only a
-    /// leaf store advances the ghost.
+    /// The second half of a step, once `arc` was selected and the scratch
+    /// successor restored: records what is about to be written, takes the
+    /// delivered message (`(src, idx, msg)`) off its queue and applies
+    /// `arc` to `node`, a store writing `value`. Only a leaf store advances
+    /// the ghost. Hands back the subnet, for `route`.
     #[allow(clippy::too_many_arguments)]
     #[inline]
-    fn fire<S: Subnets>(
+    fn fire<'s, S: Subnets>(
         &self,
-        state: &S,
         at: At,
         node: usize,
         arc: &Arc,
         delivered: Option<(usize, usize, &Msg)>,
         value: Val,
-        succ: &mut S,
+        succ: &'s mut S,
         st: &mut StepScratch,
-    ) -> Result<(), ViolationKind> {
-        st.sync(state, succ);
-        st.touched = Some(Touched { at, node, delivered: delivered.map(|(src, ..)| (src, node)) });
+    ) -> Result<SubnetMut<'s>, ViolationKind> {
+        st.touched.push(Touched { at, node });
         let net = succ.subnet_mut(at);
         if let Some((src, idx, _)) = delivered {
+            st.queues.push((at, (src, node)));
             net.chans[src][node].remove(idx);
         }
         let dir_id = NodeId(net.caches.len() as u8);
@@ -375,21 +446,22 @@ impl<F: Borrow<Fsm>> Kernel<'_, F> {
         if at.0 == 0 && matches!(st.outcome.performed, Some((Access::Store, _))) {
             *net.ghost = value;
         }
-        Ok(())
+        Ok(net)
     }
 
-    /// Pushes the outcome's outgoing messages onto subnet `at`'s queues,
-    /// checking the capacity bound; `Ok(true)`: the step is complete.
+    /// Pushes the outcome's outgoing messages onto the queues of `net`,
+    /// subnet `at`, checking the capacity bound; `Ok(true)`: the step is
+    /// complete.
     #[inline]
-    fn route<S: Subnets>(
+    fn route(
         &self,
-        succ: &mut S,
+        net: SubnetMut<'_>,
         at: At,
-        outcome: &ApplyOutcome,
+        st: &mut StepScratch,
     ) -> Result<bool, ViolationKind> {
-        let net = succ.subnet_mut(at);
-        for m in &outcome.outgoing {
+        for m in &st.outcome.outgoing {
             let (src, dst) = queue(m);
+            st.queues.push((at, (src, dst)));
             net.chans[src][dst].push(*m);
             if net.chans[src][dst].len() > self.cfg.channel_cap {
                 let place = self.label().map_or(String::new(), |_| format!("L{}/p{} ", at.0, at.1));

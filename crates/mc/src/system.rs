@@ -1,5 +1,6 @@
 //! The model-checked system: N caches + directory + channels.
 
+use crate::subnet::{Subnet, Subnets, ONLY};
 use protogen_runtime::{CacheBlock, DirEntry, Msg, NodeId, Val};
 use protogen_spec::{Access, FsmStateId, MsgId};
 
@@ -106,6 +107,19 @@ pub(crate) fn put_chans_renamed(
             put_queue(out, &row[old(d2)], rename(perm));
         }
     }
+}
+
+/// A one-subnet state's whole encoding — its blocks in new order, its
+/// directory, its channels, its ghost byte — ids renamed through `perm`
+/// (old id → new id), `inv` its inverse.
+#[inline(always)]
+pub(crate) fn put_subnet(out: &mut Vec<u8>, net: &Subnet<'_>, perm: &[u8], inv: &[u8]) {
+    for &src_cache in inv {
+        put_block(out, &net.caches[src_cache as usize], rename(perm));
+    }
+    put_dir_renamed(out, net.dir, perm);
+    put_chans_renamed(out, net.chans, perm, inv);
+    out.push(net.ghost);
 }
 
 /// One channel-queue section: a length byte + 7 per message.
@@ -316,12 +330,7 @@ impl SysState {
     pub fn encode_permuted_to(&self, perm: &[u8], inv: &[u8], out: &mut Vec<u8>) {
         debug_assert_eq!(perm.len(), self.n_caches());
         debug_assert_eq!(inv.len(), self.n_caches());
-        for &src_cache in inv {
-            put_block(out, &self.caches[src_cache as usize], rename(perm));
-        }
-        put_dir_renamed(out, &self.dir, perm);
-        put_chans_renamed(out, &self.channels, perm, inv);
-        out.push(self.ghost);
+        put_subnet(out, &self.subnet(ONLY), perm, inv);
     }
 
     /// The canonical encoding under cache-identity symmetry (the Murϕ

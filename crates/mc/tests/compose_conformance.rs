@@ -22,8 +22,8 @@
 
 use protogen_core::{compose, generate, GenConfig};
 use protogen_mc::{
-    permutations, reference_bfs, Canonicalizer, HStep, HierChecker, HierConfig, HierState,
-    McConfig, ModelChecker, PropertySet, ResourceLimit, Step, StoreMode, SysState,
+    permutations, reference_bfs, Canonicalizer, HStep, HierChecker, HierConfig, HierLevel,
+    HierState, McConfig, ModelChecker, PropertySet, ResourceLimit, Step, StoreMode, SysState,
     TransitionSystem,
 };
 use protogen_runtime::MachineTag;
@@ -66,12 +66,13 @@ fn assert_identity(name: &str, n: usize) {
     let (mut flat_bytes, mut stack_bytes) = (Vec::new(), Vec::new());
     for (i, enc) in encs.iter().enumerate() {
         let s = SysState::decode(enc, n).permuted(&perms[i % perms.len()]);
-        let stacked = HierState {
-            caches: vec![s.caches.clone()],
-            dirs: vec![vec![s.dir.clone()]],
-            chans: vec![vec![s.channels.clone()]],
-            ghost: s.ghost,
+        let level = HierLevel {
+            fanout: n,
+            caches: s.caches.clone(),
+            dirs: vec![s.dir.clone()],
+            chans: s.channels.clone(),
         };
+        let stacked = HierState { levels: vec![level], ghost: s.ghost };
         flat_bytes.clear();
         stack_bytes.clear();
         let flat_fp = canon.encode_canonical_into(&s, &mut flat_bytes);
@@ -81,9 +82,15 @@ fn assert_identity(name: &str, n: usize) {
         assert_eq!((stack_fp, &stack_bytes), (flat_fp, &flat_bytes), "{name}@{n}: state {i}");
     }
 
-    // Step for step: from every reachable state, every candidate step has
-    // the same outcome on both — enabled with the same canonical successor
-    // bytes, disabled, or the same kind of violation.
+    assert_steps_agree(&mc, &hc, &encs, &format!("{name}@{n}"));
+}
+
+/// Step for step: from every state of `encs` (flat canonical encodings),
+/// every candidate step has the same outcome on the flat system and the
+/// one-level stack — enabled with the same canonical successor bytes,
+/// disabled, or the same kind of violation — in `steps_into` order.
+fn assert_steps_agree(mc: &ModelChecker, hc: &HierChecker, encs: &[Vec<u8>], what: &str) {
+    let (mut flat_bytes, mut stack_bytes) = (Vec::new(), Vec::new());
     let (mut fsc, mut hsc) = (mc.scratch(), hc.scratch());
     let (mut fstate, mut fsucc, mut hstate, mut hsucc) =
         (mc.initial(), mc.initial(), hc.initial(), hc.initial());
@@ -99,9 +106,9 @@ fn assert_identity(name: &str, n: usize) {
             }
             Step::IssueAccess { cache, access } => HStep::Issue { mlevel: 0, node: cache, access },
         };
-        assert_eq!(fsteps.iter().map(as_stack).collect::<Vec<_>>(), hsteps, "{name}@{n}: {i}");
+        assert_eq!(fsteps.iter().map(as_stack).collect::<Vec<_>>(), hsteps, "{what}: {i}");
         for (&fstep, &hstep) in fsteps.iter().zip(&hsteps) {
-            let at = format!("{name}@{n}: state {i}, {fstep}");
+            let at = format!("{what}: state {i}, {fstep}");
             match (
                 mc.successor_into(&fstate, fstep, &mut fsucc, &mut fsc),
                 hc.successor_into(&hstate, hstep, &mut hsucc, &mut hsc),
@@ -125,6 +132,31 @@ fn assert_identity(name: &str, n: usize) {
                 (f, h) => panic!("{at}: {f:?} vs {h:?}"),
             }
         }
+    }
+}
+
+/// The flat system and the one-level stack step alike beyond the two
+/// cases `assert_identity` walks whole: on a breadth-first sample of
+/// MESI stalling at 3 caches, MSI non-stalling at 3 and TSO-CC (which
+/// violates SC, so steps fail) at 2, all under the SC properties.
+#[test]
+fn one_level_stacks_step_as_the_flat_system_does() {
+    for (name, n, stalling) in [("mesi", 3, true), ("msi", 3, false), ("tso-cc", 2, false)] {
+        let gen = if stalling { GenConfig::stalling() } else { GenConfig::non_stalling() };
+        let ssp = protogen_protocols::by_name(name).unwrap();
+        let g = generate(&ssp, &gen).unwrap();
+        let cfg = McConfig {
+            ordered: ssp.network_ordered,
+            properties: PropertySet::sc(),
+            ..McConfig::with_caches(n)
+        };
+        let mc = ModelChecker::new(&g.cache, &g.directory, cfg);
+        let comp = protogen_protocols::flat_composition(name, n).unwrap();
+        let composed = compose(&comp, &gen).unwrap();
+        let hc = HierChecker::new(&composed, HierConfig::default());
+        let encs = reference_bfs(&mc, 1500).0;
+        assert!(encs.len() >= 800, "{name}@{n}: sampled only {}", encs.len());
+        assert_steps_agree(&mc, &hc, &encs, &format!("{name}@{n} stalling={stalling}"));
     }
 }
 

@@ -178,14 +178,15 @@ fn permuted(s: &HierState, maps: &[Vec<u8>], fanouts: &[usize]) -> HierState {
         let slots = |p: usize, slots: &[(NodeId, u8)]| {
             slots.iter().map(|&(node, a)| (local(p, node), a)).collect::<Vec<_>>()
         };
-        for (g, block) in s.caches[j].iter().enumerate() {
-            let to = &mut out.caches[j][maps[j][g] as usize];
+        let (from, to) = (&s.levels[j], &mut out.levels[j]);
+        for (g, block) in from.caches.iter().enumerate() {
+            let to = &mut to.caches[maps[j][g] as usize];
             to.clone_from(block);
             to.chain_slots = slots(g / f, &block.chain_slots);
         }
-        for (p, dir) in s.dirs[j].iter().enumerate() {
+        for (p, dir) in from.dirs.iter().enumerate() {
             let p2 = maps[j + 1][p] as usize;
-            let to = &mut out.dirs[j][p2];
+            let (to, chans) = (&mut to.dirs[p2], &mut to.chans);
             to.clone_from(dir);
             to.owner = dir.owner.map(|o| local(p, o));
             to.chain_slots = slots(p, &dir.chain_slots);
@@ -195,7 +196,8 @@ fn permuted(s: &HierState, maps: &[Vec<u8>], fanouts: &[usize]) -> HierState {
             for src in 0..=f {
                 for dst in 0..=f {
                     let (src2, dst2) = (local(p, NodeId(src as u8)), local(p, NodeId(dst as u8)));
-                    out.chans[j][p2][src2.as_usize()][dst2.as_usize()] = s.chans[j][p][src][dst]
+                    chans[p2 * (f + 1) + src2.as_usize()][dst2.as_usize()] = from.chans
+                        [p * (f + 1) + src][dst]
                         .iter()
                         .map(|m| Msg {
                             src: local(p, m.src),
