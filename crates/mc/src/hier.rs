@@ -311,35 +311,28 @@ impl HierPerm {
 /// Outcome of a hierarchical checking run: the shared explorer's.
 pub type HierResult = CheckResult;
 
-/// The composed system's per-worker scratch: the orbit-pruned sweep (its
-/// `best` holds the encoding the last `canonical_fp` selected), the
-/// candidate group element, the subnet kernel's stepping scratch (with the
-/// worker's coverage recorders, two per level), and the decoded parent's
-/// subnet keys with what the last enabled step may have changed.
+/// The composed system's per-worker scratch: its canonicalizer and the
+/// subnet kernel's stepping scratch (with the worker's coverage recorders,
+/// two per level).
 #[derive(Debug)]
 pub struct HierScratch {
-    /// A one-level stack's canonicalizer: its state is one subnet, which
-    /// the flat system's canonicalizer encodes to the same bytes.
-    flat: Option<Canonicalizer>,
-    sweep: Sweep,
-    /// The candidate group element being encoded; the identity until the
-    /// first sweep, and for good when the stack runs unreduced.
-    perm: HierPerm,
+    canon: Canon,
     step: StepScratch,
-    /// `parent_keys[jm][g]`: node `g`'s key over its own subnet
-    /// ([`subnet_sort_keys`]) in the parent the steps are taken from;
-    /// filled by the first enabled step after a decode.
-    parent_keys: Vec<Vec<u64>>,
-    keyed: bool,
-    /// What the last enabled step may have written. Every other subnet
-    /// of the successor equals the parent's, and so do its keys. Taken by
-    /// the next `canonical_fp`.
-    fresh: Option<Written>,
 }
 
-/// The subnets a step may have written: its own, and the one holding the
-/// host block its mirror wrote, if it did.
-type Written = (At, Option<At>);
+/// How a stack canonicalizes; each keeps the encoding the last
+/// `canonical_fp` selected.
+#[derive(Debug)]
+enum Canon {
+    /// A one-level stack's state is one subnet, which the flat system's
+    /// canonicalizer encodes to the bytes the sweep below selects (pinned
+    /// by `tests::one_level_sweep_selects_the_flat_bytes`), and sooner.
+    Flat(Canonicalizer),
+    /// The orbit-pruned sweep over every level, and the candidate group
+    /// element being encoded: the identity until the first sweep, and for
+    /// good when the stack runs unreduced.
+    Stack { sweep: Sweep, perm: HierPerm },
+}
 
 impl Subnets for HierState {
     #[inline]
@@ -361,13 +354,9 @@ impl Subnets for HierState {
 
     /// The one data field `HierChecker::mirror` copies a step's line
     /// into: the inner directory a parent's cache side hosts, or the outer
-    /// block of the node hosting a directory. A one-level stack has no
-    /// outside.
+    /// block of the node hosting a directory.
     #[inline]
     fn restore_outside(&mut self, from: &Self, (j, p): At, node: usize) {
-        if self.levels.len() == 1 {
-            return;
-        }
         let f = self.levels[j].fanout;
         if node < f {
             if j >= 1 {
@@ -552,9 +541,7 @@ impl HierChecker {
     /// the value rides outer evictions and forwards unchanged; a completed
     /// glue Store keeps the value the outer protocol delivered (or the node
     /// already held) instead of a minted one, and the inner directory the
-    /// node hosts follows its outer block. Returns whether it wrote the
-    /// hosting node's outer block, the one field outside the step's subnet
-    /// that a sort key reads.
+    /// node hosts follows its outer block.
     fn mirror(
         &self,
         state: &HierState,
@@ -563,14 +550,13 @@ impl HierChecker {
         delivered: Option<Msg>,
         succ: &mut HierState,
         outcome: &ApplyOutcome,
-    ) -> bool {
+    ) {
         let f = self.levels[j].fanout;
         if node == f {
             let data = succ.levels[j].dirs[p].data;
             if let Some(host) = succ.levels.get_mut(j + 1).map(|up| &mut up.caches[p]) {
                 if data != state.levels[j].dirs[p].data && host.data.is_some() {
                     host.data = Some(data);
-                    return true;
                 }
             }
         } else if j >= 1 {
@@ -586,7 +572,6 @@ impl HierChecker {
                 }
             }
         }
-        false
     }
 
     /// Appends the byte encoding of the state under `perm` to `sink`.
@@ -632,28 +617,11 @@ impl HierChecker {
     /// and with its children's keys in sorted order. Nothing in it hashes
     /// a concrete sibling index, so `key(g, s) == key(π(g), π·s)` for
     /// every group element π: the contract that makes the pruning exact.
-    ///
-    /// With `parent` — the parent's subnet keys and the subnets the step
-    /// to `s` may have written — every other subnet's keys are the
-    /// parent's, copied rather than recomputed.
-    fn sort_siblings(
-        &self,
-        s: &HierState,
-        sweep: &mut Sweep,
-        parent: Option<(&[Vec<u64>], Written)>,
-    ) {
+    fn sort_siblings(&self, s: &HierState, sweep: &mut Sweep) {
         for (jm, l) in s.levels.iter().enumerate() {
-            let f = l.fanout;
             let (below, at) = sweep.keys.split_at_mut(jm);
-            match parent {
-                Some((keys, (fresh, host))) => {
-                    at[0].copy_from_slice(&keys[jm]);
-                    for (_, p) in std::iter::once(fresh).chain(host).filter(|&(j, _)| j == jm) {
-                        subnet_sort_keys(&l.subnet(p, s.ghost), &mut at[0][p * f..(p + 1) * f]);
-                    }
-                    debug_assert_eq!(at[0], self.subnet_keys(l, s.ghost), "stale subnet keys");
-                }
-                None => self.subnet_keys_into(l, s.ghost, &mut at[0]),
+            for (p, keys) in at[0].chunks_exact_mut(l.fanout).enumerate() {
+                subnet_sort_keys(&l.subnet(p, s.ghost), keys);
             }
             if let Some(inner) = jm.checked_sub(1).map(|j| &s.levels[j]) {
                 let (fi, below) = (inner.fanout, &below[jm - 1]);
@@ -680,27 +648,24 @@ impl HierChecker {
         }
     }
 
-    /// Every node's key over its own subnet, on one level.
-    fn subnet_keys_into(&self, l: &HierLevel, ghost: Val, keys: &mut [u64]) {
-        for (p, keys) in keys.chunks_exact_mut(l.fanout).enumerate() {
-            subnet_sort_keys(&l.subnet(p, ghost), keys);
-        }
-    }
-
-    /// [`Self::subnet_keys_into`] into a new vector.
-    fn subnet_keys(&self, l: &HierLevel, ghost: Val) -> Vec<u64> {
-        let mut keys = vec![0; l.caches.len()];
-        self.subnet_keys_into(l, ghost, &mut keys);
-        keys
-    }
-
     /// The number of group elements the canonicalizer enumerates for `s`
     /// (an exhaustive sweep enumerates [`Self::group_size`]): the product
     /// of the factorials of its equal-key sibling runs. Exposed for tests
     /// and measurements, like [`crate::Canonicalizer::pruned_candidates`].
     pub fn pruned_candidates(&self, s: &HierState, scratch: &mut HierScratch) -> usize {
         self.canonical_fp(s, scratch);
-        scratch.flat.as_ref().map_or_else(|| scratch.sweep.candidates(), Canonicalizer::candidates)
+        match &scratch.canon {
+            Canon::Flat(canon) => canon.candidates(),
+            Canon::Stack { sweep, .. } => sweep.candidates(),
+        }
+    }
+
+    /// The sweep canonicalizer, which every stack deeper than one level
+    /// runs.
+    fn sweep_canon(&self) -> Canon {
+        let fanouts: Vec<usize> = self.levels.iter().map(|l| l.fanout).collect();
+        let shape: Vec<_> = self.counts.iter().copied().zip(fanouts.iter().copied()).collect();
+        Canon::Stack { sweep: Sweep::new(&shape), perm: HierPerm::identity(&self.counts, &fanouts) }
     }
 
     /// Runs breadth-first exploration on the shared explorer until
@@ -773,17 +738,12 @@ impl TransitionSystem for HierChecker {
     }
 
     fn scratch(&self) -> HierScratch {
-        let fanouts: Vec<usize> = self.levels.iter().map(|l| l.fanout).collect();
-        let shape: Vec<_> = self.counts.iter().copied().zip(fanouts.iter().copied()).collect();
-        HierScratch {
-            flat: (self.depth() == 1).then(|| Canonicalizer::new(fanouts[0], self.reduces())),
-            sweep: Sweep::new(&shape),
-            perm: HierPerm::identity(&self.counts, &fanouts),
-            step: StepScratch::new(self.levels.iter().map(|l| (l.cache.fsm(), l.dir.fsm()))),
-            parent_keys: self.counts[..self.depth()].iter().map(|&n| vec![0; n]).collect(),
-            keyed: false,
-            fresh: None,
-        }
+        let canon = match &self.levels[..] {
+            [level] => Canon::Flat(Canonicalizer::new(level.fanout, self.reduces())),
+            _ => self.sweep_canon(),
+        };
+        let step = StepScratch::new(self.levels.iter().map(|l| (l.cache.fsm(), l.dir.fsm())));
+        HierScratch { canon, step }
     }
 
     /// All candidate steps from `state`, in canonical order: deliveries by
@@ -879,19 +839,15 @@ impl TransitionSystem for HierChecker {
         succ: &mut HierState,
         scratch: &mut HierScratch,
     ) -> Result<bool, ViolationKind> {
-        scratch.fresh = None;
-        let (st, glued) = (&mut scratch.step, self.depth() > 1);
+        let st = &mut scratch.step;
         let (at, node, delivered) = match step {
             HStep::Deliver { level, parent, src, dst, idx } => {
                 let at = (level as usize, parent as usize);
                 let pos = (src as usize, dst as usize, idx as usize);
-                let (kernel, value) = (self.kernel(at.0), mint(state.ghost, at.0));
-                if !glued {
-                    return kernel.deliver(state, at, pos, value, succ, st);
-                }
-                let msg = state.levels[at.0].rows(at.1)[pos.0][pos.1][pos.2];
+                let (msg, value) =
+                    (state.levels[at.0].rows(at.1)[pos.0][pos.1][pos.2], mint(state.ghost, at.0));
                 if self.gated(state, at, pos.1, &msg)
-                    || !kernel.deliver(state, at, pos, value, succ, st)?
+                    || !self.kernel(at.0).deliver(state, at, pos, value, succ, st)?
                 {
                     return Ok(false);
                 }
@@ -907,17 +863,7 @@ impl TransitionSystem for HierChecker {
                 (at, cache, None)
             }
         };
-        let host = glued && self.mirror(state, at, node, delivered, succ, &st.outcome);
-        if glued && self.reduces() {
-            if !scratch.keyed {
-                for (l, keys) in state.levels.iter().zip(&mut scratch.parent_keys) {
-                    self.subnet_keys_into(l, state.ghost, keys);
-                }
-                scratch.keyed = true;
-            }
-            let up = host.then(|| (at.0 + 1, self.levels[at.0 + 1].homes[at.1].0));
-            scratch.fresh = Some((at, up));
-        }
+        self.mirror(state, at, node, delivered, succ, &st.outcome);
         Ok(true)
     }
 
@@ -960,15 +906,14 @@ impl TransitionSystem for HierChecker {
     /// `Sweep` [`crate::Canonicalizer`] runs too, so a one-level stack
     /// selects the flat checker's bytes.
     fn canonical_fp(&self, s: &HierState, sc: &mut HierScratch) -> u64 {
-        let HierScratch { flat, sweep, perm, parent_keys, fresh, .. } = sc;
-        if let Some(canon) = flat {
-            return canon.canonical_fp_of(&s.levels[0].subnet(0, s.ghost));
-        }
+        let (sweep, perm) = match &mut sc.canon {
+            Canon::Flat(canon) => return canon.canonical_fp_of(&s.levels[0].subnet(0, s.ghost)),
+            Canon::Stack { sweep, perm } => (sweep, perm),
+        };
         if !self.reduces() {
             return sweep.keep(|out| self.encode_permuted(s, perm, out));
         }
-        let parent = fresh.take().map(|fresh| (&parent_keys[..], fresh));
-        self.sort_siblings(s, sweep, parent);
+        self.sort_siblings(s, sweep);
         sweep.minimize(|order, out| {
             perm.arrange(order);
             self.encode_permuted(s, perm, out);
@@ -976,7 +921,10 @@ impl TransitionSystem for HierChecker {
     }
 
     fn canonical_bytes<'s>(&self, scratch: &'s HierScratch) -> &'s [u8] {
-        scratch.flat.as_ref().map_or_else(|| scratch.sweep.best(), Canonicalizer::best)
+        match &scratch.canon {
+            Canon::Flat(canon) => canon.best(),
+            Canon::Stack { sweep, .. } => sweep.best(),
+        }
     }
 
     /// Decodes an identity-permutation encoding back into `s` (shaped by
@@ -984,7 +932,6 @@ impl TransitionSystem for HierChecker {
     /// the order each level's vector holds it.
     fn decode_into(&self, bytes: &[u8], s: &mut HierState, scratch: &mut HierScratch) {
         scratch.step.unsync();
-        (scratch.keyed, scratch.fresh) = (false, None);
         let mut d = Decoder::new(bytes);
         for l in &mut s.levels {
             for c in &mut l.caches {
@@ -1146,7 +1093,15 @@ mod tests {
 
     fn canonical(hc: &HierChecker, s: &HierState, sc: &mut HierScratch) -> Vec<u8> {
         hc.canonical_fp(s, sc);
-        sc.sweep.best().to_vec()
+        hc.canonical_bytes(sc).to_vec()
+    }
+
+    /// The candidate element a deeper stack's last sweep left.
+    fn swept(sc: &HierScratch) -> &HierPerm {
+        match &sc.canon {
+            Canon::Stack { perm, .. } => perm,
+            Canon::Flat(_) => panic!("a one-level stack runs the flat canonicalizer"),
+        }
     }
 
     #[test]
@@ -1223,14 +1178,15 @@ mod tests {
                         continue;
                     }
                     let pruned = canonical(&hc, &succ, &mut sc);
+                    let perm = swept(&sc);
                     for jm in 0..hc.depth() {
                         let f = hc.levels[jm].fanout;
-                        let maps = crate::system::invert(&sc.perm.invs[jm]);
-                        let parents = crate::system::invert(&sc.perm.invs[jm + 1]);
+                        let maps = crate::system::invert(&perm.invs[jm]);
+                        let parents = crate::system::invert(&perm.invs[jm + 1]);
                         for (g, &to) in maps.iter().enumerate() {
                             assert_eq!(to / f as u8, parents[g / f], "a child left its parent");
-                            assert_eq!(sc.perm.local[jm][g], to % f as u8, "local table");
-                            let back = sc.perm.back[jm][g / f * f + (to as usize % f)];
+                            assert_eq!(perm.local[jm][g], to % f as u8, "local table");
+                            let back = perm.back[jm][g / f * f + (to as usize % f)];
                             assert_eq!(back as usize, g % f, "inverse local table");
                         }
                     }
@@ -1311,12 +1267,12 @@ mod tests {
         for dir in 0..3 {
             initial[42 + dir * 6 + 2] = 255; // no owner
         }
-        assert_eq!(sc.sweep.best(), initial);
+        assert_eq!(hc.canonical_bytes(&sc), initial);
         assert_eq!(hc.pruned_candidates(&hc.initial(), &mut sc), 8, "fully symmetric");
 
         assert_eq!(hc.canonical_fp(&busy_state(&hc), &mut sc), 0x9089a806ee4224bc);
         assert_eq!(
-            sc.sweep.best(),
+            hc.canonical_bytes(&sc),
             [
                 0, 0, 255, 0, 255, 255, 0, 0, 0, 255, 0, 255, 1, 0, 0, 0, 255, 0, 255, 0, 0, 2, 0,
                 1, 0, 255, 255, 0, 0, 0, 255, 0, 255, 255, 0, 2, 0, 1, 0, 255, 255, 0, 0, 0, 255,
@@ -1326,6 +1282,37 @@ mod tests {
             ]
         );
         assert_eq!(hc.pruned_candidates(&busy_state(&hc), &mut sc), 1, "all keys distinct");
+    }
+
+    /// The sweep every deeper stack runs selects, on a one-level stack,
+    /// the bytes and fingerprint of the flat canonicalizer that such a
+    /// stack runs instead: every reachable state of MSI @2 and MESI @3,
+    /// each handed over out of canonical arrangement.
+    #[test]
+    fn one_level_sweep_selects_the_flat_bytes() {
+        for (name, n) in [("msi", 2), ("mesi", 3)] {
+            let hc = checker(&flat_composition(name, n).unwrap(), HierConfig::default());
+            let mut sc = HierScratch { canon: hc.sweep_canon(), ..hc.scratch() };
+            let (mut canon, perms) = (Canonicalizer::new(n, true), crate::system::permutations(n));
+            let encs = crate::explore::reference_bfs(&hc, usize::MAX).0;
+            assert!(encs.len() > 100, "{name}@{n}: only {} states", encs.len());
+            for (i, enc) in encs.iter().enumerate() {
+                let s = crate::SysState::decode(enc, n).permuted(&perms[i % perms.len()]);
+                let level = HierLevel {
+                    fanout: n,
+                    caches: s.caches.clone(),
+                    dirs: vec![s.dir.clone()],
+                    chans: s.channels.clone(),
+                };
+                let stacked = HierState { levels: vec![level], ghost: s.ghost };
+                let mut flat = Vec::new();
+                let flat_fp = canon.encode_canonical_into(&s, &mut flat);
+                let stack_fp = hc.canonical_fp(&stacked, &mut sc);
+                let at = format!("{name}@{n}: state {i}");
+                assert_eq!(&flat, enc, "{at} left its orbit");
+                assert_eq!((stack_fp, hc.canonical_bytes(&sc)), (flat_fp, &flat[..]), "{at}");
+            }
+        }
     }
 
     #[test]
